@@ -140,4 +140,29 @@ func TestCmdBenchallSmoke(t *testing.T) {
 	if !strings.Contains(out, "acyclic partitioner") {
 		t.Fatalf("table4 missing:\n%s", out)
 	}
+
+	// -json and -csv cover every experiment (they used to be dropped
+	// silently, exit 0 and no file, for everything but a few sweeps), and
+	// -designs reaches the pack sweep's own fabric.
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"table1", []string{"-designs", "r16"}},
+		{"pack", []string{"-designs", "fab", "-lanes", "2", "-cycles", "2000"}},
+	} {
+		jsonPath := filepath.Join(dir, c.name+".json")
+		runCmd(t, append([]string{"./cmd/benchall", "-quick", "-only", c.name,
+			"-json", jsonPath, "-csv", dir}, c.args...)...)
+		for _, path := range []string{jsonPath, filepath.Join(dir, c.name+".csv")} {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(data), c.args[1]) {
+				t.Fatalf("%s lacks a %s row:\n%s", path, c.args[1], data)
+			}
+		}
+	}
 }

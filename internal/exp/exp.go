@@ -1,51 +1,100 @@
-// Package exp regenerates the paper's evaluation artifacts: Tables I–IV
-// and Figures 5–7 (§V). Each experiment returns structured rows plus a
-// text rendering; cmd/benchall drives them all and EXPERIMENTS.md records
-// the measured results next to the paper's.
+// Package exp regenerates the paper's evaluation artifacts (Tables I–IV,
+// Figures 5–7, §V) and measures this repository's extensions. Every
+// timed experiment is a table of cells handed to the one runner in
+// runner.go; cmd/benchall loops over Experiments and EXPERIMENTS.md
+// records the measured results next to the paper's.
 package exp
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
-	"essent/internal/designs"
-	"essent/internal/firrtl"
-	"essent/internal/netlist"
-	"essent/internal/opt"
-	"essent/internal/riscv"
 	"essent/internal/sim"
 )
 
-// Scale sets workload sizes and cycle caps. The paper runs hundreds of
-// thousands to millions of cycles on a 3.6 GHz host; interpreted engines
-// here default to smaller runs with the same relative structure.
-type Scale struct {
-	Workloads riscv.WorkloadConfig
-	MaxCycles int
-	// Fig5Cycles bounds activity sampling (it peeks every signal every
-	// cycle, which is expensive).
-	Fig5Cycles int
+// Params carries benchall's flags to the experiments. Nil lists select
+// each experiment's defaults.
+type Params struct {
+	Scale Scale
+	// Designs narrows the design set (registry names).
+	Designs []string
+	// Workers are the parallel-CCSS worker counts of the scaling sweep.
+	Workers []int
+	// Lanes are the batch lane counts (lanes, pack) or the per-class lane
+	// caps (vec); LaneWorkers sizes those engines' worker pools.
+	Lanes       []int
+	LaneWorkers int
+	// Intervals are ckptcost's snapshot spacings in cycles.
+	Intervals []uint64
 }
 
-// QuickScale suits tests and -quick runs.
-func QuickScale() Scale {
-	return Scale{
-		Workloads: riscv.WorkloadConfig{
-			MatmulN: 6, PchaseNodes: 128, PchaseHops: 600, DhrystoneIters: 10},
-		MaxCycles:  400_000,
-		Fig5Cycles: 1_500,
-	}
+// Experiment is one -only target. Exactly one of Cells (timed, run by
+// the runner) and Rows (static tables and work-counter figures) is set.
+type Experiment struct {
+	Name  string
+	Title string
+	// Accepts says which registry designs the experiment can run.
+	Accepts accepts
+	Cells   func(ds *DesignSet, p Params) ([]Cell, error)
+	Rows    func(ds *DesignSet, p Params) ([]Row, error)
+	// Columns are the extras keys, in display order.
+	Columns []string
+	// Text overrides the generic table renderer; Summary adds a closing
+	// line.
+	Text    func(rows []Row) string
+	Summary func(rows []Row) string
 }
 
-// FullScale is the benchall default.
-func FullScale() Scale {
-	return Scale{
-		Workloads: riscv.WorkloadConfig{
-			MatmulN: 12, PchaseNodes: 512, PchaseHops: 6000, DhrystoneIters: 60},
-		MaxCycles:  4_000_000,
-		Fig5Cycles: 4_000,
+// Run executes the experiment.
+func (e *Experiment) Run(ds *DesignSet, p Params) ([]Row, error) {
+	if e.Rows != nil {
+		return e.Rows(ds, p)
 	}
+	cells, err := e.Cells(ds, p)
+	if err != nil {
+		return nil, err
+	}
+	for i := range cells {
+		cells[i].Experiment = e.Name
+	}
+	return Run(cells)
+}
+
+// Render formats the experiment's rows for the terminal.
+func (e *Experiment) Render(rows []Row) string {
+	var out string
+	if e.Text != nil {
+		out = e.Text(rows)
+	} else {
+		out = Render(e.Title, e.Columns, rows)
+	}
+	if e.Summary != nil {
+		out += e.Summary(rows) + "\n"
+	}
+	return out
+}
+
+// CanBuild reports whether the experiment accepts the named registry
+// design.
+func (e *Experiment) CanBuild(design string) bool {
+	spec, ok := specOf(design)
+	return ok && e.Accepts(spec)
+}
+
+// Experiments lists every -only target: the paper's artifacts first,
+// then the extension sweeps.
+var Experiments = []*Experiment{
+	table1, table2, table3, table4, fig5, fig6, fig7, ablation,
+	scaling, lanes, pack, vec, saExp, gen, gencp, ckptcost, verifycost,
+}
+
+// Lookup finds an experiment by name.
+func Lookup(name string) *Experiment {
+	for _, e := range Experiments {
+		if e.Name == name {
+			return e
+		}
+	}
+	return nil
 }
 
 // EngineSpec is one evaluated simulator (Table III columns).
@@ -66,95 +115,27 @@ func Engines() []EngineSpec {
 		{Name: "CommVer", Options: sim.Options{Engine: sim.EngineEventDriven}},
 		{Name: "Verilator", Options: sim.Options{Engine: sim.EngineFullCycleOpt}, Optimized: true},
 		{Name: "Baseline", Options: sim.Options{Engine: sim.EngineFullCycle}},
-		{Name: "ESSENT", Options: sim.Options{Engine: sim.EngineCCSS, Cp: 8}, Optimized: true},
+		essentSpec(8),
 	}
 }
 
-// compiledDesign caches a built SoC in both raw and optimized forms.
-type compiledDesign struct {
-	cfg     designs.Config
-	circuit *firrtl.Circuit
-	raw     *netlist.Design
-	optim   *netlist.Design
+func essentSpec(cp int) EngineSpec {
+	return EngineSpec{Name: "ESSENT", Optimized: true,
+		Options: sim.Options{Engine: sim.EngineCCSS, Cp: cp}}
 }
 
-func compileSoC(cfg designs.Config) (*compiledDesign, error) {
-	circ, err := designs.Build(cfg)
-	if err != nil {
-		return nil, err
-	}
-	d, err := netlist.Compile(circ)
-	if err != nil {
-		return nil, err
-	}
-	od, _, err := opt.Optimize(d)
-	if err != nil {
-		return nil, err
-	}
-	return &compiledDesign{cfg: cfg, circuit: circ, raw: d, optim: od}, nil
+func parallelSpec(workers int) EngineSpec {
+	return EngineSpec{Name: fmt.Sprintf("Parallel/%d", workers), Optimized: true,
+		Options: sim.Options{Engine: sim.EngineCCSSParallel, Cp: 8, Workers: workers}}
 }
 
-// DesignSet compiles the evaluation designs once for reuse across
-// experiments.
-type DesignSet struct {
-	Designs   []*compiledDesign
-	Workloads []riscv.Workload
-}
+// Fig6Cps is the Cp sweep the paper plots.
+var Fig6Cps = []int{1, 2, 4, 8, 16, 32, 64}
 
-// NewDesignSet builds the Table I designs and Table II workloads.
-func NewDesignSet(scale Scale, cfgs []designs.Config) (*DesignSet, error) {
-	if cfgs == nil {
-		cfgs = designs.Configs()
+// ints returns xs, or the defaults when xs is empty.
+func ints(xs []int, defaults ...int) []int {
+	if len(xs) == 0 {
+		return defaults
 	}
-	ds := &DesignSet{}
-	for _, cfg := range cfgs {
-		cd, err := compileSoC(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("design %s: %w", cfg.Name, err)
-		}
-		ds.Designs = append(ds.Designs, cd)
-	}
-	ws, err := riscv.Workloads(scale.Workloads)
-	if err != nil {
-		return nil, err
-	}
-	ds.Workloads = ws
-	return ds, nil
-}
-
-// runOn executes a workload on one engine over one design, returning the
-// wall time of the simulation loop and the simulator for stat inspection.
-func runOn(cd *compiledDesign, spec EngineSpec, w riscv.Workload,
-	maxCycles int) (time.Duration, designs.Result, sim.Simulator, error) {
-	d := cd.raw
-	if spec.Optimized {
-		d = cd.optim
-	}
-	s, err := sim.New(d, spec.Options)
-	if err != nil {
-		return 0, designs.Result{}, nil, err
-	}
-	r, err := designs.NewRunner(s)
-	if err != nil {
-		return 0, designs.Result{}, nil, err
-	}
-	if err := r.Load(w.Program); err != nil {
-		return 0, designs.Result{}, nil, err
-	}
-	start := time.Now()
-	res, err := r.Run(maxCycles)
-	elapsed := time.Since(start)
-	if err != nil {
-		return 0, designs.Result{}, nil, fmt.Errorf("%s/%s/%s: %w",
-			cd.cfg.Name, spec.Name, w.Name, err)
-	}
-	return elapsed, res, s, nil
-}
-
-// column pads a string to width.
-func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
-	}
-	return s + strings.Repeat(" ", w-len(s))
+	return xs
 }

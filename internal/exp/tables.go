@@ -1,221 +1,238 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"essent/internal/activity"
+	"essent/internal/designs"
 	"essent/internal/firrtl"
+	"essent/internal/riscv"
 	"essent/internal/sim"
 )
 
-// TableIRow is one design-size line of Table I.
-type TableIRow struct {
-	Design      string
-	FirrtlLines int
-	Nodes       int
-	Edges       int
-}
-
-// TableI reports design sizes (FIRRTL lines, graph nodes, graph edges).
-func (ds *DesignSet) TableI() []TableIRow {
-	var rows []TableIRow
-	for _, cd := range ds.Designs {
-		st := cd.raw.Stats()
-		rows = append(rows, TableIRow{
-			Design:      cd.cfg.Name,
-			FirrtlLines: firrtl.LineCount(cd.circuit),
-			Nodes:       st.Signals,
-			Edges:       st.Edges,
-		})
+// runToHalt executes w on a fresh engine until the program stops.
+func runToHalt(d *Design, spec EngineSpec, w riscv.Workload,
+	maxCycles int) (designs.Result, sim.Simulator, error) {
+	s, err := sim.New(d.netlist(spec.Optimized), spec.Options)
+	if err != nil {
+		return designs.Result{}, nil, err
 	}
-	return rows
-}
-
-// RenderTableI formats Table I.
-func RenderTableI(rows []TableIRow) string {
-	var b strings.Builder
-	b.WriteString("Table I: open-source processor designs used for evaluation\n")
-	b.WriteString("  Design  FIRRTL-lines   Nodes    Edges\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %s %9d %10d %8d\n", pad(r.Design, 7), r.FirrtlLines, r.Nodes, r.Edges)
+	r, err := designs.NewRunner(s)
+	if err != nil {
+		return designs.Result{}, nil, err
 	}
-	return b.String()
+	if err := r.Load(w.Program); err != nil {
+		return designs.Result{}, nil, err
+	}
+	res, err := r.Run(maxCycles)
+	if err != nil {
+		return res, nil, fmt.Errorf("%s/%s/%s: %w", d.Name, spec.Name, w.Name, err)
+	}
+	return res, s, nil
 }
 
-// TableIIRow is one workload line of Table II.
-type TableIIRow struct {
-	Name        string
-	CyclesK     float64 // thousands of cycles on r16
-	Instret     uint32
-	Description string
+// Table I reports design sizes (FIRRTL lines, graph nodes, graph edges).
+var table1 = &Experiment{
+	Name:    "table1",
+	Title:   "Table I: open-source processor designs used for evaluation",
+	Accepts: designSpec.soc,
+	Columns: []string{"firrtl_lines", "nodes", "edges"},
+	Rows: func(ds *DesignSet, p Params) ([]Row, error) {
+		dsg, err := ds.pick(p.Designs, designSpec.soc, "r16", "r18", "boom")
+		var rows []Row
+		for _, d := range dsg {
+			st := d.Raw.Stats()
+			rows = append(rows, Row{Experiment: "table1", Design: d.Name,
+				Extras: map[string]any{"firrtl_lines": firrtl.LineCount(d.Circuit),
+					"nodes": st.Signals, "edges": st.Edges}})
+		}
+		return rows, err
+	},
 }
 
-// TableII measures workload cycle counts on the first (r16) design.
-func (ds *DesignSet) TableII(scale Scale) ([]TableIIRow, error) {
-	var rows []TableIIRow
-	cd := ds.Designs[0]
-	for _, w := range ds.Workloads {
-		_, res, _, err := runOn(cd, Engines()[3], w, scale.MaxCycles)
-		if err != nil {
+// Table II measures workload cycle counts on the first design (r16).
+var table2 = &Experiment{
+	Name:    "table2",
+	Title:   "Table II: software workloads (cycle counts on the first design)",
+	Accepts: designSpec.soc,
+	Columns: []string{"instret", "description"},
+	Rows: func(ds *DesignSet, p Params) ([]Row, error) {
+		dsg, err := ds.pick(p.Designs, designSpec.soc, "r16")
+		if err != nil || len(dsg) == 0 {
 			return nil, err
 		}
-		rows = append(rows, TableIIRow{
-			Name:        w.Name,
-			CyclesK:     float64(res.Cycles) / 1000,
-			Instret:     res.Instret,
-			Description: w.Description,
-		})
-	}
-	return rows, nil
-}
-
-// RenderTableII formats Table II.
-func RenderTableII(rows []TableIIRow) string {
-	var b strings.Builder
-	b.WriteString("Table II: software workloads (cycle counts for r16)\n")
-	b.WriteString("  Benchmark   Cycles(K)   Description\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %s %9.1f   %s\n", pad(r.Name, 11), r.CyclesK, r.Description)
-	}
-	return b.String()
-}
-
-// TableIIIRow is one design×workload line of Table III.
-type TableIIIRow struct {
-	Design   string
-	Workload string
-	// Seconds per engine, in Engines() order.
-	Seconds [4]float64
-	// Speedup of ESSENT over Baseline (the paper's last column).
-	Speedup float64
-	// Cycles actually simulated (identical across engines by
-	// construction; verified).
-	Cycles uint64
-	// EffActivity is the ESSENT run's effective activity factor (fraction
-	// of scheduled work actually evaluated; Fig. 7 denominator).
-	EffActivity float64
-	// FusedPairs reports the ESSENT interpreter's superinstruction count
-	// (a compile-time property of the design, not the workload).
-	FusedPairs uint64
-}
-
-// TableIII times all four simulators over every design × workload cell.
-func (ds *DesignSet) TableIII(scale Scale) ([]TableIIIRow, error) {
-	specs := Engines()
-	var rows []TableIIIRow
-	for _, cd := range ds.Designs {
+		var rows []Row
 		for _, w := range ds.Workloads {
-			row := TableIIIRow{Design: cd.cfg.Name, Workload: w.Name}
-			var cycles uint64
-			for ei, spec := range specs {
-				elapsed, res, s, err := runOn(cd, spec, w, scale.MaxCycles)
+			res, _, err := runToHalt(dsg[0], essentSpec(8), w, p.Scale.MaxCycles)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, Row{Experiment: "table2", Design: dsg[0].Name,
+				Workload: w.Name, Cycles: res.Cycles,
+				Extras: map[string]any{"instret": res.Instret, "description": w.Description}})
+		}
+		return rows, nil
+	},
+}
+
+// Table IV is the qualitative comparison matrix. The engine rows come
+// from this repository's capability descriptors; the prior-work rows
+// restate the paper's classification.
+var table4 = &Experiment{
+	Name:    "table4",
+	Title:   "Table IV: comparison of simulation approaches",
+	Accepts: func(designSpec) bool { return false },
+	Columns: []string{"conditional_execution", "coarsened_schedule", "static_schedule",
+		"singular_execution", "coarsening_method", "coarsening_automated",
+		"triggering_automated"},
+	Rows: func(*DesignSet, Params) ([]Row, error) {
+		row := func(approach string, cond, coarse, static, singular bool,
+			method, autoCoarse, autoTrig string) Row {
+			return Row{Experiment: "table4", Arm: approach, Extras: map[string]any{
+				"conditional_execution": cond, "coarsened_schedule": coarse,
+				"static_schedule": static, "singular_execution": singular,
+				"coarsening_method": method, "coarsening_automated": autoCoarse,
+				"triggering_automated": autoTrig}}
+		}
+		fromCaps := func(approach string, e sim.Engine) Row {
+			c := sim.EngineCapabilities(e)
+			auto := func(b bool) string {
+				switch {
+				case c.CoarseningMethod == "N/A":
+					return "N/A"
+				case b:
+					return "yes"
+				}
+				return "no"
+			}
+			return row(approach, c.ConditionalExecution, c.CoarsenedSchedule,
+				c.StaticSchedule, c.SingularExecution, c.CoarseningMethod,
+				auto(c.CoarseningAutomated), auto(c.TriggeringAutomated))
+		}
+		return []Row{
+			fromCaps("Full-cycle (e.g. Verilator)", sim.EngineFullCycle),
+			fromCaps("Event-driven (e.g. Icarus)", sim.EngineEventDriven),
+			row("Pérez [19]", true, true, true, false, "user (via modules)", "no", "yes"),
+			row("Cascade [11]", true, true, true, true, "user (via modules)", "no", "no"),
+			row("Chatterjee [8]", true, true, false, false, "clustering", "yes", "yes"),
+			fromCaps("ESSENT (this work)", sim.EngineCCSS),
+		}, nil
+	},
+	Text: func(rows []Row) string {
+		var b strings.Builder
+		b.WriteString("Table IV: comparison of simulation approaches\n")
+		b.WriteString("  Approach                     Cond  Coars Static Singular  Method               AutoCoarse AutoTrig\n")
+		for _, r := range rows {
+			check := func(key string) string {
+				if r.Extras[key].(bool) {
+					return "yes"
+				}
+				return "-"
+			}
+			fmt.Fprintf(&b, "  %-28s %-5s %-5s %-6s %-9s %-20s %-10s %s\n", r.Arm,
+				check("conditional_execution"), check("coarsened_schedule"),
+				check("static_schedule"), check("singular_execution"),
+				r.Extras["coarsening_method"], r.Extras["coarsening_automated"],
+				r.Extras["triggering_automated"])
+		}
+		return b.String()
+	},
+}
+
+// fig5Buckets × fig5Max is the histogram range the paper plots.
+const (
+	fig5Buckets = 12
+	fig5Max     = 0.24
+)
+
+// Fig. 5 samples the per-cycle activity factor distribution of every
+// design × workload; one row per histogram bucket.
+var fig5 = &Experiment{
+	Name:    "fig5",
+	Title:   "Figure 5: distribution of per-cycle activity factors (log-scaled bars)",
+	Accepts: designSpec.soc,
+	Columns: []string{"mean_activity", "bucket_lo", "bucket_hi", "count"},
+	Rows: func(ds *DesignSet, p Params) ([]Row, error) {
+		dsg, err := ds.pick(p.Designs, designSpec.soc, "r16", "r18", "boom")
+		var rows []Row
+		for _, d := range dsg {
+			for _, w := range ds.Workloads {
+				s, err := sim.New(d.Raw, sim.Options{Engine: sim.EngineFullCycle})
 				if err != nil {
 					return nil, err
 				}
-				row.Seconds[ei] = elapsed.Seconds()
-				if cc, ok := s.(*sim.CCSS); ok {
-					row.EffActivity = activity.Effective(s.Stats(), cc.NumSchedEntries())
-					row.FusedPairs = s.Stats().FusedPairs
+				if err := d.start(s, w); err != nil {
+					return nil, err
 				}
-				if cycles == 0 {
-					cycles = res.Cycles
-				} else if cycles != res.Cycles {
-					return nil, fmt.Errorf("exp: engines disagree on cycles for %s/%s: %d vs %d",
-						cd.cfg.Name, w.Name, cycles, res.Cycles)
+				tr := activity.NewTracker(s)
+				// A stop inside the window is fine: the workload ended.
+				var stop *sim.StopError
+				if err := tr.Run(p.Scale.Fig5Cycles); err != nil && !errors.As(err, &stop) {
+					return nil, err
+				}
+				h := tr.Histogram(fig5Buckets, fig5Max)
+				for i, c := range h.Counts {
+					lo := float64(i) * h.BucketWidth
+					rows = append(rows, Row{Experiment: "fig5", Design: d.Name, Workload: w.Name,
+						Extras: map[string]any{"mean_activity": tr.Mean(), "bucket_lo": lo,
+							"bucket_hi": lo + h.BucketWidth, "count": c}})
 				}
 			}
-			row.Cycles = cycles
-			row.Speedup = row.Seconds[2] / row.Seconds[3]
-			rows = append(rows, row)
 		}
-	}
-	return rows, nil
-}
-
-// RenderTableIII formats Table III.
-func RenderTableIII(rows []TableIIIRow) string {
-	var b strings.Builder
-	b.WriteString("Table III: execution times (sec.) & ESSENT's speedup over Baseline\n")
-	b.WriteString("  Design Workload   CommVer Verilator  Baseline    ESSENT   Speedup\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %s %s %9.3f %9.3f %9.3f %9.3f %8.2fx\n",
-			pad(r.Design, 6), pad(r.Workload, 10),
-			r.Seconds[0], r.Seconds[1], r.Seconds[2], r.Seconds[3], r.Speedup)
-	}
-	return b.String()
-}
-
-// TableIVRow is one simulation-approach line of Table IV.
-type TableIVRow struct {
-	Approach             string
-	ConditionalExecution bool
-	CoarsenedSchedule    bool
-	StaticSchedule       bool
-	SingularExecution    bool
-	CoarseningMethod     string
-	CoarseningAutomated  string // "yes", "no", or "N/A"
-	TriggeringAutomated  string
-}
-
-// TableIV returns the qualitative comparison matrix. The first rows come
-// from this repository's engine capability descriptors; the prior-work
-// rows restate the paper's classification.
-func TableIV() []TableIVRow {
-	fromCaps := func(approach string, c sim.Capabilities) TableIVRow {
-		na := func(b bool) string {
-			if c.CoarseningMethod == "N/A" {
-				return "N/A"
+		return rows, err
+	},
+	Text: func(rows []Row) string {
+		var b strings.Builder
+		b.WriteString("Figure 5: distribution of per-cycle activity factors (log-scaled bars)\n")
+		for i := 0; i+fig5Buckets <= len(rows); i += fig5Buckets {
+			h := activity.Histogram{BucketWidth: fig5Max / fig5Buckets}
+			for _, r := range rows[i : i+fig5Buckets] {
+				c := r.Extras["count"].(int)
+				h.Counts = append(h.Counts, c)
+				h.Total += c
 			}
-			if b {
-				return "yes"
-			}
-			return "no"
+			fmt.Fprintf(&b, "\n%s / %s — mean activity %.2f%%\n", rows[i].Design,
+				rows[i].Workload, rows[i].Extras["mean_activity"].(float64)*100)
+			b.WriteString(h.Render(""))
 		}
-		return TableIVRow{
-			Approach:             approach,
-			ConditionalExecution: c.ConditionalExecution,
-			CoarsenedSchedule:    c.CoarsenedSchedule,
-			StaticSchedule:       c.StaticSchedule,
-			SingularExecution:    c.SingularExecution,
-			CoarseningMethod:     c.CoarseningMethod,
-			CoarseningAutomated:  na(c.CoarseningAutomated),
-			TriggeringAutomated:  na(c.TriggeringAutomated),
-		}
-	}
-	return []TableIVRow{
-		fromCaps("Full-cycle (e.g. Verilator)", sim.EngineCapabilities(sim.EngineFullCycle)),
-		fromCaps("Event-driven (e.g. Icarus)", sim.EngineCapabilities(sim.EngineEventDriven)),
-		{Approach: "Pérez [19]", ConditionalExecution: true, CoarsenedSchedule: true,
-			StaticSchedule: true, CoarseningMethod: "user (via modules)",
-			CoarseningAutomated: "no", TriggeringAutomated: "yes"},
-		{Approach: "Cascade [11]", ConditionalExecution: true, CoarsenedSchedule: true,
-			StaticSchedule: true, SingularExecution: true,
-			CoarseningMethod: "user (via modules)", CoarseningAutomated: "no",
-			TriggeringAutomated: "no"},
-		{Approach: "Chatterjee [8]", ConditionalExecution: true, CoarsenedSchedule: true,
-			CoarseningMethod: "clustering", CoarseningAutomated: "yes",
-			TriggeringAutomated: "yes"},
-		fromCaps("ESSENT (this work)", sim.EngineCapabilities(sim.EngineCCSS)),
-	}
+		return b.String()
+	},
 }
 
-// RenderTableIV formats the attribute matrix.
-func RenderTableIV(rows []TableIVRow) string {
-	check := func(b bool) string {
-		if b {
-			return "yes"
+// Fig. 7 decomposes CCSS work per cycle at each Cp on the first design
+// and workload (r16 × dhrystone in the paper): static overhead is
+// partition flag checks plus input change tests, dynamic overhead is
+// output compares plus wakes.
+var fig7 = &Experiment{
+	Name:    "fig7",
+	Title:   "Figure 7: overhead decomposition vs Cp (per-cycle work)",
+	Accepts: designSpec.soc,
+	Columns: []string{"cp", "partitions", "base_ops_per_cycle", "static_per_cycle",
+		"dynamic_per_cycle", "eff_activity"},
+	Rows: func(ds *DesignSet, p Params) ([]Row, error) {
+		dsg, err := ds.pick(p.Designs, designSpec.soc, "r16")
+		if err != nil || len(dsg) == 0 {
+			return nil, err
 		}
-		return "-"
-	}
-	var b strings.Builder
-	b.WriteString("Table IV: comparison of simulation approaches\n")
-	b.WriteString("  Approach                     Cond  Coars Static Singular  Method               AutoCoarse AutoTrig\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %s %-5s %-5s %-6s %-9s %s %-10s %s\n",
-			pad(r.Approach, 28), check(r.ConditionalExecution), check(r.CoarsenedSchedule),
-			check(r.StaticSchedule), check(r.SingularExecution),
-			pad(r.CoarseningMethod, 20), r.CoarseningAutomated, r.TriggeringAutomated)
-	}
-	return b.String()
+		d, w := dsg[0], ds.Workloads[0]
+		var rows []Row
+		for _, cp := range Fig6Cps {
+			res, s, err := runToHalt(d, essentSpec(cp), w, p.Scale.MaxCycles)
+			if err != nil {
+				return nil, err
+			}
+			st, cyc := s.Stats(), float64(s.Stats().Cycles)
+			rows = append(rows, Row{Experiment: "fig7", Design: d.Name, Workload: w.Name,
+				Cycles: res.Cycles, Extras: map[string]any{
+					"cp":                 cp,
+					"partitions":         s.(*sim.CCSS).NumPartitions(),
+					"base_ops_per_cycle": float64(st.OpsEvaluated) / cyc,
+					"static_per_cycle":   float64(st.PartChecks+st.InputChecks) / cyc,
+					"dynamic_per_cycle":  float64(st.OutputCompares+st.Wakes) / cyc,
+					"eff_activity":       effActivity(s)}})
+		}
+		return rows, nil
+	},
 }

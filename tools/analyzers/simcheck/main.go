@@ -1,5 +1,5 @@
 // Command simcheck is the repository's custom static checker. It
-// enforces three invariants the ordinary type checker cannot see (run
+// enforces four invariants the ordinary type checker cannot see (run
 // in CI alongside go vet and staticcheck):
 //
 //  1. engine-verify — every exported engine constructor in
@@ -14,6 +14,10 @@
 //     a netlist.SignalID (directly or through an integer conversion):
 //     slot-table layout is the engines' private contract, everyone
 //     else goes through Peek/PeekWide.
+//  4. exp-one-estimator — in internal/exp only runner.go may read the
+//     clock (time.Now/time.Since): every experiment is timed by the one
+//     interleaved min-of-N runner, so a new sweep cannot quietly grow
+//     its own estimator.
 //
 // Usage: go run ./tools/analyzers/simcheck [packages...] (default ./...).
 // Builds the module's packages from source against `go list -export`
@@ -39,6 +43,9 @@ import (
 const (
 	simPath     = "essent/internal/sim"
 	netlistPath = "essent/internal/netlist"
+	expPath     = "essent/internal/exp"
+	// expClockFile is the one internal/exp file allowed to read the clock.
+	expClockFile = "runner.go"
 )
 
 func main() {
@@ -162,9 +169,37 @@ func Check(pkgPath string, fset *token.FileSet, files []*ast.File,
 		checkEngineVerify(files, info, report)
 		return findings
 	}
+	if pkgPath == expPath {
+		checkOneEstimator(fset, files, info, report)
+	}
 	checkStatsWrite(files, info, report)
 	checkSlotIndex(files, info, report)
 	return findings
+}
+
+// checkOneEstimator flags time.Now and time.Since calls in internal/exp
+// outside the runner file.
+func checkOneEstimator(fset *token.FileSet, files []*ast.File, info *types.Info,
+	report func(token.Pos, string, string)) {
+	for _, f := range files {
+		if filepath.Base(fset.Position(f.Pos()).Filename) == expClockFile {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || (sel.Sel.Name != "Now" && sel.Sel.Name != "Since") {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok {
+				if pn, ok := info.Uses[x].(*types.PkgName); ok && pn.Imported().Path() == "time" {
+					report(sel.Pos(), "exp-one-estimator", fmt.Sprintf(
+						"time.%s outside %s: time experiments through the runner's cells",
+						sel.Sel.Name, expClockFile))
+				}
+			}
+			return true
+		})
+	}
 }
 
 // checkEngineVerify: every exported New* function must reach a

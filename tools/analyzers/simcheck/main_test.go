@@ -24,8 +24,14 @@ func (m mapImporter) Import(path string) (*types.Package, error) {
 // rules over it.
 func checkSrc(t *testing.T, imp mapImporter, path, src string) ([]string, *types.Package) {
 	t.Helper()
+	return checkFile(t, imp, path, path+".go", src)
+}
+
+// checkFile is checkSrc with the file name chosen by the caller.
+func checkFile(t *testing.T, imp mapImporter, path, filename, src string) ([]string, *types.Package) {
+	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path+".go", src, 0)
+	f, err := parser.ParseFile(fset, filename, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,4 +148,39 @@ func good(s *sim.CCSS, partOf []int, id netlist.SignalID) uint64 {
 `)
 	wantRules(t, findings, "stats-write", "stats-write", "stats-write",
 		"slot-index", "slot-index")
+}
+
+// TestOneEstimatorRule: in internal/exp only runner.go may read the
+// clock; other files there are flagged, other packages are not.
+func TestOneEstimatorRule(t *testing.T) {
+	imp := deps(t)
+	_, tp := checkSrc(t, imp, "time", `
+package time
+type Time struct{}
+type Duration int64
+func Now() Time { return Time{} }
+func Since(Time) Duration { return 0 }
+func (d Duration) Seconds() float64 { return 0 }
+`)
+	imp["time"] = tp
+	const src = `
+package exp
+import "time"
+func timed(f func()) float64 {
+	start := time.Now()
+	f()
+	return time.Since(start).Seconds()
+}
+var _ time.Duration // naming the package without reading the clock is fine
+`
+	findings, _ := checkFile(t, imp, expPath, "internal/exp/ninth_sweep.go", src)
+	wantRules(t, findings, "exp-one-estimator", "exp-one-estimator")
+	if !strings.Contains(findings[0], "time.Now") || !strings.Contains(findings[1], "time.Since") {
+		t.Fatalf("wrong calls flagged: %q", findings)
+	}
+	findings, _ = checkFile(t, imp, expPath, "internal/exp/"+expClockFile, src)
+	wantRules(t, findings)
+	findings, _ = checkFile(t, imp, "essent/internal/consumer", "consumer/sweep.go",
+		strings.Replace(src, "package exp", "package consumer", 1))
+	wantRules(t, findings)
 }
