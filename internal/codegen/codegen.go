@@ -10,6 +10,7 @@
 package codegen
 
 import (
+	"bytes"
 	"fmt"
 	"go/format"
 	"strings"
@@ -74,7 +75,7 @@ func Generate(d *netlist.Design, opts Options) ([]byte, error) {
 		prog, err = sim.ExportFullCycle(d, opts.Elide)
 	case ModeCCSS:
 		prog, err = sim.ExportCCSSOpts(d, sched.PlanOptions{
-			Cp: opts.Cp, NoElide: opts.NoElide,
+			Cp: opts.Cp, NoElide: opts.NoElide, NoMuxShadow: opts.NoMuxShadow,
 		})
 	default:
 		return nil, fmt.Errorf("codegen: unknown mode %d", opts.Mode)
@@ -82,15 +83,20 @@ func Generate(d *netlist.Design, opts Options) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &gen{prog: prog, opts: opts, inlineExpr: map[int32]string{}}
-	if !opts.NoMuxShadow {
-		g.shadows = computeShadows(prog)
+	g := &gen{prog: prog, opts: opts}
+	if prog.Plan != nil {
+		// The plan's own cones: the ones the CCSS interpreter evaluates.
+		g.shadows = prog.Plan.Shadows
+	} else if !opts.NoMuxShadow {
+		if g.shadows, err = fullCycleShadows(prog, opts.Elide); err != nil {
+			return nil, err
+		}
 	}
 	if !opts.NoPack {
 		g.computeInlineFusion()
 	}
 	src := g.emit()
-	out, err := format.Source([]byte(src))
+	out, err := format.Source(src)
 	if err != nil {
 		return nil, fmt.Errorf("codegen: emitted source does not format: %w\n%s", err, src)
 	}
@@ -100,39 +106,41 @@ func Generate(d *netlist.Design, opts Options) ([]byte, error) {
 type gen struct {
 	prog *sim.GenProgram
 	opts Options
-	b    strings.Builder
+	b    bytes.Buffer
 	// cold collects noinline cold-path function bodies.
 	cold []string
 	// oldOff assigns wide old-value buffer offsets (CCSS).
 	oldOff int32
 	// shadows holds the mux-arm cones (nil when disabled).
 	shadows *sched.MuxShadows
-	// inlineExpr maps fused-away 1-bit producer offsets to the rendered
-	// expression substituted at their single reader; inlinedCount is the
-	// pass statistic (see pack.go).
-	inlineExpr   map[int32]string
-	inlinedCount int
-	// pendOps accumulates instruction counts between control-flow
-	// boundaries; flushOps emits them as one stats increment (Serve
-	// mode's OpsEvaluated accounting).
-	pendOps int
+	// inline maps a fused-away 1-bit producer's slot to the producer; its
+	// expression is rendered at its single reader (see pack.go).
+	inline map[int32]*sim.GenInstr
+
+	// State of the evaluation function being emitted (see emitFunc):
+	// scopes is its Go block stack; local holds the slots whose local vK
+	// is visible here; localize is off in full-cycle chunks.
+	scopes   []scope
+	local    map[int32]bool
+	localize bool
+	// dry marks emitFunc's first pass, which fills used (slots whose
+	// local some read rendered) and dynOps (a mux arm counted ops).
+	dry    bool
+	used   map[int32]bool
+	dynOps bool
 }
 
-// countOp records one evaluated instruction for the Serve-mode
-// OpsEvaluated counter.
+// scope is one Go block of an evaluation function.
+type scope struct {
+	locals []int32 // slots bound to a local in this block
+	ops    int     // instructions evaluated on every path through it
+}
+
+// countOp records one evaluated instruction in the current block for the
+// Serve-mode OpsEvaluated counter.
 func (g *gen) countOp() {
 	if g.opts.Serve {
-		g.pendOps++
-	}
-}
-
-// flushOps emits the pending instruction count. Must be called before
-// emitting a branch that conditionally skips instructions, and at the
-// end of every straight-line function body.
-func (g *gen) flushOps() {
-	if g.pendOps > 0 {
-		g.p("s.stats[%d] += %d", statOps, g.pendOps)
-		g.pendOps = 0
+		g.scopes[len(g.scopes)-1].ops++
 	}
 }
 
@@ -150,29 +158,26 @@ const (
 	statFusedPairs     = 9
 )
 
-// computeShadows runs the arm-exclusivity analysis with the program's
-// scopes: partition IDs for CCSS, one scope for full-cycle.
-func computeShadows(prog *sim.GenProgram) *sched.MuxShadows {
-	d := prog.D
-	dg := netlist.BuildGraph(d)
-	scope := make([]int, dg.G.Len())
-	if prog.Plan != nil {
-		for i := range scope {
-			scope[i] = -1
-		}
-		for pi := range prog.Plan.Parts {
-			for _, n := range prog.Plan.Parts[pi].Members {
-				scope[n] = pi
-			}
-		}
+// fullCycleShadows runs the one-scope mux-arm analysis for a full-cycle
+// program. It must see the elision ordering edges (reader → in-place
+// write) the exported schedule honours — on a graph without them a cone
+// can defer a register read past that register's update — so it works on
+// the graph of the plan the program was exported from.
+func fullCycleShadows(prog *sim.GenProgram, elide bool) (*sched.MuxShadows, error) {
+	plan, err := sched.Build(prog.D, elide)
+	if err != nil {
+		return nil, err
 	}
-	nodePos := make([]int, dg.G.Len())
+	if plan.Shadows != nil {
+		return plan.Shadows, nil
+	}
+	nodePos := make([]int, plan.DG.G.Len())
 	for n := range nodePos {
 		if n < len(prog.SchedPosOf) {
 			nodePos[n] = int(prog.SchedPosOf[n])
 		}
 	}
-	return sched.ComputeMuxShadows(d, dg, scope, nodePos)
+	return sched.ComputeMuxShadows(prog.D, plan.DG, make([]int, len(nodePos)), nodePos), nil
 }
 
 func (g *gen) p(format string, args ...any) {
@@ -180,14 +185,14 @@ func (g *gen) p(format string, args ...any) {
 	g.b.WriteByte('\n')
 }
 
-func (g *gen) emit() string {
+func (g *gen) emit() []byte {
 	d := g.prog.D
 	g.p("// Code generated by essentgen from design %q. DO NOT EDIT.", d.Name)
 	g.p("")
 	g.p("// Package %s is a generated cycle-accurate simulator.", g.opts.Package)
-	if g.inlinedCount > 0 {
+	if len(g.inline) > 0 {
 		g.p("// packfuse: %d single-use 1-bit expressions inlined into their consumers.",
-			g.inlinedCount)
+			len(g.inline))
 	}
 	g.p("package %s", g.opts.Package)
 	g.p("")
@@ -218,7 +223,7 @@ func (g *gen) emit() string {
 		g.b.WriteString(c)
 		g.b.WriteByte('\n')
 	}
-	return g.b.String()
+	return g.b.Bytes()
 }
 
 func (g *gen) emitErrors() {
@@ -252,9 +257,11 @@ func (e *AssertError) AssertInfo() (string, uint64) { return e.Msg, e.Cycle }`)
 
 func (g *gen) emitStruct() {
 	pr := g.prog
-	g.p("// Sim is the generated simulator state.")
+	g.p("// Sim is the generated simulator state. The value table and the activity")
+	g.p("// state are fixed-size arrays, so s.t[K] is one load at a constant")
+	g.p("// offset; a Sim is large and is only ever handled by pointer.")
 	g.p("type Sim struct {")
-	g.p("  t []uint64")
+	g.p("  t [%d]uint64", pr.TableLen)
 	g.p("  mems [][]uint64")
 	g.p("  sc *simrt.Scratch")
 	g.p("  Out io.Writer")
@@ -267,10 +274,11 @@ func (g *gen) emitStruct() {
 		g.p("  pendData [][]uint64")
 	}
 	if g.opts.Mode == ModeCCSS {
-		g.p("  flags []bool")
-		g.p("  pd []bool")
-		g.p("  prevIn []uint64")
-		g.p("  old []uint64")
+		np := len(pr.Plan.Parts)
+		g.p("  flags [%d]bool", np)
+		g.p("  pd [%d]bool", np)
+		g.p("  prevIn [%d]uint64", g.prevInWords())
+		g.p("  old [%d]uint64", g.oldWords())
 		g.p("  poked bool")
 	}
 	if g.opts.Serve {
@@ -285,8 +293,8 @@ func (g *gen) emitNew() {
 	d := pr.D
 	g.p("// New builds a simulator with registers at their reset values.")
 	g.p("func New() *Sim {")
-	g.p("  s := &Sim{t: make([]uint64, %d), sc: simrt.NewScratch(%d), Out: io.Discard}",
-		pr.TableLen, pr.MaxWords)
+	g.p("  s := new(Sim)")
+	g.p("  s.sc, s.Out = simrt.NewScratch(%d), io.Discard", pr.MaxWords)
 	g.p("  s.mems = make([][]uint64, %d)", len(d.Mems))
 	for mi := range d.Mems {
 		m := &d.Mems[mi]
@@ -300,13 +308,6 @@ func (g *gen) emitNew() {
 			g.p("  s.pendData[%d] = make([]uint64, %d)", i,
 				bits.Words(int(pr.MemWrites[i].Data.W)))
 		}
-	}
-	if g.opts.Mode == ModeCCSS {
-		np := len(pr.Plan.Parts)
-		g.p("  s.flags = make([]bool, %d)", np)
-		g.p("  s.pd = make([]bool, %d)", np)
-		g.p("  s.prevIn = make([]uint64, %d)", g.prevInWords())
-		g.p("  s.old = make([]uint64, %d)", g.oldWords())
 	}
 	g.p("  s.Reset()")
 	g.p("  return s")

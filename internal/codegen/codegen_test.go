@@ -265,36 +265,6 @@ func TestGeneratedCounterMatchesInterpreter(t *testing.T) {
 	}
 }
 
-func TestGeneratedRandomCircuitMatchesInterpreter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles generated code with the Go toolchain")
-	}
-	for seed := int64(0); seed < 3; seed++ {
-		c := randckt.Generate(seed+900, randckt.DefaultConfig())
-		d, err := netlist.Compile(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var inputs, watch []string
-		for _, in := range d.Inputs {
-			inputs = append(inputs, d.Signals[in].Name)
-		}
-		for _, o := range d.Outputs {
-			watch = append(watch, d.Signals[o].Name)
-		}
-		for ri := range d.Regs {
-			watch = append(watch, d.Regs[ri].Name)
-		}
-		ref := interpreterTrace(t, d, sim.Options{Engine: sim.EngineFullCycle},
-			inputs, watch, 50)
-		got := runGenerated(t, d, Options{Mode: ModeCCSS, Cp: 8}, inputs, watch, 50)
-		if got != ref {
-			t.Fatalf("seed %d diverged:\n--- interpreter ---\n%s--- generated ---\n%s",
-				seed, ref, got)
-		}
-	}
-}
-
 func TestGeneratedStopAndPrintf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles generated code with the Go toolchain")

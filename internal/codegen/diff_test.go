@@ -1,0 +1,427 @@
+package codegen
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"essent/internal/designs"
+	"essent/internal/firrtl"
+	"essent/internal/netlist"
+	"essent/internal/opt"
+	"essent/internal/randckt"
+	"essent/internal/riscv"
+	"essent/internal/sim"
+)
+
+// The differential table: every fixture is emitted under every ablation
+// set, with and without the Serve surface, into one module that is built
+// once; one driver process replays each fixture's stimulus on every
+// variant and prints a trace per variant.
+
+// diffConfigs are the emission variants (CCSS, Cp 8).
+var diffConfigs = []struct {
+	name string
+	opts Options
+}{
+	{"default", Options{}},
+	{"nopack", Options{NoPack: true}},
+	{"nomuxshadow", Options{NoMuxShadow: true}},
+	{"noelide", Options{NoElide: true}},
+	{"none", Options{NoPack: true, NoMuxShadow: true, NoElide: true}},
+}
+
+type diffPoke struct {
+	Cycle int
+	Name  string
+	V     uint64
+}
+
+// diffFixture is one design with its stimulus: memory preloads, pokes
+// applied before the named cycle's step, and the signals compared after
+// every cycle (all outputs and registers).
+type diffFixture struct {
+	name   string
+	d      *netlist.Design
+	mem    string
+	image  []uint64
+	pokes  []diffPoke
+	watch  []string
+	cycles int
+}
+
+// watchAll lists every output and register of d.
+func watchAll(d *netlist.Design) []string {
+	var w []string
+	for _, o := range d.Outputs {
+		w = append(w, d.Signals[o].Name)
+	}
+	for ri := range d.Regs {
+		w = append(w, d.Regs[ri].Name)
+	}
+	return w
+}
+
+// randomPokes pokes one random input with a random value every third
+// cycle.
+func randomPokes(d *netlist.Design, seed int64, cycles int) []diffPoke {
+	rng := rand.New(rand.NewSource(seed))
+	var ps []diffPoke
+	for c := 0; c < cycles && len(d.Inputs) > 0; c += 3 {
+		in := d.Inputs[rng.Intn(len(d.Inputs))]
+		ps = append(ps, diffPoke{c, d.Signals[in].Name, rng.Uint64()})
+	}
+	return ps
+}
+
+func diffFixtures(t *testing.T) []diffFixture {
+	t.Helper()
+	var fs []diffFixture
+	add := func(name string, d *netlist.Design, cycles int) *diffFixture {
+		fs = append(fs, diffFixture{name: name, d: d, watch: watchAll(d), cycles: cycles,
+			pokes: randomPokes(d, int64(len(fs)), cycles)})
+		return &fs[len(fs)-1]
+	}
+	for seed := int64(900); seed < 920; seed++ {
+		d, err := netlist.Compile(randckt.Generate(seed, randckt.DefaultConfig()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(fmt.Sprintf("rand%d", seed), d, 50)
+	}
+	add("counter", compileDesign(t, counterSrc), 60)
+
+	// A 2x2 MAC array: every PE register reads a neighbour's register
+	// that is updated in place in the same partition, so a mux-arm cone
+	// deferred past that update reads the new value (the mac8 divergence).
+	mac := designs.MACArray()
+	mac.Name, mac.Rows, mac.Cols = "mac2", 2, 2
+	circ, err := designs.BuildMACArray(mac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("mac2", optimized(t, circ), 60)
+
+	// A small SoC running dhrystone from reset, no further pokes.
+	cfg := designs.Config{
+		Name: "difftest", ImemWords: 256, DmemWords: 512,
+		CacheLines: 8, MissPenalty: 3,
+		Peripherals: 2, Clusters: 1, ClusterLanes: 2, ClusterStages: 2,
+	}
+	circ, err = designs.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := riscv.Assemble(riscv.DhrystoneAsm(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	soc := add("soc", optimized(t, circ), 400)
+	soc.mem = designs.ImemName
+	for _, w := range prog {
+		soc.image = append(soc.image, uint64(w))
+	}
+	soc.pokes = []diffPoke{{0, "reset", 1}, {2, "reset", 0}}
+	return fs
+}
+
+func optimized(t *testing.T, circ *firrtl.Circuit) *netlist.Design {
+	t.Helper()
+	d, err := netlist.Compile(circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	od, _, err := opt.Optimize(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return od
+}
+
+// diffSim is what the replay needs of a simulator; the generated Sim and
+// the interpreter adapter both provide it.
+type diffSim interface {
+	Poke(name string, v uint64) bool
+	PokeMem(name string, addr int, v uint64) bool
+	Peek(name string) uint64
+	Step(n int) error
+}
+
+// replay is the reference copy of the driver's loop (driverReplay below
+// must stay its twin).
+func replay(s diffSim, f *diffFixture) string {
+	var out strings.Builder
+	for i, w := range f.image {
+		s.PokeMem(f.mem, i, w)
+	}
+	pi := 0
+	for c := 0; c < f.cycles; c++ {
+		for ; pi < len(f.pokes) && f.pokes[pi].Cycle == c; pi++ {
+			s.Poke(f.pokes[pi].Name, f.pokes[pi].V)
+		}
+		if err := s.Step(1); err != nil {
+			fmt.Fprintf(&out, "ERR %s\n", strings.TrimPrefix(err.Error(), "sim: "))
+			break
+		}
+		for _, w := range f.watch {
+			fmt.Fprintf(&out, "%x;", s.Peek(w))
+		}
+		out.WriteByte('\n')
+	}
+	return out.String()
+}
+
+const driverReplay = `
+type diffSim interface {
+	Poke(name string, v uint64) bool
+	PokeMem(name string, addr int, v uint64) bool
+	Peek(name string) uint64
+	Step(n int) error
+}
+
+type poke struct {
+	Cycle int
+	Name  string
+	V     uint64
+}
+
+type fixture struct {
+	mem    string
+	image  []uint64
+	pokes  []poke
+	watch  []string
+	cycles int
+}
+
+func replay(tag string, s diffSim, f *fixture) {
+	fmt.Printf("== %s\n", tag)
+	for i, w := range f.image {
+		s.PokeMem(f.mem, i, w)
+	}
+	pi := 0
+	for c := 0; c < f.cycles; c++ {
+		for ; pi < len(f.pokes) && f.pokes[pi].Cycle == c; pi++ {
+			s.Poke(f.pokes[pi].Name, f.pokes[pi].V)
+		}
+		if err := s.Step(1); err != nil {
+			fmt.Printf("ERR %v\n", err)
+			break
+		}
+		for _, w := range f.watch {
+			fmt.Printf("%x;", s.Peek(w))
+		}
+		fmt.Println()
+	}
+	if st, ok := s.(interface{ StatsWords() []uint64 }); ok {
+		fmt.Printf("stats %v\n", st.StatsWords())
+	}
+}
+`
+
+// interpSim adapts an interpreter engine to diffSim.
+type interpSim struct {
+	sim.Simulator
+	d *netlist.Design
+}
+
+func (a interpSim) Poke(name string, v uint64) bool {
+	id, ok := a.d.SignalByName(name)
+	if ok {
+		a.Simulator.Poke(id, v)
+	}
+	return ok
+}
+
+func (a interpSim) PokeMem(name string, addr int, v uint64) bool {
+	mi, ok := designs.MemIndexByName(a.d, name)
+	if ok {
+		a.Simulator.PokeMem(mi, addr, v)
+	}
+	return ok
+}
+
+func (a interpSim) Peek(name string) uint64 {
+	id, _ := a.d.SignalByName(name)
+	return a.Simulator.Peek(id)
+}
+
+// mirroredStats are the Serve-mode counters that must equal the CCSS
+// interpreter's (DESIGN.md §14): the activity accounting, which depends
+// on the plan and not on how a partition's body is emitted.
+var mirroredStats = []struct {
+	name string
+	idx  int
+	of   func(*sim.Stats) uint64
+}{
+	{"Cycles", statCycles, func(s *sim.Stats) uint64 { return s.Cycles }},
+	{"SignalChanges", statSignalChanges, func(s *sim.Stats) uint64 { return s.SignalChanges }},
+	{"PartChecks", statPartChecks, func(s *sim.Stats) uint64 { return s.PartChecks }},
+	{"InputChecks", statInputChecks, func(s *sim.Stats) uint64 { return s.InputChecks }},
+	{"PartEvals", statPartEvals, func(s *sim.Stats) uint64 { return s.PartEvals }},
+	{"OutputCompares", statOutputCompares, func(s *sim.Stats) uint64 { return s.OutputCompares }},
+	{"Wakes", statWakes, func(s *sim.Stats) uint64 { return s.Wakes }},
+}
+
+// TestGeneratedMatchesInterpreter compares, for every fixture and every
+// emission variant, each output and register after each cycle against the
+// full-cycle interpreter and — on Serve variants — the folded activity
+// counters against the CCSS interpreter planned with the same ablations.
+// It also vets the emitted packages of the hand-written fixtures.
+func TestGeneratedMatchesInterpreter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles generated code with the Go toolchain")
+	}
+	fixtures := diffFixtures(t)
+	dir := t.TempDir()
+	repoRoot, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, filepath.Join(dir, "go.mod"), fmt.Sprintf(
+		"module difftest\n\ngo 1.22\n\nrequire essent v0.0.0\n\nreplace essent => %s\n", repoRoot))
+
+	var imports, body strings.Builder
+	for fi := range fixtures {
+		f := &fixtures[fi]
+		fmt.Fprintf(&body, "\tf%d := &fixture{mem: %q, image: %#v, watch: %#v, cycles: %d, pokes: []poke{",
+			fi, f.mem, f.image, f.watch, f.cycles)
+		for _, p := range f.pokes {
+			fmt.Fprintf(&body, "{%d, %q, %#x},", p.Cycle, p.Name, p.V)
+		}
+		body.WriteString("}}\n")
+		for _, cfg := range diffConfigs {
+			for _, serve := range []bool{false, true} {
+				pkg := fmt.Sprintf("%s_%s", f.name, cfg.name)
+				if serve {
+					pkg += "_serve"
+				}
+				opts := cfg.opts
+				opts.Package, opts.Mode, opts.Cp, opts.Serve = pkg, ModeCCSS, 8, serve
+				src, err := Generate(f.d, opts)
+				if err != nil {
+					t.Fatalf("%s: generate: %v", pkg, err)
+				}
+				writeFile(t, filepath.Join(dir, pkg, "sim.go"), string(src))
+				fmt.Fprintf(&imports, "\t%s \"difftest/%s\"\n", pkg, pkg)
+				fmt.Fprintf(&body, "\treplay(%q, %s.New(), f%d)\n", pkg, pkg, fi)
+			}
+		}
+	}
+	writeFile(t, filepath.Join(dir, "main.go"), "package main\n\nimport (\n\t\"fmt\"\n\n"+
+		imports.String()+")\n"+driverReplay+"\nfunc main() {\n"+body.String()+"}\n")
+
+	run := func(args ...string) string {
+		cmd := exec.Command("go", args...)
+		cmd.Dir = dir
+		cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+		}
+		return stdout.String()
+	}
+	traces := map[string]string{}
+	for _, sec := range strings.Split(run("run", "."), "== ")[1:] {
+		tag, rest, _ := strings.Cut(sec, "\n")
+		traces[tag] = rest
+	}
+	run("vet", "./counter_default", "./counter_default_serve", "./mac2_default_serve",
+		"./soc_default_serve", "./soc_none_serve")
+
+	for fi := range fixtures {
+		f := &fixtures[fi]
+		oracle, err := sim.New(f.d, sim.Options{Engine: sim.EngineFullCycle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := replay(interpSim{oracle, f.d}, f)
+		for _, cfg := range diffConfigs {
+			ccss, err := sim.NewCCSS(f.d, sim.CCSSOptions{Cp: 8,
+				NoElide: cfg.opts.NoElide, NoMuxShadow: cfg.opts.NoMuxShadow})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := replay(interpSim{ccss, f.d}, f); got != want {
+				t.Fatalf("%s/%s: CCSS interpreter disagrees with the full-cycle oracle", f.name, cfg.name)
+			}
+			wantStats := ccss.Stats()
+			for _, serve := range []bool{false, true} {
+				pkg := fmt.Sprintf("%s_%s", f.name, cfg.name)
+				if serve {
+					pkg += "_serve"
+				}
+				got, statsLine, _ := strings.Cut(traces[pkg], "stats ")
+				if got != want {
+					t.Errorf("%s diverged:\n--- interpreter ---\n%s--- generated ---\n%s", pkg, want, got)
+					continue
+				}
+				if !serve {
+					continue
+				}
+				var ws []uint64
+				for _, fld := range strings.Fields(strings.Trim(statsLine, "[]\n")) {
+					var w uint64
+					fmt.Sscan(fld, &w)
+					ws = append(ws, w)
+				}
+				if len(ws) != 11 {
+					t.Fatalf("%s: stats line %q", pkg, statsLine)
+				}
+				for _, m := range mirroredStats {
+					if ws[m.idx] != m.of(wantStats) {
+						t.Errorf("%s: %s = %d, CCSS interpreter %d", pkg, m.name, ws[m.idx], m.of(wantStats))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPartitionValuesStayLocal is the shape of the emission on the
+// counter: state is fixed-size arrays, and once a partition function has
+// defined a one-word value every later read of it at that block level is
+// the local, never the table word it stored through to.
+func TestPartitionValuesStayLocal(t *testing.T) {
+	src, err := Generate(compileDesign(t, counterSrc), Options{Mode: ModeCCSS, Cp: 8, Serve: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regexp.MustCompile(`(?m)^\s+(t|flags|pd|prevIn|old)\s+\[\]`).Match(src) {
+		t.Fatal("Sim state is a slice field, not a fixed-size array")
+	}
+	funcs := regexp.MustCompile(`(?ms)^func \(s \*Sim\) p\d+\(\) \{\n(.*?)^\}`).FindAllSubmatch(src, -1)
+	if len(funcs) == 0 {
+		t.Fatal("no partition functions emitted")
+	}
+	// A value is defined by `vK := expr`, or — assigned in the arms of a
+	// mux — by the store-through that follows the arms.
+	def := regexp.MustCompile(`^\t(?:v(\d+) := |s\.t\[(\d+)\] = v\d+$)`)
+	locals := 0
+	for _, fn := range funcs {
+		lines := strings.Split(string(fn[1]), "\n")
+		for i, line := range lines {
+			m := def.FindStringSubmatch(line)
+			if m == nil {
+				continue
+			}
+			k := m[1] + m[2]
+			locals++
+			store := fmt.Sprintf("s.t[%s] = v%s", k, k)
+			for _, later := range lines[i+1:] {
+				if strings.Contains(later, "s.t["+k+"]") && strings.TrimSpace(later) != store {
+					t.Fatalf("partition reads s.t[%s] after defining v%s:\n%s\nin:\n%s", k, k, later, fn[1])
+				}
+			}
+		}
+	}
+	if locals == 0 {
+		t.Fatalf("no partition-local values in the counter's partitions:\n%s", src)
+	}
+}

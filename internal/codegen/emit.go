@@ -18,18 +18,120 @@ func maskLit(expr string, dw int32) string {
 	return fmt.Sprintf("(%s) & %#x", expr, uint64(1)<<uint(dw)-1)
 }
 
-// load renders a narrow operand, sign-extending stored patterns when the
-// operand is signed.
-func load(off, w int32, signed bool) string {
-	if signed && w < 64 {
-		return fmt.Sprintf("simrt.Sext64(s.t[%d], %d)", off, w)
-	}
-	return fmt.Sprintf("s.t[%d]", off)
-}
+// slot renders table word off; view renders a wide operand's word span.
+// Cold bodies, commit and input detection read the table through these;
+// everything inside an evaluation function reads through ref.
+func slot(off int32) string { return fmt.Sprintf("s.t[%d]", off) }
 
-// view renders a wide operand slice.
 func view(off, w int32) string {
 	return fmt.Sprintf("s.t[%d:%d]", off, off+int32(bits.Words(int(w))))
+}
+
+// ref renders a one-word read of slot off at the current emission point:
+// a fused-away producer's expression (rendered here, at its single
+// reader, so it sees the locals visible here), the local vK when a
+// definition of the slot dominates this point, the table word otherwise.
+func (g *gen) ref(off int32) string {
+	if in, ok := g.inline[off]; ok {
+		return g.boolExpr(in)
+	}
+	if g.local[off] {
+		g.used[off] = true
+		return fmt.Sprintf("v%d", off)
+	}
+	return slot(off)
+}
+
+// load renders a narrow operand, sign-extending stored patterns when the
+// operand is signed; extend renders it copied into a dw-bit destination.
+func (g *gen) load(off, w int32, signed bool) string {
+	if signed && w < 64 {
+		return fmt.Sprintf("simrt.Sext64(%s, %d)", g.ref(off), w)
+	}
+	return g.ref(off)
+}
+
+func (g *gen) extend(off, w int32, signed bool, dw int32) string {
+	if !signed && w <= dw {
+		return g.ref(off)
+	}
+	return maskLit(g.load(off, w, signed), dw)
+}
+
+// wantLocal reports whether slot off's definition binds a local: only in
+// a partition function, and in the real pass only when the dry pass saw a
+// read render it (Go rejects an unused local).
+func (g *gen) wantLocal(off int32) bool {
+	return g.localize && (g.dry || g.used[off])
+}
+
+// bind makes vK visible to the rest of the current block. Go's block
+// scoping is the dominance check: a value bound inside a mux arm is
+// invisible after the arm, where readers see the table word as before.
+func (g *gen) bind(off int32) {
+	sc := &g.scopes[len(g.scopes)-1]
+	sc.locals = append(sc.locals, off)
+	g.local[off] = true
+}
+
+// def emits slot off = expr. A local definition stores through, so Peek,
+// Capture, cold bodies and other partitions see the table they always saw
+// and vK == s.t[K] wherever vK is visible (a slot has one writer).
+func (g *gen) def(off int32, format string, args ...any) {
+	expr := fmt.Sprintf(format, args...)
+	if !g.wantLocal(off) {
+		g.p("%s = %s", slot(off), expr)
+		return
+	}
+	g.p("v%d := %s", off, expr)
+	g.p("%s = v%d", slot(off), off)
+	g.bind(off)
+}
+
+// push opens a mux-arm block; pop closes it, dropping its locals and
+// adding its instruction count to the function's dynamic ops tally.
+func (g *gen) push() { g.scopes = append(g.scopes, scope{}) }
+
+func (g *gen) pop() {
+	sc := g.scopes[len(g.scopes)-1]
+	g.scopes = g.scopes[:len(g.scopes)-1]
+	for _, off := range sc.locals {
+		delete(g.local, off)
+	}
+	if sc.ops > 0 {
+		g.p("ops += %d", sc.ops)
+		g.dynOps = true
+	}
+}
+
+// emitFunc emits one evaluation function: a CCSS partition (localize) or
+// a full-cycle chunk (table operands). The body is emitted twice — a dry
+// pass binds every one-word definition and records which locals a read
+// rendered and whether any arm counts ops, then the real pass replaces it
+// binding only those. Serve-mode OpsEvaluated is folded: the straight-line
+// count is a constant and arms accumulate in a local, flushed once here.
+func (g *gen) emitFunc(name string, localize bool, body func()) {
+	mark, cold, old := g.b.Len(), len(g.cold), g.oldOff
+	g.localize, g.dynOps = localize, false
+	g.used = map[int32]bool{}
+	for _, dry := range []bool{true, false} {
+		g.b.Truncate(mark)
+		g.cold, g.oldOff = g.cold[:cold], old
+		g.dry, g.local = dry, map[int32]bool{}
+		g.scopes = append(g.scopes[:0], scope{})
+		g.p("func (s *Sim) %s() {", name)
+		if g.dynOps {
+			g.p("var ops uint64")
+		}
+		body()
+		if n := g.scopes[0].ops; g.dynOps {
+			g.p("s.stats[%d] += %d + ops", statOps, n)
+		} else if n > 0 {
+			g.p("s.stats[%d] += %d", statOps, n)
+		}
+		g.p("}")
+		g.p("")
+	}
 }
 
 // emitEntry emits one schedule entry into the current function body.
@@ -42,7 +144,7 @@ func (g *gen) emitEntry(e sim.GenSched) {
 		if g.shadows != nil && g.shadows.Shadowed[in.Out] {
 			return
 		}
-		if _, fused := g.inlineExpr[in.Dst]; fused {
+		if _, fused := g.inline[in.Dst]; fused {
 			// Boolean-expression fusion: the store is dead — the single
 			// reader evaluates this producer inline (see pack.go).
 			return
@@ -57,76 +159,95 @@ func (g *gen) emitEntry(e sim.GenSched) {
 	}
 }
 
-// emitInstrShadowAware expands muxes with claimed arm cones into branches
-// containing their cones; everything else emits normally.
+// emitInstrShadowAware routes muxes that branch — claimed arm cones, or
+// a narrow mux too wide for the branchless 1-bit form — to emitMux;
+// everything else emits normally.
 func (g *gen) emitInstrShadowAware(in *sim.GenInstr) {
-	if g.shadows != nil && in.Code == sim.IMux {
-		if arms, ok := g.shadows.Arms[in.Out]; ok {
-			g.emitShadowedMux(in, arms)
+	if in.Code == sim.IMux {
+		var arms *sched.MuxArms
+		if g.shadows != nil {
+			arms = g.shadows.Arms[in.Out]
+		}
+		if arms != nil || !in.Wide && !g.packable1(in) {
+			g.emitMux(in, arms)
 			return
 		}
 	}
 	g.emitInstr(in)
 }
 
-// emitShadowedMux emits `if sel { <T cone>; dst = T } else { <F cone>;
-// dst = F }` — §III-B's conditional evaluation of multiplexor ways.
-// Reset muxes (Unlikely) put the likely arm first.
-func (g *gen) emitShadowedMux(in *sim.GenInstr, arms *sched.MuxArms) {
-	// The two arms evaluate different instruction counts; flush the
-	// straight-line tally before branching and close out each arm so the
-	// ops counter reflects the path actually taken.
-	g.flushOps()
-	emitArm := func(cone []netlist.SignalID, assign string) {
+// emitMux emits `if sel { <T cone>; dst = T } else { <F cone>; dst = F }`
+// — §III-B's conditional evaluation of multiplexor ways (arms is nil for
+// a mux with no claimed cones). Reset muxes (Unlikely) put the likely arm
+// first. A hold arm — an elided register keeping its value, the arm's
+// slot being the destination's — emits no code, only its op count.
+func (g *gen) emitMux(in *sim.GenInstr, arms *sched.MuxArms) {
+	g.countOp()
+	if arms == nil {
+		arms = &sched.MuxArms{}
+	}
+	sel := g.ref(in.A)
+	holdT := !in.Wide && in.B == in.Dst && !in.SB && in.BW <= in.DW && len(arms.T) == 0
+	holdF := !in.Wide && in.C == in.Dst && !in.SC && in.CW <= in.DW && len(arms.F) == 0
+	hold := holdT || holdF
+	local := !in.Wide && g.wantLocal(in.Dst)
+	lhs := slot(in.Dst)
+	if local {
+		lhs = fmt.Sprintf("v%d", in.Dst)
+		if hold {
+			g.p("%s := %s", lhs, slot(in.Dst))
+		} else {
+			g.p("var %s uint64", lhs)
+		}
+	}
+	arm := func(cone []netlist.SignalID, off, w int32, signed bool) {
+		g.push()
 		for _, sig := range cone {
-			ii := g.prog.InstrOf[sig]
-			if ii >= 0 {
+			if ii := g.prog.InstrOf[sig]; ii >= 0 {
 				g.emitInstrShadowAware(&g.prog.Instrs[ii])
 			}
 		}
-		g.p("%s", assign)
-		g.countOp()
-		g.flushOps()
+		if in.Wide {
+			g.p("s.sc.Copy(%s, %s, %d, %v, %d)", view(in.Dst, in.DW), view(off, w), w, signed, in.DW)
+		} else {
+			g.p("%s = %s", lhs, g.extend(off, w, signed, in.DW))
+			if local && hold {
+				g.p("%s = %s", slot(in.Dst), lhs)
+			}
+		}
+		g.pop()
 	}
-	tAssign := g.muxArmAssign(in, true)
-	fAssign := g.muxArmAssign(in, false)
+	armT := func() { arm(arms.T, in.B, in.BW, in.SB) }
+	armF := func() { arm(arms.F, in.C, in.CW, in.SC) }
 	op := g.opOf(in.Out)
-	if op != nil && op.Unlikely {
-		g.p("if s.t[%d] == 0 {", in.A)
-		emitArm(arms.F, fAssign)
-		g.p("} else {")
-		emitArm(arms.T, tAssign)
+	switch {
+	case holdF:
+		g.p("if %s != 0 {", sel)
+		armT()
 		g.p("}")
-		return
+	case holdT:
+		g.p("if %s == 0 {", sel)
+		armF()
+		g.p("}")
+	case op != nil && op.Unlikely:
+		g.p("if %s == 0 {", sel)
+		armF()
+		g.p("} else {")
+		armT()
+		g.p("}")
+	default:
+		g.p("if %s != 0 {", sel)
+		armT()
+		g.p("} else {")
+		armF()
+		g.p("}")
 	}
-	g.p("if s.t[%d] != 0 {", in.A)
-	emitArm(arms.T, tAssign)
-	g.p("} else {")
-	emitArm(arms.F, fAssign)
-	g.p("}")
-}
-
-// muxArmAssign renders the assignment of one mux arm to the destination.
-func (g *gen) muxArmAssign(in *sim.GenInstr, tArm bool) string {
-	if in.Wide {
-		if tArm {
-			return fmt.Sprintf("s.sc.Copy(%s, %s, %d, %v, %d)",
-				view(in.Dst, in.DW), view(in.B, in.BW), in.BW, in.SB, in.DW)
+	if local {
+		if !hold {
+			g.p("%s = %s", slot(in.Dst), lhs)
 		}
-		return fmt.Sprintf("s.sc.Copy(%s, %s, %d, %v, %d)",
-			view(in.Dst, in.DW), view(in.C, in.CW), in.CW, in.SC, in.DW)
+		g.bind(in.Dst)
 	}
-	d := fmt.Sprintf("s.t[%d]", in.Dst)
-	if tArm {
-		if !in.SB && in.BW <= in.DW {
-			return fmt.Sprintf("%s = s.t[%d]", d, in.B)
-		}
-		return fmt.Sprintf("%s = %s", d, maskLit(load(in.B, in.BW, in.SB), in.DW))
-	}
-	if !in.SC && in.CW <= in.DW {
-		return fmt.Sprintf("%s = s.t[%d]", d, in.C)
-	}
-	return fmt.Sprintf("%s = %s", d, maskLit(load(in.C, in.CW, in.SC), in.DW))
 }
 
 func (g *gen) emitInstr(in *sim.GenInstr) {
@@ -135,113 +256,85 @@ func (g *gen) emitInstr(in *sim.GenInstr) {
 		g.emitWide(in)
 		return
 	}
-	d := fmt.Sprintf("s.t[%d]", in.Dst)
-	a := func() string { return g.loadT(in.A, in.AW, in.SA) }
-	b := func() string { return g.loadT(in.B, in.BW, in.SB) }
-	au := func() string { return g.tref(in.A) }
-	bu := func() string { return g.tref(in.B) }
+	d := in.Dst
+	a := func() string { return g.load(in.A, in.AW, in.SA) }
+	b := func() string { return g.load(in.B, in.BW, in.SB) }
+	au := func() string { return g.ref(in.A) }
+	bu := func() string { return g.ref(in.B) }
 
 	switch in.Code {
 	case sim.ICopy:
-		if !in.SA && in.AW <= in.DW {
-			g.p("%s = %s", d, au())
-		} else {
-			g.p("%s = %s", d, maskLit(a(), in.DW))
-		}
+		g.def(d, "%s", g.extend(in.A, in.AW, in.SA, in.DW))
 	case sim.IMux:
-		if g.packable1(in) {
-			// Branchless 1-bit mux: one word op instead of a branch, and
-			// fused operand expressions substitute directly.
-			g.p("%s = %s&%s | (%s^1)&%s", d, au(), bu(), au(), g.tref(in.C))
-			break
-		}
-		tArm := maskLit(g.loadT(in.B, in.BW, in.SB), in.DW)
-		if !in.SB && in.BW <= in.DW {
-			tArm = bu()
-		}
-		fArm := maskLit(g.loadT(in.C, in.CW, in.SC), in.DW)
-		if !in.SC && in.CW <= in.DW {
-			fArm = g.tref(in.C)
-		}
-		op := g.opOf(in.Out)
-		if op != nil && op.Unlikely {
-			// Cold-path layout: the likely (non-reset) arm first.
-			g.p("if %s == 0 { %s = %s } else { %s = %s }", au(), d, fArm, d, tArm)
-		} else {
-			g.p("if %s != 0 { %s = %s } else { %s = %s }", au(), d, tArm, d, fArm)
-		}
+		// Branchless 1-bit mux (every other narrow mux is emitMux's): one
+		// word op instead of a branch, and fused operand expressions
+		// substitute directly.
+		g.def(d, "%s&%s | (%s^1)&%s", au(), bu(), au(), g.ref(in.C))
 	case sim.IMemRead:
-		m := &g.prog.D.Mems[in.Mem]
-		g.p("if a := %s; a < %d { %s = s.mems[%d][a] } else { %s = 0 }",
-			au(), m.Depth, d, in.Mem, d)
+		g.def(d, "simrt.Load(s.mems[%d], %s)", in.Mem, au())
 	case sim.IAdd:
-		g.p("%s = %s", d, maskLit(a()+" + "+b(), in.DW))
+		g.def(d, "%s", maskLit(a()+" + "+b(), in.DW))
 	case sim.ISub:
-		g.p("%s = %s", d, maskLit(a()+" - "+b(), in.DW))
+		g.def(d, "%s", maskLit(a()+" - "+b(), in.DW))
 	case sim.IMul:
-		g.p("%s = %s", d, maskLit(a()+" * "+b(), in.DW))
+		g.def(d, "%s", maskLit(a()+" * "+b(), in.DW))
 	case sim.IDiv:
 		if in.SA {
-			g.p("%s = simrt.DivS64(s.t[%d], %d, s.t[%d], %d, %d)",
-				d, in.A, in.AW, in.B, in.BW, in.DW)
+			g.def(d, "simrt.DivS64(%s, %d, %s, %d, %d)", au(), in.AW, bu(), in.BW, in.DW)
 		} else {
-			g.p("%s = simrt.DivU64(%s, %s, %d)", d, au(), bu(), in.DW)
+			g.def(d, "simrt.DivU64(%s, %s, %d)", au(), bu(), in.DW)
 		}
 	case sim.IRem:
 		if in.SA {
-			g.p("%s = simrt.RemS64(s.t[%d], %d, s.t[%d], %d, %d)",
-				d, in.A, in.AW, in.B, in.BW, in.DW)
+			g.def(d, "simrt.RemS64(%s, %d, %s, %d, %d)", au(), in.AW, bu(), in.BW, in.DW)
 		} else {
-			g.p("%s = simrt.RemU64(%s, %s, %d)", d, au(), bu(), in.DW)
+			g.def(d, "simrt.RemU64(%s, %s, %d)", au(), bu(), in.DW)
 		}
 	case sim.ILt, sim.ILeq, sim.IGt, sim.IGeq:
 		cmpOp := map[sim.ICode]string{
 			sim.ILt: "<", sim.ILeq: "<=", sim.IGt: ">", sim.IGeq: ">=",
 		}[in.Code]
 		if in.SA {
-			g.p("%s = simrt.B2U(int64(%s) %s int64(%s))", d, a(), cmpOp, b())
+			g.def(d, "simrt.B2U(int64(%s) %s int64(%s))", a(), cmpOp, b())
 		} else {
-			g.p("%s = simrt.B2U(%s %s %s)", d, au(), cmpOp, bu())
+			g.def(d, "simrt.B2U(%s %s %s)", au(), cmpOp, bu())
 		}
 	case sim.IEq:
-		g.p("%s = simrt.B2U(%s == %s)", d, a(), b())
+		g.def(d, "simrt.B2U(%s == %s)", a(), b())
 	case sim.INeq:
-		g.p("%s = simrt.B2U(%s != %s)", d, a(), b())
+		g.def(d, "simrt.B2U(%s != %s)", a(), b())
 	case sim.IShl:
-		g.p("%s = %s", d, maskLit(fmt.Sprintf("%s << %d", au(), in.P0), in.DW))
+		g.def(d, "%s", maskLit(fmt.Sprintf("%s << %d", au(), in.P0), in.DW))
 	case sim.IShr:
-		g.p("%s = simrt.Shr64(%s, %d, %d, %v, %d)", d, au(), in.AW, in.P0, in.SA, in.DW)
+		g.def(d, "simrt.Shr64(%s, %d, %d, %v, %d)", au(), in.AW, in.P0, in.SA, in.DW)
 	case sim.IDshl:
-		g.p("%s = %s", d, maskLit(fmt.Sprintf("%s << %s", au(), bu()), in.DW))
+		g.def(d, "%s", maskLit(fmt.Sprintf("%s << %s", au(), bu()), in.DW))
 	case sim.IDshr:
-		g.p("%s = simrt.Shr64(%s, %d, int(%s), %v, %d)",
-			d, au(), in.AW, bu(), in.SA, in.DW)
+		g.def(d, "simrt.Shr64(%s, %d, int(%s), %v, %d)", au(), in.AW, bu(), in.SA, in.DW)
 	case sim.INeg:
-		g.p("%s = %s", d, maskLit("-"+a(), in.DW))
+		g.def(d, "%s", maskLit("-"+a(), in.DW))
 	case sim.INot:
-		g.p("%s = %s", d, maskLit("^"+au(), in.DW))
+		g.def(d, "%s", maskLit("^"+au(), in.DW))
 	case sim.IAnd:
-		g.p("%s = %s", d, maskLit(a()+" & "+b(), in.DW))
+		g.def(d, "%s", maskLit(a()+" & "+b(), in.DW))
 	case sim.IOr:
-		g.p("%s = %s", d, maskLit(a()+" | "+b(), in.DW))
+		g.def(d, "%s", maskLit(a()+" | "+b(), in.DW))
 	case sim.IXor:
-		g.p("%s = %s", d, maskLit(a()+" ^ "+b(), in.DW))
+		g.def(d, "%s", maskLit(a()+" ^ "+b(), in.DW))
 	case sim.IAndr:
-		g.p("%s = simrt.B2U(%s == %#x)", d, au(), bits.Mask64(^uint64(0), int(in.AW)))
+		g.def(d, "simrt.B2U(%s == %#x)", au(), bits.Mask64(^uint64(0), int(in.AW)))
 	case sim.IOrr:
-		g.p("%s = simrt.B2U(%s != 0)", d, au())
+		g.def(d, "simrt.B2U(%s != 0)", au())
 	case sim.IXorr:
-		g.p("%s = simrt.Parity64(%s)", d, au())
+		g.def(d, "simrt.Parity64(%s)", au())
 	case sim.ICat:
-		g.p("%s = %s", d,
-			maskLit(fmt.Sprintf("%s<<%d | %s", au(), in.BW, bu()), in.DW))
+		g.def(d, "%s", maskLit(fmt.Sprintf("%s<<%d | %s", au(), in.BW, bu()), in.DW))
 	case sim.IBits:
-		g.p("%s = %s", d,
-			maskLit(fmt.Sprintf("%s >> %d", au(), in.P1), in.P0-in.P1+1))
+		g.def(d, "%s", maskLit(fmt.Sprintf("%s >> %d", au(), in.P1), in.P0-in.P1+1))
 	case sim.IHead:
-		g.p("%s = %s >> %d", d, au(), in.AW-in.P0)
+		g.def(d, "%s >> %d", au(), in.AW-in.P0)
 	case sim.ITail:
-		g.p("%s = %s", d, maskLit(au(), in.AW-in.P0))
+		g.def(d, "%s", maskLit(au(), in.AW-in.P0))
 	default:
 		g.p("// unimplemented narrow opcode %d", in.Code)
 	}
@@ -262,13 +355,13 @@ func (g *gen) emitWide(in *sim.GenInstr) {
 	case sim.ICopy:
 		g.p("s.sc.Copy(%s, %s, %d, %v, %d)", dst, va(), in.AW, in.SA, in.DW)
 	case sim.IMux:
-		g.p("s.sc.Mux(%s, s.t[%d], %s, %d, %v, %s, %d, %v, %d)",
-			dst, in.A, view(in.B, in.BW), in.BW, in.SB,
+		g.p("s.sc.Mux(%s, %s, %s, %d, %v, %s, %d, %v, %d)",
+			dst, g.ref(in.A), view(in.B, in.BW), in.BW, in.SB,
 			view(in.C, in.CW), in.CW, in.SC, in.DW)
 	case sim.IMemRead:
 		m := &g.prog.D.Mems[in.Mem]
-		g.p("simrt.MemRead(%s, s.mems[%d], %d, %d, s.t[%d])",
-			dst, in.Mem, bits.Words(m.Width), m.Depth, in.A)
+		g.p("simrt.MemRead(%s, s.mems[%d], %d, %d, %s)",
+			dst, in.Mem, bits.Words(m.Width), m.Depth, g.ref(in.A))
 	case sim.IAdd:
 		g.p("s.sc.Add(%s, %s, %d, %v, %s, %d, %v, %d)",
 			dst, va(), in.AW, in.SA, vb(), in.BW, in.SB, in.DW)
@@ -288,23 +381,23 @@ func (g *gen) emitWide(in *sim.GenInstr) {
 		cmpOp := map[sim.ICode]string{
 			sim.ILt: "< 0", sim.ILeq: "<= 0", sim.IGt: "> 0", sim.IGeq: ">= 0",
 		}[in.Code]
-		g.p("s.t[%d] = simrt.B2U(s.sc.Cmp(%s, %d, %s, %d, %v) %s)",
-			in.Dst, va(), in.AW, vb(), in.BW, in.SA, cmpOp)
+		g.def(in.Dst, "simrt.B2U(s.sc.Cmp(%s, %d, %s, %d, %v) %s)",
+			va(), in.AW, vb(), in.BW, in.SA, cmpOp)
 	case sim.IEq:
-		g.p("s.t[%d] = simrt.B2U(s.sc.Eq(%s, %d, %v, %s, %d, %v))",
-			in.Dst, va(), in.AW, in.SA, vb(), in.BW, in.SB)
+		g.def(in.Dst, "simrt.B2U(s.sc.Eq(%s, %d, %v, %s, %d, %v))",
+			va(), in.AW, in.SA, vb(), in.BW, in.SB)
 	case sim.INeq:
-		g.p("s.t[%d] = simrt.B2U(!s.sc.Eq(%s, %d, %v, %s, %d, %v))",
-			in.Dst, va(), in.AW, in.SA, vb(), in.BW, in.SB)
+		g.def(in.Dst, "simrt.B2U(!s.sc.Eq(%s, %d, %v, %s, %d, %v))",
+			va(), in.AW, in.SA, vb(), in.BW, in.SB)
 	case sim.IShl:
 		g.p("s.sc.Shl(%s, %s, %d, %d)", dst, va(), in.P0, in.DW)
 	case sim.IShr:
 		g.p("s.sc.Shr(%s, %s, %d, %d, %v, %d)", dst, va(), in.P0, in.AW, in.SA, in.DW)
 	case sim.IDshl:
-		g.p("s.sc.Shl(%s, %s, int(s.t[%d]), %d)", dst, va(), in.B, in.DW)
+		g.p("s.sc.Shl(%s, %s, int(%s), %d)", dst, va(), g.ref(in.B), in.DW)
 	case sim.IDshr:
-		g.p("s.sc.Shr(%s, %s, int(s.t[%d]), %d, %v, %d)",
-			dst, va(), in.B, in.AW, in.SA, in.DW)
+		g.p("s.sc.Shr(%s, %s, int(%s), %d, %v, %d)",
+			dst, va(), g.ref(in.B), in.AW, in.SA, in.DW)
 	case sim.INeg:
 		g.p("s.sc.Neg(%s, %s, %d, %v, %d)", dst, va(), in.AW, in.SA, in.DW)
 	case sim.INot:
@@ -319,11 +412,11 @@ func (g *gen) emitWide(in *sim.GenInstr) {
 		g.p("s.sc.Logic(%s, 2, %s, %d, %v, %s, %d, %v, %d)",
 			dst, va(), in.AW, in.SA, vb(), in.BW, in.SB, in.DW)
 	case sim.IAndr:
-		g.p("s.t[%d] = simrt.AndR(%s, %d)", in.Dst, va(), in.AW)
+		g.def(in.Dst, "simrt.AndR(%s, %d)", va(), in.AW)
 	case sim.IOrr:
-		g.p("s.t[%d] = simrt.OrR(%s)", in.Dst, va())
+		g.def(in.Dst, "simrt.OrR(%s)", va())
 	case sim.IXorr:
-		g.p("s.t[%d] = simrt.XorR(%s)", in.Dst, va())
+		g.def(in.Dst, "simrt.XorR(%s)", va())
 	case sim.ICat:
 		g.p("s.sc.Cat(%s, %s, %d, %s, %d)", dst, va(), in.AW, vb(), in.BW)
 	case sim.IBits:
@@ -340,7 +433,7 @@ func (g *gen) emitWide(in *sim.GenInstr) {
 // emitDisplayCall guards and calls a cold display function.
 func (g *gen) emitDisplayCall(i int32) {
 	disp := &g.prog.Displays[i]
-	g.p("if s.t[%d]&1 == 1 { s.display%d() }", disp.En.Off, i)
+	g.p("if %s&1 == 1 { s.display%d() }", g.ref(disp.En.Off), i)
 	// Cold body, generated once.
 	var cb strings.Builder
 	fmt.Fprintf(&cb, "//go:noinline\nfunc (s *Sim) display%d() {\n", i)
@@ -372,7 +465,7 @@ func translateFormat(f string, args []sim.GenOperand) (string, string) {
 		}
 		o := args[ai]
 		ai++
-		words := fmt.Sprintf("s.t[%d:%d]", o.Off, o.Off+int32(bits.Words(int(o.W))))
+		words := view(o.Off, o.W)
 		switch verb {
 		case 'd':
 			out.WriteString("%s")
@@ -388,7 +481,7 @@ func translateFormat(f string, args []sim.GenOperand) (string, string) {
 				fmt.Sprintf("simrt.FormatBase(%s, %d, %v, 2)", words, o.W, o.Signed))
 		case 'c':
 			out.WriteString("%c")
-			argExprs = append(argExprs, fmt.Sprintf("byte(s.t[%d])", o.Off))
+			argExprs = append(argExprs, "byte("+slot(o.Off)+")")
 		default:
 			fmt.Fprintf(&out, "%%!%c", verb)
 			ai--
@@ -405,10 +498,10 @@ func translateFormat(f string, args []sim.GenOperand) (string, string) {
 func (g *gen) emitCheckCall(i int32) {
 	c := &g.prog.Checks[i]
 	if c.Stop {
-		g.p("if s.t[%d]&1 == 1 { s.check%d() }", c.En.Off, i)
+		g.p("if %s&1 == 1 { s.check%d() }", g.ref(c.En.Off), i)
 	} else {
-		g.p("if s.t[%d]&1 == 1 && s.t[%d]&1 == 0 { s.check%d() }",
-			c.En.Off, c.Pred.Off, i)
+		g.p("if %s&1 == 1 && %s&1 == 0 { s.check%d() }",
+			g.ref(c.En.Off), g.ref(c.Pred.Off), i)
 	}
 	var cb strings.Builder
 	fmt.Fprintf(&cb, "//go:noinline\nfunc (s *Sim) check%d() {\n", i)
@@ -425,12 +518,37 @@ func (g *gen) emitCheckCall(i int32) {
 // emitMemWriteCapture buffers an enabled write.
 func (g *gen) emitMemWriteCapture(i int32) {
 	w := &g.prog.MemWrites[i]
-	nw := bits.Words(int(w.Data.W))
-	g.p("if s.t[%d]&1 == 1 && s.t[%d]&1 == 1 {", w.En.Off, w.Mask.Off)
+	g.p("if %s&1 == 1 && %s&1 == 1 {", g.ref(w.En.Off), g.ref(w.Mask.Off))
 	g.p("  s.pendValid[%d] = true", i)
-	g.p("  s.pendAddr[%d] = s.t[%d]", i, w.Addr.Off)
-	g.p("  copy(s.pendData[%d], s.t[%d:%d])", i, w.Data.Off, w.Data.Off+int32(nw))
+	g.p("  s.pendAddr[%d] = %s", i, g.ref(w.Addr.Off))
+	g.p("  copy(s.pendData[%d], %s)", i, view(w.Data.Off, w.Data.W))
 	g.p("} else { s.pendValid[%d] = false }", i)
+}
+
+// wakesStat is the Wakes counter as code outside partition functions
+// (which count on a local) address it.
+var wakesStat = fmt.Sprintf("s.stats[%d]", statWakes)
+
+// wake sets the activity flags of parts, counting them on counter.
+func (g *gen) wake(parts []int, counter string) {
+	for _, p := range parts {
+		g.p("s.flags[%d] = true", p)
+	}
+	if g.opts.Serve && len(parts) > 0 {
+		g.p("%s += %d", counter, len(parts))
+	}
+}
+
+// ifChangedCopy opens `if dst != src { dst = src` over n-word spans of
+// two state arrays; the caller emits the wakes and closes the block.
+func (g *gen) ifChangedCopy(dst string, dOff int32, src string, sOff, n int32) {
+	if n == 1 {
+		g.p("if %s[%d] != %s[%d] {", dst, dOff, src, sOff)
+		g.p("%s[%d] = %s[%d]", dst, dOff, src, sOff)
+		return
+	}
+	g.p("if !simrt.EqualWords(%s[%d:%d], %s[%d:%d]) {", dst, dOff, dOff+n, src, sOff, sOff+n)
+	g.p("copy(%s[%d:%d], %s[%d:%d])", dst, dOff, dOff+n, src, sOff, sOff+n)
 }
 
 // emitCommit emits the end-of-cycle state advance shared by both modes.
@@ -445,11 +563,34 @@ func (g *gen) emitCommit() {
 			r := &d.Regs[ri]
 			no, oo := pr.Off[r.Next], pr.Off[r.Out]
 			for w := int32(0); w < int32(bits.Words(d.Signals[r.Out].Width)); w++ {
-				g.p("  s.t[%d] = s.t[%d] // %s", oo+w, no+w, r.Name)
+				g.p("  %s = %s // %s", slot(oo+w), slot(no+w), r.Name)
 			}
 		}
 	} else {
-		g.emitCCSSRegCommits()
+		// Per-partition dirty blocks: compare, copy, and wake for
+		// non-elided registers.
+		for pi, part := range pr.Plan.Parts {
+			if len(part.Regs) == 0 {
+				continue
+			}
+			g.p("  if s.pd[%d] {", pi)
+			g.p("    s.pd[%d] = false", pi)
+			for _, ri := range part.Regs {
+				r := &d.Regs[ri]
+				if g.opts.Serve {
+					g.p("    s.stats[%d]++", statOutputCompares)
+				}
+				g.p("    // %s", r.Name)
+				g.ifChangedCopy("s.t", pr.Off[r.Out], "s.t", pr.Off[r.Next],
+					int32(bits.Words(d.Signals[r.Out].Width)))
+				if g.opts.Serve {
+					g.p("      s.stats[%d]++", statSignalChanges)
+				}
+				g.wake(pr.Plan.RegReaderParts[ri], wakesStat)
+				g.p("    }")
+			}
+			g.p("  }")
+		}
 	}
 	// Pending memory writes.
 	for i := range pr.MemWrites {
@@ -464,12 +605,7 @@ func (g *gen) emitCommit() {
 			g.p("      if !simrt.EqualWords(s.mems[%d][base:base+%d], s.pendData[%d]) {",
 				w.Mem, nw, i)
 			g.p("        copy(s.mems[%d][base:base+%d], s.pendData[%d])", w.Mem, nw, i)
-			for _, p := range pr.Plan.MemReaderParts[w.Mem] {
-				g.p("        s.flags[%d] = true", p)
-			}
-			if g.opts.Serve && len(pr.Plan.MemReaderParts[w.Mem]) > 0 {
-				g.p("        s.stats[%d] += %d", statWakes, len(pr.Plan.MemReaderParts[w.Mem]))
-			}
+			g.wake(pr.Plan.MemReaderParts[w.Mem], wakesStat)
 			g.p("      }")
 		} else {
 			g.p("      copy(s.mems[%d][int(a)*%d:int(a)*%d+%d], s.pendData[%d])",
@@ -482,58 +618,13 @@ func (g *gen) emitCommit() {
 	g.p("")
 }
 
-// emitCCSSRegCommits emits per-partition dirty blocks: compare, copy, and
-// wake for non-elided registers.
-func (g *gen) emitCCSSRegCommits() {
-	pr := g.prog
-	d := pr.D
-	for pi, part := range pr.Plan.Parts {
-		if len(part.Regs) == 0 {
-			continue
-		}
-		g.p("  if s.pd[%d] {", pi)
-		g.p("    s.pd[%d] = false", pi)
-		for _, ri := range part.Regs {
-			r := &d.Regs[ri]
-			no, oo := pr.Off[r.Next], pr.Off[r.Out]
-			nw := int32(bits.Words(d.Signals[r.Out].Width))
-			if g.opts.Serve {
-				g.p("    s.stats[%d]++", statOutputCompares)
-			}
-			if nw == 1 {
-				g.p("    if s.t[%d] != s.t[%d] { // %s", oo, no, r.Name)
-				g.p("      s.t[%d] = s.t[%d]", oo, no)
-			} else {
-				g.p("    if !simrt.EqualWords(s.t[%d:%d], s.t[%d:%d]) { // %s",
-					oo, oo+nw, no, no+nw, r.Name)
-				g.p("      copy(s.t[%d:%d], s.t[%d:%d])", oo, oo+nw, no, no+nw)
-			}
-			if g.opts.Serve {
-				g.p("      s.stats[%d]++", statSignalChanges)
-			}
-			for _, p := range pr.Plan.RegReaderParts[ri] {
-				g.p("      s.flags[%d] = true", p)
-			}
-			if g.opts.Serve && len(pr.Plan.RegReaderParts[ri]) > 0 {
-				g.p("      s.stats[%d] += %d", statWakes, len(pr.Plan.RegReaderParts[ri]))
-			}
-			g.p("    }")
-		}
-		g.p("  }")
-	}
-}
-
-// emitFullCycleStep emits Step plus chunked eval functions.
-func (g *gen) emitFullCycleStep() {
-	const chunkSize = 400
-	nChunks := (len(g.prog.Sched) + chunkSize - 1) / chunkSize
-	g.p("// Step simulates n cycles (full-cycle schedule).")
+// emitStepLoop emits Step: per cycle, the mode's evaluation calls, then
+// commit and the stop/assert hand-off.
+func (g *gen) emitStepLoop(evals func()) {
 	g.p("func (s *Sim) Step(n int) error {")
 	g.p("  for i := 0; i < n; i++ {")
 	g.p("    if s.stopErr != nil { return s.stopErr }")
-	for c := 0; c < nChunks; c++ {
-		g.p("    s.eval%d()", c)
-	}
+	evals()
 	g.p("    err := s.evalErr")
 	g.p("    s.evalErr = nil")
 	g.p("    s.commit()")
@@ -546,16 +637,26 @@ func (g *gen) emitFullCycleStep() {
 	g.p("  return nil")
 	g.p("}")
 	g.p("")
+}
+
+// emitFullCycleStep emits Step plus chunked eval functions.
+func (g *gen) emitFullCycleStep() {
+	const chunkSize = 400
+	nChunks := (len(g.prog.Sched) + chunkSize - 1) / chunkSize
+	g.p("// Step simulates n cycles (full-cycle schedule).")
+	g.emitStepLoop(func() {
+		for c := 0; c < nChunks; c++ {
+			g.p("    s.eval%d()", c)
+		}
+	})
 	for c := 0; c < nChunks; c++ {
-		g.p("func (s *Sim) eval%d() {", c)
 		lo := c * chunkSize
 		hi := min(lo+chunkSize, len(g.prog.Sched))
-		for _, e := range g.prog.Sched[lo:hi] {
-			g.emitEntry(e)
-		}
-		g.flushOps()
-		g.p("}")
-		g.p("")
+		g.emitFunc(fmt.Sprintf("eval%d", c), false, func() {
+			for _, e := range g.prog.Sched[lo:hi] {
+				g.emitEntry(e)
+			}
+		})
 	}
 }
 
@@ -568,35 +669,22 @@ func (g *gen) emitCCSSStep() {
 
 	g.p("// Step simulates n cycles (CCSS schedule: conditional partitions,")
 	g.p("// singular static order, push triggering).")
-	g.p("func (s *Sim) Step(n int) error {")
-	g.p("  for i := 0; i < n; i++ {")
-	g.p("    if s.stopErr != nil { return s.stopErr }")
-	// Inputs only change through pokes, so the scan runs only on steps
-	// following one (poked also covers Reset) — same gating as the
-	// interpreter's scanInputs.
-	g.p("    if s.poked { s.poked = false; s.detectInputs() }")
-	if g.opts.Serve {
-		g.p("    s.stats[%d] += %d", statPartChecks, len(plan.Parts))
-	}
-	for pi := range plan.Parts {
-		if plan.Parts[pi].AlwaysOn {
-			g.p("    s.p%d()", pi)
-		} else {
-			g.p("    if s.flags[%d] { s.flags[%d] = false; s.p%d() }", pi, pi, pi)
+	g.emitStepLoop(func() {
+		// Inputs only change through pokes, so the scan runs only on steps
+		// following one (poked also covers Reset) — same gating as the
+		// interpreter's scanInputs.
+		g.p("    if s.poked { s.poked = false; s.detectInputs() }")
+		if g.opts.Serve {
+			g.p("    s.stats[%d] += %d", statPartChecks, len(plan.Parts))
 		}
-	}
-	g.p("    err := s.evalErr")
-	g.p("    s.evalErr = nil")
-	g.p("    s.commit()")
-	g.p("    s.cycle++")
-	if g.opts.Serve {
-		g.p("    s.stats[%d]++", statCycles)
-	}
-	g.p("    if err != nil { s.stopErr = err; return err }")
-	g.p("  }")
-	g.p("  return nil")
-	g.p("}")
-	g.p("")
+		for pi := range plan.Parts {
+			if plan.Parts[pi].AlwaysOn {
+				g.p("    s.p%d()", pi)
+			} else {
+				g.p("    if s.flags[%d] { s.flags[%d] = false; s.p%d() }", pi, pi, pi)
+			}
+		}
+	})
 
 	// Input change detection.
 	g.p("func (s *Sim) detectInputs() {")
@@ -606,91 +694,72 @@ func (g *gen) emitCCSSStep() {
 	prevOff := int32(0)
 	for i, in := range d.Inputs {
 		words := int32(bits.Words(d.Signals[in].Width))
-		off := pr.Off[in]
-		if words == 1 {
-			g.p("  if s.t[%d] != s.prevIn[%d] {", off, prevOff)
-			g.p("    s.prevIn[%d] = s.t[%d]", prevOff, off)
-		} else {
-			g.p("  if !simrt.EqualWords(s.t[%d:%d], s.prevIn[%d:%d]) {",
-				off, off+words, prevOff, prevOff+words)
-			g.p("    copy(s.prevIn[%d:%d], s.t[%d:%d])", prevOff, prevOff+words, off, off+words)
-		}
-		for _, p := range plan.InputConsumers[i] {
-			g.p("    s.flags[%d] = true", p)
-		}
-		if g.opts.Serve && len(plan.InputConsumers[i]) > 0 {
-			g.p("    s.stats[%d] += %d", statWakes, len(plan.InputConsumers[i]))
-		}
+		g.ifChangedCopy("s.prevIn", prevOff, "s.t", pr.Off[in], words)
+		g.wake(plan.InputConsumers[i], wakesStat)
 		g.p("  }")
 		prevOff += words
 	}
 	g.p("}")
 	g.p("")
 
-	// Partition functions.
 	for pi := range plan.Parts {
-		part := &plan.Parts[pi]
-		g.p("func (s *Sim) p%d() {", pi)
-		if g.opts.Serve {
-			g.p("  s.stats[%d]++", statPartEvals)
+		g.emitFunc(fmt.Sprintf("p%d", pi), true, func() { g.emitPartition(pi) })
+	}
+}
+
+// emitPartition emits one partition function's body: save the old
+// outputs, evaluate the members in schedule order, then change detection
+// and wakes. Serve-mode accounting is folded — PartEvals and
+// OutputCompares are per-call constants, SignalChanges and Wakes
+// accumulate in locals — and flushed to s.stats once at the end.
+func (g *gen) emitPartition(pi int) {
+	pr := g.prog
+	d := pr.D
+	part := &pr.Plan.Parts[pi]
+	counted := g.opts.Serve && len(part.Outputs) > 0
+	if counted {
+		g.p("var chg, wk uint64")
+	}
+	olds := make([]string, len(part.Outputs))
+	for oi, o := range part.Outputs {
+		w, off := int32(d.Signals[o.Sig].Width), pr.Off[o.Sig]
+		if w <= 64 {
+			olds[oi] = fmt.Sprintf("o%d", oi)
+			g.p("  %s := %s", olds[oi], g.ref(off))
+		} else {
+			words := int32(bits.Words(int(w)))
+			olds[oi] = fmt.Sprintf("s.old[%d:%d]", g.oldOff, g.oldOff+words)
+			g.p("  copy(%s, %s)", olds[oi], view(off, w))
+			g.oldOff += words
 		}
-		// Save old outputs.
-		var narrowOlds []string
-		var wideOlds []string
-		for oi, o := range part.Outputs {
-			w := d.Signals[o.Sig].Width
-			off := pr.Off[o.Sig]
-			if w <= 64 {
-				name := fmt.Sprintf("o%d", oi)
-				g.p("  %s := s.t[%d]", name, off)
-				narrowOlds = append(narrowOlds, name)
-				wideOlds = append(wideOlds, "")
-			} else {
-				words := int32(bits.Words(w))
-				g.p("  copy(s.old[%d:%d], s.t[%d:%d])",
-					g.oldOff, g.oldOff+words, off, off+words)
-				narrowOlds = append(narrowOlds, "")
-				wideOlds = append(wideOlds, fmt.Sprintf("s.old[%d:%d]", g.oldOff, g.oldOff+words))
-				g.oldOff += words
-			}
-		}
-		// Entries in schedule order.
-		for _, node := range part.Members {
-			pos := pr.SchedPosOf[node]
-			if pos < 0 {
-				continue
-			}
+	}
+	for _, node := range part.Members {
+		if pos := pr.SchedPosOf[node]; pos >= 0 {
 			g.emitEntry(pr.Sched[pos])
 		}
-		g.flushOps()
-		// Change detection + wakes.
-		for oi, o := range part.Outputs {
-			w := d.Signals[o.Sig].Width
-			off := pr.Off[o.Sig]
-			if g.opts.Serve {
-				g.p("  s.stats[%d]++", statOutputCompares)
-			}
-			if w <= 64 {
-				g.p("  if s.t[%d] != %s {", off, narrowOlds[oi])
-			} else {
-				words := int32(bits.Words(w))
-				g.p("  if !simrt.EqualWords(s.t[%d:%d], %s) {", off, off+words, wideOlds[oi])
-			}
-			if g.opts.Serve {
-				g.p("    s.stats[%d]++", statSignalChanges)
-			}
-			for _, q := range o.Consumers {
-				g.p("    s.flags[%d] = true", q)
-			}
-			if g.opts.Serve && len(o.Consumers) > 0 {
-				g.p("    s.stats[%d] += %d", statWakes, len(o.Consumers))
-			}
-			g.p("  }")
+	}
+	for oi, o := range part.Outputs {
+		w, off := int32(d.Signals[o.Sig].Width), pr.Off[o.Sig]
+		if w <= 64 {
+			g.p("  if %s != %s {", g.ref(off), olds[oi])
+		} else {
+			g.p("  if !simrt.EqualWords(%s, %s) {", view(off, w), olds[oi])
 		}
-		if len(part.Regs) > 0 {
-			g.p("  s.pd[%d] = true", pi)
+		if g.opts.Serve {
+			g.p("    chg++")
 		}
-		g.p("}")
-		g.p("")
+		g.wake(o.Consumers, "wk")
+		g.p("  }")
+	}
+	if len(part.Regs) > 0 {
+		g.p("  s.pd[%d] = true", pi)
+	}
+	if g.opts.Serve {
+		g.p("s.stats[%d]++", statPartEvals)
+	}
+	if counted {
+		g.p("s.stats[%d] += %d", statOutputCompares, len(part.Outputs))
+		g.p("s.stats[%d] += chg", statSignalChanges)
+		g.p("s.stats[%d] += wk", statWakes)
 	}
 }

@@ -82,11 +82,11 @@ func (g *gen) packable1(in *sim.GenInstr) bool {
 }
 
 // boolExpr renders in as a masked-correct 1-bit Go expression, reading
-// operands through tref so producer chains inline transitively.
+// operands through ref so producer chains inline transitively.
 func (g *gen) boolExpr(in *sim.GenInstr) string {
-	a := func() string { return g.tref(in.A) }
-	b := func() string { return g.tref(in.B) }
-	c := func() string { return g.tref(in.C) }
+	a := func() string { return g.ref(in.A) }
+	b := func() string { return g.ref(in.B) }
+	c := func() string { return g.ref(in.C) }
 	switch in.Code {
 	case sim.ICopy, sim.INeg, sim.IAndr, sim.IOrr, sim.IXorr, sim.IBits,
 		sim.ITail, sim.IHead:
@@ -117,34 +117,17 @@ func (g *gen) boolExpr(in *sim.GenInstr) string {
 	case sim.IMux:
 		return fmt.Sprintf("(%s&%s | (%s^1)&%s)", a(), b(), a(), c())
 	}
-	return fmt.Sprintf("s.t[%d]", in.Dst)
-}
-
-// tref renders a single-word table read: the inlined producer's
-// expression when the offset was fused away, a plain load otherwise.
-func (g *gen) tref(off int32) string {
-	if e, ok := g.inlineExpr[off]; ok {
-		return e
-	}
-	return fmt.Sprintf("s.t[%d]", off)
-}
-
-// loadT is load() routed through tref for unsigned operands (inlined
-// producers are always unsigned, so the signed path never sees one).
-func (g *gen) loadT(off, w int32, signed bool) string {
-	if signed && w < 64 {
-		return fmt.Sprintf("simrt.Sext64(s.t[%d], %d)", off, w)
-	}
-	return g.tref(off)
+	return slot(in.Dst)
 }
 
 // computeInlineFusion decides which producers fuse into their consumer
-// and pre-renders their expressions (walked in schedule order, so a
-// chain's inner expressions exist before its outer ones).
+// (walked in schedule order, so a chain's inner producers are decided
+// before its outer ones). The expression itself is rendered by ref at
+// the reader, with the locals visible there.
 func (g *gen) computeInlineFusion() {
 	pr := g.prog
 	d := pr.D
-	g.inlineExpr = make(map[int32]string)
+	g.inline = make(map[int32]*sim.GenInstr)
 
 	// Live offsets: table slots read outside the instruction stream.
 	live := make([]bool, pr.TableLen)
@@ -288,12 +271,11 @@ func (g *gen) computeInlineFusion() {
 		if clobbered {
 			continue
 		}
-		expr := g.boolExpr(in)
-		if len(expr) > inlineExprCap {
+		// Table-operand length, an upper bound on what the reader renders.
+		if len(g.boolExpr(in)) > inlineExprCap {
 			continue
 		}
-		g.inlineExpr[in.Dst] = expr
+		g.inline[in.Dst] = in
 		leavesOf[in.Dst] = leaves
-		g.inlinedCount++
 	}
 }

@@ -455,16 +455,14 @@ func servedArm(name string, d *Design, nd *netlist.Design, w riscv.Workload,
 // The gen experiment measures the compiled serving backend per design:
 // artifact build latency cold, session start warm, then throughput and
 // bit-exactness of the supervised subprocess against the CCSS
-// interpreter. The MAC arrays are not in the default set: their
-// generated code diverges from both interpreters from the first cycle
-// (EXPERIMENTS.md), so their cell fails the end-state check.
+// interpreter.
 var gen = &Experiment{
 	Name:    "gen",
 	Title:   "Compiled backend (artifact build, warm start, served vs interpreter)",
 	Accepts: anyDesign,
 	Columns: []string{"signals", "cp", "cold_build_ms", "warm_start_ms", "degraded"},
 	Cells: func(ds *DesignSet, p Params) ([]Cell, error) {
-		dsg, err := ds.pick(p.Designs, anyDesign, "r16", "fab")
+		dsg, err := ds.pick(p.Designs, anyDesign, "r16", "fab", "mac8")
 		var cells []Cell
 		for _, d := range dsg {
 			w := ds.workloads(d, "dhrystone")[0]
@@ -498,12 +496,12 @@ var gencp = &Experiment{
 		dsg, err := ds.pick(p.Designs, designSpec.soc, "r16")
 		return grid(ds, dsg, []string{"dhrystone"}, 9, func(d *Design, w riscv.Workload) []Arm {
 			cache := &scratchDir{}
-			// Only the CCSS arms take part in the end-state check: Baseline
-			// runs the raw netlist, and the full-cycle artifact's state does
-			// not hash equal to the interpreters' (EXPERIMENTS.md).
+			// Every arm on the optimized netlist takes part in the end-state
+			// check; Baseline runs the raw netlist, whose state is laid out
+			// differently.
 			arm := func(name string, nd *netlist.Design, gen codegen.Options) Arm {
 				return servedArm(name, d, nd, w, p.Scale.MaxCycles, gen, cache,
-					gen.Mode == codegen.ModeCCSS)
+					nd == d.Opt)
 			}
 			arms := []Arm{
 				// All optimizations disabled, on the raw netlist.

@@ -37,10 +37,10 @@ type Stats struct {
 	// constant folding cannot see through); SAMuxElided counts muxes
 	// reduced to copies because their selector was proven constant,
 	// which is what exposes unreachable arms to DCE.
-	SAConstFolded int
-	SAMuxElided   int
-	SAProvenConst int
-	SAProvenGated int
+	SAConstFolded  int
+	SAMuxElided    int
+	SAProvenConst  int
+	SAProvenGated  int
 	SAProvenNarrow int
 	// Packable1Bit counts combinational signals in the optimized design
 	// eligible for the batch engine's word-packed bit-parallel kernels

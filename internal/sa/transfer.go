@@ -594,7 +594,7 @@ func (st *state) transferPrim(out netlist.SignalID, sig *netlist.Signal, m, v []
 		extendInto(st.tc, st.td, b, cw)
 		differ := false
 		for i := 0; i < n; i++ {
-			if st.ta[i] & st.tc[i] & (st.tb[i] ^ st.td[i]) != 0 {
+			if st.ta[i]&st.tc[i]&(st.tb[i]^st.td[i]) != 0 {
 				differ = true
 				break
 			}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -58,6 +59,9 @@ type client struct {
 
 	heartbeat time.Duration
 	deadline  time.Duration
+	// quiet and overall are await's watchdog and deadline timers, created
+	// stopped and re-armed per request (one goroutine awaits at a time).
+	quiet, overall *time.Timer
 
 	waitOnce sync.Once
 	waitErr  error
@@ -74,6 +78,12 @@ func (cl *client) wait() error {
 func spawn(bin, design string, heartbeat, deadline time.Duration, out io.Writer) (*client, error) {
 	if out == nil {
 		out = io.Discard
+	}
+	if heartbeat <= 0 {
+		heartbeat = 10 * time.Second
+	}
+	if deadline <= 0 {
+		deadline = 10 * time.Minute
 	}
 	cmd := exec.Command(bin)
 	stderr := &tailBuffer{cap: 16 << 10}
@@ -99,8 +109,12 @@ func spawn(bin, design string, heartbeat, deadline time.Duration, out io.Writer)
 		out:       out,
 		heartbeat: heartbeat,
 		deadline:  deadline,
+		quiet:     stoppedTimer(),
+		overall:   stoppedTimer(),
 	}
-	go cl.reader(stdout)
+	// One buffered reader for the child's stdout: a frame is a header
+	// read plus a body read, and both usually land in one pipe read.
+	go cl.reader(bufio.NewReaderSize(stdout, 1<<16))
 
 	// The child speaks first: an unprompted RHello carrying its
 	// fingerprint.
@@ -123,6 +137,26 @@ func spawn(bin, design string, heartbeat, deadline time.Duration, out io.Writer)
 	return cl, nil
 }
 
+// stoppedTimer returns a timer that is not running and has nothing in
+// its channel, ready for Reset.
+func stoppedTimer() *time.Timer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}
+
+// rearm restarts a stopped-or-fired timer whose channel may still hold
+// the old expiry.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
+}
+
 // reader pumps frames until the pipe closes, then reports why.
 func (cl *client) reader(r io.Reader) {
 	for {
@@ -142,19 +176,11 @@ func (cl *client) reader(r io.Reader) {
 // (any frame resets it — a stepping child emits RProgress, so silence
 // means a wedged or dead child) and an overall per-request deadline.
 func (cl *client) await(op string) (byte, []byte, error) {
-	hb := cl.heartbeat
-	if hb <= 0 {
-		hb = 10 * time.Second
-	}
-	dl := cl.deadline
-	if dl <= 0 {
-		dl = 10 * time.Minute
-	}
 	start := time.Now()
-	overall := time.NewTimer(dl)
-	defer overall.Stop()
-	quiet := time.NewTimer(hb)
-	defer quiet.Stop()
+	rearm(cl.overall, cl.deadline)
+	defer cl.overall.Stop()
+	rearm(cl.quiet, cl.heartbeat)
+	defer cl.quiet.Stop()
 	sawFrame := false
 	for {
 		select {
@@ -162,29 +188,25 @@ func (cl *client) await(op string) (byte, []byte, error) {
 			if !ok {
 				return 0, nil, cl.crashError(<-cl.readErr)
 			}
-			if !quiet.Stop() {
-				<-quiet.C
-			}
-			quiet.Reset(hb)
 			switch f.typ {
 			case pipeproto.ROutput:
 				cl.out.Write(f.payload)
-				sawFrame = true
-				continue
 			case pipeproto.RProgress:
 				d := &pipeproto.Dec{B: f.payload}
 				if c := d.U64(); d.Err == nil {
 					cl.lastCycle = c
 				}
-				sawFrame = true
-				continue
+			default:
+				return f.typ, f.payload, nil
 			}
-			return f.typ, f.payload, nil
-		case <-quiet.C:
+			// A non-terminal frame is a heartbeat.
+			sawFrame = true
+			rearm(cl.quiet, cl.heartbeat)
+		case <-cl.quiet.C:
 			cl.kill()
 			return 0, nil, &TimeoutError{Design: cl.design, Op: op,
 				Elapsed: time.Since(start), Heartbeat: false}
-		case <-overall.C:
+		case <-cl.overall.C:
 			cl.kill()
 			return 0, nil, &TimeoutError{Design: cl.design, Op: op,
 				Elapsed: time.Since(start), Heartbeat: sawFrame}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -345,6 +346,39 @@ func TestKillMidRunResumes(t *testing.T) {
 	// activity counters slightly. Cycles must still agree exactly.
 	if got, want := s.Stats().Cycles, ip.Stats().Cycles; got != want {
 		t.Fatalf("post-kill cycle count mismatch: %d vs %d", got, want)
+	}
+}
+
+// TestStepAllocatesNoSnapshotCopies: with the tripwire off, a Step
+// request must not cost memory proportional to the checkpoint — the
+// segment-start snapshot copy is the tripwire's, and at one copy per
+// request it made the host's GC compete with the child for the CPU.
+func TestStepAllocatesNoSnapshotCopies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a compiled artifact")
+	}
+	s := newSession(t, smallSoC(t), testConfig())
+	if s.Degraded() {
+		t.Fatalf("degraded at start: %+v", s.Degradation())
+	}
+	s.Reset()
+	if err := s.Step(1024); err != nil { // warm the buffers
+		t.Fatal(err)
+	}
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if err := s.Step(1024); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// The run crosses one CaptureEvery boundary, so one snapshot's worth
+	// of frames is expected in total — not one per call.
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if snap := uint64(len(s.lastGood)); perCall > snap/4 {
+		t.Fatalf("Step(1024) allocates %d bytes per call against a %d-byte snapshot", perCall, snap)
 	}
 }
 

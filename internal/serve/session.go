@@ -798,7 +798,12 @@ func (s *Session) keep(err error) error {
 // stepSegmentSupervised runs one bounded segment with crash recovery.
 // Returns (designOutcome, supervisionFailure).
 func (s *Session) stepSegmentSupervised(k int) (error, error) {
-	prev := append([]byte(nil), s.lastGood...)
+	// The tripwire rewinds to the segment-start snapshot; with it off
+	// nothing reads prev, so the (snapshot-sized) copy is not taken.
+	var prev []byte
+	if s.cfg.VerifyEvery > 0 {
+		prev = append(prev, s.lastGood...)
+	}
 	prevReplay := len(s.replay) > 0
 	for attempt := 0; ; attempt++ {
 		stopErr, err := s.stepChild(k)

@@ -89,9 +89,9 @@ circuit WS :
 	vals := []*big.Int{
 		big.NewInt(0),
 		big.NewInt(1),
-		new(big.Int).Set(mask128),                 // all ones
-		new(big.Int).Lsh(big.NewInt(1), 127),      // top bit only
-		new(big.Int).Lsh(big.NewInt(0xDEAD), 56),  // straddles the word seam
+		new(big.Int).Set(mask128),                // all ones
+		new(big.Int).Lsh(big.NewInt(1), 127),     // top bit only
+		new(big.Int).Lsh(big.NewInt(0xDEAD), 56), // straddles the word seam
 		new(big.Int).SetUint64(0x0123456789ABCDEF),
 	}
 	for _, a := range vals {

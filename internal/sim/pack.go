@@ -79,21 +79,21 @@ type pcode uint8
 const (
 	// pPack gathers rowOff's unpacked lane-major row into packed slot
 	// dst, masked to the lanes under evaluation.
-	pPack pcode = iota
-	pCopy       // dst = a
-	pNot        // dst = ^a
-	pAnd        // dst = a & b
-	pOr         // dst = a | b
-	pXor        // dst = a ^ b  (also 1-bit add/sub mod 2)
-	pEq         // dst = ^(a ^ b)
-	pNeq        // dst = a ^ b
-	pLt         // dst = ^a & b
-	pLeq        // dst = ^a | b
-	pGt         // dst = a &^ b
-	pGeq        // dst = a | ^b
-	pMux        // dst = (a & b) | (^a & c)
-	pNotAnd     // dst = ^a & b           (from IFNotAnd, weight 2)
-	pCmpMux     // sel = cmp(a, b); dst = (sel & c) | (^sel & m)  (weight 2)
+	pPack   pcode = iota
+	pCopy         // dst = a
+	pNot          // dst = ^a
+	pAnd          // dst = a & b
+	pOr           // dst = a | b
+	pXor          // dst = a ^ b  (also 1-bit add/sub mod 2)
+	pEq           // dst = ^(a ^ b)
+	pNeq          // dst = a ^ b
+	pLt           // dst = ^a & b
+	pLeq          // dst = ^a | b
+	pGt           // dst = a &^ b
+	pGeq          // dst = a | ^b
+	pMux          // dst = (a & b) | (^a & c)
+	pNotAnd       // dst = ^a & b           (from IFNotAnd, weight 2)
+	pCmpMux       // sel = cmp(a, b); dst = (sel & c) | (^sel & m)  (weight 2)
 )
 
 // pinstr is one step of the packed program.

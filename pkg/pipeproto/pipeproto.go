@@ -93,7 +93,10 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame consumes one frame from r, verifying magic and CRC.
+// ReadFrame consumes one frame from r, verifying magic and CRC. It
+// issues small reads (header, then payload and trailer together), so a
+// caller reading a pipe should hand it a bufio.Reader; the CRC runs over
+// the header and payload where they were read, with no assembled copy.
 func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	var head [9]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -102,28 +105,36 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	if got := binary.LittleEndian.Uint32(head[:4]); got != Magic {
 		return 0, nil, fmt.Errorf("%w: magic %#x", ErrBadFrame, got)
 	}
-	typ = head[4]
-	n := binary.LittleEndian.Uint32(head[5:9])
-	if n > MaxPayload {
-		return 0, nil, fmt.Errorf("%w: length %d", ErrBadFrame, n)
+	claimed := binary.LittleEndian.Uint32(head[5:9])
+	if claimed > MaxPayload {
+		return 0, nil, fmt.Errorf("%w: length %d", ErrBadFrame, claimed)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
+	n := int(claimed)
+	// Payload and trailer in one read. A length is only a claim until the
+	// bytes arrive, so past 64 KiB the buffer doubles as they do rather
+	// than being allocated up front.
+	body := make([]byte, min(n+8, 64<<10))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, body[got:])
+		got += m
+		if err != nil {
+			part := "payload"
+			if got >= n {
+				part = "crc"
+			}
+			return 0, nil, fmt.Errorf("%w: truncated %s: %v", ErrBadFrame, part, err)
+		}
+		if got == n+8 {
+			break
+		}
+		body = append(body, make([]byte, min(n+8-got, got))...)
 	}
-	var tail [8]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: truncated crc: %v", ErrBadFrame, err)
-	}
-	body := make([]byte, 0, 5+len(payload))
-	body = append(body, typ)
-	body = binary.LittleEndian.AppendUint32(body, n)
-	body = append(body, payload...)
-	want := binary.LittleEndian.Uint64(tail[:])
-	if got := crc64.Checksum(body, crcTable); got != want {
+	want := binary.LittleEndian.Uint64(body[n:])
+	got := crc64.Update(crc64.Update(0, crcTable, head[4:]), crcTable, body[:n])
+	if got != want {
 		return 0, nil, fmt.Errorf("%w: crc %#x want %#x", ErrBadFrame, got, want)
 	}
-	return typ, payload, nil
+	return head[4], body[:n:n], nil
 }
 
 // Payload builders: append-style little-endian encoding.

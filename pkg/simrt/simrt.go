@@ -311,6 +311,15 @@ func MemRead(dst, mem []uint64, nw int, depth, addr uint64) {
 	}
 }
 
+// Load reads word addr of a one-word-per-entry memory (zero when out of
+// range) — MemRead's narrow form, small enough to inline.
+func Load(mem []uint64, addr uint64) uint64 {
+	if addr < uint64(len(mem)) {
+		return mem[addr]
+	}
+	return 0
+}
+
 // FormatValue renders a value for printf (%d semantics).
 func FormatValue(words []uint64, width int, signed bool) string {
 	v := new(big.Int)

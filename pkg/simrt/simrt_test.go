@@ -111,6 +111,9 @@ func TestMemRead(t *testing.T) {
 	if dst[0] != 0 || dst[1] != 0 {
 		t.Fatal("out-of-range read should zero")
 	}
+	if Load(mem, 5) != 31 || Load(mem, 6) != 0 || Load(mem, ^uint64(0)) != 0 {
+		t.Fatal("Load: last word, one past it, or a huge address misread")
+	}
 }
 
 func TestScratchMux(t *testing.T) {
