@@ -72,6 +72,64 @@ func TestBackendCompiledMatchesInterp(t *testing.T) {
 	}
 }
 
+// TestResetClearsStats pins the one meaning of Reset: on every engine,
+// and on the served compiled backend, it zeroes the run counters along
+// with the architectural state, so a reused simulator reports only the new run
+// and the interpreter and compiled backends agree on Stats after it.
+func TestResetClearsStats(t *testing.T) {
+	type arm struct {
+		name string
+		opts Options
+	}
+	var arms []arm
+	for _, e := range []Engine{EngineEventDriven, EngineBaseline, EngineFullCycleOpt,
+		EngineESSENT, EngineESSENTParallel, EngineESSENTVec} {
+		arms = append(arms, arm{e.String(), Options{Engine: e, Workers: 2}})
+	}
+	if !testing.Short() {
+		arms = append(arms, arm{"essent/compiled", Options{Engine: EngineESSENT,
+			Backend: "compiled", ArtifactCacheDir: t.TempDir()}})
+	}
+	run := func(t *testing.T, s *Sim, cycles int) Stats {
+		t.Helper()
+		for c := 0; c < cycles; c++ {
+			if err := s.Poke("in", uint64(c*7%251)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Step(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.Stats()
+	}
+	for _, a := range arms {
+		a := a
+		t.Run(a.name, func(t *testing.T) {
+			s, err := Compile(backendTestSrc, a.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			first := run(t, s, 40)
+			if first.Cycles != 40 || first.OpsEvaluated == 0 {
+				t.Fatalf("no work recorded before Reset: %+v", first)
+			}
+			s.Reset()
+			if got := s.Stats(); got != (Stats{}) {
+				t.Fatalf("Reset left stale counters: %+v", got)
+			}
+			// The counters restart, they do not merely rewind: the same
+			// stimulus from reset reproduces the first run's Stats.
+			if again := run(t, s, 40); again != first {
+				t.Fatalf("second run after Reset differs:\nfirst %+v\nagain %+v", first, again)
+			}
+			if s.Degraded() {
+				t.Fatalf("degraded: %+v", s.BackendDegradation())
+			}
+		})
+	}
+}
+
 // TestBackendAutoColdCache checks the auto backend runs (on the
 // interpreter) when no artifact is cached yet.
 func TestBackendAutoColdCache(t *testing.T) {

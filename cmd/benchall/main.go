@@ -12,7 +12,7 @@
 //	benchall                      # the paper's artifacts at full scale
 //	benchall -quick               # reduced workloads
 //	benchall -only table3 -json - # one experiment, rows on stdout
-//	benchall -workers 1,2,4,8     # parallel CCSS scaling sweep appended
+//	benchall -workers 2,4,8       # CCSS worker-pool scaling sweep appended
 //	benchall -lanes 1,4,16,64     # batched CCSS lane sweep appended
 //	benchall -only lanes -lanes 4 -cycles 20000 -designs r16
 //	                              # CI-sized smoke of the lane sweep
@@ -58,7 +58,7 @@ func main() {
 			`write the rows of every experiment that ran as JSON to this file ("-" for stdout)`)
 		workersFlag = flag.String("workers", "",
 			`comma-separated worker counts for the parallel CCSS scaling sweep
-(e.g. "1,2,4,8"; implies the scaling experiment; default list with -only scaling)`)
+(e.g. "2,4,8"; arm seq is the one-worker engine; implies the scaling experiment; default list with -only scaling)`)
 		lanesFlag = flag.String("lanes", "",
 			`comma-separated lane counts for the lanes and pack sweeps, lane caps for vec
 (e.g. "1,4,16,64"; without -only implies the lanes experiment)`)

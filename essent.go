@@ -46,9 +46,10 @@ const (
 	// EngineESSENT is the paper's contribution: activity-driven CCSS
 	// execution over an acyclic partitioning.
 	EngineESSENT
-	// EngineESSENTParallel adds level-parallel partition evaluation on
-	// top of CCSS (an extension beyond the paper; benefits require a
-	// multi-core host and coarse partitions).
+	// EngineESSENTParallel is EngineESSENT with Workers > 1: the same
+	// engine and the same Stats, with busy mutually independent partition
+	// levels split across a worker pool (an extension beyond the paper;
+	// benefits require a multi-core host and coarse partitions).
 	EngineESSENTParallel
 	// EngineESSENTVec groups structurally identical partitions (replicated
 	// module instances) into equivalence classes, compiles one schedule
@@ -131,8 +132,11 @@ type Options struct {
 	// Cp is the partitioning threshold for EngineESSENT (0 = the paper's
 	// default of 8).
 	Cp int
-	// Workers sets the goroutine count for EngineESSENTParallel
-	// (0 = GOMAXPROCS capped at 8).
+	// Workers is the total evaluation goroutine count, dispatcher
+	// included, for EngineESSENTParallel and EngineESSENTVec. An explicit
+	// value is honoured exactly; 0 selects the engine's default —
+	// GOMAXPROCS capped at 8 for EngineESSENTParallel, 1
+	// (single-threaded) for EngineESSENTVec. Other engines ignore it.
 	Workers int
 	// NoOptimize disables the netlist optimization passes that
 	// EngineFullCycleOpt and EngineESSENT normally run.
@@ -419,7 +423,9 @@ func (s *Sim) Step(n int) error {
 	return translateErr(err)
 }
 
-// Reset restores registers to reset values and clears memories.
+// Reset restores registers to reset values, clears memories and zeroes
+// the Stats counters (FusedPairs, a compile-time property, stays) — on
+// every engine and backend alike.
 func (s *Sim) Reset() { s.s.Reset() }
 
 // SetOutput directs printf output (io.Discard by default).

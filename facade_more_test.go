@@ -174,14 +174,14 @@ func TestFacadeResetAndStats(t *testing.T) {
 	if err := s.Step(7); err != nil {
 		t.Fatal(err)
 	}
+	st := s.Stats()
+	if st.PartChecks == 0 || st.OpsEvaluated == 0 {
+		t.Fatalf("stats empty: %+v", st)
+	}
 	s.Reset()
 	got, _ := s.Peek("r")
 	if got != 0 {
 		t.Fatalf("reset: r = %d", got)
-	}
-	st := s.Stats()
-	if st.PartChecks == 0 || st.OpsEvaluated == 0 {
-		t.Fatalf("stats empty: %+v", st)
 	}
 	if s.NumSignals() == 0 {
 		t.Fatal("NumSignals")

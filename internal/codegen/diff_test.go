@@ -352,6 +352,22 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 				t.Fatalf("%s/%s: CCSS interpreter disagrees with the full-cycle oracle", f.name, cfg.name)
 			}
 			wantStats := ccss.Stats()
+			// The same engine at two workers (the plan knobs sim.New can
+			// express): same trace, and Stats equal as a struct.
+			if !cfg.opts.NoElide && !cfg.opts.NoMuxShadow {
+				par, err := sim.New(f.d, sim.Options{Engine: sim.EngineCCSSParallel, Cp: 8, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := replay(interpSim{par, f.d}, f); got != want {
+					t.Fatalf("%s/%s: CCSS at 2 workers disagrees with the full-cycle oracle", f.name, cfg.name)
+				}
+				if *par.Stats() != *wantStats {
+					t.Fatalf("%s/%s: CCSS Stats at 2 workers %+v, at 1 worker %+v",
+						f.name, cfg.name, *par.Stats(), *wantStats)
+				}
+				par.(*sim.CCSS).Close()
+			}
 			for _, serve := range []bool{false, true} {
 				pkg := fmt.Sprintf("%s_%s", f.name, cfg.name)
 				if serve {

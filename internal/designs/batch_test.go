@@ -96,53 +96,3 @@ func TestBatchRunnerDivergentLanes(t *testing.T) {
 		}
 	}
 }
-
-// TestBatchRunnerPooledSoC repeats a shared-program run through the
-// worker pool and requires lane results identical to the single-threaded
-// batch engine.
-func TestBatchRunnerPooledSoC(t *testing.T) {
-	cfg := tinyConfig()
-	circ, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := netlist.Compile(circ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := sumProgram(t, 30)
-	const lanes = 6
-
-	run := func(workers int) []LaneResult {
-		t.Helper()
-		b, err := sim.NewBatchCCSS(d, sim.BatchOptions{
-			Lanes: lanes, Cp: 8, Workers: workers, ParCutoff: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer b.Close()
-		br, err := NewBatchRunner(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := br.Load(prog); err != nil {
-			t.Fatal(err)
-		}
-		res, err := br.Run(20000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	serial := run(1)
-	pooled := run(3)
-	for l := 0; l < lanes; l++ {
-		if serial[l] != pooled[l] {
-			t.Errorf("lane %d pooled %+v, serial %+v", l, pooled[l], serial[l])
-		}
-		if !serial[l].Halted {
-			t.Errorf("lane %d did not halt", l)
-		}
-	}
-}

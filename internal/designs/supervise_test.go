@@ -42,7 +42,7 @@ func itoa(n int) string {
 }
 
 func closeRunner(r *Runner) {
-	if p, ok := r.Sim.(*sim.ParallelCCSS); ok {
+	if p, ok := r.Sim.(interface{ Close() }); ok {
 		p.Close()
 	}
 }

@@ -180,18 +180,18 @@ var ablation = &Experiment{
 	},
 }
 
-// The scaling sweep times sequential CCSS against parallel CCSS at each
-// worker count.
+// The scaling sweep times CCSS at one worker (arm seq) against the same
+// engine at each larger worker count.
 var scaling = &Experiment{
 	Name:    "scaling",
-	Title:   "Parallel CCSS scaling (arm seq is sequential CCSS)",
+	Title:   "CCSS worker-pool scaling (arm seq is one worker)",
 	Accepts: designSpec.soc,
 	Columns: []string{"workers", "eff_activity"},
 	Cells: func(ds *DesignSet, p Params) ([]Cell, error) {
 		dsg, err := ds.pick(p.Designs, designSpec.soc, "r16", "r18")
 		specs := []EngineSpec{essentSpec(8)}
 		specs[0].Name = "seq"
-		for _, nw := range ints(p.Workers, 1, 2, 4, 8) {
+		for _, nw := range ints(p.Workers, 2, 4, 8) {
 			specs = append(specs, parallelSpec(nw))
 		}
 		return grid(ds, dsg, []string{"dhrystone", "pchase"}, 5,

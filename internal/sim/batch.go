@@ -2,7 +2,6 @@ package sim
 
 import (
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"essent/internal/bits"
@@ -41,6 +40,9 @@ import (
 // same stimulus (the lane-equivalence tests enforce this).
 type BatchCCSS struct {
 	base *CCSS
+	// pool splits a parallel spec's items across workers (Workers > 1);
+	// it also carries Close, Degraded, LastPanic and SetFailpoint.
+	*pool
 	// L is the configured lane count (1..simrt.MaxLanes).
 	L int
 	// live is the set of lanes still running.
@@ -113,33 +115,21 @@ type BatchCCSS struct {
 
 	cycle uint64
 
-	outMu sync.Mutex
-	out   io.Writer
+	// out is every context's printf sink (lanes and workers serialized).
+	out lockedWriter
 
-	// Worker pool (workers > 1): the phase barrier from the parallel
-	// engine, dispatching (partition-chunk × lane-group) items per spec.
-	workers   int
-	parCutoff int64
-	groups    []simrt.LaneMask
-	bar       *phaseBarrier
-	started   bool
-	closed    bool
-	quit      atomic.Bool
-	curSpec   int32
-	curLive   simrt.LaneMask
-	itemNext  atomic.Int64
-	emBuf     []simrt.LaneMask
-
-	// Panic isolation (mirrors ParallelCCSS): wPanic records recovered
-	// worker panics per context for the spec in flight; degraded routes
-	// every later spec through the inline path until Reset; failpoint
-	// is the fault-injection hook (runs at the start of every item
-	// drain with the worker index).
-	wPanic       []error
-	degraded     bool
-	lastPanic    error
+	// Pooled specs: (partition-chunk × lane-group) items of the spec in
+	// flight, dispensed through itemNext. parCutoff is the per-spec
+	// lane-weighted active cost below which a spec runs inline instead of
+	// crossing the barrier.
+	parCutoff    int64
+	groups       []simrt.LaneMask
+	curSpec      int32
+	curLive      simrt.LaneMask
+	itemNext     atomic.Int64
+	itemFn       func(wid int)
+	emBuf        []simrt.LaneMask
 	workerPanics uint64
-	failpoint    func(wid int)
 }
 
 // batchSpec is the runtime form of one sched.LevelSpec for the batch
@@ -152,10 +142,9 @@ type batchSpec struct {
 	// specs with workers > 1 only).
 	bounds []int32
 	// elided locates the lane-major value-table ranges of registers this
-	// spec updates in place; elSnap is their pre-dispatch snapshot. The
-	// rollback mirrors levelRun.elided in the parallel engine: in-place
-	// register updates are the one non-idempotent partition effect, so
-	// panic recovery restores them before re-running the spec.
+	// spec updates in place; elSnap is their pre-dispatch snapshot (see
+	// levelRun.elided: the one non-idempotent partition effect, restored
+	// by panic recovery before re-running the spec).
 	elided []operand
 	elSnap []uint64
 }
@@ -197,14 +186,11 @@ type BatchOptions struct {
 	// (proven-1-bit signals in wider declarations; ablation knob —
 	// results stay bit-exact, fewer ops pack).
 	NoSA bool
-	// Workers enables the worker pool: total worker count including the
-	// dispatcher. 0 or 1 runs single-threaded (the deterministic default;
-	// the pool reorders printf output and check-error selection within a
-	// cycle).
+	// Workers is the total evaluation goroutine count, dispatcher
+	// included, honoured exactly; values below 1 mean 1. One worker is
+	// single-threaded (the deterministic default: a pool reorders printf
+	// output and check-error selection within a cycle).
 	Workers int
-	// ParCutoff is the per-spec lane-weighted active cost below which the
-	// spec runs inline instead of crossing the barrier (0 = default).
-	ParCutoff int64
 	// Verify selects static-verification enforcement (strict by default).
 	Verify verify.Mode
 }
@@ -228,13 +214,11 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	cutoff := opts.ParCutoff
-	if cutoff <= 0 {
-		cutoff = defaultSerialCutoff
-	}
 	m := base.machine
-	b := &BatchCCSS{base: base, L: L, workers: workers, parCutoff: cutoff,
-		out: io.Discard}
+	b := &BatchCCSS{base: base, pool: newPool(workers), L: L,
+		parCutoff: defaultSerialCutoff}
+	b.out.set(io.Discard)
+	b.itemFn = b.runItems
 
 	b.bt = make([]uint64, len(m.t)*L)
 	b.init = append([]uint64(nil), m.t...)
@@ -260,38 +244,9 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 		b.specs[si] = sp
 	}
 
-	// Attach each elided register to the pooled spec evaluating its
-	// writer partition (panic-recovery rollback; see batchSpec.elided).
-	if plan.NumElided > 0 && workers > 1 {
-		partOf := map[int]int32{}
-		for pi := range plan.Parts {
-			for _, n := range plan.Parts[pi].Members {
-				partOf[n] = int32(pi)
-			}
-		}
-		for ri := range d.Regs {
-			if !plan.Elided[ri] {
-				continue
-			}
-			pi, ok := partOf[int(d.Regs[ri].Next)]
-			if !ok {
-				continue
-			}
-			sp := &b.specs[plan.SpecOf[pi]]
-			if sp.serial {
-				continue
-			}
-			sp.elided = append(sp.elided, base.regOut[ri])
-		}
-		for si := range b.specs {
-			sp := &b.specs[si]
-			n := 0
-			for _, o := range sp.elided {
-				n += int(o.words()) * L
-			}
-			if n > 0 {
-				sp.elSnap = make([]uint64, n)
-			}
+	if workers > 1 {
+		for si, ops := range specElided(d, plan, base.regOut) {
+			b.specs[si].elided = ops
 		}
 	}
 
@@ -381,12 +336,8 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 	for w := 0; w < workers; w++ {
 		b.ctx[w] = newBatchCtx(b)
 	}
-	b.wPanic = make([]error, workers)
 	b.groups = laneGroups(L, workers)
-	if workers > 1 {
-		b.bar = newPhaseBarrier(workers - 1)
-	}
-	b.resetLanes()
+	b.Reset()
 	return b, nil
 }
 
@@ -445,8 +396,9 @@ func chunkSpans(parts []int32, cost []int64, nc int) []int32 {
 	return bounds
 }
 
-// resetLanes restores all lanes to initial state and re-arms everything.
-func (b *BatchCCSS) resetLanes() {
+// Reset restores initial state on every lane (including stopped ones),
+// re-arms everything and clears all per-lane counters and errors.
+func (b *BatchCCSS) Reset() {
 	simrt.BroadcastLanes(b.bt, b.init, b.L)
 	b.initPackedTable()
 	for i := range b.mems {
@@ -459,20 +411,11 @@ func (b *BatchCCSS) resetLanes() {
 		}
 	}
 	b.live = simrt.FullMask(b.L)
-	for i := range b.pmask {
-		b.pmask[i] = b.live
-	}
-	for i := range b.specMask {
-		b.specMask[i] = b.live
-	}
+	b.wakeAllLanes()
 	for i := range b.regMask {
 		b.regMask[i] = 0
 	}
 	b.dirtyRegs = b.dirtyRegs[:0]
-	b.pokedMask = b.live
-	for i := range b.prevIn {
-		b.prevIn[i] = ^uint64(0)
-	}
 	for l := range b.laneStats {
 		b.laneStats[l] = Stats{}
 		b.laneErr[l] = nil
@@ -480,11 +423,7 @@ func (b *BatchCCSS) resetLanes() {
 	for _, c := range b.ctx {
 		c.reset()
 	}
-	for w := range b.wPanic {
-		b.wPanic[w] = nil
-	}
-	b.degraded = false
-	b.lastPanic = nil
+	b.pool.revive()
 	b.workerPanics = 0
 	b.cycle = 0
 }
@@ -499,41 +438,27 @@ func (b *BatchCCSS) initPackedTable() {
 		return
 	}
 	copy(b.pt, pp.constInit)
-	L := b.L
 	for s := int32(0); s < pp.nslots; s++ {
-		if pp.constSlot[s] {
-			continue
+		if !pp.constSlot[s] {
+			b.pt[s] = b.transposeRow(pp.offOf[s])
 		}
-		row := b.bt[int(pp.offOf[s])*L : int(pp.offOf[s])*L+L]
-		var w uint64
-		for l, x := range row {
-			w |= (x & 1) << uint(l)
-		}
-		b.pt[s] = w
 	}
+}
+
+// transposeRow packs bit 0 of every lane of the row at off into one
+// slot word (bit l = lane l).
+func (b *BatchCCSS) transposeRow(off int32) uint64 {
+	var w uint64
+	for l, x := range b.bt[int(off)*b.L : int(off)*b.L+b.L] {
+		w |= (x & 1) << uint(l)
+	}
+	return w
 }
 
 func clearU64(s []uint64) {
 	for i := range s {
 		s[i] = 0
 	}
-}
-
-// Reset restores initial state on every lane (including stopped ones)
-// and clears all per-lane counters and errors.
-func (b *BatchCCSS) Reset() { b.resetLanes() }
-
-// Close retires the worker pool; the engine stays usable single-threaded.
-func (b *BatchCCSS) Close() {
-	if b.closed {
-		return
-	}
-	b.closed = true
-	if !b.started {
-		return
-	}
-	b.quit.Store(true)
-	b.bar.release()
 }
 
 // wake flags lanes of a partition and its level spec.
@@ -570,20 +495,7 @@ func (b *BatchCCSS) NumPartitions() int { return len(b.base.parts) }
 // SetOutput directs printf output (serialized across lanes and workers;
 // lane interleaving within a cycle follows lane order on the
 // single-threaded engine and is unspecified under the pool).
-func (b *BatchCCSS) SetOutput(w io.Writer) {
-	b.outMu.Lock()
-	b.out = w
-	b.outMu.Unlock()
-}
-
-// batchWriter serializes printf output from worker shadow machines.
-type batchWriter struct{ b *BatchCCSS }
-
-func (bw *batchWriter) Write(p []byte) (int, error) {
-	bw.b.outMu.Lock()
-	defer bw.b.outMu.Unlock()
-	return bw.b.out.Write(p)
-}
+func (b *BatchCCSS) SetOutput(w io.Writer) { b.out.set(w) }
 
 // --- per-lane state access ---
 
@@ -743,20 +655,6 @@ func (b *BatchCCSS) PackStats() PackStats {
 	}
 }
 
-// Degraded reports whether a recovered worker panic has routed the
-// engine to single-threaded evaluation.
-func (b *BatchCCSS) Degraded() bool { return b.degraded }
-
-// LastPanic returns the panic that triggered degradation (a
-// *WorkerPanicError), or nil.
-func (b *BatchCCSS) LastPanic() error { return b.lastPanic }
-
-// SetFailpoint installs a hook invoked with the worker index at the
-// start of every pooled item drain. Fault-injection tests use it to
-// panic inside a worker and exercise the degradation path; nil
-// removes it.
-func (b *BatchCCSS) SetFailpoint(fp func(wid int)) { b.failpoint = fp }
-
 // --- per-cycle evaluation ---
 
 // Step simulates up to n lock-step cycles, stopping early when every
@@ -825,7 +723,7 @@ func (b *BatchCCSS) stepOne() {
 			continue
 		}
 		b.specMask[si] = 0
-		if sp.serial || b.workers == 1 || b.closed || b.degraded {
+		if sp.serial || !b.pool.usable() {
 			b.runSpecInline(c0, sp, live)
 		} else {
 			b.runSpecPooled(int32(si), sp, live)

@@ -1,16 +1,11 @@
 package sim
 
-import (
-	"runtime"
+import "essent/pkg/simrt"
 
-	"essent/pkg/simrt"
-)
-
-// Pool composition: BatchCCSS reuses the parallel engine's persistent
-// phase barrier (parallel.go) to split one level spec's work across
-// workers as (partition-chunk × lane-group) items. Chunks are the
-// static cost-balanced spans from chunkSpans; lane groups are fixed
-// contiguous slices of the batch. Items are dispensed by an atomic
+// BatchCCSS splits one parallel level spec's work across the shared
+// worker pool (pool.go) as (partition-chunk × lane-group) items. Chunks
+// are the static cost-balanced spans from chunkSpans; lane groups are
+// fixed contiguous slices of the batch. Items are dispensed by an atomic
 // counter, so a worker that drew a cheap item (an idle lane group, a
 // low-activity chunk) immediately pulls the next one.
 //
@@ -22,7 +17,7 @@ import (
 // serial merge at the spec boundary restores the single-threaded
 // engine's semantics except printf interleaving and which of several
 // same-cycle check errors a lane reports (both already nondeterministic
-// in ParallelCCSS).
+// in a pooled CCSS level).
 
 // runSpecPooled pre-scans one parallel spec's activity and routes it:
 // cheap specs run inline on the dispatcher, expensive ones cross the
@@ -62,36 +57,17 @@ func (b *BatchCCSS) runSpecPooled(si int32, sp *batchSpec, live simrt.LaneMask) 
 		return
 	}
 
-	if !b.started {
-		b.startBatchPool()
-	}
 	// Snapshot the lane-major rows of registers this spec updates in
 	// place (elided regs) so panic recovery can roll them back before
 	// re-running; see recoverSpec.
-	if sp.elSnap != nil {
-		pos := 0
-		for _, o := range sp.elided {
-			n := int(o.words()) * b.L
-			copy(sp.elSnap[pos:pos+n], b.bt[int(o.off)*b.L:int(o.off)*b.L+n])
-			pos += n
-		}
-	}
+	sp.elSnap = saveElided(sp.elided, b.bt, sp.elSnap, b.L)
 	b.curSpec = si
 	b.curLive = live
 	b.itemNext.Store(0)
-	b.bar.release()
-	b.runItemsSafe(0)
-	b.bar.waitDone()
-
-	var pe error
-	for w := range b.wPanic {
-		if b.wPanic[w] != nil && pe == nil {
-			pe = b.wPanic[w]
-		}
-		b.wPanic[w] = nil
-	}
-	if pe != nil {
-		b.recoverSpec(sp, live, pe)
+	if err := b.pool.dispatch(b.itemFn); err != nil {
+		wp := err.(*WorkerPanicError)
+		wp.Level, wp.Partition = int(si), b.ctx[wp.Worker].cur
+		b.recoverSpec(sp, live)
 		return
 	}
 
@@ -155,30 +131,6 @@ func (b *BatchCCSS) runItems(wid int) {
 	}
 }
 
-// runItemsSafe wraps runItems with panic recovery so a failing
-// (partition, lane-group) item never unwinds past the barrier: the
-// worker records the panic, arrives normally, and the dispatcher
-// degrades after the completion wait.
-func (b *BatchCCSS) runItemsSafe(wid int) {
-	defer func() {
-		if r := recover(); r != nil {
-			buf := make([]byte, 8192)
-			buf = buf[:runtime.Stack(buf, false)]
-			b.wPanic[wid] = &WorkerPanicError{
-				Worker:    wid,
-				Level:     int(b.curSpec),
-				Partition: b.ctx[wid].cur,
-				Value:     r,
-				Stack:     buf,
-			}
-		}
-	}()
-	if fp := b.failpoint; fp != nil {
-		fp(wid)
-	}
-	b.runItems(wid)
-}
-
 // recoverSpec handles a recovered worker panic during a pooled spec:
 // degrade to single-threaded evaluation, discard the buffered side
 // effects (a panicking worker may have left value-table rows
@@ -190,34 +142,22 @@ func (b *BatchCCSS) runItemsSafe(wid int) {
 // live mask. With the rollback, partition evaluation is a pure
 // function of its inputs per (partition, lane), so already-completed
 // items recompute identical rows; with every consumer flagged, no
-// wake can be missed. The degraded flag keeps all later specs on the
+// wake can be missed. The retired pool keeps all later specs on the
 // inline path until Reset.
-func (b *BatchCCSS) recoverSpec(sp *batchSpec, live simrt.LaneMask, pe error) {
-	b.degraded = true
-	b.lastPanic = pe
+func (b *BatchCCSS) recoverSpec(sp *batchSpec, live simrt.LaneMask) {
 	b.workerPanics++
 	for _, c := range b.ctx {
 		c.wakes = c.wakes[:0]
 		c.regs = c.regs[:0]
 	}
-	if sp.elSnap != nil {
-		pos := 0
+	restoreElided(sp.elided, b.bt, sp.elSnap, b.L)
+	if b.pp != nil {
+		// A packed elided-register slot may have advanced some lanes
+		// (maskedDst) before the panic; re-transpose it from the rolled-
+		// back row so the inline re-run computes from pre-spec state.
 		for _, o := range sp.elided {
-			n := int(o.words()) * b.L
-			copy(b.bt[int(o.off)*b.L:int(o.off)*b.L+n], sp.elSnap[pos:pos+n])
-			pos += n
-			// A packed elided-register slot may have advanced some lanes
-			// (maskedDst) before the panic; re-transpose it from the rolled-
-			// back row so the inline re-run computes from pre-spec state.
-			if b.pp != nil {
-				if s := b.pp.slotOf[o.off]; s >= 0 {
-					row := b.bt[int(o.off)*b.L : int(o.off)*b.L+b.L]
-					var w uint64
-					for l, x := range row {
-						w |= (x & 1) << uint(l)
-					}
-					b.pt[s] = w
-				}
+			if s := b.pp.slotOf[o.off]; s >= 0 {
+				b.pt[s] = b.transposeRow(o.off)
 			}
 		}
 	}
@@ -240,25 +180,5 @@ func (b *BatchCCSS) wakeAllLanes() {
 	b.pokedMask |= b.live
 	for i := range b.prevIn {
 		b.prevIn[i] = ^uint64(0)
-	}
-}
-
-func (b *BatchCCSS) startBatchPool() {
-	b.started = true
-	for w := 1; w < b.workers; w++ {
-		go b.batchWorkerLoop(w)
-	}
-}
-
-func (b *BatchCCSS) batchWorkerLoop(wid int) {
-	var epoch uint64
-	for {
-		epoch++
-		b.bar.await(wid-1, epoch)
-		if b.quit.Load() {
-			return
-		}
-		b.runItemsSafe(wid)
-		b.bar.arrive()
 	}
 }

@@ -153,7 +153,7 @@ circuit S :
 }
 
 // TestBatchPooledEquivalence runs the batched engine through the worker
-// pool (ParCutoff 1 forces every parallel spec across the barrier) and
+// pool (parCutoff 1 forces every parallel spec across the barrier) and
 // checks lane state against the single-threaded batch engine. Run with
 // -race this doubles as the pool's data-race test.
 func TestBatchPooledEquivalence(t *testing.T) {
@@ -173,10 +173,11 @@ func TestBatchPooledEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		pooled, err := NewBatchCCSS(d, BatchOptions{Lanes: lanes, Cp: 8,
-			Workers: 4, ParCutoff: 1})
+			Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
+		pooled.parCutoff = 1
 		defer pooled.Close()
 		rng := rand.New(rand.NewSource(seed))
 		for cyc := 0; cyc < 60; cyc++ {

@@ -145,6 +145,15 @@ func (m *machine) commit() {
 			m.t[oo+w] = m.t[no+w]
 		}
 	}
+	m.commitMemWrites(nil)
+}
+
+// commitMemWrites applies the write ports' pending buffers at the cycle
+// boundary and calls onChange (when non-nil) with the memory index for
+// every write that changed the contents — the hook through which the
+// activity-tracking engines wake the memory's read ports. Every engine's
+// cycle ends its memory state here.
+func (m *machine) commitMemWrites(onChange func(mem int32)) {
 	for i := range m.memWrites {
 		w := &m.memWrites[i]
 		if !w.pendValid {
@@ -156,14 +165,36 @@ func (m *machine) commit() {
 			continue
 		}
 		base := int32(w.pendAddr) * ms.nw
+		changed := false
 		for k := int32(0); k < ms.nw; k++ {
 			var v uint64
 			if int(k) < len(w.pendData) {
 				v = w.pendData[k]
 			}
-			ms.words[base+k] = v
+			if ms.words[base+k] != v {
+				ms.words[base+k] = v
+				changed = true
+			}
+		}
+		if changed && onChange != nil {
+			onChange(w.mem)
 		}
 	}
+}
+
+// endCycle closes a cycle: count it, and latch a stop() or failed
+// assertion raised during evaluation as the engine's sticky stop state.
+// The cycle always finishes — commit included — before the error
+// surfaces.
+func (m *machine) endCycle() error {
+	err := m.evalErr
+	m.evalErr = nil
+	m.cycle++
+	m.stats.Cycles++
+	if err != nil {
+		m.stopErr = err
+	}
+	return err
 }
 
 // step runs one full-cycle iteration (engines embed and reuse).
@@ -172,15 +203,8 @@ func (m *machine) step() error {
 		return m.stopErr
 	}
 	m.evalAll()
-	err := m.evalErr
-	m.evalErr = nil
 	m.commit()
-	m.cycle++
-	m.stats.Cycles++
-	if err != nil {
-		m.stopErr = err
-	}
-	return err
+	return m.endCycle()
 }
 
 // --- Simulator interface plumbing shared by all machine-based engines ---
@@ -209,7 +233,8 @@ func (m *machine) NumSchedEntries() int { return len(m.sched) + m.fusedEntries }
 func (m *machine) NumInstrs() int { return len(m.instrs) }
 
 // Reset restores initial state: registers to init values, memories to
-// zero, stop state cleared. Inputs and computed signals retain their
+// zero, stop state cleared, run counters zeroed (Stats.Reset keeps the
+// compile-time FusedPairs). Inputs and computed signals retain their
 // values until the next Step.
 func (m *machine) Reset() {
 	for i := range m.mems {
@@ -224,6 +249,7 @@ func (m *machine) Reset() {
 	m.stopErr = nil
 	m.evalErr = nil
 	m.cycle = 0
+	m.stats.Reset()
 }
 
 // Poke sets an input signal's value (low 64 bits; wider inputs via

@@ -229,12 +229,19 @@ func (e *EventDriven) pop() int32 {
 // re-evaluation next cycle.
 func (e *EventDriven) PokeMem(mem, addr int, v uint64) {
 	e.machine.PokeMem(mem, addr, v)
-	e.pendingSeeds = append(e.pendingSeeds, e.memReadInstrs[mem]...)
+	e.seedMemReaders(int32(mem))
 }
 
 // Reset restores initial state and forces full re-evaluation.
 func (e *EventDriven) Reset() {
 	e.machine.Reset()
+	e.reseed()
+}
+
+// reseed returns the scheduler to first-cycle semantics (re-evaluate
+// every instruction, re-prime the input history) after the machine's
+// architectural state was rewritten wholesale.
+func (e *EventDriven) reseed() {
 	e.first = true
 	e.pendingSeeds = e.pendingSeeds[:0]
 	for i := range e.wMarked {
@@ -334,8 +341,6 @@ func (e *EventDriven) stepOne() error {
 	for i := range m.checks {
 		m.runCheck(int32(i))
 	}
-	err := m.evalErr
-	m.evalErr = nil
 
 	// Capture marked memory writes.
 	for wi := range e.wMarked {
@@ -365,39 +370,14 @@ func (e *EventDriven) stepOne() error {
 	}
 
 	// Apply pending memory writes; content changes wake read ports.
-	for i := range m.memWrites {
-		w := &m.memWrites[i]
-		if !w.pendValid {
-			continue
-		}
-		w.pendValid = false
-		ms := &m.mems[w.mem]
-		if w.pendAddr >= uint64(ms.depth) {
-			continue
-		}
-		base := int32(w.pendAddr) * ms.nw
-		changed := false
-		for k := int32(0); k < ms.nw; k++ {
-			var v uint64
-			if int(k) < len(w.pendData) {
-				v = w.pendData[k]
-			}
-			if ms.words[base+k] != v {
-				ms.words[base+k] = v
-				changed = true
-			}
-		}
-		if changed {
-			e.pendingSeeds = append(e.pendingSeeds, e.memReadInstrs[w.mem]...)
-		}
-	}
+	m.commitMemWrites(e.seedMemReaders)
+	return m.endCycle()
+}
 
-	m.cycle++
-	m.stats.Cycles++
-	if err != nil {
-		m.stopErr = err
-	}
-	return err
+// seedMemReaders queues a memory's read ports for re-evaluation next
+// cycle.
+func (e *EventDriven) seedMemReaders(mem int32) {
+	e.pendingSeeds = append(e.pendingSeeds, e.memReadInstrs[mem]...)
 }
 
 var _ Simulator = (*EventDriven)(nil)

@@ -70,7 +70,7 @@ func newBatchCtx(b *BatchCCSS) *batchCtx {
 		mc.scratch[i] = make([]uint64, len(base.scratch[0]))
 	}
 	mc.stats = Stats{}
-	mc.out = &batchWriter{b: b}
+	mc.out = &b.out
 	c := &batchCtx{b: b, sm: &mc}
 	if b.pp != nil {
 		c.pt = b.pt
@@ -981,7 +981,7 @@ func (c *batchCtx) execBatchPackedDense(p *pinstr) uint64 {
 
 // runDisplayBatch formats an enabled printf for each active lane: the
 // argument operands are gathered into the shadow table and rendered
-// through the shared formatter (output serialized by batchWriter).
+// through the shared formatter (output serialized by b.out).
 func (c *batchCtx) runDisplayBatch(i int32, lanes []int) {
 	b := c.b
 	sm := c.sm

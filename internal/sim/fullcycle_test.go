@@ -343,10 +343,13 @@ circuit P :
 	if err2 := s.Step(1); err2 == nil {
 		t.Fatal("step after stop should fail")
 	}
-	// Reset clears the stop.
-	s.Reset()
 	if got := s.Stats().Cycles; got != 4 {
 		t.Fatalf("cycles = %d, want 4", got)
+	}
+	// Reset clears the stop (and the run counters with it).
+	s.Reset()
+	if got := s.Stats().Cycles; got != 0 {
+		t.Fatalf("cycles after Reset = %d, want 0", got)
 	}
 	if err := s.Step(2); err != nil {
 		t.Fatalf("step after reset: %v", err)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 
 	"essent/internal/netlist"
 	"essent/internal/verify"
@@ -12,9 +13,12 @@ type Options struct {
 	Engine Engine
 	// Cp is the CCSS partitioning threshold (0 = paper default 8).
 	Cp int
-	// Workers selects the goroutine count for EngineCCSSParallel.
-	// Explicit values are honored exactly (no cap); 0 selects the
-	// default of GOMAXPROCS capped at 8.
+	// Workers is the total evaluation goroutine count, dispatcher
+	// included, for the two engines that can split a cycle across the
+	// worker pool. An explicit value is honoured exactly (no cap); 0
+	// selects the engine's default: GOMAXPROCS capped at 8 for
+	// EngineCCSSParallel, 1 (single-threaded) for EngineCCSSVec. Other
+	// engines ignore it.
 	Workers int
 	// NoFuse disables superinstruction fusion on the schedule-based
 	// engines (ablation knob; ignored by EngineEventDriven, which never
@@ -54,16 +58,28 @@ func New(d *netlist.Design, opts Options) (Simulator, error) {
 		return NewCCSS(d, CCSSOptions{Cp: opts.Cp, NoFuse: opts.NoFuse,
 			Verify: opts.Verify})
 	case EngineCCSSParallel:
-		return NewParallelCCSS(d, ParallelOptions{
-			Cp: opts.Cp, Workers: opts.Workers, NoFuse: opts.NoFuse,
-			Verify: opts.Verify})
+		// The same engine: CCSS whose parallel levels may cross the pool.
+		return newCCSS(d, CCSSOptions{Cp: opts.Cp, NoFuse: opts.NoFuse,
+			Verify: opts.Verify}, resolveWorkers(opts))
 	case EngineCCSSVec:
 		return NewVecCCSS(d, VecCCSSOptions{
-			Cp: opts.Cp, Workers: opts.Workers, NoFuse: opts.NoFuse,
+			Cp: opts.Cp, Workers: resolveWorkers(opts), NoFuse: opts.NoFuse,
 			MaxLanes: opts.MaxVecLanes, MinLanes: opts.MinVecLanes,
 			NoVec: opts.NoVec, NoSA: opts.NoSA,
 			Verify: opts.Verify})
 	default:
 		return nil, fmt.Errorf("sim: unknown engine %v", opts.Engine)
 	}
+}
+
+// resolveWorkers is the one place Options.Workers' zero value is given a
+// meaning; the engine constructors take the resolved count.
+func resolveWorkers(opts Options) int {
+	if opts.Workers > 0 {
+		return opts.Workers
+	}
+	if opts.Engine != EngineCCSSParallel {
+		return 1
+	}
+	return min(runtime.GOMAXPROCS(0), defaultWorkerCap)
 }

@@ -191,7 +191,8 @@ func TestPackedPooledEquivalence(t *testing.T) {
 	d := compileSrc(t, packTestSrc)
 	serial, _, _, _ := packTestPlan(t, d, BatchOptions{Lanes: 33, Cp: 8})
 	pooled, pp, _, _ := packTestPlan(t, d,
-		BatchOptions{Lanes: 33, Cp: 8, Workers: 4, ParCutoff: 1})
+		BatchOptions{Lanes: 33, Cp: 8, Workers: 4})
+	pooled.parCutoff = 1
 	defer pooled.Close()
 	if pp.packedOps == 0 {
 		t.Fatal("pooled engine did not pack")

@@ -3,9 +3,12 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"essent/internal/netlist"
 )
 
 // wideSrc builds a wide, always-active design: n independent counter
@@ -31,185 +34,168 @@ func wideSrc(n, chain int) string {
 	return b.String()
 }
 
-// TestParallelPanicDegrades pins the panic-isolation contract: a worker
-// panic mid-level is recovered into an error, the cycle completes with
-// correct results, the engine downshifts to inline evaluation, and the
-// whole run stays bit-identical to the sequential engine.
-func TestParallelPanicDegrades(t *testing.T) {
-	d := compileSrc(t, wideSrc(120, 12))
-	ref, err := NewCCSS(d, CCSSOptions{Cp: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewParallelCCSS(d, ParallelOptions{Cp: 8, Workers: 4, SerialCutoff: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
+// panicEngine is what the three pooled engines share through pool.go.
+type panicEngine interface {
+	Step(n int) error
+	Stats() *Stats
+	Reset()
+	Close()
+	SetFailpoint(fp func(wid int))
+	Degraded() bool
+	LastPanic() error
+}
 
-	// Fire exactly once, on the 30th pooled dispatch of a follower
-	// worker (never the dispatcher thread), so the panic unwinds inside
-	// a pool goroutine mid-level.
-	var dispatches atomic.Int64
-	var fired atomic.Bool
-	par.SetFailpoint(func(level, wid int) {
-		if wid != 0 && dispatches.Add(1) == 30 {
-			fired.Store(true)
-			panic("injected worker fault")
+// pairStep pokes every input of ref and got with the same fresh random
+// value (so every replicated instance stays active), steps both one
+// cycle and reports how their architectural state differs ("" = equal).
+func pairStep(t *testing.T, d *netlist.Design, ref, got Simulator) func() string {
+	rng := rand.New(rand.NewSource(11))
+	return func() string {
+		for _, in := range d.Inputs {
+			v := rng.Uint64()
+			if d.Signals[in].Name == "clr" {
+				v = 0
+			}
+			ref.Poke(in, v)
+			got.Poke(in, v)
 		}
-	})
-
-	en := sigID(t, par, "en")
-	for cyc := 0; cyc < 80; cyc++ {
-		v := uint64(cyc * 7)
-		ref.Poke(en, v)
-		par.Poke(en, v)
 		if err := ref.Step(1); err != nil {
 			t.Fatal(err)
 		}
-		if err := par.Step(1); err != nil {
-			t.Fatalf("cyc %d: %v", cyc, err)
+		if err := got.Step(1); err != nil {
+			t.Fatal(err)
 		}
-		if a, b := archState(ref), archState(par); a != b {
-			t.Fatalf("cyc %d: degraded engine diverged:\nseq: %s\npar: %s", cyc, a, b)
+		if a, b := archState(ref), archState(got); a != b {
+			return "ref: " + a + "\ngot: " + b
 		}
-	}
-	if !fired.Load() {
-		t.Fatal("failpoint never fired (pool not engaged?)")
-	}
-	if !par.Degraded() {
-		t.Fatal("engine not marked degraded after worker panic")
-	}
-	if got := par.Stats().WorkerPanics; got != 1 {
-		t.Fatalf("WorkerPanics = %d, want 1", got)
-	}
-	var wp *WorkerPanicError
-	if !errors.As(par.LastPanic(), &wp) {
-		t.Fatalf("LastPanic = %v, want *WorkerPanicError", par.LastPanic())
-	}
-	if wp.Value != "injected worker fault" || len(wp.Stack) == 0 || wp.Worker == 0 {
-		t.Fatalf("panic context not captured: worker=%d value=%v stack=%d bytes",
-			wp.Worker, wp.Value, len(wp.Stack))
-	}
-
-	// Reset clears the degradation (satellite: Reset scrubs robustness
-	// counters) and the pool comes back.
-	par.SetFailpoint(nil)
-	par.Reset()
-	if par.Degraded() || par.LastPanic() != nil || par.Stats().WorkerPanics != 0 {
-		t.Fatalf("Reset left degradation state: degraded=%v panics=%d",
-			par.Degraded(), par.Stats().WorkerPanics)
-	}
-	if err := par.Step(10); err != nil {
-		t.Fatal(err)
+		return ""
 	}
 }
 
-// TestParallelPanicEveryDispatch: even a failpoint that fires on every
-// pooled dispatch only panics once — the first recovery downshifts the
-// engine off the pool for the rest of the run.
-func TestParallelPanicEveryDispatch(t *testing.T) {
-	d := compileSrc(t, wideSrc(100, 10))
-	ref, err := NewCCSS(d, CCSSOptions{Cp: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewParallelCCSS(d, ParallelOptions{Cp: 8, Workers: 2, SerialCutoff: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-	par.SetFailpoint(func(level, wid int) { panic("always") })
-
-	en := sigID(t, par, "en")
-	for cyc := 0; cyc < 50; cyc++ {
-		v := uint64(cyc * 3)
-		ref.Poke(en, v)
-		par.Poke(en, v)
-		if err := ref.Step(1); err != nil {
+// panicRigs builds, per pooled engine, the faulty engine and a step
+// that advances it in lock-step with a clean single-threaded reference.
+var panicRigs = []struct {
+	name  string
+	src   string
+	build func(t *testing.T, d *netlist.Design) (panicEngine, func() string)
+}{
+	// One wide always-active level, forced across the barrier.
+	{"ccss", wideSrc(120, 12), func(t *testing.T, d *netlist.Design) (panicEngine, func() string) {
+		ref, err := NewCCSS(d, CCSSOptions{Cp: 8})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := par.Step(1); err != nil {
+		par, err := newPooledCCSS(d, 4, 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if a, b := archState(ref), archState(par); a != b {
-			t.Fatalf("cyc %d: diverged:\nseq: %s\npar: %s", cyc, a, b)
+		return par, pairStep(t, d, ref, par)
+	}},
+	// The same level as (partition-chunk × lane-group) items.
+	{"batch", wideSrc(120, 12), func(t *testing.T, d *netlist.Design) (panicEngine, func() string) {
+		const lanes = 4
+		clean, err := NewBatchCCSS(d, BatchOptions{Cp: 8, Lanes: lanes})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := par.Stats().WorkerPanics; got != 1 {
-		t.Fatalf("WorkerPanics = %d, want exactly 1 (degradation must stick)", got)
-	}
+		faulty, err := NewBatchCCSS(d, BatchOptions{Cp: 8, Lanes: lanes, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		en, _ := d.SignalByName("en")
+		cyc := 0
+		return faulty, func() string {
+			for l := 0; l < lanes; l++ {
+				v := uint64(cyc*7 + l*1000)
+				clean.PokeLane(l, en, v)
+				faulty.PokeLane(l, en, v)
+			}
+			cyc++
+			clean.Step(1)
+			faulty.Step(1)
+			for l := 0; l < lanes; l++ {
+				if a, b := batchLaneState(clean, l), batchLaneState(faulty, l); a != b {
+					return fmt.Sprintf("lane %d\nref: %s\ngot: %s", l, a, b)
+				}
+			}
+			return ""
+		}
+	}},
+	// One 32-lane class of in-place accumulators, every lane active.
+	{"vec", replicatedSrc(32), func(t *testing.T, d *netlist.Design) (panicEngine, func() string) {
+		ref, err := NewCCSS(d, CCSSOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := NewVecCCSS(d, VecCCSSOptions{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, pairStep(t, d, ref, v)
+	}},
 }
 
-// TestBatchPanicDegrades: the lane-parallel pool recovers a worker
-// panic, finishes the cycle inline, and the surviving run matches a
-// clean single-threaded batch run lane for lane.
-func TestBatchPanicDegrades(t *testing.T) {
-	d := compileSrc(t, wideSrc(120, 12))
-	const lanes = 4
-	clean, err := NewBatchCCSS(d, BatchOptions{Cp: 8, Lanes: lanes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulty, err := NewBatchCCSS(d, BatchOptions{Cp: 8, Lanes: lanes, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer faulty.Close()
+// TestWorkerPanicDegrades pins the panic-isolation contract of the
+// shared pool for every engine that uses it: a worker panic is recovered
+// into a *WorkerPanicError carrying the worker's stack, the cycle
+// completes with correct results, the engine finishes the run
+// single-threaded and bit-identical to a clean reference, the panic is
+// counted exactly once — even when the failpoint would fire on every
+// dispatch, because the first recovery retires the pool — and Reset
+// brings the pool back.
+func TestWorkerPanicDegrades(t *testing.T) {
+	for _, rig := range panicRigs {
+		for _, always := range []bool{false, true} {
+			rig, always := rig, always
+			t.Run(fmt.Sprintf("%s/always=%v", rig.name, always), func(t *testing.T) {
+				eng, step := rig.build(t, compileSrc(t, rig.src))
+				defer eng.Close()
 
-	var dispatches atomic.Int64
-	var fired atomic.Bool
-	faulty.SetFailpoint(func(wid int) {
-		if dispatches.Add(1) == 25 {
-			fired.Store(true)
-			panic("injected batch fault")
-		}
-	})
+				// Once: on the 20th share run by a follower (never the
+				// dispatcher), so the panic unwinds inside a pool goroutine
+				// mid-phase.
+				var shares atomic.Int64
+				var fired atomic.Bool
+				eng.SetFailpoint(func(wid int) {
+					if always || (wid != 0 && shares.Add(1) == 20) {
+						fired.Store(true)
+						panic("injected worker fault")
+					}
+				})
+				for cyc := 0; cyc < 60; cyc++ {
+					if diff := step(); diff != "" {
+						t.Fatalf("cyc %d: degraded engine diverged:\n%s", cyc, diff)
+					}
+				}
+				if !fired.Load() {
+					t.Fatal("failpoint never fired (pool not engaged?)")
+				}
+				if !eng.Degraded() {
+					t.Fatal("engine not marked degraded after worker panic")
+				}
+				if got := eng.Stats().WorkerPanics; got != 1 {
+					t.Fatalf("WorkerPanics = %d, want exactly 1 (degradation must stick)", got)
+				}
+				var wp *WorkerPanicError
+				if !errors.As(eng.LastPanic(), &wp) {
+					t.Fatalf("LastPanic = %v, want *WorkerPanicError", eng.LastPanic())
+				}
+				if wp.Value != "injected worker fault" || len(wp.Stack) == 0 ||
+					(!always && wp.Worker == 0) {
+					t.Fatalf("panic context not captured: worker=%d value=%v stack=%d bytes",
+						wp.Worker, wp.Value, len(wp.Stack))
+				}
 
-	en, ok := d.SignalByName("en")
-	if !ok {
-		t.Fatal("no en input")
-	}
-	for cyc := 0; cyc < 60; cyc++ {
-		for l := 0; l < lanes; l++ {
-			v := uint64(cyc*7 + l*1000)
-			clean.PokeLane(l, en, v)
-			faulty.PokeLane(l, en, v)
+				eng.SetFailpoint(nil)
+				eng.Reset()
+				if eng.Degraded() || eng.LastPanic() != nil || eng.Stats().WorkerPanics != 0 {
+					t.Fatalf("Reset left degradation state: degraded=%v panics=%d",
+						eng.Degraded(), eng.Stats().WorkerPanics)
+				}
+				if err := eng.Step(10); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-		if err := clean.Step(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := faulty.Step(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !fired.Load() {
-		t.Fatal("batch failpoint never fired (pool not engaged?)")
-	}
-	if !faulty.Degraded() {
-		t.Fatal("batch engine not marked degraded")
-	}
-	if got := faulty.Stats().WorkerPanics; got != 1 {
-		t.Fatalf("WorkerPanics = %d, want 1", got)
-	}
-	var wp *WorkerPanicError
-	if !errors.As(faulty.LastPanic(), &wp) {
-		t.Fatalf("LastPanic = %v, want *WorkerPanicError", faulty.LastPanic())
-	}
-	for l := 0; l < lanes; l++ {
-		a, b := clean.CaptureLaneState(l), faulty.CaptureLaneState(l)
-		if !wordsEqual(a.Regs, b.Regs) || !wordsEqual(a.Mems, b.Mems) {
-			t.Fatalf("lane %d diverged after batch worker panic", l)
-		}
-	}
-
-	// Reset revives the engine and clears the degradation.
-	faulty.SetFailpoint(nil)
-	faulty.Reset()
-	if faulty.Degraded() || faulty.Stats().WorkerPanics != 0 {
-		t.Fatal("Reset left batch degradation state")
-	}
-	if err := faulty.Step(5); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -10,6 +10,19 @@ import (
 	"essent/internal/randckt"
 )
 
+// newPooledCCSS builds the scalar engine the way sim.New does for
+// EngineCCSSParallel. A positive cutoff replaces the serial cutoff: 1
+// forces every active parallel level across the barrier, which randomly
+// generated circuits are otherwise too thin to do.
+func newPooledCCSS(d *netlist.Design, workers int, cutoff int64) (*CCSS, error) {
+	c, err := newCCSS(d, CCSSOptions{Cp: 8}, workers)
+	if err == nil && cutoff > 0 {
+		c.serialCutoff = cutoff
+		c.sizeLevels()
+	}
+	return c, err
+}
+
 func TestParallelCCSSEquivalenceFuzz(t *testing.T) {
 	seeds := 8
 	if testing.Short() {
@@ -25,7 +38,7 @@ func TestParallelCCSSEquivalenceFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := NewParallelCCSS(d, ParallelOptions{Cp: 8, Workers: 4})
+		par, err := newPooledCCSS(d, 4, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +73,7 @@ circuit S :
     stop(clock, eq(r, UInt<8>(20)), 5)
 `
 	d := compileSrc(t, src)
-	p, err := NewParallelCCSS(d, ParallelOptions{Cp: 8, Workers: 4})
+	p, err := newPooledCCSS(d, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +93,9 @@ circuit S :
 
 func TestParallelCCSSSkipsWork(t *testing.T) {
 	// The saturating counter from TestCCSSSkipsWork: once the design is
-	// quiescent, the level-activity counters must skip every level
-	// outright — not just the evaluations, the flag scans too.
+	// quiescent, the level-activity counters step over every level —
+	// nothing evaluates, and PartChecks keeps charging every partition
+	// every cycle exactly as the one-worker engine does.
 	src := `
 circuit Q :
   module Q :
@@ -95,7 +109,7 @@ circuit Q :
     o <= r
 `
 	d := compileSrc(t, src)
-	p, err := NewParallelCCSS(d, ParallelOptions{Cp: 8, Workers: 2})
+	p, err := newPooledCCSS(d, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +127,18 @@ circuit Q :
 		t.Fatal(err)
 	}
 	after := *p.Stats()
-	if after.PartChecks != before.PartChecks || after.PartEvals != before.PartEvals {
-		t.Fatalf("quiescent design still scanned: checks %d→%d evals %d→%d",
-			before.PartChecks, after.PartChecks, before.PartEvals, after.PartEvals)
+	if after.PartEvals != before.PartEvals {
+		t.Fatalf("quiescent design still evaluated: evals %d→%d",
+			before.PartEvals, after.PartEvals)
+	}
+	for li, n := range p.levelActive {
+		if n != 0 {
+			t.Fatalf("quiescent design left level %d active (%d)", li, n)
+		}
+	}
+	if want := before.PartChecks + 500*uint64(p.NumPartitions()); after.PartChecks != want {
+		t.Fatalf("PartChecks %d→%d, want %d (every partition, every cycle)",
+			before.PartChecks, after.PartChecks, want)
 	}
 	if after.Cycles != before.Cycles+500 {
 		t.Fatalf("cycles %d→%d", before.Cycles, after.Cycles)
@@ -130,7 +153,7 @@ func TestParallelCCSSWorkerCounts(t *testing.T) {
 	}
 	var states []string
 	for _, workers := range []int{1, 2, 8, 12} {
-		p, err := NewParallelCCSS(d, ParallelOptions{Cp: 8, Workers: workers})
+		p, err := newPooledCCSS(d, workers, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,9 +176,9 @@ func TestParallelCCSSWorkerCounts(t *testing.T) {
 	_ = fmt.Sprint()
 }
 
-// TestParallelWorkersAboveDefaultCap pins the ParallelOptions contract:
-// an explicit Workers value beyond the Workers=0 default cap must be
-// honored exactly, not clamped to defaultWorkerCap.
+// TestParallelWorkersAboveDefaultCap pins the Options.Workers contract
+// for EngineCCSSParallel: an explicit value beyond the Workers=0 default
+// cap must be honored exactly, not clamped to defaultWorkerCap.
 func TestParallelWorkersAboveDefaultCap(t *testing.T) {
 	c := randckt.Generate(78, randckt.DefaultConfig())
 	d, err := netlist.Compile(c)
@@ -163,20 +186,22 @@ func TestParallelWorkersAboveDefaultCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := defaultWorkerCap + 4
-	p, err := NewParallelCCSS(d, ParallelOptions{Cp: 8, Workers: want})
+	s, err := New(d, Options{Engine: EngineCCSSParallel, Cp: 8, Workers: want})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.workers != want || len(p.wm) != want {
-		t.Fatalf("Workers=%d clamped: workers=%d views=%d", want, p.workers, len(p.wm))
+	p := s.(*CCSS)
+	defer p.Close()
+	if p.pool.n != want || len(p.wk) != want {
+		t.Fatalf("Workers=%d clamped: workers=%d views=%d", want, p.pool.n, len(p.wk))
 	}
 	// The default path still applies the cap.
-	p0, err := NewParallelCCSS(d, ParallelOptions{Cp: 8})
+	s0, err := New(d, Options{Engine: EngineCCSSParallel, Cp: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p0.workers > defaultWorkerCap {
-		t.Fatalf("default worker count %d exceeds cap %d", p0.workers, defaultWorkerCap)
+	if n := s0.(*CCSS).pool.n; n < 1 || n > defaultWorkerCap {
+		t.Fatalf("default worker count %d outside 1..%d", n, defaultWorkerCap)
 	}
 	// Oversubscribed workers must still agree with the sequential engine.
 	ref, err := NewCCSS(d, CCSSOptions{Cp: 8})
@@ -216,8 +241,7 @@ func TestParallelPoolStressRace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := NewParallelCCSS(d, ParallelOptions{
-				Cp: 8, Workers: workers, SerialCutoff: 1})
+			par, err := newPooledCCSS(d, workers, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +278,7 @@ func TestParallelCloseKeepsStepping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewParallelCCSS(d, ParallelOptions{Cp: 8, Workers: 4, SerialCutoff: 1})
+	par, err := newPooledCCSS(d, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +318,7 @@ circuit P :
     printf(clock, en, "tick\n")
 `
 	d := compileSrc(t, src)
-	par, err := NewParallelCCSS(d, ParallelOptions{Cp: 8, Workers: 2, SerialCutoff: 1})
+	par, err := newPooledCCSS(d, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,43 +338,6 @@ circuit P :
 	}
 }
 
-// TestParallelResetClearsStats pins the satellite fix: a reused engine
-// must not report counters from the previous run; the compile-time
-// fusion counter survives.
-func TestParallelResetClearsStats(t *testing.T) {
-	c := randckt.Generate(4200, randckt.DefaultConfig())
-	d, err := netlist.Compile(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewParallelCCSS(d, ParallelOptions{Cp: 8, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-	rng := rand.New(rand.NewSource(42))
-	pokeRandom(rng, []Simulator{par}, d)
-	if err := par.Step(50); err != nil {
-		t.Fatal(err)
-	}
-	before := *par.Stats()
-	if before.Cycles == 0 || before.PartEvals == 0 {
-		t.Fatal("no work recorded before reset")
-	}
-	par.Reset()
-	got := *par.Stats()
-	want := Stats{FusedPairs: before.FusedPairs}
-	if got != want {
-		t.Fatalf("Reset left stale counters: %+v", got)
-	}
-	if err := par.Step(5); err != nil {
-		t.Fatal(err)
-	}
-	if par.Stats().Cycles != 5 {
-		t.Fatalf("cycles after reset = %d, want 5", par.Stats().Cycles)
-	}
-}
-
 // TestParallelStatsDeterministic: merged Stats must be identical across
 // worker counts, with the pool forced on (SerialCutoff 1) and at the
 // default cutoff.
@@ -364,8 +351,7 @@ func TestParallelStatsDeterministic(t *testing.T) {
 		var ref *Stats
 		var refState string
 		for _, workers := range []int{1, 2, 4, 8} {
-			par, err := NewParallelCCSS(d, ParallelOptions{
-				Cp: 8, Workers: workers, SerialCutoff: cutoff})
+			par, err := newPooledCCSS(d, workers, cutoff)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -133,10 +133,9 @@ func (c *CCSS) stepOnePull() error {
 				break
 			}
 		}
-		if !changed && !part.alwaysOn && !c.flags[p] {
+		if !c.take(int32(p)) && !changed {
 			continue
 		}
-		c.flags[p] = false
 		m.stats.PartEvals++
 		// Snapshot inputs (pre-evaluation, so in-place register feedback
 		// re-triggers next cycle).
@@ -147,9 +146,6 @@ func (c *CCSS) stepOnePull() error {
 		m.runRange(part.schedStart, part.schedEnd)
 		c.dirtyRegs = append(c.dirtyRegs, part.regs...)
 	}
-
-	err := m.evalErr
-	m.evalErr = nil
 
 	// Commit non-elided registers (no wakes needed: pull comparisons see
 	// the new values next cycle).
@@ -162,40 +158,7 @@ func (c *CCSS) stepOnePull() error {
 	c.dirtyRegs = c.dirtyRegs[:0]
 
 	// Memory writes: content changes are invisible to input comparisons,
-	// so read-port partitions keep push wakes (via c.flags).
-	for i := range m.memWrites {
-		w := &m.memWrites[i]
-		if !w.pendValid {
-			continue
-		}
-		w.pendValid = false
-		ms := &m.mems[w.mem]
-		if w.pendAddr >= uint64(ms.depth) {
-			continue
-		}
-		base := int32(w.pendAddr) * ms.nw
-		memChanged := false
-		for k := int32(0); k < ms.nw; k++ {
-			var v uint64
-			if int(k) < len(w.pendData) {
-				v = w.pendData[k]
-			}
-			if ms.words[base+k] != v {
-				ms.words[base+k] = v
-				memChanged = true
-			}
-		}
-		if memChanged {
-			for _, q := range c.memReaderParts[w.mem] {
-				c.flags[q] = true
-			}
-		}
-	}
-
-	m.cycle++
-	m.stats.Cycles++
-	if err != nil {
-		m.stopErr = err
-	}
-	return err
+	// so read-port partitions keep push wakes.
+	m.commitMemWrites(c.wakeMemReaders)
+	return m.endCycle()
 }

@@ -30,9 +30,10 @@ const (
 	// EngineCCSS is the paper's contribution: acyclic-partitioned
 	// conditional execution on a static singular schedule (ESSENT).
 	EngineCCSS
-	// EngineCCSSParallel evaluates independent active partitions
-	// concurrently, level by level (a follow-on extension; needs a
-	// multi-core host to pay off).
+	// EngineCCSSParallel is EngineCCSS with Options.Workers > 1: the same
+	// *CCSS, with busy levels of mutually independent partitions split
+	// across a worker pool (a follow-on extension; needs a multi-core host
+	// to pay off).
 	EngineCCSSParallel
 	// EngineCCSSVec groups structurally identical partitions (replicated
 	// module instances) into equivalence classes and evaluates each
@@ -143,7 +144,7 @@ type Stats struct {
 	// superinstructions at compile time (schedule engines; set at
 	// construction, not per cycle).
 	FusedPairs uint64
-	// WorkerPanics counts pool-worker panics recovered by the parallel
+	// WorkerPanics counts pool-worker panics recovered by the pooled
 	// engines; nonzero means the run degraded to sequential evaluation
 	// (robustness layer, not paper overhead accounting).
 	WorkerPanics uint64
@@ -161,7 +162,10 @@ type Simulator interface {
 	// Design returns the compiled design.
 	Design() *netlist.Design
 	// Reset restores registers to their initial values, zeroes memories,
-	// and clears stop state.
+	// clears stop state, and zeroes the run counters: after Reset, Stats
+	// reports only FusedPairs (a property of the compiled schedule) until
+	// the next Step, on every engine and on the generated simulators
+	// alike. Inputs keep their poked values.
 	Reset()
 	// Poke sets an input signal (wide values via PokeWide).
 	Poke(id netlist.SignalID, v uint64)

@@ -114,8 +114,7 @@ func Restore(s Simulator, st *State) error {
 }
 
 // CaptureState snapshots the machine's architectural state. Promoted to
-// every machine-based engine; ParallelCCSS overrides it to merge worker
-// counters first.
+// every machine-based engine.
 func (m *machine) CaptureState() *State {
 	d := m.d
 	st := &State{
@@ -208,37 +207,8 @@ func (c *CCSS) RestoreState(st *State) error {
 	if err := c.machine.restoreInto(st); err != nil {
 		return err
 	}
-	c.dirtyRegs = c.dirtyRegs[:0]
-	c.wakeAll()
+	c.rearm()
 	return nil
-}
-
-// RestoreState resumes the parallel engine: CCSS restore semantics plus
-// per-worker counter and buffer resets (snapshot Stats live on the
-// dispatcher view so the merged counters continue from the snapshot).
-func (p *ParallelCCSS) RestoreState(st *State) error {
-	if err := p.machine.restoreInto(st); err != nil {
-		return err
-	}
-	for w := range p.wm {
-		p.wm[w].stats = Stats{}
-		p.wm[w].evalErr = nil
-		p.wm[w].cycle = p.machine.cycle
-		p.wDirty[w] = p.wDirty[w][:0]
-		p.wakeBuf[w] = p.wakeBuf[w][:0]
-		p.wPanic[w] = nil
-	}
-	p.dirtyRegs = p.dirtyRegs[:0]
-	p.wakeAllPar()
-	return nil
-}
-
-// CaptureState on the parallel engine snapshots the merged counters (the
-// per-worker split is an implementation detail no resume should see).
-func (p *ParallelCCSS) CaptureState() *State {
-	st := p.machine.CaptureState()
-	st.Stats = *p.Stats()
-	return st
 }
 
 // CaptureLaneState snapshots one batch lane as an engine-neutral State
@@ -387,14 +357,6 @@ func (e *EventDriven) RestoreState(st *State) error {
 	if err := e.machine.restoreInto(st); err != nil {
 		return err
 	}
-	e.first = true
-	e.pendingSeeds = e.pendingSeeds[:0]
-	e.heap = e.heap[:0]
-	for i := range e.inQueue {
-		e.inQueue[i] = false
-	}
-	for i := range e.wMarked {
-		e.wMarked[i] = false
-	}
+	e.reseed()
 	return nil
 }

@@ -59,7 +59,7 @@ func stateEngines() []Options {
 }
 
 func closeIfParallel(s Simulator) {
-	if p, ok := s.(*ParallelCCSS); ok {
+	if p, ok := s.(interface{ Close() }); ok {
 		p.Close()
 	}
 }

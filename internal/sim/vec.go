@@ -2,7 +2,6 @@ package sim
 
 import (
 	"sort"
-	"sync"
 
 	"essent/internal/netlist"
 	"essent/internal/partition"
@@ -37,8 +36,14 @@ type VecCCSS struct {
 	groupAt  []int32
 	isLeader []bool
 
-	workers int
-	wbufs   []vecWorkerBuf
+	// Pooled group evaluation (Workers > 1): the group in flight, its
+	// active lanes cut into chunk-sized runs (worker w takes run w), and
+	// one buffer per worker for what the dispatcher merges afterwards.
+	cur      *vecGroup
+	curLanes []int
+	chunk    int
+	wbufs    []vecWorkerBuf
+	chunkFn  func(wid int)
 
 	vst VecStats
 }
@@ -52,7 +57,9 @@ type VecCCSSOptions struct {
 	NoElide     bool
 	NoMuxShadow bool
 	NoFuse      bool
-	// Workers > 1 evaluates large groups' lanes in parallel.
+	// Workers is the total evaluation goroutine count, dispatcher
+	// included, honoured exactly; values below 1 mean 1. More than one
+	// splits the lanes of a large group across the worker pool.
 	Workers int
 	// MaxLanes caps instances per class (2..64; 0 = 64).
 	MaxLanes int
@@ -138,8 +145,11 @@ type vecGroup struct {
 	// dirty for the cycle-boundary commit.
 	regs [][]int32
 
-	// buf is the persistent slot-major row buffer [nslots × lanes].
-	buf []uint64
+	// buf is the persistent slot-major row buffer [nslots × lanes];
+	// loadSnap holds the loads' rows as gathered, so a pooled evaluation
+	// that loses a worker can be rolled back and re-run.
+	buf      []uint64
+	loadSnap []uint64
 
 	laneScratch []int
 }
@@ -154,7 +164,6 @@ type vecWorkerBuf struct {
 	stats Stats
 	wakes []int32
 	dirty []int32
-	pan   any
 }
 
 // NewVecCCSS compiles the instance-vectorized engine.
@@ -165,11 +174,12 @@ func NewVecCCSS(d *netlist.Design, opts VecCCSSOptions) (*VecCCSS, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := newCCSSFromPlan(d, plan, opts.NoFuse, opts.Verify)
+	c, err := newCCSSFromPlan(d, plan, opts.NoFuse, opts.Verify, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	v := &VecCCSS{CCSS: c, workers: opts.Workers}
+	v := &VecCCSS{CCSS: c}
+	c.walk = v.stepOne
 	v.groupAt = make([]int32, len(c.parts))
 	for i := range v.groupAt {
 		v.groupAt[i] = -1
@@ -200,9 +210,9 @@ func NewVecCCSS(d *netlist.Design, opts VecCCSSOptions) (*VecCCSS, error) {
 			}
 		}
 	}
-	if v.workers > 1 {
-		v.wbufs = make([]vecWorkerBuf, v.workers)
-	}
+	v.wakeAll() // recount the levels under the groups' evalWith accounting
+	v.wbufs = make([]vecWorkerBuf, v.pool.n)
+	v.chunkFn = v.runChunk
 	return v, nil
 }
 
@@ -757,6 +767,7 @@ func (v *VecCCSS) buildGroups(maxLanes, minLanes int, noSA bool) {
 		v.groups = append(v.groups, *vg)
 		for _, p := range members {
 			v.groupAt[p] = idx
+			v.evalWith(int32(p), int32(members[0]))
 		}
 		v.isLeader[members[0]] = true
 		v.vst.Groups++
@@ -950,45 +961,39 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 // Execution.
 // ---------------------------------------------------------------------
 
-// Step simulates n cycles through the vectorized walk.
-func (v *VecCCSS) Step(n int) error {
-	for i := 0; i < n; i++ {
-		if err := v.stepOne(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (v *VecCCSS) stepOne() error {
 	if v.stopErr != nil {
 		return v.stopErr
 	}
 	v.scanInputs()
-	m := v.machine
-	for p := range v.parts {
-		m.stats.PartChecks++
-		if g := v.groupAt[p]; g >= 0 {
-			// Members evaluate at their leader's position; wakes
-			// arriving later in the walk can only come from the
-			// cycle-boundary commit and are collected next cycle —
-			// the legality rule placed every data predecessor
-			// before the leader.
-			if v.isLeader[p] {
-				v.runGroup(&v.groups[g])
+	v.stats.PartChecks += uint64(len(v.parts))
+	for li := range v.levels {
+		if v.levelIdle(li) {
+			continue
+		}
+		for p, end := v.levels[li].start, v.levels[li].end; p < end; p++ {
+			if g := v.groupAt[p]; g >= 0 {
+				// Members evaluate at their leader's position (and keep
+				// its level awake while flagged: evalWith); wakes
+				// arriving later in the walk can only come from the
+				// cycle-boundary commit and are collected next cycle —
+				// the legality rule placed every data predecessor
+				// before the leader.
+				if v.isLeader[p] {
+					v.runGroup(&v.groups[g])
+				}
+				continue
 			}
-			continue
+			if v.take(p) {
+				v.evalPart(p, nil)
+			}
 		}
-		if !v.flags[p] && !v.parts[p].alwaysOn {
-			continue
-		}
-		v.evalPart(p)
 	}
 	return v.finishCycle()
 }
 
 // vecParMinActive is the active-lane threshold below which parallel
-// group evaluation is never worth the goroutine fan-out.
+// group evaluation is never worth the barrier crossing.
 const vecParMinActive = 16
 
 // runGroup evaluates one class: collect member flags into the activity
@@ -998,8 +1003,7 @@ const vecParMinActive = 16
 func (v *VecCCSS) runGroup(g *vecGroup) {
 	var mask simrt.LaneMask
 	for l, p := range g.parts {
-		if v.flags[p] {
-			v.flags[p] = false
+		if v.take(p) {
 			mask |= 1 << uint(l)
 		}
 	}
@@ -1027,8 +1031,8 @@ func (v *VecCCSS) runGroup(g *vecGroup) {
 		}
 	}
 
-	if v.workers > 1 && n >= vecParMinActive {
-		v.runGroupParallel(g, mask, lanes)
+	if n >= vecParMinActive && v.pool.usable() {
+		v.runGroupPooled(g, mask, lanes)
 		return
 	}
 
@@ -1036,18 +1040,21 @@ func (v *VecCCSS) runGroup(g *vecGroup) {
 	m.stats.OpsEvaluated += execGroup(g, mask, lanes)
 
 	// Phase 3: scatter, compare, wake, mark dirty registers.
-	v.scatterLanes(g, lanes, &m.stats, nil, &v.dirtyRegs)
+	v.scatterLanes(g, lanes, nil)
 }
 
 // scatterLanes writes the evaluated lanes back to t. Outputs get the
 // scalar walk's compare-and-wake (the pre-scatter t value is the old
 // value — nothing else writes these offsets); stores write
-// unconditionally. When wakeBuf is non-nil (parallel workers), wakes
-// are buffered instead of setting flags directly.
-func (v *VecCCSS) scatterLanes(g *vecGroup, lanes []int, st *Stats,
-	wakeBuf *[]int32, dirty *[]int32) {
+// unconditionally. With wb nil the dispatcher wakes and marks directly;
+// a pool worker counts and buffers into its wb for the merge.
+func (v *VecCCSS) scatterLanes(g *vecGroup, lanes []int, wb *vecWorkerBuf) {
 	t := v.machine.t
 	L := g.lanes
+	st, dirty := &v.machine.stats, &v.dirtyRegs
+	if wb != nil {
+		st, dirty = &wb.stats, &wb.dirty
+	}
 	for oi := range g.outs {
 		o := &g.outs[oi]
 		row := g.buf[int(o.slot)*L : int(o.slot)*L+L]
@@ -1059,11 +1066,11 @@ func (v *VecCCSS) scatterLanes(g *vecGroup, lanes []int, st *Stats,
 				t[offs[l]] = nv
 				st.SignalChanges++
 				cons := o.consumers[l]
-				if wakeBuf != nil {
-					*wakeBuf = append(*wakeBuf, cons...)
+				if wb != nil {
+					wb.wakes = append(wb.wakes, cons...)
 				} else {
 					for _, q := range cons {
-						v.flags[q] = true
+						v.wake(q)
 					}
 				}
 				st.Wakes += uint64(len(cons))
@@ -1084,69 +1091,71 @@ func (v *VecCCSS) scatterLanes(g *vecGroup, lanes []int, st *Stats,
 	}
 }
 
-// runGroupParallel splits the active lanes into contiguous chunks, one
-// goroutine each: evaluation writes disjoint buffer rows, scatter
+// runGroupPooled splits the active lanes into contiguous chunks, one
+// pool worker each: evaluation writes disjoint buffer rows, scatter
 // writes disjoint t offsets (each lane owns its member's storage), and
 // wakes/stats/dirty registers buffer per worker for a deterministic
 // serial merge in lane order. The boundary gathers already ran — every
 // cross-lane read (an elided register another lane writes) sees the
 // pre-evaluation value, as the gather-before-scatter contract requires.
-func (v *VecCCSS) runGroupParallel(g *vecGroup, mask simrt.LaneMask, lanes []int) {
-	nw := v.workers
-	if max := len(lanes) / 8; nw > max {
-		nw = max
+func (v *VecCCSS) runGroupPooled(g *vecGroup, mask simrt.LaneMask, lanes []int) {
+	nw := min(v.pool.n, len(lanes)/8)
+	v.cur, v.curLanes, v.chunk = g, lanes, (len(lanes)+nw-1)/nw
+	L := g.lanes
+	g.loadSnap = g.loadSnap[:0]
+	for _, s := range g.loads {
+		g.loadSnap = append(g.loadSnap, g.buf[int(s)*L:int(s)*L+L]...)
 	}
-	if nw < 2 {
-		nw = 2
-	}
-	chunk := (len(lanes) + nw - 1) / nw
-	var wg sync.WaitGroup
-	used := 0
-	for w := 0; w*chunk < len(lanes); w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(lanes) {
-			hi = len(lanes)
-		}
-		wb := &v.wbufs[w]
-		wb.stats = Stats{}
-		wb.wakes = wb.wakes[:0]
-		wb.dirty = wb.dirty[:0]
-		wb.pan = nil
-		used = w + 1
-		sub := lanes[lo:hi]
-		var subMask simrt.LaneMask
-		for _, l := range sub {
-			subMask |= 1 << uint(l)
-		}
-		wg.Add(1)
-		go func(wb *vecWorkerBuf, sub []int, subMask simrt.LaneMask) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					wb.pan = r
-				}
-			}()
-			wb.stats.OpsEvaluated += execGroup(g, subMask, sub)
-			v.scatterLanes(g, sub, &wb.stats, &wb.wakes, &wb.dirty)
-		}(wb, sub, subMask)
-	}
-	wg.Wait()
+	err := v.pool.dispatch(v.chunkFn)
 	m := v.machine
-	for w := 0; w < used; w++ {
+	for w := range v.wbufs {
 		wb := &v.wbufs[w]
-		if wb.pan != nil {
-			panic(wb.pan)
+		addStats(&m.stats, &wb.stats)
+		wb.stats = Stats{}
+		if err == nil {
+			for _, q := range wb.wakes {
+				v.wake(q)
+			}
+			v.dirtyRegs = append(v.dirtyRegs, wb.dirty...)
 		}
-		m.stats.OpsEvaluated += wb.stats.OpsEvaluated
-		m.stats.OutputCompares += wb.stats.OutputCompares
-		m.stats.SignalChanges += wb.stats.SignalChanges
-		m.stats.Wakes += wb.stats.Wakes
-		for _, q := range wb.wakes {
-			v.flags[q] = true
-		}
-		v.dirtyRegs = append(v.dirtyRegs, wb.dirty...)
+		wb.wakes, wb.dirty = wb.wakes[:0], wb.dirty[:0]
 	}
+	if err == nil {
+		return
+	}
+	// A worker panicked: some lanes are scattered, some half-evaluated.
+	// The class program is a pure function of the loads' rows, and a
+	// load the program also writes (an in-place register) is the one
+	// thing a finished lane has overwritten — so put the gathered rows
+	// back, re-run the whole group here, and flag every partition so the
+	// change detection the first attempt spoiled cannot lose a wake. The
+	// pool stays retired until Reset.
+	wp := err.(*WorkerPanicError)
+	wp.Partition = g.parts[0]
+	m.stats.WorkerPanics++
+	for i, s := range g.loads {
+		copy(g.buf[int(s)*L:int(s)*L+L], g.loadSnap[i*L:i*L+L])
+	}
+	v.wakeAll()
+	m.stats.OpsEvaluated += execGroup(g, mask, lanes)
+	v.scatterLanes(g, lanes, nil)
+}
+
+// runChunk is one worker's share of the group in flight: the wid-th
+// run of its active lanes (none when there are fewer runs than workers).
+func (v *VecCCSS) runChunk(wid int) {
+	lo := wid * v.chunk
+	if lo >= len(v.curLanes) {
+		return
+	}
+	sub := v.curLanes[lo:min(lo+v.chunk, len(v.curLanes))]
+	var subMask simrt.LaneMask
+	for _, l := range sub {
+		subMask |= 1 << uint(l)
+	}
+	wb := &v.wbufs[wid]
+	wb.stats.OpsEvaluated += execGroup(v.cur, subMask, sub)
+	v.scatterLanes(v.cur, sub, wb)
 }
 
 var _ Simulator = (*VecCCSS)(nil)

@@ -1,108 +1,141 @@
 package essent
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"essent/internal/designs"
 	"essent/internal/netlist"
 	"essent/internal/opt"
+	"essent/internal/randckt"
 	"essent/internal/riscv"
 	"essent/internal/sim"
 )
 
-// TestSoCParallelDeterminism pins the parallel engine's determinism
-// contract on a real design: on the r16 RISC-V SoC, every worker count
-// must produce bit-identical architectural state AND identical merged
-// Stats — the dispatch decisions and all counters depend only on
-// deterministic activity state, never on thread scheduling. The 1-worker
-// run is also compared against the sequential CCSS engine.
-func TestSoCParallelDeterminism(t *testing.T) {
+// TestParallelMatchesCCSS pins what folding the parallel engine into
+// CCSS bought: EngineCCSSParallel is the same walk, so at every worker
+// count it must agree with EngineCCSS on every register every cycle AND
+// report identical Stats — PartChecks included, which the separate
+// parallel engine under-reported by skipping idle levels uncharged. The
+// dispatch decisions and all counters depend only on deterministic
+// activity state, never on thread scheduling. Runs the r16 SoC on
+// dhrystone and three random circuits under random stimulus.
+func TestParallelMatchesCCSS(t *testing.T) {
+	type subject struct {
+		name   string
+		d      *netlist.Design
+		cycles int
+		// load prepares a fresh engine; poke drives cycle cyc's stimulus.
+		load func(t *testing.T, s sim.Simulator)
+		poke func(s sim.Simulator, cyc int)
+	}
+	var subjects []subject
+
 	circ, err := designs.Build(designs.R16())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := netlist.Compile(circ)
+	r16, err := netlist.Compile(circ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, _, err = opt.Optimize(d); err != nil {
+	if r16, _, err = opt.Optimize(r16); err != nil {
 		t.Fatal(err)
 	}
-	rst, ok := d.SignalByName("reset")
-	if !ok {
-		t.Fatal("no reset signal")
-	}
-	cycles := 300
-	workerCounts := []int{1, 2, 4}
-	if !testing.Short() {
-		workerCounts = append(workerCounts, 8)
-	}
-
-	regState := func(s sim.Simulator) [][]uint64 {
-		var out [][]uint64
-		for ri := range d.Regs {
-			out = append(out, s.PeekWide(d.Regs[ri].Out, nil))
-		}
-		return out
-	}
-
-	seq, err := sim.New(d, sim.Options{Engine: sim.EngineCCSS, Cp: 8})
+	w, err := riscv.Workloads(riscv.DefaultWorkloadConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq.Poke(rst, 1)
-	if err := seq.Step(4); err != nil {
-		t.Fatal(err)
-	}
-	seq.Poke(rst, 0)
-	if err := seq.Step(cycles); err != nil {
-		t.Fatal(err)
-	}
-	seqRegs := regState(seq)
+	subjects = append(subjects, subject{name: "r16/dhrystone", d: r16, cycles: 2000,
+		load: func(t *testing.T, s sim.Simulator) {
+			r, err := designs.NewRunner(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Load(w[0].Program); err != nil {
+				t.Fatal(err)
+			}
+		},
+		poke: func(sim.Simulator, int) {}})
 
-	var refStats *sim.Stats
-	var refRegs [][]uint64
-	for _, workers := range workerCounts {
-		p, err := sim.NewParallelCCSS(d, sim.ParallelOptions{Cp: 8, Workers: workers})
+	for seed := int64(0); seed < 3; seed++ {
+		d, err := netlist.Compile(randckt.Generate(seed+5100, randckt.DefaultConfig()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Poke(rst, 1)
-		if err := p.Step(4); err != nil {
-			t.Fatal(err)
+		// The same stimulus for every engine: a fixed schedule of
+		// (cycle, input, value) pokes.
+		rng := rand.New(rand.NewSource(seed))
+		type poke struct {
+			in netlist.SignalID
+			v  uint64
 		}
-		p.Poke(rst, 0)
-		if err := p.Step(cycles); err != nil {
-			t.Fatal(err)
+		const cycles = 200
+		sched := make([][]poke, cycles)
+		for cyc := range sched {
+			if len(d.Inputs) > 0 && (cyc == 0 || rng.Intn(3) == 0) {
+				sched[cyc] = append(sched[cyc],
+					poke{d.Inputs[rng.Intn(len(d.Inputs))], rng.Uint64()})
+			}
 		}
-		st := *p.Stats()
-		regs := regState(p)
-		p.Close()
+		subjects = append(subjects, subject{name: fmt.Sprintf("randckt/%d", seed),
+			d: d, cycles: cycles,
+			load: func(*testing.T, sim.Simulator) {},
+			poke: func(s sim.Simulator, cyc int) {
+				for _, p := range sched[cyc] {
+					s.Poke(p.in, p.v)
+				}
+			}})
+	}
 
-		for ri := range regs {
-			for w := range regs[ri] {
-				if regs[ri][w] != seqRegs[ri][w] {
-					t.Fatalf("workers=%d: reg %s word %d: par=%#x seq=%#x",
-						workers, d.Regs[ri].Name, w, regs[ri][w], seqRegs[ri][w])
+	for _, sub := range subjects {
+		sub := sub
+		t.Run(sub.name, func(t *testing.T) {
+			d := sub.d
+			opts := []sim.Options{{Engine: sim.EngineCCSS, Cp: 8}}
+			for _, workers := range []int{1, 2, 4} {
+				opts = append(opts, sim.Options{Engine: sim.EngineCCSSParallel,
+					Cp: 8, Workers: workers})
+			}
+			sims := make([]sim.Simulator, len(opts))
+			for i, o := range opts {
+				s, err := sim.New(d, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.(*sim.CCSS).Close()
+				sub.load(t, s)
+				sims[i] = s
+			}
+			for cyc := 0; cyc < sub.cycles; cyc++ {
+				for _, s := range sims {
+					sub.poke(s, cyc)
+					if err := s.Step(1); err != nil {
+						t.Fatalf("cyc %d: %v", cyc, err)
+					}
+				}
+				for ri := range d.Regs {
+					want := sims[0].PeekWide(d.Regs[ri].Out, nil)
+					for i, s := range sims[1:] {
+						got := s.PeekWide(d.Regs[ri].Out, nil)
+						for k := range want {
+							if got[k] != want[k] {
+								t.Fatalf("cyc %d workers=%d: reg %s word %d: par=%#x seq=%#x",
+									cyc, opts[i+1].Workers, d.Regs[ri].Name, k, got[k], want[k])
+							}
+						}
+					}
 				}
 			}
-		}
-		if refStats == nil {
-			stCopy := st
-			refStats, refRegs = &stCopy, regs
-			continue
-		}
-		if st != *refStats {
-			t.Fatalf("workers=%d: merged Stats diverged:\nwant %+v\ngot  %+v",
-				workers, *refStats, st)
-		}
-		for ri := range regs {
-			for w := range regs[ri] {
-				if regs[ri][w] != refRegs[ri][w] {
-					t.Fatalf("workers=%d: reg state diverged at %s", workers, d.Regs[ri].Name)
+			want := *sims[0].Stats()
+			for i, s := range sims[1:] {
+				if got := *s.Stats(); got != want {
+					t.Fatalf("workers=%d: Stats differ from EngineCCSS:\nwant %+v\ngot  %+v",
+						opts[i+1].Workers, want, got)
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -156,17 +189,11 @@ func benchSoC(b *testing.B, opts sim.Options) {
 		}
 	}
 	b.StopTimer()
-	if pc, ok := s.(*sim.ParallelCCSS); ok {
-		pc.Close()
-	}
+	s.(*sim.CCSS).Close()
 }
 
 func BenchmarkSoCEngineSeq(b *testing.B) {
 	benchSoC(b, sim.Options{Engine: sim.EngineCCSS, Cp: 8})
-}
-
-func BenchmarkSoCEnginePar1(b *testing.B) {
-	benchSoC(b, sim.Options{Engine: sim.EngineCCSSParallel, Cp: 8, Workers: 1})
 }
 
 func BenchmarkSoCEnginePar4(b *testing.B) {

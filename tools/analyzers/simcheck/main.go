@@ -1,5 +1,5 @@
 // Command simcheck is the repository's custom static checker. It
-// enforces four invariants the ordinary type checker cannot see (run
+// enforces five invariants the ordinary type checker cannot see (run
 // in CI alongside go vet and staticcheck):
 //
 //  1. engine-verify — every exported engine constructor in
@@ -18,6 +18,11 @@
 //     clock (time.Now/time.Since): every experiment is timed by the one
 //     interleaved min-of-N runner, so a new sweep cannot quietly grow
 //     its own estimator.
+//  5. sim-one-pool — in internal/sim only pool.go may contain a go
+//     statement and only ccss.go may index a flags field: the engines
+//     share one worker pool (one barrier, one panic ladder) and one
+//     representation of partition activity, so a new executor cannot
+//     quietly grow a second of either.
 //
 // Usage: go run ./tools/analyzers/simcheck [packages...] (default ./...).
 // Builds the module's packages from source against `go list -export`
@@ -46,6 +51,10 @@ const (
 	expPath     = "essent/internal/exp"
 	// expClockFile is the one internal/exp file allowed to read the clock.
 	expClockFile = "runner.go"
+	// simPoolFile and simFlagsFile are the internal/sim files allowed to
+	// start goroutines and to index the activity flags.
+	simPoolFile  = "pool.go"
+	simFlagsFile = "ccss.go"
 )
 
 func main() {
@@ -167,6 +176,7 @@ func Check(pkgPath string, fset *token.FileSet, files []*ast.File,
 	}
 	if pkgPath == simPath {
 		checkEngineVerify(files, info, report)
+		checkOnePool(fset, files, info, report)
 		return findings
 	}
 	if pkgPath == expPath {
@@ -195,6 +205,34 @@ func checkOneEstimator(fset *token.FileSet, files []*ast.File, info *types.Info,
 					report(sel.Pos(), "exp-one-estimator", fmt.Sprintf(
 						"time.%s outside %s: time experiments through the runner's cells",
 						sel.Sel.Name, expClockFile))
+				}
+			}
+			return true
+		})
+	}
+}
+
+// checkOnePool flags go statements in internal/sim outside the pool
+// file and indexing of a flags field outside the CCSS file.
+func checkOnePool(fset *token.FileSet, files []*ast.File, info *types.Info,
+	report func(token.Pos, string, string)) {
+	for _, f := range files {
+		name := filepath.Base(fset.Position(f.Pos()).Filename)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				if name != simPoolFile {
+					report(n.Pos(), "sim-one-pool", fmt.Sprintf(
+						"go statement outside %s: split work through pool.dispatch", simPoolFile))
+				}
+			case *ast.IndexExpr:
+				sel, ok := n.X.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "flags" || name == simFlagsFile {
+					return true
+				}
+				if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+					report(n.Pos(), "sim-one-pool", fmt.Sprintf(
+						"activity flags indexed outside %s: go through wake/take", simFlagsFile))
 				}
 			}
 			return true

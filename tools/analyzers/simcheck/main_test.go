@@ -184,3 +184,58 @@ var _ time.Duration // naming the package without reading the clock is fine
 		strings.Replace(src, "package exp", "package consumer", 1))
 	wantRules(t, findings)
 }
+
+// TestOnePoolRule: in internal/sim only pool.go may start goroutines
+// and only ccss.go may index the activity flags. The clean source is the
+// shape the package has; each mutation is one of the copies the rule
+// exists to keep from coming back.
+func TestOnePoolRule(t *testing.T) {
+	imp := deps(t)
+	const src = `
+package sim
+import "essent/internal/verify"
+type CCSS struct{ flags []bool }
+func (c *CCSS) wake(q int32) { c.flags[q] = true }
+func (c *CCSS) spawn(f func()) { go f() }
+func NewCCSS() (*CCSS, error) {
+	if err := verify.Enforce(0, nil, nil); err != nil {
+		return nil, err
+	}
+	return &CCSS{}, nil
+}
+`
+	// Both in their own files: one finding each for the construct that is
+	// in the wrong one.
+	findings, _ := checkFile(t, imp, simPath, "internal/sim/"+simFlagsFile, src)
+	wantRules(t, findings, "sim-one-pool")
+	if !strings.Contains(findings[0], "go statement") {
+		t.Fatalf("wrong construct flagged in %s: %q", simFlagsFile, findings[0])
+	}
+	findings, _ = checkFile(t, imp, simPath, "internal/sim/"+simPoolFile, src)
+	wantRules(t, findings, "sim-one-pool")
+	if !strings.Contains(findings[0], "flags indexed") {
+		t.Fatalf("wrong construct flagged in %s: %q", simPoolFile, findings[0])
+	}
+	// Mutation: a third engine file grows its own flag walk and its own
+	// goroutine fan-out.
+	findings, _ = checkFile(t, imp, simPath, "internal/sim/vec.go", src)
+	wantRules(t, findings, "sim-one-pool", "sim-one-pool")
+	// A local slice or parameter named flags is not the activity state,
+	// and other packages are out of scope.
+	findings, _ = checkFile(t, imp, simPath, "internal/sim/pack.go", `
+package sim
+func anyOf(flags []bool) bool {
+	for i := range flags {
+		if flags[i] {
+			return true
+		}
+	}
+	return false
+}
+`)
+	wantRules(t, findings)
+	findings, _ = checkFile(t, imp, "essent/internal/consumer", "consumer/walk.go",
+		strings.NewReplacer("package sim", "package consumer",
+			"func NewCCSS", "func newCCSS").Replace(src))
+	wantRules(t, findings)
+}
