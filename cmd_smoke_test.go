@@ -4,6 +4,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -164,5 +166,95 @@ func TestCmdBenchallSmoke(t *testing.T) {
 				t.Fatalf("%s lacks a %s row:\n%s", path, c.args[1], data)
 			}
 		}
+	}
+}
+
+// TestCIRunPatternsMatchTests: a `go test -run` pattern that matches
+// nothing passes on "no tests to run", so a renamed test silently drops
+// out of CI. Every alternative of every -run/-fuzz pattern in the
+// workflow must match a Test*/Fuzz* function (Fuzz* only for -fuzz) in
+// the package directories its command line names. `^$` — the idiom for
+// "no unit tests, only the fuzz target" — is the one pattern meant to
+// match nothing.
+func TestCIRunPatternsMatchTests(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcRe := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	testFuncs := func(pkgArg string) []string {
+		var names []string
+		visit := func(path string) {
+			if !strings.HasSuffix(path, "_test.go") {
+				return
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range funcRe.FindAllStringSubmatch(string(src), -1) {
+				names = append(names, m[1])
+			}
+		}
+		if dir, recursive := strings.CutSuffix(pkgArg, "..."); recursive {
+			filepath.WalkDir(dir, func(path string, _ os.DirEntry, _ error) error {
+				visit(path)
+				return nil
+			})
+			return names
+		}
+		ents, err := os.ReadDir(pkgArg)
+		if err != nil {
+			t.Fatalf("ci.yml names package directory %s: %v", pkgArg, err)
+		}
+		for _, e := range ents {
+			visit(filepath.Join(pkgArg, e.Name()))
+		}
+		return names
+	}
+
+	checked := 0
+	// Commands continue across lines with a trailing backslash.
+	for _, line := range strings.Split(strings.ReplaceAll(string(raw), "\\\n", " "), "\n") {
+		toks := strings.Fields(line)
+		if !strings.Contains(line, "go test") || toks[0] == "#" ||
+			!(slices.Contains(toks, "-run") || slices.Contains(toks, "-fuzz")) {
+			continue
+		}
+		var names []string
+		for _, tok := range toks {
+			if tok == "." || strings.HasPrefix(tok, "./") {
+				names = append(names, testFuncs(tok)...)
+			}
+		}
+		for i, flag := range toks[:len(toks)-1] {
+			if flag != "-run" && flag != "-fuzz" {
+				continue
+			}
+			for _, alt := range strings.Split(strings.Trim(toks[i+1], `'"`), "|") {
+				if alt == "^$" {
+					continue
+				}
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Fatalf("%s %s: alternative %q: %v", flag, toks[i+1], alt, err)
+				}
+				matched := false
+				for _, name := range names {
+					if re.MatchString(name) && (flag == "-run" || strings.HasPrefix(name, "Fuzz")) {
+						matched = true
+						break
+					}
+				}
+				if !matched {
+					t.Errorf("ci.yml: %s alternative %q matches no test in the packages of: %s",
+						flag, alt, strings.TrimSpace(line))
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no -run/-fuzz pattern: the workflow no longer has the shape this test parses")
 	}
 }

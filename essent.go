@@ -287,32 +287,6 @@ func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
 			return nil, err
 		}
 	}
-	backend, err := ParseBackend(opts.Backend)
-	if err != nil {
-		return nil, err
-	}
-	if backend != "interp" {
-		gen, ok := artifactGen(opts)
-		switch {
-		case !ok && backend == "compiled":
-			return nil, fmt.Errorf(
-				"essent: the compiled backend supports the essent, baseline, and "+
-					"fullcycle-opt engines, not %v", opts.Engine)
-		case ok:
-			cfg := serve.Config{Gen: gen, CacheDir: opts.ArtifactCacheDir}
-			if backend == "auto" && !serve.Probe(d, gen, cfg) {
-				// Cold cache: interpret this run, warm the cache for the
-				// next one in the background.
-				go serve.EnsureArtifact(d, gen, cfg)
-			} else {
-				sess, err := serve.New(d, cfg)
-				if err != nil {
-					return nil, err
-				}
-				return &Sim{s: sess, d: d}, nil
-			}
-		}
-	}
 	engine := sim.Options{Verify: opts.Verify.internal(), NoSA: opts.NoSA}
 	switch opts.Engine {
 	case EngineEventDriven:
@@ -333,6 +307,34 @@ func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
 		engine.MinVecLanes = opts.MinVecLanes
 	default:
 		return nil, fmt.Errorf("essent: unknown engine %v", opts.Engine)
+	}
+	backend, err := ParseBackend(opts.Backend)
+	if err != nil {
+		return nil, err
+	}
+	if backend != "interp" {
+		gen, ok := artifactGen(opts)
+		switch {
+		case !ok && backend == "compiled":
+			return nil, fmt.Errorf(
+				"essent: the compiled backend supports the essent, baseline, and "+
+					"fullcycle-opt engines, not %v", opts.Engine)
+		case ok:
+			// The session's fallback and tripwire shadow are the engine the
+			// caller asked for, not a default one.
+			cfg := serve.Config{Gen: gen, CacheDir: opts.ArtifactCacheDir, Interp: engine}
+			if backend == "auto" && !serve.Probe(d, gen, cfg) {
+				// Cold cache: interpret this run, warm the cache for the
+				// next one in the background.
+				go serve.EnsureArtifact(d, gen, cfg)
+			} else {
+				sess, err := serve.New(d, cfg)
+				if err != nil {
+					return nil, err
+				}
+				return &Sim{s: sess, d: d}, nil
+			}
+		}
 	}
 	s, err := sim.New(d, engine)
 	if err != nil {
@@ -585,14 +587,6 @@ func (e *RunAborted) Error() string {
 // design. It returns a *RunAborted when a watchdog trips; a design
 // stop() is a normal completion (RunReport.Stopped).
 func (s *Sim) RunSupervised(opts RunOptions) (RunReport, error) {
-	var rep RunReport
-	out := opts.Output
-	if out == nil {
-		out = io.Discard
-	}
-	cw := &countingWriter{w: out}
-	s.s.SetOutput(cw)
-
 	watch := opts.ProgressSignals
 	if watch == nil {
 		if _, ok := s.d.SignalByName("tohost"); ok {
@@ -603,123 +597,29 @@ func (s *Sim) RunSupervised(opts RunOptions) (RunReport, error) {
 	for _, name := range watch {
 		id, err := s.signal(name)
 		if err != nil {
-			return rep, err
+			return RunReport{}, err
 		}
 		ids = append(ids, id)
 	}
-	last := make([]uint64, len(ids))
-	for i, id := range ids {
-		last[i] = s.s.Peek(id)
+	r, err := ckpt.Supervise(s.s, ckpt.RunConfig{
+		MaxCycles: opts.MaxCycles, WallLimit: opts.WallLimit,
+		NoProgressCycles: opts.NoProgressCycles, Progress: ids,
+		Output: opts.Output,
+		Dir:    opts.CheckpointDir, Every: opts.CheckpointEvery, Keep: opts.CheckpointKeep,
+	})
+	rep := RunReport{Cycles: r.Cycles,
+		Checkpoints: r.Checkpoints, CheckpointBytes: r.CheckpointBytes,
+		CheckpointTime: r.CheckpointTime, LastCheckpoint: r.LastCheckpoint,
+		Degraded: r.Degraded}
+	if r.Stop != nil {
+		rep.Stopped, rep.StopCode = true, r.Stop.Code
 	}
-
-	every := opts.CheckpointEvery
-	if every == 0 {
-		every = 50000
+	var ab *ckpt.Aborted
+	if errors.As(err, &ab) {
+		return rep, &RunAborted{Reason: ab.Reason, Cycle: ab.Cycle,
+			Elapsed: ab.Elapsed, LastCheckpoint: ab.LastCheckpoint}
 	}
-	var mg *ckpt.Manager
-	if opts.CheckpointDir != "" {
-		mg = &ckpt.Manager{Dir: opts.CheckpointDir, Keep: opts.CheckpointKeep}
-	}
-	finish := func() {
-		if mg != nil {
-			rep.Checkpoints = mg.Count
-			rep.CheckpointBytes = mg.Bytes
-			rep.CheckpointTime = mg.SaveTime
-			rep.LastCheckpoint = mg.LastPath
-		}
-		rep.Degraded = s.Degraded()
-	}
-
-	start := time.Now()
-	startCycle := s.s.Stats().Cycles
-	lastSnap := startCycle
-	lastProgress := startCycle
-	lastBytes := cw.n
-
-	for {
-		cyc := s.s.Stats().Cycles
-		ran := cyc - startCycle
-		rep.Cycles = ran
-		if int(ran) >= opts.MaxCycles {
-			finish()
-			return rep, &RunAborted{Reason: "cycle-limit", Cycle: cyc,
-				Elapsed: time.Since(start), LastCheckpoint: rep.LastCheckpoint}
-		}
-		chunk := uint64(1024)
-		if rem := uint64(opts.MaxCycles) - ran; rem < chunk {
-			chunk = rem
-		}
-		if mg != nil {
-			if rem := every - (cyc - lastSnap); rem < chunk {
-				chunk = rem
-			}
-		}
-		if opts.NoProgressCycles > 0 && opts.NoProgressCycles/4+1 < chunk {
-			chunk = opts.NoProgressCycles/4 + 1
-		}
-
-		err := s.s.Step(int(chunk))
-		cyc = s.s.Stats().Cycles
-		rep.Cycles = cyc - startCycle
-		if err != nil {
-			err = translateErr(err)
-			var stopped *StoppedError
-			if errors.As(err, &stopped) {
-				rep.Stopped, rep.StopCode = true, stopped.Code
-				finish()
-				return rep, nil
-			}
-			finish()
-			return rep, err
-		}
-
-		moved := cw.n != lastBytes
-		lastBytes = cw.n
-		for i, id := range ids {
-			if v := s.s.Peek(id); v != last[i] {
-				last[i] = v
-				moved = true
-			}
-		}
-		if moved {
-			lastProgress = cyc
-		}
-
-		if mg != nil && cyc-lastSnap >= every {
-			st, err := sim.Capture(s.s)
-			if err != nil {
-				finish()
-				return rep, err
-			}
-			if _, err := mg.Save(st); err != nil {
-				finish()
-				return rep, err
-			}
-			lastSnap = cyc
-		}
-
-		if opts.NoProgressCycles > 0 && cyc-lastProgress >= opts.NoProgressCycles {
-			finish()
-			return rep, &RunAborted{Reason: "no-progress", Cycle: cyc,
-				Elapsed: time.Since(start), LastCheckpoint: rep.LastCheckpoint}
-		}
-		if opts.WallLimit > 0 && time.Since(start) >= opts.WallLimit {
-			finish()
-			return rep, &RunAborted{Reason: "wall-clock", Cycle: cyc,
-				Elapsed: time.Since(start), LastCheckpoint: rep.LastCheckpoint}
-		}
-	}
-}
-
-// countingWriter counts printf bytes for the progress watchdog.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	cw.n += int64(len(p))
-	return cw.w.Write(p)
+	return rep, translateErr(err)
 }
 
 // DumpVCD simulates cycles clock cycles while writing a Value Change Dump

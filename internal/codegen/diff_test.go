@@ -343,8 +343,9 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 		}
 		want := replay(interpSim{oracle, f.d}, f)
 		for _, cfg := range diffConfigs {
-			ccss, err := sim.NewCCSS(f.d, sim.CCSSOptions{Cp: 8,
-				NoElide: cfg.opts.NoElide, NoMuxShadow: cfg.opts.NoMuxShadow})
+			interp := sim.Options{Engine: sim.EngineCCSS, Cp: 8,
+				NoElide: cfg.opts.NoElide, NoMuxShadow: cfg.opts.NoMuxShadow}
+			ccss, err := sim.New(f.d, interp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,22 +353,21 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 				t.Fatalf("%s/%s: CCSS interpreter disagrees with the full-cycle oracle", f.name, cfg.name)
 			}
 			wantStats := ccss.Stats()
-			// The same engine at two workers (the plan knobs sim.New can
-			// express): same trace, and Stats equal as a struct.
-			if !cfg.opts.NoElide && !cfg.opts.NoMuxShadow {
-				par, err := sim.New(f.d, sim.Options{Engine: sim.EngineCCSSParallel, Cp: 8, Workers: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := replay(interpSim{par, f.d}, f); got != want {
-					t.Fatalf("%s/%s: CCSS at 2 workers disagrees with the full-cycle oracle", f.name, cfg.name)
-				}
-				if *par.Stats() != *wantStats {
-					t.Fatalf("%s/%s: CCSS Stats at 2 workers %+v, at 1 worker %+v",
-						f.name, cfg.name, *par.Stats(), *wantStats)
-				}
-				par.(*sim.CCSS).Close()
+			// The same engine at two workers: same trace, and Stats equal as
+			// a struct.
+			interp.Engine, interp.Workers = sim.EngineCCSSParallel, 2
+			par, err := sim.New(f.d, interp)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if got := replay(interpSim{par, f.d}, f); got != want {
+				t.Fatalf("%s/%s: CCSS at 2 workers disagrees with the full-cycle oracle", f.name, cfg.name)
+			}
+			if *par.Stats() != *wantStats {
+				t.Fatalf("%s/%s: CCSS Stats at 2 workers %+v, at 1 worker %+v",
+					f.name, cfg.name, *par.Stats(), *wantStats)
+			}
+			par.(*sim.CCSS).Close()
 			for _, serve := range []bool{false, true} {
 				pkg := fmt.Sprintf("%s_%s", f.name, cfg.name)
 				if serve {

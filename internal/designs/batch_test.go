@@ -70,7 +70,7 @@ func TestBatchRunnerDivergentLanes(t *testing.T) {
 			t.Errorf("lane %d tohost = %d, want %d", l, res[l].Tohost, want)
 		}
 		// Reference: the same program on a sequential CCSS.
-		s, err := sim.NewCCSS(d, sim.CCSSOptions{Cp: 8})
+		s, err := sim.New(d, sim.Options{Engine: sim.EngineCCSS, Cp: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,7 +61,7 @@ func TestFabricEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := sim.NewCCSS(d, sim.CCSSOptions{Cp: 4})
+	cc, err := sim.New(d, sim.Options{Engine: sim.EngineCCSS, Cp: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,14 +7,13 @@ import (
 	"time"
 
 	"essent/internal/ckpt"
+	"essent/internal/netlist"
 	"essent/internal/sim"
 )
 
 // DefaultCheckpointEvery is the snapshot interval (cycles) when
-// checkpointing is enabled without an explicit interval. Chosen so the
-// save cost stays well under the experiment budget (<5% of run time on
-// the r16 SoC; see EXPERIMENTS.md).
-const DefaultCheckpointEvery = 50000
+// checkpointing is enabled without an explicit interval.
+const DefaultCheckpointEvery = ckpt.DefaultEvery
 
 // RunConfig configures a supervised run: watchdogs and checkpointing on
 // top of the plain Run loop.
@@ -99,148 +98,39 @@ func (e *RunError) Unwrap() error {
 	return nil
 }
 
-// countingWriter counts printf bytes for the progress watchdog.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	cw.n += int64(len(p))
-	return cw.w.Write(p)
-}
-
-// degrader is the optional panic-recovery surface of the parallel
-// engines.
-type degrader interface {
-	Degraded() bool
-	LastPanic() error
-}
-
 // RunSupervised executes until the design halts, MaxCycles elapse, or a
-// watchdog trips — checkpointing along the way when configured. Unlike
-// Run, exceeding MaxCycles is reported as a *RunError ("no-progress"
-// semantics do not apply; the cycle bound is its own reason) — callers
-// that treat a cycle-bound exit as success should pass a bound they
-// won't hit.
+// watchdog trips — checkpointing along the way when configured
+// (ckpt.Supervise watching tohost and the retired-instruction count).
+// Unlike Run, exceeding MaxCycles is reported as a *RunError
+// ("no-progress" semantics do not apply; the cycle bound is its own
+// reason) — callers that treat a cycle-bound exit as success should pass
+// a bound they won't hit.
 func (r *Runner) RunSupervised(cfg RunConfig) (RunInfo, error) {
-	var info RunInfo
-	out := cfg.Output
-	if out == nil {
-		out = io.Discard
+	rep, err := ckpt.Supervise(r.Sim, ckpt.RunConfig{
+		MaxCycles: cfg.MaxCycles, WallLimit: cfg.WallLimit,
+		NoProgressCycles: cfg.NoProgressCycles,
+		Progress:         []netlist.SignalID{r.tohost, r.instret},
+		Output:           cfg.Output,
+		Dir:              cfg.CheckpointDir, Every: cfg.CheckpointEvery, Keep: cfg.CheckpointKeep,
+	})
+	info := RunInfo{
+		Checkpoints: rep.Checkpoints, CheckpointBytes: rep.CheckpointBytes,
+		CheckpointTime: rep.CheckpointTime, LastCheckpoint: rep.LastCheckpoint,
+		Degraded: rep.Degraded, WorkerPanics: rep.WorkerPanics,
 	}
-	cw := &countingWriter{w: out}
-	r.Sim.SetOutput(cw)
-
-	var mg *ckpt.Manager
-	every := cfg.CheckpointEvery
-	if every == 0 {
-		every = DefaultCheckpointEvery
-	}
-	if cfg.CheckpointDir != "" {
-		mg = &ckpt.Manager{Dir: cfg.CheckpointDir, Keep: cfg.CheckpointKeep}
-	}
-	finish := func() {
-		if mg != nil {
-			info.Checkpoints = mg.Count
-			info.CheckpointBytes = mg.Bytes
-			info.CheckpointTime = mg.SaveTime
-			info.LastCheckpoint = mg.LastPath
-		}
-		if dg, ok := r.Sim.(degrader); ok {
-			info.Degraded = dg.Degraded()
-		}
-		info.WorkerPanics = r.Sim.Stats().WorkerPanics
-	}
-	snapshot := func() error {
-		captureStart := time.Now()
-		st, err := sim.Capture(r.Sim)
-		if err != nil {
-			return err
-		}
-		// Save times the encode+write itself; add the capture cost so
-		// CheckpointTime is the full per-snapshot overhead.
-		mg.SaveTime += time.Since(captureStart)
-		_, err = mg.Save(st)
-		return err
-	}
-
-	start := time.Now()
-	startCycle := r.Sim.Stats().Cycles
-	lastSnap := startCycle
-	lastProgress := startCycle
-	lastTohost := r.Sim.Peek(r.tohost)
-	lastInstret := r.Sim.Peek(r.instret)
-	lastBytes := cw.n
-
-	for {
-		cyc := r.Sim.Stats().Cycles
-		ran := cyc - startCycle
-		if int(ran) >= cfg.MaxCycles {
-			finish()
-			return info, &RunError{Reason: "cycle-limit", Cycle: cyc,
-				Elapsed: time.Since(start), LastCheckpoint: info.LastCheckpoint}
-		}
-
-		// Chunk size: bounded by the checkpoint boundary, the cycle
-		// budget, and the progress-check granularity.
-		chunk := uint64(1024)
-		if rem := uint64(cfg.MaxCycles) - ran; rem < chunk {
-			chunk = rem
-		}
-		if mg != nil {
-			if rem := every - (cyc - lastSnap); rem < chunk {
-				chunk = rem
-			}
-		}
-		if cfg.NoProgressCycles > 0 && cfg.NoProgressCycles/4+1 < chunk {
-			chunk = cfg.NoProgressCycles/4 + 1
-		}
-
-		err := r.Sim.Step(int(chunk))
-		cyc = r.Sim.Stats().Cycles
-		if err != nil {
-			var stop *sim.StopError
-			if errors.As(err, &stop) {
-				info.Result = Result{
-					Tohost:  uint32(r.Sim.Peek(r.tohost)),
-					Cycles:  cyc - startCycle,
-					Instret: uint32(r.Sim.Peek(r.instret)),
-				}
-				finish()
-				return info, nil
-			}
-			finish()
-			return info, err
-		}
-
-		// Progress detection: any movement in tohost, instret, or
-		// printf output counts.
-		th, ir, nb := r.Sim.Peek(r.tohost), r.Sim.Peek(r.instret), cw.n
-		if th != lastTohost || ir != lastInstret || nb != lastBytes {
-			lastTohost, lastInstret, lastBytes = th, ir, nb
-			lastProgress = cyc
-		}
-
-		if mg != nil && cyc-lastSnap >= every {
-			if err := snapshot(); err != nil {
-				finish()
-				return info, err
-			}
-			lastSnap = cyc
-		}
-
-		if cfg.NoProgressCycles > 0 && cyc-lastProgress >= cfg.NoProgressCycles {
-			finish()
-			return info, &RunError{Reason: "no-progress", Cycle: cyc,
-				Elapsed: time.Since(start), LastCheckpoint: info.LastCheckpoint}
-		}
-		if cfg.WallLimit > 0 && time.Since(start) >= cfg.WallLimit {
-			finish()
-			return info, &RunError{Reason: "wall-clock", Cycle: cyc,
-				Elapsed: time.Since(start), LastCheckpoint: info.LastCheckpoint}
+	if rep.Stop != nil {
+		info.Result = Result{
+			Tohost:  uint32(r.Sim.Peek(r.tohost)),
+			Cycles:  rep.Cycles,
+			Instret: uint32(r.Sim.Peek(r.instret)),
 		}
 	}
+	var ab *ckpt.Aborted
+	if errors.As(err, &ab) {
+		err = &RunError{Reason: ab.Reason, Cycle: ab.Cycle, Elapsed: ab.Elapsed,
+			LastCheckpoint: ab.LastCheckpoint}
+	}
+	return info, err
 }
 
 // Restore loads a checkpoint file into the runner's simulator. The

@@ -360,7 +360,7 @@ func TestFig7(t *testing.T) {
 
 func TestAblation(t *testing.T) {
 	rows := rowsOf(t, "ablation")
-	timedRows(t, rows, 5)
+	timedRows(t, rows, 4) // the four §III-B rows
 	if num(rows[0], "slowdown") != 1.0 {
 		t.Fatalf("baseline slowdown must be 1.0: %+v", rows[0])
 	}

@@ -135,8 +135,8 @@ var fig6 = &Experiment{
 }
 
 // The ablation disables the §III-B optimizations one at a time on the
-// first design × workload: in-partition register updates (elision),
-// conditional multiplexor-way evaluation, and push-direction triggering.
+// first design × workload: in-partition register updates (elision) and
+// conditional multiplexor-way evaluation.
 var ablation = &Experiment{
 	Name:    "ablation",
 	Title:   "Ablation: §III-B optimization contributions",
@@ -150,18 +150,16 @@ var ablation = &Experiment{
 		d, w := dsg[0], ds.Workloads[0]
 		variants := []struct {
 			name string
-			opts sim.CCSSOptions
+			opts sim.Options
 		}{
-			{"full ESSENT", sim.CCSSOptions{Cp: 8}},
-			{"no reg elision", sim.CCSSOptions{Cp: 8, NoElide: true}},
-			{"no mux shadowing", sim.CCSSOptions{Cp: 8, NoMuxShadow: true}},
-			{"neither", sim.CCSSOptions{Cp: 8, NoElide: true, NoMuxShadow: true}},
-			{"pull triggering", sim.CCSSOptions{Cp: 8, PullTriggering: true}},
+			{"full ESSENT", sim.Options{Engine: sim.EngineCCSS, Cp: 8}},
+			{"no reg elision", sim.Options{Engine: sim.EngineCCSS, Cp: 8, NoElide: true}},
+			{"no mux shadowing", sim.Options{Engine: sim.EngineCCSS, Cp: 8, NoMuxShadow: true}},
+			{"neither", sim.Options{Engine: sim.EngineCCSS, Cp: 8, NoElide: true, NoMuxShadow: true}},
 		}
 		var arms []Arm
 		for _, v := range variants {
-			arms = append(arms, engineArm(v.name, d, w, p.Scale.MaxCycles,
-				func() (sim.Simulator, error) { return sim.NewCCSS(d.Opt, v.opts) },
+			arms = append(arms, engineArm(v.name, d, w, p.Scale.MaxCycles, simOn(d.Opt, v.opts),
 				func(s sim.Simulator, smp *Sample, _ bool) error {
 					smp.Hash = stateHash(s)
 					smp.Extras = map[string]any{

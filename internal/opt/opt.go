@@ -239,7 +239,7 @@ func constFold(d *netlist.Design, st *Stats) error {
 	// Verification is off: the scratch machine is a throwaway evaluator
 	// over a mid-pipeline netlist, and the real engine constructor
 	// re-verifies the final design anyway.
-	scratch, err := sim.NewFullCycleVerify(d, false, false, verify.Off)
+	scratch, err := sim.New(d, sim.Options{Engine: sim.EngineFullCycle, Verify: verify.Off})
 	if err != nil {
 		return err
 	}

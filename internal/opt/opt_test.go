@@ -46,7 +46,7 @@ circuit C :
 		t.Fatalf("expected ≥2 folds, got %+v", st)
 	}
 	// Behavior preserved.
-	s, err := sim.NewFullCycle(od, false)
+	s, err := sim.New(od, sim.Options{Engine: sim.EngineFullCycle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ circuit C :
 	if st.IdentityFolds < 3 {
 		t.Fatalf("expected ≥3 identity folds, got %+v", st)
 	}
-	s, err := sim.NewFullCycle(od, false)
+	s, err := sim.New(od, sim.Options{Engine: sim.EngineFullCycle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestOptimizedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		ref, err := sim.NewFullCycle(d, false)
+		ref, err := sim.New(d, sim.Options{Engine: sim.EngineFullCycle})
 		if err != nil {
 			t.Fatal(err)
 		}

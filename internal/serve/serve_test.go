@@ -258,32 +258,63 @@ func TestCorruptCacheEvicted(t *testing.T) {
 
 // TestBuildFailureDegrades forces the toolchain to fail and checks the
 // session comes up on the interpreter with a structured record — no
-// user-visible error.
+// user-visible error — and that the interpreter it comes up on is the
+// engine Gen describes, not a default CCSS: a full-cycle artifact falls
+// back to a full-cycle engine, an ablated one to the same ablation.
 func TestBuildFailureDegrades(t *testing.T) {
 	d := smallSoC(t)
-	cfg := testConfig()
-	cfg.CacheDir = t.TempDir() // never hits the shared warm cache
-	cfg.GoTool = filepath.Join(t.TempDir(), "no-such-go")
-	cfg.RepoRoot = repoRoot(t)
-	cfg.MaxRetries = 1
-	s := newSession(t, d, cfg)
-	if !s.Degraded() {
-		t.Fatal("expected degraded session")
-	}
-	rec := s.Degradation()
-	if rec == nil || rec.Cause != "build" {
-		t.Fatalf("degradation record = %+v, want cause \"build\"", rec)
-	}
-	if rec.Detail == "" {
-		t.Fatal("degradation record missing detail")
-	}
-	// The degraded session still simulates correctly.
-	ip := newInterp(t, d)
-	s.Reset()
-	ip.Reset()
-	driveBoth(t, s, ip, d, 500)
-	if got, want := stateHashOf(t, s), stateHashOf(t, ip); got != want {
-		t.Fatalf("degraded state hash mismatch: %#x vs %#x", got, want)
+	for _, tc := range []struct {
+		name  string
+		gen   codegen.Options
+		check func(t *testing.T, fallback sim.Simulator)
+	}{
+		{"ccss", codegen.Options{Mode: codegen.ModeCCSS, Cp: 8},
+			func(t *testing.T, fb sim.Simulator) {
+				if fb.(*sim.CCSS).NumElided == 0 || fb.Stats().PartChecks == 0 {
+					t.Fatal("default CCSS fallback elides nothing or checks no partition")
+				}
+			}},
+		{"fullcycle", codegen.Options{Mode: codegen.ModeFullCycle},
+			func(t *testing.T, fb sim.Simulator) {
+				if n := fb.Stats().PartChecks; n != 0 {
+					t.Fatalf("full-cycle artifact fell back to a partitioned engine: PartChecks = %d", n)
+				}
+			}},
+		{"noelide", codegen.Options{Mode: codegen.ModeCCSS, Cp: 8, NoElide: true},
+			func(t *testing.T, fb sim.Simulator) {
+				if n := fb.(*sim.CCSS).NumElided; n != 0 {
+					t.Fatalf("NoElide artifact fell back to an engine eliding %d registers", n)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Gen = tc.gen
+			cfg.CacheDir = t.TempDir() // never hits the shared warm cache
+			cfg.GoTool = filepath.Join(t.TempDir(), "no-such-go")
+			cfg.RepoRoot = repoRoot(t)
+			cfg.MaxRetries = 1
+			s := newSession(t, d, cfg)
+			if !s.Degraded() {
+				t.Fatal("expected degraded session")
+			}
+			rec := s.Degradation()
+			if rec == nil || rec.Cause != "build" {
+				t.Fatalf("degradation record = %+v, want cause \"build\"", rec)
+			}
+			if rec.Detail == "" {
+				t.Fatal("degradation record missing detail")
+			}
+			// The degraded session still simulates correctly.
+			ip := newInterp(t, d)
+			s.Reset()
+			ip.Reset()
+			driveBoth(t, s, ip, d, 500)
+			if got, want := stateHashOf(t, s), stateHashOf(t, ip); got != want {
+				t.Fatalf("degraded state hash mismatch: %#x vs %#x", got, want)
+			}
+			tc.check(t, s.interp)
+		})
 	}
 }
 

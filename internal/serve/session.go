@@ -36,7 +36,8 @@ import (
 )
 
 // Config tunes a Session. The zero value works: default cache dir,
-// system Go toolchain, CCSS artifact, interpreter fallback enabled.
+// system Go toolchain, baseline full-cycle artifact, interpreter fallback
+// enabled.
 type Config struct {
 	// Gen selects the generated simulator's shape (mode, cp, ablation
 	// knobs). Serve surface and package name are forced.
@@ -69,7 +70,7 @@ type Config struct {
 	// hashes compared (0 = off).
 	VerifyEvery int
 	// Interp configures the fallback/shadow interpreter engine (zero =
-	// CCSS with Gen.Cp).
+	// the engine Gen describes: its mode, Cp and §III-B ablations).
 	Interp sim.Options
 }
 
@@ -81,12 +82,18 @@ func (c *Config) captureEvery() int {
 }
 
 func (c *Config) interpOpts() sim.Options {
-	o := c.Interp
-	var zero sim.Options
-	if o == zero {
-		o = sim.Options{Engine: sim.EngineCCSS, Cp: c.Gen.Cp}
+	if c.Interp != (sim.Options{}) {
+		return c.Interp
 	}
-	return o
+	g := c.Gen
+	switch {
+	case g.Mode == codegen.ModeCCSS:
+		return sim.Options{Engine: sim.EngineCCSS, Cp: g.Cp,
+			NoElide: g.NoElide, NoMuxShadow: g.NoMuxShadow}
+	case g.Elide:
+		return sim.Options{Engine: sim.EngineFullCycleOpt}
+	}
+	return sim.Options{Engine: sim.EngineFullCycle}
 }
 
 // Degradation records why a session abandoned the compiled backend.

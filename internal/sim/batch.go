@@ -4,7 +4,6 @@ import (
 	"io"
 	"sync/atomic"
 
-	"essent/internal/bits"
 	"essent/internal/netlist"
 	"essent/internal/verify"
 	"essent/pkg/simrt"
@@ -174,11 +173,8 @@ type batchMemWrite struct {
 type BatchOptions struct {
 	// Lanes is the lane count (clamped to 1..simrt.MaxLanes; 0 = 1).
 	Lanes int
-	// Cp, NoElide, NoMuxShadow, NoFuse mirror CCSSOptions.
-	Cp          int
-	NoElide     bool
-	NoMuxShadow bool
-	NoFuse      bool
+	// Cp is the partitioning threshold, as in Options.
+	Cp int
 	// NoPack disables the word-packed bit-parallel kernels (ablation:
 	// every 1-bit op falls back to the per-lane row loop).
 	NoPack bool
@@ -197,9 +193,7 @@ type BatchOptions struct {
 
 // NewBatchCCSS compiles a batched CCSS simulator.
 func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
-	base, err := NewCCSS(d, CCSSOptions{Cp: opts.Cp, NoElide: opts.NoElide,
-		NoMuxShadow: opts.NoMuxShadow, NoFuse: opts.NoFuse,
-		Verify: opts.Verify})
+	base, err := newCCSS(d, Options{Cp: opts.Cp, Verify: opts.Verify})
 	if err != nil {
 		return nil, err
 	}
@@ -531,15 +525,12 @@ func (b *BatchCCSS) Poke(id netlist.SignalID, v uint64) {
 
 // PokeWideLane sets a wide input on one lane from limb words.
 func (b *BatchCCSS) PokeWideLane(l int, id netlist.SignalID, words []uint64) {
-	m := b.base.machine
-	off, nw := int(m.off[id]), int(m.nw[id])
-	buf := b.ctx[0].sm.scratch[0][:nw]
-	clearU64(buf)
-	bits.Copy(buf, words)
-	bits.MaskInto(buf, m.d.Signals[id].Width)
-	for w := 0; w < nw; w++ {
-		b.bt[(off+w)*b.L+l] = buf[w]
-	}
+	// Masked into the dispatcher's scalar shadow table (whose slots are
+	// gathered afresh before every use), then scattered to the lane.
+	sm := b.ctx[0].sm
+	sm.PokeWide(id, words)
+	off := int(sm.off[id])
+	simrt.ScatterLane(b.bt, sm.t, off, int(sm.nw[id]), b.L, l)
 	b.refreshSlotBit(off, l)
 	b.pokedMask |= 1 << uint(l)
 }

@@ -53,7 +53,7 @@ func TestBatchLaneEquivalenceFuzz(t *testing.T) {
 		}
 		refs := make([]*CCSS, lanes)
 		for l := range refs {
-			if refs[l], err = NewCCSS(d, CCSSOptions{Cp: 8}); err != nil {
+			if refs[l], err = newCCSS(d, Options{Cp: 8}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -266,7 +266,7 @@ circuit P :
     printf(clock, gt(r, UInt<8>(3)), "r=%d\n", r)
 `
 	d := compileSrc(t, src)
-	ref, err := NewCCSS(d, CCSSOptions{Cp: 8})
+	ref, err := newCCSS(d, Options{Cp: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

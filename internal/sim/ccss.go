@@ -11,28 +11,8 @@ import (
 	"essent/internal/partition"
 	"essent/internal/sched"
 	"essent/internal/verify"
+	"essent/pkg/simrt"
 )
-
-// CCSSOptions configures the CCSS (ESSENT) engine.
-type CCSSOptions struct {
-	// Cp is the partitioning threshold (§IV); 0 selects the paper's
-	// default of 8.
-	Cp int
-	// NoElide and NoMuxShadow disable individual §III-B optimizations
-	// (ablation knobs; both default on).
-	NoElide     bool
-	NoMuxShadow bool
-	// NoFuse disables superinstruction fusion (interpreter peephole
-	// ablation knob; fusion defaults on and is bit-exact).
-	NoFuse bool
-	// PullTriggering replaces push-direction wakes with per-cycle input
-	// comparisons (the §III-A direction ablation; expected slower).
-	PullTriggering bool
-	// Verify selects static-verification enforcement (netlist lint, plan
-	// verification, machine-schedule checks). The zero value is strict:
-	// construction fails on any proven violation.
-	Verify verify.Mode
-}
 
 // CCSS is the paper's essential-signal-simulation engine: the design is
 // acyclically partitioned, each partition guarded by an activity flag,
@@ -126,13 +106,9 @@ type CCSS struct {
 	// plan is retained for the engines layered on top (batch, vec).
 	plan *sched.CCSSPlan
 
-	// walk is the cycle Step runs: stepOne (push, the default),
-	// stepOnePull (the ablation) or the vec engine's class walk.
+	// walk is the cycle Step runs: stepOne, or the vec engine's class
+	// walk.
 	walk func() error
-
-	// Pull-triggering state (nil when push, the default).
-	pullIns  [][]pullInput
-	pullSnap []uint64
 }
 
 // levelRun is the runtime form of one sched.LevelSpec: the contiguous
@@ -221,39 +197,21 @@ func toInt32s(xs []int) []int32 {
 	return out
 }
 
-// NewCCSS compiles a single-threaded CCSS simulator (EngineCCSS).
-// EngineCCSSParallel is the same engine with more workers; sim.New
-// resolves the count.
-func NewCCSS(d *netlist.Design, opts CCSSOptions) (*CCSS, error) {
-	return newCCSS(d, opts, 1)
-}
-
-func newCCSS(d *netlist.Design, opts CCSSOptions, workers int) (*CCSS, error) {
+// newCCSS plans the design and builds the runtime structures from the
+// plan, statically verifying the design, the plan, and the compiled
+// machine schedule under opts.Verify (the scalar, batch and vec engines
+// all build through here, so all three inherit the verification).
+// opts.Engine only sizes the pool (resolveWorkers): EngineCCSSParallel is
+// this engine with more workers, and the vec engine's workers split a
+// group's lanes.
+func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	plan, err := sched.PlanCCSSOpts(d, sched.PlanOptions{
 		Cp: opts.Cp, NoElide: opts.NoElide, NoMuxShadow: opts.NoMuxShadow,
 	})
 	if err != nil {
 		return nil, err
 	}
-	c, err := newCCSSFromPlan(d, plan, opts.NoFuse, opts.Verify, workers)
-	if err != nil {
-		return nil, err
-	}
-	if opts.PullTriggering {
-		c.buildPull()
-		c.walk = c.stepOnePull
-	}
-	return c, nil
-}
-
-// newCCSSFromPlan builds the runtime structures from a computed plan,
-// statically verifying the design, the plan, and the compiled machine
-// schedule under vmode (the scalar, batch and vec engines all build
-// through here, so all three inherit the verification). workers sizes
-// the pool; the batch and vec engines bring their own split and pass 1
-// or their group-evaluation width.
-func newCCSSFromPlan(d *netlist.Design, plan *sched.CCSSPlan, noFuse bool,
-	vmode verify.Mode, workers int) (*CCSS, error) {
+	vmode, workers := opts.Verify, resolveWorkers(opts)
 	if vmode != verify.Off {
 		diags := verify.DesignPrePlanned(d)
 		diags = append(diags, verify.Plan(plan)...)
@@ -273,9 +231,9 @@ func newCCSSFromPlan(d *netlist.Design, plan *sched.CCSSPlan, noFuse bool,
 			keepLive = append(keepLive, op.Sig)
 		}
 	}
-	m, ranges, err := newMachineCfg(d, plan.DG, plan.Order, plan.Elided,
+	m, ranges, err := newMachine(d, plan.DG, plan.Order, plan.Elided,
 		machineConfig{shadows: plan.Shadows, groups: groups,
-			fuse: !noFuse, keepLive: keepLive})
+			fuse: !opts.NoFuse, keepLive: keepLive})
 	if err != nil {
 		return nil, err
 	}
@@ -407,9 +365,7 @@ func (c *CCSS) buildWorkers() {
 	c.wk = make([]*ccssWorker, c.pool.n)
 	for w := range c.wk {
 		mc := *c.machine
-		for i := range mc.scratch {
-			mc.scratch[i] = make([]uint64, len(c.machine.scratch[0]))
-		}
+		mc.sc = simrt.NewScratch(mc.maxWords)
 		mc.stats = Stats{}
 		mc.out = &c.pooledOut
 		c.wk[w] = &ccssWorker{m: &mc}
@@ -526,9 +482,6 @@ func (c *CCSS) wakeAll() {
 	c.poked = true
 	for i := range c.prevIn {
 		c.prevIn[i] = ^uint64(0)
-	}
-	for i := range c.pullSnap {
-		c.pullSnap[i] = ^uint64(0)
 	}
 }
 

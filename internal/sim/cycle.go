@@ -3,11 +3,11 @@ package sim
 import (
 	"fmt"
 	"io"
-	"math/big"
 	"strings"
 
 	"essent/internal/bits"
 	"essent/internal/netlist"
+	"essent/pkg/simrt"
 )
 
 // runRange executes schedule entries in [start, end), following skip
@@ -326,16 +326,11 @@ func (m *machine) printFormatted(d *compiledDisplay) {
 		}
 		o := d.args[argI]
 		argI++
-		v := m.operandBig(o)
 		switch verb {
-		case 'd':
-			fmt.Fprintf(&b, "%d", v)
-		case 'x':
-			fmt.Fprintf(&b, "%x", v)
-		case 'b':
-			fmt.Fprintf(&b, "%b", v)
+		case 'd', 'x', 'b':
+			b.WriteString(simrt.FormatBase(m.view(o.off, o.w), int(o.w), o.signed, printfBase[verb]))
 		case 'c':
-			b.WriteByte(byte(v.Uint64()))
+			b.WriteByte(byte(m.readOperand(o)))
 		default:
 			fmt.Fprintf(&b, "%%!%c", verb)
 		}
@@ -343,16 +338,5 @@ func (m *machine) printFormatted(d *compiledDisplay) {
 	io.WriteString(m.out, b.String())
 }
 
-// operandBig converts an operand value to a big.Int respecting signedness.
-func (m *machine) operandBig(o operand) *big.Int {
-	words := m.view(o.off, o.w)
-	v := new(big.Int)
-	for i := len(words) - 1; i >= 0; i-- {
-		v.Lsh(v, 64)
-		v.Or(v, new(big.Int).SetUint64(words[i]))
-	}
-	if o.signed && o.w > 0 && v.Bit(int(o.w)-1) == 1 {
-		v.Sub(v, new(big.Int).Lsh(big.NewInt(1), uint(o.w)))
-	}
-	return v
-}
+// printfBase maps a FIRRTL numeric printf verb to its radix.
+var printfBase = map[byte]int{'d': 10, 'x': 16, 'b': 2}

@@ -72,7 +72,7 @@ func benchDispatch(b *testing.B, kind string, noFuse bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := NewFullCycleOpts(d, false, noFuse)
+	s, err := newFullCycle(d, Options{Engine: EngineFullCycle, NoFuse: noFuse})
 	if err != nil {
 		b.Fatal(err)
 	}

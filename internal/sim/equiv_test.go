@@ -165,11 +165,11 @@ circuit Q :
     o <= r
 `
 	d := compileSrc(t, src)
-	fc, err := NewFullCycle(d, false)
+	fc, err := newFullCycle(d, Options{Engine: EngineFullCycle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := NewCCSS(d, CCSSOptions{Cp: 8})
+	cc, err := newCCSS(d, Options{Cp: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ circuit P :
     printf(clock, en, "tick\n")
 `
 	d := compileSrc(t, src)
-	cc, err := NewCCSS(d, CCSSOptions{Cp: 8})
+	cc, err := newCCSS(d, Options{Cp: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ circuit S :
     stop(clock, eq(r, UInt<8>(50)), 1)
 `
 	d := compileSrc(t, src)
-	cc, err := NewCCSS(d, CCSSOptions{Cp: 8})
+	cc, err := newCCSS(d, Options{Cp: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,46 +259,5 @@ circuit S :
 	}
 	if cc.Stats().Cycles != 51 {
 		t.Fatalf("stopped at cycle %d, want 51", cc.Stats().Cycles)
-	}
-}
-
-// TestPullTriggeringEquivalence: the pull-direction ablation must match
-// push-direction CCSS cycle-for-cycle.
-func TestPullTriggeringEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		c := randckt.Generate(seed+3000, randckt.DefaultConfig())
-		d, err := netlist.Compile(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		push, err := NewCCSS(d, CCSSOptions{Cp: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pull, err := NewCCSS(d, CCSSOptions{Cp: 8, PullTriggering: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sims := []Simulator{push, pull}
-		rng := rand.New(rand.NewSource(seed))
-		for cyc := 0; cyc < 100; cyc++ {
-			if cyc == 0 || rng.Intn(3) == 0 {
-				pokeRandom(rng, sims, d)
-			}
-			for _, s := range sims {
-				if err := s.Step(1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if a, b := archState(push), archState(pull); a != b {
-				t.Fatalf("seed %d cyc %d: pull diverged:\npush: %s\npull: %s",
-					seed, cyc, a, b)
-			}
-		}
-		// Pull must pay more input checks than push.
-		if pull.Stats().InputChecks <= push.Stats().InputChecks {
-			t.Fatalf("pull should compare more inputs: pull=%d push=%d",
-				pull.Stats().InputChecks, push.Stats().InputChecks)
-		}
 	}
 }

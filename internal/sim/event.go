@@ -47,20 +47,15 @@ type EventDriven struct {
 	first bool
 }
 
-// NewEventDriven compiles an event-driven simulator (no optimizations, no
-// elision: every register is two-phase, like classic event simulators).
-// Verification runs in strict mode.
-func NewEventDriven(d *netlist.Design) (*EventDriven, error) {
-	return NewEventDrivenVerify(d, verify.Strict)
-}
-
-// NewEventDrivenVerify is NewEventDriven with explicit verification
-// enforcement. Only the netlist lint applies: this engine dispatches
+// newEventDriven compiles an event-driven simulator (no optimizations,
+// no elision, no fusion: every register is two-phase, like classic event
+// simulators). Only the netlist lint applies: this engine dispatches
 // instructions dynamically through its event heap, so there is no static
 // schedule to check. The loop pass is elided like on the planned
 // engines — sched.Build's topological sort below rejects cyclic designs
 // (the lint's readable cycle trace stays available via essent -lint).
-func NewEventDrivenVerify(d *netlist.Design, vmode verify.Mode) (*EventDriven, error) {
+func newEventDriven(d *netlist.Design, opts Options) (*EventDriven, error) {
+	vmode := opts.Verify
 	if vmode != verify.Off {
 		if err := verify.Enforce(vmode, verify.DesignPrePlanned(d), nil); err != nil {
 			return nil, err
@@ -70,7 +65,7 @@ func NewEventDrivenVerify(d *netlist.Design, vmode verify.Mode) (*EventDriven, e
 	if err != nil {
 		return nil, err
 	}
-	m, err := newMachine(d, plan.DG, plan.Order, plan.Elided)
+	m, _, err := newMachine(d, plan.DG, plan.Order, plan.Elided, machineConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +154,7 @@ func NewEventDrivenVerify(d *netlist.Design, vmode verify.Mode) (*EventDriven, e
 			}
 		}
 	}
-	e.oldBuf = make([]uint64, len(m.scratch[0]))
+	e.oldBuf = make([]uint64, m.maxWords)
 	e.regConsumers = make([][]int32, len(d.Regs))
 	for ri := range d.Regs {
 		out := int(d.Regs[ri].Out)

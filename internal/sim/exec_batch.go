@@ -66,9 +66,7 @@ func newBatchCtx(b *BatchCCSS) *batchCtx {
 	base := b.base.machine
 	mc := *base
 	mc.t = append([]uint64(nil), base.t...)
-	for i := range mc.scratch {
-		mc.scratch[i] = make([]uint64, len(base.scratch[0]))
-	}
+	mc.sc = simrt.NewScratch(mc.maxWords)
 	mc.stats = Stats{}
 	mc.out = &b.out
 	c := &batchCtx{b: b, sm: &mc}

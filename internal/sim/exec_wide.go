@@ -1,157 +1,87 @@
 package sim
 
 import (
-	"essent/internal/bits"
+	"essent/pkg/simrt"
 )
 
 // execWide evaluates an instruction with any operand or result wider than
-// 64 bits. Results are computed into scratch and copied out, so in-place
-// register updates (dst aliasing an operand) are safe.
+// 64 bits through the generated simulators' runtime library, so wide
+// semantics have one definition for interpreted and compiled code (each
+// case is the call codegen's emitWide prints). simrt.Scratch computes into
+// its own buffers and copies out, so in-place register updates (dst
+// aliasing an operand) are safe.
 func (m *machine) execWide(in *instr) {
+	sc, t := m.sc, m.t
 	dst := m.view(in.dst, in.dw)
-	dwWords := len(dst)
-	s0 := m.scratch[0][:dwWords]
-	s1 := m.scratch[1][:dwWords]
-	res := m.scratch[3][:dwWords]
-
-	viewA := func() []uint64 { return m.view(in.a, in.aw) }
-	viewB := func() []uint64 { return m.view(in.b, in.bw) }
-	extA := func(buf []uint64) []uint64 {
-		bits.ExtendInto(buf, viewA(), int(in.aw), in.sa)
-		return buf
+	aw, bw, dw := int(in.aw), int(in.bw), int(in.dw)
+	var a, b []uint64
+	if in.a >= 0 {
+		a = m.view(in.a, in.aw)
 	}
-	extB := func(buf []uint64) []uint64 {
-		bits.ExtendInto(buf, viewB(), int(in.bw), in.sb)
-		return buf
+	if in.b >= 0 {
+		b = m.view(in.b, in.bw)
 	}
-	finish := func() {
-		bits.MaskInto(res, int(in.dw))
-		copy(dst, res)
-	}
-
 	switch in.code {
 	case ICopy:
-		bits.ExtendInto(res, viewA(), int(in.aw), in.sa)
-		finish()
+		sc.Copy(dst, a, aw, in.sa, dw)
 	case IMux:
-		if m.t[in.a] != 0 {
-			bits.ExtendInto(res, m.view(in.b, in.bw), int(in.bw), in.sb)
-		} else {
-			bits.ExtendInto(res, m.view(in.c, in.cw), int(in.cw), in.sc)
-		}
-		finish()
+		sc.Mux(dst, t[in.a], b, bw, in.sb, m.view(in.c, in.cw), int(in.cw), in.sc, dw)
 	case IMemRead:
 		ms := &m.mems[in.mem]
-		addr := m.t[in.a]
-		if addr < uint64(ms.depth) {
-			base := int32(addr) * ms.nw
-			copy(dst, ms.words[base:base+ms.nw])
-		} else {
-			bits.Zero(dst)
-		}
+		simrt.MemRead(dst, ms.words, int(ms.nw), uint64(ms.depth), t[in.a])
 	case IAdd:
-		bits.AddInto(res, extA(s0), extB(s1))
-		finish()
+		sc.Add(dst, a, aw, in.sa, b, bw, in.sb, dw)
 	case ISub:
-		bits.SubInto(res, extA(s0), extB(s1))
-		finish()
+		sc.Sub(dst, a, aw, in.sa, b, bw, in.sb, dw)
 	case IMul:
-		bits.MulInto(res, extA(s0), extB(s1))
-		finish()
+		sc.Mul(dst, a, aw, in.sa, b, bw, in.sb, dw)
 	case IDiv:
-		rem := m.scratch[2][:len(res)]
-		if in.sa {
-			bits.DivRemS(res, rem, viewA(), viewB(), int(in.aw), int(in.bw))
-		} else {
-			bits.DivRemU(res, rem, viewA(), viewB())
-		}
-		finish()
+		sc.Div(dst, a, aw, in.sa, b, bw, dw)
 	case IRem:
-		quo := m.scratch[2][:bits.Words(int(in.aw))+1]
-		if in.sa {
-			bits.DivRemS(quo, res, viewA(), viewB(), int(in.aw), int(in.bw))
-		} else {
-			bits.DivRemU(quo, res, viewA(), viewB())
-		}
-		finish()
+		sc.Rem(dst, a, aw, in.sa, b, bw, dw)
 	case ILt:
-		m.t[in.dst] = b2u(m.cmpWide(in) < 0)
+		t[in.dst] = b2u(sc.Cmp(a, aw, b, bw, in.sa) < 0)
 	case ILeq:
-		m.t[in.dst] = b2u(m.cmpWide(in) <= 0)
+		t[in.dst] = b2u(sc.Cmp(a, aw, b, bw, in.sa) <= 0)
 	case IGt:
-		m.t[in.dst] = b2u(m.cmpWide(in) > 0)
+		t[in.dst] = b2u(sc.Cmp(a, aw, b, bw, in.sa) > 0)
 	case IGeq:
-		m.t[in.dst] = b2u(m.cmpWide(in) >= 0)
+		t[in.dst] = b2u(sc.Cmp(a, aw, b, bw, in.sa) >= 0)
 	case IEq:
-		m.t[in.dst] = b2u(m.cmpWide(in) == 0)
+		t[in.dst] = b2u(sc.Eq(a, aw, in.sa, b, bw, in.sb))
 	case INeq:
-		m.t[in.dst] = b2u(m.cmpWide(in) != 0)
+		t[in.dst] = b2u(!sc.Eq(a, aw, in.sa, b, bw, in.sb))
 	case IShl:
-		bits.ShlInto(res, viewA(), int(in.p0), int(in.dw))
-		copy(dst, res)
+		sc.Shl(dst, a, int(in.p0), dw)
 	case IShr:
-		bits.ShrInto(res, viewA(), int(in.p0), int(in.aw), in.sa, int(in.dw))
-		copy(dst, res)
+		sc.Shr(dst, a, int(in.p0), aw, in.sa, dw)
 	case IDshl:
-		bits.ShlInto(res, viewA(), int(m.t[in.b]), int(in.dw))
-		copy(dst, res)
+		sc.Shl(dst, a, int(t[in.b]), dw)
 	case IDshr:
-		sh := int(m.t[in.b])
-		bits.ShrInto(res, viewA(), sh, int(in.aw), in.sa, int(in.dw))
-		copy(dst, res)
+		sc.Shr(dst, a, int(t[in.b]), aw, in.sa, dw)
 	case INeg:
-		bits.NegInto(res, extA(s0))
-		finish()
+		sc.Neg(dst, a, aw, in.sa, dw)
 	case INot:
-		bits.NotInto(res, viewA(), int(in.dw))
-		copy(dst, res)
+		sc.Not(dst, a, dw)
 	case IAnd:
-		bits.AndInto(res, extA(s0), extB(s1))
-		finish()
+		sc.Logic(dst, 0, a, aw, in.sa, b, bw, in.sb, dw)
 	case IOr:
-		bits.OrInto(res, extA(s0), extB(s1))
-		finish()
+		sc.Logic(dst, 1, a, aw, in.sa, b, bw, in.sb, dw)
 	case IXor:
-		bits.XorInto(res, extA(s0), extB(s1))
-		finish()
+		sc.Logic(dst, 2, a, aw, in.sa, b, bw, in.sb, dw)
 	case IAndr:
-		m.t[in.dst] = bits.AndR(viewA(), int(in.aw))
+		t[in.dst] = simrt.AndR(a, aw)
 	case IOrr:
-		m.t[in.dst] = bits.OrR(viewA())
+		t[in.dst] = simrt.OrR(a)
 	case IXorr:
-		m.t[in.dst] = bits.XorR(viewA())
+		t[in.dst] = simrt.XorR(a)
 	case ICat:
-		bits.CatInto(res, viewA(), viewB(), int(in.aw), int(in.bw))
-		copy(dst, res)
+		sc.Cat(dst, a, aw, b, bw)
 	case IBits:
-		bits.ExtractInto(res, viewA(), int(in.p0), int(in.p1))
-		copy(dst, res)
+		sc.Bits(dst, a, int(in.p0), int(in.p1))
 	case IHead:
-		bits.ExtractInto(res, viewA(), int(in.aw)-1, int(in.aw)-int(in.p0))
-		copy(dst, res)
+		sc.Bits(dst, a, aw-1, aw-int(in.p0))
 	case ITail:
-		src := viewA()
-		for i := range res {
-			if i < len(src) {
-				res[i] = src[i]
-			} else {
-				res[i] = 0
-			}
-		}
-		bits.MaskInto(res, int(in.dw))
-		copy(dst, res)
+		sc.Copy(dst, a, aw, false, dw)
 	}
-}
-
-// cmpWide compares the two operands of a wide comparison instruction.
-func (m *machine) cmpWide(in *instr) int {
-	n := bits.Words(int(in.aw))
-	if w := bits.Words(int(in.bw)); w > n {
-		n = w
-	}
-	s0 := m.scratch[0][:n]
-	s1 := m.scratch[1][:n]
-	bits.ExtendInto(s0, m.view(in.a, in.aw), int(in.aw), in.sa)
-	bits.ExtendInto(s1, m.view(in.b, in.bw), int(in.bw), in.sb)
-	return bits.Cmp(s0, s1, in.sa)
 }

@@ -30,19 +30,19 @@ func bigToWords(v *big.Int, width int) []uint64 {
 func wideEngines(t *testing.T, src string) []Simulator {
 	t.Helper()
 	d := compileSrc(t, src)
-	fc, err := NewFullCycle(d, false)
+	fc, err := newFullCycle(d, Options{Engine: EngineFullCycle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf, err := NewFullCycleOpts(d, false, true)
+	nf, err := newFullCycle(d, Options{Engine: EngineFullCycle, NoFuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := NewCCSS(d, CCSSOptions{Cp: 8})
+	cc, err := newCCSS(d, Options{Cp: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccNF, err := NewCCSS(d, CCSSOptions{Cp: 8, NoFuse: true})
+	ccNF, err := newCCSS(d, Options{Cp: 8, NoFuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}

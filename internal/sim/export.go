@@ -148,7 +148,7 @@ func ExportFullCycle(d *netlist.Design, elide bool) (*GenProgram, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := newMachine(d, plan.DG, plan.Order, plan.Elided)
+	m, _, err := newMachine(d, plan.DG, plan.Order, plan.Elided, machineConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +168,7 @@ func ExportCCSSOpts(d *netlist.Design, opts sched.PlanOptions) (*GenProgram, err
 	if err != nil {
 		return nil, err
 	}
-	m, err := newMachine(d, plan.DG, plan.Order, plan.Elided)
+	m, _, err := newMachine(d, plan.DG, plan.Order, plan.Elided, machineConfig{})
 	if err != nil {
 		return nil, err
 	}

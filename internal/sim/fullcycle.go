@@ -7,37 +7,24 @@ import (
 )
 
 // FullCycle is a pure full-cycle simulator: the entire design evaluates
-// every cycle on a static schedule. With Optimized false it is the
-// paper's Baseline; with Optimized true it additionally applies netlist
-// optimizations and register update elision — the design point of
+// every cycle on a static schedule. As EngineFullCycle it is the paper's
+// Baseline; as EngineFullCycleOpt it additionally applies register update
+// elision, over a netlist the caller has optimized — the design point of
 // optimized full-cycle simulators like Verilator.
 type FullCycle struct {
 	*machine
 }
 
-// NewFullCycle compiles a full-cycle simulator. optimized enables
-// register update elision (the caller applies netlist-level optimization
-// passes before construction if desired).
-func NewFullCycle(d *netlist.Design, optimized bool) (*FullCycle, error) {
-	return NewFullCycleOpts(d, optimized, false)
-}
-
-// NewFullCycleOpts is NewFullCycle with the superinstruction-fusion
-// ablation knob exposed (noFuse true reproduces the unfused interpreter
-// bit-exactly). Verification runs in strict mode.
-func NewFullCycleOpts(d *netlist.Design, optimized, noFuse bool) (*FullCycle, error) {
-	return NewFullCycleVerify(d, optimized, noFuse, verify.Strict)
-}
-
-// NewFullCycleVerify is NewFullCycleOpts with explicit verification
-// enforcement: the netlist lint and the machine-schedule checks run
-// under vmode (there is no partition plan on this engine). The
-// optimizer's constant-folding scratch simulator passes verify.Off —
-// it rebuilds mid-pipeline netlists many times and re-verifies through
-// the real engine constructor afterwards.
-func NewFullCycleVerify(d *netlist.Design, optimized, noFuse bool,
-	vmode verify.Mode) (*FullCycle, error) {
-	plan, err := sched.Build(d, optimized)
+// newFullCycle compiles a full-cycle simulator; EngineFullCycleOpt
+// enables register update elision (the caller applies netlist-level
+// optimization passes before construction if desired). The netlist lint
+// and the machine-schedule checks run under opts.Verify (there is no
+// partition plan on this engine). The optimizer's constant-folding
+// scratch simulator passes verify.Off — it rebuilds mid-pipeline netlists
+// many times and re-verifies through the real engine build afterwards.
+func newFullCycle(d *netlist.Design, opts Options) (*FullCycle, error) {
+	vmode := opts.Verify
+	plan, err := sched.Build(d, opts.Engine == EngineFullCycleOpt)
 	if err != nil {
 		return nil, err
 	}
@@ -46,8 +33,8 @@ func NewFullCycleVerify(d *netlist.Design, optimized, noFuse bool,
 			return nil, err
 		}
 	}
-	m, ranges, err := newMachineCfg(d, plan.DG, plan.Order, plan.Elided,
-		machineConfig{shadows: plan.Shadows, fuse: !noFuse})
+	m, ranges, err := newMachine(d, plan.DG, plan.Order, plan.Elided,
+		machineConfig{shadows: plan.Shadows, fuse: !opts.NoFuse})
 	if err != nil {
 		return nil, err
 	}

@@ -27,9 +27,13 @@ func compileSrc(t *testing.T, src string) *netlist.Design {
 func newFC(t *testing.T, src string, opt bool) *FullCycle {
 	t.Helper()
 	d := compileSrc(t, src)
-	s, err := NewFullCycle(d, opt)
+	engine := EngineFullCycle
+	if opt {
+		engine = EngineFullCycleOpt
+	}
+	s, err := newFullCycle(d, Options{Engine: engine})
 	if err != nil {
-		t.Fatalf("NewFullCycle: %v", err)
+		t.Fatalf("newFullCycle: %v", err)
 	}
 	return s
 }

@@ -28,11 +28,11 @@ circuit F :
     s <= tail(add(a, b), 1)
 `
 	d := compileSrc(t, src)
-	fused, err := NewFullCycle(d, false)
+	fused, err := newFullCycle(d, Options{Engine: EngineFullCycle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewFullCycleOpts(d, false, true)
+	plain, err := newFullCycle(d, Options{Engine: EngineFullCycle, NoFuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ circuit G :
     e <= c
 `
 	d := compileSrc(t, src)
-	s, err := NewFullCycle(d, false)
+	s, err := newFullCycle(d, Options{Engine: EngineFullCycle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestFusionScheduleInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cc, err := NewCCSS(d, CCSSOptions{Cp: 8})
+		cc, err := newCCSS(d, Options{Cp: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,13 +3,13 @@ package sim
 import (
 	"fmt"
 	"io"
-	"math"
 	stdbits "math/bits"
 
 	"essent/internal/bits"
 	"essent/internal/firrtl"
 	"essent/internal/netlist"
 	"essent/internal/sched"
+	"essent/pkg/simrt"
 )
 
 // ICode is a specialized opcode for the compiled instruction stream.
@@ -208,7 +208,11 @@ type machine struct {
 	stopErr error
 	evalErr error
 
-	scratch [4][]uint64
+	// sc holds the wide-op intermediates (per machine view: workers and
+	// batch contexts each own one); maxWords is the widest signal or
+	// constant in limbs, which sized it.
+	sc       *simrt.Scratch
+	maxWords int
 }
 
 type compiledMemWrite struct {
@@ -276,17 +280,11 @@ type machineConfig struct {
 	keepLive []netlist.SignalID
 }
 
-// newMachine compiles the design with the default (ungrouped, unshadowed)
-// schedule.
-func newMachine(d *netlist.Design, dg *netlist.DesignGraph, order []int, elided []bool) (*machine, error) {
-	m, _, err := newMachineCfg(d, dg, order, elided, machineConfig{})
-	return m, err
-}
-
-// newMachineCfg compiles the design. elided[i] true means register i's
+// newMachine compiles the design. elided[i] true means register i's
 // next value writes register storage in place (no commit copy); order is
-// the topological node order (including sink nodes) to schedule.
-func newMachineCfg(d *netlist.Design, dg *netlist.DesignGraph, order []int,
+// the topological node order (including sink nodes) to schedule. The zero
+// cfg is the default ungrouped, unshadowed, unfused schedule.
+func newMachine(d *netlist.Design, dg *netlist.DesignGraph, order []int,
 	elided []bool, cfg machineConfig) (*machine, [][2]int32, error) {
 	m := &machine{d: d, dg: dg, out: io.Discard, elided: elided}
 
@@ -387,9 +385,7 @@ func newMachineCfg(d *netlist.Design, dg *netlist.DesignGraph, order []int,
 	for i := range d.Signals {
 		m.sigMask[i] = bits.Mask64(^uint64(0), min(d.Signals[i].Width, 64))
 	}
-	for i := range m.scratch {
-		m.scratch[i] = make([]uint64, maxWords+1)
-	}
+	m.maxWords, m.sc = maxWords, simrt.NewScratch(maxWords)
 
 	// Memories.
 	m.mems = make([]memState, len(d.Mems))
@@ -696,47 +692,15 @@ func (m *machine) execSigned(in *instr) {
 		t[in.dst] = bits.Mask64(ext(t[in.a], in.aw, in.sa)*ext(t[in.b], in.bw, in.sb), int(in.dw))
 	case IDiv:
 		if in.sa {
-			a := int64(bits.Sext64(t[in.a], int(in.aw)))
-			b := int64(bits.Sext64(t[in.b], int(in.bw)))
-			var q int64
-			switch {
-			case b == 0:
-				q = 0
-			case a == math.MinInt64 && b == -1:
-				q = a // wraps, masked below
-			default:
-				q = a / b
-			}
-			t[in.dst] = bits.Mask64(uint64(q), int(in.dw))
+			t[in.dst] = simrt.DivS64(t[in.a], int(in.aw), t[in.b], int(in.bw), int(in.dw))
 		} else {
-			b := t[in.b]
-			if b == 0 {
-				t[in.dst] = 0
-			} else {
-				t[in.dst] = bits.Mask64(t[in.a]/b, int(in.dw))
-			}
+			t[in.dst] = simrt.DivU64(t[in.a], t[in.b], int(in.dw))
 		}
 	case IRem:
 		if in.sa {
-			a := int64(bits.Sext64(t[in.a], int(in.aw)))
-			b := int64(bits.Sext64(t[in.b], int(in.bw)))
-			var r int64
-			switch {
-			case b == 0:
-				r = a
-			case a == math.MinInt64 && b == -1:
-				r = 0
-			default:
-				r = a % b
-			}
-			t[in.dst] = bits.Mask64(uint64(r), int(in.dw))
+			t[in.dst] = simrt.RemS64(t[in.a], int(in.aw), t[in.b], int(in.bw), int(in.dw))
 		} else {
-			b := t[in.b]
-			if b == 0 {
-				t[in.dst] = bits.Mask64(t[in.a], int(in.dw))
-			} else {
-				t[in.dst] = bits.Mask64(t[in.a]%b, int(in.dw))
-			}
+			t[in.dst] = simrt.RemU64(t[in.a], t[in.b], int(in.dw))
 		}
 	case ILt:
 		t[in.dst] = b2u(cmp64(t[in.a], in.aw, t[in.b], in.bw, in.sa) < 0)
@@ -753,11 +717,11 @@ func (m *machine) execSigned(in *instr) {
 	case IShl:
 		t[in.dst] = bits.Mask64(t[in.a]<<uint(in.p0), int(in.dw))
 	case IShr:
-		t[in.dst] = shr64(t[in.a], in.aw, in.p0, in.sa, in.dw)
+		t[in.dst] = simrt.Shr64(t[in.a], int(in.aw), int(in.p0), in.sa, int(in.dw))
 	case IDshl:
 		t[in.dst] = bits.Mask64(t[in.a]<<uint(t[in.b]), int(in.dw))
 	case IDshr:
-		t[in.dst] = shr64(t[in.a], in.aw, int32(t[in.b]), in.sa, in.dw)
+		t[in.dst] = simrt.Shr64(t[in.a], int(in.aw), int(t[in.b]), in.sa, int(in.dw))
 	case INeg:
 		t[in.dst] = bits.Mask64(-ext(t[in.a], in.aw, in.sa), int(in.dw))
 	case INot:
@@ -812,18 +776,4 @@ func cmp64(a uint64, aw int32, b uint64, bw int32, signed bool) int {
 		return 1
 	}
 	return 0
-}
-
-func shr64(a uint64, aw, n int32, signed bool, dw int32) uint64 {
-	if n >= aw {
-		if signed && a>>(uint(aw)-1)&1 == 1 {
-			return bits.Mask64(^uint64(0), int(dw))
-		}
-		return 0
-	}
-	if signed {
-		v := int64(bits.Sext64(a, int(aw))) >> uint(n)
-		return bits.Mask64(uint64(v), int(dw))
-	}
-	return bits.Mask64(a>>uint(n), int(dw))
 }

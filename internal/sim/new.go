@@ -8,11 +8,17 @@ import (
 	"essent/internal/verify"
 )
 
-// Options selects and configures an engine.
+// Options is the one description of a Simulator: which engine, and the
+// schedule it runs. Every engine is built from this value by New.
 type Options struct {
 	Engine Engine
-	// Cp is the CCSS partitioning threshold (0 = paper default 8).
+	// Cp is the CCSS partitioning threshold (§IV; 0 = paper default 8).
 	Cp int
+	// NoElide and NoMuxShadow disable the two §III-B optimizations on the
+	// CCSS engines — in-partition register updates and conditional
+	// multiplexor-way evaluation (ablation knobs; both default on).
+	NoElide     bool
+	NoMuxShadow bool
 	// Workers is the total evaluation goroutine count, dispatcher
 	// included, for the two engines that can split a cycle across the
 	// worker pool. An explicit value is honoured exactly (no cap); 0
@@ -49,37 +55,37 @@ type Options struct {
 func New(d *netlist.Design, opts Options) (Simulator, error) {
 	switch opts.Engine {
 	case EngineEventDriven:
-		return NewEventDrivenVerify(d, opts.Verify)
-	case EngineFullCycle:
-		return NewFullCycleVerify(d, false, opts.NoFuse, opts.Verify)
-	case EngineFullCycleOpt:
-		return NewFullCycleVerify(d, true, opts.NoFuse, opts.Verify)
-	case EngineCCSS:
-		return NewCCSS(d, CCSSOptions{Cp: opts.Cp, NoFuse: opts.NoFuse,
-			Verify: opts.Verify})
-	case EngineCCSSParallel:
+		return built(newEventDriven(d, opts))
+	case EngineFullCycle, EngineFullCycleOpt:
+		return built(newFullCycle(d, opts))
+	case EngineCCSS, EngineCCSSParallel:
 		// The same engine: CCSS whose parallel levels may cross the pool.
-		return newCCSS(d, CCSSOptions{Cp: opts.Cp, NoFuse: opts.NoFuse,
-			Verify: opts.Verify}, resolveWorkers(opts))
+		return built(newCCSS(d, opts))
 	case EngineCCSSVec:
-		return NewVecCCSS(d, VecCCSSOptions{
-			Cp: opts.Cp, Workers: resolveWorkers(opts), NoFuse: opts.NoFuse,
-			MaxLanes: opts.MaxVecLanes, MinLanes: opts.MinVecLanes,
-			NoVec: opts.NoVec, NoSA: opts.NoSA,
-			Verify: opts.Verify})
+		return built(newVecCCSS(d, opts))
 	default:
 		return nil, fmt.Errorf("sim: unknown engine %v", opts.Engine)
 	}
 }
 
+// built widens an engine builder's result to the interface, keeping a
+// failed build a nil Simulator rather than a typed nil pointer.
+func built[E Simulator](e E, err error) (Simulator, error) {
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
 // resolveWorkers is the one place Options.Workers' zero value is given a
-// meaning; the engine constructors take the resolved count.
+// meaning, and the one place an engine without a pool ignores the field.
 func resolveWorkers(opts Options) int {
-	if opts.Workers > 0 {
+	pooled := opts.Engine == EngineCCSSParallel || opts.Engine == EngineCCSSVec
+	switch {
+	case pooled && opts.Workers > 0:
 		return opts.Workers
+	case opts.Engine == EngineCCSSParallel:
+		return min(runtime.GOMAXPROCS(0), defaultWorkerCap)
 	}
-	if opts.Engine != EngineCCSSParallel {
-		return 1
-	}
-	return min(runtime.GOMAXPROCS(0), defaultWorkerCap)
+	return 1
 }

@@ -119,7 +119,7 @@ func TestPackedLaneEquivalenceFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewCCSS(d, CCSSOptions{Cp: 8})
+		ref, err := newCCSS(d, Options{Cp: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,7 +81,7 @@ var panicRigs = []struct {
 }{
 	// One wide always-active level, forced across the barrier.
 	{"ccss", wideSrc(120, 12), func(t *testing.T, d *netlist.Design) (panicEngine, func() string) {
-		ref, err := NewCCSS(d, CCSSOptions{Cp: 8})
+		ref, err := newCCSS(d, Options{Cp: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,11 +123,11 @@ var panicRigs = []struct {
 	}},
 	// One 32-lane class of in-place accumulators, every lane active.
 	{"vec", replicatedSrc(32), func(t *testing.T, d *netlist.Design) (panicEngine, func() string) {
-		ref, err := NewCCSS(d, CCSSOptions{})
+		ref, err := newCCSS(d, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := NewVecCCSS(d, VecCCSSOptions{Workers: 4})
+		v, err := newVecCCSS(d, Options{Engine: EngineCCSSVec, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ import (
 // forces every active parallel level across the barrier, which randomly
 // generated circuits are otherwise too thin to do.
 func newPooledCCSS(d *netlist.Design, workers int, cutoff int64) (*CCSS, error) {
-	c, err := newCCSS(d, CCSSOptions{Cp: 8}, workers)
+	c, err := newCCSS(d, Options{Engine: EngineCCSSParallel, Cp: 8, Workers: workers})
 	if err == nil && cutoff > 0 {
 		c.serialCutoff = cutoff
 		c.sizeLevels()
@@ -34,7 +34,7 @@ func TestParallelCCSSEquivalenceFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewCCSS(d, CCSSOptions{Cp: 8})
+		ref, err := newCCSS(d, Options{Cp: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestParallelWorkersAboveDefaultCap(t *testing.T) {
 		t.Fatalf("default worker count %d outside 1..%d", n, defaultWorkerCap)
 	}
 	// Oversubscribed workers must still agree with the sequential engine.
-	ref, err := NewCCSS(d, CCSSOptions{Cp: 8})
+	ref, err := newCCSS(d, Options{Cp: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestParallelPoolStressRace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := NewCCSS(d, CCSSOptions{Cp: 8})
+			ref, err := newCCSS(d, Options{Cp: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +274,7 @@ func TestParallelCloseKeepsStepping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewCCSS(d, CCSSOptions{Cp: 8})
+	ref, err := newCCSS(d, Options{Cp: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"essent/internal/netlist"
 	"essent/internal/partition"
 	"essent/internal/sa"
-	"essent/internal/sched"
 	"essent/internal/verify"
 	"essent/pkg/simrt"
 )
@@ -46,39 +45,6 @@ type VecCCSS struct {
 	chunkFn  func(wid int)
 
 	vst VecStats
-}
-
-// VecCCSSOptions configures the instance-vectorized engine.
-type VecCCSSOptions struct {
-	// Cp is the partitioning threshold (0 = paper default).
-	Cp int
-	// NoElide / NoMuxShadow / NoFuse are the usual ablation knobs,
-	// passed through to the underlying CCSS compilation.
-	NoElide     bool
-	NoMuxShadow bool
-	NoFuse      bool
-	// Workers is the total evaluation goroutine count, dispatcher
-	// included, honoured exactly; values below 1 mean 1. More than one
-	// splits the lanes of a large group across the worker pool.
-	Workers int
-	// MaxLanes caps instances per class (2..64; 0 = 64).
-	MaxLanes int
-	// MinLanes is the cost-model floor: a compiled class packing fewer
-	// lanes falls back to the scalar path (per-group gather/scatter
-	// overhead swamps the kernel win on fragmented classes — the NoC
-	// regression). 0 selects the tuned default (8); 2 accepts every
-	// class the legality checks admit.
-	MinLanes int
-	// NoVec is the ablation switch: compile and run as plain scalar
-	// CCSS (no class detection), bit-exact against the vectorized mode.
-	NoVec bool
-	// NoSA disables static activity analysis during class detection
-	// (guard-signature affinity packing; ablation knob — grouping may
-	// differ, results stay bit-exact).
-	NoSA bool
-	// Verify selects static-verification enforcement (includes the
-	// SM-VEC rules over the compiled classes).
-	Verify verify.Mode
 }
 
 // VecStats reports what the class-detection pass found and what the
@@ -166,15 +132,11 @@ type vecWorkerBuf struct {
 	dirty []int32
 }
 
-// NewVecCCSS compiles the instance-vectorized engine.
-func NewVecCCSS(d *netlist.Design, opts VecCCSSOptions) (*VecCCSS, error) {
-	plan, err := sched.PlanCCSSOpts(d, sched.PlanOptions{
-		Cp: opts.Cp, NoElide: opts.NoElide, NoMuxShadow: opts.NoMuxShadow,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c, err := newCCSSFromPlan(d, plan, opts.NoFuse, opts.Verify, opts.Workers)
+// newVecCCSS compiles the instance-vectorized engine: a CCSS whose walk
+// evaluates each compiled class once across its instances. More than one
+// worker splits the lanes of a large group across the pool.
+func newVecCCSS(d *netlist.Design, opts Options) (*VecCCSS, error) {
+	c, err := newCCSS(d, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -186,14 +148,14 @@ func NewVecCCSS(d *netlist.Design, opts VecCCSSOptions) (*VecCCSS, error) {
 	}
 	v.isLeader = make([]bool, len(c.parts))
 	if !opts.NoVec {
-		maxLanes := opts.MaxLanes
+		maxLanes := opts.MaxVecLanes
 		if maxLanes <= 0 || maxLanes > partition.MaxClassLanes {
 			maxLanes = partition.MaxClassLanes
 		}
 		if maxLanes < 2 {
 			maxLanes = 2
 		}
-		minLanes := opts.MinLanes
+		minLanes := opts.MinVecLanes
 		if minLanes <= 0 {
 			minLanes = defaultMinVecLanes
 		}

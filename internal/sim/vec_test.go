@@ -48,7 +48,7 @@ func compileVecTest(t *testing.T, src string) *netlist.Design {
 // least one multi-lane class under the vec pass.
 func TestVecFindsClasses(t *testing.T) {
 	d := compileVecTest(t, replicatedSrc(8))
-	v, err := NewVecCCSS(d, VecCCSSOptions{MinLanes: 2})
+	v, err := newVecCCSS(d, Options{MinVecLanes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func stepCompare(t *testing.T, ref, got Simulator, d *netlist.Design,
 func TestVecEquivalenceReplicated(t *testing.T) {
 	for _, n := range []int{2, 3, 8, 16} {
 		d := compileVecTest(t, replicatedSrc(n))
-		ref, err := NewCCSS(d, CCSSOptions{})
+		ref, err := newCCSS(d, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := NewVecCCSS(d, VecCCSSOptions{MinLanes: 2})
+		v, err := newVecCCSS(d, Options{MinVecLanes: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,11 +105,11 @@ func TestVecEquivalenceReplicated(t *testing.T) {
 // CCSS exactly.
 func TestVecEquivalenceNoVec(t *testing.T) {
 	d := compileVecTest(t, replicatedSrc(4))
-	ref, err := NewCCSS(d, CCSSOptions{})
+	ref, err := newCCSS(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := NewVecCCSS(d, VecCCSSOptions{NoVec: true})
+	v, err := newVecCCSS(d, Options{NoVec: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestVecEquivalenceFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		ref, err := NewCCSS(d, CCSSOptions{})
+		ref, err := newCCSS(d, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		v, err := NewVecCCSS(d, VecCCSSOptions{MinLanes: 2})
+		v, err := newVecCCSS(d, Options{MinVecLanes: 2})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -175,7 +175,7 @@ func TestVecEquivalenceFuzz(t *testing.T) {
 // lockstep afterwards.
 func TestVecCheckpointRoundTrip(t *testing.T) {
 	d := compileVecTest(t, replicatedSrc(8))
-	v, err := NewVecCCSS(d, VecCCSSOptions{MinLanes: 2})
+	v, err := newVecCCSS(d, Options{MinVecLanes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +192,14 @@ func TestVecCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := NewVecCCSS(d, VecCCSSOptions{MinLanes: 2})
+	v2, err := newVecCCSS(d, Options{MinVecLanes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Restore(v2, st); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewCCSS(d, CCSSOptions{})
+	ref, err := newCCSS(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +232,11 @@ func TestVecCheckpointRoundTrip(t *testing.T) {
 // two-phase gather/scatter has no data races.
 func TestVecWorkers(t *testing.T) {
 	d := compileVecTest(t, replicatedSrc(32))
-	ref, err := NewCCSS(d, CCSSOptions{})
+	ref, err := newCCSS(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := NewVecCCSS(d, VecCCSSOptions{Workers: 4})
+	v, err := newVecCCSS(d, Options{Engine: EngineCCSSVec, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +255,11 @@ func TestVecWorkers(t *testing.T) {
 func TestVecMaxLanes(t *testing.T) {
 	d := compileVecTest(t, replicatedSrc(16))
 	for _, cap := range []int{2, 3, 5, 64} {
-		ref, err := NewCCSS(d, CCSSOptions{})
+		ref, err := newCCSS(d, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := NewVecCCSS(d, VecCCSSOptions{MaxLanes: cap, MinLanes: 2})
+		v, err := newVecCCSS(d, Options{MaxVecLanes: cap, MinVecLanes: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestVecMaxLanes(t *testing.T) {
 func TestVecVerifierMutations(t *testing.T) {
 	build := func(t *testing.T) *VecCCSS {
 		d := compileVecTest(t, replicatedSrc(6))
-		v, err := NewVecCCSS(d, VecCCSSOptions{MinLanes: 2})
+		v, err := newVecCCSS(d, Options{MinVecLanes: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +403,7 @@ func TestVecVerifierMutations(t *testing.T) {
 // the mutation tests above).
 func TestVecStrictVerifyOnConstruction(t *testing.T) {
 	d := compileVecTest(t, replicatedSrc(4))
-	if _, err := NewVecCCSS(d, VecCCSSOptions{Verify: verify.Strict}); err != nil {
+	if _, err := newVecCCSS(d, Options{Verify: verify.Strict}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -414,7 +414,7 @@ func TestVecStrictVerifyOnConstruction(t *testing.T) {
 // re-admit the same class.
 func TestVecMinLanesFloor(t *testing.T) {
 	d := compileVecTest(t, replicatedSrc(8))
-	v, err := NewVecCCSS(d, VecCCSSOptions{})
+	v, err := newVecCCSS(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestVecMinLanesFloor(t *testing.T) {
 	if st.Groups != 0 || st.DroppedGroups == 0 || st.DroppedParts < 2 {
 		t.Fatalf("fragmented class not dropped by the floor: %+v", st)
 	}
-	ref, err := NewCCSS(d, CCSSOptions{})
+	ref, err := newCCSS(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestVecMinLanesFloor(t *testing.T) {
 		t.Fatalf("stats diverged:\nref: %+v\nvec: %+v", rs, vs)
 	}
 
-	accept, err := NewVecCCSS(d, VecCCSSOptions{MinLanes: 2})
+	accept, err := newVecCCSS(d, Options{MinVecLanes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestVecMinLanesFloor(t *testing.T) {
 // ablation compiles the same lanes and stays bit-exact.
 func TestVecGuardSignatures(t *testing.T) {
 	d := compileVecTest(t, replicatedSrc(8))
-	v, err := NewVecCCSS(d, VecCCSSOptions{MinLanes: 2})
+	v, err := newVecCCSS(d, Options{MinVecLanes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestVecGuardSignatures(t *testing.T) {
 	if st.GatedParts == 0 || st.SharedGuardGroups == 0 {
 		t.Fatalf("shared global enable not reflected in signatures: %+v", st)
 	}
-	ab, err := NewVecCCSS(d, VecCCSSOptions{MinLanes: 2, NoSA: true})
+	ab, err := newVecCCSS(d, Options{MinVecLanes: 2, NoSA: true})
 	if err != nil {
 		t.Fatal(err)
 	}

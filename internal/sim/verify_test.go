@@ -11,7 +11,7 @@ import (
 )
 
 // Machine-level (SM-*) rule tests: build a real machine the way
-// newCCSSFromPlan does, inject one lowering defect, and assert the rule
+// newCCSS does, inject one lowering defect, and assert the rule
 // guarding against it fires.
 
 const smMultiSrc = `
@@ -83,7 +83,7 @@ func buildVerifyMachine(t *testing.T, src string, cp int) (*machine, [][2]int32,
 			keepLive = append(keepLive, op.Sig)
 		}
 	}
-	m, ranges, err := newMachineCfg(d, plan.DG, plan.Order, plan.Elided,
+	m, ranges, err := newMachine(d, plan.DG, plan.Order, plan.Elided,
 		machineConfig{shadows: plan.Shadows, groups: groups, fuse: true,
 			keepLive: keepLive})
 	if err != nil {

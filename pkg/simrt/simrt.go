@@ -319,16 +319,3 @@ func Load(mem []uint64, addr uint64) uint64 {
 	}
 	return 0
 }
-
-// FormatValue renders a value for printf (%d semantics).
-func FormatValue(words []uint64, width int, signed bool) string {
-	v := new(big.Int)
-	for i := len(words) - 1; i >= 0; i-- {
-		v.Lsh(v, 64)
-		v.Or(v, new(big.Int).SetUint64(words[i]))
-	}
-	if signed && width > 0 && v.Bit(width-1) == 1 {
-		v.Sub(v, new(big.Int).Lsh(big.NewInt(1), uint(width)))
-	}
-	return v.String()
-}

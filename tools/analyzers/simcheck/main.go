@@ -2,8 +2,10 @@
 // enforces five invariants the ordinary type checker cannot see (run
 // in CI alongside go vet and staticcheck):
 //
-//  1. engine-verify — every exported engine constructor in
-//     internal/sim (New*) must reach verify.Enforce through
+//  1. engine-verify — the exported constructors of internal/sim (New*)
+//     are exactly New and NewBatchCCSS — sim.Options is the one
+//     description of a Simulator, so a NewFoo/NewFooOpts ladder cannot
+//     regrow beside it — and each must reach verify.Enforce through
 //     package-local calls, so no engine can be built without the
 //     static verifier having a say.
 //  2. stats-write — outside internal/sim, the *sim.Stats returned by
@@ -240,8 +242,14 @@ func checkOnePool(fset *token.FileSet, files []*ast.File, info *types.Info,
 	}
 }
 
-// checkEngineVerify: every exported New* function must reach a
-// verify.Enforce call through package-local calls. Reachability is by
+// simCtors is the whole exported New* surface of internal/sim: every
+// Simulator is built by New from a sim.Options; the batch engine is not a
+// Simulator and keeps its own constructor.
+var simCtors = map[string]bool{"New": true, "NewBatchCCSS": true}
+
+// checkEngineVerify: an exported New* function must be one of simCtors
+// and must reach a verify.Enforce call through package-local calls.
+// Reachability is by
 // callee name (functions and methods pooled), an over-approximation
 // that can only hide a miss when an unrelated same-named callee calls
 // Enforce — acceptable for an existence check.
@@ -286,6 +294,12 @@ func checkEngineVerify(files []*ast.File, info *types.Info,
 		}
 	}
 	for _, fd := range ctors {
+		if !simCtors[fd.Name.Name] {
+			report(fd.Pos(), "engine-verify", fmt.Sprintf(
+				"exported constructor %s: engines are built by sim.New from sim.Options "+
+					"(make it an unexported builder New dispatches to)", fd.Name.Name))
+			continue
+		}
 		seen := map[string]bool{}
 		work := []string{fd.Name.Name}
 		found := false

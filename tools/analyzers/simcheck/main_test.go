@@ -82,28 +82,38 @@ func wantRules(t *testing.T, findings []string, rules ...string) {
 }
 
 // TestEngineVerifyRule: a constructor reaching Enforce transitively is
-// clean; one that never does is flagged.
+// clean; one that never does is flagged; and so is any exported New*
+// beside New and NewBatchCCSS, verified or not — the constructor ladder
+// growing back.
 func TestEngineVerifyRule(t *testing.T) {
 	imp := deps(t)
-	findings, simPkg := checkSrc(t, imp, simPath, `
+	const src = `
 package sim
 import "essent/internal/verify"
 type Stats struct{ Cycles uint64 }
 type CCSS struct{ st Stats }
 func (c *CCSS) Stats() *Stats { return &c.st }
-func NewCCSS() (*CCSS, error) {
+func newCCSS() (*CCSS, error) {
 	if err := verify.Enforce(0, nil, nil); err != nil {
 		return nil, err
 	}
 	return &CCSS{}, nil
 }
-func New() (*CCSS, error) { return NewCCSS() }
-func NewRogue() (*CCSS, error) { return &CCSS{}, nil }
-`)
-	imp[simPath] = simPkg
+func New() (*CCSS, error) { return newCCSS() }
+func NewBatchCCSS() (*CCSS, error) { return &CCSS{}, nil }
+`
+	findings, _ := checkSrc(t, imp, simPath, src)
 	wantRules(t, findings, "engine-verify")
-	if !strings.Contains(findings[0], "NewRogue") {
-		t.Fatalf("wrong constructor flagged: %q", findings[0])
+	if !strings.Contains(findings[0], "NewBatchCCSS never reaches") {
+		t.Fatalf("wrong finding: %q", findings[0])
+	}
+	findings, _ = checkSrc(t, imp, simPath, strings.Replace(src,
+		"func NewBatchCCSS() (*CCSS, error) { return &CCSS{}, nil }",
+		"func NewBatchCCSS() (*CCSS, error) { return newCCSS() }\n"+
+			"func NewCCSS() (*CCSS, error) { return newCCSS() }", 1))
+	wantRules(t, findings, "engine-verify")
+	if !strings.Contains(findings[0], "exported constructor NewCCSS") {
+		t.Fatalf("wrong finding: %q", findings[0])
 	}
 }
 
@@ -197,7 +207,7 @@ import "essent/internal/verify"
 type CCSS struct{ flags []bool }
 func (c *CCSS) wake(q int32) { c.flags[q] = true }
 func (c *CCSS) spawn(f func()) { go f() }
-func NewCCSS() (*CCSS, error) {
+func New() (*CCSS, error) {
 	if err := verify.Enforce(0, nil, nil); err != nil {
 		return nil, err
 	}
@@ -235,7 +245,6 @@ func anyOf(flags []bool) bool {
 `)
 	wantRules(t, findings)
 	findings, _ = checkFile(t, imp, "essent/internal/consumer", "consumer/walk.go",
-		strings.NewReplacer("package sim", "package consumer",
-			"func NewCCSS", "func newCCSS").Replace(src))
+		strings.Replace(src, "package sim", "package consumer", 1))
 	wantRules(t, findings)
 }
