@@ -351,9 +351,24 @@ func (s *Sim) signal(name string) (netlist.SignalID, error) {
 	return id, nil
 }
 
-// Poke sets a signal (normally an input) to v.
-func (s *Sim) Poke(name string, v uint64) error {
+// input resolves the name of a top-level input. Only inputs can be poked:
+// forcing a register or a wire means something different on every engine
+// (full-cycle recomputes from it, an activity-driven engine never wakes
+// its readers, event-driven overwrites it), so it is refused on all.
+func (s *Sim) input(name string) (netlist.SignalID, error) {
 	id, err := s.signal(name)
+	if err != nil {
+		return 0, err
+	}
+	if k := s.d.Signals[id].Kind; k != netlist.KInput {
+		return 0, fmt.Errorf("essent: cannot poke %q (%v): only inputs can be poked", name, k)
+	}
+	return id, nil
+}
+
+// Poke sets an input to v.
+func (s *Sim) Poke(name string, v uint64) error {
+	id, err := s.input(name)
 	if err != nil {
 		return err
 	}
@@ -361,9 +376,9 @@ func (s *Sim) Poke(name string, v uint64) error {
 	return nil
 }
 
-// PokeWide sets a signal from limb words (least-significant first).
+// PokeWide sets an input from limb words (least-significant first).
 func (s *Sim) PokeWide(name string, words []uint64) error {
-	id, err := s.signal(name)
+	id, err := s.input(name)
 	if err != nil {
 		return err
 	}

@@ -211,3 +211,81 @@ func TestEngineStringAndNoOptimize(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPokeNonInputRejected: forcing a register or a wire used to be
+// silently engine-dependent (after Poke("r", 40) and one step, o = r+3
+// read 43 on the full-cycle engines, a stale 3 on ESSENT and ESSENT-Vec
+// whose consumers were never woken, and event-driven dropped the poke).
+// Every engine and the compiled backend now refuse it the same way,
+// naming the signal, and stay untouched by the attempt.
+func TestPokeNonInputRejected(t *testing.T) {
+	const src = `
+circuit P :
+  module P :
+    input clock : Clock
+    input en : UInt<1>
+    input wide : UInt<100>
+    output o : UInt<8>
+    reg r : UInt<8>, clock
+    node next = tail(add(r, UInt<8>(1)), 1)
+    r <= mux(en, next, r)
+    o <= tail(add(r, UInt<8>(3)), 1)
+`
+	type arm struct {
+		name string
+		opts Options
+	}
+	var arms []arm
+	for _, e := range []Engine{EngineEventDriven, EngineBaseline, EngineFullCycleOpt,
+		EngineESSENT, EngineESSENTParallel, EngineESSENTVec} {
+		arms = append(arms, arm{e.String(), Options{Engine: e, Workers: 2}})
+	}
+	if !testing.Short() {
+		arms = append(arms, arm{"essent/compiled", Options{Engine: EngineESSENT,
+			Backend: "compiled", ArtifactCacheDir: t.TempDir()}})
+	}
+	for _, a := range arms {
+		t.Run(a.name, func(t *testing.T) {
+			s, err := Compile(src, a.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for _, name := range []string{"r", "next", "o"} {
+				err := s.Poke(name, 40)
+				if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+					t.Fatalf("Poke(%q) = %v, want an error naming the signal", name, err)
+				}
+				err = s.PokeWide(name, []uint64{40})
+				if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+					t.Fatalf("PokeWide(%q) = %v, want an error naming the signal", name, err)
+				}
+			}
+			if err := s.Step(1); err != nil {
+				t.Fatal(err)
+			}
+			if r, _ := s.Peek("r"); r != 0 {
+				t.Fatalf("a refused poke still reached the register: r = %d", r)
+			}
+			if o, _ := s.Peek("o"); o != 3 {
+				t.Fatalf("o = %d after a refused poke and one step, want 3", o)
+			}
+			// Inputs, narrow and wide, are still pokeable.
+			if err := s.PokeWide("wide", []uint64{1, 2}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Poke("en", 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Step(5); err != nil {
+				t.Fatal(err)
+			}
+			if o, _ := s.Peek("o"); o != 7 {
+				t.Fatalf("o = %d five steps after enabling the counter, want 7", o)
+			}
+			if s.Degraded() {
+				t.Fatalf("degraded: %+v", s.BackendDegradation())
+			}
+		})
+	}
+}

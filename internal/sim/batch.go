@@ -54,8 +54,10 @@ type BatchCCSS struct {
 
 	// pmask is the per-partition activity mask (the batched form of
 	// CCSS.flags); specMask aggregates it per level spec so idle levels
-	// are skipped without touching their partitions.
+	// are skipped without touching their partitions. alwaysOn marks the
+	// partitions that evaluate every cycle for every live lane.
 	pmask    []simrt.LaneMask
+	alwaysOn []bool
 	specMask []simrt.LaneMask
 	specs    []batchSpec
 	specOf   []int32
@@ -193,7 +195,7 @@ type BatchOptions struct {
 
 // NewBatchCCSS compiles a batched CCSS simulator.
 func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
-	base, err := newCCSS(d, Options{Cp: opts.Cp, Verify: opts.Verify})
+	base, err := buildCCSS(d, Options{Cp: opts.Cp, Verify: opts.Verify}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -221,14 +223,19 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 
 	plan := base.plan
 	b.specOf = plan.SpecOf
-	b.pmask = make([]simrt.LaneMask, len(base.parts))
+	np := base.NumPartitions()
+	b.pmask = make([]simrt.LaneMask, np)
 	b.specMask = make([]simrt.LaneMask, len(plan.LevelSpecs))
-	b.emBuf = make([]simrt.LaneMask, len(base.parts))
+	b.emBuf = make([]simrt.LaneMask, np)
+	b.alwaysOn = make([]bool, np)
+	for pi := range b.alwaysOn {
+		b.alwaysOn[pi] = plan.Parts[pi].AlwaysOn
+	}
 	b.specs = make([]batchSpec, len(plan.LevelSpecs))
 	for si, spec := range plan.LevelSpecs {
 		sp := batchSpec{parts: toInt32s(spec.Parts), serial: spec.Serial}
 		for _, pi := range sp.parts {
-			if base.parts[pi].alwaysOn {
+			if b.alwaysOn[pi] {
 				sp.alwaysOn = true
 			}
 		}
@@ -264,10 +271,7 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 	// word-ops (64 lanes per uint64 op). The plan is an overlay — the base
 	// machine schedule stays untouched; the batch engine walks b.sched.
 	b.sched = m.sched
-	b.pranges = make([][2]int32, len(base.parts))
-	for pi := range base.parts {
-		b.pranges[pi] = [2]int32{base.parts[pi].schedStart, base.parts[pi].schedEnd}
-	}
+	b.pranges = base.parts.sched
 	if !opts.NoPack {
 		// Partition outputs are deliberately NOT kept live: a packed
 		// destination that is only read packed elides its row, and its
@@ -287,9 +291,9 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 			b.sched = pp.sched
 			b.pranges = pp.ranges
 			b.pt = make([]uint64, pp.nslots)
-			b.outSlot = make([][]int32, len(base.parts))
-			for pi := range base.parts {
-				outs := base.parts[pi].outputs
+			b.outSlot = make([][]int32, np)
+			for pi := range b.outSlot {
+				outs := base.parts.outputs(int32(pi))
 				var os []int32
 				for oi := range outs {
 					o := &outs[oi]
@@ -484,7 +488,7 @@ func (b *BatchCCSS) LaneErr(l int) error { return b.laneErr[l] }
 func (b *BatchCCSS) NumSchedEntries() int { return b.base.NumSchedEntries() }
 
 // NumPartitions returns the partition count.
-func (b *BatchCCSS) NumPartitions() int { return len(b.base.parts) }
+func (b *BatchCCSS) NumPartitions() int { return b.base.NumPartitions() }
 
 // SetOutput directs printf output (serialized across lanes and workers;
 // lane interleaving within a cycle follows lane order on the
@@ -659,7 +663,7 @@ func (b *BatchCCSS) Step(n int) error {
 
 func (b *BatchCCSS) stepOne() {
 	live := b.live
-	np := len(b.base.parts)
+	np := len(b.pmask)
 	c0 := b.ctx[0]
 	var lanesArr [simrt.MaxLanes]int
 
@@ -836,7 +840,7 @@ func (b *BatchCCSS) runSpecInline(c *batchCtx, sp *batchSpec, live simrt.LaneMas
 	for _, pi := range sp.parts {
 		em := b.pmask[pi]
 		b.pmask[pi] = 0
-		if b.base.parts[pi].alwaysOn {
+		if b.alwaysOn[pi] {
 			em = live
 		} else {
 			em &= live

@@ -30,7 +30,7 @@ func (b *BatchCCSS) runSpecPooled(si int32, sp *batchSpec, live simrt.LaneMask) 
 	active := 0
 	for _, pi := range sp.parts {
 		em := b.pmask[pi]
-		if b.base.parts[pi].alwaysOn {
+		if b.alwaysOn[pi] {
 			em = live
 		} else {
 			em &= live

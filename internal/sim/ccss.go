@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	stdbits "math/bits"
+	"slices"
 	"sync/atomic"
 
 	"essent/internal/bits"
@@ -21,15 +23,17 @@ import (
 // (§III). The schedule is static and singular: one pass over the
 // partition list per cycle, each partition evaluated at most once.
 //
-// The pass walks the planner's barrier-level specs (sched.CCSSPlan
-// LevelSpecs; partitions are numbered level-major, so the concatenated
-// specs are the partition list). A per-level count of flagged partitions
-// lets it step over an idle level on one compare, and — the only thing
-// EngineCCSSParallel adds — a level whose partitions are mutually
-// independent and busy enough may be split across the worker pool
-// instead of run in place. Thread-parallelism is a parameter of this one
-// walk (static bulk-synchronous levels, as in Manticore and GSIM), not a
-// second engine: with one worker no level ever crosses the pool.
+// The pass walks the partition list through a bitmap of activity flags,
+// a word of 64 partitions at a time, and descends only into set bits
+// (GSIM's activity test, one level down): an idle partition costs 1/64
+// of a load and a compare. The planner numbers partitions level-major
+// (sched.CCSSPlan LevelSpecs), so every barrier level is one bit range —
+// and the only thing EngineCCSSParallel adds is that a level whose
+// partitions are mutually independent and busy enough may be split
+// across the worker pool instead of run in place. Thread-parallelism is
+// a parameter of this one walk (static bulk-synchronous levels, as in
+// Manticore and GSIM), not a second engine: with one worker no level
+// ever crosses the pool and the walk is one scan of the bitmap.
 //
 // Semantics do not depend on the worker count except printf
 // interleaving (printfs from partitions on the same level may appear in
@@ -41,21 +45,24 @@ type CCSS struct {
 	*machine
 	*pool
 
-	parts []ccssPart
+	parts partTable
 
-	// flags, lvlOf and levelActive are the activity state. Their
-	// representation is private to this file: every other reader or writer
-	// in the package goes through wake, take and wakeAll. A partition's
-	// flag byte is flagWoken and/or flagAlwaysOn, so the walk's test of an
-	// idle partition is one load of a dense array.
-	flags []uint8
-	// lvlOf maps partition ID -> levels index (plan.SpecOf);
-	// levelActive counts flagged partitions per level, plus the level's
-	// aoBias. Only the dispatching goroutine touches either.
-	lvlOf       []int32
-	levelActive []int32
-	// levels is the walk (one entry per plan LevelSpec).
+	// flags and always are the activity state. Their representation is
+	// private to this file: every other reader or writer in the package
+	// goes through wake, take, anyFlagged, next, pending, stopAt and
+	// wakeAll. Bit p of
+	// flags is partition p's activity flag (set by wake, cleared by take);
+	// always is constant after construction and marks the partitions the
+	// walk stops at every cycle whether flagged or not — the always-on
+	// ones (display/check sinks), plus the vec engine's class leaders.
+	// Only the dispatching goroutine touches flags.
+	flags  []uint64
+	always []uint64
+	// levels is the plan's barrier-level list (one entry per LevelSpec);
+	// runs is the walk sizeLevels derives from it: levels that can never
+	// cross the pool merge into one scan.
 	levels []levelRun
+	runs   []walkRun
 	// serialCutoff is the active static cost (≈ns of single-threaded
 	// evaluation) below which crossing the barrier costs more than it
 	// saves; sizeLevels turns it into levelRun.poolAt.
@@ -84,7 +91,8 @@ type CCSS struct {
 	// comparing every input word against its history.
 	poked bool
 
-	// oldVals buffers pre-evaluation output values for change detection.
+	// oldVals mirrors every partition output's table words as of the
+	// partition's last evaluation (change detection compares against it).
 	oldVals []uint64
 
 	// Pooled-level state (empty with one worker). wk[w] is worker w's
@@ -115,16 +123,11 @@ type CCSS struct {
 // partition range [start, end).
 type levelRun struct {
 	start, end int32
-	// aoBias is a constant added to the level's levelActive counter when
-	// it contains always-on partitions, so the walk's skip test is a bare
-	// levelActive[li] == 0 compare on a dense array — idle levels never
-	// load this struct at all.
-	aoBias int32
-	// poolAt is the levelActive value from which crossing the barrier
-	// beats running in place: serialCutoff over the level's mean
-	// partition cost, precomputed so the per-cycle decision is one integer
-	// compare. Serial specs, and every level of a one-worker engine, never
-	// reach it.
+	// poolAt is the count of partitions due to evaluate from which
+	// crossing the barrier beats running in place: serialCutoff over the
+	// level's mean partition cost, precomputed so the per-cycle decision is
+	// a popcount and a compare. Serial specs, and every level of a
+	// one-worker engine, never reach it (math.MaxInt32).
 	poolAt int32
 	// elided locates the table words of registers this level updates in
 	// place; elSnap is their pre-dispatch snapshot. Partition evaluation
@@ -132,6 +135,14 @@ type levelRun struct {
 	// panic recovery must roll these back before re-running the level.
 	elided []operand
 	elSnap []uint64
+}
+
+// walkRun is one step of the per-cycle walk: the partition range
+// [start, end), scanned in place when level is negative (a stretch of
+// levels that never cross the pool), else levels[level], which may.
+type walkRun struct {
+	start, end int32
+	level      int32
 }
 
 // ccssWorker is one pool worker's private side of a pooled level. m
@@ -146,14 +157,6 @@ type ccssWorker struct {
 	cur   int32
 }
 
-// Flag byte bits: flagWoken is the activity flag proper (set by wake,
-// cleared by take); flagAlwaysOn is fixed at construction for partitions
-// that evaluate every cycle (display/check sinks).
-const (
-	flagWoken uint8 = 1 << iota
-	flagAlwaysOn
-)
-
 // defaultWorkerCap bounds only sim.New's Workers=0 default for
 // EngineCCSSParallel, not explicit requests: per-level work on the
 // evaluation designs saturates around eight workers, and the barrier
@@ -165,21 +168,50 @@ const defaultWorkerCap = 8
 // evaluation; waking and draining the pool costs a few µs).
 const defaultSerialCutoff = 8192
 
-type ccssPart struct {
-	schedStart, schedEnd int32
-	alwaysOn             bool
-	outputs              []ccssOutput
-	// regs lists non-elided register indices written by this partition.
+// partTable is the partition wake plumbing in CSR form — partitions →
+// outputs → consumers, and partitions → two-phase registers — built once
+// from the plan and read by the scalar walk, the pooled workers and the
+// batch and vec engines alike. Flat arrays, not a slice per partition
+// and per output: evaluating a partition touches consecutive rows, no
+// pointer chase.
+type partTable struct {
+	// sched is each partition's entry range in the machine IR (what the
+	// batch, vec and pack engines compile from; the scalar walk runs
+	// machine.spans).
+	sched [][2]int32
+	rows  []partRow
+	outs  []partOut
+	// cons holds the consumer lists (partition indices to wake when an
+	// output changes — the OR-reduction targets of Fig. 1); regs the
+	// non-elided register indices each partition writes.
+	cons []int32
 	regs []int32
 }
 
-type ccssOutput struct {
-	off    int32
-	words  int32
-	oldOff int32
-	// consumers are partition indices to wake when this output changes
-	// (the OR-reduction targets of Fig. 1).
-	consumers []int32
+// partRow locates one partition's outputs in outs and registers in regs.
+type partRow struct {
+	out, outEnd int32
+	reg, regEnd int32
+}
+
+// partOut is one partition output: words table words at off, its
+// pre-evaluation copy at oldOff of the engine's old-value buffer, and
+// its consumers at cons[cons:consEnd].
+type partOut struct {
+	off, words, oldOff int32
+	cons, consEnd      int32
+}
+
+func (pt *partTable) outputs(p int32) []partOut {
+	r := &pt.rows[p]
+	return pt.outs[r.out:r.outEnd]
+}
+
+func (pt *partTable) consumers(o *partOut) []int32 { return pt.cons[o.cons:o.consEnd] }
+
+func (pt *partTable) regsOf(p int32) []int32 {
+	r := &pt.rows[p]
+	return pt.regs[r.reg:r.regEnd]
 }
 
 type ccssInput struct {
@@ -189,22 +221,32 @@ type ccssInput struct {
 	consumers []int32
 }
 
-func toInt32s(xs []int) []int32 {
-	out := make([]int32, len(xs))
-	for i, x := range xs {
-		out[i] = int32(x)
+func toInt32s(xs []int) []int32 { return appendInt32s(make([]int32, 0, len(xs)), xs) }
+
+func appendInt32s(dst []int32, xs []int) []int32 {
+	for _, x := range xs {
+		dst = append(dst, int32(x))
 	}
-	return out
+	return dst
 }
 
-// newCCSS plans the design and builds the runtime structures from the
+// newCCSS builds the engine that evaluates partitions itself: scalar,
+// pooled, and the base of the vec engine.
+func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
+	return buildCCSS(d, opts, true)
+}
+
+// buildCCSS plans the design and builds the runtime structures from the
 // plan, statically verifying the design, the plan, and the compiled
 // machine schedule under opts.Verify (the scalar, batch and vec engines
 // all build through here, so all three inherit the verification).
 // opts.Engine only sizes the pool (resolveWorkers): EngineCCSSParallel is
 // this engine with more workers, and the vec engine's workers split a
-// group's lanes.
-func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
+// group's lanes. scalar says the engine will step: it gets the lowered
+// op stream. The batch engine passes false — it takes the plan, the IR
+// and the partition table from here and evaluates through its own row
+// kernels, so a stream would be memory it never reads.
+func buildCCSS(d *netlist.Design, opts Options, scalar bool) (*CCSS, error) {
 	plan, err := sched.PlanCCSSOpts(d, sched.PlanOptions{
 		Cp: opts.Cp, NoElide: opts.NoElide, NoMuxShadow: opts.NoMuxShadow,
 	})
@@ -237,6 +279,9 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	if err != nil {
 		return nil, err
 	}
+	if scalar {
+		m.lower(ranges)
+	}
 	if vmode != verify.Off {
 		if err := verify.Enforce(vmode,
 			verifyMachine(m, ranges, plan, keepLive), nil); err != nil {
@@ -246,27 +291,32 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	c := &CCSS{machine: m, pool: newPool(workers), PartStats: plan.PartStats,
 		NumElided: plan.NumElided, plan: plan, serialCutoff: defaultSerialCutoff}
 
-	// Partition runtime structures: entry ranges come straight from the
-	// grouped schedule construction.
+	// The partition table: entry ranges come straight from the grouped
+	// schedule construction.
 	np := len(plan.Parts)
-	c.parts = make([]ccssPart, np)
-	c.flags = make([]uint8, np)
+	pt := &c.parts
+	pt.sched = ranges
+	pt.rows = make([]partRow, np)
+	c.flags = make([]uint64, (np+63)/64)
+	c.always = make([]uint64, len(c.flags))
 	oldOff := int32(0)
 	for p := 0; p < np; p++ {
 		pp := &plan.Parts[p]
-		part := ccssPart{schedStart: ranges[p][0], schedEnd: ranges[p][1],
-			alwaysOn: pp.AlwaysOn, regs: toInt32s(pp.Regs)}
+		row := partRow{out: int32(len(pt.outs)), reg: int32(len(pt.regs))}
 		for _, op := range pp.Outputs {
 			words := int32(bits.Words(d.Signals[op.Sig].Width))
-			part.outputs = append(part.outputs, ccssOutput{
-				off: m.off[op.Sig], words: words, oldOff: oldOff,
-				consumers: toInt32s(op.Consumers),
-			})
+			o := partOut{off: m.off[op.Sig], words: words, oldOff: oldOff,
+				cons: int32(len(pt.cons))}
+			pt.cons = appendInt32s(pt.cons, op.Consumers)
+			o.consEnd = int32(len(pt.cons))
+			pt.outs = append(pt.outs, o)
 			oldOff += words
 		}
-		c.parts[p] = part
-		if part.alwaysOn {
-			c.flags[p] = flagAlwaysOn
+		pt.regs = appendInt32s(pt.regs, pp.Regs)
+		row.outEnd, row.regEnd = int32(len(pt.outs)), int32(len(pt.regs))
+		pt.rows[p] = row
+		if pp.AlwaysOn {
+			c.stopAt(int32(p))
 		}
 	}
 	c.oldVals = make([]uint64, oldOff)
@@ -297,12 +347,10 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	}
 	c.prevIn = make([]uint64, prevOff)
 
-	// The level walk. The planner numbers partitions level-major, so each
-	// spec is one contiguous ID range and the specs tile the partition
-	// list in order.
-	c.lvlOf = append([]int32(nil), plan.SpecOf...)
+	// The levels. The planner numbers partitions level-major, so each spec
+	// is one contiguous ID range and the specs tile the partition list in
+	// order.
 	c.levels = make([]levelRun, len(plan.LevelSpecs))
-	c.levelActive = make([]int32, len(c.levels))
 	next := 0
 	for li, spec := range plan.LevelSpecs {
 		for _, pi := range spec.Parts {
@@ -310,9 +358,6 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 				return nil, fmt.Errorf("sim: level spec %d is not level-major at partition %d", li, pi)
 			}
 			next++
-			if c.parts[pi].alwaysOn {
-				c.levels[li].aoBias = 1 << 20
-			}
 		}
 		c.levels[li].start = int32(next - len(spec.Parts))
 		c.levels[li].end = int32(next)
@@ -326,31 +371,23 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	return c, nil
 }
 
-// sizeLevels sets each level's pool-crossing threshold from
-// serialCutoff. It is its own step so tests can lower the cutoff and
-// force every parallel level of a small design across the barrier.
+// sizeLevels sets each level's pool-crossing threshold from serialCutoff
+// and lays out the walk. It is its own step so tests can lower the cutoff
+// and force every parallel level of a small design across the barrier.
 func (c *CCSS) sizeLevels() {
+	c.runs = c.runs[:0]
 	for li, spec := range c.plan.LevelSpecs {
 		lv := &c.levels[li]
 		lv.poolAt = math.MaxInt32
-		if spec.Serial || c.pool.n == 1 {
-			continue
+		if !spec.Serial && c.pool.n > 1 {
+			avg := max(spec.Cost/int64(len(spec.Parts)), 1)
+			lv.poolAt = int32(max((c.serialCutoff+avg-1)/avg, 2))
+			c.runs = append(c.runs, walkRun{lv.start, lv.end, int32(li)})
+		} else if n := len(c.runs); n > 0 && c.runs[n-1].level < 0 {
+			c.runs[n-1].end = lv.end
+		} else {
+			c.runs = append(c.runs, walkRun{lv.start, lv.end, -1})
 		}
-		avg := spec.Cost / int64(len(spec.Parts))
-		if avg < 1 {
-			avg = 1
-		}
-		minActive := (c.serialCutoff + avg - 1) / avg
-		if minActive < 2 {
-			minActive = 2
-		}
-		// Always-on partitions run every cycle without holding a flag.
-		for p := lv.start; p < lv.end; p++ {
-			if c.parts[p].alwaysOn {
-				minActive--
-			}
-		}
-		lv.poolAt = int32(minActive) + lv.aoBias
 	}
 }
 
@@ -434,50 +471,104 @@ func (c *CCSS) SetOutput(w io.Writer) {
 
 // --- activity state ---
 
-// wake flags partition q for the next time the walk reaches it and
-// counts it into its level. Dispatcher only: partitions evaluated on the
-// pool buffer their wakes for the level boundary.
-func (c *CCSS) wake(q int32) {
-	if c.flags[q]&flagWoken == 0 {
-		c.flags[q] |= flagWoken
-		c.levelActive[c.lvlOf[q]]++
-	}
-}
+// wake flags partition q for the next time the walk reaches it.
+// Dispatcher only: partitions evaluated on the pool buffer their wakes
+// for the level boundary.
+func (c *CCSS) wake(q int32) { c.flags[q>>6] |= 1 << (q & 63) }
 
-// take consumes partition p's flag and reports whether p must evaluate
-// now: it was flagged, or it is always-on. Dispatcher only.
+// take consumes partition p's flag and reports whether it was set.
+// Dispatcher only.
 func (c *CCSS) take(p int32) bool {
-	f := c.flags[p]
-	if f == 0 {
+	w, bit := p>>6, uint64(1)<<(p&63)
+	f := c.flags[w]
+	if f&bit == 0 {
 		return false
 	}
-	if f&flagWoken != 0 {
-		c.flags[p] = f &^ flagWoken
-		c.levelActive[c.lvlOf[p]]--
-	}
+	c.flags[w] = f &^ bit
 	return true
 }
 
-// levelIdle reports whether the walk may step over level li: none of
-// the partitions accounted to it is flagged and none is always-on.
-func (c *CCSS) levelIdle(li int) bool { return c.levelActive[li] == 0 }
+// flagSet names a group of partitions by flag word, so that asking
+// whether any of them is flagged costs a load per word, not per member.
+type flagSet []flagWord
 
-// evalWith accounts partition p's flag to the level of partition at —
-// for a walk that evaluates p when it reaches at (the vec engine's class
-// members run at their leader's position), so that level stays awake
-// while p is flagged. Construction time only: re-arm with wakeAll after.
-func (c *CCSS) evalWith(p, at int32) { c.lvlOf[p] = c.lvlOf[at] }
+type flagWord struct {
+	w    int32
+	mask uint64
+}
+
+func newFlagSet(parts []int32) flagSet {
+	var fs flagSet
+	for _, p := range parts {
+		i := slices.IndexFunc(fs, func(f flagWord) bool { return f.w == p>>6 })
+		if i < 0 {
+			i, fs = len(fs), append(fs, flagWord{w: p >> 6})
+		}
+		fs[i].mask |= 1 << (p & 63)
+	}
+	return fs
+}
+
+// anyFlagged reports whether a partition of fs is flagged.
+func (c *CCSS) anyFlagged(fs flagSet) bool {
+	for _, f := range fs {
+		if c.flags[f.w]&f.mask != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// next returns the first partition in [from, end) the walk must stop at
+// — flagged, or marked in always — or end when there is none. It reads
+// the flag word afresh on every call, so a wake that an evaluation sent
+// to a later partition of the same word is seen in the same pass (serial
+// specs depend on it).
+func (c *CCSS) next(from, end int32) int32 {
+	for from < end {
+		w := from >> 6
+		if x := (c.flags[w] | c.always[w]) >> (from & 63); x != 0 {
+			return min(from+int32(stdbits.TrailingZeros64(x)), end)
+		}
+		from = (w + 1) << 6
+	}
+	return end
+}
+
+// pending counts the partitions of [start, end) the walk would stop at.
+func (c *CCSS) pending(start, end int32) int32 {
+	n := 0
+	for w := start >> 6; w<<6 < end; w++ {
+		x := c.flags[w] | c.always[w]
+		if lo := w << 6; lo < start {
+			x &= ^uint64(0) << (start - lo)
+		}
+		if hi := (w + 1) << 6; hi > end {
+			x &= ^uint64(0) >> (hi - end)
+		}
+		n += stdbits.OnesCount64(x)
+	}
+	return int32(n)
+}
+
+// stopAt makes the walk stop at partition p every cycle, flagged or not.
+// Construction time only.
+func (c *CCSS) stopAt(p int32) { c.always[p>>6] |= 1 << (p & 63) }
 
 // wakeAll flags every partition (first cycle, Reset, restore, panic
-// recovery), saturates the level counters and invalidates the input
-// history so the next Step re-seeds it.
+// recovery), re-copies the outputs' old values from the table those
+// events rewrote, and invalidates the input history so the next Step
+// re-seeds it.
 func (c *CCSS) wakeAll() {
-	for li := range c.levels {
-		c.levelActive[li] = c.levels[li].aoBias
+	for i := range c.parts.outs {
+		o := &c.parts.outs[i]
+		copy(c.oldVals[o.oldOff:o.oldOff+o.words], c.t[o.off:o.off+o.words])
 	}
-	for p := range c.flags {
-		c.flags[p] |= flagWoken
-		c.levelActive[c.lvlOf[p]]++
+	for w := range c.flags {
+		c.flags[w] = ^uint64(0)
+	}
+	if tail := len(c.parts.rows) & 63; tail != 0 {
+		c.flags[len(c.flags)-1] = 1<<tail - 1
 	}
 	c.poked = true
 	for i := range c.prevIn {
@@ -573,60 +664,72 @@ func (c *CCSS) scanInputs() {
 	}
 }
 
-// evalPart evaluates one woken partition: save old outputs, run the
-// instruction span, compare-and-wake, mark dirty registers. In place
-// (wk nil) it runs on the engine's machine and wakes directly — required
-// inside serial specs, where a consumer later in the spec must still run
-// this cycle. On the pool it runs on the worker's view and buffers wakes
-// and register marks for the merge at the level boundary; consumers of a
+// evalPart evaluates one woken partition: run its span of the stream,
+// compare-and-wake, mark dirty registers. In place (wk nil) it runs on
+// the engine's machine and wakes directly — required inside serial
+// specs, where a consumer later in the spec must still run this cycle.
+// On the pool it runs on the worker's view and buffers wakes and
+// register marks for the merge at the level boundary; consumers of a
 // partition's outputs are never on the producer's own parallel level
 // (see sched levels_test), so deferring them preserves the semantics.
+//
+// An output changed if its table words differ from their copy in
+// oldVals, which is then brought up to date: only this partition writes
+// those words, so between its evaluations the copy is the value it last
+// left there and nothing has to be saved beforehand (wakeAll re-copies
+// after anything rewrites the table wholesale). The counters are summed
+// locally and added once per partition, the op count by evalSpan.
 func (c *CCSS) evalPart(p int32, wk *ccssWorker) {
 	m := c.machine
 	if wk != nil {
 		m = wk.m
 		wk.cur = p
 	}
-	t := m.t
-	part := &c.parts[p]
-	oldVals := c.oldVals
-	m.stats.PartEvals++
-	// Save old output values (Fig. 1: deactivate, save, compute).
-	for oi := range part.outputs {
-		o := &part.outputs[oi]
-		copy(oldVals[o.oldOff:o.oldOff+o.words], t[o.off:o.off+o.words])
-	}
-	m.runRange(part.schedStart, part.schedEnd)
-	// Change detection and push triggering.
-	for oi := range part.outputs {
-		o := &part.outputs[oi]
-		m.stats.OutputCompares++
-		changed := false
-		for w := int32(0); w < o.words; w++ {
-			if t[o.off+w] != oldVals[o.oldOff+w] {
-				changed = true
-				break
+	m.evalSpan(m.spans[p])
+
+	t, old, pt := m.t, c.oldVals, &c.parts
+	row := pt.rows[p]
+	outs := pt.outs[row.out:row.outEnd]
+	var changes, wakes uint64
+	for i := range outs {
+		o := &outs[i]
+		if o.words == 1 {
+			v := t[o.off]
+			if v == old[o.oldOff] {
+				continue
 			}
-		}
-		if changed {
-			m.stats.SignalChanges++
-			if wk != nil {
-				wk.wakes = append(wk.wakes, o.consumers...)
-			} else {
-				for _, q := range o.consumers {
-					c.wake(q)
-				}
+			old[o.oldOff] = v
+		} else {
+			now, was := t[o.off:o.off+o.words], old[o.oldOff:o.oldOff+o.words]
+			if slices.Equal(now, was) {
+				continue
 			}
-			m.stats.Wakes += uint64(len(o.consumers))
+			copy(was, now)
+		}
+		cons := pt.consumers(o)
+		changes++
+		wakes += uint64(len(cons))
+		if wk != nil {
+			wk.wakes = append(wk.wakes, cons...)
+			continue
+		}
+		for _, q := range cons {
+			c.wake(q)
 		}
 	}
+	st := &m.stats
+	st.PartEvals++
+	st.OutputCompares += uint64(len(outs))
+	st.SignalChanges += changes
+	st.Wakes += wakes
 	// Non-elided registers written here must be committed and
 	// compared at the cycle boundary.
-	if len(part.regs) > 0 {
+	if row.reg != row.regEnd {
+		regs := pt.regs[row.reg:row.regEnd]
 		if wk != nil {
-			wk.dirty = append(wk.dirty, part.regs...)
+			wk.dirty = append(wk.dirty, regs...)
 		} else {
-			c.dirtyRegs = append(c.dirtyRegs, part.regs...)
+			c.dirtyRegs = append(c.dirtyRegs, regs...)
 		}
 	}
 }
@@ -637,34 +740,28 @@ func (c *CCSS) stepOne() error {
 	}
 	c.scanInputs()
 
-	// Walk the static partition schedule (singular execution), level by
-	// level. PartChecks stays "partitions considered": a level with no
-	// flagged and no always-on partition is stepped over on one compare of
-	// a dense counter array — the low-activity fast path — but every one
-	// of its partitions was still considered this cycle.
-	c.stats.PartChecks += uint64(len(c.parts))
-	la := c.levelActive
-	for li := range la {
-		active := la[li]
-		if active == 0 {
-			continue
-		}
-		lv := &c.levels[li]
-		if active < lv.poolAt || !c.pool.usable() {
-			c.runInline(lv)
+	// Walk the static partition schedule (singular execution). PartChecks
+	// stays "partitions considered": sixty-four idle partitions are stepped
+	// over on one load and compare of their flag word — the low-activity
+	// fast path — but every one of them was still considered this cycle.
+	c.stats.PartChecks += uint64(len(c.parts.rows))
+	for _, r := range c.runs {
+		if r.level >= 0 && c.pool.usable() &&
+			c.pending(r.start, r.end) >= c.levels[r.level].poolAt {
+			c.runPooled(int(r.level))
 		} else {
-			c.runPooled(li)
+			c.runInline(r.start, r.end)
 		}
 	}
 	return c.finishCycle()
 }
 
-// runInline evaluates a level in place, in partition order.
-func (c *CCSS) runInline(lv *levelRun) {
-	for p := lv.start; p < lv.end; p++ {
-		if c.take(p) {
-			c.evalPart(p, nil)
-		}
+// runInline evaluates the partitions of [start, end) that are due, in
+// place and in partition order.
+func (c *CCSS) runInline(start, end int32) {
+	for p := c.next(start, end); p < end; p = c.next(p+1, end) {
+		c.take(p)
+		c.evalPart(p, nil)
 	}
 }
 
@@ -679,10 +776,9 @@ func (c *CCSS) runPooled(li int) {
 	lv := &c.levels[li]
 	m := c.machine
 	c.runList = c.runList[:0]
-	for p := lv.start; p < lv.end; p++ {
-		if c.take(p) {
-			c.runList = append(c.runList, p)
-		}
+	for p := c.next(lv.start, lv.end); p < lv.end; p = c.next(p+1, lv.end) {
+		c.take(p)
+		c.runList = append(c.runList, p)
 	}
 	lv.elSnap = saveElided(lv.elided, m.t, lv.elSnap, 1)
 	for _, wk := range c.wk {
@@ -709,11 +805,11 @@ func (c *CCSS) runPooled(li int) {
 		wk.wakes, wk.dirty = wk.wakes[:0], wk.dirty[:0]
 	}
 	if err != nil {
-		// A panicking worker may have left partition outputs half-written
-		// and the rest of the list unevaluated, which poisons the
-		// oldVals-based change detection. So: roll back the level's
-		// in-place register updates (the one non-idempotent effect of
-		// partition evaluation), flag every partition, and re-run the
+		// A panicking worker may have left partition outputs half-written,
+		// their oldVals mirror half-updated and the rest of the list
+		// unevaluated, which poisons change detection. So: roll back the
+		// level's in-place register updates (the one non-idempotent effect
+		// of partition evaluation), flag every partition, and re-run the
 		// level here. With the registers restored, already-evaluated
 		// partitions recompute identical results, unevaluated ones run now,
 		// and with every consumer flagged no wake can be missed. Later
@@ -725,7 +821,7 @@ func (c *CCSS) runPooled(li int) {
 		m.stats.WorkerPanics++
 		restoreElided(lv.elided, m.t, lv.elSnap, 1)
 		c.wakeAll()
-		c.runInline(lv)
+		c.runInline(lv.start, lv.end)
 	}
 }
 
@@ -782,6 +878,6 @@ func (c *CCSS) memChanged(mem int32) {
 func (o operand) words() int32 { return int32(bits.Words(int(o.w))) }
 
 // NumPartitions returns the partition count.
-func (c *CCSS) NumPartitions() int { return len(c.parts) }
+func (c *CCSS) NumPartitions() int { return len(c.parts.rows) }
 
 var _ Simulator = (*CCSS)(nil)

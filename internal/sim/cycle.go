@@ -10,97 +10,11 @@ import (
 	"essent/pkg/simrt"
 )
 
-// runRange executes schedule entries in [start, end), following skip
-// entries over inactive mux-arm cones. This is the interpreter's inner
-// loop: instruction dispatch is inlined and routed through the
-// compile-time kind tag (narrow / signed / wide / fused), and the ops
-// counter is accumulated locally and flushed once per call.
-func (m *machine) runRange(start, end int32) {
-	t := m.t
-	sched := m.sched
-	instrs := m.instrs
-	var ops uint64
-	for i := start; i < end; {
-		e := &sched[i]
-		if e.kind == seInstr {
-			in := &instrs[e.idx]
-			switch in.kind {
-			case kNarrow:
-				m.execNarrow(in)
-				ops++
-			case kSigned:
-				m.execSigned(in)
-				ops++
-			case kFused:
-				m.execFused(in)
-				ops += 2
-			default:
-				m.execWide(in)
-				ops++
-			}
-			i++
-			continue
-		}
-		switch e.kind {
-		case seSkipIfZero:
-			if t[e.idx] == 0 {
-				i += 1 + e.n
-				continue
-			}
-		case seSkipIfNonzero:
-			if t[e.idx] != 0 {
-				i += 1 + e.n
-				continue
-			}
-		case seSkipIfZeroF:
-			in := &instrs[e.idx]
-			switch in.kind {
-			case kNarrow:
-				m.execNarrow(in)
-				ops++
-			case kSigned:
-				m.execSigned(in)
-				ops++
-			default:
-				m.execFused(in)
-				ops += 2
-			}
-			if t[in.dst] == 0 {
-				i += 1 + e.n
-				continue
-			}
-		case seSkipIfNonzeroF:
-			in := &instrs[e.idx]
-			switch in.kind {
-			case kNarrow:
-				m.execNarrow(in)
-				ops++
-			case kSigned:
-				m.execSigned(in)
-				ops++
-			default:
-				m.execFused(in)
-				ops += 2
-			}
-			if t[in.dst] != 0 {
-				i += 1 + e.n
-				continue
-			}
-		case seDisplay:
-			m.runDisplay(e.idx)
-		case seCheck:
-			m.runCheck(e.idx)
-		case seMemWrite:
-			m.captureMemWrite(e.idx)
-		}
-		i++
-	}
-	m.stats.OpsEvaluated += ops
-}
-
-// evalAll walks the full static schedule (full-cycle execution).
+// evalAll runs the full static schedule (full-cycle execution).
 func (m *machine) evalAll() {
-	m.runRange(0, int32(len(m.sched)))
+	for _, sp := range m.spans {
+		m.evalSpan(sp)
+	}
 }
 
 func (m *machine) runDisplay(i int32) {

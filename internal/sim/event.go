@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
+
 	"essent/internal/netlist"
 	"essent/internal/sched"
 	"essent/internal/verify"
@@ -21,6 +24,7 @@ type EventDriven struct {
 	*machine
 
 	level     []int32   // level per instruction (longest-path depth)
+	pcOf      []int32   // instr index → its op in the stream
 	consumers [][]int32 // instr index → consumer instr indices
 	wSinkOf   [][]int32
 	// heap is the event queue: instruction indices ordered by level (the
@@ -49,9 +53,10 @@ type EventDriven struct {
 
 // newEventDriven compiles an event-driven simulator (no optimizations,
 // no elision, no fusion: every register is two-phase, like classic event
-// simulators). Only the netlist lint applies: this engine dispatches
-// instructions dynamically through its event heap, so there is no static
-// schedule to check. The loop pass is elided like on the planned
+// simulators). Of the static checks only the netlist lint and SM-LOWER
+// apply: this engine picks its next op dynamically through its event
+// heap, so there is no static schedule to check, only the ops it picks
+// from. The loop pass is elided like on the planned
 // engines — sched.Build's topological sort below rejects cyclic designs
 // (the lint's readable cycle trace stays available via essent -lint).
 func newEventDriven(d *netlist.Design, opts Options) (*EventDriven, error) {
@@ -69,9 +74,25 @@ func newEventDriven(d *netlist.Design, opts Options) (*EventDriven, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Unfused and unshadowed, every schedule entry lowers to exactly one
+	// stream op, so an instruction's op sits at its schedule position.
+	m.lower(nil)
+	if len(m.ops) != len(m.sched) {
+		return nil, fmt.Errorf("sim: event-driven schedule lowered to %d ops for %d entries",
+			len(m.ops), len(m.sched))
+	}
+	if vmode != verify.Off {
+		if err := verify.Enforce(vmode, verifyLowering(m), nil); err != nil {
+			return nil, err
+		}
+	}
 	e := &EventDriven{machine: m, first: true}
 
 	nInstr := len(m.instrs)
+	e.pcOf = make([]int32, nInstr)
+	for ii := range m.instrs {
+		e.pcOf[ii] = m.schedPosOf[m.instrs[ii].out]
+	}
 	e.level = make([]int32, nInstr)
 	e.consumers = make([][]int32, nInstr)
 	e.wSinkOf = make([][]int32, nInstr)
@@ -306,19 +327,25 @@ func (e *EventDriven) stepOne() error {
 	for len(e.heap) > 0 {
 		ci := e.pop()
 		e.inQueue[ci] = false
-		in := &m.instrs[ci]
-		nw := int32(len(m.view(in.dst, in.dw)))
-		copy(old[:nw], t[in.dst:in.dst+nw])
-		m.exec(in)
-		changed := false
-		for w := int32(0); w < nw; w++ {
-			if t[in.dst+w] != old[w] {
-				changed = true
-				break
+		pc := e.pcOf[ci]
+		m.stats.OpsEvaluated++
+		// Every op but a wide one writes one word, named in the op itself:
+		// the common event touches the stream and nothing else.
+		if op := &m.ops[pc]; op.code != opWide {
+			was := t[op.dst]
+			m.run(pc, pc+1)
+			if t[op.dst] == was {
+				continue
 			}
-		}
-		if !changed {
-			continue
+		} else {
+			in := &m.instrs[ci]
+			now := m.view(in.dst, in.dw)
+			was := old[:len(now)]
+			copy(was, now)
+			m.run(pc, pc+1)
+			if slices.Equal(now, was) {
+				continue
+			}
 		}
 		m.stats.SignalChanges++
 		for _, c := range e.consumers[ci] {

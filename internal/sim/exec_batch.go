@@ -73,10 +73,8 @@ func newBatchCtx(b *BatchCCSS) *batchCtx {
 	if b.pp != nil {
 		c.pt = b.pt
 		maxOut := 0
-		for pi := range b.base.parts {
-			if n := len(b.base.parts[pi].outputs); n > maxOut {
-				maxOut = n
-			}
+		for _, r := range b.base.parts.rows {
+			maxOut = max(maxOut, int(r.outEnd-r.out))
 		}
 		c.oldSlot = make([]uint64, maxOut)
 	}
@@ -97,7 +95,9 @@ func (c *batchCtx) reset() {
 // direct=false (pooled specs) wakes and register marks are buffered for
 // the serial merge at the spec boundary.
 func (b *BatchCCSS) evalPartBatch(c *batchCtx, pi int32, em simrt.LaneMask, direct bool) {
-	part := &b.base.parts[pi]
+	pt := &b.base.parts
+	row := pt.rows[pi]
+	outs, regs := pt.outs[row.out:row.outEnd], pt.regs[row.reg:row.regEnd]
 	c.cur = pi
 	L := b.L
 	full := em == simrt.FullMask(L)
@@ -105,20 +105,19 @@ func (b *BatchCCSS) evalPartBatch(c *batchCtx, pi int32, em simrt.LaneMask, dire
 	for _, l := range lanes {
 		c.stats[l].PartEvals++
 	}
-	start, end := part.schedStart, part.schedEnd
+	start, end := b.pranges[pi][0], b.pranges[pi][1]
 	var oslots []int32
 	if b.pp != nil {
-		start, end = b.pranges[pi][0], b.pranges[pi][1]
 		oslots = b.outSlot[pi]
 	}
-	for oi := range part.outputs {
+	for oi := range outs {
 		if oslots != nil && oslots[oi] >= 0 {
 			// Slot-compared output: the packed word is the whole lane-major
 			// old-value snapshot.
 			c.oldSlot[oi] = b.pt[oslots[oi]]
 			continue
 		}
-		o := &part.outputs[oi]
+		o := &outs[oi]
 		for w := 0; w < int(o.words); w++ {
 			src := b.bt[(int(o.off)+w)*L : (int(o.off)+w)*L+L]
 			dst := b.oldVals[(int(o.oldOff)+w)*L : (int(o.oldOff)+w)*L+L]
@@ -132,8 +131,9 @@ func (b *BatchCCSS) evalPartBatch(c *batchCtx, pi int32, em simrt.LaneMask, dire
 		}
 	}
 	c.runRange(start, end, em)
-	for oi := range part.outputs {
-		o := &part.outputs[oi]
+	for oi := range outs {
+		o := &outs[oi]
+		ncons := uint64(o.consEnd - o.cons)
 		var changed simrt.LaneMask
 		if oslots != nil && oslots[oi] >= 0 {
 			// Slot-compared output: one XOR replaces the per-lane row scan.
@@ -146,7 +146,7 @@ func (b *BatchCCSS) evalPartBatch(c *batchCtx, pi int32, em simrt.LaneMask, dire
 			if changed != 0 {
 				for _, l := range changed.Lanes(c.lanesB[:0]) {
 					c.stats[l].SignalChanges++
-					c.stats[l].Wakes += uint64(len(o.consumers))
+					c.stats[l].Wakes += ncons
 				}
 			}
 		} else if o.words == 1 {
@@ -168,7 +168,7 @@ func (b *BatchCCSS) evalPartBatch(c *batchCtx, pi int32, em simrt.LaneMask, dire
 			if changed != 0 {
 				for _, l := range changed.Lanes(c.lanesB[:0]) {
 					c.stats[l].SignalChanges++
-					c.stats[l].Wakes += uint64(len(o.consumers))
+					c.stats[l].Wakes += ncons
 				}
 			}
 		} else {
@@ -178,34 +178,35 @@ func (b *BatchCCSS) evalPartBatch(c *batchCtx, pi int32, em simrt.LaneMask, dire
 					if b.bt[(int(o.off)+w)*L+l] != b.oldVals[(int(o.oldOff)+w)*L+l] {
 						changed |= 1 << uint(l)
 						c.stats[l].SignalChanges++
-						c.stats[l].Wakes += uint64(len(o.consumers))
+						c.stats[l].Wakes += ncons
 						break
 					}
 				}
 			}
 		}
 		if changed != 0 {
+			cons := pt.consumers(o)
 			if direct {
-				for _, q := range o.consumers {
+				for _, q := range cons {
 					b.wake(q, changed)
 				}
 			} else {
-				for _, q := range o.consumers {
+				for _, q := range cons {
 					c.wakes = append(c.wakes, laneWake{q: q, m: changed})
 				}
 			}
 		}
 	}
-	if len(part.regs) > 0 {
+	if len(regs) > 0 {
 		if direct {
-			for _, ri := range part.regs {
+			for _, ri := range regs {
 				if b.regMask[ri] == 0 {
 					b.dirtyRegs = append(b.dirtyRegs, ri)
 				}
 				b.regMask[ri] |= em
 			}
 		} else {
-			for _, ri := range part.regs {
+			for _, ri := range regs {
 				c.regs = append(c.regs, laneReg{ri: ri, m: em})
 			}
 		}
@@ -405,12 +406,12 @@ func (c *batchCtx) execLaneScalar(in *instr, lanes []int) {
 	}
 }
 
-// execBatchNarrow is the hot path: the batched form of execNarrow, one
-// tight loop over the active lanes of each row. Semantics per lane must
-// match execNarrow bit for bit. When every lane is active (the common
-// case for lock-step batches) the dense variant runs instead: iterating
-// the rows directly lets the compiler drop the lane indirection and the
-// bounds checks.
+// execBatchNarrow is the hot path: the batched form of the stream's
+// narrow ops, one tight loop over the active lanes of each row. Semantics
+// per lane must match machine.run's bit for bit. When every lane is
+// active (the common case for lock-step batches) the dense variant runs
+// instead: iterating the rows directly lets the compiler drop the lane
+// indirection and the bounds checks.
 func (c *batchCtx) execBatchNarrow(in *instr, lanes []int) {
 	bt := c.b.bt
 	L := c.b.L
@@ -432,7 +433,7 @@ func (c *batchCtx) execBatchNarrow(in *instr, lanes []int) {
 // rows (each len == lane count) for the given active lanes. Shared
 // between the batch engine (rows sliced from bt by signal offset) and the
 // instance-vectorized engine (rows sliced from a group's slot buffer).
-// Semantics per lane must match execNarrow bit for bit.
+// Semantics per lane must match machine.run's narrow ops bit for bit.
 func execRowNarrow(in *instr, lanes []int, d, a, bb, cc []uint64) {
 	if len(lanes) == len(d) {
 		execRowNarrowDense(in, d, a, bb, cc)
@@ -721,7 +722,7 @@ func execRowNarrowDense(in *instr, d, a, bb, cc []uint64) {
 	}
 }
 
-// execBatchFused is the batched form of execFused.
+// execBatchFused is the batched form of the stream's fused ops.
 func (c *batchCtx) execBatchFused(in *instr, lanes []int) {
 	bt := c.b.bt
 	L := c.b.L

@@ -9,7 +9,7 @@ import (
 // mask-stack divergence handling (exec_batch.go runRange): a skip whose
 // cone covers no active lane jumps, a partial cone pushes the outer
 // mask and narrows, and the frame pops at the region end. Returns the
-// op count (scalar runRange units: active lanes × weight, fused ops
+// op count (scalar OpsEvaluated units: active lanes × weight, fused ops
 // weigh 2) for Stats.OpsEvaluated.
 //
 // Safe to call concurrently for disjoint lane sets of the same group:

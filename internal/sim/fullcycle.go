@@ -38,6 +38,7 @@ func newFullCycle(d *netlist.Design, opts Options) (*FullCycle, error) {
 	if err != nil {
 		return nil, err
 	}
+	m.lower(ranges)
 	if vmode != verify.Off {
 		if err := verify.Enforce(vmode,
 			verifyMachine(m, ranges, nil, nil), nil); err != nil {

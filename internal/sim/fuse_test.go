@@ -223,11 +223,10 @@ func TestFusionScheduleInvariants(t *testing.T) {
 				}
 			}
 		}
-		for pi := range cc.parts {
-			p := &cc.parts[pi]
-			if p.schedStart > p.schedEnd || int(p.schedEnd) > len(m.sched) {
+		for pi, r := range cc.parts.sched {
+			if r[0] > r[1] || int(r[1]) > len(m.sched) {
 				t.Fatalf("seed %d: partition %d range [%d,%d) out of bounds (len %d)",
-					seed, pi, p.schedStart, p.schedEnd, len(m.sched))
+					seed, pi, r[0], r[1], len(m.sched))
 			}
 		}
 	}

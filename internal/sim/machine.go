@@ -67,7 +67,7 @@ const (
 // the table at initialization).
 type instr struct {
 	code           ICode
-	kind           uint8 // dispatch class, precomputed (see k* constants)
+	kind           uint8 // width/sign class, precomputed (see k* constants)
 	wide           bool
 	sa, sb, sc     bool
 	a, b, c        int32
@@ -81,8 +81,10 @@ type instr struct {
 	out   netlist.SignalID
 }
 
-// Dispatch kinds: the width/signedness class an instruction is routed to,
-// decided once at compile time instead of per-evaluation flag checks.
+// Instruction kinds: the width/signedness class that decides how an
+// instruction lowers (stream.go) — in place for narrow and fused, an
+// escape to execSigned/execWide otherwise — and which row kernel the
+// batch and vec engines route it to. Decided once at compile time.
 const (
 	// kNarrow: every operand and the result fit in one word and carry no
 	// sign flag — extensions are compile-time no-ops and are hoisted.
@@ -176,9 +178,15 @@ type machine struct {
 
 	constOff []int32 // word offset per constant-pool entry
 
+	// instrs and sched are the schedule IR: what the passes, the verifier,
+	// the batch/vec/pack engines and the code generator read. ops and spans
+	// are its scalar lowering (stream.go), built by the engines that
+	// execute it.
 	instrs  []instr
 	instrOf []int32 // SignalID → index into instrs (-1 for non-comb)
 	sched   []schedEntry
+	ops     []sop
+	spans   []opSpan
 	// schedPosOf maps design-graph node IDs to schedule positions (-1 for
 	// sources); used by the partitioner-driven engines.
 	schedPosOf []int32
@@ -271,8 +279,8 @@ type machineConfig struct {
 	// treats the whole order as one group.
 	groups [][]int
 	// fuse enables the superinstruction peephole pass (fuse.go).
-	// Engines that re-execute the instruction stream through their own
-	// dispatch (event-driven) or export it (codegen) must leave it off.
+	// Engines that schedule instructions one at a time (event-driven) or
+	// export them (codegen) must leave it off.
 	fuse bool
 	// keepLive names signals the engine reads outside the instruction
 	// stream (partition outputs compared for change detection); the
@@ -642,25 +650,6 @@ func ext(v uint64, w int32, signed bool) uint64 {
 		return bits.Sext64(v, int(w))
 	}
 	return v
-}
-
-// exec evaluates one instruction through the compile-time dispatch kind.
-// It is the entry point for engines that execute instructions outside the
-// schedule walk (event-driven); the schedule engines inline the same
-// dispatch in runRange.
-func (m *machine) exec(in *instr) {
-	m.stats.OpsEvaluated++
-	switch in.kind {
-	case kNarrow:
-		m.execNarrow(in)
-	case kSigned:
-		m.execSigned(in)
-	case kFused:
-		m.stats.OpsEvaluated++
-		m.execFused(in)
-	default:
-		m.execWide(in)
-	}
 }
 
 // execSigned evaluates a single-word instruction with at least one signed

@@ -62,11 +62,7 @@ func packTestPlan(t *testing.T, d *netlist.Design,
 	if b.pp == nil {
 		t.Fatal("pack plan not built")
 	}
-	base := b.base
-	ranges := make([][2]int32, len(base.parts))
-	for pi := range base.parts {
-		ranges[pi] = [2]int32{base.parts[pi].schedStart, base.parts[pi].schedEnd}
-	}
+	ranges := b.base.parts.sched
 	// keepLive is nil, matching the engine: partition outputs are not
 	// row-kept — packed destinations compare on slot words instead.
 	return b, b.pp, ranges, nil

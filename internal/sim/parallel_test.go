@@ -131,10 +131,8 @@ circuit Q :
 		t.Fatalf("quiescent design still evaluated: evals %d→%d",
 			before.PartEvals, after.PartEvals)
 	}
-	for li, n := range p.levelActive {
-		if n != 0 {
-			t.Fatalf("quiescent design left level %d active (%d)", li, n)
-		}
+	if n := p.pending(0, int32(p.NumPartitions())); n != 0 {
+		t.Fatalf("quiescent design left %d partition(s) flagged", n)
 	}
 	if want := before.PartChecks + 500*uint64(p.NumPartitions()); after.PartChecks != want {
 		t.Fatalf("PartChecks %d→%d, want %d (every partition, every cycle)",

@@ -1,0 +1,221 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+
+	"essent/internal/bits"
+	"essent/internal/netlist"
+)
+
+// The stream executor against the general path, one op at a time: for
+// every narrow ICode and every fused form, over the widths where word
+// arithmetic has its corners and over corner operands, what run computes
+// for the lowered op must equal what execSigned computes for the
+// instruction (for a fused form: for the unfused pair), bit for bit.
+
+var streamWidths = []int32{1, 7, 31, 32, 33, 63, 64}
+
+// corners lists the corner values of a w-bit operand.
+func corners(w int32) []uint64 {
+	all := bits.Mask64(^uint64(0), int(w))
+	return []uint64{0, 1, all, 1 << (w - 1), all >> 1, 0x5555555555555555 & all}
+}
+
+// Table slots of the one-instruction machines below.
+const (
+	slotA, slotB, slotC, slotTmp, slotDst = 0, 1, 2, 3, 4
+	nSlots                                = 5
+)
+
+// narrowShapes returns the instruction shapes of one opcode at operand
+// width w: FIRRTL's result widths where they fit a word, and shift
+// amounts below, at and past the operand width and past 64.
+func narrowShapes(code ICode, w int32) []instr {
+	in := instr{code: code, a: slotA, b: -1, c: -1, dst: slotDst, aw: w, dw: w}
+	two := func(dw int32) []instr {
+		in.b, in.bw, in.dw = slotB, w, dw
+		return []instr{in}
+	}
+	var out []instr
+	switch code {
+	case ICopy, INot, IOrr, IAndr, IXorr:
+		if code == IOrr || code == IAndr || code == IXorr {
+			in.dw = 1
+		}
+		return []instr{in}
+	case INeg:
+		in.dw = w + 1
+		return []instr{in}
+	case IMux:
+		in.aw = 1
+		in.b, in.bw, in.c, in.cw = slotB, w, slotC, w
+		return []instr{in}
+	case IAdd, ISub:
+		return two(w + 1)
+	case IMul:
+		return two(2 * w)
+	case IDiv, IRem, IAnd, IOr, IXor:
+		return two(w)
+	case ILt, ILeq, IGt, IGeq, IEq, INeq:
+		return two(1)
+	case IShl:
+		for _, k := range []int32{0, 1, 64 - w} {
+			in.p0, in.dw = k, w+k
+			out = append(out, in)
+		}
+	case IShr:
+		for _, k := range []int32{0, 1, w - 1, w, w + 5, 64, 70, 300} {
+			in.p0, in.dw = k, max(w-k, 1)
+			out = append(out, in)
+		}
+	case IDshl, IDshr:
+		for _, bw := range []int32{1, 3, 7, 20} {
+			in.b, in.bw, in.dw = slotB, bw, w
+			if code == IDshl {
+				in.dw = 64
+			}
+			out = append(out, in)
+		}
+	case ICat:
+		for _, bw := range []int32{1, 64 - w} {
+			if bw > 0 {
+				in.b, in.bw, in.dw = slotB, bw, w+bw
+				out = append(out, in)
+			}
+		}
+	case IBits:
+		for _, hl := range [][2]int32{{w - 1, 0}, {w - 1, w - 1}, {0, 0}, {w - 1, w / 2}} {
+			in.p0, in.p1, in.dw = hl[0], hl[1], hl[0]-hl[1]+1
+			out = append(out, in)
+		}
+	case IHead:
+		for _, n := range []int32{1, w/2 + 1, w} {
+			in.p0, in.dw = n, n
+			out = append(out, in)
+		}
+	case ITail:
+		for _, n := range []int32{0, w / 2, w - 1} {
+			in.p0, in.dw = n, w-n
+			out = append(out, in)
+		}
+	}
+	return out
+}
+
+// operandSets enumerates corner values for the operands an instruction
+// reads, each masked to its operand's width.
+func operandSets(in *instr) [][3]uint64 {
+	as := corners(in.aw)
+	bs, cs := []uint64{0}, []uint64{0}
+	if in.b >= 0 {
+		bs = corners(in.bw)
+	}
+	if in.c >= 0 {
+		cs = corners(in.cw)
+	}
+	var out [][3]uint64
+	for _, a := range as {
+		for _, b := range bs {
+			for _, c := range cs {
+				out = append(out, [3]uint64{a, b, c})
+			}
+		}
+	}
+	return out
+}
+
+func TestStreamOpMatchesGeneralPath(t *testing.T) {
+	for code := ICopy; code <= ITail; code++ {
+		if code == IMemRead {
+			continue // no arithmetic: the mem tests and the engine fuzz cover it
+		}
+		for _, w := range streamWidths {
+			for _, in := range narrowShapes(code, w) {
+				finishInstr(&in)
+				if in.kind != kNarrow {
+					continue // the result no longer fits a word
+				}
+				m := &machine{t: make([]uint64, nSlots), instrs: []instr{in}}
+				m.ops = []sop{lowerInstr(&in, 0)}
+				for _, v := range operandSets(&in) {
+					m.t[slotA], m.t[slotB], m.t[slotC] = v[0], v[1], v[2]
+					m.t[slotDst] = 0xDEAD
+					m.run(0, 1)
+					got := m.t[slotDst]
+					m.t[slotDst] = 0xDEAD
+					m.execSigned(&in)
+					if want := m.t[slotDst]; got != want {
+						t.Fatalf("code %d w=%d %+v on a=%#x b=%#x c=%#x: stream %#x, execSigned %#x",
+							code, w, in, v[0], v[1], v[2], got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fusedPairs returns the producer→consumer pairs the fusion pass merges,
+// at operand width w. The consumer reads the producer through slotTmp.
+func fusedPairs(w int32) [][2]instr {
+	var out [][2]instr
+	for _, cmp := range []ICode{IEq, INeq, ILt, ILeq, IGt, IGeq} {
+		out = append(out, [2]instr{
+			{code: cmp, a: slotA, aw: w, b: slotB, bw: w, c: -1, dst: slotTmp, dw: 1},
+			{code: IMux, a: slotTmp, aw: 1, b: slotC, bw: w, c: slotA, cw: w, dst: slotDst, dw: w},
+		})
+	}
+	out = append(out, [2]instr{
+		{code: INot, a: slotA, aw: w, b: -1, c: -1, dst: slotTmp, dw: w},
+		{code: IAnd, a: slotTmp, aw: w, b: slotB, bw: w, c: -1, dst: slotDst, dw: w},
+	}, [2]instr{
+		{code: INot, a: slotA, aw: w, b: -1, c: -1, dst: slotTmp, dw: w},
+		{code: IAnd, a: slotB, aw: w, b: slotTmp, bw: w, c: -1, dst: slotDst, dw: w},
+	})
+	for _, code := range []ICode{IAdd, ISub} {
+		out = append(out, [2]instr{
+			{code: code, a: slotA, aw: w, b: slotB, bw: w, c: -1, dst: slotTmp, dw: w + 1},
+			{code: ITail, a: slotTmp, aw: w + 1, b: -1, c: -1, dst: slotDst, dw: w, p0: 1},
+		})
+	}
+	return out
+}
+
+func TestStreamFusedMatchesUnfusedPair(t *testing.T) {
+	for _, w := range streamWidths {
+		for _, pair := range fusedPairs(w) {
+			finishInstr(&pair[0])
+			finishInstr(&pair[1])
+			if pair[0].kind != kNarrow || pair[1].kind != kNarrow {
+				continue // a 65-bit sum is wide and never fuses
+			}
+			name := fmt.Sprintf("%d→%d w=%d", pair[0].code, pair[1].code, w)
+			// The real pass does the rewrite; the unfused twin keeps the pair.
+			entries := []schedEntry{{kind: seInstr, idx: 0}, {kind: seInstr, idx: 1}}
+			fused := &machine{d: &netlist.Design{}, t: make([]uint64, nSlots),
+				instrs: []instr{pair[0], pair[1]}, sched: entries}
+			ranges := fused.fuseSchedule(nil, [][2]int32{{0, 2}})
+			if fused.fusedPairs != 1 || len(fused.sched) != 1 {
+				t.Fatalf("%s: the pass did not fuse the pair", name)
+			}
+			fused.lower(ranges)
+			if sp := fused.spans[0]; sp.end-sp.pc != 1 || sp.weight != 2 {
+				t.Fatalf("%s: fused span %+v, want one op of weight 2", name, sp)
+			}
+			plain := &machine{t: make([]uint64, nSlots)}
+			for _, v := range operandSets(&instr{aw: w, b: slotB, bw: w, c: slotC, cw: w}) {
+				for _, m := range []*machine{fused, plain} {
+					m.t[slotA], m.t[slotB], m.t[slotC] = v[0], v[1], v[2]
+					m.t[slotTmp], m.t[slotDst] = 0xDEAD, 0xDEAD
+				}
+				fused.evalSpan(fused.spans[0])
+				plain.execSigned(&pair[0])
+				plain.execSigned(&pair[1])
+				if got, want := fused.t[slotDst], plain.t[slotDst]; got != want {
+					t.Fatalf("%s on a=%#x b=%#x c=%#x: fused op %#x, unfused pair %#x",
+						name, v[0], v[1], v[2], got, want)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 
 	"essent/internal/netlist"
@@ -80,9 +81,11 @@ type VecStats struct {
 // vecGroup is one compiled equivalence class.
 type vecGroup struct {
 	// parts lists member partitions in lane order; parts[0] is the
-	// leader, at whose schedule position the class evaluates.
-	parts []int32
-	lanes int
+	// leader, at whose schedule position the class evaluates. members is
+	// the same set by flag word: an idle class is passed on a few loads.
+	parts   []int32
+	members flagSet
+	lanes   int
 
 	// prog is the class schedule: for instruction kinds (seInstr,
 	// seSkipIfZeroF/NonzeroF) idx indexes vinstrs; for plain skips
@@ -142,11 +145,11 @@ func newVecCCSS(d *netlist.Design, opts Options) (*VecCCSS, error) {
 	}
 	v := &VecCCSS{CCSS: c}
 	c.walk = v.stepOne
-	v.groupAt = make([]int32, len(c.parts))
+	v.groupAt = make([]int32, c.NumPartitions())
 	for i := range v.groupAt {
 		v.groupAt[i] = -1
 	}
-	v.isLeader = make([]bool, len(c.parts))
+	v.isLeader = make([]bool, c.NumPartitions())
 	if !opts.NoVec {
 		maxLanes := opts.MaxVecLanes
 		if maxLanes <= 0 || maxLanes > partition.MaxClassLanes {
@@ -172,7 +175,6 @@ func newVecCCSS(d *netlist.Design, opts Options) (*VecCCSS, error) {
 			}
 		}
 	}
-	v.wakeAll() // recount the levels under the groups' evalWith accounting
 	v.wbufs = make([]vecWorkerBuf, v.pool.n)
 	v.chunkFn = v.runChunk
 	return v, nil
@@ -193,12 +195,12 @@ func (v *VecCCSS) NumGroups() int { return len(v.groups) }
 // or signed lanes), single-word outputs and register storage, and not
 // always-on.
 func (v *VecCCSS) vecEligible(p int) bool {
-	part := &v.parts[p]
-	if part.alwaysOn || part.schedEnd == part.schedStart {
+	r := v.parts.sched[p]
+	if v.plan.Parts[p].AlwaysOn || r[0] == r[1] {
 		return false
 	}
 	m := v.machine
-	for i := part.schedStart; i < part.schedEnd; i++ {
+	for i := r[0]; i < r[1]; i++ {
 		e := &m.sched[i]
 		switch e.kind {
 		case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
@@ -216,12 +218,12 @@ func (v *VecCCSS) vecEligible(p int) bool {
 			return false
 		}
 	}
-	for oi := range part.outputs {
-		if part.outputs[oi].words != 1 {
+	for _, o := range v.parts.outputs(int32(p)) {
+		if o.words != 1 {
 			return false
 		}
 	}
-	for _, ri := range part.regs {
+	for _, ri := range v.parts.regsOf(int32(p)) {
 		if v.regNext[ri].words() != 1 || v.regOut[ri].words() != 1 {
 			return false
 		}
@@ -267,9 +269,9 @@ func sameShape(x, y *instr) bool {
 func (v *VecCCSS) hashPart(p int) uint64 {
 	h := partition.NewClassHasher()
 	m := v.machine
-	part := &v.parts[p]
+	r := v.parts.sched[p]
 	var ops [4]int32
-	for i := part.schedStart; i < part.schedEnd; i++ {
+	for i := r[0]; i < r[1]; i++ {
 		e := &m.sched[i]
 		h.Word(uint64(e.kind))
 		switch e.kind {
@@ -301,13 +303,14 @@ func (v *VecCCSS) hashPart(p int) uint64 {
 			h.Word(uint64(uint32(e.n)))
 		}
 	}
-	h.Word(uint64(len(part.outputs)))
-	for oi := range part.outputs {
-		h.Word(uint64(part.outputs[oi].words))
-		h.Ref(part.outputs[oi].off)
+	outs, regs := v.parts.outputs(int32(p)), v.parts.regsOf(int32(p))
+	h.Word(uint64(len(outs)))
+	for _, o := range outs {
+		h.Word(uint64(o.words))
+		h.Ref(o.off)
 	}
-	h.Word(uint64(len(part.regs)))
-	for _, ri := range part.regs {
+	h.Word(uint64(len(regs)))
+	for _, ri := range regs {
 		h.Ref(v.regNext[ri].off)
 	}
 	return h.Sum()
@@ -322,9 +325,10 @@ func (v *VecCCSS) hashPart(p int) uint64 {
 // storage as a set.
 func (v *VecCCSS) matchMember(lp, mp int) (map[int32]int32, bool) {
 	m := v.machine
-	a, b := &v.parts[lp], &v.parts[mp]
-	n := a.schedEnd - a.schedStart
-	if n != b.schedEnd-b.schedStart {
+	pt := &v.parts
+	ra, rb := pt.sched[lp], pt.sched[mp]
+	n := ra[1] - ra[0]
+	if n != rb[1]-rb[0] {
 		return nil, false
 	}
 	phi := make(map[int32]int32)
@@ -342,7 +346,7 @@ func (v *VecCCSS) matchMember(lp, mp int) (map[int32]int32, bool) {
 	}
 	var opsA, opsB [4]int32
 	for k := int32(0); k < n; k++ {
-		ea, eb := &m.sched[a.schedStart+k], &m.sched[b.schedStart+k]
+		ea, eb := &m.sched[ra[0]+k], &m.sched[rb[0]+k]
 		if ea.kind != eb.kind || ea.n != eb.n {
 			return nil, false
 		}
@@ -370,27 +374,29 @@ func (v *VecCCSS) matchMember(lp, mp int) (map[int32]int32, bool) {
 			return nil, false
 		}
 	}
-	if len(a.outputs) != len(b.outputs) || len(a.regs) != len(b.regs) {
+	aouts, bouts := pt.outputs(int32(lp)), pt.outputs(int32(mp))
+	aregs, bregs := pt.regsOf(int32(lp)), pt.regsOf(int32(mp))
+	if len(aouts) != len(bouts) || len(aregs) != len(bregs) {
 		return nil, false
 	}
-	boff := make(map[int32]int32, len(b.outputs))
-	for oi := range b.outputs {
-		boff[b.outputs[oi].off] = b.outputs[oi].words
+	boff := make(map[int32]int32, len(bouts))
+	for _, o := range bouts {
+		boff[o.off] = o.words
 	}
-	for oi := range a.outputs {
-		mo, ok := phi[a.outputs[oi].off]
+	for _, o := range aouts {
+		mo, ok := phi[o.off]
 		if !ok {
 			return nil, false
 		}
-		if w, ok := boff[mo]; !ok || w != a.outputs[oi].words {
+		if w, ok := boff[mo]; !ok || w != o.words {
 			return nil, false
 		}
 	}
-	bnext := make(map[int32]bool, len(b.regs))
-	for _, ri := range b.regs {
+	bnext := make(map[int32]bool, len(bregs))
+	for _, ri := range bregs {
 		bnext[v.regNext[ri].off] = true
 	}
-	for _, ri := range a.regs {
+	for _, ri := range aregs {
 		mo, ok := phi[v.regNext[ri].off]
 		if !ok || !bnext[mo] {
 			return nil, false
@@ -406,7 +412,7 @@ func (v *VecCCSS) matchMember(lp, mp int) (map[int32]int32, bool) {
 func (v *VecCCSS) partPreds() (data, ord [][]int32) {
 	plan := v.plan
 	dg := plan.DG
-	np := len(v.parts)
+	np := v.NumPartitions()
 	partOfNode := make([]int32, dg.G.Len())
 	for i := range partOfNode {
 		partOfNode[i] = -1
@@ -560,7 +566,7 @@ func (v *VecCCSS) buildGroups(maxLanes, minLanes int, noSA bool) {
 
 	var eligible []int
 	hashOf := make(map[int]uint64)
-	for p := range v.parts {
+	for p := 0; p < v.NumPartitions(); p++ {
 		if v.vecEligible(p) {
 			eligible = append(eligible, p)
 			hashOf[p] = v.hashPart(p)
@@ -577,7 +583,7 @@ func (v *VecCCSS) buildGroups(maxLanes, minLanes int, noSA bool) {
 	v.vst.Classes = len(buckets)
 
 	// grpOf tracks build-time membership: partition → open-group index.
-	grpOf := make([]int32, len(v.parts))
+	grpOf := make([]int32, v.NumPartitions())
 	for i := range grpOf {
 		grpOf[i] = -1
 	}
@@ -651,7 +657,7 @@ func (v *VecCCSS) buildGroups(maxLanes, minLanes int, noSA bool) {
 	// and repack from scratch; every round bans at least one partition,
 	// so the loop terminates.
 	stateOffs := v.stateOffsets()
-	banned := make([]bool, len(v.parts))
+	banned := make([]bool, v.NumPartitions())
 	var finals []*vecGroup
 	var finalMembers [][]int
 	for {
@@ -729,9 +735,11 @@ func (v *VecCCSS) buildGroups(maxLanes, minLanes int, noSA bool) {
 		v.groups = append(v.groups, *vg)
 		for _, p := range members {
 			v.groupAt[p] = idx
-			v.evalWith(int32(p), int32(members[0]))
 		}
+		// A member's flag is collected where its leader sits, so the walk
+		// has to stop there whether or not the leader itself is flagged.
 		v.isLeader[members[0]] = true
+		v.stopAt(int32(members[0]))
 		v.vst.Groups++
 		v.vst.VecParts += len(members)
 		if len(members) > v.vst.MaxLanes {
@@ -788,7 +796,7 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 	stateOffs map[int32]bool) *vecGroup {
 	m := v.machine
 	leader := members[0]
-	part := &v.parts[leader]
+	pt := &v.parts
 	lanes := len(members)
 
 	g := &vecGroup{lanes: lanes}
@@ -796,6 +804,7 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 	for i, p := range members {
 		g.parts[i] = int32(p)
 	}
+	g.members = newFlagSet(g.parts)
 
 	slotOf := make(map[int32]int32)
 	var slotOffs []int32 // slot → leader offset
@@ -814,7 +823,7 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 	}
 
 	var ops [4]int32
-	for i := part.schedStart; i < part.schedEnd; i++ {
+	for i := pt.sched[leader][0]; i < pt.sched[leader][1]; i++ {
 		e := &m.sched[i]
 		switch e.kind {
 		case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
@@ -867,28 +876,23 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 
 	// Outputs: change detection + per-lane consumer wakes.
 	outSlots := make(map[int32]bool)
-	for oi := range part.outputs {
-		o := &part.outputs[oi]
+	louts := pt.outputs(int32(leader))
+	for oi := range louts {
+		o := &louts[oi]
 		s, ok := slotOf[o.off]
 		if !ok {
 			return nil
 		}
 		vo := vecOut{slot: s, consumers: make([][]int32, lanes)}
-		vo.consumers[0] = o.consumers
+		vo.consumers[0] = pt.consumers(o)
 		for l := 1; l < lanes; l++ {
-			mp := &v.parts[members[l]]
+			mouts := pt.outputs(int32(members[l]))
 			moff := phis[l][o.off]
-			found := false
-			for mi := range mp.outputs {
-				if mp.outputs[mi].off == moff {
-					vo.consumers[l] = mp.outputs[mi].consumers
-					found = true
-					break
-				}
-			}
-			if !found {
+			mi := slices.IndexFunc(mouts, func(mo partOut) bool { return mo.off == moff })
+			if mi < 0 {
 				return nil
 			}
+			vo.consumers[l] = pt.consumers(&mouts[mi])
 		}
 		g.outs = append(g.outs, vo)
 		outSlots[s] = true
@@ -911,7 +915,7 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 
 	g.regs = make([][]int32, lanes)
 	for l, p := range members {
-		g.regs[l] = v.parts[p].regs
+		g.regs[l] = pt.regsOf(int32(p))
 	}
 
 	g.buf = make([]uint64, g.nslots*lanes)
@@ -928,28 +932,24 @@ func (v *VecCCSS) stepOne() error {
 		return v.stopErr
 	}
 	v.scanInputs()
-	v.stats.PartChecks += uint64(len(v.parts))
-	for li := range v.levels {
-		if v.levelIdle(li) {
+	np := int32(v.NumPartitions())
+	v.stats.PartChecks += uint64(np)
+	for p := v.next(0, np); p < np; p = v.next(p+1, np) {
+		if g := v.groupAt[p]; g >= 0 {
+			// Members evaluate at their leader's position, where the walk
+			// always stops (stopAt). A member's own position is passed
+			// over with its flag left alone: wakes arriving after the
+			// leader ran can only come from the cycle-boundary commit (the
+			// legality rule placed every data predecessor before the
+			// leader) or from a panic recovery's wakeAll, and either way
+			// they are collected at the leader next cycle.
+			if v.isLeader[p] {
+				v.runGroup(&v.groups[g])
+			}
 			continue
 		}
-		for p, end := v.levels[li].start, v.levels[li].end; p < end; p++ {
-			if g := v.groupAt[p]; g >= 0 {
-				// Members evaluate at their leader's position (and keep
-				// its level awake while flagged: evalWith); wakes
-				// arriving later in the walk can only come from the
-				// cycle-boundary commit and are collected next cycle —
-				// the legality rule placed every data predecessor
-				// before the leader.
-				if v.isLeader[p] {
-					v.runGroup(&v.groups[g])
-				}
-				continue
-			}
-			if v.take(p) {
-				v.evalPart(p, nil)
-			}
-		}
+		v.take(p)
+		v.evalPart(p, nil)
 	}
 	return v.finishCycle()
 }
@@ -958,19 +958,19 @@ func (v *VecCCSS) stepOne() error {
 // group evaluation is never worth the barrier crossing.
 const vecParMinActive = 16
 
-// runGroup evaluates one class: collect member flags into the activity
-// mask, gather boundary reads for active lanes, run the class program,
-// scatter with compare-and-wake. Inactive lanes cost their flag test
-// only.
+// runGroup evaluates one class, if any member is flagged: collect member
+// flags into the activity mask, gather boundary reads for active lanes,
+// run the class program, scatter with compare-and-wake. Inactive lanes
+// cost their flag test only.
 func (v *VecCCSS) runGroup(g *vecGroup) {
+	if !v.anyFlagged(g.members) {
+		return
+	}
 	var mask simrt.LaneMask
 	for l, p := range g.parts {
 		if v.take(p) {
 			mask |= 1 << uint(l)
 		}
-	}
-	if mask == 0 {
-		return
 	}
 	m := v.machine
 	n := mask.Count()

@@ -380,7 +380,7 @@ func TestVecVerifierMutations(t *testing.T) {
 		// leader with a partition scheduled after every member: claim
 		// the last partition is lane 0's member.
 		g := &v.groups[0]
-		last := int32(len(v.parts) - 1)
+		last := int32(v.NumPartitions() - 1)
 		if v.groupAt[last] >= 0 || g.parts[len(g.parts)-1] >= last {
 			t.Skip("no free late partition")
 		}

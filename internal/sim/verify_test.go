@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"essent/internal/bits"
@@ -270,4 +271,82 @@ func TestSMKeepLiveUnwritten(t *testing.T) {
 		}
 	}
 	t.Skip("fusion left no storeless signal to point at")
+}
+
+// smMuxSrc has a mux whose two ways are private cones, so the schedule
+// carries skip entries for the lowering to resolve.
+const smMuxSrc = `
+circuit T :
+  module T :
+    input clock : Clock
+    input sel : UInt<1>
+    input a : UInt<8>
+    input b : UInt<8>
+    output o : UInt<8>
+    node x = xor(a, b)
+    node y = and(x, a)
+    node p = or(a, b)
+    node q = not(p)
+    o <= mux(sel, y, q)
+`
+
+// lowerStrict lowers the machine and runs the verifier the way a strict
+// engine build does.
+func lowerStrict(t *testing.T, src string) (*machine, func() error) {
+	t.Helper()
+	m, ranges, plan, keepLive := buildVerifyMachine(t, src, 1<<20)
+	m.lower(ranges)
+	return m, func() error {
+		return verify.Enforce(verify.Strict, verifyMachine(m, ranges, plan, keepLive), nil)
+	}
+}
+
+// TestSMLower: a fresh lowering verifies clean; one corrupted operand,
+// one corrupted skip target and one corrupted span bound each fail a
+// strict build with SM-LOWER.
+func TestSMLower(t *testing.T) {
+	for _, src := range []string{smMultiSrc, smElideSrc, smSinkSrc, smMuxSrc} {
+		if _, build := lowerStrict(t, src); build() != nil {
+			t.Fatalf("clean lowering rejected: %v", build())
+		}
+	}
+	skipAt := func(m *machine) int {
+		for pc := range m.ops {
+			if m.ops[pc].code == opSkipZ || m.ops[pc].code == opSkipNZ {
+				return pc
+			}
+		}
+		t.Fatal("no skip op in the stream")
+		return -1
+	}
+	mutations := []struct {
+		name   string
+		mutate func(m *machine)
+	}{
+		{"operand", func(m *machine) { m.ops[0].a++ }},
+		{"operand outside the table", func(m *machine) { m.ops[0].b = int32(len(m.t)) }},
+		{"opcode", func(m *machine) { m.ops[0].code = opNeg }},
+		{"mask", func(m *machine) { m.ops[0].mask >>= 1 }},
+		{"skip target", func(m *machine) { m.ops[skipAt(m)].x++ }},
+		{"skip weight", func(m *machine) { m.ops[skipAt(m)].mask++ }},
+		{"span bound", func(m *machine) { m.spans[0].end-- }},
+		{"span weight", func(m *machine) { m.spans[0].weight++ }},
+		{"stale stream", func(m *machine) {
+			// The IR moves on after lowering.
+			for i := range m.sched {
+				if m.sched[i].kind == seInstr {
+					m.instrs[m.sched[i].idx].dmask >>= 1
+					return
+				}
+			}
+		}},
+	}
+	for _, mut := range mutations {
+		m, build := lowerStrict(t, smMuxSrc)
+		mut.mutate(m)
+		err := build()
+		if err == nil || !strings.Contains(err.Error(), "SM-LOWER") {
+			t.Errorf("%s: strict build returned %v, want an SM-LOWER failure", mut.name, err)
+		}
+	}
 }

@@ -77,7 +77,7 @@ func (c *vecChecker) checkClassBijection() {
 				"lanes=%d members=%d", g.lanes, len(g.parts))
 		}
 		for li, p := range g.parts {
-			if int(p) < 0 || int(p) >= len(v.parts) {
+			if int(p) < 0 || int(p) >= v.NumPartitions() {
 				c.errf("SM-VEC-CLASS", c.groupLoc(gi),
 					"member indices must be runtime partition IDs",
 					"lane %d references partition %d", li, p)
@@ -283,13 +283,13 @@ func (c *vecChecker) checkScatter(gi int, g *vecGroup) {
 		for _, s := range g.stores {
 			scattered[g.laneOff[int(s)*g.lanes+l]] = true
 		}
-		part := &v.parts[p]
+		pouts := v.parts.outputs(p)
 		outCovered := make(map[int32][]int32, len(g.outs))
 		for _, o := range g.outs {
 			outCovered[g.laneOff[int(o.slot)*g.lanes+l]] = o.consumers[l]
 		}
-		for oi := range part.outputs {
-			po := &part.outputs[oi]
+		for oi := range pouts {
+			po := &pouts[oi]
 			cons, ok := outCovered[po.off]
 			if !ok {
 				c.errf("SM-VEC-SCATTER", c.groupLoc(gi),
@@ -298,11 +298,11 @@ func (c *vecChecker) checkScatter(gi int, g *vecGroup) {
 					l, p, po.off)
 				continue
 			}
-			if len(cons) != len(po.consumers) {
+			if n := len(v.parts.consumers(po)); len(cons) != n {
 				c.errf("SM-VEC-SCATTER", c.groupLoc(gi),
 					"out slots must carry the member's own consumer list",
 					"lane %d output offset %d: %d consumers, member has %d",
-					l, po.off, len(cons), len(po.consumers))
+					l, po.off, len(cons), n)
 			}
 		}
 		// Architectural state written by this lane must scatter. Written
@@ -320,7 +320,7 @@ func (c *vecChecker) checkScatter(gi int, g *vecGroup) {
 			}
 		}
 		// Non-elided registers the member owns must be marked dirty.
-		if l >= len(g.regs) || len(g.regs[l]) != len(part.regs) {
+		if l >= len(g.regs) || len(g.regs[l]) != len(v.parts.regsOf(p)) {
 			c.errf("SM-VEC-SCATTER", c.groupLoc(gi),
 				"each lane must carry its member's dirty-register list",
 				"lane %d partition %d: reg list mismatch", l, p)

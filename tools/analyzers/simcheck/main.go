@@ -1,5 +1,5 @@
 // Command simcheck is the repository's custom static checker. It
-// enforces five invariants the ordinary type checker cannot see (run
+// enforces six invariants the ordinary type checker cannot see (run
 // in CI alongside go vet and staticcheck):
 //
 //  1. engine-verify — the exported constructors of internal/sim (New*)
@@ -21,10 +21,19 @@
 //     interleaved min-of-N runner, so a new sweep cannot quietly grow
 //     its own estimator.
 //  5. sim-one-pool — in internal/sim only pool.go may contain a go
-//     statement and only ccss.go may index a flags field: the engines
-//     share one worker pool (one barrier, one panic ladder) and one
-//     representation of partition activity, so a new executor cannot
-//     quietly grow a second of either.
+//     statement and only ccss.go may index the activity bitmap (the
+//     flags and always fields): the engines share one worker pool (one
+//     barrier, one panic ladder) and one representation of partition
+//     activity, so a new executor cannot quietly grow a second of
+//     either.
+//  6. sim-one-dispatch — in internal/sim a switch over instruction
+//     opcodes (ICode, or the stream's opcode) whose arms store into a
+//     table is an evaluator, and evaluators are a closed set: the
+//     stream executor (run), the general scalar kernels it escapes to
+//     (execSigned, execWide) and the batch/vec row kernels
+//     (execRowNarrow, execRowNarrowDense). The scalar engines execute
+//     one lowering through one switch; a second copy of the narrow
+//     semantics is what the lowering replaced.
 //
 // Usage: go run ./tools/analyzers/simcheck [packages...] (default ./...).
 // Builds the module's packages from source against `go list -export`
@@ -57,6 +66,19 @@ const (
 	// start goroutines and to index the activity flags.
 	simPoolFile  = "pool.go"
 	simFlagsFile = "ccss.go"
+	// dispatchMinArms is how many storing arms make an opcode switch an
+	// evaluator rather than a classifier (operand shapes, packability).
+	dispatchMinArms = 8
+)
+
+// simFlagFields are the fields of the activity bitmap; simDispatchFuncs
+// the functions allowed to hold an opcode dispatch; simOpcodeTypes the
+// internal/sim types such a dispatch switches over.
+var (
+	simFlagFields    = map[string]bool{"flags": true, "always": true}
+	simDispatchFuncs = map[string]bool{"run": true, "execSigned": true, "execWide": true,
+		"execRowNarrow": true, "execRowNarrowDense": true}
+	simOpcodeTypes = map[string]bool{"ICode": true, "opcode": true}
 )
 
 func main() {
@@ -179,6 +201,7 @@ func Check(pkgPath string, fset *token.FileSet, files []*ast.File,
 	if pkgPath == simPath {
 		checkEngineVerify(files, info, report)
 		checkOnePool(fset, files, info, report)
+		checkOneDispatch(files, info, report)
 		return findings
 	}
 	if pkgPath == expPath {
@@ -215,7 +238,7 @@ func checkOneEstimator(fset *token.FileSet, files []*ast.File, info *types.Info,
 }
 
 // checkOnePool flags go statements in internal/sim outside the pool
-// file and indexing of a flags field outside the CCSS file.
+// file and indexing of an activity-bitmap field outside the CCSS file.
 func checkOnePool(fset *token.FileSet, files []*ast.File, info *types.Info,
 	report func(token.Pos, string, string)) {
 	for _, f := range files {
@@ -229,16 +252,73 @@ func checkOnePool(fset *token.FileSet, files []*ast.File, info *types.Info,
 				}
 			case *ast.IndexExpr:
 				sel, ok := n.X.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "flags" || name == simFlagsFile {
+				if !ok || !simFlagFields[sel.Sel.Name] || name == simFlagsFile {
 					return true
 				}
 				if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
 					report(n.Pos(), "sim-one-pool", fmt.Sprintf(
-						"activity flags indexed outside %s: go through wake/take", simFlagsFile))
+						"activity %s indexed outside %s: go through wake/take/next",
+						sel.Sel.Name, simFlagsFile))
 				}
 			}
 			return true
 		})
+	}
+}
+
+// checkOneDispatch flags opcode evaluators outside simDispatchFuncs: a
+// switch with at least dispatchMinArms arms that each name an ICode or
+// opcode constant and store through an index expression.
+func checkOneDispatch(files []*ast.File, info *types.Info,
+	report func(token.Pos, string, string)) {
+	isOpcode := func(e ast.Expr) bool {
+		named, ok := info.Types[e].Type.(*types.Named)
+		return ok && info.Types[e].Value != nil && named.Obj().Pkg() != nil &&
+			named.Obj().Pkg().Path() == simPath && simOpcodeTypes[named.Obj().Name()]
+	}
+	stores := func(body []ast.Stmt) bool {
+		found := false
+		for _, st := range body {
+			ast.Inspect(st, func(n ast.Node) bool {
+				if as, ok := n.(*ast.AssignStmt); ok {
+					for _, lhs := range as.Lhs {
+						if _, ok := lhs.(*ast.IndexExpr); ok {
+							found = true
+						}
+					}
+				}
+				return !found
+			})
+		}
+		return found
+	}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || simDispatchFuncs[fn.Name.Name] {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				sw, ok := n.(*ast.SwitchStmt)
+				if !ok {
+					return true
+				}
+				arms := 0
+				for _, st := range sw.Body.List {
+					cc := st.(*ast.CaseClause)
+					if len(cc.List) > 0 && isOpcode(cc.List[0]) && stores(cc.Body) {
+						arms++
+					}
+				}
+				if arms >= dispatchMinArms {
+					report(sw.Pos(), "sim-one-dispatch", fmt.Sprintf(
+						"%s evaluates %d opcodes in its own switch: lower to the stream and "+
+							"execute through run (or extend a kernel in the closed set)",
+						fn.Name.Name, arms))
+				}
+				return true
+			})
+		}
 	}
 }
 

@@ -196,16 +196,16 @@ var _ time.Duration // naming the package without reading the clock is fine
 }
 
 // TestOnePoolRule: in internal/sim only pool.go may start goroutines
-// and only ccss.go may index the activity flags. The clean source is the
-// shape the package has; each mutation is one of the copies the rule
+// and only ccss.go may index the activity bitmap. The clean source is
+// the shape the package has; each mutation is one of the copies the rule
 // exists to keep from coming back.
 func TestOnePoolRule(t *testing.T) {
 	imp := deps(t)
 	const src = `
 package sim
 import "essent/internal/verify"
-type CCSS struct{ flags []bool }
-func (c *CCSS) wake(q int32) { c.flags[q] = true }
+type CCSS struct{ flags, always []uint64 }
+func (c *CCSS) wake(q int32) { c.flags[q>>6] |= 1 << (q & 63) }
 func (c *CCSS) spawn(f func()) { go f() }
 func New() (*CCSS, error) {
 	if err := verify.Enforce(0, nil, nil); err != nil {
@@ -225,6 +225,15 @@ func New() (*CCSS, error) {
 	wantRules(t, findings, "sim-one-pool")
 	if !strings.Contains(findings[0], "flags indexed") {
 		t.Fatalf("wrong construct flagged in %s: %q", simPoolFile, findings[0])
+	}
+	// Each field of the bitmap is guarded: a walk that reads the constant
+	// half directly has bypassed next just as much.
+	findings, _ = checkFile(t, imp, simPath, "internal/sim/vec.go",
+		strings.Replace(strings.Replace(src, "c.flags[q>>6] |=", "_ = c.always[q>>6] &", 1),
+			"go f()", "f()", 1))
+	wantRules(t, findings, "sim-one-pool")
+	if !strings.Contains(findings[0], "always indexed") {
+		t.Fatalf("constant half of the bitmap not guarded: %q", findings[0])
 	}
 	// Mutation: a third engine file grows its own flag walk and its own
 	// goroutine fan-out.
@@ -246,5 +255,79 @@ func anyOf(flags []bool) bool {
 	wantRules(t, findings)
 	findings, _ = checkFile(t, imp, "essent/internal/consumer", "consumer/walk.go",
 		strings.Replace(src, "package sim", "package consumer", 1))
+	wantRules(t, findings)
+}
+
+// TestOneDispatchRule: an opcode switch whose arms store into a table is
+// an evaluator, and only the closed set of kernels may hold one. The
+// same switch is clean inside run and a finding anywhere else; a
+// classifier over the same opcodes (no stores) and a short switch are
+// not evaluators.
+func TestOneDispatchRule(t *testing.T) {
+	imp := deps(t)
+	const codes = `
+package sim
+import "essent/internal/verify"
+type ICode uint8
+type opcode uint8
+const (
+	IAdd ICode = iota
+	ISub; IMul; IAnd; IOr; IXor; IEq; INeq; ILt
+)
+const (
+	opAdd opcode = iota
+	opSub; opMul; opAnd; opOr; opXor; opEq; opNeq; opLt
+)
+func New() error { return verify.Enforce(0, nil, nil) }
+`
+	eval := func(fn, typ, prefix string) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "func %s(t []uint64, c %s, d, x, y int) {\n\tswitch c {\n", fn, typ)
+		for _, op := range []string{"Add", "Sub", "Mul", "And", "Or", "Xor", "Eq", "Neq", "Lt"} {
+			fmt.Fprintf(&b, "\tcase %s%s:\n\t\tt[d] = t[x] + t[y]\n", prefix, op)
+		}
+		b.WriteString("\t}\n}\n")
+		return b.String()
+	}
+	for _, tc := range []struct {
+		name, body string
+		want       []string
+	}{
+		{"the stream executor", eval("run", "opcode", "op"), nil},
+		{"a row kernel", eval("execRowNarrow", "ICode", "I"), nil},
+		{"a second narrow evaluator", eval("execNarrow", "ICode", "I"), []string{"sim-one-dispatch"}},
+		{"a second stream executor", eval("stepEvent", "opcode", "op"), []string{"sim-one-dispatch"}},
+		{"a classifier", `
+func operands(c ICode) int {
+	switch c {
+	case IAdd: return 2
+	case ISub: return 2
+	case IMul: return 2
+	case IAnd: return 2
+	case IOr: return 2
+	case IXor: return 2
+	case IEq: return 2
+	case INeq: return 2
+	case ILt: return 2
+	}
+	return 1
+}`, nil},
+		{"a short switch", `
+func pair(t []uint64, c ICode) {
+	switch c {
+	case IAdd: t[0] = t[1] + t[2]
+	case ISub: t[0] = t[1] - t[2]
+	}
+}`, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			findings, _ := checkFile(t, imp, simPath, "internal/sim/x.go", codes+tc.body)
+			wantRules(t, findings, tc.want...)
+		})
+	}
+	// Other packages may switch over whatever they like (codegen prints
+	// the semantics; it does not execute them here).
+	findings, _ := checkFile(t, imp, "essent/internal/consumer", "consumer/x.go",
+		strings.Replace(codes+eval("emit", "ICode", "I"), "package sim", "package consumer", 1))
 	wantRules(t, findings)
 }
