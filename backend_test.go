@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"essent/internal/codegen"
 )
 
 const backendTestSrc = `
@@ -17,15 +19,41 @@ circuit BK :
     o <= acc
 `
 
+// TestArtifactGenFullCycleOptions: the two full-cycle engines hand the
+// generator different options — hence different cache keys, which are a
+// function of them — and the same two option sets as the "Baseline" and
+// "Verilator" arms of internal/exp's gencp experiment: no mux shadowing on
+// the Baseline, register-update elision on the optimized engine, as in
+// their interpreters.
+func TestArtifactGenFullCycleOptions(t *testing.T) {
+	base, ok1 := artifactGen(Options{Engine: EngineBaseline})
+	opt, ok2 := artifactGen(Options{Engine: EngineFullCycleOpt})
+	if !ok1 || !ok2 {
+		t.Fatal("a full-cycle engine has no compiled equivalent")
+	}
+	if want := (codegen.Options{Mode: codegen.ModeFullCycle, NoMuxShadow: true}); base != want {
+		t.Errorf("baseline generates with %+v, want %+v", base, want)
+	}
+	if want := (codegen.Options{Mode: codegen.ModeFullCycle, Elide: true}); opt != want {
+		t.Errorf("fullcycle-opt generates with %+v, want %+v", opt, want)
+	}
+}
+
 // TestBackendCompiledMatchesInterp runs the same stimulus through the
 // compiled subprocess backend and the in-process interpreter via the
-// public facade.
+// public facade, on every engine with a compiled equivalent.
 func TestBackendCompiledMatchesInterp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a compiled artifact")
 	}
+	for _, e := range []Engine{EngineESSENT, EngineBaseline, EngineFullCycleOpt} {
+		t.Run(e.String(), func(t *testing.T) { compiledMatchesInterp(t, e) })
+	}
+}
+
+func compiledMatchesInterp(t *testing.T, engine Engine) {
 	cache := t.TempDir()
-	cs, err := Compile(backendTestSrc, Options{Engine: EngineESSENT,
+	cs, err := Compile(backendTestSrc, Options{Engine: engine,
 		Backend: "compiled", ArtifactCacheDir: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +62,7 @@ func TestBackendCompiledMatchesInterp(t *testing.T) {
 	if cs.Degraded() {
 		t.Fatalf("compiled backend degraded at start: %+v", cs.BackendDegradation())
 	}
-	is, err := Compile(backendTestSrc, Options{Engine: EngineESSENT})
+	is, err := Compile(backendTestSrc, Options{Engine: engine})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,6 @@ func main() {
 		lanesFlag = flag.String("lanes", "",
 			`comma-separated lane counts for the lanes and pack sweeps, lane caps for vec
 (e.g. "1,4,16,64"; without -only implies the lanes experiment)`)
-		laneWorkers = flag.Int("laneworkers", 1,
-			"worker pool size for the lanes, pack and vec sweeps (1 = single-threaded)")
 		cyclesFlag = flag.Int("cycles", 0,
 			"override the cycle cap (0 = scale default; capped runs still report throughput)")
 		designsFlag = flag.String("designs", "",
@@ -75,7 +73,7 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	p := exp.Params{Scale: exp.FullScale(), LaneWorkers: *laneWorkers}
+	p := exp.Params{Scale: exp.FullScale()}
 	if *quick {
 		p.Scale = exp.QuickScale()
 	}
@@ -185,13 +183,9 @@ func validateFlags(only string, set map[string]bool, designs []string) ([]*exp.E
 	batched := runs["lanes"] || runs["pack"] || runs["vec"]
 	switch {
 	case set["workers"] && !runs["scaling"]:
-		return nil, fmt.Errorf("-workers selects the parallel scaling sweep and contradicts -only %s"+
-			" (for the lane sweep's worker pool use -laneworkers)", only)
+		return nil, fmt.Errorf("-workers selects the parallel scaling sweep and contradicts -only %s", only)
 	case set["lanes"] && !batched:
 		return nil, fmt.Errorf("-lanes configures the lanes, pack and vec sweeps and contradicts -only %s", only)
-	case set["laneworkers"] && !batched:
-		return nil, fmt.Errorf("-laneworkers only applies to the lanes, pack and vec sweeps" +
-			" (use with -only lanes, -only pack, -only vec, or -lanes)")
 	case set["ckptevery"] && !runs["ckptcost"]:
 		return nil, fmt.Errorf("-ckptevery configures the checkpoint-overhead experiment" +
 			" (use with -only ckptcost)")

@@ -62,12 +62,11 @@ func TestValidateFlagsSelection(t *testing.T) {
 		{"", flags(), paperSet},
 		{"", flags("workers", "lanes"), paperSet + ",scaling,lanes"},
 		{"gencp", flags("json"), "gencp"},
-		{"pack", flags("lanes", "laneworkers"), "pack"},
+		{"pack", flags("lanes"), "pack"},
 		{"ckptcost", flags("ckptevery"), "ckptcost"},
 		{"nope", flags(), `error: unknown experiment "nope"`},
 		{"lanes", flags("workers"), "error: -workers selects the parallel scaling sweep"},
 		{"scaling", flags("lanes"), "error: -lanes configures"},
-		{"gen", flags("laneworkers"), "error: -laneworkers only applies"},
 		{"", flags("ckptevery"), "error: -ckptevery configures"},
 	} {
 		if got := names(c.only, c.set); !strings.HasPrefix(got, c.want) {

@@ -36,7 +36,7 @@ func main() {
 			"cap instances per equivalence class for -engine vec (2..64; 0 = 64)")
 		minVecLanes = flag.Int("vec-min-lanes", 0,
 			"cost-model lane floor for -engine vec: classes packing fewer lanes "+
-				"fall back to scalar (0 = tuned default 8; 2 accepts every class)")
+				"fall back to scalar (0 = tuned default 16; 2 accepts every class)")
 		nosa = flag.Bool("nosa", false,
 			"disable static activity analysis in compilation (ablation: no "+
 				"SA constant folding, pack widening, or vec guard signatures)")

@@ -133,10 +133,8 @@ type Options struct {
 	// default of 8).
 	Cp int
 	// Workers is the total evaluation goroutine count, dispatcher
-	// included, for EngineESSENTParallel and EngineESSENTVec. An explicit
-	// value is honoured exactly; 0 selects the engine's default —
-	// GOMAXPROCS capped at 8 for EngineESSENTParallel, 1
-	// (single-threaded) for EngineESSENTVec. Other engines ignore it.
+	// included, for EngineESSENTParallel. An explicit value is honoured
+	// exactly; 0 selects GOMAXPROCS capped at 8. Other engines ignore it.
 	Workers int
 	// NoOptimize disables the netlist optimization passes that
 	// EngineFullCycleOpt and EngineESSENT normally run.
@@ -149,7 +147,7 @@ type Options struct {
 	MaxVecLanes int
 	// MinVecLanes is the vectorizer's cost-model floor: equivalence
 	// classes that fragment below this many lanes fall back to scalar
-	// evaluation (0 = the tuned default of 8; 2 accepts every class).
+	// evaluation (0 = the tuned default of 16; 2 accepts every class).
 	MinVecLanes int
 	// NoSA ablates static activity analysis everywhere it feeds the
 	// compile: the optimizer's known-bits folds and the vectorizer's
@@ -185,13 +183,17 @@ func ParseBackend(s string) (string, error) {
 }
 
 // artifactGen maps facade options onto a generated-artifact shape, or
-// reports that the engine has no compiled equivalent.
+// reports that the engine has no compiled equivalent. The two full-cycle
+// engines differ as their interpreters do: the Baseline shadows no
+// multiplexor ways, the optimized one elides register updates.
 func artifactGen(opts Options) (codegen.Options, bool) {
 	switch opts.Engine {
 	case EngineESSENT:
 		return codegen.Options{Mode: codegen.ModeCCSS, Cp: opts.Cp}, true
-	case EngineBaseline, EngineFullCycleOpt:
-		return codegen.Options{Mode: codegen.ModeFullCycle}, true
+	case EngineBaseline:
+		return codegen.Options{Mode: codegen.ModeFullCycle, NoMuxShadow: true}, true
+	case EngineFullCycleOpt:
+		return codegen.Options{Mode: codegen.ModeFullCycle, Elide: true}, true
 	}
 	return codegen.Options{}, false
 }
@@ -301,8 +303,7 @@ func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
 		engine.Engine, engine.Cp, engine.Workers =
 			sim.EngineCCSSParallel, opts.Cp, opts.Workers
 	case EngineESSENTVec:
-		engine.Engine, engine.Cp, engine.Workers =
-			sim.EngineCCSSVec, opts.Cp, opts.Workers
+		engine.Engine, engine.Cp = sim.EngineCCSSVec, opts.Cp
 		engine.NoVec, engine.MaxVecLanes = opts.NoVec, opts.MaxVecLanes
 		engine.MinVecLanes = opts.MinVecLanes
 	default:

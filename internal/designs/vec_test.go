@@ -196,8 +196,7 @@ func newVec(t *testing.T, d *netlist.Design, opts sim.Options) sim.Simulator {
 
 // TestVecDesignEquivalence checks vec-mode evaluation is bit-exact
 // (state and Stats) against the NoVec ablation and plain scalar CCSS on
-// the MAC array, the NoC mesh, and the SoC, raw and optimized, with the
-// worker pool included.
+// the MAC array, the NoC mesh, and the SoC, raw and optimized.
 func TestVecDesignEquivalence(t *testing.T) {
 	socCirc, err := Build(tinyConfig())
 	if err != nil {
@@ -225,7 +224,6 @@ func TestVecDesignEquivalence(t *testing.T) {
 			others := map[string]sim.Simulator{
 				"vec":          newVec(t, tc.d, sim.Options{MinVecLanes: 2}),
 				"vec-lanes5":   newVec(t, tc.d, sim.Options{MaxVecLanes: 5, MinVecLanes: 2}),
-				"vec-workers":  newVec(t, tc.d, sim.Options{Workers: 4, MinVecLanes: 2}),
 				"vec-deffloor": newVec(t, tc.d, sim.Options{}),
 			}
 			scalar, err := sim.New(tc.d, sim.Options{Engine: sim.EngineCCSS})

@@ -20,9 +20,8 @@ type Params struct {
 	// Workers are the parallel-CCSS worker counts of the scaling sweep.
 	Workers []int
 	// Lanes are the batch lane counts (lanes, pack) or the per-class lane
-	// caps (vec); LaneWorkers sizes those engines' worker pools.
-	Lanes       []int
-	LaneWorkers int
+	// caps (vec).
+	Lanes []int
 	// Intervals are ckptcost's snapshot spacings in cycles.
 	Intervals []uint64
 }

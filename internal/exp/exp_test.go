@@ -70,11 +70,11 @@ var smoke = []struct {
 		"cp,partitions,base_ops_per_cycle,static_per_cycle,dynamic_per_cycle,eff_activity"},
 	{"ablation", Params{Designs: []string{"tinyA"}}, false, "ops_per_cycle,elided,slowdown"},
 	{"scaling", Params{Designs: []string{"tinyA"}, Workers: []int{1, 2}}, false, "workers,eff_activity"},
-	{"lanes", Params{Designs: []string{"tinyA"}, Lanes: []int{1, 2}, LaneWorkers: 1}, false,
-		"lanes,workers,halted"},
-	{"pack", Params{Designs: []string{"fab"}, Lanes: []int{3, 8}, LaneWorkers: 1}, false,
-		"lanes,workers,packed_ops,packed_slots,halted"},
-	{"vec", Params{Designs: []string{"mac8"}, Lanes: []int{16}, LaneWorkers: 1}, false,
+	{"lanes", Params{Designs: []string{"tinyA"}, Lanes: []int{1, 2}}, false,
+		"lanes,halted"},
+	{"pack", Params{Designs: []string{"fab"}, Lanes: []int{3, 8}}, false,
+		"lanes,packed_ops,packed_slots,halted"},
+	{"vec", Params{Designs: []string{"mac8"}, Lanes: []int{16}}, false,
 		"instances,nodes,max_lanes,groups,vec_parts,widest_group"},
 	{"sa", Params{Designs: []string{"fab"}}, false, "signals,proven_const_pct,proven_gated_pct," +
 		"proven_narrow_pct,gated_regs,analysis_ms,fixpoint_iters,sa_const_folded,sa_mux_elided"},
@@ -434,7 +434,7 @@ func TestLaneSweep(t *testing.T) {
 // must produce capped (halted=false) rows, not errors — the CI smoke
 // path.
 func TestLaneSweepCapTolerated(t *testing.T) {
-	p := Params{Scale: testScale(), Designs: []string{"tinyA"}, Lanes: []int{2}, LaneWorkers: 1}
+	p := Params{Scale: testScale(), Designs: []string{"tinyA"}, Lanes: []int{2}}
 	p.Scale.MaxCycles = 2000
 	rows, err := lanes.Run(testSet(t), p)
 	if err != nil {
@@ -665,7 +665,7 @@ func BenchmarkBatchLanes(b *testing.B) {
 		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				smp, _, _, err := d.batchSample(d.Opt, dhry,
-					sim.BatchOptions{Lanes: lanes, Cp: 8, Workers: 1}, 50_000)
+					sim.BatchOptions{Lanes: lanes, Cp: 8}, 50_000)
 				if err != nil {
 					b.Fatal(err)
 				}

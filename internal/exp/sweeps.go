@@ -226,7 +226,7 @@ var lanes = &Experiment{
 	Name:    "lanes",
 	Title:   "Batched CCSS lane sweep (arm seq is sequential CCSS; per_sec is lane-cycles)",
 	Accepts: designSpec.soc,
-	Columns: []string{"lanes", "workers", "halted"},
+	Columns: []string{"lanes", "halted"},
 	Cells: func(ds *DesignSet, p Params) ([]Cell, error) {
 		// boom at 64 lanes is a very long run; r16 unless asked.
 		dsg, err := ds.pick(p.Designs, designSpec.soc, "r16")
@@ -239,10 +239,9 @@ var lanes = &Experiment{
 				})}
 			for _, L := range ints(p.Lanes, 1, 4, 16, 64) {
 				arms = append(arms, batchArm(fmt.Sprintf("batch%d", L), d, w, p.Scale.MaxCycles,
-					sim.BatchOptions{Lanes: L, Cp: 8, Workers: p.LaneWorkers},
+					sim.BatchOptions{Lanes: L, Cp: 8},
 					func(_ sim.PackStats, halted bool) (map[string]any, error) {
-						return map[string]any{"lanes": L, "workers": p.LaneWorkers,
-							"halted": halted}, nil
+						return map[string]any{"lanes": L, "halted": halted}, nil
 					}))
 			}
 			return arms
@@ -257,7 +256,7 @@ var pack = &Experiment{
 	Name:    "pack",
 	Title:   "Bit-packing sweep (packed vs NoPack batch CCSS; per_sec is lane-cycles)",
 	Accepts: anyDesign,
-	Columns: []string{"lanes", "workers", "packed_ops", "packed_slots", "halted"},
+	Columns: []string{"lanes", "packed_ops", "packed_slots", "halted"},
 	Cells: func(ds *DesignSet, p Params) ([]Cell, error) {
 		dsg, err := ds.pick(p.Designs, anyDesign, "fab", "r16")
 		var cells []Cell
@@ -270,7 +269,7 @@ var pack = &Experiment{
 				for _, L := range ints(p.Lanes, 16, 64) {
 					arm := func(name string, nopack bool) Arm {
 						return batchArm(name, d, w, stimCycles(p.Scale, d), sim.BatchOptions{
-							Lanes: L, Cp: cp, Workers: p.LaneWorkers, NoPack: nopack},
+							Lanes: L, Cp: cp, NoPack: nopack},
 							func(ps sim.PackStats, halted bool) (map[string]any, error) {
 								if !nopack && ps.PackedOps == 0 {
 									return nil, fmt.Errorf("pack plan is empty")
@@ -280,7 +279,7 @@ var pack = &Experiment{
 							})
 					}
 					cells = append(cells, Cell{Design: d.Name, Workload: w.Name, Reps: 3,
-						Params: map[string]any{"lanes": L, "workers": p.LaneWorkers},
+						Params: map[string]any{"lanes": L},
 						Arms:   []Arm{arm("unpacked", true), arm("packed", false)}})
 				}
 			}
@@ -311,7 +310,7 @@ var vec = &Experiment{
 				arm := func(name string, novec bool) Arm {
 					return engineArm(name, d, riscv.Workload{}, stimCycles(p.Scale, d),
 						simOn(d.Raw, sim.Options{Engine: sim.EngineCCSSVec, NoVec: novec,
-							MaxVecLanes: ml, Workers: p.LaneWorkers}),
+							MaxVecLanes: ml}),
 						func(s sim.Simulator, smp *Sample, _ bool) error {
 							vst := s.(*sim.VecCCSS).VecInfo()
 							if !novec && vst.Groups == 0 {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"io"
-	"sync/atomic"
 
 	"essent/internal/netlist"
 	"essent/internal/verify"
@@ -10,12 +9,12 @@ import (
 )
 
 // BatchCCSS evaluates up to simrt.MaxLanes independent stimulus lanes
-// against one compiled CCSS schedule. The compiled machine — instruction
-// stream, fused superinstructions, partition plan — is built once and
-// shared; values live in a lane-major structure-of-arrays table (word w
-// of slot off at bt[(off+w)*L+l]), so one instruction fetch/decode is
-// amortized across every lane that needs it and the lanes it touches are
-// adjacent in memory.
+// against one compiled CCSS schedule. The compiled machine — op stream,
+// fused superinstructions, partition plan — is built once and shared;
+// values live in a lane-major structure-of-arrays table (word w of slot
+// off at bt[(off+w)*L+l]) that the lane walker (exec_lanes.go) executes
+// the stream over, so one op fetch/decode is amortized across every lane
+// that needs it and the lanes it touches are adjacent in memory.
 //
 // Activity tracking is per lane: each partition carries a lane mask
 // instead of a bool flag, a partition whose mask is empty is skipped for
@@ -25,11 +24,14 @@ import (
 // Per-level spec masks (plan.SpecOf wake plumbing) let the per-cycle walk
 // skip whole idle levels without scanning their partitions.
 //
-// Narrow unsigned instructions — the hot path — run a tight lane loop
+// Narrow unsigned and fused ops — the hot path — run a tight lane loop
 // over the row slices. Signed and wide instructions fall back to
 // per-lane evaluation through a scalar shadow machine (gather operands,
-// run the scalar kernel, scatter the result), keeping the batch kernels
+// run the scalar kernel, scatter the result), keeping the row kernels
 // small without duplicating the wide-arithmetic code.
+//
+// The engine is single-threaded: a worker pool over (partition × lane
+// group) items measured 0.92–1.01× at two workers and was removed.
 //
 // Lanes run in lock-step from cycle 0. A lane that executes stop() or
 // fails an assertion finishes that cycle (commit included) and freezes:
@@ -39,9 +41,6 @@ import (
 // same stimulus (the lane-equivalence tests enforce this).
 type BatchCCSS struct {
 	base *CCSS
-	// pool splits a parallel spec's items across workers (Workers > 1);
-	// it also carries Close, Degraded, LastPanic and SetFailpoint.
-	*pool
 	// L is the configured lane count (1..simrt.MaxLanes).
 	L int
 	// live is the set of lanes still running.
@@ -79,26 +78,22 @@ type BatchCCSS struct {
 	regMask   []simrt.LaneMask
 	dirtyRegs []int32
 
-	// laneStats holds the dispatcher-maintained per-lane counters (input
-	// scan, partition checks, commit, cycles). Evaluation counters accrue
-	// in the per-context arrays; LaneStats sums both.
 	laneStats [simrt.MaxLanes]Stats
 	laneErr   [simrt.MaxLanes]error
 
 	// pp is the bit-packing overlay plan (nil when packing is off or found
-	// nothing to pack); sched/pranges are the schedule the batch engine
-	// actually walks — the base machine schedule by default, the rewritten
-	// packed schedule when pp != nil. The base machine is never modified:
-	// sequential reference runs and codegen export see the unpacked stream.
-	pp      *packPlan
-	sched   []schedEntry
-	pranges [][2]int32
+	// nothing to pack). ops is the stream the engine executes and spans
+	// each partition's range of it: the lowering of the overlay's
+	// rewritten schedule, or the base machine's own stream when nothing
+	// packs. The base machine is never modified: sequential reference runs
+	// and codegen export see the unpacked schedule.
+	pp    *packPlan
+	ops   []sop
+	spans []opSpan
 
-	// pt is the shared packed bit-parallel table (one uint64 per packed
-	// slot; bit l is lane l's value). Slots are persistently coherent
-	// engine state, maintained at the writer across cycles (see
-	// pack.go); packed partitions are single-owner under the pool
-	// (packPlan.partPacked), so sharing the table is race-free.
+	// pt is the packed bit-parallel table (one uint64 per packed slot; bit
+	// l is lane l's value). Slots are persistently coherent engine state,
+	// maintained at the writer across cycles (see pack.go).
 	pt []uint64
 	// outSlot[pi][oi] is the packed slot of partition pi's output oi
 	// when its change detection runs on the slot word (-1: row compare;
@@ -110,44 +105,16 @@ type BatchCCSS struct {
 	// instruction-produced and recomputes in schedule order).
 	refreshSlots []int32
 
-	// ctx[0] is the dispatcher's evaluation context; ctx[1:] belong to
-	// pool workers.
-	ctx []*batchCtx
+	ctx *batchCtx
 
 	cycle uint64
-
-	// out is every context's printf sink (lanes and workers serialized).
-	out lockedWriter
-
-	// Pooled specs: (partition-chunk × lane-group) items of the spec in
-	// flight, dispensed through itemNext. parCutoff is the per-spec
-	// lane-weighted active cost below which a spec runs inline instead of
-	// crossing the barrier.
-	parCutoff    int64
-	groups       []simrt.LaneMask
-	curSpec      int32
-	curLive      simrt.LaneMask
-	itemNext     atomic.Int64
-	itemFn       func(wid int)
-	emBuf        []simrt.LaneMask
-	workerPanics uint64
 }
 
 // batchSpec is the runtime form of one sched.LevelSpec for the batch
 // walk.
 type batchSpec struct {
 	parts    []int32
-	serial   bool
 	alwaysOn bool
-	// bounds splits parts into equal-cost chunks for the pool (parallel
-	// specs with workers > 1 only).
-	bounds []int32
-	// elided locates the lane-major value-table ranges of registers this
-	// spec updates in place; elSnap is their pre-dispatch snapshot (see
-	// levelRun.elided: the one non-idempotent partition effect, restored
-	// by panic recovery before re-running the spec).
-	elided []operand
-	elSnap []uint64
 }
 
 // batchMem is one memory replicated across lanes, lane-major:
@@ -184,18 +151,13 @@ type BatchOptions struct {
 	// (proven-1-bit signals in wider declarations; ablation knob —
 	// results stay bit-exact, fewer ops pack).
 	NoSA bool
-	// Workers is the total evaluation goroutine count, dispatcher
-	// included, honoured exactly; values below 1 mean 1. One worker is
-	// single-threaded (the deterministic default: a pool reorders printf
-	// output and check-error selection within a cycle).
-	Workers int
 	// Verify selects static-verification enforcement (strict by default).
 	Verify verify.Mode
 }
 
 // NewBatchCCSS compiles a batched CCSS simulator.
 func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
-	base, err := buildCCSS(d, Options{Cp: opts.Cp, Verify: opts.Verify}, false)
+	base, err := newCCSS(d, Options{Cp: opts.Cp, Verify: opts.Verify})
 	if err != nil {
 		return nil, err
 	}
@@ -206,15 +168,8 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 	if L > simrt.MaxLanes {
 		L = simrt.MaxLanes
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	m := base.machine
-	b := &BatchCCSS{base: base, pool: newPool(workers), L: L,
-		parCutoff: defaultSerialCutoff}
-	b.out.set(io.Discard)
-	b.itemFn = b.runItems
+	b := &BatchCCSS{base: base, L: L}
 
 	b.bt = make([]uint64, len(m.t)*L)
 	b.init = append([]uint64(nil), m.t...)
@@ -226,29 +181,19 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 	np := base.NumPartitions()
 	b.pmask = make([]simrt.LaneMask, np)
 	b.specMask = make([]simrt.LaneMask, len(plan.LevelSpecs))
-	b.emBuf = make([]simrt.LaneMask, np)
 	b.alwaysOn = make([]bool, np)
 	for pi := range b.alwaysOn {
 		b.alwaysOn[pi] = plan.Parts[pi].AlwaysOn
 	}
 	b.specs = make([]batchSpec, len(plan.LevelSpecs))
 	for si, spec := range plan.LevelSpecs {
-		sp := batchSpec{parts: toInt32s(spec.Parts), serial: spec.Serial}
+		sp := batchSpec{parts: toInt32s(spec.Parts)}
 		for _, pi := range sp.parts {
 			if b.alwaysOn[pi] {
 				sp.alwaysOn = true
 			}
 		}
-		if !sp.serial && workers > 1 {
-			sp.bounds = chunkSpans(sp.parts, plan.PartCosts, workers)
-		}
 		b.specs[si] = sp
-	}
-
-	if workers > 1 {
-		for si, ops := range specElided(d, plan, base.regOut) {
-			b.specs[si].elided = ops
-		}
 	}
 
 	b.mems = make([]batchMem, len(m.mems))
@@ -269,9 +214,9 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 
 	// Bit-packing pass: rewrite eligible 1-bit sequences into packed
 	// word-ops (64 lanes per uint64 op). The plan is an overlay — the base
-	// machine schedule stays untouched; the batch engine walks b.sched.
-	b.sched = m.sched
-	b.pranges = base.parts.sched
+	// machine schedule stays untouched; the engine executes the lowering
+	// of the overlay's schedule, or the base stream when nothing packs.
+	b.ops, b.spans = m.ops, m.spans
 	if !opts.NoPack {
 		// Partition outputs are deliberately NOT kept live: a packed
 		// destination that is only read packed elides its row, and its
@@ -280,16 +225,12 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 		if !opts.NoSA {
 			sa1 = saPackBits(m)
 		}
-		if pp := buildPackPlan(m, b.pranges, nil, sa1); pp != nil {
-			if opts.Verify != verify.Off {
-				if err := verify.Enforce(opts.Verify,
-					verifyPackPlan(m, pp, b.pranges, nil), nil); err != nil {
-					return nil, err
-				}
-			}
+		if pp := buildPackPlan(m, base.parts.sched, nil, sa1); pp != nil {
 			b.pp = pp
-			b.sched = pp.sched
-			b.pranges = pp.ranges
+			b.ops, b.spans = lower(pp.sched, m.instrs, pp.ranges)
+			if err := b.verifyPacked(opts.Verify); err != nil {
+				return nil, err
+			}
 			b.pt = make([]uint64, pp.nslots)
 			b.outSlot = make([][]int32, np)
 			for pi := range b.outSlot {
@@ -330,68 +271,22 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 		}
 	}
 
-	b.ctx = make([]*batchCtx, workers)
-	for w := 0; w < workers; w++ {
-		b.ctx[w] = newBatchCtx(b)
-	}
-	b.groups = laneGroups(L, workers)
+	b.ctx = newBatchCtx(b)
 	b.Reset()
 	return b, nil
 }
 
-// laneGroups splits the configured lanes into contiguous groups for the
-// pool's (chunk × group) item space: enough groups to feed the workers
-// without shrinking each group's row run below the point where the
-// lane-loop amortization pays.
-func laneGroups(L, workers int) []simrt.LaneMask {
-	ng := 1
-	if workers > 1 {
-		switch {
-		case L >= 32:
-			ng = 4
-		case L >= 8:
-			ng = 2
-		}
+// verifyPacked checks the pack overlay (SM-PACK) and the stream lowered
+// from it (SM-LOWER) under the construction's verify mode.
+func (b *BatchCCSS) verifyPacked(mode verify.Mode) error {
+	if mode == verify.Off {
+		return nil
 	}
-	groups := make([]simrt.LaneMask, ng)
-	per := (L + ng - 1) / ng
-	for g := 0; g < ng; g++ {
-		lo := g * per
-		hi := lo + per
-		if hi > L {
-			hi = L
-		}
-		if lo >= hi {
-			groups[g] = 0
-			continue
-		}
-		groups[g] = simrt.FullMask(hi) &^ simrt.FullMask(lo)
-	}
-	return groups
-}
-
-// chunkSpans splits a spec's partitions into nc consecutive spans of
-// roughly equal static cost (bounds[c]..bounds[c+1] is chunk c).
-func chunkSpans(parts []int32, cost []int64, nc int) []int32 {
-	bounds := make([]int32, nc+1)
-	bounds[nc] = int32(len(parts))
-	var total int64
-	for _, pi := range parts {
-		total += cost[pi]
-	}
-	var acc int64
-	c := 1
-	for i, pi := range parts {
-		acc += cost[pi]
-		for c < nc && acc*int64(nc) >= total*int64(c) {
-			bounds[c] = int32(i + 1)
-			c++
-		}
-	}
-	for ; c < nc; c++ {
-		bounds[c] = int32(len(parts))
-	}
-	return bounds
+	m, pp := b.base.machine, b.pp
+	diags := verifyPackPlan(m, pp, b.base.parts.sched, nil)
+	diags = append(diags,
+		verifyLowering(pp.sched, m.instrs, pp.ranges, b.ops, b.spans, len(m.t))...)
+	return verify.Enforce(mode, diags, nil)
 }
 
 // Reset restores initial state on every lane (including stopped ones),
@@ -416,15 +311,17 @@ func (b *BatchCCSS) Reset() {
 	b.dirtyRegs = b.dirtyRegs[:0]
 	for l := range b.laneStats {
 		b.laneStats[l] = Stats{}
-		b.laneErr[l] = nil
+		b.laneErr[l], b.ctx.errs[l] = nil, nil
 	}
-	for _, c := range b.ctx {
-		c.reset()
-	}
-	b.pool.revive()
-	b.workerPanics = 0
 	b.cycle = 0
 }
+
+// Close and Degraded are no-ops kept for callers written against the
+// pooled engine (bench/ calls both): there are no worker goroutines to
+// retire and no pool to lose.
+func (b *BatchCCSS) Close() {}
+
+func (b *BatchCCSS) Degraded() bool { return false }
 
 // initPackedTable re-derives the whole packed table from the unpacked
 // rows: const slots from the plan's initial image, every other slot by
@@ -465,6 +362,21 @@ func (b *BatchCCSS) wake(q int32, m simrt.LaneMask) {
 	b.specMask[b.specOf[q]] |= m
 }
 
+// wakeAllLanes flags every partition and level spec for every live
+// lane and invalidates the input history so the next scan re-seeds it.
+func (b *BatchCCSS) wakeAllLanes() {
+	for i := range b.pmask {
+		b.pmask[i] |= b.live
+	}
+	for i := range b.specMask {
+		b.specMask[i] |= b.live
+	}
+	b.pokedMask |= b.live
+	for i := range b.prevIn {
+		b.prevIn[i] = ^uint64(0)
+	}
+}
+
 // NumLanes returns the configured lane count.
 func (b *BatchCCSS) NumLanes() int { return b.L }
 
@@ -490,10 +402,9 @@ func (b *BatchCCSS) NumSchedEntries() int { return b.base.NumSchedEntries() }
 // NumPartitions returns the partition count.
 func (b *BatchCCSS) NumPartitions() int { return b.base.NumPartitions() }
 
-// SetOutput directs printf output (serialized across lanes and workers;
-// lane interleaving within a cycle follows lane order on the
-// single-threaded engine and is unspecified under the pool).
-func (b *BatchCCSS) SetOutput(w io.Writer) { b.out.set(w) }
+// SetOutput directs printf output (lanes interleave in lane order within
+// a cycle).
+func (b *BatchCCSS) SetOutput(w io.Writer) { b.ctx.sm.out = w }
 
 // --- per-lane state access ---
 
@@ -529,9 +440,9 @@ func (b *BatchCCSS) Poke(id netlist.SignalID, v uint64) {
 
 // PokeWideLane sets a wide input on one lane from limb words.
 func (b *BatchCCSS) PokeWideLane(l int, id netlist.SignalID, words []uint64) {
-	// Masked into the dispatcher's scalar shadow table (whose slots are
-	// gathered afresh before every use), then scattered to the lane.
-	sm := b.ctx[0].sm
+	// Masked into the scalar shadow table (whose slots are gathered afresh
+	// before every use), then scattered to the lane.
+	sm := b.ctx.sm
 	sm.PokeWide(id, words)
 	off := int(sm.off[id])
 	simrt.ScatterLane(b.bt, sm.t, off, int(sm.nw[id]), b.L, l)
@@ -614,9 +525,6 @@ func addStats(dst, src *Stats) {
 // sequential CCSS run of the same stimulus.
 func (b *BatchCCSS) LaneStats(l int) Stats {
 	st := b.laneStats[l]
-	for _, c := range b.ctx {
-		addStats(&st, &c.stats[l])
-	}
 	st.FusedPairs = b.base.machine.stats.FusedPairs
 	return st
 }
@@ -630,7 +538,6 @@ func (b *BatchCCSS) Stats() *Stats {
 	}
 	st.Cycles = b.cycle
 	st.FusedPairs = b.base.machine.stats.FusedPairs
-	st.WorkerPanics = b.workerPanics
 	return &st
 }
 
@@ -664,7 +571,6 @@ func (b *BatchCCSS) Step(n int) error {
 func (b *BatchCCSS) stepOne() {
 	live := b.live
 	np := len(b.pmask)
-	c0 := b.ctx[0]
 	var lanesArr [simrt.MaxLanes]int
 
 	// Static overhead accounting: the sequential engine tests every
@@ -708,20 +614,25 @@ func (b *BatchCCSS) stepOne() {
 	}
 
 	// Walk the level specs in order (concatenated specs are the
-	// sequential partition order). Serial specs walk inline with direct
-	// wakes — a consumer later in the spec must still run this cycle.
-	// Parallel specs have no intra-spec consumers, so they may be
-	// pre-scanned and split across the pool.
+	// sequential partition order) with direct wakes: a consumer later in a
+	// serial spec must still run this cycle.
 	for si := range b.specs {
 		sp := &b.specs[si]
 		if b.specMask[si]&live == 0 && !sp.alwaysOn {
 			continue
 		}
 		b.specMask[si] = 0
-		if sp.serial || !b.pool.usable() {
-			b.runSpecInline(c0, sp, live)
-		} else {
-			b.runSpecPooled(int32(si), sp, live)
+		for _, pi := range sp.parts {
+			em := b.pmask[pi]
+			b.pmask[pi] = 0
+			if b.alwaysOn[pi] {
+				em = live
+			} else {
+				em &= live
+			}
+			if em != 0 {
+				b.evalPartBatch(pi, em)
+			}
 		}
 	}
 
@@ -818,36 +729,10 @@ func (b *BatchCCSS) stepOne() {
 	b.cycle++
 	for _, l := range live.Lanes(lanesArr[:0]) {
 		b.laneStats[l].Cycles++
-		var err error
-		for _, c := range b.ctx {
-			if c.errs[l] != nil {
-				if err == nil {
-					err = c.errs[l]
-				}
-				c.errs[l] = nil
-			}
-		}
-		if err != nil {
+		if err := b.ctx.errs[l]; err != nil {
+			b.ctx.errs[l] = nil
 			b.laneErr[l] = err
 			b.live &^= 1 << uint(l)
 		}
-	}
-}
-
-// runSpecInline walks one spec's partitions on the dispatcher with
-// direct wakes (the batched analog of the sequential partition walk).
-func (b *BatchCCSS) runSpecInline(c *batchCtx, sp *batchSpec, live simrt.LaneMask) {
-	for _, pi := range sp.parts {
-		em := b.pmask[pi]
-		b.pmask[pi] = 0
-		if b.alwaysOn[pi] {
-			em = live
-		} else {
-			em &= live
-		}
-		if em == 0 {
-			continue
-		}
-		b.evalPartBatch(c, pi, em, true)
 	}
 }

@@ -152,64 +152,6 @@ circuit S :
 	}
 }
 
-// TestBatchPooledEquivalence runs the batched engine through the worker
-// pool (parCutoff 1 forces every parallel spec across the barrier) and
-// checks lane state against the single-threaded batch engine. Run with
-// -race this doubles as the pool's data-race test.
-func TestBatchPooledEquivalence(t *testing.T) {
-	seeds := 4
-	if testing.Short() {
-		seeds = 2
-	}
-	const lanes = 9
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		c := randckt.Generate(seed+7000, randckt.DefaultConfig())
-		d, err := netlist.Compile(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := NewBatchCCSS(d, BatchOptions{Lanes: lanes, Cp: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pooled, err := NewBatchCCSS(d, BatchOptions{Lanes: lanes, Cp: 8,
-			Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pooled.parCutoff = 1
-		defer pooled.Close()
-		rng := rand.New(rand.NewSource(seed))
-		for cyc := 0; cyc < 60; cyc++ {
-			if len(d.Inputs) > 0 && (cyc == 0 || rng.Intn(2) == 0) {
-				in := d.Inputs[rng.Intn(len(d.Inputs))]
-				w := d.Signals[in].Width
-				for l := 0; l < lanes; l++ {
-					words := make([]uint64, bits.Words(w))
-					for i := range words {
-						words[i] = rng.Uint64()
-					}
-					bits.MaskInto(words, w)
-					serial.PokeWideLane(l, in, words)
-					pooled.PokeWideLane(l, in, words)
-				}
-			}
-			serial.Step(1)
-			pooled.Step(1)
-			for l := 0; l < lanes; l++ {
-				if got, want := batchLaneState(pooled, l), batchLaneState(serial, l); got != want {
-					t.Fatalf("seed %d cyc %d lane %d pooled diverged:\npool: %s\nser:  %s",
-						seed, cyc, l, got, want)
-				}
-				if got, want := pooled.LaneStats(l), serial.LaneStats(l); got != want {
-					t.Fatalf("seed %d cyc %d lane %d pooled stats diverged:\npool: %+v\nser:  %+v",
-						seed, cyc, l, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestBatchPokeMemLane: divergent per-lane memory contents must stay
 // lane-local and wake only the poked lane's read ports.
 func TestBatchPokeMemLane(t *testing.T) {

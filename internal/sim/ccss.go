@@ -163,9 +163,9 @@ type ccssWorker struct {
 // cost grows past it.
 const defaultWorkerCap = 8
 
-// defaultSerialCutoff is the pool-crossing threshold of the scalar and
-// batch engines, in static cost units (≈ns of single-threaded
-// evaluation; waking and draining the pool costs a few µs).
+// defaultSerialCutoff is the pool-crossing threshold, in static cost
+// units (≈ns of single-threaded evaluation; waking and draining the pool
+// costs a few µs).
 const defaultSerialCutoff = 8192
 
 // partTable is the partition wake plumbing in CSR form — partitions →
@@ -176,8 +176,7 @@ const defaultSerialCutoff = 8192
 // pointer chase.
 type partTable struct {
 	// sched is each partition's entry range in the machine IR (what the
-	// batch, vec and pack engines compile from; the scalar walk runs
-	// machine.spans).
+	// pack and vec passes read; the walk runs machine.spans).
 	sched [][2]int32
 	rows  []partRow
 	outs  []partOut
@@ -230,23 +229,13 @@ func appendInt32s(dst []int32, xs []int) []int32 {
 	return dst
 }
 
-// newCCSS builds the engine that evaluates partitions itself: scalar,
-// pooled, and the base of the vec engine.
+// newCCSS plans the design and builds the runtime structures from the
+// plan, statically verifying the design, the plan, the compiled machine
+// schedule and its lowering under opts.Verify (the scalar, batch and vec
+// engines all build through here, so all three inherit the
+// verification). opts.Engine only sizes the pool (resolveWorkers):
+// EngineCCSSParallel is this engine with more workers.
 func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
-	return buildCCSS(d, opts, true)
-}
-
-// buildCCSS plans the design and builds the runtime structures from the
-// plan, statically verifying the design, the plan, and the compiled
-// machine schedule under opts.Verify (the scalar, batch and vec engines
-// all build through here, so all three inherit the verification).
-// opts.Engine only sizes the pool (resolveWorkers): EngineCCSSParallel is
-// this engine with more workers, and the vec engine's workers split a
-// group's lanes. scalar says the engine will step: it gets the lowered
-// op stream. The batch engine passes false — it takes the plan, the IR
-// and the partition table from here and evaluates through its own row
-// kernels, so a stream would be memory it never reads.
-func buildCCSS(d *netlist.Design, opts Options, scalar bool) (*CCSS, error) {
 	plan, err := sched.PlanCCSSOpts(d, sched.PlanOptions{
 		Cp: opts.Cp, NoElide: opts.NoElide, NoMuxShadow: opts.NoMuxShadow,
 	})
@@ -279,9 +268,7 @@ func buildCCSS(d *netlist.Design, opts Options, scalar bool) (*CCSS, error) {
 	if err != nil {
 		return nil, err
 	}
-	if scalar {
-		m.lower(ranges)
-	}
+	m.ops, m.spans = lower(m.sched, m.instrs, ranges)
 	if vmode != verify.Off {
 		if err := verify.Enforce(vmode,
 			verifyMachine(m, ranges, plan, keepLive), nil); err != nil {
@@ -444,21 +431,20 @@ func specElided(d *netlist.Design, plan *sched.CCSSPlan, regOut []operand) [][]o
 	return out
 }
 
-// saveElided snapshots the rows of a spec's in-place registers, in a
-// value table with lane stride L (1 for the scalar table), into snap's
-// storage before a pooled dispatch; restoreElided puts them back when
-// the dispatch has to be rolled back.
-func saveElided(ops []operand, table, snap []uint64, L int) []uint64 {
+// saveElided snapshots the table words of a level's in-place registers
+// into snap's storage before a pooled dispatch; restoreElided puts them
+// back when the dispatch has to be rolled back.
+func saveElided(ops []operand, table, snap []uint64) []uint64 {
 	snap = snap[:0]
 	for _, o := range ops {
-		snap = append(snap, table[int(o.off)*L:int(o.off+o.words())*L]...)
+		snap = append(snap, table[o.off:o.off+o.words()]...)
 	}
 	return snap
 }
 
-func restoreElided(ops []operand, table, snap []uint64, L int) {
+func restoreElided(ops []operand, table, snap []uint64) {
 	for _, o := range ops {
-		n := copy(table[int(o.off)*L:int(o.off+o.words())*L], snap)
+		n := copy(table[o.off:o.off+o.words()], snap)
 		snap = snap[n:]
 	}
 }
@@ -780,7 +766,7 @@ func (c *CCSS) runPooled(li int) {
 		c.take(p)
 		c.runList = append(c.runList, p)
 	}
-	lv.elSnap = saveElided(lv.elided, m.t, lv.elSnap, 1)
+	lv.elSnap = saveElided(lv.elided, m.t, lv.elSnap)
 	for _, wk := range c.wk {
 		wk.m.cycle = m.cycle
 	}
@@ -819,7 +805,7 @@ func (c *CCSS) runPooled(li int) {
 		wp := err.(*WorkerPanicError)
 		wp.Level, wp.Partition = li, c.wk[wp.Worker].cur
 		m.stats.WorkerPanics++
-		restoreElided(lv.elided, m.t, lv.elSnap, 1)
+		restoreElided(lv.elided, m.t, lv.elSnap)
 		c.wakeAll()
 		c.runInline(lv.start, lv.end)
 	}

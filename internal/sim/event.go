@@ -76,13 +76,14 @@ func newEventDriven(d *netlist.Design, opts Options) (*EventDriven, error) {
 	}
 	// Unfused and unshadowed, every schedule entry lowers to exactly one
 	// stream op, so an instruction's op sits at its schedule position.
-	m.lower(nil)
+	m.ops, m.spans = lower(m.sched, m.instrs, nil)
 	if len(m.ops) != len(m.sched) {
 		return nil, fmt.Errorf("sim: event-driven schedule lowered to %d ops for %d entries",
 			len(m.ops), len(m.sched))
 	}
 	if vmode != verify.Off {
-		if err := verify.Enforce(vmode, verifyLowering(m), nil); err != nil {
+		if err := verify.Enforce(vmode,
+			verifyLowering(m.sched, m.instrs, nil, m.ops, m.spans, len(m.t)), nil); err != nil {
 			return nil, err
 		}
 	}

@@ -5,61 +5,27 @@ import (
 	"essent/pkg/simrt"
 )
 
-// batchCtx is one evaluation agent's private state: the dispatcher owns
-// ctx[0], each pool worker its own. The scalar shadow machine carries a
-// private value table (constants pre-materialized) used to run signed
-// and wide instructions one lane at a time, and to format printf
-// arguments. Per-lane counters and check errors accrue here so that
-// concurrent agents never share a written cacheline; BatchCCSS merges
-// them at well-defined points (stats lazily in LaneStats, errors at the
-// cycle boundary, wakes and register marks at the spec boundary).
+// batchCtx is the batch engine's evaluation state. The scalar shadow
+// machine carries a private value table (constants pre-materialized) used
+// to run signed and wide instructions one lane at a time, and to format
+// printf arguments.
 type batchCtx struct {
 	b  *BatchCCSS
 	sm *machine
+	lw laneWalker
 
-	// pt aliases the engine's shared packed bit-parallel table (one
-	// uint64 per packed slot; bit l is lane l's value). Slots are
-	// persistently coherent engine state maintained at the writer (see
-	// pack.go); packed partitions are single-owner under the pool
-	// (packPlan.partPacked), so the shared words are race-free.
-	pt []uint64
 	// oldSlot buffers pre-evaluation slot words of the partition's
 	// slot-compared outputs (BatchCCSS.outSlot), replacing the lane-major
 	// old-value row copy for elided-row packed destinations.
 	oldSlot []uint64
 
-	// stack implements nested mux-shadow skips with per-lane masks.
-	stack []batchFrame
-	// lanesA serves the partition-level walk, lanesB the instruction
-	// walk's mask changes (they nest, so they need distinct backing).
+	// lanesA serves the partition-level walk, lanesB its change masks
+	// (they nest, so they need distinct backing).
 	lanesA [simrt.MaxLanes]int
 	lanesB [simrt.MaxLanes]int
 
-	stats [simrt.MaxLanes]Stats
-	errs  [simrt.MaxLanes]error
-
-	// cur is the partition this context is evaluating (panic context).
-	cur int32
-
-	// Buffered side effects for pooled specs (merged serially).
-	wakes []laneWake
-	regs  []laneReg
-}
-
-// batchFrame saves the enclosing lane mask across a skip span.
-type batchFrame struct {
-	end  int32
-	mask simrt.LaneMask
-}
-
-type laneWake struct {
-	q int32
-	m simrt.LaneMask
-}
-
-type laneReg struct {
-	ri int32
-	m  simrt.LaneMask
+	// errs holds each lane's first check error of the cycle in flight.
+	errs [simrt.MaxLanes]error
 }
 
 func newBatchCtx(b *BatchCCSS) *batchCtx {
@@ -67,11 +33,8 @@ func newBatchCtx(b *BatchCCSS) *batchCtx {
 	mc := *base
 	mc.t = append([]uint64(nil), base.t...)
 	mc.sc = simrt.NewScratch(mc.maxWords)
-	mc.stats = Stats{}
-	mc.out = &b.out
 	c := &batchCtx{b: b, sm: &mc}
 	if b.pp != nil {
-		c.pt = b.pt
 		maxOut := 0
 		for _, r := range b.base.parts.rows {
 			maxOut = max(maxOut, int(r.outEnd-r.out))
@@ -81,31 +44,18 @@ func newBatchCtx(b *BatchCCSS) *batchCtx {
 	return c
 }
 
-func (c *batchCtx) reset() {
-	for l := range c.stats {
-		c.stats[l] = Stats{}
-		c.errs[l] = nil
-	}
-	c.wakes = c.wakes[:0]
-	c.regs = c.regs[:0]
-}
-
 // evalPartBatch evaluates one partition for the lanes in em: save old
-// outputs, run the instruction span, compare and wake per lane. With
-// direct=false (pooled specs) wakes and register marks are buffered for
-// the serial merge at the spec boundary.
-func (b *BatchCCSS) evalPartBatch(c *batchCtx, pi int32, em simrt.LaneMask, direct bool) {
+// outputs, walk the partition's span of the stream, compare and wake per
+// lane.
+func (b *BatchCCSS) evalPartBatch(pi int32, em simrt.LaneMask) {
+	c := b.ctx
 	pt := &b.base.parts
 	row := pt.rows[pi]
 	outs, regs := pt.outs[row.out:row.outEnd], pt.regs[row.reg:row.regEnd]
-	c.cur = pi
 	L := b.L
 	full := em == simrt.FullMask(L)
 	lanes := em.Lanes(c.lanesA[:0])
-	for _, l := range lanes {
-		c.stats[l].PartEvals++
-	}
-	start, end := b.pranges[pi][0], b.pranges[pi][1]
+	stats := &b.laneStats
 	var oslots []int32
 	if b.pp != nil {
 		oslots = b.outSlot[pi]
@@ -130,7 +80,12 @@ func (b *BatchCCSS) evalPartBatch(c *batchCtx, pi int32, em simrt.LaneMask, dire
 			}
 		}
 	}
-	c.runRange(start, end, em)
+	sp := b.spans[pi]
+	c.lw.walk(b.ops, b.bt, L, sp.pc, sp.end, em, c.escape)
+	for _, l := range lanes {
+		stats[l].PartEvals++
+		stats[l].OpsEvaluated += uint64(sp.weight) - c.lw.skipped[l]
+	}
 	for oi := range outs {
 		o := &outs[oi]
 		ncons := uint64(o.consEnd - o.cons)
@@ -140,19 +95,9 @@ func (b *BatchCCSS) evalPartBatch(c *batchCtx, pi int32, em simrt.LaneMask, dire
 			// Bit l of the slot is lane l's value, so the diff word IS the
 			// per-lane change mask (stale bits of inactive lanes masked out).
 			changed = simrt.LaneMask(c.oldSlot[oi]^b.pt[oslots[oi]]) & em
-			for _, l := range lanes {
-				c.stats[l].OutputCompares++
-			}
-			if changed != 0 {
-				for _, l := range changed.Lanes(c.lanesB[:0]) {
-					c.stats[l].SignalChanges++
-					c.stats[l].Wakes += ncons
-				}
-			}
 		} else if o.words == 1 {
 			// Hot shape: one-word output. Scan the whole row branch-free
-			// (stale old values of inactive lanes are masked back out),
-			// then credit stats per active lane.
+			// (stale old values of inactive lanes are masked back out).
 			cur := b.bt[int(o.off)*L : int(o.off)*L+L]
 			old := b.oldVals[int(o.oldOff)*L : int(o.oldOff)*L+L]
 			old = old[:len(cur)]
@@ -162,217 +107,80 @@ func (b *BatchCCSS) evalPartBatch(c *batchCtx, pi int32, em simrt.LaneMask, dire
 				}
 			}
 			changed &= em
-			for _, l := range lanes {
-				c.stats[l].OutputCompares++
-			}
-			if changed != 0 {
-				for _, l := range changed.Lanes(c.lanesB[:0]) {
-					c.stats[l].SignalChanges++
-					c.stats[l].Wakes += ncons
-				}
-			}
 		} else {
 			for _, l := range lanes {
-				c.stats[l].OutputCompares++
 				for w := 0; w < int(o.words); w++ {
 					if b.bt[(int(o.off)+w)*L+l] != b.oldVals[(int(o.oldOff)+w)*L+l] {
 						changed |= 1 << uint(l)
-						c.stats[l].SignalChanges++
-						c.stats[l].Wakes += ncons
 						break
 					}
 				}
 			}
 		}
-		if changed != 0 {
-			cons := pt.consumers(o)
-			if direct {
-				for _, q := range cons {
-					b.wake(q, changed)
-				}
-			} else {
-				for _, q := range cons {
-					c.wakes = append(c.wakes, laneWake{q: q, m: changed})
-				}
-			}
-		}
-	}
-	if len(regs) > 0 {
-		if direct {
-			for _, ri := range regs {
-				if b.regMask[ri] == 0 {
-					b.dirtyRegs = append(b.dirtyRegs, ri)
-				}
-				b.regMask[ri] |= em
-			}
-		} else {
-			for _, ri := range regs {
-				c.regs = append(c.regs, laneReg{ri: ri, m: em})
-			}
-		}
-	}
-}
-
-// runRange executes schedule entries in [start, end) for the lanes in
-// mask. Skip entries split the mask per lane: lanes whose selector takes
-// the guarded arm descend into the cone, the rest rejoin at its end (the
-// saved mask is restored from the frame stack — spans are well nested).
-// Ops are counted run-length style: a pending count accumulates while
-// the mask is stable and is flushed to each member lane's counter when
-// it changes, so the per-instruction cost stays one add.
-func (c *batchCtx) runRange(start, end int32, mask simrt.LaneMask) {
-	b := c.b
-	L := b.L
-	bt := b.bt
-	sched := b.sched
-	instrs := b.base.machine.instrs
-	stack := c.stack[:0]
-	lanes := mask.Lanes(c.lanesB[:0])
-	var pendOps uint64
-	flush := func() {
-		if pendOps == 0 {
-			return
-		}
 		for _, l := range lanes {
-			c.stats[l].OpsEvaluated += pendOps
+			stats[l].OutputCompares++
 		}
-		pendOps = 0
+		if changed != 0 {
+			for _, l := range changed.Lanes(c.lanesB[:0]) {
+				stats[l].SignalChanges++
+				stats[l].Wakes += ncons
+			}
+			for _, q := range pt.consumers(o) {
+				b.wake(q, changed)
+			}
+		}
 	}
-	for i := start; i < end; {
-		for len(stack) > 0 && stack[len(stack)-1].end == i {
-			flush()
-			mask = stack[len(stack)-1].mask
-			stack = stack[:len(stack)-1]
-			lanes = mask.Lanes(c.lanesB[:0])
+	for _, ri := range regs {
+		if b.regMask[ri] == 0 {
+			b.dirtyRegs = append(b.dirtyRegs, ri)
 		}
-		e := &sched[i]
-		if e.kind == seInstr {
-			pendOps += c.execBatch(&instrs[e.idx], lanes)
-			i++
-			continue
-		}
-		if e.kind == sePacked {
-			pendOps += c.execBatchPacked(&b.pp.pins[e.idx], lanes, mask)
-			i++
-			continue
-		}
-		switch e.kind {
-		case seSkipIfZero, seSkipIfNonzero:
-			selRow := bt[int(e.idx)*L : int(e.idx)*L+L]
-			var nz simrt.LaneMask
-			if len(lanes) == L {
-				for l := range selRow {
-					if selRow[l] != 0 {
-						nz |= 1 << uint(l)
-					}
-				}
-			} else {
-				for _, l := range lanes {
-					if selRow[l] != 0 {
-						nz |= 1 << uint(l)
-					}
-				}
-			}
-			cone := mask & nz
-			if e.kind == seSkipIfNonzero {
-				cone = mask &^ nz
-			}
-			if cone == 0 {
-				i += 1 + e.n
-				continue
-			}
-			if cone != mask {
-				flush()
-				stack = append(stack, batchFrame{end: i + 1 + e.n, mask: mask})
-				mask = cone
-				lanes = mask.Lanes(c.lanesB[:0])
-			}
-		case seSkipIfZeroF, seSkipIfNonzeroF:
-			in := &instrs[e.idx]
-			pendOps += c.execBatch(in, lanes)
-			dstRow := bt[int(in.dst)*L : int(in.dst)*L+L]
-			var nz simrt.LaneMask
-			if len(lanes) == L {
-				for l := range dstRow {
-					if dstRow[l] != 0 {
-						nz |= 1 << uint(l)
-					}
-				}
-			} else {
-				for _, l := range lanes {
-					if dstRow[l] != 0 {
-						nz |= 1 << uint(l)
-					}
-				}
-			}
-			cone := mask & nz
-			if e.kind == seSkipIfNonzeroF {
-				cone = mask &^ nz
-			}
-			if cone == 0 {
-				i += 1 + e.n
-				continue
-			}
-			if cone != mask {
-				flush()
-				stack = append(stack, batchFrame{end: i + 1 + e.n, mask: mask})
-				mask = cone
-				lanes = mask.Lanes(c.lanesB[:0])
-			}
-		case seDisplay:
-			c.runDisplayBatch(e.idx, lanes)
-		case seCheck:
-			c.runCheckBatch(e.idx, lanes)
-		case seMemWrite:
-			c.captureMemWriteBatch(e.idx, lanes)
-		}
-		i++
-	}
-	flush()
-	c.stack = stack[:0]
-}
-
-// execBatch evaluates one instruction for the given lanes and returns
-// its op weight (2 for fused superinstructions). Memory reads are
-// intercepted for every dispatch kind — they must hit the lane-local
-// batch memories, not the shadow machine's.
-func (c *batchCtx) execBatch(in *instr, lanes []int) uint64 {
-	if in.code == IMemRead {
-		c.execBatchMemRead(in, lanes)
-		return 1
-	}
-	switch in.kind {
-	case kNarrow:
-		c.execBatchNarrow(in, lanes)
-		return 1
-	case kFused:
-		c.execBatchFused(in, lanes)
-		return 2
-	default:
-		c.execLaneScalar(in, lanes)
-		return 1
+		b.regMask[ri] |= em
 	}
 }
 
-// execBatchMemRead reads each lane's copy of the memory into the lane's
-// destination row (same bounds behavior as the scalar kernels: out of
-// range reads zero).
-func (c *batchCtx) execBatchMemRead(in *instr, lanes []int) {
+// escape runs the ops the row kernels leave to the engine. Memory reads
+// are intercepted whatever their width class — they must hit the
+// lane-local batch memories, not the shadow machine's.
+func (c *batchCtx) escape(op *sop, lanes []int, mask simrt.LaneMask) {
+	switch op.code {
+	case opMemRead:
+		c.execBatchMemRead(op.dst, op.a, op.x, lanes)
+	case opSigned, opWide:
+		if in := &c.sm.instrs[op.x]; in.code == IMemRead {
+			c.execBatchMemRead(in.dst, in.a, in.mem, lanes)
+		} else {
+			c.execLaneScalar(in, lanes)
+		}
+	case opPacked:
+		c.execBatchPacked(&c.b.pp.pins[op.x], lanes, mask)
+	case opDisplay:
+		c.runDisplayBatch(op.x, lanes)
+	case opCheck:
+		c.runCheckBatch(op.x, lanes)
+	case opMemWrite:
+		c.captureMemWriteBatch(op.x, lanes)
+	}
+}
+
+// execBatchMemRead reads each lane's copy of memory mem at the address
+// row addr into the lane's destination rows (same bounds behavior as the
+// scalar kernels: out of range reads zero).
+func (c *batchCtx) execBatchMemRead(dst, addr, mem int32, lanes []int) {
 	b := c.b
 	L := b.L
-	ms := &b.mems[in.mem]
+	ms := &b.mems[mem]
 	nw := int(ms.nw)
-	aRow := b.bt[int(in.a)*L:]
+	aRow := b.bt[int(addr)*L:]
 	for _, l := range lanes {
-		addr := aRow[l]
-		if addr < uint64(ms.depth) {
-			base := int(addr) * nw
+		a := aRow[l]
+		if a < uint64(ms.depth) {
+			base := int(a) * nw
 			for k := 0; k < nw; k++ {
-				b.bt[(int(in.dst)+k)*L+l] = ms.words[(base+k)*L+l]
+				b.bt[(int(dst)+k)*L+l] = ms.words[(base+k)*L+l]
 			}
 		} else {
 			for k := 0; k < nw; k++ {
-				b.bt[(int(in.dst)+k)*L+l] = 0
+				b.bt[(int(dst)+k)*L+l] = 0
 			}
 		}
 	}
@@ -403,454 +211,6 @@ func (c *batchCtx) execLaneScalar(in *instr, lanes []int) {
 			sm.execWide(in)
 		}
 		simrt.ScatterLane(b.bt, sm.t, int(in.dst), dwWords, L, l)
-	}
-}
-
-// execBatchNarrow is the hot path: the batched form of the stream's
-// narrow ops, one tight loop over the active lanes of each row. Semantics
-// per lane must match machine.run's bit for bit. When every lane is
-// active (the common case for lock-step batches) the dense variant runs
-// instead: iterating the rows directly lets the compiler drop the lane
-// indirection and the bounds checks.
-func (c *batchCtx) execBatchNarrow(in *instr, lanes []int) {
-	bt := c.b.bt
-	L := c.b.L
-	d := bt[int(in.dst)*L : int(in.dst)*L+L]
-	var a, bb, cc []uint64
-	if in.a >= 0 {
-		a = bt[int(in.a)*L : int(in.a)*L+L]
-	}
-	if in.b >= 0 {
-		bb = bt[int(in.b)*L : int(in.b)*L+L]
-	}
-	if in.c >= 0 {
-		cc = bt[int(in.c)*L : int(in.c)*L+L]
-	}
-	execRowNarrow(in, lanes, d, a, bb, cc)
-}
-
-// execRowNarrow evaluates one narrow instruction over pre-sliced operand
-// rows (each len == lane count) for the given active lanes. Shared
-// between the batch engine (rows sliced from bt by signal offset) and the
-// instance-vectorized engine (rows sliced from a group's slot buffer).
-// Semantics per lane must match machine.run's narrow ops bit for bit.
-func execRowNarrow(in *instr, lanes []int, d, a, bb, cc []uint64) {
-	if len(lanes) == len(d) {
-		execRowNarrowDense(in, d, a, bb, cc)
-		return
-	}
-	dm := in.dmask
-	switch in.code {
-	case ICopy:
-		for _, l := range lanes {
-			d[l] = a[l] & dm
-		}
-	case IMux:
-		for _, l := range lanes {
-			if a[l] != 0 {
-				d[l] = bb[l] & dm
-			} else {
-				d[l] = cc[l] & dm
-			}
-		}
-	case IAdd:
-		for _, l := range lanes {
-			d[l] = (a[l] + bb[l]) & dm
-		}
-	case ISub:
-		for _, l := range lanes {
-			d[l] = (a[l] - bb[l]) & dm
-		}
-	case IMul:
-		for _, l := range lanes {
-			d[l] = (a[l] * bb[l]) & dm
-		}
-	case IDiv:
-		for _, l := range lanes {
-			if bb[l] == 0 {
-				d[l] = 0
-			} else {
-				d[l] = (a[l] / bb[l]) & dm
-			}
-		}
-	case IRem:
-		for _, l := range lanes {
-			if bb[l] == 0 {
-				d[l] = a[l] & dm
-			} else {
-				d[l] = (a[l] % bb[l]) & dm
-			}
-		}
-	case ILt:
-		for _, l := range lanes {
-			d[l] = b2u(a[l] < bb[l])
-		}
-	case ILeq:
-		for _, l := range lanes {
-			d[l] = b2u(a[l] <= bb[l])
-		}
-	case IGt:
-		for _, l := range lanes {
-			d[l] = b2u(a[l] > bb[l])
-		}
-	case IGeq:
-		for _, l := range lanes {
-			d[l] = b2u(a[l] >= bb[l])
-		}
-	case IEq:
-		for _, l := range lanes {
-			d[l] = b2u(a[l] == bb[l])
-		}
-	case INeq:
-		for _, l := range lanes {
-			d[l] = b2u(a[l] != bb[l])
-		}
-	case IShl:
-		for _, l := range lanes {
-			d[l] = (a[l] << uint(in.p0)) & dm
-		}
-	case IShr:
-		for _, l := range lanes {
-			d[l] = (a[l] >> uint(in.p0)) & dm
-		}
-	case IDshl:
-		for _, l := range lanes {
-			d[l] = (a[l] << uint(bb[l])) & dm
-		}
-	case IDshr:
-		for _, l := range lanes {
-			d[l] = (a[l] >> uint(bb[l])) & dm
-		}
-	case INeg:
-		for _, l := range lanes {
-			d[l] = (-a[l]) & dm
-		}
-	case INot:
-		for _, l := range lanes {
-			d[l] = (^a[l]) & dm
-		}
-	case IAnd:
-		for _, l := range lanes {
-			d[l] = a[l] & bb[l]
-		}
-	case IOr:
-		for _, l := range lanes {
-			d[l] = a[l] | bb[l]
-		}
-	case IXor:
-		for _, l := range lanes {
-			d[l] = (a[l] ^ bb[l]) & dm
-		}
-	case IAndr:
-		full := bits.Mask64(^uint64(0), int(in.aw))
-		for _, l := range lanes {
-			d[l] = b2u(a[l] == full)
-		}
-	case IOrr:
-		for _, l := range lanes {
-			d[l] = b2u(a[l] != 0)
-		}
-	case IXorr:
-		for _, l := range lanes {
-			d[l] = uint64(popcount(a[l])) & 1
-		}
-	case ICat:
-		for _, l := range lanes {
-			d[l] = (a[l]<<uint(in.bw) | bb[l]) & dm
-		}
-	case IBits:
-		for _, l := range lanes {
-			d[l] = (a[l] >> uint(in.p1)) & dm
-		}
-	case IHead:
-		sh := uint(in.aw - in.p0)
-		for _, l := range lanes {
-			d[l] = a[l] >> sh
-		}
-	case ITail:
-		for _, l := range lanes {
-			d[l] = a[l] & dm
-		}
-	}
-}
-
-// execRowNarrowDense is execRowNarrow with every lane active: plain
-// row loops, no lane indirection. The re-slices pin the operand lengths
-// to len(d) so the per-element bounds checks vanish.
-func execRowNarrowDense(in *instr, d, a, bb, cc []uint64) {
-	if a != nil {
-		a = a[:len(d)]
-	}
-	if bb != nil {
-		bb = bb[:len(d)]
-	}
-	if cc != nil {
-		cc = cc[:len(d)]
-	}
-	dm := in.dmask
-	switch in.code {
-	case ICopy:
-		for l := range d {
-			d[l] = a[l] & dm
-		}
-	case IMux:
-		for l := range d {
-			if a[l] != 0 {
-				d[l] = bb[l] & dm
-			} else {
-				d[l] = cc[l] & dm
-			}
-		}
-	case IAdd:
-		for l := range d {
-			d[l] = (a[l] + bb[l]) & dm
-		}
-	case ISub:
-		for l := range d {
-			d[l] = (a[l] - bb[l]) & dm
-		}
-	case IMul:
-		for l := range d {
-			d[l] = (a[l] * bb[l]) & dm
-		}
-	case IDiv:
-		for l := range d {
-			if bb[l] == 0 {
-				d[l] = 0
-			} else {
-				d[l] = (a[l] / bb[l]) & dm
-			}
-		}
-	case IRem:
-		for l := range d {
-			if bb[l] == 0 {
-				d[l] = a[l] & dm
-			} else {
-				d[l] = (a[l] % bb[l]) & dm
-			}
-		}
-	case ILt:
-		for l := range d {
-			d[l] = b2u(a[l] < bb[l])
-		}
-	case ILeq:
-		for l := range d {
-			d[l] = b2u(a[l] <= bb[l])
-		}
-	case IGt:
-		for l := range d {
-			d[l] = b2u(a[l] > bb[l])
-		}
-	case IGeq:
-		for l := range d {
-			d[l] = b2u(a[l] >= bb[l])
-		}
-	case IEq:
-		for l := range d {
-			d[l] = b2u(a[l] == bb[l])
-		}
-	case INeq:
-		for l := range d {
-			d[l] = b2u(a[l] != bb[l])
-		}
-	case IShl:
-		for l := range d {
-			d[l] = (a[l] << uint(in.p0)) & dm
-		}
-	case IShr:
-		for l := range d {
-			d[l] = (a[l] >> uint(in.p0)) & dm
-		}
-	case IDshl:
-		for l := range d {
-			d[l] = (a[l] << uint(bb[l])) & dm
-		}
-	case IDshr:
-		for l := range d {
-			d[l] = (a[l] >> uint(bb[l])) & dm
-		}
-	case INeg:
-		for l := range d {
-			d[l] = (-a[l]) & dm
-		}
-	case INot:
-		for l := range d {
-			d[l] = (^a[l]) & dm
-		}
-	case IAnd:
-		for l := range d {
-			d[l] = a[l] & bb[l]
-		}
-	case IOr:
-		for l := range d {
-			d[l] = a[l] | bb[l]
-		}
-	case IXor:
-		for l := range d {
-			d[l] = (a[l] ^ bb[l]) & dm
-		}
-	case IAndr:
-		full := bits.Mask64(^uint64(0), int(in.aw))
-		for l := range d {
-			d[l] = b2u(a[l] == full)
-		}
-	case IOrr:
-		for l := range d {
-			d[l] = b2u(a[l] != 0)
-		}
-	case IXorr:
-		for l := range d {
-			d[l] = uint64(popcount(a[l])) & 1
-		}
-	case ICat:
-		for l := range d {
-			d[l] = (a[l]<<uint(in.bw) | bb[l]) & dm
-		}
-	case IBits:
-		for l := range d {
-			d[l] = (a[l] >> uint(in.p1)) & dm
-		}
-	case IHead:
-		sh := uint(in.aw - in.p0)
-		for l := range d {
-			d[l] = a[l] >> sh
-		}
-	case ITail:
-		for l := range d {
-			d[l] = a[l] & dm
-		}
-	}
-}
-
-// execBatchFused is the batched form of the stream's fused ops.
-func (c *batchCtx) execBatchFused(in *instr, lanes []int) {
-	bt := c.b.bt
-	L := c.b.L
-	d := bt[int(in.dst)*L : int(in.dst)*L+L]
-	a := bt[int(in.a)*L : int(in.a)*L+L]
-	bb := bt[int(in.b)*L : int(in.b)*L+L]
-	var cc, mm []uint64
-	if in.code == IFCmpMux {
-		cc = bt[int(in.c)*L : int(in.c)*L+L]
-		mm = bt[int(in.mem)*L : int(in.mem)*L+L]
-	}
-	execRowFused(in, lanes, d, a, bb, cc, mm)
-}
-
-// execRowFused evaluates one fused superinstruction over pre-sliced
-// operand rows for the given active lanes; cc/mm are the true/false ways
-// of IFCmpMux (nil otherwise). Shared with the instance-vectorized
-// engine like execRowNarrow.
-func execRowFused(in *instr, lanes []int, d, a, bb, cc, mm []uint64) {
-	if len(lanes) == len(d) {
-		execRowFusedDense(in, d, a, bb, cc, mm)
-		return
-	}
-	dm := in.dmask
-	switch in.code {
-	case IFCmpMux:
-		pick := func(l int, sel bool) {
-			if sel {
-				d[l] = cc[l] & dm
-			} else {
-				d[l] = mm[l] & dm
-			}
-		}
-		switch ICode(in.p0) {
-		case IEq:
-			for _, l := range lanes {
-				pick(l, a[l] == bb[l])
-			}
-		case INeq:
-			for _, l := range lanes {
-				pick(l, a[l] != bb[l])
-			}
-		case ILt:
-			for _, l := range lanes {
-				pick(l, a[l] < bb[l])
-			}
-		case ILeq:
-			for _, l := range lanes {
-				pick(l, a[l] <= bb[l])
-			}
-		case IGt:
-			for _, l := range lanes {
-				pick(l, a[l] > bb[l])
-			}
-		default: // IGeq
-			for _, l := range lanes {
-				pick(l, a[l] >= bb[l])
-			}
-		}
-	case IFNotAnd:
-		for _, l := range lanes {
-			d[l] = ^a[l] & bb[l] & dm
-		}
-	case IFAddTail:
-		for _, l := range lanes {
-			d[l] = (a[l] + bb[l]) & dm
-		}
-	case IFSubTail:
-		for _, l := range lanes {
-			d[l] = (a[l] - bb[l]) & dm
-		}
-	}
-}
-
-// execRowFusedDense is execRowFused with every lane active.
-func execRowFusedDense(in *instr, d, a, bb, cc, mm []uint64) {
-	a = a[:len(d)]
-	bb = bb[:len(d)]
-	dm := in.dmask
-	switch in.code {
-	case IFCmpMux:
-		cc = cc[:len(d)]
-		mm = mm[:len(d)]
-		pick := func(l int, sel bool) {
-			if sel {
-				d[l] = cc[l] & dm
-			} else {
-				d[l] = mm[l] & dm
-			}
-		}
-		switch ICode(in.p0) {
-		case IEq:
-			for l := range d {
-				pick(l, a[l] == bb[l])
-			}
-		case INeq:
-			for l := range d {
-				pick(l, a[l] != bb[l])
-			}
-		case ILt:
-			for l := range d {
-				pick(l, a[l] < bb[l])
-			}
-		case ILeq:
-			for l := range d {
-				pick(l, a[l] <= bb[l])
-			}
-		case IGt:
-			for l := range d {
-				pick(l, a[l] > bb[l])
-			}
-		default: // IGeq
-			for l := range d {
-				pick(l, a[l] >= bb[l])
-			}
-		}
-	case IFNotAnd:
-		for l := range d {
-			d[l] = ^a[l] & bb[l] & dm
-		}
-	case IFAddTail:
-		for l := range d {
-			d[l] = (a[l] + bb[l]) & dm
-		}
-	case IFSubTail:
-		for l := range d {
-			d[l] = (a[l] - bb[l]) & dm
-		}
 	}
 }
 
@@ -910,23 +270,24 @@ func evalPackedWord(pt []uint64, p *pinstr) uint64 {
 	return 0
 }
 
-// execBatchPacked runs one packed step for the active lanes and returns
-// its op weight. Gathers (pPack) merge exactly the active lanes' row
-// bits into the slot (inactive lanes' bits keep their coherent values).
-// Compute ops write the whole word: an inactive live lane's operand
-// bits are unchanged since its last evaluation, so the maskless
-// recompute reproduces its bits — persistent coherence is maintained
-// for free, except for elided-register storage (maskedDst), whose
-// self-referential update must not advance idle lanes. Scatters
+// execBatchPacked runs one packed step for the active lanes (its op
+// weight is in the stream's span weights). Gathers (pPack) merge exactly
+// the active lanes' row bits into the slot (inactive lanes' bits keep
+// their coherent values). Compute ops write the whole word: an inactive
+// live lane's operand bits are unchanged since its last evaluation, so
+// the maskless recompute reproduces its bits — persistent coherence is
+// maintained for free, except for elided-register storage (maskedDst),
+// whose self-referential update must not advance idle lanes. Scatters
 // (row-required destinations) write only active lanes' rows so frozen
 // and idle lanes' architectural rows stay untouched.
-func (c *batchCtx) execBatchPacked(p *pinstr, lanes []int, mask simrt.LaneMask) uint64 {
+func (c *batchCtx) execBatchPacked(p *pinstr, lanes []int, mask simrt.LaneMask) {
 	b := c.b
 	L := b.L
 	if len(lanes) == L {
-		return c.execBatchPackedDense(p)
+		c.execBatchPackedDense(p)
+		return
 	}
-	pt := c.pt
+	pt := b.pt
 	if p.code == pPack {
 		row := b.bt[int(p.rowOff)*L : int(p.rowOff)*L+L]
 		w := pt[p.dst]
@@ -934,7 +295,7 @@ func (c *batchCtx) execBatchPacked(p *pinstr, lanes []int, mask simrt.LaneMask) 
 			w = w&^(1<<uint(l)) | (row[l]&1)<<uint(l)
 		}
 		pt[p.dst] = w
-		return 0
+		return
 	}
 	v := evalPackedWord(pt, p)
 	if p.maskedDst {
@@ -949,38 +310,30 @@ func (c *batchCtx) execBatchPacked(p *pinstr, lanes []int, mask simrt.LaneMask) 
 			d[l] = v >> uint(l) & 1
 		}
 	}
-	return uint64(p.weight)
 }
 
 // execBatchPackedDense is execBatchPacked with every lane active: the
 // gather transposes the full row, the scatter broadcasts every bit.
-func (c *batchCtx) execBatchPackedDense(p *pinstr) uint64 {
+func (c *batchCtx) execBatchPackedDense(p *pinstr) {
 	b := c.b
 	L := b.L
-	pt := c.pt
 	if p.code == pPack {
-		row := b.bt[int(p.rowOff)*L : int(p.rowOff)*L+L]
-		var w uint64
-		for l, x := range row {
-			w |= (x & 1) << uint(l)
-		}
-		pt[p.dst] = w
-		return 0
+		b.pt[p.dst] = b.transposeRow(p.rowOff)
+		return
 	}
-	v := evalPackedWord(pt, p)
-	pt[p.dst] = v
+	v := evalPackedWord(b.pt, p)
+	b.pt[p.dst] = v
 	if p.rowOff >= 0 {
 		d := b.bt[int(p.rowOff)*L : int(p.rowOff)*L+L]
 		for l := range d {
 			d[l] = v >> uint(l) & 1
 		}
 	}
-	return uint64(p.weight)
 }
 
 // runDisplayBatch formats an enabled printf for each active lane: the
 // argument operands are gathered into the shadow table and rendered
-// through the shared formatter (output serialized by b.out).
+// through the shared formatter.
 func (c *batchCtx) runDisplayBatch(i int32, lanes []int) {
 	b := c.b
 	sm := c.sm

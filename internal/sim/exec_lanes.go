@@ -1,0 +1,437 @@
+package sim
+
+import (
+	stdbits "math/bits"
+
+	"essent/pkg/simrt"
+)
+
+// The lane walker is the lane-major executor of the op stream: what run is
+// to one value table, for L of them side by side. Word w of table slot off
+// lives at tab[(off+w)*L+l] for lane l, so one op fetch and decode is
+// amortized over every lane that needs it and the lanes it touches are
+// adjacent in memory. The batch engine walks its lowering of the pack
+// overlay over bt (lanes are stimuli); the vec engine walks a class program
+// over the group's slot buffer (lanes are instances, offsets are slots).
+// Narrow and fused ops evaluate in the two row kernels below; everything
+// else — memory reads, signed and wide instructions, sinks, packed steps —
+// is an escape to the engine.
+type laneWalker struct {
+	// stack holds the enclosing lane masks of the skip spans the walk is
+	// inside with only part of its lanes.
+	stack []laneFrame
+	lanes [simrt.MaxLanes]int
+	// skipped[l] is, after a walk, the op weight of the spans lane l's
+	// skips jumped over: the lane form of run's result, so a lane's
+	// OpsEvaluated is the span's weight minus it.
+	skipped [simrt.MaxLanes]uint64
+}
+
+// laneFrame saves the enclosing lane mask across a skip span; end is the
+// skip's target.
+type laneFrame struct {
+	end  int32
+	mask simrt.LaneMask
+}
+
+// settle credits pend, the weight every lane of the current mask skipped
+// together, to each of them.
+func (w *laneWalker) settle(lanes []int, pend uint64) {
+	if pend != 0 {
+		for _, l := range lanes {
+			w.skipped[l] += pend
+		}
+	}
+}
+
+// walk executes ops[pc:end) on the lane-major table tab for the lanes in
+// mask. A skip splits the mask per lane: lanes whose guard takes the
+// guarded span descend into it, the rest rejoin at its target, where the
+// saved mask comes back off the frame stack (spans are well nested, and
+// every target is an op the walk steps onto). Skips every current lane
+// takes alike — the lock-step case — cost one add; the per-lane
+// settlement happens only where the mask changes.
+func (w *laneWalker) walk(ops []sop, tab []uint64, L int, pc, end int32,
+	mask simrt.LaneMask, esc func(op *sop, lanes []int, mask simrt.LaneMask)) {
+	stack := w.stack[:0]
+	lanes := mask.Lanes(w.lanes[:0])
+	for _, l := range lanes {
+		w.skipped[l] = 0
+	}
+	var pend uint64
+	for pc < end {
+		for len(stack) > 0 && stack[len(stack)-1].end == pc {
+			w.settle(lanes, pend)
+			pend = 0
+			mask = stack[len(stack)-1].mask
+			stack = stack[:len(stack)-1]
+			lanes = mask.Lanes(w.lanes[:0])
+		}
+		op := &ops[pc]
+		pc++
+		if code := op.code; code <= opFSubTail && code != opMemRead {
+			// An operand field the opcode does not read is zero: row 0,
+			// sliced and ignored.
+			d := tab[int(op.dst)*L : int(op.dst)*L+L]
+			a := tab[int(op.a)*L : int(op.a)*L+L]
+			b := tab[int(op.b)*L : int(op.b)*L+L]
+			c := tab[int(op.c)*L : int(op.c)*L+L]
+			x := tab[int(op.x)*L : int(op.x)*L+L]
+			if len(lanes) == L {
+				execRowsDense(op, d, a, b, c, x)
+			} else {
+				execRows(op, lanes, d, a, b, c, x)
+			}
+			continue
+		}
+		if op.code != opSkipZ && op.code != opSkipNZ {
+			esc(op, lanes, mask)
+			continue
+		}
+		guard := tab[int(op.a)*L : int(op.a)*L+L]
+		var nz simrt.LaneMask
+		if len(lanes) == L {
+			for l, v := range guard {
+				if v != 0 {
+					nz |= 1 << uint(l)
+				}
+			}
+		} else {
+			for _, l := range lanes {
+				if guard[l] != 0 {
+					nz |= 1 << uint(l)
+				}
+			}
+		}
+		in := mask & nz
+		if op.code == opSkipNZ {
+			in = mask &^ nz
+		}
+		if in == 0 {
+			pc = op.x
+			pend += op.mask
+			continue
+		}
+		if in != mask {
+			w.settle(lanes, pend)
+			pend = 0
+			for out := mask &^ in; out != 0; out = out.Drop() {
+				w.skipped[out.Lowest()] += op.mask
+			}
+			stack = append(stack, laneFrame{end: op.x, mask: mask})
+			mask = in
+			lanes = mask.Lanes(w.lanes[:0])
+		}
+	}
+	w.settle(lanes, pend)
+	w.stack = stack[:0]
+}
+
+// pick is a fused compare-mux's way selection on lane values.
+func pick(sel bool, t, f uint64) uint64 {
+	if sel {
+		return t
+	}
+	return f
+}
+
+// execRows evaluates one narrow or fused op over its operand rows (each
+// len == lane count) for the given active lanes. Per lane the semantics
+// are run's, bit for bit (stream_test executes every opcode through
+// both). When every lane is active — the common case for lock-step
+// batches — the walker calls execRowsDense instead.
+func execRows(op *sop, lanes []int, d, a, b, c, x []uint64) {
+	m, sh := op.mask, op.sh
+	switch op.code {
+	case opCopy, opTail:
+		for _, l := range lanes {
+			d[l] = a[l] & m
+		}
+	case opMux:
+		for _, l := range lanes {
+			d[l] = pick(a[l] != 0, b[l], c[l]) & m
+		}
+	case opAdd, opFAddTail:
+		for _, l := range lanes {
+			d[l] = (a[l] + b[l]) & m
+		}
+	case opSub, opFSubTail:
+		for _, l := range lanes {
+			d[l] = (a[l] - b[l]) & m
+		}
+	case opMul:
+		for _, l := range lanes {
+			d[l] = (a[l] * b[l]) & m
+		}
+	case opDiv:
+		for _, l := range lanes {
+			if b[l] == 0 {
+				d[l] = 0
+			} else {
+				d[l] = (a[l] / b[l]) & m
+			}
+		}
+	case opRem:
+		for _, l := range lanes {
+			if b[l] == 0 {
+				d[l] = a[l] & m
+			} else {
+				d[l] = (a[l] % b[l]) & m
+			}
+		}
+	case opLt:
+		for _, l := range lanes {
+			d[l] = b2u(a[l] < b[l])
+		}
+	case opLeq:
+		for _, l := range lanes {
+			d[l] = b2u(a[l] <= b[l])
+		}
+	case opGt:
+		for _, l := range lanes {
+			d[l] = b2u(a[l] > b[l])
+		}
+	case opGeq:
+		for _, l := range lanes {
+			d[l] = b2u(a[l] >= b[l])
+		}
+	case opEq:
+		for _, l := range lanes {
+			d[l] = b2u(a[l] == b[l])
+		}
+	case opNeq:
+		for _, l := range lanes {
+			d[l] = b2u(a[l] != b[l])
+		}
+	case opShl:
+		for _, l := range lanes {
+			d[l] = (a[l] << sh) & m
+		}
+	case opShr, opBits, opHead:
+		for _, l := range lanes {
+			d[l] = (a[l] >> sh) & m
+		}
+	case opDshl:
+		for _, l := range lanes {
+			d[l] = (a[l] << b[l]) & m
+		}
+	case opDshr:
+		for _, l := range lanes {
+			d[l] = (a[l] >> b[l]) & m
+		}
+	case opNeg:
+		for _, l := range lanes {
+			d[l] = (-a[l]) & m
+		}
+	case opNot:
+		for _, l := range lanes {
+			d[l] = (^a[l]) & m
+		}
+	case opAnd:
+		for _, l := range lanes {
+			d[l] = a[l] & b[l] & m
+		}
+	case opOr:
+		for _, l := range lanes {
+			d[l] = (a[l] | b[l]) & m
+		}
+	case opXor:
+		for _, l := range lanes {
+			d[l] = (a[l] ^ b[l]) & m
+		}
+	case opAndr:
+		for _, l := range lanes {
+			d[l] = b2u(a[l] == m)
+		}
+	case opOrr:
+		for _, l := range lanes {
+			d[l] = b2u(a[l] != 0)
+		}
+	case opXorr:
+		for _, l := range lanes {
+			d[l] = uint64(stdbits.OnesCount64(a[l])) & 1
+		}
+	case opCat:
+		for _, l := range lanes {
+			d[l] = (a[l]<<sh | b[l]) & m
+		}
+	case opFEqMux:
+		for _, l := range lanes {
+			d[l] = pick(a[l] == b[l], c[l], x[l]) & m
+		}
+	case opFNeqMux:
+		for _, l := range lanes {
+			d[l] = pick(a[l] != b[l], c[l], x[l]) & m
+		}
+	case opFLtMux:
+		for _, l := range lanes {
+			d[l] = pick(a[l] < b[l], c[l], x[l]) & m
+		}
+	case opFLeqMux:
+		for _, l := range lanes {
+			d[l] = pick(a[l] <= b[l], c[l], x[l]) & m
+		}
+	case opFGtMux:
+		for _, l := range lanes {
+			d[l] = pick(a[l] > b[l], c[l], x[l]) & m
+		}
+	case opFGeqMux:
+		for _, l := range lanes {
+			d[l] = pick(a[l] >= b[l], c[l], x[l]) & m
+		}
+	case opFNotAnd:
+		for _, l := range lanes {
+			d[l] = ^a[l] & b[l] & m
+		}
+	}
+}
+
+// execRowsDense is execRows with every lane active: plain row loops, no
+// lane indirection. The re-slices pin the operand lengths to len(d) so the
+// per-element bounds checks vanish.
+func execRowsDense(op *sop, d, a, b, c, x []uint64) {
+	a, b, c, x = a[:len(d)], b[:len(d)], c[:len(d)], x[:len(d)]
+	m, sh := op.mask, op.sh
+	switch op.code {
+	case opCopy, opTail:
+		for l := range d {
+			d[l] = a[l] & m
+		}
+	case opMux:
+		for l := range d {
+			d[l] = pick(a[l] != 0, b[l], c[l]) & m
+		}
+	case opAdd, opFAddTail:
+		for l := range d {
+			d[l] = (a[l] + b[l]) & m
+		}
+	case opSub, opFSubTail:
+		for l := range d {
+			d[l] = (a[l] - b[l]) & m
+		}
+	case opMul:
+		for l := range d {
+			d[l] = (a[l] * b[l]) & m
+		}
+	case opDiv:
+		for l := range d {
+			if b[l] == 0 {
+				d[l] = 0
+			} else {
+				d[l] = (a[l] / b[l]) & m
+			}
+		}
+	case opRem:
+		for l := range d {
+			if b[l] == 0 {
+				d[l] = a[l] & m
+			} else {
+				d[l] = (a[l] % b[l]) & m
+			}
+		}
+	case opLt:
+		for l := range d {
+			d[l] = b2u(a[l] < b[l])
+		}
+	case opLeq:
+		for l := range d {
+			d[l] = b2u(a[l] <= b[l])
+		}
+	case opGt:
+		for l := range d {
+			d[l] = b2u(a[l] > b[l])
+		}
+	case opGeq:
+		for l := range d {
+			d[l] = b2u(a[l] >= b[l])
+		}
+	case opEq:
+		for l := range d {
+			d[l] = b2u(a[l] == b[l])
+		}
+	case opNeq:
+		for l := range d {
+			d[l] = b2u(a[l] != b[l])
+		}
+	case opShl:
+		for l := range d {
+			d[l] = (a[l] << sh) & m
+		}
+	case opShr, opBits, opHead:
+		for l := range d {
+			d[l] = (a[l] >> sh) & m
+		}
+	case opDshl:
+		for l := range d {
+			d[l] = (a[l] << b[l]) & m
+		}
+	case opDshr:
+		for l := range d {
+			d[l] = (a[l] >> b[l]) & m
+		}
+	case opNeg:
+		for l := range d {
+			d[l] = (-a[l]) & m
+		}
+	case opNot:
+		for l := range d {
+			d[l] = (^a[l]) & m
+		}
+	case opAnd:
+		for l := range d {
+			d[l] = a[l] & b[l] & m
+		}
+	case opOr:
+		for l := range d {
+			d[l] = (a[l] | b[l]) & m
+		}
+	case opXor:
+		for l := range d {
+			d[l] = (a[l] ^ b[l]) & m
+		}
+	case opAndr:
+		for l := range d {
+			d[l] = b2u(a[l] == m)
+		}
+	case opOrr:
+		for l := range d {
+			d[l] = b2u(a[l] != 0)
+		}
+	case opXorr:
+		for l := range d {
+			d[l] = uint64(stdbits.OnesCount64(a[l])) & 1
+		}
+	case opCat:
+		for l := range d {
+			d[l] = (a[l]<<sh | b[l]) & m
+		}
+	case opFEqMux:
+		for l := range d {
+			d[l] = pick(a[l] == b[l], c[l], x[l]) & m
+		}
+	case opFNeqMux:
+		for l := range d {
+			d[l] = pick(a[l] != b[l], c[l], x[l]) & m
+		}
+	case opFLtMux:
+		for l := range d {
+			d[l] = pick(a[l] < b[l], c[l], x[l]) & m
+		}
+	case opFLeqMux:
+		for l := range d {
+			d[l] = pick(a[l] <= b[l], c[l], x[l]) & m
+		}
+	case opFGtMux:
+		for l := range d {
+			d[l] = pick(a[l] > b[l], c[l], x[l]) & m
+		}
+	case opFGeqMux:
+		for l := range d {
+			d[l] = pick(a[l] >= b[l], c[l], x[l]) & m
+		}
+	case opFNotAnd:
+		for l := range d {
+			d[l] = ^a[l] & b[l] & m
+		}
+	}
+}

@@ -38,7 +38,7 @@ func newFullCycle(d *netlist.Design, opts Options) (*FullCycle, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.lower(ranges)
+	m.ops, m.spans = lower(m.sched, m.instrs, ranges)
 	if vmode != verify.Off {
 		if err := verify.Enforce(vmode,
 			verifyMachine(m, ranges, nil, nil), nil); err != nil {

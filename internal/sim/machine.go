@@ -83,8 +83,7 @@ type instr struct {
 
 // Instruction kinds: the width/signedness class that decides how an
 // instruction lowers (stream.go) — in place for narrow and fused, an
-// escape to execSigned/execWide otherwise — and which row kernel the
-// batch and vec engines route it to. Decided once at compile time.
+// escape to execSigned/execWide otherwise. Decided once at compile time.
 const (
 	// kNarrow: every operand and the result fit in one word and carry no
 	// sign flag — extensions are compile-time no-ops and are hoisted.
@@ -140,7 +139,8 @@ type memState struct {
 type schedEntry struct {
 	kind uint8
 	idx  int32
-	// n is the number of following entries to skip (skip kinds only).
+	// n is the number of following entries to skip (skip kinds), or the
+	// step's op weight (sePacked).
 	n int32
 }
 
@@ -160,7 +160,8 @@ const (
 	seSkipIfZeroF
 	seSkipIfNonzeroF
 	// sePacked executes one packed bit-parallel step (idx indexes the
-	// pack plan's pinstr stream; batch engine only — see pack.go).
+	// pack plan's pinstr stream, n is its weight in OpsEvaluated; pack
+	// overlay schedules only — see pack.go).
 	sePacked
 )
 
@@ -178,10 +179,9 @@ type machine struct {
 
 	constOff []int32 // word offset per constant-pool entry
 
-	// instrs and sched are the schedule IR: what the passes, the verifier,
-	// the batch/vec/pack engines and the code generator read. ops and spans
-	// are its scalar lowering (stream.go), built by the engines that
-	// execute it.
+	// instrs and sched are the schedule IR: what the passes, the verifiers
+	// and the code generator read. ops and spans are its lowering
+	// (stream.go), which is what executes.
 	instrs  []instr
 	instrOf []int32 // SignalID → index into instrs (-1 for non-comb)
 	sched   []schedEntry

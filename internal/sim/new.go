@@ -20,11 +20,9 @@ type Options struct {
 	NoElide     bool
 	NoMuxShadow bool
 	// Workers is the total evaluation goroutine count, dispatcher
-	// included, for the two engines that can split a cycle across the
-	// worker pool. An explicit value is honoured exactly (no cap); 0
-	// selects the engine's default: GOMAXPROCS capped at 8 for
-	// EngineCCSSParallel, 1 (single-threaded) for EngineCCSSVec. Other
-	// engines ignore it.
+	// included, for EngineCCSSParallel, the one engine that can split a
+	// cycle across the worker pool. An explicit value is honoured exactly
+	// (no cap); 0 selects GOMAXPROCS capped at 8. Other engines ignore it.
 	Workers int
 	// NoFuse disables superinstruction fusion on the schedule-based
 	// engines (ablation knob; ignored by EngineEventDriven, which never
@@ -42,7 +40,7 @@ type Options struct {
 	MaxVecLanes int
 	// MinVecLanes is the vectorizer's cost-model floor on EngineCCSSVec:
 	// classes that pack fewer lanes than the floor fall back to the
-	// scalar path (0 = the tuned default of 8; 2 accepts every class).
+	// scalar path (0 = the tuned default of 16; 2 accepts every class).
 	MinVecLanes int
 	// NoSA ablates static activity analysis during engine compilation
 	// (vectorizer toggle-condition signatures and pack widening).
@@ -80,12 +78,11 @@ func built[E Simulator](e E, err error) (Simulator, error) {
 // resolveWorkers is the one place Options.Workers' zero value is given a
 // meaning, and the one place an engine without a pool ignores the field.
 func resolveWorkers(opts Options) int {
-	pooled := opts.Engine == EngineCCSSParallel || opts.Engine == EngineCCSSVec
 	switch {
-	case pooled && opts.Workers > 0:
+	case opts.Engine != EngineCCSSParallel:
+		return 1
+	case opts.Workers > 0:
 		return opts.Workers
-	case opts.Engine == EngineCCSSParallel:
-		return min(runtime.GOMAXPROCS(0), defaultWorkerCap)
 	}
-	return 1
+	return min(runtime.GOMAXPROCS(0), defaultWorkerCap)
 }

@@ -23,12 +23,7 @@ func TestEveryOptionReachesItsEngine(t *testing.T) {
 		}
 		return n
 	}
-	poolSize := func(s Simulator) int {
-		if v, ok := s.(*VecCCSS); ok {
-			return v.pool.n
-		}
-		return s.(*CCSS).pool.n
-	}
+	poolSize := func(s Simulator) int { return s.(*CCSS).pool.n }
 	cases := []struct {
 		name        string
 		plain, with Options
@@ -45,13 +40,11 @@ func TestEveryOptionReachesItsEngine(t *testing.T) {
 			func(s Simulator) int { return s.(*VecCCSS).VecInfo().Groups }, 0},
 		{"Workers/parallel", Options{Engine: EngineCCSSParallel, Workers: 3},
 			Options{Engine: EngineCCSSParallel, Workers: 2}, poolSize, 2},
-		{"Workers/vec", Options{Engine: EngineCCSSVec}, Options{Engine: EngineCCSSVec, Workers: 2},
-			poolSize, 2},
 	}
 	// Effects are probed on the replicated accumulator bank: it elides,
-	// shadows, fuses and vectorizes, so every ablation has something to
-	// remove.
-	designs := []*netlist.Design{compileSrc(t, replicatedSrc(16))}
+	// shadows, fuses and vectorizes (32 instances make one 16-lane class,
+	// the default floor), so every ablation has something to remove.
+	designs := []*netlist.Design{compileSrc(t, replicatedSrc(32))}
 	for seed := int64(0); seed < 3; seed++ {
 		d, err := netlist.Compile(randckt.Generate(seed+7300, randckt.DefaultConfig()))
 		if err != nil {

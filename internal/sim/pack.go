@@ -21,8 +21,9 @@ import (
 //
 // The pass is an overlay: the base machine's instruction stream and
 // schedule are untouched (the sequential CCSS reference, checkpoints,
-// and the codegen export all keep the scalar view). BatchCCSS executes
-// the rewritten schedule instead.
+// and the codegen export all keep the scalar view). BatchCCSS lowers and
+// executes the rewritten schedule instead (a packed step is the stream's
+// opPacked escape).
 //
 // Packed slots are PERSISTENTLY COHERENT: the packed table is shared
 // engine state (one word per slot, maintained across cycles), not
@@ -96,7 +97,10 @@ const (
 	pCmpMux       // sel = cmp(a, b); dst = (sel & c) | (^sel & m)  (weight 2)
 )
 
-// pinstr is one step of the packed program.
+// pinstr is one step of the packed program. Its contribution to per-lane
+// OpsEvaluated (0 for gathers, 1 for plain ops, 2 for fused pairs — so
+// packed Stats stay bit-exact with the sequential engine) is the n of the
+// sePacked entry that schedules it, where the lowering reads it.
 type pinstr struct {
 	code pcode
 	cmp  ICode // pCmpMux comparison code
@@ -109,10 +113,6 @@ type pinstr struct {
 	// (-1 elides the scatter — the row goes stale, like a fused-away
 	// slot).
 	rowOff int32
-	// weight is the op's contribution to per-lane OpsEvaluated (0 for
-	// transitions, 1 for plain ops, 2 for fused pairs) so packed Stats
-	// stay bit-exact with the sequential engine.
-	weight uint8
 	// maskedDst merges the destination word under the active-lane mask
 	// instead of overwriting it. Required when dst is an elided
 	// register's storage: that update is self-referential state, and a
@@ -127,8 +127,8 @@ type packRegMerge struct {
 	out, next int32
 }
 
-// packPlan is the compiled overlay the batch engine executes in place of
-// the base machine's schedule.
+// packPlan is the compiled overlay whose schedule the batch engine lowers
+// in place of the base machine's.
 type packPlan struct {
 	nslots int32
 	// slotOf maps table word offsets to packed slots (-1 unpacked);
@@ -151,11 +151,6 @@ type packPlan struct {
 	// destination (the engine compares these word-wise for partition-
 	// output change detection).
 	slotPackedDst []bool
-	// partPacked marks partitions containing packed entries. The pooled
-	// engine gives each such partition to a single worker for ALL lanes:
-	// packed words are shared state, and two lane groups writing one
-	// word would race.
-	partPacked []bool
 	// regSlot maps register index to its commit-merge slots ({-1,-1}
 	// when the register output is not packed).
 	regSlot []packRegMerge
@@ -626,7 +621,6 @@ func buildPackPlan(m *machine, ranges [][2]int32,
 	pp := &packPlan{
 		slotOf:      make([]int32, len(m.t)),
 		packedInstr: willPack,
-		partPacked:  make([]bool, len(ranges)),
 		ranges:      make([][2]int32, len(ranges)),
 		saWidened:   sa1 != nil,
 	}
@@ -715,7 +709,6 @@ func buildPackPlan(m *machine, ranges [][2]int32,
 			pp.sched = append(pp.sched, schedEntry{kind: sePacked,
 				idx: int32(len(pp.pins) - 1)})
 			pp.packsInserted++
-			pp.partPacked[pi] = true
 		}
 		for p := r[0]; p < r[1]; p++ {
 			closeTo(p)
@@ -729,10 +722,10 @@ func buildPackPlan(m *machine, ranges [][2]int32,
 				}
 				in := &m.instrs[e.idx]
 				pc := pcodeOf[e.idx]
-				pin := pinstr{code: pc, a: -1, b: -1, c: -1, m: -1,
-					out: in.out, weight: 1}
+				pin := pinstr{code: pc, a: -1, b: -1, c: -1, m: -1, out: in.out}
+				weight := int32(1)
 				if in.kind == kFused {
-					pin.weight = 2
+					weight = 2
 				}
 				pin.a = pp.slotOf[in.a]
 				switch pc {
@@ -759,9 +752,8 @@ func buildPackPlan(m *machine, ranges [][2]int32,
 				}
 				pp.pins = append(pp.pins, pin)
 				pp.sched = append(pp.sched, schedEntry{kind: sePacked,
-					idx: int32(len(pp.pins) - 1)})
+					idx: int32(len(pp.pins) - 1), n: weight})
 				pp.packedOps++
-				pp.partPacked[pi] = true
 			case seSkipIfZeroF, seSkipIfNonzeroF:
 				if e.idx >= 0 && needPackAfter[e.idx] >= 0 {
 					in := &m.instrs[e.idx]
@@ -869,13 +861,6 @@ func verifyPackPlan(m *machine, pp *packPlan, ranges [][2]int32,
 		errf("SM-PACK-SLOT", "pack plan", "",
 			"per-slot arrays (const %d, packedDst %d) do not match nslots %d",
 			len(pp.constSlot), len(pp.slotPackedDst), pp.nslots)
-		return diags
-	}
-	if len(pp.partPacked) != len(ranges) {
-		errf("SM-PACK-SLOT", "pack plan",
-			"the pooled engine needs single-owner marks for every partition",
-			"partPacked length %d does not match %d partitions",
-			len(pp.partPacked), len(ranges))
 		return diags
 	}
 	if len(pp.regSlot) != len(m.d.Regs) {

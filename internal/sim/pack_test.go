@@ -9,6 +9,7 @@ import (
 	"essent/internal/bits"
 	"essent/internal/netlist"
 	"essent/internal/randckt"
+	"essent/internal/verify"
 	"essent/pkg/simrt"
 )
 
@@ -180,42 +181,6 @@ func TestPackedLaneEquivalenceFuzz(t *testing.T) {
 	}
 }
 
-// TestPackedPooledEquivalence exercises the packed kernels under the
-// worker pool (partial lane groups take the masked gather/scatter path;
-// with -race this is the packed table's data-race test).
-func TestPackedPooledEquivalence(t *testing.T) {
-	d := compileSrc(t, packTestSrc)
-	serial, _, _, _ := packTestPlan(t, d, BatchOptions{Lanes: 33, Cp: 8})
-	pooled, pp, _, _ := packTestPlan(t, d,
-		BatchOptions{Lanes: 33, Cp: 8, Workers: 4})
-	pooled.parCutoff = 1
-	defer pooled.Close()
-	if pp.packedOps == 0 {
-		t.Fatal("pooled engine did not pack")
-	}
-	ins := []string{"a", "b", "c", "w"}
-	rng := rand.New(rand.NewSource(3))
-	for cyc := 0; cyc < 120; cyc++ {
-		name := ins[rng.Intn(len(ins))]
-		id, _ := d.SignalByName(name)
-		for l := 0; l < 33; l++ {
-			if rng.Intn(3) == 0 {
-				continue
-			}
-			v := rng.Uint64()
-			serial.PokeLane(l, id, v)
-			pooled.PokeLane(l, id, v)
-		}
-		serial.Step(1)
-		pooled.Step(1)
-		for l := 0; l < 33; l++ {
-			if got, want := batchLaneState(pooled, l), batchLaneState(serial, l); got != want {
-				t.Fatalf("cyc %d lane %d pooled diverged:\npool: %s\nser:  %s", cyc, l, got, want)
-			}
-		}
-	}
-}
-
 // TestPackedCheckpointRoundTrip: capture a lane mid-run on a packed
 // engine, restore it into a fresh packed engine, and verify the
 // continuation is bit-exact — the capture reads unpacked rows (which
@@ -267,6 +232,35 @@ func TestPackedCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSMLowerBatchStream: the stream the batch engine executes verifies as
+// the lowering of the schedule it was built from — the pack overlay's, or
+// with nothing packed the base machine's own (verified stream and all by
+// newCCSS) — and a packed step pointing at the wrong pinstr fails the
+// checks a strict construction runs.
+func TestSMLowerBatchStream(t *testing.T) {
+	d := compileSrc(t, packTestSrc)
+	np, err := NewBatchCCSS(d, BatchOptions{Lanes: 8, Cp: 8, NoPack: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base := np.base.machine; &np.ops[0] != &base.ops[0] || len(np.ops) != len(base.ops) {
+		t.Fatal("NoPack engine does not execute the base machine's verified stream")
+	}
+	b, _, _, _ := packTestPlan(t, d, BatchOptions{Lanes: 8, Cp: 8})
+	if err := b.verifyPacked(verify.Strict); err != nil {
+		t.Fatalf("clean packed stream rejected: %v", err)
+	}
+	for pc := range b.ops {
+		if b.ops[pc].code == opPacked {
+			b.ops[pc].x++
+			break
+		}
+	}
+	if err := b.verifyPacked(verify.Strict); err == nil || !strings.Contains(err.Error(), "SM-LOWER") {
+		t.Fatalf("corrupted opPacked index: strict check returned %v, want an SM-LOWER failure", err)
+	}
+}
+
 // clonePackPlan deep-copies a plan so mutation tests can corrupt one
 // field without poisoning the engine that built it.
 func clonePackPlan(pp *packPlan) *packPlan {
@@ -280,7 +274,6 @@ func clonePackPlan(pp *packPlan) *packPlan {
 	cp.ranges = append([][2]int32(nil), pp.ranges...)
 	cp.packedInstr = append([]bool(nil), pp.packedInstr...)
 	cp.slotPackedDst = append([]bool(nil), pp.slotPackedDst...)
-	cp.partPacked = append([]bool(nil), pp.partPacked...)
 	cp.regSlot = append([]packRegMerge(nil), pp.regSlot...)
 	return &cp
 }

@@ -10,18 +10,17 @@ import (
 
 // pool is the package's one worker pool: n-1 persistent follower
 // goroutines parked on a phase barrier plus the dispatching goroutine as
-// worker 0. Every engine that splits a cycle across threads — CCSS
-// levels, BatchCCSS (partition-chunk × lane-group) items, VecCCSS lane
-// chunks — hands dispatch one function and gets back when every worker
-// has run it: one barrier release and one completion wait, no goroutine
-// spawning and no WaitGroup churn per phase. Followers start on the
-// first dispatch, so an engine that never crosses the barrier (every
-// EngineCCSS, every single-threaded batch) never starts a goroutine.
+// worker 0. The engine that splits a cycle across threads — CCSS, one
+// parallel level at a time — hands dispatch one function and gets back
+// when every worker has run it: one barrier release and one completion
+// wait, no goroutine spawning and no WaitGroup churn per phase.
+// Followers start on the first dispatch, so an engine that never crosses
+// the barrier (every EngineCCSS) never starts a goroutine.
 //
-// The pool owns what is the same for all three engines: the barrier, the
-// worker loop, panic capture, the degraded state a captured panic leaves
-// behind, Close, and the fault-injection hook. What to roll back and
-// re-run after a panic stays with the engine.
+// The pool owns the barrier, the worker loop, panic capture, the
+// degraded state a captured panic leaves behind, Close, and the
+// fault-injection hook. What to roll back and re-run after a panic stays
+// with the engine.
 type pool struct {
 	n   int
 	bar *phaseBarrier

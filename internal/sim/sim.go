@@ -37,8 +37,8 @@ const (
 	EngineCCSSParallel
 	// EngineCCSSVec groups structurally identical partitions (replicated
 	// module instances) into equivalence classes and evaluates each
-	// class once per cycle across all instances through the lane-major
-	// row kernels, with a per-instance activity mask.
+	// class once per cycle across all instances through the lane walker,
+	// with a per-instance activity mask.
 	EngineCCSSVec
 )
 
@@ -145,7 +145,7 @@ type Stats struct {
 	// construction, not per cycle).
 	FusedPairs uint64
 	// WorkerPanics counts pool-worker panics recovered by the pooled
-	// engines; nonzero means the run degraded to sequential evaluation
+	// engine; nonzero means the run degraded to sequential evaluation
 	// (robustness layer, not paper overhead accounting).
 	WorkerPanics uint64
 }

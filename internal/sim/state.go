@@ -328,11 +328,7 @@ func (b *BatchCCSS) RestoreLaneState(l int, st *State) error {
 		b.regMask[i] &^= bit
 	}
 	b.laneStats[l] = st.Stats
-	for _, c := range b.ctx {
-		c.stats[l] = Stats{}
-		c.errs[l] = nil
-	}
-	b.laneErr[l] = nil
+	b.laneErr[l], b.ctx.errs[l] = nil, nil
 	b.live |= bit
 	for i := range b.pmask {
 		b.pmask[i] |= bit

@@ -6,15 +6,16 @@ import (
 	"essent/internal/bits"
 )
 
-// The scalar op stream. (sched, instrs) is the machine IR: what the
-// passes rewrite, the verifier reads, the batch, vec and pack engines
-// compile from and export.go hands the code generator. The scalar
-// engines do not interpret it. They execute a lowering of it — one dense
-// array of fixed-size ops with the instruction kind folded into the
-// opcode, operands resolved to table offsets, skips carrying absolute
-// targets — through the one loop and one switch in run. Full-cycle runs
-// the whole stream, CCSS one partition's span, event-driven one op per
-// event: every engine pays the same dispatch.
+// The op stream. (sched, instrs) is the machine IR: what the passes
+// rewrite, the verifiers read and export.go hands the code generator. No
+// engine interprets it. Each executes a lowering of the schedule it runs
+// — one dense array of fixed-size ops with the instruction kind folded
+// into the opcode, operands resolved to table offsets, skips carrying
+// absolute targets. The scalar engines execute theirs through the one
+// loop and one switch in run (full-cycle the whole stream, CCSS one
+// partition's span, event-driven one op per event); the batch engine
+// lowers the pack overlay's schedule and the vec engine each class
+// program, and both execute through the lane walker (exec_lanes.go).
 
 // opcode is a stream op's dispatch code.
 type opcode uint8
@@ -77,7 +78,59 @@ const (
 	opDisplay
 	opCheck
 	opMemWrite
+	// opPacked is the batch engine's escape to one packed bit-parallel
+	// step (pack.go): x is the pinstr index, mask its op weight.
+	opPacked
 )
+
+// Operand fields of an sop that hold table offsets (opcode.reads).
+const (
+	rdA uint8 = 1 << iota
+	rdB
+	rdC
+	rdX
+)
+
+// reads reports which of an op's a/b/c/x fields are table offsets it
+// reads: the one statement of that fact, shared by the lowering, the vec
+// engine's slot rewrite and SM-LOWER. The kernels agree with it by
+// construction — a field outside the set is lowered as zero. Escapes read
+// through the instruction or sink x names, not through the op.
+func (c opcode) reads() uint8 {
+	switch c {
+	case opCopy, opMemRead, opShl, opShr, opNeg, opNot, opAndr, opOrr, opXorr,
+		opBits, opHead, opTail, opSkipZ, opSkipNZ:
+		return rdA
+	case opMux:
+		return rdA | rdB | rdC
+	case opFEqMux, opFNeqMux, opFLtMux, opFLeqMux, opFGtMux, opFGeqMux:
+		return rdA | rdB | rdC | rdX
+	case opSigned, opWide, opDisplay, opCheck, opMemWrite, opPacked:
+		return 0
+	}
+	return rdA | rdB
+}
+
+// dstField indexes dst in what offsets returns.
+const dstField = 4
+
+// offsets returns the fields of op that hold table offsets — a, b, c, x
+// where reads names them, then dst (at dstField) when the op stores
+// through it — and nil for the others. Writing through a pointer rewrites
+// the op: that is how a vec class program moves from offsets to slots.
+func (op *sop) offsets() [5]*int32 {
+	fields := [5]*int32{&op.a, &op.b, &op.c, &op.x, &op.dst}
+	rd := op.code.reads()
+	if c := op.code; c < opSkipZ || c == opSigned || c == opWide {
+		rd |= 1 << dstField
+	}
+	for k := range fields {
+		if rd&(1<<k) == 0 {
+			fields[k] = nil
+		}
+	}
+	return fields
+}
 
 // sop is one stream op, 32 bytes. Which operand fields an opcode reads is
 // fixed by the opcode; the rest are zero. sh is the static shift amount
@@ -108,13 +161,16 @@ var fcmpOp = [...]opcode{
 }
 
 // weight is an op's contribution to OpsEvaluated: one per instruction,
-// two per superinstruction, none for control and sinks.
-func (c opcode) weight() uint32 {
-	switch {
+// two per superinstruction, what the pack pass recorded for a packed
+// step, none for control and sinks.
+func (op *sop) weight() uint32 {
+	switch c := op.code; {
 	case c <= opTail, c == opSigned, c == opWide:
 		return 1
 	case c <= opFSubTail:
 		return 2
+	case c == opPacked:
+		return uint32(op.mask)
 	}
 	return 0
 }
@@ -129,8 +185,7 @@ func lowerInstr(in *instr, idx int32) sop {
 	case kWide:
 		return sop{code: opWide, dst: in.dst, x: idx}
 	}
-	op := sop{code: opcode(in.code), dst: in.dst,
-		a: max(in.a, 0), b: max(in.b, 0), c: max(in.c, 0), mask: in.dmask}
+	op := sop{code: opcode(in.code), dst: in.dst, mask: in.dmask}
 	switch in.code {
 	case IMemRead:
 		op.x = in.mem
@@ -153,43 +208,55 @@ func lowerInstr(in *instr, idx int32) sop {
 	case IFSubTail:
 		op.code = opFSubTail
 	}
+	// Only the fields the opcode reads carry over: the instruction's other
+	// operand fields hold -1 or, after fusion, stale offsets.
+	rd := op.code.reads()
+	if rd&rdA != 0 {
+		op.a = in.a
+	}
+	if rd&rdB != 0 {
+		op.b = in.b
+	}
+	if rd&rdC != 0 {
+		op.c = in.c
+	}
 	return op
 }
 
-// lower builds the stream from the machine's final schedule: m.ops, and
-// in m.spans the stream range and static op weight of every schedule
-// group in ranges (nil: the whole schedule is one group). Only the
-// engines that execute the stream call it; the batch engine compiles
-// its row kernels from the IR and never pays for one.
-func (m *machine) lower(ranges [][2]int32) {
+// lower builds the stream of a schedule: its ops, and the stream range and
+// static op weight of every schedule group in ranges (nil: the whole
+// schedule is one group). Every engine calls it on the schedule it
+// executes. Skip counts are relative, so a sub-slice of a schedule lowers
+// on its own, with targets counted from its start.
+func lower(sched []schedEntry, instrs []instr, ranges [][2]int32) ([]sop, []opSpan) {
 	if ranges == nil {
-		ranges = [][2]int32{{0, int32(len(m.sched))}}
+		ranges = [][2]int32{{0, int32(len(sched))}}
 	}
 	// pcOf[i] is where schedule entry i starts in the stream. A fused
 	// skip is the one entry that lowers to two ops.
-	pcOf := make([]int32, len(m.sched)+1)
-	n := len(m.sched)
-	for _, e := range m.sched {
+	pcOf := make([]int32, len(sched)+1)
+	n := len(sched)
+	for _, e := range sched {
 		if e.kind == seSkipIfZeroF || e.kind == seSkipIfNonzeroF {
 			n++
 		}
 	}
 	ops := make([]sop, 0, n)
-	for i := range m.sched {
+	for i := range sched {
 		pcOf[i] = int32(len(ops))
-		e := &m.sched[i]
+		e := &sched[i]
 		switch e.kind {
 		case seInstr:
-			ops = append(ops, lowerInstr(&m.instrs[e.idx], e.idx))
+			ops = append(ops, lowerInstr(&instrs[e.idx], e.idx))
 		case seSkipIfZero:
 			ops = append(ops, sop{code: opSkipZ, a: e.idx})
 		case seSkipIfNonzero:
 			ops = append(ops, sop{code: opSkipNZ, a: e.idx})
 		case seSkipIfZeroF:
-			in := &m.instrs[e.idx]
+			in := &instrs[e.idx]
 			ops = append(ops, lowerInstr(in, e.idx), sop{code: opSkipZ, a: in.dst})
 		case seSkipIfNonzeroF:
-			in := &m.instrs[e.idx]
+			in := &instrs[e.idx]
 			ops = append(ops, lowerInstr(in, e.idx), sop{code: opSkipNZ, a: in.dst})
 		case seDisplay:
 			ops = append(ops, sop{code: opDisplay, x: e.idx})
@@ -197,31 +264,33 @@ func (m *machine) lower(ranges [][2]int32) {
 			ops = append(ops, sop{code: opCheck, x: e.idx})
 		case seMemWrite:
 			ops = append(ops, sop{code: opMemWrite, x: e.idx})
+		case sePacked:
+			ops = append(ops, sop{code: opPacked, x: e.idx, mask: uint64(e.n)})
 		default:
-			panic("sim: schedule entry kind with no scalar lowering")
+			panic("sim: schedule entry kind with no lowering")
 		}
 	}
-	pcOf[len(m.sched)] = int32(len(ops))
+	pcOf[len(sched)] = int32(len(ops))
 
 	// wsum[k] is the weight of ops[:k]; a skip's target and the weight it
 	// jumps over come from its schedule entry's span.
 	wsum := make([]uint32, len(ops)+1)
 	for k := range ops {
-		wsum[k+1] = wsum[k] + ops[k].code.weight()
+		wsum[k+1] = wsum[k] + ops[k].weight()
 	}
-	for i := range m.sched {
-		if e := &m.sched[i]; e.kind >= seSkipIfZero && e.kind <= seSkipIfNonzeroF {
+	for i := range sched {
+		if e := &sched[i]; e.kind >= seSkipIfZero && e.kind <= seSkipIfNonzeroF {
 			skip := &ops[pcOf[i+1]-1]
 			skip.x = pcOf[int32(i)+1+e.n]
 			skip.mask = uint64(wsum[skip.x] - wsum[pcOf[i+1]])
 		}
 	}
-	m.ops = ops
-	m.spans = make([]opSpan, len(ranges))
+	spans := make([]opSpan, len(ranges))
 	for gi, r := range ranges {
 		pc, end := pcOf[r[0]], pcOf[r[1]]
-		m.spans[gi] = opSpan{pc: pc, end: end, weight: wsum[end] - wsum[pc]}
+		spans[gi] = opSpan{pc: pc, end: end, weight: wsum[end] - wsum[pc]}
 	}
+	return ops, spans
 }
 
 // evalSpan executes one schedule group and settles its op count.

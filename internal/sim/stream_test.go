@@ -6,13 +6,16 @@ import (
 
 	"essent/internal/bits"
 	"essent/internal/netlist"
+	"essent/pkg/simrt"
 )
 
 // The stream executor against the general path, one op at a time: for
 // every narrow ICode and every fused form, over the widths where word
 // arithmetic has its corners and over corner operands, what run computes
 // for the lowered op must equal what execSigned computes for the
-// instruction (for a fused form: for the unfused pair), bit for bit.
+// instruction (for a fused form: for the unfused pair), bit for bit — and
+// what the lane walker's two row kernels compute for it, lane by lane,
+// must equal run.
 
 var streamWidths = []int32{1, 7, 31, 32, 33, 63, 64}
 
@@ -125,6 +128,43 @@ func operandSets(in *instr) [][3]uint64 {
 	return out
 }
 
+// checkRowKernels executes op through the lane walker on a four-lane
+// table, each lane holding a different one of sets, under a full mask (the
+// dense kernel), a one-lane mask and an alternating mask (the sparse
+// kernel): every active lane must read what run computes on that lane's
+// operands, every inactive lane must keep its destination.
+func checkRowKernels(t *testing.T, name string, op sop, sets [][3]uint64) {
+	t.Helper()
+	const L = 4
+	scalar := &machine{t: make([]uint64, nSlots), ops: []sop{op}}
+	tab := make([]uint64, nSlots*L)
+	var lw laneWalker
+	for _, mask := range []simrt.LaneMask{0b1111, 0b0100, 0b0101} {
+		for i := range sets {
+			for l := 0; l < L; l++ {
+				v := sets[(i+l)%len(sets)]
+				tab[slotA*L+l], tab[slotB*L+l], tab[slotC*L+l] = v[0], v[1], v[2]
+				tab[slotTmp*L+l], tab[slotDst*L+l] = 0xDEAD, 0xDEAD
+			}
+			lw.walk(scalar.ops, tab, L, 0, 1, mask, nil)
+			for l := 0; l < L; l++ {
+				v := sets[(i+l)%len(sets)]
+				want := uint64(0xDEAD)
+				if mask.Has(l) {
+					scalar.t[slotA], scalar.t[slotB], scalar.t[slotC] = v[0], v[1], v[2]
+					scalar.t[slotDst] = 0xDEAD
+					scalar.run(0, 1)
+					want = scalar.t[slotDst]
+				}
+				if got := tab[slotDst*L+l]; got != want {
+					t.Fatalf("%s mask %04b lane %d on a=%#x b=%#x c=%#x: row kernel %#x, run %#x",
+						name, mask, l, v[0], v[1], v[2], got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestStreamOpMatchesGeneralPath(t *testing.T) {
 	for code := ICopy; code <= ITail; code++ {
 		if code == IMemRead {
@@ -138,6 +178,7 @@ func TestStreamOpMatchesGeneralPath(t *testing.T) {
 				}
 				m := &machine{t: make([]uint64, nSlots), instrs: []instr{in}}
 				m.ops = []sop{lowerInstr(&in, 0)}
+				checkRowKernels(t, fmt.Sprintf("code %d w=%d %+v", code, w, in), m.ops[0], operandSets(&in))
 				for _, v := range operandSets(&in) {
 					m.t[slotA], m.t[slotB], m.t[slotC] = v[0], v[1], v[2]
 					m.t[slotDst] = 0xDEAD
@@ -198,12 +239,14 @@ func TestStreamFusedMatchesUnfusedPair(t *testing.T) {
 			if fused.fusedPairs != 1 || len(fused.sched) != 1 {
 				t.Fatalf("%s: the pass did not fuse the pair", name)
 			}
-			fused.lower(ranges)
+			fused.ops, fused.spans = lower(fused.sched, fused.instrs, ranges)
 			if sp := fused.spans[0]; sp.end-sp.pc != 1 || sp.weight != 2 {
 				t.Fatalf("%s: fused span %+v, want one op of weight 2", name, sp)
 			}
 			plain := &machine{t: make([]uint64, nSlots)}
-			for _, v := range operandSets(&instr{aw: w, b: slotB, bw: w, c: slotC, cw: w}) {
+			sets := operandSets(&instr{aw: w, b: slotB, bw: w, c: slotC, cw: w})
+			checkRowKernels(t, name, fused.ops[0], sets)
+			for _, v := range sets {
 				for _, m := range []*machine{fused, plain} {
 					m.t[slotA], m.t[slotB], m.t[slotC] = v[0], v[1], v[2]
 					m.t[slotTmp], m.t[slotDst] = 0xDEAD, 0xDEAD

@@ -14,11 +14,11 @@ import (
 // VecCCSS is the instance-vectorized CCSS engine: after partitioning,
 // structurally identical partitions (replicated module instances —
 // systolic PEs, NoC routers, per-core tiles) are grouped into
-// equivalence classes of up to 64 members, one schedule is compiled per
+// equivalence classes of up to 64 members, one program is lowered per
 // class over a slot-indexed lane-major row buffer, and the whole class
-// evaluates through the batch row kernels with a per-instance activity
-// mask — the paper's low-activity thesis applied spatially: an idle
-// router or tile costs one mask bit test.
+// evaluates through the lane walker with a per-instance activity mask —
+// the paper's low-activity thesis applied spatially: an idle router or
+// tile costs one mask bit test.
 //
 // The scalar value table t stays authoritative: each group evaluation
 // gathers its boundary reads from t into the rows (active lanes only),
@@ -36,14 +36,7 @@ type VecCCSS struct {
 	groupAt  []int32
 	isLeader []bool
 
-	// Pooled group evaluation (Workers > 1): the group in flight, its
-	// active lanes cut into chunk-sized runs (worker w takes run w), and
-	// one buffer per worker for what the dispatcher merges afterwards.
-	cur      *vecGroup
-	curLanes []int
-	chunk    int
-	wbufs    []vecWorkerBuf
-	chunkFn  func(wid int)
+	lw laneWalker
 
 	vst VecStats
 }
@@ -87,12 +80,12 @@ type vecGroup struct {
 	members flagSet
 	lanes   int
 
-	// prog is the class schedule: for instruction kinds (seInstr,
-	// seSkipIfZeroF/NonzeroF) idx indexes vinstrs; for plain skips
-	// (seSkipIfZero/Nonzero) idx is the selector slot.
-	prog    []schedEntry
-	vinstrs []instr // operands/dst rewritten to slot indices
-	nslots  int
+	// ops is the class program: the lowering of the leader's schedule
+	// range with every table offset (dst and the fields opcode.reads
+	// names) rewritten to a slot index; weight is its static op weight.
+	ops    []sop
+	weight uint32
+	nslots int
 
 	// loads are slots read before written (class boundary reads, and
 	// elided registers updated in place): gathered from t per active
@@ -114,11 +107,8 @@ type vecGroup struct {
 	// dirty for the cycle-boundary commit.
 	regs [][]int32
 
-	// buf is the persistent slot-major row buffer [nslots × lanes];
-	// loadSnap holds the loads' rows as gathered, so a pooled evaluation
-	// that loses a worker can be rolled back and re-run.
-	buf      []uint64
-	loadSnap []uint64
+	// buf is the persistent slot-major row buffer [nslots × lanes].
+	buf []uint64
 
 	laneScratch []int
 }
@@ -129,15 +119,8 @@ type vecOut struct {
 	consumers [][]int32
 }
 
-type vecWorkerBuf struct {
-	stats Stats
-	wakes []int32
-	dirty []int32
-}
-
 // newVecCCSS compiles the instance-vectorized engine: a CCSS whose walk
-// evaluates each compiled class once across its instances. More than one
-// worker splits the lanes of a large group across the pool.
+// evaluates each compiled class once across its instances.
 func newVecCCSS(d *netlist.Design, opts Options) (*VecCCSS, error) {
 	c, err := newCCSS(d, opts)
 	if err != nil {
@@ -175,8 +158,6 @@ func newVecCCSS(d *netlist.Design, opts Options) (*VecCCSS, error) {
 			}
 		}
 	}
-	v.wbufs = make([]vecWorkerBuf, v.pool.n)
-	v.chunkFn = v.runChunk
 	return v, nil
 }
 
@@ -231,27 +212,6 @@ func (v *VecCCSS) vecEligible(p int) bool {
 	return true
 }
 
-// readOps collects the read-operand table offsets of in into buf,
-// returning the count. Must agree with the exec kernels' per-code
-// operand usage: unused fields hold stale values and must not be
-// translated to slots.
-func readOps(in *instr, buf *[4]int32) int {
-	switch in.code {
-	case ICopy, IShl, IShr, INeg, INot, IAndr, IOrr, IXorr, IBits, IHead, ITail:
-		buf[0] = in.a
-		return 1
-	case IMux:
-		buf[0], buf[1], buf[2] = in.a, in.b, in.c
-		return 3
-	case IFCmpMux:
-		buf[0], buf[1], buf[2], buf[3] = in.a, in.b, in.c, in.mem
-		return 4
-	default:
-		buf[0], buf[1] = in.a, in.b
-		return 2
-	}
-}
-
 // sameShape reports structural equality of two instructions modulo
 // operand identities (offsets and the out signal).
 func sameShape(x, y *instr) bool {
@@ -270,7 +230,6 @@ func (v *VecCCSS) hashPart(p int) uint64 {
 	h := partition.NewClassHasher()
 	m := v.machine
 	r := v.parts.sched[p]
-	var ops [4]int32
 	for i := r[0]; i < r[1]; i++ {
 		e := &m.sched[i]
 		h.Word(uint64(e.kind))
@@ -292,11 +251,12 @@ func (v *VecCCSS) hashPart(p int) uint64 {
 			h.Word(uint64(uint32(in.cw)) | uint64(uint32(in.dw))<<32)
 			h.Word(uint64(uint32(in.p0)) | uint64(uint32(in.p1))<<32)
 			h.Word(in.dmask)
-			n := readOps(in, &ops)
-			for k := 0; k < n; k++ {
-				h.Ref(ops[k])
+			op := lowerInstr(in, e.idx)
+			for _, off := range op.offsets() {
+				if off != nil {
+					h.Ref(*off)
+				}
 			}
-			h.Ref(in.dst)
 			h.Word(uint64(uint32(e.n)))
 		case seSkipIfZero, seSkipIfNonzero:
 			h.Ref(e.idx)
@@ -344,7 +304,6 @@ func (v *VecCCSS) matchMember(lp, mp int) (map[int32]int32, bool) {
 		rev[mo] = lo
 		return true
 	}
-	var opsA, opsB [4]int32
 	for k := int32(0); k < n; k++ {
 		ea, eb := &m.sched[ra[0]+k], &m.sched[rb[0]+k]
 		if ea.kind != eb.kind || ea.n != eb.n {
@@ -356,15 +315,14 @@ func (v *VecCCSS) matchMember(lp, mp int) (map[int32]int32, bool) {
 			if !sameShape(ia, ib) {
 				return nil, false
 			}
-			na := readOps(ia, &opsA)
-			readOps(ib, &opsB)
-			for j := 0; j < na; j++ {
-				if !bind(opsA[j], opsB[j]) {
+			// Same shape, same opcode: operands, then the destination,
+			// pairwise.
+			opA, opB := lowerInstr(ia, ea.idx), lowerInstr(ib, eb.idx)
+			offsB := opB.offsets()
+			for j, off := range opA.offsets() {
+				if off != nil && !bind(*off, *offsB[j]) {
 					return nil, false
 				}
-			}
-			if !bind(ia.dst, ib.dst) {
-				return nil, false
 			}
 		case seSkipIfZero, seSkipIfNonzero:
 			if !bind(ea.idx, eb.idx) {
@@ -470,11 +428,13 @@ func dedupInt32(xs []int32) []int32 {
 	return out
 }
 
-// defaultMinVecLanes is the tuned lane floor: the PR 7 sweep showed
-// classes below ~8 lanes losing to scalar on fragmented designs (noc8
-// shipped at 0.74× with ~5-lane groups) while dense classes (r16 4×4,
-// mac16) sit at or above it.
-const defaultMinVecLanes = 8
+// defaultMinVecLanes is the tuned lane floor: the smallest lane cap at
+// which the vec sweep (mac8, mac16, noc8; medians of nine runs, PR 19)
+// puts vec ahead of NoVec on all three — 1.09 / 1.17 / 1.03×, against
+// 1.04 / 1.04 / 1.00× at 12 and 0.93 / 0.99 / 0.98× at 8, the floor PR 8
+// had set against a scalar engine 1.7× slower. Below it a class's
+// gather/scatter is not amortized and its members run scalar.
+const defaultMinVecLanes = 16
 
 // guardSignatures computes, per partition, a hash of the partition's
 // *external* static toggle condition: the set of observability and
@@ -785,10 +745,10 @@ func (v *VecCCSS) stateOffsets() map[int32]bool {
 	return offs
 }
 
-// finalizeGroup compiles one class: walk the leader's schedule once,
-// assigning slots to offsets in first-appearance order (a first
-// appearance as a read marks a boundary load), rewrite the instruction
-// stream into slot space, and derive the scatter sets. Returns nil if
+// finalizeGroup compiles one class: lower the leader's schedule range,
+// walk the ops once assigning slots to offsets in first-appearance order
+// (a first appearance as a read marks a boundary load) while rewriting
+// them into slot space, and derive the scatter sets. Returns nil if
 // an output was never assigned a slot (nothing in the walk wrote or
 // read it — cannot happen for a well-formed schedule, but fall back to
 // scalar rather than miscompile).
@@ -822,41 +782,20 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 		return s
 	}
 
-	var ops [4]int32
-	for i := pt.sched[leader][0]; i < pt.sched[leader][1]; i++ {
-		e := &m.sched[i]
-		switch e.kind {
-		case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
-			in := m.instrs[e.idx]
-			n := readOps(&in, &ops)
-			vi := in
-			vi.a, vi.b, vi.c, vi.mem = -1, -1, -1, -1
-			slots := [4]int32{}
-			for k := 0; k < n; k++ {
-				slots[k] = slot(ops[k], true)
+	r := pt.sched[leader]
+	ops, spans := lower(m.sched[r[0]:r[1]], m.instrs, nil)
+	for i := range ops {
+		for k, off := range ops[i].offsets() {
+			if off == nil {
+				continue
 			}
-			switch in.code {
-			case ICopy, IShl, IShr, INeg, INot, IAndr, IOrr, IXorr,
-				IBits, IHead, ITail:
-				vi.a = slots[0]
-			case IMux:
-				vi.a, vi.b, vi.c = slots[0], slots[1], slots[2]
-			case IFCmpMux:
-				vi.a, vi.b, vi.c, vi.mem = slots[0], slots[1], slots[2], slots[3]
-			default:
-				vi.a, vi.b = slots[0], slots[1]
+			*off = slot(*off, k != dstField)
+			if k == dstField {
+				written[*off] = true
 			}
-			ds := slot(in.dst, false)
-			written[ds] = true
-			vi.dst = ds
-			g.prog = append(g.prog, schedEntry{kind: e.kind,
-				idx: int32(len(g.vinstrs)), n: e.n})
-			g.vinstrs = append(g.vinstrs, vi)
-		case seSkipIfZero, seSkipIfNonzero:
-			g.prog = append(g.prog, schedEntry{kind: e.kind,
-				idx: slot(e.idx, true), n: e.n})
 		}
 	}
+	g.ops, g.weight = ops, spans[0].weight
 	g.nslots = len(slotOffs)
 
 	// Per-lane offsets: lane 0 is the leader verbatim, lane l maps
@@ -941,8 +880,7 @@ func (v *VecCCSS) stepOne() error {
 			// over with its flag left alone: wakes arriving after the
 			// leader ran can only come from the cycle-boundary commit (the
 			// legality rule placed every data predecessor before the
-			// leader) or from a panic recovery's wakeAll, and either way
-			// they are collected at the leader next cycle.
+			// leader), and are collected at the leader next cycle.
 			if v.isLeader[p] {
 				v.runGroup(&v.groups[g])
 			}
@@ -953,10 +891,6 @@ func (v *VecCCSS) stepOne() error {
 	}
 	return v.finishCycle()
 }
-
-// vecParMinActive is the active-lane threshold below which parallel
-// group evaluation is never worth the barrier crossing.
-const vecParMinActive = 16
 
 // runGroup evaluates one class, if any member is flagged: collect member
 // flags into the activity mask, gather boundary reads for active lanes,
@@ -993,30 +927,27 @@ func (v *VecCCSS) runGroup(g *vecGroup) {
 		}
 	}
 
-	if n >= vecParMinActive && v.pool.usable() {
-		v.runGroupPooled(g, mask, lanes)
-		return
+	// Phase 2: evaluate into the row buffer. Eligibility keeps escapes out
+	// of class programs, so the walk needs no handler for them.
+	v.lw.walk(g.ops, g.buf, L, 0, int32(len(g.ops)), mask, nil)
+	evaluated := uint64(n) * uint64(g.weight)
+	for _, l := range lanes {
+		evaluated -= v.lw.skipped[l]
 	}
-
-	// Phase 2: evaluate into the row buffer.
-	m.stats.OpsEvaluated += execGroup(g, mask, lanes)
+	m.stats.OpsEvaluated += evaluated
 
 	// Phase 3: scatter, compare, wake, mark dirty registers.
-	v.scatterLanes(g, lanes, nil)
+	v.scatterLanes(g, lanes)
 }
 
 // scatterLanes writes the evaluated lanes back to t. Outputs get the
 // scalar walk's compare-and-wake (the pre-scatter t value is the old
 // value — nothing else writes these offsets); stores write
-// unconditionally. With wb nil the dispatcher wakes and marks directly;
-// a pool worker counts and buffers into its wb for the merge.
-func (v *VecCCSS) scatterLanes(g *vecGroup, lanes []int, wb *vecWorkerBuf) {
+// unconditionally.
+func (v *VecCCSS) scatterLanes(g *vecGroup, lanes []int) {
 	t := v.machine.t
 	L := g.lanes
-	st, dirty := &v.machine.stats, &v.dirtyRegs
-	if wb != nil {
-		st, dirty = &wb.stats, &wb.dirty
-	}
+	st := &v.machine.stats
 	for oi := range g.outs {
 		o := &g.outs[oi]
 		row := g.buf[int(o.slot)*L : int(o.slot)*L+L]
@@ -1028,12 +959,8 @@ func (v *VecCCSS) scatterLanes(g *vecGroup, lanes []int, wb *vecWorkerBuf) {
 				t[offs[l]] = nv
 				st.SignalChanges++
 				cons := o.consumers[l]
-				if wb != nil {
-					wb.wakes = append(wb.wakes, cons...)
-				} else {
-					for _, q := range cons {
-						v.wake(q)
-					}
+				for _, q := range cons {
+					v.wake(q)
 				}
 				st.Wakes += uint64(len(cons))
 			}
@@ -1047,77 +974,8 @@ func (v *VecCCSS) scatterLanes(g *vecGroup, lanes []int, wb *vecWorkerBuf) {
 		}
 	}
 	for _, l := range lanes {
-		if rs := g.regs[l]; len(rs) > 0 {
-			*dirty = append(*dirty, rs...)
-		}
+		v.dirtyRegs = append(v.dirtyRegs, g.regs[l]...)
 	}
-}
-
-// runGroupPooled splits the active lanes into contiguous chunks, one
-// pool worker each: evaluation writes disjoint buffer rows, scatter
-// writes disjoint t offsets (each lane owns its member's storage), and
-// wakes/stats/dirty registers buffer per worker for a deterministic
-// serial merge in lane order. The boundary gathers already ran — every
-// cross-lane read (an elided register another lane writes) sees the
-// pre-evaluation value, as the gather-before-scatter contract requires.
-func (v *VecCCSS) runGroupPooled(g *vecGroup, mask simrt.LaneMask, lanes []int) {
-	nw := min(v.pool.n, len(lanes)/8)
-	v.cur, v.curLanes, v.chunk = g, lanes, (len(lanes)+nw-1)/nw
-	L := g.lanes
-	g.loadSnap = g.loadSnap[:0]
-	for _, s := range g.loads {
-		g.loadSnap = append(g.loadSnap, g.buf[int(s)*L:int(s)*L+L]...)
-	}
-	err := v.pool.dispatch(v.chunkFn)
-	m := v.machine
-	for w := range v.wbufs {
-		wb := &v.wbufs[w]
-		addStats(&m.stats, &wb.stats)
-		wb.stats = Stats{}
-		if err == nil {
-			for _, q := range wb.wakes {
-				v.wake(q)
-			}
-			v.dirtyRegs = append(v.dirtyRegs, wb.dirty...)
-		}
-		wb.wakes, wb.dirty = wb.wakes[:0], wb.dirty[:0]
-	}
-	if err == nil {
-		return
-	}
-	// A worker panicked: some lanes are scattered, some half-evaluated.
-	// The class program is a pure function of the loads' rows, and a
-	// load the program also writes (an in-place register) is the one
-	// thing a finished lane has overwritten — so put the gathered rows
-	// back, re-run the whole group here, and flag every partition so the
-	// change detection the first attempt spoiled cannot lose a wake. The
-	// pool stays retired until Reset.
-	wp := err.(*WorkerPanicError)
-	wp.Partition = g.parts[0]
-	m.stats.WorkerPanics++
-	for i, s := range g.loads {
-		copy(g.buf[int(s)*L:int(s)*L+L], g.loadSnap[i*L:i*L+L])
-	}
-	v.wakeAll()
-	m.stats.OpsEvaluated += execGroup(g, mask, lanes)
-	v.scatterLanes(g, lanes, nil)
-}
-
-// runChunk is one worker's share of the group in flight: the wid-th
-// run of its active lanes (none when there are fewer runs than workers).
-func (v *VecCCSS) runChunk(wid int) {
-	lo := wid * v.chunk
-	if lo >= len(v.curLanes) {
-		return
-	}
-	sub := v.curLanes[lo:min(lo+v.chunk, len(v.curLanes))]
-	var subMask simrt.LaneMask
-	for _, l := range sub {
-		subMask |= 1 << uint(l)
-	}
-	wb := &v.wbufs[wid]
-	wb.stats.OpsEvaluated += execGroup(v.cur, subMask, sub)
-	v.scatterLanes(v.cur, sub, wb)
 }
 
 var _ Simulator = (*VecCCSS)(nil)

@@ -227,29 +227,6 @@ func TestVecCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVecWorkers: parallel lane evaluation must match the serial walk
-// bit for bit (state and Stats); run under -race this also proves the
-// two-phase gather/scatter has no data races.
-func TestVecWorkers(t *testing.T) {
-	d := compileVecTest(t, replicatedSrc(32))
-	ref, err := newCCSS(d, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := newVecCCSS(d, Options{Engine: EngineCCSSVec, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.VecInfo().MaxLanes < vecParMinActive {
-		t.Fatalf("want a group wide enough to exercise workers, got %+v",
-			v.VecInfo())
-	}
-	stepCompare(t, ref, v, d, 7, 200)
-	if rs, vs := *ref.Stats(), *v.Stats(); rs != vs {
-		t.Fatalf("stats diverged:\nref: %+v\nvec: %+v", rs, vs)
-	}
-}
-
 // TestVecMaxLanes: the lane cap splits wide classes without changing
 // results.
 func TestVecMaxLanes(t *testing.T) {
@@ -338,8 +315,10 @@ func TestVecVerifierMutations(t *testing.T) {
 		// Point an out at a load-only slot: never written by the program.
 		pure := int32(-1)
 		written := make(map[int32]bool)
-		for _, in := range g.vinstrs {
-			written[in.dst] = true
+		for _, op := range g.ops {
+			if op.code < opSkipZ {
+				written[op.dst] = true
+			}
 		}
 		for _, s := range g.loads {
 			if !written[s] {
@@ -373,6 +352,25 @@ func TestVecVerifierMutations(t *testing.T) {
 		g.outs[0].consumers[0] = append(append([]int32{},
 			g.outs[0].consumers[0]...), 0)
 		expect(t, v, "SM-VEC-SCATTER")
+	})
+	t.Run("skip-target-corrupted", func(t *testing.T) {
+		v := build(t)
+		for gi := range v.groups {
+			for pc, op := range v.groups[gi].ops {
+				if op.code != opSkipZ && op.code != opSkipNZ {
+					continue
+				}
+				// A class program that is no longer the lowering of its
+				// leader's schedule fails the build a strict engine runs.
+				v.groups[gi].ops[pc].x--
+				expect(t, v, "SM-LOWER")
+				if err := verify.Enforce(verify.Strict, v.verifyVec(), nil); err == nil {
+					t.Fatal("strict build accepted the corrupted class program")
+				}
+				return
+			}
+		}
+		t.Fatal("no class program with a skip to corrupt")
 	})
 	t.Run("illegal-position", func(t *testing.T) {
 		v := build(t)
@@ -408,12 +406,20 @@ func TestVecStrictVerifyOnConstruction(t *testing.T) {
 	}
 }
 
-// TestVecMinLanesFloor: under the default cost-model floor a fragmented
-// class (fewer lanes than the floor) must fall back to the scalar path —
-// and stay bit-exact with scalar CCSS while doing so. MinLanes 2 must
-// re-admit the same class.
+// TestVecMinLanesFloor: under the default cost-model floor a class with
+// fewer lanes than the floor — here 12, which the floor of 8 that PR 19
+// re-tuned used to admit — must fall back to the scalar path, and stay
+// bit-exact with scalar CCSS while doing so. MinLanes 2 must re-admit
+// the same class, and a class at the floor (16 lanes) ships by default.
 func TestVecMinLanesFloor(t *testing.T) {
-	d := compileVecTest(t, replicatedSrc(8))
+	atFloor, err := newVecCCSS(compileVecTest(t, replicatedSrc(32)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := atFloor.VecInfo(); st.Groups != 1 || st.MaxLanes != defaultMinVecLanes || st.DroppedGroups != 0 {
+		t.Fatalf("a class at the floor was not compiled: %+v", st)
+	}
+	d := compileVecTest(t, replicatedSrc(24))
 	v, err := newVecCCSS(d, Options{})
 	if err != nil {
 		t.Fatal(err)

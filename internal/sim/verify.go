@@ -31,11 +31,13 @@ import (
 //	           written words
 //	SM-SINK    side-effect entries (display/check/memwrite) never sit
 //	           inside a skip region
-//	SM-LOWER   the scalar op stream, on the engines that execute one, is
-//	           the lowering of this schedule: each entry's ops equal a
-//	           fresh lowering of it, skip targets land on the op their
-//	           entry's span ends at and carry that span's weight, group
-//	           spans tile the stream, every offset is inside the table
+//	SM-LOWER   the op stream an engine executes is the lowering of the
+//	           schedule it was built from (verifyLowering; also run on the
+//	           batch engine's packed stream and on every vec class
+//	           program): each entry's ops equal a fresh lowering of it,
+//	           skip targets land on the op their entry's span ends at and
+//	           carry that span's weight, group spans tile the stream, every
+//	           offset is inside the table
 //
 // verifyMachine is pure analysis: it never executes an instruction and
 // never mutates the machine.
@@ -54,17 +56,8 @@ func verifyMachine(m *machine, ranges [][2]int32, plan *sched.CCSSPlan,
 	c.checkKeepLive(keepLive)
 	c.checkElide()
 	c.checkParallelAlias()
-	c.checkLowering()
-	return c.diags
-}
-
-// verifyLowering runs the SM-LOWER rule alone, for the engine whose
-// schedule is dynamic but whose ops still come from the stream
-// (event-driven).
-func verifyLowering(m *machine) []verify.Diagnostic {
-	c := &smChecker{m: m, ranges: [][2]int32{{0, int32(len(m.sched))}}}
-	c.checkLowering()
-	return c.diags
+	return append(c.diags,
+		verifyLowering(m.sched, m.instrs, ranges, m.ops, m.spans, len(m.t))...)
 }
 
 type smChecker struct {
@@ -628,68 +621,88 @@ func (c *smChecker) checkParallelAlias() {
 	}
 }
 
-// checkLowering (SM-LOWER) validates the translation from the schedule IR
-// to the op stream the scalar engines execute. Positions, skip targets,
-// weights and group spans are recomputed here from the schedule alone;
-// an instruction's op is compared against a fresh lowering of the
-// instruction, which is what catches a stream gone stale under a later
-// rewrite of the IR. (That the lowering of one instruction means what
-// the instruction means is a property of run, pinned by the op-by-op
-// semantics test, not of any one machine.)
-func (c *smChecker) checkLowering() {
-	m := c.m
-	if m.ops == nil {
-		return
-	}
+// verifyLowering (SM-LOWER) validates ops and spans as the lowering of the
+// schedule (sched, instrs) grouped by ranges (nil: one group) over a table
+// of tlen words — the scalar stream, the batch engine's lowering of the
+// pack overlay, or (with slots mapped back to the leader's offsets) a vec
+// class program. Positions, skip targets, weights and group spans are
+// recomputed here from the schedule alone; an instruction's op is
+// compared against a fresh lowering of the instruction, which is what
+// catches a stream gone stale under a later rewrite of the IR. (That the
+// lowering of one instruction means what the instruction means is a
+// property of run and the row kernels, pinned by the op-by-op semantics
+// test, not of any one stream.)
+func verifyLowering(sched []schedEntry, instrs []instr, ranges [][2]int32,
+	ops []sop, spans []opSpan, tlen int) []verify.Diagnostic {
+	var diags []verify.Diagnostic
 	bad := func(loc, format string, args ...any) {
-		c.errf("SM-LOWER", loc, "the op stream must be rebuilt whenever the schedule changes",
-			format, args...)
+		diags = append(diags, verify.Diagnostic{
+			Rule: "SM-LOWER", Sev: verify.SevError, Loc: loc,
+			Msg:  fmt.Sprintf(format, args...),
+			Hint: "the op stream must be rebuilt whenever the schedule changes",
+		})
 	}
 	at := func(pc int32) string { return fmt.Sprintf("ops[%d]", pc) }
+	if ranges == nil {
+		ranges = [][2]int32{{0, int32(len(sched))}}
+	}
+	// instrOf is the instruction a schedule entry executes, -1 for none or
+	// for an index the SM-SKIP rules report.
+	instrOf := func(e *schedEntry) int32 {
+		switch e.kind {
+		case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
+			if e.idx >= 0 && int(e.idx) < len(instrs) {
+				return e.idx
+			}
+		}
+		return -1
+	}
 
 	// pcOf[i] is where entry i must start; wsum[i] the op weight of the
 	// entries before it.
-	n := len(m.sched)
+	n := len(sched)
 	pcOf := make([]int32, n+1)
 	wsum := make([]uint32, n+1)
-	for i := range m.sched {
-		e := &m.sched[i]
+	for i := range sched {
+		e := &sched[i]
 		width, weight := int32(1), uint32(0)
-		if ii := c.schedInstr(e); ii >= 0 {
+		if ii := instrOf(e); ii >= 0 {
 			weight = 1
-			if m.instrs[ii].kind == kFused {
+			if instrs[ii].kind == kFused {
 				weight = 2
 			}
 			if e.kind != seInstr {
 				width = 2
 			}
+		} else if e.kind == sePacked {
+			weight = uint32(e.n)
 		}
 		pcOf[i+1], wsum[i+1] = pcOf[i]+width, wsum[i]+weight
 	}
-	if int(pcOf[n]) != len(m.ops) {
-		bad("stream", "%d ops for a schedule that lowers to %d", len(m.ops), pcOf[n])
-		return
+	if int(pcOf[n]) != len(ops) {
+		bad("stream", "%d ops for a schedule that lowers to %d", len(ops), pcOf[n])
+		return diags
 	}
 
-	for i := range m.sched {
-		e := &m.sched[i]
+	for i := range sched {
+		e := &sched[i]
 		pc := pcOf[i]
 		var want sop
 		switch e.kind {
 		case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
-			ii := c.schedInstr(e)
+			ii := instrOf(e)
 			if ii < 0 {
-				continue // reported by walkGroup
+				continue // SM-SKIP
 			}
-			want = lowerInstr(&m.instrs[ii], ii)
+			want = lowerInstr(&instrs[ii], ii)
 			if e.kind == seInstr {
 				break
 			}
-			if m.ops[pc] != want {
-				bad(at(pc), "op %+v is not the lowering %+v of sched[%d]", m.ops[pc], want, i)
+			if ops[pc] != want {
+				bad(at(pc), "op %+v is not the lowering %+v of sched[%d]", ops[pc], want, i)
 			}
 			pc++
-			want = sop{code: opSkipZ, a: m.instrs[ii].dst}
+			want = sop{code: opSkipZ, a: instrs[ii].dst}
 			if e.kind == seSkipIfNonzeroF {
 				want.code = opSkipNZ
 			}
@@ -703,8 +716,10 @@ func (c *smChecker) checkLowering() {
 			want = sop{code: opCheck, x: e.idx}
 		case seMemWrite:
 			want = sop{code: opMemWrite, x: e.idx}
+		case sePacked:
+			want = sop{code: opPacked, x: e.idx, mask: uint64(e.n)}
 		default:
-			continue // reported by walkGroup
+			continue // SM-SKIP
 		}
 		if want.code == opSkipZ || want.code == opSkipNZ {
 			tgt := i + 1 + int(e.n)
@@ -713,41 +728,33 @@ func (c *smChecker) checkLowering() {
 			}
 			want.x, want.mask = pcOf[tgt], uint64(wsum[tgt]-wsum[i+1])
 		}
-		if m.ops[pc] != want {
-			bad(at(pc), "op %+v is not the lowering %+v of sched[%d]", m.ops[pc], want, i)
+		if ops[pc] != want {
+			bad(at(pc), "op %+v is not the lowering %+v of sched[%d]", ops[pc], want, i)
 		}
 	}
 
-	inTable := func(pc int, o int32) {
-		if o < 0 || int(o) >= len(m.t) {
-			bad(at(int32(pc)), "operand offset %d outside the value table", o)
-		}
-	}
-	for pc := range m.ops {
-		op := &m.ops[pc]
-		inTable(pc, op.dst)
-		inTable(pc, op.a)
-		inTable(pc, op.b)
-		inTable(pc, op.c)
-		if op.code >= opFEqMux && op.code <= opFGeqMux {
-			inTable(pc, op.x)
+	for pc := range ops {
+		for _, off := range ops[pc].offsets() {
+			if off != nil && (*off < 0 || int(*off) >= tlen) {
+				bad(at(int32(pc)), "operand offset %d outside the value table", *off)
+			}
 		}
 	}
 
-	if len(m.spans) != len(c.ranges) {
-		bad("stream", "%d spans for %d schedule groups", len(m.spans), len(c.ranges))
-		return
+	if len(spans) != len(ranges) {
+		bad("stream", "%d spans for %d schedule groups", len(spans), len(ranges))
+		return diags
 	}
 	end := int32(0)
-	for gi, r := range c.ranges {
-		sp := m.spans[gi]
+	for gi, r := range ranges {
+		sp := spans[gi]
 		if sp.pc != end {
 			bad(fmt.Sprintf("group %d", gi), "span starts at ops[%d], the one before ended at ops[%d]",
 				sp.pc, end)
 		}
 		end = sp.end
 		if r[0] < 0 || r[1] < r[0] || int(r[1]) > n {
-			continue // reported by walkGroup
+			continue // SM-SKIP
 		}
 		want := opSpan{pc: pcOf[r[0]], end: pcOf[r[1]], weight: wsum[r[1]] - wsum[r[0]]}
 		if sp != want {
@@ -755,7 +762,8 @@ func (c *smChecker) checkLowering() {
 				sp, r[0], r[1], want)
 		}
 	}
-	if int(end) != len(m.ops) {
-		bad("stream", "spans end at ops[%d] of %d", end, len(m.ops))
+	if int(end) != len(ops) {
+		bad("stream", "spans end at ops[%d] of %d", end, len(ops))
 	}
+	return diags
 }

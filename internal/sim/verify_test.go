@@ -90,6 +90,7 @@ func buildVerifyMachine(t *testing.T, src string, cp int) (*machine, [][2]int32,
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.ops, m.spans = lower(m.sched, m.instrs, ranges)
 	return m, ranges, plan, keepLive
 }
 
@@ -290,12 +291,11 @@ circuit T :
     o <= mux(sel, y, q)
 `
 
-// lowerStrict lowers the machine and runs the verifier the way a strict
-// engine build does.
+// lowerStrict builds the lowered machine and a function that runs the
+// verifier the way a strict engine build does.
 func lowerStrict(t *testing.T, src string) (*machine, func() error) {
 	t.Helper()
 	m, ranges, plan, keepLive := buildVerifyMachine(t, src, 1<<20)
-	m.lower(ranges)
 	return m, func() error {
 		return verify.Enforce(verify.Strict, verifyMachine(m, ranges, plan, keepLive), nil)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"essent/internal/verify"
 )
@@ -22,6 +23,9 @@ import (
 //	SM-VEC-DEFUSE   class-program replay: every slot read is a declared
 //	                boundary load or written earlier in the program;
 //	                every output/store slot is written somewhere
+//	SM-LOWER        the class program, its slots mapped back to the
+//	                leader's offsets, is the lowering of the leader's
+//	                schedule range (verifyLowering)
 //	SM-VEC-POS      schedule legality recomputed from the plan: every
 //	                data predecessor of a member resolves before the
 //	                leader's position and outside the member's group;
@@ -36,8 +40,11 @@ func (v *VecCCSS) verifyVec() []verify.Diagnostic {
 	c.checkClassBijection()
 	for gi := range v.groups {
 		g := &v.groups[gi]
-		c.checkLaneMaps(gi, g)
+		if !c.checkLaneMaps(gi, g) {
+			continue
+		}
 		c.checkDefUse(gi, g)
+		c.checkLowering(gi, g)
 		c.checkScatter(gi, g)
 	}
 	c.checkPositions()
@@ -120,12 +127,14 @@ func (c *vecChecker) checkClassBijection() {
 	}
 }
 
-func (c *vecChecker) checkLaneMaps(gi int, g *vecGroup) {
+// checkLaneMaps reports whether the map has the shape the other group
+// checks index it by.
+func (c *vecChecker) checkLaneMaps(gi int, g *vecGroup) bool {
 	if len(g.laneOff) != g.nslots*g.lanes {
 		c.errf("SM-VEC-MAP", c.groupLoc(gi),
 			"laneOff must be total: nslots × lanes entries",
 			"have %d entries, want %d", len(g.laneOff), g.nslots*g.lanes)
-		return
+		return false
 	}
 	tlen := int32(len(c.v.machine.t))
 	for l := 0; l < g.lanes; l++ {
@@ -147,6 +156,7 @@ func (c *vecChecker) checkLaneMaps(gi int, g *vecGroup) {
 			seen[off] = s
 		}
 	}
+	return true
 }
 
 // checkDefUse replays the class program over slot space. loads is the
@@ -168,43 +178,28 @@ func (c *vecChecker) checkDefUse(gi int, g *vecGroup) {
 	readable := func(s int32) bool {
 		return int(s) < g.nslots && s >= 0 && (loaded[s] || written[s])
 	}
-	var ops [4]int32
-	for pi := range g.prog {
-		e := &g.prog[pi]
-		switch e.kind {
-		case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
-			if int(e.idx) >= len(g.vinstrs) {
-				c.errf("SM-VEC-DEFUSE", c.groupLoc(gi),
-					"instruction entries must index vinstrs",
-					"entry %d: idx %d of %d", pi, e.idx, len(g.vinstrs))
-				continue
-			}
-			in := &g.vinstrs[e.idx]
-			n := readOps(in, &ops)
-			for k := 0; k < n; k++ {
-				if !readable(ops[k]) {
-					c.errf("SM-VEC-DEFUSE", c.groupLoc(gi),
-						"every read slot must be a boundary load or written earlier",
-						"entry %d reads slot %d before any write", pi, ops[k])
-				}
-			}
-			if in.dst < 0 || int(in.dst) >= g.nslots {
+	for pc := range g.ops {
+		op := &g.ops[pc]
+		if op.code > opSkipNZ || op.code == opMemRead {
+			c.errf("SM-VEC-DEFUSE", c.groupLoc(gi),
+				"class programs hold only narrow, fused and skip ops",
+				"op %d has code %d", pc, op.code)
+			continue
+		}
+		for k, s := range op.offsets() {
+			switch wr := k == dstField; {
+			case s == nil:
+			case wr && (*s < 0 || int(*s) >= g.nslots):
 				c.errf("SM-VEC-DEFUSE", c.groupLoc(gi),
 					"destinations must be in range",
-					"entry %d writes slot %d of %d", pi, in.dst, g.nslots)
-				continue
-			}
-			written[in.dst] = true
-		case seSkipIfZero, seSkipIfNonzero:
-			if !readable(e.idx) {
+					"op %d writes slot %d of %d", pc, *s, g.nslots)
+			case wr:
+				written[*s] = true
+			case !readable(*s):
 				c.errf("SM-VEC-DEFUSE", c.groupLoc(gi),
-					"skip selectors must be a boundary load or written earlier",
-					"entry %d tests slot %d before any write", pi, e.idx)
+					"every read slot must be a boundary load or written earlier",
+					"op %d reads slot %d before any write", pc, *s)
 			}
-		default:
-			c.errf("SM-VEC-DEFUSE", c.groupLoc(gi),
-				"class programs hold only instruction and skip entries",
-				"entry %d has kind %d", pi, e.kind)
 		}
 	}
 	for _, o := range g.outs {
@@ -220,6 +215,35 @@ func (c *vecChecker) checkDefUse(gi int, g *vecGroup) {
 				"store slots must be written by the class program",
 				"store slot %d never written", s)
 		}
+	}
+}
+
+// checkLowering (SM-LOWER) maps the class program's slots back to the
+// leader's table offsets (lane 0 of laneOff) and checks the result against
+// the leader's schedule range like any other stream. checkDefUse has
+// already reported a slot out of range; such a program is skipped here.
+func (c *vecChecker) checkLowering(gi int, g *vecGroup) {
+	v := c.v
+	if p := g.parts[0]; p < 0 || int(p) >= v.NumPartitions() {
+		return // SM-VEC-CLASS
+	}
+	ops := slices.Clone(g.ops)
+	for i := range ops {
+		for _, s := range ops[i].offsets() {
+			if s == nil {
+				continue
+			}
+			if *s < 0 || int(*s) >= g.nslots {
+				return
+			}
+			*s = g.laneOff[int(*s)*g.lanes]
+		}
+	}
+	m, r := v.machine, v.parts.sched[g.parts[0]]
+	span := []opSpan{{pc: 0, end: int32(len(ops)), weight: g.weight}}
+	for _, d := range verifyLowering(m.sched[r[0]:r[1]], m.instrs, nil, ops, span, len(m.t)) {
+		d.Loc = c.groupLoc(gi) + " " + d.Loc
+		c.diags = append(c.diags, d)
 	}
 }
 
@@ -308,8 +332,10 @@ func (c *vecChecker) checkScatter(gi int, g *vecGroup) {
 		// Architectural state written by this lane must scatter. Written
 		// offsets are the lane images of slots the program writes.
 		written := make(map[int32]bool, g.nslots)
-		for _, in := range g.vinstrs {
-			written[g.laneOff[int(in.dst)*g.lanes+l]] = true
+		for pc := range g.ops {
+			if op := &g.ops[pc]; op.code < opSkipZ && op.dst >= 0 && int(op.dst) < g.nslots {
+				written[g.laneOff[int(op.dst)*g.lanes+l]] = true
+			}
 		}
 		for off := range written {
 			if stateOffs[off] && !scattered[off] {

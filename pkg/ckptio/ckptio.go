@@ -158,6 +158,10 @@ func Decode(buf []byte) (*Snapshot, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
+		// Every entry takes at least its length word.
+		if cnt > (len(body)-d.pos)/4 {
+			return nil, fmt.Errorf("ckptio: implausible section count %d", cnt)
+		}
 		sec := make([][]uint64, cnt)
 		for i := range sec {
 			n := int(d.u32())

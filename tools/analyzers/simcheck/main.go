@@ -1,5 +1,5 @@
 // Command simcheck is the repository's custom static checker. It
-// enforces six invariants the ordinary type checker cannot see (run
+// enforces seven invariants the ordinary type checker cannot see (run
 // in CI alongside go vet and staticcheck):
 //
 //  1. engine-verify — the exported constructors of internal/sim (New*)
@@ -30,10 +30,15 @@
 //     opcodes (ICode, or the stream's opcode) whose arms store into a
 //     table is an evaluator, and evaluators are a closed set: the
 //     stream executor (run), the general scalar kernels it escapes to
-//     (execSigned, execWide) and the batch/vec row kernels
-//     (execRowNarrow, execRowNarrowDense). The scalar engines execute
-//     one lowering through one switch; a second copy of the narrow
-//     semantics is what the lowering replaced.
+//     (execSigned, execWide) and the lane walker's two row kernels
+//     (execRows, execRowsDense). Every engine executes one lowering
+//     through these; a second copy of the narrow semantics is what the
+//     lowering replaced.
+//  7. sim-ir-compile-only — in internal/sim no function reachable from a
+//     Step or stepOne method reads a field of a schedEntry: (sched,
+//     instrs) is the IR passes rewrite and verifiers read, and what
+//     executes is its lowering. Reachability is by referenced function
+//     name, the same over-approximation engine-verify uses.
 //
 // Usage: go run ./tools/analyzers/simcheck [packages...] (default ./...).
 // Builds the module's packages from source against `go list -export`
@@ -77,7 +82,7 @@ const (
 var (
 	simFlagFields    = map[string]bool{"flags": true, "always": true}
 	simDispatchFuncs = map[string]bool{"run": true, "execSigned": true, "execWide": true,
-		"execRowNarrow": true, "execRowNarrowDense": true}
+		"execRows": true, "execRowsDense": true}
 	simOpcodeTypes = map[string]bool{"ICode": true, "opcode": true}
 )
 
@@ -199,9 +204,11 @@ func Check(pkgPath string, fset *token.FileSet, files []*ast.File,
 			fset.Position(pos), rule, msg))
 	}
 	if pkgPath == simPath {
-		checkEngineVerify(files, info, report)
+		refs := funcRefs(files, info)
+		checkEngineVerify(files, refs, report)
 		checkOnePool(fset, files, info, report)
 		checkOneDispatch(files, info, report)
+		checkIRCompileOnly(files, info, refs, report)
 		return findings
 	}
 	if pkgPath == expPath {
@@ -327,82 +334,103 @@ func checkOneDispatch(files []*ast.File, info *types.Info,
 // Simulator and keeps its own constructor.
 var simCtors = map[string]bool{"New": true, "NewBatchCCSS": true}
 
-// checkEngineVerify: an exported New* function must be one of simCtors
-// and must reach a verify.Enforce call through package-local calls.
-// Reachability is by
-// callee name (functions and methods pooled), an over-approximation
-// that can only hide a miss when an unrelated same-named callee calls
-// Enforce — acceptable for an existence check.
-func checkEngineVerify(files []*ast.File, info *types.Info,
-	report func(token.Pos, string, string)) {
-	const enforce = "verify.Enforce!"
-	calls := map[string][]string{}
-	var ctors []*ast.FuncDecl
+// enforceRef is how funcRefs records a reference to verify.Enforce.
+const enforceRef = "verify.Enforce!"
+
+// funcRefs maps each function or method name declared in the package
+// (pooled by name) to the names of the functions it references — calls,
+// and function or method values handed on, a callback argument being as
+// good as a call. Names, not objects: an over-approximation that hides a
+// miss only behind an unrelated function of the same name.
+func funcRefs(files []*ast.File, info *types.Info) map[string][]string {
+	refs := map[string][]string{}
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			var out []string
+			out := refs[fd.Name.Name]
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
+				id, ok := n.(*ast.Ident)
 				if !ok {
 					return true
 				}
-				switch fun := call.Fun.(type) {
-				case *ast.Ident:
-					out = append(out, fun.Name)
-				case *ast.SelectorExpr:
-					if x, ok := fun.X.(*ast.Ident); ok {
-						if pn, ok := info.Uses[x].(*types.PkgName); ok &&
-							pn.Imported().Path() == "essent/internal/verify" &&
-							fun.Sel.Name == "Enforce" {
-							out = append(out, enforce)
-							return true
-						}
+				if fn, ok := info.Uses[id].(*types.Func); ok {
+					name := fn.Name()
+					if fn.Pkg() != nil && fn.Pkg().Path() == "essent/internal/verify" && name == "Enforce" {
+						name = enforceRef
 					}
-					out = append(out, fun.Sel.Name)
+					out = append(out, name)
 				}
 				return true
 			})
-			calls[fd.Name.Name] = append(calls[fd.Name.Name], out...)
-			if fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "New") &&
-				ast.IsExported(fd.Name.Name) {
-				ctors = append(ctors, fd)
+			refs[fd.Name.Name] = out
+		}
+	}
+	return refs
+}
+
+// reachable returns every name roots reference, directly or through refs.
+func reachable(refs map[string][]string, roots ...string) map[string]bool {
+	seen := map[string]bool{}
+	work := append([]string(nil), roots...)
+	for len(work) > 0 {
+		name := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[name] {
+			continue
+		}
+		seen[name] = true
+		work = append(work, refs[name]...)
+	}
+	return seen
+}
+
+// checkEngineVerify: an exported New* function must be one of simCtors
+// and reach verify.Enforce through package-local references.
+func checkEngineVerify(files []*ast.File, refs map[string][]string,
+	report func(token.Pos, string, string)) {
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || fd.Recv != nil ||
+				!strings.HasPrefix(fd.Name.Name, "New") || !ast.IsExported(fd.Name.Name) {
+				continue
+			}
+			if !simCtors[fd.Name.Name] {
+				report(fd.Pos(), "engine-verify", fmt.Sprintf(
+					"exported constructor %s: engines are built by sim.New from sim.Options "+
+						"(make it an unexported builder New dispatches to)", fd.Name.Name))
+			} else if !reachable(refs, fd.Name.Name)[enforceRef] {
+				report(fd.Pos(), "engine-verify", fmt.Sprintf(
+					"engine constructor %s never reaches verify.Enforce", fd.Name.Name))
 			}
 		}
 	}
-	for _, fd := range ctors {
-		if !simCtors[fd.Name.Name] {
-			report(fd.Pos(), "engine-verify", fmt.Sprintf(
-				"exported constructor %s: engines are built by sim.New from sim.Options "+
-					"(make it an unexported builder New dispatches to)", fd.Name.Name))
-			continue
-		}
-		seen := map[string]bool{}
-		work := []string{fd.Name.Name}
-		found := false
-		for len(work) > 0 && !found {
-			name := work[len(work)-1]
-			work = work[:len(work)-1]
-			if seen[name] {
+}
+
+// checkIRCompileOnly flags reads of the schedule IR — a field of a
+// schedEntry — in any function reachable from a Step or stepOne method.
+func checkIRCompileOnly(files []*ast.File, info *types.Info, refs map[string][]string,
+	report func(token.Pos, string, string)) {
+	hot := reachable(refs, "Step", "stepOne")
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || !hot[fd.Name.Name] {
 				continue
 			}
-			seen[name] = true
-			for _, callee := range calls[name] {
-				if callee == enforce {
-					found = true
-					break
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if t := info.Types[sel.X].Type; t != nil && isNamed(t, simPath, "schedEntry") {
+						report(sel.Pos(), "sim-ir-compile-only", fmt.Sprintf(
+							"%s, reachable from Step, reads schedEntry.%s: the schedule IR is compile-time "+
+								"only — lower it (stream.go) and execute the ops", fd.Name.Name, sel.Sel.Name))
+					}
 				}
-				if _, local := calls[callee]; local && !seen[callee] {
-					work = append(work, callee)
-				}
-			}
-		}
-		if !found {
-			report(fd.Pos(), "engine-verify", fmt.Sprintf(
-				"engine constructor %s never reaches verify.Enforce", fd.Name.Name))
+				return true
+			})
 		}
 	}
 }
