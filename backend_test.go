@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"essent/internal/codegen"
+	"essent/internal/serve"
 )
 
 const backendTestSrc = `
@@ -161,8 +162,8 @@ func TestResetClearsStats(t *testing.T) {
 // TestBackendAutoColdCache checks the auto backend runs (on the
 // interpreter) when no artifact is cached yet.
 func TestBackendAutoColdCache(t *testing.T) {
-	s, err := Compile(backendTestSrc, Options{Engine: EngineESSENT,
-		Backend: "auto", ArtifactCacheDir: t.TempDir()})
+	opts := Options{Engine: EngineESSENT, Backend: "auto", ArtifactCacheDir: t.TempDir()}
+	s, err := Compile(backendTestSrc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +174,17 @@ func TestBackendAutoColdCache(t *testing.T) {
 	if got := s.Stats().Cycles; got != 10 {
 		t.Fatalf("cycles = %d, want 10", got)
 	}
-	// The background cache warm-up may still be building; nothing to
-	// assert beyond a clean run.
-	time.Sleep(10 * time.Millisecond)
+	// Wait for the background warm-up to land its artifact: it proves the
+	// cold run did warm the cache, and it keeps the builder from writing
+	// into the temp directory while the test's cleanup removes it.
+	gen, _ := artifactGen(opts)
+	cfg := serve.Config{Gen: gen, CacheDir: opts.ArtifactCacheDir}
+	for deadline := time.Now().Add(2 * time.Minute); !serve.Probe(s.d, gen, cfg); {
+		if time.Now().After(deadline) {
+			t.Fatal("background warm-up never produced an artifact")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 // TestBackendValidation covers flag-level rejection.

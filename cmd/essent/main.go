@@ -245,6 +245,7 @@ func main() {
 	}
 
 	if *stats {
+		fmt.Printf("compile:         %s\n", sim.CompileTimings())
 		st := sim.Stats()
 		fmt.Printf("cycles:          %d\n", st.Cycles)
 		fmt.Printf("ops evaluated:   %d (%.1f/cycle)\n",

@@ -265,30 +265,79 @@ type Stats struct {
 type Sim struct {
 	s sim.Simulator
 	d *netlist.Design
+	t CompileTimings
 }
+
+// CompileTimings is the wall time Compile spent in each stage of the
+// pipeline; the four stages are disjoint and cover all but the glue
+// between them.
+type CompileTimings struct {
+	// Parse is source text to AST (zero after CompileCircuit, which is
+	// handed one).
+	Parse time.Duration
+	// Netlist is lowering, flattening and netlist construction.
+	Netlist time.Duration
+	// Optimize is the netlist passes, static activity analysis included
+	// (zero when the engine or NoOptimize skips them).
+	Optimize time.Duration
+	// SA is the share of Optimize spent in the static activity analysis.
+	SA time.Duration
+	// Engine is engine construction: partitioning, planning, machine
+	// compilation and verification, or the compiled backend's session
+	// start.
+	Engine time.Duration
+}
+
+// Total sums the stages.
+func (t CompileTimings) Total() time.Duration {
+	return t.Parse + t.Netlist + t.Optimize + t.Engine
+}
+
+func (t CompileTimings) String() string {
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	return fmt.Sprintf("parse %.1f ms, netlist %.1f ms, optimize %.1f ms (sa %.1f ms), engine %.1f ms",
+		ms(t.Parse), ms(t.Netlist), ms(t.Optimize), ms(t.SA), ms(t.Engine))
+}
+
+// CompileTimings reports where this simulator's compile time went.
+func (s *Sim) CompileTimings() CompileTimings { return s.t }
 
 // Compile parses FIRRTL source and builds a simulator.
 func Compile(source string, opts Options) (*Sim, error) {
+	start := time.Now()
 	circuit, err := firrtl.Parse(source)
 	if err != nil {
 		return nil, err
 	}
-	return CompileCircuit(circuit, opts)
+	parse := time.Since(start)
+	s, err := CompileCircuit(circuit, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.t.Parse = parse
+	return s, nil
 }
 
 // CompileCircuit builds a simulator from a parsed circuit.
 func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
+	var t CompileTimings
+	start := time.Now()
 	d, err := netlist.Compile(circuit)
 	if err != nil {
 		return nil, err
 	}
+	t.Netlist = time.Since(start)
 	wantOpt := opts.Engine == EngineFullCycleOpt || opts.Engine == EngineESSENT ||
 		opts.Engine == EngineESSENTParallel || opts.Engine == EngineESSENTVec
 	if wantOpt && !opts.NoOptimize {
-		if d, _, err = opt.OptimizeOpts(d, opt.Options{NoSA: opts.NoSA}); err != nil {
+		start = time.Now()
+		var st opt.Stats
+		if d, st, err = opt.OptimizeOpts(d, opt.Options{NoSA: opts.NoSA}); err != nil {
 			return nil, err
 		}
+		t.Optimize, t.SA = time.Since(start), st.SAAnalysis
 	}
+	start = time.Now()
 	engine := sim.Options{Verify: opts.Verify.internal(), NoSA: opts.NoSA}
 	switch opts.Engine {
 	case EngineEventDriven:
@@ -333,7 +382,8 @@ func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
 				if err != nil {
 					return nil, err
 				}
-				return &Sim{s: sess, d: d}, nil
+				t.Engine = time.Since(start)
+				return &Sim{s: sess, d: d, t: t}, nil
 			}
 		}
 	}
@@ -341,7 +391,8 @@ func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sim{s: s, d: d}, nil
+	t.Engine = time.Since(start)
+	return &Sim{s: s, d: d, t: t}, nil
 }
 
 func (s *Sim) signal(name string) (netlist.SignalID, error) {

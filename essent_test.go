@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 const counterSrc = `
@@ -155,6 +156,41 @@ func TestSoCFacadeRoundTrip(t *testing.T) {
 	}
 	t.Logf("matmul on r16: %d cycles, %d partitions, signature %#x",
 		s.Stats().Cycles, s.NumPartitions(), sig)
+}
+
+// TestCompileTimingsCoverCompile: the four stages account for the wall
+// time of Compile on r16 to within 10 %, every stage that ran is
+// nonzero, and the SA share sits inside Optimize.
+func TestCompileTimingsCoverCompile(t *testing.T) {
+	src, err := SoC("r16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	s, err := Compile(src, Options{Engine: EngineESSENT})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := s.CompileTimings()
+	if ct.Parse <= 0 || ct.Netlist <= 0 || ct.Optimize <= 0 || ct.Engine <= 0 {
+		t.Errorf("a stage that ran reports no time: %v", ct)
+	}
+	if ct.SA <= 0 || ct.SA >= ct.Optimize {
+		t.Errorf("SA share %v not inside optimize %v", ct.SA, ct.Optimize)
+	}
+	if sum := ct.Total(); sum > wall || float64(sum) < 0.9*float64(wall) {
+		t.Errorf("stages sum to %v, Compile took %v (%v)", sum, wall, ct)
+	}
+
+	// Without the optimizer its stage is empty.
+	s, err = Compile(src, Options{Engine: EngineBaseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := s.CompileTimings(); ct.Optimize != 0 || ct.SA != 0 || ct.Engine <= 0 {
+		t.Errorf("baseline engine timings: %v", ct)
+	}
 }
 
 func TestPartitionDesign(t *testing.T) {

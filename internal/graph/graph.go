@@ -23,6 +23,32 @@ func New(n int) *Graph {
 	return &Graph{out: make([][]int, n), in: make([][]int, n)}
 }
 
+// NewSized returns a graph with len(outDeg) nodes and no edges, with room
+// for outDeg[u] out-edges and inDeg[u] in-edges at node u: the adjacency
+// lists of each direction are carved from one backing array, so adding
+// the announced edges allocates nothing. Edges beyond the announced
+// degrees are still accepted; they move that one list to its own array.
+func NewSized(outDeg, inDeg []int32) *Graph {
+	return &Graph{out: carve(outDeg), in: carve(inDeg)}
+}
+
+// carve returns one empty list per degree, list u with capacity deg[u],
+// all cut from a single array.
+func carve(deg []int32) [][]int {
+	total := 0
+	for _, d := range deg {
+		total += int(d)
+	}
+	backing := make([]int, total)
+	lists := make([][]int, len(deg))
+	off := 0
+	for u, d := range deg {
+		lists[u] = backing[off : off : off+int(d)]
+		off += int(d)
+	}
+	return lists
+}
+
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.out) }
 
@@ -63,11 +89,14 @@ var ErrCyclic = errors.New("graph: cycle detected")
 func (g *Graph) TopoSort() ([]int, error) {
 	n := g.Len()
 	indeg := make([]int, n)
+	// Parallel edges count once: stamp[u] names the node whose edge list
+	// last mentioned u (v+1 while counting in-edges, -(u+1) while
+	// releasing out-edges, so the two phases cannot collide).
+	stamp := make([]int, n)
 	for v := 0; v < n; v++ {
-		seen := map[int]bool{}
 		for _, u := range g.in[v] {
-			if !seen[u] {
-				seen[u] = true
+			if stamp[u] != v+1 {
+				stamp[u] = v + 1
 				indeg[v]++
 			}
 		}
@@ -85,12 +114,11 @@ func (g *Graph) TopoSort() ([]int, error) {
 		u := ready[0]
 		ready = ready[1:]
 		order = append(order, u)
-		seen := map[int]bool{}
 		for _, v := range g.out[u] {
-			if seen[v] {
+			if stamp[v] == -(u + 1) {
 				continue
 			}
-			seen[v] = true
+			stamp[v] = -(u + 1)
 			indeg[v]--
 			if indeg[v] == 0 {
 				ready = append(ready, v)

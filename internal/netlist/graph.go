@@ -48,63 +48,89 @@ func (dg *DesignGraph) IsSource(n int) bool {
 // displays, checks, register next values, and top-level outputs.
 func (dg *DesignGraph) IsSink(n int) bool { return dg.sink[n] }
 
-// BuildGraph constructs the dependency graph of a design: one node per
-// signal plus one per sink, with an edge u → v when v reads u this cycle.
-// Register outputs have no in-edges and register next-values no out-edges
-// (the state split of §II that breaks feedback cycles).
-func BuildGraph(d *Design) *DesignGraph {
-	n := len(d.Signals) + len(d.MemWrites) + len(d.Displays) + len(d.Checks)
-	dg := &DesignGraph{
-		G:     graph.New(n),
-		D:     d,
-		Kind:  make([]NodeKind, n),
-		Index: make([]int, n),
-	}
-	addArg := func(a Arg, to int) {
+// forEachEdge calls f(u, v) once per operand read: v reads u this cycle.
+// Sink nodes are numbered after the signals: memory writes, displays,
+// checks.
+func forEachEdge(d *Design, f func(u, v int)) {
+	arg := func(a Arg, to int) {
 		if !a.IsConst() {
-			dg.G.AddEdge(int(a.Sig), to)
+			f(int(a.Sig), to)
 		}
 	}
 	for i := range d.Signals {
-		dg.Kind[i] = NodeSignal
-		dg.Index[i] = i
 		s := &d.Signals[i]
 		switch s.Kind {
 		case KComb:
 			for _, a := range s.Op.Args {
-				addArg(a, i)
+				arg(a, i)
 			}
 		case KMemRead:
 			r := &d.MemReads[s.MemRead]
-			addArg(r.Addr, i)
-			addArg(r.En, i)
+			arg(r.Addr, i)
+			arg(r.En, i)
 		}
+	}
+	next := len(d.Signals)
+	for i := range d.MemWrites {
+		w := &d.MemWrites[i]
+		arg(w.Addr, next)
+		arg(w.En, next)
+		arg(w.Data, next)
+		arg(w.Mask, next)
+		next++
+	}
+	for i := range d.Displays {
+		arg(d.Displays[i].En, next)
+		for _, a := range d.Displays[i].Args {
+			arg(a, next)
+		}
+		next++
+	}
+	for i := range d.Checks {
+		arg(d.Checks[i].En, next)
+		arg(d.Checks[i].Pred, next)
+		next++
+	}
+}
+
+// BuildGraph constructs the dependency graph of a design: one node per
+// signal plus one per sink, with an edge u → v when v reads u this cycle.
+// Register outputs have no in-edges and register next-values no out-edges
+// (the state split of §II that breaks feedback cycles). A counting pass
+// sizes every adjacency list first, so building never regrows one.
+func BuildGraph(d *Design) *DesignGraph {
+	n := len(d.Signals) + len(d.MemWrites) + len(d.Displays) + len(d.Checks)
+	outDeg := make([]int32, n)
+	inDeg := make([]int32, n)
+	forEachEdge(d, func(u, v int) {
+		outDeg[u]++
+		inDeg[v]++
+	})
+	dg := &DesignGraph{
+		G:     graph.NewSized(outDeg, inDeg),
+		D:     d,
+		Kind:  make([]NodeKind, n),
+		Index: make([]int, n),
+	}
+	forEachEdge(d, dg.G.AddEdge)
+	for i := range d.Signals {
+		dg.Kind[i] = NodeSignal
+		dg.Index[i] = i
 	}
 	next := len(d.Signals)
 	for i := range d.MemWrites {
 		dg.Kind[next] = NodeMemWrite
 		dg.Index[next] = i
-		w := &d.MemWrites[i]
-		addArg(w.Addr, next)
-		addArg(w.En, next)
-		addArg(w.Data, next)
-		addArg(w.Mask, next)
 		next++
 	}
 	for i := range d.Displays {
 		dg.Kind[next] = NodeDisplay
 		dg.Index[next] = i
-		addArg(d.Displays[i].En, next)
-		for _, a := range d.Displays[i].Args {
-			addArg(a, next)
-		}
 		next++
 	}
 	for i := range d.Checks {
 		dg.Kind[next] = NodeCheck
 		dg.Index[next] = i
-		addArg(d.Checks[i].En, next)
-		addArg(d.Checks[i].Pred, next)
 		next++
 	}
 	dg.sink = make([]bool, n)

@@ -11,6 +11,7 @@ package opt
 
 import (
 	"fmt"
+	"time"
 
 	"essent/internal/bits"
 	"essent/internal/firrtl"
@@ -42,6 +43,9 @@ type Stats struct {
 	SAProvenConst  int
 	SAProvenGated  int
 	SAProvenNarrow int
+	// SAAnalysis is the wall time of the analysis itself (sa.Stats.Analysis),
+	// kept out of the JSON form: it is a measurement, not a result.
+	SAAnalysis time.Duration `json:"-"`
 	// Packable1Bit counts combinational signals in the optimized design
 	// eligible for the batch engine's word-packed bit-parallel kernels
 	// (1-bit unsigned result, packable op, 1-bit unsigned operands). The
@@ -234,16 +238,40 @@ func constFold(d *netlist.Design, st *Stats) error {
 	if !anyConst {
 		return nil
 	}
-	// Evaluate one full cycle on a scratch machine; constant cones are
-	// input- and state-independent, so any stimulus yields their value.
+	// Evaluate the constant cones alone: a sub-design holding just those
+	// signals (they read only each other and the constant pool) runs one
+	// cycle on a scratch machine, so the folded values come from the
+	// engine's own kernels at the cost of the cones, not of the design.
 	// Verification is off: the scratch machine is a throwaway evaluator
 	// over a mid-pipeline netlist, and the real engine constructor
-	// re-verifies the final design anyway.
-	scratch, err := sim.New(d, sim.Options{Engine: sim.EngineFullCycle, Verify: verify.Off})
+	// re-verifies the final design anyway. Fusion is off because a fused
+	// producer's table slot is never stored, and every slot is read back
+	// here.
+	sub := &netlist.Design{Name: d.Name, Consts: d.Consts}
+	subID := make([]netlist.SignalID, len(d.Signals))
+	for n := range d.Signals {
+		if isConst[n] {
+			subID[n] = netlist.SignalID(len(sub.Signals))
+			sub.Signals = append(sub.Signals, d.Signals[n])
+		}
+	}
+	for i := range sub.Signals {
+		op := *sub.Signals[i].Op
+		op.Out = netlist.SignalID(i)
+		op.Args = append([]netlist.Arg(nil), op.Args...)
+		for j, a := range op.Args {
+			if !a.IsConst() {
+				op.Args[j] = netlist.SigArg(subID[a.Sig])
+			}
+		}
+		sub.Signals[i].Op = &op
+	}
+	sub.RebuildNameIndex()
+	scratch, err := sim.New(sub, sim.Options{Engine: sim.EngineFullCycle, Verify: verify.Off, NoFuse: true})
 	if err != nil {
 		return err
 	}
-	_ = scratch.Step(1) // stop/assert on the scratch run is irrelevant
+	_ = scratch.Step(1) // the sub-design has no sinks to stop or assert
 	// Replace uses of constant signals with pool constants.
 	constArg := make([]netlist.Arg, len(d.Signals))
 	for n := range d.Signals {
@@ -251,7 +279,7 @@ func constFold(d *netlist.Design, st *Stats) error {
 			continue
 		}
 		s := &d.Signals[n]
-		words := scratch.PeekWide(netlist.SignalID(n), nil)
+		words := scratch.PeekWide(subID[n], nil)
 		bits.MaskInto(words, s.Width)
 		constArg[n] = netlist.ConstArg(d.InternConst(words, s.Width, s.Signed))
 		st.ConstFolded++
@@ -278,6 +306,7 @@ func saFold(d *netlist.Design, st *Stats, opts sa.Options) error {
 	st.SAProvenConst = r.Stats.ProvenConst
 	st.SAProvenGated = r.Stats.ProvenGated
 	st.SAProvenNarrow = r.Stats.ProvenNarrow
+	st.SAAnalysis = r.Stats.Analysis
 
 	constArg := make([]netlist.Arg, len(d.Signals))
 	hasConst := make([]bool, len(d.Signals))

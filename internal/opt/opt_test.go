@@ -61,6 +61,54 @@ circuit C :
 	}
 }
 
+// TestConstFoldReadsUnfusedValues: a constant whose only reader the
+// interpreter would fuse it into (not → and, compare → mux selector,
+// add → tail) still folds to its real value. The scratch evaluator used
+// to fuse, which drops the producer's store, and read back a stale zero:
+// `and(a, not(0))` became `and(a, 0)`.
+func TestConstFoldReadsUnfusedValues(t *testing.T) {
+	src := `
+circuit C :
+  module C :
+    input a : UInt<1>
+    input x : UInt<4>
+    input y : UInt<4>
+    output o1 : UInt<1>
+    output o2 : UInt<4>
+    output o3 : UInt<4>
+    node n = not(UInt<1>(0))
+    o1 <= and(a, n)
+    node sel = eq(UInt<2>(2), UInt<2>(2))
+    o2 <= mux(sel, x, y)
+    node sum = add(UInt<4>(9), UInt<4>(8))
+    o3 <= tail(sum, 1)
+`
+	od, st, err := Optimize(compile(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ConstFolded < 3 {
+		t.Fatalf("expected ≥3 folds, got %+v", st)
+	}
+	s, err := sim.New(od, sim.Options{Engine: sim.EngineFullCycle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]uint64{"a": 1, "x": 5, "y": 9} {
+		id, _ := od.SignalByName(name)
+		s.Poke(id, v)
+	}
+	if err := s.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]uint64{"o1": 1, "o2": 5, "o3": 1} {
+		id, _ := od.SignalByName(name)
+		if got := s.Peek(id); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
 func TestCSE(t *testing.T) {
 	src := `
 circuit C :

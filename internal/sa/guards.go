@@ -18,7 +18,7 @@ import (
 // Register hold guards are pattern-matched separately: a next-value cone
 // of the form mux(en, data, self) (through copy chains) proves the
 // register cannot change while en is inactive.
-func inferGuards(d *netlist.Design, dg *netlist.DesignGraph, order []int, r *Result, maxGuards int) {
+func inferGuards(d *netlist.Design, dg *netlist.DesignGraph, order []int, r *Result) {
 	n := len(d.Signals)
 	observed := r.Observed
 	guards := r.Guards
@@ -70,7 +70,7 @@ func inferGuards(d *netlist.Design, dg *netlist.DesignGraph, order []int, r *Res
 		}
 		useG := g
 		if lit != nil {
-			useG = unionLit(g, *lit, maxGuards)
+			useG = unionLit(g, *lit)
 		}
 		s := a.Sig
 		if !observed[s] {
@@ -200,8 +200,8 @@ func cloneGuards(g []Guard) []Guard {
 }
 
 // unionLit returns g ∪ {lit} as a new sorted set, dropping the largest
-// literals past the cap (dropping only weakens the eventual claim).
-func unionLit(g []Guard, lit Guard, maxGuards int) []Guard {
+// literals past maxGuards (dropping only weakens the eventual claim).
+func unionLit(g []Guard, lit Guard) []Guard {
 	for _, x := range g {
 		if x == lit {
 			return g

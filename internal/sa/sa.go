@@ -50,21 +50,18 @@ import (
 
 // Options tunes the analysis.
 type Options struct {
-	// MaxIters caps register fixpoint iterations; once exceeded, any
-	// register still changing is forced to unknown (always sound).
-	// 0 means the default (100).
-	MaxIters int
-	// MaxGuards caps observability guard literals tracked per signal
-	// (excess literals are dropped, weakening but never falsifying the
-	// claim). 0 means the default (4).
-	MaxGuards int
 	// NoGuards skips guard-cone inference (known bits and widths only).
 	NoGuards bool
 }
 
 const (
-	defaultMaxIters  = 100
-	defaultMaxGuards = 4
+	// maxIters caps register fixpoint rounds; once exceeded, any register
+	// still changing is forced to unknown (always sound).
+	maxIters = 100
+	// maxGuards caps observability guard literals tracked per signal
+	// (excess literals are dropped, weakening but never falsifying the
+	// claim).
+	maxGuards = 4
 )
 
 // KnownBits is the per-signal bitwise constant lattice: bit i is proven
@@ -135,12 +132,6 @@ type Result struct {
 // trace; callers on engine paths can treat an error as "no facts".
 func Analyze(d *netlist.Design, opts Options) (*Result, error) {
 	start := time.Now()
-	if opts.MaxIters <= 0 {
-		opts.MaxIters = defaultMaxIters
-	}
-	if opts.MaxGuards <= 0 {
-		opts.MaxGuards = defaultMaxGuards
-	}
 	dg := netlist.BuildGraph(d)
 	order, err := dg.TopoOrder()
 	if err != nil {
@@ -162,57 +153,7 @@ func Analyze(d *netlist.Design, opts Options) (*Result, error) {
 		r.RegHold[i] = Guard{Sig: netlist.NoSignal}
 	}
 
-	st := newState(d)
-	// Seed register lattices from reset/init values: engines start every
-	// register at Init (zeros when absent) and Reset() restores it, so
-	// the fixpoint base case is exact.
-	for ri := range d.Regs {
-		reg := &d.Regs[ri]
-		s := &d.Signals[reg.Out]
-		w := bits.Words(s.Width)
-		init := make([]uint64, w)
-		bits.Copy(init, reg.Init)
-		bits.MaskInto(init, s.Width)
-		if s.Signed {
-			// Signed registers stay unknown: the transfer functions do
-			// not model sign extension.
-			st.setTop(reg.Out)
-		} else {
-			st.setConst(reg.Out, init)
-		}
-	}
-	for _, id := range d.Inputs {
-		st.setTop(netlist.SignalID(id))
-	}
-
-	// Register fixpoint: evaluate the combinational cones, join each
-	// register's lattice with its next-value, repeat until stable. Joins
-	// only lose known bits, so termination is guaranteed; past MaxIters
-	// any still-changing register is forced straight to unknown.
-	iters := 0
-	for {
-		iters++
-		st.evalComb(order)
-		changed := false
-		for ri := range d.Regs {
-			reg := &d.Regs[ri]
-			if d.Signals[reg.Out].Signed {
-				continue
-			}
-			if iters > opts.MaxIters {
-				if st.joinWouldChange(reg.Out, reg.Next) {
-					st.setTop(reg.Out)
-					changed = true
-				}
-			} else if st.joinFrom(reg.Out, reg.Next) {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	st.evalComb(order)
+	st, iters := fixpoint(d, dg, order)
 	r.Stats.Iters = iters
 
 	// Export known bits, widths, constants.
@@ -236,7 +177,7 @@ func Analyze(d *netlist.Design, opts Options) (*Result, error) {
 	}
 
 	if !opts.NoGuards {
-		inferGuards(d, dg, order, r, opts.MaxGuards)
+		inferGuards(d, dg, order, r)
 	}
 
 	r.Stats.Signals = n
@@ -258,6 +199,64 @@ func Analyze(d *netlist.Design, opts Options) (*Result, error) {
 	}
 	r.Stats.Analysis = time.Since(start)
 	return r, nil
+}
+
+// fixpoint runs the forward analysis to its register fixpoint and returns
+// the final lattices with the number of rounds taken. order is a
+// topological order of dg's nodes.
+func fixpoint(d *netlist.Design, dg *netlist.DesignGraph, order []int) (*state, int) {
+	st := newState(d, dg, order)
+	// Seed register lattices from reset/init values: engines start every
+	// register at Init (zeros when absent) and Reset() restores it, so
+	// the fixpoint base case is exact. Inputs and memory read ports stay
+	// at top, which is how newState leaves every signal.
+	for ri := range d.Regs {
+		reg := &d.Regs[ri]
+		s := &d.Signals[reg.Out]
+		if s.Signed {
+			// Signed registers stay unknown: the transfer functions do
+			// not model sign extension.
+			continue
+		}
+		init := make([]uint64, bits.Words(s.Width))
+		bits.Copy(init, reg.Init)
+		bits.MaskInto(init, s.Width)
+		st.setConst(reg.Out, init)
+	}
+
+	// Register fixpoint: evaluate the combinational signals whose inputs
+	// moved, join each register's lattice with its next-value, repeat
+	// until stable. Round 1 evaluates everything; a later round only the
+	// cones of the registers the previous round's joins changed. Joins
+	// only lose known bits, so termination is guaranteed; past maxIters
+	// any still-changing register is forced straight to unknown.
+	st.markAll()
+	iters := 0
+	for {
+		iters++
+		st.sweep()
+		changed := false
+		for ri := range d.Regs {
+			reg := &d.Regs[ri]
+			if d.Signals[reg.Out].Signed {
+				continue
+			}
+			if iters > maxIters {
+				if !st.joinWouldChange(reg.Out, reg.Next) {
+					continue
+				}
+				st.setTop(reg.Out)
+			} else if !st.joinFrom(reg.Out, reg.Next) {
+				continue
+			}
+			st.markReaders(reg.Out)
+			changed = true
+		}
+		if !changed {
+			break
+		}
+	}
+	return st, iters
 }
 
 // IsConst reports whether the signal is proven constant.

@@ -1,6 +1,8 @@
 package sa
 
 import (
+	mbits "math/bits"
+
 	"essent/internal/bits"
 	"essent/internal/firrtl"
 	"essent/internal/netlist"
@@ -18,26 +20,56 @@ type state struct {
 	constMask [][]uint64
 	constVal  [][]uint64
 
-	// Scratch limb buffers sized to the widest signal in the design.
-	ta, tb, tc, td, te, tf []uint64
+	// The worklist: comb lists the combinational signals in topological
+	// order, pos is each signal's index in it (-1 for inputs, register
+	// outputs and memory reads, whose lattices no transfer writes), and
+	// dirty has one bit per position whose operands changed since its
+	// last transfer. readers is the design graph's out-adjacency.
+	comb    []netlist.SignalID
+	pos     []int32
+	dirty   []uint64
+	readers func(int) []int
+
+	// Scratch limb buffers sized to the widest signal in the design; om
+	// and ov hold a signal's previous lattice across its transfer.
+	ta, tb, tc, td, te, tf, om, ov []uint64
 }
 
-func newState(d *netlist.Design) *state {
+// newState builds the all-unknown state of a design: every signal at top,
+// nothing dirty. order is a topological order of dg's nodes.
+func newState(d *netlist.Design, dg *netlist.DesignGraph, order []int) *state {
 	n := len(d.Signals)
 	st := &state{
 		d:       d,
 		mask:    make([][]uint64, n),
 		val:     make([][]uint64, n),
 		maxBits: make([]int, n),
+		pos:     make([]int32, n),
+		readers: dg.G.Out,
 	}
+	for i := range st.pos {
+		st.pos[i] = -1
+	}
+	for _, node := range order {
+		if node < n && d.Signals[node].Kind == netlist.KComb {
+			st.pos[node] = int32(len(st.comb))
+			st.comb = append(st.comb, netlist.SignalID(node))
+		}
+	}
+	st.dirty = make([]uint64, (len(st.comb)+63)/64)
+	// One array backs every signal's mask and value words.
+	total := 0
+	for i := range d.Signals {
+		total += bits.Words(d.Signals[i].Width)
+	}
+	words := make([]uint64, 2*total)
 	maxW := 1
 	for i := range d.Signals {
 		w := bits.Words(d.Signals[i].Width)
 		if w > maxW {
 			maxW = w
 		}
-		st.mask[i] = make([]uint64, w)
-		st.val[i] = make([]uint64, w)
+		st.mask[i], st.val[i], words = words[:w:w], words[w:2*w:2*w], words[2*w:]
 		st.maxBits[i] = widthOrZero(d.Signals[i].Width)
 	}
 	st.constMask = make([][]uint64, len(d.Consts))
@@ -67,6 +99,8 @@ func newState(d *netlist.Design) *state {
 	st.td = make([]uint64, maxW)
 	st.te = make([]uint64, maxW)
 	st.tf = make([]uint64, maxW)
+	st.om = make([]uint64, maxW)
+	st.ov = make([]uint64, maxW)
 	return st
 }
 
@@ -181,26 +215,50 @@ func (st *state) join(out, next netlist.SignalID, write bool) bool {
 			st.maxBits[out] = nb
 		}
 	}
-	if nb > w {
-		nb = w
-	}
 	return changed
 }
 
-// evalComb re-evaluates all combinational signals in topological order
-// from the current register/input lattices.
-func (st *state) evalComb(order []int) {
-	n := len(st.d.Signals)
-	for _, node := range order {
-		if node >= n {
-			continue
+// markAll dirties every position: the first round evaluates everything.
+func (st *state) markAll() {
+	for i := range st.dirty {
+		st.dirty[i] = ^uint64(0)
+	}
+	if rem := len(st.comb) % 64; rem != 0 {
+		st.dirty[len(st.dirty)-1] = uint64(1)<<uint(rem) - 1
+	}
+}
+
+// markReaders dirties the combinational signals that read s.
+func (st *state) markReaders(s netlist.SignalID) {
+	for _, v := range st.readers(int(s)) {
+		if v >= len(st.pos) {
+			continue // sink node
 		}
-		s := &st.d.Signals[node]
-		switch s.Kind {
-		case netlist.KComb:
-			st.transfer(netlist.SignalID(node), s)
-		case netlist.KMemRead:
-			st.setTop(netlist.SignalID(node))
+		if p := st.pos[v]; p >= 0 {
+			st.dirty[p>>6] |= 1 << uint(p&63)
+		}
+	}
+}
+
+// sweep runs the transfer of every dirty position in ascending
+// (topological) order and leaves nothing dirty. A transfer that changes
+// its output dirties the output's readers, which sit at higher positions,
+// so one pass reaches everything downstream of the signals that moved and
+// nothing else. The cost is the size of those cones, not of the design.
+func (st *state) sweep() {
+	for w := range st.dirty {
+		for st.dirty[w] != 0 {
+			b := mbits.TrailingZeros64(st.dirty[w])
+			st.dirty[w] &^= 1 << uint(b)
+			out := st.comb[w<<6+b]
+			m, v := st.mask[out], st.val[out]
+			om, ov, omb := st.om[:len(m)], st.ov[:len(v)], st.maxBits[out]
+			copy(om, m)
+			copy(ov, v)
+			st.transfer(out, &st.d.Signals[out])
+			if omb != st.maxBits[out] || !bits.Equal(om, m) || !bits.Equal(ov, v) {
+				st.markReaders(out)
+			}
 		}
 	}
 }

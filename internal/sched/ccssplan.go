@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"essent/internal/netlist"
@@ -149,92 +150,20 @@ func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 		return nil, err
 	}
 
-	// Snapshot pure data adjacency before ordering edges mutate the graph.
+	// Pure data adjacency, before ordering edges are added: AddEdge only
+	// appends, so these slice headers keep naming exactly the data edges.
 	dataOut := make([][]int, dg.G.Len())
-	for u := 0; u < dg.G.Len(); u++ {
-		dataOut[u] = append([]int(nil), dg.G.Out(u)...)
-	}
-
-	// Partition-level adjacency for the elision analysis.
-	np := len(res.Parts)
-	psucc := make([]map[int]bool, np)
-	for i := range psucc {
-		psucc[i] = map[int]bool{}
-	}
-	for u := 0; u < dg.G.Len(); u++ {
-		pu := res.PartOf[u]
-		if pu < 0 {
-			continue
-		}
-		for _, v := range dataOut[u] {
-			pv := res.PartOf[v]
-			if pv >= 0 && pv != pu {
-				psucc[pu][pv] = true
-			}
-		}
+	for u := range dataOut {
+		dataOut[u] = dg.G.Out(u)
 	}
 
 	// Register update elision at partition granularity (§III-B1).
+	np := len(res.Parts)
+	psucc := partSuccessors(dataOut, res.PartOf, np)
 	elided := make([]bool, len(d.Regs))
 	numElided := 0
-	regRange := len(d.Regs)
-	if opts.NoElide {
-		regRange = 0
-	}
-	for ri := 0; ri < regRange; ri++ {
-		r := &d.Regs[ri]
-		w := res.PartOf[int(r.Next)]
-		if w < 0 {
-			continue
-		}
-		readers := dataOut[int(r.Out)]
-		cross := map[int]bool{}
-		var same []int
-		for _, rd := range readers {
-			p := res.PartOf[rd]
-			if p == w {
-				if rd != int(r.Next) {
-					same = append(same, rd)
-				}
-			} else if p >= 0 {
-				cross[p] = true
-			}
-		}
-		safe := true
-		if len(cross) > 0 {
-			reach := reachParts(psucc, w)
-			for p := range cross {
-				if reach[p] {
-					safe = false
-					break
-				}
-			}
-		}
-		if safe && len(same) > 0 {
-			reach := reachWithinPart(dg, res.PartOf, int(r.Next), w)
-			for _, rd := range same {
-				if reach[rd] {
-					safe = false
-					break
-				}
-			}
-		}
-		if !safe {
-			continue
-		}
-		crossList := make([]int, 0, len(cross))
-		for p := range cross {
-			crossList = append(crossList, p)
-		}
-		sort.Ints(crossList)
-		for _, p := range crossList {
-			psucc[p][w] = true
-		}
-		for _, rd := range same {
-			dg.G.AddEdge(rd, int(r.Next))
-		}
-		elided[ri] = true
-		numElided++
+	if !opts.NoElide {
+		numElided = elideAcrossParts(dg, dataOut, res.PartOf, psucc, elided)
 	}
 
 	partOrder, ok := topoParts(psucc)
@@ -248,7 +177,7 @@ func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 	// spec a contiguous ID range, so the engines scan flags linearly.
 	lvl := make([]int, np)
 	for _, p := range partOrder {
-		for q := range psucc[p] {
+		for _, q := range psucc[p] {
 			if lvl[p]+1 > lvl[q] {
 				lvl[q] = lvl[p] + 1
 			}
@@ -281,19 +210,16 @@ func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 		plan.Order = append(plan.Order, ms...)
 	}
 
-	consumersOf := func(node int) []int {
-		set := map[int]bool{}
+	// consumersOf lists the runtime partitions reading node, except skip.
+	var readers []int
+	consumersOf := func(node, skip int) []int {
+		readers = readers[:0]
 		for _, v := range dataOut[node] {
-			if p := res.PartOf[v]; p >= 0 {
-				set[rt[p]] = true
+			if p := res.PartOf[v]; p >= 0 && p != skip {
+				readers = append(readers, rt[p])
 			}
 		}
-		out := make([]int, 0, len(set))
-		for p := range set {
-			out = append(out, p)
-		}
-		sort.Ints(out)
-		return out
+		return slices.Clone(sortedSet(readers))
 	}
 
 	// Partition outputs: comb/memread signals with external consumers.
@@ -310,17 +236,7 @@ func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 		if p < 0 || (s.Kind != netlist.KComb && s.Kind != netlist.KMemRead) {
 			continue
 		}
-		var cs []int
-		seen := map[int]bool{}
-		for _, v := range dataOut[n] {
-			q := res.PartOf[v]
-			if q >= 0 && q != p && !seen[rt[q]] {
-				seen[rt[q]] = true
-				cs = append(cs, rt[q])
-			}
-		}
-		if len(cs) > 0 {
-			sort.Ints(cs)
+		if cs := consumersOf(n, p); len(cs) > 0 {
 			plan.Parts[rt[p]].Outputs = append(plan.Parts[rt[p]].Outputs,
 				OutputPlan{Sig: netlist.SignalID(n), Consumers: cs})
 		}
@@ -330,7 +246,7 @@ func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 	plan.RegReaderParts = make([][]int, len(d.Regs))
 	for ri := range d.Regs {
 		r := &d.Regs[ri]
-		plan.RegReaderParts[ri] = consumersOf(int(r.Out))
+		plan.RegReaderParts[ri] = consumersOf(int(r.Out), -1)
 		w := res.PartOf[int(r.Next)]
 		if w < 0 {
 			continue
@@ -346,24 +262,19 @@ func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 	// Memory read-port partitions.
 	plan.MemReaderParts = make([][]int, len(d.Mems))
 	for mi := range d.Mems {
-		set := map[int]bool{}
+		ps := make([]int, 0, len(d.Mems[mi].Readers))
 		for _, rp := range d.Mems[mi].Readers {
 			if p := res.PartOf[int(d.MemReads[rp].Data)]; p >= 0 {
-				set[rt[p]] = true
+				ps = append(ps, rt[p])
 			}
 		}
-		ps := make([]int, 0, len(set))
-		for p := range set {
-			ps = append(ps, p)
-		}
-		sort.Ints(ps)
-		plan.MemReaderParts[mi] = ps
+		plan.MemReaderParts[mi] = sortedSet(ps)
 	}
 
 	// Input consumers.
 	plan.InputConsumers = make([][]int, len(d.Inputs))
 	for i, in := range d.Inputs {
-		plan.InputConsumers[i] = consumersOf(int(in))
+		plan.InputConsumers[i] = consumersOf(int(in), -1)
 	}
 
 	// Partition levels (computed above, before the level-major re-sort).
@@ -401,6 +312,92 @@ func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 		plan.Shadows = ComputeMuxShadows(d, dg, scope, orderPos)
 	}
 	return plan, nil
+}
+
+// partSuccessors lifts the data edges to the partition graph: per
+// partition, the sorted set of other partitions reading from it.
+func partSuccessors(dataOut [][]int, partOf []int, np int) [][]int32 {
+	psucc := make([][]int32, np)
+	for u := range dataOut {
+		pu := partOf[u]
+		if pu < 0 {
+			continue
+		}
+		for _, v := range dataOut[u] {
+			if pv := partOf[v]; pv >= 0 && pv != pu {
+				psucc[pu] = append(psucc[pu], int32(pv))
+			}
+		}
+	}
+	for p := range psucc {
+		psucc[p] = sortedSet(psucc[p])
+	}
+	return psucc
+}
+
+// elideAcrossParts decides, register by register, which updates may
+// happen in place inside the partition that computes the next value, and
+// returns how many. A register is safe when no reader can run after the
+// write in the same cycle: partitions holding readers must not sit
+// downstream of the writer's partition, and readers inside the writer's
+// partition must not sit downstream of the write within it. Each elided
+// register then forces that order — partition edges reader → writer go
+// into psucc (kept sorted), node edges reader → next-value into dg — so
+// later registers are judged against the constraints earlier ones added.
+func elideAcrossParts(dg *netlist.DesignGraph, dataOut [][]int, partOf []int,
+	psucc [][]int32, elided []bool) int {
+	d := dg.D
+	partSucc := func(p int) []int32 { return psucc[p] }
+	rc := newReacher(dg.G.Len())
+	var cross []int32
+	var same []int
+	numElided := 0
+	for ri := range d.Regs {
+		r := &d.Regs[ri]
+		w := partOf[int(r.Next)]
+		if w < 0 {
+			continue
+		}
+		cross, same = cross[:0], same[:0]
+		for _, rd := range dataOut[int(r.Out)] {
+			p := partOf[rd]
+			if p == w {
+				if rd != int(r.Next) {
+					same = append(same, rd)
+				}
+			} else if p >= 0 {
+				cross = append(cross, int32(p))
+			}
+		}
+		cross = sortedSet(cross)
+		if len(cross) > 0 {
+			rc.begin()
+			for _, p := range cross {
+				rc.target(int(p))
+			}
+			if reaches(rc, partSucc, w, nil, 0) {
+				continue
+			}
+		}
+		if len(same) > 0 {
+			rc.begin()
+			for _, rd := range same {
+				rc.target(rd)
+			}
+			if reaches(rc, dg.G.Out, int(r.Next), partOf, w) {
+				continue
+			}
+		}
+		for _, p := range cross {
+			psucc[p] = insertSorted(psucc[p], int32(w))
+		}
+		for _, rd := range same {
+			dg.G.AddEdge(rd, int(r.Next))
+		}
+		elided[ri] = true
+		numElided++
+	}
+	return numElided
 }
 
 // buildLevelSpecs groups partitions by DAG level (runtime IDs ascending
@@ -454,43 +451,28 @@ func (plan *CCSSPlan) buildLevelSpecs() {
 	}
 }
 
-func reachParts(psucc []map[int]bool, src int) map[int]bool {
-	seen := map[int]bool{}
-	stack := []int{src}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for v := range psucc[u] {
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
+// sortedSet sorts xs in place and drops duplicates.
+func sortedSet[T int | int32](xs []T) []T {
+	slices.Sort(xs)
+	return slices.Compact(xs)
 }
 
-func reachWithinPart(dg *netlist.DesignGraph, partOf []int, src, w int) map[int]bool {
-	seen := map[int]bool{}
-	stack := []int{src}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range dg.G.Out(u) {
-			if partOf[v] == w && !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
+// insertSorted adds x to the sorted set xs.
+func insertSorted(xs []int32, x int32) []int32 {
+	i, found := slices.BinarySearch(xs, x)
+	if found {
+		return xs
 	}
-	return seen
+	return slices.Insert(xs, i, x)
 }
 
-func topoParts(psucc []map[int]bool) ([]int, bool) {
+// topoParts orders the partition graph (sorted successor lists), smallest
+// ready partition first.
+func topoParts(psucc [][]int32) ([]int, bool) {
 	np := len(psucc)
 	indeg := make([]int, np)
 	for _, succ := range psucc {
-		for v := range succ {
+		for _, v := range succ {
 			indeg[v]++
 		}
 	}
@@ -500,22 +482,16 @@ func topoParts(psucc []map[int]bool) ([]int, bool) {
 			ready = append(ready, p)
 		}
 	}
-	sort.Ints(ready)
 	var order []int
 	for len(ready) > 0 {
 		p := ready[0]
 		ready = ready[1:]
 		order = append(order, p)
-		next := make([]int, 0, len(psucc[p]))
-		for v := range psucc[p] {
-			next = append(next, v)
-		}
-		sort.Ints(next)
 		changed := false
-		for _, v := range next {
+		for _, v := range psucc[p] {
 			indeg[v]--
 			if indeg[v] == 0 {
-				ready = append(ready, v)
+				ready = append(ready, int(v))
 				changed = true
 			}
 		}

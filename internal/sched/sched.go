@@ -64,6 +64,7 @@ func Build(d *netlist.Design, elide bool) (*Plan, error) {
 func (p *Plan) elideRegisters() {
 	d := p.DG.D
 	g := p.DG.G
+	rc := newReacher(g.Len())
 	for ri := range d.Regs {
 		r := &d.Regs[ri]
 		outNode := int(r.Out)
@@ -75,20 +76,15 @@ func (p *Plan) elideRegisters() {
 		// Reachability from N to any reader (self-reads excluded: an
 		// instruction reads its operands before writing its result, so
 		// N reading O directly is safe).
-		safe := true
-		if len(readers) > 0 {
-			reach := reachableSet(g, nextNode)
-			for _, u := range readers {
-				if u == nextNode {
-					continue
-				}
-				if reach[u] {
-					safe = false
-					break
-				}
+		rc.begin()
+		others := 0
+		for _, u := range readers {
+			if u != nextNode {
+				rc.target(u)
+				others++
 			}
 		}
-		if !safe {
+		if others > 0 && reaches(rc, g.Out, nextNode, nil, 0) {
 			continue
 		}
 		for _, u := range readers {
@@ -100,22 +96,4 @@ func (p *Plan) elideRegisters() {
 		p.Elided[ri] = true
 		p.NumElided++
 	}
-}
-
-// reachableSet returns the set of nodes reachable from src (excluding src
-// unless on a cycle).
-func reachableSet(g interface{ Out(int) []int }, src int) map[int]bool {
-	seen := map[int]bool{}
-	stack := []int{src}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range g.Out(u) {
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
 }
