@@ -93,8 +93,10 @@ func compiledMatchesInterp(t *testing.T, engine Engine) {
 			t.Fatalf("cycle %d: compiled o=%d interp o=%d", c*3, cv, iv)
 		}
 	}
-	if cst, ist := cs.Stats(), is.Stats(); cst.Cycles != ist.Cycles {
-		t.Fatalf("cycle counters differ: %d vs %d", cst.Cycles, ist.Cycles)
+	// The artifact is a printing of the program the interpreter executes:
+	// every counter agrees, not only Cycles.
+	if cst, ist := cs.Stats(), is.Stats(); cst != ist {
+		t.Fatalf("Stats differ:\ncompiled %+v\ninterp   %+v", cst, ist)
 	}
 	if rec := cs.BackendDegradation(); rec != nil {
 		t.Fatalf("unexpected degradation: %+v", rec)
@@ -174,9 +176,15 @@ func TestBackendAutoColdCache(t *testing.T) {
 	if got := s.Stats().Cycles; got != 10 {
 		t.Fatalf("cycles = %d, want 10", got)
 	}
-	// Wait for the background warm-up to land its artifact: it proves the
-	// cold run did warm the cache, and it keeps the builder from writing
-	// into the temp directory while the test's cleanup removes it.
+	// The cold run must also have warmed the cache.
+	waitForArtifact(t, s, opts)
+}
+
+// waitForArtifact blocks until the background warm-up of an auto-backend
+// compile has landed its artifact, so the builder is not still writing
+// into the test's temp directory when cleanup removes it.
+func waitForArtifact(t *testing.T, s *Sim, opts Options) {
+	t.Helper()
 	gen, _ := artifactGen(opts)
 	cfg := serve.Config{Gen: gen, CacheDir: opts.ArtifactCacheDir}
 	for deadline := time.Now().Add(2 * time.Minute); !serve.Probe(s.d, gen, cfg); {
@@ -184,6 +192,56 @@ func TestBackendAutoColdCache(t *testing.T) {
 			t.Fatal("background warm-up never produced an artifact")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestEditedCircuitMissesArtifactCache: two circuits with the same state
+// layout and different logic (acc+in, acc-in) must not share a cached
+// artifact. Compiled one after the other against one cache directory,
+// each backend must compute its own circuit's result.
+func TestEditedCircuitMissesArtifactCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds compiled artifacts")
+	}
+	edited := strings.Replace(backendTestSrc, "add(acc, in)", "sub(acc, in)", 1)
+	for _, backend := range []string{"compiled", "auto"} {
+		t.Run(backend, func(t *testing.T) {
+			opts := Options{Engine: EngineESSENT, Backend: backend, ArtifactCacheDir: t.TempDir()}
+			for _, tc := range []struct {
+				src  string
+				want uint64
+			}{{backendTestSrc, 12}, {edited, 244}} {
+				s, err := Compile(tc.src, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if backend == "auto" {
+					// The first compile of each text is a cold miss served by the
+					// interpreter; compile again once its artifact has landed, so
+					// the answer below comes from the cache.
+					waitForArtifact(t, s, opts)
+					s.Close()
+					if s, err = Compile(tc.src, opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.Poke("in", 6); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Step(3); err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.Peek("o")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != tc.want || s.Degraded() {
+					t.Fatalf("o = %d (degraded %v), want %d: served another circuit's artifact",
+						got, s.Degraded(), tc.want)
+				}
+				s.Close()
+			}
+		})
 	}
 }
 

@@ -188,7 +188,6 @@ func GenerateGo(source, pkg string, mode GenMode, cp int) ([]byte, error) {
 		if d, _, err = opt.Optimize(d); err != nil {
 			return nil, err
 		}
-		opts.Elide = true
 	default:
 		return nil, fmt.Errorf("essent: unknown generation mode %d", mode)
 	}

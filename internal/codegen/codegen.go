@@ -1,23 +1,25 @@
 // Package codegen emits standalone Go simulators from compiled designs —
-// the analogue of ESSENT generating C++ (§III-A). Two modes are
-// supported: full-cycle (the baseline schedule) and CCSS (partition
-// functions guarded by activity flags with push triggering). The emitted
-// code replays the interpreter's exact instruction stream, so behavior
-// matches the engines by construction; cold paths (printf bodies,
-// assertion handling) are segregated into noinline functions, the Go
-// equivalent of the paper's branch-hint code-layout optimization
-// (§III-B2).
+// the analogue of ESSENT generating C++ (§III-A). It is a printer over
+// the program an engine executes: Generate asks internal/sim for the
+// lowered, fused, verified op stream of the engine its options denote
+// (sim.Lower) and renders it — stream opcodes as Go expressions, skip
+// regions as if blocks, spans as partition functions (CCSS) or chunks
+// (full-cycle), the partition table as the compare-and-wake epilogues.
+// Generated and interpreted runs therefore evaluate the same operations
+// in the same order and count the same work. What belongs to the printer
+// alone: one-word values live in Go locals inside a partition function,
+// and cold paths (printf bodies, assertion handling) are segregated into
+// noinline functions, the Go equivalent of the paper's branch-hint
+// code-layout optimization (§III-B2).
 package codegen
 
 import (
 	"bytes"
 	"fmt"
 	"go/format"
-	"strings"
 
 	"essent/internal/bits"
 	"essent/internal/netlist"
-	"essent/internal/sched"
 	"essent/internal/sim"
 )
 
@@ -26,7 +28,7 @@ type Mode int
 
 // Generation modes.
 const (
-	// ModeFullCycle emits a baseline full-cycle simulator.
+	// ModeFullCycle emits a full-cycle simulator.
 	ModeFullCycle Mode = iota
 	// ModeCCSS emits the conditional/coarsened/singular/static simulator.
 	ModeCCSS
@@ -40,62 +42,74 @@ type Options struct {
 	Mode Mode
 	// Cp is the CCSS partitioning threshold (0 = default 8).
 	Cp int
-	// Elide enables register update elision in full-cycle mode
-	// (always on for CCSS).
+	// Elide selects the optimized full-cycle engine's program (register
+	// update elision and conditional multiplexor ways) in full-cycle mode;
+	// without it the Baseline's is printed. CCSS always elides.
 	Elide bool
 	// NoMuxShadow disables folding single-use cones into multiplexer
-	// arms (§III-B's "conditionally evaluating multiplexor ways"); the
-	// optimization is on by default.
+	// arms (§III-B's "conditionally evaluating multiplexor ways") in CCSS
+	// mode; the optimization is on by default.
 	NoMuxShadow bool
 	// NoElide disables in-partition register updates in CCSS mode
 	// (ablation knob).
 	NoElide bool
-	// NoPack disables boolean-expression fusion (the generated-code form
-	// of the batch engine's bit-packing pass: single-use 1-bit producers
-	// inline into their consumers; ablation knob).
-	NoPack bool
 	// Serve emits the serving-backend surface: design fingerprint
 	// constants, ckptio snapshot Capture/Restore, the architectural
-	// StateHash, flat Stats counters mirroring the interpreter's
-	// activity accounting, and a signal table covering every named
-	// signal — everything pipeproto.Child requires. Off by default so
-	// bench-only output stays lean.
+	// StateHash, flat Stats counters equal to the interpreter's, and a
+	// signal table covering every named signal — everything
+	// pipeproto.Child requires. Off by default so bench-only output
+	// stays lean.
 	Serve bool
 }
 
+// Engine returns the sim.Options of the engine whose program these
+// options print — the one mapping from a generated simulator's shape to
+// its interpreter, shared with the serving layer's fallback and shadow.
+func (o Options) Engine() sim.Options {
+	switch {
+	case o.Mode == ModeCCSS:
+		return sim.Options{Engine: sim.EngineCCSS, Cp: o.Cp,
+			NoElide: o.NoElide, NoMuxShadow: o.NoMuxShadow}
+	case o.Elide:
+		return sim.Options{Engine: sim.EngineFullCycleOpt}
+	}
+	return sim.Options{Engine: sim.EngineFullCycle}
+}
+
+// FormatVersion names what this generator prints for a given program. It
+// is part of every artifact cache key (internal/serve), so a cached
+// binary is never reused across a change to the emitted text: bump it
+// with any such change (TestFormatVersionPinsEmittedText fails until
+// then).
+const FormatVersion = 1
+
 // Generate emits Go source for a simulator of the design.
 func Generate(d *netlist.Design, opts Options) ([]byte, error) {
-	if opts.Package == "" {
-		opts.Package = "gensim"
-	}
-	var prog *sim.GenProgram
-	var err error
-	switch opts.Mode {
-	case ModeFullCycle:
-		prog, err = sim.ExportFullCycle(d, opts.Elide)
-	case ModeCCSS:
-		prog, err = sim.ExportCCSSOpts(d, sched.PlanOptions{
-			Cp: opts.Cp, NoElide: opts.NoElide, NoMuxShadow: opts.NoMuxShadow,
-		})
-	default:
+	if opts.Mode != ModeFullCycle && opts.Mode != ModeCCSS {
 		return nil, fmt.Errorf("codegen: unknown mode %d", opts.Mode)
 	}
+	pr, err := sim.Lower(d, opts.Engine())
 	if err != nil {
 		return nil, err
 	}
-	g := &gen{prog: prog, opts: opts}
-	if prog.Plan != nil {
-		// The plan's own cones: the ones the CCSS interpreter evaluates.
-		g.shadows = prog.Plan.Shadows
-	} else if !opts.NoMuxShadow {
-		if g.shadows, err = fullCycleShadows(prog, opts.Elide); err != nil {
-			return nil, err
+	return render(pr, opts)
+}
+
+// render prints a lowered program.
+func render(pr *sim.Program, opts Options) ([]byte, error) {
+	if opts.Package == "" {
+		opts.Package = "gensim"
+	}
+	g := &gen{pr: pr, opts: opts, bound: slotBounds(pr), unlikely: map[int32]bool{}}
+	for i := range pr.D.Signals {
+		if op := pr.D.Signals[i].Op; op != nil && op.Unlikely {
+			g.unlikely[pr.Off[i]] = true
 		}
 	}
-	if !opts.NoPack {
-		g.computeInlineFusion()
-	}
 	src := g.emit()
+	if g.err != nil {
+		return nil, g.err
+	}
 	out, err := format.Source(src)
 	if err != nil {
 		return nil, fmt.Errorf("codegen: emitted source does not format: %w\n%s", err, src)
@@ -104,18 +118,19 @@ func Generate(d *netlist.Design, opts Options) ([]byte, error) {
 }
 
 type gen struct {
-	prog *sim.GenProgram
+	pr   *sim.Program
 	opts Options
 	b    bytes.Buffer
+	// err is the first op the printer had no rendering for.
+	err error
 	// cold collects noinline cold-path function bodies.
 	cold []string
-	// oldOff assigns wide old-value buffer offsets (CCSS).
-	oldOff int32
-	// shadows holds the mux-arm cones (nil when disabled).
-	shadows *sched.MuxShadows
-	// inline maps a fused-away 1-bit producer's slot to the producer; its
-	// expression is rendered at its single reader (see pack.go).
-	inline map[int32]*sim.GenInstr
+	// bound[off] has the bits set that table word off can hold — its
+	// signal's or constant's width — so a result mask that covers its
+	// operands' bounds is not printed. unlikely marks the slots a reset
+	// mux writes (§III-B2: the likely arm prints first).
+	bound    []uint64
+	unlikely map[int32]bool
 
 	// State of the evaluation function being emitted (see emitFunc):
 	// scopes is its Go block stack; local holds the slots whose local vK
@@ -124,7 +139,7 @@ type gen struct {
 	local    map[int32]bool
 	localize bool
 	// dry marks emitFunc's first pass, which fills used (slots whose
-	// local some read rendered) and dynOps (a mux arm counted ops).
+	// local some read rendered) and dynOps (a block counted ops).
 	dry    bool
 	used   map[int32]bool
 	dynOps bool
@@ -133,14 +148,22 @@ type gen struct {
 // scope is one Go block of an evaluation function.
 type scope struct {
 	locals []int32 // slots bound to a local in this block
-	ops    int     // instructions evaluated on every path through it
+	ops    uint32  // op weight evaluated on every path through it
 }
 
-// countOp records one evaluated instruction in the current block for the
-// Serve-mode OpsEvaluated counter.
-func (g *gen) countOp() {
+// countOp records op's weight in the current block for the Serve-mode
+// OpsEvaluated counter: the stream's own weights, so the count is the
+// interpreter's span weight minus skipped weight.
+func (g *gen) countOp(op *sim.Op) {
 	if g.opts.Serve {
-		g.scopes[len(g.scopes)-1].ops++
+		g.scopes[len(g.scopes)-1].ops += op.Weight()
+	}
+}
+
+// fail records a rendering failure; Generate returns the first.
+func (g *gen) fail(format string, args ...any) {
+	if g.err == nil {
+		g.err = fmt.Errorf("codegen: "+format, args...)
 	}
 }
 
@@ -158,26 +181,40 @@ const (
 	statFusedPairs     = 9
 )
 
-// fullCycleShadows runs the one-scope mux-arm analysis for a full-cycle
-// program. It must see the elision ordering edges (reader → in-place
-// write) the exported schedule honours — on a graph without them a cone
-// can defer a register read past that register's update — so it works on
-// the graph of the plan the program was exported from.
-func fullCycleShadows(prog *sim.GenProgram, elide bool) (*sched.MuxShadows, error) {
-	plan, err := sched.Build(prog.D, elide)
-	if err != nil {
-		return nil, err
+// slotBounds computes gen.bound from the table layout.
+func slotBounds(pr *sim.Program) []uint64 {
+	bound := make([]uint64, pr.TableLen)
+	for i := range bound {
+		bound[i] = ^uint64(0)
 	}
-	if plan.Shadows != nil {
-		return plan.Shadows, nil
-	}
-	nodePos := make([]int, plan.DG.G.Len())
-	for n := range nodePos {
-		if n < len(prog.SchedPosOf) {
-			nodePos[n] = int(prog.SchedPosOf[n])
+	place := func(off int32, width int) {
+		if n := bits.Words(width); off >= 0 && n > 0 {
+			bound[off+int32(n)-1] = bits.Mask64(^uint64(0), width-64*(n-1))
 		}
 	}
-	return sched.ComputeMuxShadows(prog.D, plan.DG, make([]int, len(nodePos)), nodePos), nil
+	for i := range pr.D.Signals {
+		place(pr.Off[i], pr.D.Signals[i].Width)
+	}
+	for i := range pr.D.Consts {
+		place(pr.ConstOff[i], pr.D.Consts[i].Width)
+	}
+	return bound
+}
+
+// operand is a resolved sink operand: a signal's or constant's table
+// span.
+type operand struct {
+	off, w int32
+	signed bool
+}
+
+func (g *gen) operandOf(a netlist.Arg) operand {
+	if a.IsConst() {
+		c := &g.pr.D.Consts[a.Const]
+		return operand{g.pr.ConstOff[a.Const], int32(c.Width), c.Signed}
+	}
+	s := &g.pr.D.Signals[a.Sig]
+	return operand{g.pr.Off[a.Sig], int32(s.Width), s.Signed}
 }
 
 func (g *gen) p(format string, args ...any) {
@@ -186,14 +223,9 @@ func (g *gen) p(format string, args ...any) {
 }
 
 func (g *gen) emit() []byte {
-	d := g.prog.D
-	g.p("// Code generated by essentgen from design %q. DO NOT EDIT.", d.Name)
+	g.p("// Code generated by essentgen from design %q. DO NOT EDIT.", g.pr.D.Name)
 	g.p("")
 	g.p("// Package %s is a generated cycle-accurate simulator.", g.opts.Package)
-	if len(g.inline) > 0 {
-		g.p("// packfuse: %d single-use 1-bit expressions inlined into their consumers.",
-			len(g.inline))
-	}
 	g.p("package %s", g.opts.Package)
 	g.p("")
 	g.p(`import (`)
@@ -256,7 +288,7 @@ func (e *AssertError) AssertInfo() (string, uint64) { return e.Msg, e.Cycle }`)
 }
 
 func (g *gen) emitStruct() {
-	pr := g.prog
+	pr := g.pr
 	g.p("// Sim is the generated simulator state. The value table and the activity")
 	g.p("// state are fixed-size arrays, so s.t[K] is one load at a constant")
 	g.p("// offset; a Sim is large and is only ever handled by pointer.")
@@ -268,13 +300,11 @@ func (g *gen) emitStruct() {
 	g.p("  cycle uint64")
 	g.p("  stopErr error")
 	g.p("  evalErr error")
-	if len(pr.MemWrites) > 0 {
-		g.p("  pendValid []bool")
-		g.p("  pendAddr []uint64")
-		g.p("  pendData [][]uint64")
-	}
+	g.p("  pendValid []bool // pending memory writes, one per write port")
+	g.p("  pendAddr []uint64")
+	g.p("  pendData [][]uint64")
 	if g.opts.Mode == ModeCCSS {
-		np := len(pr.Plan.Parts)
+		np := len(pr.Spans)
 		g.p("  flags [%d]bool", np)
 		g.p("  pd [%d]bool", np)
 		g.p("  prevIn [%d]uint64", g.prevInWords())
@@ -289,7 +319,7 @@ func (g *gen) emitStruct() {
 }
 
 func (g *gen) emitNew() {
-	pr := g.prog
+	pr := g.pr
 	d := pr.D
 	g.p("// New builds a simulator with registers at their reset values.")
 	g.p("func New() *Sim {")
@@ -300,14 +330,12 @@ func (g *gen) emitNew() {
 		m := &d.Mems[mi]
 		g.p("  s.mems[%d] = make([]uint64, %d)", mi, bits.Words(m.Width)*m.Depth)
 	}
-	if len(pr.MemWrites) > 0 {
-		g.p("  s.pendValid = make([]bool, %d)", len(pr.MemWrites))
-		g.p("  s.pendAddr = make([]uint64, %d)", len(pr.MemWrites))
-		g.p("  s.pendData = make([][]uint64, %d)", len(pr.MemWrites))
-		for i := range pr.MemWrites {
-			g.p("  s.pendData[%d] = make([]uint64, %d)", i,
-				bits.Words(int(pr.MemWrites[i].Data.W)))
-		}
+	g.p("  s.pendValid = make([]bool, %d)", len(d.MemWrites))
+	g.p("  s.pendAddr = make([]uint64, %d)", len(d.MemWrites))
+	g.p("  s.pendData = make([][]uint64, %d)", len(d.MemWrites))
+	for i := range d.MemWrites {
+		g.p("  s.pendData[%d] = make([]uint64, %d)", i,
+			bits.Words(int(g.operandOf(d.MemWrites[i].Data).w)))
 	}
 	g.p("  s.Reset()")
 	g.p("  return s")
@@ -318,9 +346,12 @@ func (g *gen) emitNew() {
 	g.p("func (s *Sim) Reset() {")
 	g.p("  for i := range s.t { s.t[i] = 0 }")
 	g.p("  for _, m := range s.mems { for i := range m { m[i] = 0 } }")
-	offs, vals := pr.ConstWords()
-	for i := range offs {
-		g.p("  s.t[%d] = %#x", offs[i], vals[i])
+	for i := range d.Consts {
+		for w, v := range d.Consts[i].Words {
+			if v != 0 {
+				g.p("  s.t[%d] = %#x", pr.ConstOff[i]+int32(w), v)
+			}
+		}
 	}
 	for ri := range d.Regs {
 		r := &d.Regs[ri]
@@ -331,49 +362,49 @@ func (g *gen) emitNew() {
 			}
 		}
 	}
+	if g.opts.Serve {
+		g.p("  s.stats = [11]uint64{%d: %d}", statFusedPairs, pr.FusedPairs)
+	}
+	g.p("  s.cycle = 0")
+	g.p("  s.rearm()")
+	g.p("}")
+	g.p("")
+	g.p("// rearm puts everything derived from the architectural state into its")
+	g.p("// everything-is-stale form after that state was rewritten wholesale.")
+	g.p("func (s *Sim) rearm() {")
 	if g.opts.Mode == ModeCCSS {
 		g.p("  for i := range s.flags { s.flags[i] = true }")
 		g.p("  for i := range s.pd { s.pd[i] = false }")
 		g.p("  for i := range s.prevIn { s.prevIn[i] = ^uint64(0) }")
 		g.p("  s.poked = true")
 	}
-	if g.opts.Serve {
-		g.p("  for i := range s.stats { s.stats[i] = 0 }")
-	}
-	if len(pr.MemWrites) > 0 {
-		g.p("  for i := range s.pendValid { s.pendValid[i] = false }")
-	}
-	g.p("  s.stopErr = nil")
-	g.p("  s.evalErr = nil")
-	g.p("  s.cycle = 0")
+	g.p("  for i := range s.pendValid { s.pendValid[i] = false }")
+	g.p("  s.stopErr, s.evalErr = nil, nil")
 	g.p("}")
 	g.p("")
 }
 
-func (g *gen) prevInWords() int32 {
-	var n int32
-	for _, in := range g.prog.D.Inputs {
-		n += int32(bits.Words(g.prog.D.Signals[in].Width))
+// prevInWords and oldWords size the input history and the old-value
+// buffer the engine's own tables lay out (a partition function keeps
+// one-word old values in locals and uses only the wide outputs' regions).
+func (g *gen) prevInWords() (n int32) {
+	for _, in := range g.pr.Inputs {
+		n = in.PrevOff + in.Words
 	}
 	return n
 }
 
-// oldWords sizes the wide old-value buffer: one region per wide partition
-// output (narrow outputs use locals).
-func (g *gen) oldWords() int32 {
-	var n int32
-	for _, p := range g.prog.Plan.Parts {
-		for _, o := range p.Outputs {
-			if w := g.prog.D.Signals[o.Sig].Width; w > 64 {
-				n += int32(bits.Words(w))
-			}
+func (g *gen) oldWords() (n int32) {
+	for p := range g.pr.Spans {
+		for _, o := range g.pr.Parts.Outputs(int32(p)) {
+			n = o.OldOff + o.Words
 		}
 	}
 	return n
 }
 
 func (g *gen) emitAccessors() {
-	pr := g.prog
+	pr := g.pr
 	d := pr.D
 	seen := map[string]bool{}
 	emitSig := func(id netlist.SignalID) {
@@ -384,36 +415,22 @@ func (g *gen) emitAccessors() {
 		seen[s.Name] = true
 		g.p("  %q: {%d, %d, %d},", s.Name, pr.Off[id], s.Width, bits.Words(s.Width))
 	}
-	if g.opts.Serve {
-		// The serving backend peeks arbitrary named signals (the host's
-		// Simulator.Peek contract), so the table covers everything with
-		// a name, ports and registers first so they win name collisions.
-		g.p("// signalInfo maps every named signal to {offset, width, words}.")
-		g.p("var signalInfo = map[string][3]int{")
-		for _, in := range d.Inputs {
-			emitSig(in)
-		}
-		for _, o := range d.Outputs {
-			emitSig(o)
-		}
-		for ri := range d.Regs {
-			emitSig(d.Regs[ri].Out)
-		}
-		for id := range d.Signals {
-			emitSig(netlist.SignalID(id))
-		}
-	} else {
-		g.p("// signalInfo maps port and register names to {offset, width, words}.")
-		g.p("var signalInfo = map[string][3]int{")
-		for _, in := range d.Inputs {
-			emitSig(in)
-		}
-		for _, o := range d.Outputs {
-			emitSig(o)
-		}
-		for ri := range d.Regs {
-			emitSig(d.Regs[ri].Out)
-		}
+	// Ports and registers first, so they win name collisions; the serving
+	// backend peeks arbitrary named signals (the host's Simulator.Peek
+	// contract), so its table goes on to cover everything with a name.
+	g.p("// signalInfo maps signal names to {offset, width, words}.")
+	g.p("var signalInfo = map[string][3]int{")
+	for _, in := range d.Inputs {
+		emitSig(in)
+	}
+	for _, o := range d.Outputs {
+		emitSig(o)
+	}
+	for ri := range d.Regs {
+		emitSig(d.Regs[ri].Out)
+	}
+	for id := 0; g.opts.Serve && id < len(d.Signals); id++ {
+		emitSig(netlist.SignalID(id))
 	}
 	g.p("}")
 	g.p("")
@@ -428,17 +445,7 @@ func (g *gen) emitAccessors() {
 		poked = "\n\ts.poked = true"
 	}
 	g.p(`// Poke sets a port or register by name (low 64 bits).
-func (s *Sim) Poke(name string, v uint64) bool {
-	info, ok := signalInfo[name]
-	if !ok {
-		return false
-	}
-	s.t[info[0]] = v & mask64c(info[1])
-	for w := 1; w < info[2]; w++ {
-		s.t[info[0]+w] = 0
-	}` + poked + `
-	return true
-}
+func (s *Sim) Poke(name string, v uint64) bool { return s.PokeWords(name, []uint64{v}) }
 
 // PokeWords sets a signal from limb words (wide pokes).
 func (s *Sim) PokeWords(name string, v []uint64) bool {
@@ -515,6 +522,13 @@ func (s *Sim) Cycles() uint64 { return s.cycle }`)
 	}
 	g.p("}")
 	g.p("")
+	g.p("// memMask masks a poked entry's low word to the memory's width.")
+	g.p("var memMask = []uint64{")
+	for mi := range d.Mems {
+		g.p("  %#x,", bits.Mask64(^uint64(0), min(d.Mems[mi].Width, 64)))
+	}
+	g.p("}")
+	g.p("")
 	// PokeMem, with CCSS read-partition wakes.
 	g.p("// PokeMem writes a memory word by name (program loading).")
 	g.p("func (s *Sim) PokeMem(name string, addr int, v uint64) bool {")
@@ -523,7 +537,7 @@ func (s *Sim) Cycles() uint64 { return s.cycle }`)
 	g.p("  m := s.mems[mi]")
 	g.p("  w := memWords[mi]")
 	g.p("  if addr < 0 || addr*w >= len(m) { return false }")
-	g.p("  m[addr*w] = v")
+	g.p("  m[addr*w] = v & memMask[mi]")
 	g.p("  for k := 1; k < w; k++ { m[addr*w+k] = 0 }")
 	if g.opts.Mode == ModeCCSS {
 		g.p("  for _, p := range memWake[mi] { s.flags[p] = true }")
@@ -533,22 +547,11 @@ func (s *Sim) Cycles() uint64 { return s.cycle }`)
 	g.p("}")
 	g.p("")
 	if g.opts.Mode == ModeCCSS {
-		g.p("var memWake = [][]int{")
+		g.p("var memWake = [][]int32{")
 		for mi := range d.Mems {
-			g.p("  %s,", intSliceLit(g.prog.Plan.MemReaderParts[mi]))
+			g.p("  %#v,", pr.MemReaders[mi])
 		}
 		g.p("}")
 		g.p("")
 	}
-}
-
-func intSliceLit(xs []int) string {
-	if len(xs) == 0 {
-		return "nil"
-	}
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = fmt.Sprint(x)
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"essent/internal/ckpt"
 	"essent/internal/designs"
 	"essent/internal/firrtl"
 	"essent/internal/netlist"
@@ -20,21 +21,23 @@ import (
 	"essent/internal/sim"
 )
 
-// The differential table: every fixture is emitted under every ablation
-// set, with and without the Serve surface, into one module that is built
-// once; one driver process replays each fixture's stimulus on every
+// The differential table: every fixture is emitted under every engine
+// shape, with and without the Serve surface, into one module that is
+// built once; one driver process replays each fixture's stimulus on every
 // variant and prints a trace per variant.
 
-// diffConfigs are the emission variants (CCSS, Cp 8).
+// diffConfigs are the emission variants: CCSS at Cp 8 with each §III-B
+// ablation, and the two full-cycle engines.
 var diffConfigs = []struct {
 	name string
 	opts Options
 }{
-	{"default", Options{}},
-	{"nopack", Options{NoPack: true}},
-	{"nomuxshadow", Options{NoMuxShadow: true}},
-	{"noelide", Options{NoElide: true}},
-	{"none", Options{NoPack: true, NoMuxShadow: true, NoElide: true}},
+	{"default", Options{Mode: ModeCCSS, Cp: 8}},
+	{"nomuxshadow", Options{Mode: ModeCCSS, Cp: 8, NoMuxShadow: true}},
+	{"noelide", Options{Mode: ModeCCSS, Cp: 8, NoElide: true}},
+	{"neither", Options{Mode: ModeCCSS, Cp: 8, NoMuxShadow: true, NoElide: true}},
+	{"baseline", Options{Mode: ModeFullCycle}},
+	{"fullcycleopt", Options{Mode: ModeFullCycle, Elide: true}},
 }
 
 type diffPoke struct {
@@ -251,28 +254,12 @@ func (a interpSim) Peek(name string) uint64 {
 	return a.Simulator.Peek(id)
 }
 
-// mirroredStats are the Serve-mode counters that must equal the CCSS
-// interpreter's (DESIGN.md §14): the activity accounting, which depends
-// on the plan and not on how a partition's body is emitted.
-var mirroredStats = []struct {
-	name string
-	idx  int
-	of   func(*sim.Stats) uint64
-}{
-	{"Cycles", statCycles, func(s *sim.Stats) uint64 { return s.Cycles }},
-	{"SignalChanges", statSignalChanges, func(s *sim.Stats) uint64 { return s.SignalChanges }},
-	{"PartChecks", statPartChecks, func(s *sim.Stats) uint64 { return s.PartChecks }},
-	{"InputChecks", statInputChecks, func(s *sim.Stats) uint64 { return s.InputChecks }},
-	{"PartEvals", statPartEvals, func(s *sim.Stats) uint64 { return s.PartEvals }},
-	{"OutputCompares", statOutputCompares, func(s *sim.Stats) uint64 { return s.OutputCompares }},
-	{"Wakes", statWakes, func(s *sim.Stats) uint64 { return s.Wakes }},
-}
-
 // TestGeneratedMatchesInterpreter compares, for every fixture and every
 // emission variant, each output and register after each cycle against the
-// full-cycle interpreter and — on Serve variants — the folded activity
-// counters against the CCSS interpreter planned with the same ablations.
-// It also vets the emitted packages of the hand-written fixtures.
+// full-cycle interpreter and — on Serve variants — all eleven Stats words
+// against the interpreter built from the same options (the engine whose
+// program was printed). It also vets the emitted packages of the
+// hand-written fixtures.
 func TestGeneratedMatchesInterpreter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles generated code with the Go toolchain")
@@ -302,7 +289,7 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 					pkg += "_serve"
 				}
 				opts := cfg.opts
-				opts.Package, opts.Mode, opts.Cp, opts.Serve = pkg, ModeCCSS, 8, serve
+				opts.Package, opts.Serve = pkg, serve
 				src, err := Generate(f.d, opts)
 				if err != nil {
 					t.Fatalf("%s: generate: %v", pkg, err)
@@ -333,7 +320,7 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 		traces[tag] = rest
 	}
 	run("vet", "./counter_default", "./counter_default_serve", "./mac2_default_serve",
-		"./soc_default_serve", "./soc_none_serve")
+		"./soc_default_serve", "./soc_neither_serve", "./soc_fullcycleopt_serve")
 
 	for fi := range fixtures {
 		f := &fixtures[fi]
@@ -343,31 +330,32 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 		}
 		want := replay(interpSim{oracle, f.d}, f)
 		for _, cfg := range diffConfigs {
-			interp := sim.Options{Engine: sim.EngineCCSS, Cp: 8,
-				NoElide: cfg.opts.NoElide, NoMuxShadow: cfg.opts.NoMuxShadow}
-			ccss, err := sim.New(f.d, interp)
+			interp := cfg.opts.Engine()
+			eng, err := sim.New(f.d, interp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := replay(interpSim{ccss, f.d}, f); got != want {
-				t.Fatalf("%s/%s: CCSS interpreter disagrees with the full-cycle oracle", f.name, cfg.name)
+			if got := replay(interpSim{eng, f.d}, f); got != want {
+				t.Fatalf("%s/%s: interpreter disagrees with the full-cycle oracle", f.name, cfg.name)
 			}
-			wantStats := ccss.Stats()
-			// The same engine at two workers: same trace, and Stats equal as
-			// a struct.
-			interp.Engine, interp.Workers = sim.EngineCCSSParallel, 2
-			par, err := sim.New(f.d, interp)
-			if err != nil {
-				t.Fatal(err)
+			wantStats := eng.Stats()
+			if interp.Engine == sim.EngineCCSS {
+				// The same engine at two workers: same trace, and Stats equal as
+				// a struct.
+				interp.Engine, interp.Workers = sim.EngineCCSSParallel, 2
+				par, err := sim.New(f.d, interp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := replay(interpSim{par, f.d}, f); got != want {
+					t.Fatalf("%s/%s: CCSS at 2 workers disagrees with the full-cycle oracle", f.name, cfg.name)
+				}
+				if *par.Stats() != *wantStats {
+					t.Fatalf("%s/%s: CCSS Stats at 2 workers %+v, at 1 worker %+v",
+						f.name, cfg.name, *par.Stats(), *wantStats)
+				}
+				par.(*sim.CCSS).Close()
 			}
-			if got := replay(interpSim{par, f.d}, f); got != want {
-				t.Fatalf("%s/%s: CCSS at 2 workers disagrees with the full-cycle oracle", f.name, cfg.name)
-			}
-			if *par.Stats() != *wantStats {
-				t.Fatalf("%s/%s: CCSS Stats at 2 workers %+v, at 1 worker %+v",
-					f.name, cfg.name, *par.Stats(), *wantStats)
-			}
-			par.(*sim.CCSS).Close()
 			for _, serve := range []bool{false, true} {
 				pkg := fmt.Sprintf("%s_%s", f.name, cfg.name)
 				if serve {
@@ -387,13 +375,8 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 					fmt.Sscan(fld, &w)
 					ws = append(ws, w)
 				}
-				if len(ws) != 11 {
-					t.Fatalf("%s: stats line %q", pkg, statsLine)
-				}
-				for _, m := range mirroredStats {
-					if ws[m.idx] != m.of(wantStats) {
-						t.Errorf("%s: %s = %d, CCSS interpreter %d", pkg, m.name, ws[m.idx], m.of(wantStats))
-					}
+				if got := ckpt.StatsFromWords(ws); len(ws) != 11 || got != *wantStats {
+					t.Errorf("%s: Stats %+v (line %q), interpreter %+v", pkg, got, statsLine, *wantStats)
 				}
 			}
 		}

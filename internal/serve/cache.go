@@ -2,6 +2,7 @@ package serve
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -33,12 +34,113 @@ const (
 )
 
 // cacheKey names the cache entry for a design + generation options
-// pair. The design fingerprint covers the netlist's state layout; the
-// options tag covers every generation knob that changes the emitted
-// code.
+// pair: a digest of everything the generator prints from, the options
+// tag covering every generation knob, and the generator's format
+// version, so an edit to the circuit's logic, a different knob and a
+// different generator each get their own slot. (sim.DesignFingerprint is
+// not enough: it covers the state layout — the snapshot-compatibility
+// contract — and two circuits that differ only in logic share it.)
 func cacheKey(d *netlist.Design, gen codegen.Options) string {
-	tag := optsTag(gen)
-	return fmt.Sprintf("%016x-%s", sim.DesignFingerprint(d), tag)
+	return fmt.Sprintf("%x-%s-g%d", designDigest(d), optsTag(gen), codegen.FormatVersion)
+}
+
+// designDigest hashes the content of a design: every signal with its
+// defining op, operands and parameters, the constant pool, register
+// inits, memories and their ports, sinks and port lists — the whole
+// input of a deterministic generator. It walks the netlist once and
+// never runs the generator, so a warm cache hit stays a lookup.
+func designDigest(d *netlist.Design) []byte {
+	buf := make([]byte, 0, 32*len(d.Signals))
+	u := func(vs ...int) {
+		for _, v := range vs {
+			buf = binary.AppendVarint(buf, int64(v))
+		}
+	}
+	str := func(s string) { u(len(s)); buf = append(buf, s...) }
+	words := func(ws []uint64) {
+		u(len(ws))
+		for _, w := range ws {
+			buf = binary.LittleEndian.AppendUint64(buf, w)
+		}
+	}
+	b := func(v bool) int {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	args := func(as ...netlist.Arg) {
+		u(len(as))
+		for _, a := range as {
+			u(int(a.Sig), int(a.Const))
+		}
+	}
+	str(d.Name)
+	u(len(d.Signals))
+	for i := range d.Signals {
+		s := &d.Signals[i]
+		str(s.Name)
+		u(s.Width, int(s.Kind), s.Reg, s.MemRead, b(s.Signed), b(s.IsOutput), b(s.Op != nil))
+		if op := s.Op; op != nil {
+			u(int(op.Kind), int(op.Prim), op.P0, op.P1, b(op.Unlikely))
+			args(op.Args...)
+		}
+	}
+	u(len(d.Consts))
+	for i := range d.Consts {
+		c := &d.Consts[i]
+		u(c.Width, b(c.Signed))
+		words(c.Words)
+	}
+	u(len(d.Regs))
+	for i := range d.Regs {
+		r := &d.Regs[i]
+		str(r.Name)
+		u(int(r.Out), int(r.Next))
+		words(r.Init)
+	}
+	u(len(d.Mems))
+	for i := range d.Mems {
+		m := &d.Mems[i]
+		str(m.Name)
+		u(m.Depth, m.Width)
+	}
+	u(len(d.MemReads))
+	for i := range d.MemReads {
+		r := &d.MemReads[i]
+		u(r.Mem, int(r.Data))
+		args(r.Addr, r.En)
+	}
+	u(len(d.MemWrites))
+	for i := range d.MemWrites {
+		w := &d.MemWrites[i]
+		u(w.Mem)
+		args(w.Addr, w.En, w.Data, w.Mask)
+	}
+	u(len(d.Displays))
+	for i := range d.Displays {
+		p := &d.Displays[i]
+		str(p.Format)
+		args(p.En)
+		args(p.Args...)
+	}
+	u(len(d.Checks))
+	for i := range d.Checks {
+		c := &d.Checks[i]
+		str(c.Msg)
+		u(c.Code, b(c.Stop))
+		args(c.En, c.Pred)
+	}
+	u(len(d.Inputs))
+	for _, in := range d.Inputs {
+		u(int(in))
+	}
+	u(len(d.Outputs))
+	for _, o := range d.Outputs {
+		u(int(o))
+	}
+	sum := sha256.Sum256(buf)
+	return sum[:12]
 }
 
 func optsTag(gen codegen.Options) string {
@@ -59,9 +161,6 @@ func optsTag(gen codegen.Options) string {
 	}
 	if gen.NoMuxShadow {
 		tag += "-noshadow"
-	}
-	if gen.NoPack {
-		tag += "-nopack"
 	}
 	return tag
 }

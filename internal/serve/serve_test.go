@@ -16,6 +16,7 @@ import (
 	"essent/internal/firrtl"
 	"essent/internal/netlist"
 	"essent/internal/opt"
+	"essent/internal/riscv"
 	"essent/internal/sim"
 	"essent/pkg/pipeproto"
 )
@@ -145,41 +146,53 @@ func stateHashOf(t *testing.T, s sim.Simulator) uint64 {
 	return ckpt.StateHash(st)
 }
 
-// normStats zeroes the counters that legitimately differ between the
-// generated (unfused) schedule and the interpreter's fused one.
-func normStats(st *sim.Stats) sim.Stats {
-	n := *st
-	n.OpsEvaluated = 0
-	n.FusedPairs = 0
-	return n
-}
-
 // TestCompiledMatchesInterpreter drives the compiled subprocess and the
-// in-process interpreter through the same schedule and demands
-// bit-exact state plus matching activity counters.
+// in-process interpreter through the same schedule — the small SoC under
+// random pokes, and r16 running dhrystone — and demands bit-exact state
+// and equal Stats, all eleven words.
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a compiled artifact")
 	}
-	d := smallSoC(t)
-	s := newSession(t, d, testConfig())
-	if s.Degraded() {
-		t.Fatalf("session degraded at start: %+v", s.Degradation())
+	r16, err := designs.Build(designs.R16())
+	if err != nil {
+		t.Fatal(err)
 	}
-	ip := newInterp(t, d)
-	s.Reset()
-	ip.Reset()
-	driveBoth(t, s, ip, d, 3000)
-	if got, want := stateHashOf(t, s), stateHashOf(t, ip); got != want {
-		t.Fatalf("state hash mismatch: compiled %#x interp %#x", got, want)
+	prog, err := riscv.Assemble(riscv.DhrystoneAsm(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	gotStats := normStats(s.Stats())
-	wantStats := normStats(ip.Stats())
-	if gotStats != wantStats {
-		t.Fatalf("stats mismatch:\ncompiled: %+v\ninterp:   %+v", gotStats, wantStats)
-	}
-	if s.Degraded() {
-		t.Fatalf("unexpected degradation: %+v", s.Degradation())
+	for _, tc := range []struct {
+		name  string
+		d     *netlist.Design
+		image []uint32
+	}{{"soc", smallSoC(t), nil}, {"r16", compileOpt(t, r16), prog}} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := tc.d
+			s := newSession(t, d, testConfig())
+			if s.Degraded() {
+				t.Fatalf("session degraded at start: %+v", s.Degradation())
+			}
+			ip := newInterp(t, d)
+			s.Reset()
+			ip.Reset()
+			if imem, ok := designs.MemIndexByName(d, designs.ImemName); ok {
+				for i, w := range tc.image {
+					s.PokeMem(imem, i, uint64(w))
+					ip.PokeMem(imem, i, uint64(w))
+				}
+			}
+			driveBoth(t, s, ip, d, 3000)
+			if got, want := stateHashOf(t, s), stateHashOf(t, ip); got != want {
+				t.Fatalf("state hash mismatch: compiled %#x interp %#x", got, want)
+			}
+			if got, want := *s.Stats(), *ip.Stats(); got != want {
+				t.Fatalf("stats mismatch:\ncompiled: %+v\ninterp:   %+v", got, want)
+			}
+			if s.Degraded() {
+				t.Fatalf("unexpected degradation: %+v", s.Degradation())
+			}
+		})
 	}
 }
 

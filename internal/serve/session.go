@@ -70,7 +70,7 @@ type Config struct {
 	// hashes compared (0 = off).
 	VerifyEvery int
 	// Interp configures the fallback/shadow interpreter engine (zero =
-	// the engine Gen describes: its mode, Cp and §III-B ablations).
+	// Gen.Engine(), the engine whose program the artifact prints).
 	Interp sim.Options
 }
 
@@ -85,15 +85,7 @@ func (c *Config) interpOpts() sim.Options {
 	if c.Interp != (sim.Options{}) {
 		return c.Interp
 	}
-	g := c.Gen
-	switch {
-	case g.Mode == codegen.ModeCCSS:
-		return sim.Options{Engine: sim.EngineCCSS, Cp: g.Cp,
-			NoElide: g.NoElide, NoMuxShadow: g.NoMuxShadow}
-	case g.Elide:
-		return sim.Options{Engine: sim.EngineFullCycleOpt}
-	}
-	return sim.Options{Engine: sim.EngineFullCycle}
+	return c.Gen.Engine()
 }
 
 // Degradation records why a session abandoned the compiled backend.
@@ -886,9 +878,9 @@ func (s *Session) stepSegmentSupervised(k int) (error, error) {
 }
 
 // Stats fetches the child's counters (or the interpreter's once
-// degraded). The compiled backend mirrors the interpreter's activity
-// accounting exactly; OpsEvaluated and FusedPairs reflect the unfused
-// generated schedule and may differ from the interpreter's fused one.
+// degraded). The artifact is a printing of the program the interpreter
+// of the same options executes, so all eleven words equal that
+// interpreter's (a conservative restore aside — DESIGN.md §14).
 func (s *Session) Stats() *sim.Stats {
 	if s.degraded() {
 		return s.interp.Stats()

@@ -88,8 +88,8 @@ type BatchCCSS struct {
 	// packs. The base machine is never modified: sequential reference runs
 	// and codegen export see the unpacked schedule.
 	pp    *packPlan
-	ops   []sop
-	spans []opSpan
+	ops   []Op
+	spans []Span
 
 	// pt is the packed bit-parallel table (one uint64 per packed slot; bit
 	// l is lane l's value). Slots are persistently coherent engine state,
@@ -234,14 +234,14 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 			b.pt = make([]uint64, pp.nslots)
 			b.outSlot = make([][]int32, np)
 			for pi := range b.outSlot {
-				outs := base.parts.outputs(int32(pi))
+				outs := base.parts.Outputs(int32(pi))
 				var os []int32
 				for oi := range outs {
 					o := &outs[oi]
-					if o.words != 1 {
+					if o.Words != 1 {
 						continue
 					}
-					if s := pp.slotOf[o.off]; s >= 0 && pp.slotPackedDst[s] {
+					if s := pp.slotOf[o.Off]; s >= 0 && pp.slotPackedDst[s] {
 						if os == nil {
 							os = make([]int32, len(outs))
 							for k := range os {
@@ -592,9 +592,9 @@ func (b *BatchCCSS) stepOne() {
 			for _, l := range lanes {
 				b.laneStats[l].InputChecks++
 				ch := false
-				for w := 0; w < int(in.words); w++ {
-					cur := b.bt[(int(in.off)+w)*b.L+l]
-					pi := (int(in.prevOff)+w)*b.L + l
+				for w := 0; w < int(in.Words); w++ {
+					cur := b.bt[(int(in.Off)+w)*b.L+l]
+					pi := (int(in.PrevOff)+w)*b.L + l
 					if b.prevIn[pi] != cur {
 						ch = true
 						b.prevIn[pi] = cur
@@ -602,11 +602,11 @@ func (b *BatchCCSS) stepOne() {
 				}
 				if ch {
 					changed |= 1 << uint(l)
-					b.laneStats[l].Wakes += uint64(len(in.consumers))
+					b.laneStats[l].Wakes += uint64(len(in.Consumers))
 				}
 			}
 			if changed != 0 {
-				for _, q := range in.consumers {
+				for _, q := range in.Consumers {
 					b.wake(q, changed)
 				}
 			}

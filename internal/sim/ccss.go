@@ -45,7 +45,7 @@ type CCSS struct {
 	*machine
 	*pool
 
-	parts partTable
+	parts PartTable
 
 	// flags and always are the activity state. Their representation is
 	// private to this file: every other reader or writer in the package
@@ -70,7 +70,7 @@ type CCSS struct {
 
 	// Input change detection (§III-A: "the simulator also detects changes
 	// to external inputs").
-	inputs []ccssInput
+	inputs []InputRow
 	prevIn []uint64
 
 	// Per-register reader partitions (wake targets on state change).
@@ -168,18 +168,18 @@ const defaultWorkerCap = 8
 // costs a few µs).
 const defaultSerialCutoff = 8192
 
-// partTable is the partition wake plumbing in CSR form — partitions →
+// PartTable is the partition wake plumbing in CSR form — partitions →
 // outputs → consumers, and partitions → two-phase registers — built once
 // from the plan and read by the scalar walk, the pooled workers and the
 // batch and vec engines alike. Flat arrays, not a slice per partition
 // and per output: evaluating a partition touches consecutive rows, no
 // pointer chase.
-type partTable struct {
+type PartTable struct {
 	// sched is each partition's entry range in the machine IR (what the
 	// pack and vec passes read; the walk runs machine.spans).
 	sched [][2]int32
 	rows  []partRow
-	outs  []partOut
+	outs  []PartOut
 	// cons holds the consumer lists (partition indices to wake when an
 	// output changes — the OR-reduction targets of Fig. 1); regs the
 	// non-elided register indices each partition writes.
@@ -193,31 +193,34 @@ type partRow struct {
 	reg, regEnd int32
 }
 
-// partOut is one partition output: words table words at off, its
-// pre-evaluation copy at oldOff of the engine's old-value buffer, and
+// PartOut is one partition output: Words table words at Off, its
+// pre-evaluation copy at OldOff of the engine's old-value buffer, and
 // its consumers at cons[cons:consEnd].
-type partOut struct {
-	off, words, oldOff int32
+type PartOut struct {
+	Off, Words, OldOff int32
 	cons, consEnd      int32
 }
 
-func (pt *partTable) outputs(p int32) []partOut {
+func (pt *PartTable) Outputs(p int32) []PartOut {
 	r := &pt.rows[p]
 	return pt.outs[r.out:r.outEnd]
 }
 
-func (pt *partTable) consumers(o *partOut) []int32 { return pt.cons[o.cons:o.consEnd] }
+func (pt *PartTable) Consumers(o *PartOut) []int32 { return pt.cons[o.cons:o.consEnd] }
 
-func (pt *partTable) regsOf(p int32) []int32 {
+func (pt *PartTable) RegsOf(p int32) []int32 {
 	r := &pt.rows[p]
 	return pt.regs[r.reg:r.regEnd]
 }
 
-type ccssInput struct {
-	off       int32
-	words     int32
-	prevOff   int32
-	consumers []int32
+// InputRow is one external input's change-detection row: Words table
+// words at Off, their last-seen copy at PrevOff of the input history, and
+// the partitions to wake when they differ.
+type InputRow struct {
+	Off       int32
+	Words     int32
+	PrevOff   int32
+	Consumers []int32
 }
 
 func toInt32s(xs []int) []int32 { return appendInt32s(make([]int32, 0, len(xs)), xs) }
@@ -268,12 +271,8 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.ops, m.spans = lower(m.sched, m.instrs, ranges)
-	if vmode != verify.Off {
-		if err := verify.Enforce(vmode,
-			verifyMachine(m, ranges, plan, keepLive), nil); err != nil {
-			return nil, err
-		}
+	if err := m.lowerVerified(ranges, plan, keepLive, vmode); err != nil {
+		return nil, err
 	}
 	c := &CCSS{machine: m, pool: newPool(workers), PartStats: plan.PartStats,
 		NumElided: plan.NumElided, plan: plan, serialCutoff: defaultSerialCutoff}
@@ -292,7 +291,7 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 		row := partRow{out: int32(len(pt.outs)), reg: int32(len(pt.regs))}
 		for _, op := range pp.Outputs {
 			words := int32(bits.Words(d.Signals[op.Sig].Width))
-			o := partOut{off: m.off[op.Sig], words: words, oldOff: oldOff,
+			o := PartOut{Off: m.off[op.Sig], Words: words, OldOff: oldOff,
 				cons: int32(len(pt.cons))}
 			pt.cons = appendInt32s(pt.cons, op.Consumers)
 			o.consEnd = int32(len(pt.cons))
@@ -326,9 +325,9 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	prevOff := int32(0)
 	for i, in := range d.Inputs {
 		words := int32(bits.Words(d.Signals[in].Width))
-		c.inputs = append(c.inputs, ccssInput{
-			off: m.off[in], words: words, prevOff: prevOff,
-			consumers: toInt32s(plan.InputConsumers[i]),
+		c.inputs = append(c.inputs, InputRow{
+			Off: m.off[in], Words: words, PrevOff: prevOff,
+			Consumers: toInt32s(plan.InputConsumers[i]),
 		})
 		prevOff += words
 	}
@@ -548,7 +547,7 @@ func (c *CCSS) stopAt(p int32) { c.always[p>>6] |= 1 << (p & 63) }
 func (c *CCSS) wakeAll() {
 	for i := range c.parts.outs {
 		o := &c.parts.outs[i]
-		copy(c.oldVals[o.oldOff:o.oldOff+o.words], c.t[o.off:o.off+o.words])
+		copy(c.oldVals[o.OldOff:o.OldOff+o.Words], c.t[o.Off:o.Off+o.Words])
 	}
 	for w := range c.flags {
 		c.flags[w] = ^uint64(0)
@@ -635,17 +634,17 @@ func (c *CCSS) scanInputs() {
 		in := &c.inputs[i]
 		m.stats.InputChecks++
 		changed := false
-		for w := int32(0); w < in.words; w++ {
-			if t[in.off+w] != c.prevIn[in.prevOff+w] {
+		for w := int32(0); w < in.Words; w++ {
+			if t[in.Off+w] != c.prevIn[in.PrevOff+w] {
 				changed = true
-				c.prevIn[in.prevOff+w] = t[in.off+w]
+				c.prevIn[in.PrevOff+w] = t[in.Off+w]
 			}
 		}
 		if changed {
-			for _, p := range in.consumers {
+			for _, p := range in.Consumers {
 				c.wake(p)
 			}
-			m.stats.Wakes += uint64(len(in.consumers))
+			m.stats.Wakes += uint64(len(in.Consumers))
 		}
 	}
 }
@@ -679,20 +678,20 @@ func (c *CCSS) evalPart(p int32, wk *ccssWorker) {
 	var changes, wakes uint64
 	for i := range outs {
 		o := &outs[i]
-		if o.words == 1 {
-			v := t[o.off]
-			if v == old[o.oldOff] {
+		if o.Words == 1 {
+			v := t[o.Off]
+			if v == old[o.OldOff] {
 				continue
 			}
-			old[o.oldOff] = v
+			old[o.OldOff] = v
 		} else {
-			now, was := t[o.off:o.off+o.words], old[o.oldOff:o.oldOff+o.words]
+			now, was := t[o.Off:o.Off+o.Words], old[o.OldOff:o.OldOff+o.Words]
 			if slices.Equal(now, was) {
 				continue
 			}
 			copy(was, now)
 		}
-		cons := pt.consumers(o)
+		cons := pt.Consumers(o)
 		changes++
 		wakes += uint64(len(cons))
 		if wk != nil {

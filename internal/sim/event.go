@@ -38,7 +38,7 @@ type EventDriven struct {
 	// seeds carried to the next cycle (register/memory commits).
 	pendingSeeds []int32
 	// input history for change detection.
-	inputs []ccssInput
+	inputs []InputRow
 	prevIn []uint64
 	// memory read instrs per memory (wake on committed write).
 	memReadInstrs [][]int32
@@ -159,8 +159,8 @@ func newEventDriven(d *netlist.Design, opts Options) (*EventDriven, error) {
 			}
 		}
 		words := int32(len(m.view(m.off[in], int32(d.Signals[in].Width))))
-		e.inputs = append(e.inputs, ccssInput{
-			off: m.off[in], words: words, prevOff: prevOff, consumers: cs,
+		e.inputs = append(e.inputs, InputRow{
+			Off: m.off[in], Words: words, PrevOff: prevOff, Consumers: cs,
 		})
 		prevOff += words
 	}
@@ -299,7 +299,7 @@ func (e *EventDriven) stepOne() error {
 		}
 		for i := range e.inputs {
 			in := &e.inputs[i]
-			copy(e.prevIn[in.prevOff:in.prevOff+in.words], t[in.off:in.off+in.words])
+			copy(e.prevIn[in.PrevOff:in.PrevOff+in.Words], t[in.Off:in.Off+in.Words])
 		}
 	} else {
 		for _, s := range e.pendingSeeds {
@@ -309,14 +309,14 @@ func (e *EventDriven) stepOne() error {
 		for i := range e.inputs {
 			in := &e.inputs[i]
 			changed := false
-			for w := int32(0); w < in.words; w++ {
-				if t[in.off+w] != e.prevIn[in.prevOff+w] {
+			for w := int32(0); w < in.Words; w++ {
+				if t[in.Off+w] != e.prevIn[in.PrevOff+w] {
 					changed = true
-					e.prevIn[in.prevOff+w] = t[in.off+w]
+					e.prevIn[in.PrevOff+w] = t[in.Off+w]
 				}
 			}
 			if changed {
-				for _, ci := range in.consumers {
+				for _, ci := range in.Consumers {
 					e.push(ci)
 				}
 			}
@@ -332,15 +332,15 @@ func (e *EventDriven) stepOne() error {
 		m.stats.OpsEvaluated++
 		// Every op but a wide one writes one word, named in the op itself:
 		// the common event touches the stream and nothing else.
-		if op := &m.ops[pc]; op.code != opWide {
-			was := t[op.dst]
+		if op := &m.ops[pc]; op.Code != OpWide {
+			was := t[op.Dst]
 			m.run(pc, pc+1)
-			if t[op.dst] == was {
+			if t[op.Dst] == was {
 				continue
 			}
 		} else {
 			in := &m.instrs[ci]
-			now := m.view(in.dst, in.dw)
+			now := m.view(in.Dst, in.DW)
 			was := old[:len(now)]
 			copy(was, now)
 			m.run(pc, pc+1)

@@ -68,9 +68,9 @@ func (b *BatchCCSS) evalPartBatch(pi int32, em simrt.LaneMask) {
 			continue
 		}
 		o := &outs[oi]
-		for w := 0; w < int(o.words); w++ {
-			src := b.bt[(int(o.off)+w)*L : (int(o.off)+w)*L+L]
-			dst := b.oldVals[(int(o.oldOff)+w)*L : (int(o.oldOff)+w)*L+L]
+		for w := 0; w < int(o.Words); w++ {
+			src := b.bt[(int(o.Off)+w)*L : (int(o.Off)+w)*L+L]
+			dst := b.oldVals[(int(o.OldOff)+w)*L : (int(o.OldOff)+w)*L+L]
 			if full {
 				copy(dst, src)
 			} else {
@@ -81,10 +81,10 @@ func (b *BatchCCSS) evalPartBatch(pi int32, em simrt.LaneMask) {
 		}
 	}
 	sp := b.spans[pi]
-	c.lw.walk(b.ops, b.bt, L, sp.pc, sp.end, em, c.escape)
+	c.lw.walk(b.ops, b.bt, L, sp.PC, sp.End, em, c.escape)
 	for _, l := range lanes {
 		stats[l].PartEvals++
-		stats[l].OpsEvaluated += uint64(sp.weight) - c.lw.skipped[l]
+		stats[l].OpsEvaluated += uint64(sp.Weight) - c.lw.skipped[l]
 	}
 	for oi := range outs {
 		o := &outs[oi]
@@ -95,11 +95,11 @@ func (b *BatchCCSS) evalPartBatch(pi int32, em simrt.LaneMask) {
 			// Bit l of the slot is lane l's value, so the diff word IS the
 			// per-lane change mask (stale bits of inactive lanes masked out).
 			changed = simrt.LaneMask(c.oldSlot[oi]^b.pt[oslots[oi]]) & em
-		} else if o.words == 1 {
+		} else if o.Words == 1 {
 			// Hot shape: one-word output. Scan the whole row branch-free
 			// (stale old values of inactive lanes are masked back out).
-			cur := b.bt[int(o.off)*L : int(o.off)*L+L]
-			old := b.oldVals[int(o.oldOff)*L : int(o.oldOff)*L+L]
+			cur := b.bt[int(o.Off)*L : int(o.Off)*L+L]
+			old := b.oldVals[int(o.OldOff)*L : int(o.OldOff)*L+L]
 			old = old[:len(cur)]
 			for l := range cur {
 				if cur[l] != old[l] {
@@ -109,8 +109,8 @@ func (b *BatchCCSS) evalPartBatch(pi int32, em simrt.LaneMask) {
 			changed &= em
 		} else {
 			for _, l := range lanes {
-				for w := 0; w < int(o.words); w++ {
-					if b.bt[(int(o.off)+w)*L+l] != b.oldVals[(int(o.oldOff)+w)*L+l] {
+				for w := 0; w < int(o.Words); w++ {
+					if b.bt[(int(o.Off)+w)*L+l] != b.oldVals[(int(o.OldOff)+w)*L+l] {
 						changed |= 1 << uint(l)
 						break
 					}
@@ -125,7 +125,7 @@ func (b *BatchCCSS) evalPartBatch(pi int32, em simrt.LaneMask) {
 				stats[l].SignalChanges++
 				stats[l].Wakes += ncons
 			}
-			for _, q := range pt.consumers(o) {
+			for _, q := range pt.Consumers(o) {
 				b.wake(q, changed)
 			}
 		}
@@ -141,24 +141,24 @@ func (b *BatchCCSS) evalPartBatch(pi int32, em simrt.LaneMask) {
 // escape runs the ops the row kernels leave to the engine. Memory reads
 // are intercepted whatever their width class — they must hit the
 // lane-local batch memories, not the shadow machine's.
-func (c *batchCtx) escape(op *sop, lanes []int, mask simrt.LaneMask) {
-	switch op.code {
-	case opMemRead:
-		c.execBatchMemRead(op.dst, op.a, op.x, lanes)
-	case opSigned, opWide:
-		if in := &c.sm.instrs[op.x]; in.code == IMemRead {
-			c.execBatchMemRead(in.dst, in.a, in.mem, lanes)
+func (c *batchCtx) escape(op *Op, lanes []int, mask simrt.LaneMask) {
+	switch op.Code {
+	case OpMemRead:
+		c.execBatchMemRead(op.Dst, op.A, op.X, lanes)
+	case OpSigned, OpWide:
+		if in := &c.sm.instrs[op.X]; in.Code == IMemRead {
+			c.execBatchMemRead(in.Dst, in.A, in.Mem, lanes)
 		} else {
 			c.execLaneScalar(in, lanes)
 		}
-	case opPacked:
-		c.execBatchPacked(&c.b.pp.pins[op.x], lanes, mask)
-	case opDisplay:
-		c.runDisplayBatch(op.x, lanes)
-	case opCheck:
-		c.runCheckBatch(op.x, lanes)
-	case opMemWrite:
-		c.captureMemWriteBatch(op.x, lanes)
+	case OpPacked:
+		c.execBatchPacked(&c.b.pp.pins[op.X], lanes, mask)
+	case OpDisplay:
+		c.runDisplayBatch(op.X, lanes)
+	case OpCheck:
+		c.runCheckBatch(op.X, lanes)
+	case OpMemWrite:
+		c.captureMemWriteBatch(op.X, lanes)
 	}
 }
 
@@ -190,27 +190,27 @@ func (c *batchCtx) execBatchMemRead(dst, addr, mem int32, lanes []int) {
 // through the scalar shadow machine: gather the operand slots into the
 // shadow table (same offsets, so the instruction runs unmodified),
 // evaluate, scatter the result row back.
-func (c *batchCtx) execLaneScalar(in *instr, lanes []int) {
+func (c *batchCtx) execLaneScalar(in *Instr, lanes []int) {
 	b := c.b
 	sm := c.sm
 	L := b.L
-	dwWords := bits.Words(int(in.dw))
+	dwWords := bits.Words(int(in.DW))
 	for _, l := range lanes {
-		if in.a >= 0 {
-			simrt.GatherLane(sm.t, b.bt, int(in.a), bits.Words(int(in.aw)), L, l)
+		if in.A >= 0 {
+			simrt.GatherLane(sm.t, b.bt, int(in.A), bits.Words(int(in.AW)), L, l)
 		}
-		if in.b >= 0 {
-			simrt.GatherLane(sm.t, b.bt, int(in.b), bits.Words(int(in.bw)), L, l)
+		if in.B >= 0 {
+			simrt.GatherLane(sm.t, b.bt, int(in.B), bits.Words(int(in.BW)), L, l)
 		}
-		if in.c >= 0 {
-			simrt.GatherLane(sm.t, b.bt, int(in.c), bits.Words(int(in.cw)), L, l)
+		if in.C >= 0 {
+			simrt.GatherLane(sm.t, b.bt, int(in.C), bits.Words(int(in.CW)), L, l)
 		}
 		if in.kind == kSigned {
 			sm.execSigned(in)
 		} else {
 			sm.execWide(in)
 		}
-		simrt.ScatterLane(b.bt, sm.t, int(in.dst), dwWords, L, l)
+		simrt.ScatterLane(b.bt, sm.t, int(in.Dst), dwWords, L, l)
 	}
 }
 

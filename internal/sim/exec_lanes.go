@@ -51,8 +51,8 @@ func (w *laneWalker) settle(lanes []int, pend uint64) {
 // every target is an op the walk steps onto). Skips every current lane
 // takes alike — the lock-step case — cost one add; the per-lane
 // settlement happens only where the mask changes.
-func (w *laneWalker) walk(ops []sop, tab []uint64, L int, pc, end int32,
-	mask simrt.LaneMask, esc func(op *sop, lanes []int, mask simrt.LaneMask)) {
+func (w *laneWalker) walk(ops []Op, tab []uint64, L int, pc, end int32,
+	mask simrt.LaneMask, esc func(op *Op, lanes []int, mask simrt.LaneMask)) {
 	stack := w.stack[:0]
 	lanes := mask.Lanes(w.lanes[:0])
 	for _, l := range lanes {
@@ -69,14 +69,14 @@ func (w *laneWalker) walk(ops []sop, tab []uint64, L int, pc, end int32,
 		}
 		op := &ops[pc]
 		pc++
-		if code := op.code; code <= opFSubTail && code != opMemRead {
+		if code := op.Code; code <= OpFSubTail && code != OpMemRead {
 			// An operand field the opcode does not read is zero: row 0,
 			// sliced and ignored.
-			d := tab[int(op.dst)*L : int(op.dst)*L+L]
-			a := tab[int(op.a)*L : int(op.a)*L+L]
-			b := tab[int(op.b)*L : int(op.b)*L+L]
-			c := tab[int(op.c)*L : int(op.c)*L+L]
-			x := tab[int(op.x)*L : int(op.x)*L+L]
+			d := tab[int(op.Dst)*L : int(op.Dst)*L+L]
+			a := tab[int(op.A)*L : int(op.A)*L+L]
+			b := tab[int(op.B)*L : int(op.B)*L+L]
+			c := tab[int(op.C)*L : int(op.C)*L+L]
+			x := tab[int(op.X)*L : int(op.X)*L+L]
 			if len(lanes) == L {
 				execRowsDense(op, d, a, b, c, x)
 			} else {
@@ -84,11 +84,11 @@ func (w *laneWalker) walk(ops []sop, tab []uint64, L int, pc, end int32,
 			}
 			continue
 		}
-		if op.code != opSkipZ && op.code != opSkipNZ {
+		if op.Code != OpSkipZ && op.Code != OpSkipNZ {
 			esc(op, lanes, mask)
 			continue
 		}
-		guard := tab[int(op.a)*L : int(op.a)*L+L]
+		guard := tab[int(op.A)*L : int(op.A)*L+L]
 		var nz simrt.LaneMask
 		if len(lanes) == L {
 			for l, v := range guard {
@@ -104,21 +104,21 @@ func (w *laneWalker) walk(ops []sop, tab []uint64, L int, pc, end int32,
 			}
 		}
 		in := mask & nz
-		if op.code == opSkipNZ {
+		if op.Code == OpSkipNZ {
 			in = mask &^ nz
 		}
 		if in == 0 {
-			pc = op.x
-			pend += op.mask
+			pc = op.X
+			pend += op.Mask
 			continue
 		}
 		if in != mask {
 			w.settle(lanes, pend)
 			pend = 0
 			for out := mask &^ in; out != 0; out = out.Drop() {
-				w.skipped[out.Lowest()] += op.mask
+				w.skipped[out.Lowest()] += op.Mask
 			}
-			stack = append(stack, laneFrame{end: op.x, mask: mask})
+			stack = append(stack, laneFrame{end: op.X, mask: mask})
 			mask = in
 			lanes = mask.Lanes(w.lanes[:0])
 		}
@@ -140,30 +140,30 @@ func pick(sel bool, t, f uint64) uint64 {
 // are run's, bit for bit (stream_test executes every opcode through
 // both). When every lane is active — the common case for lock-step
 // batches — the walker calls execRowsDense instead.
-func execRows(op *sop, lanes []int, d, a, b, c, x []uint64) {
-	m, sh := op.mask, op.sh
-	switch op.code {
-	case opCopy, opTail:
+func execRows(op *Op, lanes []int, d, a, b, c, x []uint64) {
+	m, sh := op.Mask, op.Sh
+	switch op.Code {
+	case OpCopy, OpTail:
 		for _, l := range lanes {
 			d[l] = a[l] & m
 		}
-	case opMux:
+	case OpMux:
 		for _, l := range lanes {
 			d[l] = pick(a[l] != 0, b[l], c[l]) & m
 		}
-	case opAdd, opFAddTail:
+	case OpAdd, OpFAddTail:
 		for _, l := range lanes {
 			d[l] = (a[l] + b[l]) & m
 		}
-	case opSub, opFSubTail:
+	case OpSub, OpFSubTail:
 		for _, l := range lanes {
 			d[l] = (a[l] - b[l]) & m
 		}
-	case opMul:
+	case OpMul:
 		for _, l := range lanes {
 			d[l] = (a[l] * b[l]) & m
 		}
-	case opDiv:
+	case OpDiv:
 		for _, l := range lanes {
 			if b[l] == 0 {
 				d[l] = 0
@@ -171,7 +171,7 @@ func execRows(op *sop, lanes []int, d, a, b, c, x []uint64) {
 				d[l] = (a[l] / b[l]) & m
 			}
 		}
-	case opRem:
+	case OpRem:
 		for _, l := range lanes {
 			if b[l] == 0 {
 				d[l] = a[l] & m
@@ -179,107 +179,107 @@ func execRows(op *sop, lanes []int, d, a, b, c, x []uint64) {
 				d[l] = (a[l] % b[l]) & m
 			}
 		}
-	case opLt:
+	case OpLt:
 		for _, l := range lanes {
 			d[l] = b2u(a[l] < b[l])
 		}
-	case opLeq:
+	case OpLeq:
 		for _, l := range lanes {
 			d[l] = b2u(a[l] <= b[l])
 		}
-	case opGt:
+	case OpGt:
 		for _, l := range lanes {
 			d[l] = b2u(a[l] > b[l])
 		}
-	case opGeq:
+	case OpGeq:
 		for _, l := range lanes {
 			d[l] = b2u(a[l] >= b[l])
 		}
-	case opEq:
+	case OpEq:
 		for _, l := range lanes {
 			d[l] = b2u(a[l] == b[l])
 		}
-	case opNeq:
+	case OpNeq:
 		for _, l := range lanes {
 			d[l] = b2u(a[l] != b[l])
 		}
-	case opShl:
+	case OpShl:
 		for _, l := range lanes {
 			d[l] = (a[l] << sh) & m
 		}
-	case opShr, opBits, opHead:
+	case OpShr, OpBits, OpHead:
 		for _, l := range lanes {
 			d[l] = (a[l] >> sh) & m
 		}
-	case opDshl:
+	case OpDshl:
 		for _, l := range lanes {
 			d[l] = (a[l] << b[l]) & m
 		}
-	case opDshr:
+	case OpDshr:
 		for _, l := range lanes {
 			d[l] = (a[l] >> b[l]) & m
 		}
-	case opNeg:
+	case OpNeg:
 		for _, l := range lanes {
 			d[l] = (-a[l]) & m
 		}
-	case opNot:
+	case OpNot:
 		for _, l := range lanes {
 			d[l] = (^a[l]) & m
 		}
-	case opAnd:
+	case OpAnd:
 		for _, l := range lanes {
 			d[l] = a[l] & b[l] & m
 		}
-	case opOr:
+	case OpOr:
 		for _, l := range lanes {
 			d[l] = (a[l] | b[l]) & m
 		}
-	case opXor:
+	case OpXor:
 		for _, l := range lanes {
 			d[l] = (a[l] ^ b[l]) & m
 		}
-	case opAndr:
+	case OpAndr:
 		for _, l := range lanes {
 			d[l] = b2u(a[l] == m)
 		}
-	case opOrr:
+	case OpOrr:
 		for _, l := range lanes {
 			d[l] = b2u(a[l] != 0)
 		}
-	case opXorr:
+	case OpXorr:
 		for _, l := range lanes {
 			d[l] = uint64(stdbits.OnesCount64(a[l])) & 1
 		}
-	case opCat:
+	case OpCat:
 		for _, l := range lanes {
 			d[l] = (a[l]<<sh | b[l]) & m
 		}
-	case opFEqMux:
+	case OpFEqMux:
 		for _, l := range lanes {
 			d[l] = pick(a[l] == b[l], c[l], x[l]) & m
 		}
-	case opFNeqMux:
+	case OpFNeqMux:
 		for _, l := range lanes {
 			d[l] = pick(a[l] != b[l], c[l], x[l]) & m
 		}
-	case opFLtMux:
+	case OpFLtMux:
 		for _, l := range lanes {
 			d[l] = pick(a[l] < b[l], c[l], x[l]) & m
 		}
-	case opFLeqMux:
+	case OpFLeqMux:
 		for _, l := range lanes {
 			d[l] = pick(a[l] <= b[l], c[l], x[l]) & m
 		}
-	case opFGtMux:
+	case OpFGtMux:
 		for _, l := range lanes {
 			d[l] = pick(a[l] > b[l], c[l], x[l]) & m
 		}
-	case opFGeqMux:
+	case OpFGeqMux:
 		for _, l := range lanes {
 			d[l] = pick(a[l] >= b[l], c[l], x[l]) & m
 		}
-	case opFNotAnd:
+	case OpFNotAnd:
 		for _, l := range lanes {
 			d[l] = ^a[l] & b[l] & m
 		}
@@ -289,31 +289,31 @@ func execRows(op *sop, lanes []int, d, a, b, c, x []uint64) {
 // execRowsDense is execRows with every lane active: plain row loops, no
 // lane indirection. The re-slices pin the operand lengths to len(d) so the
 // per-element bounds checks vanish.
-func execRowsDense(op *sop, d, a, b, c, x []uint64) {
+func execRowsDense(op *Op, d, a, b, c, x []uint64) {
 	a, b, c, x = a[:len(d)], b[:len(d)], c[:len(d)], x[:len(d)]
-	m, sh := op.mask, op.sh
-	switch op.code {
-	case opCopy, opTail:
+	m, sh := op.Mask, op.Sh
+	switch op.Code {
+	case OpCopy, OpTail:
 		for l := range d {
 			d[l] = a[l] & m
 		}
-	case opMux:
+	case OpMux:
 		for l := range d {
 			d[l] = pick(a[l] != 0, b[l], c[l]) & m
 		}
-	case opAdd, opFAddTail:
+	case OpAdd, OpFAddTail:
 		for l := range d {
 			d[l] = (a[l] + b[l]) & m
 		}
-	case opSub, opFSubTail:
+	case OpSub, OpFSubTail:
 		for l := range d {
 			d[l] = (a[l] - b[l]) & m
 		}
-	case opMul:
+	case OpMul:
 		for l := range d {
 			d[l] = (a[l] * b[l]) & m
 		}
-	case opDiv:
+	case OpDiv:
 		for l := range d {
 			if b[l] == 0 {
 				d[l] = 0
@@ -321,7 +321,7 @@ func execRowsDense(op *sop, d, a, b, c, x []uint64) {
 				d[l] = (a[l] / b[l]) & m
 			}
 		}
-	case opRem:
+	case OpRem:
 		for l := range d {
 			if b[l] == 0 {
 				d[l] = a[l] & m
@@ -329,107 +329,107 @@ func execRowsDense(op *sop, d, a, b, c, x []uint64) {
 				d[l] = (a[l] % b[l]) & m
 			}
 		}
-	case opLt:
+	case OpLt:
 		for l := range d {
 			d[l] = b2u(a[l] < b[l])
 		}
-	case opLeq:
+	case OpLeq:
 		for l := range d {
 			d[l] = b2u(a[l] <= b[l])
 		}
-	case opGt:
+	case OpGt:
 		for l := range d {
 			d[l] = b2u(a[l] > b[l])
 		}
-	case opGeq:
+	case OpGeq:
 		for l := range d {
 			d[l] = b2u(a[l] >= b[l])
 		}
-	case opEq:
+	case OpEq:
 		for l := range d {
 			d[l] = b2u(a[l] == b[l])
 		}
-	case opNeq:
+	case OpNeq:
 		for l := range d {
 			d[l] = b2u(a[l] != b[l])
 		}
-	case opShl:
+	case OpShl:
 		for l := range d {
 			d[l] = (a[l] << sh) & m
 		}
-	case opShr, opBits, opHead:
+	case OpShr, OpBits, OpHead:
 		for l := range d {
 			d[l] = (a[l] >> sh) & m
 		}
-	case opDshl:
+	case OpDshl:
 		for l := range d {
 			d[l] = (a[l] << b[l]) & m
 		}
-	case opDshr:
+	case OpDshr:
 		for l := range d {
 			d[l] = (a[l] >> b[l]) & m
 		}
-	case opNeg:
+	case OpNeg:
 		for l := range d {
 			d[l] = (-a[l]) & m
 		}
-	case opNot:
+	case OpNot:
 		for l := range d {
 			d[l] = (^a[l]) & m
 		}
-	case opAnd:
+	case OpAnd:
 		for l := range d {
 			d[l] = a[l] & b[l] & m
 		}
-	case opOr:
+	case OpOr:
 		for l := range d {
 			d[l] = (a[l] | b[l]) & m
 		}
-	case opXor:
+	case OpXor:
 		for l := range d {
 			d[l] = (a[l] ^ b[l]) & m
 		}
-	case opAndr:
+	case OpAndr:
 		for l := range d {
 			d[l] = b2u(a[l] == m)
 		}
-	case opOrr:
+	case OpOrr:
 		for l := range d {
 			d[l] = b2u(a[l] != 0)
 		}
-	case opXorr:
+	case OpXorr:
 		for l := range d {
 			d[l] = uint64(stdbits.OnesCount64(a[l])) & 1
 		}
-	case opCat:
+	case OpCat:
 		for l := range d {
 			d[l] = (a[l]<<sh | b[l]) & m
 		}
-	case opFEqMux:
+	case OpFEqMux:
 		for l := range d {
 			d[l] = pick(a[l] == b[l], c[l], x[l]) & m
 		}
-	case opFNeqMux:
+	case OpFNeqMux:
 		for l := range d {
 			d[l] = pick(a[l] != b[l], c[l], x[l]) & m
 		}
-	case opFLtMux:
+	case OpFLtMux:
 		for l := range d {
 			d[l] = pick(a[l] < b[l], c[l], x[l]) & m
 		}
-	case opFLeqMux:
+	case OpFLeqMux:
 		for l := range d {
 			d[l] = pick(a[l] <= b[l], c[l], x[l]) & m
 		}
-	case opFGtMux:
+	case OpFGtMux:
 		for l := range d {
 			d[l] = pick(a[l] > b[l], c[l], x[l]) & m
 		}
-	case opFGeqMux:
+	case OpFGeqMux:
 		for l := range d {
 			d[l] = pick(a[l] >= b[l], c[l], x[l]) & m
 		}
-	case opFNotAnd:
+	case OpFNotAnd:
 		for l := range d {
 			d[l] = ^a[l] & b[l] & m
 		}

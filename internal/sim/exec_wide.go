@@ -10,77 +10,77 @@ import (
 // case is the call codegen's emitWide prints). simrt.Scratch computes into
 // its own buffers and copies out, so in-place register updates (dst
 // aliasing an operand) are safe.
-func (m *machine) execWide(in *instr) {
+func (m *machine) execWide(in *Instr) {
 	sc, t := m.sc, m.t
-	dst := m.view(in.dst, in.dw)
-	aw, bw, dw := int(in.aw), int(in.bw), int(in.dw)
+	dst := m.view(in.Dst, in.DW)
+	aw, bw, dw := int(in.AW), int(in.BW), int(in.DW)
 	var a, b []uint64
-	if in.a >= 0 {
-		a = m.view(in.a, in.aw)
+	if in.A >= 0 {
+		a = m.view(in.A, in.AW)
 	}
-	if in.b >= 0 {
-		b = m.view(in.b, in.bw)
+	if in.B >= 0 {
+		b = m.view(in.B, in.BW)
 	}
-	switch in.code {
+	switch in.Code {
 	case ICopy:
-		sc.Copy(dst, a, aw, in.sa, dw)
+		sc.Copy(dst, a, aw, in.SA, dw)
 	case IMux:
-		sc.Mux(dst, t[in.a], b, bw, in.sb, m.view(in.c, in.cw), int(in.cw), in.sc, dw)
+		sc.Mux(dst, t[in.A], b, bw, in.SB, m.view(in.C, in.CW), int(in.CW), in.SC, dw)
 	case IMemRead:
-		ms := &m.mems[in.mem]
-		simrt.MemRead(dst, ms.words, int(ms.nw), uint64(ms.depth), t[in.a])
+		ms := &m.mems[in.Mem]
+		simrt.MemRead(dst, ms.words, int(ms.nw), uint64(ms.depth), t[in.A])
 	case IAdd:
-		sc.Add(dst, a, aw, in.sa, b, bw, in.sb, dw)
+		sc.Add(dst, a, aw, in.SA, b, bw, in.SB, dw)
 	case ISub:
-		sc.Sub(dst, a, aw, in.sa, b, bw, in.sb, dw)
+		sc.Sub(dst, a, aw, in.SA, b, bw, in.SB, dw)
 	case IMul:
-		sc.Mul(dst, a, aw, in.sa, b, bw, in.sb, dw)
+		sc.Mul(dst, a, aw, in.SA, b, bw, in.SB, dw)
 	case IDiv:
-		sc.Div(dst, a, aw, in.sa, b, bw, dw)
+		sc.Div(dst, a, aw, in.SA, b, bw, dw)
 	case IRem:
-		sc.Rem(dst, a, aw, in.sa, b, bw, dw)
+		sc.Rem(dst, a, aw, in.SA, b, bw, dw)
 	case ILt:
-		t[in.dst] = b2u(sc.Cmp(a, aw, b, bw, in.sa) < 0)
+		t[in.Dst] = b2u(sc.Cmp(a, aw, b, bw, in.SA) < 0)
 	case ILeq:
-		t[in.dst] = b2u(sc.Cmp(a, aw, b, bw, in.sa) <= 0)
+		t[in.Dst] = b2u(sc.Cmp(a, aw, b, bw, in.SA) <= 0)
 	case IGt:
-		t[in.dst] = b2u(sc.Cmp(a, aw, b, bw, in.sa) > 0)
+		t[in.Dst] = b2u(sc.Cmp(a, aw, b, bw, in.SA) > 0)
 	case IGeq:
-		t[in.dst] = b2u(sc.Cmp(a, aw, b, bw, in.sa) >= 0)
+		t[in.Dst] = b2u(sc.Cmp(a, aw, b, bw, in.SA) >= 0)
 	case IEq:
-		t[in.dst] = b2u(sc.Eq(a, aw, in.sa, b, bw, in.sb))
+		t[in.Dst] = b2u(sc.Eq(a, aw, in.SA, b, bw, in.SB))
 	case INeq:
-		t[in.dst] = b2u(!sc.Eq(a, aw, in.sa, b, bw, in.sb))
+		t[in.Dst] = b2u(!sc.Eq(a, aw, in.SA, b, bw, in.SB))
 	case IShl:
-		sc.Shl(dst, a, int(in.p0), dw)
+		sc.Shl(dst, a, int(in.P0), dw)
 	case IShr:
-		sc.Shr(dst, a, int(in.p0), aw, in.sa, dw)
+		sc.Shr(dst, a, int(in.P0), aw, in.SA, dw)
 	case IDshl:
-		sc.Shl(dst, a, int(t[in.b]), dw)
+		sc.Shl(dst, a, int(t[in.B]), dw)
 	case IDshr:
-		sc.Shr(dst, a, int(t[in.b]), aw, in.sa, dw)
+		sc.Shr(dst, a, int(t[in.B]), aw, in.SA, dw)
 	case INeg:
-		sc.Neg(dst, a, aw, in.sa, dw)
+		sc.Neg(dst, a, aw, in.SA, dw)
 	case INot:
 		sc.Not(dst, a, dw)
 	case IAnd:
-		sc.Logic(dst, 0, a, aw, in.sa, b, bw, in.sb, dw)
+		sc.Logic(dst, 0, a, aw, in.SA, b, bw, in.SB, dw)
 	case IOr:
-		sc.Logic(dst, 1, a, aw, in.sa, b, bw, in.sb, dw)
+		sc.Logic(dst, 1, a, aw, in.SA, b, bw, in.SB, dw)
 	case IXor:
-		sc.Logic(dst, 2, a, aw, in.sa, b, bw, in.sb, dw)
+		sc.Logic(dst, 2, a, aw, in.SA, b, bw, in.SB, dw)
 	case IAndr:
-		t[in.dst] = simrt.AndR(a, aw)
+		t[in.Dst] = simrt.AndR(a, aw)
 	case IOrr:
-		t[in.dst] = simrt.OrR(a)
+		t[in.Dst] = simrt.OrR(a)
 	case IXorr:
-		t[in.dst] = simrt.XorR(a)
+		t[in.Dst] = simrt.XorR(a)
 	case ICat:
 		sc.Cat(dst, a, aw, b, bw)
 	case IBits:
-		sc.Bits(dst, a, int(in.p0), int(in.p1))
+		sc.Bits(dst, a, int(in.P0), int(in.P1))
 	case IHead:
-		sc.Bits(dst, a, aw-1, aw-int(in.p0))
+		sc.Bits(dst, a, aw-1, aw-int(in.P0))
 	case ITail:
 		sc.Copy(dst, a, aw, false, dw)
 	}

@@ -15,7 +15,7 @@ func TestFlagBitmap(t *testing.T) {
 	for _, np := range []int{0, 1, 63, 64, 65, 128, 130, 1393} {
 		words := (np + 63) / 64
 		c := &CCSS{flags: make([]uint64, words), always: make([]uint64, words),
-			parts: partTable{rows: make([]partRow, np)}}
+			parts: PartTable{rows: make([]partRow, np)}}
 		flag, always := make([]bool, np), make([]bool, np)
 		for p := 0; p < np; p++ {
 			if rng.Intn(4) == 0 {

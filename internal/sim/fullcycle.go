@@ -38,12 +38,8 @@ func newFullCycle(d *netlist.Design, opts Options) (*FullCycle, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.ops, m.spans = lower(m.sched, m.instrs, ranges)
-	if vmode != verify.Off {
-		if err := verify.Enforce(vmode,
-			verifyMachine(m, ranges, nil, nil), nil); err != nil {
-			return nil, err
-		}
+	if err := m.lowerVerified(ranges, nil, nil, vmode); err != nil {
+		return nil, err
 	}
 	return &FullCycle{machine: m}, nil
 }

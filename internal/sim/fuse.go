@@ -29,8 +29,8 @@ import (
 // nothing observable reads it, the same staleness contract CCSS already
 // applies to sleeping partitions.
 //
-// The pass runs only on interpreter machines (cfg.fuse): the event-driven
-// engine and the codegen export path keep the unfused stream.
+// The pass runs under cfg.fuse: only the event-driven engine, which
+// schedules instructions one at a time, keeps the unfused stream.
 
 // producer codes and consumer codes are disjoint, so a fused consumer can
 // never be re-matched as a producer and chains terminate after one step.
@@ -65,9 +65,9 @@ func (m *machine) fuseSchedule(keepLive []netlist.SignalID, ranges [][2]int32) [
 	}
 	for ii := range m.instrs {
 		in := &m.instrs[ii]
-		note(in.a, int32(ii))
-		note(in.b, int32(ii))
-		note(in.c, int32(ii))
+		note(in.A, int32(ii))
+		note(in.B, int32(ii))
+		note(in.C, int32(ii))
 	}
 
 	// Schedule positions per instruction, group index per position, and
@@ -120,11 +120,11 @@ func (m *machine) fuseSchedule(keepLive []netlist.SignalID, ranges [][2]int32) [
 			return false
 		}
 		w := &m.instrs[e.idx]
-		return off >= w.dst && off < w.dst+int32(bits.Words(int(w.dw)))
+		return off >= w.Dst && off < w.Dst+int32(bits.Words(int(w.DW)))
 	}
-	operandsClobbered := func(a *instr, posA, posB int32) bool {
+	operandsClobbered := func(a *Instr, posA, posB int32) bool {
 		for p := posA + 1; p < posB; p++ {
-			if writesOver(p, a.a) || (a.b >= 0 && writesOver(p, a.b)) {
+			if writesOver(p, a.A) || (a.B >= 0 && writesOver(p, a.B)) {
 				return true
 			}
 		}
@@ -137,17 +137,17 @@ func (m *machine) fuseSchedule(keepLive []netlist.SignalID, ranges [][2]int32) [
 	// producer's operands, drop the producer's schedule entry.
 	for ai := range m.instrs {
 		a := &m.instrs[ai]
-		if a.kind != kNarrow || !isFuseProducer(a.code) {
+		if a.kind != kNarrow || !isFuseProducer(a.Code) {
 			continue
 		}
-		if live[a.dst] || readers[a.dst] != 1 {
+		if live[a.Dst] || readers[a.Dst] != 1 {
 			continue
 		}
 		posA := posOf[ai]
 		if posA < 0 || removed[posA] {
 			continue
 		}
-		bi := readerOf[a.dst]
+		bi := readerOf[a.Dst]
 		b := &m.instrs[bi]
 		if b.kind != kNarrow {
 			continue
@@ -161,29 +161,29 @@ func (m *machine) fuseSchedule(keepLive []netlist.SignalID, ranges [][2]int32) [
 			continue
 		}
 		switch {
-		case b.code == IMux && b.a == a.dst && a.code != INot &&
-			a.code != IAdd && a.code != ISub:
+		case b.Code == IMux && b.A == a.Dst && a.Code != INot &&
+			a.Code != IAdd && a.Code != ISub:
 			// cmp → mux selector. Move the mux ways to c/mem, the
 			// comparison operands to a/b, and the comparison code to p0.
-			b.c, b.mem = b.b, b.c
-			b.a, b.b = a.a, a.b
-			b.p0 = int32(a.code)
-			b.code = IFCmpMux
-		case b.code == IAnd && a.code == INot && (b.a == a.dst || b.b == a.dst):
-			other := b.b
-			if b.b == a.dst {
-				other = b.a
+			b.C, b.Mem = b.B, b.C
+			b.A, b.B = a.A, a.B
+			b.P0 = int32(a.Code)
+			b.Code = IFCmpMux
+		case b.Code == IAnd && a.Code == INot && (b.A == a.Dst || b.B == a.Dst):
+			other := b.B
+			if b.B == a.Dst {
+				other = b.A
 			}
-			b.a, b.b = a.a, other
+			b.A, b.B = a.A, other
 			b.dmask &= a.dmask
-			b.code = IFNotAnd
-		case b.code == ITail && b.a == a.dst && (a.code == IAdd || a.code == ISub):
-			b.b = a.b
-			b.a = a.a
-			if a.code == IAdd {
-				b.code = IFAddTail
+			b.Code = IFNotAnd
+		case b.Code == ITail && b.A == a.Dst && (a.Code == IAdd || a.Code == ISub):
+			b.B = a.B
+			b.A = a.A
+			if a.Code == IAdd {
+				b.Code = IFAddTail
 			} else {
-				b.code = IFSubTail
+				b.Code = IFSubTail
 			}
 		default:
 			continue
@@ -208,7 +208,7 @@ func (m *machine) fuseSchedule(keepLive []netlist.SignalID, ranges [][2]int32) [
 			continue
 		}
 		x := &m.instrs[e.idx]
-		if x.kind == kWide || x.dst != s.idx || bits.Words(int(x.dw)) != 1 {
+		if x.kind == kWide || x.Dst != s.idx || bits.Words(int(x.DW)) != 1 {
 			continue
 		}
 		if jumpTarget[i+1] {

@@ -206,14 +206,14 @@ func TestFusionScheduleInvariants(t *testing.T) {
 			switch e.kind {
 			case seInstr:
 				in := &m.instrs[e.idx]
-				switch in.code {
+				switch in.Code {
 				case IFCmpMux, IFNotAnd, IFAddTail, IFSubTail:
 					if in.kind != kFused {
 						t.Fatalf("seed %d: fused opcode without kFused tag at sched %d", seed, i)
 					}
 				default:
 					if in.kind == kFused {
-						t.Fatalf("seed %d: kFused tag on plain opcode %v at sched %d", seed, in.code, i)
+						t.Fatalf("seed %d: kFused tag on plain opcode %v at sched %d", seed, in.Code, i)
 					}
 				}
 			case seSkipIfZero, seSkipIfNonzero, seSkipIfZeroF, seSkipIfNonzeroF:

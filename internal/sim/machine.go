@@ -46,8 +46,9 @@ const (
 	IBits
 	IHead
 	ITail
-	// Fused superinstructions (interpreter-only; produced by the peephole
-	// pass in fuse.go, never exported to the code generator).
+	// Fused superinstructions (produced by the peephole pass in fuse.go;
+	// always narrow, so the code generator meets them only as stream
+	// opcodes, never through an escape).
 	//
 	// IFCmpMux folds a single-reader comparison into the mux it selects:
 	// a/b are the comparison operands, p0 carries the comparison ICode,
@@ -62,19 +63,19 @@ const (
 	IFSubTail
 )
 
-// instr is one compiled combinational operation. All operands are word
+// Instr is one compiled combinational operation. All operands are word
 // offsets into the machine's value table (constants are materialized into
 // the table at initialization).
-type instr struct {
-	code           ICode
+type Instr struct {
+	Code           ICode
 	kind           uint8 // width/sign class, precomputed (see k* constants)
 	wide           bool
-	sa, sb, sc     bool
-	a, b, c        int32
-	dst            int32
-	aw, bw, cw, dw int32
-	p0, p1         int32
-	mem            int32
+	SA, SB, SC     bool
+	A, B, C        int32
+	Dst            int32
+	AW, BW, CW, DW int32
+	P0, P1         int32
+	Mem            int32
 	// dmask is the precomputed result mask (the effective output width's
 	// low bits set; all ones for 64-bit-wide results).
 	dmask uint64
@@ -98,20 +99,20 @@ const (
 )
 
 // finishInstr precomputes the dispatch kind and result mask.
-func finishInstr(in *instr) {
-	in.wide = in.dw > 64 || in.aw > 64 || in.bw > 64 || in.cw > 64
-	effW := int(in.dw)
-	switch in.code {
+func finishInstr(in *Instr) {
+	in.wide = in.DW > 64 || in.AW > 64 || in.BW > 64 || in.CW > 64
+	effW := int(in.DW)
+	switch in.Code {
 	case IBits:
-		effW = int(in.p0 - in.p1 + 1)
+		effW = int(in.P0 - in.P1 + 1)
 	case ITail:
-		effW = int(in.aw - in.p0)
+		effW = int(in.AW - in.P0)
 	}
 	in.dmask = bits.Mask64(^uint64(0), effW)
 	switch {
 	case in.wide:
 		in.kind = kWide
-	case in.sa || in.sb || in.sc:
+	case in.SA || in.SB || in.SC:
 		in.kind = kSigned
 	default:
 		in.kind = kNarrow
@@ -182,11 +183,11 @@ type machine struct {
 	// instrs and sched are the schedule IR: what the passes, the verifiers
 	// and the code generator read. ops and spans are its lowering
 	// (stream.go), which is what executes.
-	instrs  []instr
+	instrs  []Instr
 	instrOf []int32 // SignalID → index into instrs (-1 for non-comb)
 	sched   []schedEntry
-	ops     []sop
-	spans   []opSpan
+	ops     []Op
+	spans   []Span
 	// schedPosOf maps design-graph node IDs to schedule positions (-1 for
 	// sources); used by the partitioner-driven engines.
 	schedPosOf []int32
@@ -279,8 +280,8 @@ type machineConfig struct {
 	// treats the whole order as one group.
 	groups [][]int
 	// fuse enables the superinstruction peephole pass (fuse.go).
-	// Engines that schedule instructions one at a time (event-driven) or
-	// export them (codegen) must leave it off.
+	// Engines that schedule instructions one at a time (event-driven)
+	// must leave it off.
 	fuse bool
 	// keepLive names signals the engine reads outside the instruction
 	// stream (partition outputs compared for change detection); the
@@ -515,7 +516,7 @@ func (m *machine) emitNode(node int, shadows *sched.MuxShadows, force bool) erro
 	}
 	// Compile the instruction (once).
 	if m.instrOf[node] < 0 {
-		var in instr
+		var in Instr
 		var err error
 		switch s.Kind {
 		case netlist.KComb:
@@ -530,12 +531,12 @@ func (m *machine) emitNode(node int, shadows *sched.MuxShadows, force bool) erro
 				return fmt.Errorf("sim: mem %s: address wider than 32 bits",
 					d.Mems[r.Mem].Name)
 			}
-			in = instr{
-				code: IMemRead, out: netlist.SignalID(node),
-				dst: m.off[node], dw: int32(s.Width),
-				a: ao.off, aw: ao.w,
-				b: -1, c: -1,
-				mem: int32(r.Mem),
+			in = Instr{
+				Code: IMemRead, out: netlist.SignalID(node),
+				Dst: m.off[node], DW: int32(s.Width),
+				A: ao.off, AW: ao.w,
+				B: -1, C: -1,
+				Mem: int32(r.Mem),
 			}
 			finishInstr(&in)
 		}
@@ -584,26 +585,26 @@ func (m *machine) initState() {
 }
 
 // compileOp lowers one netlist op to an instruction.
-func (m *machine) compileOp(op *netlist.Op) (instr, error) {
+func (m *machine) compileOp(op *netlist.Op) (Instr, error) {
 	d := m.d
 	outSig := &d.Signals[op.Out]
-	in := instr{
+	in := Instr{
 		out: op.Out,
-		dst: m.off[op.Out],
-		dw:  int32(outSig.Width),
-		p0:  int32(op.P0),
-		p1:  int32(op.P1),
-		a:   -1, b: -1, c: -1,
+		Dst: m.off[op.Out],
+		DW:  int32(outSig.Width),
+		P0:  int32(op.P0),
+		P1:  int32(op.P1),
+		A:   -1, B: -1, C: -1,
 	}
 	setArg := func(i int, a netlist.Arg) {
 		o := m.operandOf(a)
 		switch i {
 		case 0:
-			in.a, in.aw, in.sa = o.off, o.w, o.signed
+			in.A, in.AW, in.SA = o.off, o.w, o.signed
 		case 1:
-			in.b, in.bw, in.sb = o.off, o.w, o.signed
+			in.B, in.BW, in.SB = o.off, o.w, o.signed
 		case 2:
-			in.c, in.cw, in.sc = o.off, o.w, o.signed
+			in.C, in.CW, in.SC = o.off, o.w, o.signed
 		}
 	}
 	for i, a := range op.Args {
@@ -611,18 +612,18 @@ func (m *machine) compileOp(op *netlist.Op) (instr, error) {
 	}
 	switch op.Kind {
 	case netlist.OCopy:
-		in.code = ICopy
+		in.Code = ICopy
 	case netlist.OMux:
-		in.code = IMux
+		in.Code = IMux
 	case netlist.OPrim:
 		code, ok := primToICode[op.Prim]
 		if !ok {
-			return instr{}, fmt.Errorf("sim: unsupported primop %v", op.Prim)
+			return Instr{}, fmt.Errorf("sim: unsupported primop %v", op.Prim)
 		}
-		in.code = code
+		in.Code = code
 		if op.Prim == firrtl.OpDshl || op.Prim == firrtl.OpDshr {
-			if in.bw > 20 {
-				return instr{}, fmt.Errorf("sim: dynamic shift amount wider than 20 bits")
+			if in.BW > 20 {
+				return Instr{}, fmt.Errorf("sim: dynamic shift amount wider than 20 bits")
 			}
 		}
 	}
@@ -654,87 +655,87 @@ func ext(v uint64, w int32, signed bool) uint64 {
 
 // execSigned evaluates a single-word instruction with at least one signed
 // operand: the general narrow path, with sign extensions applied.
-func (m *machine) execSigned(in *instr) {
+func (m *machine) execSigned(in *Instr) {
 	t := m.t
-	switch in.code {
+	switch in.Code {
 	case ICopy:
-		t[in.dst] = bits.Mask64(ext(t[in.a], in.aw, in.sa), int(in.dw))
+		t[in.Dst] = bits.Mask64(ext(t[in.A], in.AW, in.SA), int(in.DW))
 	case IMux:
-		if t[in.a] != 0 {
-			t[in.dst] = bits.Mask64(ext(t[in.b], in.bw, in.sb), int(in.dw))
+		if t[in.A] != 0 {
+			t[in.Dst] = bits.Mask64(ext(t[in.B], in.BW, in.SB), int(in.DW))
 		} else {
-			t[in.dst] = bits.Mask64(ext(t[in.c], in.cw, in.sc), int(in.dw))
+			t[in.Dst] = bits.Mask64(ext(t[in.C], in.CW, in.SC), int(in.DW))
 		}
 	case IMemRead:
-		ms := &m.mems[in.mem]
-		addr := t[in.a]
+		ms := &m.mems[in.Mem]
+		addr := t[in.A]
 		if addr < uint64(ms.depth) {
-			t[in.dst] = ms.words[int32(addr)*ms.nw]
+			t[in.Dst] = ms.words[int32(addr)*ms.nw]
 		} else {
-			t[in.dst] = 0
+			t[in.Dst] = 0
 		}
 	case IAdd:
-		t[in.dst] = bits.Mask64(ext(t[in.a], in.aw, in.sa)+ext(t[in.b], in.bw, in.sb), int(in.dw))
+		t[in.Dst] = bits.Mask64(ext(t[in.A], in.AW, in.SA)+ext(t[in.B], in.BW, in.SB), int(in.DW))
 	case ISub:
-		t[in.dst] = bits.Mask64(ext(t[in.a], in.aw, in.sa)-ext(t[in.b], in.bw, in.sb), int(in.dw))
+		t[in.Dst] = bits.Mask64(ext(t[in.A], in.AW, in.SA)-ext(t[in.B], in.BW, in.SB), int(in.DW))
 	case IMul:
-		t[in.dst] = bits.Mask64(ext(t[in.a], in.aw, in.sa)*ext(t[in.b], in.bw, in.sb), int(in.dw))
+		t[in.Dst] = bits.Mask64(ext(t[in.A], in.AW, in.SA)*ext(t[in.B], in.BW, in.SB), int(in.DW))
 	case IDiv:
-		if in.sa {
-			t[in.dst] = simrt.DivS64(t[in.a], int(in.aw), t[in.b], int(in.bw), int(in.dw))
+		if in.SA {
+			t[in.Dst] = simrt.DivS64(t[in.A], int(in.AW), t[in.B], int(in.BW), int(in.DW))
 		} else {
-			t[in.dst] = simrt.DivU64(t[in.a], t[in.b], int(in.dw))
+			t[in.Dst] = simrt.DivU64(t[in.A], t[in.B], int(in.DW))
 		}
 	case IRem:
-		if in.sa {
-			t[in.dst] = simrt.RemS64(t[in.a], int(in.aw), t[in.b], int(in.bw), int(in.dw))
+		if in.SA {
+			t[in.Dst] = simrt.RemS64(t[in.A], int(in.AW), t[in.B], int(in.BW), int(in.DW))
 		} else {
-			t[in.dst] = simrt.RemU64(t[in.a], t[in.b], int(in.dw))
+			t[in.Dst] = simrt.RemU64(t[in.A], t[in.B], int(in.DW))
 		}
 	case ILt:
-		t[in.dst] = b2u(cmp64(t[in.a], in.aw, t[in.b], in.bw, in.sa) < 0)
+		t[in.Dst] = b2u(cmp64(t[in.A], in.AW, t[in.B], in.BW, in.SA) < 0)
 	case ILeq:
-		t[in.dst] = b2u(cmp64(t[in.a], in.aw, t[in.b], in.bw, in.sa) <= 0)
+		t[in.Dst] = b2u(cmp64(t[in.A], in.AW, t[in.B], in.BW, in.SA) <= 0)
 	case IGt:
-		t[in.dst] = b2u(cmp64(t[in.a], in.aw, t[in.b], in.bw, in.sa) > 0)
+		t[in.Dst] = b2u(cmp64(t[in.A], in.AW, t[in.B], in.BW, in.SA) > 0)
 	case IGeq:
-		t[in.dst] = b2u(cmp64(t[in.a], in.aw, t[in.b], in.bw, in.sa) >= 0)
+		t[in.Dst] = b2u(cmp64(t[in.A], in.AW, t[in.B], in.BW, in.SA) >= 0)
 	case IEq:
-		t[in.dst] = b2u(ext(t[in.a], in.aw, in.sa) == ext(t[in.b], in.bw, in.sb))
+		t[in.Dst] = b2u(ext(t[in.A], in.AW, in.SA) == ext(t[in.B], in.BW, in.SB))
 	case INeq:
-		t[in.dst] = b2u(ext(t[in.a], in.aw, in.sa) != ext(t[in.b], in.bw, in.sb))
+		t[in.Dst] = b2u(ext(t[in.A], in.AW, in.SA) != ext(t[in.B], in.BW, in.SB))
 	case IShl:
-		t[in.dst] = bits.Mask64(t[in.a]<<uint(in.p0), int(in.dw))
+		t[in.Dst] = bits.Mask64(t[in.A]<<uint(in.P0), int(in.DW))
 	case IShr:
-		t[in.dst] = simrt.Shr64(t[in.a], int(in.aw), int(in.p0), in.sa, int(in.dw))
+		t[in.Dst] = simrt.Shr64(t[in.A], int(in.AW), int(in.P0), in.SA, int(in.DW))
 	case IDshl:
-		t[in.dst] = bits.Mask64(t[in.a]<<uint(t[in.b]), int(in.dw))
+		t[in.Dst] = bits.Mask64(t[in.A]<<uint(t[in.B]), int(in.DW))
 	case IDshr:
-		t[in.dst] = simrt.Shr64(t[in.a], int(in.aw), int(t[in.b]), in.sa, int(in.dw))
+		t[in.Dst] = simrt.Shr64(t[in.A], int(in.AW), int(t[in.B]), in.SA, int(in.DW))
 	case INeg:
-		t[in.dst] = bits.Mask64(-ext(t[in.a], in.aw, in.sa), int(in.dw))
+		t[in.Dst] = bits.Mask64(-ext(t[in.A], in.AW, in.SA), int(in.DW))
 	case INot:
-		t[in.dst] = bits.Mask64(^t[in.a], int(in.dw))
+		t[in.Dst] = bits.Mask64(^t[in.A], int(in.DW))
 	case IAnd:
-		t[in.dst] = bits.Mask64(ext(t[in.a], in.aw, in.sa)&ext(t[in.b], in.bw, in.sb), int(in.dw))
+		t[in.Dst] = bits.Mask64(ext(t[in.A], in.AW, in.SA)&ext(t[in.B], in.BW, in.SB), int(in.DW))
 	case IOr:
-		t[in.dst] = bits.Mask64(ext(t[in.a], in.aw, in.sa)|ext(t[in.b], in.bw, in.sb), int(in.dw))
+		t[in.Dst] = bits.Mask64(ext(t[in.A], in.AW, in.SA)|ext(t[in.B], in.BW, in.SB), int(in.DW))
 	case IXor:
-		t[in.dst] = bits.Mask64(ext(t[in.a], in.aw, in.sa)^ext(t[in.b], in.bw, in.sb), int(in.dw))
+		t[in.Dst] = bits.Mask64(ext(t[in.A], in.AW, in.SA)^ext(t[in.B], in.BW, in.SB), int(in.DW))
 	case IAndr:
-		t[in.dst] = b2u(t[in.a] == bits.Mask64(^uint64(0), int(in.aw)))
+		t[in.Dst] = b2u(t[in.A] == bits.Mask64(^uint64(0), int(in.AW)))
 	case IOrr:
-		t[in.dst] = b2u(t[in.a] != 0)
+		t[in.Dst] = b2u(t[in.A] != 0)
 	case IXorr:
-		t[in.dst] = uint64(popcount(t[in.a])) & 1
+		t[in.Dst] = uint64(popcount(t[in.A])) & 1
 	case ICat:
-		t[in.dst] = bits.Mask64(t[in.a]<<uint(in.bw)|t[in.b], int(in.dw))
+		t[in.Dst] = bits.Mask64(t[in.A]<<uint(in.BW)|t[in.B], int(in.DW))
 	case IBits:
-		t[in.dst] = bits.Mask64(t[in.a]>>uint(in.p1), int(in.p0-in.p1+1))
+		t[in.Dst] = bits.Mask64(t[in.A]>>uint(in.P1), int(in.P0-in.P1+1))
 	case IHead:
-		t[in.dst] = t[in.a] >> uint(in.aw-in.p0)
+		t[in.Dst] = t[in.A] >> uint(in.AW-in.P0)
 	case ITail:
-		t[in.dst] = bits.Mask64(t[in.a], int(in.aw-in.p0))
+		t[in.Dst] = bits.Mask64(t[in.A], int(in.AW-in.P0))
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // schedule are untouched (the sequential CCSS reference, checkpoints,
 // and the codegen export all keep the scalar view). BatchCCSS lowers and
 // executes the rewritten schedule instead (a packed step is the stream's
-// opPacked escape).
+// OpPacked escape).
 //
 // Packed slots are PERSISTENTLY COHERENT: the packed table is shared
 // engine state (one word per slot, maintained across cycles), not
@@ -256,7 +256,7 @@ func saPackBits(m *machine) []bool {
 // declared widths) — keep the exact-width requirement: a proven-1-bit
 // value in a wider declaration would make the packed rewrite compute a
 // different function.
-func packablePcode(in *instr, offW []int32, offU []bool, sa1 []bool) (pcode, bool) {
+func packablePcode(in *Instr, offW []int32, offU []bool, sa1 []bool) (pcode, bool) {
 	saOne := func(off int32) bool {
 		return sa1 != nil && off >= 0 && sa1[off]
 	}
@@ -272,81 +272,81 @@ func packablePcode(in *instr, offW []int32, offU []bool, sa1 []bool) (pcode, boo
 	// class decides, same as fused operands. A proven-1-bit destination
 	// with a wider dmask is sound: the proof says every reachable scalar
 	// result already fits in bit 0.
-	if (in.dmask != 1 || !(offW[in.dst] == 1 && offU[in.dst])) && !saOne(in.dst) {
+	if (in.dmask != 1 || !(offW[in.Dst] == 1 && offU[in.Dst])) && !saOne(in.Dst) {
 		return 0, false
 	}
 	switch in.kind {
 	case kNarrow:
-		switch in.code {
+		switch in.Code {
 		case IAndr, IBits, IHead:
 			// Width-dependent semantics: identity only at declared 1 bit.
-			if in.aw == 1 {
+			if in.AW == 1 {
 				return pCopy, true
 			}
 		case ICopy, INeg, IOrr, IXorr, ITail:
 			// All identity on a 1-bit value: -a&1 = a, the or/xor
 			// reductions of {0,1} are the value, and tail keeps bit 0.
-			if opOne(in.a, in.aw) {
+			if opOne(in.A, in.AW) {
 				return pCopy, true
 			}
 		case INot:
-			if opOne(in.a, in.aw) {
+			if opOne(in.A, in.AW) {
 				return pNot, true
 			}
 		case IAnd, IMul:
-			if opOne(in.a, in.aw) && opOne(in.b, in.bw) {
+			if opOne(in.A, in.AW) && opOne(in.B, in.BW) {
 				return pAnd, true
 			}
 		case IOr:
-			if opOne(in.a, in.aw) && opOne(in.b, in.bw) {
+			if opOne(in.A, in.AW) && opOne(in.B, in.BW) {
 				return pOr, true
 			}
 		case IXor, IAdd, ISub:
 			// 1-bit add/sub are addition mod 2.
-			if opOne(in.a, in.aw) && opOne(in.b, in.bw) {
+			if opOne(in.A, in.AW) && opOne(in.B, in.BW) {
 				return pXor, true
 			}
 		case IEq:
-			if opOne(in.a, in.aw) && opOne(in.b, in.bw) {
+			if opOne(in.A, in.AW) && opOne(in.B, in.BW) {
 				return pEq, true
 			}
 		case INeq:
-			if opOne(in.a, in.aw) && opOne(in.b, in.bw) {
+			if opOne(in.A, in.AW) && opOne(in.B, in.BW) {
 				return pNeq, true
 			}
 		case ILt:
-			if opOne(in.a, in.aw) && opOne(in.b, in.bw) {
+			if opOne(in.A, in.AW) && opOne(in.B, in.BW) {
 				return pLt, true
 			}
 		case ILeq:
-			if opOne(in.a, in.aw) && opOne(in.b, in.bw) {
+			if opOne(in.A, in.AW) && opOne(in.B, in.BW) {
 				return pLeq, true
 			}
 		case IGt:
-			if opOne(in.a, in.aw) && opOne(in.b, in.bw) {
+			if opOne(in.A, in.AW) && opOne(in.B, in.BW) {
 				return pGt, true
 			}
 		case IGeq:
-			if opOne(in.a, in.aw) && opOne(in.b, in.bw) {
+			if opOne(in.A, in.AW) && opOne(in.B, in.BW) {
 				return pGeq, true
 			}
 		case IMux:
-			if opOne(in.a, in.aw) && opOne(in.b, in.bw) && opOne(in.c, in.cw) {
+			if opOne(in.A, in.AW) && opOne(in.B, in.BW) && opOne(in.C, in.CW) {
 				return pMux, true
 			}
 		}
 	case kFused:
-		switch in.code {
+		switch in.Code {
 		case IFNotAnd:
-			if oneBit(in.a) && oneBit(in.b) {
+			if oneBit(in.A) && oneBit(in.B) {
 				return pNotAnd, true
 			}
 		case IFCmpMux:
-			if oneBit(in.a) && oneBit(in.b) && oneBit(in.c) && oneBit(in.mem) {
+			if oneBit(in.A) && oneBit(in.B) && oneBit(in.C) && oneBit(in.Mem) {
 				return pCmpMux, true
 			}
 		case IFAddTail, IFSubTail:
-			if oneBit(in.a) && oneBit(in.b) {
+			if oneBit(in.A) && oneBit(in.B) {
 				return pXor, true
 			}
 		}
@@ -546,16 +546,16 @@ func (pm *packMaint) classOf(m *machine, offW []int32, offU []bool,
 
 // packOperands appends the packed-operand offsets of a packable
 // instruction for its pcode (the offsets that become slot reads).
-func packOperands(in *instr, pc pcode, dst []int32) []int32 {
-	dst = append(dst, in.a)
+func packOperands(in *Instr, pc pcode, dst []int32) []int32 {
+	dst = append(dst, in.A)
 	switch pc {
 	case pCopy, pNot:
 	case pMux:
-		dst = append(dst, in.b, in.c)
+		dst = append(dst, in.B, in.C)
 	case pCmpMux:
-		dst = append(dst, in.b, in.c, in.mem)
+		dst = append(dst, in.B, in.C, in.Mem)
 	default:
-		dst = append(dst, in.b)
+		dst = append(dst, in.B)
 	}
 	return dst
 }
@@ -727,25 +727,25 @@ func buildPackPlan(m *machine, ranges [][2]int32,
 				if in.kind == kFused {
 					weight = 2
 				}
-				pin.a = pp.slotOf[in.a]
+				pin.a = pp.slotOf[in.A]
 				switch pc {
 				case pCopy, pNot:
 				case pMux:
-					pin.b = pp.slotOf[in.b]
-					pin.c = pp.slotOf[in.c]
+					pin.b = pp.slotOf[in.B]
+					pin.c = pp.slotOf[in.C]
 				case pCmpMux:
-					pin.cmp = ICode(in.p0)
-					pin.b = pp.slotOf[in.b]
-					pin.c = pp.slotOf[in.c]
-					pin.m = pp.slotOf[in.mem]
+					pin.cmp = ICode(in.P0)
+					pin.b = pp.slotOf[in.B]
+					pin.c = pp.slotOf[in.C]
+					pin.m = pp.slotOf[in.Mem]
 				default:
-					pin.b = pp.slotOf[in.b]
+					pin.b = pp.slotOf[in.B]
 				}
-				pin.dst = slotFor(in.dst)
+				pin.dst = slotFor(in.Dst)
 				pp.slotPackedDst[pin.dst] = true
-				pin.maskedDst = pm.elidedStorage[in.dst]
-				if rowReq[in.dst] {
-					pin.rowOff = in.dst
+				pin.maskedDst = pm.elidedStorage[in.Dst]
+				if rowReq[in.Dst] {
+					pin.rowOff = in.Dst
 				} else {
 					pin.rowOff = -1
 					pp.elidedRows++
@@ -764,7 +764,7 @@ func buildPackPlan(m *machine, ranges [][2]int32,
 					if e.kind == seSkipIfNonzeroF {
 						k = seSkipIfNonzero
 					}
-					pp.sched = append(pp.sched, schedEntry{kind: k, idx: in.dst})
+					pp.sched = append(pp.sched, schedEntry{kind: k, idx: in.Dst})
 					stack = append(stack, openSpan{ctl: len(pp.sched) - 1,
 						endOld: p + 1 + e.n})
 					continue

@@ -251,13 +251,13 @@ func TestSMLowerBatchStream(t *testing.T) {
 		t.Fatalf("clean packed stream rejected: %v", err)
 	}
 	for pc := range b.ops {
-		if b.ops[pc].code == opPacked {
-			b.ops[pc].x++
+		if b.ops[pc].Code == OpPacked {
+			b.ops[pc].X++
 			break
 		}
 	}
 	if err := b.verifyPacked(verify.Strict); err == nil || !strings.Contains(err.Error(), "SM-LOWER") {
-		t.Fatalf("corrupted opPacked index: strict check returned %v, want an SM-LOWER failure", err)
+		t.Fatalf("corrupted OpPacked index: strict check returned %v, want an SM-LOWER failure", err)
 	}
 }
 

@@ -339,8 +339,8 @@ func (b *BatchCCSS) RestoreLaneState(l int, st *State) error {
 	b.pokedMask |= bit
 	for i := range b.base.inputs {
 		in := &b.base.inputs[i]
-		for w := 0; w < int(in.words); w++ {
-			b.prevIn[(int(in.prevOff)+w)*L+l] = ^uint64(0)
+		for w := 0; w < int(in.Words); w++ {
+			b.prevIn[(int(in.PrevOff)+w)*L+l] = ^uint64(0)
 		}
 	}
 	return nil

@@ -4,111 +4,118 @@ import (
 	stdbits "math/bits"
 
 	"essent/internal/bits"
+	"essent/internal/netlist"
+	"essent/internal/sched"
+	"essent/internal/verify"
 )
 
 // The op stream. (sched, instrs) is the machine IR: what the passes
-// rewrite, the verifiers read and export.go hands the code generator. No
-// engine interprets it. Each executes a lowering of the schedule it runs
+// rewrite and the verifiers read. No engine interprets it. Each executes
+// a lowering of the schedule it runs
 // — one dense array of fixed-size ops with the instruction kind folded
 // into the opcode, operands resolved to table offsets, skips carrying
 // absolute targets. The scalar engines execute theirs through the one
 // loop and one switch in run (full-cycle the whole stream, CCSS one
 // partition's span, event-driven one op per event); the batch engine
 // lowers the pack overlay's schedule and the vec engine each class
-// program, and both execute through the lane walker (exec_lanes.go).
+// program, and both execute through the lane walker (exec_lanes.go). The
+// code generator prints the scalar stream (Program, internal/codegen),
+// which is why the stream's types are exported.
 
-// opcode is a stream op's dispatch code.
-type opcode uint8
+// Opcode is a stream op's dispatch code.
+type Opcode uint8
 
 const (
-	// Narrow unsigned instructions, in ICode order: opcode(c) for every
+	// Narrow unsigned instructions, in ICode order: Opcode(c) for every
 	// c up to ITail.
-	opCopy opcode = iota
-	opMux
-	opMemRead
-	opAdd
-	opSub
-	opMul
-	opDiv
-	opRem
-	opLt
-	opLeq
-	opGt
-	opGeq
-	opEq
-	opNeq
-	opShl
-	opShr
-	opDshl
-	opDshr
-	opNeg
-	opNot
-	opAnd
-	opOr
-	opXor
-	opAndr
-	opOrr
-	opXorr
-	opCat
-	opBits
-	opHead
-	opTail
+	OpCopy Opcode = iota
+	OpMux
+	OpMemRead
+	OpAdd
+	OpSub
+	OpMul
+	OpDiv
+	OpRem
+	OpLt
+	OpLeq
+	OpGt
+	OpGeq
+	OpEq
+	OpNeq
+	OpShl
+	OpShr
+	OpDshl
+	OpDshr
+	OpNeg
+	OpNot
+	OpAnd
+	OpOr
+	OpXor
+	OpAndr
+	OpOrr
+	OpXorr
+	OpCat
+	OpBits
+	OpHead
+	OpTail
 	// Fused superinstructions (two original operations each). IFCmpMux
 	// splits by its comparison: a, b are compared, c is the true way and x
 	// the false way.
-	opFEqMux
-	opFNeqMux
-	opFLtMux
-	opFLeqMux
-	opFGtMux
-	opFGeqMux
-	opFNotAnd
-	opFAddTail
-	opFSubTail
+	OpFEqMux
+	OpFNeqMux
+	OpFLtMux
+	OpFLeqMux
+	OpFGtMux
+	OpFGeqMux
+	OpFNotAnd
+	OpFAddTail
+	OpFSubTail
 	// Skips: a is the guard word, x the absolute target, mask the op
 	// weight of the span jumped over. A fused skip of the IR
 	// (seSkipIf*F) lowers to its instruction followed by one of these
 	// on the instruction's destination.
-	opSkipZ
-	opSkipNZ
+	OpSkipZ
+	OpSkipNZ
 	// Escapes to the general kernels: x is the instruction index (signed,
 	// wide; dst still names the first word written) or the sink index.
-	opSigned
-	opWide
-	opDisplay
-	opCheck
-	opMemWrite
-	// opPacked is the batch engine's escape to one packed bit-parallel
+	OpSigned
+	OpWide
+	OpDisplay
+	OpCheck
+	OpMemWrite
+	// OpPacked is the batch engine's escape to one packed bit-parallel
 	// step (pack.go): x is the pinstr index, mask its op weight.
-	opPacked
+	OpPacked
+	// NumOpcodes bounds the enumeration: every Opcode is below it.
+	NumOpcodes
 )
 
-// Operand fields of an sop that hold table offsets (opcode.reads).
+// Operand fields of an Op that hold table offsets (Opcode.Reads).
 const (
-	rdA uint8 = 1 << iota
-	rdB
-	rdC
-	rdX
+	RdA uint8 = 1 << iota
+	RdB
+	RdC
+	RdX
 )
 
-// reads reports which of an op's a/b/c/x fields are table offsets it
+// Reads reports which of an op's A/B/C/X fields are table offsets it
 // reads: the one statement of that fact, shared by the lowering, the vec
 // engine's slot rewrite and SM-LOWER. The kernels agree with it by
 // construction — a field outside the set is lowered as zero. Escapes read
 // through the instruction or sink x names, not through the op.
-func (c opcode) reads() uint8 {
+func (c Opcode) Reads() uint8 {
 	switch c {
-	case opCopy, opMemRead, opShl, opShr, opNeg, opNot, opAndr, opOrr, opXorr,
-		opBits, opHead, opTail, opSkipZ, opSkipNZ:
-		return rdA
-	case opMux:
-		return rdA | rdB | rdC
-	case opFEqMux, opFNeqMux, opFLtMux, opFLeqMux, opFGtMux, opFGeqMux:
-		return rdA | rdB | rdC | rdX
-	case opSigned, opWide, opDisplay, opCheck, opMemWrite, opPacked:
+	case OpCopy, OpMemRead, OpShl, OpShr, OpNeg, OpNot, OpAndr, OpOrr, OpXorr,
+		OpBits, OpHead, OpTail, OpSkipZ, OpSkipNZ:
+		return RdA
+	case OpMux:
+		return RdA | RdB | RdC
+	case OpFEqMux, OpFNeqMux, OpFLtMux, OpFLeqMux, OpFGtMux, OpFGeqMux:
+		return RdA | RdB | RdC | RdX
+	case OpSigned, OpWide, OpDisplay, OpCheck, OpMemWrite, OpPacked:
 		return 0
 	}
-	return rdA | rdB
+	return RdA | RdB
 }
 
 // dstField indexes dst in what offsets returns.
@@ -118,10 +125,10 @@ const dstField = 4
 // where reads names them, then dst (at dstField) when the op stores
 // through it — and nil for the others. Writing through a pointer rewrites
 // the op: that is how a vec class program moves from offsets to slots.
-func (op *sop) offsets() [5]*int32 {
-	fields := [5]*int32{&op.a, &op.b, &op.c, &op.x, &op.dst}
-	rd := op.code.reads()
-	if c := op.code; c < opSkipZ || c == opSigned || c == opWide {
+func (op *Op) offsets() [5]*int32 {
+	fields := [5]*int32{&op.A, &op.B, &op.C, &op.X, &op.Dst}
+	rd := op.Code.Reads()
+	if c := op.Code; c < OpSkipZ || c == OpSigned || c == OpWide {
 		rd |= 1 << dstField
 	}
 	for k := range fields {
@@ -132,45 +139,45 @@ func (op *sop) offsets() [5]*int32 {
 	return fields
 }
 
-// sop is one stream op, 32 bytes. Which operand fields an opcode reads is
-// fixed by the opcode; the rest are zero. sh is the static shift amount
+// Op is one stream op, 32 bytes. Which operand fields an opcode reads is
+// fixed by the opcode; the rest are zero. Sh is the static shift amount
 // (IShl/IShr p0, IBits p1, ICat bw, IHead aw-p0), capped at 64 where
-// every unsigned shift already yields zero; mask is the result mask
+// every unsigned shift already yields zero; Mask is the result mask
 // (IAndr: the all-ones value compared against).
-type sop struct {
-	code       opcode
-	sh         uint8
-	dst        int32
-	a, b, c, x int32
-	mask       uint64
+type Op struct {
+	Code       Opcode
+	Sh         uint8
+	Dst        int32
+	A, B, C, X int32
+	Mask       uint64
 }
 
-// opSpan is one schedule group's range of the stream. weight is what the
+// Span is one schedule group's range of the stream. Weight is what the
 // range adds to OpsEvaluated when no skip in it is taken; run reports the
 // weight it jumped over, so the counter is settled once per span, not
 // once per op.
-type opSpan struct {
-	pc, end int32
-	weight  uint32
+type Span struct {
+	PC, End int32
+	Weight  uint32
 }
 
-// fcmpOp maps IFCmpMux's comparison (instr.p0) to its stream opcode.
-var fcmpOp = [...]opcode{
-	IEq: opFEqMux, INeq: opFNeqMux, ILt: opFLtMux,
-	ILeq: opFLeqMux, IGt: opFGtMux, IGeq: opFGeqMux,
+// fcmpOp maps IFCmpMux's comparison (Instr.P0) to its stream opcode.
+var fcmpOp = [...]Opcode{
+	IEq: OpFEqMux, INeq: OpFNeqMux, ILt: OpFLtMux,
+	ILeq: OpFLeqMux, IGt: OpFGtMux, IGeq: OpFGeqMux,
 }
 
-// weight is an op's contribution to OpsEvaluated: one per instruction,
+// Weight is an op's contribution to OpsEvaluated: one per instruction,
 // two per superinstruction, what the pack pass recorded for a packed
 // step, none for control and sinks.
-func (op *sop) weight() uint32 {
-	switch c := op.code; {
-	case c <= opTail, c == opSigned, c == opWide:
+func (op *Op) Weight() uint32 {
+	switch c := op.Code; {
+	case c <= OpTail, c == OpSigned, c == OpWide:
 		return 1
-	case c <= opFSubTail:
+	case c <= OpFSubTail:
 		return 2
-	case c == opPacked:
-		return uint32(op.mask)
+	case c == OpPacked:
+		return uint32(op.Mask)
 	}
 	return 0
 }
@@ -178,47 +185,47 @@ func (op *sop) weight() uint32 {
 func shiftOf(n int32) uint8 { return uint8(min(max(n, 0), 64)) }
 
 // lowerInstr renders instruction idx as a stream op.
-func lowerInstr(in *instr, idx int32) sop {
+func lowerInstr(in *Instr, idx int32) Op {
 	switch in.kind {
 	case kSigned:
-		return sop{code: opSigned, dst: in.dst, x: idx}
+		return Op{Code: OpSigned, Dst: in.Dst, X: idx}
 	case kWide:
-		return sop{code: opWide, dst: in.dst, x: idx}
+		return Op{Code: OpWide, Dst: in.Dst, X: idx}
 	}
-	op := sop{code: opcode(in.code), dst: in.dst, mask: in.dmask}
-	switch in.code {
+	op := Op{Code: Opcode(in.Code), Dst: in.Dst, Mask: in.dmask}
+	switch in.Code {
 	case IMemRead:
-		op.x = in.mem
+		op.X = in.Mem
 	case IShl, IShr:
-		op.sh = shiftOf(in.p0)
+		op.Sh = shiftOf(in.P0)
 	case IBits:
-		op.sh = shiftOf(in.p1)
+		op.Sh = shiftOf(in.P1)
 	case ICat:
-		op.sh = shiftOf(in.bw)
+		op.Sh = shiftOf(in.BW)
 	case IHead:
-		op.sh = shiftOf(in.aw - in.p0)
+		op.Sh = shiftOf(in.AW - in.P0)
 	case IAndr:
-		op.mask = bits.Mask64(^uint64(0), int(in.aw))
+		op.Mask = bits.Mask64(^uint64(0), int(in.AW))
 	case IFCmpMux:
-		op.code, op.x = fcmpOp[ICode(in.p0)], in.mem
+		op.Code, op.X = fcmpOp[ICode(in.P0)], in.Mem
 	case IFNotAnd:
-		op.code = opFNotAnd
+		op.Code = OpFNotAnd
 	case IFAddTail:
-		op.code = opFAddTail
+		op.Code = OpFAddTail
 	case IFSubTail:
-		op.code = opFSubTail
+		op.Code = OpFSubTail
 	}
 	// Only the fields the opcode reads carry over: the instruction's other
 	// operand fields hold -1 or, after fusion, stale offsets.
-	rd := op.code.reads()
-	if rd&rdA != 0 {
-		op.a = in.a
+	rd := op.Code.Reads()
+	if rd&RdA != 0 {
+		op.A = in.A
 	}
-	if rd&rdB != 0 {
-		op.b = in.b
+	if rd&RdB != 0 {
+		op.B = in.B
 	}
-	if rd&rdC != 0 {
-		op.c = in.c
+	if rd&RdC != 0 {
+		op.C = in.C
 	}
 	return op
 }
@@ -228,7 +235,7 @@ func lowerInstr(in *instr, idx int32) sop {
 // schedule is one group). Every engine calls it on the schedule it
 // executes. Skip counts are relative, so a sub-slice of a schedule lowers
 // on its own, with targets counted from its start.
-func lower(sched []schedEntry, instrs []instr, ranges [][2]int32) ([]sop, []opSpan) {
+func lower(sched []schedEntry, instrs []Instr, ranges [][2]int32) ([]Op, []Span) {
 	if ranges == nil {
 		ranges = [][2]int32{{0, int32(len(sched))}}
 	}
@@ -241,7 +248,7 @@ func lower(sched []schedEntry, instrs []instr, ranges [][2]int32) ([]sop, []opSp
 			n++
 		}
 	}
-	ops := make([]sop, 0, n)
+	ops := make([]Op, 0, n)
 	for i := range sched {
 		pcOf[i] = int32(len(ops))
 		e := &sched[i]
@@ -249,23 +256,23 @@ func lower(sched []schedEntry, instrs []instr, ranges [][2]int32) ([]sop, []opSp
 		case seInstr:
 			ops = append(ops, lowerInstr(&instrs[e.idx], e.idx))
 		case seSkipIfZero:
-			ops = append(ops, sop{code: opSkipZ, a: e.idx})
+			ops = append(ops, Op{Code: OpSkipZ, A: e.idx})
 		case seSkipIfNonzero:
-			ops = append(ops, sop{code: opSkipNZ, a: e.idx})
+			ops = append(ops, Op{Code: OpSkipNZ, A: e.idx})
 		case seSkipIfZeroF:
 			in := &instrs[e.idx]
-			ops = append(ops, lowerInstr(in, e.idx), sop{code: opSkipZ, a: in.dst})
+			ops = append(ops, lowerInstr(in, e.idx), Op{Code: OpSkipZ, A: in.Dst})
 		case seSkipIfNonzeroF:
 			in := &instrs[e.idx]
-			ops = append(ops, lowerInstr(in, e.idx), sop{code: opSkipNZ, a: in.dst})
+			ops = append(ops, lowerInstr(in, e.idx), Op{Code: OpSkipNZ, A: in.Dst})
 		case seDisplay:
-			ops = append(ops, sop{code: opDisplay, x: e.idx})
+			ops = append(ops, Op{Code: OpDisplay, X: e.idx})
 		case seCheck:
-			ops = append(ops, sop{code: opCheck, x: e.idx})
+			ops = append(ops, Op{Code: OpCheck, X: e.idx})
 		case seMemWrite:
-			ops = append(ops, sop{code: opMemWrite, x: e.idx})
+			ops = append(ops, Op{Code: OpMemWrite, X: e.idx})
 		case sePacked:
-			ops = append(ops, sop{code: opPacked, x: e.idx, mask: uint64(e.n)})
+			ops = append(ops, Op{Code: OpPacked, X: e.idx, Mask: uint64(e.n)})
 		default:
 			panic("sim: schedule entry kind with no lowering")
 		}
@@ -276,26 +283,39 @@ func lower(sched []schedEntry, instrs []instr, ranges [][2]int32) ([]sop, []opSp
 	// jumps over come from its schedule entry's span.
 	wsum := make([]uint32, len(ops)+1)
 	for k := range ops {
-		wsum[k+1] = wsum[k] + ops[k].weight()
+		wsum[k+1] = wsum[k] + ops[k].Weight()
 	}
 	for i := range sched {
 		if e := &sched[i]; e.kind >= seSkipIfZero && e.kind <= seSkipIfNonzeroF {
 			skip := &ops[pcOf[i+1]-1]
-			skip.x = pcOf[int32(i)+1+e.n]
-			skip.mask = uint64(wsum[skip.x] - wsum[pcOf[i+1]])
+			skip.X = pcOf[int32(i)+1+e.n]
+			skip.Mask = uint64(wsum[skip.X] - wsum[pcOf[i+1]])
 		}
 	}
-	spans := make([]opSpan, len(ranges))
+	spans := make([]Span, len(ranges))
 	for gi, r := range ranges {
 		pc, end := pcOf[r[0]], pcOf[r[1]]
-		spans[gi] = opSpan{pc: pc, end: end, weight: wsum[end] - wsum[pc]}
+		spans[gi] = Span{PC: pc, End: end, Weight: wsum[end] - wsum[pc]}
 	}
 	return ops, spans
 }
 
+// lowerVerified lowers m's schedule into the stream m executes and, unless
+// vmode is Off, runs the machine verifier over the IR and its lowering:
+// the last step of every scalar build, so nothing is run — or printed
+// (Lower) — that verifyMachine rejects.
+func (m *machine) lowerVerified(ranges [][2]int32, plan *sched.CCSSPlan,
+	keepLive []netlist.SignalID, vmode verify.Mode) error {
+	m.ops, m.spans = lower(m.sched, m.instrs, ranges)
+	if vmode == verify.Off {
+		return nil
+	}
+	return verify.Enforce(vmode, verifyMachine(m, ranges, plan, keepLive), nil)
+}
+
 // evalSpan executes one schedule group and settles its op count.
-func (m *machine) evalSpan(sp opSpan) {
-	m.stats.OpsEvaluated += uint64(sp.weight) - m.run(sp.pc, sp.end)
+func (m *machine) evalSpan(sp Span) {
+	m.stats.OpsEvaluated += uint64(sp.Weight) - m.run(sp.PC, sp.End)
 }
 
 // run executes stream ops [pc, end) and returns the op weight of the
@@ -307,121 +327,121 @@ func (m *machine) run(pc, end int32) (skipped uint64) {
 	for pc < end {
 		op := &ops[pc]
 		pc++
-		switch op.code {
-		case opCopy, opTail:
-			t[op.dst] = t[op.a] & op.mask
-		case opMux:
-			src := op.c
-			if t[op.a] != 0 {
-				src = op.b
+		switch op.Code {
+		case OpCopy, OpTail:
+			t[op.Dst] = t[op.A] & op.Mask
+		case OpMux:
+			src := op.C
+			if t[op.A] != 0 {
+				src = op.B
 			}
-			t[op.dst] = t[src] & op.mask
-		case opMemRead:
-			ms := &m.mems[op.x]
-			if addr := t[op.a]; addr < uint64(ms.depth) {
-				t[op.dst] = ms.words[int32(addr)*ms.nw]
+			t[op.Dst] = t[src] & op.Mask
+		case OpMemRead:
+			ms := &m.mems[op.X]
+			if addr := t[op.A]; addr < uint64(ms.depth) {
+				t[op.Dst] = ms.words[int32(addr)*ms.nw]
 			} else {
-				t[op.dst] = 0
+				t[op.Dst] = 0
 			}
-		case opAdd, opFAddTail:
-			t[op.dst] = (t[op.a] + t[op.b]) & op.mask
-		case opSub, opFSubTail:
-			t[op.dst] = (t[op.a] - t[op.b]) & op.mask
-		case opMul:
-			t[op.dst] = (t[op.a] * t[op.b]) & op.mask
-		case opDiv:
-			if b := t[op.b]; b == 0 {
-				t[op.dst] = 0
+		case OpAdd, OpFAddTail:
+			t[op.Dst] = (t[op.A] + t[op.B]) & op.Mask
+		case OpSub, OpFSubTail:
+			t[op.Dst] = (t[op.A] - t[op.B]) & op.Mask
+		case OpMul:
+			t[op.Dst] = (t[op.A] * t[op.B]) & op.Mask
+		case OpDiv:
+			if b := t[op.B]; b == 0 {
+				t[op.Dst] = 0
 			} else {
-				t[op.dst] = (t[op.a] / b) & op.mask
+				t[op.Dst] = (t[op.A] / b) & op.Mask
 			}
-		case opRem:
-			if b := t[op.b]; b == 0 {
-				t[op.dst] = t[op.a] & op.mask
+		case OpRem:
+			if b := t[op.B]; b == 0 {
+				t[op.Dst] = t[op.A] & op.Mask
 			} else {
-				t[op.dst] = (t[op.a] % b) & op.mask
+				t[op.Dst] = (t[op.A] % b) & op.Mask
 			}
-		case opLt:
-			t[op.dst] = b2u(t[op.a] < t[op.b])
-		case opLeq:
-			t[op.dst] = b2u(t[op.a] <= t[op.b])
-		case opGt:
-			t[op.dst] = b2u(t[op.a] > t[op.b])
-		case opGeq:
-			t[op.dst] = b2u(t[op.a] >= t[op.b])
-		case opEq:
-			t[op.dst] = b2u(t[op.a] == t[op.b])
-		case opNeq:
-			t[op.dst] = b2u(t[op.a] != t[op.b])
-		case opShl:
-			t[op.dst] = (t[op.a] << op.sh) & op.mask
-		case opShr, opBits, opHead:
-			t[op.dst] = (t[op.a] >> op.sh) & op.mask
-		case opDshl:
-			t[op.dst] = (t[op.a] << t[op.b]) & op.mask
-		case opDshr:
-			t[op.dst] = (t[op.a] >> t[op.b]) & op.mask
-		case opNeg:
-			t[op.dst] = (-t[op.a]) & op.mask
-		case opNot:
-			t[op.dst] = (^t[op.a]) & op.mask
-		case opAnd:
-			t[op.dst] = t[op.a] & t[op.b] & op.mask
-		case opOr:
-			t[op.dst] = (t[op.a] | t[op.b]) & op.mask
-		case opXor:
-			t[op.dst] = (t[op.a] ^ t[op.b]) & op.mask
-		case opAndr:
-			t[op.dst] = b2u(t[op.a] == op.mask)
-		case opOrr:
-			t[op.dst] = b2u(t[op.a] != 0)
-		case opXorr:
-			t[op.dst] = uint64(stdbits.OnesCount64(t[op.a])) & 1
-		case opCat:
-			t[op.dst] = (t[op.a]<<op.sh | t[op.b]) & op.mask
-		case opFEqMux:
-			t[op.dst] = t[way(t[op.a] == t[op.b], op)] & op.mask
-		case opFNeqMux:
-			t[op.dst] = t[way(t[op.a] != t[op.b], op)] & op.mask
-		case opFLtMux:
-			t[op.dst] = t[way(t[op.a] < t[op.b], op)] & op.mask
-		case opFLeqMux:
-			t[op.dst] = t[way(t[op.a] <= t[op.b], op)] & op.mask
-		case opFGtMux:
-			t[op.dst] = t[way(t[op.a] > t[op.b], op)] & op.mask
-		case opFGeqMux:
-			t[op.dst] = t[way(t[op.a] >= t[op.b], op)] & op.mask
-		case opFNotAnd:
-			t[op.dst] = ^t[op.a] & t[op.b] & op.mask
-		case opSkipZ:
-			if t[op.a] == 0 {
-				pc = op.x
-				skipped += op.mask
+		case OpLt:
+			t[op.Dst] = b2u(t[op.A] < t[op.B])
+		case OpLeq:
+			t[op.Dst] = b2u(t[op.A] <= t[op.B])
+		case OpGt:
+			t[op.Dst] = b2u(t[op.A] > t[op.B])
+		case OpGeq:
+			t[op.Dst] = b2u(t[op.A] >= t[op.B])
+		case OpEq:
+			t[op.Dst] = b2u(t[op.A] == t[op.B])
+		case OpNeq:
+			t[op.Dst] = b2u(t[op.A] != t[op.B])
+		case OpShl:
+			t[op.Dst] = (t[op.A] << op.Sh) & op.Mask
+		case OpShr, OpBits, OpHead:
+			t[op.Dst] = (t[op.A] >> op.Sh) & op.Mask
+		case OpDshl:
+			t[op.Dst] = (t[op.A] << t[op.B]) & op.Mask
+		case OpDshr:
+			t[op.Dst] = (t[op.A] >> t[op.B]) & op.Mask
+		case OpNeg:
+			t[op.Dst] = (-t[op.A]) & op.Mask
+		case OpNot:
+			t[op.Dst] = (^t[op.A]) & op.Mask
+		case OpAnd:
+			t[op.Dst] = t[op.A] & t[op.B] & op.Mask
+		case OpOr:
+			t[op.Dst] = (t[op.A] | t[op.B]) & op.Mask
+		case OpXor:
+			t[op.Dst] = (t[op.A] ^ t[op.B]) & op.Mask
+		case OpAndr:
+			t[op.Dst] = b2u(t[op.A] == op.Mask)
+		case OpOrr:
+			t[op.Dst] = b2u(t[op.A] != 0)
+		case OpXorr:
+			t[op.Dst] = uint64(stdbits.OnesCount64(t[op.A])) & 1
+		case OpCat:
+			t[op.Dst] = (t[op.A]<<op.Sh | t[op.B]) & op.Mask
+		case OpFEqMux:
+			t[op.Dst] = t[way(t[op.A] == t[op.B], op)] & op.Mask
+		case OpFNeqMux:
+			t[op.Dst] = t[way(t[op.A] != t[op.B], op)] & op.Mask
+		case OpFLtMux:
+			t[op.Dst] = t[way(t[op.A] < t[op.B], op)] & op.Mask
+		case OpFLeqMux:
+			t[op.Dst] = t[way(t[op.A] <= t[op.B], op)] & op.Mask
+		case OpFGtMux:
+			t[op.Dst] = t[way(t[op.A] > t[op.B], op)] & op.Mask
+		case OpFGeqMux:
+			t[op.Dst] = t[way(t[op.A] >= t[op.B], op)] & op.Mask
+		case OpFNotAnd:
+			t[op.Dst] = ^t[op.A] & t[op.B] & op.Mask
+		case OpSkipZ:
+			if t[op.A] == 0 {
+				pc = op.X
+				skipped += op.Mask
 			}
-		case opSkipNZ:
-			if t[op.a] != 0 {
-				pc = op.x
-				skipped += op.mask
+		case OpSkipNZ:
+			if t[op.A] != 0 {
+				pc = op.X
+				skipped += op.Mask
 			}
-		case opSigned:
-			m.execSigned(&m.instrs[op.x])
-		case opWide:
-			m.execWide(&m.instrs[op.x])
-		case opDisplay:
-			m.runDisplay(op.x)
-		case opCheck:
-			m.runCheck(op.x)
-		case opMemWrite:
-			m.captureMemWrite(op.x)
+		case OpSigned:
+			m.execSigned(&m.instrs[op.X])
+		case OpWide:
+			m.execWide(&m.instrs[op.X])
+		case OpDisplay:
+			m.runDisplay(op.X)
+		case OpCheck:
+			m.runCheck(op.X)
+		case OpMemWrite:
+			m.captureMemWrite(op.X)
 		}
 	}
 	return skipped
 }
 
 // way picks a fused compare-mux's source offset.
-func way(sel bool, op *sop) int32 {
+func way(sel bool, op *Op) int32 {
 	if sel {
-		return op.c
+		return op.C
 	}
-	return op.x
+	return op.X
 }

@@ -34,26 +34,26 @@ const (
 // narrowShapes returns the instruction shapes of one opcode at operand
 // width w: FIRRTL's result widths where they fit a word, and shift
 // amounts below, at and past the operand width and past 64.
-func narrowShapes(code ICode, w int32) []instr {
-	in := instr{code: code, a: slotA, b: -1, c: -1, dst: slotDst, aw: w, dw: w}
-	two := func(dw int32) []instr {
-		in.b, in.bw, in.dw = slotB, w, dw
-		return []instr{in}
+func narrowShapes(code ICode, w int32) []Instr {
+	in := Instr{Code: code, A: slotA, B: -1, C: -1, Dst: slotDst, AW: w, DW: w}
+	two := func(dw int32) []Instr {
+		in.B, in.BW, in.DW = slotB, w, dw
+		return []Instr{in}
 	}
-	var out []instr
+	var out []Instr
 	switch code {
 	case ICopy, INot, IOrr, IAndr, IXorr:
 		if code == IOrr || code == IAndr || code == IXorr {
-			in.dw = 1
+			in.DW = 1
 		}
-		return []instr{in}
+		return []Instr{in}
 	case INeg:
-		in.dw = w + 1
-		return []instr{in}
+		in.DW = w + 1
+		return []Instr{in}
 	case IMux:
-		in.aw = 1
-		in.b, in.bw, in.c, in.cw = slotB, w, slotC, w
-		return []instr{in}
+		in.AW = 1
+		in.B, in.BW, in.C, in.CW = slotB, w, slotC, w
+		return []Instr{in}
 	case IAdd, ISub:
 		return two(w + 1)
 	case IMul:
@@ -64,42 +64,42 @@ func narrowShapes(code ICode, w int32) []instr {
 		return two(1)
 	case IShl:
 		for _, k := range []int32{0, 1, 64 - w} {
-			in.p0, in.dw = k, w+k
+			in.P0, in.DW = k, w+k
 			out = append(out, in)
 		}
 	case IShr:
 		for _, k := range []int32{0, 1, w - 1, w, w + 5, 64, 70, 300} {
-			in.p0, in.dw = k, max(w-k, 1)
+			in.P0, in.DW = k, max(w-k, 1)
 			out = append(out, in)
 		}
 	case IDshl, IDshr:
 		for _, bw := range []int32{1, 3, 7, 20} {
-			in.b, in.bw, in.dw = slotB, bw, w
+			in.B, in.BW, in.DW = slotB, bw, w
 			if code == IDshl {
-				in.dw = 64
+				in.DW = 64
 			}
 			out = append(out, in)
 		}
 	case ICat:
 		for _, bw := range []int32{1, 64 - w} {
 			if bw > 0 {
-				in.b, in.bw, in.dw = slotB, bw, w+bw
+				in.B, in.BW, in.DW = slotB, bw, w+bw
 				out = append(out, in)
 			}
 		}
 	case IBits:
 		for _, hl := range [][2]int32{{w - 1, 0}, {w - 1, w - 1}, {0, 0}, {w - 1, w / 2}} {
-			in.p0, in.p1, in.dw = hl[0], hl[1], hl[0]-hl[1]+1
+			in.P0, in.P1, in.DW = hl[0], hl[1], hl[0]-hl[1]+1
 			out = append(out, in)
 		}
 	case IHead:
 		for _, n := range []int32{1, w/2 + 1, w} {
-			in.p0, in.dw = n, n
+			in.P0, in.DW = n, n
 			out = append(out, in)
 		}
 	case ITail:
 		for _, n := range []int32{0, w / 2, w - 1} {
-			in.p0, in.dw = n, w-n
+			in.P0, in.DW = n, w-n
 			out = append(out, in)
 		}
 	}
@@ -108,14 +108,14 @@ func narrowShapes(code ICode, w int32) []instr {
 
 // operandSets enumerates corner values for the operands an instruction
 // reads, each masked to its operand's width.
-func operandSets(in *instr) [][3]uint64 {
-	as := corners(in.aw)
+func operandSets(in *Instr) [][3]uint64 {
+	as := corners(in.AW)
 	bs, cs := []uint64{0}, []uint64{0}
-	if in.b >= 0 {
-		bs = corners(in.bw)
+	if in.B >= 0 {
+		bs = corners(in.BW)
 	}
-	if in.c >= 0 {
-		cs = corners(in.cw)
+	if in.C >= 0 {
+		cs = corners(in.CW)
 	}
 	var out [][3]uint64
 	for _, a := range as {
@@ -133,10 +133,10 @@ func operandSets(in *instr) [][3]uint64 {
 // dense kernel), a one-lane mask and an alternating mask (the sparse
 // kernel): every active lane must read what run computes on that lane's
 // operands, every inactive lane must keep its destination.
-func checkRowKernels(t *testing.T, name string, op sop, sets [][3]uint64) {
+func checkRowKernels(t *testing.T, name string, op Op, sets [][3]uint64) {
 	t.Helper()
 	const L = 4
-	scalar := &machine{t: make([]uint64, nSlots), ops: []sop{op}}
+	scalar := &machine{t: make([]uint64, nSlots), ops: []Op{op}}
 	tab := make([]uint64, nSlots*L)
 	var lw laneWalker
 	for _, mask := range []simrt.LaneMask{0b1111, 0b0100, 0b0101} {
@@ -176,8 +176,8 @@ func TestStreamOpMatchesGeneralPath(t *testing.T) {
 				if in.kind != kNarrow {
 					continue // the result no longer fits a word
 				}
-				m := &machine{t: make([]uint64, nSlots), instrs: []instr{in}}
-				m.ops = []sop{lowerInstr(&in, 0)}
+				m := &machine{t: make([]uint64, nSlots), instrs: []Instr{in}}
+				m.ops = []Op{lowerInstr(&in, 0)}
 				checkRowKernels(t, fmt.Sprintf("code %d w=%d %+v", code, w, in), m.ops[0], operandSets(&in))
 				for _, v := range operandSets(&in) {
 					m.t[slotA], m.t[slotB], m.t[slotC] = v[0], v[1], v[2]
@@ -198,25 +198,25 @@ func TestStreamOpMatchesGeneralPath(t *testing.T) {
 
 // fusedPairs returns the producer→consumer pairs the fusion pass merges,
 // at operand width w. The consumer reads the producer through slotTmp.
-func fusedPairs(w int32) [][2]instr {
-	var out [][2]instr
+func fusedPairs(w int32) [][2]Instr {
+	var out [][2]Instr
 	for _, cmp := range []ICode{IEq, INeq, ILt, ILeq, IGt, IGeq} {
-		out = append(out, [2]instr{
-			{code: cmp, a: slotA, aw: w, b: slotB, bw: w, c: -1, dst: slotTmp, dw: 1},
-			{code: IMux, a: slotTmp, aw: 1, b: slotC, bw: w, c: slotA, cw: w, dst: slotDst, dw: w},
+		out = append(out, [2]Instr{
+			{Code: cmp, A: slotA, AW: w, B: slotB, BW: w, C: -1, Dst: slotTmp, DW: 1},
+			{Code: IMux, A: slotTmp, AW: 1, B: slotC, BW: w, C: slotA, CW: w, Dst: slotDst, DW: w},
 		})
 	}
-	out = append(out, [2]instr{
-		{code: INot, a: slotA, aw: w, b: -1, c: -1, dst: slotTmp, dw: w},
-		{code: IAnd, a: slotTmp, aw: w, b: slotB, bw: w, c: -1, dst: slotDst, dw: w},
-	}, [2]instr{
-		{code: INot, a: slotA, aw: w, b: -1, c: -1, dst: slotTmp, dw: w},
-		{code: IAnd, a: slotB, aw: w, b: slotTmp, bw: w, c: -1, dst: slotDst, dw: w},
+	out = append(out, [2]Instr{
+		{Code: INot, A: slotA, AW: w, B: -1, C: -1, Dst: slotTmp, DW: w},
+		{Code: IAnd, A: slotTmp, AW: w, B: slotB, BW: w, C: -1, Dst: slotDst, DW: w},
+	}, [2]Instr{
+		{Code: INot, A: slotA, AW: w, B: -1, C: -1, Dst: slotTmp, DW: w},
+		{Code: IAnd, A: slotB, AW: w, B: slotTmp, BW: w, C: -1, Dst: slotDst, DW: w},
 	})
 	for _, code := range []ICode{IAdd, ISub} {
-		out = append(out, [2]instr{
-			{code: code, a: slotA, aw: w, b: slotB, bw: w, c: -1, dst: slotTmp, dw: w + 1},
-			{code: ITail, a: slotTmp, aw: w + 1, b: -1, c: -1, dst: slotDst, dw: w, p0: 1},
+		out = append(out, [2]Instr{
+			{Code: code, A: slotA, AW: w, B: slotB, BW: w, C: -1, Dst: slotTmp, DW: w + 1},
+			{Code: ITail, A: slotTmp, AW: w + 1, B: -1, C: -1, Dst: slotDst, DW: w, P0: 1},
 		})
 	}
 	return out
@@ -230,21 +230,21 @@ func TestStreamFusedMatchesUnfusedPair(t *testing.T) {
 			if pair[0].kind != kNarrow || pair[1].kind != kNarrow {
 				continue // a 65-bit sum is wide and never fuses
 			}
-			name := fmt.Sprintf("%d→%d w=%d", pair[0].code, pair[1].code, w)
+			name := fmt.Sprintf("%d→%d w=%d", pair[0].Code, pair[1].Code, w)
 			// The real pass does the rewrite; the unfused twin keeps the pair.
 			entries := []schedEntry{{kind: seInstr, idx: 0}, {kind: seInstr, idx: 1}}
 			fused := &machine{d: &netlist.Design{}, t: make([]uint64, nSlots),
-				instrs: []instr{pair[0], pair[1]}, sched: entries}
+				instrs: []Instr{pair[0], pair[1]}, sched: entries}
 			ranges := fused.fuseSchedule(nil, [][2]int32{{0, 2}})
 			if fused.fusedPairs != 1 || len(fused.sched) != 1 {
 				t.Fatalf("%s: the pass did not fuse the pair", name)
 			}
 			fused.ops, fused.spans = lower(fused.sched, fused.instrs, ranges)
-			if sp := fused.spans[0]; sp.end-sp.pc != 1 || sp.weight != 2 {
+			if sp := fused.spans[0]; sp.End-sp.PC != 1 || sp.Weight != 2 {
 				t.Fatalf("%s: fused span %+v, want one op of weight 2", name, sp)
 			}
 			plain := &machine{t: make([]uint64, nSlots)}
-			sets := operandSets(&instr{aw: w, b: slotB, bw: w, c: slotC, cw: w})
+			sets := operandSets(&Instr{AW: w, B: slotB, BW: w, C: slotC, CW: w})
 			checkRowKernels(t, name, fused.ops[0], sets)
 			for _, v := range sets {
 				for _, m := range []*machine{fused, plain} {

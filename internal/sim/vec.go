@@ -81,9 +81,9 @@ type vecGroup struct {
 	lanes   int
 
 	// ops is the class program: the lowering of the leader's schedule
-	// range with every table offset (dst and the fields opcode.reads
+	// range with every table offset (dst and the fields Opcode.Reads
 	// names) rewritten to a slot index; weight is its static op weight.
-	ops    []sop
+	ops    []Op
 	weight uint32
 	nslots int
 
@@ -186,7 +186,7 @@ func (v *VecCCSS) vecEligible(p int) bool {
 		switch e.kind {
 		case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
 			in := &m.instrs[e.idx]
-			if in.code == IMemRead {
+			if in.Code == IMemRead {
 				return false
 			}
 			if in.kind != kNarrow && in.kind != kFused {
@@ -199,12 +199,12 @@ func (v *VecCCSS) vecEligible(p int) bool {
 			return false
 		}
 	}
-	for _, o := range v.parts.outputs(int32(p)) {
-		if o.words != 1 {
+	for _, o := range v.parts.Outputs(int32(p)) {
+		if o.Words != 1 {
 			return false
 		}
 	}
-	for _, ri := range v.parts.regsOf(int32(p)) {
+	for _, ri := range v.parts.RegsOf(int32(p)) {
 		if v.regNext[ri].words() != 1 || v.regOut[ri].words() != 1 {
 			return false
 		}
@@ -214,11 +214,11 @@ func (v *VecCCSS) vecEligible(p int) bool {
 
 // sameShape reports structural equality of two instructions modulo
 // operand identities (offsets and the out signal).
-func sameShape(x, y *instr) bool {
-	return x.code == y.code && x.kind == y.kind && x.wide == y.wide &&
-		x.sa == y.sa && x.sb == y.sb && x.sc == y.sc &&
-		x.aw == y.aw && x.bw == y.bw && x.cw == y.cw && x.dw == y.dw &&
-		x.p0 == y.p0 && x.p1 == y.p1 && x.dmask == y.dmask
+func sameShape(x, y *Instr) bool {
+	return x.Code == y.Code && x.kind == y.kind && x.wide == y.wide &&
+		x.SA == y.SA && x.SB == y.SB && x.SC == y.SC &&
+		x.AW == y.AW && x.BW == y.BW && x.CW == y.CW && x.DW == y.DW &&
+		x.P0 == y.P0 && x.P1 == y.P1 && x.dmask == y.dmask
 }
 
 // hashPart computes the canonical structural hash of partition p: the
@@ -237,19 +237,19 @@ func (v *VecCCSS) hashPart(p int) uint64 {
 		case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
 			in := &m.instrs[e.idx]
 			var sbits uint64
-			if in.sa {
+			if in.SA {
 				sbits |= 1
 			}
-			if in.sb {
+			if in.SB {
 				sbits |= 2
 			}
-			if in.sc {
+			if in.SC {
 				sbits |= 4
 			}
-			h.Word(uint64(in.code) | uint64(in.kind)<<8 | sbits<<16)
-			h.Word(uint64(uint32(in.aw)) | uint64(uint32(in.bw))<<32)
-			h.Word(uint64(uint32(in.cw)) | uint64(uint32(in.dw))<<32)
-			h.Word(uint64(uint32(in.p0)) | uint64(uint32(in.p1))<<32)
+			h.Word(uint64(in.Code) | uint64(in.kind)<<8 | sbits<<16)
+			h.Word(uint64(uint32(in.AW)) | uint64(uint32(in.BW))<<32)
+			h.Word(uint64(uint32(in.CW)) | uint64(uint32(in.DW))<<32)
+			h.Word(uint64(uint32(in.P0)) | uint64(uint32(in.P1))<<32)
 			h.Word(in.dmask)
 			op := lowerInstr(in, e.idx)
 			for _, off := range op.offsets() {
@@ -263,11 +263,11 @@ func (v *VecCCSS) hashPart(p int) uint64 {
 			h.Word(uint64(uint32(e.n)))
 		}
 	}
-	outs, regs := v.parts.outputs(int32(p)), v.parts.regsOf(int32(p))
+	outs, regs := v.parts.Outputs(int32(p)), v.parts.RegsOf(int32(p))
 	h.Word(uint64(len(outs)))
 	for _, o := range outs {
-		h.Word(uint64(o.words))
-		h.Ref(o.off)
+		h.Word(uint64(o.Words))
+		h.Ref(o.Off)
 	}
 	h.Word(uint64(len(regs)))
 	for _, ri := range regs {
@@ -332,21 +332,21 @@ func (v *VecCCSS) matchMember(lp, mp int) (map[int32]int32, bool) {
 			return nil, false
 		}
 	}
-	aouts, bouts := pt.outputs(int32(lp)), pt.outputs(int32(mp))
-	aregs, bregs := pt.regsOf(int32(lp)), pt.regsOf(int32(mp))
+	aouts, bouts := pt.Outputs(int32(lp)), pt.Outputs(int32(mp))
+	aregs, bregs := pt.RegsOf(int32(lp)), pt.RegsOf(int32(mp))
 	if len(aouts) != len(bouts) || len(aregs) != len(bregs) {
 		return nil, false
 	}
 	boff := make(map[int32]int32, len(bouts))
 	for _, o := range bouts {
-		boff[o.off] = o.words
+		boff[o.Off] = o.Words
 	}
 	for _, o := range aouts {
-		mo, ok := phi[o.off]
+		mo, ok := phi[o.Off]
 		if !ok {
 			return nil, false
 		}
-		if w, ok := boff[mo]; !ok || w != o.words {
+		if w, ok := boff[mo]; !ok || w != o.Words {
 			return nil, false
 		}
 	}
@@ -795,7 +795,7 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 			}
 		}
 	}
-	g.ops, g.weight = ops, spans[0].weight
+	g.ops, g.weight = ops, spans[0].Weight
 	g.nslots = len(slotOffs)
 
 	// Per-lane offsets: lane 0 is the leader verbatim, lane l maps
@@ -815,23 +815,23 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 
 	// Outputs: change detection + per-lane consumer wakes.
 	outSlots := make(map[int32]bool)
-	louts := pt.outputs(int32(leader))
+	louts := pt.Outputs(int32(leader))
 	for oi := range louts {
 		o := &louts[oi]
-		s, ok := slotOf[o.off]
+		s, ok := slotOf[o.Off]
 		if !ok {
 			return nil
 		}
 		vo := vecOut{slot: s, consumers: make([][]int32, lanes)}
-		vo.consumers[0] = pt.consumers(o)
+		vo.consumers[0] = pt.Consumers(o)
 		for l := 1; l < lanes; l++ {
-			mouts := pt.outputs(int32(members[l]))
-			moff := phis[l][o.off]
-			mi := slices.IndexFunc(mouts, func(mo partOut) bool { return mo.off == moff })
+			mouts := pt.Outputs(int32(members[l]))
+			moff := phis[l][o.Off]
+			mi := slices.IndexFunc(mouts, func(mo PartOut) bool { return mo.Off == moff })
 			if mi < 0 {
 				return nil
 			}
-			vo.consumers[l] = pt.consumers(&mouts[mi])
+			vo.consumers[l] = pt.Consumers(&mouts[mi])
 		}
 		g.outs = append(g.outs, vo)
 		outSlots[s] = true
@@ -854,7 +854,7 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 
 	g.regs = make([][]int32, lanes)
 	for l, p := range members {
-		g.regs[l] = pt.regsOf(int32(p))
+		g.regs[l] = pt.RegsOf(int32(p))
 	}
 
 	g.buf = make([]uint64, g.nslots*lanes)

@@ -316,8 +316,8 @@ func TestVecVerifierMutations(t *testing.T) {
 		pure := int32(-1)
 		written := make(map[int32]bool)
 		for _, op := range g.ops {
-			if op.code < opSkipZ {
-				written[op.dst] = true
+			if op.Code < OpSkipZ {
+				written[op.Dst] = true
 			}
 		}
 		for _, s := range g.loads {
@@ -357,12 +357,12 @@ func TestVecVerifierMutations(t *testing.T) {
 		v := build(t)
 		for gi := range v.groups {
 			for pc, op := range v.groups[gi].ops {
-				if op.code != opSkipZ && op.code != opSkipNZ {
+				if op.Code != OpSkipZ && op.Code != OpSkipNZ {
 					continue
 				}
 				// A class program that is no longer the lowering of its
 				// leader's schedule fails the build a strict engine runs.
-				v.groups[gi].ops[pc].x--
+				v.groups[gi].ops[pc].X--
 				expect(t, v, "SM-LOWER")
 				if err := verify.Enforce(verify.Strict, v.verifyVec(), nil); err == nil {
 					t.Fatal("strict build accepted the corrupted class program")

@@ -95,7 +95,7 @@ func (c *smChecker) sigName(id netlist.SignalID) string {
 }
 
 // instrLoc renders an instruction site using its output signal name.
-func (c *smChecker) instrLoc(in *instr) string {
+func (c *smChecker) instrLoc(in *Instr) string {
 	return fmt.Sprintf("instr for %q", c.sigName(in.out))
 }
 
@@ -121,32 +121,32 @@ func (c *smChecker) markSources() {
 }
 
 // writeSpan returns an instruction's destination word span.
-func writeSpan(in *instr) (int32, int32) {
-	return in.dst, int32(bits.Words(int(in.dw)))
+func writeSpan(in *Instr) (int32, int32) {
+	return in.Dst, int32(bits.Words(int(in.DW)))
 }
 
 // readSpans appends the (offset, words) table spans an instruction
 // reads. Fused superinstructions are all narrow, so their operands are
 // single words; IFCmpMux additionally reuses mem as its false-way table
 // offset.
-func readSpans(in *instr, dst [][2]int32) [][2]int32 {
-	switch in.code {
+func readSpans(in *Instr, dst [][2]int32) [][2]int32 {
+	switch in.Code {
 	case IFCmpMux:
-		return append(dst, [2]int32{in.a, 1}, [2]int32{in.b, 1},
-			[2]int32{in.c, 1}, [2]int32{in.mem, 1})
+		return append(dst, [2]int32{in.A, 1}, [2]int32{in.B, 1},
+			[2]int32{in.C, 1}, [2]int32{in.Mem, 1})
 	case IFNotAnd, IFAddTail, IFSubTail:
-		return append(dst, [2]int32{in.a, 1}, [2]int32{in.b, 1})
+		return append(dst, [2]int32{in.A, 1}, [2]int32{in.B, 1})
 	case IMemRead:
-		return append(dst, [2]int32{in.a, int32(bits.Words(int(in.aw)))})
+		return append(dst, [2]int32{in.A, int32(bits.Words(int(in.AW)))})
 	}
-	if in.a >= 0 {
-		dst = append(dst, [2]int32{in.a, int32(bits.Words(int(in.aw)))})
+	if in.A >= 0 {
+		dst = append(dst, [2]int32{in.A, int32(bits.Words(int(in.AW)))})
 	}
-	if in.b >= 0 {
-		dst = append(dst, [2]int32{in.b, int32(bits.Words(int(in.bw)))})
+	if in.B >= 0 {
+		dst = append(dst, [2]int32{in.B, int32(bits.Words(int(in.BW)))})
 	}
-	if in.c >= 0 {
-		dst = append(dst, [2]int32{in.c, int32(bits.Words(int(in.cw)))})
+	if in.C >= 0 {
+		dst = append(dst, [2]int32{in.C, int32(bits.Words(int(in.CW)))})
 	}
 	return dst
 }
@@ -262,7 +262,7 @@ func (c *smChecker) walkGroup(gi int) {
 	c.epoch = int32(gi)
 	var cur *smRegion
 
-	checkRead := func(p int32, o, words int32, reader *instr, way uint8) {
+	checkRead := func(p int32, o, words int32, reader *Instr, way uint8) {
 		for w := int32(0); w < words; w++ {
 			ow := o + w
 			if ow < 0 || int(ow) >= len(m.t) {
@@ -293,8 +293,8 @@ func (c *smChecker) walkGroup(gi int) {
 			// Mux-way exception: a mux may read each way out of the arm
 			// region guarded by its own selector — the skip guarantees
 			// the way it selects was just computed.
-			if reader != nil && reader.code == IMux && wrRegion != nil &&
-				wrRegion.guard == reader.a && prefixOf(wrRegion.parent, cur) {
+			if reader != nil && reader.Code == IMux && wrRegion != nil &&
+				wrRegion.guard == reader.A && prefixOf(wrRegion.parent, cur) {
 				if (way == 1 && wrRegion.onZero) || (way == 2 && !wrRegion.onZero) {
 					continue
 				}
@@ -304,12 +304,12 @@ func (c *smChecker) walkGroup(gi int) {
 				"reads word %d written under a skip guard that does not dominate the reader", ow)
 		}
 	}
-	checkInstr := func(p int32, in *instr) {
+	checkInstr := func(p int32, in *Instr) {
 		var spans [][2]int32
 		spans = readSpans(in, spans)
 		for i, s := range spans {
 			way := uint8(0)
-			if in.code == IMux {
+			if in.Code == IMux {
 				way = uint8(i) // 0:sel 1:true way 2:false way
 			}
 			checkRead(p, s[0], s[1], in, way)
@@ -362,7 +362,7 @@ func (c *smChecker) walkGroup(gi int) {
 				}
 				in := &m.instrs[e.idx]
 				checkInstr(p, in) // executes in the current region first
-				guard = in.dst
+				guard = in.Dst
 			} else {
 				if guard < 0 || int(guard) >= len(m.t) {
 					c.errf("SM-SKIP", loc(p), "", "skip guard word %d outside the value table", guard)
@@ -632,8 +632,8 @@ func (c *smChecker) checkParallelAlias() {
 // lowering of one instruction means what the instruction means is a
 // property of run and the row kernels, pinned by the op-by-op semantics
 // test, not of any one stream.)
-func verifyLowering(sched []schedEntry, instrs []instr, ranges [][2]int32,
-	ops []sop, spans []opSpan, tlen int) []verify.Diagnostic {
+func verifyLowering(sched []schedEntry, instrs []Instr, ranges [][2]int32,
+	ops []Op, spans []Span, tlen int) []verify.Diagnostic {
 	var diags []verify.Diagnostic
 	bad := func(loc, format string, args ...any) {
 		diags = append(diags, verify.Diagnostic{
@@ -687,7 +687,7 @@ func verifyLowering(sched []schedEntry, instrs []instr, ranges [][2]int32,
 	for i := range sched {
 		e := &sched[i]
 		pc := pcOf[i]
-		var want sop
+		var want Op
 		switch e.kind {
 		case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
 			ii := instrOf(e)
@@ -702,31 +702,31 @@ func verifyLowering(sched []schedEntry, instrs []instr, ranges [][2]int32,
 				bad(at(pc), "op %+v is not the lowering %+v of sched[%d]", ops[pc], want, i)
 			}
 			pc++
-			want = sop{code: opSkipZ, a: instrs[ii].dst}
+			want = Op{Code: OpSkipZ, A: instrs[ii].Dst}
 			if e.kind == seSkipIfNonzeroF {
-				want.code = opSkipNZ
+				want.Code = OpSkipNZ
 			}
 		case seSkipIfZero:
-			want = sop{code: opSkipZ, a: e.idx}
+			want = Op{Code: OpSkipZ, A: e.idx}
 		case seSkipIfNonzero:
-			want = sop{code: opSkipNZ, a: e.idx}
+			want = Op{Code: OpSkipNZ, A: e.idx}
 		case seDisplay:
-			want = sop{code: opDisplay, x: e.idx}
+			want = Op{Code: OpDisplay, X: e.idx}
 		case seCheck:
-			want = sop{code: opCheck, x: e.idx}
+			want = Op{Code: OpCheck, X: e.idx}
 		case seMemWrite:
-			want = sop{code: opMemWrite, x: e.idx}
+			want = Op{Code: OpMemWrite, X: e.idx}
 		case sePacked:
-			want = sop{code: opPacked, x: e.idx, mask: uint64(e.n)}
+			want = Op{Code: OpPacked, X: e.idx, Mask: uint64(e.n)}
 		default:
 			continue // SM-SKIP
 		}
-		if want.code == opSkipZ || want.code == opSkipNZ {
+		if want.Code == OpSkipZ || want.Code == OpSkipNZ {
 			tgt := i + 1 + int(e.n)
 			if e.n < 0 || tgt > n {
 				continue // SM-SKIP
 			}
-			want.x, want.mask = pcOf[tgt], uint64(wsum[tgt]-wsum[i+1])
+			want.X, want.Mask = pcOf[tgt], uint64(wsum[tgt]-wsum[i+1])
 		}
 		if ops[pc] != want {
 			bad(at(pc), "op %+v is not the lowering %+v of sched[%d]", ops[pc], want, i)
@@ -748,15 +748,15 @@ func verifyLowering(sched []schedEntry, instrs []instr, ranges [][2]int32,
 	end := int32(0)
 	for gi, r := range ranges {
 		sp := spans[gi]
-		if sp.pc != end {
+		if sp.PC != end {
 			bad(fmt.Sprintf("group %d", gi), "span starts at ops[%d], the one before ended at ops[%d]",
-				sp.pc, end)
+				sp.PC, end)
 		}
-		end = sp.end
+		end = sp.End
 		if r[0] < 0 || r[1] < r[0] || int(r[1]) > n {
 			continue // SM-SKIP
 		}
-		want := opSpan{pc: pcOf[r[0]], end: pcOf[r[1]], weight: wsum[r[1]] - wsum[r[0]]}
+		want := Span{PC: pcOf[r[0]], End: pcOf[r[1]], Weight: wsum[r[1]] - wsum[r[0]]}
 		if sp != want {
 			bad(fmt.Sprintf("group %d", gi), "span %+v, schedule range [%d,%d) lowers to %+v",
 				sp, r[0], r[1], want)

@@ -144,9 +144,10 @@ func TestVerifyMachineClean(t *testing.T) {
 	}
 }
 
-func TestSMAliasDoubleWriter(t *testing.T) {
-	m, ranges, plan, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
-	// Point one instruction's store at another's slot.
+// aliasTwoWriters points one scheduled instruction's store at another's
+// slot.
+func aliasTwoWriters(t *testing.T, m *machine) {
+	t.Helper()
 	var scheduled []int32
 	for _, e := range m.sched {
 		if e.kind == seInstr || e.kind == seSkipIfZeroF || e.kind == seSkipIfNonzeroF {
@@ -156,8 +157,30 @@ func TestSMAliasDoubleWriter(t *testing.T) {
 	if len(scheduled) < 2 {
 		t.Fatal("need two scheduled instructions")
 	}
-	m.instrs[scheduled[1]].dst = m.instrs[scheduled[0]].dst
+	m.instrs[scheduled[1]].Dst = m.instrs[scheduled[0]].Dst
+}
+
+func TestSMAliasDoubleWriter(t *testing.T) {
+	m, ranges, plan, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	aliasTwoWriters(t, m)
 	smWantRule(t, verifyMachine(m, ranges, plan, keepLive), "SM-ALIAS")
+}
+
+// TestScalarBuildRejectsDoubleWriter: the step every scalar build ends on
+// — newCCSS, newFullCycle, and through them Lower, whose program the code
+// generator prints — lowers and verifies in one call, so an IR the
+// verifier rejects fails a strict build before anything can run or print
+// its stream; with verification off the same IR goes through.
+func TestScalarBuildRejectsDoubleWriter(t *testing.T) {
+	m, ranges, plan, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	aliasTwoWriters(t, m)
+	err := m.lowerVerified(ranges, plan, keepLive, verify.Strict)
+	if err == nil || !strings.Contains(err.Error(), "SM-ALIAS") {
+		t.Fatalf("strict build of a double-writer schedule returned %v, want an SM-ALIAS failure", err)
+	}
+	if err := m.lowerVerified(ranges, plan, keepLive, verify.Off); err != nil {
+		t.Fatalf("unverified build: %v", err)
+	}
 }
 
 func TestSMDefUseSwap(t *testing.T) {
@@ -312,7 +335,7 @@ func TestSMLower(t *testing.T) {
 	}
 	skipAt := func(m *machine) int {
 		for pc := range m.ops {
-			if m.ops[pc].code == opSkipZ || m.ops[pc].code == opSkipNZ {
+			if m.ops[pc].Code == OpSkipZ || m.ops[pc].Code == OpSkipNZ {
 				return pc
 			}
 		}
@@ -323,14 +346,14 @@ func TestSMLower(t *testing.T) {
 		name   string
 		mutate func(m *machine)
 	}{
-		{"operand", func(m *machine) { m.ops[0].a++ }},
-		{"operand outside the table", func(m *machine) { m.ops[0].b = int32(len(m.t)) }},
-		{"opcode", func(m *machine) { m.ops[0].code = opNeg }},
-		{"mask", func(m *machine) { m.ops[0].mask >>= 1 }},
-		{"skip target", func(m *machine) { m.ops[skipAt(m)].x++ }},
-		{"skip weight", func(m *machine) { m.ops[skipAt(m)].mask++ }},
-		{"span bound", func(m *machine) { m.spans[0].end-- }},
-		{"span weight", func(m *machine) { m.spans[0].weight++ }},
+		{"operand", func(m *machine) { m.ops[0].A++ }},
+		{"operand outside the table", func(m *machine) { m.ops[0].B = int32(len(m.t)) }},
+		{"opcode", func(m *machine) { m.ops[0].Code = OpNeg }},
+		{"mask", func(m *machine) { m.ops[0].Mask >>= 1 }},
+		{"skip target", func(m *machine) { m.ops[skipAt(m)].X++ }},
+		{"skip weight", func(m *machine) { m.ops[skipAt(m)].Mask++ }},
+		{"span bound", func(m *machine) { m.spans[0].End-- }},
+		{"span weight", func(m *machine) { m.spans[0].Weight++ }},
 		{"stale stream", func(m *machine) {
 			// The IR moves on after lowering.
 			for i := range m.sched {

@@ -180,10 +180,10 @@ func (c *vecChecker) checkDefUse(gi int, g *vecGroup) {
 	}
 	for pc := range g.ops {
 		op := &g.ops[pc]
-		if op.code > opSkipNZ || op.code == opMemRead {
+		if op.Code > OpSkipNZ || op.Code == OpMemRead {
 			c.errf("SM-VEC-DEFUSE", c.groupLoc(gi),
 				"class programs hold only narrow, fused and skip ops",
-				"op %d has code %d", pc, op.code)
+				"op %d has code %d", pc, op.Code)
 			continue
 		}
 		for k, s := range op.offsets() {
@@ -240,7 +240,7 @@ func (c *vecChecker) checkLowering(gi int, g *vecGroup) {
 		}
 	}
 	m, r := v.machine, v.parts.sched[g.parts[0]]
-	span := []opSpan{{pc: 0, end: int32(len(ops)), weight: g.weight}}
+	span := []Span{{PC: 0, End: int32(len(ops)), Weight: g.weight}}
 	for _, d := range verifyLowering(m.sched[r[0]:r[1]], m.instrs, nil, ops, span, len(m.t)) {
 		d.Loc = c.groupLoc(gi) + " " + d.Loc
 		c.diags = append(c.diags, d)
@@ -307,34 +307,34 @@ func (c *vecChecker) checkScatter(gi int, g *vecGroup) {
 		for _, s := range g.stores {
 			scattered[g.laneOff[int(s)*g.lanes+l]] = true
 		}
-		pouts := v.parts.outputs(p)
+		pouts := v.parts.Outputs(p)
 		outCovered := make(map[int32][]int32, len(g.outs))
 		for _, o := range g.outs {
 			outCovered[g.laneOff[int(o.slot)*g.lanes+l]] = o.consumers[l]
 		}
 		for oi := range pouts {
 			po := &pouts[oi]
-			cons, ok := outCovered[po.off]
+			cons, ok := outCovered[po.Off]
 			if !ok {
 				c.errf("SM-VEC-SCATTER", c.groupLoc(gi),
 					"every member output needs change detection at scatter",
 					"lane %d partition %d output offset %d not an out slot",
-					l, p, po.off)
+					l, p, po.Off)
 				continue
 			}
-			if n := len(v.parts.consumers(po)); len(cons) != n {
+			if n := len(v.parts.Consumers(po)); len(cons) != n {
 				c.errf("SM-VEC-SCATTER", c.groupLoc(gi),
 					"out slots must carry the member's own consumer list",
 					"lane %d output offset %d: %d consumers, member has %d",
-					l, po.off, len(cons), n)
+					l, po.Off, len(cons), n)
 			}
 		}
 		// Architectural state written by this lane must scatter. Written
 		// offsets are the lane images of slots the program writes.
 		written := make(map[int32]bool, g.nslots)
 		for pc := range g.ops {
-			if op := &g.ops[pc]; op.code < opSkipZ && op.dst >= 0 && int(op.dst) < g.nslots {
-				written[g.laneOff[int(op.dst)*g.lanes+l]] = true
+			if op := &g.ops[pc]; op.Code < OpSkipZ && op.Dst >= 0 && int(op.Dst) < g.nslots {
+				written[g.laneOff[int(op.Dst)*g.lanes+l]] = true
 			}
 		}
 		for off := range written {
@@ -346,7 +346,7 @@ func (c *vecChecker) checkScatter(gi int, g *vecGroup) {
 			}
 		}
 		// Non-elided registers the member owns must be marked dirty.
-		if l >= len(g.regs) || len(g.regs[l]) != len(v.parts.regsOf(p)) {
+		if l >= len(g.regs) || len(g.regs[l]) != len(v.parts.RegsOf(p)) {
 			c.errf("SM-VEC-SCATTER", c.groupLoc(gi),
 				"each lane must carry its member's dirty-register list",
 				"lane %d partition %d: reg list mismatch", l, p)

@@ -249,6 +249,9 @@ func parseVNumber(s string) (vLit, error) {
 	if rest[0] == 's' || rest[0] == 'S' {
 		rest = rest[1:] // signedness ignored (subset is unsigned)
 	}
+	if rest == "" {
+		return vLit{}, fmt.Errorf("bad literal %q", s)
+	}
 	base := 10
 	switch rest[0] {
 	case 'h', 'H':

@@ -56,6 +56,7 @@ type translator struct {
 	out    *firrtl.Module
 	widths map[string]int    // signal name → width
 	rename map[string]string // verilog name → firrtl name (output regs)
+	regs   map[string]bool   // verilog names declared reg
 	nodeN  int
 }
 
@@ -65,6 +66,7 @@ func translateModule(m *vmodule, mods map[string]*vmodule) (*firrtl.Module, erro
 		out:    &firrtl.Module{Name: m.name},
 		widths: map[string]int{},
 		rename: map[string]string{},
+		regs:   map[string]bool{},
 	}
 	// Identify the clock: the signal of the always blocks' posedge.
 	clock := ""
@@ -78,9 +80,8 @@ func translateModule(m *vmodule, mods map[string]*vmodule) (*firrtl.Module, erro
 	}
 
 	// Ports.
-	regDecl := map[string]int{}
 	for _, r := range m.regs {
-		regDecl[r.name] = r.width
+		tr.regs[r.name] = true
 	}
 	for _, p := range m.ports {
 		if p.dir == "" {
@@ -247,7 +248,7 @@ func (tr *translator) stmts(body []vstmt) ([]firrtl.Stmt, error) {
 		case vNonblocking:
 			target := tr.resolve(st.lhs)
 			tw, ok := tr.widths[target]
-			if !ok {
+			if !ok || !tr.regs[st.lhs] {
 				return nil, fmt.Errorf("verilog: line %d: assignment to unknown register %q",
 					st.line, st.lhs)
 			}

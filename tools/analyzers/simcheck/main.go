@@ -1,5 +1,5 @@
 // Command simcheck is the repository's custom static checker. It
-// enforces seven invariants the ordinary type checker cannot see (run
+// enforces eight invariants the ordinary type checker cannot see (run
 // in CI alongside go vet and staticcheck):
 //
 //  1. engine-verify — the exported constructors of internal/sim (New*)
@@ -27,7 +27,7 @@
 //     activity, so a new executor cannot quietly grow a second of
 //     either.
 //  6. sim-one-dispatch — in internal/sim a switch over instruction
-//     opcodes (ICode, or the stream's opcode) whose arms store into a
+//     opcodes (ICode, or the stream's Opcode) whose arms store into a
 //     table is an evaluator, and evaluators are a closed set: the
 //     stream executor (run), the general scalar kernels it escapes to
 //     (execSigned, execWide) and the lane walker's two row kernels
@@ -39,6 +39,13 @@
 //     instrs) is the IR passes rewrite and verifiers read, and what
 //     executes is its lowering. Reachability is by referenced function
 //     name, the same over-approximation engine-verify uses.
+//  8. codegen-prints-stream — internal/codegen imports neither
+//     internal/sched nor internal/partition, and outside internal/sim
+//     nothing switches over sim.ICode but the code generator's two
+//     escape printers (emitSigned, emitWide): partition structure,
+//     mux-way cones and fusion reach the generator only through the
+//     lowered program an engine builds (sim.Lower), so it cannot re-plan
+//     or re-decide what the interpreter executes.
 //
 // Usage: go run ./tools/analyzers/simcheck [packages...] (default ./...).
 // Builds the module's packages from source against `go list -export`
@@ -65,6 +72,7 @@ const (
 	simPath     = "essent/internal/sim"
 	netlistPath = "essent/internal/netlist"
 	expPath     = "essent/internal/exp"
+	codegenPath = "essent/internal/codegen"
 	// expClockFile is the one internal/exp file allowed to read the clock.
 	expClockFile = "runner.go"
 	// simPoolFile and simFlagsFile are the internal/sim files allowed to
@@ -83,7 +91,13 @@ var (
 	simFlagFields    = map[string]bool{"flags": true, "always": true}
 	simDispatchFuncs = map[string]bool{"run": true, "execSigned": true, "execWide": true,
 		"execRows": true, "execRowsDense": true}
-	simOpcodeTypes = map[string]bool{"ICode": true, "opcode": true}
+	simOpcodeTypes = map[string]bool{"ICode": true, "Opcode": true}
+	// codegenBannedImports are the planning packages the code generator
+	// must not reach; escapePrinters its functions that may switch over
+	// sim.ICode (the instructions OpSigned/OpWide escapes name).
+	codegenBannedImports = map[string]bool{
+		"essent/internal/sched": true, "essent/internal/partition": true}
+	escapePrinters = map[string]bool{"emitSigned": true, "emitWide": true}
 )
 
 func main() {
@@ -216,7 +230,46 @@ func Check(pkgPath string, fset *token.FileSet, files []*ast.File,
 	}
 	checkStatsWrite(files, info, report)
 	checkSlotIndex(files, info, report)
+	checkPrintsStream(pkgPath, files, info, report)
 	return findings
+}
+
+// checkPrintsStream flags, outside internal/sim, a planning-package
+// import in internal/codegen and any switch with a sim.ICode case that
+// is not inside one of the generator's escape printers.
+func checkPrintsStream(pkgPath string, files []*ast.File, info *types.Info,
+	report func(token.Pos, string, string)) {
+	for _, f := range files {
+		for _, im := range f.Imports {
+			if path := strings.Trim(im.Path.Value, `"`); pkgPath == codegenPath && codegenBannedImports[path] {
+				report(im.Pos(), "codegen-prints-stream", fmt.Sprintf(
+					"internal/codegen imports %s: print the program sim.Lower returns", path))
+			}
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || pkgPath == codegenPath && escapePrinters[fn.Name.Name] {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				sw, ok := n.(*ast.SwitchStmt)
+				if !ok {
+					return true
+				}
+				for _, st := range sw.Body.List {
+					for _, e := range st.(*ast.CaseClause).List {
+						if isNamed(info.Types[e].Type, simPath, "ICode") {
+							report(sw.Pos(), "codegen-prints-stream", fmt.Sprintf(
+								"%s switches over sim.ICode outside internal/sim: "+
+									"render the lowered stream's opcodes", fn.Name.Name))
+							return true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
 }
 
 // checkOneEstimator flags time.Now and time.Since calls in internal/exp

@@ -269,14 +269,14 @@ func TestOneDispatchRule(t *testing.T) {
 package sim
 import "essent/internal/verify"
 type ICode uint8
-type opcode uint8
+type Opcode uint8
 const (
 	IAdd ICode = iota
 	ISub; IMul; IAnd; IOr; IXor; IEq; INeq; ILt
 )
 const (
-	opAdd opcode = iota
-	opSub; opMul; opAnd; opOr; opXor; opEq; opNeq; opLt
+	OpAdd Opcode = iota
+	OpSub; OpMul; OpAnd; OpOr; OpXor; OpEq; OpNeq; OpLt
 )
 func New() error { return verify.Enforce(0, nil, nil) }
 `
@@ -293,11 +293,11 @@ func New() error { return verify.Enforce(0, nil, nil) }
 		name, body string
 		want       []string
 	}{
-		{"the stream executor", eval("run", "opcode", "op"), nil},
-		{"a row kernel", eval("execRowsDense", "opcode", "op"), nil},
+		{"the stream executor", eval("run", "Opcode", "Op"), nil},
+		{"a row kernel", eval("execRowsDense", "Opcode", "Op"), nil},
 		{"a second narrow evaluator", eval("execNarrow", "ICode", "I"), []string{"sim-one-dispatch"}},
 		{"a row kernel keyed on the IR again", eval("execRowNarrow", "ICode", "I"), []string{"sim-one-dispatch"}},
-		{"a second stream executor", eval("stepEvent", "opcode", "op"), []string{"sim-one-dispatch"}},
+		{"a second stream executor", eval("stepEvent", "Opcode", "Op"), []string{"sim-one-dispatch"}},
 		{"a classifier", `
 func operands(c ICode) int {
 	switch c {
@@ -326,11 +326,86 @@ func pair(t []uint64, c ICode) {
 			wantRules(t, findings, tc.want...)
 		})
 	}
-	// Other packages may switch over whatever they like (codegen prints
-	// the semantics; it does not execute them here).
+	// The rule is about internal/sim: a package with opcode types of its
+	// own may switch over them as it likes.
 	findings, _ := checkFile(t, imp, "essent/internal/consumer", "consumer/x.go",
 		strings.Replace(codes+eval("emit", "ICode", "I"), "package sim", "package consumer", 1))
 	wantRules(t, findings)
+}
+
+// TestPrintsStreamRule: the code generator renders the lowered stream.
+// Switching over the stream's Opcode is its job and the two escape
+// printers may switch over ICode; any other switch over sim.ICode outside
+// internal/sim — in codegen or elsewhere — is a second reading of the IR,
+// and an import of the planner from codegen is a second plan.
+func TestPrintsStreamRule(t *testing.T) {
+	imp := deps(t)
+	_, simPkg := checkSrc(t, imp, simPath, `
+package sim
+import "essent/internal/verify"
+type ICode uint8
+type Opcode uint8
+const (
+	ICopy ICode = iota
+	IMux
+)
+const (
+	OpCopy Opcode = iota
+	OpSigned
+)
+func New() error { return verify.Enforce(0, nil, nil) }
+`)
+	imp[simPath] = simPkg
+	for _, name := range []string{"sched", "partition"} {
+		_, pkg := checkSrc(t, imp, "essent/internal/"+name, "package "+name+"\ntype Plan struct{}\n")
+		imp["essent/internal/"+name] = pkg
+	}
+	const printer = `
+package codegen
+import "essent/internal/sim"
+func emitOp(c sim.Opcode) string {
+	switch c {
+	case sim.OpCopy: return "copy"
+	case sim.OpSigned: return emitSigned(sim.ICopy)
+	}
+	return ""
+}
+func emitSigned(c sim.ICode) string {
+	switch c {
+	case sim.ICopy: return "copy"
+	case sim.IMux: return "mux"
+	}
+	return ""
+}
+`
+	for _, tc := range []struct {
+		name, path, src string
+		want            []string
+	}{
+		{"the printer", codegenPath, printer, nil},
+		{"a second ICode switch in codegen", codegenPath,
+			strings.Replace(printer, "func emitSigned(", "func emitInstr(", 1) +
+				"func emitSigned(c sim.ICode) string { return emitInstr(c) }\n",
+			[]string{"codegen-prints-stream"}},
+		{"an escape printer's name outside codegen", "essent/internal/consumer",
+			strings.Replace(printer, "package codegen", "package consumer", 1),
+			[]string{"codegen-prints-stream"}},
+		{"codegen imports the planner", codegenPath,
+			strings.Replace(printer, `import "essent/internal/sim"`,
+				"import (\n\"essent/internal/sim\"\n\"essent/internal/sched\"\n)\nvar _ sched.Plan\n", 1),
+			[]string{"codegen-prints-stream"}},
+		{"codegen imports the partitioner", codegenPath,
+			strings.Replace(printer, `import "essent/internal/sim"`,
+				"import (\n\"essent/internal/sim\"\n\"essent/internal/partition\"\n)\nvar _ partition.Plan\n", 1),
+			[]string{"codegen-prints-stream"}},
+		{"another package imports the planner", "essent/internal/consumer",
+			"package consumer\nimport \"essent/internal/sched\"\nvar _ sched.Plan\n", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			findings, _ := checkSrc(t, imp, tc.path, tc.src)
+			wantRules(t, findings, tc.want...)
+		})
+	}
 }
 
 // TestIRCompileOnlyRule: the schedule IR is read at construction and by
