@@ -156,24 +156,6 @@ func BenchmarkTableIII(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCCSS times the thread-parallel CCSS engine on the r16
-// SoC (not part of Table III; tracked so interpreter changes show any
-// regression under the shared-value-table invariants).
-func BenchmarkParallelCCSS(b *testing.B) {
-	const window = 2048
-	cell := newBenchCell(b, designs.R16(), exp.EngineSpec{
-		Name:      "ParallelCCSS",
-		Options:   sim.Options{Engine: sim.EngineCCSSParallel, Cp: 8, Workers: 2},
-		Optimized: true,
-	}, "dhrystone")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cell.stepCycles(b, window)
-	}
-	b.ReportMetric(float64(window)*float64(b.N)/b.Elapsed().Seconds(),
-		"cycles/s")
-}
-
 // BenchmarkTableIV_EngineConstruction measures simulator compilation per
 // engine (the cost of the approaches compared in Table IV).
 func BenchmarkTableIV_EngineConstruction(b *testing.B) {

@@ -12,7 +12,6 @@
 //	benchall                      # the paper's artifacts at full scale
 //	benchall -quick               # reduced workloads
 //	benchall -only table3 -json - # one experiment, rows on stdout
-//	benchall -workers 2,4,8       # CCSS worker-pool scaling sweep appended
 //	benchall -lanes 1,4,16,64     # batched CCSS lane sweep appended
 //	benchall -only lanes -lanes 4 -cycles 20000 -designs r16
 //	                              # CI-sized smoke of the lane sweep
@@ -56,9 +55,6 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write one plot-ready CSV per experiment to this directory")
 		jsonPath = flag.String("json", "",
 			`write the rows of every experiment that ran as JSON to this file ("-" for stdout)`)
-		workersFlag = flag.String("workers", "",
-			`comma-separated worker counts for the parallel CCSS scaling sweep
-(e.g. "2,4,8"; arm seq is the one-worker engine; implies the scaling experiment; default list with -only scaling)`)
 		lanesFlag = flag.String("lanes", "",
 			`comma-separated lane counts for the lanes and pack sweeps, lane caps for vec
 (e.g. "1,4,16,64"; without -only implies the lanes experiment)`)
@@ -85,7 +81,6 @@ func main() {
 			p.Designs = append(p.Designs, strings.TrimSpace(name))
 		}
 	}
-	p.Workers = parseCounts(*workersFlag)
 	p.Lanes = parseCounts(*lanesFlag)
 	for _, n := range parseCounts(*ckptEvery) {
 		p.Intervals = append(p.Intervals, uint64(n))
@@ -156,19 +151,14 @@ func writeFile(path string, emit func(io.Writer) error) error {
 // validateFlags resolves the experiments to run and rejects what cannot
 // be honoured up front, before any design compiles: an unknown -only or
 // -designs name, a design no selected experiment can build, and a sweep
-// flag whose sweep is not selected (`-only lanes -workers 4` must not
-// silently benchmark the parallel engine as well).
+// flag whose sweep is not selected (`-only table3 -lanes 4` must not
+// silently drop the lane list).
 func validateFlags(only string, set map[string]bool, designs []string) ([]*exp.Experiment, error) {
 	names := append([]string(nil), paper...)
 	if only != "" {
 		names = []string{only}
-	} else {
-		if set["workers"] {
-			names = append(names, "scaling")
-		}
-		if set["lanes"] {
-			names = append(names, "lanes")
-		}
+	} else if set["lanes"] {
+		names = append(names, "lanes")
 	}
 	var selected []*exp.Experiment
 	runs := map[string]bool{}
@@ -182,8 +172,6 @@ func validateFlags(only string, set map[string]bool, designs []string) ([]*exp.E
 	}
 	batched := runs["lanes"] || runs["pack"] || runs["vec"]
 	switch {
-	case set["workers"] && !runs["scaling"]:
-		return nil, fmt.Errorf("-workers selects the parallel scaling sweep and contradicts -only %s", only)
 	case set["lanes"] && !batched:
 		return nil, fmt.Errorf("-lanes configures the lanes, pack and vec sweeps and contradicts -only %s", only)
 	case set["ckptevery"] && !runs["ckptcost"]:

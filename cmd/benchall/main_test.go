@@ -60,13 +60,13 @@ func TestValidateFlagsSelection(t *testing.T) {
 		want string
 	}{
 		{"", flags(), paperSet},
-		{"", flags("workers", "lanes"), paperSet + ",scaling,lanes"},
+		{"", flags("lanes"), paperSet + ",lanes"},
 		{"gencp", flags("json"), "gencp"},
 		{"pack", flags("lanes"), "pack"},
 		{"ckptcost", flags("ckptevery"), "ckptcost"},
 		{"nope", flags(), `error: unknown experiment "nope"`},
-		{"lanes", flags("workers"), "error: -workers selects the parallel scaling sweep"},
-		{"scaling", flags("lanes"), "error: -lanes configures"},
+		{"scaling", flags(), `error: unknown experiment "scaling"`},
+		{"table3", flags("lanes"), "error: -lanes configures"},
 		{"", flags("ckptevery"), "error: -ckptevery configures"},
 	} {
 		if got := names(c.only, c.set); !strings.HasPrefix(got, c.want) {

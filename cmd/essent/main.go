@@ -24,7 +24,7 @@ func main() {
 		socName    = flag.String("soc", "", "built-in SoC: r16, r18, or boom")
 		workload   = flag.String("workload", "", "RISC-V workload: dhrystone, matmul, pchase")
 		engineName = flag.String("engine", "essent",
-			"engine: essent, baseline, fullcycle-opt, event, parallel, vec")
+			"engine: essent, baseline, fullcycle-opt, event, vec")
 		backendName = flag.String("backend", "interp",
 			"execution vehicle: interp (in-process), compiled (build + run the "+
 				"design as a supervised subprocess), auto (compiled when its "+
@@ -65,8 +65,7 @@ func main() {
 	flag.Parse()
 
 	if err := validateFlags(); err != nil {
-		fmt.Fprintln(os.Stderr, "essent:", err)
-		os.Exit(2)
+		exit(2, err)
 	}
 
 	engine, err := essent.ParseEngine(*engineName)
@@ -226,9 +225,6 @@ func main() {
 				rep.Checkpoints, rep.CheckpointBytes, rep.CheckpointTime,
 				rep.LastCheckpoint)
 		}
-		if rep.Degraded {
-			fmt.Println("note: a worker panic degraded the run to sequential evaluation")
-		}
 	} else {
 		err = sim.Step(*cycles)
 		var stopped *essent.StoppedError
@@ -266,11 +262,28 @@ func main() {
 	}
 }
 
-// validateFlags rejects contradictory flag combinations up front — a
-// clear exit 2 instead of a surprising run (matching cmd/benchall).
+// validateFlags rejects out-of-range flag values and contradictory flag
+// combinations up front — a clear exit 2 instead of a surprising run
+// (matching cmd/benchall).
 func validateFlags() error {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	intFlag := func(name string) int { return flag.Lookup(name).Value.(flag.Getter).Get().(int) }
+	if n := intFlag("cycles"); n < 0 {
+		return fmt.Errorf("-cycles %d: the cycle bound cannot be negative", n)
+	}
+	if n := intFlag("cp"); n < 1 {
+		return fmt.Errorf("-cp %d: the partitioning threshold must be at least 1", n)
+	}
+	for _, name := range []string{"max-vec-lanes", "vec-min-lanes"} {
+		if n := intFlag(name); n != 0 && (n < 2 || n > 64) {
+			return fmt.Errorf("-%s %d: want 0 (the default) or 2..64", name, n)
+		}
+	}
+	eng, err := essent.ParseEngine(flag.Lookup("engine").Value.String())
+	if err != nil {
+		return err
+	}
 	if set["resume"] && !set["checkpoint"] {
 		return errors.New("-resume needs -checkpoint to name the snapshot directory")
 	}
@@ -294,18 +307,15 @@ func validateFlags() error {
 		return err
 	}
 	if backend == "compiled" {
-		if eng, err := essent.ParseEngine(flag.Lookup("engine").Value.String()); err == nil {
-			switch eng {
-			case essent.EngineESSENT, essent.EngineBaseline, essent.EngineFullCycleOpt:
-			default:
-				return errors.New("-backend compiled supports -engine essent," +
-					" baseline, or fullcycle-opt; the parallel, vec, and event" +
-					" engines run in-process only")
-			}
+		switch eng {
+		case essent.EngineESSENT, essent.EngineBaseline, essent.EngineFullCycleOpt:
+		default:
+			return errors.New("-backend compiled supports -engine essent," +
+				" baseline, or fullcycle-opt; the vec and event engines run" +
+				" in-process only")
 		}
 	}
-	if eng, err := essent.ParseEngine(flag.Lookup("engine").Value.String()); err == nil &&
-		eng != essent.EngineESSENTVec {
+	if eng != essent.EngineESSENTVec {
 		if set["novec"] {
 			return errors.New("-novec is the -engine vec ablation switch and needs -engine vec")
 		}
@@ -334,7 +344,11 @@ func must(err error) {
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "essent:", err)
-	os.Exit(1)
+func fatal(err error) { exit(1, err) }
+
+// exit prints err under the command's name — once, when the error comes
+// from package essent and already carries it — and exits with code.
+func exit(code int, err error) {
+	fmt.Fprintln(os.Stderr, "essent:", strings.TrimPrefix(err.Error(), "essent: "))
+	os.Exit(code)
 }

@@ -34,6 +34,52 @@ func TestCmdEssentSmoke(t *testing.T) {
 	}
 }
 
+// TestCmdEssentRejectsBadFlags: out-of-range numbers and the retired
+// engine name exit 2 from validateFlags, naming the flag, before anything
+// compiles — `-cycles -5` used to print "ran -5 cycles (no stop)" and exit
+// 0, `-cp -3` ran at Cp 8 under a "(Cp=-3)" banner, and the vec lane
+// bounds were silently clamped. The message carries the command name once.
+func TestCmdEssentRejectsBadFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the Go toolchain")
+	}
+	bin := filepath.Join(t.TempDir(), "essent")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/essent")
+	build.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/essent: %v\n%s", err, out)
+	}
+	for _, c := range []struct {
+		args []string
+		exit int
+		want string
+	}{
+		{[]string{"-cycles", "-5"}, 2, "essent: -cycles -5"},
+		{[]string{"-cp", "-3"}, 2, "essent: -cp -3"},
+		{[]string{"-cp", "0"}, 2, "essent: -cp 0"},
+		{[]string{"-engine", "vec", "-max-vec-lanes", "1000"}, 2, "essent: -max-vec-lanes 1000"},
+		{[]string{"-engine", "vec", "-max-vec-lanes", "1"}, 2, "essent: -max-vec-lanes 1"},
+		{[]string{"-engine", "vec", "-vec-min-lanes", "65"}, 2, "essent: -vec-min-lanes 65"},
+		{[]string{"-engine", "vec", "-vec-min-lanes", "-2"}, 2, "essent: -vec-min-lanes -2"},
+		{[]string{"-engine", "parallel"}, 2, `essent: engine "parallel" is retired`},
+		{[]string{"-engine", "bogus"}, 2, `essent: unknown engine "bogus"`},
+		{[]string{"-backend", "bogus"}, 2, `essent: unknown backend "bogus"`},
+		{[]string{"-engine", "vec", "-max-vec-lanes", "64", "-vec-min-lanes", "2", "-cycles", "0"}, 0, "ran 0 cycles"},
+	} {
+		out, err := exec.Command(bin, append([]string{"-soc", "r16"}, c.args...)...).CombinedOutput()
+		exit := 0
+		if ee, ok := err.(*exec.ExitError); ok {
+			exit = ee.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if exit != c.exit || !strings.Contains(string(out), c.want) ||
+			strings.Contains(string(out), "essent: essent:") {
+			t.Errorf("essent %v: exit %d, want %d and %q in:\n%s", c.args, exit, c.exit, c.want, out)
+		}
+	}
+}
+
 func TestCmdEssentVerilogInput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the Go toolchain")

@@ -46,10 +46,10 @@ const (
 	// EngineESSENT is the paper's contribution: activity-driven CCSS
 	// execution over an acyclic partitioning.
 	EngineESSENT
-	// EngineESSENTParallel is EngineESSENT with Workers > 1: the same
-	// engine and the same Stats, with busy mutually independent partition
-	// levels split across a worker pool (an extension beyond the paper;
-	// benefits require a multi-core host and coarse partitions).
+	// EngineESSENTParallel compiles as EngineESSENT.
+	//
+	// Deprecated: the level-parallel worker pool is retired (DESIGN §6);
+	// use EngineESSENT.
 	EngineESSENTParallel
 	// EngineESSENTVec groups structurally identical partitions (replicated
 	// module instances) into equivalence classes, compiles one schedule
@@ -90,7 +90,8 @@ func ParseEngine(name string) (Engine, error) {
 	case "essent", "ccss":
 		return EngineESSENT, nil
 	case "essent-parallel", "parallel":
-		return EngineESSENTParallel, nil
+		return 0, fmt.Errorf("essent: engine %q is retired: the level-parallel "+
+			"worker pool read 1.0x on two cores and was deleted (DESIGN §6); use essent", name)
 	case "essent-vec", "vec":
 		return EngineESSENTVec, nil
 	default:
@@ -132,9 +133,9 @@ type Options struct {
 	// Cp is the partitioning threshold for EngineESSENT (0 = the paper's
 	// default of 8).
 	Cp int
-	// Workers is the total evaluation goroutine count, dispatcher
-	// included, for EngineESSENTParallel. An explicit value is honoured
-	// exactly; 0 selects GOMAXPROCS capped at 8. Other engines ignore it.
+	// Workers is ignored.
+	//
+	// Deprecated: every engine runs on the calling goroutine.
 	Workers int
 	// NoOptimize disables the netlist optimization passes that
 	// EngineFullCycleOpt and EngineESSENT normally run.
@@ -258,7 +259,6 @@ type Stats struct {
 	OutputCompares uint64 // dynamic overhead: output change tests
 	Wakes          uint64 // dynamic overhead: consumer activations
 	Events         uint64 // event-driven queue pushes
-	WorkerPanics   uint64 // recovered worker panics (degraded runs)
 }
 
 // Sim is a compiled simulator with a name-based testbench interface.
@@ -320,6 +320,9 @@ func Compile(source string, opts Options) (*Sim, error) {
 
 // CompileCircuit builds a simulator from a parsed circuit.
 func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
+	if opts.Engine == EngineESSENTParallel {
+		opts.Engine = EngineESSENT
+	}
 	var t CompileTimings
 	start := time.Now()
 	d, err := netlist.Compile(circuit)
@@ -328,7 +331,7 @@ func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
 	}
 	t.Netlist = time.Since(start)
 	wantOpt := opts.Engine == EngineFullCycleOpt || opts.Engine == EngineESSENT ||
-		opts.Engine == EngineESSENTParallel || opts.Engine == EngineESSENTVec
+		opts.Engine == EngineESSENTVec
 	if wantOpt && !opts.NoOptimize {
 		start = time.Now()
 		var st opt.Stats
@@ -348,9 +351,6 @@ func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
 		engine.Engine = sim.EngineFullCycleOpt
 	case EngineESSENT:
 		engine.Engine, engine.Cp = sim.EngineCCSS, opts.Cp
-	case EngineESSENTParallel:
-		engine.Engine, engine.Cp, engine.Workers =
-			sim.EngineCCSSParallel, opts.Cp, opts.Workers
 	case EngineESSENTVec:
 		engine.Engine, engine.Cp = sim.EngineCCSSVec, opts.Cp
 		engine.NoVec, engine.MaxVecLanes = opts.NoVec, opts.MaxVecLanes
@@ -512,7 +512,6 @@ func (s *Sim) Stats() Stats {
 		OutputCompares: st.OutputCompares,
 		Wakes:          st.Wakes,
 		Events:         st.Events,
-		WorkerPanics:   st.WorkerPanics,
 	}
 }
 
@@ -520,7 +519,7 @@ func (s *Sim) Stats() Stats {
 // complete architectural state (versioned, checksummed, written
 // atomically). The snapshot resumes under any engine compiled with the
 // same Options-relevant design shape — a run checkpointed under
-// EngineESSENTParallel restores under EngineESSENT bit-exactly.
+// EngineESSENTVec restores under EngineESSENT bit-exactly.
 func (s *Sim) SaveCheckpoint(path string) error {
 	st, err := sim.Capture(s.s)
 	if err != nil {
@@ -540,10 +539,8 @@ func (s *Sim) RestoreCheckpoint(path string) error {
 	return sim.Restore(s.s, st)
 }
 
-// Degraded reports whether a recovered worker panic has routed a
-// parallel engine to sequential evaluation, or the compiled backend has
-// fallen back to the interpreter (always false for healthy sequential
-// engines).
+// Degraded reports whether the compiled backend has fallen back to the
+// interpreter (always false on the interpreter backend).
 func (s *Sim) Degraded() bool {
 	if dg, ok := s.s.(interface{ Degraded() bool }); ok {
 		return dg.Degraded()
@@ -626,7 +623,7 @@ type RunReport struct {
 	CheckpointBytes int64
 	CheckpointTime  time.Duration
 	LastCheckpoint  string
-	// Degraded reports parallel-engine panic recovery.
+	// Degraded reports compiled-backend fallback to the interpreter.
 	Degraded bool
 }
 

@@ -287,6 +287,9 @@ func TestParseEngine(t *testing.T) {
 	if _, err := ParseEngine("magic"); err == nil {
 		t.Fatal("expected error")
 	}
+	if _, err := ParseEngine("parallel"); err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf(`ParseEngine("parallel") = %v, want an error naming the retirement`, err)
+	}
 }
 
 func TestPrintfOutput(t *testing.T) {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"essent/internal/ckpt"
+	"essent/internal/sim"
 )
 
 // Additional facade coverage: error paths, wide values, memories, VCD,
@@ -143,23 +146,44 @@ func TestFacadeDumpVCD(t *testing.T) {
 	}
 }
 
-func TestFacadeParallelEngine(t *testing.T) {
-	s, err := Compile(counterSrc, Options{Engine: EngineESSENTParallel, Workers: 2})
+// TestDeprecatedParallelEngineIsESSENT: the two facade names kept for
+// callers of the retired worker pool select no second path — on r16
+// dhrystone EngineESSENTParallel with Workers set ends with the Stats and
+// the state hash of EngineESSENT.
+func TestDeprecatedParallelEngineIsESSENT(t *testing.T) {
+	src, err := SoC("r16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Poke("en", 1); err != nil {
+	prog, _, err := Workload("dhrystone")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Step(25); err != nil {
-		t.Fatal(err)
+	run := func(opts Options) (Stats, uint64) {
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := Compile(src, opts)
+		must(err)
+		for i, w := range prog {
+			must(s.PokeMem(SoCImem, i, uint64(w)))
+		}
+		must(s.Poke("reset", 1))
+		must(s.Step(2))
+		must(s.Poke("reset", 0))
+		must(s.Step(20000))
+		st, err := sim.Capture(s.s)
+		must(err)
+		return s.Stats(), ckpt.StateHash(st)
 	}
-	got, _ := s.Peek("r")
-	if got != 25 {
-		t.Fatalf("parallel engine: r = %d", got)
-	}
-	if s.NumPartitions() == 0 {
-		t.Fatal("parallel engine should report partitions")
+	wantStats, wantHash := run(Options{Engine: EngineESSENT})
+	gotStats, gotHash := run(Options{Engine: EngineESSENTParallel, Workers: 2})
+	if gotStats != wantStats || gotHash != wantHash {
+		t.Fatalf("EngineESSENTParallel: Stats %+v hash %#x, EngineESSENT: Stats %+v hash %#x",
+			gotStats, gotHash, wantStats, wantHash)
 	}
 }
 

@@ -34,14 +34,19 @@ func StatsWords(st *sim.Stats) []uint64 { return statsToWords(st) }
 // StatsFromWords maps flat checkpoint words back onto sim.Stats.
 func StatsFromWords(ws []uint64) sim.Stats { return statsFromWords(ws) }
 
+// NumStatsWords is the length of the stats word list (10), the one count
+// the code generator sizes its flat counters from.
+var NumStatsWords = len(statsToWords(new(sim.Stats)))
+
 // statsToWords flattens Stats into the on-disk list. Append-only: new
 // counters go at the end so old readers ignore them and old files read
-// as zero.
+// as zero. (Snapshots written before the worker pool was retired carry
+// an eleventh word, WorkerPanics; statsFromWords ignores it.)
 func statsToWords(st *sim.Stats) []uint64 {
 	return []uint64{
 		st.Cycles, st.OpsEvaluated, st.SignalChanges, st.PartChecks,
 		st.InputChecks, st.PartEvals, st.OutputCompares, st.Wakes,
-		st.Events, st.FusedPairs, st.WorkerPanics,
+		st.Events, st.FusedPairs,
 	}
 }
 
@@ -50,7 +55,7 @@ func statsFromWords(ws []uint64) sim.Stats {
 	fields := []*uint64{
 		&st.Cycles, &st.OpsEvaluated, &st.SignalChanges, &st.PartChecks,
 		&st.InputChecks, &st.PartEvals, &st.OutputCompares, &st.Wakes,
-		&st.Events, &st.FusedPairs, &st.WorkerPanics,
+		&st.Events, &st.FusedPairs,
 	}
 	for i, p := range fields {
 		if i < len(ws) {

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"essent/internal/netlist"
 	"essent/internal/randckt"
 	"essent/internal/sim"
+	"essent/pkg/ckptio"
 )
 
 // counterSrc is the smallest design where a bit flip persists forever:
@@ -79,6 +81,58 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // TestDecodeRejectsDamage: every class of on-disk damage — flipped
 // byte, truncation, bad magic — fails loudly instead of restoring a
 // silently wrong state.
+// elevenWordSnapshot is an ESNTCKP1 file written by the last commit whose
+// Stats had an eleventh word (610b1b1: counterSrc on CCSS after 1000
+// cycles, WorkerPanics set to 7 so the word is visibly there).
+const elevenWordSnapshot = "45534e54434b503103000000436e747d567675854d377de8030000000000000b000000e803000000" +
+	"000000b80b000000000000e803000000000000e8030000000000000000000000000000e803000000" +
+	"000000e803000000000000e803000000000000000000000000000001000000000000000700000000" +
+	"000000000000000100000001000000e803000000000000000000008cafae6ff67b0c17"
+
+// TestDecodeElevenWordSnapshot: the stats list is append-only in both
+// directions — a snapshot from before the worker pool was retired still
+// decodes, its WorkerPanics word is ignored, the ten surviving counters
+// read back, and it restores to the state hash its writer computed.
+func TestDecodeElevenWordSnapshot(t *testing.T) {
+	buf, err := hex.DecodeString(elevenWordSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := ckptio.Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.Stats) != NumStatsWords+1 || raw.Stats[NumStatsWords] != 7 {
+		t.Fatalf("fixture is not the eleven-word snapshot: stats %v", raw.Stats)
+	}
+	st, err := Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Stats{Cycles: 1000, OpsEvaluated: 3000, SignalChanges: 1000, PartChecks: 1000,
+		PartEvals: 1000, OutputCompares: 1000, Wakes: 1000, FusedPairs: 1}
+	if st.Stats != want {
+		t.Fatalf("stats %+v, want %+v", st.Stats, want)
+	}
+	const writerHash = 0xb5d19235734a1945
+	s := newSim(t, compileCkpt(t, counterSrc), sim.EngineCCSS)
+	if err := sim.Restore(s, st); err != nil {
+		t.Fatal(err)
+	}
+	back, err := sim.Capture(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := StateHash(back); got != writerHash || StateHash(st) != writerHash {
+		t.Fatalf("state hash %#x after restore, %#x decoded, %#x at the writer",
+			got, StateHash(st), uint64(writerHash))
+	}
+	if len(Encode(back)) != len(buf)-8 {
+		t.Fatalf("re-encoded snapshot is %d bytes, want one stats word less than %d",
+			len(Encode(back)), len(buf))
+	}
+}
+
 func TestDecodeRejectsDamage(t *testing.T) {
 	buf := Encode(randState(t, 4200, 10))
 

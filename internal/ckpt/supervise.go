@@ -52,10 +52,9 @@ type RunReport struct {
 	CheckpointBytes int64
 	CheckpointTime  time.Duration
 	LastCheckpoint  string
-	// Degraded/WorkerPanics surface pooled-engine panic recovery and
-	// compiled-backend fallback.
-	Degraded     bool
-	WorkerPanics uint64
+	// Degraded reports that a compiled-backend session fell back to the
+	// interpreter.
+	Degraded bool
 }
 
 // Aborted is the watchdog's verdict: the run did not complete, but the
@@ -118,7 +117,6 @@ func Supervise(s sim.Simulator, cfg RunConfig) (RunReport, error) {
 		if dg, ok := s.(interface{ Degraded() bool }); ok {
 			rep.Degraded = dg.Degraded()
 		}
-		rep.WorkerPanics = s.Stats().WorkerPanics
 		return rep, err
 	}
 	abort := func(reason string) (RunReport, error) {

@@ -19,6 +19,7 @@ import (
 	"go/format"
 
 	"essent/internal/bits"
+	"essent/internal/ckpt"
 	"essent/internal/netlist"
 	"essent/internal/sim"
 )
@@ -81,7 +82,7 @@ func (o Options) Engine() sim.Options {
 // binary is never reused across a change to the emitted text: bump it
 // with any such change (TestFormatVersionPinsEmittedText fails until
 // then).
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Generate emits Go source for a simulator of the design.
 func Generate(d *netlist.Design, opts Options) ([]byte, error) {
@@ -312,7 +313,7 @@ func (g *gen) emitStruct() {
 		g.p("  poked bool")
 	}
 	if g.opts.Serve {
-		g.p("  stats [11]uint64")
+		g.p("  stats [%d]uint64", ckpt.NumStatsWords)
 	}
 	g.p("}")
 	g.p("")
@@ -363,7 +364,7 @@ func (g *gen) emitNew() {
 		}
 	}
 	if g.opts.Serve {
-		g.p("  s.stats = [11]uint64{%d: %d}", statFusedPairs, pr.FusedPairs)
+		g.p("  s.stats = [%d]uint64{%d: %d}", ckpt.NumStatsWords, statFusedPairs, pr.FusedPairs)
 	}
 	g.p("  s.cycle = 0")
 	g.p("  s.rearm()")

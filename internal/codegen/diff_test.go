@@ -256,7 +256,7 @@ func (a interpSim) Peek(name string) uint64 {
 
 // TestGeneratedMatchesInterpreter compares, for every fixture and every
 // emission variant, each output and register after each cycle against the
-// full-cycle interpreter and — on Serve variants — all eleven Stats words
+// full-cycle interpreter and — on Serve variants — all ten Stats words
 // against the interpreter built from the same options (the engine whose
 // program was printed). It also vets the emitted packages of the
 // hand-written fixtures.
@@ -339,23 +339,6 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 				t.Fatalf("%s/%s: interpreter disagrees with the full-cycle oracle", f.name, cfg.name)
 			}
 			wantStats := eng.Stats()
-			if interp.Engine == sim.EngineCCSS {
-				// The same engine at two workers: same trace, and Stats equal as
-				// a struct.
-				interp.Engine, interp.Workers = sim.EngineCCSSParallel, 2
-				par, err := sim.New(f.d, interp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := replay(interpSim{par, f.d}, f); got != want {
-					t.Fatalf("%s/%s: CCSS at 2 workers disagrees with the full-cycle oracle", f.name, cfg.name)
-				}
-				if *par.Stats() != *wantStats {
-					t.Fatalf("%s/%s: CCSS Stats at 2 workers %+v, at 1 worker %+v",
-						f.name, cfg.name, *par.Stats(), *wantStats)
-				}
-				par.(*sim.CCSS).Close()
-			}
 			for _, serve := range []bool{false, true} {
 				pkg := fmt.Sprintf("%s_%s", f.name, cfg.name)
 				if serve {
@@ -375,7 +358,7 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 					fmt.Sscan(fld, &w)
 					ws = append(ws, w)
 				}
-				if got := ckpt.StatsFromWords(ws); len(ws) != 11 || got != *wantStats {
+				if got := ckpt.StatsFromWords(ws); len(ws) != ckpt.NumStatsWords || got != *wantStats {
 					t.Errorf("%s: Stats %+v (line %q), interpreter %+v", pkg, got, statsLine, *wantStats)
 				}
 			}

@@ -14,8 +14,8 @@ import (
 // for as long as design, options and FormatVersion agree, so a change to
 // the emitted text must come with a new version.
 const (
-	pinnedVersion  = 1
-	emittedTextPin = "32cb64cf3e08782b7ff977eaac1680c908d181faa2b96c06fffbcbea4aa6144e"
+	pinnedVersion  = 2
+	emittedTextPin = "5704ca5592841c490d57a3102f758b8f18eb2b4efde783bf5eec47ebed0f63cd"
 )
 
 func TestFormatVersionPinsEmittedText(t *testing.T) {

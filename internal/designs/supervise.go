@@ -50,9 +50,9 @@ type RunInfo struct {
 	CheckpointTime  time.Duration
 	// LastCheckpoint is the newest snapshot path ("" if none written).
 	LastCheckpoint string
-	// Degraded/WorkerPanics surface parallel-engine panic recovery.
-	Degraded     bool
-	WorkerPanics uint64
+	// Degraded reports that a compiled-backend session fell back to the
+	// interpreter.
+	Degraded bool
 }
 
 // Watchdog sentinels: errors.Is(err, ErrWallClock) etc. classify a
@@ -116,7 +116,7 @@ func (r *Runner) RunSupervised(cfg RunConfig) (RunInfo, error) {
 	info := RunInfo{
 		Checkpoints: rep.Checkpoints, CheckpointBytes: rep.CheckpointBytes,
 		CheckpointTime: rep.CheckpointTime, LastCheckpoint: rep.LastCheckpoint,
-		Degraded: rep.Degraded, WorkerPanics: rep.WorkerPanics,
+		Degraded: rep.Degraded,
 	}
 	if rep.Stop != nil {
 		info.Result = Result{

@@ -41,12 +41,6 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-func closeRunner(r *Runner) {
-	if p, ok := r.Sim.(interface{ Close() }); ok {
-		p.Close()
-	}
-}
-
 // TestSupervisedMatchesRun: on a terminating workload the supervised
 // loop returns the same result as the plain Run loop, and the periodic
 // checkpoints are written and loadable.
@@ -171,9 +165,9 @@ func TestWatchdogWallClock(t *testing.T) {
 }
 
 // TestCheckpointResumeAcrossEngines is the acceptance scenario run
-// in-process: a parallel checkpointed run is abandoned mid-flight, and
-// a fresh *sequential* runner resumes from the newest snapshot and
-// lands on the exact result of an uninterrupted run.
+// in-process: a vectorized checkpointed run is abandoned mid-flight, and
+// a fresh *scalar* runner resumes from the newest snapshot and lands on
+// the exact result of an uninterrupted run.
 func TestCheckpointResumeAcrossEngines(t *testing.T) {
 	prog := countdownProg(t, 4000, 123)
 
@@ -187,15 +181,15 @@ func TestCheckpointResumeAcrossEngines(t *testing.T) {
 	}
 	wantCycles := ref.Sim.Stats().Cycles
 
-	// Parallel run, aborted by the cycle limit partway through.
+	// Vectorized run (MinVecLanes 2 so the tiny SoC's 4-lane cluster takes
+	// the class path), aborted by the cycle limit partway through.
 	dir := t.TempDir()
-	par := buildSim(t, tinyConfig(), sim.Options{
-		Engine: sim.EngineCCSSParallel, Cp: 8, Workers: 2})
-	defer closeRunner(par)
-	if err := par.Load(prog); err != nil {
+	vec := buildSim(t, tinyConfig(), sim.Options{
+		Engine: sim.EngineCCSSVec, Cp: 8, MinVecLanes: 2})
+	if err := vec.Load(prog); err != nil {
 		t.Fatal(err)
 	}
-	_, err = par.RunSupervised(RunConfig{
+	_, err = vec.RunSupervised(RunConfig{
 		MaxCycles: 5000, CheckpointDir: dir, CheckpointEvery: 1000,
 	})
 	var re *RunError
@@ -203,7 +197,7 @@ func TestCheckpointResumeAcrossEngines(t *testing.T) {
 		t.Fatalf("err = %v, want *RunError (cycle-limit)", err)
 	}
 
-	// Fresh sequential runner resumes and finishes.
+	// Fresh scalar runner resumes and finishes.
 	seq := buildSim(t, tinyConfig(), sim.Options{Engine: sim.EngineCCSS, Cp: 8})
 	st, path, err := seq.RestoreLatest(dir)
 	if err != nil {
@@ -226,7 +220,7 @@ func TestCheckpointResumeAcrossEngines(t *testing.T) {
 }
 
 // Crash-resume matrix: a checkpointed run on each whole-design engine
-// (parallel, word-packed batch, instance-vectorized) is killed with
+// (word-packed batch, instance-vectorized) is killed with
 // SIGKILL in a child process, then a sequential runner resumes from
 // whatever snapshot survived and must reach the uninterrupted result.
 // (The compiled-subprocess backend has its own kill matrix in
@@ -244,19 +238,13 @@ func TestCrashResumeHelper(t *testing.T) {
 		t.Skip("helper process for TestCrashResume")
 	}
 	prog := crashProg(t)
-	var opts sim.Options
-	switch engine := os.Getenv(crashHelperEngineEnv); engine {
-	case "packed":
+	if os.Getenv(crashHelperEngineEnv) == "packed" {
 		crashHelperPacked(t, dir, prog)
 		return
-	case "vec":
-		// MinVecLanes 2 so the tiny SoC's 4-lane cluster actually
-		// exercises the vectorized path.
-		opts = sim.Options{Engine: sim.EngineCCSSVec, Cp: 8, MinVecLanes: 2}
-	default:
-		opts = sim.Options{Engine: sim.EngineCCSSParallel, Cp: 8, Workers: 2}
 	}
-	r := buildSim(t, tinyConfig(), opts)
+	// MinVecLanes 2 so the tiny SoC's 4-lane cluster actually exercises
+	// the vectorized path.
+	r := buildSim(t, tinyConfig(), sim.Options{Engine: sim.EngineCCSSVec, Cp: 8, MinVecLanes: 2})
 	if err := r.Load(prog); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +310,7 @@ func TestCrashResume(t *testing.T) {
 	}
 	wantCycles := ref.Sim.Stats().Cycles
 
-	for _, engine := range []string{"parallel", "packed", "vec"} {
+	for _, engine := range []string{"packed", "vec"} {
 		engine := engine
 		t.Run(engine, func(t *testing.T) {
 			t.Parallel()

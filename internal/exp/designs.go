@@ -377,7 +377,6 @@ func engineArm(name string, d *Design, w riscv.Workload, cycles int,
 		if err != nil {
 			return Sample{}, err
 		}
-		defer closeSim(s)
 		smp, halted, err := d.sample(s, w, cycles, 1024)
 		if err == nil && fill != nil {
 			err = fill(s, &smp, halted)
@@ -389,13 +388,6 @@ func engineArm(name string, d *Design, w riscv.Workload, cycles int,
 // simOn is engineArm's build for a sim.Options engine.
 func simOn(nd *netlist.Design, opts sim.Options) func() (sim.Simulator, error) {
 	return func() (sim.Simulator, error) { return sim.New(nd, opts) }
-}
-
-// closeSim stops an engine's worker pool, if it has one.
-func closeSim(s sim.Simulator) {
-	if c, ok := s.(interface{ Close() }); ok {
-		c.Close()
-	}
 }
 
 // effActivity is the effective activity factor of s's run (fraction of

@@ -5,11 +5,7 @@
 // records the measured results next to the paper's.
 package exp
 
-import (
-	"fmt"
-
-	"essent/internal/sim"
-)
+import "essent/internal/sim"
 
 // Params carries benchall's flags to the experiments. Nil lists select
 // each experiment's defaults.
@@ -17,8 +13,6 @@ type Params struct {
 	Scale Scale
 	// Designs narrows the design set (registry names).
 	Designs []string
-	// Workers are the parallel-CCSS worker counts of the scaling sweep.
-	Workers []int
 	// Lanes are the batch lane counts (lanes, pack) or the per-class lane
 	// caps (vec).
 	Lanes []int
@@ -83,7 +77,7 @@ func (e *Experiment) CanBuild(design string) bool {
 // then the extension sweeps.
 var Experiments = []*Experiment{
 	table1, table2, table3, table4, fig5, fig6, fig7, ablation,
-	scaling, lanes, pack, vec, saExp, gen, gencp, ckptcost, verifycost,
+	lanes, pack, vec, saExp, gen, gencp, ckptcost, verifycost,
 }
 
 // Lookup finds an experiment by name.
@@ -121,11 +115,6 @@ func Engines() []EngineSpec {
 func essentSpec(cp int) EngineSpec {
 	return EngineSpec{Name: "ESSENT", Optimized: true,
 		Options: sim.Options{Engine: sim.EngineCCSS, Cp: cp}}
-}
-
-func parallelSpec(workers int) EngineSpec {
-	return EngineSpec{Name: fmt.Sprintf("Parallel/%d", workers), Optimized: true,
-		Options: sim.Options{Engine: sim.EngineCCSSParallel, Cp: 8, Workers: workers}}
 }
 
 // Fig6Cps is the Cp sweep the paper plots.

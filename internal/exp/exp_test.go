@@ -69,7 +69,6 @@ var smoke = []struct {
 	{"fig7", Params{Designs: []string{"tinyA"}}, false,
 		"cp,partitions,base_ops_per_cycle,static_per_cycle,dynamic_per_cycle,eff_activity"},
 	{"ablation", Params{Designs: []string{"tinyA"}}, false, "ops_per_cycle,elided,slowdown"},
-	{"scaling", Params{Designs: []string{"tinyA"}, Workers: []int{1, 2}}, false, "workers,eff_activity"},
 	{"lanes", Params{Designs: []string{"tinyA"}, Lanes: []int{1, 2}}, false,
 		"lanes,halted"},
 	{"pack", Params{Designs: []string{"fab"}, Lanes: []int{3, 8}}, false,
@@ -380,32 +379,6 @@ func TestAblation(t *testing.T) {
 	}
 }
 
-func TestScalingSweep(t *testing.T) {
-	rows := rowsOf(t, "scaling")
-	// Per workload: the sequential base plus one row per worker count.
-	timedRows(t, rows, 2*3)
-	for i, r := range rows {
-		base := rows[i/3*3]
-		if r.Cycles == 0 || r.Cycles != base.Cycles {
-			t.Fatalf("cycle count diverged across worker counts: %+v", r)
-		}
-		if ea := num(r, "eff_activity"); ea <= 0 || ea > 1 || ea != num(base, "eff_activity") {
-			t.Fatalf("row %d activity %v (base %v)", i, ea, num(base, "eff_activity"))
-		}
-		if int(num(r, "workers")) != i%3 {
-			t.Fatalf("worker ordering wrong: %+v", rows)
-		}
-	}
-	if rows[0].Arm != "seq" || rows[0].Speedup != 1 || rows[0].Workload != "dhrystone" ||
-		rows[3].Workload != "pchase" {
-		t.Fatalf("baseline row malformed: %+v", rows[0])
-	}
-	out := scaling.Render(rows)
-	if !strings.Contains(out, "tinyA") || !strings.Contains(out, "dhrystone") {
-		t.Fatalf("render missing cells:\n%s", out)
-	}
-}
-
 func TestLaneSweep(t *testing.T) {
 	rows := rowsOf(t, "lanes")
 	timedRows(t, rows, 3) // baseline + 2 lane counts
@@ -547,7 +520,7 @@ func TestSASweep(t *testing.T) {
 
 func TestVerifyCostSweep(t *testing.T) {
 	rows := rowsOf(t, "verifycost")
-	timedRows(t, rows, 5*2)
+	timedRows(t, rows, 4*2)
 	engines := map[any]bool{}
 	for i, r := range rows {
 		if r.Design != "tinyA" || r.Extras["engine"] == "" {
@@ -559,8 +532,8 @@ func TestVerifyCostSweep(t *testing.T) {
 			t.Fatalf("row %d: %+v", i, r)
 		}
 	}
-	if len(engines) != 5 || !engines["ESSENT"] {
-		t.Fatalf("expected 5 engines, got %v", engines)
+	if len(engines) != 4 || !engines["ESSENT"] {
+		t.Fatalf("expected 4 engines, got %v", engines)
 	}
 }
 
@@ -607,7 +580,7 @@ func TestGenCpSweep(t *testing.T) {
 
 func TestCkptCostSweep(t *testing.T) {
 	rows := rowsOf(t, "ckptcost")
-	timedRows(t, rows, 2*2*2) // 2 engines × 2 intervals × (base, ckpt)
+	timedRows(t, rows, 2*2) // 2 intervals × (base, ckpt)
 	for i := 0; i < len(rows); i += 2 {
 		base, ck := rows[i], rows[i+1]
 		if base.Arm != "base" || ck.Arm != "ckpt" || base.Cycles != ck.Cycles {
@@ -626,8 +599,8 @@ func TestCkptCostSweep(t *testing.T) {
 			t.Fatalf("run with no snapshot: %+v", ck)
 		}
 	}
-	if rows[0].Extras["engine"] != "ESSENT" || rows[4].Extras["engine"] != "Parallel/2" {
-		t.Fatalf("engines: %v %v", rows[0].Extras["engine"], rows[4].Extras["engine"])
+	if rows[0].Extras["engine"] != "ESSENT" {
+		t.Fatalf("engine: %v", rows[0].Extras["engine"])
 	}
 }
 

@@ -76,7 +76,6 @@ func TestCCSSStatsGolden(t *testing.T) {
 		opts sim.Options
 	}{
 		{"workers1", sim.Options{Engine: sim.EngineCCSS, Cp: 8}},
-		{"workers2", sim.Options{Engine: sim.EngineCCSSParallel, Cp: 8, Workers: 2}},
 		{"nofuse", sim.Options{Engine: sim.EngineCCSS, Cp: 8, NoFuse: true}},
 	}
 	var out []entry
@@ -98,7 +97,6 @@ func TestCCSSStatsGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			out = append(out, entry{d.Name, w.Name, cfg.name, *s.Stats()})
-			closeSim(s)
 		}
 	}
 	got, err := json.MarshalIndent(out, "", "  ")

@@ -28,7 +28,7 @@ type Sample struct {
 
 // Arm is one simulator variant of a cell. Run builds (or reuses) its
 // engine and returns one sample; Close, when set, releases what Run
-// keeps across repetitions (a session, a worker pool, a scratch dir).
+// keeps across repetitions (a session, a scratch dir).
 type Arm struct {
 	Name  string
 	Run   func() (Sample, error)

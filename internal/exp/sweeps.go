@@ -178,35 +178,6 @@ var ablation = &Experiment{
 	},
 }
 
-// The scaling sweep times CCSS at one worker (arm seq) against the same
-// engine at each larger worker count.
-var scaling = &Experiment{
-	Name:    "scaling",
-	Title:   "CCSS worker-pool scaling (arm seq is one worker)",
-	Accepts: designSpec.soc,
-	Columns: []string{"workers", "eff_activity"},
-	Cells: func(ds *DesignSet, p Params) ([]Cell, error) {
-		dsg, err := ds.pick(p.Designs, designSpec.soc, "r16", "r18")
-		specs := []EngineSpec{essentSpec(8)}
-		specs[0].Name = "seq"
-		for _, nw := range ints(p.Workers, 2, 4, 8) {
-			specs = append(specs, parallelSpec(nw))
-		}
-		return grid(ds, dsg, []string{"dhrystone", "pchase"}, 5,
-			func(d *Design, w riscv.Workload) []Arm {
-				var arms []Arm
-				for _, spec := range specs {
-					arms = append(arms, specArm(d, w, p.Scale.MaxCycles, spec, true,
-						func(s sim.Simulator) map[string]any {
-							return map[string]any{"workers": spec.Options.Workers,
-								"eff_activity": effActivity(s)}
-						}))
-				}
-				return arms
-			}), err
-	},
-}
-
 // batchArm measures w on every lane of a batched engine.
 func batchArm(name string, d *Design, w riscv.Workload, cycles int,
 	opts sim.BatchOptions, extras func(ps sim.PackStats, halted bool) (map[string]any, error)) Arm {
@@ -544,17 +515,16 @@ var ckptcost = &Experiment{
 		var cells []Cell
 		for _, d := range dsg {
 			w := ds.workloads(d, "dhrystone")[0]
-			for _, spec := range []EngineSpec{essentSpec(8), parallelSpec(2)} {
-				for _, interval := range intervals {
-					cells = append(cells, ckptCell(d, w, spec, interval, p.Scale.MaxCycles))
-				}
+			for _, interval := range intervals {
+				cells = append(cells, ckptCell(d, w, interval, p.Scale.MaxCycles))
 			}
 		}
 		return cells, err
 	},
 }
 
-func ckptCell(d *Design, w riscv.Workload, spec EngineSpec, interval uint64, maxCycles int) Cell {
+func ckptCell(d *Design, w riscv.Workload, interval uint64, maxCycles int) Cell {
+	spec := essentSpec(8)
 	dir := &scratchDir{}
 	var endHash uint64
 	ckptArm := Arm{Name: "ckpt", Close: dir.remove, Run: func() (Sample, error) {
@@ -566,7 +536,6 @@ func ckptCell(d *Design, w riscv.Workload, spec EngineSpec, interval uint64, max
 		if err != nil {
 			return Sample{}, err
 		}
-		defer closeSim(s)
 		r, err := designs.NewRunner(s)
 		if err != nil {
 			return Sample{}, err
@@ -631,7 +600,7 @@ func ckptCell(d *Design, w riscv.Workload, spec EngineSpec, interval uint64, max
 // optimization, where the engine runs it → simulator construction) with
 // the static verifier strict versus off. The always-on post-pass lint
 // inside opt.Optimize is part of both arms: -verify does not govern it.
-// The budget is <10% on r16.
+// The budget is 15% of a CCSS compile (DESIGN §9 "Modes and cost").
 var verifycost = &Experiment{
 	Name:    "verifycost",
 	Title:   "Static-verification compile overhead (strict vs off)",
@@ -641,10 +610,9 @@ var verifycost = &Experiment{
 		dsg, err := ds.pick(p.Designs, anyDesign, "r16")
 		var cells []Cell
 		for _, d := range dsg {
-			for _, spec := range append(Engines(), parallelSpec(2)) {
+			for _, spec := range Engines() {
 				arm := func(name string, mode verify.Mode) Arm {
 					return Arm{Name: name, Run: func() (Sample, error) {
-						var s sim.Simulator
 						sec, err := timed(func() error {
 							nd, err := netlist.Compile(d.Circuit)
 							if err == nil && spec.Optimized {
@@ -655,12 +623,9 @@ var verifycost = &Experiment{
 							}
 							opts := spec.Options
 							opts.Verify = mode
-							s, err = sim.New(nd, opts)
+							_, err = sim.New(nd, opts)
 							return err
 						})
-						if err == nil {
-							closeSim(s)
-						}
 						return Sample{Seconds: sec, Units: 1}, err
 					}}
 				}

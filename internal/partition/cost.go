@@ -2,20 +2,19 @@ package partition
 
 import "essent/internal/netlist"
 
-// Static partition cost model. The parallel CCSS engine balances work
-// across workers at compile time, so it needs a per-partition estimate of
-// evaluation cost that is cheap to compute and roughly proportional to
-// interpreter time. The model charges each schedulable node a weight by
-// its dispatch width class — the same classification the interpreter
-// routes instructions through (internal/sim/machine.go: kNarrow /
-// kSigned / kWide) — and sinks a flat weight for argument marshalling.
+// Static partition cost model: a per-partition estimate of evaluation
+// cost that is cheap to compute and roughly proportional to interpreter
+// time (the planner's sparse-level fusion reads it). The model charges
+// each schedulable node a weight by its dispatch width class — the same
+// classification the interpreter routes instructions through
+// (internal/sim/machine.go: kNarrow / kSigned / kWide) — and sinks a flat
+// weight for argument marshalling.
 //
 // The weights are calibrated against the dispatch microbenchmark
 // (internal/sim/dispatch_bench_test.go): narrow ~5 ns, signed ~7 ns,
 // wide ~29 ns per evaluated op on the reference host. One cost unit is
 // therefore roughly one nanosecond of single-threaded evaluation, which
-// lets thresholds (sparse-level fusion, serial-dispatch cutoffs) be
-// stated in time-like units.
+// lets thresholds (sparse-level fusion) be stated in time-like units.
 const (
 	// CostNarrow is the weight of a single-word unsigned node (kNarrow).
 	CostNarrow int64 = 5

@@ -33,27 +33,25 @@ type CCSSPlan struct {
 	InputConsumers [][]int
 	// PartLevels gives each partition's longest-path depth in the
 	// partition DAG (data + ordering edges). Partitions on the same
-	// level are mutually independent — the parallel engine evaluates
-	// them concurrently.
+	// level are mutually independent.
 	PartLevels []int
 	// NumLevels is max(PartLevels)+1.
 	NumLevels int
 	// PartCosts estimates each partition's evaluation cost (runtime IDs;
 	// partition width-class weights, roughly ns of single-threaded
-	// interpretation). The parallel engine's compile-time chunking and
-	// the sparse-level fusion below consume it.
+	// interpretation). The sparse-level fusion below consumes it.
 	PartCosts []int64
-	// LevelSpecs is the barrier-level schedule: PartLevels grouped into
-	// specs, with runs of sparse levels fused into serial specs so the
-	// parallel engine pays at most one barrier crossing per level that
-	// is actually worth parallelism.
+	// LevelSpecs is the level schedule: PartLevels grouped into specs,
+	// with runs of sparse levels fused into serial specs. It was sized
+	// for the retired level-parallel pool (one barrier crossing per busy
+	// level, DESIGN §6); the grouping is kept as it was because the batch
+	// engine's activity-skip granularity is the spec.
 	LevelSpecs []LevelSpec
 	// SpecOf maps each runtime partition ID to its LevelSpecs index. It
-	// is the wake plumbing shared by every engine that keeps per-spec
-	// activity state (the parallel engine's level counters, the batch
-	// engine's per-spec lane masks): waking partition p means marking
-	// spec SpecOf[p] active, so the per-cycle walk can skip idle specs
-	// without scanning their partitions.
+	// is the wake plumbing of the engine that keeps per-spec activity
+	// state (the batch engine's per-spec lane masks): waking partition p
+	// means marking spec SpecOf[p] active, so the per-cycle walk can skip
+	// idle specs without scanning their partitions.
 	SpecOf []int32
 	// PartStats carries the partitioner's statistics.
 	PartStats partition.Stats
@@ -83,30 +81,26 @@ type OutputPlan struct {
 	Consumers []int
 }
 
-// LevelSpec is one barrier-to-barrier step of the parallel schedule.
-// A parallel spec holds exactly one partition-DAG level, whose members
-// are mutually independent. A serial spec holds one or more fused
-// sparse levels; its partitions may depend on each other across the
-// fused levels, so they must run in order on a single goroutine — which
-// is exactly how the engine executes serial specs, saving the barrier.
+// LevelSpec is one step of the level schedule. A non-serial spec holds
+// exactly one partition-DAG level, whose members are mutually
+// independent. A serial spec holds one or more fused sparse levels; its
+// partitions may depend on each other across the fused levels, so a
+// wake inside it must be seen in the same pass.
 type LevelSpec struct {
 	// Parts lists runtime partition IDs in execution order (ascending
 	// level, then ascending ID — a valid topological order).
 	Parts []int
 	// Cost is the summed static cost of Parts (CCSSPlan.PartCosts units).
 	Cost int64
-	// Serial marks fused sparse levels: never worth a barrier crossing.
+	// Serial marks fused sparse levels.
 	Serial bool
 	// NumLevels counts the raw DAG levels collapsed into this spec.
 	NumLevels int
 }
 
-// SparseLevelCost is the static-cost threshold below which a DAG level
-// is too sparse to ever be worth a barrier crossing (cost units are
-// roughly ns; waking and draining a worker pool costs a few µs). Such
-// levels fuse with adjacent sparse levels into serial specs. Levels
-// with a single partition are serial regardless of cost — there is
-// nothing to split.
+// SparseLevelCost is the static-cost threshold (units roughly ns) below
+// which a DAG level fuses with adjacent sparse levels into serial specs.
+// Levels with a single partition are serial regardless of cost.
 const SparseLevelCost = 4096
 
 // SerialFuseCap bounds how much work fuses into one serial spec. Serial
@@ -173,7 +167,7 @@ func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 	// Longest-path level per partition, then re-sort the schedule
 	// level-major (stable, so topological order is kept within a level —
 	// and any per-level order is valid since every DAG edge crosses to a
-	// strictly higher level). Level-major runtime IDs make each barrier
+	// strictly higher level). Level-major runtime IDs make each level
 	// spec a contiguous ID range, so the engines scan flags linearly.
 	lvl := make([]int, np)
 	for _, p := range partOrder {
@@ -286,8 +280,7 @@ func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 		}
 	}
 
-	// Static cost model and the barrier-level schedule with sparse-level
-	// fusion.
+	// Static cost model and the level schedule with sparse-level fusion.
 	plan.PartCosts = make([]int64, np)
 	for pi := range plan.Parts {
 		plan.PartCosts[pi] = partition.PartCost(dg, plan.Parts[pi].Members)

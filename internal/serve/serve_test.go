@@ -149,7 +149,7 @@ func stateHashOf(t *testing.T, s sim.Simulator) uint64 {
 // TestCompiledMatchesInterpreter drives the compiled subprocess and the
 // in-process interpreter through the same schedule — the small SoC under
 // random pokes, and r16 running dhrystone — and demands bit-exact state
-// and equal Stats, all eleven words.
+// and equal Stats, all ten words.
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a compiled artifact")

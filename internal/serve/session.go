@@ -255,8 +255,7 @@ func (s *Session) start() error {
 // degraded reports whether the interpreter has taken over.
 func (s *Session) degraded() bool { return s.interp != nil }
 
-// Degraded satisfies the facade's degradation probe (also covering the
-// parallel engines' in-process degradation when the fallback is one).
+// Degraded satisfies the facade's degradation probe.
 func (s *Session) Degraded() bool { return s.degraded() }
 
 // Degradation returns the structured fallback record (nil while the
@@ -879,7 +878,7 @@ func (s *Session) stepSegmentSupervised(k int) (error, error) {
 
 // Stats fetches the child's counters (or the interpreter's once
 // degraded). The artifact is a printing of the program the interpreter
-// of the same options executes, so all eleven words equal that
+// of the same options executes, so all ten words equal that
 // interpreter's (a conservative restore aside — DESIGN.md §14).
 func (s *Session) Stats() *sim.Stats {
 	if s.degraded() {

@@ -1,19 +1,14 @@
 package sim
 
 import (
-	"fmt"
-	"io"
-	"math"
 	stdbits "math/bits"
 	"slices"
-	"sync/atomic"
 
 	"essent/internal/bits"
 	"essent/internal/netlist"
 	"essent/internal/partition"
 	"essent/internal/sched"
 	"essent/internal/verify"
-	"essent/pkg/simrt"
 )
 
 // CCSS is the paper's essential-signal-simulation engine: the design is
@@ -27,46 +22,24 @@ import (
 // a word of 64 partitions at a time, and descends only into set bits
 // (GSIM's activity test, one level down): an idle partition costs 1/64
 // of a load and a compare. The planner numbers partitions level-major
-// (sched.CCSSPlan LevelSpecs), so every barrier level is one bit range —
-// and the only thing EngineCCSSParallel adds is that a level whose
-// partitions are mutually independent and busy enough may be split
-// across the worker pool instead of run in place. Thread-parallelism is
-// a parameter of this one walk (static bulk-synchronous levels, as in
-// Manticore and GSIM), not a second engine: with one worker no level
-// ever crosses the pool and the walk is one scan of the bitmap.
-//
-// Semantics do not depend on the worker count except printf
-// interleaving (printfs from partitions on the same level may appear in
-// any order) and which of several same-cycle check errors surfaces.
-// Stats are identical across worker counts: every counter is a sum of
-// per-partition quantities, and the dispatch decisions depend only on
-// deterministic activity state.
+// (sched.CCSSPlan LevelSpecs) and a consumer never precedes its
+// producer, so one ascending scan of the bitmap is the whole cycle. The
+// engine runs on the calling goroutine alone (the level-parallel worker
+// pool is retired: DESIGN §6).
 type CCSS struct {
 	*machine
-	*pool
 
 	parts PartTable
 
 	// flags and always are the activity state. Their representation is
 	// private to this file: every other reader or writer in the package
-	// goes through wake, take, anyFlagged, next, pending, stopAt and
-	// wakeAll. Bit p of
-	// flags is partition p's activity flag (set by wake, cleared by take);
+	// goes through wake, take, anyFlagged, next, stopAt and wakeAll. Bit p
+	// of flags is partition p's activity flag (set by wake, cleared by take);
 	// always is constant after construction and marks the partitions the
 	// walk stops at every cycle whether flagged or not — the always-on
 	// ones (display/check sinks), plus the vec engine's class leaders.
-	// Only the dispatching goroutine touches flags.
 	flags  []uint64
 	always []uint64
-	// levels is the plan's barrier-level list (one entry per LevelSpec);
-	// runs is the walk sizeLevels derives from it: levels that can never
-	// cross the pool merge into one scan.
-	levels []levelRun
-	runs   []walkRun
-	// serialCutoff is the active static cost (≈ns of single-threaded
-	// evaluation) below which crossing the barrier costs more than it
-	// saves; sizeLevels turns it into levelRun.poolAt.
-	serialCutoff int64
 
 	// Input change detection (§III-A: "the simulator also detects changes
 	// to external inputs").
@@ -95,17 +68,6 @@ type CCSS struct {
 	// partition's last evaluation (change detection compares against it).
 	oldVals []uint64
 
-	// Pooled-level state (empty with one worker). wk[w] is worker w's
-	// private side: a machine view and the buffers its evaluations fill;
-	// runList is the level in flight — the flagged partitions the
-	// dispatcher took — dispensed one index at a time through listNext.
-	wk       []*ccssWorker
-	runList  []int32
-	listNext atomic.Int64
-	spanFn   func(wid int)
-	// pooledOut is the workers' printf sink: machine.out behind a lock.
-	pooledOut lockedWriter
-
 	// PartStats from construction (for the experiment harness).
 	PartStats partition.Stats
 	// NumElided counts in-place-updated registers.
@@ -119,61 +81,11 @@ type CCSS struct {
 	walk func() error
 }
 
-// levelRun is the runtime form of one sched.LevelSpec: the contiguous
-// partition range [start, end).
-type levelRun struct {
-	start, end int32
-	// poolAt is the count of partitions due to evaluate from which
-	// crossing the barrier beats running in place: serialCutoff over the
-	// level's mean partition cost, precomputed so the per-cycle decision is
-	// a popcount and a compare. Serial specs, and every level of a
-	// one-worker engine, never reach it (math.MaxInt32).
-	poolAt int32
-	// elided locates the table words of registers this level updates in
-	// place; elSnap is their pre-dispatch snapshot. Partition evaluation
-	// is idempotent for everything except in-place register updates, so
-	// panic recovery must roll these back before re-running the level.
-	elided []operand
-	elSnap []uint64
-}
-
-// walkRun is one step of the per-cycle walk: the partition range
-// [start, end), scanned in place when level is negative (a stretch of
-// levels that never cross the pool), else levels[level], which may.
-type walkRun struct {
-	start, end int32
-	level      int32
-}
-
-// ccssWorker is one pool worker's private side of a pooled level. m
-// shares the value table, memories and instruction stream with the
-// engine's machine and owns its scratch, counters and error slot; wakes
-// and dirty collect what the dispatcher merges at the level boundary;
-// cur is the partition being evaluated (panic context).
-type ccssWorker struct {
-	m     *machine
-	wakes []int32
-	dirty []int32
-	cur   int32
-}
-
-// defaultWorkerCap bounds only sim.New's Workers=0 default for
-// EngineCCSSParallel, not explicit requests: per-level work on the
-// evaluation designs saturates around eight workers, and the barrier
-// cost grows past it.
-const defaultWorkerCap = 8
-
-// defaultSerialCutoff is the pool-crossing threshold, in static cost
-// units (≈ns of single-threaded evaluation; waking and draining the pool
-// costs a few µs).
-const defaultSerialCutoff = 8192
-
 // PartTable is the partition wake plumbing in CSR form — partitions →
 // outputs → consumers, and partitions → two-phase registers — built once
-// from the plan and read by the scalar walk, the pooled workers and the
-// batch and vec engines alike. Flat arrays, not a slice per partition
-// and per output: evaluating a partition touches consecutive rows, no
-// pointer chase.
+// from the plan and read by the scalar walk and the batch and vec engines
+// alike. Flat arrays, not a slice per partition and per output:
+// evaluating a partition touches consecutive rows, no pointer chase.
 type PartTable struct {
 	// sched is each partition's entry range in the machine IR (what the
 	// pack and vec passes read; the walk runs machine.spans).
@@ -236,8 +148,7 @@ func appendInt32s(dst []int32, xs []int) []int32 {
 // plan, statically verifying the design, the plan, the compiled machine
 // schedule and its lowering under opts.Verify (the scalar, batch and vec
 // engines all build through here, so all three inherit the
-// verification). opts.Engine only sizes the pool (resolveWorkers):
-// EngineCCSSParallel is this engine with more workers.
+// verification).
 func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	plan, err := sched.PlanCCSSOpts(d, sched.PlanOptions{
 		Cp: opts.Cp, NoElide: opts.NoElide, NoMuxShadow: opts.NoMuxShadow,
@@ -245,11 +156,10 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	if err != nil {
 		return nil, err
 	}
-	vmode, workers := opts.Verify, resolveWorkers(opts)
-	if vmode != verify.Off {
+	if opts.Verify != verify.Off {
 		diags := verify.DesignPrePlanned(d)
 		diags = append(diags, verify.Plan(plan)...)
-		if err := verify.Enforce(vmode, diags, nil); err != nil {
+		if err := verify.Enforce(opts.Verify, diags, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -271,11 +181,11 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.lowerVerified(ranges, plan, keepLive, vmode); err != nil {
+	if err := m.lowerVerified(ranges, keepLive, opts.Verify); err != nil {
 		return nil, err
 	}
-	c := &CCSS{machine: m, pool: newPool(workers), PartStats: plan.PartStats,
-		NumElided: plan.NumElided, plan: plan, serialCutoff: defaultSerialCutoff}
+	c := &CCSS{machine: m, PartStats: plan.PartStats,
+		NumElided: plan.NumElided, plan: plan}
 
 	// The partition table: entry ranges come straight from the grouped
 	// schedule construction.
@@ -333,136 +243,17 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	}
 	c.prevIn = make([]uint64, prevOff)
 
-	// The levels. The planner numbers partitions level-major, so each spec
-	// is one contiguous ID range and the specs tile the partition list in
-	// order.
-	c.levels = make([]levelRun, len(plan.LevelSpecs))
-	next := 0
-	for li, spec := range plan.LevelSpecs {
-		for _, pi := range spec.Parts {
-			if pi != next {
-				return nil, fmt.Errorf("sim: level spec %d is not level-major at partition %d", li, pi)
-			}
-			next++
-		}
-		c.levels[li].start = int32(next - len(spec.Parts))
-		c.levels[li].end = int32(next)
-	}
-	if workers > 1 {
-		c.buildWorkers()
-	}
 	c.walk = c.stepOne
-	c.sizeLevels()
 	c.wakeAll()
 	return c, nil
-}
-
-// sizeLevels sets each level's pool-crossing threshold from serialCutoff
-// and lays out the walk. It is its own step so tests can lower the cutoff
-// and force every parallel level of a small design across the barrier.
-func (c *CCSS) sizeLevels() {
-	c.runs = c.runs[:0]
-	for li, spec := range c.plan.LevelSpecs {
-		lv := &c.levels[li]
-		lv.poolAt = math.MaxInt32
-		if !spec.Serial && c.pool.n > 1 {
-			avg := max(spec.Cost/int64(len(spec.Parts)), 1)
-			lv.poolAt = int32(max((c.serialCutoff+avg-1)/avg, 2))
-			c.runs = append(c.runs, walkRun{lv.start, lv.end, int32(li)})
-		} else if n := len(c.runs); n > 0 && c.runs[n-1].level < 0 {
-			c.runs[n-1].end = lv.end
-		} else {
-			c.runs = append(c.runs, walkRun{lv.start, lv.end, -1})
-		}
-	}
-}
-
-// buildWorkers sets up what only a pooled level needs: one machine view
-// per worker, and for each parallel level the in-place registers to roll
-// back should a worker panic.
-func (c *CCSS) buildWorkers() {
-	// Worker views share table/memories/pending buffers and own scratch
-	// and counters. Display output serializes through a locked writer that
-	// follows the engine's current sink.
-	c.pooledOut.set(c.machine.out)
-	c.wk = make([]*ccssWorker, c.pool.n)
-	for w := range c.wk {
-		mc := *c.machine
-		mc.sc = simrt.NewScratch(mc.maxWords)
-		mc.stats = Stats{}
-		mc.out = &c.pooledOut
-		c.wk[w] = &ccssWorker{m: &mc}
-	}
-	c.spanFn = c.runSpan
-	for li, ops := range specElided(c.d, c.plan, c.regOut) {
-		c.levels[li].elided = ops
-	}
-}
-
-// specElided lists, per parallel level spec, the storage of the elided
-// (in-place-updated) registers its partitions write. A pooled engine
-// snapshots those words before releasing the pool, so a recovered worker
-// panic can roll the spec back and re-run it exactly once. Serial specs
-// never cross the pool and get none.
-func specElided(d *netlist.Design, plan *sched.CCSSPlan, regOut []operand) [][]operand {
-	out := make([][]operand, len(plan.LevelSpecs))
-	if plan.NumElided == 0 {
-		return out
-	}
-	partOf := map[int]int32{}
-	for pi := range plan.Parts {
-		for _, n := range plan.Parts[pi].Members {
-			partOf[n] = int32(pi)
-		}
-	}
-	for ri := range d.Regs {
-		if !plan.Elided[ri] {
-			continue
-		}
-		pi, ok := partOf[int(d.Regs[ri].Next)]
-		if !ok {
-			continue
-		}
-		if si := plan.SpecOf[pi]; !plan.LevelSpecs[si].Serial {
-			out[si] = append(out[si], regOut[ri])
-		}
-	}
-	return out
-}
-
-// saveElided snapshots the table words of a level's in-place registers
-// into snap's storage before a pooled dispatch; restoreElided puts them
-// back when the dispatch has to be rolled back.
-func saveElided(ops []operand, table, snap []uint64) []uint64 {
-	snap = snap[:0]
-	for _, o := range ops {
-		snap = append(snap, table[o.off:o.off+o.words()]...)
-	}
-	return snap
-}
-
-func restoreElided(ops []operand, table, snap []uint64) {
-	for _, o := range ops {
-		n := copy(table[o.off:o.off+o.words()], snap)
-		snap = snap[n:]
-	}
-}
-
-// SetOutput directs printf output (serialized across workers).
-func (c *CCSS) SetOutput(w io.Writer) {
-	c.machine.out = w
-	c.pooledOut.set(w)
 }
 
 // --- activity state ---
 
 // wake flags partition q for the next time the walk reaches it.
-// Dispatcher only: partitions evaluated on the pool buffer their wakes
-// for the level boundary.
 func (c *CCSS) wake(q int32) { c.flags[q>>6] |= 1 << (q & 63) }
 
 // take consumes partition p's flag and reports whether it was set.
-// Dispatcher only.
 func (c *CCSS) take(p int32) bool {
 	w, bit := p>>6, uint64(1)<<(p&63)
 	f := c.flags[w]
@@ -520,30 +311,13 @@ func (c *CCSS) next(from, end int32) int32 {
 	return end
 }
 
-// pending counts the partitions of [start, end) the walk would stop at.
-func (c *CCSS) pending(start, end int32) int32 {
-	n := 0
-	for w := start >> 6; w<<6 < end; w++ {
-		x := c.flags[w] | c.always[w]
-		if lo := w << 6; lo < start {
-			x &= ^uint64(0) << (start - lo)
-		}
-		if hi := (w + 1) << 6; hi > end {
-			x &= ^uint64(0) >> (hi - end)
-		}
-		n += stdbits.OnesCount64(x)
-	}
-	return int32(n)
-}
-
 // stopAt makes the walk stop at partition p every cycle, flagged or not.
 // Construction time only.
 func (c *CCSS) stopAt(p int32) { c.always[p>>6] |= 1 << (p & 63) }
 
-// wakeAll flags every partition (first cycle, Reset, restore, panic
-// recovery), re-copies the outputs' old values from the table those
-// events rewrote, and invalidates the input history so the next Step
-// re-seeds it.
+// wakeAll flags every partition (first cycle, Reset, restore), re-copies
+// the outputs' old values from the table those events rewrote, and
+// invalidates the input history so the next Step re-seeds it.
 func (c *CCSS) wakeAll() {
 	for i := range c.parts.outs {
 		o := &c.parts.outs[i]
@@ -589,22 +363,16 @@ func (c *CCSS) PokeMem(mem, addr int, v uint64) {
 	c.wakeMemReaders(int32(mem))
 }
 
-// Reset restores initial state, re-arms every partition and brings a
-// degraded pool back.
+// Reset restores initial state and re-arms every partition.
 func (c *CCSS) Reset() {
 	c.machine.Reset()
 	c.rearm()
-	c.pool.revive()
 }
 
 // rearm puts the activity tracking into its everything-is-stale state
 // after the machine's architectural state was rewritten wholesale.
 func (c *CCSS) rearm() {
 	c.dirtyRegs = c.dirtyRegs[:0]
-	for _, wk := range c.wk {
-		wk.m.stats, wk.m.evalErr = Stats{}, nil
-		wk.wakes, wk.dirty = wk.wakes[:0], wk.dirty[:0]
-	}
 	c.wakeAll()
 }
 
@@ -650,13 +418,8 @@ func (c *CCSS) scanInputs() {
 }
 
 // evalPart evaluates one woken partition: run its span of the stream,
-// compare-and-wake, mark dirty registers. In place (wk nil) it runs on
-// the engine's machine and wakes directly — required inside serial
-// specs, where a consumer later in the spec must still run this cycle.
-// On the pool it runs on the worker's view and buffers wakes and
-// register marks for the merge at the level boundary; consumers of a
-// partition's outputs are never on the producer's own parallel level
-// (see sched levels_test), so deferring them preserves the semantics.
+// compare-and-wake, mark dirty registers. Wakes land in the flag bitmap
+// at once — a consumer later in the walk must still run this cycle.
 //
 // An output changed if its table words differ from their copy in
 // oldVals, which is then brought up to date: only this partition writes
@@ -664,12 +427,8 @@ func (c *CCSS) scanInputs() {
 // left there and nothing has to be saved beforehand (wakeAll re-copies
 // after anything rewrites the table wholesale). The counters are summed
 // locally and added once per partition, the op count by evalSpan.
-func (c *CCSS) evalPart(p int32, wk *ccssWorker) {
+func (c *CCSS) evalPart(p int32) {
 	m := c.machine
-	if wk != nil {
-		m = wk.m
-		wk.cur = p
-	}
 	m.evalSpan(m.spans[p])
 
 	t, old, pt := m.t, c.oldVals, &c.parts
@@ -694,10 +453,6 @@ func (c *CCSS) evalPart(p int32, wk *ccssWorker) {
 		cons := pt.Consumers(o)
 		changes++
 		wakes += uint64(len(cons))
-		if wk != nil {
-			wk.wakes = append(wk.wakes, cons...)
-			continue
-		}
 		for _, q := range cons {
 			c.wake(q)
 		}
@@ -710,12 +465,7 @@ func (c *CCSS) evalPart(p int32, wk *ccssWorker) {
 	// Non-elided registers written here must be committed and
 	// compared at the cycle boundary.
 	if row.reg != row.regEnd {
-		regs := pt.regs[row.reg:row.regEnd]
-		if wk != nil {
-			wk.dirty = append(wk.dirty, regs...)
-		} else {
-			c.dirtyRegs = append(c.dirtyRegs, regs...)
-		}
+		c.dirtyRegs = append(c.dirtyRegs, pt.regs[row.reg:row.regEnd]...)
 	}
 }
 
@@ -729,15 +479,9 @@ func (c *CCSS) stepOne() error {
 	// stays "partitions considered": sixty-four idle partitions are stepped
 	// over on one load and compare of their flag word — the low-activity
 	// fast path — but every one of them was still considered this cycle.
-	c.stats.PartChecks += uint64(len(c.parts.rows))
-	for _, r := range c.runs {
-		if r.level >= 0 && c.pool.usable() &&
-			c.pending(r.start, r.end) >= c.levels[r.level].poolAt {
-			c.runPooled(int(r.level))
-		} else {
-			c.runInline(r.start, r.end)
-		}
-	}
+	np := len(c.parts.rows)
+	c.stats.PartChecks += uint64(np)
+	c.runInline(0, int32(np))
 	return c.finishCycle()
 }
 
@@ -746,79 +490,7 @@ func (c *CCSS) stepOne() error {
 func (c *CCSS) runInline(start, end int32) {
 	for p := c.next(start, end); p < end; p = c.next(p+1, end) {
 		c.take(p)
-		c.evalPart(p, nil)
-	}
-}
-
-// runPooled splits one parallel level across the pool. The dispatcher
-// takes the level's flags into the run list first, so the activity state
-// stays single-threaded; the workers then draw partitions from the list
-// through an atomic counter — a worker that drew a cheap partition
-// immediately pulls the next — and touch disjoint value-table regions.
-// One barrier release, one completion wait, then the serial merge of
-// what the workers buffered.
-func (c *CCSS) runPooled(li int) {
-	lv := &c.levels[li]
-	m := c.machine
-	c.runList = c.runList[:0]
-	for p := c.next(lv.start, lv.end); p < lv.end; p = c.next(p+1, lv.end) {
-		c.take(p)
-		c.runList = append(c.runList, p)
-	}
-	lv.elSnap = saveElided(lv.elided, m.t, lv.elSnap)
-	for _, wk := range c.wk {
-		wk.m.cycle = m.cycle
-	}
-	c.listNext.Store(0)
-	err := c.pool.dispatch(c.spanFn)
-	// Merge what the workers buffered — or, after a panic, discard it.
-	for _, wk := range c.wk {
-		addStats(&m.stats, &wk.m.stats)
-		wk.m.stats = Stats{}
-		// Which error surfaces when several partitions fail in one cycle
-		// is nondeterministic by construction.
-		if m.evalErr == nil {
-			m.evalErr = wk.m.evalErr
-		}
-		wk.m.evalErr = nil
-		if err == nil {
-			for _, q := range wk.wakes {
-				c.wake(q)
-			}
-			c.dirtyRegs = append(c.dirtyRegs, wk.dirty...)
-		}
-		wk.wakes, wk.dirty = wk.wakes[:0], wk.dirty[:0]
-	}
-	if err != nil {
-		// A panicking worker may have left partition outputs half-written,
-		// their oldVals mirror half-updated and the rest of the list
-		// unevaluated, which poisons change detection. So: roll back the
-		// level's in-place register updates (the one non-idempotent effect
-		// of partition evaluation), flag every partition, and re-run the
-		// level here. With the registers restored, already-evaluated
-		// partitions recompute identical results, unevaluated ones run now,
-		// and with every consumer flagged no wake can be missed. Later
-		// levels run in place this cycle; earlier ones re-evaluate
-		// (idempotently — their inputs are unchanged) next cycle. The pool
-		// stays retired until Reset.
-		wp := err.(*WorkerPanicError)
-		wp.Level, wp.Partition = li, c.wk[wp.Worker].cur
-		m.stats.WorkerPanics++
-		restoreElided(lv.elided, m.t, lv.elSnap)
-		c.wakeAll()
-		c.runInline(lv.start, lv.end)
-	}
-}
-
-// runSpan is one worker's share of the level in flight.
-func (c *CCSS) runSpan(wid int) {
-	wk := c.wk[wid]
-	for n := int64(len(c.runList)); ; {
-		i := c.listNext.Add(1) - 1
-		if i >= n {
-			return
-		}
-		c.evalPart(c.runList[i], wk)
+		c.evalPart(p)
 	}
 }
 

@@ -58,9 +58,6 @@ func buildAllEngines(t *testing.T, d *netlist.Design) []Simulator {
 		{Engine: EngineCCSS, Cp: 8},
 		{Engine: EngineCCSS, Cp: 1},
 		{Engine: EngineCCSS, Cp: 64},
-		{Engine: EngineCCSSParallel, Cp: 8, Workers: 1},
-		{Engine: EngineCCSSParallel, Cp: 8, Workers: 3},
-		{Engine: EngineCCSSParallel, Cp: 8, Workers: 8},
 	} {
 		s, err := New(d, cfg)
 		if err != nil {

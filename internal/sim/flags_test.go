@@ -7,9 +7,9 @@ import (
 
 // TestFlagBitmap checks the bitmap accessors against a bool-per-partition
 // model at sizes on and off the word boundary: next finds exactly the
-// flagged-or-always partitions in order within any sub-range, pending
-// counts them, take reports and clears only the flag, and wakeAll sets
-// no bit past the last partition.
+// flagged-or-always partitions in order within any sub-range, take
+// reports and clears only the flag, and wakeAll flags every partition and
+// sets no bit past the last one.
 func TestFlagBitmap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, np := range []int{0, 1, 63, 64, 65, 128, 130, 1393} {
@@ -43,9 +43,9 @@ func TestFlagBitmap(t *testing.T) {
 			for p := c.next(start, end); p < end; p = c.next(p+1, end) {
 				got = append(got, p)
 			}
-			if len(got) != len(want) || int(c.pending(start, end)) != len(want) {
-				t.Fatalf("np=%d [%d,%d): next found %d, pending %d, model %d",
-					np, start, end, len(got), c.pending(start, end), len(want))
+			if len(got) != len(want) {
+				t.Fatalf("np=%d [%d,%d): next found %d, model %d",
+					np, start, end, len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
@@ -59,8 +59,11 @@ func TestFlagBitmap(t *testing.T) {
 			}
 		}
 		c.wakeAll()
-		if n := int(c.pending(0, int32(np))); n != np {
-			t.Fatalf("np=%d: wakeAll left %d pending", np, n)
+		for p := 0; p < np; p++ {
+			if !c.take(int32(p)) {
+				t.Fatalf("np=%d: wakeAll left partition %d unflagged", np, p)
+			}
+			c.wake(int32(p))
 		}
 		for w, x := range c.flags {
 			if hi := np - w*64; hi < 64 && x>>hi != 0 {

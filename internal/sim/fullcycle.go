@@ -38,7 +38,7 @@ func newFullCycle(d *netlist.Design, opts Options) (*FullCycle, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.lowerVerified(ranges, nil, nil, vmode); err != nil {
+	if err := m.lowerVerified(ranges, nil, vmode); err != nil {
 		return nil, err
 	}
 	return &FullCycle{machine: m}, nil

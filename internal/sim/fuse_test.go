@@ -150,8 +150,6 @@ func TestFusionAblationBitExact(t *testing.T) {
 			{Engine: EngineFullCycleOpt, NoFuse: true},
 			{Engine: EngineCCSS, Cp: 8},
 			{Engine: EngineCCSS, Cp: 8, NoFuse: true},
-			{Engine: EngineCCSSParallel, Cp: 8, Workers: 2},
-			{Engine: EngineCCSSParallel, Cp: 8, Workers: 2, NoFuse: true},
 		} {
 			s, err := New(d, cfg)
 			if err != nil {

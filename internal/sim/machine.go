@@ -217,8 +217,8 @@ type machine struct {
 	stopErr error
 	evalErr error
 
-	// sc holds the wide-op intermediates (per machine view: workers and
-	// batch contexts each own one); maxWords is the widest signal or
+	// sc holds the wide-op intermediates (per machine view: batch
+	// contexts each own one); maxWords is the widest signal or
 	// constant in limbs, which sized it.
 	sc       *simrt.Scratch
 	maxWords int

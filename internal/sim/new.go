@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"essent/internal/netlist"
 	"essent/internal/verify"
@@ -19,11 +18,6 @@ type Options struct {
 	// multiplexor-way evaluation (ablation knobs; both default on).
 	NoElide     bool
 	NoMuxShadow bool
-	// Workers is the total evaluation goroutine count, dispatcher
-	// included, for EngineCCSSParallel, the one engine that can split a
-	// cycle across the worker pool. An explicit value is honoured exactly
-	// (no cap); 0 selects GOMAXPROCS capped at 8. Other engines ignore it.
-	Workers int
 	// NoFuse disables superinstruction fusion on the schedule-based
 	// engines (ablation knob; ignored by EngineEventDriven, which never
 	// fuses).
@@ -56,8 +50,7 @@ func New(d *netlist.Design, opts Options) (Simulator, error) {
 		return built(newEventDriven(d, opts))
 	case EngineFullCycle, EngineFullCycleOpt:
 		return built(newFullCycle(d, opts))
-	case EngineCCSS, EngineCCSSParallel:
-		// The same engine: CCSS whose parallel levels may cross the pool.
+	case EngineCCSS:
 		return built(newCCSS(d, opts))
 	case EngineCCSSVec:
 		return built(newVecCCSS(d, opts))
@@ -73,16 +66,4 @@ func built[E Simulator](e E, err error) (Simulator, error) {
 		return nil, err
 	}
 	return e, nil
-}
-
-// resolveWorkers is the one place Options.Workers' zero value is given a
-// meaning, and the one place an engine without a pool ignores the field.
-func resolveWorkers(opts Options) int {
-	switch {
-	case opts.Engine != EngineCCSSParallel:
-		return 1
-	case opts.Workers > 0:
-		return opts.Workers
-	}
-	return min(runtime.GOMAXPROCS(0), defaultWorkerCap)
 }

@@ -23,7 +23,6 @@ func TestEveryOptionReachesItsEngine(t *testing.T) {
 		}
 		return n
 	}
-	poolSize := func(s Simulator) int { return s.(*CCSS).pool.n }
 	cases := []struct {
 		name        string
 		plain, with Options
@@ -38,8 +37,6 @@ func TestEveryOptionReachesItsEngine(t *testing.T) {
 			func(s Simulator) int { return int(s.Stats().FusedPairs) }, 0},
 		{"NoVec", Options{Engine: EngineCCSSVec}, Options{Engine: EngineCCSSVec, NoVec: true},
 			func(s Simulator) int { return s.(*VecCCSS).VecInfo().Groups }, 0},
-		{"Workers/parallel", Options{Engine: EngineCCSSParallel, Workers: 3},
-			Options{Engine: EngineCCSSParallel, Workers: 2}, poolSize, 2},
 	}
 	// Effects are probed on the replicated accumulator bank: it elides,
 	// shadows, fuses and vectorizes (32 instances make one 16-lane class,
@@ -57,9 +54,6 @@ func TestEveryOptionReachesItsEngine(t *testing.T) {
 		s, err := New(d, opts)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if c, ok := s.(interface{ Close() }); ok {
-			t.Cleanup(c.Close)
 		}
 		return s
 	}

@@ -30,11 +30,6 @@ const (
 	// EngineCCSS is the paper's contribution: acyclic-partitioned
 	// conditional execution on a static singular schedule (ESSENT).
 	EngineCCSS
-	// EngineCCSSParallel is EngineCCSS with Options.Workers > 1: the same
-	// *CCSS, with busy levels of mutually independent partitions split
-	// across a worker pool (a follow-on extension; needs a multi-core host
-	// to pay off).
-	EngineCCSSParallel
 	// EngineCCSSVec groups structurally identical partitions (replicated
 	// module instances) into equivalence classes and evaluates each
 	// class once per cycle across all instances through the lane walker,
@@ -52,8 +47,6 @@ func (e Engine) String() string {
 		return "FullCycleOpt"
 	case EngineCCSS:
 		return "CCSS"
-	case EngineCCSSParallel:
-		return "CCSS-parallel"
 	case EngineCCSSVec:
 		return "CCSS-vec"
 	default:
@@ -82,7 +75,7 @@ func EngineCapabilities(e Engine) Capabilities {
 	case EngineFullCycle, EngineFullCycleOpt:
 		return Capabilities{Name: "Full-cycle", StaticSchedule: true,
 			SingularExecution: true, CoarseningMethod: "N/A"}
-	case EngineCCSS, EngineCCSSParallel, EngineCCSSVec:
+	case EngineCCSS, EngineCCSSVec:
 		return Capabilities{Name: "ESSENT (CCSS)", ConditionalExecution: true,
 			CoarsenedSchedule: true, StaticSchedule: true, SingularExecution: true,
 			CoarseningMethod: "acyclic partitioner", CoarseningAutomated: true,
@@ -144,10 +137,6 @@ type Stats struct {
 	// superinstructions at compile time (schedule engines; set at
 	// construction, not per cycle).
 	FusedPairs uint64
-	// WorkerPanics counts pool-worker panics recovered by the pooled
-	// engine; nonzero means the run degraded to sequential evaluation
-	// (robustness layer, not paper overhead accounting).
-	WorkerPanics uint64
 }
 
 // Reset zeroes the run counters, preserving FusedPairs (a compile-time

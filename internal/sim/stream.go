@@ -5,7 +5,6 @@ import (
 
 	"essent/internal/bits"
 	"essent/internal/netlist"
-	"essent/internal/sched"
 	"essent/internal/verify"
 )
 
@@ -304,13 +303,13 @@ func lower(sched []schedEntry, instrs []Instr, ranges [][2]int32) ([]Op, []Span)
 // vmode is Off, runs the machine verifier over the IR and its lowering:
 // the last step of every scalar build, so nothing is run — or printed
 // (Lower) — that verifyMachine rejects.
-func (m *machine) lowerVerified(ranges [][2]int32, plan *sched.CCSSPlan,
+func (m *machine) lowerVerified(ranges [][2]int32,
 	keepLive []netlist.SignalID, vmode verify.Mode) error {
 	m.ops, m.spans = lower(m.sched, m.instrs, ranges)
 	if vmode == verify.Off {
 		return nil
 	}
-	return verify.Enforce(vmode, verifyMachine(m, ranges, plan, keepLive), nil)
+	return verify.Enforce(vmode, verifyMachine(m, ranges, keepLive), nil)
 }
 
 // evalSpan executes one schedule group and settles its op count.

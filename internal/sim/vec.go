@@ -887,7 +887,7 @@ func (v *VecCCSS) stepOne() error {
 			continue
 		}
 		v.take(p)
-		v.evalPart(p, nil)
+		v.evalPart(p)
 	}
 	return v.finishCycle()
 }

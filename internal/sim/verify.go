@@ -5,7 +5,6 @@ import (
 
 	"essent/internal/bits"
 	"essent/internal/netlist"
-	"essent/internal/sched"
 	"essent/internal/verify"
 )
 
@@ -26,9 +25,7 @@ import (
 //	           slots (partition outputs) are written unconditionally
 //	SM-ELIDE   an in-place register write never precedes a reader of
 //	           the old value in the global schedule
-//	SM-ALIAS   each table word has at most one writing instruction, and
-//	           partitions sharing a parallel level spec touch disjoint
-//	           written words
+//	SM-ALIAS   each table word has at most one writing instruction
 //	SM-SINK    side-effect entries (display/check/memwrite) never sit
 //	           inside a skip region
 //	SM-LOWER   the op stream an engine executes is the lowering of the
@@ -41,9 +38,9 @@ import (
 //
 // verifyMachine is pure analysis: it never executes an instruction and
 // never mutates the machine.
-func verifyMachine(m *machine, ranges [][2]int32, plan *sched.CCSSPlan,
+func verifyMachine(m *machine, ranges [][2]int32,
 	keepLive []netlist.SignalID) []verify.Diagnostic {
-	c := &smChecker{m: m, plan: plan}
+	c := &smChecker{m: m}
 	if ranges == nil {
 		ranges = [][2]int32{{0, int32(len(m.sched))}}
 	}
@@ -55,14 +52,12 @@ func verifyMachine(m *machine, ranges [][2]int32, plan *sched.CCSSPlan,
 	}
 	c.checkKeepLive(keepLive)
 	c.checkElide()
-	c.checkParallelAlias()
 	return append(c.diags,
 		verifyLowering(m.sched, m.instrs, ranges, m.ops, m.spans, len(m.t))...)
 }
 
 type smChecker struct {
 	m      *machine
-	plan   *sched.CCSSPlan
 	ranges [][2]int32
 	diags  []verify.Diagnostic
 
@@ -181,7 +176,7 @@ func (c *smChecker) schedInstr(e *schedEntry) int32 {
 	return -1
 }
 
-// checkWriters (SM-ALIAS, global half): every table word is written by
+// checkWriters (SM-ALIAS): every table word is written by
 // at most one scheduled instruction; also records writer→group for the
 // per-group def-use walk.
 func (c *smChecker) checkWriters() {
@@ -551,74 +546,6 @@ func nodeReadsSignal(d *netlist.Design, dg *netlist.DesignGraph, v int, sig netl
 		return uses(ck.En) || uses(ck.Pred)
 	}
 	return false
-}
-
-// checkParallelAlias (SM-ALIAS, parallel half): within every parallel
-// level spec, the word spans one partition writes are disjoint from the
-// words every other partition of the spec reads or writes — the
-// data-race precondition of the parallel and batch engines, proven on
-// the final table layout.
-func (c *smChecker) checkParallelAlias() {
-	if c.plan == nil || len(c.ranges) != len(c.plan.Parts) {
-		return
-	}
-	m := c.m
-	for si, spec := range c.plan.LevelSpecs {
-		if spec.Serial || len(spec.Parts) < 2 {
-			continue
-		}
-		loc := fmt.Sprintf("level spec %d", si)
-		writerPart := map[int32]int32{}
-		for _, pi := range spec.Parts {
-			r := c.ranges[pi]
-			for p := r[0]; p < r[1]; p++ {
-				ii := c.schedInstr(&m.sched[p])
-				if ii < 0 {
-					continue
-				}
-				off, words := writeSpan(&m.instrs[ii])
-				for w := int32(0); w < words; w++ {
-					o := off + w
-					if prev, ok := writerPart[o]; ok && prev != int32(pi) {
-						c.errf("SM-ALIAS", loc,
-							"same-level partitions writing one word race under parallel evaluation",
-							"partitions %d and %d both write table word %d", prev, pi, o)
-					}
-					writerPart[o] = int32(pi)
-				}
-			}
-		}
-		for _, pi := range spec.Parts {
-			r := c.ranges[pi]
-			checkSpan := func(p, off, words int32) {
-				for w := int32(0); w < words; w++ {
-					o := off + w
-					if wp, ok := writerPart[o]; ok && wp != int32(pi) {
-						c.errf("SM-ALIAS", loc,
-							"a same-level read of a written word races under parallel evaluation",
-							"partition %d (sched[%d]) reads table word %d written by partition %d",
-							pi, p, o, wp)
-					}
-				}
-			}
-			for p := r[0]; p < r[1]; p++ {
-				e := &m.sched[p]
-				if ii := c.schedInstr(e); ii >= 0 {
-					for _, s := range readSpans(&m.instrs[ii], nil) {
-						checkSpan(p, s[0], s[1])
-					}
-				}
-				switch e.kind {
-				case seSkipIfZero, seSkipIfNonzero:
-					checkSpan(p, e.idx, 1)
-				case seDisplay, seCheck, seMemWrite:
-					for _, o := range c.sinkOperands(e, nil) {
-						checkSpan(p, o.off, int32(bits.Words(int(o.w))))
-					}
-				}
-			}
-		}
-	}
 }
 
 // verifyLowering (SM-LOWER) validates ops and spans as the lowering of the

@@ -60,7 +60,7 @@ circuit T :
 // buildVerifyMachine compiles src into a machine exactly like the CCSS
 // constructor: partition groups, mux shadows, fusion, keep-live outputs.
 func buildVerifyMachine(t *testing.T, src string, cp int) (*machine, [][2]int32,
-	*sched.CCSSPlan, []netlist.SignalID) {
+	[]netlist.SignalID) {
 	t.Helper()
 	c, err := firrtl.Parse(src)
 	if err != nil {
@@ -91,7 +91,7 @@ func buildVerifyMachine(t *testing.T, src string, cp int) (*machine, [][2]int32,
 		t.Fatal(err)
 	}
 	m.ops, m.spans = lower(m.sched, m.instrs, ranges)
-	return m, ranges, plan, keepLive
+	return m, ranges, keepLive
 }
 
 func smHasRule(diags []verify.Diagnostic, rule string) bool {
@@ -135,8 +135,8 @@ func sourceWords(m *machine) []bool {
 func TestVerifyMachineClean(t *testing.T) {
 	for _, src := range []string{smMultiSrc, smElideSrc, smSinkSrc} {
 		for _, cp := range []int{1, 8, 1 << 20} {
-			m, ranges, plan, keepLive := buildVerifyMachine(t, src, cp)
-			if diags := verifyMachine(m, ranges, plan, keepLive); len(diags) != 0 {
+			m, ranges, keepLive := buildVerifyMachine(t, src, cp)
+			if diags := verifyMachine(m, ranges, keepLive); len(diags) != 0 {
 				t.Fatalf("cp=%d: clean machine produced findings:\n%s",
 					cp, verify.Format(diags))
 			}
@@ -161,9 +161,9 @@ func aliasTwoWriters(t *testing.T, m *machine) {
 }
 
 func TestSMAliasDoubleWriter(t *testing.T) {
-	m, ranges, plan, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	m, ranges, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
 	aliasTwoWriters(t, m)
-	smWantRule(t, verifyMachine(m, ranges, plan, keepLive), "SM-ALIAS")
+	smWantRule(t, verifyMachine(m, ranges, keepLive), "SM-ALIAS")
 }
 
 // TestScalarBuildRejectsDoubleWriter: the step every scalar build ends on
@@ -172,19 +172,19 @@ func TestSMAliasDoubleWriter(t *testing.T) {
 // verifier rejects fails a strict build before anything can run or print
 // its stream; with verification off the same IR goes through.
 func TestScalarBuildRejectsDoubleWriter(t *testing.T) {
-	m, ranges, plan, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	m, ranges, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
 	aliasTwoWriters(t, m)
-	err := m.lowerVerified(ranges, plan, keepLive, verify.Strict)
+	err := m.lowerVerified(ranges, keepLive, verify.Strict)
 	if err == nil || !strings.Contains(err.Error(), "SM-ALIAS") {
 		t.Fatalf("strict build of a double-writer schedule returned %v, want an SM-ALIAS failure", err)
 	}
-	if err := m.lowerVerified(ranges, plan, keepLive, verify.Off); err != nil {
+	if err := m.lowerVerified(ranges, keepLive, verify.Off); err != nil {
 		t.Fatalf("unverified build: %v", err)
 	}
 }
 
 func TestSMDefUseSwap(t *testing.T) {
-	m, ranges, plan, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	m, ranges, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
 	src := sourceWords(m)
 	// Find schedule positions p < q in one group where q's instruction
 	// reads a non-source word p's instruction writes, then swap them.
@@ -205,7 +205,7 @@ func TestSMDefUseSwap(t *testing.T) {
 						o := s[0] + w
 						if o >= off && o < off+words && !src[o] {
 							m.sched[p], m.sched[q] = m.sched[q], m.sched[p]
-							smWantRule(t, verifyMachine(m, ranges, plan, keepLive),
+							smWantRule(t, verifyMachine(m, ranges, keepLive),
 								"SM-DEFUSE")
 							return
 						}
@@ -218,20 +218,20 @@ func TestSMDefUseSwap(t *testing.T) {
 }
 
 func TestSMSkipCorrupted(t *testing.T) {
-	m, ranges, plan, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	m, ranges, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
 	guard := m.off[m.d.Inputs[0]]
 	// A backward skip is never legal.
 	m.sched = append(m.sched, schedEntry{kind: seSkipIfZero, idx: guard, n: -1})
-	smWantRule(t, verifyMachine(m, nil, plan, keepLive), "SM-SKIP")
+	smWantRule(t, verifyMachine(m, nil, keepLive), "SM-SKIP")
 
 	// A skip past the end of its group drops other partitions' work.
 	m.sched[len(m.sched)-1] = schedEntry{kind: seSkipIfZero, idx: guard, n: 99999}
-	smWantRule(t, verifyMachine(m, nil, plan, keepLive), "SM-SKIP")
+	smWantRule(t, verifyMachine(m, nil, keepLive), "SM-SKIP")
 	_ = ranges
 }
 
 func TestSMSinkInsideSkip(t *testing.T) {
-	m, _, plan, keepLive := buildVerifyMachine(t, smSinkSrc, 1<<20)
+	m, _, keepLive := buildVerifyMachine(t, smSinkSrc, 1<<20)
 	guard := m.off[m.d.Inputs[0]]
 	for p, e := range m.sched {
 		if e.kind != seDisplay {
@@ -244,14 +244,14 @@ func TestSMSinkInsideSkip(t *testing.T) {
 		mut = append(mut, schedEntry{kind: seSkipIfZero, idx: guard, n: 1})
 		mut = append(mut, m.sched[p:]...)
 		m.sched = mut
-		smWantRule(t, verifyMachine(m, nil, plan, keepLive), "SM-SINK")
+		smWantRule(t, verifyMachine(m, nil, keepLive), "SM-SINK")
 		return
 	}
 	t.Fatal("no display entry scheduled")
 }
 
 func TestSMElideOvertake(t *testing.T) {
-	m, ranges, plan, keepLive := buildVerifyMachine(t, smElideSrc, 1<<20)
+	m, ranges, keepLive := buildVerifyMachine(t, smElideSrc, 1<<20)
 	if m.elided == nil || !m.elided[0] {
 		t.Fatal("expected the register to be elided")
 	}
@@ -263,14 +263,14 @@ func TestSMElideOvertake(t *testing.T) {
 		}
 		// Claim the reader was scheduled after the in-place write.
 		m.schedPosOf[v] = wPos + 1
-		smWantRule(t, verifyMachine(m, ranges, plan, keepLive), "SM-ELIDE")
+		smWantRule(t, verifyMachine(m, ranges, keepLive), "SM-ELIDE")
 		return
 	}
 	t.Fatal("no reader of the elided register found")
 }
 
 func TestSMKeepLiveUnwritten(t *testing.T) {
-	m, ranges, plan, _ := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	m, ranges, _ := buildVerifyMachine(t, smMultiSrc, 1<<20)
 	// Engine-read slots must have unconditional writes; a comb signal
 	// whose store fusion eliminated does not qualify.
 	src := sourceWords(m)
@@ -288,7 +288,7 @@ func TestSMKeepLiveUnwritten(t *testing.T) {
 			continue
 		}
 		if !src[m.off[i]] && !written[m.off[i]] {
-			diags := verifyMachine(m, ranges, plan,
+			diags := verifyMachine(m, ranges,
 				[]netlist.SignalID{netlist.SignalID(i)})
 			smWantRule(t, diags, "SM-DEFUSE")
 			return
@@ -318,9 +318,9 @@ circuit T :
 // verifier the way a strict engine build does.
 func lowerStrict(t *testing.T, src string) (*machine, func() error) {
 	t.Helper()
-	m, ranges, plan, keepLive := buildVerifyMachine(t, src, 1<<20)
+	m, ranges, keepLive := buildVerifyMachine(t, src, 1<<20)
 	return m, func() error {
-		return verify.Enforce(verify.Strict, verifyMachine(m, ranges, plan, keepLive), nil)
+		return verify.Enforce(verify.Strict, verifyMachine(m, ranges, keepLive), nil)
 	}
 }
 

@@ -69,8 +69,8 @@ func TestFuzzVerifierClean(t *testing.T) {
 		}
 		// Engine constructors run the machine-level (SM) checks in strict
 		// mode by default; a construction error is a verifier finding.
-		engine := []sim.Engine{sim.EngineCCSS, sim.EngineCCSSParallel,
-			sim.EngineFullCycle, sim.EngineFullCycleOpt}[seed%4]
+		engine := []sim.Engine{sim.EngineCCSS, sim.EngineFullCycle,
+			sim.EngineFullCycleOpt}[seed%3]
 		if _, err := sim.New(od, sim.Options{Engine: engine, Cp: cp}); err != nil {
 			t.Fatalf("seed %d cp=%d engine=%v: %v", seed, cp, engine, err)
 		}

@@ -19,8 +19,6 @@ import (
 //	           edge, so a skipped partition cannot be read stale
 //	PL-LEVEL   partition levels strictly increase along dependence edges
 //	           and the barrier-level schedule covers each partition once
-//	PL-ALIAS   partitions sharing a parallel level never write a slot
-//	           another one touches
 //	PL-SINK    side-effect sinks (display/check) sit in always-on
 //	           partitions, so a skip cannot drop an observable effect
 //
@@ -37,7 +35,6 @@ func Plan(p *sched.CCSSPlan) []Diagnostic {
 	c.checkElide()
 	c.checkWake()
 	c.checkLevels()
-	c.checkAlias()
 	c.checkSinks()
 	return c.diags
 }
@@ -436,7 +433,7 @@ func (c *planChecker) checkLevels() {
 			}
 			if pu >= 0 && pu != pv && c.p.PartLevels[pv] <= c.p.PartLevels[pu] {
 				c.errf("PL-LEVEL", fmt.Sprintf("partition %d", pv),
-					"levels must strictly increase along data edges or parallel evaluation races",
+					"levels must strictly increase along data edges: the level-major walk evaluates a producer before its consumers",
 					"level %d does not exceed producer partition %d's level %d (edge %s → %s)",
 					c.p.PartLevels[pv], pu, c.p.PartLevels[pu], c.nodeName(u), c.nodeName(m))
 			}
@@ -463,8 +460,7 @@ func (c *planChecker) checkLevels() {
 		}
 	}
 	// Spec schedule: concatenated spec parts are the identity permutation
-	// (runtime IDs are level-major), SpecOf agrees, and a parallel spec
-	// holds exactly one level.
+	// (runtime IDs are level-major) and SpecOf agrees.
 	want := 0
 	for si, spec := range c.p.LevelSpecs {
 		loc := fmt.Sprintf("level spec %d", si)
@@ -480,72 +476,11 @@ func (c *planChecker) checkLevels() {
 					"SpecOf[%d] is %d, not %d", pi, c.p.SpecOf[pi], si)
 			}
 		}
-		if !spec.Serial && len(spec.Parts) > 0 {
-			l0 := c.p.PartLevels[spec.Parts[0]]
-			for _, pi := range spec.Parts {
-				if c.p.PartLevels[pi] != l0 {
-					c.errf("PL-LEVEL", loc,
-						"a parallel spec must hold a single DAG level",
-						"mixes levels %d and %d without Serial", l0, c.p.PartLevels[pi])
-				}
-			}
-		}
 	}
 	if want != np {
 		c.errf("PL-LEVEL", "plan",
 			"every partition must appear in exactly one level spec",
 			"level specs cover %d of %d partitions", want, np)
-	}
-}
-
-// checkAlias (PL-ALIAS): inside a parallel spec, no partition writes a
-// signal slot that another partition of the same spec reads or writes.
-// Elided registers write their output slot in place, so it joins the
-// writer's write set.
-func (c *planChecker) checkAlias() {
-	elidedOutOf := map[int][]int{} // writer partition → elided reg out signals
-	for ri, el := range c.p.Elided {
-		if !el {
-			continue
-		}
-		w := c.partOf[int(c.d.Regs[ri].Next)]
-		if w >= 0 {
-			elidedOutOf[w] = append(elidedOutOf[w], int(c.d.Regs[ri].Out))
-		}
-	}
-	for si, spec := range c.p.LevelSpecs {
-		if spec.Serial || len(spec.Parts) < 2 {
-			continue
-		}
-		writer := map[int]int{} // signal → writing partition within this spec
-		for _, pi := range spec.Parts {
-			writes := append([]int(nil), elidedOutOf[pi]...)
-			for _, m := range c.p.Parts[pi].Members {
-				if c.dg.Kind[m] == netlist.NodeSignal {
-					writes = append(writes, m)
-				}
-			}
-			for _, sig := range writes {
-				if prev, ok := writer[sig]; ok && prev != pi {
-					c.errf("PL-ALIAS", fmt.Sprintf("level spec %d", si),
-						"two same-level partitions writing one slot race under parallel evaluation",
-						"partitions %d and %d both write %s", prev, pi, c.nodeName(sig))
-				}
-				writer[sig] = pi
-			}
-		}
-		for _, pi := range spec.Parts {
-			for _, m := range c.p.Parts[pi].Members {
-				for _, u := range c.reads[m] {
-					if w, ok := writer[u]; ok && w != pi {
-						c.errf("PL-ALIAS", fmt.Sprintf("level spec %d", si),
-							"a same-level read of a written slot races under parallel evaluation",
-							"partition %d reads %s written by same-spec partition %d",
-							pi, c.nodeName(u), w)
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -13,9 +13,9 @@
 //     elision never lets a write overtake a read, every cross-partition
 //     read is covered by an activity-wake edge (so a sleeping partition
 //     provably cannot be read stale by an executed one), DAG levels are
-//     consistent and disjoint so parallel evaluation cannot race, and
-//     side-effect sinks live in always-on partitions so a skip can never
-//     drop an observable effect.
+//     consistent with the level-major partition order, and side-effect
+//     sinks live in always-on partitions so a skip can never drop an
+//     observable effect.
 //
 // A third layer, the machine-schedule checks (SM-* rules), lives in
 // internal/sim where the compiled instruction stream is visible; it emits

@@ -368,24 +368,6 @@ func TestPLLevelFlattened(t *testing.T) {
 	wantRule(t, verify.Plan(p), "PL-LEVEL")
 }
 
-func TestPLAliasForcedParallel(t *testing.T) {
-	p := plan(t, compile(t, multiSrc), 1)
-	if len(p.Parts) < 2 {
-		t.Skip("single partition")
-	}
-	// Claim every partition shares one parallel level: any cross-partition
-	// data edge is now a race the verifier must report.
-	parts := make([]int, len(p.Parts))
-	p.SpecOf = make([]int32, len(p.Parts))
-	for i := range parts {
-		parts[i] = i
-		p.PartLevels[i] = 0
-	}
-	p.NumLevels = 1
-	p.LevelSpecs = []sched.LevelSpec{{Parts: parts, NumLevels: 1}}
-	wantRule(t, verify.Plan(p), "PL-ALIAS")
-}
-
 func TestPLSinkSkippable(t *testing.T) {
 	d := compile(t, sinkSrc)
 	p := plan(t, d, 1)

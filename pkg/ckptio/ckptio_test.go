@@ -11,8 +11,9 @@ import (
 )
 
 // testSnapshots is the round-trip corpus: a snapshot with inputs, wide
-// registers, several memories and all eleven stats words, and the shapes
-// at the format's edges.
+// registers, several memories and eleven stats words (one more than the
+// engines write today: the codec carries whatever length the file has),
+// and the shapes at the format's edges.
 func testSnapshots() []*Snapshot {
 	return []*Snapshot{
 		{

@@ -20,12 +20,13 @@
 //     clock (time.Now/time.Since): every experiment is timed by the one
 //     interleaved min-of-N runner, so a new sweep cannot quietly grow
 //     its own estimator.
-//  5. sim-one-pool — in internal/sim only pool.go may contain a go
-//     statement and only ccss.go may index the activity bitmap (the
-//     flags and always fields): the engines share one worker pool (one
-//     barrier, one panic ladder) and one representation of partition
-//     activity, so a new executor cannot quietly grow a second of
-//     either.
+//  5. sim-single-goroutine — non-test internal/sim contains no go
+//     statement and imports neither sync nor sync/atomic, and only
+//     ccss.go may index the activity bitmap (the flags and always
+//     fields): every engine is a single-goroutine program over one
+//     representation of partition activity, so a new executor cannot
+//     quietly grow a thread pool (the one there was is retired, DESIGN
+//     §6) or a second flag walk.
 //  6. sim-one-dispatch — in internal/sim a switch over instruction
 //     opcodes (ICode, or the stream's Opcode) whose arms store into a
 //     table is an evaluator, and evaluators are a closed set: the
@@ -75,9 +76,8 @@ const (
 	codegenPath = "essent/internal/codegen"
 	// expClockFile is the one internal/exp file allowed to read the clock.
 	expClockFile = "runner.go"
-	// simPoolFile and simFlagsFile are the internal/sim files allowed to
-	// start goroutines and to index the activity flags.
-	simPoolFile  = "pool.go"
+	// simFlagsFile is the internal/sim file allowed to index the activity
+	// flags.
 	simFlagsFile = "ccss.go"
 	// dispatchMinArms is how many storing arms make an opcode switch an
 	// evaluator rather than a classifier (operand shapes, packability).
@@ -220,7 +220,7 @@ func Check(pkgPath string, fset *token.FileSet, files []*ast.File,
 	if pkgPath == simPath {
 		refs := funcRefs(files, info)
 		checkEngineVerify(files, refs, report)
-		checkOnePool(fset, files, info, report)
+		checkSingleGoroutine(fset, files, info, report)
 		checkOneDispatch(files, info, report)
 		checkIRCompileOnly(files, info, refs, report)
 		return findings
@@ -297,26 +297,31 @@ func checkOneEstimator(fset *token.FileSet, files []*ast.File, info *types.Info,
 	}
 }
 
-// checkOnePool flags go statements in internal/sim outside the pool
-// file and indexing of an activity-bitmap field outside the CCSS file.
-func checkOnePool(fset *token.FileSet, files []*ast.File, info *types.Info,
+// checkSingleGoroutine flags go statements and sync / sync/atomic imports
+// in internal/sim, and indexing of an activity-bitmap field outside the
+// CCSS file.
+func checkSingleGoroutine(fset *token.FileSet, files []*ast.File, info *types.Info,
 	report func(token.Pos, string, string)) {
 	for _, f := range files {
 		name := filepath.Base(fset.Position(f.Pos()).Filename)
+		for _, imp := range f.Imports {
+			if path := strings.Trim(imp.Path.Value, `"`); path == "sync" || path == "sync/atomic" {
+				report(imp.Pos(), "sim-single-goroutine", fmt.Sprintf(
+					"import of %s: the engines run on the calling goroutine alone", path))
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				if name != simPoolFile {
-					report(n.Pos(), "sim-one-pool", fmt.Sprintf(
-						"go statement outside %s: split work through pool.dispatch", simPoolFile))
-				}
+				report(n.Pos(), "sim-single-goroutine",
+					"go statement: the engines run on the calling goroutine alone")
 			case *ast.IndexExpr:
 				sel, ok := n.X.(*ast.SelectorExpr)
 				if !ok || !simFlagFields[sel.Sel.Name] || name == simFlagsFile {
 					return true
 				}
 				if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
-					report(n.Pos(), "sim-one-pool", fmt.Sprintf(
+					report(n.Pos(), "sim-single-goroutine", fmt.Sprintf(
 						"activity %s indexed outside %s: go through wake/take/next",
 						sel.Sel.Name, simFlagsFile))
 				}

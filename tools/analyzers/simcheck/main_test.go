@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -195,18 +196,23 @@ var _ time.Duration // naming the package without reading the clock is fine
 	wantRules(t, findings)
 }
 
-// TestOnePoolRule: in internal/sim only pool.go may start goroutines
-// and only ccss.go may index the activity bitmap. The clean source is
-// the shape the package has; each mutation is one of the copies the rule
-// exists to keep from coming back.
-func TestOnePoolRule(t *testing.T) {
+// TestSingleGoroutineRule: non-test internal/sim starts no goroutine and
+// imports neither sync nor sync/atomic, and only ccss.go may index the
+// activity bitmap. The clean source is the shape the package has; each
+// mutation is one of the copies the rule exists to keep from coming
+// back.
+func TestSingleGoroutineRule(t *testing.T) {
 	imp := deps(t)
+	for _, path := range []string{"sync", "sync/atomic"} {
+		_, tp := checkSrc(t, imp, path, "package "+filepath.Base(path)+"\ntype Int64 struct{}\n")
+		imp[path] = tp
+	}
 	const src = `
 package sim
 import "essent/internal/verify"
 type CCSS struct{ flags, always []uint64 }
 func (c *CCSS) wake(q int32) { c.flags[q>>6] |= 1 << (q & 63) }
-func (c *CCSS) spawn(f func()) { go f() }
+func (c *CCSS) spawn(f func()) { f() }
 func New() (*CCSS, error) {
 	if err := verify.Enforce(0, nil, nil); err != nil {
 		return nil, err
@@ -214,31 +220,46 @@ func New() (*CCSS, error) {
 	return &CCSS{}, nil
 }
 `
-	// Both in their own files: one finding each for the construct that is
-	// in the wrong one.
 	findings, _ := checkFile(t, imp, simPath, "internal/sim/"+simFlagsFile, src)
-	wantRules(t, findings, "sim-one-pool")
-	if !strings.Contains(findings[0], "go statement") {
-		t.Fatalf("wrong construct flagged in %s: %q", simFlagsFile, findings[0])
+	wantRules(t, findings)
+	// Mutations: a goroutine fan-out, in the walk's own file or any other,
+	// and each of the two imports a pool would need.
+	spawning := strings.Replace(src, "{ f() }", "{ go f() }", 1)
+	for _, file := range []string{simFlagsFile, "pool.go"} {
+		findings, _ = checkFile(t, imp, simPath, "internal/sim/"+file,
+			strings.Replace(spawning, "c.flags[q>>6] |=", "_ =", 1))
+		wantRules(t, findings, "sim-single-goroutine")
+		if !strings.Contains(findings[0], "go statement") {
+			t.Fatalf("wrong construct flagged in %s: %q", file, findings[0])
+		}
 	}
-	findings, _ = checkFile(t, imp, simPath, "internal/sim/"+simPoolFile, src)
-	wantRules(t, findings, "sim-one-pool")
+	for _, path := range []string{"sync", "sync/atomic"} {
+		findings, _ = checkFile(t, imp, simPath, "internal/sim/"+simFlagsFile,
+			strings.Replace(src, `import "essent/internal/verify"`,
+				`import "essent/internal/verify"`+"\n"+`import _ "`+path+`"`, 1))
+		wantRules(t, findings, "sim-single-goroutine")
+		if !strings.Contains(findings[0], "import of "+path) {
+			t.Fatalf("import of %s not flagged: %q", path, findings[0])
+		}
+	}
+	// The bitmap indexed from another file.
+	findings, _ = checkFile(t, imp, simPath, "internal/sim/batch.go", src)
+	wantRules(t, findings, "sim-single-goroutine")
 	if !strings.Contains(findings[0], "flags indexed") {
-		t.Fatalf("wrong construct flagged in %s: %q", simPoolFile, findings[0])
+		t.Fatalf("wrong construct flagged in batch.go: %q", findings[0])
 	}
 	// Each field of the bitmap is guarded: a walk that reads the constant
 	// half directly has bypassed next just as much.
 	findings, _ = checkFile(t, imp, simPath, "internal/sim/vec.go",
-		strings.Replace(strings.Replace(src, "c.flags[q>>6] |=", "_ = c.always[q>>6] &", 1),
-			"go f()", "f()", 1))
-	wantRules(t, findings, "sim-one-pool")
+		strings.Replace(src, "c.flags[q>>6] |=", "_ = c.always[q>>6] &", 1))
+	wantRules(t, findings, "sim-single-goroutine")
 	if !strings.Contains(findings[0], "always indexed") {
 		t.Fatalf("constant half of the bitmap not guarded: %q", findings[0])
 	}
 	// Mutation: a third engine file grows its own flag walk and its own
 	// goroutine fan-out.
-	findings, _ = checkFile(t, imp, simPath, "internal/sim/vec.go", src)
-	wantRules(t, findings, "sim-one-pool", "sim-one-pool")
+	findings, _ = checkFile(t, imp, simPath, "internal/sim/vec.go", spawning)
+	wantRules(t, findings, "sim-single-goroutine", "sim-single-goroutine")
 	// A local slice or parameter named flags is not the activity state,
 	// and other packages are out of scope.
 	findings, _ = checkFile(t, imp, simPath, "internal/sim/pack.go", `
