@@ -251,6 +251,8 @@ func main() {
 				st.PartChecks, st.PartEvals,
 				100*float64(st.PartEvals)/float64(st.PartChecks))
 			fmt.Printf("output compares: %d, wakes: %d\n", st.OutputCompares, st.Wakes)
+			fmt.Printf("changed/op:      %.3f (%d outputs changed)\n",
+				perCycle(st.SignalChanges, st.OpsEvaluated), st.SignalChanges)
 		}
 		if st.Events > 0 {
 			fmt.Printf("events queued:   %d\n", st.Events)

@@ -253,6 +253,7 @@ func Lint(source string) ([]Diagnostic, error) {
 type Stats struct {
 	Cycles         uint64
 	OpsEvaluated   uint64
+	SignalChanges  uint64 // compared values that changed (CCSS: partition outputs and registers)
 	PartChecks     uint64 // static overhead: activity-flag tests
 	InputChecks    uint64 // static overhead: input change detection
 	PartEvals      uint64
@@ -506,6 +507,7 @@ func (s *Sim) Stats() Stats {
 	return Stats{
 		Cycles:         st.Cycles,
 		OpsEvaluated:   st.OpsEvaluated,
+		SignalChanges:  st.SignalChanges,
 		PartChecks:     st.PartChecks,
 		InputChecks:    st.InputChecks,
 		PartEvals:      st.PartEvals,

@@ -67,7 +67,7 @@ var smoke = []struct {
 	{"fig5", Params{Designs: []string{"tinyA"}}, false, "mean_activity,bucket_lo,bucket_hi,count"},
 	{"fig6", Params{Designs: []string{"tinyA"}}, false, "cp,normalized"},
 	{"fig7", Params{Designs: []string{"tinyA"}}, false,
-		"cp,partitions,base_ops_per_cycle,static_per_cycle,dynamic_per_cycle,eff_activity"},
+		"cp,partitions,base_ops_per_cycle,static_per_cycle,dynamic_per_cycle,eff_activity,changes_per_op,max_part"},
 	{"ablation", Params{Designs: []string{"tinyA"}}, false, "ops_per_cycle,elided,slowdown"},
 	{"lanes", Params{Designs: []string{"tinyA"}, Lanes: []int{1, 2}}, false,
 		"lanes,halted"},
@@ -350,6 +350,9 @@ func TestFig7(t *testing.T) {
 	for _, r := range rows {
 		if ea := num(r, "eff_activity"); ea <= 0 || ea > 1 {
 			t.Fatalf("effective activity out of range: %+v", r)
+		}
+		if c := num(r, "changes_per_op"); c <= 0 || c > 1 || num(r, "max_part") < 1 {
+			t.Fatalf("changes_per_op or max_part out of range: %+v", r)
 		}
 	}
 	if out := fig7.Render(rows); !strings.Contains(out, "eff_activity") {

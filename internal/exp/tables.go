@@ -204,13 +204,16 @@ var fig5 = &Experiment{
 // Fig. 7 decomposes CCSS work per cycle at each Cp on the first design
 // and workload (r16 × dhrystone in the paper): static overhead is
 // partition flag checks plus input change tests, dynamic overhead is
-// output compares plus wakes.
+// output compares plus wakes. changes_per_op is the share of evaluated
+// work whose result moved something downstream (changed outputs ÷ ops
+// evaluated) and max_part the largest partition, the two numbers that
+// say how much of an evaluation was not essential.
 var fig7 = &Experiment{
 	Name:    "fig7",
 	Title:   "Figure 7: overhead decomposition vs Cp (per-cycle work)",
 	Accepts: designSpec.soc,
 	Columns: []string{"cp", "partitions", "base_ops_per_cycle", "static_per_cycle",
-		"dynamic_per_cycle", "eff_activity"},
+		"dynamic_per_cycle", "eff_activity", "changes_per_op", "max_part"},
 	Rows: func(ds *DesignSet, p Params) ([]Row, error) {
 		dsg, err := ds.pick(p.Designs, designSpec.soc, "r16")
 		if err != nil || len(dsg) == 0 {
@@ -224,14 +227,17 @@ var fig7 = &Experiment{
 				return nil, err
 			}
 			st, cyc := s.Stats(), float64(s.Stats().Cycles)
+			c := s.(*sim.CCSS)
 			rows = append(rows, Row{Experiment: "fig7", Design: d.Name, Workload: w.Name,
 				Cycles: res.Cycles, Extras: map[string]any{
 					"cp":                 cp,
-					"partitions":         s.(*sim.CCSS).NumPartitions(),
+					"partitions":         c.NumPartitions(),
 					"base_ops_per_cycle": float64(st.OpsEvaluated) / cyc,
 					"static_per_cycle":   float64(st.PartChecks+st.InputChecks) / cyc,
 					"dynamic_per_cycle":  float64(st.OutputCompares+st.Wakes) / cyc,
-					"eff_activity":       effActivity(s)}})
+					"eff_activity":       effActivity(s),
+					"changes_per_op":     float64(st.SignalChanges) / float64(st.OpsEvaluated),
+					"max_part":           c.PartStats.MaxSize}})
 		}
 		return rows, nil
 	},

@@ -14,12 +14,22 @@ import "essent/internal/graph"
 // domain; otherwise it joins the unique cone all its consumers share.
 //
 // inDomain selects partitionable nodes; forcedRoot marks nodes that must
-// be their own cone root regardless of fanout (always-on singletons).
-func Decompose(g *graph.Graph, inDomain func(int) bool, forcedRoot func(int) bool) ([]int, error) {
+// be their own cone root regardless of fanout and that no producer may
+// join (always-on singletons). cutRoot (nil for none) marks nodes that
+// root their own cone but keep the producers only they consume: the cone
+// a cut root would have joined is cut at that node. Every cone is still
+// fanout-free under any cut set, so the decomposition stays acyclic.
+func Decompose(g *graph.Graph, inDomain, forcedRoot, cutRoot func(int) bool) ([]int, error) {
 	order, err := g.TopoSort()
 	if err != nil {
 		return nil, err
 	}
+	return DecomposeIn(g, order, inDomain, forcedRoot, cutRoot), nil
+}
+
+// DecomposeIn is Decompose for a caller that holds a topological order of
+// g already (one that decomposes the same graph under two cut sets).
+func DecomposeIn(g *graph.Graph, order []int, inDomain, forcedRoot, cutRoot func(int) bool) []int {
 	rootOf := make([]int, g.Len())
 	for i := range rootOf {
 		rootOf[i] = -1
@@ -32,7 +42,7 @@ func Decompose(g *graph.Graph, inDomain func(int) bool, forcedRoot func(int) boo
 		if !inDomain(n) {
 			continue
 		}
-		if forcedRoot != nil && forcedRoot(n) {
+		if (forcedRoot != nil && forcedRoot(n)) || (cutRoot != nil && cutRoot(n)) {
 			rootOf[n] = n
 			continue
 		}
@@ -66,19 +76,7 @@ func Decompose(g *graph.Graph, inDomain func(int) bool, forcedRoot func(int) boo
 			rootOf[n] = root
 		}
 	}
-	return rootOf, nil
-}
-
-// Cones groups nodes by root: the returned map sends each root to its
-// member node list (including the root), in ascending node order.
-func Cones(rootOf []int) map[int][]int {
-	cones := map[int][]int{}
-	for n, r := range rootOf {
-		if r >= 0 {
-			cones[r] = append(cones[r], n)
-		}
-	}
-	return cones
+	return rootOf
 }
 
 // Validate checks the MFFC invariants: every non-root member's fanout

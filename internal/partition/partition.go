@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 
-	"essent/internal/mffc"
 	"essent/internal/netlist"
 )
 
@@ -51,7 +50,8 @@ type Result struct {
 // Stats summarizes a partitioning.
 type Stats struct {
 	NumNodes       int
-	InitialParts   int // MFFC cones
+	InitialParts   int // seed cones
+	MaxSeed        int // nodes in the largest seed cone
 	AfterPhaseA    int
 	AfterPhaseB    int
 	FinalParts     int
@@ -102,6 +102,12 @@ type builder struct {
 	// Keys include source nodes; partition producers found via partOf.
 	pin []map[int]int
 
+	// externalPath's visited set, stamped with the query's epoch so that
+	// starting a query clears nothing, and its reused DFS stack.
+	seen  []uint32
+	epoch uint32
+	stack []int
+
 	stats Stats
 }
 
@@ -122,31 +128,29 @@ func newBuilder(dg *netlist.DesignGraph, opts Options) (*builder, error) {
 			}
 		}
 	}
-	rootOf, err := mffc.Decompose(dg.G,
-		func(i int) bool { return b.domain[i] },
-		func(i int) bool { return b.onNode[i] })
+	rootOf, err := b.seed()
 	if err != nil {
 		return nil, err
 	}
-	// Create partitions from cones, deterministic by root ID.
-	cones := mffc.Cones(rootOf)
-	roots := make([]int, 0, len(cones))
-	for r := range cones {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
+	// One partition per cone, numbered by ascending root ID, members
+	// ascending.
 	b.partOf = make([]int, n)
-	for i := range b.partOf {
-		b.partOf[i] = -1
-	}
-	for _, r := range roots {
-		id := len(b.members)
-		for _, m := range cones[r] {
-			b.partOf[m] = id
+	for m, r := range rootOf {
+		b.partOf[m] = -1
+		if r == m {
+			b.partOf[m] = len(b.always)
+			b.always = append(b.always, b.onNode[m])
+			b.alive = append(b.alive, true)
 		}
-		b.members = append(b.members, cones[r])
-		b.alive = append(b.alive, true)
-		b.always = append(b.always, b.onNode[r])
+	}
+	b.members = make([][]int, len(b.always))
+	for m, r := range rootOf {
+		if r >= 0 {
+			p := b.partOf[r]
+			b.partOf[m] = p
+			b.members[p] = append(b.members[p], m)
+			b.stats.MaxSeed = max(b.stats.MaxSeed, len(b.members[p]))
+		}
 	}
 	b.stats.NumNodes = countTrue(b.domain)
 	b.stats.InitialParts = len(b.members)
@@ -154,6 +158,7 @@ func newBuilder(dg *netlist.DesignGraph, opts Options) (*builder, error) {
 	b.psucc = make([]map[int]int, len(b.members))
 	b.ppred = make([]map[int]int, len(b.members))
 	b.pin = make([]map[int]int, len(b.members))
+	b.seen = make([]uint32, len(b.members))
 	for i := range b.members {
 		b.psucc[i] = map[int]int{}
 		b.ppred[i] = map[int]int{}
@@ -210,34 +215,45 @@ func (b *builder) mergeable(a, p int) bool {
 	if a == p || !b.alive[a] || !b.alive[p] || b.always[a] || b.always[p] {
 		return false
 	}
+	// The partition graph is acyclic, so a direct edge one way rules out
+	// every path the other way: only one search is needed for neighbors.
+	if _, ok := b.psucc[a][p]; ok {
+		return !b.externalPath(a, p)
+	}
+	if _, ok := b.psucc[p][a]; ok {
+		return !b.externalPath(p, a)
+	}
 	return !b.externalPath(a, p) && !b.externalPath(p, a)
 }
 
 // externalPath reports whether a path src→…→dst exists whose first hop is
 // not dst itself (i.e., a path through at least one other partition).
 func (b *builder) externalPath(src, dst int) bool {
-	var stack []int
-	seen := map[int]bool{}
+	b.epoch++
+	stack := b.stack[:0]
 	for q := range b.psucc[src] {
-		if q != dst && !seen[q] {
-			seen[q] = true
+		if q != dst {
+			b.seen[q] = b.epoch
 			stack = append(stack, q)
 		}
 	}
-	for len(stack) > 0 {
+	found := false
+	for len(stack) > 0 && !found {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if u == dst {
-			return true
-		}
 		for v := range b.psucc[u] {
-			if !seen[v] {
-				seen[v] = true
+			if v == dst {
+				found = true
+				break
+			}
+			if b.seen[v] != b.epoch {
+				b.seen[v] = b.epoch
 				stack = append(stack, v)
 			}
 		}
 	}
-	return false
+	b.stack = stack
+	return found
 }
 
 // merge absorbs partition src into dst, updating adjacency and inputs.

@@ -120,14 +120,19 @@ func inferGuards(d *netlist.Design, dg *netlist.DesignGraph, order []int, r *Res
 		}
 	}
 
-	// Register hold guards: next = mux(en, data, self) through copies.
+	r.RegHold = HoldGuards(d)
+}
+
+// HoldGuards returns, per register, the hold guard of Result.RegHold
+// (Sig == netlist.NoSignal where the pattern does not match). It is a
+// syntactic match of at most 16 hops a register and needs no analysis
+// result, so the partitioner calls it without running Analyze.
+func HoldGuards(d *netlist.Design) []Guard {
+	hold := make([]Guard, len(d.Regs))
 	for ri := range d.Regs {
-		reg := &d.Regs[ri]
-		sel, activeHigh, ok := holdGuard(d, reg)
-		if ok {
-			r.RegHold[ri] = Guard{Sig: sel, ActiveHigh: activeHigh}
-		}
+		hold[ri] = holdGuard(d, &d.Regs[ri])
 	}
+	return hold
 }
 
 // litUnsatisfiable reports whether the known-bits result proves the
@@ -143,38 +148,39 @@ func litUnsatisfiable(r *Result, lit Guard) bool {
 // (through same-width copy chains) is a mux with the register's own
 // output as one arm. The guard is the selector with the polarity that
 // selects the *other* arm (the register can only change when the guard
-// is active).
-func holdGuard(d *netlist.Design, reg *netlist.Reg) (netlist.SignalID, bool, bool) {
+// is active); Sig is netlist.NoSignal when the pattern does not match.
+func holdGuard(d *netlist.Design, reg *netlist.Reg) Guard {
+	none := Guard{Sig: netlist.NoSignal}
 	cur := reg.Next
 	for hops := 0; hops < 16; hops++ {
 		s := &d.Signals[cur]
 		if s.Kind != netlist.KComb {
-			return netlist.NoSignal, false, false
+			return none
 		}
 		op := s.Op
 		if op.Kind == netlist.OCopy && !op.Args[0].IsConst() {
 			src := op.Args[0].Sig
 			if d.Signals[src].Width != s.Width || d.Signals[src].Signed != s.Signed {
-				return netlist.NoSignal, false, false
+				return none
 			}
 			cur = src
 			continue
 		}
 		if op.Kind != netlist.OMux || op.Args[0].IsConst() {
-			return netlist.NoSignal, false, false
+			return none
 		}
 		sel := op.Args[0].Sig
 		if !op.Args[2].IsConst() && op.Args[2].Sig == reg.Out {
 			// Holds when sel is 0: changes only while sel is active-high.
-			return sel, true, true
+			return Guard{Sig: sel, ActiveHigh: true}
 		}
 		if !op.Args[1].IsConst() && op.Args[1].Sig == reg.Out {
 			// Holds when sel is nonzero: changes only while sel is 0.
-			return sel, false, true
+			return Guard{Sig: sel, ActiveHigh: false}
 		}
-		return netlist.NoSignal, false, false
+		return none
 	}
-	return netlist.NoSignal, false, false
+	return none
 }
 
 // sortGuards orders a literal slice canonically in place.

@@ -16,11 +16,11 @@ import (
 	"essent/internal/sched"
 )
 
-// The golden file pins the CCSS plan of the two benchmark SoCs at Cp 8:
-// it was generated at 007b131, the parent of the PR that moved elision
-// reachability from maps to stamped arrays, and is regenerated only when
-// a change means to alter the plan (go test ./internal/sched -run Golden
-// -update).
+// The golden file pins the CCSS plan of the two benchmark SoCs at Cp 8.
+// It is regenerated only when a change means to alter the plan (go test
+// ./internal/sched -run Golden -update): last by PR 23, whose seed cuts
+// move every partition-derived field (r16 199 → 205 partitions, boom
+// 1,393 → 1,417).
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // optimized compiles and optimizes one SoC the way essent.Compile does.

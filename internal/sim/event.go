@@ -252,6 +252,11 @@ func (e *EventDriven) PokeMem(mem, addr int, v uint64) {
 // Reset restores initial state and forces full re-evaluation.
 func (e *EventDriven) Reset() {
 	e.machine.Reset()
+	// The first cycle counts a result as changed against what the table
+	// held: restart from the zeros of a fresh machine, not the last run.
+	for i := range e.instrs {
+		clear(e.view(e.instrs[i].Dst, e.instrs[i].DW))
+	}
 	e.reseed()
 }
 
