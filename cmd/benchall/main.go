@@ -15,8 +15,6 @@
 //	benchall -lanes 1,4,16,64     # batched CCSS lane sweep appended
 //	benchall -only lanes -lanes 4 -cycles 20000 -designs r16
 //	                              # CI-sized smoke of the lane sweep
-//	benchall -only pack -lanes 16,64 -designs fab,r16
-//	                              # bit-packing: packed vs NoPack batch
 //	benchall -only vec -lanes 16,64
 //	                              # instance vectorization: vec vs NoVec
 //	benchall -only sa             # static activity analysis vs ablation
@@ -56,8 +54,9 @@ func main() {
 		jsonPath = flag.String("json", "",
 			`write the rows of every experiment that ran as JSON to this file ("-" for stdout)`)
 		lanesFlag = flag.String("lanes", "",
-			`comma-separated lane counts for the lanes and pack sweeps, lane caps for vec
-(e.g. "1,4,16,64"; without -only implies the lanes experiment)`)
+			`comma-separated lane counts for the lanes and vec sweeps (batch lanes for
+lanes, class lane caps for vec; e.g. "1,4,16,64"; without -only implies the
+lanes experiment)`)
 		cyclesFlag = flag.Int("cycles", 0,
 			"override the cycle cap (0 = scale default; capped runs still report throughput)")
 		designsFlag = flag.String("designs", "",
@@ -170,10 +169,10 @@ func validateFlags(only string, set map[string]bool, designs []string) ([]*exp.E
 		selected = append(selected, e)
 		runs[name] = true
 	}
-	batched := runs["lanes"] || runs["pack"] || runs["vec"]
+	batched := runs["lanes"] || runs["vec"]
 	switch {
 	case set["lanes"] && !batched:
-		return nil, fmt.Errorf("-lanes configures the lanes, pack and vec sweeps and contradicts -only %s", only)
+		return nil, fmt.Errorf("-lanes configures the lanes and vec sweeps and contradicts -only %s", only)
 	case set["ckptevery"] && !runs["ckptcost"]:
 		return nil, fmt.Errorf("-ckptevery configures the checkpoint-overhead experiment" +
 			" (use with -only ckptcost)")

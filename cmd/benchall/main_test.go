@@ -15,19 +15,19 @@ func flags(names ...string) map[string]bool {
 
 // TestDesignsResolveThroughRegistry: -designs is checked against what the
 // selected experiments can build, not against the three SoC configs
-// (`-only pack -designs fab` used to die with `unknown design "fab"`).
+// (`-only sa -designs fab` must resolve `fab`, which is no SoC config).
 func TestDesignsResolveThroughRegistry(t *testing.T) {
 	for _, c := range []struct {
 		only    string
 		designs []string
 		wantErr string
 	}{
-		{"pack", []string{"fab"}, ""},
-		{"pack", []string{"mac8", "r16"}, ""},
+		{"sa", []string{"fab"}, ""},
+		{"sa", []string{"mac8", "r16"}, ""},
 		{"vec", []string{"noc8"}, ""},
 		{"sa", []string{"r16", "fab", "mac16"}, ""},
 		{"", []string{"r16"}, ""},
-		{"pack", []string{"fabb"}, `unknown design "fabb" (known: r16, r18, boom, fab, mac8`},
+		{"sa", []string{"fabb"}, `unknown design "fabb" (known: r16, r18, boom, fab, mac8`},
 		{"table3", []string{"fab"}, `no selected experiment can run design "fab"`},
 		{"vec", []string{"mac8", "r16"}, `no selected experiment can run design "r16"`},
 		{"", []string{"mac8"}, `no selected experiment can run design "mac8"`},
@@ -62,10 +62,11 @@ func TestValidateFlagsSelection(t *testing.T) {
 		{"", flags(), paperSet},
 		{"", flags("lanes"), paperSet + ",lanes"},
 		{"gencp", flags("json"), "gencp"},
-		{"pack", flags("lanes"), "pack"},
+		{"vec", flags("lanes"), "vec"},
 		{"ckptcost", flags("ckptevery"), "ckptcost"},
 		{"nope", flags(), `error: unknown experiment "nope"`},
 		{"scaling", flags(), `error: unknown experiment "scaling"`},
+		{"pack", flags(), `error: unknown experiment "pack"`},
 		{"table3", flags("lanes"), "error: -lanes configures"},
 		{"", flags("ckptevery"), "error: -ckptevery configures"},
 	} {

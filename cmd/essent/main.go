@@ -39,7 +39,7 @@ func main() {
 				"fall back to scalar (0 = tuned default 16; 2 accepts every class)")
 		nosa = flag.Bool("nosa", false,
 			"disable static activity analysis in compilation (ablation: no "+
-				"SA constant folding, pack widening, or vec guard signatures)")
+				"SA constant folding or vec guard signatures)")
 		cycles     = flag.Int("cycles", 100000, "maximum cycles to simulate")
 		verbose    = flag.Bool("v", false, "print design printf output")
 		stats      = flag.Bool("stats", true, "print work statistics")

@@ -191,14 +191,14 @@ func TestCmdBenchallSmoke(t *testing.T) {
 
 	// -json and -csv cover every experiment (they used to be dropped
 	// silently, exit 0 and no file, for everything but a few sweeps), and
-	// -designs reaches the pack sweep's own fabric.
+	// -designs reaches the sa sweep's default fabric.
 	dir := t.TempDir()
 	for _, c := range []struct {
 		name string
 		args []string
 	}{
 		{"table1", []string{"-designs", "r16"}},
-		{"pack", []string{"-designs", "fab", "-lanes", "2", "-cycles", "2000"}},
+		{"sa", []string{"-designs", "fab", "-cycles", "2000"}},
 	} {
 		jsonPath := filepath.Join(dir, c.name+".json")
 		runCmd(t, append([]string{"./cmd/benchall", "-quick", "-only", c.name,

@@ -63,9 +63,9 @@ circuit S :
 
 // TestEveryOpcodeRenders walks every stream opcode, and every
 // instruction code under both escapes, through the printer: each one
-// lower can hand a scalar engine has a rendering, and one without — the
-// batch engine's OpPacked, a fused instruction code behind an escape, a
-// code past the enumeration — is a generation error, never source with
+// lower can hand a scalar engine has a rendering, and one without — a
+// fused instruction code behind an escape, a code past the enumeration —
+// is a generation error, never source with
 // the destination left unwritten. An opcode added to run without a case
 // here fails this test.
 func TestEveryOpcodeRenders(t *testing.T) {
@@ -88,7 +88,7 @@ func TestEveryOpcodeRenders(t *testing.T) {
 			continue // below, per instruction code
 		}
 		err := renderOne(op, sim.Instr{})
-		if want := c >= sim.OpPacked; (err != nil) != want {
+		if want := c >= sim.NumOpcodes; (err != nil) != want {
 			t.Errorf("stream opcode %d: render error %v, want an error: %v", c, err, want)
 		}
 	}

@@ -10,8 +10,9 @@ import (
 // FabricConfig parameterizes the interrupt-fabric design: a
 // control-dominated block whose combinational logic is almost entirely
 // 1-bit (pending/mask/grant chains, a token ring, parity trees). It is
-// the stress design for the batch engine's bit-packing pass — nearly
-// every instruction is eligible for 64-lanes-per-word evaluation.
+// the 1-bit-heavy control design of the registry: the sa and gen sweeps
+// and the SA and opt goldens run it beside the SoCs, whose logic is mostly
+// datapath.
 type FabricConfig struct {
 	// Name becomes the circuit/top-module name.
 	Name string
@@ -20,7 +21,7 @@ type FabricConfig struct {
 	Sources int
 }
 
-// Fabric is the default configuration used by the pack experiments.
+// Fabric is the registry's default configuration ("fab").
 func Fabric() FabricConfig { return FabricConfig{Name: "fab", Sources: 64} }
 
 // Well-known fabric port names.

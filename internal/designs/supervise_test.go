@@ -220,7 +220,7 @@ func TestCheckpointResumeAcrossEngines(t *testing.T) {
 }
 
 // Crash-resume matrix: a checkpointed run on each whole-design engine
-// (word-packed batch, instance-vectorized) is killed with
+// (batch, instance-vectorized) is killed with
 // SIGKILL in a child process, then a sequential runner resumes from
 // whatever snapshot survived and must reach the uninterrupted result.
 // (The compiled-subprocess backend has its own kill matrix in
@@ -238,8 +238,8 @@ func TestCrashResumeHelper(t *testing.T) {
 		t.Skip("helper process for TestCrashResume")
 	}
 	prog := crashProg(t)
-	if os.Getenv(crashHelperEngineEnv) == "packed" {
-		crashHelperPacked(t, dir, prog)
+	if os.Getenv(crashHelperEngineEnv) == "batch" {
+		crashHelperBatch(t, dir, prog)
 		return
 	}
 	// MinVecLanes 2 so the tiny SoC's 4-lane cluster actually exercises
@@ -255,11 +255,11 @@ func TestCrashResumeHelper(t *testing.T) {
 	t.Logf("helper finished without being killed: %v", err)
 }
 
-// crashHelperPacked drives the word-packed batch engine (which has no
+// crashHelperBatch drives the batch engine (which has no
 // supervised loop) and checkpoints lane 0 by hand each segment, so the
 // parent can SIGKILL it mid-write and resume the lane under the scalar
 // engine.
-func crashHelperPacked(t *testing.T, dir string, prog []uint32) {
+func crashHelperBatch(t *testing.T, dir string, prog []uint32) {
 	circ, err := Build(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func crashHelperPacked(t *testing.T, dir string, prog []uint32) {
 			t.Fatal(err)
 		}
 	}
-	t.Log("packed helper finished without being killed")
+	t.Log("batch helper finished without being killed")
 }
 
 func TestCrashResume(t *testing.T) {
@@ -310,7 +310,7 @@ func TestCrashResume(t *testing.T) {
 	}
 	wantCycles := ref.Sim.Stats().Cycles
 
-	for _, engine := range []string{"packed", "vec"} {
+	for _, engine := range []string{"batch", "vec"} {
 		engine := engine
 		t.Run(engine, func(t *testing.T) {
 			t.Parallel()

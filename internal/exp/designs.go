@@ -310,9 +310,9 @@ func (d *Design) sample(s sim.Simulator, w riscv.Workload, cycles, chunk int) (S
 // the same stimulus shape and must retire the same cycle count; Units is
 // lane-cycles.
 func (d *Design) batchSample(nd *netlist.Design, w riscv.Workload,
-	opts sim.BatchOptions, cycles int) (Sample, sim.PackStats, bool, error) {
-	fail := func(err error) (Sample, sim.PackStats, bool, error) {
-		return Sample{}, sim.PackStats{}, false, err
+	opts sim.BatchOptions, cycles int) (Sample, bool, error) {
+	fail := func(err error) (Sample, bool, error) {
+		return Sample{}, false, err
 	}
 	b, err := sim.NewBatchCCSS(nd, opts)
 	if err != nil {
@@ -363,7 +363,7 @@ func (d *Design) batchSample(nd *netlist.Design, w riscv.Workload,
 		}
 	}
 	return Sample{Seconds: sec, Cycles: ran, Units: float64(ran) * float64(opts.Lanes)},
-		b.PackStats(), halted, nil
+		halted, nil
 }
 
 // engineArm measures w on a fresh engine per sample; fill adds the

@@ -13,8 +13,8 @@ type Params struct {
 	Scale Scale
 	// Designs narrows the design set (registry names).
 	Designs []string
-	// Lanes are the batch lane counts (lanes, pack) or the per-class lane
-	// caps (vec).
+	// Lanes are the batch lane counts (lanes) or the per-class lane caps
+	// (vec).
 	Lanes []int
 	// Intervals are ckptcost's snapshot spacings in cycles.
 	Intervals []uint64
@@ -77,7 +77,7 @@ func (e *Experiment) CanBuild(design string) bool {
 // then the extension sweeps.
 var Experiments = []*Experiment{
 	table1, table2, table3, table4, fig5, fig6, fig7, ablation,
-	lanes, pack, vec, saExp, gen, gencp, ckptcost, verifycost,
+	lanes, vec, saExp, gen, gencp, ckptcost, verifycost,
 }
 
 // Lookup finds an experiment by name.

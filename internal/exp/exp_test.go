@@ -71,8 +71,6 @@ var smoke = []struct {
 	{"ablation", Params{Designs: []string{"tinyA"}}, false, "ops_per_cycle,elided,slowdown"},
 	{"lanes", Params{Designs: []string{"tinyA"}, Lanes: []int{1, 2}}, false,
 		"lanes,halted"},
-	{"pack", Params{Designs: []string{"fab"}, Lanes: []int{3, 8}}, false,
-		"lanes,packed_ops,packed_slots,halted"},
 	{"vec", Params{Designs: []string{"mac8"}, Lanes: []int{16}}, false,
 		"instances,nodes,max_lanes,groups,vec_parts,widest_group"},
 	{"sa", Params{Designs: []string{"fab"}}, false, "signals,proven_const_pct,proven_gated_pct," +
@@ -424,36 +422,6 @@ func TestLaneSweepCapTolerated(t *testing.T) {
 	}
 }
 
-// TestPackSweepFabric runs the fabric-only cells and checks row
-// structure: paired unpacked/packed rows with identical cycle counts,
-// pack stats only on packed rows.
-func TestPackSweepFabric(t *testing.T) {
-	rows := rowsOf(t, "pack")
-	timedRows(t, rows, 2*2)
-	for i := 0; i < len(rows); i += 2 {
-		un, pk := rows[i], rows[i+1]
-		if un.Arm != "unpacked" || pk.Arm != "packed" {
-			t.Fatalf("row pair %d not (unpacked, packed): %+v %+v", i, un, pk)
-		}
-		if un.Cycles != pk.Cycles || un.Cycles == 0 {
-			t.Fatalf("cycle mismatch: %d vs %d", un.Cycles, pk.Cycles)
-		}
-		if num(pk, "packed_ops") == 0 || num(pk, "packed_slots") == 0 {
-			t.Fatalf("packed row missing pack stats: %+v", pk)
-		}
-		if num(un, "packed_ops") != 0 {
-			t.Fatalf("unpacked row has pack stats: %+v", un)
-		}
-		if un.Speedup != 1 || num(un, "lanes") != []float64{3, 8}[i/2] {
-			t.Fatalf("bad base row: %+v", un)
-		}
-	}
-	out := pack.Render(rows)
-	if !strings.Contains(out, "fab") || !strings.Contains(out, SelfStim) {
-		t.Fatalf("render missing fabric rows:\n%s", out)
-	}
-}
-
 func TestVecSweep(t *testing.T) {
 	rows := rowsOf(t, "vec")
 	timedRows(t, rows, 2) // NoVec + vec at one lane cap
@@ -618,7 +586,7 @@ func TestDesignRegistry(t *testing.T) {
 		!strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "mac16") {
 		t.Fatalf("unknown design error: %v", err)
 	}
-	if !pack.CanBuild("fab") || !pack.CanBuild("mac8") || vec.CanBuild("r16") ||
+	if !saExp.CanBuild("fab") || !saExp.CanBuild("mac8") || vec.CanBuild("r16") ||
 		table3.CanBuild("fab") || !table3.CanBuild("boom") || gencp.CanBuild("nope") {
 		t.Fatal("CanBuild disagrees with the experiments' design kinds")
 	}
@@ -640,7 +608,7 @@ func BenchmarkBatchLanes(b *testing.B) {
 	for _, lanes := range []int{1, 16} {
 		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				smp, _, _, err := d.batchSample(d.Opt, dhry,
+				smp, _, err := d.batchSample(d.Opt, dhry,
 					sim.BatchOptions{Lanes: lanes, Cp: 8}, 50_000)
 				if err != nil {
 					b.Fatal(err)

@@ -180,11 +180,11 @@ var ablation = &Experiment{
 
 // batchArm measures w on every lane of a batched engine.
 func batchArm(name string, d *Design, w riscv.Workload, cycles int,
-	opts sim.BatchOptions, extras func(ps sim.PackStats, halted bool) (map[string]any, error)) Arm {
+	opts sim.BatchOptions) Arm {
 	return Arm{Name: name, Run: func() (Sample, error) {
-		smp, ps, halted, err := d.batchSample(d.Opt, w, opts, cycles)
+		smp, halted, err := d.batchSample(d.Opt, w, opts, cycles)
 		if err == nil {
-			smp.Extras, err = extras(ps, halted)
+			smp.Extras = map[string]any{"lanes": opts.Lanes, "halted": halted}
 		}
 		return smp, err
 	}}
@@ -210,52 +210,10 @@ var lanes = &Experiment{
 				})}
 			for _, L := range ints(p.Lanes, 1, 4, 16, 64) {
 				arms = append(arms, batchArm(fmt.Sprintf("batch%d", L), d, w, p.Scale.MaxCycles,
-					sim.BatchOptions{Lanes: L, Cp: 8},
-					func(_ sim.PackStats, halted bool) (map[string]any, error) {
-						return map[string]any{"lanes": L, "halted": halted}, nil
-					}))
+					sim.BatchOptions{Lanes: L, Cp: 8}))
 			}
 			return arms
 		}), err
-	},
-}
-
-// The pack sweep measures the batch engine with and without the
-// bit-packing pass at each lane count, on the interrupt fabric (the
-// 1-bit-heavy design packing exists for) and r16.
-var pack = &Experiment{
-	Name:    "pack",
-	Title:   "Bit-packing sweep (packed vs NoPack batch CCSS; per_sec is lane-cycles)",
-	Accepts: anyDesign,
-	Columns: []string{"lanes", "packed_ops", "packed_slots", "halted"},
-	Cells: func(ds *DesignSet, p Params) ([]Cell, error) {
-		dsg, err := ds.pick(p.Designs, anyDesign, "fab", "r16")
-		var cells []Cell
-		for _, d := range dsg {
-			cp := 8
-			if !d.soc() {
-				cp = 4 // the fabric is ~100× smaller than the SoCs
-			}
-			for _, w := range ds.workloads(d, "dhrystone") {
-				for _, L := range ints(p.Lanes, 16, 64) {
-					arm := func(name string, nopack bool) Arm {
-						return batchArm(name, d, w, stimCycles(p.Scale, d), sim.BatchOptions{
-							Lanes: L, Cp: cp, NoPack: nopack},
-							func(ps sim.PackStats, halted bool) (map[string]any, error) {
-								if !nopack && ps.PackedOps == 0 {
-									return nil, fmt.Errorf("pack plan is empty")
-								}
-								return map[string]any{"packed_ops": ps.PackedOps,
-									"packed_slots": ps.Slots, "halted": halted}, nil
-							})
-					}
-					cells = append(cells, Cell{Design: d.Name, Workload: w.Name, Reps: 3,
-						Params: map[string]any{"lanes": L},
-						Arms:   []Arm{arm("unpacked", true), arm("packed", false)}})
-				}
-			}
-		}
-		return cells, err
 	},
 }
 

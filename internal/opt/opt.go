@@ -46,54 +46,6 @@ type Stats struct {
 	// SAAnalysis is the wall time of the analysis itself (sa.Stats.Analysis),
 	// kept out of the JSON form: it is a measurement, not a result.
 	SAAnalysis time.Duration `json:"-"`
-	// Packable1Bit counts combinational signals in the optimized design
-	// eligible for the batch engine's word-packed bit-parallel kernels
-	// (1-bit unsigned result, packable op, 1-bit unsigned operands). The
-	// rewrites above must not shrink this set: reducing an op to a copy is
-	// fine (copies of 1-bit values pack too), but widening or re-signing a
-	// 1-bit net would trade a 64-lane word op for 64 scalar ops.
-	Packable1Bit int
-}
-
-// CountPackable1Bit reports how many combinational signals the batch
-// engine's bit-packing pass can rewrite into packed word-ops: the
-// netlist-level view of sim's packability rule (the machine-level pass
-// additionally packs fused superinstructions and excludes fused skip
-// guards, so this is the stable cross-pass metric, not an exact op
-// count).
-func CountPackable1Bit(d *netlist.Design) int {
-	oneBit := func(a netlist.Arg) bool {
-		w, signed := d.ArgWidth(a)
-		return w == 1 && !signed
-	}
-	n := 0
-	for i := range d.Signals {
-		s := &d.Signals[i]
-		if s.Kind != netlist.KComb || s.Op == nil || s.Width != 1 || s.Signed {
-			continue
-		}
-		op := s.Op
-		ok := false
-		switch op.Kind {
-		case netlist.OCopy:
-			ok = oneBit(op.Args[0])
-		case netlist.OMux:
-			ok = oneBit(op.Args[0]) && oneBit(op.Args[1]) && oneBit(op.Args[2])
-		case netlist.OPrim:
-			switch op.Prim {
-			case firrtl.OpNot:
-				ok = oneBit(op.Args[0])
-			case firrtl.OpAnd, firrtl.OpOr, firrtl.OpXor, firrtl.OpAdd,
-				firrtl.OpSub, firrtl.OpMul, firrtl.OpEq, firrtl.OpNeq,
-				firrtl.OpLt, firrtl.OpLeq, firrtl.OpGt, firrtl.OpGeq:
-				ok = oneBit(op.Args[0]) && oneBit(op.Args[1])
-			}
-		}
-		if ok {
-			n++
-		}
-	}
-	return n
 }
 
 // Options tunes the optimization pipeline.
@@ -101,8 +53,6 @@ type Options struct {
 	// NoSA ablates the static activity analysis pass (known-bits
 	// register fixpoint feeding constant rewrites and mux elision).
 	NoSA bool
-	// SA tunes the analysis when enabled.
-	SA sa.Options
 }
 
 // Optimize returns an optimized copy of the design (the input is not
@@ -127,7 +77,7 @@ func OptimizeOpts(d *netlist.Design, o Options) (*netlist.Design, Stats, error) 
 	// folds, copy propagation, and DCE below, which is how statically
 	// dead cones (unreachable mux arms) actually get deleted.
 	if !o.NoSA {
-		if err := saFold(work, &st, o.SA); err != nil {
+		if err := saFold(work, &st); err != nil {
 			return nil, st, err
 		}
 		if err := revalidate(work, "static activity folding"); err != nil {
@@ -153,7 +103,6 @@ func OptimizeOpts(d *netlist.Design, o Options) (*netlist.Design, Stats, error) 
 	if err := revalidate(out, "optimization pipeline"); err != nil {
 		return nil, st, err
 	}
-	st.Packable1Bit = CountPackable1Bit(out)
 	return out, st, nil
 }
 
@@ -298,8 +247,8 @@ func constFold(d *netlist.Design, st *Stats) error {
 // replaced with pool constants, and muxes whose selector is proven
 // constant collapse to copies of the taken arm, cutting the untaken
 // cone loose for DCE.
-func saFold(d *netlist.Design, st *Stats, opts sa.Options) error {
-	r, err := sa.Analyze(d, opts)
+func saFold(d *netlist.Design, st *Stats) error {
+	r, err := sa.Analyze(d, sa.Options{})
 	if err != nil {
 		return err
 	}

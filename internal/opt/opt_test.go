@@ -447,65 +447,3 @@ circuit T :
 		}
 	}
 }
-
-// TestIdentityFoldsPreservePackability: the identity folds rewrite ops
-// into copies, and copies of 1-bit unsigned values are themselves
-// packable — so folding must never shrink the design's packable-op
-// set (it may grow it when a dshr-by-0 on a 1-bit net becomes a copy).
-func TestIdentityFoldsPreservePackability(t *testing.T) {
-	src := `
-circuit P :
-  module P :
-    input clock : Clock
-    input a : UInt<1>
-    input b : UInt<1>
-    input w : UInt<8>
-    output o : UInt<1>
-    output q : UInt<8>
-    reg r : UInt<1>, clock
-    node x = and(a, b)
-    node y = mux(x, or(a, b), or(a, b))
-    node z = dshr(xor(y, r), UInt<1>(0))
-    r <= bits(z, 0, 0)
-    o <= z
-    q <= dshr(w, UInt<1>(0))
-`
-	d := compile(t, src)
-	before := CountPackable1Bit(d)
-	if before == 0 {
-		t.Fatal("test circuit has no packable ops")
-	}
-	var st Stats
-	foldIdentities(d, &st)
-	if err := revalidate(d, "identity folding"); err != nil {
-		t.Fatal(err)
-	}
-	if st.IdentityFolds == 0 {
-		t.Fatal("no identity folds fired")
-	}
-	after := CountPackable1Bit(d)
-	if after < before {
-		t.Fatalf("identity folding shrank the packable set: %d -> %d", before, after)
-	}
-}
-
-// TestOptimizeReportsPackable1Bit: the pipeline stat matches a direct
-// recount on the optimized design, and random circuits keep a sane
-// value through the full pipeline.
-func TestOptimizeReportsPackable1Bit(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		c := randckt.Generate(seed+9200, randckt.DefaultConfig())
-		d, err := netlist.Compile(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		od, st, err := Optimize(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := CountPackable1Bit(od); got != st.Packable1Bit {
-			t.Fatalf("seed %d: Stats.Packable1Bit = %d, recount = %d",
-				seed, st.Packable1Bit, got)
-		}
-	}
-}

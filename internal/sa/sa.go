@@ -35,9 +35,8 @@
 //
 // The fuzz harness in fuzz_test.go checks every claim dynamically against
 // randckt circuits; internal/opt consumes constants for folding,
-// internal/sim widens bit-packing with proven-1-bit results and feeds
-// guard signatures to the vectorizer's cost model, and internal/verify
-// surfaces SA-CONST/SA-DEAD/SA-WIDTH diagnostics.
+// internal/sim feeds guard signatures to the vectorizer's cost model, and
+// internal/verify surfaces SA-CONST/SA-DEAD/SA-WIDTH diagnostics.
 package sa
 
 import (
@@ -48,11 +47,9 @@ import (
 	"essent/internal/netlist"
 )
 
-// Options tunes the analysis.
-type Options struct {
-	// NoGuards skips guard-cone inference (known bits and widths only).
-	NoGuards bool
-}
+// Options tunes the analysis. It has no fields; the type stays because
+// callers (bench/) spell sa.Options{}.
+type Options struct{}
 
 const (
 	// maxIters caps register fixpoint rounds; once exceeded, any register
@@ -123,14 +120,12 @@ type Result struct {
 	RegHold []Guard
 	// Stats summarizes the run.
 	Stats Stats
-
-	d *netlist.Design
 }
 
 // Analyze runs the full analysis. The only error condition is a cyclic
 // design (combinational loop), which the netlist linter reports with a
 // trace; callers on engine paths can treat an error as "no facts".
-func Analyze(d *netlist.Design, opts Options) (*Result, error) {
+func Analyze(d *netlist.Design, _ Options) (*Result, error) {
 	start := time.Now()
 	dg := netlist.BuildGraph(d)
 	order, err := dg.TopoOrder()
@@ -147,7 +142,6 @@ func Analyze(d *netlist.Design, opts Options) (*Result, error) {
 		Guards:      make([][]Guard, n),
 		Dead:        make([]bool, n),
 		RegHold:     make([]Guard, len(d.Regs)),
-		d:           d,
 	}
 	for i := range r.RegHold {
 		r.RegHold[i] = Guard{Sig: netlist.NoSignal}
@@ -176,9 +170,7 @@ func Analyze(d *netlist.Design, opts Options) (*Result, error) {
 		}
 	}
 
-	if !opts.NoGuards {
-		inferGuards(d, dg, order, r)
-	}
+	inferGuards(d, dg, order, r)
 
 	r.Stats.Signals = n
 	for i := range d.Signals {
@@ -265,12 +257,6 @@ func (r *Result) IsConst(s netlist.SignalID) bool { return r.ConstVal[s] != nil 
 // ConstWords returns the proven constant value (nil when not constant).
 // The returned slice is shared; callers must not mutate it.
 func (r *Result) ConstWords(s netlist.SignalID) []uint64 { return r.ConstVal[s] }
-
-// ProvenOneBit reports whether the signal provably never holds a value
-// wider than one bit (its stored value is always 0 or 1).
-func (r *Result) ProvenOneBit(s netlist.SignalID) bool {
-	return !r.d.Signals[s].Signed && r.ProvenWidth[s] <= 1
-}
 
 // KnownNonzero reports whether the signal is proven to always be nonzero.
 func (r *Result) KnownNonzero(s netlist.SignalID) bool {

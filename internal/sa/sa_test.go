@@ -105,7 +105,7 @@ func TestRegisterFixpoint(t *testing.T) {
 }
 
 // TestProvenOneBit checks a wide-declared signal whose value set is
-// {0, 1} is proven one-bit — the property pack widening keys on.
+// {0, 1} is proven to fit in one bit.
 func TestProvenOneBit(t *testing.T) {
 	m := dsl.NewModule("Top")
 	en := m.Input("en", 1)
@@ -118,9 +118,6 @@ func TestProvenOneBit(t *testing.T) {
 	id := sid(t, d, "flag")
 	if r.ProvenWidth[id] != 1 {
 		t.Fatalf("flag ProvenWidth = %d, want 1", r.ProvenWidth[id])
-	}
-	if !r.ProvenOneBit(id) {
-		t.Fatalf("flag not proven one-bit")
 	}
 	if d.Signals[id].Width != 8 {
 		t.Fatalf("test fixture lost its declared width")
@@ -218,7 +215,7 @@ func TestDeadGuard(t *testing.T) {
 }
 
 // TestSignedConservative checks signed signals get no claims: no
-// constant, declared width, never one-bit.
+// constant, declared width.
 func TestSignedConservative(t *testing.T) {
 	m := dsl.NewModule("Top")
 	out := m.Output("out", 8)
@@ -237,9 +234,6 @@ func TestSignedConservative(t *testing.T) {
 	if r.ProvenWidth[id] != d.Signals[id].Width {
 		t.Fatalf("signed node narrowed: %d < %d",
 			r.ProvenWidth[id], d.Signals[id].Width)
-	}
-	if r.ProvenOneBit(id) {
-		t.Fatalf("signed node wrongly proven one-bit")
 	}
 }
 

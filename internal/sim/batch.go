@@ -10,11 +10,13 @@ import (
 
 // BatchCCSS evaluates up to simrt.MaxLanes independent stimulus lanes
 // against one compiled CCSS schedule. The compiled machine — op stream,
-// fused superinstructions, partition plan — is built once and shared;
-// values live in a lane-major structure-of-arrays table (word w of slot
-// off at bt[(off+w)*L+l]) that the lane walker (exec_lanes.go) executes
-// the stream over, so one op fetch/decode is amortized across every lane
-// that needs it and the lanes it touches are adjacent in memory.
+// fused superinstructions, partition plan — is built once and shared:
+// the engine executes the base machine's own stream, which newCCSS
+// lowered and SM-verified, so there is no second schedule to lower or
+// verify. Values live in a lane-major structure-of-arrays table (word w of
+// slot off at bt[(off+w)*L+l]) that the lane walker (exec_lanes.go)
+// executes the stream over, so one op fetch/decode is amortized across
+// every lane that needs it and the lanes it touches are adjacent in memory.
 //
 // Activity tracking is per lane: each partition carries a lane mask
 // instead of a bool flag, a partition whose mask is empty is skipped for
@@ -81,30 +83,6 @@ type BatchCCSS struct {
 	laneStats [simrt.MaxLanes]Stats
 	laneErr   [simrt.MaxLanes]error
 
-	// pp is the bit-packing overlay plan (nil when packing is off or found
-	// nothing to pack). ops is the stream the engine executes and spans
-	// each partition's range of it: the lowering of the overlay's
-	// rewritten schedule, or the base machine's own stream when nothing
-	// packs. The base machine is never modified: sequential reference runs
-	// and codegen export see the unpacked schedule.
-	pp    *packPlan
-	ops   []Op
-	spans []Span
-
-	// pt is the packed bit-parallel table (one uint64 per packed slot; bit
-	// l is lane l's value). Slots are persistently coherent engine state,
-	// maintained at the writer across cycles (see pack.go).
-	pt []uint64
-	// outSlot[pi][oi] is the packed slot of partition pi's output oi
-	// when its change detection runs on the slot word (-1: row compare;
-	// nil inner slice: no slot-compared outputs in the partition).
-	outSlot [][]int32
-	// refreshSlots lists the slots whose offsets are inputs or register
-	// outputs: per-lane restore must refresh their bits from the scatter
-	// before the woken lane re-evaluates (everything else is
-	// instruction-produced and recomputes in schedule order).
-	refreshSlots []int32
-
 	ctx *batchCtx
 
 	cycle uint64
@@ -144,13 +122,6 @@ type BatchOptions struct {
 	Lanes int
 	// Cp is the partitioning threshold, as in Options.
 	Cp int
-	// NoPack disables the word-packed bit-parallel kernels (ablation:
-	// every 1-bit op falls back to the per-lane row loop).
-	NoPack bool
-	// NoSA disables the static-activity widening of packing eligibility
-	// (proven-1-bit signals in wider declarations; ablation knob —
-	// results stay bit-exact, fewer ops pack).
-	NoSA bool
 	// Verify selects static-verification enforcement (strict by default).
 	Verify verify.Mode
 }
@@ -212,88 +183,15 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 	}
 	b.regMask = make([]simrt.LaneMask, len(m.d.Regs))
 
-	// Bit-packing pass: rewrite eligible 1-bit sequences into packed
-	// word-ops (64 lanes per uint64 op). The plan is an overlay — the base
-	// machine schedule stays untouched; the engine executes the lowering
-	// of the overlay's schedule, or the base stream when nothing packs.
-	b.ops, b.spans = m.ops, m.spans
-	if !opts.NoPack {
-		// Partition outputs are deliberately NOT kept live: a packed
-		// destination that is only read packed elides its row, and its
-		// change detection runs on the slot word instead (outSlot).
-		var sa1 []bool
-		if !opts.NoSA {
-			sa1 = saPackBits(m)
-		}
-		if pp := buildPackPlan(m, base.parts.sched, nil, sa1); pp != nil {
-			b.pp = pp
-			b.ops, b.spans = lower(pp.sched, m.instrs, pp.ranges)
-			if err := b.verifyPacked(opts.Verify); err != nil {
-				return nil, err
-			}
-			b.pt = make([]uint64, pp.nslots)
-			b.outSlot = make([][]int32, np)
-			for pi := range b.outSlot {
-				outs := base.parts.Outputs(int32(pi))
-				var os []int32
-				for oi := range outs {
-					o := &outs[oi]
-					if o.Words != 1 {
-						continue
-					}
-					if s := pp.slotOf[o.Off]; s >= 0 && pp.slotPackedDst[s] {
-						if os == nil {
-							os = make([]int32, len(outs))
-							for k := range os {
-								os[k] = -1
-							}
-						}
-						os[oi] = s
-					}
-				}
-				b.outSlot[pi] = os
-			}
-			seen := make([]bool, pp.nslots)
-			markRefresh := func(id netlist.SignalID) {
-				if off := m.off[id]; off >= 0 {
-					if s := pp.slotOf[off]; s >= 0 && !seen[s] {
-						seen[s] = true
-						b.refreshSlots = append(b.refreshSlots, s)
-					}
-				}
-			}
-			for _, in := range d.Inputs {
-				markRefresh(in)
-			}
-			for ri := range d.Regs {
-				markRefresh(d.Regs[ri].Out)
-			}
-		}
-	}
-
 	b.ctx = newBatchCtx(b)
 	b.Reset()
 	return b, nil
-}
-
-// verifyPacked checks the pack overlay (SM-PACK) and the stream lowered
-// from it (SM-LOWER) under the construction's verify mode.
-func (b *BatchCCSS) verifyPacked(mode verify.Mode) error {
-	if mode == verify.Off {
-		return nil
-	}
-	m, pp := b.base.machine, b.pp
-	diags := verifyPackPlan(m, pp, b.base.parts.sched, nil)
-	diags = append(diags,
-		verifyLowering(pp.sched, m.instrs, pp.ranges, b.ops, b.spans, len(m.t))...)
-	return verify.Enforce(mode, diags, nil)
 }
 
 // Reset restores initial state on every lane (including stopped ones),
 // re-arms everything and clears all per-lane counters and errors.
 func (b *BatchCCSS) Reset() {
 	simrt.BroadcastLanes(b.bt, b.init, b.L)
-	b.initPackedTable()
 	for i := range b.mems {
 		clearU64(b.mems[i].words)
 	}
@@ -323,32 +221,16 @@ func (b *BatchCCSS) Close() {}
 
 func (b *BatchCCSS) Degraded() bool { return false }
 
-// initPackedTable re-derives the whole packed table from the unpacked
-// rows: const slots from the plan's initial image, every other slot by
-// transposing its offset's row. Runs at construction and Reset — the
-// engine-wide transitions that rewrite every lane's rows at once.
-func (b *BatchCCSS) initPackedTable() {
-	pp := b.pp
-	if pp == nil {
-		return
-	}
-	copy(b.pt, pp.constInit)
-	for s := int32(0); s < pp.nslots; s++ {
-		if !pp.constSlot[s] {
-			b.pt[s] = b.transposeRow(pp.offOf[s])
-		}
-	}
-}
+// PackStats is the report of the retired bit-packing pass.
+//
+// Deprecated: the batch engine no longer packs; PackedOps is always zero.
+// Kept because bench/ reads it.
+type PackStats struct{ PackedOps int }
 
-// transposeRow packs bit 0 of every lane of the row at off into one
-// slot word (bit l = lane l).
-func (b *BatchCCSS) transposeRow(off int32) uint64 {
-	var w uint64
-	for l, x := range b.bt[int(off)*b.L : int(off)*b.L+b.L] {
-		w |= (x & 1) << uint(l)
-	}
-	return w
-}
+// PackStats returns the zero report.
+//
+// Deprecated: the batch engine no longer packs. Kept because bench/ calls it.
+func (b *BatchCCSS) PackStats() PackStats { return PackStats{} }
 
 func clearU64(s []uint64) {
 	for i := range s {
@@ -416,19 +298,7 @@ func (b *BatchCCSS) PokeLane(l int, id netlist.SignalID, v uint64) {
 	for w := 1; w < nw; w++ {
 		b.bt[(off+w)*b.L+l] = 0
 	}
-	b.refreshSlotBit(off, l)
 	b.pokedMask |= 1 << uint(l)
-}
-
-// refreshSlotBit re-syncs lane l's bit of the packed slot mirroring a
-// row offset after a direct row write (poke, restore).
-func (b *BatchCCSS) refreshSlotBit(off, l int) {
-	if b.pp == nil {
-		return
-	}
-	if s := b.pp.slotOf[off]; s >= 0 {
-		b.pt[s] = b.pt[s]&^(1<<uint(l)) | (b.bt[off*b.L+l]&1)<<uint(l)
-	}
 }
 
 // Poke sets an input on every lane.
@@ -444,9 +314,7 @@ func (b *BatchCCSS) PokeWideLane(l int, id netlist.SignalID, words []uint64) {
 	// before every use), then scattered to the lane.
 	sm := b.ctx.sm
 	sm.PokeWide(id, words)
-	off := int(sm.off[id])
-	simrt.ScatterLane(b.bt, sm.t, off, int(sm.nw[id]), b.L, l)
-	b.refreshSlotBit(off, l)
+	simrt.ScatterLane(b.bt, sm.t, int(sm.off[id]), int(sm.nw[id]), b.L, l)
 	b.pokedMask |= 1 << uint(l)
 }
 
@@ -539,22 +407,6 @@ func (b *BatchCCSS) Stats() *Stats {
 	st.Cycles = b.cycle
 	st.FusedPairs = b.base.machine.stats.FusedPairs
 	return &st
-}
-
-// PackStats reports the bit-packing pass outcome (zero value when
-// packing is disabled or nothing was packable). Deliberately separate
-// from Stats: packing must not perturb the per-lane counters that the
-// lane-equivalence tests compare against sequential CCSS.
-func (b *BatchCCSS) PackStats() PackStats {
-	if b.pp == nil {
-		return PackStats{}
-	}
-	return PackStats{
-		PackedOps:     b.pp.packedOps,
-		Slots:         int(b.pp.nslots),
-		PacksInserted: b.pp.packsInserted,
-		ElidedRows:    b.pp.elidedRows,
-	}
 }
 
 // --- per-cycle evaluation ---
@@ -662,16 +514,6 @@ func (b *BatchCCSS) stepOne() {
 				b.laneStats[l].SignalChanges++
 				b.laneStats[l].Wakes += uint64(len(readers))
 				changed |= 1 << uint(l)
-			}
-		}
-		// Commit-time maintenance of a packed register-output slot: merge
-		// the next-value slot's bits for the lanes whose writer partition
-		// ran, beside the row copy so chained reg→reg merges see the same
-		// ordering the rows do.
-		if b.pp != nil {
-			if mr := b.pp.regSlot[ri]; mr.out >= 0 {
-				em64 := uint64(em)
-				b.pt[mr.out] = b.pt[mr.out]&^em64 | b.pt[mr.next]&em64
 			}
 		}
 		if changed != 0 {

@@ -9,6 +9,8 @@ import (
 	"essent/internal/bits"
 	"essent/internal/netlist"
 	"essent/internal/randckt"
+	"essent/internal/verify"
+	"essent/pkg/simrt"
 )
 
 // batchLaneState renders lane l's architectural state in the same form
@@ -34,65 +36,179 @@ func batchLaneState(b *BatchCCSS, l int) string {
 
 // TestBatchLaneEquivalenceFuzz drives every batch lane with its own
 // stimulus stream and checks each lane bit-exact — state and Stats —
-// against a sequential CCSS fed the identical stream.
+// against a sequential CCSS fed the identical stream. Half the pokes hit
+// a 1-bit input, so control signals change mid-run on some lanes only;
+// at 64 lanes every full-batch evaluation runs under the full-word mask
+// (the dense row kernels).
 func TestBatchLaneEquivalenceFuzz(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
 		seeds = 2
 	}
-	const lanes = 5
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		c := randckt.Generate(seed+6000, randckt.DefaultConfig())
-		d, err := netlist.Compile(c)
-		if err != nil {
+	for _, lanes := range []int{5, simrt.MaxLanes} {
+		t.Run(fmt.Sprintf("lanes%d", lanes), func(t *testing.T) {
+			for seed := int64(0); seed < int64(seeds); seed++ {
+				batchLaneFuzz(t, seed, lanes)
+			}
+		})
+	}
+}
+
+func batchLaneFuzz(t *testing.T, seed int64, lanes int) {
+	t.Helper()
+	c := randckt.Generate(seed+6000, randckt.DefaultConfig())
+	d, err := netlist.Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBatchCCSS(d, BatchOptions{Lanes: lanes, Cp: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := make([]*CCSS, lanes)
+	for l := range refs {
+		if refs[l], err = newCCSS(d, Options{Cp: 8}); err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewBatchCCSS(d, BatchOptions{Lanes: lanes, Cp: 8})
-		if err != nil {
-			t.Fatal(err)
+	}
+	var oneBitIns []netlist.SignalID
+	for _, in := range d.Inputs {
+		if d.Signals[in].Width == 1 {
+			oneBitIns = append(oneBitIns, in)
 		}
-		refs := make([]*CCSS, lanes)
-		for l := range refs {
-			if refs[l], err = newCCSS(d, Options{Cp: 8}); err != nil {
-				t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for cyc := 0; cyc < 80; cyc++ {
+		// Divergent per-lane stimulus: each cycle a random subset of
+		// lanes gets its own random value on a random input, so lane
+		// activity (and input-scan arming) genuinely differs.
+		if len(d.Inputs) > 0 && (cyc == 0 || rng.Intn(2) == 0) {
+			in := d.Inputs[rng.Intn(len(d.Inputs))]
+			if len(oneBitIns) > 0 && rng.Intn(2) == 0 {
+				in = oneBitIns[rng.Intn(len(oneBitIns))]
+			}
+			w := d.Signals[in].Width
+			for l := 0; l < lanes; l++ {
+				if cyc > 0 && rng.Intn(3) == 0 {
+					continue // this lane skips the poke
+				}
+				words := make([]uint64, bits.Words(w))
+				for i := range words {
+					words[i] = rng.Uint64()
+				}
+				bits.MaskInto(words, w)
+				b.PokeWideLane(l, in, words)
+				refs[l].PokeWide(in, words)
 			}
 		}
-		rng := rand.New(rand.NewSource(seed))
-		for cyc := 0; cyc < 80; cyc++ {
-			// Divergent per-lane stimulus: each cycle a random subset of
-			// lanes gets its own random value on a random input, so lane
-			// activity (and input-scan arming) genuinely differs.
-			if len(d.Inputs) > 0 && (cyc == 0 || rng.Intn(2) == 0) {
-				in := d.Inputs[rng.Intn(len(d.Inputs))]
-				w := d.Signals[in].Width
-				for l := 0; l < lanes; l++ {
-					if cyc > 0 && rng.Intn(3) == 0 {
-						continue // this lane skips the poke
+		if err := b.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l < lanes; l++ {
+			refs[l].Step(1)
+			if got, want := batchLaneState(b, l), archState(refs[l]); got != want {
+				t.Fatalf("seed %d cyc %d lane %d diverged:\nbatch: %s\nseq:   %s",
+					seed, cyc, l, got, want)
+			}
+			if got, want := b.LaneStats(l), *refs[l].Stats(); got != want {
+				t.Fatalf("seed %d cyc %d lane %d stats diverged:\nbatch: %+v\nseq:   %+v",
+					seed, cyc, l, got, want)
+			}
+		}
+	}
+}
+
+// TestSMLowerBatchStream: the batch engine executes the base machine's own
+// stream, the one newCCSS lowered and SM-verified, not a lowering of its
+// own. The shadow machine its escapes index shares that stream and the
+// instruction table its OpSigned/OpWide ops name, and the stream verifies
+// as the lowering of the partitioned schedule the engine's spans walk.
+func TestSMLowerBatchStream(t *testing.T) {
+	d, err := netlist.Compile(randckt.Generate(8200, randckt.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBatchCCSS(d, BatchOptions{Lanes: 8, Cp: 8, Verify: verify.Strict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, sm := b.base.machine, b.ctx.sm
+	if len(m.ops) == 0 || &sm.ops[0] != &m.ops[0] || len(sm.ops) != len(m.ops) ||
+		&sm.instrs[0] != &m.instrs[0] {
+		t.Fatal("batch engine does not execute the base machine's stream")
+	}
+	if diags := verifyLowering(m.sched, m.instrs, b.base.parts.sched, m.ops, m.spans,
+		len(m.t)); len(diags) != 0 {
+		t.Fatalf("batch stream is not the lowering of the partitioned schedule: %v", diags)
+	}
+}
+
+// TestBatchCheckpointOddLanes round-trips lane checkpoints at
+// non-power-of-two lane counts: partial-word lane masks, tail-lane
+// extraction, and restore into the reversed lane index of a fresh engine
+// must all stay bit-exact.
+func TestBatchCheckpointOddLanes(t *testing.T) {
+	d, err := netlist.Compile(randckt.Generate(8300, randckt.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lanes := range []int{3, 17, 63} {
+		t.Run(fmt.Sprintf("lanes%d", lanes), func(t *testing.T) {
+			// poke gives lane l of b input values drawn from rng, mapped to
+			// lane at(l) (the reversed index on the resumed engine).
+			poke := func(b *BatchCCSS, rng *rand.Rand, at func(int) int) {
+				for _, in := range d.Inputs {
+					w := d.Signals[in].Width
+					for l := 0; l < lanes; l++ {
+						words := make([]uint64, bits.Words(w))
+						for i := range words {
+							words[i] = rng.Uint64()
+						}
+						bits.MaskInto(words, w)
+						b.PokeWideLane(at(l), in, words)
 					}
-					words := make([]uint64, bits.Words(w))
-					for i := range words {
-						words[i] = rng.Uint64()
-					}
-					bits.MaskInto(words, w)
-					b.PokeWideLane(l, in, words)
-					refs[l].PokeWide(in, words)
 				}
 			}
-			if err := b.Step(1); err != nil {
+			same := func(l int) int { return l }
+			reversed := func(l int) int { return lanes - 1 - l }
+			run, err := NewBatchCCSS(d, BatchOptions{Lanes: lanes, Cp: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(lanes)))
+			for cyc := 0; cyc < 25; cyc++ {
+				poke(run, rng, same)
+				if err := run.Step(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			resumed, err := NewBatchCCSS(d, BatchOptions{Lanes: lanes, Cp: 8})
+			if err != nil {
 				t.Fatal(err)
 			}
 			for l := 0; l < lanes; l++ {
-				refs[l].Step(1)
-				if got, want := batchLaneState(b, l), archState(refs[l]); got != want {
-					t.Fatalf("seed %d cyc %d lane %d diverged:\nbatch: %s\nseq:   %s",
-						seed, cyc, l, got, want)
-				}
-				if got, want := b.LaneStats(l), *refs[l].Stats(); got != want {
-					t.Fatalf("seed %d cyc %d lane %d stats diverged:\nbatch: %+v\nseq:   %+v",
-						seed, cyc, l, got, want)
+				if err := resumed.RestoreLaneState(reversed(l), run.CaptureLaneState(l)); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}
+			for cyc := 0; cyc < 25; cyc++ {
+				seed := int64(lanes)*7 + int64(cyc)
+				poke(run, rand.New(rand.NewSource(seed)), same)
+				poke(resumed, rand.New(rand.NewSource(seed)), reversed)
+				if err := run.Step(1); err != nil {
+					t.Fatal(err)
+				}
+				if err := resumed.Step(1); err != nil {
+					t.Fatal(err)
+				}
+				for l := 0; l < lanes; l++ {
+					if got, want := batchLaneState(resumed, reversed(l)), batchLaneState(run, l); got != want {
+						t.Fatalf("cyc %d lane %d diverged:\nresumed: %s\norig:    %s",
+							cyc, l, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 

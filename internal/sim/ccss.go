@@ -88,7 +88,7 @@ type CCSS struct {
 // evaluating a partition touches consecutive rows, no pointer chase.
 type PartTable struct {
 	// sched is each partition's entry range in the machine IR (what the
-	// pack and vec passes read; the walk runs machine.spans).
+	// vec pass reads; the walk runs machine.spans).
 	sched [][2]int32
 	rows  []partRow
 	outs  []PartOut

@@ -14,11 +14,6 @@ type batchCtx struct {
 	sm *machine
 	lw laneWalker
 
-	// oldSlot buffers pre-evaluation slot words of the partition's
-	// slot-compared outputs (BatchCCSS.outSlot), replacing the lane-major
-	// old-value row copy for elided-row packed destinations.
-	oldSlot []uint64
-
 	// lanesA serves the partition-level walk, lanesB its change masks
 	// (they nest, so they need distinct backing).
 	lanesA [simrt.MaxLanes]int
@@ -33,15 +28,7 @@ func newBatchCtx(b *BatchCCSS) *batchCtx {
 	mc := *base
 	mc.t = append([]uint64(nil), base.t...)
 	mc.sc = simrt.NewScratch(mc.maxWords)
-	c := &batchCtx{b: b, sm: &mc}
-	if b.pp != nil {
-		maxOut := 0
-		for _, r := range b.base.parts.rows {
-			maxOut = max(maxOut, int(r.outEnd-r.out))
-		}
-		c.oldSlot = make([]uint64, maxOut)
-	}
-	return c
+	return &batchCtx{b: b, sm: &mc}
 }
 
 // evalPartBatch evaluates one partition for the lanes in em: save old
@@ -56,17 +43,7 @@ func (b *BatchCCSS) evalPartBatch(pi int32, em simrt.LaneMask) {
 	full := em == simrt.FullMask(L)
 	lanes := em.Lanes(c.lanesA[:0])
 	stats := &b.laneStats
-	var oslots []int32
-	if b.pp != nil {
-		oslots = b.outSlot[pi]
-	}
 	for oi := range outs {
-		if oslots != nil && oslots[oi] >= 0 {
-			// Slot-compared output: the packed word is the whole lane-major
-			// old-value snapshot.
-			c.oldSlot[oi] = b.pt[oslots[oi]]
-			continue
-		}
 		o := &outs[oi]
 		for w := 0; w < int(o.Words); w++ {
 			src := b.bt[(int(o.Off)+w)*L : (int(o.Off)+w)*L+L]
@@ -80,8 +57,9 @@ func (b *BatchCCSS) evalPartBatch(pi int32, em simrt.LaneMask) {
 			}
 		}
 	}
-	sp := b.spans[pi]
-	c.lw.walk(b.ops, b.bt, L, sp.PC, sp.End, em, c.escape)
+	m := b.base.machine
+	sp := m.spans[pi]
+	c.lw.walk(m.ops, b.bt, L, sp.PC, sp.End, em, c.escape)
 	for _, l := range lanes {
 		stats[l].PartEvals++
 		stats[l].OpsEvaluated += uint64(sp.Weight) - c.lw.skipped[l]
@@ -90,12 +68,7 @@ func (b *BatchCCSS) evalPartBatch(pi int32, em simrt.LaneMask) {
 		o := &outs[oi]
 		ncons := uint64(o.consEnd - o.cons)
 		var changed simrt.LaneMask
-		if oslots != nil && oslots[oi] >= 0 {
-			// Slot-compared output: one XOR replaces the per-lane row scan.
-			// Bit l of the slot is lane l's value, so the diff word IS the
-			// per-lane change mask (stale bits of inactive lanes masked out).
-			changed = simrt.LaneMask(c.oldSlot[oi]^b.pt[oslots[oi]]) & em
-		} else if o.Words == 1 {
+		if o.Words == 1 {
 			// Hot shape: one-word output. Scan the whole row branch-free
 			// (stale old values of inactive lanes are masked back out).
 			cur := b.bt[int(o.Off)*L : int(o.Off)*L+L]
@@ -141,7 +114,7 @@ func (b *BatchCCSS) evalPartBatch(pi int32, em simrt.LaneMask) {
 // escape runs the ops the row kernels leave to the engine. Memory reads
 // are intercepted whatever their width class — they must hit the
 // lane-local batch memories, not the shadow machine's.
-func (c *batchCtx) escape(op *Op, lanes []int, mask simrt.LaneMask) {
+func (c *batchCtx) escape(op *Op, lanes []int) {
 	switch op.Code {
 	case OpMemRead:
 		c.execBatchMemRead(op.Dst, op.A, op.X, lanes)
@@ -151,8 +124,6 @@ func (c *batchCtx) escape(op *Op, lanes []int, mask simrt.LaneMask) {
 		} else {
 			c.execLaneScalar(in, lanes)
 		}
-	case OpPacked:
-		c.execBatchPacked(&c.b.pp.pins[op.X], lanes, mask)
 	case OpDisplay:
 		c.runDisplayBatch(op.X, lanes)
 	case OpCheck:
@@ -211,123 +182,6 @@ func (c *batchCtx) execLaneScalar(in *Instr, lanes []int) {
 			sm.execWide(in)
 		}
 		simrt.ScatterLane(b.bt, sm.t, int(in.Dst), dwWords, L, l)
-	}
-}
-
-// evalPackedWord evaluates one packed compute op over whole words: bit
-// l of every operand is lane l's 1-bit value, so a single word op
-// evaluates all ≤64 lanes at once. Out-of-mask bits compute garbage
-// from garbage, which is harmless — each lane's bit depends only on
-// that lane's operand bits, and untrusted bits are never unpacked.
-func evalPackedWord(pt []uint64, p *pinstr) uint64 {
-	switch p.code {
-	case pCopy:
-		return pt[p.a]
-	case pNot:
-		return ^pt[p.a]
-	case pAnd:
-		return pt[p.a] & pt[p.b]
-	case pOr:
-		return pt[p.a] | pt[p.b]
-	case pXor:
-		return pt[p.a] ^ pt[p.b]
-	case pEq:
-		return ^(pt[p.a] ^ pt[p.b])
-	case pNeq:
-		return pt[p.a] ^ pt[p.b]
-	case pLt:
-		return ^pt[p.a] & pt[p.b]
-	case pLeq:
-		return ^pt[p.a] | pt[p.b]
-	case pGt:
-		return pt[p.a] &^ pt[p.b]
-	case pGeq:
-		return pt[p.a] | ^pt[p.b]
-	case pMux:
-		s := pt[p.a]
-		return s&pt[p.b] | ^s&pt[p.c]
-	case pNotAnd:
-		return ^pt[p.a] & pt[p.b]
-	case pCmpMux:
-		a, b := pt[p.a], pt[p.b]
-		var s uint64
-		switch p.cmp {
-		case IEq:
-			s = ^(a ^ b)
-		case INeq:
-			s = a ^ b
-		case ILt:
-			s = ^a & b
-		case ILeq:
-			s = ^a | b
-		case IGt:
-			s = a &^ b
-		default: // IGeq
-			s = a | ^b
-		}
-		return s&pt[p.c] | ^s&pt[p.m]
-	}
-	return 0
-}
-
-// execBatchPacked runs one packed step for the active lanes (its op
-// weight is in the stream's span weights). Gathers (pPack) merge exactly
-// the active lanes' row bits into the slot (inactive lanes' bits keep
-// their coherent values). Compute ops write the whole word: an inactive
-// live lane's operand bits are unchanged since its last evaluation, so
-// the maskless recompute reproduces its bits — persistent coherence is
-// maintained for free, except for elided-register storage (maskedDst),
-// whose self-referential update must not advance idle lanes. Scatters
-// (row-required destinations) write only active lanes' rows so frozen
-// and idle lanes' architectural rows stay untouched.
-func (c *batchCtx) execBatchPacked(p *pinstr, lanes []int, mask simrt.LaneMask) {
-	b := c.b
-	L := b.L
-	if len(lanes) == L {
-		c.execBatchPackedDense(p)
-		return
-	}
-	pt := b.pt
-	if p.code == pPack {
-		row := b.bt[int(p.rowOff)*L : int(p.rowOff)*L+L]
-		w := pt[p.dst]
-		for _, l := range lanes {
-			w = w&^(1<<uint(l)) | (row[l]&1)<<uint(l)
-		}
-		pt[p.dst] = w
-		return
-	}
-	v := evalPackedWord(pt, p)
-	if p.maskedDst {
-		m := uint64(mask)
-		pt[p.dst] = pt[p.dst]&^m | v&m
-	} else {
-		pt[p.dst] = v
-	}
-	if p.rowOff >= 0 {
-		d := b.bt[int(p.rowOff)*L : int(p.rowOff)*L+L]
-		for _, l := range lanes {
-			d[l] = v >> uint(l) & 1
-		}
-	}
-}
-
-// execBatchPackedDense is execBatchPacked with every lane active: the
-// gather transposes the full row, the scatter broadcasts every bit.
-func (c *batchCtx) execBatchPackedDense(p *pinstr) {
-	b := c.b
-	L := b.L
-	if p.code == pPack {
-		b.pt[p.dst] = b.transposeRow(p.rowOff)
-		return
-	}
-	v := evalPackedWord(b.pt, p)
-	b.pt[p.dst] = v
-	if p.rowOff >= 0 {
-		d := b.bt[int(p.rowOff)*L : int(p.rowOff)*L+L]
-		for l := range d {
-			d[l] = v >> uint(l) & 1
-		}
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 // to one value table, for L of them side by side. Word w of table slot off
 // lives at tab[(off+w)*L+l] for lane l, so one op fetch and decode is
 // amortized over every lane that needs it and the lanes it touches are
-// adjacent in memory. The batch engine walks its lowering of the pack
-// overlay over bt (lanes are stimuli); the vec engine walks a class program
-// over the group's slot buffer (lanes are instances, offsets are slots).
+// adjacent in memory. The batch engine walks the base machine's own stream
+// over bt (lanes are stimuli); the vec engine walks a class program over
+// the group's slot buffer (lanes are instances, offsets are slots).
 // Narrow and fused ops evaluate in the two row kernels below; everything
-// else — memory reads, signed and wide instructions, sinks, packed steps —
-// is an escape to the engine.
+// else — memory reads, signed and wide instructions, sinks — is an escape
+// to the engine.
 type laneWalker struct {
 	// stack holds the enclosing lane masks of the skip spans the walk is
 	// inside with only part of its lanes.
@@ -52,7 +52,7 @@ func (w *laneWalker) settle(lanes []int, pend uint64) {
 // takes alike — the lock-step case — cost one add; the per-lane
 // settlement happens only where the mask changes.
 func (w *laneWalker) walk(ops []Op, tab []uint64, L int, pc, end int32,
-	mask simrt.LaneMask, esc func(op *Op, lanes []int, mask simrt.LaneMask)) {
+	mask simrt.LaneMask, esc func(op *Op, lanes []int)) {
 	stack := w.stack[:0]
 	lanes := mask.Lanes(w.lanes[:0])
 	for _, l := range lanes {
@@ -85,7 +85,7 @@ func (w *laneWalker) walk(ops []Op, tab []uint64, L int, pc, end int32,
 			continue
 		}
 		if op.Code != OpSkipZ && op.Code != OpSkipNZ {
-			esc(op, lanes, mask)
+			esc(op, lanes)
 			continue
 		}
 		guard := tab[int(op.A)*L : int(op.A)*L+L]

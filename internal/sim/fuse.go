@@ -42,13 +42,61 @@ func isFuseProducer(c ICode) bool {
 	return false
 }
 
+// engineLiveOffsets marks the table slots read outside the instruction
+// stream: design outputs, register storage, inputs, sink operands, plain
+// skip guards, and the engine's keepLive set. Stores to these can never be
+// eliminated.
+func (m *machine) engineLiveOffsets(keepLive []netlist.SignalID) []bool {
+	d := m.d
+	live := make([]bool, len(m.t))
+	mark := func(off int32) {
+		if off >= 0 {
+			live[off] = true
+		}
+	}
+	for _, o := range d.Outputs {
+		mark(m.off[o])
+	}
+	for ri := range d.Regs {
+		mark(m.off[d.Regs[ri].Next])
+		mark(m.off[d.Regs[ri].Out])
+	}
+	for _, in := range d.Inputs {
+		mark(m.off[in])
+	}
+	for i := range m.memWrites {
+		w := &m.memWrites[i]
+		mark(w.addr.off)
+		mark(w.en.off)
+		mark(w.data.off)
+		mark(w.mask.off)
+	}
+	for i := range m.displays {
+		mark(m.displays[i].en.off)
+		for _, a := range m.displays[i].args {
+			mark(a.off)
+		}
+	}
+	for i := range m.checks {
+		mark(m.checks[i].en.off)
+		mark(m.checks[i].pred.off)
+	}
+	for _, e := range m.sched {
+		if e.kind == seSkipIfZero || e.kind == seSkipIfNonzero {
+			mark(e.idx)
+		}
+	}
+	for _, sig := range keepLive {
+		mark(m.off[sig])
+	}
+	return live
+}
+
 // fuseSchedule runs the peephole pass, rebuilds the schedule without the
 // removed entries, and returns the remapped group ranges.
 func (m *machine) fuseSchedule(keepLive []netlist.SignalID, ranges [][2]int32) [][2]int32 {
 	nsched := len(m.sched)
 
-	// Live offsets: table slots read outside the fused instruction stream.
-	// Stores to these can never be eliminated.
 	live := m.engineLiveOffsets(keepLive)
 
 	// Single-reader analysis over the instruction stream: for each table

@@ -140,8 +140,7 @@ type memState struct {
 type schedEntry struct {
 	kind uint8
 	idx  int32
-	// n is the number of following entries to skip (skip kinds), or the
-	// step's op weight (sePacked).
+	// n is the number of following entries to skip (skip kinds).
 	n int32
 }
 
@@ -160,10 +159,6 @@ const (
 	// offset); the instruction executes, then its dst decides the skip.
 	seSkipIfZeroF
 	seSkipIfNonzeroF
-	// sePacked executes one packed bit-parallel step (idx indexes the
-	// pack plan's pinstr stream, n is its weight in OpsEvaluated; pack
-	// overlay schedules only — see pack.go).
-	sePacked
 )
 
 // machine holds everything shared by the static-schedule engines.

@@ -37,7 +37,7 @@ type Options struct {
 	// scalar path (0 = the tuned default of 16; 2 accepts every class).
 	MinVecLanes int
 	// NoSA ablates static activity analysis during engine compilation
-	// (vectorizer toggle-condition signatures and pack widening).
+	// (the vectorizer's toggle-condition signatures).
 	NoSA bool
 }
 

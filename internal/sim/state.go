@@ -309,17 +309,6 @@ func (b *BatchCCSS) RestoreLaneState(l int, st *State) error {
 			ms.words[i*L+l] = st.Mems[mi][i]
 		}
 	}
-	// Refresh the restored lane's bits in the packed slots that mirror
-	// inputs and register outputs: those rows were just scattered and no
-	// schedule entry rewrites their slots before earlier partitions read
-	// them. Instruction-produced slots recompute when the lane, flagged
-	// in every partition below, re-evaluates.
-	if b.pp != nil {
-		for _, s := range b.refreshSlots {
-			off := int(b.pp.offOf[s])
-			b.pt[s] = b.pt[s]&^(1<<uint(l)) | (b.bt[off*L+l]&1)<<uint(l)
-		}
-	}
 	bit := simrt.LaneMask(1) << uint(l)
 	for i := range b.memWr {
 		b.memWr[i].valid[l] = 0

@@ -16,7 +16,7 @@ import (
 // absolute targets. The scalar engines execute theirs through the one
 // loop and one switch in run (full-cycle the whole stream, CCSS one
 // partition's span, event-driven one op per event); the batch engine
-// lowers the pack overlay's schedule and the vec engine each class
+// walks the CCSS stream itself and the vec engine lowers each class
 // program, and both execute through the lane walker (exec_lanes.go). The
 // code generator prints the scalar stream (Program, internal/codegen),
 // which is why the stream's types are exported.
@@ -82,9 +82,6 @@ const (
 	OpDisplay
 	OpCheck
 	OpMemWrite
-	// OpPacked is the batch engine's escape to one packed bit-parallel
-	// step (pack.go): x is the pinstr index, mask its op weight.
-	OpPacked
 	// NumOpcodes bounds the enumeration: every Opcode is below it.
 	NumOpcodes
 )
@@ -111,7 +108,7 @@ func (c Opcode) Reads() uint8 {
 		return RdA | RdB | RdC
 	case OpFEqMux, OpFNeqMux, OpFLtMux, OpFLeqMux, OpFGtMux, OpFGeqMux:
 		return RdA | RdB | RdC | RdX
-	case OpSigned, OpWide, OpDisplay, OpCheck, OpMemWrite, OpPacked:
+	case OpSigned, OpWide, OpDisplay, OpCheck, OpMemWrite:
 		return 0
 	}
 	return RdA | RdB
@@ -167,16 +164,13 @@ var fcmpOp = [...]Opcode{
 }
 
 // Weight is an op's contribution to OpsEvaluated: one per instruction,
-// two per superinstruction, what the pack pass recorded for a packed
-// step, none for control and sinks.
+// two per superinstruction, none for control and sinks.
 func (op *Op) Weight() uint32 {
 	switch c := op.Code; {
 	case c <= OpTail, c == OpSigned, c == OpWide:
 		return 1
 	case c <= OpFSubTail:
 		return 2
-	case c == OpPacked:
-		return uint32(op.Mask)
 	}
 	return 0
 }
@@ -270,8 +264,6 @@ func lower(sched []schedEntry, instrs []Instr, ranges [][2]int32) ([]Op, []Span)
 			ops = append(ops, Op{Code: OpCheck, X: e.idx})
 		case seMemWrite:
 			ops = append(ops, Op{Code: OpMemWrite, X: e.idx})
-		case sePacked:
-			ops = append(ops, Op{Code: OpPacked, X: e.idx, Mask: uint64(e.n)})
 		default:
 			panic("sim: schedule entry kind with no lowering")
 		}

@@ -29,12 +29,11 @@ import (
 //	SM-SINK    side-effect entries (display/check/memwrite) never sit
 //	           inside a skip region
 //	SM-LOWER   the op stream an engine executes is the lowering of the
-//	           schedule it was built from (verifyLowering; also run on the
-//	           batch engine's packed stream and on every vec class
-//	           program): each entry's ops equal a fresh lowering of it,
-//	           skip targets land on the op their entry's span ends at and
-//	           carry that span's weight, group spans tile the stream, every
-//	           offset is inside the table
+//	           schedule it was built from (verifyLowering; also run on
+//	           every vec class program): each entry's ops equal a fresh
+//	           lowering of it, skip targets land on the op their entry's
+//	           span ends at and carry that span's weight, group spans tile
+//	           the stream, every offset is inside the table
 //
 // verifyMachine is pure analysis: it never executes an instruction and
 // never mutates the machine.
@@ -550,9 +549,8 @@ func nodeReadsSignal(d *netlist.Design, dg *netlist.DesignGraph, v int, sig netl
 
 // verifyLowering (SM-LOWER) validates ops and spans as the lowering of the
 // schedule (sched, instrs) grouped by ranges (nil: one group) over a table
-// of tlen words — the scalar stream, the batch engine's lowering of the
-// pack overlay, or (with slots mapped back to the leader's offsets) a vec
-// class program. Positions, skip targets, weights and group spans are
+// of tlen words — the scalar stream (which the batch engine also walks),
+// or (with slots mapped back to the leader's offsets) a vec class program. Positions, skip targets, weights and group spans are
 // recomputed here from the schedule alone; an instruction's op is
 // compared against a fresh lowering of the instruction, which is what
 // catches a stream gone stale under a later rewrite of the IR. (That the
@@ -601,8 +599,6 @@ func verifyLowering(sched []schedEntry, instrs []Instr, ranges [][2]int32,
 			if e.kind != seInstr {
 				width = 2
 			}
-		} else if e.kind == sePacked {
-			weight = uint32(e.n)
 		}
 		pcOf[i+1], wsum[i+1] = pcOf[i]+width, wsum[i]+weight
 	}
@@ -643,8 +639,6 @@ func verifyLowering(sched []schedEntry, instrs []Instr, ranges [][2]int32,
 			want = Op{Code: OpCheck, X: e.idx}
 		case seMemWrite:
 			want = Op{Code: OpMemWrite, X: e.idx}
-		case sePacked:
-			want = Op{Code: OpPacked, X: e.idx, Mask: uint64(e.n)}
 		default:
 			continue // SM-SKIP
 		}

@@ -80,7 +80,7 @@ const (
 	// flags.
 	simFlagsFile = "ccss.go"
 	// dispatchMinArms is how many storing arms make an opcode switch an
-	// evaluator rather than a classifier (operand shapes, packability).
+	// evaluator rather than a classifier (operand shapes, weights).
 	dispatchMinArms = 8
 )
 

@@ -262,7 +262,7 @@ func New() (*CCSS, error) {
 	wantRules(t, findings, "sim-single-goroutine", "sim-single-goroutine")
 	// A local slice or parameter named flags is not the activity state,
 	// and other packages are out of scope.
-	findings, _ = checkFile(t, imp, simPath, "internal/sim/pack.go", `
+	findings, _ = checkFile(t, imp, simPath, "internal/sim/fuse.go", `
 package sim
 func anyOf(flags []bool) bool {
 	for i := range flags {
