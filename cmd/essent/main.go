@@ -130,6 +130,9 @@ func main() {
 	if n := sim.NumPartitions(); n > 0 {
 		fmt.Printf(", %d partitions (Cp=%d)", n, *cp)
 	}
+	if w, g := sim.WakeEdges(); w > 0 {
+		fmt.Printf(", %d wake edges (%d guarded)", w, g)
+	}
 	fmt.Println()
 	if vi := sim.VecInfo(); vi.Groups > 0 {
 		fmt.Printf("vectorized: %d partitions in %d groups (%d classes, widest %d lanes)\n",

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -32,6 +33,23 @@ func TestCmdEssentSmoke(t *testing.T) {
 		!strings.Contains(out, "partition checks") {
 		t.Fatalf("unexpected output:\n%s", out)
 	}
+	// The design line counts the engine's wake edges and the guarded ones.
+	m := regexp.MustCompile(`(?m)^design: .*, (\d+) wake edges \((\d+) guarded\)$`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no wake-edge count on the design line:\n%s", out)
+	}
+	if total, guarded := atoi(t, m[1]), atoi(t, m[2]); guarded == 0 || guarded >= total {
+		t.Fatalf("r16: %d of %d wake edges guarded, want some but not all", guarded, total)
+	}
+}
+
+func atoi(t *testing.T, s string) int {
+	t.Helper()
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestCmdEssentRejectsBadFlags: out-of-range numbers and the retired

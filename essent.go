@@ -765,6 +765,15 @@ func (s *Sim) NumPartitions() int {
 	return 0
 }
 
+// WakeEdges reports the CCSS engine's wake edges and how many of them are
+// guarded (both 0 for other engines and the compiled backend).
+func (s *Sim) WakeEdges() (total, guarded int) {
+	if cc, ok := s.s.(interface{ WakeEdges() (int, int) }); ok {
+		return cc.WakeEdges()
+	}
+	return 0, 0
+}
+
 // NumSignals reports the design size in graph nodes.
 func (s *Sim) NumSignals() int { return len(s.d.Signals) }
 

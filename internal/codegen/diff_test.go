@@ -26,12 +26,15 @@ import (
 // built once; one driver process replays each fixture's stimulus on every
 // variant and prints a trace per variant.
 
-// diffConfigs are the emission variants: CCSS at Cp 8 with each §III-B
-// ablation, and the two full-cycle engines.
-var diffConfigs = []struct {
+// diffConfig is one emission variant.
+type diffConfig struct {
 	name string
 	opts Options
-}{
+}
+
+// diffConfigs are the emission variants: CCSS at Cp 8 with each §III-B
+// ablation, and the two full-cycle engines.
+var diffConfigs = []diffConfig{
 	{"default", Options{Mode: ModeCCSS, Cp: 8}},
 	{"nomuxshadow", Options{Mode: ModeCCSS, Cp: 8, NoMuxShadow: true}},
 	{"noelide", Options{Mode: ModeCCSS, Cp: 8, NoElide: true}},
@@ -48,15 +51,105 @@ type diffPoke struct {
 
 // diffFixture is one design with its stimulus: memory preloads, pokes
 // applied before the named cycle's step, and the signals compared after
-// every cycle (all outputs and registers).
+// every cycle (all outputs and registers). configs, when set, replaces
+// diffConfigs for the fixture.
 type diffFixture struct {
-	name   string
-	d      *netlist.Design
-	mem    string
-	image  []uint64
-	pokes  []diffPoke
-	watch  []string
-	cycles int
+	name    string
+	d       *netlist.Design
+	mem     string
+	image   []uint64
+	pokes   []diffPoke
+	watch   []string
+	cycles  int
+	configs []diffConfig
+}
+
+// variants returns the emission variants of f.
+func (f *diffFixture) variants() []diffConfig {
+	if f.configs != nil {
+		return f.configs
+	}
+	return diffConfigs
+}
+
+// The guarded-wake designs of internal/sim's TestGuardedWake: a consumer
+// reads data only inside its en way. Cp 1 keeps producer, guard and
+// consumer in partitions of their own, where the wake edge from data is
+// guarded; without mux-way skips it is not.
+var guardedConfigs = []diffConfig{
+	{"cp1", Options{Mode: ModeCCSS, Cp: 1}},
+	{"cp1nomuxshadow", Options{Mode: ModeCCSS, Cp: 1, NoMuxShadow: true}},
+}
+
+var guardedFixtures = []struct {
+	name, src string
+	pokes     func(cyc int) []diffPoke
+}{
+	{"guard_rare", `
+circuit GRare :
+  module GRare :
+    input clock : Clock
+    input en : UInt<1>
+    reg c : UInt<8>, clock
+    reg r : UInt<8>, clock
+    c <= tail(add(c, UInt<8>(1)), 1)
+    when en :
+      r <= xor(r, c)
+`, func(cyc int) []diffPoke {
+		return []diffPoke{{cyc, "en", uint64(cyc % 40 / 34)}}
+	}},
+	{"guard_late", `
+circuit GLate :
+  module GLate :
+    input clock : Clock
+    input a : UInt<8>
+    input b : UInt<8>
+    output oy : UInt<8>
+    output oe : UInt<1>
+    reg r : UInt<8>, clock
+    node data = xor(a, UInt<8>(90))
+    node y = xor(b, UInt<8>(7))
+    node en = eq(tail(add(data, y), 1), UInt<8>(0))
+    oy <= y
+    oe <= en
+    when en :
+      r <= xor(r, data)
+`, func(cyc int) []diffPoke {
+		a, sum := uint64(cyc*37)&255, uint64(1)
+		if cyc%5 == 3 {
+			sum = 0
+		}
+		return []diffPoke{{cyc, "a", a}, {cyc, "b", ((sum - (a ^ 90)) & 255) ^ 7}}
+	}},
+	{"guard_twophase", `
+circuit GTwoPhase :
+  module GTwoPhase :
+    input clock : Clock
+    input s : UInt<1>
+    reg en2 : UInt<1>, clock
+    reg en : UInt<1>, clock
+    reg c : UInt<8>, clock
+    reg r : UInt<8>, clock
+    en2 <= xor(en, s)
+    en <= en2
+    c <= tail(add(c, UInt<8>(1)), 1)
+    when en :
+      r <= xor(r, c)
+`, func(cyc int) []diffPoke {
+		return []diffPoke{{cyc, "s", uint64(cyc % 11 / 10)}}
+	}},
+	{"guard_input", `
+circuit GInput :
+  module GInput :
+    input clock : Clock
+    input en : UInt<1>
+    input d : UInt<8>
+    reg r : UInt<8>, clock
+    when en :
+      r <= xor(r, d)
+`, func(cyc int) []diffPoke {
+		return []diffPoke{{cyc, "d", uint64(cyc*29) & 255}, {cyc, "en", uint64(cyc % 30 / 26)}}
+	}},
 }
 
 // watchAll lists every output and register of d.
@@ -131,6 +224,14 @@ func diffFixtures(t *testing.T) []diffFixture {
 		soc.image = append(soc.image, uint64(w))
 	}
 	soc.pokes = []diffPoke{{0, "reset", 1}, {2, "reset", 0}}
+
+	for _, g := range guardedFixtures {
+		f := add(g.name, compileDesign(t, g.src), 120)
+		f.configs, f.pokes = guardedConfigs, nil
+		for c := 0; c < f.cycles; c++ {
+			f.pokes = append(f.pokes, g.pokes(c)...)
+		}
+	}
 	return fs
 }
 
@@ -282,7 +383,7 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 			fmt.Fprintf(&body, "{%d, %q, %#x},", p.Cycle, p.Name, p.V)
 		}
 		body.WriteString("}}\n")
-		for _, cfg := range diffConfigs {
+		for _, cfg := range f.variants() {
 			for _, serve := range []bool{false, true} {
 				pkg := fmt.Sprintf("%s_%s", f.name, cfg.name)
 				if serve {
@@ -329,11 +430,20 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := replay(interpSim{oracle, f.d}, f)
-		for _, cfg := range diffConfigs {
+		for _, cfg := range f.variants() {
 			interp := cfg.opts.Engine()
 			eng, err := sim.New(f.d, interp)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if f.configs != nil {
+				pr, err := sim.Lower(f.d, interp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := guardedEdges(pr); (n > 0) == cfg.opts.NoMuxShadow {
+					t.Errorf("%s/%s: %d guarded wake edges", f.name, cfg.name, n)
+				}
 			}
 			if got := replay(interpSim{eng, f.d}, f); got != want {
 				t.Fatalf("%s/%s: interpreter disagrees with the full-cycle oracle", f.name, cfg.name)
@@ -364,6 +474,27 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 			}
 		}
 	}
+}
+
+// guardedEdges counts the guarded wake edges of a lowered CCSS program.
+func guardedEdges(pr *sim.Program) int {
+	n := 0
+	count := func(w sim.WakeList) {
+		_, guarded, _ := pr.Parts.Wakes(w)
+		n += len(guarded)
+	}
+	for p := range pr.Spans {
+		for _, o := range pr.Parts.Outputs(int32(p)) {
+			count(o.Wake)
+		}
+	}
+	for _, w := range pr.RegWakes {
+		count(w)
+	}
+	for _, in := range pr.Inputs {
+		count(in.Wake)
+	}
+	return n
 }
 
 // TestPartitionValuesStayLocal is the shape of the emission on the

@@ -634,6 +634,26 @@ func (g *gen) wake(parts []int32, counter string) {
 	}
 }
 
+// wakeList prints the wakes of one wake list: the unconditional consumers'
+// flags, then each guarded consumer's flag (and count) inside a test of
+// its literal, the guard word rendered by ref.
+func (g *gen) wakeList(w sim.WakeList, counter string, ref func(int32) string) {
+	uncond, guarded, lits := g.pr.Parts.Wakes(w)
+	g.wake(uncond, counter)
+	for i, q := range guarded {
+		cmp := "=="
+		if lits[i].NZ {
+			cmp = "!="
+		}
+		g.p("if %s %s 0 {", ref(lits[i].Off), cmp)
+		g.p("s.flags[%d] = true", q)
+		if g.opts.Serve {
+			g.p("%s++", counter)
+		}
+		g.p("}")
+	}
+}
+
 // ifChangedCopy opens `if dst != src { dst = src` over n-word spans of
 // two state arrays; the caller emits the wakes and closes the block.
 func (g *gen) ifChangedCopy(dst string, dOff int32, src string, sOff, n int32) {
@@ -681,7 +701,7 @@ func (g *gen) emitCommit() {
 				if g.opts.Serve {
 					g.p("      s.stats[%d]++", statSignalChanges)
 				}
-				g.wake(pr.RegReaders[ri], wakesStat)
+				g.wakeList(pr.RegWakes[ri], wakesStat, slot)
 				g.p("    }")
 			}
 			g.p("  }")
@@ -783,7 +803,7 @@ func (g *gen) emitCCSSStep() {
 	for i := range pr.Inputs {
 		in := &pr.Inputs[i]
 		g.ifChangedCopy("s.prevIn", in.PrevOff, "s.t", in.Off, in.Words)
-		g.wake(in.Consumers, wakesStat)
+		g.wakeList(in.Wake, wakesStat, slot)
 		g.p("  }")
 	}
 	g.p("}")
@@ -829,7 +849,7 @@ func (g *gen) emitPartition(pi int32) {
 		if g.opts.Serve {
 			g.p("    chg++")
 		}
-		g.wake(pr.Parts.Consumers(o), "wk")
+		g.wakeList(o.Wake, "wk", g.ref)
 		g.p("  }")
 	}
 	if len(pr.Parts.RegsOf(pi)) > 0 {

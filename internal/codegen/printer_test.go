@@ -14,8 +14,8 @@ import (
 // for as long as design, options and FormatVersion agree, so a change to
 // the emitted text must come with a new version.
 const (
-	pinnedVersion  = 2
-	emittedTextPin = "5704ca5592841c490d57a3102f758b8f18eb2b4efde783bf5eec47ebed0f63cd"
+	pinnedVersion  = 3
+	emittedTextPin = "07506aba15c9c5f088301f51e43a277f460bcc06fddcf3a2c9884938c30b0c77"
 )
 
 func TestFormatVersionPinsEmittedText(t *testing.T) {

@@ -244,6 +244,35 @@ func (b *BatchCCSS) wake(q int32, m simrt.LaneMask) {
 	b.specMask[b.specOf[q]] |= m
 }
 
+// fire flags the consumers of a producer whose words changed on the lanes
+// in changed — a guarded consumer only on the lanes whose row of its guard
+// word satisfies the literal — and charges each lane the flags it set, as
+// CCSS.fire does for one.
+func (b *BatchCCSS) fire(w WakeList, changed simrt.LaneMask) {
+	uncond, guarded, lits := b.base.parts.Wakes(w)
+	for _, q := range uncond {
+		b.wake(q, changed)
+	}
+	lanes := changed.Lanes(b.ctx.lanesB[:0])
+	for _, l := range lanes {
+		b.laneStats[l].Wakes += uint64(len(uncond))
+	}
+	for i, q := range guarded {
+		g := lits[i]
+		row := b.bt[int(g.Off)*b.L:]
+		var m simrt.LaneMask
+		for _, l := range lanes {
+			if (row[l] != 0) == g.NZ {
+				m |= 1 << uint(l)
+				b.laneStats[l].Wakes++
+			}
+		}
+		if m != 0 {
+			b.wake(q, m)
+		}
+	}
+}
+
 // wakeAllLanes flags every partition and level spec for every live
 // lane and invalidates the input history so the next scan re-seeds it.
 func (b *BatchCCSS) wakeAllLanes() {
@@ -454,13 +483,10 @@ func (b *BatchCCSS) stepOne() {
 				}
 				if ch {
 					changed |= 1 << uint(l)
-					b.laneStats[l].Wakes += uint64(len(in.Consumers))
 				}
 			}
 			if changed != 0 {
-				for _, q := range in.Consumers {
-					b.wake(q, changed)
-				}
+				b.fire(in.Wake, changed)
 			}
 		}
 	}
@@ -497,7 +523,6 @@ func (b *BatchCCSS) stepOne() {
 		}
 		no, oo := b.base.regNext[ri], b.base.regOut[ri]
 		nw := int(no.words())
-		readers := b.base.regReaderParts[ri]
 		var changed simrt.LaneMask
 		for _, l := range em.Lanes(lanesArr[:0]) {
 			ch := false
@@ -512,14 +537,11 @@ func (b *BatchCCSS) stepOne() {
 			b.laneStats[l].OutputCompares++
 			if ch {
 				b.laneStats[l].SignalChanges++
-				b.laneStats[l].Wakes += uint64(len(readers))
 				changed |= 1 << uint(l)
 			}
 		}
 		if changed != 0 {
-			for _, q := range readers {
-				b.wake(q, changed)
-			}
+			b.fire(b.base.regWakes[ri], changed)
 		}
 	}
 	b.dirtyRegs = b.dirtyRegs[:0]

@@ -46,9 +46,11 @@ type CCSS struct {
 	inputs []InputRow
 	prevIn []uint64
 
-	// Per-register reader partitions (wake targets on state change).
-	regReaderParts [][]int32
-	// Per-memory reader-port partitions.
+	// Per-register reader partitions (wake targets when a two-phase
+	// register's commit changes it; elided registers wake through their
+	// writer's outputs and have an empty list here).
+	regWakes []WakeList
+	// Per-memory reader-port partitions (always woken unconditionally).
 	memReaderParts [][]int32
 	// regNext/regOut read register value storage at commit.
 	regNext []operand
@@ -92,10 +94,14 @@ type PartTable struct {
 	sched [][2]int32
 	rows  []partRow
 	outs  []PartOut
-	// cons holds the consumer lists (partition indices to wake when an
-	// output changes — the OR-reduction targets of Fig. 1); regs the
-	// non-elided register indices each partition writes.
+	// cons is the wake table: every consumer list (partitions to wake when
+	// a partition output, a two-phase register or an input changes — the
+	// OR-reduction targets of Fig. 1), each located by a WakeList; lits is
+	// parallel to it and holds a guarded entry's literal (Off -1 on an
+	// unconditional one). regs holds the non-elided register indices each
+	// partition writes.
 	cons []int32
+	lits []WakeGuard
 	regs []int32
 }
 
@@ -107,18 +113,16 @@ type partRow struct {
 
 // PartOut is one partition output: Words table words at Off, its
 // pre-evaluation copy at OldOff of the engine's old-value buffer, and
-// its consumers at cons[cons:consEnd].
+// its consumers.
 type PartOut struct {
 	Off, Words, OldOff int32
-	cons, consEnd      int32
+	Wake               WakeList
 }
 
 func (pt *PartTable) Outputs(p int32) []PartOut {
 	r := &pt.rows[p]
 	return pt.outs[r.out:r.outEnd]
 }
-
-func (pt *PartTable) Consumers(o *PartOut) []int32 { return pt.cons[o.cons:o.consEnd] }
 
 func (pt *PartTable) RegsOf(p int32) []int32 {
 	r := &pt.rows[p]
@@ -127,12 +131,13 @@ func (pt *PartTable) RegsOf(p int32) []int32 {
 
 // InputRow is one external input's change-detection row: Words table
 // words at Off, their last-seen copy at PrevOff of the input history, and
-// the partitions to wake when they differ.
+// the partitions to wake when they differ (CCSS; the event-driven engine
+// keeps its instruction consumers beside its rows).
 type InputRow struct {
-	Off       int32
-	Words     int32
-	PrevOff   int32
-	Consumers []int32
+	Off     int32
+	Words   int32
+	PrevOff int32
+	Wake    WakeList
 }
 
 func toInt32s(xs []int) []int32 { return appendInt32s(make([]int32, 0, len(xs)), xs) }
@@ -146,9 +151,9 @@ func appendInt32s(dst []int32, xs []int) []int32 {
 
 // newCCSS plans the design and builds the runtime structures from the
 // plan, statically verifying the design, the plan, the compiled machine
-// schedule and its lowering under opts.Verify (the scalar, batch and vec
-// engines all build through here, so all three inherit the
-// verification).
+// schedule, its lowering and the guarded wake edges derived from it under
+// opts.Verify (the scalar, batch and vec engines all build through here,
+// so all three inherit the verification).
 func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	plan, err := sched.PlanCCSSOpts(d, sched.PlanOptions{
 		Cp: opts.Cp, NoElide: opts.NoElide, NoMuxShadow: opts.NoMuxShadow,
@@ -201,11 +206,8 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 		row := partRow{out: int32(len(pt.outs)), reg: int32(len(pt.regs))}
 		for _, op := range pp.Outputs {
 			words := int32(bits.Words(d.Signals[op.Sig].Width))
-			o := PartOut{Off: m.off[op.Sig], Words: words, OldOff: oldOff,
-				cons: int32(len(pt.cons))}
-			pt.cons = appendInt32s(pt.cons, op.Consumers)
-			o.consEnd = int32(len(pt.cons))
-			pt.outs = append(pt.outs, o)
+			pt.outs = append(pt.outs, PartOut{Off: m.off[op.Sig], Words: words,
+				OldOff: oldOff, Wake: pt.addWakes(op.Consumers)})
 			oldOff += words
 		}
 		pt.regs = appendInt32s(pt.regs, pp.Regs)
@@ -218,11 +220,13 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	c.oldVals = make([]uint64, oldOff)
 
 	// Register and memory wake plumbing.
-	c.regReaderParts = make([][]int32, len(d.Regs))
+	c.regWakes = make([]WakeList, len(d.Regs))
 	c.regNext = make([]operand, len(d.Regs))
 	c.regOut = make([]operand, len(d.Regs))
 	for ri := range d.Regs {
-		c.regReaderParts[ri] = toInt32s(plan.RegReaderParts[ri])
+		if !plan.Elided[ri] {
+			c.regWakes[ri] = pt.addWakes(plan.RegReaderParts[ri])
+		}
 		c.regNext[ri] = m.operandOf(netlist.SigArg(d.Regs[ri].Next))
 		c.regOut[ri] = m.operandOf(netlist.SigArg(d.Regs[ri].Out))
 	}
@@ -237,11 +241,18 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 		words := int32(bits.Words(d.Signals[in].Width))
 		c.inputs = append(c.inputs, InputRow{
 			Off: m.off[in], Words: words, PrevOff: prevOff,
-			Consumers: toInt32s(plan.InputConsumers[i]),
+			Wake: pt.addWakes(plan.InputConsumers[i]),
 		})
 		prevOff += words
 	}
 	c.prevIn = make([]uint64, prevOff)
+
+	c.guardWakes()
+	if opts.Verify != verify.Off {
+		if err := verify.Enforce(opts.Verify, c.verifyWakes(), nil); err != nil {
+			return nil, err
+		}
+	}
 
 	c.walk = c.stepOne
 	c.wakeAll()
@@ -335,6 +346,37 @@ func (c *CCSS) wakeAll() {
 	}
 }
 
+// fire flags the consumers of a producer whose words changed — every
+// unconditional one, a guarded one only while its literal holds on the
+// table (DESIGN §6 "Guarded wakes") — and returns how many it flagged.
+// A list with no guarded suffix is the hot path and inlines into the
+// callers.
+func (c *CCSS) fire(w WakeList) uint64 {
+	if w.guarded != w.end {
+		return c.fireGuarded(w)
+	}
+	for _, q := range c.parts.cons[w.cons:w.end] {
+		c.wake(q)
+	}
+	return uint64(w.end - w.cons)
+}
+
+// fireGuarded is fire for a list with guarded consumers.
+func (c *CCSS) fireGuarded(w WakeList) uint64 {
+	uncond, guarded, lits := c.parts.Wakes(w)
+	for _, q := range uncond {
+		c.wake(q)
+	}
+	n := uint64(len(uncond))
+	for i, q := range guarded {
+		if g := lits[i]; (c.t[g.Off] != 0) == g.NZ {
+			c.wake(q)
+			n++
+		}
+	}
+	return n
+}
+
 // wakeMemReaders flags the partitions holding read ports of a memory
 // whose contents changed.
 func (c *CCSS) wakeMemReaders(mem int32) {
@@ -409,10 +451,7 @@ func (c *CCSS) scanInputs() {
 			}
 		}
 		if changed {
-			for _, p := range in.Consumers {
-				c.wake(p)
-			}
-			m.stats.Wakes += uint64(len(in.Consumers))
+			m.stats.Wakes += c.fire(in.Wake)
 		}
 	}
 }
@@ -450,12 +489,8 @@ func (c *CCSS) evalPart(p int32) {
 			}
 			copy(was, now)
 		}
-		cons := pt.Consumers(o)
 		changes++
-		wakes += uint64(len(cons))
-		for _, q := range cons {
-			c.wake(q)
-		}
+		wakes += c.fire(o.Wake)
 	}
 	st := &m.stats
 	st.PartEvals++
@@ -512,10 +547,7 @@ func (c *CCSS) finishCycle() error {
 		m.stats.OutputCompares++
 		if changed {
 			m.stats.SignalChanges++
-			for _, q := range c.regReaderParts[ri] {
-				c.wake(q)
-			}
-			m.stats.Wakes += uint64(len(c.regReaderParts[ri]))
+			m.stats.Wakes += c.fire(c.regWakes[ri])
 		}
 	}
 	c.dirtyRegs = c.dirtyRegs[:0]

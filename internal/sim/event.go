@@ -37,9 +37,11 @@ type EventDriven struct {
 	wMarked []bool
 	// seeds carried to the next cycle (register/memory commits).
 	pendingSeeds []int32
-	// input history for change detection.
-	inputs []InputRow
-	prevIn []uint64
+	// input history for change detection; inputCons[i] are input i's
+	// consumer instrs (or negative write-sink codes).
+	inputs    []InputRow
+	inputCons [][]int32
+	prevIn    []uint64
 	// memory read instrs per memory (wake on committed write).
 	memReadInstrs [][]int32
 	// regConsumers: consumer instrs (or negative write-sink codes) of
@@ -159,9 +161,8 @@ func newEventDriven(d *netlist.Design, opts Options) (*EventDriven, error) {
 			}
 		}
 		words := int32(len(m.view(m.off[in], int32(d.Signals[in].Width))))
-		e.inputs = append(e.inputs, InputRow{
-			Off: m.off[in], Words: words, PrevOff: prevOff, Consumers: cs,
-		})
+		e.inputs = append(e.inputs, InputRow{Off: m.off[in], Words: words, PrevOff: prevOff})
+		e.inputCons = append(e.inputCons, cs)
 		prevOff += words
 	}
 	e.prevIn = make([]uint64, prevOff)
@@ -321,7 +322,7 @@ func (e *EventDriven) stepOne() error {
 				}
 			}
 			if changed {
-				for _, ci := range in.Consumers {
+				for _, ci := range e.inputCons[i] {
 					e.push(ci)
 				}
 			}

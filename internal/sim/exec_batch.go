@@ -14,8 +14,8 @@ type batchCtx struct {
 	sm *machine
 	lw laneWalker
 
-	// lanesA serves the partition-level walk, lanesB its change masks
-	// (they nest, so they need distinct backing).
+	// lanesA serves the partition-level walk, lanesB its change masks and
+	// fire (they nest, so they need distinct backing).
 	lanesA [simrt.MaxLanes]int
 	lanesB [simrt.MaxLanes]int
 
@@ -66,7 +66,6 @@ func (b *BatchCCSS) evalPartBatch(pi int32, em simrt.LaneMask) {
 	}
 	for oi := range outs {
 		o := &outs[oi]
-		ncons := uint64(o.consEnd - o.cons)
 		var changed simrt.LaneMask
 		if o.Words == 1 {
 			// Hot shape: one-word output. Scan the whole row branch-free
@@ -96,11 +95,8 @@ func (b *BatchCCSS) evalPartBatch(pi int32, em simrt.LaneMask) {
 		if changed != 0 {
 			for _, l := range changed.Lanes(c.lanesB[:0]) {
 				stats[l].SignalChanges++
-				stats[l].Wakes += ncons
 			}
-			for _, q := range pt.Consumers(o) {
-				b.wake(q, changed)
-			}
+			b.fire(o.Wake, changed)
 		}
 	}
 	for _, ri := range regs {

@@ -28,14 +28,14 @@ type Program struct {
 	RegCopy    []int
 	FusedPairs uint64
 
-	// CCSS builds only (Parts is nil otherwise): the partition wake table,
-	// the bitmap of partitions evaluated every cycle, the input
-	// change-detection rows, and each register's and memory's reader
-	// partitions.
+	// CCSS builds only (Parts is nil otherwise): the partition and wake
+	// tables, the bitmap of partitions evaluated every cycle, the input
+	// change-detection rows, each two-phase register's wake list (in
+	// Parts) and each memory's reader partitions.
 	Parts      *PartTable
 	Always     []uint64
 	Inputs     []InputRow
-	RegReaders [][]int32
+	RegWakes   []WakeList
 	MemReaders [][]int32
 }
 
@@ -58,7 +58,7 @@ func Lower(d *netlist.Design, opts Options) (*Program, error) {
 		}
 		p := c.machine.program()
 		p.Parts, p.Always, p.Inputs = &c.parts, c.always, c.inputs
-		p.RegReaders, p.MemReaders = c.regReaderParts, c.memReaderParts
+		p.RegWakes, p.MemReaders = c.regWakes, c.memReaderParts
 		return p, nil
 	}
 	return nil, fmt.Errorf("sim: engine %v has no scalar program to render", opts.Engine)

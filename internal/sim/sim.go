@@ -129,7 +129,10 @@ type Stats struct {
 	PartEvals uint64
 	// OutputCompares counts partition output change tests (dynamic).
 	OutputCompares uint64
-	// Wakes counts consumer activations triggered (dynamic).
+	// Wakes counts the activity flags a change set (dynamic): one per
+	// unconditional consumer of a changed output, register, input or
+	// memory, and one per guarded consumer whose literal held — a guarded
+	// edge whose literal did not hold sets no flag and is not counted.
 	Wakes uint64
 	// Events counts event-queue pushes (event-driven engine).
 	Events uint64

@@ -115,8 +115,9 @@ type vecGroup struct {
 
 type vecOut struct {
 	slot int32
-	// consumers[l] are the partitions lane l wakes on change.
-	consumers [][]int32
+	// wakes[l] are the partitions lane l wakes on change: its member's own
+	// wake list.
+	wakes []WakeList
 }
 
 // newVecCCSS compiles the instance-vectorized engine: a CCSS whose walk
@@ -210,6 +211,48 @@ func (v *VecCCSS) vecEligible(p int) bool {
 		}
 	}
 	return true
+}
+
+// guardPinned marks the partitions that keep their own schedule position
+// so that a guarded wake tests its literal where the scalar walk does: the
+// producer of a guarded output edge whose guard word a partition writes,
+// and that writer. A class evaluates and compares at its leader's earlier
+// position, where such a guard may not have its value for the cycle yet —
+// the wake would still be sound, but the engine's counters would part from
+// the scalar engine's. Guards on inputs and two-phase registers do not
+// move during the walk and pin nothing.
+func (v *VecCCSS) guardPinned() []bool {
+	m, pt := v.machine, &v.parts
+	writer := make([]int32, len(m.t))
+	for i := range writer {
+		writer[i] = -1
+	}
+	for p, sp := range m.spans {
+		for pc := sp.PC; pc < sp.End; pc++ {
+			off, words := m.ops[pc].Dst, int32(1)
+			switch code := m.ops[pc].Code; {
+			case code == OpSigned || code == OpWide:
+				off, words = writeSpan(&m.instrs[m.ops[pc].X])
+			case code >= OpSkipZ:
+				continue
+			}
+			for w := off; w < off+words; w++ {
+				writer[w] = int32(p)
+			}
+		}
+	}
+	pinned := make([]bool, len(pt.rows))
+	for p := range pt.rows {
+		for _, o := range pt.Outputs(int32(p)) {
+			_, _, lits := pt.Wakes(o.Wake)
+			for _, g := range lits {
+				if w := writer[g.Off]; w >= 0 {
+					pinned[p], pinned[w] = true, true
+				}
+			}
+		}
+	}
+	return pinned
 }
 
 // sameShape reports structural equality of two instructions modulo
@@ -526,8 +569,9 @@ func (v *VecCCSS) buildGroups(maxLanes, minLanes int, noSA bool) {
 
 	var eligible []int
 	hashOf := make(map[int]uint64)
+	pinned := v.guardPinned()
 	for p := 0; p < v.NumPartitions(); p++ {
-		if v.vecEligible(p) {
+		if !pinned[p] && v.vecEligible(p) {
 			eligible = append(eligible, p)
 			hashOf[p] = v.hashPart(p)
 		}
@@ -822,8 +866,8 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 		if !ok {
 			return nil
 		}
-		vo := vecOut{slot: s, consumers: make([][]int32, lanes)}
-		vo.consumers[0] = pt.Consumers(o)
+		vo := vecOut{slot: s, wakes: make([]WakeList, lanes)}
+		vo.wakes[0] = o.Wake
 		for l := 1; l < lanes; l++ {
 			mouts := pt.Outputs(int32(members[l]))
 			moff := phis[l][o.Off]
@@ -831,7 +875,7 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 			if mi < 0 {
 				return nil
 			}
-			vo.consumers[l] = pt.Consumers(&mouts[mi])
+			vo.wakes[l] = mouts[mi].Wake
 		}
 		g.outs = append(g.outs, vo)
 		outSlots[s] = true
@@ -958,11 +1002,7 @@ func (v *VecCCSS) scatterLanes(g *vecGroup, lanes []int) {
 			if t[offs[l]] != nv {
 				t[offs[l]] = nv
 				st.SignalChanges++
-				cons := o.consumers[l]
-				for _, q := range cons {
-					v.wake(q)
-				}
-				st.Wakes += uint64(len(cons))
+				st.Wakes += v.fire(o.wakes[l])
 			}
 		}
 	}

@@ -347,10 +347,8 @@ func TestVecVerifierMutations(t *testing.T) {
 		if len(g.outs) == 0 {
 			t.Skip("no outs")
 		}
-		// Splice lane 1's consumer list onto lane 0 with a bogus extra
-		// entry: lengths diverge from the member's own list.
-		g.outs[0].consumers[0] = append(append([]int32{},
-			g.outs[0].consumers[0]...), 0)
+		// Give lane 0 a wake list one entry longer than its member's own.
+		g.outs[0].wakes[0].end++
 		expect(t, v, "SM-VEC-SCATTER")
 	})
 	t.Run("skip-target-corrupted", func(t *testing.T) {

@@ -34,6 +34,11 @@ import (
 //	           lowering of it, skip targets land on the op their entry's
 //	           span ends at and carry that span's weight, group spans tile
 //	           the stream, every offset is inside the table
+//	SM-WAKE    a guarded wake edge is re-derived from the IR
+//	           (verifyWakes, CCSS builds): every reader of the producer's
+//	           words in the consumer's schedule range sits in a skip
+//	           region run only under the edge's literal, the consumer
+//	           never writes the guard word, and it holds no sink
 //
 // verifyMachine is pure analysis: it never executes an instruction and
 // never mutates the machine.
@@ -685,6 +690,166 @@ func verifyLowering(sched []schedEntry, instrs []Instr, ranges [][2]int32,
 	}
 	if int(end) != len(ops) {
 		bad("stream", "spans end at ops[%d] of %d", end, len(ops))
+	}
+	return diags
+}
+
+// verifyWakes (SM-WAKE) re-derives every guarded edge of c's wake table
+// from the schedule IR — the consumer's schedule range under the region
+// walk SM-SKIP does — not from the lowered ops guardWakes read. A reader
+// of the producer's words outside a region run under the edge's literal,
+// a consumer that writes the guard word, or a consumer holding a sink is
+// a wake the engine may drop while the consumer's outputs still depend on
+// the change.
+func (c *CCSS) verifyWakes() []verify.Diagnostic {
+	m, pt := c.machine, &c.parts
+	var diags []verify.Diagnostic
+	bad := func(q int32, lit WakeGuard, format string, args ...any) {
+		diags = append(diags, verify.Diagnostic{
+			Rule: "SM-WAKE", Sev: verify.SevError,
+			Loc: fmt.Sprintf("partition %d, guard word %d (nz %v)", q, lit.Off, lit.NZ),
+			Msg: fmt.Sprintf(format, args...),
+			Hint: "an edge whose consumer reads the change outside the guard's way " +
+				"must wake unconditionally",
+		})
+	}
+	// Guarded edges by consumer: byQ[start[q]:start[q+1]] are q's, as
+	// (wake-table entry, producer) pairs.
+	type edge struct{ e, prod int32 }
+	prods := c.wakeProducers()
+	np := int32(len(pt.rows))
+	start := make([]int32, np+1)
+	for pi := range prods {
+		for _, q := range pt.cons[prods[pi].w.guarded:prods[pi].w.end] {
+			if q >= 0 && q < np {
+				start[q+1]++
+			}
+		}
+	}
+	for q := int32(0); q < np; q++ {
+		start[q+1] += start[q]
+	}
+	byQ := make([]edge, start[np])
+	fill := append([]int32(nil), start[:np]...)
+	for pi := range prods {
+		w := prods[pi].w
+		for e := w.guarded; e < w.end; e++ {
+			if q := pt.cons[e]; q >= 0 && q < np {
+				byQ[fill[q]] = edge{e, int32(pi)}
+				fill[q]++
+			}
+		}
+	}
+
+	tlen := int32(len(m.t))
+	// Per table word, stamped per consumer: the head of the list of the
+	// consumer's guarded edges whose producer covers it, and whether the
+	// consumer writes it.
+	headEp, head := make([]int32, tlen), make([]int32, tlen)
+	writeEp := make([]int32, tlen)
+	type link struct{ edge, next int32 }
+	var links []link
+	type region struct {
+		guard  int32
+		onZero bool
+		end    int32
+		parent int32
+	}
+	var regions []region
+	var spans [][2]int32
+	var edges []edge
+	var readOutside []int32
+	cur, ep := int32(-1), int32(0)
+	// under reports whether the open region chain runs only under lit.
+	under := func(lit WakeGuard) bool {
+		for r := cur; r >= 0; r = regions[r].parent {
+			if regions[r].guard == lit.Off && regions[r].onZero == lit.NZ {
+				return true
+			}
+		}
+		return false
+	}
+	read := func(p, off, words int32) {
+		for w := off; w < off+words; w++ {
+			if w < 0 || w >= tlen || headEp[w] != ep {
+				continue
+			}
+			for l := head[w]; l >= 0; l = links[l].next {
+				if k := links[l].edge; readOutside[k] < 0 && !under(pt.lits[edges[k].e]) {
+					readOutside[k] = p
+				}
+			}
+		}
+	}
+	sc := &smChecker{m: m}
+	for q := int32(0); q < np; q++ {
+		edges = byQ[start[q]:start[q+1]]
+		if len(edges) == 0 {
+			continue
+		}
+		ep++
+		links, readOutside = links[:0], readOutside[:0]
+		for k := range edges {
+			readOutside = append(readOutside, -1)
+			lit := pt.lits[edges[k].e]
+			if lit.Off < 0 || lit.Off >= tlen {
+				bad(q, lit, "guard word outside the value table")
+			}
+			p := &prods[edges[k].prod]
+			for w := p.off; w < p.off+p.words && w < tlen; w++ {
+				if headEp[w] != ep {
+					headEp[w], head[w] = ep, -1
+				}
+				links = append(links, link{int32(k), head[w]})
+				head[w] = int32(len(links) - 1)
+			}
+		}
+		regions, cur = regions[:0], -1
+		sink := int32(-1)
+		r := pt.sched[q]
+		for p := r[0]; p < r[1] && int(p) < len(m.sched); p++ {
+			for cur >= 0 && regions[cur].end <= p {
+				cur = regions[cur].parent
+			}
+			e := &m.sched[p]
+			if e.kind == seDisplay || e.kind == seCheck || e.kind == seMemWrite {
+				sink = p
+				continue
+			}
+			guard := e.idx
+			if ii := sc.schedInstr(e); ii >= 0 {
+				in := &m.instrs[ii]
+				spans = readSpans(in, spans[:0])
+				for _, s := range spans {
+					read(p, s[0], s[1])
+				}
+				off, words := writeSpan(in)
+				for w := max(off, 0); w < off+words && w < tlen; w++ {
+					writeEp[w] = ep
+				}
+				guard = in.Dst
+			} else if e.kind == seSkipIfZero || e.kind == seSkipIfNonzero {
+				read(p, guard, 1)
+			}
+			if e.kind >= seSkipIfZero && e.kind <= seSkipIfNonzeroF {
+				onZero := e.kind == seSkipIfZero || e.kind == seSkipIfZeroF
+				regions = append(regions, region{guard: guard, onZero: onZero,
+					end: p + 1 + e.n, parent: cur})
+				cur = int32(len(regions) - 1)
+			}
+		}
+		for k, ed := range edges {
+			lit := pt.lits[ed.e]
+			switch {
+			case sink >= 0:
+				bad(q, lit, "consumer holds a side-effect entry (sched[%d]) that must see every change", sink)
+			case lit.Off >= 0 && lit.Off < tlen && writeEp[lit.Off] == ep:
+				bad(q, lit, "consumer computes its own guard word: a producer's test reads it stale")
+			case readOutside[k] >= 0:
+				bad(q, lit, "sched[%d] reads the producer's words outside every region run under the literal",
+					readOutside[k])
+			}
+		}
 	}
 	return diags
 }

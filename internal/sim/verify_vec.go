@@ -308,13 +308,13 @@ func (c *vecChecker) checkScatter(gi int, g *vecGroup) {
 			scattered[g.laneOff[int(s)*g.lanes+l]] = true
 		}
 		pouts := v.parts.Outputs(p)
-		outCovered := make(map[int32][]int32, len(g.outs))
+		outCovered := make(map[int32]WakeList, len(g.outs))
 		for _, o := range g.outs {
-			outCovered[g.laneOff[int(o.slot)*g.lanes+l]] = o.consumers[l]
+			outCovered[g.laneOff[int(o.slot)*g.lanes+l]] = o.wakes[l]
 		}
 		for oi := range pouts {
 			po := &pouts[oi]
-			cons, ok := outCovered[po.Off]
+			wake, ok := outCovered[po.Off]
 			if !ok {
 				c.errf("SM-VEC-SCATTER", c.groupLoc(gi),
 					"every member output needs change detection at scatter",
@@ -322,11 +322,11 @@ func (c *vecChecker) checkScatter(gi int, g *vecGroup) {
 					l, p, po.Off)
 				continue
 			}
-			if n := len(v.parts.Consumers(po)); len(cons) != n {
+			if wake != po.Wake {
 				c.errf("SM-VEC-SCATTER", c.groupLoc(gi),
-					"out slots must carry the member's own consumer list",
-					"lane %d output offset %d: %d consumers, member has %d",
-					l, po.Off, len(cons), n)
+					"out slots must carry the member's own wake list",
+					"lane %d output offset %d: wake list %+v, member has %+v",
+					l, po.Off, wake, po.Wake)
 			}
 		}
 		// Architectural state written by this lane must scatter. Written
