@@ -4,7 +4,7 @@ import "essent/internal/netlist"
 
 // Static partition cost model: a per-partition estimate of evaluation
 // cost that is cheap to compute and roughly proportional to interpreter
-// time (the planner's sparse-level fusion reads it). The model charges
+// time (recorded per partition in sched.CCSSPlan.PartCosts). The model charges
 // each schedulable node a weight by its dispatch width class — the same
 // classification the interpreter routes instructions through
 // (internal/sim/machine.go: kNarrow / kSigned / kWide) — and sinks a flat
@@ -14,7 +14,7 @@ import "essent/internal/netlist"
 // (internal/sim/dispatch_bench_test.go): narrow ~5 ns, signed ~7 ns,
 // wide ~29 ns per evaluated op on the reference host. One cost unit is
 // therefore roughly one nanosecond of single-threaded evaluation, which
-// lets thresholds (sparse-level fusion) be stated in time-like units.
+// lets thresholds be stated in time-like units.
 const (
 	// CostNarrow is the weight of a single-word unsigned node (kNarrow).
 	CostNarrow int64 = 5

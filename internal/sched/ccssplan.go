@@ -39,20 +39,8 @@ type CCSSPlan struct {
 	NumLevels int
 	// PartCosts estimates each partition's evaluation cost (runtime IDs;
 	// partition width-class weights, roughly ns of single-threaded
-	// interpretation). The sparse-level fusion below consumes it.
+	// interpretation).
 	PartCosts []int64
-	// LevelSpecs is the level schedule: PartLevels grouped into specs,
-	// with runs of sparse levels fused into serial specs. It was sized
-	// for the retired level-parallel pool (one barrier crossing per busy
-	// level, DESIGN §6); the grouping is kept as it was because the batch
-	// engine's activity-skip granularity is the spec.
-	LevelSpecs []LevelSpec
-	// SpecOf maps each runtime partition ID to its LevelSpecs index. It
-	// is the wake plumbing of the engine that keeps per-spec activity
-	// state (the batch engine's per-spec lane masks): waking partition p
-	// means marking spec SpecOf[p] active, so the per-cycle walk can skip
-	// idle specs without scanning their partitions.
-	SpecOf []int32
 	// PartStats carries the partitioner's statistics.
 	PartStats partition.Stats
 	// Shadows holds the mux-arm cones for conditional multiplexor-way
@@ -80,40 +68,6 @@ type OutputPlan struct {
 	// Consumers are runtime partition IDs to wake on change.
 	Consumers []int
 }
-
-// LevelSpec is one step of the level schedule. A non-serial spec holds
-// exactly one partition-DAG level, whose members are mutually
-// independent. A serial spec holds one or more fused sparse levels; its
-// partitions may depend on each other across the fused levels, so a
-// wake inside it must be seen in the same pass.
-type LevelSpec struct {
-	// Parts lists runtime partition IDs in execution order (ascending
-	// level, then ascending ID — a valid topological order).
-	Parts []int
-	// Cost is the summed static cost of Parts (CCSSPlan.PartCosts units).
-	Cost int64
-	// Serial marks fused sparse levels.
-	Serial bool
-	// NumLevels counts the raw DAG levels collapsed into this spec.
-	NumLevels int
-}
-
-// SparseLevelCost is the static-cost threshold (units roughly ns) below
-// which a DAG level fuses with adjacent sparse levels into serial specs.
-// Levels with a single partition are serial regardless of cost.
-const SparseLevelCost = 4096
-
-// SerialFuseCap bounds how much work fuses into one serial spec. Serial
-// specs are the engine's activity-skip granularity: a spec whose
-// partitions are all asleep is skipped without scanning a single flag,
-// so unbounded fusion (one giant spec) would forfeit skipping entirely
-// on designs where every level is sparse. The cap keeps serial chunks
-// small enough that idle design regions (quiescent peripherals,
-// untouched cache banks) turn into whole skipped specs. Tuned on the
-// r16/r18 evaluation SoCs (sweep over 128..1536): ~4 partitions per
-// spec at Cp=8 balances wasted flag checks in half-idle specs against
-// the dispatcher's per-spec scan.
-const SerialFuseCap = 256
 
 // PlanOptions configures CCSS planning (the ablation knobs of §III-B).
 type PlanOptions struct {
@@ -167,8 +121,9 @@ func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 	// Longest-path level per partition, then re-sort the schedule
 	// level-major (stable, so topological order is kept within a level —
 	// and any per-level order is valid since every DAG edge crosses to a
-	// strictly higher level). Level-major runtime IDs make each level
-	// spec a contiguous ID range, so the engines scan flags linearly.
+	// strictly higher level). Level-major runtime IDs put every producer
+	// below its consumers, so one ascending scan of the flag bitmap is a
+	// whole cycle (PL-LEVEL checks both).
 	lvl := make([]int, np)
 	for _, p := range partOrder {
 		for _, q := range psucc[p] {
@@ -280,12 +235,11 @@ func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 		}
 	}
 
-	// Static cost model and the level schedule with sparse-level fusion.
+	// Static cost model.
 	plan.PartCosts = make([]int64, np)
 	for pi := range plan.Parts {
 		plan.PartCosts[pi] = partition.PartCost(dg, plan.Parts[pi].Members)
 	}
-	plan.buildLevelSpecs()
 
 	// Mux-arm cones, scoped to partitions.
 	scope := make([]int, dg.G.Len())
@@ -391,57 +345,6 @@ func elideAcrossParts(dg *netlist.DesignGraph, dataOut [][]int, partOf []int,
 		numElided++
 	}
 	return numElided
-}
-
-// buildLevelSpecs groups partitions by DAG level (runtime IDs ascending
-// within each level) and fuses consecutive sparse levels into serial
-// specs. Longest-path leveling guarantees no level is empty, and runtime
-// IDs are themselves topologically ordered, so the concatenated
-// per-level blocks of a serial spec form a valid execution order.
-func (plan *CCSSPlan) buildLevelSpecs() {
-	levelParts := make([][]int, plan.NumLevels)
-	levelCost := make([]int64, plan.NumLevels)
-	for pi := range plan.Parts {
-		l := plan.PartLevels[pi]
-		levelParts[l] = append(levelParts[l], pi)
-		levelCost[l] += plan.PartCosts[pi]
-	}
-	for l := 0; l < plan.NumLevels; l++ {
-		sparse := levelCost[l] < SparseLevelCost || len(levelParts[l]) < 2
-		if !sparse {
-			plan.LevelSpecs = append(plan.LevelSpecs, LevelSpec{
-				Parts: levelParts[l], Cost: levelCost[l], NumLevels: 1,
-			})
-			continue
-		}
-		// Sparse levels stream into serial specs capped at SerialFuseCap.
-		// A level may split across specs: same-level partitions are
-		// mutually independent, so any sequential order is valid, and
-		// cross-level order is preserved by construction. NumLevels is
-		// charged to the spec where the level starts.
-		newLevel := true
-		for _, pi := range levelParts[l] {
-			last := len(plan.LevelSpecs) - 1
-			if last < 0 || !plan.LevelSpecs[last].Serial ||
-				plan.LevelSpecs[last].Cost >= SerialFuseCap {
-				plan.LevelSpecs = append(plan.LevelSpecs, LevelSpec{Serial: true})
-				last++
-			}
-			spec := &plan.LevelSpecs[last]
-			spec.Parts = append(spec.Parts, pi)
-			spec.Cost += plan.PartCosts[pi]
-			if newLevel {
-				spec.NumLevels++
-				newLevel = false
-			}
-		}
-	}
-	plan.SpecOf = make([]int32, len(plan.Parts))
-	for si := range plan.LevelSpecs {
-		for _, pi := range plan.LevelSpecs[si].Parts {
-			plan.SpecOf[pi] = int32(si)
-		}
-	}
 }
 
 // sortedSet sorts xs in place and drops duplicates.

@@ -55,19 +55,17 @@ func hashJSON(t *testing.T, v any) string {
 // generator reads. PartOf is the runtime partition of each node, derived
 // from Parts[].Members.
 type planEntry struct {
-	Design     string `json:"design"`
-	NumParts   int    `json:"num_parts"`
-	NumElided  int    `json:"num_elided"`
-	PartOf     string `json:"part_of"`
-	Elided     string `json:"elided"`
-	LevelSpecs string `json:"level_specs"`
-	SpecOf     string `json:"spec_of"`
-	Shadows    string `json:"shadows"`
-	Order      string `json:"order"`
-	Parts      string `json:"parts"`
-	Wakes      string `json:"wakes"` // RegReaderParts, MemReaderParts, InputConsumers
-	Levels     string `json:"levels"`
-	Costs      string `json:"costs"`
+	Design    string `json:"design"`
+	NumParts  int    `json:"num_parts"`
+	NumElided int    `json:"num_elided"`
+	PartOf    string `json:"part_of"`
+	Elided    string `json:"elided"`
+	Shadows   string `json:"shadows"`
+	Order     string `json:"order"`
+	Parts     string `json:"parts"`
+	Wakes     string `json:"wakes"` // RegReaderParts, MemReaderParts, InputConsumers
+	Levels    string `json:"levels"`
+	Costs     string `json:"costs"`
 }
 
 func hashPlan(t *testing.T, name string, plan *sched.CCSSPlan) planEntry {
@@ -82,19 +80,17 @@ func hashPlan(t *testing.T, name string, plan *sched.CCSSPlan) planEntry {
 		}
 	}
 	return planEntry{
-		Design:     name,
-		NumParts:   len(plan.Parts),
-		NumElided:  plan.NumElided,
-		PartOf:     hashJSON(t, partOf),
-		Elided:     hashJSON(t, plan.Elided),
-		LevelSpecs: hashJSON(t, plan.LevelSpecs),
-		SpecOf:     hashJSON(t, plan.SpecOf),
-		Shadows:    hashJSON(t, plan.Shadows),
-		Order:      hashJSON(t, plan.Order),
-		Parts:      hashJSON(t, plan.Parts),
-		Wakes:      hashJSON(t, []any{plan.RegReaderParts, plan.MemReaderParts, plan.InputConsumers}),
-		Levels:     hashJSON(t, plan.PartLevels),
-		Costs:      hashJSON(t, plan.PartCosts),
+		Design:    name,
+		NumParts:  len(plan.Parts),
+		NumElided: plan.NumElided,
+		PartOf:    hashJSON(t, partOf),
+		Elided:    hashJSON(t, plan.Elided),
+		Shadows:   hashJSON(t, plan.Shadows),
+		Order:     hashJSON(t, plan.Order),
+		Parts:     hashJSON(t, plan.Parts),
+		Wakes:     hashJSON(t, []any{plan.RegReaderParts, plan.MemReaderParts, plan.InputConsumers}),
+		Levels:    hashJSON(t, plan.PartLevels),
+		Costs:     hashJSON(t, plan.PartCosts),
 	}
 }
 

@@ -7,12 +7,15 @@ import (
 	"essent/internal/randckt"
 )
 
-// TestLevelSpecsInvariants verifies the barrier-level schedule on random
-// circuits: every partition appears exactly once, specs preserve level
-// order, parallel specs hold a single level with mutually independent
-// partitions (no partition depends on a same-spec partition), serial
-// specs keep a topological order, and costs add up.
-func TestLevelSpecsInvariants(t *testing.T) {
+// TestPartLevelsInvariants verifies the partition levels on random
+// circuits: runtime IDs are level-major (levels never decrease along the
+// ID order), NumLevels is one past the deepest level, and every output
+// wake either runs forward (consumer on a strictly later level, so at a
+// higher ID: the walk reaches it later in the same cycle) or is a feedback
+// wake from an elided register to a strictly earlier level (deferred to
+// the next cycle — the planner's ordering edges force readers before the
+// writer). No wake stays on its own level.
+func TestPartLevelsInvariants(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		c := randckt.Generate(seed+500, randckt.DefaultConfig())
 		d, err := netlist.Compile(c)
@@ -23,129 +26,34 @@ func TestLevelSpecsInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(plan.PartCosts) != len(plan.Parts) {
-			t.Fatalf("PartCosts length %d, parts %d", len(plan.PartCosts), len(plan.Parts))
+		if len(plan.PartCosts) != len(plan.Parts) || len(plan.PartLevels) != len(plan.Parts) {
+			t.Fatalf("seed %d: PartCosts %d, PartLevels %d, parts %d", seed,
+				len(plan.PartCosts), len(plan.PartLevels), len(plan.Parts))
 		}
-		specOf := make([]int, len(plan.Parts))
-		for i := range specOf {
-			specOf[i] = -1
-		}
-		pos := make([]int, len(plan.Parts))
-		order := 0
-		totalLevels := 0
-		for si, spec := range plan.LevelSpecs {
-			if len(spec.Parts) == 0 {
-				t.Fatalf("seed %d: spec %d empty", seed, si)
+		maxLevel := -1
+		for pi, l := range plan.PartLevels {
+			if l < maxLevel {
+				t.Fatalf("seed %d: partition %d on level %d after level %d: IDs not level-major",
+					seed, pi, l, maxLevel)
 			}
-			totalLevels += spec.NumLevels
-			var cost int64
-			lastLevel := -1
-			for _, pi := range spec.Parts {
-				if specOf[pi] >= 0 {
-					t.Fatalf("seed %d: partition %d in specs %d and %d",
-						seed, pi, specOf[pi], si)
-				}
-				specOf[pi] = si
-				pos[pi] = order
-				order++
-				cost += plan.PartCosts[pi]
-				if l := plan.PartLevels[pi]; l < lastLevel {
-					t.Fatalf("seed %d spec %d: level order violated", seed, si)
-				} else {
-					lastLevel = l
-				}
-				if !spec.Serial && plan.PartLevels[pi] != plan.PartLevels[spec.Parts[0]] {
-					t.Fatalf("seed %d: parallel spec %d spans multiple levels", seed, si)
-				}
-			}
-			if cost != spec.Cost {
-				t.Fatalf("seed %d spec %d: cost %d != summed %d", seed, si, spec.Cost, cost)
-			}
-			if !spec.Serial && spec.Cost < SparseLevelCost && len(spec.Parts) >= 2 {
-				// A cheap multi-partition level should have been serial.
-				t.Fatalf("seed %d spec %d: sparse level left parallel (cost %d)",
-					seed, si, spec.Cost)
-			}
+			maxLevel = l
 		}
-		if totalLevels != plan.NumLevels {
-			t.Fatalf("seed %d: specs cover %d levels, plan has %d",
-				seed, totalLevels, plan.NumLevels)
+		if plan.NumLevels != maxLevel+1 {
+			t.Fatalf("seed %d: NumLevels %d, deepest level %d", seed, plan.NumLevels, maxLevel)
 		}
-		for pi := range plan.Parts {
-			if specOf[pi] < 0 {
-				t.Fatalf("seed %d: partition %d missing from level specs", seed, pi)
-			}
-		}
-		// SpecOf is the exported form of the mapping just derived; the
-		// engines' wake plumbing depends on it matching exactly.
-		if len(plan.SpecOf) != len(plan.Parts) {
-			t.Fatalf("seed %d: SpecOf length %d, parts %d",
-				seed, len(plan.SpecOf), len(plan.Parts))
-		}
-		for pi := range plan.Parts {
-			if int(plan.SpecOf[pi]) != specOf[pi] {
-				t.Fatalf("seed %d: SpecOf[%d] = %d, want %d",
-					seed, pi, plan.SpecOf[pi], specOf[pi])
-			}
-		}
-		// Output wakes either run forward (consumer at a strictly later
-		// level, evaluated later this cycle) or are feedback wakes from
-		// an elided register to a strictly earlier level (deferred to the
-		// next cycle — the planner's ordering edges force readers before
-		// the writer). Same-level wakes must not exist: they are what
-		// would break concurrent evaluation inside a parallel spec.
 		for pi := range plan.Parts {
 			for _, op := range plan.Parts[pi].Outputs {
 				for _, q := range op.Consumers {
-					if int(q) != pi && plan.PartLevels[q] == plan.PartLevels[pi] {
+					if q != pi && plan.PartLevels[q] == plan.PartLevels[pi] {
 						t.Fatalf("seed %d: same-level wake %d→%d (level %d)",
 							seed, pi, q, plan.PartLevels[pi])
 					}
-					if plan.PartLevels[q] > plan.PartLevels[pi] && pos[q] <= pos[pi] {
-						t.Fatalf("seed %d: forward wake %d→%d violates spec order",
+					if plan.PartLevels[q] > plan.PartLevels[pi] && q <= pi {
+						t.Fatalf("seed %d: forward wake %d→%d runs against the ID order",
 							seed, pi, q)
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestLevelSpecsFuseSparseChain: a long dependency chain of tiny
-// partitions must collapse into few serial specs instead of one barrier
-// per level.
-func TestLevelSpecsFuseSparseChain(t *testing.T) {
-	// A chain r -> n1 -> n2 -> ... with each node in its own tiny level.
-	src := `
-circuit Chain :
-  module Chain :
-    input clock : Clock
-    input a : UInt<8>
-    output o : UInt<8>
-    reg r1 : UInt<8>, clock
-    reg r2 : UInt<8>, clock
-    reg r3 : UInt<8>, clock
-    node x1 = not(a)
-    node x2 = not(x1)
-    node x3 = not(x2)
-    r1 <= x3
-    node y1 = not(r1)
-    r2 <= y1
-    node z1 = not(r2)
-    r3 <= z1
-    o <= r3
-`
-	d := compile(t, src)
-	plan, err := PlanCCSS(d, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.NumLevels > 1 && len(plan.LevelSpecs) >= plan.NumLevels {
-		t.Fatalf("no fusion: %d specs for %d levels", len(plan.LevelSpecs), plan.NumLevels)
-	}
-	for _, spec := range plan.LevelSpecs {
-		if !spec.Serial {
-			t.Fatalf("tiny design produced a parallel spec (cost %d)", spec.Cost)
 		}
 	}
 }

@@ -118,28 +118,58 @@ func batchLaneFuzz(t *testing.T, seed int64, lanes int) {
 	}
 }
 
-// TestSMLowerBatchStream: the batch engine executes the base machine's own
-// stream, the one newCCSS lowered and SM-verified, not a lowering of its
-// own. The shadow machine its escapes index shares that stream and the
-// instruction table its OpSigned/OpWide ops name, and the stream verifies
-// as the lowering of the partitioned schedule the engine's spans walk.
-func TestSMLowerBatchStream(t *testing.T) {
+// TestBatchLanesShareCompile: a batch is one compile and L lanes. Every
+// lane runs lane 0's stream, spans and wake table (the same backing
+// arrays, not copies) and owns its value table and memories, so a poke on
+// one lane reaches no other lane.
+func TestBatchLanesShareCompile(t *testing.T) {
 	d, err := netlist.Compile(randckt.Generate(8200, randckt.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBatchCCSS(d, BatchOptions{Lanes: 8, Cp: 8, Verify: verify.Strict})
+	if len(d.Inputs) == 0 || len(d.Mems) == 0 {
+		t.Fatal("fixture needs an input and a memory")
+	}
+	b, err := NewBatchCCSS(d, BatchOptions{Lanes: simrt.MaxLanes, Cp: 8, Verify: verify.Strict})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, sm := b.base.machine, b.ctx.sm
-	if len(m.ops) == 0 || &sm.ops[0] != &m.ops[0] || len(sm.ops) != len(m.ops) ||
-		&sm.instrs[0] != &m.instrs[0] {
-		t.Fatal("batch engine does not execute the base machine's stream")
+	if b.NumLanes() != simrt.MaxLanes {
+		t.Fatalf("NumLanes = %d", b.NumLanes())
 	}
-	if diags := verifyLowering(m.sched, m.instrs, b.base.parts.sched, m.ops, m.spans,
-		len(m.t)); len(diags) != 0 {
-		t.Fatalf("batch stream is not the lowering of the partitioned schedule: %v", diags)
+	l0 := b.lanes[0]
+	tabs, words := map[*uint64]int{}, map[*uint64]int{}
+	for l, c := range b.lanes {
+		if &c.ops[0] != &l0.ops[0] || &c.spans[0] != &l0.spans[0] ||
+			&c.parts.cons[0] != &l0.parts.cons[0] {
+			t.Fatalf("lane %d does not share lane 0's stream and wake table", l)
+		}
+		if p, ok := tabs[&c.t[0]]; ok {
+			t.Fatalf("lanes %d and %d share a value table", p, l)
+		}
+		tabs[&c.t[0]] = l
+		for mi := range c.mems {
+			if p, ok := words[&c.mems[mi].words[0]]; ok {
+				t.Fatalf("lanes %d and %d share memory %d", p, l, mi)
+			}
+			words[&c.mems[mi].words[0]] = l
+		}
+	}
+	in := d.Inputs[0]
+	before := make([]uint64, b.NumLanes())
+	for l := range before {
+		before[l] = b.PeekLane(l, in)
+	}
+	want := bits.Mask64(^before[3], min(d.Signals[in].Width, 64))
+	b.PokeLane(3, in, want)
+	for l := range before {
+		got := b.PeekLane(l, in)
+		if l == 3 && got != want {
+			t.Fatalf("lane 3 reads %#x after poking %#x", got, want)
+		}
+		if l != 3 && got != before[l] {
+			t.Fatalf("poking lane 3 moved lane %d: %#x -> %#x", l, before[l], got)
+		}
 	}
 }
 
@@ -213,30 +243,37 @@ func TestBatchCheckpointOddLanes(t *testing.T) {
 }
 
 // TestBatchLaneStopFreeze: lanes hit stop() at different cycles (the
-// stop threshold is poked per lane); each frozen lane must retain its
-// final state and error while the rest keep running.
+// stop threshold is poked per lane), and one lane fails an assertion
+// first; each frozen lane must retain its final state and error while the
+// rest keep running.
 func TestBatchLaneStopFreeze(t *testing.T) {
 	src := `
 circuit S :
   module S :
     input clock : Clock
     input limit : UInt<8>
+    input bad : UInt<8>
     output o : UInt<8>
     reg r : UInt<8>, clock
     r <= tail(add(r, UInt<8>(1)), 1)
     o <= r
     stop(clock, eq(r, limit), 3)
+    assert(clock, neq(r, bad), UInt<1>(1), "r hit bad")
 `
 	d := compileSrc(t, src)
-	const lanes = 4
+	const lanes, asserting, badAt = 4, 2, 13
 	b, err := NewBatchCCSS(d, BatchOptions{Lanes: lanes, Cp: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	limit, _ := d.SignalByName("limit")
+	bad, _ := d.SignalByName("bad")
+	r, _ := d.SignalByName("r")
+	b.Poke(bad, 255)
 	for l := 0; l < lanes; l++ {
 		b.PokeLane(l, limit, uint64(10+5*l)) // stops at cycles 11, 16, 21, 26
 	}
+	b.PokeLane(asserting, bad, badAt) // fails at cycle 14, before its stop
 	if err := b.Step(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -244,17 +281,20 @@ circuit S :
 		t.Fatal("batch not done after all lanes stopped")
 	}
 	for l := 0; l < lanes; l++ {
-		wantCycles := uint64(10 + 5*l + 1)
-		if got := b.LaneStats(l).Cycles; got != wantCycles {
-			t.Fatalf("lane %d ran %d cycles, want %d", l, got, wantCycles)
-		}
-		se, ok := b.LaneErr(l).(*StopError)
-		if !ok || se.Code != 3 {
+		last := uint64(10 + 5*l)
+		if l == asserting {
+			last = badAt
+			if _, ok := b.LaneErr(l).(*AssertError); !ok {
+				t.Fatalf("lane %d error = %v, want an assertion failure", l, b.LaneErr(l))
+			}
+		} else if se, ok := b.LaneErr(l).(*StopError); !ok || se.Code != 3 {
 			t.Fatalf("lane %d error = %v", l, b.LaneErr(l))
 		}
-		// Frozen state: r holds the stop value.
-		r, _ := d.SignalByName("r")
-		if got := b.PeekLane(l, r); got != uint64(10+5*l)+1 {
+		if got := b.LaneStats(l).Cycles; got != last+1 {
+			t.Fatalf("lane %d ran %d cycles, want %d", l, got, last+1)
+		}
+		// Frozen state: r holds the value after the failing cycle's commit.
+		if got := b.PeekLane(l, r); got != last+1 {
 			t.Fatalf("lane %d r = %d", l, got)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"essent/internal/partition"
 	"essent/internal/sched"
 	"essent/internal/verify"
+	"essent/pkg/simrt"
 )
 
 // CCSS is the paper's essential-signal-simulation engine: the design is
@@ -22,10 +23,10 @@ import (
 // a word of 64 partitions at a time, and descends only into set bits
 // (GSIM's activity test, one level down): an idle partition costs 1/64
 // of a load and a compare. The planner numbers partitions level-major
-// (sched.CCSSPlan LevelSpecs) and a consumer never precedes its
-// producer, so one ascending scan of the bitmap is the whole cycle. The
-// engine runs on the calling goroutine alone (the level-parallel worker
-// pool is retired: DESIGN §6).
+// (sched.CCSSPlan PartLevels, checked by PL-LEVEL) and a consumer never
+// precedes its producer, so one ascending scan of the bitmap is the whole
+// cycle. The engine runs on the calling goroutine alone (the
+// level-parallel worker pool is retired: DESIGN §6).
 type CCSS struct {
 	*machine
 
@@ -75,7 +76,7 @@ type CCSS struct {
 	// NumElided counts in-place-updated registers.
 	NumElided int
 
-	// plan is retained for the engines layered on top (batch, vec).
+	// plan is retained for the vec engine's class pass.
 	plan *sched.CCSSPlan
 
 	// walk is the cycle Step runs: stepOne, or the vec engine's class
@@ -85,9 +86,10 @@ type CCSS struct {
 
 // PartTable is the partition wake plumbing in CSR form — partitions →
 // outputs → consumers, and partitions → two-phase registers — built once
-// from the plan and read by the scalar walk and the batch and vec engines
-// alike. Flat arrays, not a slice per partition and per output:
-// evaluating a partition touches consecutive rows, no pointer chase.
+// from the plan and read by the scalar walk (every batch lane's included)
+// and the vec engine alike. Flat arrays, not a slice per partition and
+// per output: evaluating a partition touches consecutive rows, no pointer
+// chase.
 type PartTable struct {
 	// sched is each partition's entry range in the machine IR (what the
 	// vec pass reads; the walk runs machine.spans).
@@ -153,7 +155,8 @@ func appendInt32s(dst []int32, xs []int) []int32 {
 // plan, statically verifying the design, the plan, the compiled machine
 // schedule, its lowering and the guarded wake edges derived from it under
 // opts.Verify (the scalar, batch and vec engines all build through here,
-// so all three inherit the verification).
+// so all three inherit the verification; a batch builds once and clones
+// its lanes with lane).
 func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	plan, err := sched.PlanCCSSOpts(d, sched.PlanOptions{
 		Cp: opts.Cp, NoElide: opts.NoElide, NoMuxShadow: opts.NoMuxShadow,
@@ -257,6 +260,35 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	c.walk = c.stepOne
 	c.wakeAll()
 	return c, nil
+}
+
+// lane returns a second engine over c's compile, for BatchCCSS: it shares
+// everything construction fixed — the stream and its IR, the partition
+// and wake tables, the plan, the sinks — and owns a copy of everything a
+// step writes: the value table, memories and pending writes, the wide-op
+// scratch, the activity flags, the change-detection mirrors and the
+// counters. c must not have stepped yet, so the copy starts where
+// newCCSS left c.
+func (c *CCSS) lane() *CCSS {
+	m := *c.machine
+	m.t = slices.Clone(m.t)
+	m.mems = slices.Clone(m.mems)
+	for i := range m.mems {
+		m.mems[i].words = slices.Clone(m.mems[i].words)
+	}
+	m.memWrites = slices.Clone(m.memWrites)
+	for i := range m.memWrites {
+		m.memWrites[i].pendData = slices.Clone(m.memWrites[i].pendData)
+	}
+	m.sc = simrt.NewScratch(m.maxWords)
+	l := *c
+	l.machine = &m
+	l.flags = slices.Clone(c.flags)
+	l.oldVals = slices.Clone(c.oldVals)
+	l.prevIn = slices.Clone(c.prevIn)
+	l.dirtyRegs = nil
+	l.walk = l.stepOne
+	return &l
 }
 
 // --- activity state ---

@@ -10,12 +10,11 @@ import (
 // to one value table, for L of them side by side. Word w of table slot off
 // lives at tab[(off+w)*L+l] for lane l, so one op fetch and decode is
 // amortized over every lane that needs it and the lanes it touches are
-// adjacent in memory. The batch engine walks the base machine's own stream
-// over bt (lanes are stimuli); the vec engine walks a class program over
-// the group's slot buffer (lanes are instances, offsets are slots).
-// Narrow and fused ops evaluate in the two row kernels below; everything
-// else — memory reads, signed and wide instructions, sinks — is an escape
-// to the engine.
+// adjacent in memory. The vec engine walks each class program over its
+// group's slot buffer (lanes are instances, offsets are slots). A class
+// program holds only narrow, fused and skip ops (SM-VEC-DEFUSE): narrow and
+// fused ops evaluate in the two row kernels below, and there are no
+// escapes to hand back.
 type laneWalker struct {
 	// stack holds the enclosing lane masks of the skip spans the walk is
 	// inside with only part of its lanes.
@@ -52,7 +51,7 @@ func (w *laneWalker) settle(lanes []int, pend uint64) {
 // takes alike — the lock-step case — cost one add; the per-lane
 // settlement happens only where the mask changes.
 func (w *laneWalker) walk(ops []Op, tab []uint64, L int, pc, end int32,
-	mask simrt.LaneMask, esc func(op *Op, lanes []int)) {
+	mask simrt.LaneMask) {
 	stack := w.stack[:0]
 	lanes := mask.Lanes(w.lanes[:0])
 	for _, l := range lanes {
@@ -69,7 +68,7 @@ func (w *laneWalker) walk(ops []Op, tab []uint64, L int, pc, end int32,
 		}
 		op := &ops[pc]
 		pc++
-		if code := op.Code; code <= OpFSubTail && code != OpMemRead {
+		if code := op.Code; code != OpSkipZ && code != OpSkipNZ {
 			// An operand field the opcode does not read is zero: row 0,
 			// sliced and ignored.
 			d := tab[int(op.Dst)*L : int(op.Dst)*L+L]
@@ -82,10 +81,6 @@ func (w *laneWalker) walk(ops []Op, tab []uint64, L int, pc, end int32,
 			} else {
 				execRows(op, lanes, d, a, b, c, x)
 			}
-			continue
-		}
-		if op.Code != OpSkipZ && op.Code != OpSkipNZ {
-			esc(op, lanes)
 			continue
 		}
 		guard := tab[int(op.A)*L : int(op.A)*L+L]
@@ -138,8 +133,8 @@ func pick(sel bool, t, f uint64) uint64 {
 // execRows evaluates one narrow or fused op over its operand rows (each
 // len == lane count) for the given active lanes. Per lane the semantics
 // are run's, bit for bit (stream_test executes every opcode through
-// both). When every lane is active — the common case for lock-step
-// batches — the walker calls execRowsDense instead.
+// both). When every lane is active the walker calls execRowsDense
+// instead.
 func execRows(op *Op, lanes []int, d, a, b, c, x []uint64) {
 	m, sh := op.Mask, op.Sh
 	switch op.Code {

@@ -212,9 +212,9 @@ type machine struct {
 	stopErr error
 	evalErr error
 
-	// sc holds the wide-op intermediates (per machine view: batch
-	// contexts each own one); maxWords is the widest signal or
-	// constant in limbs, which sized it.
+	// sc holds the wide-op intermediates (each batch lane owns one);
+	// maxWords is the widest signal or constant in limbs, which sized
+	// it.
 	sc       *simrt.Scratch
 	maxWords int
 }

@@ -7,7 +7,6 @@ import (
 
 	"essent/internal/bits"
 	"essent/internal/netlist"
-	"essent/pkg/simrt"
 )
 
 // State is an engine-neutral snapshot of complete simulation state at a
@@ -208,130 +207,6 @@ func (c *CCSS) RestoreState(st *State) error {
 		return err
 	}
 	c.rearm()
-	return nil
-}
-
-// CaptureLaneState snapshots one batch lane as an engine-neutral State
-// (scalar layout), interchangeable with the scalar engines' snapshots:
-// a lane checkpointed under BatchCCSS resumes under CCSS and vice
-// versa. Stats are the lane's own counters, and Cycle is the lane's own
-// cycle count — not the shared lock-step batch counter, which drifts
-// from a lane's logical position once a snapshot is restored into a
-// younger engine.
-func (b *BatchCCSS) CaptureLaneState(l int) *State {
-	m := b.base.machine
-	d := m.d
-	L := b.L
-	ls := b.LaneStats(l)
-	st := &State{
-		Design:      d.Name,
-		Fingerprint: DesignFingerprint(d),
-		Cycle:       ls.Cycles,
-		Stats:       ls,
-	}
-	gather := func(id netlist.SignalID) []uint64 {
-		off := int(m.off[id])
-		nw := bits.Words(d.Signals[id].Width)
-		out := make([]uint64, nw)
-		for k := 0; k < nw; k++ {
-			out[k] = b.bt[(off+k)*L+l]
-		}
-		return out
-	}
-	st.Inputs = make([][]uint64, len(d.Inputs))
-	for i, in := range d.Inputs {
-		st.Inputs[i] = gather(in)
-	}
-	st.Regs = make([][]uint64, len(d.Regs))
-	for ri := range d.Regs {
-		st.Regs[ri] = gather(d.Regs[ri].Out)
-	}
-	st.Mems = make([][]uint64, len(b.mems))
-	for mi := range b.mems {
-		ms := &b.mems[mi]
-		n := int(ms.depth) * int(ms.nw)
-		words := make([]uint64, n)
-		for i := 0; i < n; i++ {
-			words[i] = ms.words[i*L+l]
-		}
-		st.Mems[mi] = words
-	}
-	return st
-}
-
-// RestoreLaneState loads an engine-neutral State into one batch lane:
-// the lane's values, registers, and memory image are overwritten, its
-// per-lane counters continue from the snapshot, any frozen state is
-// cleared (the lane rejoins the live set), and the lane is flagged in
-// every partition so its combinational values recompute on the next
-// step. The lock-step batch cycle counter is shared across lanes and
-// is not changed; the lane's own Stats.Cycles carries its cycle count.
-func (b *BatchCCSS) RestoreLaneState(l int, st *State) error {
-	m := b.base.machine
-	d := m.d
-	L := b.L
-	if want := DesignFingerprint(d); st.Fingerprint != want {
-		return fmt.Errorf("sim: state fingerprint %#x does not match design %q (%#x)",
-			st.Fingerprint, d.Name, want)
-	}
-	if len(st.Inputs) != len(d.Inputs) || len(st.Regs) != len(d.Regs) ||
-		len(st.Mems) != len(b.mems) {
-		return fmt.Errorf("sim: state shape mismatch for design %q", d.Name)
-	}
-	scatter := func(id netlist.SignalID, src []uint64) error {
-		off := int(m.off[id])
-		nw := bits.Words(d.Signals[id].Width)
-		if len(src) != nw {
-			return fmt.Errorf("sim: signal %d word count mismatch", id)
-		}
-		for k := 0; k < nw; k++ {
-			b.bt[(off+k)*L+l] = src[k]
-		}
-		return nil
-	}
-	for i, in := range d.Inputs {
-		if err := scatter(in, st.Inputs[i]); err != nil {
-			return err
-		}
-	}
-	for ri := range d.Regs {
-		if err := scatter(d.Regs[ri].Out, st.Regs[ri]); err != nil {
-			return err
-		}
-	}
-	for mi := range b.mems {
-		ms := &b.mems[mi]
-		n := int(ms.depth) * int(ms.nw)
-		if len(st.Mems[mi]) != n {
-			return fmt.Errorf("sim: memory %d word count mismatch", mi)
-		}
-		for i := 0; i < n; i++ {
-			ms.words[i*L+l] = st.Mems[mi][i]
-		}
-	}
-	bit := simrt.LaneMask(1) << uint(l)
-	for i := range b.memWr {
-		b.memWr[i].valid[l] = 0
-	}
-	for i := range b.regMask {
-		b.regMask[i] &^= bit
-	}
-	b.laneStats[l] = st.Stats
-	b.laneErr[l], b.ctx.errs[l] = nil, nil
-	b.live |= bit
-	for i := range b.pmask {
-		b.pmask[i] |= bit
-	}
-	for i := range b.specMask {
-		b.specMask[i] |= bit
-	}
-	b.pokedMask |= bit
-	for i := range b.base.inputs {
-		in := &b.base.inputs[i]
-		for w := 0; w < int(in.Words); w++ {
-			b.prevIn[(int(in.PrevOff)+w)*L+l] = ^uint64(0)
-		}
-	}
 	return nil
 }
 

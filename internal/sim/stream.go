@@ -15,9 +15,9 @@ import (
 // into the opcode, operands resolved to table offsets, skips carrying
 // absolute targets. The scalar engines execute theirs through the one
 // loop and one switch in run (full-cycle the whole stream, CCSS one
-// partition's span, event-driven one op per event); the batch engine
-// walks the CCSS stream itself and the vec engine lowers each class
-// program, and both execute through the lane walker (exec_lanes.go). The
+// partition's span, event-driven one op per event; a batch lane is a
+// CCSS engine over the shared stream); the vec engine lowers each class
+// program and executes it through the lane walker (exec_lanes.go). The
 // code generator prints the scalar stream (Program, internal/codegen),
 // which is why the stream's types are exported.
 

@@ -146,7 +146,7 @@ func checkRowKernels(t *testing.T, name string, op Op, sets [][3]uint64) {
 				tab[slotA*L+l], tab[slotB*L+l], tab[slotC*L+l] = v[0], v[1], v[2]
 				tab[slotTmp*L+l], tab[slotDst*L+l] = 0xDEAD, 0xDEAD
 			}
-			lw.walk(scalar.ops, tab, L, 0, 1, mask, nil)
+			lw.walk(scalar.ops, tab, L, 0, 1, mask)
 			for l := 0; l < L; l++ {
 				v := sets[(i+l)%len(sets)]
 				want := uint64(0xDEAD)

@@ -973,7 +973,7 @@ func (v *VecCCSS) runGroup(g *vecGroup) {
 
 	// Phase 2: evaluate into the row buffer. Eligibility keeps escapes out
 	// of class programs, so the walk needs no handler for them.
-	v.lw.walk(g.ops, g.buf, L, 0, int32(len(g.ops)), mask, nil)
+	v.lw.walk(g.ops, g.buf, L, 0, int32(len(g.ops)), mask)
 	evaluated := uint64(n) * uint64(g.weight)
 	for _, l := range lanes {
 		evaluated -= v.lw.skipped[l]

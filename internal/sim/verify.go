@@ -554,8 +554,9 @@ func nodeReadsSignal(d *netlist.Design, dg *netlist.DesignGraph, v int, sig netl
 
 // verifyLowering (SM-LOWER) validates ops and spans as the lowering of the
 // schedule (sched, instrs) grouped by ranges (nil: one group) over a table
-// of tlen words — the scalar stream (which the batch engine also walks),
-// or (with slots mapped back to the leader's offsets) a vec class program. Positions, skip targets, weights and group spans are
+// of tlen words — the scalar stream (which every batch lane runs), or
+// (with slots mapped back to the leader's offsets) a vec class program.
+// Positions, skip targets, weights and group spans are
 // recomputed here from the schedule alone; an instruction's op is
 // compared against a fresh lowering of the instruction, which is what
 // catches a stream gone stale under a later rewrite of the IR. (That the

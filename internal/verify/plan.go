@@ -18,7 +18,7 @@ import (
 //	PL-WAKE    every cross-partition read is covered by an activity-wake
 //	           edge, so a skipped partition cannot be read stale
 //	PL-LEVEL   partition levels strictly increase along dependence edges
-//	           and the barrier-level schedule covers each partition once
+//	           and runtime partition IDs are level-major
 //	PL-SINK    side-effect sinks (display/check) sit in always-on
 //	           partitions, so a skip cannot drop an observable effect
 //
@@ -405,8 +405,9 @@ func (c *planChecker) checkWake() {
 }
 
 // checkLevels (PL-LEVEL): levels strictly increase along every
-// dependence edge (data and elision-ordering), and the barrier-level
-// schedule is a permutation of the partitions consistent with SpecOf.
+// dependence edge (data and elision-ordering), and runtime IDs are
+// level-major — together what lets the scalar walk evaluate a cycle in
+// one ascending scan of its flag bitmap.
 func (c *planChecker) checkLevels() {
 	np := len(c.p.Parts)
 	if len(c.p.PartLevels) != np {
@@ -459,28 +460,15 @@ func (c *planChecker) checkLevels() {
 			}
 		}
 	}
-	// Spec schedule: concatenated spec parts are the identity permutation
-	// (runtime IDs are level-major) and SpecOf agrees.
-	want := 0
-	for si, spec := range c.p.LevelSpecs {
-		loc := fmt.Sprintf("level spec %d", si)
-		for _, pi := range spec.Parts {
-			if pi != want {
-				c.errf("PL-LEVEL", loc,
-					"spec parts must cover runtime partition IDs in order",
-					"expected partition %d, got %d", want, pi)
-			}
-			want++
-			if pi >= 0 && pi < np && int(c.p.SpecOf[pi]) != si {
-				c.errf("PL-LEVEL", loc, "",
-					"SpecOf[%d] is %d, not %d", pi, c.p.SpecOf[pi], si)
-			}
+	// Level-major numbering: a partition's level never falls below its
+	// predecessor's in runtime ID order.
+	for pi := 1; pi < np; pi++ {
+		if c.p.PartLevels[pi] < c.p.PartLevels[pi-1] {
+			c.errf("PL-LEVEL", fmt.Sprintf("partition %d", pi),
+				"runtime partition IDs must be level-major",
+				"level %d follows partition %d's level %d",
+				c.p.PartLevels[pi], pi-1, c.p.PartLevels[pi-1])
 		}
-	}
-	if want != np {
-		c.errf("PL-LEVEL", "plan",
-			"every partition must appear in exactly one level spec",
-			"level specs cover %d of %d partitions", want, np)
 	}
 }
 

@@ -368,6 +368,23 @@ func TestPLLevelFlattened(t *testing.T) {
 	wantRule(t, verify.Plan(p), "PL-LEVEL")
 }
 
+// TestPLLevelNotLevelMajor: the scalar walk's one ascending bitmap scan
+// needs runtime IDs in level order; lifting partition 0 to the deepest
+// level breaks that order, and PL-LEVEL names it.
+func TestPLLevelNotLevelMajor(t *testing.T) {
+	p := plan(t, compile(t, multiSrc), 1)
+	if p.NumLevels < 2 {
+		t.Skip("plan has a single level")
+	}
+	p.PartLevels[0] = p.NumLevels - 1
+	for _, d := range verify.Plan(p) {
+		if d.Rule == "PL-LEVEL" && strings.Contains(d.Hint, "level-major") {
+			return
+		}
+	}
+	t.Fatalf("no level-major PL-LEVEL diagnostic:\n%s", verify.Format(verify.Plan(p)))
+}
+
 func TestPLSinkSkippable(t *testing.T) {
 	d := compile(t, sinkSrc)
 	p := plan(t, d, 1)

@@ -2,13 +2,9 @@ package simrt
 
 import stdbits "math/bits"
 
-// Lane-batched simulation support: a batched simulator evaluates up to 64
-// independent stimulus lanes against one compiled schedule, holding values
-// in a lane-major structure-of-arrays table — word w of table slot off
-// lives at tab[(off+w)*lanes + l] for lane l, so the lanes of one word are
-// contiguous in memory and a per-lane activity mask selects which of them
-// an instruction touches. The helpers here are the layout's runtime
-// vocabulary, shared by the interpreter's batch engine and generated code.
+// Lane sets: the batched engine runs up to 64 independent stimulus lanes
+// of one compiled schedule and the vec engine evaluates up to 64 instances
+// of one structural class; both name the lanes they touch with a LaneMask.
 
 // MaxLanes is the lane-count ceiling: one lane per bit of a LaneMask.
 const MaxLanes = 64
@@ -45,40 +41,4 @@ func (m LaneMask) Lanes(buf []int) []int {
 		buf = append(buf, m.Lowest())
 	}
 	return buf
-}
-
-// GatherLane copies n words of lane l out of a lane-major table into the
-// same slot of a contiguous table: dst[off+w] = tab[(off+w)*lanes + l].
-// It is the bridge a batched evaluator uses to run a scalar
-// (contiguous-layout) operation — wide arithmetic, display formatting —
-// against one lane's values: gather the operands into a scalar shadow
-// table, evaluate there, scatter the result back.
-func GatherLane(dst, tab []uint64, off, n, lanes, l int) {
-	base := off*lanes + l
-	for w := 0; w < n; w++ {
-		dst[off+w] = tab[base]
-		base += lanes
-	}
-}
-
-// ScatterLane writes n contiguous words back into lane l of a lane-major
-// table: tab[(off+w)*lanes + l] = src[off+w]. The inverse of GatherLane.
-func ScatterLane(tab, src []uint64, off, n, lanes, l int) {
-	base := off*lanes + l
-	for w := 0; w < n; w++ {
-		tab[base] = src[off+w]
-		base += lanes
-	}
-}
-
-// BroadcastLanes replicates a contiguous table into every lane of a
-// lane-major table: tab[w*lanes + l] = src[w] for l < lanes. Batched
-// simulators use it to seed initial state and constants.
-func BroadcastLanes(tab, src []uint64, lanes int) {
-	for w, v := range src {
-		row := tab[w*lanes : (w+1)*lanes]
-		for l := range row {
-			row[l] = v
-		}
-	}
 }

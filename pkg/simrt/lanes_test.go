@@ -29,49 +29,3 @@ func TestLaneMask(t *testing.T) {
 		t.Fatalf("Drop = %b", m.Drop())
 	}
 }
-
-func TestGatherScatterRoundTrip(t *testing.T) {
-	const lanes, slots = 4, 5
-	tab := make([]uint64, lanes*slots)
-	for i := range tab {
-		tab[i] = uint64(i) * 3
-	}
-	// Gather lane 2, words [1,4) into a contiguous shadow.
-	shadow := make([]uint64, slots)
-	GatherLane(shadow, tab, 1, 3, lanes, 2)
-	for w := 1; w < 4; w++ {
-		if shadow[w] != tab[w*lanes+2] {
-			t.Fatalf("shadow[%d] = %d, want %d", w, shadow[w], tab[w*lanes+2])
-		}
-	}
-	// Mutate and scatter back; only lane 2 of slots 1..3 may change.
-	orig := append([]uint64(nil), tab...)
-	for w := 1; w < 4; w++ {
-		shadow[w] += 1000
-	}
-	ScatterLane(tab, shadow, 1, 3, lanes, 2)
-	for i := range tab {
-		w, l := i/lanes, i%lanes
-		want := orig[i]
-		if l == 2 && w >= 1 && w < 4 {
-			want += 1000
-		}
-		if tab[i] != want {
-			t.Fatalf("tab[%d] = %d, want %d", i, tab[i], want)
-		}
-	}
-}
-
-func TestBroadcastLanes(t *testing.T) {
-	const lanes = 3
-	src := []uint64{7, 8, 9}
-	tab := make([]uint64, lanes*len(src))
-	BroadcastLanes(tab, src, lanes)
-	for w := range src {
-		for l := 0; l < lanes; l++ {
-			if tab[w*lanes+l] != src[w] {
-				t.Fatalf("tab[%d][%d] = %d, want %d", w, l, tab[w*lanes+l], src[w])
-			}
-		}
-	}
-}
