@@ -38,8 +38,8 @@ func main() {
 			"cost-model lane floor for -engine vec: classes packing fewer lanes "+
 				"fall back to scalar (0 = tuned default 16; 2 accepts every class)")
 		nosa = flag.Bool("nosa", false,
-			"disable static activity analysis in compilation (ablation: no "+
-				"SA constant folding or vec guard signatures)")
+			"disable static activity analysis in the optimizer (ablation: no "+
+				"SA constant folding; -engine essent, fullcycle-opt or vec)")
 		cycles     = flag.Int("cycles", 100000, "maximum cycles to simulate")
 		verbose    = flag.Bool("v", false, "print design printf output")
 		stats      = flag.Bool("stats", true, "print work statistics")
@@ -137,10 +137,6 @@ func main() {
 	if vi := sim.VecInfo(); vi.Groups > 0 {
 		fmt.Printf("vectorized: %d partitions in %d groups (%d classes, widest %d lanes)\n",
 			vi.VecParts, vi.Groups, vi.Classes, vi.MaxLanes)
-		if vi.SharedGuardGroups > 0 {
-			fmt.Printf("  %d group(s) share a static toggle-condition signature\n",
-				vi.SharedGuardGroups)
-		}
 	}
 	if vi := sim.VecInfo(); vi.DroppedGroups > 0 {
 		fmt.Printf("vec floor: %d class(es) (%d partitions) below %d lanes fell back to scalar\n",
@@ -319,6 +315,10 @@ func validateFlags() error {
 				" baseline, or fullcycle-opt; the vec and event engines run" +
 				" in-process only")
 		}
+	}
+	if set["nosa"] && (eng == essent.EngineEventDriven || eng == essent.EngineBaseline) {
+		return errors.New("-nosa ablates the optimizer's static activity analysis;" +
+			" -engine event and baseline never run the optimizer")
 	}
 	if eng != essent.EngineESSENTVec {
 		if set["novec"] {

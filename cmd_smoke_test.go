@@ -82,6 +82,9 @@ func TestCmdEssentRejectsBadFlags(t *testing.T) {
 		{[]string{"-engine", "parallel"}, 2, `essent: engine "parallel" is retired`},
 		{[]string{"-engine", "bogus"}, 2, `essent: unknown engine "bogus"`},
 		{[]string{"-backend", "bogus"}, 2, `essent: unknown backend "bogus"`},
+		{[]string{"-engine", "event", "-nosa"}, 2, "essent: -nosa ablates"},
+		{[]string{"-engine", "baseline", "-nosa"}, 2, "essent: -nosa ablates"},
+		{[]string{"-engine", "fullcycle-opt", "-nosa", "-cycles", "0"}, 0, "ran 0 cycles"},
 		{[]string{"-engine", "vec", "-max-vec-lanes", "64", "-vec-min-lanes", "2", "-cycles", "0"}, 0, "ran 0 cycles"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-soc", "r16"}, c.args...)...).CombinedOutput()

@@ -150,9 +150,9 @@ type Options struct {
 	// classes that fragment below this many lanes fall back to scalar
 	// evaluation (0 = the tuned default of 16; 2 accepts every class).
 	MinVecLanes int
-	// NoSA ablates static activity analysis everywhere it feeds the
-	// compile: the optimizer's known-bits folds and the vectorizer's
-	// toggle-condition signatures.
+	// NoSA ablates the static activity analysis that feeds the optimizer's
+	// known-bits folds, on the engines that optimize (EngineFullCycleOpt,
+	// EngineESSENT, EngineESSENTVec).
 	NoSA bool
 	// Verify selects static-verification enforcement (VerifyStrict, the
 	// zero value, by default).
@@ -342,7 +342,7 @@ func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
 		t.Optimize, t.SA = time.Since(start), st.SAAnalysis
 	}
 	start = time.Now()
-	engine := sim.Options{Verify: opts.Verify.internal(), NoSA: opts.NoSA}
+	engine := sim.Options{Verify: opts.Verify.internal()}
 	switch opts.Engine {
 	case EngineEventDriven:
 		engine.Engine = sim.EngineEventDriven
@@ -723,11 +723,6 @@ type VecStats struct {
 	MinLanes      int
 	DroppedGroups int
 	DroppedParts  int
-	// GatedParts counts vectorizable partitions carrying a static
-	// toggle-condition signature; SharedGuardGroups counts compiled
-	// groups whose lanes all share one signature.
-	GatedParts        int
-	SharedGuardGroups int
 	// GroupEvals / LaneEvals count group activations and active-lane
 	// evaluations during simulation.
 	GroupEvals uint64
@@ -740,18 +735,16 @@ func (s *Sim) VecInfo() VecStats {
 	if vv, ok := s.s.(interface{ VecInfo() sim.VecStats }); ok {
 		v := vv.VecInfo()
 		return VecStats{
-			EligibleParts:     v.EligibleParts,
-			Classes:           v.Classes,
-			Groups:            v.Groups,
-			VecParts:          v.VecParts,
-			MaxLanes:          v.MaxLanes,
-			MinLanes:          v.MinLanes,
-			DroppedGroups:     v.DroppedGroups,
-			DroppedParts:      v.DroppedParts,
-			GatedParts:        v.GatedParts,
-			SharedGuardGroups: v.SharedGuardGroups,
-			GroupEvals:        v.GroupEvals,
-			LaneEvals:         v.LaneEvals,
+			EligibleParts: v.EligibleParts,
+			Classes:       v.Classes,
+			Groups:        v.Groups,
+			VecParts:      v.VecParts,
+			MaxLanes:      v.MaxLanes,
+			MinLanes:      v.MinLanes,
+			DroppedGroups: v.DroppedGroups,
+			DroppedParts:  v.DroppedParts,
+			GroupEvals:    v.GroupEvals,
+			LaneEvals:     v.LaneEvals,
 		}
 	}
 	return VecStats{}

@@ -279,3 +279,101 @@ func TestVecDesignCheckpoint(t *testing.T) {
 	driveVec(t, d, restoredNoVec, others,
 		map[string]bool{"uninterrupted": true}, 60, 42)
 }
+
+// TestVecClassCoverage pins what class detection finds on the replicated
+// designs, raw and optimized, at lane caps 16 and 64 under the default
+// lane floor, and what the bench-form mac16 (optimized, cap 64) evaluates
+// over a seeded 3,000-cycle stimulus: a change to eligibility, hashing,
+// matching, legality or the floor shows up here as a named row diff.
+func TestVecClassCoverage(t *testing.T) {
+	type coverage struct{ Groups, VecParts, DroppedGroups, DroppedParts, MaxLanes int }
+	mac8 := MACArrayConfig{Name: "mac8", Rows: 8, Cols: 8, DataW: 8}
+	build := map[string]func(t *testing.T, optimize bool) *netlist.Design{
+		"mac8":  func(t *testing.T, o bool) *netlist.Design { return buildMAC(t, mac8, o) },
+		"mac16": func(t *testing.T, o bool) *netlist.Design { return buildMAC(t, MACArray(), o) },
+		"noc8":  func(t *testing.T, o bool) *netlist.Design { return buildNoC(t, NoCMesh(), o) },
+	}
+	built := map[string]*netlist.Design{}
+	design := func(t *testing.T, name string, optimize bool) *netlist.Design {
+		key := fmt.Sprint(name, optimize)
+		if built[key] == nil {
+			built[key] = build[name](t, optimize)
+		}
+		return built[key]
+	}
+	rows := []struct {
+		design   string
+		optimize bool
+		cap      int
+		want     coverage
+	}{
+		{"mac8", false, 16, coverage{3, 48, 13, 62, 16}},
+		{"mac8", false, 64, coverage{1, 63, 12, 47, 63}},
+		{"mac8", true, 16, coverage{3, 48, 13, 60, 16}},
+		{"mac8", true, 64, coverage{1, 62, 12, 46, 62}},
+		{"mac16", false, 16, coverage{27, 432, 1, 15, 16}},
+		{"mac16", false, 64, coverage{8, 447, 0, 0, 64}},
+		{"mac16", true, 16, coverage{24, 384, 7, 62, 16}},
+		{"mac16", true, 64, coverage{8, 434, 3, 12, 64}},
+		{"noc8", false, 16, coverage{59, 944, 39, 262, 16}},
+		{"noc8", false, 64, coverage{20, 1035, 32, 172, 64}},
+		{"noc8", true, 16, coverage{15, 240, 31, 130, 16}},
+		{"noc8", true, 64, coverage{7, 266, 27, 105, 64}},
+	}
+	for _, r := range rows {
+		t.Run(fmt.Sprintf("%s/opt=%v/cap%d", r.design, r.optimize, r.cap), func(t *testing.T) {
+			vi := vecInfo(newVec(t, design(t, r.design, r.optimize), sim.Options{MaxVecLanes: r.cap}))
+			got := coverage{vi.Groups, vi.VecParts, vi.DroppedGroups, vi.DroppedParts, vi.MaxLanes}
+			if got != r.want {
+				t.Errorf("got %+v, want %+v", got, r.want)
+			}
+		})
+	}
+
+	t.Run("mac16-bench-evals", func(t *testing.T) {
+		d := design(t, "mac16", true)
+		s := newVec(t, d, sim.Options{})
+		macStimulus(t, s, d, 1, 3000)
+		vi := vecInfo(s)
+		if vi.GroupEvals != 8781 || vi.LaneEvals != 351594 {
+			t.Errorf("GroupEvals %d, LaneEvals %d; want 8781, 351594", vi.GroupEvals, vi.LaneEvals)
+		}
+	})
+}
+
+// macStimulus resets a MAC array for two cycles, then runs it to cycles
+// in windows of 50, drawing en (one window in four), clr (one in eight)
+// and both operands from seed at the start of each window.
+func macStimulus(t *testing.T, s sim.Simulator, d *netlist.Design, seed int64, cycles int) {
+	t.Helper()
+	port := func(name string) netlist.SignalID {
+		id, ok := d.SignalByName(name)
+		if !ok {
+			t.Fatalf("no input %s", name)
+		}
+		return id
+	}
+	bit := func(b bool) uint64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	reset, en, clr := port("reset"), port(MACEnInput), port(MACClrInput)
+	a, b := port(MACAInput), port(MACBInput)
+	rng := rand.New(rand.NewSource(seed))
+	s.Poke(reset, 1)
+	if err := s.Step(2); err != nil {
+		t.Fatal(err)
+	}
+	s.Poke(reset, 0)
+	for c := 2; c < cycles; c += 50 {
+		s.Poke(en, bit(rng.Intn(4) == 0))
+		s.Poke(clr, bit(rng.Intn(8) == 0))
+		s.Poke(a, uint64(rng.Intn(256)))
+		s.Poke(b, uint64(rng.Intn(256)))
+		if err := s.Step(min(50, cycles-c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -183,11 +183,6 @@ func holdGuard(d *netlist.Design, reg *netlist.Reg) Guard {
 	return none
 }
 
-// sortGuards orders a literal slice canonically in place.
-func sortGuards(g []Guard) {
-	sort.Slice(g, func(i, j int) bool { return guardLess(g[i], g[j]) })
-}
-
 // guardLess orders literals for canonical sets.
 func guardLess(a, b Guard) bool {
 	if a.Sig != b.Sig {

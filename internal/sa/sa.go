@@ -35,8 +35,9 @@
 //
 // The fuzz harness in fuzz_test.go checks every claim dynamically against
 // randckt circuits; internal/opt consumes constants for folding,
-// internal/sim feeds guard signatures to the vectorizer's cost model, and
-// internal/verify surfaces SA-CONST/SA-DEAD/SA-WIDTH diagnostics.
+// internal/partition reads register hold guards (HoldGuards) for its seed
+// cuts, and internal/verify surfaces SA-CONST/SA-DEAD/SA-WIDTH
+// diagnostics.
 package sa
 
 import (
@@ -273,57 +274,4 @@ func (r *Result) KnownNonzero(s netlist.SignalID) bool {
 func (r *Result) KnownZero(s netlist.SignalID) bool {
 	cv := r.ConstVal[s]
 	return cv != nil && bits.IsZero(cv)
-}
-
-// GuardSignature returns a hash of the signal's observability guard set,
-// 0 when the signal has no guards. Signals gated by the same condition
-// (same literals, same polarities) share a signature; the vectorizer uses
-// this as a toggle-condition key in its class cost model.
-func (r *Result) GuardSignature(s netlist.SignalID) uint64 {
-	g := r.Guards[s]
-	if len(g) == 0 {
-		return 0
-	}
-	return hashGuards(g)
-}
-
-// SignatureOf hashes an arbitrary literal set the way GuardSignature
-// does (0 for an empty set). Callers assembling cross-signal toggle
-// conditions — the vectorizer's per-partition external guard sets —
-// must sort the literals first (see guardLess) so equal sets hash
-// equally.
-func SignatureOf(g []Guard) uint64 {
-	if len(g) == 0 {
-		return 0
-	}
-	return hashGuards(g)
-}
-
-// SortGuards orders a literal set canonically for SignatureOf.
-func SortGuards(g []Guard) {
-	sortGuards(g)
-}
-
-// hashGuards is FNV-1a over the (sorted) literal list.
-func hashGuards(g []Guard) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	for _, lit := range g {
-		v := uint64(uint32(lit.Sig)) << 1
-		if lit.ActiveHigh {
-			v |= 1
-		}
-		mix(v)
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
 }

@@ -159,8 +159,7 @@ func TestRegHold(t *testing.T) {
 }
 
 // TestGuardCone checks observability guards: a value consumed only
-// through one mux arm carries the selector literal, and the signature
-// helpers canonicalize literal sets.
+// through one mux arm carries the selector literal.
 func TestGuardCone(t *testing.T) {
 	m := dsl.NewModule("Top")
 	en := m.Input("en", 1)
@@ -180,12 +179,6 @@ func TestGuardCone(t *testing.T) {
 	g := r.Guards[id]
 	if len(g) != 1 || g[0].Sig != enID || !g[0].ActiveHigh {
 		t.Fatalf("gdat guards = %+v, want [{en, active-high}]", g)
-	}
-	if r.GuardSignature(id) == 0 {
-		t.Fatalf("guarded signal has zero signature")
-	}
-	if r.GuardSignature(sid(t, d, "out")) != 0 {
-		t.Fatalf("anchor output has a nonzero signature")
 	}
 	if r.Stats.ProvenGated == 0 {
 		t.Fatalf("stats missed the gated cone: %+v", r.Stats)
@@ -234,30 +227,5 @@ func TestSignedConservative(t *testing.T) {
 	if r.ProvenWidth[id] != d.Signals[id].Width {
 		t.Fatalf("signed node narrowed: %d < %d",
 			r.ProvenWidth[id], d.Signals[id].Width)
-	}
-}
-
-// TestSignatureHelpers checks the exported literal-set helpers: empty
-// sets hash to zero, order does not matter after sorting, and polarity
-// changes the hash.
-func TestSignatureHelpers(t *testing.T) {
-	if sa.SignatureOf(nil) != 0 {
-		t.Fatalf("empty set must hash to 0")
-	}
-	ab := []sa.Guard{{Sig: 1, ActiveHigh: true}, {Sig: 2, ActiveHigh: false}}
-	ba := []sa.Guard{{Sig: 2, ActiveHigh: false}, {Sig: 1, ActiveHigh: true}}
-	sa.SortGuards(ab)
-	sa.SortGuards(ba)
-	h1, h2 := sa.SignatureOf(ab), sa.SignatureOf(ba)
-	if h1 != h2 {
-		t.Fatalf("sorted permutations hash differently: %x vs %x", h1, h2)
-	}
-	if h1 == 0 {
-		t.Fatalf("nonempty set hashed to 0")
-	}
-	flipped := []sa.Guard{{Sig: 1, ActiveHigh: false}, {Sig: 2, ActiveHigh: false}}
-	sa.SortGuards(flipped)
-	if sa.SignatureOf(flipped) == h1 {
-		t.Fatalf("polarity flip did not change the hash")
 	}
 }

@@ -37,10 +37,6 @@ type CCSSPlan struct {
 	PartLevels []int
 	// NumLevels is max(PartLevels)+1.
 	NumLevels int
-	// PartCosts estimates each partition's evaluation cost (runtime IDs;
-	// partition width-class weights, roughly ns of single-threaded
-	// interpretation).
-	PartCosts []int64
 	// PartStats carries the partitioner's statistics.
 	PartStats partition.Stats
 	// Shadows holds the mux-arm cones for conditional multiplexor-way
@@ -233,12 +229,6 @@ func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 		if l+1 > plan.NumLevels {
 			plan.NumLevels = l + 1
 		}
-	}
-
-	// Static cost model.
-	plan.PartCosts = make([]int64, np)
-	for pi := range plan.Parts {
-		plan.PartCosts[pi] = partition.PartCost(dg, plan.Parts[pi].Members)
 	}
 
 	// Mux-arm cones, scoped to partitions.

@@ -65,7 +65,6 @@ type planEntry struct {
 	Parts     string `json:"parts"`
 	Wakes     string `json:"wakes"` // RegReaderParts, MemReaderParts, InputConsumers
 	Levels    string `json:"levels"`
-	Costs     string `json:"costs"`
 }
 
 func hashPlan(t *testing.T, name string, plan *sched.CCSSPlan) planEntry {
@@ -90,7 +89,6 @@ func hashPlan(t *testing.T, name string, plan *sched.CCSSPlan) planEntry {
 		Parts:     hashJSON(t, plan.Parts),
 		Wakes:     hashJSON(t, []any{plan.RegReaderParts, plan.MemReaderParts, plan.InputConsumers}),
 		Levels:    hashJSON(t, plan.PartLevels),
-		Costs:     hashJSON(t, plan.PartCosts),
 	}
 }
 

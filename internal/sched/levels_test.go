@@ -26,9 +26,8 @@ func TestPartLevelsInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(plan.PartCosts) != len(plan.Parts) || len(plan.PartLevels) != len(plan.Parts) {
-			t.Fatalf("seed %d: PartCosts %d, PartLevels %d, parts %d", seed,
-				len(plan.PartCosts), len(plan.PartLevels), len(plan.Parts))
+		if len(plan.PartLevels) != len(plan.Parts) {
+			t.Fatalf("seed %d: PartLevels %d, parts %d", seed, len(plan.PartLevels), len(plan.Parts))
 		}
 		maxLevel := -1
 		for pi, l := range plan.PartLevels {

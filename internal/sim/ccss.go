@@ -91,8 +91,8 @@ type CCSS struct {
 // per output: evaluating a partition touches consecutive rows, no pointer
 // chase.
 type PartTable struct {
-	// sched is each partition's entry range in the machine IR (what the
-	// vec pass reads; the walk runs machine.spans).
+	// sched is each partition's entry range in the machine IR (what
+	// SM-WAKE reads; the walk runs machine.spans).
 	sched [][2]int32
 	rows  []partRow
 	outs  []PartOut

@@ -36,9 +36,6 @@ type Options struct {
 	// classes that pack fewer lanes than the floor fall back to the
 	// scalar path (0 = the tuned default of 16; 2 accepts every class).
 	MinVecLanes int
-	// NoSA ablates static activity analysis during engine compilation
-	// (the vectorizer's toggle-condition signatures).
-	NoSA bool
 }
 
 // New constructs the requested simulation engine for a design. The caller

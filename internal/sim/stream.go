@@ -9,17 +9,18 @@ import (
 )
 
 // The op stream. (sched, instrs) is the machine IR: what the passes
-// rewrite and the verifiers read. No engine interprets it. Each executes
-// a lowering of the schedule it runs
+// rewrite and the machine verifiers read. No engine interprets it. Each
+// executes a lowering of the schedule it runs
 // — one dense array of fixed-size ops with the instruction kind folded
 // into the opcode, operands resolved to table offsets, skips carrying
 // absolute targets. The scalar engines execute theirs through the one
 // loop and one switch in run (full-cycle the whole stream, CCSS one
 // partition's span, event-driven one op per event; a batch lane is a
-// CCSS engine over the shared stream); the vec engine lowers each class
-// program and executes it through the lane walker (exec_lanes.go). The
-// code generator prints the scalar stream (Program, internal/codegen),
-// which is why the stream's types are exported.
+// CCSS engine over the shared stream); the vec engine finds its classes
+// on the CCSS stream, copies each leader's span into a class program
+// over slots and executes it through the lane walker (exec_lanes.go).
+// The code generator prints the scalar stream (Program,
+// internal/codegen), which is why the stream's types are exported.
 
 // Opcode is a stream op's dispatch code.
 type Opcode uint8
@@ -96,7 +97,7 @@ const (
 
 // Reads reports which of an op's A/B/C/X fields are table offsets it
 // reads: the one statement of that fact, shared by the lowering, the vec
-// engine's slot rewrite and SM-LOWER. The kernels agree with it by
+// engine's class match and slot rewrite, and SM-LOWER. The kernels agree with it by
 // construction — a field outside the set is lowered as zero. Escapes read
 // through the instruction or sink x names, not through the op.
 func (c Opcode) Reads() uint8 {

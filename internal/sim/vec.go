@@ -2,20 +2,19 @@ package sim
 
 import (
 	"slices"
-	"sort"
 
 	"essent/internal/netlist"
 	"essent/internal/partition"
-	"essent/internal/sa"
 	"essent/internal/verify"
 	"essent/pkg/simrt"
 )
 
 // VecCCSS is the instance-vectorized CCSS engine: after partitioning,
-// structurally identical partitions (replicated module instances —
-// systolic PEs, NoC routers, per-core tiles) are grouped into
-// equivalence classes of up to 64 members, one program is lowered per
-// class over a slot-indexed lane-major row buffer, and the whole class
+// partitions whose spans of the verified stream are one op sequence
+// modulo table offsets (replicated module instances — systolic PEs, NoC
+// routers, per-core tiles) are grouped into equivalence classes of up to
+// 64 members, the leader's span is rewritten once per class over a
+// slot-indexed lane-major row buffer, and the whole class
 // evaluates through the lane walker with a per-instance activity mask —
 // the paper's low-activity thesis applied spatially: an idle router or
 // tile costs one mask bit test.
@@ -59,12 +58,6 @@ type VecStats struct {
 	// fell below the lane floor (their DroppedParts members run scalar).
 	DroppedGroups int
 	DroppedParts  int
-	// GatedParts counts eligible partitions with a nonzero static
-	// toggle-condition signature; SharedGuardGroups counts compiled
-	// classes whose lanes all share one such signature (their activity
-	// masks move in lockstep).
-	GatedParts        int
-	SharedGuardGroups int
 	// GroupEvals counts group evaluations; LaneEvals sums active lanes
 	// over them (GroupEvals × mean activity).
 	GroupEvals uint64
@@ -80,9 +73,10 @@ type vecGroup struct {
 	members flagSet
 	lanes   int
 
-	// ops is the class program: the lowering of the leader's schedule
-	// range with every table offset (dst and the fields Opcode.Reads
-	// names) rewritten to a slot index; weight is its static op weight.
+	// ops is the class program: the leader's span of the stream with skip
+	// targets relative to the program and every table offset (dst and the
+	// fields Opcode.Reads names) rewritten to a slot index; weight is the
+	// span's static op weight.
 	ops    []Op
 	weight uint32
 	nslots int
@@ -152,7 +146,7 @@ func newVecCCSS(d *netlist.Design, opts Options) (*VecCCSS, error) {
 		if minLanes > maxLanes {
 			minLanes = maxLanes
 		}
-		v.buildGroups(maxLanes, minLanes, opts.NoSA)
+		v.buildGroups(maxLanes, minLanes)
 		if opts.Verify != verify.Off {
 			if err := verify.Enforce(opts.Verify, v.verifyVec(), nil); err != nil {
 				return nil, err
@@ -172,31 +166,17 @@ func (v *VecCCSS) NumGroups() int { return len(v.groups) }
 // Class detection and compilation.
 // ---------------------------------------------------------------------
 
-// vecEligible reports whether partition p may join a class: pure
-// narrow/fused combinational body (no sinks, no memory reads, no wide
-// or signed lanes), single-word outputs and register storage, and not
+// vecEligible reports whether partition p may join a class: a span of
+// narrow, fused and skip ops only (no sinks, no memory reads, no wide or
+// signed escapes), single-word outputs and register storage, and not
 // always-on.
 func (v *VecCCSS) vecEligible(p int) bool {
-	r := v.parts.sched[p]
-	if v.plan.Parts[p].AlwaysOn || r[0] == r[1] {
+	sp := v.machine.spans[p]
+	if v.plan.Parts[p].AlwaysOn || sp.PC == sp.End {
 		return false
 	}
-	m := v.machine
-	for i := r[0]; i < r[1]; i++ {
-		e := &m.sched[i]
-		switch e.kind {
-		case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
-			in := &m.instrs[e.idx]
-			if in.Code == IMemRead {
-				return false
-			}
-			if in.kind != kNarrow && in.kind != kFused {
-				return false
-			}
-		case seSkipIfZero, seSkipIfNonzero:
-			// Selector read becomes a slot.
-		default:
-			// Displays, checks, memory writes stay scalar.
+	for _, op := range v.machine.ops[sp.PC:sp.End] {
+		if op.Code > OpSkipNZ || op.Code == OpMemRead {
 			return false
 		}
 	}
@@ -223,21 +203,17 @@ func (v *VecCCSS) vecEligible(p int) bool {
 // move during the walk and pin nothing.
 func (v *VecCCSS) guardPinned() []bool {
 	m, pt := v.machine, &v.parts
+	// A guard word is a one-word selector signal, so the op that writes it
+	// names it as its destination (a wide op's further words belong to its
+	// own wide signal).
 	writer := make([]int32, len(m.t))
 	for i := range writer {
 		writer[i] = -1
 	}
 	for p, sp := range m.spans {
 		for pc := sp.PC; pc < sp.End; pc++ {
-			off, words := m.ops[pc].Dst, int32(1)
-			switch code := m.ops[pc].Code; {
-			case code == OpSigned || code == OpWide:
-				off, words = writeSpan(&m.instrs[m.ops[pc].X])
-			case code >= OpSkipZ:
-				continue
-			}
-			for w := off; w < off+words; w++ {
-				writer[w] = int32(p)
+			if dst := m.ops[pc].offsets()[dstField]; dst != nil {
+				writer[*dst] = int32(p)
 			}
 		}
 	}
@@ -255,55 +231,25 @@ func (v *VecCCSS) guardPinned() []bool {
 	return pinned
 }
 
-// sameShape reports structural equality of two instructions modulo
-// operand identities (offsets and the out signal).
-func sameShape(x, y *Instr) bool {
-	return x.Code == y.Code && x.kind == y.kind && x.wide == y.wide &&
-		x.SA == y.SA && x.SB == y.SB && x.SC == y.SC &&
-		x.AW == y.AW && x.BW == y.BW && x.CW == y.CW && x.DW == y.DW &&
-		x.P0 == y.P0 && x.P1 == y.P1 && x.dmask == y.dmask
-}
-
-// hashPart computes the canonical structural hash of partition p: the
-// schedule walk's shapes verbatim, operand identities under
-// first-appearance renaming, and the boundary signature (output and
-// register storage shapes). Consumer lists are member-specific and
-// excluded.
+// hashPart computes the canonical structural hash of partition p: its
+// span's ops modulo table offsets (skip targets relative to the span),
+// the offsets under first-appearance renaming, and the boundary signature
+// (output and register storage shapes). Consumer lists are
+// member-specific and excluded.
 func (v *VecCCSS) hashPart(p int) uint64 {
 	h := partition.NewClassHasher()
-	m := v.machine
-	r := v.parts.sched[p]
-	for i := r[0]; i < r[1]; i++ {
-		e := &m.sched[i]
-		h.Word(uint64(e.kind))
-		switch e.kind {
-		case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
-			in := &m.instrs[e.idx]
-			var sbits uint64
-			if in.SA {
-				sbits |= 1
+	sp := v.machine.spans[p]
+	for pc := sp.PC; pc < sp.End; pc++ {
+		op := &v.machine.ops[pc]
+		h.Word(uint64(op.Code) | uint64(op.Sh)<<8)
+		h.Word(op.Mask)
+		if op.Code == OpSkipZ || op.Code == OpSkipNZ {
+			h.Word(uint64(op.X - sp.PC))
+		}
+		for _, off := range op.offsets() {
+			if off != nil {
+				h.Ref(*off)
 			}
-			if in.SB {
-				sbits |= 2
-			}
-			if in.SC {
-				sbits |= 4
-			}
-			h.Word(uint64(in.Code) | uint64(in.kind)<<8 | sbits<<16)
-			h.Word(uint64(uint32(in.AW)) | uint64(uint32(in.BW))<<32)
-			h.Word(uint64(uint32(in.CW)) | uint64(uint32(in.DW))<<32)
-			h.Word(uint64(uint32(in.P0)) | uint64(uint32(in.P1))<<32)
-			h.Word(in.dmask)
-			op := lowerInstr(in, e.idx)
-			for _, off := range op.offsets() {
-				if off != nil {
-					h.Ref(*off)
-				}
-			}
-			h.Word(uint64(uint32(e.n)))
-		case seSkipIfZero, seSkipIfNonzero:
-			h.Ref(e.idx)
-			h.Word(uint64(uint32(e.n)))
 		}
 	}
 	outs, regs := v.parts.Outputs(int32(p)), v.parts.RegsOf(int32(p))
@@ -319,19 +265,20 @@ func (v *VecCCSS) hashPart(p int) uint64 {
 	return h.Sum()
 }
 
-// matchMember attempts the exact lockstep walk binding member mp to
-// leader lp. On success it returns φ: leader offset → member offset,
+// matchMember attempts the exact lockstep walk binding member mp's span
+// to leader lp's: at every position equal code, shift and mask, for a
+// skip the same span-relative target, and the offsets the op names bound
+// pairwise. On success it returns φ: leader offset → member offset,
 // injective (two distinct leader slots never collapse onto one member
 // offset — a collapsed pair with a write would make later reads
 // ambiguous between old and new values). The boundary must correspond
-// under φ: outputs by offset and width, non-elided register next
-// storage as a set.
+// under φ: outputs by offset and width, non-elided register next storage
+// as a set.
 func (v *VecCCSS) matchMember(lp, mp int) (map[int32]int32, bool) {
 	m := v.machine
 	pt := &v.parts
-	ra, rb := pt.sched[lp], pt.sched[mp]
-	n := ra[1] - ra[0]
-	if n != rb[1]-rb[0] {
+	spL, spM := m.spans[lp], m.spans[mp]
+	if spL.End-spL.PC != spM.End-spM.PC {
 		return nil, false
 	}
 	phi := make(map[int32]int32)
@@ -347,32 +294,17 @@ func (v *VecCCSS) matchMember(lp, mp int) (map[int32]int32, bool) {
 		rev[mo] = lo
 		return true
 	}
-	for k := int32(0); k < n; k++ {
-		ea, eb := &m.sched[ra[0]+k], &m.sched[rb[0]+k]
-		if ea.kind != eb.kind || ea.n != eb.n {
+	for k := int32(0); k < spL.End-spL.PC; k++ {
+		a, b := &m.ops[spL.PC+k], &m.ops[spM.PC+k]
+		if a.Code != b.Code || a.Sh != b.Sh || a.Mask != b.Mask ||
+			(a.Code == OpSkipZ || a.Code == OpSkipNZ) && a.X-spL.PC != b.X-spM.PC {
 			return nil, false
 		}
-		switch ea.kind {
-		case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
-			ia, ib := &m.instrs[ea.idx], &m.instrs[eb.idx]
-			if !sameShape(ia, ib) {
+		offsB := b.offsets()
+		for j, off := range a.offsets() {
+			if off != nil && !bind(*off, *offsB[j]) {
 				return nil, false
 			}
-			// Same shape, same opcode: operands, then the destination,
-			// pairwise.
-			opA, opB := lowerInstr(ia, ea.idx), lowerInstr(ib, eb.idx)
-			offsB := opB.offsets()
-			for j, off := range opA.offsets() {
-				if off != nil && !bind(*off, *offsB[j]) {
-					return nil, false
-				}
-			}
-		case seSkipIfZero, seSkipIfNonzero:
-			if !bind(ea.idx, eb.idx) {
-				return nil, false
-			}
-		default:
-			return nil, false
 		}
 	}
 	aouts, bouts := pt.Outputs(int32(lp)), pt.Outputs(int32(mp))
@@ -451,24 +383,12 @@ func (v *VecCCSS) partPreds() (data, ord [][]int32) {
 		}
 	}
 	for p := 0; p < np; p++ {
-		data[p] = dedupInt32(data[p])
-		ord[p] = dedupInt32(ord[p])
+		slices.Sort(data[p])
+		data[p] = slices.Compact(data[p])
+		slices.Sort(ord[p])
+		ord[p] = slices.Compact(ord[p])
 	}
 	return data, ord
-}
-
-func dedupInt32(xs []int32) []int32 {
-	if len(xs) < 2 {
-		return xs
-	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // defaultMinVecLanes is the tuned lane floor: the smallest lane cap at
@@ -479,79 +399,12 @@ func dedupInt32(xs []int32) []int32 {
 // gather/scatter is not amortized and its members run scalar.
 const defaultMinVecLanes = 16
 
-// guardSignatures computes, per partition, a hash of the partition's
-// *external* static toggle condition: the set of observability and
-// register-hold guard literals (from internal/sa) whose guard signal
-// lives outside the partition. Partitions sharing a signature are gated
-// by the same condition and so toggle in lockstep — packing them into
-// the same class keeps the group activity mask all-or-nothing. Internal
-// literals are excluded deliberately: replicated instances gate on
-// structurally identical but distinct local enables, and keying on those
-// would split every class of independently-enabled instances (the mac16
-// shape) down to singletons.
-//
-// Returns nil (no affinity) when analysis is ablated or fails.
-func (v *VecCCSS) guardSignatures(noSA bool) []uint64 {
-	if noSA {
-		return nil
-	}
-	d := v.machine.d
-	r, err := sa.Analyze(d, sa.Options{})
-	if err != nil {
-		return nil
-	}
-	plan := v.plan
-	sigs := make([]uint64, len(plan.Parts))
-	nsig := len(d.Signals)
-	member := make([]int32, nsig)
-	for i := range member {
-		member[i] = -1
-	}
-	for p := range plan.Parts {
-		for _, n := range plan.Parts[p].Members {
-			if n < nsig {
-				member[n] = int32(p)
-			}
-		}
-	}
-	var lits []sa.Guard
-	for p := range plan.Parts {
-		lits = lits[:0]
-		add := func(g sa.Guard) {
-			if g.Sig == netlist.NoSignal || member[g.Sig] == int32(p) {
-				return
-			}
-			for _, x := range lits {
-				if x == g {
-					return
-				}
-			}
-			lits = append(lits, g)
-		}
-		for _, n := range plan.Parts[p].Members {
-			if n >= nsig || !r.Observed[n] {
-				continue
-			}
-			for _, g := range r.Guards[n] {
-				add(g)
-			}
-		}
-		for _, ri := range plan.Parts[p].Regs {
-			add(r.RegHold[ri])
-		}
-		sa.SortGuards(lits)
-		sigs[p] = sa.SignatureOf(lits)
-	}
-	return sigs
-}
-
 // buildGroups runs class detection: eligibility filter, canonical-hash
 // bucketing, then greedy grouping in schedule order with the exact
-// lockstep match and the schedule-legality check. Two cost-model inputs
-// shape the result: candidates prefer joining a group whose leader
-// shares their static toggle-condition signature (correlated lanes keep
-// group evaluations all-or-nothing), and any compiled class packing
-// fewer than minLanes lanes is dropped back to the scalar path.
+// lockstep match and the schedule-legality check. A candidate joins the
+// first open group of its bucket that takes it, and any compiled class
+// packing fewer than minLanes lanes is dropped back to the scalar path
+// (the cost-model floor).
 //
 // Legality: member p evaluates at its leader L's (earlier) position.
 // Every data predecessor X of p must already be final by then —
@@ -563,7 +416,7 @@ func (v *VecCCSS) guardSignatures(noSA bool) []uint64 {
 // also satisfy effPos(X) < pos(L). The rule stays sound under later
 // regrouping because grouping only ever moves a partition's effective
 // position earlier (leaders precede members in schedule order).
-func (v *VecCCSS) buildGroups(maxLanes, minLanes int, noSA bool) {
+func (v *VecCCSS) buildGroups(maxLanes, minLanes int) {
 	dataPreds, ordPreds := v.partPreds()
 	v.vst.MinLanes = minLanes
 
@@ -577,12 +430,6 @@ func (v *VecCCSS) buildGroups(maxLanes, minLanes int, noSA bool) {
 		}
 	}
 	v.vst.EligibleParts = len(eligible)
-	sigOf := v.guardSignatures(noSA)
-	for _, p := range eligible {
-		if sigOf != nil && sigOf[p] != 0 {
-			v.vst.GatedParts++
-		}
-	}
 	buckets := partition.GroupByHash(eligible, hashOf)
 	v.vst.Classes = len(buckets)
 
@@ -626,16 +473,12 @@ func (v *VecCCSS) buildGroups(maxLanes, minLanes int, noSA bool) {
 	}
 
 	// tryJoin attempts to add cand to an existing open group in
-	// [first,len(open)); sameSigOnly restricts to groups whose leader
-	// shares cand's toggle-condition signature. Candidates are visited
-	// in schedule order, so any group a candidate joins has an earlier
-	// leader — the legality rule's invariant.
-	tryJoin := func(cand, first int, sameSigOnly bool) bool {
+	// [first,len(open)). Candidates are visited in schedule order, so any
+	// group a candidate joins has an earlier leader — the legality rule's
+	// invariant.
+	tryJoin := func(cand, first int) bool {
 		for gi := first; gi < len(open); gi++ {
 			g := &open[gi]
-			if sameSigOnly && sigOf[g.members[0]] != sigOf[cand] {
-				continue
-			}
 			if len(g.members) >= maxLanes {
 				continue
 			}
@@ -672,24 +515,14 @@ func (v *VecCCSS) buildGroups(maxLanes, minLanes int, noSA bool) {
 		for _, bucket := range buckets {
 			first := len(open)
 			for _, cand := range bucket {
-				if banned[cand] {
+				if banned[cand] || tryJoin(cand, first) {
 					continue
 				}
-				// Signature affinity: partitions gated by the same
-				// external condition toggle together, so cluster them
-				// first; fall back to any structurally legal group.
-				joined := sigOf != nil && sigOf[cand] != 0 &&
-					tryJoin(cand, first, true)
-				if !joined {
-					joined = tryJoin(cand, first, false)
-				}
-				if !joined {
-					open = append(open, openGroup{
-						members: []int{cand},
-						phis:    []map[int32]int32{nil},
-					})
-					grpOf[cand] = int32(len(open) - 1)
-				}
+				open = append(open, openGroup{
+					members: []int{cand},
+					phis:    []map[int32]int32{nil},
+				})
+				grpOf[cand] = int32(len(open) - 1)
 			}
 		}
 		// Cost-model floor: a matched class below the lane floor loses
@@ -749,21 +582,6 @@ func (v *VecCCSS) buildGroups(maxLanes, minLanes int, noSA bool) {
 		if len(members) > v.vst.MaxLanes {
 			v.vst.MaxLanes = len(members)
 		}
-		if sigOf != nil {
-			shared := sigOf[members[0]]
-			if shared != 0 {
-				all := true
-				for _, p := range members[1:] {
-					if sigOf[p] != shared {
-						all = false
-						break
-					}
-				}
-				if all {
-					v.vst.SharedGuardGroups++
-				}
-			}
-		}
 	}
 }
 
@@ -789,13 +607,13 @@ func (v *VecCCSS) stateOffsets() map[int32]bool {
 	return offs
 }
 
-// finalizeGroup compiles one class: lower the leader's schedule range,
-// walk the ops once assigning slots to offsets in first-appearance order
-// (a first appearance as a read marks a boundary load) while rewriting
-// them into slot space, and derive the scatter sets. Returns nil if
-// an output was never assigned a slot (nothing in the walk wrote or
-// read it — cannot happen for a well-formed schedule, but fall back to
-// scalar rather than miscompile).
+// finalizeGroup compiles one class: copy the leader's span of the stream
+// with its skip targets rebased to the copy, walk the ops once assigning
+// slots to offsets in first-appearance order (a first appearance as a
+// read marks a boundary load) while rewriting them into slot space, and
+// derive the scatter sets. Returns nil if an output was never assigned a
+// slot (nothing in the walk wrote or read it — cannot happen for a
+// well-formed span, but fall back to scalar rather than miscompile).
 func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 	stateOffs map[int32]bool) *vecGroup {
 	m := v.machine
@@ -826,9 +644,12 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 		return s
 	}
 
-	r := pt.sched[leader]
-	ops, spans := lower(m.sched[r[0]:r[1]], m.instrs, nil)
+	sp := m.spans[leader]
+	ops := slices.Clone(m.ops[sp.PC:sp.End])
 	for i := range ops {
+		if c := ops[i].Code; c == OpSkipZ || c == OpSkipNZ {
+			ops[i].X -= sp.PC
+		}
 		for k, off := range ops[i].offsets() {
 			if off == nil {
 				continue
@@ -839,7 +660,7 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 			}
 		}
 	}
-	g.ops, g.weight = ops, spans[0].Weight
+	g.ops, g.weight = ops, sp.Weight
 	g.nslots = len(slotOffs)
 
 	// Per-lane offsets: lane 0 is the leader verbatim, lane l maps
@@ -893,8 +714,8 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 			}
 		}
 	}
-	sort.Slice(g.stores, func(i, j int) bool { return g.stores[i] < g.stores[j] })
-	sort.Slice(g.loads, func(i, j int) bool { return g.loads[i] < g.loads[j] })
+	slices.Sort(g.stores)
+	slices.Sort(g.loads)
 
 	g.regs = make([][]int32, lanes)
 	for l, p := range members {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"essent/internal/netlist"
@@ -370,6 +371,28 @@ func TestVecVerifierMutations(t *testing.T) {
 		}
 		t.Fatal("no class program with a skip to corrupt")
 	})
+	// A class program one op field away from its leader's span is no
+	// longer that span mapped to slots.
+	for _, mut := range []struct {
+		name string
+		edit func(op *Op, nslots int32)
+	}{
+		{"op-code-corrupted", func(op *Op, _ int32) { op.Code ^= 1 }},
+		{"op-shift-corrupted", func(op *Op, _ int32) { op.Sh ^= 1 }},
+		{"op-mask-corrupted", func(op *Op, _ int32) { op.Mask ^= 1 }},
+		{"op-operand-corrupted", func(op *Op, n int32) { op.A = (op.A + 1) % n }},
+	} {
+		t.Run(mut.name, func(t *testing.T) {
+			v := build(t)
+			g := &v.groups[0]
+			pc := slices.IndexFunc(g.ops, func(op Op) bool { return op.Code.Reads()&RdA != 0 && op.Code < OpSkipZ })
+			if pc < 0 || g.nslots < 2 {
+				t.Fatal("no class op with an operand to corrupt")
+			}
+			mut.edit(&g.ops[pc], int32(g.nslots))
+			expect(t, v, "SM-LOWER")
+		})
+	}
 	t.Run("illegal-position", func(t *testing.T) {
 		v := build(t)
 		// Fabricate a dependence violation by swapping the group's
@@ -444,39 +467,5 @@ func TestVecMinLanesFloor(t *testing.T) {
 	}
 	if ast := accept.VecInfo(); ast.Groups == 0 || ast.DroppedGroups != 0 {
 		t.Fatalf("MinLanes 2 did not re-admit the class: %+v", ast)
-	}
-}
-
-// TestVecGuardSignatures: the replicated accumulator bank shares one
-// global enable, so the partitions carry a static toggle-condition
-// signature, the compiled class is signature-homogeneous, and the NoSA
-// ablation compiles the same lanes and stays bit-exact.
-func TestVecGuardSignatures(t *testing.T) {
-	d := compileVecTest(t, replicatedSrc(8))
-	v, err := newVecCCSS(d, Options{MinVecLanes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := v.VecInfo()
-	if st.Groups == 0 {
-		t.Fatalf("no classes found: %+v", st)
-	}
-	if st.GatedParts == 0 || st.SharedGuardGroups == 0 {
-		t.Fatalf("shared global enable not reflected in signatures: %+v", st)
-	}
-	ab, err := newVecCCSS(d, Options{MinVecLanes: 2, NoSA: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ast := ab.VecInfo()
-	if ast.GatedParts != 0 || ast.SharedGuardGroups != 0 {
-		t.Fatalf("NoSA still computed signatures: %+v", ast)
-	}
-	if ast.Groups != st.Groups || ast.VecParts != st.VecParts {
-		t.Fatalf("ablation changed class coverage: sa %+v vs nosa %+v", st, ast)
-	}
-	stepCompare(t, v, ab, d, 23, 150)
-	if rs, vs := *v.Stats(), *ab.Stats(); rs != vs {
-		t.Fatalf("stats diverged:\nsa: %+v\nnosa: %+v", rs, vs)
 	}
 }

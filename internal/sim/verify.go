@@ -554,8 +554,8 @@ func nodeReadsSignal(d *netlist.Design, dg *netlist.DesignGraph, v int, sig netl
 
 // verifyLowering (SM-LOWER) validates ops and spans as the lowering of the
 // schedule (sched, instrs) grouped by ranges (nil: one group) over a table
-// of tlen words — the scalar stream (which every batch lane runs), or
-// (with slots mapped back to the leader's offsets) a vec class program.
+// of tlen words — the scalar stream, which every batch lane runs and every
+// vec class program is checked against (SM-LOWER in verify_vec.go).
 // Positions, skip targets, weights and group spans are
 // recomputed here from the schedule alone; an instruction's op is
 // compared against a fresh lowering of the instruction, which is what

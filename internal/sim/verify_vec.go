@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"essent/internal/verify"
 )
@@ -24,8 +23,8 @@ import (
 //	                boundary load or written earlier in the program;
 //	                every output/store slot is written somewhere
 //	SM-LOWER        the class program, its slots mapped back to the
-//	                leader's offsets, is the lowering of the leader's
-//	                schedule range (verifyLowering)
+//	                leader's offsets and its skip targets to the leader's
+//	                span, is that span of the verified stream op for op
 //	SM-VEC-POS      schedule legality recomputed from the plan: every
 //	                data predecessor of a member resolves before the
 //	                leader's position and outside the member's group;
@@ -218,18 +217,28 @@ func (c *vecChecker) checkDefUse(gi int, g *vecGroup) {
 	}
 }
 
-// checkLowering (SM-LOWER) maps the class program's slots back to the
-// leader's table offsets (lane 0 of laneOff) and checks the result against
-// the leader's schedule range like any other stream. checkDefUse has
-// already reported a slot out of range; such a program is skipped here.
+// checkLowering (SM-LOWER) maps the class program back to its leader's
+// stream — slots through lane 0 of laneOff, skip targets by the span's
+// start — and checks that it is the leader's span op for op, at the
+// span's weight. The span itself was checked against the leader's schedule
+// range when the scalar stream was verified. checkDefUse has already
+// reported a slot out of range; such a program is skipped here.
 func (c *vecChecker) checkLowering(gi int, g *vecGroup) {
 	v := c.v
 	if p := g.parts[0]; p < 0 || int(p) >= v.NumPartitions() {
 		return // SM-VEC-CLASS
 	}
-	ops := slices.Clone(g.ops)
-	for i := range ops {
-		for _, s := range ops[i].offsets() {
+	sp := v.machine.spans[g.parts[0]]
+	span := v.machine.ops[sp.PC:sp.End]
+	const hint = "a class program is its leader's span with table offsets renamed to slots"
+	if len(g.ops) != len(span) || g.weight != sp.Weight {
+		c.errf("SM-LOWER", c.groupLoc(gi), hint,
+			"%d ops of weight %d for a leader span of %d ops of weight %d",
+			len(g.ops), g.weight, len(span), sp.Weight)
+		return
+	}
+	for pc, op := range g.ops {
+		for _, s := range op.offsets() {
 			if s == nil {
 				continue
 			}
@@ -238,12 +247,14 @@ func (c *vecChecker) checkLowering(gi int, g *vecGroup) {
 			}
 			*s = g.laneOff[int(*s)*g.lanes]
 		}
-	}
-	m, r := v.machine, v.parts.sched[g.parts[0]]
-	span := []Span{{PC: 0, End: int32(len(ops)), Weight: g.weight}}
-	for _, d := range verifyLowering(m.sched[r[0]:r[1]], m.instrs, nil, ops, span, len(m.t)) {
-		d.Loc = c.groupLoc(gi) + " " + d.Loc
-		c.diags = append(c.diags, d)
+		if op.Code == OpSkipZ || op.Code == OpSkipNZ {
+			op.X += sp.PC
+		}
+		if op != span[pc] {
+			c.errf("SM-LOWER", c.groupLoc(gi), hint,
+				"op %d %+v maps back to %+v, the leader's span has %+v",
+				pc, g.ops[pc], op, span[pc])
+		}
 	}
 }
 
