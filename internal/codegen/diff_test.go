@@ -150,6 +150,29 @@ circuit GInput :
 `, func(cyc int) []diffPoke {
 		return []diffPoke{{cyc, "d", uint64(cyc*29) & 255}, {cyc, "en", uint64(cyc % 30 / 26)}}
 	}},
+	// The consumer reads c only inside the inner when; the outer guard is
+	// its own, the inner one (register g) another partition's.
+	{"guard_nested", `
+circuit GNested :
+  module GNested :
+    input clock : Clock
+    input x : UInt<1>
+    input y : UInt<1>
+    input s : UInt<8>
+    reg c : UInt<8>, clock
+    reg g : UInt<1>, clock
+    reg r : UInt<8>, clock
+    c <= tail(add(c, UInt<8>(1)), 1)
+    g <= eq(s, UInt<8>(3))
+    node en = and(x, y)
+    when en :
+      r <= not(s)
+      when g :
+        r <= xor(s, c)
+`, func(cyc int) []diffPoke {
+		return []diffPoke{{cyc, "x", uint64(cyc%3+1) / 2}, {cyc, "y", uint64(cyc % 5 / 2 % 2)},
+			{cyc, "s", uint64(3 + cyc%7/2)}}
+	}},
 }
 
 // watchAll lists every output and register of d.

@@ -14,8 +14,8 @@ import (
 // for as long as design, options and FormatVersion agree, so a change to
 // the emitted text must come with a new version.
 const (
-	pinnedVersion  = 3
-	emittedTextPin = "07506aba15c9c5f088301f51e43a277f460bcc06fddcf3a2c9884938c30b0c77"
+	pinnedVersion  = 4
+	emittedTextPin = "16b52697717b4fcae52251c949d7d10f8e337625ef6708aee08605531f8e4c8e"
 )
 
 func TestFormatVersionPinsEmittedText(t *testing.T) {

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"essent/internal/netlist"
@@ -21,7 +23,9 @@ type MuxShadows struct {
 	Shadowed map[netlist.SignalID]bool
 }
 
-// MuxArms holds the true/false arm cones of one mux.
+// MuxArms holds the true/false arm cones of one mux. A member that is a
+// mux with arms of its own lists its cones under its own entry: its
+// regions nest inside this mux's.
 type MuxArms struct {
 	T, F []netlist.SignalID
 }
@@ -29,9 +33,12 @@ type MuxArms struct {
 // ComputeMuxShadows analyzes a design for arm-exclusive cones. scope maps
 // each design-graph node to an evaluation scope (partition ID, or all
 // zeros for a full-cycle schedule); cones never cross scopes. nodePos
-// gives a topological position for every node (used to order cone
-// members and to process muxes downstream-first so nested muxes claim
-// their cones before enclosing ones).
+// gives a topological position for every node: it orders cone members,
+// and muxes are processed upstream-first by it, so a mux nested in
+// another's arm claims its own arm cones before the enclosing mux claims
+// it. Its arms then run as skip regions nested inside the enclosing
+// mux's. A skip is one dispatch, so an arm of one op saves none: it is
+// claimed only when its region could guard a wake edge (DESIGN §6).
 func ComputeMuxShadows(d *netlist.Design, dg *netlist.DesignGraph,
 	scope []int, nodePos []int) *MuxShadows {
 	ms := &MuxShadows{
@@ -94,7 +101,7 @@ func ComputeMuxShadows(d *netlist.Design, dg *netlist.DesignGraph,
 		protected[d.Regs[ri].Out] = true
 	}
 
-	// Collect muxes, downstream-first.
+	// Collect muxes, upstream-first.
 	var muxes []int
 	for i := range d.Signals {
 		s := &d.Signals[i]
@@ -102,14 +109,32 @@ func ComputeMuxShadows(d *netlist.Design, dg *netlist.DesignGraph,
 			muxes = append(muxes, i)
 		}
 	}
-	sort.Slice(muxes, func(a, b int) bool { return nodePos[muxes[a]] > nodePos[muxes[b]] })
+	sort.Slice(muxes, func(a, b int) bool { return nodePos[muxes[a]] < nodePos[muxes[b]] })
 
-	// deferPos records where a claimed signal will actually execute: the
-	// schedule position of the outermost mux whose expansion contains it.
-	// A nested mux's own cone members inherit that outer position.
-	deferPos := map[netlist.SignalID]int{}
+	// earliest is the first schedule position of a non-data graph
+	// successor (register update elision: reader → in-place write) of x or
+	// of any member nested in x's arms. Claiming x defers all of them to
+	// the claiming mux's position, which must come first. Every candidate
+	// lies upstream of the claiming mux, so its arms are final.
+	var earliest func(x netlist.SignalID) int
+	earliest = func(x netlist.SignalID) int {
+		e := math.MaxInt
+		for _, z := range dg.G.Out(int(x)) {
+			if z < numSig && !slices.Contains(fanout[x], int32(z)) {
+				e = min(e, nodePos[z])
+			}
+		}
+		if arms := ms.Arms[x]; arms != nil {
+			for _, cone := range [2][]netlist.SignalID{arms.T, arms.F} {
+				for _, y := range cone {
+					e = min(e, earliest(y))
+				}
+			}
+		}
+		return e
+	}
 
-	claimable := func(x netlist.SignalID, mux int, ownerPos int) bool {
+	claimable := func(x netlist.SignalID, mux int) bool {
 		s := &d.Signals[x]
 		if (s.Kind != netlist.KComb && s.Kind != netlist.KMemRead) ||
 			protected[x] || ms.Shadowed[x] {
@@ -121,38 +146,63 @@ func ComputeMuxShadows(d *netlist.Design, dg *netlist.DesignGraph,
 		if len(fanout[x]) == 0 {
 			return false // dead or side-channel signals stay unconditional
 		}
-		// Claiming x defers its evaluation to the owning expansion's
-		// schedule position. Ordering edges (register update elision:
-		// reader → in-place write) must still hold: any non-data graph
-		// successor of x scheduled at or before that position forbids
-		// the deferral.
-		for _, y := range dg.G.Out(int(x)) {
-			if y >= numSig {
-				continue // sink data edges; sink-fed signals are already excluded
+		return earliest(x) > nodePos[mux]
+	}
+
+	// foreign reports whether x reads a value its scope does not compute —
+	// an input, a register or another scope's signal — which is what a wake
+	// edge into the scope carries.
+	foreign := func(x netlist.SignalID) bool {
+		for _, a := range operandsOf(d, x) {
+			if a.IsConst() {
+				continue
 			}
-			isData := false
-			for _, u := range fanout[x] {
-				if u >= 0 && int(u) == y {
-					isData = true
-					break
-				}
-			}
-			if !isData && nodePos[y] <= ownerPos {
-				return false
+			if k := d.Signals[a.Sig].Kind; (k != netlist.KComb && k != netlist.KMemRead) ||
+				scope[a.Sig] != scope[x] {
+				return true
 			}
 		}
-		return true
+		return false
+	}
+
+	// Growing the cone of one arm of owner: an operand joins once every
+	// use of it is inside the cone — by a member, or by a member nested in
+	// one's arms. enter counts the uses by x and by everything nested in
+	// x's arms; uses[s] is valid where stamp[s] is the arm's epoch.
+	var (
+		members []netlist.SignalID
+		owner   int
+		uses    = make([]int, numSig)
+		stamp   = make([]int32, numSig)
+		epoch   int32
+		enter   func(x netlist.SignalID)
+	)
+	enter = func(x netlist.SignalID) {
+		for _, a := range operandsOf(d, x) {
+			if a.IsConst() {
+				continue
+			}
+			if stamp[a.Sig] != epoch {
+				stamp[a.Sig], uses[a.Sig] = epoch, 0
+			}
+			uses[a.Sig]++
+			if uses[a.Sig] == len(fanout[a.Sig]) && claimable(a.Sig, owner) {
+				members = append(members, a.Sig)
+				enter(a.Sig)
+			}
+		}
+		if arms := ms.Arms[x]; arms != nil {
+			for _, cone := range [2][]netlist.SignalID{arms.T, arms.F} {
+				for _, y := range cone {
+					enter(y)
+				}
+			}
+		}
 	}
 
 	for _, mi := range muxes {
 		op := d.Signals[mi].Op
 		sel, tArg, fArg := op.Args[0], op.Args[1], op.Args[2]
-		// A mux already claimed into an outer cone executes at the outer
-		// expansion's position; its own cones inherit that deferral.
-		ownerPos := nodePos[mi]
-		if dp, ok := deferPos[netlist.SignalID(mi)]; ok {
-			ownerPos = dp
-		}
 		arms := &MuxArms{}
 		for armIdx, arg := range []netlist.Arg{tArg, fArg} {
 			if arg.IsConst() {
@@ -165,44 +215,21 @@ func ComputeMuxShadows(d *netlist.Design, dg *netlist.DesignGraph,
 				(armIdx == 1 && !tArg.IsConst() && tArg.Sig == root) {
 				continue
 			}
-			if !claimable(root, mi, ownerPos) || !allUsersAre(fanout[root], int32(mi)) {
+			if !claimable(root, mi) || !allUsersAre(fanout[root], int32(mi)) {
 				continue
 			}
-			cone := map[netlist.SignalID]bool{root: true}
-			// Grow: operands of cone members join when every use is
-			// inside the cone.
-			changed := true
-			for changed {
-				changed = false
-				for x := range cone {
-					for _, a := range operandsOf(d, x) {
-						if a.IsConst() || cone[a.Sig] || !claimable(a.Sig, mi, ownerPos) {
-							continue
-						}
-						inside := true
-						for _, u := range fanout[a.Sig] {
-							if u == sinkUser || !cone[netlist.SignalID(u)] {
-								inside = false
-								break
-							}
-						}
-						if inside {
-							cone[a.Sig] = true
-							changed = true
-						}
-					}
-				}
-			}
-			members := make([]netlist.SignalID, 0, len(cone))
-			for x := range cone {
-				members = append(members, x)
+			members, owner = []netlist.SignalID{root}, mi
+			epoch++
+			enter(root)
+			// One op: claimed only if a wake edge could hang on its region.
+			if len(members) == 1 && ms.Arms[root] == nil && !foreign(root) {
+				continue
 			}
 			sort.Slice(members, func(a, b int) bool {
 				return nodePos[members[a]] < nodePos[members[b]]
 			})
 			for _, x := range members {
 				ms.Shadowed[x] = true
-				deferPos[x] = ownerPos
 			}
 			if armIdx == 0 {
 				arms.T = members

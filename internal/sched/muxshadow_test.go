@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"essent/internal/netlist"
@@ -91,8 +92,10 @@ circuit T :
 }
 
 func TestMuxShadowNestedMuxes(t *testing.T) {
-	// An inner mux (with its own cone) inside the outer mux's arm: both
-	// levels claim, and the inner's members are not double-claimed.
+	// An inner mux (with its own cone) inside the outer mux's arm: the
+	// inner mux keeps its own arms and is itself a member of the outer's,
+	// so its skip regions nest inside the outer's; no signal is listed by
+	// two arms.
 	d, ms := shadowsFor(t, `
 circuit T :
   module T :
@@ -106,25 +109,25 @@ circuit T :
     node outer_t = xor(inner, pad(b, 16))
     o <= mux(s1, outer_t, pad(b, 16))
 `)
-	innerT, _ := d.SignalByName("inner_t")
-	outerT, _ := d.SignalByName("outer_t")
-	if !ms.Shadowed[innerT] || !ms.Shadowed[outerT] {
-		t.Fatalf("nested cones not claimed (inner_t=%v outer_t=%v)",
-			ms.Shadowed[innerT], ms.Shadowed[outerT])
+	sig := func(name string) netlist.SignalID {
+		s, ok := d.SignalByName(name)
+		if !ok {
+			t.Fatalf("no signal %q", name)
+		}
+		return s
 	}
-	inner, _ := d.SignalByName("inner")
-	// The inner mux itself belongs to the outer arm's cone.
-	if !ms.Shadowed[inner] {
-		t.Fatal("inner mux should be inside the outer cone")
+	inner, innerT, outerT := sig("inner"), sig("inner_t"), sig("outer_t")
+	in, ok := ms.Arms[inner]
+	if !ok || !slices.Contains(in.T, innerT) {
+		t.Fatalf("inner mux has no true arm holding inner_t: %+v", in)
 	}
-	// The inner mux's own arm list must not contain signals that the
-	// outer arm also lists (no double emission).
+	outer, ok := ms.Arms[sig("o")]
+	if !ok || !slices.Contains(outer.T, inner) || !slices.Contains(outer.T, outerT) {
+		t.Fatalf("outer true arm %v does not hold inner (%d) and outer_t (%d)", outer, inner, outerT)
+	}
 	counts := map[netlist.SignalID]int{}
 	for _, arms := range ms.Arms {
-		for _, s := range arms.T {
-			counts[s]++
-		}
-		for _, s := range arms.F {
+		for _, s := range slices.Concat(arms.T, arms.F) {
 			counts[s]++
 		}
 	}
@@ -135,10 +138,10 @@ circuit T :
 	}
 }
 
-// TestMuxShadowDeferralRespectsElision reproduces the nested-deferral
-// regression: a cone member reading an in-place-updated register must not
-// be deferred past the register's write, even when its owning mux is
-// itself nested in an outer cone whose position lies after the write.
+// TestMuxShadowDeferralRespectsElision: an inner arm reading an in-place
+// register keeps its own region, scheduled before the register's write,
+// and the outer mux, positioned after the write, does not claim the inner
+// mux: that would defer the read past the write.
 func TestMuxShadowDeferralRespectsElision(t *testing.T) {
 	d := compile(t, `
 circuit T :
@@ -147,13 +150,15 @@ circuit T :
     input s1 : UInt<1>
     input s2 : UInt<1>
     input a : UInt<8>
+    input b : UInt<8>
     output o : UInt<8>
     reg r5 : UInt<8>, clock
     reg r0 : UInt<8>, clock
-    r5 <= a
     node readsR5 = not(r5)
     node inner = mux(s2, readsR5, a)
-    node outerArm = tail(add(inner, a), 1)
+    node nx = xor(a, b)
+    r5 <= nx
+    node outerArm = tail(add(inner, nx), 1)
     r0 <= mux(s1, outerArm, a)
     o <= r0
 `)
@@ -161,36 +166,29 @@ circuit T :
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Shadows == nil {
-		t.Fatal("no shadows computed")
-	}
-	// If r5 is elided and readsR5 got claimed, its deferral position must
-	// precede r5$next in the order.
-	pos := map[int]int{}
+	pos := map[netlist.SignalID]int{}
 	for i, n := range plan.Order {
-		pos[n] = i
+		pos[netlist.SignalID(n)] = i
 	}
 	readsR5, _ := d.SignalByName("readsR5")
-	r5next := d.Regs[0].Next
-	if d.Regs[0].Name != "r5" {
-		r5next = d.Regs[1].Next
+	inner, _ := d.SignalByName("inner")
+	r5, r0 := d.Regs[0], d.Regs[1]
+	if r5.Name != "r5" {
+		r5, r0 = r0, r5
 	}
-	if plan.Shadows.Shadowed[readsR5] {
-		// Find the outermost owner chain position by locating the mux
-		// whose arm contains readsR5.
-		for mx, arms := range plan.Shadows.Arms {
-			for _, lists := range [][]netlist.SignalID{arms.T, arms.F} {
-				for _, s := range lists {
-					if s == readsR5 && pos[int(mx)] > pos[int(r5next)] {
-						// The owner itself must not be deferred past
-						// r5$next through an outer cone.
-						if plan.Shadows.Shadowed[mx] {
-							t.Fatalf("readsR5 deferred into nested cone past r5$next")
-						}
-					}
-				}
-			}
-		}
+	if !plan.Elided[0] || !plan.Elided[1] ||
+		!(pos[inner] < pos[r5.Next] && pos[r5.Next] < pos[r0.Next]) {
+		t.Fatalf("precondition: r5 and r0 elided, inner < r5's write < r0's mux in the order (elided %v)",
+			plan.Elided)
+	}
+	if in := plan.Shadows.Arms[inner]; in == nil || !slices.Equal(in.T, []netlist.SignalID{readsR5}) {
+		t.Fatalf("inner mux arms %+v, want readsR5 in its true arm", in)
+	}
+	if plan.Shadows.Shadowed[inner] {
+		t.Fatal("the outer mux claimed inner, deferring readsR5 past r5's in-place write")
+	}
+	if out := plan.Shadows.Arms[r0.Next]; out == nil || len(out.T) == 0 {
+		t.Fatalf("outer mux arms %+v, want its true arm claimed", out)
 	}
 }
 

@@ -341,8 +341,8 @@ func (c *CCSS) anyFlagged(fs flagSet) bool {
 // next returns the first partition in [from, end) the walk must stop at
 // — flagged, or marked in always — or end when there is none. It reads
 // the flag word afresh on every call, so a wake that an evaluation sent
-// to a later partition of the same word is seen in the same pass (serial
-// specs depend on it).
+// to a later partition of the same word is seen in the same pass
+// (runInline's one ascending scan is a whole cycle only because of it).
 func (c *CCSS) next(from, end int32) int32 {
 	for from < end {
 		w := from >> 6

@@ -100,6 +100,28 @@ circuit GInput :
       r <= xor(r, d)
 `
 
+// guardNestedSrc: Q reads c only inside the inner when, whose guard is
+// the register g that another partition writes; the outer guard en has no
+// reader but Q's mux, so Q computes it and its region guards nothing.
+const guardNestedSrc = `
+circuit GNested :
+  module GNested :
+    input clock : Clock
+    input x : UInt<1>
+    input y : UInt<1>
+    input s : UInt<8>
+    reg c : UInt<8>, clock
+    reg g : UInt<1>, clock
+    reg r : UInt<8>, clock
+    c <= tail(add(c, UInt<8>(1)), 1)
+    g <= eq(s, UInt<8>(3))
+    node en = and(x, y)
+    when en :
+      r <= not(s)
+      when g :
+        r <= xor(s, c)
+`
+
 // guardOutsideSrc (negative): Q reads c in both ways, so one read is
 // outside every region run under a literal.
 const guardOutsideSrc = `
@@ -331,6 +353,22 @@ func wantGuard(t *testing.T, c *CCSS, guarded []int32, lits []WakeGuard, guard s
 	}
 }
 
+// deepGuards counts c's guarded edges whose literal is a region at depth
+// 2 or more: a skip nested inside another.
+func deepGuards(c *CCSS) int {
+	rs, n := newSkipRegions(len(c.t)), 0
+	for _, p := range c.wakeProducers() {
+		_, guarded, _ := c.parts.Wakes(*p.w)
+		for _, q := range guarded {
+			rs.walk(c.machine, q)
+			if r := rs.guardOf(p.off, p.words); r >= 0 && rs.regions[r].depth >= 2 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // sinkParts marks the partitions whose span holds a sink op.
 func sinkParts(c *CCSS) []bool {
 	has := make([]bool, len(c.parts.rows))
@@ -437,6 +475,18 @@ func TestGuardedWake(t *testing.T) {
 		}
 		if got, all := c.Stats().PartEvals, ab.Stats().PartEvals; got*2 > all {
 			t.Fatalf("PartEvals %d, unguarded %d: the d pokes still wake the consumer", got, all)
+		}
+	})
+	t.Run("nested-when", func(t *testing.T) {
+		d := compileSrc(t, guardNestedSrc)
+		c := guardedRun(t, d, lanes, cycles, func(l, cyc int) []lanePoke {
+			return []lanePoke{{"x", b2u((cyc+l)%3 != 0)}, {"y", b2u((cyc+2*l)%5 < 3)},
+				{"s", uint64(3 + (cyc+l)%7/2)}}
+		}, nil)
+		_, guarded, lits := outputWake(t, c, "c")
+		wantGuard(t, c, guarded, lits, "g")
+		if deepGuards(c) == 0 {
+			t.Fatal("the edge from c is not guarded by a nested region")
 		}
 	})
 	t.Run("vec-class-producer", func(t *testing.T) {
@@ -622,11 +672,12 @@ func wakeFuzzN(t *testing.T) int {
 // TestGuardedWakeFuzz runs random circuits on every CCSS-family engine
 // against the full-cycle engine (guardedRun, at Cp 1 where guarded edges
 // are most numerous), then gives each circuit that has a guarded edge one
-// SM-WAKE mutation, which strict verification must reject.
+// SM-WAKE mutation, which strict verification must reject. Some edges must
+// be guarded by a nested region, or nesting goes untested.
 func TestGuardedWakeFuzz(t *testing.T) {
 	n := wakeFuzzN(t)
 	kinds := []string{"polarity", "self-guard", "drop-skip"}
-	ran, withGuards := 0, 0
+	ran, withGuards, deep := 0, 0, 0
 	for seed := int64(0); seed < int64(n); seed++ {
 		d, err := netlist.Compile(randckt.Generate(seed+7100, randckt.DefaultConfig()))
 		if err != nil {
@@ -649,13 +700,18 @@ func TestGuardedWakeFuzz(t *testing.T) {
 				return
 			}
 			withGuards++
+			deep += deepGuards(c)
 			kind := kinds[int(seed)%len(kinds)]
 			guardMutation(t, c, kind)
 			wantSMWake(t, c, kind)
 		})
 	}
-	t.Logf("%d of %d circuits have a guarded edge", withGuards, ran)
+	t.Logf("%d of %d circuits have a guarded edge; %d edges are guarded at depth >= 2",
+		withGuards, ran, deep)
 	if ran > 0 && withGuards == 0 {
 		t.Fatal("no circuit had a guarded edge: the fuzz exercises nothing")
+	}
+	if ran > 0 && deep == 0 {
+		t.Fatal("no edge was guarded by a nested region: the fuzz exercises no nesting")
 	}
 }
