@@ -241,6 +241,8 @@ func main() {
 
 	if *stats {
 		fmt.Printf("compile:         %s\n", sim.CompileTimings())
+		edge, regs := sim.EdgeResets()
+		fmt.Printf("resets:          %d of %d registers reset at the clock edge\n", edge, regs)
 		st := sim.Stats()
 		fmt.Printf("cycles:          %d\n", st.Cycles)
 		fmt.Printf("ops evaluated:   %d (%.1f/cycle)\n",

@@ -770,6 +770,19 @@ func (s *Sim) WakeEdges() (total, guarded int) {
 // NumSignals reports the design size in graph nodes.
 func (s *Sim) NumSignals() int { return len(s.d.Signals) }
 
+// EdgeResets reports how many of the compiled design's registers load
+// their reset value at the clock edge — the optimizer moved their reset
+// mux out of the next-value cone (opt.Stats.ResetsExtracted) — and how
+// many registers it has.
+func (s *Sim) EdgeResets() (atEdge, regs int) {
+	for _, r := range s.d.Regs {
+		if r.Reset != netlist.NoSignal {
+			atEdge++
+		}
+	}
+	return atEdge, len(s.d.Regs)
+}
+
 // Inputs lists the design's input port names.
 func (s *Sim) Inputs() []string {
 	var out []string

@@ -82,7 +82,7 @@ func (o Options) Engine() sim.Options {
 // binary is never reused across a change to the emitted text: bump it
 // with any such change (TestFormatVersionPinsEmittedText fails until
 // then).
-const FormatVersion = 4
+const FormatVersion = 5
 
 // Generate emits Go source for a simulator of the design.
 func Generate(d *netlist.Design, opts Options) ([]byte, error) {
@@ -374,15 +374,23 @@ func (g *gen) emitNew() {
 	g.p("// everything-is-stale form after that state was rewritten wholesale.")
 	g.p("func (s *Sim) rearm() {")
 	if g.opts.Mode == ModeCCSS {
-		g.p("  for i := range s.flags { s.flags[i] = true }")
-		g.p("  for i := range s.pd { s.pd[i] = false }")
-		g.p("  for i := range s.prevIn { s.prevIn[i] = ^uint64(0) }")
-		g.p("  s.poked = true")
+		g.p("  s.wakeAll()")
 	}
 	g.p("  for i := range s.pendValid { s.pendValid[i] = false }")
 	g.p("  s.stopErr, s.evalErr = nil, nil")
 	g.p("}")
 	g.p("")
+	if g.opts.Mode == ModeCCSS {
+		g.p("// wakeAll is the activity half of rearm, also run by an edge reset:")
+		g.p("// every partition flagged, the input history invalidated.")
+		g.p("func (s *Sim) wakeAll() {")
+		g.p("  for i := range s.flags { s.flags[i] = true }")
+		g.p("  for i := range s.pd { s.pd[i] = false }")
+		g.p("  for i := range s.prevIn { s.prevIn[i] = ^uint64(0) }")
+		g.p("  s.poked = true")
+		g.p("}")
+		g.p("")
+	}
 }
 
 // prevInWords and oldWords size the input history and the old-value

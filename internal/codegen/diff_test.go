@@ -378,17 +378,20 @@ func (a interpSim) Peek(name string) uint64 {
 	return a.Simulator.Peek(id)
 }
 
-// TestGeneratedMatchesInterpreter compares, for every fixture and every
-// emission variant, each output and register after each cycle against the
-// full-cycle interpreter and — on Serve variants — all ten Stats words
-// against the interpreter built from the same options (the engine whose
-// program was printed). It also vets the emitted packages of the
-// hand-written fixtures.
-func TestGeneratedMatchesInterpreter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles generated code with the Go toolchain")
+// pkgName names the emitted package of fixture f under variant cfg.
+func pkgName(f *diffFixture, cfg diffConfig, serve bool) string {
+	if serve {
+		return f.name + "_" + cfg.name + "_serve"
 	}
-	fixtures := diffFixtures(t)
+	return f.name + "_" + cfg.name
+}
+
+// diffTraces emits every fixture under each of its variants, with and
+// without the Serve surface, as the packages of one module whose driver
+// replays the fixture on each; it runs the driver once and returns the
+// traces by package name, and a runner of the go tool in the module.
+func diffTraces(t *testing.T, fixtures []diffFixture) (map[string]string, func(args ...string) string) {
+	t.Helper()
 	dir := t.TempDir()
 	repoRoot, err := filepath.Abs("../..")
 	if err != nil {
@@ -408,10 +411,7 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 		body.WriteString("}}\n")
 		for _, cfg := range f.variants() {
 			for _, serve := range []bool{false, true} {
-				pkg := fmt.Sprintf("%s_%s", f.name, cfg.name)
-				if serve {
-					pkg += "_serve"
-				}
+				pkg := pkgName(f, cfg, serve)
 				opts := cfg.opts
 				opts.Package, opts.Serve = pkg, serve
 				src, err := Generate(f.d, opts)
@@ -443,6 +443,34 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 		tag, rest, _ := strings.Cut(sec, "\n")
 		traces[tag] = rest
 	}
+	return traces, run
+}
+
+// generatedStats splits a serve package's trace into the replay trace and
+// the Stats its driver printed.
+func generatedStats(trace string) (string, sim.Stats, bool) {
+	got, statsLine, _ := strings.Cut(trace, "stats ")
+	var ws []uint64
+	for _, fld := range strings.Fields(strings.Trim(statsLine, "[]\n")) {
+		var w uint64
+		fmt.Sscan(fld, &w)
+		ws = append(ws, w)
+	}
+	return got, ckpt.StatsFromWords(ws), len(ws) == ckpt.NumStatsWords
+}
+
+// TestGeneratedMatchesInterpreter compares, for every fixture and every
+// emission variant, each output and register after each cycle against the
+// full-cycle interpreter and — on Serve variants — all ten Stats words
+// against the interpreter built from the same options (the engine whose
+// program was printed). It also vets the emitted packages of the
+// hand-written fixtures.
+func TestGeneratedMatchesInterpreter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles generated code with the Go toolchain")
+	}
+	fixtures := diffFixtures(t)
+	traces, run := diffTraces(t, fixtures)
 	run("vet", "./counter_default", "./counter_default_serve", "./mac2_default_serve",
 		"./soc_default_serve", "./soc_neither_serve", "./soc_fullcycleopt_serve")
 
@@ -473,26 +501,14 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 			}
 			wantStats := eng.Stats()
 			for _, serve := range []bool{false, true} {
-				pkg := fmt.Sprintf("%s_%s", f.name, cfg.name)
-				if serve {
-					pkg += "_serve"
-				}
-				got, statsLine, _ := strings.Cut(traces[pkg], "stats ")
+				pkg := pkgName(f, cfg, serve)
+				got, st, ok := generatedStats(traces[pkg])
 				if got != want {
 					t.Errorf("%s diverged:\n--- interpreter ---\n%s--- generated ---\n%s", pkg, want, got)
 					continue
 				}
-				if !serve {
-					continue
-				}
-				var ws []uint64
-				for _, fld := range strings.Fields(strings.Trim(statsLine, "[]\n")) {
-					var w uint64
-					fmt.Sscan(fld, &w)
-					ws = append(ws, w)
-				}
-				if got := ckpt.StatsFromWords(ws); len(ws) != ckpt.NumStatsWords || got != *wantStats {
-					t.Errorf("%s: Stats %+v (line %q), interpreter %+v", pkg, got, statsLine, *wantStats)
+				if serve && (!ok || st != *wantStats) {
+					t.Errorf("%s: Stats %+v, interpreter %+v", pkg, st, *wantStats)
 				}
 			}
 		}

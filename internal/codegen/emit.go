@@ -707,6 +707,7 @@ func (g *gen) emitCommit() {
 			g.p("  }")
 		}
 	}
+	g.emitResets()
 	// Pending memory writes.
 	for i := range d.MemWrites {
 		mem := d.MemWrites[i].Mem
@@ -727,6 +728,35 @@ func (g *gen) emitCommit() {
 	}
 	g.p("}")
 	g.p("")
+}
+
+// emitResets prints the commit's edge resets (sim.ResetGroup): per
+// selector, the interpreter's test of its word, calling a cold function
+// that loads every register of the group with its Init and, in CCSS mode,
+// re-arms the activity state as the interpreter does.
+func (g *gen) emitResets() {
+	pr := g.pr
+	d := pr.D
+	for gi, grp := range pr.Resets {
+		g.p("  if %s != 0 { s.reset%d() }", slot(grp.Sel), gi)
+		var b strings.Builder
+		fmt.Fprintf(&b, "//go:noinline\nfunc (s *Sim) reset%d() {\n", gi)
+		for _, ri := range grp.Regs {
+			r := &d.Regs[ri]
+			for w := range bits.Words(d.Signals[r.Out].Width) {
+				var v uint64
+				if w < len(r.Init) {
+					v = r.Init[w]
+				}
+				fmt.Fprintf(&b, "  s.t[%d] = %#x // %s\n", pr.Off[r.Out]+int32(w), v, r.Name)
+			}
+		}
+		if pr.Parts != nil {
+			b.WriteString("  s.wakeAll()\n")
+		}
+		b.WriteString("}\n")
+		g.cold = append(g.cold, b.String())
+	}
 }
 
 // emitStepLoop emits Step: per cycle, the mode's evaluation calls, then

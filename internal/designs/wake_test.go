@@ -12,11 +12,12 @@ import (
 
 // TestPeripheralStimulusGuard: every boom peripheral's shift register
 // loads its stimulus only inside the inner way of its next-value chain,
-// mux(reset, 0, mux(busy, shift, mux(tick & !busy, cat(stim, ~stim),
-// shreg))). That way is a skip region of its own, nested in the reset and
-// busy ways, and tick & !busy is computed by another partition, so the
-// edge carrying the stimulus into the shift register's partition is
-// guarded by the tick & !busy word, not by reset.
+// mux(busy, shift, mux(tick & !busy, cat(stim, ~stim), shreg)); its reset
+// is applied at the clock edge, so no reset mux tops the chain. The load
+// way is a skip region of its own, nested in the busy way, and tick &
+// !busy is computed by another partition, so the edge carrying the
+// stimulus into the shift register's partition is guarded by the tick &
+// !busy word.
 func TestPeripheralStimulusGuard(t *testing.T) {
 	cfg := Boom()
 	circ, err := Build(cfg)
@@ -62,7 +63,10 @@ func TestPeripheralStimulusGuard(t *testing.T) {
 		if ri < 0 {
 			t.Fatalf("no register %s", name)
 		}
-		load := mux(mux(mux(d.Regs[ri].Next)[2].Sig)[2].Sig)
+		if rst := d.Regs[ri].Reset; rst == netlist.NoSignal || d.Signals[rst].Name != "reset" {
+			t.Fatalf("%s: reset is not applied at the clock edge", name)
+		}
+		load := mux(mux(d.Regs[ri].Next)[2].Sig)
 		guard, cat := load[0].Sig, load[1].Sig
 		stim := d.Signals[cat].Op.Args[0].Sig
 		q, ok := writer[pr.Off[cat]]

@@ -128,7 +128,7 @@ func (b *builder) declare(m *firrtl.Module) error {
 				}
 				litWords(init, lit.Value, x.Type.Width)
 			}
-			d.Regs = append(d.Regs, Reg{Name: x.Name, Out: out, Next: next, Init: init})
+			d.Regs = append(d.Regs, Reg{Name: x.Name, Out: out, Next: next, Init: init, Reset: NoSignal})
 			b.regOf[x.Name] = ri
 			b.regDef[x.Name] = x
 		case *firrtl.DefMemory:

@@ -120,6 +120,11 @@ type Reg struct {
 	Next SignalID
 	// Init holds the reset value words (used for simulator Reset()).
 	Init []uint64
+	// Reset is a synchronous reset applied at the clock edge: while this
+	// design input is nonzero, the edge loads Init instead of Next.
+	// NoSignal means none; the frontend folds a FIRRTL reset into Next as
+	// a mux, and the optimizer moves it here (opt's extractResets).
+	Reset SignalID
 }
 
 // Mem is a memory state element.

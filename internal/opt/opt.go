@@ -1,8 +1,8 @@
 // Package opt implements the netlist optimization passes the paper's
 // simulators apply before scheduling (§III-B): constant propagation,
-// common subexpression elimination, and dead code elimination. The
-// Baseline engine runs with these disabled; FullCycleOpt and CCSS run on
-// the optimized design.
+// common subexpression elimination, reset extraction, and dead code
+// elimination. The Baseline engine runs with these disabled; FullCycleOpt
+// and CCSS run on the optimized design.
 //
 // Constant folding reuses the simulator's own evaluator (a throwaway
 // full-cycle machine computes every constant cone), so folded values
@@ -27,11 +27,14 @@ type Stats struct {
 	CSEMerged   int
 	CopiesProp  int
 	// IdentityFolds counts ops reduced to copies by algebraic identities
-	// (shift by zero, mux with identical arms).
+	// (shift by zero, mux with identical arms, full-width extracts).
 	IdentityFolds int
-	DeadSignals   int
-	DeadRegs      int
-	DeadMems      int
+	// ResetsExtracted counts the registers of the result whose reset mux
+	// left the next-value cone for Reg.Reset (extractResets).
+	ResetsExtracted int
+	DeadSignals     int
+	DeadRegs        int
+	DeadMems        int
 	// Static activity analysis results (zero when the pass is ablated).
 	// SAConstFolded counts signals whose uses were replaced with pool
 	// constants on the strength of the register fixpoint (cones plain
@@ -96,9 +99,15 @@ func OptimizeOpts(d *netlist.Design, o Options) (*netlist.Design, Stats, error) 
 	copyProp(work, &st)
 	cse(work, &st)
 	copyProp(work, &st)
+	extractResets(work)
 	out, err := dce(work, &st)
 	if err != nil {
 		return nil, st, err
+	}
+	for ri := range out.Regs {
+		if out.Regs[ri].Reset != netlist.NoSignal {
+			st.ResetsExtracted++
+		}
 	}
 	if err := revalidate(out, "optimization pipeline"); err != nil {
 		return nil, st, err
@@ -457,7 +466,9 @@ func cse(d *netlist.Design, st *Stats) {
 //   - static shifts by zero (shl/shr with amount 0);
 //   - dynamic shifts by a constant zero — restricted to unsigned
 //     operands, where OCopy's zero-extension matches the shift exactly;
-//   - muxes whose arms are the same operand.
+//   - muxes whose arms are the same operand;
+//   - extracts that keep the whole operand: bits(x, w-1, 0) of a w-bit x,
+//     and tail(x, 0).
 //
 // OCopy extends/truncates to the destination width with the engine's
 // ICopy semantics, which is exactly what each folded op computes on its
@@ -473,6 +484,10 @@ func foldIdentities(d *netlist.Design, st *Stats) {
 			}
 		}
 		return true
+	}
+	width := func(a netlist.Arg) int {
+		w, _ := d.ArgWidth(a)
+		return w
 	}
 	for i := range d.Signals {
 		s := &d.Signals[i]
@@ -494,12 +509,71 @@ func foldIdentities(d *netlist.Design, st *Stats) {
 			src = op.Args[0]
 		case op.Kind == netlist.OMux && op.Args[1] == op.Args[2]:
 			src = op.Args[1]
+		case op.Kind == netlist.OPrim && op.Prim == firrtl.OpBits && op.P1 == 0 &&
+			width(op.Args[0]) == op.P0+1,
+			op.Kind == netlist.OPrim && op.Prim == firrtl.OpTail && op.P0 == 0:
+			src = op.Args[0]
 		default:
 			continue
 		}
 		s.Op = &netlist.Op{Kind: netlist.OCopy, Out: netlist.SignalID(i),
 			Args: []netlist.Arg{src}}
 		st.IdentityFolds++
+	}
+}
+
+// extractResets makes a register's synchronous reset a property of the
+// register: next = mux(in, Init, x), the cold mux markColdResetMuxes
+// marked Unlikely, becomes next = x with Reg.Reset = in, and every engine
+// loads Init at the clock edge while in is nonzero — the same mux, applied
+// at the edge instead of in the per-cycle stream. It applies only when in
+// is a design input (a reset the design computes keeps its mux), the true
+// arm yields exactly Init at next's width, and nothing but the register
+// reads next. When x is a combinational signal that only this mux reads,
+// with next's width and sign, next takes over x's op and dce drops x;
+// otherwise next copies x, extending it as the mux's false arm did.
+func extractResets(d *netlist.Design) {
+	readers := make([]int32, len(d.Signals))
+	replaceUses(d, func(a netlist.Arg) (netlist.Arg, bool) {
+		if !a.IsConst() {
+			readers[a.Sig]++
+		}
+		return a, false
+	})
+	for ri := range d.Regs {
+		readers[d.Regs[ri].Next]++
+	}
+	soleReader := func(id netlist.SignalID) bool {
+		return readers[id] == 1 && !d.Signals[id].IsOutput
+	}
+	for ri := range d.Regs {
+		r := &d.Regs[ri]
+		s := &d.Signals[r.Next]
+		op := s.Op
+		if op == nil || op.Kind != netlist.OMux || !op.Unlikely || !soleReader(r.Next) {
+			continue
+		}
+		sel, init, x := op.Args[0], op.Args[1], op.Args[2]
+		if sel.IsConst() || d.Signals[sel.Sig].Kind != netlist.KInput || !init.IsConst() {
+			continue
+		}
+		c := &d.Consts[init.Const]
+		loaded, want := make([]uint64, bits.Words(s.Width)), make([]uint64, bits.Words(s.Width))
+		bits.ExtendInto(loaded, c.Words, c.Width, c.Signed)
+		bits.MaskInto(loaded, s.Width)
+		bits.Copy(want, r.Init)
+		if !bits.Equal(loaded, want) {
+			continue
+		}
+		if !x.IsConst() && d.Signals[x.Sig].Kind == netlist.KComb && soleReader(x.Sig) &&
+			d.Signals[x.Sig].Width == s.Width && d.Signals[x.Sig].Signed == s.Signed {
+			taken := *d.Signals[x.Sig].Op
+			taken.Out = r.Next
+			s.Op = &taken
+		} else {
+			s.Op = &netlist.Op{Kind: netlist.OCopy, Out: r.Next, Args: []netlist.Arg{x}}
+		}
+		r.Reset = sel.Sig
 	}
 }
 
@@ -604,6 +678,9 @@ func dce(d *netlist.Design, st *Stats) (*netlist.Design, error) {
 		regMap[ri] = len(nd.Regs)
 		r.Out = remap[r.Out]
 		r.Next = remap[r.Next]
+		if r.Reset != netlist.NoSignal {
+			r.Reset = remap[r.Reset] // an input: live like every port
+		}
 		nd.Regs = append(nd.Regs, r)
 	}
 	// Memories.

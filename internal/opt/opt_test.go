@@ -268,8 +268,25 @@ circuit C :
 	}
 }
 
+// resetPulses returns, per cycle of a run of n, the value a mid-run reset
+// pulse drives (-1: no pulse edge that cycle): two pulses of 1 or 3
+// cycles at random cycles past the first ten.
+func resetPulses(rng *rand.Rand, n int) []int {
+	drive := make([]int, n)
+	for i := range drive {
+		drive[i] = -1
+	}
+	for range 2 {
+		at, width := 10+rng.Intn(n-20), 1+2*rng.Intn(2)
+		drive[at], drive[at+width] = 1, 0
+	}
+	return drive
+}
+
 // TestOptimizedEquivalence fuzzes: the optimized design must behave
-// identically to the original on every engine, for shared signals.
+// identically to the original on every engine, for shared signals, with
+// reset pulsed mid-run (the optimizer moves reset muxes to the clock
+// edge).
 func TestOptimizedEquivalence(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
@@ -302,24 +319,32 @@ func TestOptimizedEquivalence(t *testing.T) {
 			subjects = append(subjects, s)
 		}
 		rng := rand.New(rand.NewSource(seed))
+		poke := func(in netlist.SignalID, words []uint64) {
+			name := d.Signals[in].Name
+			ref.PokeWide(in, words)
+			for _, s := range subjects {
+				id, ok := od.SignalByName(name)
+				if !ok {
+					t.Fatalf("input %s lost in optimization", name)
+				}
+				s.PokeWide(id, words)
+			}
+		}
+		reset, _ := d.SignalByName("reset")
+		pulses := resetPulses(rng, 80)
 		for cyc := 0; cyc < 80; cyc++ {
 			if cyc == 0 || rng.Intn(3) == 0 {
 				in := d.Inputs[rng.Intn(len(d.Inputs))]
-				name := d.Signals[in].Name
 				w := d.Signals[in].Width
 				words := make([]uint64, bits.Words(w))
 				for i := range words {
 					words[i] = rng.Uint64()
 				}
 				bits.MaskInto(words, w)
-				ref.PokeWide(in, words)
-				for _, s := range subjects {
-					id, ok := od.SignalByName(name)
-					if !ok {
-						t.Fatalf("input %s lost in optimization", name)
-					}
-					s.PokeWide(id, words)
-				}
+				poke(in, words)
+			}
+			if v := pulses[cyc]; v >= 0 {
+				poke(reset, []uint64{uint64(v)})
 			}
 			if err := ref.Step(1); err != nil {
 				t.Fatal(err)

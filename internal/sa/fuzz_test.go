@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"essent/internal/netlist"
+	"essent/internal/opt"
 	"essent/internal/randckt"
 	"essent/internal/sa"
 	"essent/internal/sim"
@@ -49,27 +50,36 @@ var fuzzCfgs = []randckt.Config{
 //     commit saw the guard inactive.
 //
 // The full-cycle engine is the oracle: it evaluates every signal every
-// cycle, and its post-Step combinational values are exactly the values
-// the register commit consumed (nothing re-evaluates after the commit),
-// which is what makes the hold-guard check valid.
+// cycle (unfused, so every table slot is written), and its post-Step
+// combinational values are exactly the values the register commit
+// consumed (nothing re-evaluates after the commit), which is what makes
+// the hold-guard check valid. Each circuit is checked raw and optimized;
+// the optimized one applies its resets at the clock edge (Reg.Reset), and
+// reset is pulsed mid-run.
 func TestFuzzSoundness(t *testing.T) {
 	iters := fuzzIters(t)
 	cycles := 60
 	for seed := 0; seed < iters; seed++ {
 		cfg := fuzzCfgs[seed%len(fuzzCfgs)]
-		d, err := netlist.Compile(randckt.Generate(int64(seed), cfg))
+		raw, err := netlist.Compile(randckt.Generate(int64(seed), cfg))
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
-		r, err := sa.Analyze(d, sa.Options{})
+		od, _, err := opt.Optimize(raw)
 		if err != nil {
-			t.Fatalf("seed %d: analyze: %v", seed, err)
+			t.Fatalf("seed %d: optimize: %v", seed, err)
 		}
-		s, err := sim.New(d, sim.Options{Engine: sim.EngineFullCycle})
-		if err != nil {
-			t.Fatalf("seed %d: sim: %v", seed, err)
+		for _, d := range []*netlist.Design{raw, od} {
+			r, err := sa.Analyze(d, sa.Options{})
+			if err != nil {
+				t.Fatalf("seed %d: analyze: %v", seed, err)
+			}
+			s, err := sim.New(d, sim.Options{Engine: sim.EngineFullCycle, NoFuse: true})
+			if err != nil {
+				t.Fatalf("seed %d: sim: %v", seed, err)
+			}
+			checkClaims(t, d, r, s, seed, cycles)
 		}
-		checkClaims(t, d, r, s, seed, cycles)
 	}
 }
 
@@ -80,6 +90,7 @@ func checkClaims(t *testing.T, d *netlist.Design, r *sa.Result,
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed) ^ 0x5a))
 	prevReg := make([][]uint64, len(d.Regs))
+	regGuard := make([]uint64, len(d.Regs))
 	var buf []uint64
 	// peek sizes the shared buffer to the signal's word count before
 	// reading (PeekWide copies into dst at dst's length).
@@ -91,6 +102,13 @@ func checkClaims(t *testing.T, d *netlist.Design, r *sa.Result,
 		buf = buf[:need]
 		return s.PeekWide(id, buf)
 	}
+	// Two reset pulses of 1 or 3 cycles, on top of the random pokes.
+	reset, _ := d.SignalByName("reset")
+	pulse := map[int]uint64{}
+	for range 2 {
+		at := 10 + rng.Intn(cycles-20)
+		pulse[at], pulse[at+1+2*rng.Intn(2)] = 1, 0
+	}
 	for cyc := 0; cyc < cycles; cyc++ {
 		for ri := range d.Regs {
 			prevReg[ri] = s.PeekWide(d.Regs[ri].Out, prevReg[ri])
@@ -98,6 +116,16 @@ func checkClaims(t *testing.T, d *netlist.Design, r *sa.Result,
 		for _, in := range d.Inputs {
 			if rng.Intn(3) != 0 {
 				s.Poke(in, rng.Uint64())
+			}
+		}
+		if v, ok := pulse[cyc]; ok {
+			s.Poke(reset, v)
+		}
+		// A register guard's value this cycle is the one before the
+		// commit; every other guard still holds it after the step.
+		for ri := range d.Regs {
+			if g := r.RegHold[ri]; g.Sig != netlist.NoSignal && d.Signals[g.Sig].Kind == netlist.KRegOut {
+				regGuard[ri] = s.Peek(g.Sig)
 			}
 		}
 		if err := s.Step(1); err != nil {
@@ -134,6 +162,9 @@ func checkClaims(t *testing.T, d *netlist.Design, r *sa.Result,
 				continue
 			}
 			sel := s.Peek(g.Sig)
+			if d.Signals[g.Sig].Kind == netlist.KRegOut {
+				sel = regGuard[ri]
+			}
 			if (sel != 0) == g.ActiveHigh {
 				continue // guard active: the register may change
 			}

@@ -57,9 +57,13 @@ func inferGuards(d *netlist.Design, dg *netlist.DesignGraph, order []int, r *Res
 	for i := range d.Regs {
 		// The next-value root is conservatively always observed (the
 		// commit reads it every cycle); the hold-mux arms inside its
-		// cone still pick up the enable literal below.
+		// cone still pick up the enable literal below. So is an edge
+		// reset's selector, which the commit tests.
 		observed[d.Regs[i].Next] = true
 		guards[d.Regs[i].Next] = nil
+		if rst := d.Regs[i].Reset; rst != netlist.NoSignal {
+			anchor(netlist.SigArg(rst))
+		}
 	}
 
 	// Push guard sets from consumers to operands in reverse topological
@@ -148,9 +152,15 @@ func litUnsatisfiable(r *Result, lit Guard) bool {
 // (through same-width copy chains) is a mux with the register's own
 // output as one arm. The guard is the selector with the polarity that
 // selects the *other* arm (the register can only change when the guard
-// is active); Sig is netlist.NoSignal when the pattern does not match.
+// is active); Sig is netlist.NoSignal when the pattern does not match. A
+// register with an edge reset (Reg.Reset) has none: its reset changes it
+// whatever the guard, as the reset mux topping its cone did before the
+// optimizer moved the reset to the edge.
 func holdGuard(d *netlist.Design, reg *netlist.Reg) Guard {
 	none := Guard{Sig: netlist.NoSignal}
+	if reg.Reset != netlist.NoSignal {
+		return none
+	}
 	cur := reg.Next
 	for hops := 0; hops < 16; hops++ {
 		s := &d.Signals[cur]

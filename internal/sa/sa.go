@@ -8,7 +8,8 @@
 //   - Known bits: a bitwise constant lattice (Mask selects the proven
 //     bits, Val holds their values), propagated forward to a fixpoint
 //     across register cycles. Register outputs are seeded from reset/init
-//     values and joined with their next-value cones until stable, so a
+//     values (which also covers an edge reset, Reg.Reset, loading Init)
+//     and joined with their next-value cones until stable, so a
 //     register that resets to 0 and is only ever rewritten with 0 is
 //     proven constant even though a per-cycle pass could not see it.
 //   - Proven width: the number of significant low bits a value can ever

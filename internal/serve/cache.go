@@ -46,9 +46,9 @@ func cacheKey(d *netlist.Design, gen codegen.Options) string {
 
 // designDigest hashes the content of a design: every signal with its
 // defining op, operands and parameters, the constant pool, register
-// inits, memories and their ports, sinks and port lists — the whole
-// input of a deterministic generator. It walks the netlist once and
-// never runs the generator, so a warm cache hit stays a lookup.
+// inits and edge resets, memories and their ports, sinks and port lists
+// — the whole input of a deterministic generator. It walks the netlist
+// once and never runs the generator, so a warm cache hit stays a lookup.
 func designDigest(d *netlist.Design) []byte {
 	buf := make([]byte, 0, 32*len(d.Signals))
 	u := func(vs ...int) {
@@ -96,7 +96,7 @@ func designDigest(d *netlist.Design) []byte {
 	for i := range d.Regs {
 		r := &d.Regs[i]
 		str(r.Name)
-		u(int(r.Out), int(r.Next))
+		u(int(r.Out), int(r.Next), int(r.Reset))
 		words(r.Init)
 	}
 	u(len(d.Mems))

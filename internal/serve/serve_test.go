@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -844,5 +845,63 @@ func TestConcurrentBuildsSameKey(t *testing.T) {
 		if e.Name() != cacheKey(d, cfg.Gen) {
 			t.Fatalf("stray cache entry %q after concurrent builds", e.Name())
 		}
+	}
+}
+
+// resetSelSrc has one register reset by input ra. With rb in its place,
+// the optimized designs differ in nothing but Reg.Reset: the optimizer
+// moves the reset mux out of the next-value cone onto the register.
+const resetSelSrc = `
+circuit RS :
+  module RS :
+    input clock : Clock
+    input ra : UInt<1>
+    input rb : UInt<1>
+    input in : UInt<8>
+    output o : UInt<8>
+    reg acc : UInt<8>, clock with : (reset => (ra, UInt<8>(0)))
+    acc <= tail(add(acc, in), 1)
+    o <= acc
+`
+
+// TestResetSelectorMissesArtifactCache: two circuits that differ only in
+// a register's reset selector get different digests, and each compiled
+// session against one cache directory runs its own circuit.
+func TestResetSelectorMissesArtifactCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds compiled artifacts")
+	}
+	cfg := testConfig()
+	cfg.CacheDir = t.TempDir()
+	var digests [][]byte
+	for _, tc := range []struct {
+		sel  string
+		want uint64
+	}{{"ra", 0}, {"rb", 10}} {
+		circ, err := firrtl.Parse(strings.Replace(resetSelSrc, "(ra,", "("+tc.sel+",", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := compileOpt(t, circ)
+		if rst := d.Regs[0].Reset; rst == netlist.NoSignal || d.Signals[rst].Name != tc.sel {
+			t.Fatalf("acc's reset was not moved to the clock edge on %s", tc.sel)
+		}
+		digests = append(digests, designDigest(d))
+		s := newSession(t, d, cfg)
+		for name, v := range map[string]uint64{"in": 5, "ra": 1} {
+			id, _ := d.SignalByName(name)
+			s.Poke(id, v)
+		}
+		if err := s.Step(3); err != nil {
+			t.Fatal(err)
+		}
+		o, _ := d.SignalByName("o")
+		if got := s.Peek(o); got != tc.want || s.Degraded() {
+			t.Fatalf("reset by %s: o = %d (degraded %v), want %d: served another circuit's artifact",
+				tc.sel, got, s.Degraded(), tc.want)
+		}
+	}
+	if bytes.Equal(digests[0], digests[1]) {
+		t.Fatal("designs differing in a reset selector share a digest")
 	}
 }

@@ -358,9 +358,10 @@ func (c *CCSS) next(from, end int32) int32 {
 // Construction time only.
 func (c *CCSS) stopAt(p int32) { c.always[p>>6] |= 1 << (p & 63) }
 
-// wakeAll flags every partition (first cycle, Reset, restore), re-copies
-// the outputs' old values from the table those events rewrote, and
-// invalidates the input history so the next Step re-seeds it.
+// wakeAll flags every partition (first cycle, Reset, restore, an edge
+// reset), re-copies the outputs' old values from the table those events
+// rewrote, and invalidates the input history so the next Step re-seeds
+// it.
 func (c *CCSS) wakeAll() {
 	for i := range c.parts.outs {
 		o := &c.parts.outs[i]
@@ -562,8 +563,11 @@ func (c *CCSS) runInline(start, end int32) {
 }
 
 // finishCycle commits state after the partition walk: dirty two-phase
-// registers with change detection + wakeups, then pending memory writes.
-// Every CCSS-family scan (scalar and vectorized) ends a cycle here.
+// registers with change detection + wakeups, edge resets, then pending
+// memory writes. Every CCSS-family scan (scalar, every batch lane and
+// vectorized) ends a cycle here. A cycle on which an edge reset fired
+// re-arms everything, as Reset does: resets are a few cycles per run, so
+// precise wakes for them would be code for nothing.
 func (c *CCSS) finishCycle() error {
 	m := c.machine
 	t := m.t
@@ -583,6 +587,9 @@ func (c *CCSS) finishCycle() error {
 		}
 	}
 	c.dirtyRegs = c.dirtyRegs[:0]
+	if m.applyResets(nil) {
+		c.rearm()
+	}
 
 	m.commitMemWrites(c.memChanged)
 	return m.endCycle()

@@ -49,8 +49,8 @@ func (m *machine) captureMemWrite(i int32) {
 	copy(w.pendData, m.view(w.data.off, w.data.w))
 }
 
-// commit advances state: two-phase register copies and pending memory
-// writes.
+// commit advances state: two-phase register copies, edge resets and
+// pending memory writes.
 func (m *machine) commit() {
 	for _, ri := range m.regCopy {
 		r := &m.d.Regs[ri]
@@ -59,7 +59,50 @@ func (m *machine) commit() {
 			m.t[oo+w] = m.t[no+w]
 		}
 	}
+	m.applyResets(nil)
 	m.commitMemWrites(nil)
+}
+
+// ResetGroup is the registers whose edge reset (netlist.Reg.Reset) is one
+// selector: Sel is the selector's table word, Regs index Design.Regs.
+type ResetGroup struct {
+	Sel  int32
+	Regs []int32
+}
+
+// applyResets runs after the register commit of every engine's cycle:
+// each register of a group whose selector word is nonzero is loaded with
+// its Init — what the reset mux the optimizer moved out of its next-value
+// cone would have selected (the mux tests the same word). It calls
+// onChange (when non-nil) with every register the load changed, and
+// reports whether any group fired.
+func (m *machine) applyResets(onChange func(ri int32)) bool {
+	fired := false
+	for gi := range m.resets {
+		g := &m.resets[gi]
+		if m.t[g.Sel] == 0 {
+			continue
+		}
+		fired = true
+		for _, ri := range g.Regs {
+			r := &m.d.Regs[ri]
+			changed := false
+			for w, off := int32(0), m.off[r.Out]; w < m.nw[r.Out]; w++ {
+				var v uint64
+				if int(w) < len(r.Init) {
+					v = r.Init[w]
+				}
+				if m.t[off+w] != v {
+					m.t[off+w] = v
+					changed = true
+				}
+			}
+			if changed && onChange != nil {
+				onChange(ri)
+			}
+		}
+	}
+	return fired
 }
 
 // commitMemWrites applies the write ports' pending buffers at the cycle

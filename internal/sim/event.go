@@ -394,13 +394,21 @@ func (e *EventDriven) stepOne() error {
 			}
 		}
 		if changed {
-			e.pendingSeeds = append(e.pendingSeeds, e.regConsumers[ri]...)
+			e.seedRegReaders(int32(ri))
 		}
 	}
+	// Edge resets load Init after the commit; their readers re-evaluate.
+	m.applyResets(e.seedRegReaders)
 
 	// Apply pending memory writes; content changes wake read ports.
 	m.commitMemWrites(e.seedMemReaders)
 	return m.endCycle()
+}
+
+// seedRegReaders queues the readers of a register whose value changed at
+// the clock edge for re-evaluation next cycle.
+func (e *EventDriven) seedRegReaders(ri int32) {
+	e.pendingSeeds = append(e.pendingSeeds, e.regConsumers[ri]...)
 }
 
 // seedMemReaders queues a memory's read ports for re-evaluation next

@@ -13,6 +13,7 @@ import (
 //	cmp(a,b) → mux(cmp, T, F)      ⇒ IFCmpMux
 //	not(x)   → and(not, y)         ⇒ IFNotAnd
 //	add/sub  → tail(sum, k)        ⇒ IFAddTail / IFSubTail
+//	add/sub  → bits(sum, h, 0)     ⇒ IFAddTail / IFSubTail
 //
 // — plus one control pattern: an instruction immediately followed by the
 // skip entry its result guards collapses into a fused skip
@@ -225,7 +226,10 @@ func (m *machine) fuseSchedule(keepLive []netlist.SignalID, ranges [][2]int32) [
 			b.A, b.B = a.A, other
 			b.dmask &= a.dmask
 			b.Code = IFNotAnd
-		case b.Code == ITail && b.A == a.Dst && (a.Code == IAdd || a.Code == ISub):
+		case (b.Code == ITail || b.Code == IBits && b.P1 == 0) && b.A == a.Dst &&
+			(a.Code == IAdd || a.Code == ISub):
+			// A low extract truncates like a tail: the consumer's dmask is
+			// the fused result mask either way.
 			b.B = a.B
 			b.A = a.A
 			if a.Code == IAdd {

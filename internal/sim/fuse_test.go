@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"essent/internal/netlist"
@@ -23,9 +24,11 @@ circuit F :
     output m : UInt<8>
     output na : UInt<8>
     output s : UInt<8>
+    output lo : UInt<4>
     m <= mux(eq(a, b), x, y)
     na <= and(not(a), b)
     s <= tail(add(a, b), 1)
+    lo <= bits(sub(a, b), 3, 0)
 `
 	d := compileSrc(t, src)
 	fused, err := newFullCycle(d, Options{Engine: EngineFullCycle})
@@ -36,8 +39,11 @@ circuit F :
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fused.Stats().FusedPairs; got < 3 {
-		t.Fatalf("FusedPairs = %d, want >= 3 (cmp→mux, not→and, add→tail)", got)
+	if got := fused.Stats().FusedPairs; got < 4 {
+		t.Fatalf("FusedPairs = %d, want >= 4 (cmp→mux, not→and, add→tail, sub→bits)", got)
+	}
+	if !slices.ContainsFunc(fused.instrs, func(in Instr) bool { return in.Code == IFSubTail }) {
+		t.Fatal("bits(sub(a, b), 3, 0) did not fuse into IFSubTail")
 	}
 	if got := plain.Stats().FusedPairs; got != 0 {
 		t.Fatalf("noFuse machine reports FusedPairs = %d, want 0", got)
@@ -73,6 +79,9 @@ circuit F :
 			}
 			if got, want := s.Peek(sigID(t, s, "s")), (tc.a+tc.b)&0xFF; got != want {
 				t.Errorf("a=%d b=%d: s = %d, want %d", tc.a, tc.b, got, want)
+			}
+			if got, want := s.Peek(sigID(t, s, "lo")), (tc.a-tc.b)&0xF; got != want {
+				t.Errorf("a=%d b=%d: lo = %d, want %d", tc.a, tc.b, got, want)
 			}
 		}
 	}

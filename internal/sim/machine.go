@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	stdbits "math/bits"
+	"slices"
 
 	"essent/internal/bits"
 	"essent/internal/firrtl"
@@ -57,8 +58,9 @@ const (
 	// IFNotAnd folds not(x) into and(not(x), y): a is x, b is y, and
 	// dmask combines the not's and the and's result masks.
 	IFNotAnd
-	// IFAddTail / IFSubTail fold an add/sub into the tail that truncates
-	// it: dmask is the tail's (narrower) result mask.
+	// IFAddTail / IFSubTail fold an add/sub into the tail (or low bits
+	// extract) that truncates it: dmask is the consumer's (narrower)
+	// result mask.
 	IFAddTail
 	IFSubTail
 )
@@ -193,6 +195,9 @@ type machine struct {
 	// not update-elided).
 	regCopy []int
 	elided  []bool
+	// resets groups the registers with an edge reset by selector
+	// (applyResets).
+	resets []ResetGroup
 
 	// fusedPairs counts producer→consumer pairs merged by the fusion
 	// pass; fusedEntries counts schedule entries it removed (added back
@@ -463,10 +468,18 @@ func newMachine(d *netlist.Design, dg *netlist.DesignGraph, order []int,
 		ranges[gi][1] = int32(len(m.sched))
 	}
 
-	// Registers needing a commit copy.
+	// Registers needing a commit copy, and the edge resets by selector.
 	for ri := range d.Regs {
 		if elided == nil || !elided[ri] {
 			m.regCopy = append(m.regCopy, ri)
+		}
+		if rst := d.Regs[ri].Reset; rst != netlist.NoSignal {
+			sel := m.off[rst]
+			gi := slices.IndexFunc(m.resets, func(g ResetGroup) bool { return g.Sel == sel })
+			if gi < 0 {
+				gi, m.resets = len(m.resets), append(m.resets, ResetGroup{Sel: sel})
+			}
+			m.resets[gi].Regs = append(m.resets[gi].Regs, int32(ri))
 		}
 	}
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -371,5 +372,25 @@ func TestSMLower(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "SM-LOWER") {
 			t.Errorf("%s: strict build returned %v, want an SM-LOWER failure", mut.name, err)
 		}
+	}
+
+	// An add fused into a low extract keeps the extract's mask: a stream
+	// carrying the add's (the untruncated sum) is not the lowering.
+	m, build := lowerStrict(t, `
+circuit T :
+  module T :
+    input clock : Clock
+    input a : UInt<8>
+    input b : UInt<8>
+    output o : UInt<4>
+    o <= bits(add(a, b), 3, 0)
+`)
+	pc := slices.IndexFunc(m.ops, func(op Op) bool { return op.Code == OpFAddTail })
+	if pc < 0 || m.ops[pc].Mask != 0xf {
+		t.Fatalf("bits(add(a, b), 3, 0) did not fuse with the extract's mask: %+v", m.ops)
+	}
+	m.ops[pc].Mask = 0x1ff
+	if err := build(); err == nil || !strings.Contains(err.Error(), "SM-LOWER") {
+		t.Errorf("fused extract mask: strict build returned %v, want an SM-LOWER failure", err)
 	}
 }

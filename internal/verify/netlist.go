@@ -19,6 +19,7 @@ import (
 //	NL-CONST  constant-pool entries are well-formed (word count, no stray
 //	          high bits — the table compare would see them)
 //	NL-LOOP   the combinational graph is acyclic (readable cycle trace)
+//	NL-RESET  a register's edge reset (Reg.Reset) names a design input
 //	NL-DEAD   advisory: signals/state that cannot reach any sink
 //
 // Design runs the error rules; Lint adds the advisory pass.
@@ -189,6 +190,12 @@ func (c *nlChecker) checkRefs() {
 				c.add("NL-REF", SevError, fmt.Sprintf("reg %q", r.Name),
 					fmt.Sprintf("references signal #%d of %d", id, len(d.Signals)), "")
 			}
+		}
+		if r.Reset != netlist.NoSignal &&
+			(int(r.Reset) < 0 || int(r.Reset) >= len(d.Signals) || d.Signals[r.Reset].Kind != netlist.KInput) {
+			c.add("NL-RESET", SevError, fmt.Sprintf("reg %q", r.Name),
+				fmt.Sprintf("reset selector %s is not a design input", c.sigLoc(r.Reset)),
+				"the engines test the selector at the clock edge; a reset the design computes stays a mux in the next-value cone")
 		}
 	}
 	for mi := range d.Mems {
@@ -711,6 +718,9 @@ func (c *nlChecker) checkDead() {
 		case netlist.KRegOut:
 			if s.Reg >= 0 && s.Reg < len(d.Regs) {
 				markArg(netlist.SigArg(d.Regs[s.Reg].Next))
+				if rst := d.Regs[s.Reg].Reset; rst != netlist.NoSignal {
+					markArg(netlist.SigArg(rst))
+				}
 			}
 		case netlist.KMemRead:
 			if s.MemRead >= 0 && s.MemRead < len(d.MemReads) {

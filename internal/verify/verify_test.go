@@ -158,6 +158,13 @@ func TestNetlistRules(t *testing.T) {
 			d.Consts = append(d.Consts,
 				netlist.Const{Words: []uint64{0xFF}, Width: 4})
 		}},
+		{"computed reset", "NL-RESET", func(t *testing.T, d *netlist.Design) {
+			// An edge reset whose selector the cycle computes.
+			d.Regs[0].Reset = findSignal(t, d, "s1")
+		}},
+		{"dangling reset", "NL-RESET", func(t *testing.T, d *netlist.Design) {
+			d.Regs[0].Reset = netlist.SignalID(len(d.Signals) + 2)
+		}},
 		{"comb loop", "NL-LOOP", func(t *testing.T, d *netlist.Design) {
 			a, b := findSignal(t, d, "s1"), findSignal(t, d, "s2")
 			d.Signals[a].Op.Args[0] = netlist.SigArg(b)
@@ -412,6 +419,14 @@ func TestFormatGolden(t *testing.T) {
 			Hint: "emit an OutputPlan on the producer partition listing this consumer"},
 		{Rule: "NL-DEAD", Sev: verify.SevInfo, Loc: `signal "unused"`,
 			Msg: "input port is never read"},
+	}
+	// The NL-RESET row is rendered by the rule itself.
+	d := compile(t, multiSrc)
+	d.Regs[0].Reset = findSignal(t, d, "s1")
+	for _, dg := range verify.Design(d) {
+		if dg.Rule == "NL-RESET" {
+			diags = append(diags, dg)
+		}
 	}
 	got := verify.Format(diags)
 	golden := filepath.Join("testdata", "diags.golden")
