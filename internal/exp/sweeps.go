@@ -558,7 +558,7 @@ func ckptCell(d *Design, w riscv.Workload, interval uint64, maxCycles int) Cell 
 // optimization, where the engine runs it → simulator construction) with
 // the static verifier strict versus off. The always-on post-pass lint
 // inside opt.Optimize is part of both arms: -verify does not govern it.
-// The budget is 15% of a CCSS compile (DESIGN §9 "Modes and cost").
+// The budget is 10% of a CCSS compile (DESIGN §9 "Modes and cost").
 var verifycost = &Experiment{
 	Name:    "verifycost",
 	Title:   "Static-verification compile overhead (strict vs off)",

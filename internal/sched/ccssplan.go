@@ -31,12 +31,6 @@ type CCSSPlan struct {
 	// InputConsumers lists, per design input (netlist.Design.Inputs
 	// order), the partitions reading it.
 	InputConsumers [][]int
-	// PartLevels gives each partition's longest-path depth in the
-	// partition DAG (data + ordering edges). Partitions on the same
-	// level are mutually independent.
-	PartLevels []int
-	// NumLevels is max(PartLevels)+1.
-	NumLevels int
 	// PartStats carries the partitioner's statistics.
 	PartStats partition.Stats
 	// Shadows holds the mux-arm cones for conditional multiplexor-way
@@ -119,7 +113,7 @@ func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 	// and any per-level order is valid since every DAG edge crosses to a
 	// strictly higher level). Level-major runtime IDs put every producer
 	// below its consumers, so one ascending scan of the flag bitmap is a
-	// whole cycle (PL-LEVEL checks both).
+	// whole cycle (SM-DEFUSE checks it on the stream).
 	lvl := make([]int, np)
 	for _, p := range partOrder {
 		for _, q := range psucc[p] {
@@ -220,15 +214,6 @@ func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 	plan.InputConsumers = make([][]int, len(d.Inputs))
 	for i, in := range d.Inputs {
 		plan.InputConsumers[i] = consumersOf(int(in), -1)
-	}
-
-	// Partition levels (computed above, before the level-major re-sort).
-	plan.PartLevels = make([]int, np)
-	for p, l := range lvl {
-		plan.PartLevels[rt[p]] = l
-		if l+1 > plan.NumLevels {
-			plan.NumLevels = l + 1
-		}
 	}
 
 	// Mux-arm cones, scoped to partitions.

@@ -64,7 +64,6 @@ type planEntry struct {
 	Order     string `json:"order"`
 	Parts     string `json:"parts"`
 	Wakes     string `json:"wakes"` // RegReaderParts, MemReaderParts, InputConsumers
-	Levels    string `json:"levels"`
 }
 
 func hashPlan(t *testing.T, name string, plan *sched.CCSSPlan) planEntry {
@@ -88,7 +87,6 @@ func hashPlan(t *testing.T, name string, plan *sched.CCSSPlan) planEntry {
 		Order:     hashJSON(t, plan.Order),
 		Parts:     hashJSON(t, plan.Parts),
 		Wakes:     hashJSON(t, []any{plan.RegReaderParts, plan.MemReaderParts, plan.InputConsumers}),
-		Levels:    hashJSON(t, plan.PartLevels),
 	}
 }
 

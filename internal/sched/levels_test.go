@@ -7,18 +7,16 @@ import (
 	"essent/internal/randckt"
 )
 
-// TestPartLevelsInvariants verifies the partition levels on random
-// circuits: runtime IDs are level-major (levels never decrease along the
-// ID order), NumLevels is one past the deepest level, and every output
-// wake either runs forward (consumer on a strictly later level, so at a
-// higher ID: the walk reaches it later in the same cycle) or is a feedback
-// wake from an elided register to a strictly earlier level (deferred to
-// the next cycle — the planner's ordering edges force readers before the
-// writer). No wake stays on its own level.
+// TestPartLevelsInvariants checks the runtime partition order the
+// level-major renumbering produces, on random circuits: every data edge
+// between partitions and every elision edge (from a partition reading an
+// elided register to the register's writer) runs to a higher runtime ID,
+// so the walk's one ascending scan reaches every producer before its
+// consumers. An output wake to a lower ID is an elided register's feedback
+// wake, deferred to the next cycle; no other wake runs backwards.
 func TestPartLevelsInvariants(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		c := randckt.Generate(seed+500, randckt.DefaultConfig())
-		d, err := netlist.Compile(c)
+		d, err := netlist.Compile(randckt.Generate(seed+500, randckt.DefaultConfig()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,30 +24,40 @@ func TestPartLevelsInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(plan.PartLevels) != len(plan.Parts) {
-			t.Fatalf("seed %d: PartLevels %d, parts %d", seed, len(plan.PartLevels), len(plan.Parts))
+		partOf := make([]int, plan.DG.G.Len())
+		for i := range partOf {
+			partOf[i] = -1
 		}
-		maxLevel := -1
-		for pi, l := range plan.PartLevels {
-			if l < maxLevel {
-				t.Fatalf("seed %d: partition %d on level %d after level %d: IDs not level-major",
-					seed, pi, l, maxLevel)
+		for pi := range plan.Parts {
+			for _, m := range plan.Parts[pi].Members {
+				partOf[m] = pi
 			}
-			maxLevel = l
 		}
-		if plan.NumLevels != maxLevel+1 {
-			t.Fatalf("seed %d: NumLevels %d, deepest level %d", seed, plan.NumLevels, maxLevel)
+		// A fresh graph: data edges only, none of the planner's ordering
+		// edges.
+		dg := netlist.BuildGraph(d)
+		for u := 0; u < dg.G.Len(); u++ {
+			for _, v := range dg.G.Out(u) {
+				if pu, pv := partOf[u], partOf[v]; pu >= 0 && pv >= 0 && pv < pu {
+					t.Fatalf("seed %d: data edge from partition %d back to %d", seed, pu, pv)
+				}
+			}
+		}
+		for ri, el := range plan.Elided {
+			w := partOf[d.Regs[ri].Next]
+			for _, q := range plan.RegReaderParts[ri] {
+				if el && q > w {
+					t.Fatalf("seed %d: elided register %d read in partition %d after its writer %d",
+						seed, ri, q, w)
+				}
+			}
 		}
 		for pi := range plan.Parts {
 			for _, op := range plan.Parts[pi].Outputs {
 				for _, q := range op.Consumers {
-					if q != pi && plan.PartLevels[q] == plan.PartLevels[pi] {
-						t.Fatalf("seed %d: same-level wake %d→%d (level %d)",
-							seed, pi, q, plan.PartLevels[pi])
-					}
-					if plan.PartLevels[q] > plan.PartLevels[pi] && q <= pi {
-						t.Fatalf("seed %d: forward wake %d→%d runs against the ID order",
-							seed, pi, q)
+					if q < pi && d.Signals[op.Sig].Kind != netlist.KRegOut {
+						t.Fatalf("seed %d: wake %d→%d of signal %q runs against the ID order",
+							seed, pi, q, d.Signals[op.Sig].Name)
 					}
 				}
 			}

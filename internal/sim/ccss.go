@@ -22,9 +22,9 @@ import (
 // The pass walks the partition list through a bitmap of activity flags,
 // a word of 64 partitions at a time, and descends only into set bits
 // (GSIM's activity test, one level down): an idle partition costs 1/64
-// of a load and a compare. The planner numbers partitions level-major
-// (sched.CCSSPlan PartLevels, checked by PL-LEVEL) and a consumer never
-// precedes its producer, so one ascending scan of the bitmap is the whole
+// of a load and a compare. The planner numbers partitions level-major and
+// a consumer never precedes its producer (SM-DEFUSE proves it on the
+// stream), so one ascending scan of the bitmap is the whole
 // cycle. The engine runs on the calling goroutine alone (the
 // level-parallel worker pool is retired: DESIGN §6).
 type CCSS struct {
@@ -151,12 +151,10 @@ func appendInt32s(dst []int32, xs []int) []int32 {
 	return dst
 }
 
-// newCCSS plans the design and builds the runtime structures from the
-// plan, statically verifying the design, the plan, the compiled machine
-// schedule, its lowering and the guarded wake edges derived from it under
-// opts.Verify (the scalar, batch and vec engines all build through here,
-// so all three inherit the verification; a batch builds once and clones
-// its lanes with lane).
+// newCCSS plans the design and builds the engine from the plan (the
+// scalar, batch and vec engines all build through here, so all three
+// inherit buildCCSS's verification; a batch builds once and clones its
+// lanes with lane).
 func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	plan, err := sched.PlanCCSSOpts(d, sched.PlanOptions{
 		Cp: opts.Cp, NoElide: opts.NoElide, NoMuxShadow: opts.NoMuxShadow,
@@ -164,10 +162,31 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	if err != nil {
 		return nil, err
 	}
+	return buildCCSS(d, plan, opts)
+}
+
+// partOutputs lists the plan's change-detected partition outputs: the
+// engine compares them outside the instruction stream, so the fusion pass
+// must keep their stores.
+func partOutputs(plan *sched.CCSSPlan) []netlist.SignalID {
+	var sigs []netlist.SignalID
+	for pi := range plan.Parts {
+		for _, op := range plan.Parts[pi].Outputs {
+			sigs = append(sigs, op.Sig)
+		}
+	}
+	return sigs
+}
+
+// buildCCSS builds the runtime structures from plan and, under
+// opts.Verify, statically verifies the design and everything built from
+// the plan — the machine schedule, its lowering, and the partition, wake
+// and commit tables with the guarded edges derived from the stream
+// (verifyMachine) — before anything runs. The plan itself is not checked:
+// a fault in it shows in what is built from it.
+func buildCCSS(d *netlist.Design, plan *sched.CCSSPlan, opts Options) (*CCSS, error) {
 	if opts.Verify != verify.Off {
-		diags := verify.DesignPrePlanned(d)
-		diags = append(diags, verify.Plan(plan)...)
-		if err := verify.Enforce(opts.Verify, diags, nil); err != nil {
+		if err := verify.Enforce(opts.Verify, verify.DesignPrePlanned(d), nil); err != nil {
 			return nil, err
 		}
 	}
@@ -175,23 +194,14 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 	for pi := range plan.Parts {
 		groups[pi] = plan.Parts[pi].Members
 	}
-	// Partition outputs are compared for change detection outside the
-	// instruction stream; the fusion pass must keep their stores.
-	var keepLive []netlist.SignalID
-	for pi := range plan.Parts {
-		for _, op := range plan.Parts[pi].Outputs {
-			keepLive = append(keepLive, op.Sig)
-		}
-	}
+	keepLive := partOutputs(plan)
 	m, ranges, err := newMachine(d, plan.DG, plan.Order, plan.Elided,
 		machineConfig{shadows: plan.Shadows, groups: groups,
 			fuse: !opts.NoFuse, keepLive: keepLive})
 	if err != nil {
 		return nil, err
 	}
-	if err := m.lowerVerified(ranges, keepLive, opts.Verify); err != nil {
-		return nil, err
-	}
+	m.ops, m.spans = lower(m.sched, m.instrs, ranges)
 	c := &CCSS{machine: m, PartStats: plan.PartStats,
 		NumElided: plan.NumElided, plan: plan}
 
@@ -252,7 +262,7 @@ func newCCSS(d *netlist.Design, opts Options) (*CCSS, error) {
 
 	c.guardWakes()
 	if opts.Verify != verify.Off {
-		if err := verify.Enforce(opts.Verify, c.verifyWakes(), nil); err != nil {
+		if err := verify.Enforce(opts.Verify, verifyMachine(m, ranges, keepLive, c), nil); err != nil {
 			return nil, err
 		}
 	}
@@ -357,6 +367,9 @@ func (c *CCSS) next(from, end int32) int32 {
 // stopAt makes the walk stop at partition p every cycle, flagged or not.
 // Construction time only.
 func (c *CCSS) stopAt(p int32) { c.always[p>>6] |= 1 << (p & 63) }
+
+// stopsAt reports whether the walk stops at partition p every cycle.
+func (c *CCSS) stopsAt(p int32) bool { return c.always[p>>6]>>(p&63)&1 != 0 }
 
 // wakeAll flags every partition (first cycle, Reset, restore, an edge
 // reset), re-copies the outputs' old values from the table those events

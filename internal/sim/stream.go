@@ -294,15 +294,16 @@ func lower(sched []schedEntry, instrs []Instr, ranges [][2]int32) ([]Op, []Span)
 
 // lowerVerified lowers m's schedule into the stream m executes and, unless
 // vmode is Off, runs the machine verifier over the IR and its lowering:
-// the last step of every scalar build, so nothing is run — or printed
-// (Lower) — that verifyMachine rejects.
+// the last step of a full-cycle build, so nothing is run — or printed
+// (Lower) — that verifyMachine rejects. (buildCCSS lowers, derives its
+// wake table from the stream, then verifies both.)
 func (m *machine) lowerVerified(ranges [][2]int32,
 	keepLive []netlist.SignalID, vmode verify.Mode) error {
 	m.ops, m.spans = lower(m.sched, m.instrs, ranges)
 	if vmode == verify.Off {
 		return nil
 	}
-	return verify.Enforce(vmode, verifyMachine(m, ranges, keepLive), nil)
+	return verify.Enforce(vmode, verifyMachine(m, ranges, keepLive, nil), nil)
 }
 
 // evalSpan executes one schedule group and settles its op count.

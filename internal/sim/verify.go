@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"essent/internal/bits"
 	"essent/internal/netlist"
@@ -9,78 +10,132 @@ import (
 )
 
 // Machine-schedule verification (the SM-* rules of DESIGN.md §9): the
-// last static-analysis layer, run on the compiled instruction stream
-// after value-table layout, mux-way expansion, and superinstruction
-// fusion have all happened. Where the plan verifier reasons about
-// partitions and signals, this layer reasons about the artifacts the
-// interpreter actually executes — word offsets, schedule entries, skip
-// spans — so a bug in any lowering step (not just planning) is caught
-// before the first cycle runs.
+// static-analysis layer over what the engines run, after value-table
+// layout, mux-way expansion, superinstruction fusion and, on a CCSS build,
+// the partition and wake tables. It reasons about word offsets, schedule
+// entries, skip spans and wake-table entries, so a fault in planning or in
+// any lowering step is caught before the first cycle runs.
 //
 //	SM-SKIP    skip spans are in-bounds, forward, and well-nested
-//	SM-DEFUSE  every operand word is a source slot or written earlier in
-//	           its group, in a guard region enclosing the reader (with
-//	           the mux-way exception: a mux may read each way out of the
-//	           arm region guarded by its own selector); engine-read
-//	           slots (partition outputs) are written unconditionally
+//	SM-DEFUSE  every operand word is a source slot or written by an
+//	           instruction that runs first: earlier in the reader's group
+//	           in a guard region enclosing the reader (with the mux-way
+//	           exception: a mux may read each way out of the arm region
+//	           guarded by its own selector), or in an earlier group;
+//	           engine-read slots (partition outputs) are written
+//	           unconditionally
 //	SM-ELIDE   an in-place register write never precedes a reader of
 //	           the old value in the global schedule
 //	SM-ALIAS   each table word has at most one writing instruction
 //	SM-SINK    side-effect entries (display/check/memwrite) never sit
-//	           inside a skip region
+//	           inside a skip region and each is scheduled exactly once; a
+//	           partition holding a display or check runs every cycle
 //	SM-LOWER   the op stream an engine executes is the lowering of the
 //	           schedule it was built from (verifyLowering; also run on
 //	           every vec class program): each entry's ops equal a fresh
 //	           lowering of it, skip targets land on the op their entry's
 //	           span ends at and carry that span's weight, group spans tile
 //	           the stream, every offset is inside the table
-//	SM-WAKE    a guarded wake edge is re-derived from the IR
-//	           (verifyWakes, CCSS builds): every reader of the producer's
-//	           words in the consumer's schedule range sits in a skip
-//	           region run only under the edge's literal, the consumer
-//	           never writes the guard word, and it holds no sink
+//	SM-WAKE    (CCSS builds) every word a partition reads that a poke, a
+//	           commit or another partition changes has a wake edge from
+//	           its producer into the partition, unconditional or guarded
+//	           by a literal a skip region enclosing the read runs under; a
+//	           guarded edge's consumer never writes the guard word and
+//	           holds no sink; a memory read port's partition is woken by
+//	           the memory's writes, and a two-phase register is committed
+//	           by the partition writing its next value
 //
+// One region walk per group serves SM-SKIP, SM-DEFUSE, SM-SINK and
+// SM-WAKE, over per-word arrays stamped with the group being walked.
 // verifyMachine is pure analysis: it never executes an instruction and
-// never mutates the machine.
+// never mutates the machine. cc is the CCSS engine whose tables are
+// checked (ranges are then its partitions), nil on other builds.
 func verifyMachine(m *machine, ranges [][2]int32,
-	keepLive []netlist.SignalID) []verify.Diagnostic {
-	c := &smChecker{m: m}
+	keepLive []netlist.SignalID, cc *CCSS) []verify.Diagnostic {
+	c := &smChecker{m: m, cc: cc}
 	if ranges == nil {
 		ranges = [][2]int32{{0, int32(len(m.sched))}}
 	}
 	c.ranges = ranges
 	c.markSources()
 	c.checkWriters()
+	tlen := len(m.t)
+	c.wrEpoch, c.wrRegion, c.uncond = make([]int32, tlen), make([]int32, tlen), make([]bool, tlen)
+	for i := range c.wrEpoch {
+		c.wrEpoch[i] = -1
+	}
+	c.sinkCount = make([]int32, len(m.displays)+len(m.checks)+len(m.memWrites))
+	if cc != nil {
+		c.indexWakes()
+	}
 	for gi := range ranges {
 		c.walkGroup(gi)
 	}
+	c.checkSinksOnce()
 	c.checkKeepLive(keepLive)
 	c.checkElide()
+	if cc != nil {
+		c.checkCommits()
+	}
 	return append(c.diags,
 		verifyLowering(m.sched, m.instrs, ranges, m.ops, m.spans, len(m.t))...)
 }
 
+// Source word kinds: a word defined before the schedule runs.
+const (
+	srcState uint8 = 1 + iota // input or register storage (elided next aliases it)
+	srcConst                  // constant pool
+)
+
 type smChecker struct {
 	m      *machine
+	cc     *CCSS
 	ranges [][2]int32
 	diags  []verify.Diagnostic
 
-	// source marks table words defined before the schedule runs: inputs,
-	// register storage (elided next aliases it), and the constant pool.
-	source []bool
+	source []uint8
 	// writerInstr maps each table word to the instruction writing it
 	// (-1 none); writerGroup to that instruction's group.
 	writerInstr []int32
 	writerGroup []int32
 	// uncond marks words with a region-free (unconditional) write.
 	uncond []bool
-	// Per-word group-walk write records, epoch-stamped so the slices are
-	// allocated once instead of one map per group (the walk is on every
-	// engine's compile path and must stay cheap).
+	// sinkCount counts schedule entries per sink: displays, then checks,
+	// then memory writes.
+	sinkCount []int32
+
+	// The group walk: g is the group, regions its skip regions (a tree by
+	// parent index, -1 the unconditional top level) and cur the innermost
+	// one open. wrEpoch stamps a word with the group that wrote it so far
+	// and wrRegion the region of that write.
+	g, cur   int32
+	regions  []smRegion
 	wrEpoch  []int32
-	wrRegion []*smRegion
-	epoch    int32
+	wrRegion []int32
+	spans    [][2]int32
+	operands []operand
+
+	// Wake edges into each partition (CCSS builds): in[inAt[q]:inAt[q+1]]
+	// are q's. While q is walked, head[w] (stamped headEp[w] == q) starts
+	// the list, in links, of q's edges whose producer covers word w.
+	prods        []wakeProducer
+	inAt         []int32
+	in           []smEdge
+	headEp, head []int32
+	links        []smLink
 }
+
+// smRegion is one skip span, [its entry+1, end): skipped while t[guard]
+// reads zero when onZero (a true-way arm), nonzero otherwise.
+type smRegion struct {
+	guard, end, parent int32
+	onZero             bool
+}
+
+// smEdge is one wake-table entry and the producer it belongs to; smLink
+// chains a consumer's edges per producer word.
+type smEdge struct{ e, prod int32 }
+type smLink struct{ e, next int32 }
 
 func (c *smChecker) errf(rule, loc, hint, format string, args ...any) {
 	c.diags = append(c.diags, verify.Diagnostic{
@@ -98,24 +153,46 @@ func (c *smChecker) instrLoc(in *Instr) string {
 	return fmt.Sprintf("instr for %q", c.sigName(in.out))
 }
 
-func (c *smChecker) markSources() {
-	m := c.m
-	c.source = make([]bool, len(m.t))
-	mark := func(off, words int32) {
-		for w := int32(0); w < words; w++ {
-			c.source[off+w] = true
+// at renders schedule entry p of the walked group, naming the partition
+// on a CCSS build.
+func (c *smChecker) at(p int32) string {
+	if c.cc != nil {
+		return fmt.Sprintf("partition %d, sched[%d]", c.g, p)
+	}
+	return fmt.Sprintf("sched[%d]", p)
+}
+
+// wordName names the signal a table word holds, for diagnostics; of an
+// elided register's next value and output, which share storage, the
+// output.
+func (c *smChecker) wordName(w int32) string {
+	m, name := c.m, "an unnamed slot"
+	for i := range m.d.Signals {
+		if m.off[i] <= w && w < m.off[i]+m.nw[i] {
+			name = fmt.Sprintf("%q", m.d.Signals[i].Name)
+			if m.d.Signals[i].Kind == netlist.KRegOut {
+				break
+			}
 		}
 	}
-	for _, in := range m.d.Inputs {
-		mark(m.off[in], m.nw[in])
+	return name
+}
+
+func (c *smChecker) markSources() {
+	m := c.m
+	c.source = make([]uint8, len(m.t))
+	mark := func(off, words int32, kind uint8) {
+		for w := off; w < off+words; w++ {
+			c.source[w] = kind
+		}
 	}
 	for i := range m.d.Signals {
-		if m.d.Signals[i].Kind == netlist.KRegOut {
-			mark(m.off[i], m.nw[i])
+		if k := m.d.Signals[i].Kind; k == netlist.KInput || k == netlist.KRegOut {
+			mark(m.off[i], m.nw[i], srcState)
 		}
 	}
 	for i := range m.d.Consts {
-		mark(m.constOff[i], int32(bits.Words(m.d.Consts[i].Width)))
+		mark(m.constOff[i], int32(bits.Words(m.d.Consts[i].Width)), srcConst)
 	}
 }
 
@@ -206,7 +283,11 @@ func (c *smChecker) checkWriters() {
 						"destination word %d outside the value table", o)
 					continue
 				}
-				if prev := c.writerInstr[o]; prev >= 0 && prev != ii {
+				if prev := c.writerInstr[o]; prev == ii && w == 0 {
+					c.errf("SM-ALIAS", c.instrLoc(in),
+						"a node evaluated twice per cycle overwrites what read it in between",
+						"scheduled twice")
+				} else if prev >= 0 && prev != ii {
 					c.errf("SM-ALIAS", c.instrLoc(in),
 						"two instructions storing to one slot make the result order-dependent",
 						"table word %d already written by instr for %q",
@@ -219,176 +300,346 @@ func (c *smChecker) checkWriters() {
 	}
 }
 
-// smRegion is one open skip span during the group walk. Regions form a
-// tree: parent is the enclosing span, nil the unconditional top level.
-type smRegion struct {
-	guard  int32 // table offset deciding the skip
-	onZero bool  // true: span skipped when guard == 0 (a true-way arm)
-	end    int32 // first position after the span
-	parent *smRegion
+// indexWakes (SM-WAKE) groups the wake table's edges by consumer.
+func (c *smChecker) indexWakes() {
+	pt := &c.cc.parts
+	c.prods = c.cc.wakeProducers()
+	np := int32(len(c.ranges))
+	c.inAt = make([]int32, np+1)
+	for pi := range c.prods {
+		w := c.prods[pi].w
+		for _, q := range pt.cons[w.cons:w.end] {
+			if q < 0 || q >= np {
+				c.errf("SM-WAKE", "wake table", "", "entry names partition %d of %d", q, np)
+				continue
+			}
+			c.inAt[q+1]++
+		}
+	}
+	for q := int32(0); q < np; q++ {
+		c.inAt[q+1] += c.inAt[q]
+	}
+	c.in = make([]smEdge, c.inAt[np])
+	fill := slices.Clone(c.inAt[:np])
+	for pi := range c.prods {
+		w := c.prods[pi].w
+		for e := w.cons; e < w.end; e++ {
+			if q := pt.cons[e]; q >= 0 && q < np {
+				c.in[fill[q]] = smEdge{e, int32(pi)}
+				fill[q]++
+			}
+		}
+	}
+	c.headEp, c.head = make([]int32, len(c.m.t)), make([]int32, len(c.m.t))
+	for i := range c.headEp {
+		c.headEp[i] = -1
+	}
 }
 
-// prefixOf reports whether w is r or an ancestor of r (a write in w is
-// visible whenever execution reaches r).
-func prefixOf(w, r *smRegion) bool {
-	for ; r != nil; r = r.parent {
+// linkWakes chains the walked partition's incoming edges per producer
+// word.
+func (c *smChecker) linkWakes() {
+	c.links = c.links[:0]
+	tlen := int32(len(c.m.t))
+	for _, ed := range c.in[c.inAt[c.g]:c.inAt[c.g+1]] {
+		p := &c.prods[ed.prod]
+		for w := max(p.off, 0); w < p.off+p.words && w < tlen; w++ {
+			if c.headEp[w] != c.g {
+				c.headEp[w], c.head[w] = c.g, -1
+			}
+			c.links = append(c.links, smLink{ed.e, c.head[w]})
+			c.head[w] = int32(len(c.links) - 1)
+		}
+	}
+}
+
+// encloses reports whether region w is r or an ancestor of r (a write in
+// w is visible whenever execution reaches r); -1 encloses everything.
+func (c *smChecker) encloses(w, r int32) bool {
+	for ; r >= 0; r = c.regions[r].parent {
 		if r == w {
 			return true
 		}
 	}
-	return w == nil
+	return w < 0
 }
 
-// walkGroup runs the region-aware def-use walk over one schedule group:
-// SM-SKIP on every skip entry, SM-DEFUSE on every operand, SM-SINK on
-// every side-effect entry.
+// under reports whether the open region chain runs only under lit.
+func (c *smChecker) under(lit WakeGuard) bool {
+	for r := c.cur; r >= 0; r = c.regions[r].parent {
+		if c.regions[r].guard == lit.Off && c.regions[r].onZero == lit.NZ {
+			return true
+		}
+	}
+	return false
+}
+
+// walkGroup runs the region walk over one schedule group: SM-SKIP on
+// every skip entry, SM-DEFUSE and SM-WAKE on every operand, SM-SINK on
+// every side-effect entry, then SM-WAKE on the group's guarded edges.
 func (c *smChecker) walkGroup(gi int) {
 	m := c.m
 	r := c.ranges[gi]
-	loc := func(p int32) string { return fmt.Sprintf("sched[%d]", p) }
 	if r[0] < 0 || r[1] < r[0] || int(r[1]) > len(m.sched) {
 		c.errf("SM-SKIP", fmt.Sprintf("group %d", gi), "",
 			"schedule range [%d,%d) out of bounds", r[0], r[1])
 		return
 	}
-	if c.wrEpoch == nil {
-		c.wrEpoch = make([]int32, len(m.t))
-		c.wrRegion = make([]*smRegion, len(m.t))
-		for i := range c.wrEpoch {
-			c.wrEpoch[i] = -1
-		}
+	c.g, c.cur, c.regions = int32(gi), -1, c.regions[:0]
+	if c.cc != nil {
+		c.linkWakes()
 	}
-	c.epoch = int32(gi)
-	var cur *smRegion
-
-	checkRead := func(p int32, o, words int32, reader *Instr, way uint8) {
-		for w := int32(0); w < words; w++ {
-			ow := o + w
-			if ow < 0 || int(ow) >= len(m.t) {
-				c.errf("SM-DEFUSE", loc(p), "",
-					"operand word %d outside the value table", ow)
-				return
-			}
-			if c.source[ow] {
-				continue
-			}
-			if c.wrEpoch[ow] != c.epoch {
-				if c.writerGroup[ow] == int32(gi) {
-					c.errf("SM-DEFUSE", loc(p),
-						"schedule the producing instruction before its consumer",
-						"reads word %d before its writer (instr for %q) runs",
-						ow, c.sigName(m.instrs[c.writerInstr[ow]].out))
-				}
-				// Written by another group (cross-partition read, the
-				// plan verifier's domain) or never written (stale slot
-				// with no live readers left by fusion): not this walk's
-				// concern.
-				continue
-			}
-			wrRegion := c.wrRegion[ow]
-			if prefixOf(wrRegion, cur) {
-				continue
-			}
-			// Mux-way exception: a mux may read each way out of the arm
-			// region guarded by its own selector — the skip guarantees
-			// the way it selects was just computed.
-			if reader != nil && reader.Code == IMux && wrRegion != nil &&
-				wrRegion.guard == reader.A && prefixOf(wrRegion.parent, cur) {
-				if (way == 1 && wrRegion.onZero) || (way == 2 && !wrRegion.onZero) {
-					continue
-				}
-			}
-			c.errf("SM-DEFUSE", loc(p),
-				"a conditionally-written slot may hold a stale value when its guard skipped",
-				"reads word %d written under a skip guard that does not dominate the reader", ow)
-		}
-	}
-	checkInstr := func(p int32, in *Instr) {
-		var spans [][2]int32
-		spans = readSpans(in, spans)
-		for i, s := range spans {
-			way := uint8(0)
-			if in.Code == IMux {
-				way = uint8(i) // 0:sel 1:true way 2:false way
-			}
-			checkRead(p, s[0], s[1], in, way)
-		}
-		off, words := writeSpan(in)
-		for w := int32(0); w < words; w++ {
-			o := off + w
-			if o < 0 || int(o) >= len(m.t) {
-				continue // reported by checkWriters
-			}
-			c.wrEpoch[o] = c.epoch
-			c.wrRegion[o] = cur
-			if cur == nil {
-				c.uncond[o] = true
-			}
-		}
-	}
-	if c.uncond == nil {
-		c.uncond = make([]bool, len(m.t))
-	}
-
+	sink := int32(-1)
 	for p := r[0]; p < r[1]; p++ {
-		for cur != nil && cur.end <= p {
-			cur = cur.parent
+		for c.cur >= 0 && c.regions[c.cur].end <= p {
+			c.cur = c.regions[c.cur].parent
 		}
 		e := &m.sched[p]
 		switch e.kind {
 		case seInstr:
 			if e.idx < 0 || int(e.idx) >= len(m.instrs) {
-				c.errf("SM-SKIP", loc(p), "", "instruction index %d out of range", e.idx)
+				c.errf("SM-SKIP", c.at(p), "", "instruction index %d out of range", e.idx)
 				continue
 			}
-			checkInstr(p, &m.instrs[e.idx])
+			c.checkInstr(p, &m.instrs[e.idx])
 		case seDisplay, seCheck, seMemWrite:
-			if cur != nil {
-				c.errf("SM-SINK", loc(p),
-					"side effects must never be guarded by a mux-way skip",
-					"side-effect entry inside a skip region (guard word %d)", cur.guard)
-			}
-			for _, o := range c.sinkOperands(e, nil) {
-				checkRead(p, o.off, int32(bits.Words(int(o.w))), nil, 0)
-			}
+			sink = p
+			c.checkSink(p, e)
 		case seSkipIfZero, seSkipIfNonzero, seSkipIfZeroF, seSkipIfNonzeroF:
 			guard := e.idx
 			onZero := e.kind == seSkipIfZero || e.kind == seSkipIfZeroF
 			if e.kind == seSkipIfZeroF || e.kind == seSkipIfNonzeroF {
 				if e.idx < 0 || int(e.idx) >= len(m.instrs) {
-					c.errf("SM-SKIP", loc(p), "", "fused-skip instruction index %d out of range", e.idx)
+					c.errf("SM-SKIP", c.at(p), "", "fused-skip instruction index %d out of range", e.idx)
 					continue
 				}
 				in := &m.instrs[e.idx]
-				checkInstr(p, in) // executes in the current region first
+				c.checkInstr(p, in) // executes in the current region first
 				guard = in.Dst
 			} else {
 				if guard < 0 || int(guard) >= len(m.t) {
-					c.errf("SM-SKIP", loc(p), "", "skip guard word %d outside the value table", guard)
+					c.errf("SM-SKIP", c.at(p), "", "skip guard word %d outside the value table", guard)
 					continue
 				}
-				checkRead(p, guard, 1, nil, 0)
+				c.checkRead(p, guard, 1, nil, 0)
 			}
 			if e.n < 0 {
-				c.errf("SM-SKIP", loc(p), "skips must be forward", "negative skip count %d", e.n)
+				c.errf("SM-SKIP", c.at(p), "skips must be forward", "negative skip count %d", e.n)
 				continue
 			}
 			tgt := p + 1 + e.n
 			if tgt > r[1] {
-				c.errf("SM-SKIP", loc(p),
+				c.errf("SM-SKIP", c.at(p),
 					"a skip across the group boundary would drop other partitions' work",
 					"skip target %d beyond group end %d", tgt, r[1])
 				continue
 			}
-			if cur != nil && tgt > cur.end {
-				c.errf("SM-SKIP", loc(p),
+			if c.cur >= 0 && tgt > c.regions[c.cur].end {
+				c.errf("SM-SKIP", c.at(p),
 					"skip spans must nest within their enclosing span",
-					"skip target %d beyond enclosing span end %d", tgt, cur.end)
+					"skip target %d beyond enclosing span end %d", tgt, c.regions[c.cur].end)
 				continue
 			}
-			cur = &smRegion{guard: guard, onZero: onZero, end: tgt, parent: cur}
+			c.regions = append(c.regions, smRegion{guard: guard, end: tgt, parent: c.cur, onZero: onZero})
+			c.cur = int32(len(c.regions) - 1)
 		default:
-			c.errf("SM-SKIP", loc(p), "", "unknown schedule entry kind %d", e.kind)
+			c.errf("SM-SKIP", c.at(p), "", "unknown schedule entry kind %d", e.kind)
+		}
+	}
+	if c.cc != nil {
+		c.checkGuards(sink)
+	}
+}
+
+// checkInstr checks an instruction's reads and records its write.
+func (c *smChecker) checkInstr(p int32, in *Instr) {
+	c.spans = readSpans(in, c.spans[:0])
+	for i, s := range c.spans {
+		way := uint8(0)
+		if in.Code == IMux {
+			way = uint8(i) // 0:sel 1:true way 2:false way
+		}
+		c.checkRead(p, s[0], s[1], in, way)
+	}
+	if in.Code == IMemRead && c.cc != nil && !slices.Contains(c.cc.memReaderParts[in.Mem], c.g) {
+		c.errf("SM-WAKE", c.at(p), "a memory write must wake every partition holding one of its read ports",
+			"reads mem %q but the partition is not among its readers", c.m.d.Mems[in.Mem].Name)
+	}
+	off, words := writeSpan(in)
+	for o := max(off, 0); o < off+words && int(o) < len(c.m.t); o++ {
+		c.wrEpoch[o], c.wrRegion[o] = c.g, c.cur
+		if c.cur < 0 {
+			c.uncond[o] = true
+		}
+	}
+}
+
+// checkSink checks a side-effect entry and its operand reads.
+func (c *smChecker) checkSink(p int32, e *schedEntry) {
+	m := c.m
+	if c.cur >= 0 {
+		c.errf("SM-SINK", c.at(p), "side effects must never be guarded by a mux-way skip",
+			"side-effect entry inside a skip region (guard word %d)", c.regions[c.cur].guard)
+	}
+	slot, n := int(e.idx), len(m.displays)
+	switch e.kind {
+	case seCheck:
+		slot, n = slot+len(m.displays), len(m.checks)
+	case seMemWrite:
+		slot, n = slot+len(m.displays)+len(m.checks), len(m.memWrites)
+	}
+	if e.idx < 0 || int(e.idx) >= n {
+		c.errf("SM-SINK", c.at(p), "", "sink index %d out of range", e.idx)
+		return
+	}
+	c.sinkCount[slot]++
+	if c.cc != nil && e.kind != seMemWrite && !c.cc.stopsAt(c.g) {
+		c.errf("SM-SINK", c.at(p), "a partition holding a display or check must run every cycle",
+			"display or check in a partition that may sleep")
+	}
+	c.operands = c.sinkOperands(e, c.operands[:0])
+	for _, o := range c.operands {
+		c.checkRead(p, o.off, int32(bits.Words(int(o.w))), nil, 0)
+	}
+}
+
+// checkRead (SM-DEFUSE, SM-WAKE) checks that each word of a read is
+// defined when the reader runs and, if the value comes from outside the
+// walked partition, that a wake edge covers it.
+func (c *smChecker) checkRead(p, off, words int32, reader *Instr, way uint8) {
+	for ow := off; ow < off+words; ow++ {
+		if ow < 0 || int(ow) >= len(c.m.t) {
+			c.errf("SM-DEFUSE", c.at(p), "", "operand word %d outside the value table", ow)
+			return
+		}
+		written := c.wrEpoch[ow] == c.g
+		switch wg := c.writerGroup[ow]; {
+		case c.source[ow] == srcConst:
+		case c.source[ow] == srcState:
+			if !written {
+				c.checkWake(p, ow)
+			}
+		case written:
+			c.checkDominates(p, ow, reader, way)
+		case wg < 0:
+			c.errf("SM-DEFUSE", c.at(p), "every value read must be computed by an instruction",
+				"reads %s (word %d), which no instruction writes", c.wordName(ow), ow)
+		case wg >= c.g:
+			c.errf("SM-DEFUSE", c.at(p),
+				"schedule the producing instruction, and its partition, before its consumer",
+				"reads %s (word %d) before its writer (group %d) runs", c.wordName(ow), ow, wg)
+		default:
+			c.checkWake(p, ow)
+		}
+	}
+}
+
+// checkDominates (SM-DEFUSE): a word written earlier in the group was
+// written in a region enclosing the reader, or is a way of the mux
+// reading it.
+func (c *smChecker) checkDominates(p, ow int32, reader *Instr, way uint8) {
+	wr := c.wrRegion[ow]
+	if c.encloses(wr, c.cur) {
+		return
+	}
+	// Mux-way exception: a mux may read each way out of the arm region
+	// guarded by its own selector — the skip guarantees the way it
+	// selects was just computed.
+	if reader != nil && reader.Code == IMux && wr >= 0 {
+		rg := &c.regions[wr]
+		if rg.guard == reader.A && c.encloses(rg.parent, c.cur) &&
+			(way == 1 && rg.onZero || way == 2 && !rg.onZero) {
+			return
+		}
+	}
+	c.errf("SM-DEFUSE", c.at(p),
+		"a conditionally-written slot may hold a stale value when its guard skipped",
+		"reads word %d written under a skip guard that does not dominate the reader", ow)
+}
+
+// checkWake (SM-WAKE): a word the walked partition reads from a poke, a
+// commit or another partition is covered by an edge into the partition
+// that is unconditional or whose literal the open regions run under.
+func (c *smChecker) checkWake(p, w int32) {
+	if c.cc == nil {
+		return
+	}
+	guarded := false
+	if c.headEp[w] == c.g {
+		for l := c.head[w]; l >= 0; l = c.links[l].next {
+			lit := c.cc.parts.lits[c.links[l].e]
+			if lit.Off < 0 || c.under(lit) {
+				return
+			}
+			guarded = true
+		}
+	}
+	why := "no wake edge from its producer reaches the partition"
+	if guarded {
+		why = "outside every skip region its wake edges' literals run"
+	}
+	c.errf("SM-WAKE", c.at(p),
+		"a partition must be woken by every change to a word it reads from outside itself",
+		"reads %s (word %d), %s", c.wordName(w), w, why)
+}
+
+// checkGuards (SM-WAKE): a guarded edge's consumer, just walked, holds no
+// sink and does not compute its own guard word.
+func (c *smChecker) checkGuards(sink int32) {
+	for _, ed := range c.in[c.inAt[c.g]:c.inAt[c.g+1]] {
+		lit := c.cc.parts.lits[ed.e]
+		if lit.Off < 0 {
+			continue
+		}
+		loc := fmt.Sprintf("partition %d, guard word %d (nz %v)", c.g, lit.Off, lit.NZ)
+		hint := "an edge whose consumer reads the change outside the guard's way must wake unconditionally"
+		switch {
+		case int(lit.Off) >= len(c.m.t):
+			c.errf("SM-WAKE", loc, hint, "guard word outside the value table")
+		case sink >= 0:
+			c.errf("SM-WAKE", loc, hint, "consumer holds a side-effect entry (sched[%d]) that must see every change", sink)
+		case c.wrEpoch[lit.Off] == c.g:
+			c.errf("SM-WAKE", loc, hint, "consumer computes its own guard word: a producer's test reads it stale")
+		}
+	}
+}
+
+// checkSinksOnce (SM-SINK): every side effect is scheduled exactly once.
+func (c *smChecker) checkSinksOnce() {
+	m := c.m
+	for i, n := range c.sinkCount {
+		if n == 1 {
+			continue
+		}
+		kind, idx := "display", i
+		if idx >= len(m.displays) {
+			kind, idx = "check", idx-len(m.displays)
+		}
+		if kind == "check" && idx >= len(m.checks) {
+			kind, idx = "memwrite", idx-len(m.checks)
+		}
+		c.errf("SM-SINK", fmt.Sprintf("%s #%d", kind, idx),
+			"a side effect must happen exactly once per cycle", "scheduled %d times", n)
+	}
+}
+
+// checkCommits (SM-WAKE): every two-phase register is committed — compared
+// and its readers woken — by the partition writing its next value.
+func (c *smChecker) checkCommits() {
+	m := c.m
+	for ri := range m.d.Regs {
+		if m.elided != nil && m.elided[ri] {
+			continue
+		}
+		r := &m.d.Regs[ri]
+		o := m.off[r.Next]
+		if o < 0 || int(o) >= len(m.t) {
+			continue
+		}
+		if w := c.writerGroup[o]; w >= 0 && !slices.Contains(c.cc.parts.RegsOf(w), int32(ri)) {
+			c.errf("SM-WAKE", fmt.Sprintf("register %q", c.sigName(r.Out)),
+				"a two-phase register must be committed by the partition writing its next value",
+				"next value written in partition %d, which does not commit it", w)
 		}
 	}
 }
@@ -398,13 +649,10 @@ func (c *smChecker) walkGroup(gi int) {
 // detection — must be sources or unconditionally written, or a skipped
 // mux way leaves the comparison reading a stale word.
 func (c *smChecker) checkKeepLive(keepLive []netlist.SignalID) {
-	if c.uncond == nil {
-		c.uncond = make([]bool, len(c.m.t))
-	}
 	for _, sig := range keepLive {
 		off, words := c.m.off[sig], c.m.nw[sig]
 		for w := int32(0); w < words; w++ {
-			if !c.source[off+w] && !c.uncond[off+w] {
+			if c.source[off+w] == 0 && !c.uncond[off+w] {
 				c.errf("SM-DEFUSE", fmt.Sprintf("signal %q", c.sigName(sig)),
 					"change-detected outputs must be stored unconditionally",
 					"engine-read slot word %d has no unconditional write", off+w)
@@ -414,142 +662,42 @@ func (c *smChecker) checkKeepLive(keepLive []netlist.SignalID) {
 	}
 }
 
-// checkElide (SM-ELIDE): for every elided register, no reader of the old
-// output value is scheduled after the in-place write. schedPosOf is
-// fusion-remapped, and a value-fused reader only ever moves to a
-// position the fusion pass proved clobber-free, so the check is exact.
+// checkElide (SM-ELIDE): for every elided register, the in-place write
+// sits between the readers of the two values its storage holds — every
+// reader of the old output value (a data successor of the register's
+// output in the design graph) before it, every reader of the next value
+// after it. The stream cannot tell the two apart, as both read one word.
+// schedPosOf is fusion-remapped, and a value-fused reader only ever moves
+// to a position the fusion pass proved clobber-free, so the check is
+// exact.
 func (c *smChecker) checkElide() {
 	m := c.m
-	if m.elided == nil {
-		return
-	}
-	any := false
 	for ri := range m.d.Regs {
-		if m.elided[ri] {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	// Only readers of elided register outputs matter; restricting the
-	// inversion to those signals keeps this pass allocation-light.
-	want := make([]bool, len(m.d.Signals))
-	for ri := range m.d.Regs {
-		if m.elided[ri] {
-			want[m.d.Regs[ri].Out] = true
-		}
-	}
-	readersOf := buildReadersOf(m.d, m.dg, want)
-	for ri := range m.d.Regs {
-		if !m.elided[ri] {
+		if m.elided == nil || !m.elided[ri] {
 			continue
 		}
 		r := &m.d.Regs[ri]
+		loc := fmt.Sprintf("register %q", c.sigName(r.Out))
 		wPos := m.schedPosOf[r.Next]
 		if wPos < 0 {
-			c.errf("SM-ELIDE", fmt.Sprintf("register %q", c.sigName(r.Out)),
-				"", "elided register's next value is unscheduled")
+			c.errf("SM-ELIDE", loc, "", "elided register's next value is unscheduled")
 			continue
 		}
-		for _, v := range readersOf[r.Out] {
-			if int(v) == int(r.Next) {
-				continue
-			}
-			if p := m.schedPosOf[v]; p > wPos {
-				c.errf("SM-ELIDE", fmt.Sprintf("register %q", c.sigName(r.Out)),
+		for _, v := range m.dg.G.Out(int(r.Out)) {
+			if p := m.schedPosOf[v]; v != int(r.Next) && p > wPos {
+				c.errf("SM-ELIDE", loc,
 					"readers of the old value must be scheduled before the in-place write",
 					"reader at sched[%d] runs after the in-place write at sched[%d]", p, wPos)
 			}
 		}
-	}
-}
-
-// buildReadersOf inverts the per-cycle data reads restricted to the
-// signals marked in want: readersOf[u] lists the design-graph nodes
-// reading signal u this cycle (pure data, recomputed from the design).
-func buildReadersOf(d *netlist.Design, dg *netlist.DesignGraph, want []bool) [][]int32 {
-	readers := make([][]int32, len(d.Signals))
-	add := func(v int, a netlist.Arg) {
-		if !a.IsConst() && want[a.Sig] {
-			readers[a.Sig] = append(readers[a.Sig], int32(v))
-		}
-	}
-	for i := range d.Signals {
-		s := &d.Signals[i]
-		switch s.Kind {
-		case netlist.KComb:
-			for _, a := range s.Op.Args {
-				add(i, a)
-			}
-		case netlist.KMemRead:
-			r := &d.MemReads[s.MemRead]
-			add(i, r.Addr)
-			add(i, r.En)
-		}
-	}
-	for v := len(d.Signals); v < dg.G.Len(); v++ {
-		switch dg.Kind[v] {
-		case netlist.NodeMemWrite:
-			w := &d.MemWrites[dg.Index[v]]
-			add(v, w.Addr)
-			add(v, w.En)
-			add(v, w.Data)
-			add(v, w.Mask)
-		case netlist.NodeDisplay:
-			dp := &d.Displays[dg.Index[v]]
-			add(v, dp.En)
-			for _, a := range dp.Args {
-				add(v, a)
-			}
-		case netlist.NodeCheck:
-			ck := &d.Checks[dg.Index[v]]
-			add(v, ck.En)
-			add(v, ck.Pred)
-		}
-	}
-	return readers
-}
-
-// nodeReadsSignal reports whether design-graph node v reads signal sig
-// this cycle (pure data, recomputed from the design).
-func nodeReadsSignal(d *netlist.Design, dg *netlist.DesignGraph, v int, sig netlist.SignalID) bool {
-	uses := func(a netlist.Arg) bool { return !a.IsConst() && a.Sig == sig }
-	if v < len(d.Signals) {
-		s := &d.Signals[v]
-		switch s.Kind {
-		case netlist.KComb:
-			for _, a := range s.Op.Args {
-				if uses(a) {
-					return true
-				}
-			}
-		case netlist.KMemRead:
-			r := &d.MemReads[s.MemRead]
-			return uses(r.Addr) || uses(r.En)
-		}
-		return false
-	}
-	switch dg.Kind[v] {
-	case netlist.NodeMemWrite:
-		w := &d.MemWrites[dg.Index[v]]
-		return uses(w.Addr) || uses(w.En) || uses(w.Data) || uses(w.Mask)
-	case netlist.NodeDisplay:
-		dp := &d.Displays[dg.Index[v]]
-		if uses(dp.En) {
-			return true
-		}
-		for _, a := range dp.Args {
-			if uses(a) {
-				return true
+		for _, v := range m.dg.G.Out(int(r.Next)) {
+			if p := m.schedPosOf[v]; p >= 0 && p < wPos {
+				c.errf("SM-ELIDE", loc,
+					"readers of the next value must be scheduled after the in-place write",
+					"reader at sched[%d] runs before the in-place write at sched[%d]", p, wPos)
 			}
 		}
-	case netlist.NodeCheck:
-		ck := &d.Checks[dg.Index[v]]
-		return uses(ck.En) || uses(ck.Pred)
 	}
-	return false
 }
 
 // verifyLowering (SM-LOWER) validates ops and spans as the lowering of the
@@ -691,166 +839,6 @@ func verifyLowering(sched []schedEntry, instrs []Instr, ranges [][2]int32,
 	}
 	if int(end) != len(ops) {
 		bad("stream", "spans end at ops[%d] of %d", end, len(ops))
-	}
-	return diags
-}
-
-// verifyWakes (SM-WAKE) re-derives every guarded edge of c's wake table
-// from the schedule IR — the consumer's schedule range under the region
-// walk SM-SKIP does — not from the lowered ops guardWakes read. A reader
-// of the producer's words outside a region run under the edge's literal,
-// a consumer that writes the guard word, or a consumer holding a sink is
-// a wake the engine may drop while the consumer's outputs still depend on
-// the change.
-func (c *CCSS) verifyWakes() []verify.Diagnostic {
-	m, pt := c.machine, &c.parts
-	var diags []verify.Diagnostic
-	bad := func(q int32, lit WakeGuard, format string, args ...any) {
-		diags = append(diags, verify.Diagnostic{
-			Rule: "SM-WAKE", Sev: verify.SevError,
-			Loc: fmt.Sprintf("partition %d, guard word %d (nz %v)", q, lit.Off, lit.NZ),
-			Msg: fmt.Sprintf(format, args...),
-			Hint: "an edge whose consumer reads the change outside the guard's way " +
-				"must wake unconditionally",
-		})
-	}
-	// Guarded edges by consumer: byQ[start[q]:start[q+1]] are q's, as
-	// (wake-table entry, producer) pairs.
-	type edge struct{ e, prod int32 }
-	prods := c.wakeProducers()
-	np := int32(len(pt.rows))
-	start := make([]int32, np+1)
-	for pi := range prods {
-		for _, q := range pt.cons[prods[pi].w.guarded:prods[pi].w.end] {
-			if q >= 0 && q < np {
-				start[q+1]++
-			}
-		}
-	}
-	for q := int32(0); q < np; q++ {
-		start[q+1] += start[q]
-	}
-	byQ := make([]edge, start[np])
-	fill := append([]int32(nil), start[:np]...)
-	for pi := range prods {
-		w := prods[pi].w
-		for e := w.guarded; e < w.end; e++ {
-			if q := pt.cons[e]; q >= 0 && q < np {
-				byQ[fill[q]] = edge{e, int32(pi)}
-				fill[q]++
-			}
-		}
-	}
-
-	tlen := int32(len(m.t))
-	// Per table word, stamped per consumer: the head of the list of the
-	// consumer's guarded edges whose producer covers it, and whether the
-	// consumer writes it.
-	headEp, head := make([]int32, tlen), make([]int32, tlen)
-	writeEp := make([]int32, tlen)
-	type link struct{ edge, next int32 }
-	var links []link
-	type region struct {
-		guard  int32
-		onZero bool
-		end    int32
-		parent int32
-	}
-	var regions []region
-	var spans [][2]int32
-	var edges []edge
-	var readOutside []int32
-	cur, ep := int32(-1), int32(0)
-	// under reports whether the open region chain runs only under lit.
-	under := func(lit WakeGuard) bool {
-		for r := cur; r >= 0; r = regions[r].parent {
-			if regions[r].guard == lit.Off && regions[r].onZero == lit.NZ {
-				return true
-			}
-		}
-		return false
-	}
-	read := func(p, off, words int32) {
-		for w := off; w < off+words; w++ {
-			if w < 0 || w >= tlen || headEp[w] != ep {
-				continue
-			}
-			for l := head[w]; l >= 0; l = links[l].next {
-				if k := links[l].edge; readOutside[k] < 0 && !under(pt.lits[edges[k].e]) {
-					readOutside[k] = p
-				}
-			}
-		}
-	}
-	sc := &smChecker{m: m}
-	for q := int32(0); q < np; q++ {
-		edges = byQ[start[q]:start[q+1]]
-		if len(edges) == 0 {
-			continue
-		}
-		ep++
-		links, readOutside = links[:0], readOutside[:0]
-		for k := range edges {
-			readOutside = append(readOutside, -1)
-			lit := pt.lits[edges[k].e]
-			if lit.Off < 0 || lit.Off >= tlen {
-				bad(q, lit, "guard word outside the value table")
-			}
-			p := &prods[edges[k].prod]
-			for w := p.off; w < p.off+p.words && w < tlen; w++ {
-				if headEp[w] != ep {
-					headEp[w], head[w] = ep, -1
-				}
-				links = append(links, link{int32(k), head[w]})
-				head[w] = int32(len(links) - 1)
-			}
-		}
-		regions, cur = regions[:0], -1
-		sink := int32(-1)
-		r := pt.sched[q]
-		for p := r[0]; p < r[1] && int(p) < len(m.sched); p++ {
-			for cur >= 0 && regions[cur].end <= p {
-				cur = regions[cur].parent
-			}
-			e := &m.sched[p]
-			if e.kind == seDisplay || e.kind == seCheck || e.kind == seMemWrite {
-				sink = p
-				continue
-			}
-			guard := e.idx
-			if ii := sc.schedInstr(e); ii >= 0 {
-				in := &m.instrs[ii]
-				spans = readSpans(in, spans[:0])
-				for _, s := range spans {
-					read(p, s[0], s[1])
-				}
-				off, words := writeSpan(in)
-				for w := max(off, 0); w < off+words && w < tlen; w++ {
-					writeEp[w] = ep
-				}
-				guard = in.Dst
-			} else if e.kind == seSkipIfZero || e.kind == seSkipIfNonzero {
-				read(p, guard, 1)
-			}
-			if e.kind >= seSkipIfZero && e.kind <= seSkipIfNonzeroF {
-				onZero := e.kind == seSkipIfZero || e.kind == seSkipIfZeroF
-				regions = append(regions, region{guard: guard, onZero: onZero,
-					end: p + 1 + e.n, parent: cur})
-				cur = int32(len(regions) - 1)
-			}
-		}
-		for k, ed := range edges {
-			lit := pt.lits[ed.e]
-			switch {
-			case sink >= 0:
-				bad(q, lit, "consumer holds a side-effect entry (sched[%d]) that must see every change", sink)
-			case lit.Off >= 0 && lit.Off < tlen && writeEp[lit.Off] == ep:
-				bad(q, lit, "consumer computes its own guard word: a producer's test reads it stale")
-			case readOutside[k] >= 0:
-				bad(q, lit, "sched[%d] reads the producer's words outside every region run under the literal",
-					readOutside[k])
-			}
-		}
 	}
 	return diags
 }

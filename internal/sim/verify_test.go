@@ -6,15 +6,14 @@ import (
 	"testing"
 
 	"essent/internal/bits"
-	"essent/internal/firrtl"
 	"essent/internal/netlist"
 	"essent/internal/sched"
 	"essent/internal/verify"
 )
 
-// Machine-level (SM-*) rule tests: build a real machine the way
-// newCCSS does, inject one lowering defect, and assert the rule
-// guarding against it fires.
+// Machine-level (SM-*) rule tests: build a real engine the way newCCSS
+// does, inject one lowering defect, and assert the rule guarding against
+// it fires.
 
 const smMultiSrc = `
 circuit T :
@@ -58,41 +57,22 @@ circuit T :
     printf(clock, en, "tick\n")
 `
 
-// buildVerifyMachine compiles src into a machine exactly like the CCSS
-// constructor: partition groups, mux shadows, fusion, keep-live outputs.
-func buildVerifyMachine(t *testing.T, src string, cp int) (*machine, [][2]int32,
-	[]netlist.SignalID) {
+// buildVerifyMachine builds src exactly like the CCSS constructor
+// (buildCCSS: partition groups, mux shadows, fusion, keep-live outputs,
+// wake tables) with verification off, and returns the engine and its
+// keep-live outputs.
+func buildVerifyMachine(t *testing.T, src string, cp int) (*CCSS, []netlist.SignalID) {
 	t.Helper()
-	c, err := firrtl.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := netlist.Compile(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := compileSrc(t, src)
 	plan, err := sched.PlanCCSS(d, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := make([][]int, len(plan.Parts))
-	for pi := range plan.Parts {
-		groups[pi] = plan.Parts[pi].Members
-	}
-	var keepLive []netlist.SignalID
-	for pi := range plan.Parts {
-		for _, op := range plan.Parts[pi].Outputs {
-			keepLive = append(keepLive, op.Sig)
-		}
-	}
-	m, ranges, err := newMachine(d, plan.DG, plan.Order, plan.Elided,
-		machineConfig{shadows: plan.Shadows, groups: groups, fuse: true,
-			keepLive: keepLive})
+	c, err := buildCCSS(d, plan, Options{Verify: verify.Off})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.ops, m.spans = lower(m.sched, m.instrs, ranges)
-	return m, ranges, keepLive
+	return c, partOutputs(plan)
 }
 
 func smHasRule(diags []verify.Diagnostic, rule string) bool {
@@ -136,8 +116,9 @@ func sourceWords(m *machine) []bool {
 func TestVerifyMachineClean(t *testing.T) {
 	for _, src := range []string{smMultiSrc, smElideSrc, smSinkSrc} {
 		for _, cp := range []int{1, 8, 1 << 20} {
-			m, ranges, keepLive := buildVerifyMachine(t, src, cp)
-			if diags := verifyMachine(m, ranges, keepLive); len(diags) != 0 {
+			c, keepLive := buildVerifyMachine(t, src, cp)
+			m, ranges := c.machine, c.parts.sched
+			if diags := verifyMachine(m, ranges, keepLive, c); len(diags) != 0 {
 				t.Fatalf("cp=%d: clean machine produced findings:\n%s",
 					cp, verify.Format(diags))
 			}
@@ -162,18 +143,21 @@ func aliasTwoWriters(t *testing.T, m *machine) {
 }
 
 func TestSMAliasDoubleWriter(t *testing.T) {
-	m, ranges, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	c, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	m, ranges := c.machine, c.parts.sched
 	aliasTwoWriters(t, m)
-	smWantRule(t, verifyMachine(m, ranges, keepLive), "SM-ALIAS")
+	smWantRule(t, verifyMachine(m, ranges, keepLive, c), "SM-ALIAS")
 }
 
-// TestScalarBuildRejectsDoubleWriter: the step every scalar build ends on
-// — newCCSS, newFullCycle, and through them Lower, whose program the code
-// generator prints — lowers and verifies in one call, so an IR the
-// verifier rejects fails a strict build before anything can run or print
-// its stream; with verification off the same IR goes through.
+// TestScalarBuildRejectsDoubleWriter: the step a full-cycle build ends on
+// — and through it Lower, whose program the code generator prints —
+// lowers and verifies in one call, so an IR the verifier rejects fails a
+// strict build before anything can run or print its stream; with
+// verification off the same IR goes through. (buildCCSS runs the same
+// verifier once its wake table is derived: TestPlanMutationsCaught.)
 func TestScalarBuildRejectsDoubleWriter(t *testing.T) {
-	m, ranges, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	c, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	m, ranges := c.machine, c.parts.sched
 	aliasTwoWriters(t, m)
 	err := m.lowerVerified(ranges, keepLive, verify.Strict)
 	if err == nil || !strings.Contains(err.Error(), "SM-ALIAS") {
@@ -185,7 +169,8 @@ func TestScalarBuildRejectsDoubleWriter(t *testing.T) {
 }
 
 func TestSMDefUseSwap(t *testing.T) {
-	m, ranges, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	c, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	m, ranges := c.machine, c.parts.sched
 	src := sourceWords(m)
 	// Find schedule positions p < q in one group where q's instruction
 	// reads a non-source word p's instruction writes, then swap them.
@@ -206,7 +191,7 @@ func TestSMDefUseSwap(t *testing.T) {
 						o := s[0] + w
 						if o >= off && o < off+words && !src[o] {
 							m.sched[p], m.sched[q] = m.sched[q], m.sched[p]
-							smWantRule(t, verifyMachine(m, ranges, keepLive),
+							smWantRule(t, verifyMachine(m, ranges, keepLive, c),
 								"SM-DEFUSE")
 							return
 						}
@@ -219,20 +204,21 @@ func TestSMDefUseSwap(t *testing.T) {
 }
 
 func TestSMSkipCorrupted(t *testing.T) {
-	m, ranges, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	c, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	m := c.machine
 	guard := m.off[m.d.Inputs[0]]
 	// A backward skip is never legal.
 	m.sched = append(m.sched, schedEntry{kind: seSkipIfZero, idx: guard, n: -1})
-	smWantRule(t, verifyMachine(m, nil, keepLive), "SM-SKIP")
+	smWantRule(t, verifyMachine(m, nil, keepLive, nil), "SM-SKIP")
 
 	// A skip past the end of its group drops other partitions' work.
 	m.sched[len(m.sched)-1] = schedEntry{kind: seSkipIfZero, idx: guard, n: 99999}
-	smWantRule(t, verifyMachine(m, nil, keepLive), "SM-SKIP")
-	_ = ranges
+	smWantRule(t, verifyMachine(m, nil, keepLive, nil), "SM-SKIP")
 }
 
 func TestSMSinkInsideSkip(t *testing.T) {
-	m, _, keepLive := buildVerifyMachine(t, smSinkSrc, 1<<20)
+	c, keepLive := buildVerifyMachine(t, smSinkSrc, 1<<20)
+	m := c.machine
 	guard := m.off[m.d.Inputs[0]]
 	for p, e := range m.sched {
 		if e.kind != seDisplay {
@@ -245,14 +231,15 @@ func TestSMSinkInsideSkip(t *testing.T) {
 		mut = append(mut, schedEntry{kind: seSkipIfZero, idx: guard, n: 1})
 		mut = append(mut, m.sched[p:]...)
 		m.sched = mut
-		smWantRule(t, verifyMachine(m, nil, keepLive), "SM-SINK")
+		smWantRule(t, verifyMachine(m, nil, keepLive, nil), "SM-SINK")
 		return
 	}
 	t.Fatal("no display entry scheduled")
 }
 
 func TestSMElideOvertake(t *testing.T) {
-	m, ranges, keepLive := buildVerifyMachine(t, smElideSrc, 1<<20)
+	c, keepLive := buildVerifyMachine(t, smElideSrc, 1<<20)
+	m, ranges := c.machine, c.parts.sched
 	if m.elided == nil || !m.elided[0] {
 		t.Fatal("expected the register to be elided")
 	}
@@ -264,14 +251,55 @@ func TestSMElideOvertake(t *testing.T) {
 		}
 		// Claim the reader was scheduled after the in-place write.
 		m.schedPosOf[v] = wPos + 1
-		smWantRule(t, verifyMachine(m, ranges, keepLive), "SM-ELIDE")
+		smWantRule(t, verifyMachine(m, ranges, keepLive, c), "SM-ELIDE")
 		return
 	}
 	t.Fatal("no reader of the elided register found")
 }
 
+// nodeReadsSignal reports whether design-graph node v reads signal sig
+// this cycle (pure data, recomputed from the design).
+func nodeReadsSignal(d *netlist.Design, dg *netlist.DesignGraph, v int, sig netlist.SignalID) bool {
+	uses := func(a netlist.Arg) bool { return !a.IsConst() && a.Sig == sig }
+	if v < len(d.Signals) {
+		s := &d.Signals[v]
+		switch s.Kind {
+		case netlist.KComb:
+			for _, a := range s.Op.Args {
+				if uses(a) {
+					return true
+				}
+			}
+		case netlist.KMemRead:
+			r := &d.MemReads[s.MemRead]
+			return uses(r.Addr) || uses(r.En)
+		}
+		return false
+	}
+	switch dg.Kind[v] {
+	case netlist.NodeMemWrite:
+		w := &d.MemWrites[dg.Index[v]]
+		return uses(w.Addr) || uses(w.En) || uses(w.Data) || uses(w.Mask)
+	case netlist.NodeDisplay:
+		dp := &d.Displays[dg.Index[v]]
+		if uses(dp.En) {
+			return true
+		}
+		for _, a := range dp.Args {
+			if uses(a) {
+				return true
+			}
+		}
+	case netlist.NodeCheck:
+		ck := &d.Checks[dg.Index[v]]
+		return uses(ck.En) || uses(ck.Pred)
+	}
+	return false
+}
+
 func TestSMKeepLiveUnwritten(t *testing.T) {
-	m, ranges, _ := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	c, _ := buildVerifyMachine(t, smMultiSrc, 1<<20)
+	m, ranges := c.machine, c.parts.sched
 	// Engine-read slots must have unconditional writes; a comb signal
 	// whose store fusion eliminated does not qualify.
 	src := sourceWords(m)
@@ -290,7 +318,7 @@ func TestSMKeepLiveUnwritten(t *testing.T) {
 		}
 		if !src[m.off[i]] && !written[m.off[i]] {
 			diags := verifyMachine(m, ranges,
-				[]netlist.SignalID{netlist.SignalID(i)})
+				[]netlist.SignalID{netlist.SignalID(i)}, c)
 			smWantRule(t, diags, "SM-DEFUSE")
 			return
 		}
@@ -319,9 +347,10 @@ circuit T :
 // verifier the way a strict engine build does.
 func lowerStrict(t *testing.T, src string) (*machine, func() error) {
 	t.Helper()
-	m, ranges, keepLive := buildVerifyMachine(t, src, 1<<20)
+	c, keepLive := buildVerifyMachine(t, src, 1<<20)
+	m, ranges := c.machine, c.parts.sched
 	return m, func() error {
-		return verify.Enforce(verify.Strict, verifyMachine(m, ranges, keepLive), nil)
+		return verify.Enforce(verify.Strict, verifyMachine(m, ranges, keepLive, c), nil)
 	}
 }
 

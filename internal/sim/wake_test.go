@@ -616,7 +616,7 @@ func guardMutation(t *testing.T, c *CCSS, kind string) {
 // an SM-WAKE finding.
 func wantSMWake(t *testing.T, c *CCSS, what string) {
 	t.Helper()
-	diags := c.verifyWakes()
+	diags := verifyMachine(c.machine, c.parts.sched, nil, c)
 	found := false
 	for _, dg := range diags {
 		found = found || dg.Rule == "SM-WAKE"
@@ -634,7 +634,7 @@ func TestSMWakeMutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if diags := c.verifyWakes(); len(diags) != 0 {
+		if diags := verifyMachine(c.machine, c.parts.sched, nil, c); len(diags) != 0 {
 			t.Fatalf("clean table has findings: %v", diags)
 		}
 		return c

@@ -39,7 +39,7 @@ func Design(d *netlist.Design) []Diagnostic {
 
 // DesignPrePlanned is Design minus the combinational-loop pass, for
 // engine constructors that also verify a schedule of the same netlist:
-// the schedule's def-before-use total order (PL-DEFUSE / SM-DEFUSE)
+// the schedule's def-before-use total order (SM-DEFUSE)
 // already proves the scheduled graph acyclic, and re-deriving the graph
 // here would double the verifier's compile cost for no added coverage.
 func DesignPrePlanned(d *netlist.Design) []Diagnostic {

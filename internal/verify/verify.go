@@ -1,27 +1,23 @@
 // Package verify is the static-analysis subsystem that proves compiled
-// artifacts safe before they run. It operates at two layers below the
-// engines:
+// artifacts safe before they run. It holds the diagnostics, the modes
+// that enforce them, and the netlist lint (Design / Lint): structural
+// soundness of the flat IR — every operand resolves, every signal has
+// exactly one driver, widths and signs agree with the FIRRTL result rules
+// at every op boundary, the combinational graph is acyclic (with a
+// readable cycle trace), and — advisory — no signal is dead weight.
 //
-//   - netlist lint (Design / Lint): structural soundness of the flat IR —
-//     every operand resolves, every signal has exactly one driver, widths
-//     and signs agree with the FIRRTL result rules at every op boundary,
-//     the combinational graph is acyclic (with a readable cycle trace),
-//     and — advisory — no signal is dead weight.
-//
-//   - plan verification (Plan): the CCSS schedule's safety contract — the
-//     global order defines values before they are used, register update
-//     elision never lets a write overtake a read, every cross-partition
-//     read is covered by an activity-wake edge (so a sleeping partition
-//     provably cannot be read stale by an executed one), DAG levels are
-//     consistent with the level-major partition order, and side-effect
-//     sinks live in always-on partitions so a skip can never drop an
-//     observable effect.
-//
-// A third layer, the machine-schedule checks (SM-* rules), lives in
-// internal/sim where the compiled instruction stream is visible; it emits
-// the same Diagnostic type. Engines run all applicable layers at
-// construction; Mode selects whether violations abort compilation
-// (Strict, the default), print and continue (Warn), or are skipped (Off).
+// The second layer, the machine-schedule checks (SM-* rules), lives in
+// internal/sim where what the engines run is visible: the instruction
+// stream, its lowering and the CCSS wake tables. It proves the CCSS
+// safety contract on them — values defined before they are used, register
+// update elision never letting a write overtake a read, every
+// cross-partition read covered by an activity-wake edge, producers before
+// consumers in the partition walk, side effects run once a cycle in
+// always-on partitions — and emits the same Diagnostic type. The plan
+// those are built from is not checked on its own: a fault in it shows in
+// what is built. Engines run both layers at construction; Mode selects
+// whether violations abort compilation (Strict, the default), print and
+// continue (Warn), or are skipped (Off).
 package verify
 
 import (
@@ -60,7 +56,7 @@ func (s Severity) String() string {
 // catalogue (DESIGN.md §9), a severity, a human-locatable site, the
 // violation, and a fix hint.
 type Diagnostic struct {
-	Rule string   // catalogue ID, e.g. "NL-WIDTH", "PL-WAKE", "SM-ALIAS"
+	Rule string   // catalogue ID, e.g. "NL-WIDTH", "SM-WAKE", "SM-ALIAS"
 	Sev  Severity // error / warn / info
 	Loc  string   // site, e.g. `signal "io_out"`, "partition 12", "sched[345]"
 	Msg  string   // what is wrong

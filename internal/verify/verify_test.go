@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,7 +9,7 @@ import (
 
 	"essent/internal/firrtl"
 	"essent/internal/netlist"
-	"essent/internal/sched"
+	"essent/internal/sim"
 	"essent/internal/verify"
 )
 
@@ -71,15 +72,6 @@ func compile(t *testing.T, src string) *netlist.Design {
 		t.Fatal(err)
 	}
 	return d
-}
-
-func plan(t *testing.T, d *netlist.Design, cp int) *sched.CCSSPlan {
-	t.Helper()
-	p, err := sched.PlanCCSS(d, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 func hasRule(diags []verify.Diagnostic, rule string) bool {
@@ -196,215 +188,21 @@ circuit T :
 	wantClean(t, diags)
 }
 
-// --- Plan rules --------------------------------------------------------
+// --- Plans -------------------------------------------------------------
 
+// TestPlanClean: the CCSS plans of the clean designs build strict — the
+// lint and every SM rule over what is built from the plan — at every Cp.
+// Plan faults are injected through the builder in internal/sim
+// (TestPlanMutationsCaught).
 func TestPlanClean(t *testing.T) {
 	for _, src := range []string{multiSrc, elideSrc, sinkSrc} {
 		d := compile(t, src)
 		for _, cp := range []int{1, 8, 100} {
-			if diags := verify.Plan(plan(t, d, cp)); len(diags) != 0 {
-				t.Fatalf("cp=%d: clean plan produced findings:\n%s",
-					cp, verify.Format(diags))
+			if _, err := sim.New(d, sim.Options{Engine: sim.EngineCCSS, Cp: cp}); err != nil {
+				t.Fatalf("cp=%d: clean plan rejected: %v", cp, err)
 			}
 		}
 	}
-}
-
-// orderBase returns the offset of partition pi's members in p.Order.
-func orderBase(p *sched.CCSSPlan, pi int) int {
-	base := 0
-	for q := 0; q < pi; q++ {
-		base += len(p.Parts[q].Members)
-	}
-	return base
-}
-
-// swapMembers exchanges members i and j of partition pi in both the
-// member list and the global order, preserving the concatenation
-// invariant so only the targeted rule fires.
-func swapMembers(p *sched.CCSSPlan, pi, i, j int) {
-	ms := p.Parts[pi].Members
-	ms[i], ms[j] = ms[j], ms[i]
-	base := orderBase(p, pi)
-	p.Order[base+i], p.Order[base+j] = p.Order[base+j], p.Order[base+i]
-}
-
-func TestPLMemberDuplicate(t *testing.T) {
-	p := plan(t, compile(t, multiSrc), 1)
-	last := len(p.Parts) - 1
-	p.Parts[last].Members = append(p.Parts[last].Members, p.Parts[0].Members[0])
-	wantRule(t, verify.Plan(p), "PL-MEMBER")
-}
-
-func TestPLMemberOrderMismatch(t *testing.T) {
-	p := plan(t, compile(t, multiSrc), 1)
-	p.Order = p.Order[:len(p.Order)-1]
-	wantRule(t, verify.Plan(p), "PL-MEMBER")
-}
-
-func TestPLDefUseSwap(t *testing.T) {
-	d := compile(t, multiSrc)
-	p := plan(t, d, 100) // one big partition: intra-partition dependencies
-	// Find a producer/consumer pair inside one partition and swap them.
-	pos := map[int]int{}
-	for pi := range p.Parts {
-		for i, m := range p.Parts[pi].Members {
-			pos[m] = i
-		}
-		for j, m := range p.Parts[pi].Members {
-			if m >= len(d.Signals) || d.Signals[m].Kind != netlist.KComb {
-				continue
-			}
-			for _, a := range d.Signals[m].Op.Args {
-				if a.IsConst() {
-					continue
-				}
-				if i, ok := pos[int(a.Sig)]; ok && i < j {
-					swapMembers(p, pi, i, j)
-					wantRule(t, verify.Plan(p), "PL-DEFUSE")
-					return
-				}
-			}
-		}
-		pos = map[int]int{}
-	}
-	t.Fatal("no intra-partition producer/consumer pair found")
-}
-
-func TestPLElideOvertake(t *testing.T) {
-	d := compile(t, elideSrc)
-	p := plan(t, d, 100)
-	if !p.Elided[0] {
-		t.Fatal("expected the register to be elided")
-	}
-	next := int(d.Regs[0].Next)
-	out := d.Regs[0].Out
-	// Move a reader of the old value after the in-place write.
-	for pi := range p.Parts {
-		ms := p.Parts[pi].Members
-		wIdx := -1
-		for i, m := range ms {
-			if m == next {
-				wIdx = i
-			}
-		}
-		if wIdx < 0 {
-			continue
-		}
-		for i, m := range ms {
-			if i >= wIdx || m >= len(d.Signals) || m == next {
-				continue
-			}
-			s := &d.Signals[m]
-			if s.Kind != netlist.KComb {
-				continue
-			}
-			for _, a := range s.Op.Args {
-				if !a.IsConst() && a.Sig == out {
-					swapMembers(p, pi, i, wIdx)
-					wantRule(t, verify.Plan(p), "PL-ELIDE")
-					return
-				}
-			}
-		}
-	}
-	t.Fatal("no reader scheduled before the in-place write")
-}
-
-func TestPLWakeDroppedInputEdge(t *testing.T) {
-	p := plan(t, compile(t, multiSrc), 1)
-	fired := false
-	for i := range p.InputConsumers {
-		if len(p.InputConsumers[i]) > 0 {
-			p.InputConsumers[i] = nil
-			fired = true
-			break
-		}
-	}
-	if !fired {
-		t.Fatal("no consumed input")
-	}
-	wantRule(t, verify.Plan(p), "PL-WAKE")
-}
-
-func TestPLWakeDroppedRegEdge(t *testing.T) {
-	p := plan(t, compile(t, multiSrc), 1)
-	fired := false
-	for ri := range p.RegReaderParts {
-		if len(p.RegReaderParts[ri]) > 0 {
-			p.RegReaderParts[ri] = nil
-			fired = true
-			break
-		}
-	}
-	if !fired {
-		t.Fatal("no read register")
-	}
-	wantRule(t, verify.Plan(p), "PL-WAKE")
-}
-
-func TestPLWakeDroppedOutputConsumer(t *testing.T) {
-	p := plan(t, compile(t, multiSrc), 1)
-	for pi := range p.Parts {
-		for oi := range p.Parts[pi].Outputs {
-			if len(p.Parts[pi].Outputs[oi].Consumers) > 0 {
-				p.Parts[pi].Outputs[oi].Consumers = nil
-				wantRule(t, verify.Plan(p), "PL-WAKE")
-				return
-			}
-		}
-	}
-	t.Fatal("no output plan with consumers")
-}
-
-func TestPLLevelTampered(t *testing.T) {
-	p := plan(t, compile(t, multiSrc), 1)
-	p.NumLevels++
-	wantRule(t, verify.Plan(p), "PL-LEVEL")
-}
-
-func TestPLLevelFlattened(t *testing.T) {
-	p := plan(t, compile(t, multiSrc), 1)
-	if p.NumLevels < 2 {
-		t.Skip("plan has a single level")
-	}
-	for i := range p.PartLevels {
-		p.PartLevels[i] = 0
-	}
-	p.NumLevels = 1
-	wantRule(t, verify.Plan(p), "PL-LEVEL")
-}
-
-// TestPLLevelNotLevelMajor: the scalar walk's one ascending bitmap scan
-// needs runtime IDs in level order; lifting partition 0 to the deepest
-// level breaks that order, and PL-LEVEL names it.
-func TestPLLevelNotLevelMajor(t *testing.T) {
-	p := plan(t, compile(t, multiSrc), 1)
-	if p.NumLevels < 2 {
-		t.Skip("plan has a single level")
-	}
-	p.PartLevels[0] = p.NumLevels - 1
-	for _, d := range verify.Plan(p) {
-		if d.Rule == "PL-LEVEL" && strings.Contains(d.Hint, "level-major") {
-			return
-		}
-	}
-	t.Fatalf("no level-major PL-LEVEL diagnostic:\n%s", verify.Format(verify.Plan(p)))
-}
-
-func TestPLSinkSkippable(t *testing.T) {
-	d := compile(t, sinkSrc)
-	p := plan(t, d, 1)
-	for pi := range p.Parts {
-		for _, m := range p.Parts[pi].Members {
-			if m >= len(d.Signals) && p.DG.Kind[m] == netlist.NodeDisplay {
-				p.Parts[pi].AlwaysOn = false
-				wantRule(t, verify.Plan(p), "PL-SINK")
-				return
-			}
-		}
-	}
-	t.Fatal("no display sink scheduled")
 }
 
 // --- Diagnostic formatting (golden) ------------------------------------
@@ -414,9 +212,6 @@ func TestFormatGolden(t *testing.T) {
 		{Rule: "NL-WIDTH", Sev: verify.SevError, Loc: `signal "s1"`,
 			Msg:  "declared UInt<4> but tail yields UInt<8>",
 			Hint: "re-run width inference after rewriting ops"},
-		{Rule: "PL-WAKE", Sev: verify.SevError, Loc: `signal "o2"`,
-			Msg:  "reads signal \"s1\" across partitions (0 → 2) with no wake edge",
-			Hint: "emit an OutputPlan on the producer partition listing this consumer"},
 		{Rule: "NL-DEAD", Sev: verify.SevInfo, Loc: `signal "unused"`,
 			Msg: "input port is never read"},
 	}
@@ -428,6 +223,17 @@ func TestFormatGolden(t *testing.T) {
 			diags = append(diags, dg)
 		}
 	}
+	// So is the SM-WAKE row, by a strict engine build: an input left out of
+	// the design's input list gets no change-detection row, so nothing
+	// wakes the partition reading it.
+	d = compile(t, multiSrc)
+	d.Inputs = d.Inputs[1:]
+	_, err := sim.New(d, sim.Options{Engine: sim.EngineCCSS, Cp: 1})
+	var ve *verify.ViolationError
+	if !errors.As(err, &ve) || ve.Diags[0].Rule != "SM-WAKE" {
+		t.Fatalf("dropped input: strict build returned %v, want an SM-WAKE failure", err)
+	}
+	diags = append(diags, ve.Diags[0])
 	got := verify.Format(diags)
 	golden := filepath.Join("testdata", "diags.golden")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
@@ -453,19 +259,19 @@ func TestFormatGolden(t *testing.T) {
 
 func TestViolationError(t *testing.T) {
 	diags := []verify.Diagnostic{
-		{Rule: "PL-DEFUSE", Sev: verify.SevError, Loc: "x", Msg: "boom"},
+		{Rule: "SM-DEFUSE", Sev: verify.SevError, Loc: "x", Msg: "boom"},
 		{Rule: "NL-DEAD", Sev: verify.SevInfo, Loc: "y", Msg: "meh"},
 	}
 	if err := verify.Enforce(verify.Strict, diags, nil); err == nil {
 		t.Fatal("strict mode must reject errors")
-	} else if !strings.Contains(err.Error(), "PL-DEFUSE") {
+	} else if !strings.Contains(err.Error(), "SM-DEFUSE") {
 		t.Fatalf("error should carry the rule ID: %v", err)
 	}
 	var sb strings.Builder
 	if err := verify.Enforce(verify.Warn, diags, &sb); err != nil {
 		t.Fatalf("warn mode must not fail: %v", err)
 	}
-	if !strings.Contains(sb.String(), "PL-DEFUSE") {
+	if !strings.Contains(sb.String(), "SM-DEFUSE") {
 		t.Fatal("warn mode must print the findings")
 	}
 	if err := verify.Enforce(verify.Off, diags, nil); err != nil {
