@@ -82,7 +82,7 @@ func (o Options) Engine() sim.Options {
 // binary is never reused across a change to the emitted text: bump it
 // with any such change (TestFormatVersionPinsEmittedText fails until
 // then).
-const FormatVersion = 5
+const FormatVersion = 6
 
 // Generate emits Go source for a simulator of the design.
 func Generate(d *netlist.Design, opts Options) ([]byte, error) {

@@ -9,7 +9,7 @@ import (
 )
 
 // BatchCCSS runs up to simrt.MaxLanes independent stimulus lanes against
-// one compiled CCSS schedule. The design is planned, lowered and verified
+// one compiled CCSS schedule. The design is planned, built and verified
 // once (newCCSS); every lane is a scalar CCSS engine over that one compile
 // (CCSS.lane): the lanes share the op stream, the partition table and the
 // wake plumbing, and each owns its value table, memories, activity flags

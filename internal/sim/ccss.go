@@ -91,11 +91,8 @@ type CCSS struct {
 // per output: evaluating a partition touches consecutive rows, no pointer
 // chase.
 type PartTable struct {
-	// sched is each partition's entry range in the machine IR (what
-	// SM-WAKE reads; the walk runs machine.spans).
-	sched [][2]int32
-	rows  []partRow
-	outs  []PartOut
+	rows []partRow
+	outs []PartOut
 	// cons is the wake table: every consumer list (partitions to wake when
 	// a partition output, a two-phase register or an input changes — the
 	// OR-reduction targets of Fig. 1), each located by a WakeList; lits is
@@ -180,9 +177,9 @@ func partOutputs(plan *sched.CCSSPlan) []netlist.SignalID {
 
 // buildCCSS builds the runtime structures from plan and, under
 // opts.Verify, statically verifies the design and everything built from
-// the plan — the machine schedule, its lowering, and the partition, wake
-// and commit tables with the guarded edges derived from the stream
-// (verifyMachine) — before anything runs. The plan itself is not checked:
+// the plan — the op stream, and the partition, wake and commit tables with
+// the guarded edges derived from the stream (verifyMachine) — before
+// anything runs. The plan itself is not checked:
 // a fault in it shows in what is built from it.
 func buildCCSS(d *netlist.Design, plan *sched.CCSSPlan, opts Options) (*CCSS, error) {
 	if opts.Verify != verify.Off {
@@ -195,21 +192,18 @@ func buildCCSS(d *netlist.Design, plan *sched.CCSSPlan, opts Options) (*CCSS, er
 		groups[pi] = plan.Parts[pi].Members
 	}
 	keepLive := partOutputs(plan)
-	m, ranges, err := newMachine(d, plan.DG, plan.Order, plan.Elided,
+	m, err := newMachine(d, plan.DG, plan.Order, plan.Elided,
 		machineConfig{shadows: plan.Shadows, groups: groups,
 			fuse: !opts.NoFuse, keepLive: keepLive})
 	if err != nil {
 		return nil, err
 	}
-	m.ops, m.spans = lower(m.sched, m.instrs, ranges)
 	c := &CCSS{machine: m, PartStats: plan.PartStats,
 		NumElided: plan.NumElided, plan: plan}
 
-	// The partition table: entry ranges come straight from the grouped
-	// schedule construction.
+	// The partition table: partition p runs span p of the stream.
 	np := len(plan.Parts)
 	pt := &c.parts
-	pt.sched = ranges
 	pt.rows = make([]partRow, np)
 	c.flags = make([]uint64, (np+63)/64)
 	c.always = make([]uint64, len(c.flags))
@@ -261,10 +255,8 @@ func buildCCSS(d *netlist.Design, plan *sched.CCSSPlan, opts Options) (*CCSS, er
 	c.prevIn = make([]uint64, prevOff)
 
 	c.guardWakes()
-	if opts.Verify != verify.Off {
-		if err := verify.Enforce(opts.Verify, verifyMachine(m, ranges, keepLive, c), nil); err != nil {
-			return nil, err
-		}
+	if err := m.enforce(opts.Verify, keepLive, c); err != nil {
+		return nil, err
 	}
 
 	c.walk = c.stepOne
@@ -273,7 +265,7 @@ func buildCCSS(d *netlist.Design, plan *sched.CCSSPlan, opts Options) (*CCSS, er
 }
 
 // lane returns a second engine over c's compile, for BatchCCSS: it shares
-// everything construction fixed — the stream and its IR, the partition
+// everything construction fixed — the stream and its instructions, the partition
 // and wake tables, the plan, the sinks — and owns a copy of everything a
 // step writes: the value table, memories and pending writes, the wide-op
 // scratch, the activity flags, the change-detection mirrors and the

@@ -180,11 +180,11 @@ func (m *machine) Cycle() uint64 { return m.cycle }
 
 // NumSchedEntries returns the full-cycle schedule length (the per-cycle
 // work of an unconditional simulator; denominator of the effective
-// activity factor). Entries removed by superinstruction fusion are added
-// back: a fused pair still represents two operations of per-cycle work,
-// and OpsEvaluated counts it as two, so the activity ratio stays
+// activity factor): the stream's ops plus the ops fusion removed, one per
+// fused pair. A fused pair still represents two operations of per-cycle
+// work, and OpsEvaluated counts it as two, so the activity ratio stays
 // comparable across fused and unfused machines.
-func (m *machine) NumSchedEntries() int { return len(m.sched) + m.fusedEntries }
+func (m *machine) NumSchedEntries() int { return len(m.ops) + int(m.stats.FusedPairs) }
 
 // NumInstrs returns the combinational instruction count.
 func (m *machine) NumInstrs() int { return len(m.instrs) }

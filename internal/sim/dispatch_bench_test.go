@@ -18,7 +18,7 @@ import (
 //	narrow — unsigned ≤64-bit logic (xor/or/and): the kNarrow fast path
 //	signed — SInt arithmetic (add/shr): the kSigned sign-extending path
 //	wide   — UInt<100> logic: the multi-word kWide path
-//	fused  — add→tail and not→and pairs: the kFused superinstructions
+//	fused  — add→tail and not→and pairs: the fused superinstructions
 func dispatchChainSrc(kind string, n int) string {
 	var b strings.Builder
 	b.WriteString("circuit D :\n  module D :\n")

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"slices"
 
 	"essent/internal/netlist"
@@ -55,16 +54,15 @@ type EventDriven struct {
 
 // newEventDriven compiles an event-driven simulator (no optimizations,
 // no elision, no fusion: every register is two-phase, like classic event
-// simulators). Of the static checks only the netlist lint and SM-LOWER
-// apply: this engine picks its next op dynamically through its event
-// heap, so there is no static schedule to check, only the ops it picks
-// from. The loop pass is elided like on the planned
-// engines — sched.Build's topological sort below rejects cyclic designs
-// (the lint's readable cycle trace stays available via essent -lint).
+// simulators). Of the static checks only the netlist lint applies: this
+// engine picks its next op dynamically through its event heap, so there
+// is no static schedule to check. The loop pass is elided like on the
+// planned engines — sched.Build's topological sort below rejects cyclic
+// designs (the lint's readable cycle trace stays available via essent
+// -lint).
 func newEventDriven(d *netlist.Design, opts Options) (*EventDriven, error) {
-	vmode := opts.Verify
-	if vmode != verify.Off {
-		if err := verify.Enforce(vmode, verify.DesignPrePlanned(d), nil); err != nil {
+	if opts.Verify != verify.Off {
+		if err := verify.Enforce(opts.Verify, verify.DesignPrePlanned(d), nil); err != nil {
 			return nil, err
 		}
 	}
@@ -72,29 +70,16 @@ func newEventDriven(d *netlist.Design, opts Options) (*EventDriven, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, _, err := newMachine(d, plan.DG, plan.Order, plan.Elided, machineConfig{})
+	m, err := newMachine(d, plan.DG, plan.Order, plan.Elided, machineConfig{})
 	if err != nil {
 		return nil, err
-	}
-	// Unfused and unshadowed, every schedule entry lowers to exactly one
-	// stream op, so an instruction's op sits at its schedule position.
-	m.ops, m.spans = lower(m.sched, m.instrs, nil)
-	if len(m.ops) != len(m.sched) {
-		return nil, fmt.Errorf("sim: event-driven schedule lowered to %d ops for %d entries",
-			len(m.ops), len(m.sched))
-	}
-	if vmode != verify.Off {
-		if err := verify.Enforce(vmode,
-			verifyLowering(m.sched, m.instrs, nil, m.ops, m.spans, len(m.t)), nil); err != nil {
-			return nil, err
-		}
 	}
 	e := &EventDriven{machine: m, first: true}
 
 	nInstr := len(m.instrs)
 	e.pcOf = make([]int32, nInstr)
 	for ii := range m.instrs {
-		e.pcOf[ii] = m.schedPosOf[m.instrs[ii].out]
+		e.pcOf[ii] = m.pcOf[m.instrs[ii].out]
 	}
 	e.level = make([]int32, nInstr)
 	e.consumers = make([][]int32, nInstr)

@@ -18,7 +18,7 @@ type FullCycle struct {
 // newFullCycle compiles a full-cycle simulator; EngineFullCycleOpt
 // enables register update elision (the caller applies netlist-level
 // optimization passes before construction if desired). The netlist lint
-// and the machine-schedule checks run under opts.Verify (there is no
+// and the stream checks run under opts.Verify (there is no
 // partition plan on this engine). The optimizer's constant-folding
 // scratch simulator passes verify.Off — it rebuilds mid-pipeline netlists
 // many times and re-verifies through the real engine build afterwards.
@@ -33,12 +33,12 @@ func newFullCycle(d *netlist.Design, opts Options) (*FullCycle, error) {
 			return nil, err
 		}
 	}
-	m, ranges, err := newMachine(d, plan.DG, plan.Order, plan.Elided,
+	m, err := newMachine(d, plan.DG, plan.Order, plan.Elided,
 		machineConfig{shadows: plan.Shadows, fuse: !opts.NoFuse})
 	if err != nil {
 		return nil, err
 	}
-	if err := m.lowerVerified(ranges, nil, vmode); err != nil {
+	if err := m.enforce(vmode, nil, nil); err != nil {
 		return nil, err
 	}
 	return &FullCycle{machine: m}, nil

@@ -42,8 +42,8 @@ circuit F :
 	if got := fused.Stats().FusedPairs; got < 4 {
 		t.Fatalf("FusedPairs = %d, want >= 4 (cmp→mux, not→and, add→tail, sub→bits)", got)
 	}
-	if !slices.ContainsFunc(fused.instrs, func(in Instr) bool { return in.Code == IFSubTail }) {
-		t.Fatal("bits(sub(a, b), 3, 0) did not fuse into IFSubTail")
+	if !slices.ContainsFunc(fused.ops, func(op Op) bool { return op.Code == OpFSubTail }) {
+		t.Fatal("bits(sub(a, b), 3, 0) did not fuse into OpFSubTail")
 	}
 	if got := plain.Stats().FusedPairs; got != 0 {
 		t.Fatalf("noFuse machine reports FusedPairs = %d, want 0", got)
@@ -194,9 +194,9 @@ func TestFusionAblationBitExact(t *testing.T) {
 }
 
 // TestFusionScheduleInvariants checks structural invariants of a fused
-// machine: no removed slot is reachable from the schedule, fused
-// instructions carry the kFused tag, and partition ranges stay well
-// formed under the CCSS remap.
+// CCSS stream against its NoFuse twin: fusion removes one op per pair and
+// nothing else, every span keeps its weight and every skip target stays
+// inside its span.
 func TestFusionScheduleInvariants(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		c := randckt.Generate(seed+9000, randckt.DefaultConfig())
@@ -204,36 +204,30 @@ func TestFusionScheduleInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cc, err := newCCSS(d, Options{Cp: 8})
+		fused, err := newCCSS(d, Options{Cp: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := cc.machine
-		for i, e := range m.sched {
-			switch e.kind {
-			case seInstr:
-				in := &m.instrs[e.idx]
-				switch in.Code {
-				case IFCmpMux, IFNotAnd, IFAddTail, IFSubTail:
-					if in.kind != kFused {
-						t.Fatalf("seed %d: fused opcode without kFused tag at sched %d", seed, i)
-					}
-				default:
-					if in.kind == kFused {
-						t.Fatalf("seed %d: kFused tag on plain opcode %v at sched %d", seed, in.Code, i)
-					}
-				}
-			case seSkipIfZero, seSkipIfNonzero, seSkipIfZeroF, seSkipIfNonzeroF:
-				if i+1+int(e.n) > len(m.sched) {
-					t.Fatalf("seed %d: skip at %d jumps past schedule end (n=%d len=%d)",
-						seed, i, e.n, len(m.sched))
-				}
-			}
+		plain, err := newCCSS(d, Options{Cp: 8, NoFuse: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for pi, r := range cc.parts.sched {
-			if r[0] > r[1] || int(r[1]) > len(m.sched) {
-				t.Fatalf("seed %d: partition %d range [%d,%d) out of bounds (len %d)",
-					seed, pi, r[0], r[1], len(m.sched))
+		if got, want := len(fused.ops)+int(fused.stats.FusedPairs), len(plain.ops); got != want {
+			t.Fatalf("seed %d: %d ops + %d fused pairs, the unfused stream has %d ops",
+				seed, len(fused.ops), fused.stats.FusedPairs, want)
+		}
+		if f, p := fused.NumSchedEntries(), plain.NumSchedEntries(); f != p {
+			t.Fatalf("seed %d: NumSchedEntries %d fused, %d unfused", seed, f, p)
+		}
+		for pi, sp := range fused.spans {
+			if sp.Weight != plain.spans[pi].Weight || sp.Weight != weightOf(fused.ops[sp.PC:sp.End]) {
+				t.Fatalf("seed %d: partition %d weighs %d, unfused %d", seed, pi, sp.Weight, plain.spans[pi].Weight)
+			}
+			for pc := sp.PC; pc < sp.End; pc++ {
+				if op := fused.ops[pc]; (op.Code == OpSkipZ || op.Code == OpSkipNZ) && (op.X <= pc || op.X > sp.End) {
+					t.Fatalf("seed %d: skip at ops[%d] targets ops[%d] outside partition %d [%d,%d)",
+						seed, pc, op.X, pi, sp.PC, sp.End)
+				}
 			}
 		}
 	}

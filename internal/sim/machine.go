@@ -47,22 +47,6 @@ const (
 	IBits
 	IHead
 	ITail
-	// Fused superinstructions (produced by the peephole pass in fuse.go;
-	// always narrow, so the code generator meets them only as stream
-	// opcodes, never through an escape).
-	//
-	// IFCmpMux folds a single-reader comparison into the mux it selects:
-	// a/b are the comparison operands, p0 carries the comparison ICode,
-	// c is the true-way offset and mem the false-way offset.
-	IFCmpMux
-	// IFNotAnd folds not(x) into and(not(x), y): a is x, b is y, and
-	// dmask combines the not's and the and's result masks.
-	IFNotAnd
-	// IFAddTail / IFSubTail fold an add/sub into the tail (or low bits
-	// extract) that truncates it: dmask is the consumer's (narrower)
-	// result mask.
-	IFAddTail
-	IFSubTail
 )
 
 // Instr is one compiled combinational operation. All operands are word
@@ -84,9 +68,9 @@ type Instr struct {
 	out   netlist.SignalID
 }
 
-// Instruction kinds: the width/signedness class that decides how an
-// instruction lowers (stream.go) — in place for narrow and fused, an
-// escape to execSigned/execWide otherwise. Decided once at compile time.
+// Instruction kinds: the width/signedness class that decides which op an
+// instruction becomes (instrOp) — in place for narrow, an escape to
+// execSigned/execWide otherwise. Decided once at compile time.
 const (
 	// kNarrow: every operand and the result fit in one word and carry no
 	// sign flag — extensions are compile-time no-ops and are hoisted.
@@ -96,8 +80,6 @@ const (
 	kSigned
 	// kWide: any operand or the result exceeds 64 bits.
 	kWide
-	// kFused: a superinstruction from the fusion pass (always narrow).
-	kFused
 )
 
 // finishInstr precomputes the dispatch kind and result mask.
@@ -132,37 +114,6 @@ type memState struct {
 	lowMask uint64
 }
 
-// schedEntry is one step of the unified static schedule: a combinational
-// instruction, an in-stream sink (display, check, memory-write capture),
-// or a conditional skip implementing mux-way shadowing. Sinks are
-// scheduled like ESSENT schedules state updates: at their topological
-// position, after every producer and — thanks to the elision ordering
-// edges — before any in-place state write that would clobber their
-// operands.
-type schedEntry struct {
-	kind uint8
-	idx  int32
-	// n is the number of following entries to skip (skip kinds).
-	n int32
-}
-
-// Schedule entry kinds.
-const (
-	seInstr uint8 = iota
-	seDisplay
-	seCheck
-	seMemWrite
-	// seSkipIfZero skips the next n entries when t[idx] == 0 (guards a
-	// mux's true-arm cone); seSkipIfNonzero guards the false arm.
-	seSkipIfZero
-	seSkipIfNonzero
-	// seSkipIfZeroF / seSkipIfNonzeroF fuse a guard with the instruction
-	// producing its selector: idx is an instruction index (not a table
-	// offset); the instruction executes, then its dst decides the skip.
-	seSkipIfZeroF
-	seSkipIfNonzeroF
-)
-
 // machine holds everything shared by the static-schedule engines.
 type machine struct {
 	d  *netlist.Design
@@ -177,17 +128,17 @@ type machine struct {
 
 	constOff []int32 // word offset per constant-pool entry
 
-	// instrs and sched are the schedule IR: what the passes, the verifiers
-	// and the code generator read. ops and spans are its lowering
-	// (stream.go), which is what executes.
+	// ops and spans are the schedule (stream.go): what executes, what
+	// fusion rewrites and what the SM rules verify. instrs are the compiled
+	// instructions, one per combinational node; the OpSigned and OpWide
+	// escapes execute them and the code generator prints them.
 	instrs  []Instr
 	instrOf []int32 // SignalID → index into instrs (-1 for non-comb)
-	sched   []schedEntry
 	ops     []Op
 	spans   []Span
-	// schedPosOf maps design-graph node IDs to schedule positions (-1 for
-	// sources); used by the partitioner-driven engines.
-	schedPosOf []int32
+	// pcOf maps design-graph node IDs to the pc of the node's op (-1 for
+	// sources); SM-ELIDE and the event-driven engine read it.
+	pcOf []int32
 
 	mems []memState
 
@@ -198,13 +149,6 @@ type machine struct {
 	// resets groups the registers with an edge reset by selector
 	// (applyResets).
 	resets []ResetGroup
-
-	// fusedPairs counts producer→consumer pairs merged by the fusion
-	// pass; fusedEntries counts schedule entries it removed (added back
-	// into NumSchedEntries so the effective-activity denominator keeps
-	// meaning "per-cycle work of an unconditional simulator").
-	fusedPairs   int
-	fusedEntries int
 
 	// sink argument resolution, precomputed.
 	memWrites []compiledMemWrite
@@ -273,11 +217,10 @@ func (m *machine) readOperand(o operand) uint64 { return m.t[o.off] }
 // machineConfig carries optional schedule transformations.
 type machineConfig struct {
 	// shadows enables conditional mux-way evaluation: arm cones are laid
-	// out behind skip entries (§III-B).
+	// out behind skip ops (§III-B).
 	shadows *sched.MuxShadows
-	// groups partitions the order into contiguous schedule groups; the
-	// returned ranges give each group's [start, end) entry span. nil
-	// treats the whole order as one group.
+	// groups partitions the order into contiguous schedule groups, one
+	// span of the stream each. nil treats the whole order as one group.
 	groups [][]int
 	// fuse enables the superinstruction peephole pass (fuse.go).
 	// Engines that schedule instructions one at a time (event-driven)
@@ -289,12 +232,13 @@ type machineConfig struct {
 	keepLive []netlist.SignalID
 }
 
-// newMachine compiles the design. elided[i] true means register i's
-// next value writes register storage in place (no commit copy); order is
-// the topological node order (including sink nodes) to schedule. The zero
-// cfg is the default ungrouped, unshadowed, unfused schedule.
+// newMachine compiles the design into its op stream. elided[i] true means
+// register i's next value writes register storage in place (no commit
+// copy); order is the topological node order (including sink nodes) to
+// schedule. The zero cfg is the default ungrouped, unshadowed, unfused
+// schedule.
 func newMachine(d *netlist.Design, dg *netlist.DesignGraph, order []int,
-	elided []bool, cfg machineConfig) (*machine, [][2]int32, error) {
+	elided []bool, cfg machineConfig) (*machine, error) {
 	m := &machine{d: d, dg: dg, out: io.Discard, elided: elided}
 
 	// Value-table layout. Signals are placed in evaluation order, group by
@@ -415,7 +359,7 @@ func newMachine(d *netlist.Design, dg *netlist.DesignGraph, order []int,
 		w := &d.MemWrites[i]
 		ao := m.operandOf(w.Addr)
 		if ao.w > 32 {
-			return nil, nil, fmt.Errorf("sim: mem %s: write address wider than 32 bits",
+			return nil, fmt.Errorf("sim: mem %s: write address wider than 32 bits",
 				d.Mems[w.Mem].Name)
 		}
 		do := m.operandOf(w.Data)
@@ -442,30 +386,30 @@ func newMachine(d *netlist.Design, dg *netlist.DesignGraph, order []int,
 		})
 	}
 
-	// Unified schedule in topological order, group by group. Mux-arm
-	// cones (when shadows are enabled) are emitted behind skip entries at
-	// their owning mux's position.
+	// The stream in topological order, group by group. Mux-arm cones (when
+	// shadows are enabled) are emitted behind skip ops at their owning mux's
+	// position.
 	m.instrOf = make([]int32, len(d.Signals))
 	for i := range m.instrOf {
 		m.instrOf[i] = -1
 	}
-	m.schedPosOf = make([]int32, dg.G.Len())
-	for i := range m.schedPosOf {
-		m.schedPosOf[i] = -1
+	m.pcOf = make([]int32, dg.G.Len())
+	for i := range m.pcOf {
+		m.pcOf[i] = -1
 	}
 	groups := cfg.groups
 	if groups == nil {
 		groups = [][]int{order}
 	}
-	ranges := make([][2]int32, len(groups))
+	m.spans = make([]Span, len(groups))
 	for gi, group := range groups {
-		ranges[gi][0] = int32(len(m.sched))
+		pc := int32(len(m.ops))
 		for _, node := range group {
 			if err := m.emitNode(node, cfg.shadows, false); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
-		ranges[gi][1] = int32(len(m.sched))
+		m.spans[gi] = Span{PC: pc, End: int32(len(m.ops)), Weight: weightOf(m.ops[pc:])}
 	}
 
 	// Registers needing a commit copy, and the edge resets by selector.
@@ -484,40 +428,42 @@ func newMachine(d *netlist.Design, dg *netlist.DesignGraph, order []int,
 	}
 
 	if cfg.fuse {
-		ranges = m.fuseSchedule(cfg.keepLive, ranges)
-		m.stats.FusedPairs = uint64(m.fusedPairs)
+		m.fuse(cfg.keepLive)
 	}
 
 	m.initState()
-	return m, ranges, nil
+	return m, nil
 }
 
-// emitNode appends the schedule entries for one design-graph node.
-// Shadowed nodes are skipped in the outer walk (force false) and emitted
-// within their owning mux's arm (force true). Muxes with claimed arms
-// expand into [skip-if-zero, T cone, skip-if-nonzero, F cone, mux].
+// emitNode appends the ops of one design-graph node. Sinks (display, check,
+// memory-write capture) are scheduled like ESSENT schedules state updates:
+// at their topological position, after every producer and — thanks to the
+// elision ordering edges — before any in-place state write that would
+// clobber their operands. Shadowed nodes are skipped in the outer walk
+// (force false) and emitted within their owning mux's arm (force true).
+// Muxes with claimed arms expand into [skip-if-zero, T cone,
+// skip-if-nonzero, F cone, mux]; a skip gets its target and the weight it
+// jumps over when its arm closes.
 func (m *machine) emitNode(node int, shadows *sched.MuxShadows, force bool) error {
 	d := m.d
 	if node >= len(d.Signals) {
-		idx := int32(m.dg.Index[node])
-		var kind uint8
+		var code Opcode
 		switch m.dg.Kind[node] {
 		case netlist.NodeMemWrite:
-			kind = seMemWrite
+			code = OpMemWrite
 		case netlist.NodeDisplay:
-			kind = seDisplay
+			code = OpDisplay
 		case netlist.NodeCheck:
-			kind = seCheck
+			code = OpCheck
 		default:
 			return nil
 		}
-		m.schedPosOf[node] = int32(len(m.sched))
-		m.sched = append(m.sched, schedEntry{kind: kind, idx: idx})
+		m.emit(node, Op{Code: code, X: int32(m.dg.Index[node])})
 		return nil
 	}
 	s := &d.Signals[node]
 	if s.Kind != netlist.KComb && s.Kind != netlist.KMemRead {
-		return nil // inputs and reg outputs need no schedule step
+		return nil // inputs and reg outputs need no op
 	}
 	if shadows != nil && !force && shadows.Shadowed[netlist.SignalID(node)] {
 		return nil // emitted inside its owning mux's arm
@@ -555,32 +501,39 @@ func (m *machine) emitNode(node int, shadows *sched.MuxShadows, force bool) erro
 	if shadows != nil && s.Kind == netlist.KComb && s.Op.Kind == netlist.OMux {
 		if arms, ok := shadows.Arms[netlist.SignalID(node)]; ok {
 			selOff := m.operandOf(s.Op.Args[0]).off
-			emitArm := func(kind uint8, cone []netlist.SignalID) error {
-				ctl := len(m.sched)
-				m.sched = append(m.sched, schedEntry{kind: kind, idx: selOff})
+			emitArm := func(code Opcode, cone []netlist.SignalID) error {
+				ctl := len(m.ops)
+				m.ops = append(m.ops, Op{Code: code, A: selOff})
 				for _, x := range cone {
 					if err := m.emitNode(int(x), shadows, true); err != nil {
 						return err
 					}
 				}
-				m.sched[ctl].n = int32(len(m.sched) - ctl - 1)
+				skip := &m.ops[ctl]
+				skip.X, skip.Mask = int32(len(m.ops)), uint64(weightOf(m.ops[ctl+1:]))
 				return nil
 			}
 			if len(arms.T) > 0 {
-				if err := emitArm(seSkipIfZero, arms.T); err != nil {
+				if err := emitArm(OpSkipZ, arms.T); err != nil {
 					return err
 				}
 			}
 			if len(arms.F) > 0 {
-				if err := emitArm(seSkipIfNonzero, arms.F); err != nil {
+				if err := emitArm(OpSkipNZ, arms.F); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	m.schedPosOf[node] = int32(len(m.sched))
-	m.sched = append(m.sched, schedEntry{kind: seInstr, idx: m.instrOf[node]})
+	ii := m.instrOf[node]
+	m.emit(node, instrOp(&m.instrs[ii], ii))
 	return nil
+}
+
+// emit appends node's op to the stream.
+func (m *machine) emit(node int, op Op) {
+	m.pcOf[node] = int32(len(m.ops))
+	m.ops = append(m.ops, op)
 }
 
 // initState loads register initial values (memories start zeroed).

@@ -16,8 +16,8 @@ import (
 func TestEveryOptionReachesItsEngine(t *testing.T) {
 	skipEntries := func(s Simulator) int {
 		n := 0
-		for _, e := range s.(*CCSS).sched {
-			if e.kind >= seSkipIfZero && e.kind <= seSkipIfNonzeroF {
+		for _, op := range s.(*CCSS).ops {
+			if op.Code == OpSkipZ || op.Code == OpSkipNZ {
 				n++
 			}
 		}

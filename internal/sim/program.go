@@ -6,7 +6,7 @@ import (
 	"essent/internal/netlist"
 )
 
-// Program is the lowered program one scalar engine build executes — the
+// Program is the program one scalar engine build executes — the
 // op stream, its spans and the tables around them — for a backend that
 // renders it instead of interpreting it (internal/codegen). Every field
 // is the engine's own storage, not a copy: what is printed is what run
@@ -41,9 +41,9 @@ type Program struct {
 	MemReaders [][]int32
 }
 
-// Lower builds the engine opts denote exactly as New does — plan,
-// machine, fusion, lowering, and the static verifier under opts.Verify —
-// and returns the program it would execute. Only the scalar
+// Lower builds the engine opts denote exactly as New does — plan, op
+// stream, fusion, and the static verifier under opts.Verify — and returns
+// the program it would execute. Only the scalar
 // schedule-based engines have one a backend can render.
 func Lower(d *netlist.Design, opts Options) (*Program, error) {
 	switch opts.Engine {

@@ -4,22 +4,19 @@ import (
 	stdbits "math/bits"
 
 	"essent/internal/bits"
-	"essent/internal/netlist"
-	"essent/internal/verify"
 )
 
-// The op stream. (sched, instrs) is the machine IR: what the passes
-// rewrite and the machine verifiers read. No engine interprets it. Each
-// executes a lowering of the schedule it runs
-// — one dense array of fixed-size ops with the instruction kind folded
-// into the opcode, operands resolved to table offsets, skips carrying
-// absolute targets. The scalar engines execute theirs through the one
-// loop and one switch in run (full-cycle the whole stream, CCSS one
-// partition's span, event-driven one op per event; a batch lane is a
-// CCSS engine over the shared stream); the vec engine finds its classes
-// on the CCSS stream, copies each leader's span into a class program
-// over slots and executes it through the lane walker (exec_lanes.go).
-// The code generator prints the scalar stream (Program,
+// The op stream is the schedule: one dense array of fixed-size ops with
+// the instruction kind folded into the opcode, operands resolved to table
+// offsets and skips carrying absolute targets. newMachine appends it as it
+// walks the plan, fusion rewrites it in place (fuse.go), the SM rules
+// verify it (verify.go), and it is what runs: the scalar engines execute
+// it through the one loop and one switch in run (full-cycle the whole
+// stream, CCSS one partition's span, event-driven one op per event; a batch
+// lane is a CCSS engine over the shared stream); the vec engine finds its
+// classes on the CCSS stream, copies each leader's span into a class
+// program over slots and executes it through the lane walker
+// (exec_lanes.go). The code generator prints the scalar stream (Program,
 // internal/codegen), which is why the stream's types are exported.
 
 // Opcode is a stream op's dispatch code.
@@ -58,9 +55,9 @@ const (
 	OpBits
 	OpHead
 	OpTail
-	// Fused superinstructions (two original operations each). IFCmpMux
-	// splits by its comparison: a, b are compared, c is the true way and x
-	// the false way.
+	// Fused superinstructions (two original operations each, fuse.go). A
+	// compare-mux splits by its comparison: a, b are compared, c is the
+	// true way and x the false way.
 	OpFEqMux
 	OpFNeqMux
 	OpFLtMux
@@ -71,9 +68,7 @@ const (
 	OpFAddTail
 	OpFSubTail
 	// Skips: a is the guard word, x the absolute target, mask the op
-	// weight of the span jumped over. A fused skip of the IR
-	// (seSkipIf*F) lowers to its instruction followed by one of these
-	// on the instruction's destination.
+	// weight of the span jumped over.
 	OpSkipZ
 	OpSkipNZ
 	// Escapes to the general kernels: x is the instruction index (signed,
@@ -96,9 +91,9 @@ const (
 )
 
 // Reads reports which of an op's A/B/C/X fields are table offsets it
-// reads: the one statement of that fact, shared by the lowering, the vec
-// engine's class match and slot rewrite, and SM-LOWER. The kernels agree with it by
-// construction — a field outside the set is lowered as zero. Escapes read
+// reads: the one statement of that fact, shared by instrOp, access and the
+// vec engine's class match and slot rewrite. The kernels agree with it by
+// construction — a field outside the set is built as zero. Escapes read
 // through the instruction or sink x names, not through the op.
 func (c Opcode) Reads() uint8 {
 	switch c {
@@ -158,12 +153,6 @@ type Span struct {
 	Weight  uint32
 }
 
-// fcmpOp maps IFCmpMux's comparison (Instr.P0) to its stream opcode.
-var fcmpOp = [...]Opcode{
-	IEq: OpFEqMux, INeq: OpFNeqMux, ILt: OpFLtMux,
-	ILeq: OpFLeqMux, IGt: OpFGtMux, IGeq: OpFGeqMux,
-}
-
 // Weight is an op's contribution to OpsEvaluated: one per instruction,
 // two per superinstruction, none for control and sinks.
 func (op *Op) Weight() uint32 {
@@ -176,10 +165,19 @@ func (op *Op) Weight() uint32 {
 	return 0
 }
 
+// weightOf sums the weights of ops.
+func weightOf(ops []Op) uint32 {
+	var w uint32
+	for i := range ops {
+		w += ops[i].Weight()
+	}
+	return w
+}
+
 func shiftOf(n int32) uint8 { return uint8(min(max(n, 0), 64)) }
 
-// lowerInstr renders instruction idx as a stream op.
-func lowerInstr(in *Instr, idx int32) Op {
+// instrOp renders instruction idx as a stream op.
+func instrOp(in *Instr, idx int32) Op {
 	switch in.kind {
 	case kSigned:
 		return Op{Code: OpSigned, Dst: in.Dst, X: idx}
@@ -200,17 +198,9 @@ func lowerInstr(in *Instr, idx int32) Op {
 		op.Sh = shiftOf(in.AW - in.P0)
 	case IAndr:
 		op.Mask = bits.Mask64(^uint64(0), int(in.AW))
-	case IFCmpMux:
-		op.Code, op.X = fcmpOp[ICode(in.P0)], in.Mem
-	case IFNotAnd:
-		op.Code = OpFNotAnd
-	case IFAddTail:
-		op.Code = OpFAddTail
-	case IFSubTail:
-		op.Code = OpFSubTail
 	}
 	// Only the fields the opcode reads carry over: the instruction's other
-	// operand fields hold -1 or, after fusion, stale offsets.
+	// operand fields hold -1.
 	rd := op.Code.Reads()
 	if rd&RdA != 0 {
 		op.A = in.A
@@ -224,86 +214,64 @@ func lowerInstr(in *Instr, idx int32) Op {
 	return op
 }
 
-// lower builds the stream of a schedule: its ops, and the stream range and
-// static op weight of every schedule group in ranges (nil: the whole
-// schedule is one group). Every engine calls it on the schedule it
-// executes. Skip counts are relative, so a sub-slice of a schedule lowers
-// on its own, with targets counted from its start.
-func lower(sched []schedEntry, instrs []Instr, ranges [][2]int32) ([]Op, []Span) {
-	if ranges == nil {
-		ranges = [][2]int32{{0, int32(len(sched))}}
+// access appends to rd the table spans (offset, words) op reads and
+// returns them with the span it writes (words 0: none) — the one statement
+// of an op's table traffic, read by fusion, the guarded-wake derivation,
+// the vec engine's guard pinning and the SM rules. Escapes and sinks
+// access the table through the instruction or sink x names; an x out of
+// range (which SM-SKIP and SM-SINK report) accesses nothing.
+func (m *machine) access(op *Op, rd [][2]int32) (reads [][2]int32, dst, words int32) {
+	x := int(op.X)
+	switch op.Code {
+	case OpSigned, OpWide:
+		if x < 0 || x >= len(m.instrs) {
+			return rd, 0, 0
+		}
+		in := &m.instrs[x]
+		for _, o := range [3]struct{ off, w int32 }{{in.A, in.AW}, {in.B, in.BW}, {in.C, in.CW}} {
+			if o.off >= 0 {
+				rd = append(rd, [2]int32{o.off, int32(bits.Words(int(o.w)))})
+			}
+		}
+		return rd, in.Dst, int32(bits.Words(int(in.DW)))
+	case OpDisplay, OpCheck, OpMemWrite:
+		for _, o := range m.sinkOperands(op.Code, x) {
+			rd = append(rd, [2]int32{o.off, o.words()})
+		}
+		return rd, 0, 0
 	}
-	// pcOf[i] is where schedule entry i starts in the stream. A fused
-	// skip is the one entry that lowers to two ops.
-	pcOf := make([]int32, len(sched)+1)
-	n := len(sched)
-	for _, e := range sched {
-		if e.kind == seSkipIfZeroF || e.kind == seSkipIfNonzeroF {
-			n++
+	for k, off := range [4]int32{op.A, op.B, op.C, op.X} {
+		if op.Code.Reads()&(1<<k) != 0 {
+			rd = append(rd, [2]int32{off, 1})
 		}
 	}
-	ops := make([]Op, 0, n)
-	for i := range sched {
-		pcOf[i] = int32(len(ops))
-		e := &sched[i]
-		switch e.kind {
-		case seInstr:
-			ops = append(ops, lowerInstr(&instrs[e.idx], e.idx))
-		case seSkipIfZero:
-			ops = append(ops, Op{Code: OpSkipZ, A: e.idx})
-		case seSkipIfNonzero:
-			ops = append(ops, Op{Code: OpSkipNZ, A: e.idx})
-		case seSkipIfZeroF:
-			in := &instrs[e.idx]
-			ops = append(ops, lowerInstr(in, e.idx), Op{Code: OpSkipZ, A: in.Dst})
-		case seSkipIfNonzeroF:
-			in := &instrs[e.idx]
-			ops = append(ops, lowerInstr(in, e.idx), Op{Code: OpSkipNZ, A: in.Dst})
-		case seDisplay:
-			ops = append(ops, Op{Code: OpDisplay, X: e.idx})
-		case seCheck:
-			ops = append(ops, Op{Code: OpCheck, X: e.idx})
-		case seMemWrite:
-			ops = append(ops, Op{Code: OpMemWrite, X: e.idx})
-		default:
-			panic("sim: schedule entry kind with no lowering")
-		}
+	if op.Code < OpSkipZ {
+		return rd, op.Dst, 1
 	}
-	pcOf[len(sched)] = int32(len(ops))
-
-	// wsum[k] is the weight of ops[:k]; a skip's target and the weight it
-	// jumps over come from its schedule entry's span.
-	wsum := make([]uint32, len(ops)+1)
-	for k := range ops {
-		wsum[k+1] = wsum[k] + ops[k].Weight()
-	}
-	for i := range sched {
-		if e := &sched[i]; e.kind >= seSkipIfZero && e.kind <= seSkipIfNonzeroF {
-			skip := &ops[pcOf[i+1]-1]
-			skip.X = pcOf[int32(i)+1+e.n]
-			skip.Mask = uint64(wsum[skip.X] - wsum[pcOf[i+1]])
-		}
-	}
-	spans := make([]Span, len(ranges))
-	for gi, r := range ranges {
-		pc, end := pcOf[r[0]], pcOf[r[1]]
-		spans[gi] = Span{PC: pc, End: end, Weight: wsum[end] - wsum[pc]}
-	}
-	return ops, spans
+	return rd, 0, 0
 }
 
-// lowerVerified lowers m's schedule into the stream m executes and, unless
-// vmode is Off, runs the machine verifier over the IR and its lowering:
-// the last step of a full-cycle build, so nothing is run — or printed
-// (Lower) — that verifyMachine rejects. (buildCCSS lowers, derives its
-// wake table from the stream, then verifies both.)
-func (m *machine) lowerVerified(ranges [][2]int32,
-	keepLive []netlist.SignalID, vmode verify.Mode) error {
-	m.ops, m.spans = lower(m.sched, m.instrs, ranges)
-	if vmode == verify.Off {
-		return nil
+// sinkOperands returns the compiled operands of sink x of a sink opcode
+// (nil for an x out of range).
+func (m *machine) sinkOperands(code Opcode, x int) []operand {
+	switch code {
+	case OpMemWrite:
+		if x >= 0 && x < len(m.memWrites) {
+			w := &m.memWrites[x]
+			return []operand{w.addr, w.en, w.data, w.mask}
+		}
+	case OpDisplay:
+		if x >= 0 && x < len(m.displays) {
+			dp := &m.displays[x]
+			return append([]operand{dp.en}, dp.args...)
+		}
+	case OpCheck:
+		if x >= 0 && x < len(m.checks) {
+			ck := &m.checks[x]
+			return []operand{ck.en, ck.pred}
+		}
 	}
-	return verify.Enforce(vmode, verifyMachine(m, ranges, keepLive, nil), nil)
+	return nil
 }
 
 // evalSpan executes one schedule group and settles its op count.

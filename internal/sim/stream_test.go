@@ -12,7 +12,7 @@ import (
 // The stream executor against the general path, one op at a time: for
 // every narrow ICode and every fused form, over the widths where word
 // arithmetic has its corners and over corner operands, what run computes
-// for the lowered op must equal what execSigned computes for the
+// for the instruction's op must equal what execSigned computes for the
 // instruction (for a fused form: for the unfused pair), bit for bit — and
 // what the lane walker's two row kernels compute for it, lane by lane,
 // must equal run.
@@ -177,7 +177,7 @@ func TestStreamOpMatchesGeneralPath(t *testing.T) {
 					continue // the result no longer fits a word
 				}
 				m := &machine{t: make([]uint64, nSlots), instrs: []Instr{in}}
-				m.ops = []Op{lowerInstr(&in, 0)}
+				m.ops = []Op{instrOp(&in, 0)}
 				checkRowKernels(t, fmt.Sprintf("code %d w=%d %+v", code, w, in), m.ops[0], operandSets(&in))
 				for _, v := range operandSets(&in) {
 					m.t[slotA], m.t[slotB], m.t[slotC] = v[0], v[1], v[2]
@@ -232,14 +232,13 @@ func TestStreamFusedMatchesUnfusedPair(t *testing.T) {
 			}
 			name := fmt.Sprintf("%d→%d w=%d", pair[0].Code, pair[1].Code, w)
 			// The real pass does the rewrite; the unfused twin keeps the pair.
-			entries := []schedEntry{{kind: seInstr, idx: 0}, {kind: seInstr, idx: 1}}
 			fused := &machine{d: &netlist.Design{}, t: make([]uint64, nSlots),
-				instrs: []Instr{pair[0], pair[1]}, sched: entries}
-			ranges := fused.fuseSchedule(nil, [][2]int32{{0, 2}})
-			if fused.fusedPairs != 1 || len(fused.sched) != 1 {
+				ops:   []Op{instrOp(&pair[0], 0), instrOp(&pair[1], 1)},
+				spans: []Span{{PC: 0, End: 2, Weight: 2}}}
+			fused.fuse(nil)
+			if fused.stats.FusedPairs != 1 || len(fused.ops) != 1 {
 				t.Fatalf("%s: the pass did not fuse the pair", name)
 			}
-			fused.ops, fused.spans = lower(fused.sched, fused.instrs, ranges)
 			if sp := fused.spans[0]; sp.End-sp.PC != 1 || sp.Weight != 2 {
 				t.Fatalf("%s: fused span %+v, want one op of weight 2", name, sp)
 			}

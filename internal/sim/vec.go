@@ -203,17 +203,17 @@ func (v *VecCCSS) vecEligible(p int) bool {
 // move during the walk and pin nothing.
 func (v *VecCCSS) guardPinned() []bool {
 	m, pt := v.machine, &v.parts
-	// A guard word is a one-word selector signal, so the op that writes it
-	// names it as its destination (a wide op's further words belong to its
-	// own wide signal).
 	writer := make([]int32, len(m.t))
 	for i := range writer {
 		writer[i] = -1
 	}
+	var rd [][2]int32
 	for p, sp := range m.spans {
 		for pc := sp.PC; pc < sp.End; pc++ {
-			if dst := m.ops[pc].offsets()[dstField]; dst != nil {
-				writer[*dst] = int32(p)
+			var dst, words int32
+			rd, dst, words = m.access(&m.ops[pc], rd[:0])
+			for w := dst; w < dst+words; w++ {
+				writer[w] = int32(p)
 			}
 		}
 	}

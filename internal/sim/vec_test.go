@@ -359,10 +359,10 @@ func TestVecVerifierMutations(t *testing.T) {
 				if op.Code != OpSkipZ && op.Code != OpSkipNZ {
 					continue
 				}
-				// A class program that is no longer the lowering of its
-				// leader's schedule fails the build a strict engine runs.
+				// A class program that is no longer its leader's span fails
+				// the build a strict engine runs.
 				v.groups[gi].ops[pc].X--
-				expect(t, v, "SM-LOWER")
+				expect(t, v, "SM-VEC-SPAN")
 				if err := verify.Enforce(verify.Strict, v.verifyVec(), nil); err == nil {
 					t.Fatal("strict build accepted the corrupted class program")
 				}
@@ -390,7 +390,7 @@ func TestVecVerifierMutations(t *testing.T) {
 				t.Fatal("no class op with an operand to corrupt")
 			}
 			mut.edit(&g.ops[pc], int32(g.nslots))
-			expect(t, v, "SM-LOWER")
+			expect(t, v, "SM-VEC-SPAN")
 		})
 	}
 	t.Run("illegal-position", func(t *testing.T) {

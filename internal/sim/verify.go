@@ -9,33 +9,32 @@ import (
 	"essent/internal/verify"
 )
 
-// Machine-schedule verification (the SM-* rules of DESIGN.md §9): the
-// static-analysis layer over what the engines run, after value-table
-// layout, mux-way expansion, superinstruction fusion and, on a CCSS build,
-// the partition and wake tables. It reasons about word offsets, schedule
-// entries, skip spans and wake-table entries, so a fault in planning or in
-// any lowering step is caught before the first cycle runs.
+// Stream verification (the SM-* rules of DESIGN.md §9): the
+// static-analysis layer over the op stream the engines run, after
+// value-table layout, mux-way expansion, superinstruction fusion and, on a
+// CCSS build, the partition and wake tables. It reasons about word
+// offsets, ops, skip regions, spans and wake-table entries, so a fault in
+// planning or in building the stream is caught before the first cycle
+// runs.
 //
-//	SM-SKIP    skip spans are in-bounds, forward, and well-nested
-//	SM-DEFUSE  every operand word is a source slot or written by an
-//	           instruction that runs first: earlier in the reader's group
-//	           in a guard region enclosing the reader (with the mux-way
+//	SM-SKIP    the spans tile the stream and each carries the op weight of
+//	           its range; skip targets are forward, inside their span and
+//	           well-nested, and each skip carries the weight of the range
+//	           it jumps over; an escape names an instruction of its kind
+//	           with the op's destination, a memory read a memory
+//	SM-DEFUSE  every operand word is inside the table and is a source slot
+//	           or written by an op that runs first: earlier in the reader's
+//	           span in a skip region enclosing the reader (with the mux-way
 //	           exception: a mux may read each way out of the arm region
-//	           guarded by its own selector), or in an earlier group;
+//	           guarded by its own selector), or in an earlier span;
 //	           engine-read slots (partition outputs) are written
 //	           unconditionally
 //	SM-ELIDE   an in-place register write never precedes a reader of
-//	           the old value in the global schedule
-//	SM-ALIAS   each table word has at most one writing instruction
-//	SM-SINK    side-effect entries (display/check/memwrite) never sit
-//	           inside a skip region and each is scheduled exactly once; a
-//	           partition holding a display or check runs every cycle
-//	SM-LOWER   the op stream an engine executes is the lowering of the
-//	           schedule it was built from (verifyLowering; also run on
-//	           every vec class program): each entry's ops equal a fresh
-//	           lowering of it, skip targets land on the op their entry's
-//	           span ends at and carry that span's weight, group spans tile
-//	           the stream, every offset is inside the table
+//	           the old value in the stream
+//	SM-ALIAS   each table word has at most one writing op, inside the table
+//	SM-SINK    side-effect ops (display/check/memwrite) never sit inside a
+//	           skip region and each sink runs exactly once; a partition
+//	           holding a display or check runs every cycle
 //	SM-WAKE    (CCSS builds) every word a partition reads that a poke, a
 //	           commit or another partition changes has a wake edge from
 //	           its producer into the partition, unconditional or guarded
@@ -45,18 +44,19 @@ import (
 //	           the memory's writes, and a two-phase register is committed
 //	           by the partition writing its next value
 //
-// One region walk per group serves SM-SKIP, SM-DEFUSE, SM-SINK and
-// SM-WAKE, over per-word arrays stamped with the group being walked.
-// verifyMachine is pure analysis: it never executes an instruction and
-// never mutates the machine. cc is the CCSS engine whose tables are
-// checked (ranges are then its partitions), nil on other builds.
-func verifyMachine(m *machine, ranges [][2]int32,
-	keepLive []netlist.SignalID, cc *CCSS) []verify.Diagnostic {
+// One region walk per span serves SM-SKIP, SM-DEFUSE, SM-SINK and
+// SM-WAKE, over per-word arrays stamped with the span being walked; every
+// op's reads and write come from machine.access. verifyMachine is pure
+// analysis: it never executes an op and never mutates the machine. cc is
+// the CCSS engine whose tables are checked (the spans are then its
+// partitions), nil on other builds.
+func verifyMachine(m *machine, keepLive []netlist.SignalID, cc *CCSS) []verify.Diagnostic {
 	c := &smChecker{m: m, cc: cc}
-	if ranges == nil {
-		ranges = [][2]int32{{0, int32(len(m.sched))}}
+	c.wsum = make([]uint32, len(m.ops)+1)
+	for pc := range m.ops {
+		c.wsum[pc+1] = c.wsum[pc] + m.ops[pc].Weight()
 	}
-	c.ranges = ranges
+	c.checkSpans()
 	c.markSources()
 	c.checkWriters()
 	tlen := len(m.t)
@@ -68,7 +68,7 @@ func verifyMachine(m *machine, ranges [][2]int32,
 	if cc != nil {
 		c.indexWakes()
 	}
-	for gi := range ranges {
+	for gi := range m.spans {
 		c.walkGroup(gi)
 	}
 	c.checkSinksOnce()
@@ -77,8 +77,17 @@ func verifyMachine(m *machine, ranges [][2]int32,
 	if cc != nil {
 		c.checkCommits()
 	}
-	return append(c.diags,
-		verifyLowering(m.sched, m.instrs, ranges, m.ops, m.spans, len(m.t))...)
+	return c.diags
+}
+
+// enforce runs the stream verifier under vmode (nothing under Off): the
+// last step of every schedule-based build, so nothing is run — or printed
+// (Lower) — that verifyMachine rejects.
+func (m *machine) enforce(vmode verify.Mode, keepLive []netlist.SignalID, cc *CCSS) error {
+	if vmode == verify.Off {
+		return nil
+	}
+	return verify.Enforce(vmode, verifyMachine(m, keepLive, cc), nil)
 }
 
 // Source word kinds: a word defined before the schedule runs.
@@ -88,32 +97,35 @@ const (
 )
 
 type smChecker struct {
-	m      *machine
-	cc     *CCSS
-	ranges [][2]int32
-	diags  []verify.Diagnostic
+	m     *machine
+	cc    *CCSS
+	diags []verify.Diagnostic
+
+	// wsum[pc] is the op weight of ops[:pc]; badSpan marks the spans
+	// checkSpans found out of bounds, which nothing walks.
+	wsum    []uint32
+	badSpan []bool
 
 	source []uint8
-	// writerInstr maps each table word to the instruction writing it
-	// (-1 none); writerGroup to that instruction's group.
-	writerInstr []int32
+	// writerPC maps each table word to the op writing it (-1 none);
+	// writerGroup to that op's span.
+	writerPC    []int32
 	writerGroup []int32
 	// uncond marks words with a region-free (unconditional) write.
 	uncond []bool
-	// sinkCount counts schedule entries per sink: displays, then checks,
-	// then memory writes.
+	// sinkCount counts ops per sink: displays, then checks, then memory
+	// writes.
 	sinkCount []int32
 
-	// The group walk: g is the group, regions its skip regions (a tree by
+	// The span walk: g is the span, regions its skip regions (a tree by
 	// parent index, -1 the unconditional top level) and cur the innermost
-	// one open. wrEpoch stamps a word with the group that wrote it so far
+	// one open. wrEpoch stamps a word with the span that wrote it so far
 	// and wrRegion the region of that write.
 	g, cur   int32
 	regions  []smRegion
 	wrEpoch  []int32
 	wrRegion []int32
-	spans    [][2]int32
-	operands []operand
+	reads    [][2]int32
 
 	// Wake edges into each partition (CCSS builds): in[inAt[q]:inAt[q+1]]
 	// are q's. While q is walked, head[w] (stamped headEp[w] == q) starts
@@ -125,7 +137,7 @@ type smChecker struct {
 	links        []smLink
 }
 
-// smRegion is one skip span, [its entry+1, end): skipped while t[guard]
+// smRegion is one skip region, [its skip+1, end): skipped while t[guard]
 // reads zero when onZero (a true-way arm), nonzero otherwise.
 type smRegion struct {
 	guard, end, parent int32
@@ -148,18 +160,13 @@ func (c *smChecker) sigName(id netlist.SignalID) string {
 	return c.m.d.Signals[id].Name
 }
 
-// instrLoc renders an instruction site using its output signal name.
-func (c *smChecker) instrLoc(in *Instr) string {
-	return fmt.Sprintf("instr for %q", c.sigName(in.out))
-}
-
-// at renders schedule entry p of the walked group, naming the partition
-// on a CCSS build.
-func (c *smChecker) at(p int32) string {
+// at renders op pc of the walked span, naming the partition on a CCSS
+// build.
+func (c *smChecker) at(pc int32) string {
 	if c.cc != nil {
-		return fmt.Sprintf("partition %d, sched[%d]", c.g, p)
+		return fmt.Sprintf("partition %d, ops[%d]", c.g, pc)
 	}
-	return fmt.Sprintf("sched[%d]", p)
+	return fmt.Sprintf("ops[%d]", pc)
 }
 
 // wordName names the signal a table word holds, for diagnostics; of an
@@ -196,104 +203,62 @@ func (c *smChecker) markSources() {
 	}
 }
 
-// writeSpan returns an instruction's destination word span.
-func writeSpan(in *Instr) (int32, int32) {
-	return in.Dst, int32(bits.Words(int(in.DW)))
-}
-
-// readSpans appends the (offset, words) table spans an instruction
-// reads. Fused superinstructions are all narrow, so their operands are
-// single words; IFCmpMux additionally reuses mem as its false-way table
-// offset.
-func readSpans(in *Instr, dst [][2]int32) [][2]int32 {
-	switch in.Code {
-	case IFCmpMux:
-		return append(dst, [2]int32{in.A, 1}, [2]int32{in.B, 1},
-			[2]int32{in.C, 1}, [2]int32{in.Mem, 1})
-	case IFNotAnd, IFAddTail, IFSubTail:
-		return append(dst, [2]int32{in.A, 1}, [2]int32{in.B, 1})
-	case IMemRead:
-		return append(dst, [2]int32{in.A, int32(bits.Words(int(in.AW)))})
-	}
-	if in.A >= 0 {
-		dst = append(dst, [2]int32{in.A, int32(bits.Words(int(in.AW)))})
-	}
-	if in.B >= 0 {
-		dst = append(dst, [2]int32{in.B, int32(bits.Words(int(in.BW)))})
-	}
-	if in.C >= 0 {
-		dst = append(dst, [2]int32{in.C, int32(bits.Words(int(in.CW)))})
-	}
-	return dst
-}
-
-// sinkOperands appends the compiled operand spans of a sink entry.
-func (c *smChecker) sinkOperands(e *schedEntry, dst []operand) []operand {
-	switch e.kind {
-	case seMemWrite:
-		w := &c.m.memWrites[e.idx]
-		return append(dst, w.addr, w.en, w.data, w.mask)
-	case seDisplay:
-		dp := &c.m.displays[e.idx]
-		dst = append(dst, dp.en)
-		return append(dst, dp.args...)
-	case seCheck:
-		ck := &c.m.checks[e.idx]
-		return append(dst, ck.en, ck.pred)
-	}
-	return dst
-}
-
-// schedInstr returns the index of the instruction a schedule entry
-// executes (-1 if none): seInstr and the fused skips, without bounds
-// assumptions.
-func (c *smChecker) schedInstr(e *schedEntry) int32 {
-	switch e.kind {
-	case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
-		if e.idx >= 0 && int(e.idx) < len(c.m.instrs) {
-			return e.idx
+// checkSpans (SM-SKIP): the spans tile the stream in order, each carrying
+// the op weight of its range.
+func (c *smChecker) checkSpans() {
+	m := c.m
+	c.badSpan = make([]bool, len(m.spans))
+	const hint = "every op runs in exactly one span, and a span settles the weight it holds"
+	end := int32(0)
+	for gi, sp := range m.spans {
+		loc := fmt.Sprintf("span %d", gi)
+		if sp.PC < 0 || sp.End < sp.PC || int(sp.End) > len(m.ops) {
+			c.errf("SM-SKIP", loc, hint, "range [%d,%d) out of bounds of %d ops", sp.PC, sp.End, len(m.ops))
+			c.badSpan[gi] = true
+			continue
+		}
+		if sp.PC != end {
+			c.errf("SM-SKIP", loc, hint, "starts at ops[%d], the span before ended at ops[%d]", sp.PC, end)
+		}
+		end = sp.End
+		if w := c.wsum[sp.End] - c.wsum[sp.PC]; sp.Weight != w {
+			c.errf("SM-SKIP", loc, hint, "weight %d, its ops weigh %d", sp.Weight, w)
 		}
 	}
-	return -1
+	if int(end) != len(m.ops) {
+		c.errf("SM-SKIP", "stream", hint, "spans end at ops[%d] of %d", end, len(m.ops))
+	}
 }
 
-// checkWriters (SM-ALIAS): every table word is written by
-// at most one scheduled instruction; also records writer→group for the
-// per-group def-use walk.
+// checkWriters (SM-ALIAS): every table word is written by at most one op;
+// also records writer→span for the per-span def-use walk.
 func (c *smChecker) checkWriters() {
 	m := c.m
-	c.writerInstr = make([]int32, len(m.t))
+	c.writerPC = make([]int32, len(m.t))
 	c.writerGroup = make([]int32, len(m.t))
-	for i := range c.writerInstr {
-		c.writerInstr[i] = -1
+	for i := range c.writerPC {
+		c.writerPC[i] = -1
 		c.writerGroup[i] = -1
 	}
-	for gi, r := range c.ranges {
-		for p := r[0]; p < r[1] && int(p) < len(m.sched); p++ {
-			ii := c.schedInstr(&m.sched[p])
-			if ii < 0 {
-				continue
-			}
-			in := &m.instrs[ii]
-			off, words := writeSpan(in)
-			for w := int32(0); w < words; w++ {
-				o := off + w
+	for gi, sp := range m.spans {
+		if c.badSpan[gi] {
+			continue
+		}
+		for pc := sp.PC; pc < sp.End; pc++ {
+			var off, words int32
+			c.reads, off, words = m.access(&m.ops[pc], c.reads[:0])
+			for o := off; o < off+words; o++ {
 				if o < 0 || int(o) >= len(m.t) {
-					c.errf("SM-ALIAS", c.instrLoc(in), "",
-						"destination word %d outside the value table", o)
+					c.errf("SM-ALIAS", fmt.Sprintf("ops[%d]", pc), "", "destination word %d outside the value table", o)
 					continue
 				}
-				if prev := c.writerInstr[o]; prev == ii && w == 0 {
-					c.errf("SM-ALIAS", c.instrLoc(in),
-						"a node evaluated twice per cycle overwrites what read it in between",
-						"scheduled twice")
-				} else if prev >= 0 && prev != ii {
-					c.errf("SM-ALIAS", c.instrLoc(in),
-						"two instructions storing to one slot make the result order-dependent",
-						"table word %d already written by instr for %q",
-						o, c.sigName(m.instrs[prev].out))
+				if prev := c.writerPC[o]; prev >= 0 {
+					c.errf("SM-ALIAS", fmt.Sprintf("ops[%d]", pc),
+						"two ops storing to one slot make the result order-dependent, and a node "+
+							"evaluated twice per cycle overwrites what read it in between",
+						"table word %d (%s) already written at ops[%d]", o, c.wordName(o), prev)
 				}
-				c.writerInstr[o] = ii
+				c.writerPC[o] = pc
 				c.writerGroup[o] = int32(gi)
 			}
 		}
@@ -304,7 +269,7 @@ func (c *smChecker) checkWriters() {
 func (c *smChecker) indexWakes() {
 	pt := &c.cc.parts
 	c.prods = c.cc.wakeProducers()
-	np := int32(len(c.ranges))
+	np := int32(len(c.m.spans))
 	c.inAt = make([]int32, np+1)
 	for pi := range c.prods {
 		w := c.prods[pi].w
@@ -374,76 +339,35 @@ func (c *smChecker) under(lit WakeGuard) bool {
 	return false
 }
 
-// walkGroup runs the region walk over one schedule group: SM-SKIP on
-// every skip entry, SM-DEFUSE and SM-WAKE on every operand, SM-SINK on
-// every side-effect entry, then SM-WAKE on the group's guarded edges.
+// walkGroup runs the region walk over one span: SM-SKIP on every skip and
+// escape, SM-DEFUSE and SM-WAKE on every operand, SM-SINK on every
+// side-effect op, then SM-WAKE on the span's guarded edges.
 func (c *smChecker) walkGroup(gi int) {
 	m := c.m
-	r := c.ranges[gi]
-	if r[0] < 0 || r[1] < r[0] || int(r[1]) > len(m.sched) {
-		c.errf("SM-SKIP", fmt.Sprintf("group %d", gi), "",
-			"schedule range [%d,%d) out of bounds", r[0], r[1])
+	if c.badSpan[gi] {
 		return
 	}
+	sp := m.spans[gi]
 	c.g, c.cur, c.regions = int32(gi), -1, c.regions[:0]
 	if c.cc != nil {
 		c.linkWakes()
 	}
 	sink := int32(-1)
-	for p := r[0]; p < r[1]; p++ {
-		for c.cur >= 0 && c.regions[c.cur].end <= p {
+	for pc := sp.PC; pc < sp.End; pc++ {
+		for c.cur >= 0 && c.regions[c.cur].end <= pc {
 			c.cur = c.regions[c.cur].parent
 		}
-		e := &m.sched[p]
-		switch e.kind {
-		case seInstr:
-			if e.idx < 0 || int(e.idx) >= len(m.instrs) {
-				c.errf("SM-SKIP", c.at(p), "", "instruction index %d out of range", e.idx)
-				continue
-			}
-			c.checkInstr(p, &m.instrs[e.idx])
-		case seDisplay, seCheck, seMemWrite:
-			sink = p
-			c.checkSink(p, e)
-		case seSkipIfZero, seSkipIfNonzero, seSkipIfZeroF, seSkipIfNonzeroF:
-			guard := e.idx
-			onZero := e.kind == seSkipIfZero || e.kind == seSkipIfZeroF
-			if e.kind == seSkipIfZeroF || e.kind == seSkipIfNonzeroF {
-				if e.idx < 0 || int(e.idx) >= len(m.instrs) {
-					c.errf("SM-SKIP", c.at(p), "", "fused-skip instruction index %d out of range", e.idx)
-					continue
-				}
-				in := &m.instrs[e.idx]
-				c.checkInstr(p, in) // executes in the current region first
-				guard = in.Dst
-			} else {
-				if guard < 0 || int(guard) >= len(m.t) {
-					c.errf("SM-SKIP", c.at(p), "", "skip guard word %d outside the value table", guard)
-					continue
-				}
-				c.checkRead(p, guard, 1, nil, 0)
-			}
-			if e.n < 0 {
-				c.errf("SM-SKIP", c.at(p), "skips must be forward", "negative skip count %d", e.n)
-				continue
-			}
-			tgt := p + 1 + e.n
-			if tgt > r[1] {
-				c.errf("SM-SKIP", c.at(p),
-					"a skip across the group boundary would drop other partitions' work",
-					"skip target %d beyond group end %d", tgt, r[1])
-				continue
-			}
-			if c.cur >= 0 && tgt > c.regions[c.cur].end {
-				c.errf("SM-SKIP", c.at(p),
-					"skip spans must nest within their enclosing span",
-					"skip target %d beyond enclosing span end %d", tgt, c.regions[c.cur].end)
-				continue
-			}
-			c.regions = append(c.regions, smRegion{guard: guard, end: tgt, parent: c.cur, onZero: onZero})
-			c.cur = int32(len(c.regions) - 1)
+		op := &m.ops[pc]
+		switch code := op.Code; {
+		case code == OpSkipZ || code == OpSkipNZ:
+			c.checkSkip(pc, op, sp.End)
+		case code == OpDisplay || code == OpCheck || code == OpMemWrite:
+			sink = pc
+			c.checkSink(pc, op)
+		case code < NumOpcodes:
+			c.checkOp(pc, op)
 		default:
-			c.errf("SM-SKIP", c.at(p), "", "unknown schedule entry kind %d", e.kind)
+			c.errf("SM-SKIP", c.at(pc), "", "unknown opcode %d", code)
 		}
 	}
 	if c.cc != nil {
@@ -451,22 +375,79 @@ func (c *smChecker) walkGroup(gi int) {
 	}
 }
 
-// checkInstr checks an instruction's reads and records its write.
-func (c *smChecker) checkInstr(p int32, in *Instr) {
-	c.spans = readSpans(in, c.spans[:0])
-	for i, s := range c.spans {
-		way := uint8(0)
-		if in.Code == IMux {
-			way = uint8(i) // 0:sel 1:true way 2:false way
+// checkSkip (SM-SKIP) checks a skip's guard read, target and weight, and
+// opens its region.
+func (c *smChecker) checkSkip(pc int32, op *Op, end int32) {
+	m := c.m
+	if op.A < 0 || int(op.A) >= len(m.t) {
+		c.errf("SM-SKIP", c.at(pc), "", "skip guard word %d outside the value table", op.A)
+		return
+	}
+	c.checkRead(pc, op.A, 1, -1, 0)
+	tgt := op.X
+	switch {
+	case tgt <= pc:
+		c.errf("SM-SKIP", c.at(pc), "skips must be forward", "skip target ops[%d] not after the skip", tgt)
+		return
+	case tgt > end:
+		c.errf("SM-SKIP", c.at(pc),
+			"a skip across the span boundary would drop other partitions' work",
+			"skip target ops[%d] beyond span end ops[%d]", tgt, end)
+		return
+	case c.cur >= 0 && tgt > c.regions[c.cur].end:
+		c.errf("SM-SKIP", c.at(pc), "skip regions must nest within their enclosing region",
+			"skip target ops[%d] beyond enclosing region end ops[%d]", tgt, c.regions[c.cur].end)
+		return
+	}
+	if w := c.wsum[tgt] - c.wsum[pc+1]; op.Mask != uint64(w) {
+		c.errf("SM-SKIP", c.at(pc), "a taken skip settles exactly the weight it jumps over",
+			"skip weight %d, the ops it jumps over weigh %d", op.Mask, w)
+	}
+	c.regions = append(c.regions, smRegion{guard: op.A, end: tgt, parent: c.cur, onZero: op.Code == OpSkipZ})
+	c.cur = int32(len(c.regions) - 1)
+}
+
+// checkOp checks an instruction op: an escape's or memory read's index
+// (SM-SKIP), its reads, and records its write.
+func (c *smChecker) checkOp(pc int32, op *Op) {
+	m := c.m
+	sel, mem, memRead := int32(-1), int32(0), false
+	switch op.Code {
+	case OpSigned, OpWide:
+		kind := kSigned
+		if op.Code == OpWide {
+			kind = kWide
 		}
-		c.checkRead(p, s[0], s[1], in, way)
+		if op.X < 0 || int(op.X) >= len(m.instrs) || m.instrs[op.X].kind != kind ||
+			m.instrs[op.X].Dst != op.Dst {
+			c.errf("SM-SKIP", c.at(pc), "an escape executes the instruction it names, storing where the op says",
+				"escape names instruction %d, not one of its kind storing to word %d", op.X, op.Dst)
+			return
+		}
+		in := &m.instrs[op.X]
+		if in.Code == IMux {
+			sel = in.A
+		}
+		mem, memRead = in.Mem, in.Code == IMemRead
+	case OpMux:
+		sel = op.A
+	case OpMemRead:
+		mem, memRead = op.X, true
 	}
-	if in.Code == IMemRead && c.cc != nil && !slices.Contains(c.cc.memReaderParts[in.Mem], c.g) {
-		c.errf("SM-WAKE", c.at(p), "a memory write must wake every partition holding one of its read ports",
-			"reads mem %q but the partition is not among its readers", c.m.d.Mems[in.Mem].Name)
+	if memRead && (mem < 0 || int(mem) >= len(m.mems)) {
+		c.errf("SM-SKIP", c.at(pc), "", "memory index %d out of range", mem)
+		return
 	}
-	off, words := writeSpan(in)
-	for o := max(off, 0); o < off+words && int(o) < len(c.m.t); o++ {
+	var off, words int32
+	c.reads, off, words = m.access(op, c.reads[:0])
+	for i, r := range c.reads {
+		c.checkRead(pc, r[0], r[1], sel, uint8(i)) // a mux reads sel, true way, false way
+	}
+	if memRead && c.cc != nil && !slices.Contains(c.cc.memReaderParts[mem], c.g) {
+		c.errf("SM-WAKE", c.at(pc), "a memory write must wake every partition holding one of its read ports",
+			"reads mem %q but the partition is not among its readers", m.d.Mems[mem].Name)
+	}
+	for o := max(off, 0); o < off+words && int(o) < len(m.t); o++ {
 		c.wrEpoch[o], c.wrRegion[o] = c.g, c.cur
 		if c.cur < 0 {
 			c.uncond[o] = true
@@ -474,42 +455,44 @@ func (c *smChecker) checkInstr(p int32, in *Instr) {
 	}
 }
 
-// checkSink checks a side-effect entry and its operand reads.
-func (c *smChecker) checkSink(p int32, e *schedEntry) {
+// checkSink checks a side-effect op and its operand reads.
+func (c *smChecker) checkSink(pc int32, op *Op) {
 	m := c.m
 	if c.cur >= 0 {
-		c.errf("SM-SINK", c.at(p), "side effects must never be guarded by a mux-way skip",
-			"side-effect entry inside a skip region (guard word %d)", c.regions[c.cur].guard)
+		c.errf("SM-SINK", c.at(pc), "side effects must never be guarded by a mux-way skip",
+			"side-effect op inside a skip region (guard word %d)", c.regions[c.cur].guard)
 	}
-	slot, n := int(e.idx), len(m.displays)
-	switch e.kind {
-	case seCheck:
+	slot, n := int(op.X), len(m.displays)
+	switch op.Code {
+	case OpCheck:
 		slot, n = slot+len(m.displays), len(m.checks)
-	case seMemWrite:
+	case OpMemWrite:
 		slot, n = slot+len(m.displays)+len(m.checks), len(m.memWrites)
 	}
-	if e.idx < 0 || int(e.idx) >= n {
-		c.errf("SM-SINK", c.at(p), "", "sink index %d out of range", e.idx)
+	if op.X < 0 || int(op.X) >= n {
+		c.errf("SM-SINK", c.at(pc), "", "sink index %d out of range", op.X)
 		return
 	}
 	c.sinkCount[slot]++
-	if c.cc != nil && e.kind != seMemWrite && !c.cc.stopsAt(c.g) {
-		c.errf("SM-SINK", c.at(p), "a partition holding a display or check must run every cycle",
+	if c.cc != nil && op.Code != OpMemWrite && !c.cc.stopsAt(c.g) {
+		c.errf("SM-SINK", c.at(pc), "a partition holding a display or check must run every cycle",
 			"display or check in a partition that may sleep")
 	}
-	c.operands = c.sinkOperands(e, c.operands[:0])
-	for _, o := range c.operands {
-		c.checkRead(p, o.off, int32(bits.Words(int(o.w))), nil, 0)
+	c.reads, _, _ = m.access(op, c.reads[:0])
+	for _, r := range c.reads {
+		c.checkRead(pc, r[0], r[1], -1, 0)
 	}
 }
 
 // checkRead (SM-DEFUSE, SM-WAKE) checks that each word of a read is
 // defined when the reader runs and, if the value comes from outside the
-// walked partition, that a wake edge covers it.
-func (c *smChecker) checkRead(p, off, words int32, reader *Instr, way uint8) {
+// walked partition, that a wake edge covers it. sel is the selector word
+// of a mux reader (-1 for any other reader) and way which of its operands
+// this is.
+func (c *smChecker) checkRead(pc, off, words, sel int32, way uint8) {
 	for ow := off; ow < off+words; ow++ {
 		if ow < 0 || int(ow) >= len(c.m.t) {
-			c.errf("SM-DEFUSE", c.at(p), "", "operand word %d outside the value table", ow)
+			c.errf("SM-DEFUSE", c.at(pc), "", "operand word %d outside the value table", ow)
 			return
 		}
 		written := c.wrEpoch[ow] == c.g
@@ -517,27 +500,27 @@ func (c *smChecker) checkRead(p, off, words int32, reader *Instr, way uint8) {
 		case c.source[ow] == srcConst:
 		case c.source[ow] == srcState:
 			if !written {
-				c.checkWake(p, ow)
+				c.checkWake(pc, ow)
 			}
 		case written:
-			c.checkDominates(p, ow, reader, way)
+			c.checkDominates(pc, ow, sel, way)
 		case wg < 0:
-			c.errf("SM-DEFUSE", c.at(p), "every value read must be computed by an instruction",
-				"reads %s (word %d), which no instruction writes", c.wordName(ow), ow)
+			c.errf("SM-DEFUSE", c.at(pc), "every value read must be computed by an op",
+				"reads %s (word %d), which no op writes", c.wordName(ow), ow)
 		case wg >= c.g:
-			c.errf("SM-DEFUSE", c.at(p),
-				"schedule the producing instruction, and its partition, before its consumer",
-				"reads %s (word %d) before its writer (group %d) runs", c.wordName(ow), ow, wg)
+			c.errf("SM-DEFUSE", c.at(pc),
+				"schedule the producing op, and its partition, before its consumer",
+				"reads %s (word %d) before its writer (span %d) runs", c.wordName(ow), ow, wg)
 		default:
-			c.checkWake(p, ow)
+			c.checkWake(pc, ow)
 		}
 	}
 }
 
-// checkDominates (SM-DEFUSE): a word written earlier in the group was
+// checkDominates (SM-DEFUSE): a word written earlier in the span was
 // written in a region enclosing the reader, or is a way of the mux
 // reading it.
-func (c *smChecker) checkDominates(p, ow int32, reader *Instr, way uint8) {
+func (c *smChecker) checkDominates(pc, ow, sel int32, way uint8) {
 	wr := c.wrRegion[ow]
 	if c.encloses(wr, c.cur) {
 		return
@@ -545,14 +528,14 @@ func (c *smChecker) checkDominates(p, ow int32, reader *Instr, way uint8) {
 	// Mux-way exception: a mux may read each way out of the arm region
 	// guarded by its own selector — the skip guarantees the way it
 	// selects was just computed.
-	if reader != nil && reader.Code == IMux && wr >= 0 {
+	if sel >= 0 && wr >= 0 {
 		rg := &c.regions[wr]
-		if rg.guard == reader.A && c.encloses(rg.parent, c.cur) &&
+		if rg.guard == sel && c.encloses(rg.parent, c.cur) &&
 			(way == 1 && rg.onZero || way == 2 && !rg.onZero) {
 			return
 		}
 	}
-	c.errf("SM-DEFUSE", c.at(p),
+	c.errf("SM-DEFUSE", c.at(pc),
 		"a conditionally-written slot may hold a stale value when its guard skipped",
 		"reads word %d written under a skip guard that does not dominate the reader", ow)
 }
@@ -597,7 +580,7 @@ func (c *smChecker) checkGuards(sink int32) {
 		case int(lit.Off) >= len(c.m.t):
 			c.errf("SM-WAKE", loc, hint, "guard word outside the value table")
 		case sink >= 0:
-			c.errf("SM-WAKE", loc, hint, "consumer holds a side-effect entry (sched[%d]) that must see every change", sink)
+			c.errf("SM-WAKE", loc, hint, "consumer holds a side-effect op (ops[%d]) that must see every change", sink)
 		case c.wrEpoch[lit.Off] == c.g:
 			c.errf("SM-WAKE", loc, hint, "consumer computes its own guard word: a producer's test reads it stale")
 		}
@@ -667,9 +650,8 @@ func (c *smChecker) checkKeepLive(keepLive []netlist.SignalID) {
 // reader of the old output value (a data successor of the register's
 // output in the design graph) before it, every reader of the next value
 // after it. The stream cannot tell the two apart, as both read one word.
-// schedPosOf is fusion-remapped, and a value-fused reader only ever moves
-// to a position the fusion pass proved clobber-free, so the check is
-// exact.
+// pcOf is fusion-remapped, and a value-fused reader only ever moves to a
+// position the fusion pass proved clobber-free, so the check is exact.
 func (c *smChecker) checkElide() {
 	m := c.m
 	for ri := range m.d.Regs {
@@ -678,167 +660,24 @@ func (c *smChecker) checkElide() {
 		}
 		r := &m.d.Regs[ri]
 		loc := fmt.Sprintf("register %q", c.sigName(r.Out))
-		wPos := m.schedPosOf[r.Next]
+		wPos := m.pcOf[r.Next]
 		if wPos < 0 {
 			c.errf("SM-ELIDE", loc, "", "elided register's next value is unscheduled")
 			continue
 		}
 		for _, v := range m.dg.G.Out(int(r.Out)) {
-			if p := m.schedPosOf[v]; v != int(r.Next) && p > wPos {
+			if pc := m.pcOf[v]; v != int(r.Next) && pc > wPos {
 				c.errf("SM-ELIDE", loc,
 					"readers of the old value must be scheduled before the in-place write",
-					"reader at sched[%d] runs after the in-place write at sched[%d]", p, wPos)
+					"reader at ops[%d] runs after the in-place write at ops[%d]", pc, wPos)
 			}
 		}
 		for _, v := range m.dg.G.Out(int(r.Next)) {
-			if p := m.schedPosOf[v]; p >= 0 && p < wPos {
+			if pc := m.pcOf[v]; pc >= 0 && pc < wPos {
 				c.errf("SM-ELIDE", loc,
 					"readers of the next value must be scheduled after the in-place write",
-					"reader at sched[%d] runs before the in-place write at sched[%d]", p, wPos)
+					"reader at ops[%d] runs before the in-place write at ops[%d]", pc, wPos)
 			}
 		}
 	}
-}
-
-// verifyLowering (SM-LOWER) validates ops and spans as the lowering of the
-// schedule (sched, instrs) grouped by ranges (nil: one group) over a table
-// of tlen words — the scalar stream, which every batch lane runs and every
-// vec class program is checked against (SM-LOWER in verify_vec.go).
-// Positions, skip targets, weights and group spans are
-// recomputed here from the schedule alone; an instruction's op is
-// compared against a fresh lowering of the instruction, which is what
-// catches a stream gone stale under a later rewrite of the IR. (That the
-// lowering of one instruction means what the instruction means is a
-// property of run and the row kernels, pinned by the op-by-op semantics
-// test, not of any one stream.)
-func verifyLowering(sched []schedEntry, instrs []Instr, ranges [][2]int32,
-	ops []Op, spans []Span, tlen int) []verify.Diagnostic {
-	var diags []verify.Diagnostic
-	bad := func(loc, format string, args ...any) {
-		diags = append(diags, verify.Diagnostic{
-			Rule: "SM-LOWER", Sev: verify.SevError, Loc: loc,
-			Msg:  fmt.Sprintf(format, args...),
-			Hint: "the op stream must be rebuilt whenever the schedule changes",
-		})
-	}
-	at := func(pc int32) string { return fmt.Sprintf("ops[%d]", pc) }
-	if ranges == nil {
-		ranges = [][2]int32{{0, int32(len(sched))}}
-	}
-	// instrOf is the instruction a schedule entry executes, -1 for none or
-	// for an index the SM-SKIP rules report.
-	instrOf := func(e *schedEntry) int32 {
-		switch e.kind {
-		case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
-			if e.idx >= 0 && int(e.idx) < len(instrs) {
-				return e.idx
-			}
-		}
-		return -1
-	}
-
-	// pcOf[i] is where entry i must start; wsum[i] the op weight of the
-	// entries before it.
-	n := len(sched)
-	pcOf := make([]int32, n+1)
-	wsum := make([]uint32, n+1)
-	for i := range sched {
-		e := &sched[i]
-		width, weight := int32(1), uint32(0)
-		if ii := instrOf(e); ii >= 0 {
-			weight = 1
-			if instrs[ii].kind == kFused {
-				weight = 2
-			}
-			if e.kind != seInstr {
-				width = 2
-			}
-		}
-		pcOf[i+1], wsum[i+1] = pcOf[i]+width, wsum[i]+weight
-	}
-	if int(pcOf[n]) != len(ops) {
-		bad("stream", "%d ops for a schedule that lowers to %d", len(ops), pcOf[n])
-		return diags
-	}
-
-	for i := range sched {
-		e := &sched[i]
-		pc := pcOf[i]
-		var want Op
-		switch e.kind {
-		case seInstr, seSkipIfZeroF, seSkipIfNonzeroF:
-			ii := instrOf(e)
-			if ii < 0 {
-				continue // SM-SKIP
-			}
-			want = lowerInstr(&instrs[ii], ii)
-			if e.kind == seInstr {
-				break
-			}
-			if ops[pc] != want {
-				bad(at(pc), "op %+v is not the lowering %+v of sched[%d]", ops[pc], want, i)
-			}
-			pc++
-			want = Op{Code: OpSkipZ, A: instrs[ii].Dst}
-			if e.kind == seSkipIfNonzeroF {
-				want.Code = OpSkipNZ
-			}
-		case seSkipIfZero:
-			want = Op{Code: OpSkipZ, A: e.idx}
-		case seSkipIfNonzero:
-			want = Op{Code: OpSkipNZ, A: e.idx}
-		case seDisplay:
-			want = Op{Code: OpDisplay, X: e.idx}
-		case seCheck:
-			want = Op{Code: OpCheck, X: e.idx}
-		case seMemWrite:
-			want = Op{Code: OpMemWrite, X: e.idx}
-		default:
-			continue // SM-SKIP
-		}
-		if want.Code == OpSkipZ || want.Code == OpSkipNZ {
-			tgt := i + 1 + int(e.n)
-			if e.n < 0 || tgt > n {
-				continue // SM-SKIP
-			}
-			want.X, want.Mask = pcOf[tgt], uint64(wsum[tgt]-wsum[i+1])
-		}
-		if ops[pc] != want {
-			bad(at(pc), "op %+v is not the lowering %+v of sched[%d]", ops[pc], want, i)
-		}
-	}
-
-	for pc := range ops {
-		for _, off := range ops[pc].offsets() {
-			if off != nil && (*off < 0 || int(*off) >= tlen) {
-				bad(at(int32(pc)), "operand offset %d outside the value table", *off)
-			}
-		}
-	}
-
-	if len(spans) != len(ranges) {
-		bad("stream", "%d spans for %d schedule groups", len(spans), len(ranges))
-		return diags
-	}
-	end := int32(0)
-	for gi, r := range ranges {
-		sp := spans[gi]
-		if sp.PC != end {
-			bad(fmt.Sprintf("group %d", gi), "span starts at ops[%d], the one before ended at ops[%d]",
-				sp.PC, end)
-		}
-		end = sp.End
-		if r[0] < 0 || r[1] < r[0] || int(r[1]) > n {
-			continue // SM-SKIP
-		}
-		want := Span{PC: pcOf[r[0]], End: pcOf[r[1]], Weight: wsum[r[1]] - wsum[r[0]]}
-		if sp != want {
-			bad(fmt.Sprintf("group %d", gi), "span %+v, schedule range [%d,%d) lowers to %+v",
-				sp, r[0], r[1], want)
-		}
-	}
-	if int(end) != len(ops) {
-		bad("stream", "spans end at ops[%d] of %d", end, len(ops))
-	}
-	return diags
 }

@@ -11,9 +11,9 @@ import (
 	"essent/internal/verify"
 )
 
-// Machine-level (SM-*) rule tests: build a real engine the way newCCSS
-// does, inject one lowering defect, and assert the rule guarding against
-// it fires.
+// Stream-level (SM-*) rule tests: build a real engine the way newCCSS
+// does, inject one defect into its stream, and assert the rule guarding
+// against it fires.
 
 const smMultiSrc = `
 circuit T :
@@ -117,8 +117,7 @@ func TestVerifyMachineClean(t *testing.T) {
 	for _, src := range []string{smMultiSrc, smElideSrc, smSinkSrc} {
 		for _, cp := range []int{1, 8, 1 << 20} {
 			c, keepLive := buildVerifyMachine(t, src, cp)
-			m, ranges := c.machine, c.parts.sched
-			if diags := verifyMachine(m, ranges, keepLive, c); len(diags) != 0 {
+			if diags := verifyMachine(c.machine, keepLive, c); len(diags) != 0 {
 				t.Fatalf("cp=%d: clean machine produced findings:\n%s",
 					cp, verify.Format(diags))
 			}
@@ -126,73 +125,65 @@ func TestVerifyMachineClean(t *testing.T) {
 	}
 }
 
-// aliasTwoWriters points one scheduled instruction's store at another's
-// slot.
+// aliasTwoWriters points one narrow op's store at another's slot.
 func aliasTwoWriters(t *testing.T, m *machine) {
 	t.Helper()
-	var scheduled []int32
-	for _, e := range m.sched {
-		if e.kind == seInstr || e.kind == seSkipIfZeroF || e.kind == seSkipIfNonzeroF {
-			scheduled = append(scheduled, e.idx)
+	var writers []int
+	for pc, op := range m.ops {
+		if op.Code < OpSkipZ {
+			writers = append(writers, pc)
 		}
 	}
-	if len(scheduled) < 2 {
-		t.Fatal("need two scheduled instructions")
+	if len(writers) < 2 {
+		t.Fatal("need two narrow ops")
 	}
-	m.instrs[scheduled[1]].Dst = m.instrs[scheduled[0]].Dst
+	m.ops[writers[1]].Dst = m.ops[writers[0]].Dst
 }
 
 func TestSMAliasDoubleWriter(t *testing.T) {
 	c, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
-	m, ranges := c.machine, c.parts.sched
-	aliasTwoWriters(t, m)
-	smWantRule(t, verifyMachine(m, ranges, keepLive, c), "SM-ALIAS")
+	aliasTwoWriters(t, c.machine)
+	smWantRule(t, verifyMachine(c.machine, keepLive, c), "SM-ALIAS")
 }
 
-// TestScalarBuildRejectsDoubleWriter: the step a full-cycle build ends on
-// — and through it Lower, whose program the code generator prints —
-// lowers and verifies in one call, so an IR the verifier rejects fails a
-// strict build before anything can run or print its stream; with
-// verification off the same IR goes through. (buildCCSS runs the same
-// verifier once its wake table is derived: TestPlanMutationsCaught.)
+// TestScalarBuildRejectsDoubleWriter: the step every schedule-based build
+// ends on — and through it Lower, whose program the code generator prints
+// — verifies the stream, so a stream the verifier rejects fails a strict
+// build before anything can run or print it; with verification off the
+// same stream goes through. (buildCCSS runs it once its wake table is
+// derived: TestPlanMutationsCaught.)
 func TestScalarBuildRejectsDoubleWriter(t *testing.T) {
 	c, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
-	m, ranges := c.machine, c.parts.sched
+	m := c.machine
 	aliasTwoWriters(t, m)
-	err := m.lowerVerified(ranges, keepLive, verify.Strict)
+	err := m.enforce(verify.Strict, keepLive, c)
 	if err == nil || !strings.Contains(err.Error(), "SM-ALIAS") {
-		t.Fatalf("strict build of a double-writer schedule returned %v, want an SM-ALIAS failure", err)
+		t.Fatalf("strict build of a double-writer stream returned %v, want an SM-ALIAS failure", err)
 	}
-	if err := m.lowerVerified(ranges, keepLive, verify.Off); err != nil {
+	if err := m.enforce(verify.Off, keepLive, c); err != nil {
 		t.Fatalf("unverified build: %v", err)
 	}
 }
 
 func TestSMDefUseSwap(t *testing.T) {
 	c, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
-	m, ranges := c.machine, c.parts.sched
+	m := c.machine
 	src := sourceWords(m)
-	// Find schedule positions p < q in one group where q's instruction
-	// reads a non-source word p's instruction writes, then swap them.
-	for gi, r := range ranges {
-		_ = gi
-		for p := r[0]; p < r[1]; p++ {
-			if m.sched[p].kind != seInstr {
-				continue
-			}
-			wIn := &m.instrs[m.sched[p].idx]
-			off, words := writeSpan(wIn)
-			for q := p + 1; q < r[1]; q++ {
-				if m.sched[q].kind != seInstr {
+	// Find ops p < q in one span where q reads a non-source word p writes,
+	// then swap them.
+	for _, sp := range m.spans {
+		for p := sp.PC; p < sp.End; p++ {
+			_, off, words := m.access(&m.ops[p], nil)
+			for q := p + 1; q < sp.End && words > 0; q++ {
+				if m.ops[q].Code >= OpSkipZ {
 					continue
 				}
-				for _, s := range readSpans(&m.instrs[m.sched[q].idx], nil) {
-					for w := int32(0); w < s[1]; w++ {
-						o := s[0] + w
+				rd, _, _ := m.access(&m.ops[q], nil)
+				for _, s := range rd {
+					for o := s[0]; o < s[0]+s[1]; o++ {
 						if o >= off && o < off+words && !src[o] {
-							m.sched[p], m.sched[q] = m.sched[q], m.sched[p]
-							smWantRule(t, verifyMachine(m, ranges, keepLive, c),
-								"SM-DEFUSE")
+							m.ops[p], m.ops[q] = m.ops[q], m.ops[p]
+							smWantRule(t, verifyMachine(m, keepLive, c), "SM-DEFUSE")
 							return
 						}
 					}
@@ -200,58 +191,77 @@ func TestSMDefUseSwap(t *testing.T) {
 			}
 		}
 	}
-	t.Fatal("no dependent instruction pair found")
+	t.Fatal("no dependent op pair found")
+}
+
+// insertOp inserts op at pc into the span holding pc (the last span when
+// pc is the stream's end), moving the ops from pc on — skip targets past
+// pc, span bounds and pcOf with them.
+func insertOp(m *machine, pc int32, op Op) {
+	m.ops = slices.Insert(m.ops, int(pc), op)
+	for i := range m.ops {
+		if c := m.ops[i].Code; (c == OpSkipZ || c == OpSkipNZ) && int32(i) != pc && m.ops[i].X > pc {
+			m.ops[i].X++
+		}
+	}
+	for i := range m.spans {
+		switch sp := &m.spans[i]; {
+		case sp.PC > pc:
+			sp.PC, sp.End = sp.PC+1, sp.End+1
+		case pc < sp.End || pc == sp.End && i == len(m.spans)-1:
+			sp.End++
+		}
+	}
+	for n, p := range m.pcOf {
+		if p >= pc {
+			m.pcOf[n] = p + 1
+		}
+	}
 }
 
 func TestSMSkipCorrupted(t *testing.T) {
 	c, keepLive := buildVerifyMachine(t, smMultiSrc, 1<<20)
 	m := c.machine
 	guard := m.off[m.d.Inputs[0]]
-	// A backward skip is never legal.
-	m.sched = append(m.sched, schedEntry{kind: seSkipIfZero, idx: guard, n: -1})
-	smWantRule(t, verifyMachine(m, nil, keepLive, nil), "SM-SKIP")
+	end := m.spans[len(m.spans)-1].End
+	// A skip that does not jump forward is never legal.
+	insertOp(m, end, Op{Code: OpSkipZ, A: guard, X: end})
+	smWantRule(t, verifyMachine(m, keepLive, c), "SM-SKIP")
 
-	// A skip past the end of its group drops other partitions' work.
-	m.sched[len(m.sched)-1] = schedEntry{kind: seSkipIfZero, idx: guard, n: 99999}
-	smWantRule(t, verifyMachine(m, nil, keepLive, nil), "SM-SKIP")
+	// A skip past the end of its span drops other partitions' work.
+	m.ops[end].X = 99999
+	smWantRule(t, verifyMachine(m, keepLive, c), "SM-SKIP")
 }
 
 func TestSMSinkInsideSkip(t *testing.T) {
 	c, keepLive := buildVerifyMachine(t, smSinkSrc, 1<<20)
 	m := c.machine
 	guard := m.off[m.d.Inputs[0]]
-	for p, e := range m.sched {
-		if e.kind != seDisplay {
-			continue
-		}
-		// Hoist the sink behind a guard: the exact transformation the
-		// activity optimizer must never apply to a side effect.
-		mut := make([]schedEntry, 0, len(m.sched)+1)
-		mut = append(mut, m.sched[:p]...)
-		mut = append(mut, schedEntry{kind: seSkipIfZero, idx: guard, n: 1})
-		mut = append(mut, m.sched[p:]...)
-		m.sched = mut
-		smWantRule(t, verifyMachine(m, nil, keepLive, nil), "SM-SINK")
-		return
+	pc := slices.IndexFunc(m.ops, func(op Op) bool { return op.Code == OpDisplay })
+	if pc < 0 {
+		t.Fatal("no display op in the stream")
 	}
-	t.Fatal("no display entry scheduled")
+	// Hoist the sink behind a guard: the exact transformation the activity
+	// optimizer must never apply to a side effect.
+	insertOp(m, int32(pc), Op{Code: OpSkipZ, A: guard, X: int32(pc) + 2})
+	smWantRule(t, verifyMachine(m, keepLive, c), "SM-SINK")
 }
 
 func TestSMElideOvertake(t *testing.T) {
 	c, keepLive := buildVerifyMachine(t, smElideSrc, 1<<20)
-	m, ranges := c.machine, c.parts.sched
+	m := c.machine
 	if m.elided == nil || !m.elided[0] {
 		t.Fatal("expected the register to be elided")
 	}
 	r := &m.d.Regs[0]
-	wPos := m.schedPosOf[r.Next]
+	wPos := m.pcOf[r.Next]
 	for v := 0; v < m.dg.G.Len(); v++ {
 		if v == int(r.Next) || !nodeReadsSignal(m.d, m.dg, v, r.Out) {
 			continue
 		}
 		// Claim the reader was scheduled after the in-place write.
-		m.schedPosOf[v] = wPos + 1
-		smWantRule(t, verifyMachine(m, ranges, keepLive, c), "SM-ELIDE")
+		m.pcOf[v] = wPos + 1
+		smWantRule(t, verifyMachine(m, keepLive, c), "SM-ELIDE")
 		return
 	}
 	t.Fatal("no reader of the elided register found")
@@ -299,17 +309,16 @@ func nodeReadsSignal(d *netlist.Design, dg *netlist.DesignGraph, v int, sig netl
 
 func TestSMKeepLiveUnwritten(t *testing.T) {
 	c, _ := buildVerifyMachine(t, smMultiSrc, 1<<20)
-	m, ranges := c.machine, c.parts.sched
+	m := c.machine
 	// Engine-read slots must have unconditional writes; a comb signal
-	// whose store fusion eliminated does not qualify.
+	// whose store fusion eliminated (tail(add(a, r1), 1)'s add) does not
+	// qualify.
 	src := sourceWords(m)
 	written := make([]bool, len(m.t))
-	for _, e := range m.sched {
-		if e.kind == seInstr || e.kind == seSkipIfZeroF || e.kind == seSkipIfNonzeroF {
-			off, words := writeSpan(&m.instrs[e.idx])
-			for w := int32(0); w < words; w++ {
-				written[off+w] = true
-			}
+	for pc := range m.ops {
+		_, off, words := m.access(&m.ops[pc], nil)
+		for w := off; w < off+words; w++ {
+			written[w] = true
 		}
 	}
 	for i := range m.d.Signals {
@@ -317,17 +326,16 @@ func TestSMKeepLiveUnwritten(t *testing.T) {
 			continue
 		}
 		if !src[m.off[i]] && !written[m.off[i]] {
-			diags := verifyMachine(m, ranges,
-				[]netlist.SignalID{netlist.SignalID(i)}, c)
+			diags := verifyMachine(m, []netlist.SignalID{netlist.SignalID(i)}, c)
 			smWantRule(t, diags, "SM-DEFUSE")
 			return
 		}
 	}
-	t.Skip("fusion left no storeless signal to point at")
+	t.Fatal("fusion left no storeless signal to point at")
 }
 
-// smMuxSrc has a mux whose two ways are private cones, so the schedule
-// carries skip entries for the lowering to resolve.
+// smMuxSrc has a mux whose two ways are private cones, so the stream
+// carries skip ops.
 const smMuxSrc = `
 circuit T :
   module T :
@@ -343,83 +351,69 @@ circuit T :
     o <= mux(sel, y, q)
 `
 
-// lowerStrict builds the lowered machine and a function that runs the
-// verifier the way a strict engine build does.
-func lowerStrict(t *testing.T, src string) (*machine, func() error) {
-	t.Helper()
-	c, keepLive := buildVerifyMachine(t, src, 1<<20)
-	m, ranges := c.machine, c.parts.sched
-	return m, func() error {
-		return verify.Enforce(verify.Strict, verifyMachine(m, ranges, keepLive, c), nil)
-	}
-}
-
-// TestSMLower: a fresh lowering verifies clean; one corrupted operand,
-// one corrupted skip target and one corrupted span bound each fail a
-// strict build with SM-LOWER.
-func TestSMLower(t *testing.T) {
-	for _, src := range []string{smMultiSrc, smElideSrc, smSinkSrc, smMuxSrc} {
-		if _, build := lowerStrict(t, src); build() != nil {
-			t.Fatalf("clean lowering rejected: %v", build())
-		}
-	}
-	skipAt := func(m *machine) int {
-		for pc := range m.ops {
-			if m.ops[pc].Code == OpSkipZ || m.ops[pc].Code == OpSkipNZ {
-				return pc
-			}
-		}
-		t.Fatal("no skip op in the stream")
-		return -1
-	}
-	mutations := []struct {
-		name   string
-		mutate func(m *machine)
-	}{
-		{"operand", func(m *machine) { m.ops[0].A++ }},
-		{"operand outside the table", func(m *machine) { m.ops[0].B = int32(len(m.t)) }},
-		{"opcode", func(m *machine) { m.ops[0].Code = OpNeg }},
-		{"mask", func(m *machine) { m.ops[0].Mask >>= 1 }},
-		{"skip target", func(m *machine) { m.ops[skipAt(m)].X++ }},
-		{"skip weight", func(m *machine) { m.ops[skipAt(m)].Mask++ }},
-		{"span bound", func(m *machine) { m.spans[0].End-- }},
-		{"span weight", func(m *machine) { m.spans[0].Weight++ }},
-		{"stale stream", func(m *machine) {
-			// The IR moves on after lowering.
-			for i := range m.sched {
-				if m.sched[i].kind == seInstr {
-					m.instrs[m.sched[i].idx].dmask >>= 1
-					return
-				}
-			}
-		}},
-	}
-	for _, mut := range mutations {
-		m, build := lowerStrict(t, smMuxSrc)
-		mut.mutate(m)
-		err := build()
-		if err == nil || !strings.Contains(err.Error(), "SM-LOWER") {
-			t.Errorf("%s: strict build returned %v, want an SM-LOWER failure", mut.name, err)
-		}
-	}
-
-	// An add fused into a low extract keeps the extract's mask: a stream
-	// carrying the add's (the untruncated sum) is not the lowering.
-	m, build := lowerStrict(t, `
+// smEscapeSrc adds signed operands, so the stream carries an OpSigned
+// escape.
+const smEscapeSrc = `
 circuit T :
   module T :
     input clock : Clock
-    input a : UInt<8>
-    input b : UInt<8>
-    output o : UInt<4>
-    o <= bits(add(a, b), 3, 0)
-`)
-	pc := slices.IndexFunc(m.ops, func(op Op) bool { return op.Code == OpFAddTail })
-	if pc < 0 || m.ops[pc].Mask != 0xf {
-		t.Fatalf("bits(add(a, b), 3, 0) did not fuse with the extract's mask: %+v", m.ops)
+    input a : SInt<8>
+    input b : SInt<8>
+    output o : SInt<9>
+    o <= add(a, b)
+`
+
+// verifyStrict builds src and returns its machine and a function that
+// runs the verifier the way a strict engine build does.
+func verifyStrict(t *testing.T, src string) (*machine, func() error) {
+	t.Helper()
+	c, keepLive := buildVerifyMachine(t, src, 1<<20)
+	return c.machine, func() error { return c.enforce(verify.Strict, keepLive, c) }
+}
+
+// TestSMStreamMutations: the structural clauses of SM-SKIP and SM-DEFUSE.
+// A clean stream verifies; a corrupted skip target or weight, span bound
+// or weight, operand outside the table, or escape index fails a strict
+// build with the rule that guards it.
+func TestSMStreamMutations(t *testing.T) {
+	for _, src := range []string{smMultiSrc, smElideSrc, smSinkSrc, smMuxSrc, smEscapeSrc} {
+		if _, build := verifyStrict(t, src); build() != nil {
+			t.Fatalf("clean stream rejected: %v", build())
+		}
 	}
-	m.ops[pc].Mask = 0x1ff
-	if err := build(); err == nil || !strings.Contains(err.Error(), "SM-LOWER") {
-		t.Errorf("fused extract mask: strict build returned %v, want an SM-LOWER failure", err)
+	find := func(m *machine, ok func(Op) bool) int {
+		pc := slices.IndexFunc(m.ops, ok)
+		if pc < 0 {
+			t.Fatal("no op of the shape to corrupt")
+		}
+		return pc
+	}
+	isSkip := func(op Op) bool { return op.Code == OpSkipZ || op.Code == OpSkipNZ }
+	readsB := func(op Op) bool { return op.Code.Reads()&RdB != 0 }
+	isEscape := func(op Op) bool { return op.Code == OpSigned }
+	mutations := []struct {
+		name, src, rule string
+		mutate          func(m *machine)
+	}{
+		{"skip target", smMuxSrc, "SM-SKIP", func(m *machine) { m.ops[find(m, isSkip)].X++ }},
+		{"skip weight", smMuxSrc, "SM-SKIP", func(m *machine) { m.ops[find(m, isSkip)].Mask++ }},
+		{"span bound", smMuxSrc, "SM-SKIP", func(m *machine) { m.spans[0].End-- }},
+		{"span weight", smMuxSrc, "SM-SKIP", func(m *machine) { m.spans[0].Weight++ }},
+		{"operand outside the table", smMuxSrc, "SM-DEFUSE", func(m *machine) {
+			m.ops[find(m, readsB)].B = int32(len(m.t))
+		}},
+		{"escape index out of range", smEscapeSrc, "SM-SKIP", func(m *machine) {
+			m.ops[find(m, isEscape)].X = int32(len(m.instrs))
+		}},
+		{"escape destination", smEscapeSrc, "SM-SKIP", func(m *machine) {
+			m.ops[find(m, isEscape)].Dst++
+		}},
+	}
+	for _, mut := range mutations {
+		m, build := verifyStrict(t, mut.src)
+		mut.mutate(m)
+		if err := build(); !rejectedBy(err, mut.rule) {
+			t.Errorf("%s: strict build returned %v, want an %s failure", mut.name, err, mut.rule)
+		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 //	SM-VEC-DEFUSE   class-program replay: every slot read is a declared
 //	                boundary load or written earlier in the program;
 //	                every output/store slot is written somewhere
-//	SM-LOWER        the class program, its slots mapped back to the
+//	SM-VEC-SPAN     the class program, its slots mapped back to the
 //	                leader's offsets and its skip targets to the leader's
 //	                span, is that span of the verified stream op for op
 //	SM-VEC-POS      schedule legality recomputed from the plan: every
@@ -43,7 +43,7 @@ func (v *VecCCSS) verifyVec() []verify.Diagnostic {
 			continue
 		}
 		c.checkDefUse(gi, g)
-		c.checkLowering(gi, g)
+		c.checkSpan(gi, g)
 		c.checkScatter(gi, g)
 	}
 	c.checkPositions()
@@ -217,13 +217,13 @@ func (c *vecChecker) checkDefUse(gi int, g *vecGroup) {
 	}
 }
 
-// checkLowering (SM-LOWER) maps the class program back to its leader's
+// checkSpan (SM-VEC-SPAN) maps the class program back to its leader's
 // stream — slots through lane 0 of laneOff, skip targets by the span's
 // start — and checks that it is the leader's span op for op, at the
-// span's weight. The span itself was checked against the leader's schedule
-// range when the scalar stream was verified. checkDefUse has already
-// reported a slot out of range; such a program is skipped here.
-func (c *vecChecker) checkLowering(gi int, g *vecGroup) {
+// span's weight. The span itself was checked when the scalar stream was
+// verified. checkDefUse has already reported a slot out of range; such a
+// program is skipped here.
+func (c *vecChecker) checkSpan(gi int, g *vecGroup) {
 	v := c.v
 	if p := g.parts[0]; p < 0 || int(p) >= v.NumPartitions() {
 		return // SM-VEC-CLASS
@@ -232,7 +232,7 @@ func (c *vecChecker) checkLowering(gi int, g *vecGroup) {
 	span := v.machine.ops[sp.PC:sp.End]
 	const hint = "a class program is its leader's span with table offsets renamed to slots"
 	if len(g.ops) != len(span) || g.weight != sp.Weight {
-		c.errf("SM-LOWER", c.groupLoc(gi), hint,
+		c.errf("SM-VEC-SPAN", c.groupLoc(gi), hint,
 			"%d ops of weight %d for a leader span of %d ops of weight %d",
 			len(g.ops), g.weight, len(span), sp.Weight)
 		return
@@ -251,7 +251,7 @@ func (c *vecChecker) checkLowering(gi int, g *vecGroup) {
 			op.X += sp.PC
 		}
 		if op != span[pc] {
-			c.errf("SM-LOWER", c.groupLoc(gi), hint,
+			c.errf("SM-VEC-SPAN", c.groupLoc(gi), hint,
 				"op %d %+v maps back to %+v, the leader's span has %+v",
 				pc, g.ops[pc], op, span[pc])
 		}

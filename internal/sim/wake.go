@@ -4,7 +4,7 @@ package sim
 // engines — a partition output, a two-phase register or an input to a
 // partition reading it — lives in one table, PartTable.cons. An edge from
 // producer words o to consumer q is guarded by the literal (g, nz) when
-// every op of q's lowered span that reads a word of o sits inside a skip
+// every op of q's span that reads a word of o sits inside a skip
 // region that runs only while (t[g] != 0) == nz, q never writes g, and q
 // holds no sink. A guarded edge flags q only while its literal holds on
 // the table: while it does not, the region reading o is skipped and feeds
@@ -82,7 +82,7 @@ func (c *CCSS) wakeProducers() []wakeProducer {
 	return ps
 }
 
-// guardWakes derives the guarded edges of the wake table from the lowered
+// guardWakes derives the guarded edges of the wake table from the op
 // stream: one walk over each consumer's span with a skip-region stack,
 // then one meet per incoming edge over the producer's words, and each
 // list reordered unconditional prefix first. Linear in stream length plus
@@ -220,28 +220,19 @@ func (s *skipRegions) walk(m *machine, q int32) bool {
 			cur = s.regions[cur].parent
 		}
 		op := &m.ops[pc]
-		switch code := op.Code; {
-		case code == OpSkipZ || code == OpSkipNZ:
-			s.read(op.A, 1, cur)
-			s.regions = append(s.regions, skipRegion{guard: op.A, nz: code == OpSkipZ,
+		if op.Code >= OpDisplay {
+			return false
+		}
+		var dst, words int32
+		s.spans, dst, words = m.access(op, s.spans[:0])
+		for _, r := range s.spans {
+			s.read(r[0], r[1], cur)
+		}
+		s.write(dst, words)
+		if op.Code == OpSkipZ || op.Code == OpSkipNZ {
+			s.regions = append(s.regions, skipRegion{guard: op.A, nz: op.Code == OpSkipZ,
 				end: op.X, parent: cur, depth: s.depth(cur) + 1})
 			cur = int32(len(s.regions) - 1)
-		case code == OpSigned || code == OpWide:
-			in := &m.instrs[op.X]
-			s.spans = readSpans(in, s.spans[:0])
-			for _, r := range s.spans {
-				s.read(r[0], r[1], cur)
-			}
-			s.write(writeSpan(in))
-		case code >= OpDisplay:
-			return false
-		default:
-			for k, off := range [4]int32{op.A, op.B, op.C, op.X} {
-				if code.Reads()&(1<<k) != 0 {
-					s.read(off, 1, cur)
-				}
-			}
-			s.write(op.Dst, 1)
 		}
 	}
 	return true

@@ -583,13 +583,13 @@ func guardMutation(t *testing.T, c *CCSS, kind string) {
 		}
 		t.Fatal("consumer writes no word")
 	case "drop-skip":
+		// Empty every skip region of the consumer's span the literal runs
+		// under: the reads it guarded now run unconditionally.
 		q, lit := pt.cons[e], pt.lits[e]
-		r := pt.sched[q]
-		for p := r[0]; p < r[1]; p++ {
-			se := &c.sched[p]
-			onZero := se.kind == seSkipIfZero || se.kind == seSkipIfZeroF
-			if se.kind >= seSkipIfZero && se.kind <= seSkipIfNonzero && se.idx == lit.Off && onZero == lit.NZ {
-				se.n = 0
+		for pc := c.spans[q].PC; pc < c.spans[q].End; pc++ {
+			if op := &c.ops[pc]; (op.Code == OpSkipZ || op.Code == OpSkipNZ) &&
+				op.A == lit.Off && (op.Code == OpSkipZ) == lit.NZ {
+				op.X, op.Mask = pc+1, 0
 			}
 		}
 	case "sink":
@@ -616,7 +616,7 @@ func guardMutation(t *testing.T, c *CCSS, kind string) {
 // an SM-WAKE finding.
 func wantSMWake(t *testing.T, c *CCSS, what string) {
 	t.Helper()
-	diags := verifyMachine(c.machine, c.parts.sched, nil, c)
+	diags := verifyMachine(c.machine, nil, c)
 	found := false
 	for _, dg := range diags {
 		found = found || dg.Rule == "SM-WAKE"
@@ -634,7 +634,7 @@ func TestSMWakeMutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if diags := verifyMachine(c.machine, c.parts.sched, nil, c); len(diags) != 0 {
+		if diags := verifyMachine(c.machine, nil, c); len(diags) != 0 {
 			t.Fatalf("clean table has findings: %v", diags)
 		}
 		return c

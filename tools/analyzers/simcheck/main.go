@@ -1,5 +1,5 @@
 // Command simcheck is the repository's custom static checker. It
-// enforces eight invariants the ordinary type checker cannot see (run
+// enforces seven invariants the ordinary type checker cannot see (run
 // in CI alongside go vet and staticcheck):
 //
 //  1. engine-verify — the exported constructors of internal/sim (New*)
@@ -32,15 +32,10 @@
 //     table is an evaluator, and evaluators are a closed set: the
 //     stream executor (run), the general scalar kernels it escapes to
 //     (execSigned, execWide) and the lane walker's two row kernels
-//     (execRows, execRowsDense). Every engine executes one lowering
-//     through these; a second copy of the narrow semantics is what the
-//     lowering replaced.
-//  7. sim-ir-compile-only — in internal/sim no function reachable from a
-//     Step or stepOne method reads a field of a schedEntry: (sched,
-//     instrs) is the IR passes rewrite and verifiers read, and what
-//     executes is its lowering. Reachability is by referenced function
-//     name, the same over-approximation engine-verify uses.
-//  8. codegen-prints-stream — internal/codegen imports neither
+//     (execRows, execRowsDense). Every engine executes the one op
+//     stream through these; a second copy of the narrow semantics is
+//     what the stream replaced.
+//  7. codegen-prints-stream — internal/codegen imports neither
 //     internal/sched nor internal/partition, and outside internal/sim
 //     nothing switches over sim.ICode but the code generator's two
 //     escape printers (emitSigned, emitWide): partition structure,
@@ -222,7 +217,6 @@ func Check(pkgPath string, fset *token.FileSet, files []*ast.File,
 		checkEngineVerify(files, refs, report)
 		checkSingleGoroutine(fset, files, info, report)
 		checkOneDispatch(files, info, report)
-		checkIRCompileOnly(files, info, refs, report)
 		return findings
 	}
 	if pkgPath == expPath {
@@ -464,31 +458,6 @@ func checkEngineVerify(files []*ast.File, refs map[string][]string,
 				report(fd.Pos(), "engine-verify", fmt.Sprintf(
 					"engine constructor %s never reaches verify.Enforce", fd.Name.Name))
 			}
-		}
-	}
-}
-
-// checkIRCompileOnly flags reads of the schedule IR — a field of a
-// schedEntry — in any function reachable from a Step or stepOne method.
-func checkIRCompileOnly(files []*ast.File, info *types.Info, refs map[string][]string,
-	report func(token.Pos, string, string)) {
-	hot := reachable(refs, "Step", "stepOne")
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hot[fd.Name.Name] {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if t := info.Types[sel.X].Type; t != nil && isNamed(t, simPath, "schedEntry") {
-						report(sel.Pos(), "sim-ir-compile-only", fmt.Sprintf(
-							"%s, reachable from Step, reads schedEntry.%s: the schedule IR is compile-time "+
-								"only — lower it (stream.go) and execute the ops", fd.Name.Name, sel.Sel.Name))
-					}
-				}
-				return true
-			})
 		}
 	}
 }

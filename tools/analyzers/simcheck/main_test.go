@@ -428,88 +428,3 @@ func emitSigned(c sim.ICode) string {
 		})
 	}
 }
-
-// TestIRCompileOnlyRule: the schedule IR is read at construction and by
-// verifiers, never from Step. The clean source is the shape the package
-// has — a constructor lowers the schedule, the cycle walks the ops; each
-// mutation is an interpreter of the IR coming back, called directly or
-// handed to the walk as an escape handler.
-func TestIRCompileOnlyRule(t *testing.T) {
-	imp := deps(t)
-	const src = `
-package sim
-import "essent/internal/verify"
-type schedEntry struct{ kind uint8; idx, n int32 }
-type sop struct{ code uint8; x int32 }
-type CCSS struct{ sched []schedEntry; ops []sop; t []uint64 }
-func lower(sched []schedEntry) []sop {
-	var ops []sop
-	for _, e := range sched {
-		ops = append(ops, sop{code: e.kind, x: e.idx})
-	}
-	return ops
-}
-func New(c *CCSS) error {
-	c.ops = lower(c.sched)
-	return verify.Enforce(0, nil, nil)
-}
-func (c *CCSS) NumSchedEntries() int { return len(c.sched) }
-func (c *CCSS) walk(esc func(op *sop)) {
-	for i := range c.ops {
-		esc(&c.ops[i])
-	}
-}
-func (c *CCSS) escape(op *sop) { c.t[op.x]++ }
-func (c *CCSS) stepOne() { c.walk(c.escape) }
-func (c *CCSS) Step(n int) {
-	for ; n > 0; n-- {
-		c.stepOne()
-	}
-	_ = c.NumSchedEntries()
-}
-`
-	findings, _ := checkFile(t, imp, simPath, "internal/sim/x.go", src)
-	wantRules(t, findings)
-	findings, _ = checkFile(t, imp, simPath, "internal/sim/x.go", src+`
-func (c *CCSS) interpret() {
-	for i := range c.sched {
-		switch c.sched[i].kind {
-		case 0:
-			c.t[0]++
-		}
-	}
-}
-func (c *CCSS) compile() { c.interpret() }
-`)
-	wantRules(t, findings) // not reachable from Step: construction-time code may read the IR
-	// Mutation: the cycle interprets the schedule again, switching on an
-	// entry's kind.
-	findings, _ = checkFile(t, imp, simPath, "internal/sim/x.go", strings.Replace(src,
-		"func (c *CCSS) stepOne() { c.walk(c.escape) }", `
-func (c *CCSS) interpret() {
-	for i := range c.sched {
-		switch c.sched[i].kind {
-		case 0:
-			c.t[0]++
-		}
-	}
-}
-func (c *CCSS) stepOne() { c.interpret() }`, 1))
-	wantRules(t, findings, "sim-ir-compile-only")
-	if !strings.Contains(findings[0], "interpret") || !strings.Contains(findings[0], "schedEntry.kind") {
-		t.Fatalf("wrong construct flagged: %q", findings[0])
-	}
-	// Mutation: the handler the walk is handed — referenced, never called
-	// by name — reads an entry.
-	findings, _ = checkFile(t, imp, simPath, "internal/sim/x.go", strings.Replace(src,
-		"{ c.t[op.x]++ }", "{ c.t[c.sched[op.x].idx]++ }", 1))
-	wantRules(t, findings, "sim-ir-compile-only")
-	if !strings.Contains(findings[0], "escape") {
-		t.Fatalf("escape handler not reached: %q", findings[0])
-	}
-	// Other packages are out of scope.
-	findings, _ = checkFile(t, imp, "essent/internal/consumer", "consumer/x.go",
-		strings.Replace(strings.Replace(src, "package sim", "package consumer", 1),
-			"{ c.t[op.x]++ }", "{ c.t[c.sched[op.x].idx]++ }", 1))
-	wantRules(t, findings)
-}
