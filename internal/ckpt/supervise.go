@@ -57,6 +57,14 @@ type RunReport struct {
 	Degraded bool
 }
 
+// Watchdog sentinels: errors.Is(err, ErrWallClock) etc. classify an
+// *Aborted without poking at its Reason string.
+var (
+	ErrWallClock  = errors.New("wall-clock watchdog")
+	ErrNoProgress = errors.New("no-progress watchdog")
+	ErrCycleLimit = errors.New("cycle-limit watchdog")
+)
+
 // Aborted is the watchdog's verdict: the run did not complete, but the
 // last checkpoint (if any) is intact and named for resumption.
 type Aborted struct {
@@ -69,7 +77,25 @@ type Aborted struct {
 }
 
 func (e *Aborted) Error() string {
-	return fmt.Sprintf("ckpt: run aborted (%s watchdog) at cycle %d", e.Reason, e.Cycle)
+	msg := fmt.Sprintf("ckpt: run aborted (%s watchdog) at cycle %d after %v",
+		e.Reason, e.Cycle, e.Elapsed.Round(time.Millisecond))
+	if e.LastCheckpoint != "" {
+		msg += "; resume from " + e.LastCheckpoint
+	}
+	return msg
+}
+
+// Unwrap maps the Reason onto its sentinel so errors.Is works.
+func (e *Aborted) Unwrap() error {
+	switch e.Reason {
+	case "wall-clock":
+		return ErrWallClock
+	case "no-progress":
+		return ErrNoProgress
+	case "cycle-limit":
+		return ErrCycleLimit
+	}
+	return nil
 }
 
 // countingWriter counts printf bytes for the progress watchdog.
@@ -87,8 +113,10 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // watchdog trips — checkpointing along the way when configured. A design
 // stop() is a normal completion (RunReport.Stop, nil error); a watchdog
 // trip is an *Aborted; any other Step, capture or save error is returned
-// as is. It is the one supervised-run loop: the essent facade and the
-// designs harness are field mappings onto it.
+// as is. It is the one supervised-run loop: the essent facade maps its
+// options onto it, and the designs harness, the experiments and their
+// tests call it directly (designs.Runner.Progress names what a SoC run
+// watches).
 func Supervise(s sim.Simulator, cfg RunConfig) (RunReport, error) {
 	var rep RunReport
 	out := cfg.Output

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"essent/internal/ckpt"
 	"essent/internal/netlist"
 	"essent/internal/riscv"
 	"essent/internal/sim"
@@ -132,6 +133,25 @@ func (r *Runner) Run(maxCycles int) (Result, error) {
 	}
 	return Result{}, fmt.Errorf("designs: did not halt within %d cycles (pc=%#x)",
 		maxCycles, r.Sim.Peek(r.pcSig))
+}
+
+// Progress is what a supervised run of the SoC watches (ckpt.RunConfig):
+// tohost and the retired-instruction count.
+func (r *Runner) Progress() []netlist.SignalID {
+	return []netlist.SignalID{r.tohost, r.instret}
+}
+
+// RestoreLatest resumes from the newest valid checkpoint in dir. The
+// program does not need reloading: instruction memory is in the snapshot.
+func (r *Runner) RestoreLatest(dir string) (*sim.State, string, error) {
+	st, path, err := ckpt.Latest(dir)
+	if err != nil {
+		return nil, "", err
+	}
+	if err := sim.Restore(r.Sim, st); err != nil {
+		return nil, "", err
+	}
+	return st, path, nil
 }
 
 // DmemWord reads a data memory word (for golden-model comparison).

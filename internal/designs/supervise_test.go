@@ -27,6 +27,29 @@ loop:
 `)
 }
 
+// supervise runs r under ckpt.Supervise, watching its Progress
+// signals, and reads the result off the SoC when the design stops.
+func supervise(r *Runner, cfg ckpt.RunConfig) (Result, ckpt.RunReport, error) {
+	cfg.Progress = r.Progress()
+	rep, err := ckpt.Supervise(r.Sim, cfg)
+	var res Result
+	if rep.Stop != nil {
+		res = Result{Tohost: uint32(r.Sim.Peek(r.tohost)), Cycles: rep.Cycles,
+			Instret: uint32(r.Sim.Peek(r.instret))}
+	}
+	return res, rep, err
+}
+
+// aborted asserts err is the watchdog abort for reason.
+func aborted(t *testing.T, err error, reason string, sentinel error) *ckpt.Aborted {
+	t.Helper()
+	var ab *ckpt.Aborted
+	if !errors.As(err, &ab) || ab.Reason != reason || !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want a %s *ckpt.Aborted", err, reason)
+	}
+	return ab
+}
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
@@ -61,46 +84,36 @@ func TestSupervisedMatchesRun(t *testing.T) {
 	if err := sup.Load(prog); err != nil {
 		t.Fatal(err)
 	}
-	info, err := sup.RunSupervised(RunConfig{
-		MaxCycles: 100_000, CheckpointDir: dir, CheckpointEvery: 200,
-	})
+	res, rep, err := supervise(sup, ckpt.RunConfig{MaxCycles: 100_000, Dir: dir, Every: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Result != want {
-		t.Fatalf("supervised result %+v, want %+v", info.Result, want)
+	if res != want {
+		t.Fatalf("supervised result %+v, want %+v", res, want)
 	}
-	if info.Checkpoints == 0 || info.CheckpointBytes == 0 || info.LastCheckpoint == "" {
-		t.Fatalf("no checkpoint overhead recorded: %+v", info)
+	if rep.Checkpoints == 0 || rep.CheckpointBytes == 0 || rep.LastCheckpoint == "" {
+		t.Fatalf("no checkpoint overhead recorded: %+v", rep)
 	}
-	if _, err := os.Stat(info.LastCheckpoint); err != nil {
+	if _, err := os.Stat(rep.LastCheckpoint); err != nil {
 		t.Fatalf("LastCheckpoint not on disk: %v", err)
 	}
 }
 
 // TestSupervisedCycleLimit: exceeding MaxCycles is a structured
-// *RunError naming the last checkpoint for resumption.
+// *ckpt.Aborted naming the last checkpoint for resumption.
 func TestSupervisedCycleLimit(t *testing.T) {
 	r := buildSim(t, tinyConfig(), sim.Options{Engine: sim.EngineCCSS, Cp: 8})
 	if err := r.Load(countdownProg(t, 1_000_000, 1)); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	_, err := r.RunSupervised(RunConfig{
-		MaxCycles: 3000, CheckpointDir: dir, CheckpointEvery: 1000,
-	})
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("err = %v, want *RunError", err)
-	}
-	if re.Reason != "cycle-limit" {
-		t.Fatalf("reason = %q, want cycle-limit", re.Reason)
-	}
+	_, _, err := supervise(r, ckpt.RunConfig{MaxCycles: 3000, Dir: dir, Every: 1000})
+	re := aborted(t, err, "cycle-limit", ckpt.ErrCycleLimit)
 	if re.Cycle < 3000 {
 		t.Fatalf("abort cycle = %d, want >= 3000", re.Cycle)
 	}
 	if re.LastCheckpoint == "" {
-		t.Fatal("RunError names no checkpoint despite checkpointing enabled")
+		t.Fatal("the abort names no checkpoint despite checkpointing enabled")
 	}
 	if _, err := os.Stat(re.LastCheckpoint); err != nil {
 		t.Fatal(err)
@@ -124,16 +137,8 @@ func TestWatchdogNoProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err := r.RunSupervised(RunConfig{
-		MaxCycles: 50_000_000, NoProgressCycles: 1500,
-	})
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("err = %v, want *RunError", err)
-	}
-	if re.Reason != "no-progress" {
-		t.Fatalf("reason = %q, want no-progress", re.Reason)
-	}
+	_, _, err := supervise(r, ckpt.RunConfig{MaxCycles: 50_000_000, NoProgressCycles: 1500})
+	re := aborted(t, err, "no-progress", ckpt.ErrNoProgress)
 	if re.Cycle > 10_000 {
 		t.Fatalf("watchdog fired late, at cycle %d", re.Cycle)
 	}
@@ -149,16 +154,10 @@ func TestWatchdogWallClock(t *testing.T) {
 	if err := r.Load(countdownProg(t, 100_000_000, 1)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := r.RunSupervised(RunConfig{
+	_, _, err := supervise(r, ckpt.RunConfig{
 		MaxCycles: 2_000_000_000, WallLimit: 50 * time.Millisecond,
 	})
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("err = %v, want *RunError", err)
-	}
-	if re.Reason != "wall-clock" {
-		t.Fatalf("reason = %q, want wall-clock", re.Reason)
-	}
+	re := aborted(t, err, "wall-clock", ckpt.ErrWallClock)
 	if re.Elapsed < 50*time.Millisecond {
 		t.Fatalf("elapsed %v below the limit", re.Elapsed)
 	}
@@ -189,13 +188,8 @@ func TestCheckpointResumeAcrossEngines(t *testing.T) {
 	if err := vec.Load(prog); err != nil {
 		t.Fatal(err)
 	}
-	_, err = vec.RunSupervised(RunConfig{
-		MaxCycles: 5000, CheckpointDir: dir, CheckpointEvery: 1000,
-	})
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("err = %v, want *RunError (cycle-limit)", err)
-	}
+	_, _, err = supervise(vec, ckpt.RunConfig{MaxCycles: 5000, Dir: dir, Every: 1000})
+	aborted(t, err, "cycle-limit", ckpt.ErrCycleLimit)
 
 	// Fresh scalar runner resumes and finishes.
 	seq := buildSim(t, tinyConfig(), sim.Options{Engine: sim.EngineCCSS, Cp: 8})
@@ -206,13 +200,13 @@ func TestCheckpointResumeAcrossEngines(t *testing.T) {
 	if st.Cycle == 0 || path == "" {
 		t.Fatalf("restored empty snapshot: cycle=%d path=%q", st.Cycle, path)
 	}
-	info, err := seq.RunSupervised(RunConfig{MaxCycles: 200_000})
+	res, _, err := supervise(seq, ckpt.RunConfig{MaxCycles: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Result.Tohost != want.Tohost || info.Result.Instret != want.Instret {
+	if res.Tohost != want.Tohost || res.Instret != want.Instret {
 		t.Fatalf("resumed result %+v, want tohost=%d instret=%d",
-			info.Result, want.Tohost, want.Instret)
+			res, want.Tohost, want.Instret)
 	}
 	if got := seq.Sim.Stats().Cycles; got != wantCycles {
 		t.Fatalf("resumed run ended at cycle %d, want %d", got, wantCycles)
@@ -249,9 +243,7 @@ func TestCrashResumeHelper(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Runs for millions of cycles; the parent SIGKILLs us mid-flight.
-	_, err := r.RunSupervised(RunConfig{
-		MaxCycles: 50_000_000, CheckpointDir: dir, CheckpointEvery: 2000,
-	})
+	_, _, err := supervise(r, ckpt.RunConfig{MaxCycles: 50_000_000, Dir: dir, Every: 2000})
 	t.Logf("helper finished without being killed: %v", err)
 }
 
@@ -349,13 +341,13 @@ func TestCrashResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("resuming from cycle %d", st.Cycle)
-			info, err := seq.RunSupervised(RunConfig{MaxCycles: 50_000_000})
+			res, _, err := supervise(seq, ckpt.RunConfig{MaxCycles: 50_000_000})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.Result.Tohost != want.Tohost || info.Result.Instret != want.Instret {
+			if res.Tohost != want.Tohost || res.Instret != want.Instret {
 				t.Fatalf("crash-resumed result %+v, want tohost=%d instret=%d",
-					info.Result, want.Tohost, want.Instret)
+					res, want.Tohost, want.Instret)
 			}
 			if got := seq.Sim.Stats().Cycles; got != wantCycles {
 				t.Fatalf("crash-resumed run ended at cycle %d, want %d",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 
+	"essent/internal/ckpt"
 	"essent/internal/codegen"
 	"essent/internal/designs"
 	"essent/internal/netlist"
@@ -468,7 +469,7 @@ var ckptcost = &Experiment{
 		dsg, err := ds.pick(p.Designs, designSpec.soc, "r16")
 		intervals := p.Intervals
 		if len(intervals) == 0 {
-			intervals = []uint64{5000, 20000, designs.DefaultCheckpointEvery}
+			intervals = []uint64{5000, 20000, ckpt.DefaultEvery}
 		}
 		var cells []Cell
 		for _, d := range dsg {
@@ -501,21 +502,21 @@ func ckptCell(d *Design, w riscv.Workload, interval uint64, maxCycles int) Cell 
 		if err := r.Load(w.Program); err != nil {
 			return Sample{}, err
 		}
-		var info designs.RunInfo
+		var rep ckpt.RunReport
 		sec, err := timed(func() (err error) {
-			info, err = r.RunSupervised(designs.RunConfig{MaxCycles: maxCycles,
-				CheckpointDir: path, CheckpointEvery: interval, CheckpointKeep: 3})
+			rep, err = ckpt.Supervise(s, ckpt.RunConfig{MaxCycles: maxCycles,
+				Progress: r.Progress(), Dir: path, Every: interval, Keep: 3})
 			return err
 		})
 		if err != nil {
 			return Sample{}, err
 		}
 		endHash = stateHash(s)
-		smp := Sample{Seconds: sec, Cycles: info.Result.Cycles, Hash: endHash,
-			Extras: map[string]any{"snapshots": info.Checkpoints}}
-		if n := info.Checkpoints; n > 0 {
-			smp.Extras["avg_bytes"] = info.CheckpointBytes / int64(n)
-			smp.Extras["avg_save_ms"] = info.CheckpointTime.Seconds() * 1e3 / float64(n)
+		smp := Sample{Seconds: sec, Cycles: rep.Cycles, Hash: endHash,
+			Extras: map[string]any{"snapshots": rep.Checkpoints}}
+		if n := rep.Checkpoints; n > 0 {
+			smp.Extras["avg_bytes"] = rep.CheckpointBytes / int64(n)
+			smp.Extras["avg_save_ms"] = rep.CheckpointTime.Seconds() * 1e3 / float64(n)
 		}
 		return smp, nil
 	}}

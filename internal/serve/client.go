@@ -9,6 +9,9 @@ import (
 	"sync"
 	"time"
 
+	"essent/internal/ckpt"
+	"essent/internal/netlist"
+	"essent/internal/sim"
 	"essent/pkg/pipeproto"
 )
 
@@ -75,10 +78,7 @@ func (cl *client) wait() error {
 }
 
 // spawn starts the artifact binary and completes the hello handshake.
-func spawn(bin, design string, heartbeat, deadline time.Duration, out io.Writer) (*client, error) {
-	if out == nil {
-		out = io.Discard
-	}
+func spawn(bin, design string, heartbeat, deadline time.Duration) (*client, error) {
 	if heartbeat <= 0 {
 		heartbeat = 10 * time.Second
 	}
@@ -106,7 +106,7 @@ func spawn(bin, design string, heartbeat, deadline time.Duration, out io.Writer)
 		frames:    make(chan frame, 16),
 		readErr:   make(chan error, 1),
 		stderr:    stderr,
-		out:       out,
+		out:       io.Discard,
 		heartbeat: heartbeat,
 		deadline:  deadline,
 		quiet:     stoppedTimer(),
@@ -294,4 +294,175 @@ func (cl *client) kill() {
 		for range cl.frames {
 		}
 	}()
+}
+
+// remote is the child as a sim.Simulator: each method is one exchange.
+// Only Step returns an error, so a transport failure is kept in err,
+// where the supervisor looks after each call; once it is set every call
+// is a no-op. A ProtocolError — the child answered, the request was bad
+// — is a miss and is not kept.
+type remote struct {
+	*client
+	d     *netlist.Design
+	err   error
+	stats sim.Stats
+}
+
+func (r *remote) call(op string, typ byte, payload []byte, want byte) ([]byte, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	resp, err := r.expect(op, typ, payload, want)
+	if _, miss := err.(*ProtocolError); err != nil && !miss {
+		r.err = err
+	}
+	return resp, err
+}
+
+// value runs an exchange answered by RValue and decodes its words.
+func (r *remote) value(op string, typ byte, payload []byte) ([]uint64, error) {
+	resp, err := r.call(op, typ, payload, pipeproto.RValue)
+	if err != nil {
+		return nil, err
+	}
+	d := &pipeproto.Dec{B: resp}
+	ws := d.Words()
+	if d.Err != nil {
+		return nil, &ProtocolError{Design: r.design, Detail: op + ": " + d.Err.Error()}
+	}
+	return ws, nil
+}
+
+func (r *remote) Design() *netlist.Design { return r.d }
+
+// SetOutput directs the printf bytes of later steps.
+func (r *remote) SetOutput(w io.Writer) { r.out = w }
+
+func (r *remote) Reset() { r.call("reset", pipeproto.TReset, nil, pipeproto.ROK) }
+
+func (r *remote) Poke(id netlist.SignalID, v uint64) { r.PokeWide(id, []uint64{v}) }
+
+// PokeWide sets a signal by name; an unnamed one cannot be addressed.
+func (r *remote) PokeWide(id netlist.SignalID, words []uint64) {
+	if name := r.d.Signals[id].Name; name != "" {
+		p := pipeproto.AppendWords(pipeproto.AppendStr(nil, name), words)
+		r.call("poke", pipeproto.TPoke, p, pipeproto.ROK)
+	}
+}
+
+func (r *remote) Peek(id netlist.SignalID) uint64 {
+	if ws := r.peek(id); len(ws) > 0 {
+		return ws[0]
+	}
+	return 0
+}
+
+func (r *remote) PeekWide(id netlist.SignalID, dst []uint64) []uint64 {
+	ws := r.peek(id)
+	if dst == nil {
+		dst = make([]uint64, len(ws))
+	}
+	copy(dst, ws)
+	return dst
+}
+
+func (r *remote) peek(id netlist.SignalID) []uint64 {
+	name := r.d.Signals[id].Name
+	if name == "" {
+		return nil
+	}
+	ws, _ := r.value("peek", pipeproto.TPeek, pipeproto.AppendStr(nil, name)) // a failed peek reads nothing
+	return ws
+}
+
+func (r *remote) PokeMem(mem, addr int, v uint64) {
+	p := pipeproto.AppendStr(nil, r.d.Mems[mem].Name)
+	p = pipeproto.AppendU64(pipeproto.AppendU64(p, uint64(addr)), v)
+	r.call("pokemem", pipeproto.TPokeMem, p, pipeproto.ROK)
+}
+
+func (r *remote) PeekMem(mem, addr int) uint64 {
+	p := pipeproto.AppendU64(pipeproto.AppendStr(nil, r.d.Mems[mem].Name), uint64(addr))
+	if ws, _ := r.value("peekmem", pipeproto.TPeekMem, p); len(ws) > 0 { // a failed peek reads 0
+		return ws[0]
+	}
+	return 0
+}
+
+// Stats fetches the child's counters; a failed fetch leaves the last.
+func (r *remote) Stats() *sim.Stats {
+	if ws, err := r.value("stats", pipeproto.TStats, nil); err == nil {
+		r.stats = ckpt.StatsFromWords(ws)
+	}
+	return &r.stats
+}
+
+// Step runs n cycles in the child. A stop or failed assertion comes back
+// as the interpreter's error; any other failure is kept in err.
+func (r *remote) Step(n int) error {
+	resp, err := r.call("step", pipeproto.TStep, pipeproto.AppendU64(nil, uint64(n)), pipeproto.RStepDone)
+	d := &pipeproto.Dec{B: resp}
+	cycle := d.U64()
+	status := d.Byte()
+	code := d.U64()
+	msg := d.Str()
+	if err == nil && d.Err != nil {
+		err = &ProtocolError{Design: r.design, Detail: "step: " + d.Err.Error()}
+	}
+	if err != nil {
+		r.err = err
+		return err
+	}
+	// The child commits the stopping cycle before it answers, so the
+	// frame's cycle is one past the stop.
+	switch status {
+	case pipeproto.StepOK:
+		return nil
+	case pipeproto.StepStopped:
+		return &sim.StopError{Code: int(int64(code)), Cycle: cycle - 1}
+	case pipeproto.StepAssert:
+		return &sim.AssertError{Msg: msg, Cycle: cycle - 1}
+	}
+	return fmt.Errorf("sim: %s", msg)
+}
+
+// capture fetches the child's snapshot (ESNTCKP1 bytes).
+func (r *remote) capture() ([]byte, error) {
+	resp, err := r.call("capture", pipeproto.TCapture, nil, pipeproto.RState)
+	if err != nil {
+		return nil, err
+	}
+	d := &pipeproto.Dec{B: resp}
+	buf := d.Block()
+	if d.Err != nil {
+		return nil, &ProtocolError{Design: r.design, Detail: "capture: " + d.Err.Error()}
+	}
+	return buf, nil
+}
+
+func (r *remote) CaptureState() *sim.State {
+	buf, err := r.capture()
+	if err != nil {
+		return nil
+	}
+	st, _ := ckpt.Decode(buf) // nil on a damaged snapshot, which sim.Capture reports
+	return st
+}
+
+func (r *remote) RestoreState(st *sim.State) error {
+	_, err := r.call("restore", pipeproto.TRestore,
+		pipeproto.AppendBytes(nil, ckpt.Encode(st)), pipeproto.ROK)
+	return err
+}
+
+// hash fetches the child's architectural state hash, the tripwire's key.
+func (r *remote) hash() (uint64, error) {
+	ws, err := r.value("hash", pipeproto.THash, nil)
+	if err == nil && len(ws) != 1 {
+		err = &ProtocolError{Design: r.design, Detail: "hash: bad payload"}
+	}
+	if err != nil {
+		return 0, err
+	}
+	return ws[0], nil
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"essent/internal/ckpt"
-	"essent/internal/designs"
 )
 
 // TestErrorTaxonomy is the table-driven contract for the supervisor and
@@ -78,35 +77,35 @@ func TestErrorTaxonomy(t *testing.T) {
 		},
 		{
 			name:     "watchdog wall-clock",
-			err:      &designs.RunError{Reason: "wall-clock", Cycle: 7},
-			sentinel: designs.ErrWallClock,
+			err:      &ckpt.Aborted{Reason: "wall-clock", Cycle: 7},
+			sentinel: ckpt.ErrWallClock,
 			as: func(e error) bool {
-				var re *designs.RunError
+				var re *ckpt.Aborted
 				return errors.As(e, &re) && re.Cycle == 7
 			},
 		},
 		{
 			name:     "watchdog no-progress",
-			err:      &designs.RunError{Reason: "no-progress"},
-			sentinel: designs.ErrNoProgress,
+			err:      &ckpt.Aborted{Reason: "no-progress"},
+			sentinel: ckpt.ErrNoProgress,
 			as: func(e error) bool {
-				var re *designs.RunError
+				var re *ckpt.Aborted
 				return errors.As(e, &re) && re.Reason == "no-progress"
 			},
 		},
 		{
 			name:     "watchdog cycle-limit",
-			err:      &designs.RunError{Reason: "cycle-limit"},
-			sentinel: designs.ErrCycleLimit,
+			err:      &ckpt.Aborted{Reason: "cycle-limit"},
+			sentinel: ckpt.ErrCycleLimit,
 			as: func(e error) bool {
-				var re *designs.RunError
+				var re *ckpt.Aborted
 				return errors.As(e, &re) && re.Reason == "cycle-limit"
 			},
 		},
 	}
 	sentinels := []error{ErrBuild, ErrSpawn, ErrCrash, ErrTimeout,
-		ErrProtocol, ErrDiverged, designs.ErrWallClock,
-		designs.ErrNoProgress, designs.ErrCycleLimit}
+		ErrProtocol, ErrDiverged, ckpt.ErrWallClock,
+		ckpt.ErrNoProgress, ckpt.ErrCycleLimit}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			wrapped := fmt.Errorf("run failed: %w", tc.err)
@@ -132,12 +131,12 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestRunErrorUnknownReason keeps Unwrap safe on a reason outside the
-// enum.
+// TestRunErrorUnknownReason keeps the watchdog abort's Unwrap safe on a
+// reason outside the enum.
 func TestRunErrorUnknownReason(t *testing.T) {
-	e := &designs.RunError{Reason: "martian"}
-	if errors.Is(e, designs.ErrWallClock) || errors.Is(e, designs.ErrNoProgress) ||
-		errors.Is(e, designs.ErrCycleLimit) {
+	e := &ckpt.Aborted{Reason: "martian"}
+	if errors.Is(e, ckpt.ErrWallClock) || errors.Is(e, ckpt.ErrNoProgress) ||
+		errors.Is(e, ckpt.ErrCycleLimit) {
 		t.Fatal("unknown reason matched a sentinel")
 	}
 	if e.Error() == "" {

@@ -394,6 +394,159 @@ func TestKillMidRunResumes(t *testing.T) {
 	}
 }
 
+// TestRecoverEveryRequest SIGKILLs the child before each kind of request.
+// The request itself must find the dead child, respawn it and resume it
+// from checkpoint + replay log, and answer as the interpreter does; a step
+// after it must land on the interpreter's state, without degrading.
+func TestRecoverEveryRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a compiled artifact")
+	}
+	d := smallSoC(t)
+	named := func(ids []netlist.SignalID) netlist.SignalID {
+		for _, id := range ids {
+			if d.Signals[id].Name != "" {
+				return id
+			}
+		}
+		t.Fatal("no named signal")
+		return netlist.NoSignal
+	}
+	in := named(d.Inputs)
+	var regs []netlist.SignalID
+	for _, r := range d.Regs {
+		regs = append(regs, r.Out)
+	}
+	reg := named(regs)
+	imem, _ := designs.MemIndexByName(d, designs.ImemName)
+	dmem, _ := designs.MemIndexByName(d, designs.DmemName)
+	var snap *sim.State // the interpreter at cycle 50, for RestoreState
+
+	for _, tc := range []struct {
+		name string
+		req  func(b sim.Simulator) uint64 // what the request answered
+	}{
+		{"Poke", func(b sim.Simulator) uint64 { b.Poke(in, 1); return 0 }},
+		{"PokeWide", func(b sim.Simulator) uint64 { b.PokeWide(in, []uint64{1}); return 0 }},
+		{"Peek", func(b sim.Simulator) uint64 { return b.Peek(reg) }},
+		{"PeekWide", func(b sim.Simulator) uint64 { return b.PeekWide(reg, nil)[0] }},
+		{"PokeMem", func(b sim.Simulator) uint64 { b.PokeMem(imem, 3, 0x13); return 0 }},
+		{"PeekMem", func(b sim.Simulator) uint64 { return b.PeekMem(dmem, 0) }},
+		{"Reset", func(b sim.Simulator) uint64 { b.Reset(); return 0 }},
+		{"Stats", func(b sim.Simulator) uint64 { return b.Stats().Cycles }},
+		{"CaptureState", func(b sim.Simulator) uint64 {
+			st, err := sim.Capture(b)
+			if err != nil || st == nil {
+				return 0
+			}
+			return ckpt.StateHash(st)
+		}},
+		{"RestoreState", func(b sim.Simulator) uint64 {
+			if err := sim.Restore(b, snap); err != nil {
+				return 1
+			}
+			return 0
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.CaptureEvery = 64 // the kill lands with a non-empty replay log
+			s := newSession(t, d, cfg)
+			if s.Degraded() {
+				t.Fatalf("degraded at start: %+v", s.Degradation())
+			}
+			ip := newInterp(t, d)
+			for _, b := range []sim.Simulator{s, ip} {
+				b.Reset()
+				if err := b.Step(50); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var err error
+			if snap, err = sim.Capture(ip); err != nil {
+				t.Fatal(err)
+			}
+			// The input goes back to 0 before the kill: the generated Reset
+			// zeroes inputs, the interpreter's keeps them (ROADMAP), and
+			// this test is about recovery, not that difference.
+			for _, b := range []sim.Simulator{s, ip} {
+				b.Poke(in, 1)
+				b.PokeMem(dmem, 0, 0xabc)
+				if err := b.Step(60); err != nil {
+					t.Fatal(err)
+				}
+				b.Poke(in, 0)
+				if err := b.Step(40); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			s.cl.cmd.Process.Kill()
+			s.cl.wait() // child fully gone: the request deterministically fails
+			if got, want := tc.req(s), tc.req(ip); got != want {
+				t.Fatalf("%s after a kill answered %#x, interpreter %#x", tc.name, got, want)
+			}
+			for _, b := range []sim.Simulator{s, ip} {
+				if err := b.Step(50); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s.Degraded() {
+				t.Fatalf("a kill before %s should be survivable, but session degraded: %+v",
+					tc.name, s.Degradation())
+			}
+			if got, want := stateHashOf(t, s), stateHashOf(t, ip); got != want {
+				t.Fatalf("state hash after a kill before %s: %#x vs %#x", tc.name, got, want)
+			}
+		})
+	}
+}
+
+// TestDegradeFailureIsTerminal: when the fallback interpreter cannot be
+// resumed either (here: a corrupt checkpoint), the session has no backend
+// left. That failure is its terminal error: later calls do nothing, and
+// Step returns it — regression: Reset dereferenced the missing
+// interpreter at once and every other call panicked on the next request.
+func TestDegradeFailureIsTerminal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a compiled artifact")
+	}
+	d := smallSoC(t)
+	cfg := testConfig()
+	cfg.MaxRetries = 1
+	s := newSession(t, d, cfg)
+	if s.Degraded() {
+		t.Fatalf("degraded at start: %+v", s.Degradation())
+	}
+	s.Reset()
+	s.lastGood = []byte("not a checkpoint")
+	s.cl.cmd.Process.Kill()
+	s.cl.wait()
+	s.Reset()
+	err := s.Step(10)
+	if err == nil {
+		t.Fatal("Step after a failed fallback returned nil")
+	}
+	in := d.Inputs[0]
+	s.Poke(in, 1)
+	s.PokeWide(in, []uint64{1})
+	s.Peek(in)
+	s.PeekWide(in, nil)
+	s.PokeMem(0, 0, 1)
+	s.PeekMem(0, 0)
+	s.Stats()
+	s.RestoreState(nil)
+	if st := s.CaptureState(); st != nil {
+		t.Fatal("CaptureState of a session with no backend returned a state")
+	}
+	if _, err := sim.Capture(s); err == nil {
+		t.Fatal("sim.Capture of a session with no backend reported no error")
+	}
+	if again := s.Step(10); again != err {
+		t.Fatalf("second Step returned %v, want the terminal error %v", again, err)
+	}
+}
+
 // TestStepAllocatesNoSnapshotCopies: with the tripwire off, a Step
 // request must not cost memory proportional to the checkpoint — the
 // segment-start snapshot copy is the tripwire's, and at one copy per
@@ -716,7 +869,7 @@ func TestOutputRouting(t *testing.T) {
 
 // TestNoDuplicateOutputOnRecovery kills the child between steps and
 // checks the crash recovery's replay does not re-emit printf lines the
-// user already saw (regression: replayOnto streamed replayed cycles'
+// user already saw (regression: the replay onto the child streamed replayed cycles'
 // output a second time).
 func TestNoDuplicateOutputOnRecovery(t *testing.T) {
 	if testing.Short() {

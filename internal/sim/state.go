@@ -92,13 +92,17 @@ type StateRestorer interface {
 }
 
 // Capture snapshots a simulator's engine-neutral state. It returns an
-// error for engines without snapshot support.
+// error for engines without snapshot support, and for a capture that
+// produced nothing (a served backend whose child could not answer).
 func Capture(s Simulator) (*State, error) {
 	c, ok := s.(StateCapturer)
 	if !ok {
 		return nil, fmt.Errorf("sim: engine %T does not support state capture", s)
 	}
-	return c.CaptureState(), nil
+	if st := c.CaptureState(); st != nil {
+		return st, nil
+	}
+	return nil, fmt.Errorf("sim: %T captured no state", s)
 }
 
 // Restore resumes a simulator from a captured State. The design

@@ -5,13 +5,15 @@ import (
 	"path/filepath"
 	"testing"
 
+	"essent/internal/ckpt"
 	"essent/internal/designs"
 )
 
 // TestRunSupervisedMatchesDesignsRunner: Sim.RunSupervised (what
-// cmd/essent -checkpoint/-watchdog runs) and designs.Runner.RunSupervised
-// are two field mappings onto one loop, so on the same r16 run — a
-// checkpoint directory and the no-progress watchdog both armed — they
+// cmd/essent -checkpoint/-watchdog runs) is a field mapping onto
+// ckpt.Supervise, which the designs harness and the experiments call
+// directly. On the same r16 run — a checkpoint directory and the
+// no-progress watchdog both armed, tohost and instret watched — the two
 // must agree on cycles, checkpoints written, and how the run ended. One
 // program halts; the other wedges the memory system (a miss penalty in
 // the millions freezes the pipeline mid-load).
@@ -71,40 +73,40 @@ func TestRunSupervisedMatchesDesignsRunner(t *testing.T) {
 				CheckpointDir:   t.TempDir(), CheckpointEvery: every,
 			})
 			_, runner := load()
-			info, derr := runner.RunSupervised(designs.RunConfig{
-				MaxCycles: maxCycles, NoProgressCycles: noProgress,
-				CheckpointDir: t.TempDir(), CheckpointEvery: every,
+			info, derr := ckpt.Supervise(runner.Sim, ckpt.RunConfig{
+				MaxCycles: maxCycles, NoProgressCycles: noProgress, Progress: runner.Progress(),
+				Dir: t.TempDir(), Every: every,
 			})
 
 			if rep.Checkpoints == 0 || rep.Checkpoints != info.Checkpoints ||
 				rep.CheckpointBytes != info.CheckpointBytes ||
 				filepath.Base(rep.LastCheckpoint) != filepath.Base(info.LastCheckpoint) {
-				t.Fatalf("checkpoints differ: facade %d (%d B, %s), designs %d (%d B, %s)",
+				t.Fatalf("checkpoints differ: facade %d (%d B, %s), ckpt %d (%d B, %s)",
 					rep.Checkpoints, rep.CheckpointBytes, rep.LastCheckpoint,
 					info.Checkpoints, info.CheckpointBytes, info.LastCheckpoint)
 			}
 			if rep.CheckpointTime <= 0 || info.CheckpointTime <= 0 {
-				t.Fatalf("checkpoint time not accounted: facade %v, designs %v",
+				t.Fatalf("checkpoint time not accounted: facade %v, ckpt %v",
 					rep.CheckpointTime, info.CheckpointTime)
 			}
 			if tc.reason == "" {
 				if ferr != nil || derr != nil {
-					t.Fatalf("facade err %v, designs err %v, want a clean stop", ferr, derr)
+					t.Fatalf("facade err %v, ckpt err %v, want a clean stop", ferr, derr)
 				}
-				if !rep.Stopped || rep.Cycles != info.Result.Cycles {
-					t.Fatalf("facade stopped=%v after %d cycles, designs after %d",
-						rep.Stopped, rep.Cycles, info.Result.Cycles)
+				if !rep.Stopped || info.Stop == nil || rep.Cycles != info.Cycles {
+					t.Fatalf("facade stopped=%v after %d cycles, ckpt stopped=%v after %d",
+						rep.Stopped, rep.Cycles, info.Stop != nil, info.Cycles)
 				}
 				return
 			}
 			var fa *RunAborted
-			var da *designs.RunError
+			var da *ckpt.Aborted
 			if !errors.As(ferr, &fa) || !errors.As(derr, &da) {
-				t.Fatalf("facade err %v, designs err %v, want watchdog aborts", ferr, derr)
+				t.Fatalf("facade err %v, ckpt err %v, want watchdog aborts", ferr, derr)
 			}
 			if fa.Reason != tc.reason || da.Reason != tc.reason || fa.Cycle != da.Cycle ||
 				fa.Cycle != facade.Stats().Cycles {
-				t.Fatalf("aborts differ: facade %s at cycle %d, designs %s at cycle %d",
+				t.Fatalf("aborts differ: facade %s at cycle %d, ckpt %s at cycle %d",
 					fa.Reason, fa.Cycle, da.Reason, da.Cycle)
 			}
 			if filepath.Base(fa.LastCheckpoint) != filepath.Base(rep.LastCheckpoint) {
