@@ -17,7 +17,6 @@
 //	                              # CI-sized smoke of the lane sweep
 //	benchall -only vec -lanes 16,64
 //	                              # instance vectorization: vec vs NoVec
-//	benchall -only sa             # static activity analysis vs ablation
 //	benchall -only gen            # served artifact vs interpreter
 //	benchall -only gencp          # generated-code Table III pair, Cp
 //	                              # sweep and §III-B ablation

@@ -15,19 +15,19 @@ func flags(names ...string) map[string]bool {
 
 // TestDesignsResolveThroughRegistry: -designs is checked against what the
 // selected experiments can build, not against the three SoC configs
-// (`-only sa -designs fab` must resolve `fab`, which is no SoC config).
+// (`-only verifycost -designs fab` must resolve `fab`, which is no SoC config).
 func TestDesignsResolveThroughRegistry(t *testing.T) {
 	for _, c := range []struct {
 		only    string
 		designs []string
 		wantErr string
 	}{
-		{"sa", []string{"fab"}, ""},
-		{"sa", []string{"mac8", "r16"}, ""},
+		{"verifycost", []string{"fab"}, ""},
+		{"verifycost", []string{"mac8", "r16"}, ""},
 		{"vec", []string{"noc8"}, ""},
-		{"sa", []string{"r16", "fab", "mac16"}, ""},
+		{"verifycost", []string{"r16", "fab", "mac16"}, ""},
 		{"", []string{"r16"}, ""},
-		{"sa", []string{"fabb"}, `unknown design "fabb" (known: r16, r18, boom, fab, mac8`},
+		{"verifycost", []string{"fabb"}, `unknown design "fabb" (known: r16, r18, boom, fab, mac8`},
 		{"table3", []string{"fab"}, `no selected experiment can run design "fab"`},
 		{"vec", []string{"mac8", "r16"}, `no selected experiment can run design "r16"`},
 		{"", []string{"mac8"}, `no selected experiment can run design "mac8"`},
@@ -67,6 +67,7 @@ func TestValidateFlagsSelection(t *testing.T) {
 		{"nope", flags(), `error: unknown experiment "nope"`},
 		{"scaling", flags(), `error: unknown experiment "scaling"`},
 		{"pack", flags(), `error: unknown experiment "pack"`},
+		{"sa", flags(), `error: unknown experiment "sa"`},
 		{"table3", flags("lanes"), "error: -lanes configures"},
 		{"", flags("ckptevery"), "error: -ckptevery configures"},
 	} {

@@ -37,9 +37,6 @@ func main() {
 		minVecLanes = flag.Int("vec-min-lanes", 0,
 			"cost-model lane floor for -engine vec: classes packing fewer lanes "+
 				"fall back to scalar (0 = tuned default 16; 2 accepts every class)")
-		nosa = flag.Bool("nosa", false,
-			"disable static activity analysis in the optimizer (ablation: no "+
-				"SA constant folding; -engine essent, fullcycle-opt or vec)")
 		cycles     = flag.Int("cycles", 100000, "maximum cycles to simulate")
 		verbose    = flag.Bool("v", false, "print design printf output")
 		stats      = flag.Bool("stats", true, "print work statistics")
@@ -118,7 +115,7 @@ func main() {
 
 	sim, err := essent.Compile(src, essent.Options{Engine: engine, Cp: *cp,
 		NoVec: *novec, MaxVecLanes: *maxVecLanes, MinVecLanes: *minVecLanes,
-		NoSA: *nosa, Verify: vmode, Backend: *backendName})
+		Verify: vmode, Backend: *backendName})
 	if err != nil {
 		fatal(err)
 	}
@@ -317,10 +314,6 @@ func validateFlags() error {
 				" baseline, or fullcycle-opt; the vec and event engines run" +
 				" in-process only")
 		}
-	}
-	if set["nosa"] && (eng == essent.EngineEventDriven || eng == essent.EngineBaseline) {
-		return errors.New("-nosa ablates the optimizer's static activity analysis;" +
-			" -engine event and baseline never run the optimizer")
 	}
 	if eng != essent.EngineESSENTVec {
 		if set["novec"] {

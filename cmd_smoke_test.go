@@ -82,9 +82,7 @@ func TestCmdEssentRejectsBadFlags(t *testing.T) {
 		{[]string{"-engine", "parallel"}, 2, `essent: engine "parallel" is retired`},
 		{[]string{"-engine", "bogus"}, 2, `essent: unknown engine "bogus"`},
 		{[]string{"-backend", "bogus"}, 2, `essent: unknown backend "bogus"`},
-		{[]string{"-engine", "event", "-nosa"}, 2, "essent: -nosa ablates"},
-		{[]string{"-engine", "baseline", "-nosa"}, 2, "essent: -nosa ablates"},
-		{[]string{"-engine", "fullcycle-opt", "-nosa", "-cycles", "0"}, 0, "ran 0 cycles"},
+		{[]string{"-engine", "fullcycle-opt", "-cycles", "0"}, 0, "ran 0 cycles"},
 		{[]string{"-engine", "vec", "-max-vec-lanes", "64", "-vec-min-lanes", "2", "-cycles", "0"}, 0, "ran 0 cycles"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-soc", "r16"}, c.args...)...).CombinedOutput()
@@ -212,14 +210,14 @@ func TestCmdBenchallSmoke(t *testing.T) {
 
 	// -json and -csv cover every experiment (they used to be dropped
 	// silently, exit 0 and no file, for everything but a few sweeps), and
-	// -designs reaches the sa sweep's default fabric.
+	// -designs reaches a design that is no SoC.
 	dir := t.TempDir()
 	for _, c := range []struct {
 		name string
 		args []string
 	}{
 		{"table1", []string{"-designs", "r16"}},
-		{"sa", []string{"-designs", "fab", "-cycles", "2000"}},
+		{"verifycost", []string{"-designs", "fab"}},
 	} {
 		jsonPath := filepath.Join(dir, c.name+".json")
 		runCmd(t, append([]string{"./cmd/benchall", "-quick", "-only", c.name,

@@ -137,9 +137,6 @@ type Options struct {
 	//
 	// Deprecated: every engine runs on the calling goroutine.
 	Workers int
-	// NoOptimize disables the netlist optimization passes that
-	// EngineFullCycleOpt and EngineESSENT normally run.
-	NoOptimize bool
 	// NoVec disables instance vectorization on EngineESSENTVec — the
 	// ablation switch: the engine compiles and runs as plain scalar CCSS.
 	NoVec bool
@@ -150,10 +147,6 @@ type Options struct {
 	// classes that fragment below this many lanes fall back to scalar
 	// evaluation (0 = the tuned default of 16; 2 accepts every class).
 	MinVecLanes int
-	// NoSA ablates the static activity analysis that feeds the optimizer's
-	// known-bits folds, on the engines that optimize (EngineFullCycleOpt,
-	// EngineESSENT, EngineESSENTVec).
-	NoSA bool
 	// Verify selects static-verification enforcement (VerifyStrict, the
 	// zero value, by default).
 	Verify VerifyMode
@@ -278,11 +271,8 @@ type CompileTimings struct {
 	Parse time.Duration
 	// Netlist is lowering, flattening and netlist construction.
 	Netlist time.Duration
-	// Optimize is the netlist passes, static activity analysis included
-	// (zero when the engine or NoOptimize skips them).
+	// Optimize is the netlist passes (zero on the engines that skip them).
 	Optimize time.Duration
-	// SA is the share of Optimize spent in the static activity analysis.
-	SA time.Duration
 	// Engine is engine construction: partitioning, planning, machine
 	// compilation and verification, or the compiled backend's session
 	// start.
@@ -296,8 +286,8 @@ func (t CompileTimings) Total() time.Duration {
 
 func (t CompileTimings) String() string {
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	return fmt.Sprintf("parse %.1f ms, netlist %.1f ms, optimize %.1f ms (sa %.1f ms), engine %.1f ms",
-		ms(t.Parse), ms(t.Netlist), ms(t.Optimize), ms(t.SA), ms(t.Engine))
+	return fmt.Sprintf("parse %.1f ms, netlist %.1f ms, optimize %.1f ms, engine %.1f ms",
+		ms(t.Parse), ms(t.Netlist), ms(t.Optimize), ms(t.Engine))
 }
 
 // CompileTimings reports where this simulator's compile time went.
@@ -331,15 +321,13 @@ func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
 		return nil, err
 	}
 	t.Netlist = time.Since(start)
-	wantOpt := opts.Engine == EngineFullCycleOpt || opts.Engine == EngineESSENT ||
-		opts.Engine == EngineESSENTVec
-	if wantOpt && !opts.NoOptimize {
+	if opts.Engine == EngineFullCycleOpt || opts.Engine == EngineESSENT ||
+		opts.Engine == EngineESSENTVec {
 		start = time.Now()
-		var st opt.Stats
-		if d, st, err = opt.OptimizeOpts(d, opt.Options{NoSA: opts.NoSA}); err != nil {
+		if d, _, err = opt.Optimize(d); err != nil {
 			return nil, err
 		}
-		t.Optimize, t.SA = time.Since(start), st.SAAnalysis
+		t.Optimize = time.Since(start)
 	}
 	start = time.Now()
 	engine := sim.Options{Verify: opts.Verify.internal()}

@@ -217,7 +217,7 @@ func TestFacadeResetAndStats(t *testing.T) {
 	}
 }
 
-func TestEngineStringAndNoOptimize(t *testing.T) {
+func TestEngineString(t *testing.T) {
 	for _, e := range []Engine{EngineEventDriven, EngineBaseline,
 		EngineFullCycleOpt, EngineESSENT, EngineESSENTParallel} {
 		if e.String() == "" || strings.HasPrefix(e.String(), "Engine(") {
@@ -226,13 +226,6 @@ func TestEngineStringAndNoOptimize(t *testing.T) {
 	}
 	if Engine(99).String() == "" {
 		t.Fatal("unknown engine String")
-	}
-	s, err := Compile(counterSrc, Options{Engine: EngineESSENT, NoOptimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Step(1); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"fmt"
-	"sort"
 
 	"essent/internal/bits"
 	"essent/internal/sim"
@@ -121,10 +120,4 @@ func (in *Injector) Advance(s sim.Simulator, n uint64) error {
 		n -= chunk
 	}
 	return nil
-}
-
-// SortFaults orders faults by cycle (cosmetic; the injector does not
-// require it).
-func SortFaults(fs []Fault) {
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Cycle < fs[j].Cycle })
 }

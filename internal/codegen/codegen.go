@@ -82,7 +82,7 @@ func (o Options) Engine() sim.Options {
 // binary is never reused across a change to the emitted text: bump it
 // with any such change (TestFormatVersionPinsEmittedText fails until
 // then).
-const FormatVersion = 6
+const FormatVersion = 7
 
 // Generate emits Go source for a simulator of the design.
 func Generate(d *netlist.Design, opts Options) ([]byte, error) {
@@ -343,9 +343,11 @@ func (g *gen) emitNew() {
 	g.p("}")
 	g.p("")
 	g.p("// Reset restores initial state (registers to reset values, memories")
-	g.p("// zeroed, constants re-materialized).")
+	g.p("// zeroed, constants re-materialized). Inputs keep their poked values.")
 	g.p("func (s *Sim) Reset() {")
-	g.p("  for i := range s.t { s.t[i] = 0 }")
+	for _, r := range g.nonInputWords() {
+		g.p("  clear(s.t[%d:%d])", r[0], r[1])
+	}
 	g.p("  for _, m := range s.mems { for i := range m { m[i] = 0 } }")
 	for i := range d.Consts {
 		for w, v := range d.Consts[i].Words {
@@ -391,6 +393,31 @@ func (g *gen) emitNew() {
 		g.p("}")
 		g.p("")
 	}
+}
+
+// nonInputWords returns the value-table ranges [lo, hi) that hold no
+// design input: what Reset clears.
+func (g *gen) nonInputWords() [][2]int {
+	d := g.pr.D
+	input := make([]bool, g.pr.TableLen)
+	for _, in := range d.Inputs {
+		off := int(g.pr.Off[in])
+		for w := range bits.Words(d.Signals[in].Width) {
+			input[off+w] = true
+		}
+	}
+	var out [][2]int
+	for lo := 0; lo < len(input); {
+		hi := lo
+		for hi < len(input) && !input[hi] {
+			hi++
+		}
+		if hi > lo {
+			out = append(out, [2]int{lo, hi})
+		}
+		lo = hi + 1
+	}
+	return out
 }
 
 // prevInWords and oldWords size the input history and the old-value

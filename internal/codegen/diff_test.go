@@ -43,6 +43,8 @@ var diffConfigs = []diffConfig{
 	{"fullcycleopt", Options{Mode: ModeFullCycle, Elide: true}},
 }
 
+// diffPoke pokes input Name with V before cycle Cycle's step; one with
+// no Name resets the simulator instead.
 type diffPoke struct {
 	Cycle int
 	Name  string
@@ -278,6 +280,7 @@ type diffSim interface {
 	PokeMem(name string, addr int, v uint64) bool
 	Peek(name string) uint64
 	Step(n int) error
+	Reset()
 }
 
 // replay is the reference copy of the driver's loop (driverReplay below
@@ -290,7 +293,11 @@ func replay(s diffSim, f *diffFixture) string {
 	pi := 0
 	for c := 0; c < f.cycles; c++ {
 		for ; pi < len(f.pokes) && f.pokes[pi].Cycle == c; pi++ {
-			s.Poke(f.pokes[pi].Name, f.pokes[pi].V)
+			if f.pokes[pi].Name == "" {
+				s.Reset()
+			} else {
+				s.Poke(f.pokes[pi].Name, f.pokes[pi].V)
+			}
 		}
 		if err := s.Step(1); err != nil {
 			fmt.Fprintf(&out, "ERR %s\n", strings.TrimPrefix(err.Error(), "sim: "))
@@ -310,6 +317,7 @@ type diffSim interface {
 	PokeMem(name string, addr int, v uint64) bool
 	Peek(name string) uint64
 	Step(n int) error
+	Reset()
 }
 
 type poke struct {
@@ -334,7 +342,11 @@ func replay(tag string, s diffSim, f *fixture) {
 	pi := 0
 	for c := 0; c < f.cycles; c++ {
 		for ; pi < len(f.pokes) && f.pokes[pi].Cycle == c; pi++ {
-			s.Poke(f.pokes[pi].Name, f.pokes[pi].V)
+			if f.pokes[pi].Name == "" {
+				s.Reset()
+			} else {
+				s.Poke(f.pokes[pi].Name, f.pokes[pi].V)
+			}
 		}
 		if err := s.Step(1); err != nil {
 			fmt.Printf("ERR %v\n", err)

@@ -14,12 +14,11 @@ import (
 // prints for the optimized counter (CCSS, Cp 8, Serve; its register's
 // reset is applied at the clock edge). A cached artifact is reused for as
 // long as design, options and FormatVersion agree, so a change to the
-// emitted text must come with a new version. (Version 6 prints the same
-// counter; it retires the artifacts whose embedded FusedPairs counted the
-// fused skips the interpreter no longer builds.)
+// emitted text must come with a new version. (Version 7's Reset clears
+// the value table around the input words instead of all of it.)
 const (
-	pinnedVersion  = 6
-	emittedTextPin = "5a2717f63f1222301b124217e2574b22488e7222eec079e5d58682cb05061d83"
+	pinnedVersion  = 7
+	emittedTextPin = "bc2ed682c64dd9cef1a80c35e815edcf8cf4d78711829cb5d2d9db629372ffc8"
 )
 
 func TestFormatVersionPinsEmittedText(t *testing.T) {

@@ -239,3 +239,44 @@ func TestResetMidRun(t *testing.T) {
 		}
 	}
 }
+
+// TestResetKeepsInputs: Reset keeps the poked inputs on every backend, as
+// sim.Simulator.Reset requires. Each fixture pokes its inputs, steps,
+// resets mid-run and steps on without poking again; every generated
+// variant must equal the full-cycle interpreter on every output and
+// register, every cycle.
+func TestResetKeepsInputs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles generated code with the Go toolchain")
+	}
+	d := compileDesign(t, counterSrc)
+	fixtures := []diffFixture{{name: "counter", d: d, watch: watchAll(d), cycles: 30,
+		pokes: []diffPoke{{0, "reset", 1}, {0, "en", 1}, {0, "step", 3}, {2, "reset", 0}, {12, "", 0}}}}
+	for seed := int64(940); seed < 943; seed++ {
+		d, err := netlist.Compile(randckt.Generate(seed, randckt.DefaultConfig()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := append(randomPokes(d, seed, 20), diffPoke{20, "", 0})
+		fixtures = append(fixtures, diffFixture{name: fmt.Sprintf("rand%d", seed), d: d,
+			watch: watchAll(d), cycles: 40, pokes: ps})
+	}
+	traces, _ := diffTraces(t, fixtures)
+	for i := range fixtures {
+		f := &fixtures[i]
+		s, err := sim.New(f.d, sim.Options{Engine: sim.EngineFullCycle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := replay(interpSim{s, f.d}, f)
+		for _, cfg := range f.variants() {
+			for _, serve := range []bool{false, true} {
+				got, _, _ := generatedStats(traces[pkgName(f, cfg, serve)])
+				if got != want {
+					t.Errorf("%s: generated %s (serve %v) after Reset differs from the interpreter\n--- got\n%s--- want\n%s",
+						f.name, cfg.name, serve, got, want)
+				}
+			}
+		}
+	}
+}

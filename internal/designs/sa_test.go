@@ -1,14 +1,10 @@
 package designs
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"essent/internal/netlist"
-	"essent/internal/opt"
 	"essent/internal/sa"
-	"essent/internal/sim"
 )
 
 // TestSAProvesR16Activity is the acceptance gate for the analysis on
@@ -49,125 +45,5 @@ func TestSAProvesR16Activity(t *testing.T) {
 	if ratio < 0.10 {
 		t.Fatalf("only %.1f%% of r16 signals proven constant or gated, want >= 10%%",
 			100*ratio)
-	}
-}
-
-// driveSAPair runs the SA-optimized and ablated designs in lockstep
-// under identical named stimulus. Signal IDs differ between the two
-// netlists (folding deletes nodes), so ports and registers are matched
-// by name: every output must agree every cycle, and every surviving
-// register must agree at the end.
-func driveSAPair(t *testing.T, dSA, dAbl *netlist.Design, engine sim.Engine,
-	cycles int, seed int64) {
-	t.Helper()
-	sSA, err := sim.New(dSA, sim.Options{Engine: engine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sAbl, err := sim.New(dAbl, sim.Options{Engine: engine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for cyc := 0; cyc < cycles; cyc++ {
-		for _, in := range dSA.Inputs {
-			name := dSA.Signals[in].Name
-			v := rng.Uint64()
-			if name == "reset" {
-				v = 0
-				if cyc < 2 {
-					v = 1
-				}
-			} else if rng.Intn(3) != 0 {
-				continue
-			}
-			ablID, ok := dAbl.SignalByName(name)
-			if !ok {
-				t.Fatalf("input %s missing from ablated design", name)
-			}
-			sSA.Poke(in, v)
-			sAbl.Poke(ablID, v)
-		}
-		if err := sSA.Step(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := sAbl.Step(1); err != nil {
-			t.Fatal(err)
-		}
-		for _, out := range dSA.Outputs {
-			name := dSA.Signals[out].Name
-			ablID, ok := dAbl.SignalByName(name)
-			if !ok {
-				t.Fatalf("output %s missing from ablated design", name)
-			}
-			if got, want := sSA.Peek(out), sAbl.Peek(ablID); got != want {
-				t.Fatalf("cycle %d: output %s = %d with SA, %d ablated",
-					cyc, name, got, want)
-			}
-		}
-	}
-	// Registers surviving both pipelines must hold identical state (SA
-	// legitimately deletes registers it proves constant).
-	var a, b []uint64
-	for ri := range dSA.Regs {
-		name := dSA.Regs[ri].Name
-		ablID, ok := dAbl.SignalByName(name)
-		if !ok {
-			continue
-		}
-		saID := dSA.Regs[ri].Out
-		a = sSA.PeekWide(saID, nil)
-		b = sAbl.PeekWide(ablID, nil)
-		for w := range a {
-			if a[w] != b[w] {
-				t.Fatalf("reg %s = %v with SA, %v ablated", name, a, b)
-			}
-		}
-	}
-}
-
-// TestSAOptAblationEquivalence: SA-driven folding must be invisible in
-// behavior — outputs and surviving registers bit-exact against the
-// ablation on the SoC, the MAC array, and the NoC mesh, across engines.
-func TestSAOptAblationEquivalence(t *testing.T) {
-	socCirc, err := Build(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	macCirc, err := BuildMACArray(MACArrayConfig{Name: "mac8", Rows: 8, Cols: 8, DataW: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nocCirc, err := BuildNoCMesh(NoCConfig{Name: "noc4", Rows: 4, Cols: 4,
-		PayloadW: 8, RateBits: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		d    *netlist.Design
-	}{
-		{"soc-tiny", compileCircuit(t, socCirc, false)},
-		{"mac8", compileCircuit(t, macCirc, false)},
-		{"noc4", compileCircuit(t, nocCirc, false)},
-	}
-	engines := []sim.Engine{sim.EngineCCSS, sim.EngineFullCycleOpt, sim.EngineCCSSVec}
-	for _, tc := range cases {
-		dSA, saStats, err := opt.Optimize(tc.d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dAbl, _, err := opt.OptimizeOpts(tc.d, opt.Options{NoSA: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("%s: SA folded %d consts, elided %d muxes (proven %d const / %d gated)",
-			tc.name, saStats.SAConstFolded, saStats.SAMuxElided,
-			saStats.SAProvenConst, saStats.SAProvenGated)
-		for _, e := range engines {
-			t.Run(fmt.Sprintf("%s-%v", tc.name, e), func(t *testing.T) {
-				driveSAPair(t, dSA, dAbl, e, 100, int64(len(tc.name)))
-			})
-		}
 	}
 }

@@ -317,8 +317,8 @@ func TestVecClassCoverage(t *testing.T) {
 		{"mac16", true, 64, coverage{7, 399, 0, 0, 64}},
 		{"noc8", false, 16, coverage{59, 944, 36, 238, 16}},
 		{"noc8", false, 64, coverage{20, 1027, 30, 157, 64}},
-		{"noc8", true, 16, coverage{14, 224, 26, 127, 16}},
-		{"noc8", true, 64, coverage{6, 244, 22, 107, 64}},
+		{"noc8", true, 16, coverage{9, 144, 31, 140, 16}},
+		{"noc8", true, 64, coverage{5, 168, 29, 116, 64}},
 	}
 	for _, r := range rows {
 		t.Run(fmt.Sprintf("%s/opt=%v/cap%d", r.design, r.optimize, r.cap), func(t *testing.T) {

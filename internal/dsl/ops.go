@@ -83,9 +83,6 @@ func (s Signal) Neq(o Signal) Signal { return s.cmp(firrtl.OpNeq, o) }
 // Lt returns s < o (unsigned).
 func (s Signal) Lt(o Signal) Signal { return s.cmp(firrtl.OpLt, o) }
 
-// Leq returns s <= o (unsigned).
-func (s Signal) Leq(o Signal) Signal { return s.cmp(firrtl.OpLeq, o) }
-
 // Gt returns s > o (unsigned).
 func (s Signal) Gt(o Signal) Signal { return s.cmp(firrtl.OpGt, o) }
 

@@ -130,8 +130,6 @@ type Design struct {
 	Circuit *firrtl.Circuit
 	Raw     *netlist.Design
 	Opt     *netlist.Design
-	// OptStats counts what the optimizer did to get from Raw to Opt.
-	OptStats opt.Stats
 }
 
 func compileDesign(name string, spec designSpec) (*Design, error) {
@@ -143,12 +141,11 @@ func compileDesign(name string, spec designSpec) (*Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	od, ost, err := opt.Optimize(raw)
+	od, _, err := opt.Optimize(raw)
 	if err != nil {
 		return nil, err
 	}
-	return &Design{designSpec: spec, Name: name, Circuit: circ, Raw: raw, Opt: od,
-		OptStats: ost}, nil
+	return &Design{designSpec: spec, Name: name, Circuit: circ, Raw: raw, Opt: od}, nil
 }
 
 // netlist picks the optimized or raw form.

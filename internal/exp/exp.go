@@ -77,7 +77,7 @@ func (e *Experiment) CanBuild(design string) bool {
 // then the extension sweeps.
 var Experiments = []*Experiment{
 	table1, table2, table3, table4, fig5, fig6, fig7, ablation,
-	lanes, vec, saExp, gen, gencp, ckptcost, verifycost,
+	lanes, vec, gen, gencp, ckptcost, verifycost,
 }
 
 // Lookup finds an experiment by name.

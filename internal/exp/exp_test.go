@@ -73,8 +73,6 @@ var smoke = []struct {
 		"lanes,halted"},
 	{"vec", Params{Designs: []string{"mac8"}, Lanes: []int{16}}, false,
 		"instances,nodes,max_lanes,groups,vec_parts,widest_group"},
-	{"sa", Params{Designs: []string{"fab"}}, false, "signals,proven_const_pct,proven_gated_pct," +
-		"proven_narrow_pct,gated_regs,analysis_ms,fixpoint_iters,sa_const_folded,sa_mux_elided"},
 	{"gen", Params{Designs: []string{"tinyA", "fab"}}, true,
 		"signals,cp,cold_build_ms,warm_start_ms,degraded"},
 	{"gencp", Params{Designs: []string{"tinyA"}}, true, "cp,cold_build_ms,warm_start_ms,degraded"},
@@ -468,27 +466,6 @@ func TestVecSweepFilters(t *testing.T) {
 	}
 }
 
-func TestSASweep(t *testing.T) {
-	rows := rowsOf(t, "sa")
-	timedRows(t, rows, 2)
-	if rows[0].Arm != "ablated" || rows[1].Arm != "sa" {
-		t.Fatalf("arm ordering wrong: %+v", rows)
-	}
-	r := rows[1]
-	if r.Design != "fab" || num(r, "signals") == 0 {
-		t.Fatalf("design metadata missing: %+v", r)
-	}
-	if num(r, "proven_gated_pct") <= 0 {
-		t.Fatalf("fabric gating not proven: %+v", r)
-	}
-	if num(r, "analysis_ms") <= 0 || num(r, "fixpoint_iters") == 0 {
-		t.Fatalf("analysis cost not measured: %+v", r)
-	}
-	if r.Cycles == 0 {
-		t.Fatalf("empty measurement: %+v", r)
-	}
-}
-
 func TestVerifyCostSweep(t *testing.T) {
 	rows := rowsOf(t, "verifycost")
 	timedRows(t, rows, 4*2)
@@ -586,7 +563,7 @@ func TestDesignRegistry(t *testing.T) {
 		!strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "mac16") {
 		t.Fatalf("unknown design error: %v", err)
 	}
-	if !saExp.CanBuild("fab") || !saExp.CanBuild("mac8") || vec.CanBuild("r16") ||
+	if !gen.CanBuild("fab") || !verifycost.CanBuild("mac8") || vec.CanBuild("r16") ||
 		table3.CanBuild("fab") || !table3.CanBuild("boom") || gencp.CanBuild("nope") {
 		t.Fatal("CanBuild disagrees with the experiments' design kinds")
 	}

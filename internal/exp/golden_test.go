@@ -55,11 +55,11 @@ func TestFig7Golden(t *testing.T) {
 }
 
 // TestCCSSStatsGolden: the whole sim.Stats struct after 5,000 cycles at
-// Cp 8 on the two long scalar benchmark pairings, as the engine runs by
-// default and unfused. Since PR 23 it is also the gate on partition
-// quality: OpsEvaluated on boom × pchase is what source-signature seeding
-// brought from 8,126,556 to 5,576,335, and a partitioner change that
-// moves it has to say why.
+// Cp 8 on the two long scalar benchmark pairings and the self-stimulated
+// noc8 mesh, as the engine runs by default and unfused. Since PR 23 it is
+// also the gate on partition quality: OpsEvaluated on boom × pchase is
+// what source-signature seeding brought from 8,126,556 to 5,576,335, and
+// a partitioner or optimizer change that moves a row has to say why.
 func TestCCSSStatsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles boom")
@@ -82,7 +82,7 @@ func TestCCSSStatsGolden(t *testing.T) {
 		{"nofuse", sim.Options{Engine: sim.EngineCCSS, Cp: 8, NoFuse: true}},
 	}
 	var out []entry
-	for _, pair := range [][2]string{{"boom", "pchase"}, {"r16", "dhrystone"}} {
+	for _, pair := range [][2]string{{"boom", "pchase"}, {"r16", "dhrystone"}, {"noc8", SelfStim}} {
 		d, err := ds.get(pair[0])
 		if err != nil {
 			t.Fatal(err)

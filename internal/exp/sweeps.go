@@ -10,7 +10,6 @@ import (
 	"essent/internal/netlist"
 	"essent/internal/opt"
 	"essent/internal/riscv"
-	"essent/internal/sa"
 	"essent/internal/serve"
 	"essent/internal/sim"
 	"essent/internal/verify"
@@ -259,55 +258,6 @@ var vec = &Experiment{
 			}
 		}
 		return cells, err
-	},
-}
-
-// The SA experiment reports, per design, what the static activity
-// analysis proves and what it costs at compile time, then CCSS
-// throughput of the SA-optimized netlist against the NoSA ablation under
-// identical stimulus.
-var saExp = &Experiment{
-	Name:    "sa",
-	Title:   "Static activity analysis (proof coverage, compile cost, CCSS speedup over the ablation)",
-	Accepts: anyDesign,
-	Columns: []string{"signals", "proven_const_pct", "proven_gated_pct",
-		"proven_narrow_pct", "gated_regs", "analysis_ms", "fixpoint_iters",
-		"sa_const_folded", "sa_mux_elided"},
-	Cells: func(ds *DesignSet, p Params) ([]Cell, error) {
-		dsg, err := ds.pick(p.Designs, anyDesign, "r16", "fab", "mac16")
-		if err != nil {
-			return nil, err
-		}
-		var cells []Cell
-		for _, d := range dsg {
-			r, err := sa.Analyze(d.Raw, sa.Options{})
-			if err != nil {
-				return nil, fmt.Errorf("exp: analyze %s: %w", d.Name, err)
-			}
-			dAbl, _, err := opt.OptimizeOpts(d.Raw, opt.Options{NoSA: true})
-			if err != nil {
-				return nil, err
-			}
-			pct := func(n int) float64 { return 100 * float64(n) / float64(r.Stats.Signals) }
-			w := ds.workloads(d, "dhrystone")[0]
-			arm := func(name string, nd *netlist.Design) Arm {
-				return engineArm(name, d, w, min(stimCycles(p.Scale, d), 25_000),
-					simOn(nd, essentSpec(8).Options), nil)
-			}
-			cells = append(cells, Cell{Design: d.Name, Workload: w.Name, Reps: 3,
-				Params: map[string]any{
-					"signals":           r.Stats.Signals,
-					"proven_const_pct":  pct(r.Stats.ProvenConst),
-					"proven_gated_pct":  pct(r.Stats.ProvenGated),
-					"proven_narrow_pct": pct(r.Stats.ProvenNarrow),
-					"gated_regs":        r.Stats.GatedRegs,
-					"analysis_ms":       r.Stats.Analysis.Seconds() * 1e3,
-					"fixpoint_iters":    r.Stats.Iters,
-					"sa_const_folded":   d.OptStats.SAConstFolded,
-					"sa_mux_elided":     d.OptStats.SAMuxElided},
-				Arms: []Arm{arm("ablated", dAbl), arm("sa", d.Opt)}})
-		}
-		return cells, nil
 	},
 }
 

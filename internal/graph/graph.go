@@ -1,14 +1,11 @@
 // Package graph provides directed-graph utilities used by the netlist,
-// the MFFC decomposition, and the acyclic partitioner: topological sorting
-// with cycle diagnostics, Tarjan strongly-connected components,
-// reachability queries, and DOT export.
+// the MFFC decomposition, and the acyclic partitioner: adjacency lists
+// and topological sorting with cycle diagnostics.
 package graph
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 )
 
 // Graph is a directed graph over dense integer node IDs [0, N).
@@ -52,13 +49,6 @@ func carve(deg []int32) [][]int {
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.out) }
 
-// AddNode appends a new node and returns its ID.
-func (g *Graph) AddNode() int {
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	return len(g.out) - 1
-}
-
 // AddEdge adds a directed edge u → v.
 func (g *Graph) AddEdge(u, v int) {
 	g.out[u] = append(g.out[u], v)
@@ -70,15 +60,6 @@ func (g *Graph) Out(u int) []int { return g.out[u] }
 
 // In returns the in-neighbors of u (shared slice; do not modify).
 func (g *Graph) In(u int) []int { return g.in[u] }
-
-// NumEdges returns the total directed edge count (with multiplicity).
-func (g *Graph) NumEdges() int {
-	n := 0
-	for _, e := range g.out {
-		n += len(e)
-	}
-	return n
-}
 
 // ErrCyclic is returned by TopoSort when the graph contains a cycle.
 var ErrCyclic = errors.New("graph: cycle detected")
@@ -132,12 +113,6 @@ func (g *Graph) TopoSort() ([]int, error) {
 	return order, nil
 }
 
-// IsAcyclic reports whether the graph has no directed cycle.
-func (g *Graph) IsAcyclic() bool {
-	_, err := g.TopoSort()
-	return err == nil
-}
-
 // FindCycle returns the node IDs of one directed cycle, or nil if the
 // graph is acyclic.
 func (g *Graph) FindCycle() []int {
@@ -183,121 +158,4 @@ func (g *Graph) FindCycle() []int {
 		}
 	}
 	return nil
-}
-
-// SCCs returns the strongly connected components in reverse topological
-// order (Tarjan). Components are sorted internally by node ID.
-func (g *Graph) SCCs() [][]int {
-	n := g.Len()
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int
-	var comps [][]int
-	next := 0
-
-	// Iterative Tarjan to avoid deep recursion on long chains.
-	type frame struct {
-		v, ei int
-	}
-	for start := 0; start < n; start++ {
-		if index[start] != -1 {
-			continue
-		}
-		work := []frame{{start, 0}}
-		for len(work) > 0 {
-			f := &work[len(work)-1]
-			v := f.v
-			if f.ei == 0 {
-				index[v] = next
-				low[v] = next
-				next++
-				stack = append(stack, v)
-				onStack[v] = true
-			}
-			advanced := false
-			for f.ei < len(g.out[v]) {
-				w := g.out[v][f.ei]
-				f.ei++
-				if index[w] == -1 {
-					work = append(work, frame{w, 0})
-					advanced = true
-					break
-				} else if onStack[w] {
-					if index[w] < low[v] {
-						low[v] = index[w]
-					}
-				}
-			}
-			if advanced {
-				continue
-			}
-			// Post-visit.
-			if low[v] == index[v] {
-				var comp []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				sort.Ints(comp)
-				comps = append(comps, comp)
-			}
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				p := work[len(work)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-		}
-	}
-	return comps
-}
-
-// Reachable reports whether dst is reachable from src (including src==dst).
-func (g *Graph) Reachable(src, dst int) bool {
-	if src == dst {
-		return true
-	}
-	seen := make(map[int]bool, 16)
-	stack := []int{src}
-	seen[src] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range g.out[u] {
-			if v == dst {
-				return true
-			}
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return false
-}
-
-// DOT renders the graph in Graphviz format. label may be nil.
-func (g *Graph) DOT(name string, label func(int) string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", name)
-	for v := 0; v < g.Len(); v++ {
-		if label != nil {
-			fmt.Fprintf(&b, "  n%d [label=%q];\n", v, label(v))
-		}
-		for _, w := range g.out[v] {
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", v, w)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

@@ -22,7 +22,9 @@ import (
 // when a change means to alter what the passes produce
 // (go test ./internal/opt -run Golden -update). The two fab entries are
 // that PR's, not the parent's: the parent read fab's not(0) back from a
-// fused scratch machine as 0 (TestConstFoldReadsUnfusedValues).
+// fused scratch machine as 0 (TestConstFoldReadsUnfusedValues). Since
+// the static activity fold left the pipeline there is one row per design,
+// each equal to that design's former no_sa row.
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 var goldenDesigns = []struct {
@@ -41,12 +43,10 @@ var goldenDesigns = []struct {
 }
 
 // TestOptimizeGolden: Stats and the FNV-1a of the optimized design's JSON
-// encoding (every signal, op, constant, register, memory port and sink)
-// with the static activity pass on and ablated.
+// encoding (every signal, op, constant, register, memory port and sink).
 func TestOptimizeGolden(t *testing.T) {
 	type entry struct {
 		Design string    `json:"design"`
-		NoSA   bool      `json:"no_sa"`
 		Stats  opt.Stats `json:"stats"`
 		Hash   string    `json:"hash"`
 	}
@@ -60,17 +60,15 @@ func TestOptimizeGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, noSA := range []bool{false, true} {
-			d, st, err := opt.OptimizeOpts(raw, opt.Options{NoSA: noSA})
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := fnv.New64a()
-			if err := json.NewEncoder(h).Encode(d); err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, entry{gd.name, noSA, st, fmt.Sprintf("%016x", h.Sum64())})
+		d, st, err := opt.Optimize(raw)
+		if err != nil {
+			t.Fatal(err)
 		}
+		h := fnv.New64a()
+		if err := json.NewEncoder(h).Encode(d); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, entry{gd.name, st, fmt.Sprintf("%016x", h.Sum64())})
 	}
 	got, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

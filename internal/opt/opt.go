@@ -11,12 +11,10 @@ package opt
 
 import (
 	"fmt"
-	"time"
 
 	"essent/internal/bits"
 	"essent/internal/firrtl"
 	"essent/internal/netlist"
-	"essent/internal/sa"
 	"essent/internal/sim"
 	"essent/internal/verify"
 )
@@ -35,57 +33,27 @@ type Stats struct {
 	DeadSignals     int
 	DeadRegs        int
 	DeadMems        int
-	// Static activity analysis results (zero when the pass is ablated).
-	// SAConstFolded counts signals whose uses were replaced with pool
-	// constants on the strength of the register fixpoint (cones plain
-	// constant folding cannot see through); SAMuxElided counts muxes
-	// reduced to copies because their selector was proven constant,
-	// which is what exposes unreachable arms to DCE.
-	SAConstFolded  int
-	SAMuxElided    int
-	SAProvenConst  int
-	SAProvenGated  int
-	SAProvenNarrow int
-	// SAAnalysis is the wall time of the analysis itself (sa.Stats.Analysis),
-	// kept out of the JSON form: it is a measurement, not a result.
-	SAAnalysis time.Duration `json:"-"`
 }
 
-// Options tunes the optimization pipeline.
-type Options struct {
-	// NoSA ablates the static activity analysis pass (known-bits
-	// register fixpoint feeding constant rewrites and mux elision).
-	NoSA bool
+// Options is the empty option set OptimizeOpts takes.
+//
+// Deprecated: the pipeline has no switches; call Optimize.
+type Options struct{}
+
+// OptimizeOpts is Optimize.
+//
+// Deprecated: call Optimize.
+func OptimizeOpts(d *netlist.Design, _ Options) (*netlist.Design, Stats, error) {
+	return Optimize(d)
 }
 
 // Optimize returns an optimized copy of the design (the input is not
-// modified) along with pass statistics. Static activity analysis is on;
-// use OptimizeOpts to ablate it.
+// modified) along with pass statistics.
 func Optimize(d *netlist.Design) (*netlist.Design, Stats, error) {
-	return OptimizeOpts(d, Options{})
-}
-
-// OptimizeOpts is Optimize with explicit pass options.
-func OptimizeOpts(d *netlist.Design, o Options) (*netlist.Design, Stats, error) {
 	work := clone(d)
 	var st Stats
 	if err := constFold(work, &st); err != nil {
 		return nil, st, err
-	}
-	// Static activity folding runs after plain constant folding: the
-	// known-bits fixpoint sees through registers (a register reset to a
-	// value it can only ever be rewritten with is constant), so it
-	// strictly extends what the scratch-evaluator fold proves. Its
-	// rewrites — constant uses and decided muxes — feed the identity
-	// folds, copy propagation, and DCE below, which is how statically
-	// dead cones (unreachable mux arms) actually get deleted.
-	if !o.NoSA {
-		if err := saFold(work, &st); err != nil {
-			return nil, st, err
-		}
-		if err := revalidate(work, "static activity folding"); err != nil {
-			return nil, st, err
-		}
 	}
 	// Identity folding runs after constant folding so shift amounts that
 	// just became constant zeros are caught too. Folds rewrite ops into
@@ -248,80 +216,6 @@ func constFold(d *netlist.Design, st *Stats) error {
 		}
 		return a, false
 	})
-	return nil
-}
-
-// saFold consumes the static activity analysis: uses of signals the
-// register fixpoint proved constant (including register outputs) are
-// replaced with pool constants, and muxes whose selector is proven
-// constant collapse to copies of the taken arm, cutting the untaken
-// cone loose for DCE.
-func saFold(d *netlist.Design, st *Stats) error {
-	r, err := sa.Analyze(d, sa.Options{})
-	if err != nil {
-		return err
-	}
-	st.SAProvenConst = r.Stats.ProvenConst
-	st.SAProvenGated = r.Stats.ProvenGated
-	st.SAProvenNarrow = r.Stats.ProvenNarrow
-	st.SAAnalysis = r.Stats.Analysis
-
-	constArg := make([]netlist.Arg, len(d.Signals))
-	hasConst := make([]bool, len(d.Signals))
-	for i := range d.Signals {
-		s := &d.Signals[i]
-		if s.Kind == netlist.KInput || !r.IsConst(netlist.SignalID(i)) {
-			continue
-		}
-		words := append([]uint64(nil), r.ConstWords(netlist.SignalID(i))...)
-		constArg[i] = netlist.ConstArg(d.InternConst(words, s.Width, s.Signed))
-		hasConst[i] = true
-	}
-	folded := make([]bool, len(d.Signals))
-	replaceUses(d, func(a netlist.Arg) (netlist.Arg, bool) {
-		if !a.IsConst() && hasConst[a.Sig] {
-			folded[a.Sig] = true
-			return constArg[a.Sig], true
-		}
-		return a, false
-	})
-	for i := range folded {
-		if folded[i] {
-			st.SAConstFolded++
-		}
-	}
-
-	// Decided muxes: the selector is now either a pool constant (its
-	// uses were just rewritten) or a signal with a proven zero/nonzero
-	// known-bits result.
-	for i := range d.Signals {
-		s := &d.Signals[i]
-		if s.Kind != netlist.KComb || s.Op == nil || s.Op.Kind != netlist.OMux {
-			continue
-		}
-		sel := s.Op.Args[0]
-		taken := -1
-		if sel.IsConst() {
-			if bits.IsZero(d.Consts[sel.Const].Words) {
-				taken = 2
-			} else {
-				taken = 1
-			}
-		} else if r.KnownNonzero(sel.Sig) {
-			taken = 1
-		} else if r.KnownZero(sel.Sig) {
-			taken = 2
-		}
-		if taken < 0 {
-			continue
-		}
-		arm := s.Op.Args[taken]
-		s.Op.Kind = netlist.OCopy
-		s.Op.Prim = 0
-		s.Op.Args = []netlist.Arg{arm}
-		s.Op.P0, s.Op.P1 = 0, 0
-		st.SAMuxElided++
-	}
 	return nil
 }
 

@@ -466,17 +466,10 @@ func TestRecoverEveryRequest(t *testing.T) {
 			if snap, err = sim.Capture(ip); err != nil {
 				t.Fatal(err)
 			}
-			// The input goes back to 0 before the kill: the generated Reset
-			// zeroes inputs, the interpreter's keeps them (ROADMAP), and
-			// this test is about recovery, not that difference.
 			for _, b := range []sim.Simulator{s, ip} {
 				b.Poke(in, 1)
 				b.PokeMem(dmem, 0, 0xabc)
-				if err := b.Step(60); err != nil {
-					t.Fatal(err)
-				}
-				b.Poke(in, 0)
-				if err := b.Step(40); err != nil {
+				if err := b.Step(100); err != nil {
 					t.Fatal(err)
 				}
 			}

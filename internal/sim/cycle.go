@@ -186,9 +186,6 @@ func (m *machine) Cycle() uint64 { return m.cycle }
 // comparable across fused and unfused machines.
 func (m *machine) NumSchedEntries() int { return len(m.ops) + int(m.stats.FusedPairs) }
 
-// NumInstrs returns the combinational instruction count.
-func (m *machine) NumInstrs() int { return len(m.instrs) }
-
 // Reset restores initial state: registers to init values, memories to
 // zero, stop state cleared, run counters zeroed (Stats.Reset keeps the
 // compile-time FusedPairs). Inputs and computed signals retain their
