@@ -693,47 +693,13 @@ func (s *Sim) DumpVCD(w io.Writer, names []string, cycles int) error {
 
 // VecStats reports instance-vectorization compile/run statistics for
 // EngineESSENTVec (the zero value for every other engine).
-type VecStats struct {
-	// EligibleParts counts partitions structurally able to vectorize.
-	EligibleParts int
-	// Classes counts structural equivalence classes with ≥2 members.
-	Classes int
-	// Groups counts compiled lane groups (a class splits when it exceeds
-	// the lane cap or an ordering constraint forbids co-residence).
-	Groups int
-	// VecParts counts partitions absorbed into groups.
-	VecParts int
-	// MaxLanes is the widest group's lane count.
-	MaxLanes int
-	// MinLanes is the cost-model floor applied; DroppedGroups /
-	// DroppedParts count classes (and their partitions) that packed
-	// fewer lanes than the floor and fell back to the scalar path.
-	MinLanes      int
-	DroppedGroups int
-	DroppedParts  int
-	// GroupEvals / LaneEvals count group activations and active-lane
-	// evaluations during simulation.
-	GroupEvals uint64
-	LaneEvals  uint64
-}
+type VecStats = sim.VecStats
 
 // VecInfo reports instance-vectorization statistics (all-zero unless the
 // simulator was compiled with EngineESSENTVec).
 func (s *Sim) VecInfo() VecStats {
 	if vv, ok := s.s.(interface{ VecInfo() sim.VecStats }); ok {
-		v := vv.VecInfo()
-		return VecStats{
-			EligibleParts: v.EligibleParts,
-			Classes:       v.Classes,
-			Groups:        v.Groups,
-			VecParts:      v.VecParts,
-			MaxLanes:      v.MaxLanes,
-			MinLanes:      v.MinLanes,
-			DroppedGroups: v.DroppedGroups,
-			DroppedParts:  v.DroppedParts,
-			GroupEvals:    v.GroupEvals,
-			LaneEvals:     v.LaneEvals,
-		}
+		return vv.VecInfo()
 	}
 	return VecStats{}
 }

@@ -3,6 +3,7 @@ package essent
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -267,6 +268,23 @@ endmodule
 	}
 	if !strings.Contains(fir, "circuit blink") {
 		t.Fatalf("translation output wrong:\n%s", fir)
+	}
+}
+
+// TestSourceErrorsNameTheirLine: an ill-typed primop fails at width
+// inference, naming its source line, on an engine that runs the
+// optimizer and on one that does not — never as a netlist the optimizer
+// or the engine's verifier rejects.
+func TestSourceErrorsNameTheirLine(t *testing.T) {
+	const src = "circuit T :\n  module T :\n    input a : UInt<8>\n" +
+		"    input b : UInt<32>\n    output o : UInt<8>\n    o <= %s\n"
+	for _, expr := range []string{"pad(head(a, 0), 8)", "dshr(a, b)", "shr(a, -1)"} {
+		for _, engine := range []Engine{EngineESSENT, EngineBaseline} {
+			_, err := Compile(fmt.Sprintf(src, expr), Options{Engine: engine})
+			if err == nil || !strings.HasPrefix(err.Error(), "6:") {
+				t.Errorf("%s on %v: error %v does not name line 6", expr, engine, err)
+			}
+		}
 	}
 }
 

@@ -382,6 +382,119 @@ func PrimArity(op PrimOp) (int, bool) {
 	return s.numArgs, ok
 }
 
+// PrimType is the one statement of the primop typing rules: the result
+// type of op applied to operands of types args with static parameters
+// params (extra parameters are ignored), or why the application is
+// ill-formed — mixed UInt/SInt arithmetic or comparison, a static
+// parameter out of range, a dynamic shift amount wider than 20 bits.
+// An operand width of -1 (not inferred yet) makes the result width -1
+// unless the parameters alone fix it, and defers the checks that need it.
+func PrimType(op PrimOp, params []int, args []Type) (Type, error) {
+	spec, ok := primSpecs[op]
+	if !ok || len(args) != spec.numArgs || len(params) < spec.numPar {
+		return Type{}, fmt.Errorf("%v: %d operands and %d parameters", op, len(args), len(params))
+	}
+	a := args[0]
+	unknown := a.Width < 0 || len(args) == 2 && args[1].Width < 0
+	w := func(k TypeKind, width int) (Type, error) {
+		if unknown {
+			width = -1
+		}
+		return Type{Kind: k, Width: width}, nil
+	}
+	u := func(width int) (Type, error) { return Type{Kind: UIntType, Width: width}, nil }
+	switch op {
+	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpLt, OpLeq, OpGt, OpGeq, OpEq, OpNeq:
+		if b := args[1]; a.Kind != b.Kind && a.Kind != UnknownType && b.Kind != UnknownType {
+			return Type{}, fmt.Errorf("%v mixes %v and %v operands", op, a, b)
+		}
+	case OpShl, OpShr, OpHead, OpTail:
+		if params[0] < 0 {
+			return Type{}, fmt.Errorf("%v by negative amount %d", op, params[0])
+		}
+	case OpDshl, OpDshr:
+		if args[1].Width > 20 {
+			return Type{}, fmt.Errorf("%v shift operand %d bits wide (limit 20)", op, args[1].Width)
+		}
+	}
+	switch op {
+	case OpAdd, OpSub:
+		return w(a.Kind, max(a.Width, args[1].Width)+1)
+	case OpMul:
+		return w(a.Kind, a.Width+args[1].Width)
+	case OpDiv:
+		if a.Kind == SIntType {
+			return w(a.Kind, a.Width+1)
+		}
+		return w(a.Kind, a.Width)
+	case OpRem:
+		return w(a.Kind, min(a.Width, args[1].Width))
+	case OpLt, OpLeq, OpGt, OpGeq, OpEq, OpNeq, OpAndr, OpOrr, OpXorr:
+		return u(1)
+	case OpPad:
+		return w(a.Kind, max(a.Width, params[0]))
+	case OpAsUInt, OpNot:
+		return w(UIntType, a.Width)
+	case OpAsSInt:
+		return w(SIntType, a.Width)
+	case OpAsClock:
+		return Type{Kind: ClockType, Width: 1}, nil
+	case OpAsAsyncReset:
+		return Type{Kind: AsyncResetType, Width: 1}, nil
+	case OpShl:
+		return w(a.Kind, a.Width+params[0])
+	case OpShr:
+		return w(a.Kind, max(a.Width-params[0], 1))
+	case OpDshl:
+		return w(a.Kind, a.Width+(1<<max(args[1].Width, 0))-1)
+	case OpDshr:
+		return w(a.Kind, a.Width)
+	case OpCvt:
+		if a.Kind == SIntType {
+			return w(SIntType, a.Width)
+		}
+		return w(SIntType, a.Width+1)
+	case OpNeg:
+		return w(SIntType, a.Width+1)
+	case OpAnd, OpOr, OpXor:
+		return w(UIntType, max(a.Width, args[1].Width))
+	case OpCat:
+		return w(UIntType, a.Width+args[1].Width)
+	case OpBits:
+		hi, lo := params[0], params[1]
+		if lo < 0 || hi < lo {
+			return Type{}, fmt.Errorf("bits(%d, %d): bad range", hi, lo)
+		}
+		if !unknown && hi >= a.Width {
+			return Type{}, fmt.Errorf("bits(%d, %d) exceeds operand width %d", hi, lo, a.Width)
+		}
+		return u(hi - lo + 1)
+	case OpHead:
+		if params[0] == 0 || !unknown && params[0] > a.Width {
+			return Type{}, fmt.Errorf("head(%d) of %s operand", params[0], a)
+		}
+		return u(params[0])
+	default: // OpTail
+		if !unknown && params[0] >= a.Width {
+			return Type{}, fmt.Errorf("tail(%d) of %s operand leaves no bits", params[0], a)
+		}
+		return w(UIntType, a.Width-params[0])
+	}
+}
+
+// MuxType is the result type of a mux with arms of types t and f: the
+// wider arm's width, and t's kind unless t's is not known yet. A width
+// of -1 in either arm makes the result width -1.
+func MuxType(t, f Type) Type {
+	if t.Kind == UnknownType {
+		t.Kind = f.Kind
+	}
+	if t.Width < 0 || f.Width < 0 {
+		return Type{Kind: t.Kind, Width: -1}
+	}
+	return Type{Kind: t.Kind, Width: max(t.Width, f.Width)}
+}
+
 // LookupPrim returns the primop with the given name.
 func LookupPrim(name string) (PrimOp, bool) {
 	op, ok := primByName[name]

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -89,5 +90,42 @@ func TestCollectTypesDuplicate(t *testing.T) {
 	}
 	if _, err := CollectTypes(m); err == nil {
 		t.Fatal("duplicate signal should be rejected")
+	}
+}
+
+// TestLoweringKeepsPositions: errors raised after when-expansion and
+// flattening name the source line of the offending expression, also
+// inside an inlined instance and under a when.
+func TestLoweringKeepsPositions(t *testing.T) {
+	const head = "circuit T :\n" +
+		"  module C :\n" + // 2
+		"    input x : UInt<8>\n" + // 3
+		"    output y : UInt<8>\n" + // 4
+		"    y <= %s\n" + // 5
+		"  module T :\n" + // 6
+		"    input clock : Clock\n" + // 7
+		"    input a : UInt<8>\n" + // 8
+		"    input c : UInt<1>\n" + // 9
+		"    output o : UInt<8>\n" + // 10
+		"    inst k of C\n" + // 11
+		"    k.x <= a\n" + // 12
+		"    when c :\n" + // 13
+		"      %s\n" + // 14
+		"    o <= %s\n" // 15
+	const fine, ok = "x", "skip"
+	cases := []struct {
+		name, child, when, top, line string
+	}{
+		{"top connect", fine, ok, "pad(bits(a, 2, 5), 8)", "15:"},
+		{"connect width", fine, ok, "cat(a, a)", "15:"},
+		{"inlined instance", "tail(x, 8)", ok, "k.y", "5:"},
+		{"printf under when", fine, `printf(clock, c, "%d", bits(a, 9, 0))`, "k.y", "14:"},
+		{"assert under when", fine, `assert(clock, dshr(a, cat(a, cat(a, a))), c, "m")`, "k.y", "14:"},
+	}
+	for _, c := range cases {
+		err := lowerErr(t, fmt.Sprintf(head, c.child, c.when, c.top))
+		if err == nil || !strings.HasPrefix(err.Error(), c.line) {
+			t.Errorf("%s: error %v does not start with line %q", c.name, err, c.line)
+		}
 	}
 }

@@ -40,7 +40,11 @@ func ExpandWhens(m *firrtl.Module) (*firrtl.Module, error) {
 		if v == invalidExpr {
 			v = &firrtl.Lit{Type: firrtl.Type{Kind: firrtl.UIntType, Width: -1}, Value: new(big.Int)}
 		}
-		out.Body = append(out.Body, &firrtl.Connect{Loc: refFromDotted(key), Value: v})
+		// The connect takes its value's position: the source connect's
+		// right-hand side, or the when that merged two of them.
+		c := &firrtl.Connect{Loc: refFromDotted(key), Value: v}
+		c.Pos = v.Position()
+		out.Body = append(out.Body, c)
 	}
 	return out, nil
 }
@@ -130,17 +134,17 @@ func (we *whenExpander) walk(stmts []firrtl.Stmt, cond firrtl.Expr, env *ordered
 			}
 			env.set(key, invalidExpr)
 		case *firrtl.Printf:
-			we.decls = append(we.decls, &firrtl.Printf{
-				Clock: x.Clock, En: conjoin(cond, x.En), Format: x.Format, Args: x.Args,
-			})
+			p := *x
+			p.En = conjoin(cond, x.En)
+			we.decls = append(we.decls, &p)
 		case *firrtl.Assert:
-			we.decls = append(we.decls, &firrtl.Assert{
-				Clock: x.Clock, Pred: x.Pred, En: conjoin(cond, x.En), Msg: x.Msg,
-			})
+			a := *x
+			a.En = conjoin(cond, x.En)
+			we.decls = append(we.decls, &a)
 		case *firrtl.Stop:
-			we.decls = append(we.decls, &firrtl.Stop{
-				Clock: x.Clock, En: conjoin(cond, x.En), Code: x.Code,
-			})
+			st := *x
+			st.En = conjoin(cond, x.En)
+			we.decls = append(we.decls, &st)
 		case *firrtl.When:
 			envT := env.clone()
 			envF := env.clone()
@@ -192,7 +196,9 @@ func (we *whenExpander) walk(stmts []firrtl.Stmt, cond firrtl.Expr, env *ordered
 				case vF == invalidExpr:
 					env.set(k, vT)
 				default:
-					env.set(k, &firrtl.Mux{Cond: x.Cond, T: vT, F: vF})
+					m := &firrtl.Mux{Cond: x.Cond, T: vT, F: vF}
+					m.Pos = x.Pos
+					env.set(k, m)
 				}
 			}
 		default:

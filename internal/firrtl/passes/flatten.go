@@ -60,7 +60,9 @@ func (f *flattener) flatBody(m *firrtl.Module) ([]firrtl.Stmt, error) {
 		prefix := inst.Name + "$"
 		// Boundary wires for each child port.
 		for _, p := range child.Ports {
-			out = append(out, &firrtl.DefWire{Name: prefix + p.Name, Type: p.Type})
+			w := &firrtl.DefWire{Name: prefix + p.Name, Type: p.Type}
+			w.Pos = p.Pos
+			out = append(out, w)
 		}
 		// Inline the child body with prefixed names.
 		for _, cs := range childBody {
@@ -85,7 +87,9 @@ func (f *flattener) flatBody(m *firrtl.Module) ([]firrtl.Stmt, error) {
 			if !ok || !instNames[base.Name] {
 				return nil
 			}
-			return &firrtl.Ref{Name: base.Name + "$" + sf.Field}
+			r := &firrtl.Ref{Name: base.Name + "$" + sf.Field}
+			r.Pos = sf.Pos
+			return r
 		})
 	}
 	f.done[m.Name] = out
@@ -93,60 +97,41 @@ func (f *flattener) flatBody(m *firrtl.Module) ([]firrtl.Stmt, error) {
 }
 
 // prefixStmt clones a statement, prefixing every declared and referenced
-// top-level name.
+// top-level name. Clones keep their source positions.
 func prefixStmt(s firrtl.Stmt, prefix string) firrtl.Stmt {
-	pe := func(e firrtl.Expr) firrtl.Expr { return prefixExpr(e, prefix) }
 	switch x := s.(type) {
 	case *firrtl.DefWire:
-		return &firrtl.DefWire{Name: prefix + x.Name, Type: x.Type}
-	case *firrtl.DefReg:
-		r := &firrtl.DefReg{Name: prefix + x.Name, Type: x.Type, Clock: pe(x.Clock)}
-		if x.Reset != nil {
-			r.Reset = pe(x.Reset)
-			r.Init = pe(x.Init)
-		}
-		return r
-	case *firrtl.DefNode:
-		return &firrtl.DefNode{Name: prefix + x.Name, Value: pe(x.Value)}
+		w := *x
+		w.Name = prefix + x.Name
+		return &w
 	case *firrtl.DefMemory:
 		m := *x
 		m.Name = prefix + x.Name
 		return &m
-	case *firrtl.Connect:
-		return &firrtl.Connect{Loc: pe(x.Loc), Value: pe(x.Value)}
-	case *firrtl.Invalid:
-		return &firrtl.Invalid{Loc: pe(x.Loc)}
-	case *firrtl.Printf:
-		args := make([]firrtl.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = pe(a)
-		}
-		return &firrtl.Printf{Clock: pe(x.Clock), En: pe(x.En), Format: x.Format, Args: args}
-	case *firrtl.Assert:
-		return &firrtl.Assert{Clock: pe(x.Clock), Pred: pe(x.Pred), En: pe(x.En), Msg: x.Msg}
-	case *firrtl.Stop:
-		return &firrtl.Stop{Clock: pe(x.Clock), En: pe(x.En), Code: x.Code}
-	case *firrtl.Skip:
-		return x
-	default:
-		// DefInstance cannot appear (inlined); When cannot appear
-		// (expanded). Return unchanged; the netlist builder will reject it.
-		return s
 	}
-}
-
-func prefixExpr(e firrtl.Expr, prefix string) firrtl.Expr {
-	return mapExpr(e, func(e firrtl.Expr) firrtl.Expr {
+	// DefInstance cannot appear (inlined) and When cannot appear
+	// (expanded): rewriteStmt returns those unchanged, and the netlist
+	// builder rejects them.
+	s = rewriteStmt(s, func(e firrtl.Expr) firrtl.Expr {
 		if r, ok := e.(*firrtl.Ref); ok {
-			return &firrtl.Ref{Name: prefix + r.Name}
+			p := *r
+			p.Name = prefix + r.Name
+			return &p
 		}
 		return nil
 	})
+	switch x := s.(type) { // the clone rewriteStmt made
+	case *firrtl.DefReg:
+		x.Name = prefix + x.Name
+	case *firrtl.DefNode:
+		x.Name = prefix + x.Name
+	}
+	return s
 }
 
 // mapExpr rebuilds an expression, replacing any subexpression for which fn
 // returns non-nil. fn is applied top-down; replaced subtrees are not
-// re-visited.
+// re-visited. Rebuilt nodes keep their source positions.
 func mapExpr(e firrtl.Expr, fn func(firrtl.Expr) firrtl.Expr) firrtl.Expr {
 	if e == nil {
 		return nil
@@ -155,53 +140,68 @@ func mapExpr(e firrtl.Expr, fn func(firrtl.Expr) firrtl.Expr) firrtl.Expr {
 		return r
 	}
 	switch x := e.(type) {
-	case *firrtl.Ref, *firrtl.Lit:
-		return e
 	case *firrtl.SubField:
-		return &firrtl.SubField{Of: mapExpr(x.Of, fn), Field: x.Field}
+		y := *x
+		y.Of = mapExpr(x.Of, fn)
+		return &y
 	case *firrtl.Mux:
-		return &firrtl.Mux{Cond: mapExpr(x.Cond, fn), T: mapExpr(x.T, fn), F: mapExpr(x.F, fn)}
+		y := *x
+		y.Cond, y.T, y.F = mapExpr(x.Cond, fn), mapExpr(x.T, fn), mapExpr(x.F, fn)
+		return &y
 	case *firrtl.ValidIf:
-		return &firrtl.ValidIf{Cond: mapExpr(x.Cond, fn), V: mapExpr(x.V, fn)}
+		y := *x
+		y.Cond, y.V = mapExpr(x.Cond, fn), mapExpr(x.V, fn)
+		return &y
 	case *firrtl.Prim:
-		args := make([]firrtl.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = mapExpr(a, fn)
-		}
-		return &firrtl.Prim{Op: x.Op, Args: args, Params: x.Params}
-	default:
+		y := *x
+		y.Args = mapExprs(x.Args, fn)
+		return &y
+	default: // Ref, Lit
 		return e
 	}
 }
 
+func mapExprs(es []firrtl.Expr, fn func(firrtl.Expr) firrtl.Expr) []firrtl.Expr {
+	out := make([]firrtl.Expr, len(es))
+	for i, e := range es {
+		out[i] = mapExpr(e, fn)
+	}
+	return out
+}
+
 // rewriteStmt applies an expression rewriter to all expressions in a
-// statement.
+// statement, returning a copy that keeps its source position.
 func rewriteStmt(s firrtl.Stmt, fn func(firrtl.Expr) firrtl.Expr) firrtl.Stmt {
 	pe := func(e firrtl.Expr) firrtl.Expr { return mapExpr(e, fn) }
 	switch x := s.(type) {
 	case *firrtl.DefReg:
-		r := &firrtl.DefReg{Name: x.Name, Type: x.Type, Clock: pe(x.Clock)}
-		if x.Reset != nil {
-			r.Reset = pe(x.Reset)
-			r.Init = pe(x.Init)
-		}
-		return r
+		r := *x
+		r.Clock, r.Reset, r.Init = pe(x.Clock), pe(x.Reset), pe(x.Init)
+		return &r
 	case *firrtl.DefNode:
-		return &firrtl.DefNode{Name: x.Name, Value: pe(x.Value)}
+		n := *x
+		n.Value = pe(x.Value)
+		return &n
 	case *firrtl.Connect:
-		return &firrtl.Connect{Loc: pe(x.Loc), Value: pe(x.Value)}
+		c := *x
+		c.Loc, c.Value = pe(x.Loc), pe(x.Value)
+		return &c
 	case *firrtl.Invalid:
-		return &firrtl.Invalid{Loc: pe(x.Loc)}
+		i := *x
+		i.Loc = pe(x.Loc)
+		return &i
 	case *firrtl.Printf:
-		args := make([]firrtl.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = pe(a)
-		}
-		return &firrtl.Printf{Clock: pe(x.Clock), En: pe(x.En), Format: x.Format, Args: args}
+		p := *x
+		p.Clock, p.En, p.Args = pe(x.Clock), pe(x.En), mapExprs(x.Args, fn)
+		return &p
 	case *firrtl.Assert:
-		return &firrtl.Assert{Clock: pe(x.Clock), Pred: pe(x.Pred), En: pe(x.En), Msg: x.Msg}
+		a := *x
+		a.Clock, a.Pred, a.En = pe(x.Clock), pe(x.Pred), pe(x.En)
+		return &a
 	case *firrtl.Stop:
-		return &firrtl.Stop{Clock: pe(x.Clock), En: pe(x.En), Code: x.Code}
+		st := *x
+		st.Clock, st.En = pe(x.Clock), pe(x.En)
+		return &st
 	default:
 		return s
 	}

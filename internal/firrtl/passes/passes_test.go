@@ -295,10 +295,10 @@ circuit T :
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st["s"].Width; got != 7 {
+	if got := st.Signals["s"].Width; got != 7 {
 		t.Errorf("add width: got %d, want 7", got)
 	}
-	if got := st["w"].Width; got != 7 {
+	if got := st.Signals["w"].Width; got != 7 {
 		t.Errorf("wire width: got %d, want 7", got)
 	}
 	_ = flat
@@ -352,7 +352,7 @@ circuit T :
 			t.Errorf("%s: %v", cse.expr, err)
 			continue
 		}
-		if got := st["n"].Width; got != cse.want {
+		if got := st.Signals["n"].Width; got != cse.want {
 			t.Errorf("%s: width %d, want %d", cse.expr, got, cse.want)
 		}
 	}
@@ -410,7 +410,7 @@ circuit Top :
 	if flat.Name != "Top" {
 		t.Fatal("wrong top name")
 	}
-	if _, ok := st["s$d"]; !ok {
+	if _, ok := st.Signals["s$d"]; !ok {
 		t.Fatal("flattened register s$d missing from types")
 	}
 	// The when around `out` must be gone.

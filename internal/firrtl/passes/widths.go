@@ -90,220 +90,114 @@ func CollectTypes(m *firrtl.Module) (SignalTypes, error) {
 	return st, nil
 }
 
-// ExprType computes the type of an expression given signal types.
-// Returns a type with Width == -1 when an operand's width is not yet
-// known; returns an error for malformed expressions or widths beyond
-// MaxWidth (intermediate expressions included).
-func ExprType(e firrtl.Expr, st SignalTypes) (firrtl.Type, error) {
-	t, err := exprType(e, st)
-	if err != nil {
-		return firrtl.Type{}, err
-	}
-	if t.Width > MaxWidth {
-		return firrtl.Type{}, fmt.Errorf("%s: expression width %d exceeds maximum %d",
-			e.Position(), t.Width, MaxWidth)
-	}
-	return t, nil
+// Types is what width inference resolved for a flat module: every
+// signal's ground type by flat name, and the type of every compound
+// expression (mux, validif, primop) the netlist builder flattens — an
+// operand, or the value of a connect, a register reset or a sink. A
+// node's value has its node's type.
+type Types struct {
+	Signals SignalTypes
+	exprs   map[firrtl.Expr]firrtl.Type
+	// holes counts references typed while the referenced signal's width
+	// was still unknown.
+	holes int
 }
 
-func exprType(e firrtl.Expr, st SignalTypes) (firrtl.Type, error) {
+// Of returns the type of a reference, a literal, or a compound
+// expression inference recorded.
+func (ty *Types) Of(e firrtl.Expr) firrtl.Type {
 	switch x := e.(type) {
+	case *firrtl.Lit:
+		return x.Type
 	case *firrtl.Ref:
-		t, ok := st[x.Name]
-		if !ok {
-			return firrtl.Type{}, fmt.Errorf("%s: undefined signal %q", x.Position(), x.Name)
-		}
-		return t, nil
+		return ty.Signals[x.Name]
 	case *firrtl.SubField:
+		return ty.Signals[firrtl.RefName(x)]
+	}
+	return ty.exprs[e]
+}
+
+// typeOf types e bottom-up by the rules in firrtl.PrimType and
+// firrtl.MuxType, recording the type of each compound operand. Widths
+// beyond MaxWidth are errors, intermediate expressions included.
+func (ty *Types) typeOf(e firrtl.Expr) (firrtl.Type, error) {
+	var t firrtl.Type
+	var ts []firrtl.Type
+	var err error
+	switch x := e.(type) {
+	case *firrtl.Lit:
+		t = x.Type
+	case *firrtl.Ref, *firrtl.SubField:
 		name := firrtl.RefName(x)
-		t, ok := st[name]
-		if !ok {
+		var ok bool
+		if t, ok = ty.Signals[name]; !ok {
 			return firrtl.Type{}, fmt.Errorf("%s: undefined signal %q", x.Position(), name)
 		}
-		return t, nil
-	case *firrtl.Lit:
-		return x.Type, nil
+		if t.Width < 0 {
+			ty.holes++
+		}
 	case *firrtl.Mux:
-		tt, err := ExprType(x.T, st)
-		if err != nil {
-			return firrtl.Type{}, err
+		if ts, err = ty.record(x.T, x.F, x.Cond); err == nil {
+			t = firrtl.MuxType(ts[0], ts[1])
 		}
-		ft, err := ExprType(x.F, st)
-		if err != nil {
-			return firrtl.Type{}, err
-		}
-		if _, err := ExprType(x.Cond, st); err != nil {
-			return firrtl.Type{}, err
-		}
-		kind := tt.Kind
-		if kind == firrtl.UnknownType {
-			kind = ft.Kind
-		}
-		if tt.Width < 0 || ft.Width < 0 {
-			return firrtl.Type{Kind: kind, Width: -1}, nil
-		}
-		return firrtl.Type{Kind: kind, Width: max(tt.Width, ft.Width)}, nil
 	case *firrtl.ValidIf:
-		if _, err := ExprType(x.Cond, st); err != nil {
-			return firrtl.Type{}, err
+		if ts, err = ty.record(x.Cond, x.V); err == nil {
+			t = ts[1]
 		}
-		return ExprType(x.V, st)
 	case *firrtl.Prim:
-		return primType(x, st)
+		if ts, err = ty.record(x.Args...); err == nil {
+			if t, err = firrtl.PrimType(x.Op, x.Params, ts); err != nil {
+				err = fmt.Errorf("%s: %w", x.Position(), err)
+			}
+		}
 	default:
-		return firrtl.Type{}, fmt.Errorf("unknown expression %T", e)
+		err = fmt.Errorf("unknown expression %T", e)
 	}
+	if err == nil && t.Width > MaxWidth {
+		err = fmt.Errorf("%s: expression width %d exceeds maximum %d", e.Position(), t.Width, MaxWidth)
+	}
+	return t, err
 }
 
-func primType(x *firrtl.Prim, st SignalTypes) (firrtl.Type, error) {
-	ts := make([]firrtl.Type, len(x.Args))
-	for i, a := range x.Args {
-		t, err := ExprType(a, st)
+// record types es and records the type of each compound one for the
+// netlist builder. A record made while a width was still unknown is
+// overwritten when its statement is typed again, completely.
+func (ty *Types) record(es ...firrtl.Expr) ([]firrtl.Type, error) {
+	ts := make([]firrtl.Type, len(es))
+	for i, e := range es {
+		t, err := ty.typeOf(e)
 		if err != nil {
-			return firrtl.Type{}, err
+			return nil, err
+		}
+		switch e.(type) {
+		case *firrtl.Mux, *firrtl.ValidIf, *firrtl.Prim:
+			ty.exprs[e] = t
 		}
 		ts[i] = t
 	}
-	unknown := false
-	for _, t := range ts {
-		if t.Width < 0 {
-			unknown = true
-		}
-	}
-	u := func(w int) firrtl.Type { return firrtl.Type{Kind: firrtl.UIntType, Width: w} }
-	sameKind := func() (firrtl.TypeKind, error) {
-		if len(ts) == 2 && ts[0].Kind != ts[1].Kind &&
-			ts[0].Kind != firrtl.UnknownType && ts[1].Kind != firrtl.UnknownType {
-			return 0, fmt.Errorf("%s: %v: mixed UInt/SInt operands", x.Position(), x.Op)
-		}
-		return ts[0].Kind, nil
-	}
-	maybe := func(t firrtl.Type) (firrtl.Type, error) {
-		if unknown {
-			t.Width = -1
-		}
-		return t, nil
-	}
-	p := func(i int) int { return x.Params[i] }
-
-	switch x.Op {
-	case firrtl.OpAdd, firrtl.OpSub:
-		k, err := sameKind()
-		if err != nil {
-			return firrtl.Type{}, err
-		}
-		return maybe(firrtl.Type{Kind: k, Width: max(ts[0].Width, ts[1].Width) + 1})
-	case firrtl.OpMul:
-		k, err := sameKind()
-		if err != nil {
-			return firrtl.Type{}, err
-		}
-		return maybe(firrtl.Type{Kind: k, Width: ts[0].Width + ts[1].Width})
-	case firrtl.OpDiv:
-		k, err := sameKind()
-		if err != nil {
-			return firrtl.Type{}, err
-		}
-		w := ts[0].Width
-		if k == firrtl.SIntType {
-			w++
-		}
-		return maybe(firrtl.Type{Kind: k, Width: w})
-	case firrtl.OpRem:
-		k, err := sameKind()
-		if err != nil {
-			return firrtl.Type{}, err
-		}
-		return maybe(firrtl.Type{Kind: k, Width: min(ts[0].Width, ts[1].Width)})
-	case firrtl.OpLt, firrtl.OpLeq, firrtl.OpGt, firrtl.OpGeq, firrtl.OpEq, firrtl.OpNeq:
-		if _, err := sameKind(); err != nil {
-			return firrtl.Type{}, err
-		}
-		return u(1), nil
-	case firrtl.OpPad:
-		return maybe(firrtl.Type{Kind: ts[0].Kind, Width: max(ts[0].Width, p(0))})
-	case firrtl.OpAsUInt:
-		return maybe(u(ts[0].Width))
-	case firrtl.OpAsSInt:
-		return maybe(firrtl.Type{Kind: firrtl.SIntType, Width: ts[0].Width})
-	case firrtl.OpAsClock:
-		return firrtl.Type{Kind: firrtl.ClockType, Width: 1}, nil
-	case firrtl.OpAsAsyncReset:
-		return firrtl.Type{Kind: firrtl.AsyncResetType, Width: 1}, nil
-	case firrtl.OpShl:
-		return maybe(firrtl.Type{Kind: ts[0].Kind, Width: ts[0].Width + p(0)})
-	case firrtl.OpShr:
-		return maybe(firrtl.Type{Kind: ts[0].Kind, Width: max(ts[0].Width-p(0), 1)})
-	case firrtl.OpDshl:
-		if unknown {
-			return firrtl.Type{Kind: ts[0].Kind, Width: -1}, nil
-		}
-		if ts[1].Width > 20 {
-			return firrtl.Type{}, fmt.Errorf("%s: dshl shift operand too wide (%d bits)",
-				x.Position(), ts[1].Width)
-		}
-		return firrtl.Type{Kind: ts[0].Kind, Width: ts[0].Width + (1 << uint(ts[1].Width)) - 1}, nil
-	case firrtl.OpDshr:
-		return maybe(firrtl.Type{Kind: ts[0].Kind, Width: ts[0].Width})
-	case firrtl.OpCvt:
-		w := ts[0].Width
-		if ts[0].Kind == firrtl.UIntType && w >= 0 {
-			w++
-		}
-		return maybe(firrtl.Type{Kind: firrtl.SIntType, Width: w})
-	case firrtl.OpNeg:
-		return maybe(firrtl.Type{Kind: firrtl.SIntType, Width: ts[0].Width + 1})
-	case firrtl.OpNot:
-		return maybe(u(ts[0].Width))
-	case firrtl.OpAnd, firrtl.OpOr, firrtl.OpXor:
-		return maybe(u(max(ts[0].Width, ts[1].Width)))
-	case firrtl.OpAndr, firrtl.OpOrr, firrtl.OpXorr:
-		return u(1), nil
-	case firrtl.OpCat:
-		return maybe(u(ts[0].Width + ts[1].Width))
-	case firrtl.OpBits:
-		hi, lo := p(0), p(1)
-		if lo < 0 || hi < lo {
-			return firrtl.Type{}, fmt.Errorf("%s: bits(%d, %d): bad range", x.Position(), hi, lo)
-		}
-		if !unknown && hi >= ts[0].Width {
-			return firrtl.Type{}, fmt.Errorf("%s: bits(%d, %d) exceeds operand width %d",
-				x.Position(), hi, lo, ts[0].Width)
-		}
-		return u(hi - lo + 1), nil
-	case firrtl.OpHead:
-		if !unknown && p(0) > ts[0].Width {
-			return firrtl.Type{}, fmt.Errorf("%s: head(%d) exceeds width %d", x.Position(), p(0), ts[0].Width)
-		}
-		return u(p(0)), nil
-	case firrtl.OpTail:
-		if unknown {
-			return firrtl.Type{Kind: firrtl.UIntType, Width: -1}, nil
-		}
-		if p(0) >= ts[0].Width {
-			return firrtl.Type{}, fmt.Errorf("%s: tail(%d) leaves no bits of width %d",
-				x.Position(), p(0), ts[0].Width)
-		}
-		return u(ts[0].Width - p(0)), nil
-	default:
-		return firrtl.Type{}, fmt.Errorf("%s: unsupported primop %v", x.Position(), x.Op)
-	}
+	return ts, nil
 }
 
 // InferWidths resolves all unknown widths in a flat module by fixpoint
-// iteration, mutating the declarations in place. Node declarations adopt
-// their expression types; wires and registers adopt the type of their
-// single connect.
-func InferWidths(m *firrtl.Module) error {
+// iteration, mutating the declarations in place, and returns the types
+// it resolved. Node declarations adopt their expression types; wires and
+// registers adopt the type of their single connect. It is the one pass
+// that types the module's expressions: node values as the nodes resolve,
+// then connects (checked against their targets), register resets and
+// sink operands. An expression is typed once, unless it was first
+// reached before an operand width was known (a value reading a wire or
+// register declared without a width); then it is typed again after.
+func InferWidths(m *firrtl.Module) (*Types, error) {
 	st, err := CollectTypes(m)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, p := range m.Ports {
 		if p.Type.Width < 0 {
-			return fmt.Errorf("port %s: explicit width required", p.Name)
+			return nil, fmt.Errorf("port %s: explicit width required", p.Name)
 		}
 	}
+	ty := &Types{Signals: st, exprs: map[firrtl.Expr]firrtl.Type{}}
 	// Map wire/reg target names to their single connect value.
 	connects := map[string]firrtl.Expr{}
 	for _, s := range m.Body {
@@ -311,56 +205,45 @@ func InferWidths(m *firrtl.Module) error {
 			connects[firrtl.RefName(c.Loc)] = c.Value
 		}
 	}
+	// partial holds node values typed while an operand width was unknown;
+	// they are typed again, completely, once every width is known.
+	var partial []firrtl.Expr
 	for iter := 0; ; iter++ {
 		if iter > len(st)+8 {
-			return fmt.Errorf("module %s: width inference did not converge", m.Name)
+			return nil, fmt.Errorf("module %s: width inference did not converge", m.Name)
 		}
 		changed := false
 		for _, s := range m.Body {
+			var name string
+			var v firrtl.Expr
+			var decl *firrtl.Type // a wire's or register's declared type
 			switch x := s.(type) {
 			case *firrtl.DefNode:
-				if st[x.Name].Width >= 0 {
-					continue
-				}
-				t, err := ExprType(x.Value, st)
-				if err != nil {
-					return err
-				}
-				if t.Width >= 0 {
-					st[x.Name] = t
-					changed = true
-				}
+				name, v = x.Name, x.Value
 			case *firrtl.DefWire:
-				if x.Type.Width >= 0 {
-					continue
-				}
-				if v, ok := connects[x.Name]; ok {
-					t, err := ExprType(v, st)
-					if err != nil {
-						return err
-					}
-					if t.Width >= 0 {
-						x.Type.Width = t.Width
-						st[x.Name] = x.Type
-						changed = true
-					}
-				}
+				name, v, decl = x.Name, connects[x.Name], &x.Type
 			case *firrtl.DefReg:
-				if x.Type.Width >= 0 {
-					continue
-				}
-				if v, ok := connects[x.Name]; ok {
-					t, err := ExprType(v, st)
-					if err != nil {
-						return err
-					}
-					if t.Width >= 0 {
-						x.Type.Width = t.Width
-						st[x.Name] = x.Type
-						changed = true
-					}
-				}
+				name, v, decl = x.Name, connects[x.Name], &x.Type
 			}
+			if v == nil || st[name].Width >= 0 {
+				continue
+			}
+			holes := ty.holes
+			t, err := ty.typeOf(v)
+			if err != nil {
+				return nil, err
+			}
+			if t.Width < 0 {
+				continue
+			}
+			if decl != nil {
+				decl.Width = t.Width
+				t = *decl
+			} else if ty.holes != holes {
+				partial = append(partial, v)
+			}
+			st[name] = t
+			changed = true
 		}
 		if !changed {
 			break
@@ -369,52 +252,77 @@ func InferWidths(m *firrtl.Module) error {
 	// Validate everything resolved and in range.
 	for name, t := range st {
 		if t.Width < 0 {
-			return fmt.Errorf("module %s: could not infer width of %q", m.Name, name)
+			return nil, fmt.Errorf("module %s: could not infer width of %q", m.Name, name)
 		}
 		if t.Width == 0 {
-			return fmt.Errorf("module %s: zero-width signal %q not supported", m.Name, name)
+			return nil, fmt.Errorf("module %s: zero-width signal %q not supported", m.Name, name)
 		}
 		if t.Width > MaxWidth {
-			return fmt.Errorf("module %s: signal %q width %d exceeds maximum %d",
+			return nil, fmt.Errorf("module %s: signal %q width %d exceeds maximum %d",
 				m.Name, name, t.Width, MaxWidth)
 		}
 	}
-	// Validate connects (RHS must fit; kinds must agree except zero lits).
+	// Type what the fixpoint did not: the partial values, connects,
+	// checked against their targets, register resets and sink operands.
+	if _, err := ty.record(partial...); err != nil {
+		return nil, err
+	}
 	for _, s := range m.Body {
-		c, ok := s.(*firrtl.Connect)
-		if !ok {
-			continue
+		var err error
+		switch x := s.(type) {
+		case *firrtl.DefReg:
+			if x.Reset != nil {
+				_, err = ty.record(x.Reset)
+			}
+		case *firrtl.Connect:
+			err = ty.checkConnect(x)
+		case *firrtl.Printf:
+			_, err = ty.record(append([]firrtl.Expr{x.En}, x.Args...)...)
+		case *firrtl.Assert:
+			_, err = ty.record(x.En, x.Pred)
+		case *firrtl.Stop:
+			_, err = ty.record(x.En)
 		}
-		name := firrtl.RefName(c.Loc)
-		lt := st[name]
-		rt, err := ExprType(c.Value, st)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if lt.Kind == firrtl.ClockType || lt.Kind == firrtl.AsyncResetType ||
-			rt.Kind == firrtl.ClockType || rt.Kind == firrtl.AsyncResetType {
-			continue // clock wiring is structural only
-		}
-		zeroLit := false
-		if l, isLit := c.Value.(*firrtl.Lit); isLit && l.Value.Sign() == 0 {
-			zeroLit = true
-		}
-		if lt.Kind != rt.Kind && !zeroLit {
-			return fmt.Errorf("%s: connect %s: kind mismatch (%v <= %v)",
-				c.Position(), name, lt, rt)
-		}
-		if rt.Width > lt.Width {
-			return fmt.Errorf("%s: connect %s: value width %d exceeds target width %d",
-				c.Position(), name, rt.Width, lt.Width)
-		}
+	}
+	return ty, nil
+}
+
+// checkConnect checks a connect's value against its target: kinds agree
+// (a zero literal fits either) and the value is no wider.
+func (ty *Types) checkConnect(c *firrtl.Connect) error {
+	name := firrtl.RefName(c.Loc)
+	lt := ty.Signals[name]
+	ts, err := ty.record(c.Value)
+	if err != nil {
+		return err
+	}
+	rt := ts[0]
+	if lt.Kind == firrtl.ClockType || lt.Kind == firrtl.AsyncResetType ||
+		rt.Kind == firrtl.ClockType || rt.Kind == firrtl.AsyncResetType {
+		return nil // clock wiring is structural only
+	}
+	zeroLit := false
+	if l, isLit := c.Value.(*firrtl.Lit); isLit && l.Value.Sign() == 0 {
+		zeroLit = true
+	}
+	if lt.Kind != rt.Kind && !zeroLit {
+		return fmt.Errorf("%s: connect %s: kind mismatch (%v <= %v)",
+			c.Position(), name, lt, rt)
+	}
+	if rt.Width > lt.Width {
+		return fmt.Errorf("%s: connect %s: value width %d exceeds target width %d",
+			c.Position(), name, rt.Width, lt.Width)
 	}
 	return nil
 }
 
 // Lower runs the full pipeline: when-expansion on every module, hierarchy
 // flattening, then width inference. The result is the flat module the
-// netlist builder consumes, along with its signal types.
-func Lower(c *firrtl.Circuit) (*firrtl.Module, SignalTypes, error) {
+// netlist builder consumes, along with the types inference resolved.
+func Lower(c *firrtl.Circuit) (*firrtl.Module, *Types, error) {
 	expanded := &firrtl.Circuit{Name: c.Name}
 	for _, m := range c.Modules {
 		em, err := ExpandWhens(m)
@@ -427,22 +335,9 @@ func Lower(c *firrtl.Circuit) (*firrtl.Module, SignalTypes, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := InferWidths(flat); err != nil {
-		return nil, nil, err
-	}
-	st, err := CollectTypes(flat)
+	ty, err := InferWidths(flat)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Re-resolve node types (CollectTypes records nodes as unknown).
-	for _, s := range flat.Body {
-		if n, ok := s.(*firrtl.DefNode); ok {
-			t, err := ExprType(n.Value, st)
-			if err != nil {
-				return nil, nil, err
-			}
-			st[n.Name] = t
-		}
-	}
-	return flat, st, nil
+	return flat, ty, nil
 }

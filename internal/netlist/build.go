@@ -12,18 +12,19 @@ import (
 // Compile parses nothing — it lowers an already-parsed circuit through the
 // pass pipeline and builds the flat Design.
 func Compile(c *firrtl.Circuit) (*Design, error) {
-	flat, st, err := passes.Lower(c)
+	flat, ty, err := passes.Lower(c)
 	if err != nil {
 		return nil, err
 	}
-	return Build(flat, st)
+	return Build(flat, ty)
 }
 
-// Build constructs a Design from a flat, when-free, width-resolved module.
-func Build(m *firrtl.Module, st passes.SignalTypes) (*Design, error) {
+// Build constructs a Design from a flat, when-free module and the types
+// width inference resolved for it.
+func Build(m *firrtl.Module, ty *passes.Types) (*Design, error) {
 	b := &builder{
 		d:  &Design{Name: m.Name, byName: map[string]SignalID{}},
-		st: st,
+		ty: ty,
 	}
 	if err := b.declare(m); err != nil {
 		return nil, err
@@ -39,7 +40,7 @@ func Build(m *firrtl.Module, st passes.SignalTypes) (*Design, error) {
 
 type builder struct {
 	d  *Design
-	st passes.SignalTypes
+	ty *passes.Types
 	// tempN numbers synthesized intermediate signals.
 	tempN int
 	// regOf maps register names to their Regs index.
@@ -92,10 +93,7 @@ func (b *builder) declare(m *firrtl.Module) error {
 				return err
 			}
 		case *firrtl.DefNode:
-			t, err := passes.ExprType(x.Value, b.st)
-			if err != nil {
-				return err
-			}
+			t := b.ty.Signals[x.Name]
 			if b.isClockish(t) {
 				continue
 			}
@@ -202,7 +200,7 @@ func (b *builder) define(m *firrtl.Module) error {
 		switch x := s.(type) {
 		case *firrtl.Connect:
 			name := firrtl.RefName(x.Loc)
-			t, ok := b.st[name]
+			t, ok := b.ty.Signals[name]
 			if !ok {
 				return fmt.Errorf("%s: connect to undefined %q", x.Position(), name)
 			}
@@ -216,7 +214,7 @@ func (b *builder) define(m *firrtl.Module) error {
 				if def := b.regDef[name]; def.Reset != nil {
 					if err := b.defineAs(target, &firrtl.Mux{
 						Cond: def.Reset, T: def.Init, F: x.Value,
-					}); err != nil {
+					}, firrtl.MuxType(b.ty.Of(def.Init), b.ty.Of(x.Value))); err != nil {
 						return err
 					}
 					continue
@@ -232,19 +230,16 @@ func (b *builder) define(m *firrtl.Module) error {
 				}
 				target = id
 			}
-			if err := b.defineAs(target, x.Value); err != nil {
+			if err := b.defineAs(target, x.Value, b.ty.Of(x.Value)); err != nil {
 				return err
 			}
 		case *firrtl.DefNode:
-			t, err := passes.ExprType(x.Value, b.st)
-			if err != nil {
-				return err
-			}
+			t := b.ty.Signals[x.Name]
 			if b.isClockish(t) {
 				continue
 			}
 			id := d.byName[x.Name]
-			if err := b.defineAs(id, x.Value); err != nil {
+			if err := b.defineAs(id, x.Value, t); err != nil {
 				return err
 			}
 		case *firrtl.Printf:
@@ -339,14 +334,14 @@ func (b *builder) define(m *firrtl.Module) error {
 	return nil
 }
 
-// defineAs flattens expression e so its value lands in target (with
-// implicit extension when the natural width is smaller).
-func (b *builder) defineAs(target SignalID, e firrtl.Expr) error {
+// defineAs flattens expression e of type t so its value lands in target
+// (with implicit extension when the natural width is smaller).
+func (b *builder) defineAs(target SignalID, e firrtl.Expr, t firrtl.Type) error {
 	d := b.d
 	if d.Signals[target].Op != nil {
 		return fmt.Errorf("netlist: signal %q has multiple drivers", d.Signals[target].Name)
 	}
-	op, err := b.exprOp(target, e)
+	op, err := b.exprOp(target, e, t)
 	if err != nil {
 		return err
 	}
@@ -354,18 +349,12 @@ func (b *builder) defineAs(target SignalID, e firrtl.Expr) error {
 	return nil
 }
 
-// exprOp produces the op computing e directly into out. If e's natural
-// shape cannot write `out` directly (it is a plain reference or constant,
-// or its natural width differs from out's), a copy/extension op results.
-func (b *builder) exprOp(out SignalID, e firrtl.Expr) (*Op, error) {
-	d := b.d
-	t, err := passes.ExprType(e, b.st)
-	if err != nil {
-		return nil, err
-	}
-	natural := t.Width
-	outW := d.Signals[out].Width
-	if natural == outW {
+// exprOp produces the op computing e, of type t, directly into out. If
+// e's natural shape cannot write out directly (it is a plain reference or
+// constant, or its natural width differs from out's), a copy/extension op
+// results.
+func (b *builder) exprOp(out SignalID, e firrtl.Expr, t firrtl.Type) (*Op, error) {
+	if t.Width == b.d.Signals[out].Width {
 		// Try to compute in place.
 		switch x := e.(type) {
 		case *firrtl.Mux:
@@ -418,8 +407,15 @@ func (b *builder) exprOp(out SignalID, e firrtl.Expr) (*Op, error) {
 			return op, nil
 		}
 	}
-	// Fallback: flatten to an operand and copy/extend.
-	a, err := b.flatten(e)
+	// Fallback: reduce to an operand and copy/extend.
+	var a Arg
+	var err error
+	switch e.(type) {
+	case *firrtl.Ref, *firrtl.SubField, *firrtl.Lit:
+		a, err = b.flatten(e)
+	default:
+		a, err = b.temp(e, t)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -453,25 +449,26 @@ func (b *builder) flatten(e firrtl.Expr) (Arg, error) {
 		litWords(words, x.Value, w)
 		return ConstArg(d.addConst(words, w, x.Type.Signed())), nil
 	default:
-		t, err := passes.ExprType(e, b.st)
-		if err != nil {
-			return Arg{}, err
-		}
-		b.tempN++
-		name := fmt.Sprintf("$t%d", b.tempN)
-		id, err := d.addSignal(Signal{
-			Name: name, Width: t.Width, Signed: t.Signed(), Kind: KComb,
-		})
-		if err != nil {
-			return Arg{}, err
-		}
-		op, err := b.exprOp(id, e)
-		if err != nil {
-			return Arg{}, err
-		}
-		d.Signals[id].Op = op
-		return SigArg(id), nil
+		return b.temp(e, b.ty.Of(e))
 	}
+}
+
+// temp computes compound expression e, of type t, into a fresh
+// intermediate signal.
+func (b *builder) temp(e firrtl.Expr, t firrtl.Type) (Arg, error) {
+	b.tempN++
+	id, err := b.d.addSignal(Signal{
+		Name: fmt.Sprintf("$t%d", b.tempN), Width: t.Width, Signed: t.Signed(), Kind: KComb,
+	})
+	if err != nil {
+		return Arg{}, err
+	}
+	op, err := b.exprOp(id, e, t)
+	if err != nil {
+		return Arg{}, err
+	}
+	b.d.Signals[id].Op = op
+	return SigArg(id), nil
 }
 
 // finish validates that every comb signal has a driver and folds register

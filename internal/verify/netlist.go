@@ -14,8 +14,9 @@ import (
 //	NL-REF    every operand and cross-reference resolves; op arity matches
 //	NL-DRIVE  every signal has exactly one definition (no undriven combs,
 //	          no double drivers, no shared register plumbing)
-//	NL-WIDTH  op result widths/signs obey the FIRRTL rules the engines'
-//	          compiled masks assume; static parameters are in range
+//	NL-WIDTH  op result widths/signs obey the FIRRTL rules (firrtl.PrimType)
+//	          the engines' compiled masks assume; static parameters are in
+//	          range
 //	NL-CONST  constant-pool entries are well-formed (word count, no stray
 //	          high bits — the table compare would see them)
 //	NL-LOOP   the combinational graph is acyclic (readable cycle trace)
@@ -397,7 +398,8 @@ func (c *nlChecker) checkDrivers() {
 }
 
 // checkWidths verifies that every op's declared result width and sign
-// match the FIRRTL result rules on its operand widths — the contract
+// match the FIRRTL result rules (firrtl.PrimType) on its operand types,
+// the same rules width inference applied to the source — the contract
 // finishInstr's precomputed masks and the width-specialized dispatch
 // assume. Malformed references are skipped (NL-REF covers them).
 func (c *nlChecker) checkWidths() {
@@ -411,9 +413,9 @@ func (c *nlChecker) checkWidths() {
 					fmt.Sprintf("read-port width %d != mem %q width %d",
 						s.Width, d.Mems[r.Mem].Name, d.Mems[r.Mem].Width), "")
 			}
-			if aw, ok := c.opWidth(r.Addr); ok && aw > 32 {
+			if at, ok := c.opType(r.Addr); ok && at.Width > 32 {
 				c.add("NL-WIDTH", SevError, c.sigLoc(netlist.SignalID(i)),
-					fmt.Sprintf("read address %d bits wide (engine limit 32)", aw), "")
+					fmt.Sprintf("read address %d bits wide (engine limit 32)", at.Width), "")
 			}
 			continue
 		}
@@ -431,7 +433,7 @@ func (c *nlChecker) checkWidths() {
 		o, n := &d.Signals[r.Out], &d.Signals[r.Next]
 		if o.Width != n.Width || o.Signed != n.Signed {
 			c.add("NL-WIDTH", SevError, fmt.Sprintf("reg %q", r.Name),
-				fmt.Sprintf("out is %s but next is %s", typeStr(o.Width, o.Signed), typeStr(n.Width, n.Signed)),
+				fmt.Sprintf("out is %s but next is %s", netType(o.Width, o.Signed), netType(n.Width, n.Signed)),
 				"the two-phase commit copies next over out word for word")
 		}
 		if len(r.Init) > bits.Words(o.Width) {
@@ -445,64 +447,45 @@ func (c *nlChecker) checkWidths() {
 			continue
 		}
 		loc := fmt.Sprintf("memwrite #%d", wi)
-		if dw, ok := c.opWidth(w.Data); ok && dw != d.Mems[w.Mem].Width {
+		if dt, ok := c.opType(w.Data); ok && dt.Width != d.Mems[w.Mem].Width {
 			c.add("NL-WIDTH", SevError, loc,
-				fmt.Sprintf("data width %d != mem %q width %d", dw, d.Mems[w.Mem].Name, d.Mems[w.Mem].Width), "")
+				fmt.Sprintf("data width %d != mem %q width %d", dt.Width, d.Mems[w.Mem].Name, d.Mems[w.Mem].Width), "")
 		}
-		if aw, ok := c.opWidth(w.Addr); ok && aw > 32 {
+		if at, ok := c.opType(w.Addr); ok && at.Width > 32 {
 			c.add("NL-WIDTH", SevError, loc,
-				fmt.Sprintf("write address %d bits wide (engine limit 32)", aw), "")
+				fmt.Sprintf("write address %d bits wide (engine limit 32)", at.Width), "")
 		}
 	}
 }
 
-func typeStr(w int, signed bool) string {
+// netType is the FIRRTL type of a netlist value.
+func netType(w int, signed bool) firrtl.Type {
 	if signed {
-		return fmt.Sprintf("SInt<%d>", w)
+		return firrtl.Type{Kind: firrtl.SIntType, Width: w}
 	}
-	return fmt.Sprintf("UInt<%d>", w)
+	return firrtl.Type{Kind: firrtl.UIntType, Width: w}
 }
 
-// opWidth resolves an operand's width, reporting false for operands
-// NL-REF already rejected.
-func (c *nlChecker) opWidth(a netlist.Arg) (int, bool) {
+// opType resolves an operand's type, reporting false for operands NL-REF
+// already rejected.
+func (c *nlChecker) opType(a netlist.Arg) (firrtl.Type, bool) {
 	if a.IsConst() {
 		if a.Const < 0 || int(a.Const) >= len(c.d.Consts) {
-			return 0, false
-		}
-		return c.d.Consts[a.Const].Width, true
-	}
-	if int(a.Sig) < 0 || int(a.Sig) >= len(c.d.Signals) {
-		return 0, false
-	}
-	return c.d.Signals[a.Sig].Width, true
-}
-
-func (c *nlChecker) opType(a netlist.Arg) (int, bool, bool) {
-	if a.IsConst() {
-		if a.Const < 0 || int(a.Const) >= len(c.d.Consts) {
-			return 0, false, false
+			return firrtl.Type{}, false
 		}
 		k := c.d.Consts[a.Const]
-		return k.Width, k.Signed, true
+		return netType(k.Width, k.Signed), true
 	}
 	if int(a.Sig) < 0 || int(a.Sig) >= len(c.d.Signals) {
-		return 0, false, false
+		return firrtl.Type{}, false
 	}
 	s := c.d.Signals[a.Sig]
-	return s.Width, s.Signed, true
+	return netType(s.Width, s.Signed), true
 }
 
 func (c *nlChecker) checkOpWidth(id netlist.SignalID, s *netlist.Signal) {
 	op := s.Op
 	bad := func(msg, hint string) { c.add("NL-WIDTH", SevError, c.sigLoc(id), msg, hint) }
-	want := func(w int, signed bool, why string) {
-		if s.Width != w || s.Signed != signed {
-			bad(fmt.Sprintf("declared %s but %s yields %s",
-				typeStr(s.Width, s.Signed), why, typeStr(w, signed)),
-				"re-run width inference after rewriting ops")
-		}
-	}
 	switch op.Kind {
 	case netlist.OCopy:
 		// ICopy extends or truncates to the destination; any widths are
@@ -512,134 +495,41 @@ func (c *nlChecker) checkOpWidth(id netlist.SignalID, s *netlist.Signal) {
 		if len(op.Args) != 3 {
 			return // NL-REF reported
 		}
-		wt, _, okT := c.opType(op.Args[1])
-		wf, _, okF := c.opType(op.Args[2])
+		tt, okT := c.opType(op.Args[1])
+		tf, okF := c.opType(op.Args[2])
 		if !okT || !okF {
 			return
 		}
-		if m := max(wt, wf); m != s.Width {
+		if m := firrtl.MuxType(tt, tf); m.Width != s.Width {
 			bad(fmt.Sprintf("declared width %d but arm widths are %d/%d (mux yields %d)",
-				s.Width, wt, wf, m),
+				s.Width, tt.Width, tf.Width, m.Width),
 				"wrap narrowed arms in an explicit OCopy extension")
 		}
-		if ws, _, ok := c.opType(op.Args[0]); ok && ws != 1 {
+		if ts, ok := c.opType(op.Args[0]); ok && ts.Width != 1 {
 			c.add("NL-WIDTH", SevWarn, c.sigLoc(id),
-				fmt.Sprintf("mux selector is %d bits wide; engines test it against zero", ws), "")
+				fmt.Sprintf("mux selector is %d bits wide; engines test it against zero", ts.Width), "")
 		}
 		return
 	}
 	// OPrim. Arity/kind problems are NL-REF's job; bail out quietly here.
-	spec, ok := firrtl.PrimArity(op.Prim)
-	if !ok || !primSupported(op.Prim) || len(op.Args) != spec {
+	n, ok := firrtl.PrimArity(op.Prim)
+	if !ok || !primSupported(op.Prim) || len(op.Args) != n {
 		return
 	}
-	var w [2]int
-	var sg [2]bool
-	for i := range op.Args {
-		wi, si, ok := c.opType(op.Args[i])
-		if !ok {
+	var ts [2]firrtl.Type
+	for i, a := range op.Args {
+		if ts[i], ok = c.opType(a); !ok {
 			return
 		}
-		w[i], sg[i] = wi, si
 	}
-	sameSign := func() bool {
-		if sg[0] != sg[1] {
-			bad(fmt.Sprintf("%v mixes %s and %s operands", op.Prim,
-				typeStr(w[0], sg[0]), typeStr(w[1], sg[1])),
-				"insert explicit casts; the signed dispatch extends both operands the same way")
-			return false
-		}
-		return true
+	t, err := firrtl.PrimType(op.Prim, []int{op.P0, op.P1}, ts[:n])
+	if err != nil {
+		bad(err.Error(), "a pass rewrote the op or narrowed an operand without re-deriving the other")
+		return
 	}
-	switch op.Prim {
-	case firrtl.OpAdd, firrtl.OpSub:
-		if sameSign() {
-			want(max(w[0], w[1])+1, sg[0], op.Prim.String())
-		}
-	case firrtl.OpMul:
-		if sameSign() {
-			want(w[0]+w[1], sg[0], "mul")
-		}
-	case firrtl.OpDiv:
-		if sameSign() {
-			wd := w[0]
-			if sg[0] {
-				wd++
-			}
-			want(wd, sg[0], "div")
-		}
-	case firrtl.OpRem:
-		if sameSign() {
-			want(min(w[0], w[1]), sg[0], "rem")
-		}
-	case firrtl.OpLt, firrtl.OpLeq, firrtl.OpGt, firrtl.OpGeq, firrtl.OpEq, firrtl.OpNeq:
-		if sameSign() {
-			want(1, false, op.Prim.String())
-		}
-	case firrtl.OpShl:
-		if op.P0 < 0 {
-			bad(fmt.Sprintf("shl by negative amount %d", op.P0), "")
-			return
-		}
-		want(w[0]+op.P0, sg[0], "shl")
-	case firrtl.OpShr:
-		if op.P0 < 0 {
-			bad(fmt.Sprintf("shr by negative amount %d", op.P0), "")
-			return
-		}
-		want(max(w[0]-op.P0, 1), sg[0], "shr")
-	case firrtl.OpDshl:
-		if w[1] > 20 {
-			bad(fmt.Sprintf("dshl shift operand %d bits wide (engine limit 20)", w[1]), "")
-			return
-		}
-		want(w[0]+(1<<uint(w[1]))-1, sg[0], "dshl")
-	case firrtl.OpDshr:
-		if w[1] > 20 {
-			bad(fmt.Sprintf("dshr shift operand %d bits wide (engine limit 20)", w[1]), "")
-			return
-		}
-		want(w[0], sg[0], "dshr")
-	case firrtl.OpCvt:
-		wd := w[0]
-		if !sg[0] {
-			wd++
-		}
-		want(wd, true, "cvt")
-	case firrtl.OpNeg:
-		want(w[0]+1, true, "neg")
-	case firrtl.OpNot:
-		want(w[0], false, "not")
-	case firrtl.OpAnd, firrtl.OpOr, firrtl.OpXor:
-		want(max(w[0], w[1]), false, op.Prim.String())
-	case firrtl.OpAndr, firrtl.OpOrr, firrtl.OpXorr:
-		want(1, false, op.Prim.String())
-	case firrtl.OpCat:
-		want(w[0]+w[1], false, "cat")
-	case firrtl.OpBits:
-		if op.P1 < 0 || op.P0 < op.P1 {
-			bad(fmt.Sprintf("bits(%d, %d): bad range", op.P0, op.P1), "")
-			return
-		}
-		if op.P0 >= w[0] {
-			bad(fmt.Sprintf("bits(%d, %d) exceeds operand width %d", op.P0, op.P1, w[0]),
-				"a pass narrowed the operand without re-deriving the extract")
-			return
-		}
-		want(op.P0-op.P1+1, false, "bits")
-	case firrtl.OpHead:
-		if op.P0 < 1 || op.P0 > w[0] {
-			bad(fmt.Sprintf("head(%d) of %d-bit operand", op.P0, w[0]), "")
-			return
-		}
-		want(op.P0, false, "head")
-	case firrtl.OpTail:
-		if op.P0 < 0 || op.P0 >= w[0] {
-			bad(fmt.Sprintf("tail(%d) of %d-bit operand leaves no bits", op.P0, w[0]),
-				"a pass narrowed the operand without re-deriving the truncation")
-			return
-		}
-		want(w[0]-op.P0, false, "tail")
+	if s.Width != t.Width || s.Signed != t.Signed() {
+		bad(fmt.Sprintf("declared %s but %v yields %s", netType(s.Width, s.Signed), op.Prim, t),
+			"re-run width inference after rewriting ops")
 	}
 }
 
