@@ -65,22 +65,29 @@ type PartitionInfo struct {
 	MeanSize     float64
 }
 
-// PartitionDesign runs only the partitioner on a FIRRTL design, returning
-// its statistics (the experiment of §IV / Fig. 6).
-func PartitionDesign(source string, cp int) (*PartitionInfo, error) {
+// partitionSource parses, compiles, optimizes and partitions a FIRRTL
+// design: the partitioning the engines run.
+func partitionSource(source string, cp int) (*netlist.DesignGraph, *partition.Result, error) {
 	circuit, err := firrtl.Parse(source)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	d, err := netlist.Compile(circuit)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if d, _, err = opt.Optimize(d); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dg := netlist.BuildGraph(d)
 	res, err := partition.Partition(dg, partition.Options{Cp: cp})
+	return dg, res, err
+}
+
+// PartitionDesign runs only the partitioner on a FIRRTL design, returning
+// its statistics (the experiment of §IV / Fig. 6).
+func PartitionDesign(source string, cp int) (*PartitionInfo, error) {
+	_, res, err := partitionSource(source, cp)
 	if err != nil {
 		return nil, err
 	}
@@ -116,16 +123,7 @@ func VerilogToFIRRTL(source, top string) (string, error) {
 // one node per partition (labeled with its size), one edge per
 // partition-crossing signal dependency.
 func PartitionDOT(source string, cp int) (string, error) {
-	circuit, err := firrtl.Parse(source)
-	if err != nil {
-		return "", err
-	}
-	d, err := netlist.Compile(circuit)
-	if err != nil {
-		return "", err
-	}
-	dg := netlist.BuildGraph(d)
-	res, err := partition.Partition(dg, partition.Options{Cp: cp})
+	dg, res, err := partitionSource(source, cp)
 	if err != nil {
 		return "", err
 	}

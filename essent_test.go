@@ -214,6 +214,49 @@ func TestPartitionDOT(t *testing.T) {
 	}
 }
 
+// TestPartitionDOTDrawsPartitionDesign: the DOT draws one box per
+// partition PartitionDesign counts, on a design the optimizer shrinks.
+func TestPartitionDOTDrawsPartitionDesign(t *testing.T) {
+	src, err := SoC("r16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := PartitionDesign(src, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dot, err := PartitionDOT(src, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if boxes := strings.Count(dot, "[shape=box"); boxes != info.FinalParts {
+		t.Fatalf("DOT draws %d partitions, PartitionDesign reports %d", boxes, info.FinalParts)
+	}
+}
+
+// TestCombinationalLoopTraced: compiling a looped design fails on every
+// engine with the signal trace the linter prints, not node IDs.
+func TestCombinationalLoopTraced(t *testing.T) {
+	const src = `
+circuit T :
+  module T :
+    input a : UInt<4>
+    output o : UInt<4>
+    wire x : UInt<4>
+    wire y : UInt<4>
+    x <= and(y, a)
+    y <= or(x, a)
+    o <= x
+`
+	for _, engine := range []Engine{EngineESSENT, EngineBaseline} {
+		_, err := Compile(src, Options{Engine: engine})
+		if err == nil || !strings.Contains(err.Error(), "combinational loop: ") ||
+			!strings.Contains(err.Error(), " -> ") || strings.ContainsAny(err.Error(), "0123456789[") {
+			t.Errorf("%v: error %v, want a signal trace such as y -> x -> y", engine, err)
+		}
+	}
+}
+
 func TestGenerateGoFacade(t *testing.T) {
 	for _, mode := range []GenMode{GenFullCycle, GenCCSS} {
 		src, err := GenerateGo(counterSrc, "countersim", mode, 8)

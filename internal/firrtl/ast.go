@@ -399,6 +399,8 @@ func PrimType(op PrimOp, params []int, args []Type) (Type, error) {
 	w := func(k TypeKind, width int) (Type, error) {
 		if unknown {
 			width = -1
+		} else if width < 0 {
+			return Type{}, fmt.Errorf("%v result width overflows", op)
 		}
 		return Type{Kind: k, Width: width}, nil
 	}

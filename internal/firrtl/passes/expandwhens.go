@@ -33,6 +33,16 @@ func ExpandWhens(m *firrtl.Module) (*firrtl.Module, error) {
 	if err := we.walk(m.Body, nil, env); err != nil {
 		return nil, fmt.Errorf("module %s: %w", m.Name, err)
 	}
+	// A register no connect reaches holds its value.
+	for _, s := range we.decls {
+		if r, ok := s.(*firrtl.DefReg); ok {
+			if _, set := env.vals[r.Name]; !set {
+				hold := &firrtl.Ref{Name: r.Name}
+				hold.Pos = r.Pos
+				env.set(r.Name, hold)
+			}
+		}
+	}
 	out := &firrtl.Module{Name: m.Name, Ports: m.Ports, Pos: m.Pos}
 	out.Body = append(out.Body, we.decls...)
 	for _, key := range env.order {

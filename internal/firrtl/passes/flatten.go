@@ -35,9 +35,6 @@ func (f *flattener) flatBody(m *firrtl.Module) ([]firrtl.Stmt, error) {
 	if body, ok := f.done[m.Name]; ok {
 		return body, nil
 	}
-	if f.inProgress[m.Name] {
-		return nil, fmt.Errorf("flatten: recursive instantiation of module %s", m.Name)
-	}
 	f.inProgress[m.Name] = true
 	defer func() { f.inProgress[m.Name] = false }()
 
@@ -52,6 +49,10 @@ func (f *flattener) flatBody(m *firrtl.Module) ([]firrtl.Stmt, error) {
 		if child == nil {
 			return nil, fmt.Errorf("flatten: %s: instance %s of unknown module %s",
 				inst.Position(), inst.Name, inst.Module)
+		}
+		if f.inProgress[child.Name] {
+			return nil, fmt.Errorf("flatten: %s: instance %s recursively instantiates module %s",
+				inst.Position(), inst.Name, child.Name)
 		}
 		childBody, err := f.flatBody(child)
 		if err != nil {

@@ -115,6 +115,33 @@ circuit T :
 	t.Fatal("no connect for r")
 }
 
+// TestExpandWhensRegNeverConnectedHolds: a register no connect reaches
+// gets the same self default, so its next state is not left undriven.
+func TestExpandWhensRegNeverConnectedHolds(t *testing.T) {
+	c := mustParse(t, `
+circuit T :
+  module T :
+    input clock : Clock
+    output o : UInt<4>
+    reg r : UInt<4>, clock
+    o <= r
+`)
+	m, err := ExpandWhens(c.Top())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range m.Body {
+		if cc, ok := s.(*firrtl.Connect); ok && firrtl.RefName(cc.Loc) == "r" {
+			if firrtl.RefName(cc.Value) != "r" || cc.Pos.Line != 6 {
+				t.Fatalf("r <= %s at %v, want r <= r at the declaration (line 6)",
+					firrtl.ExprString(cc.Value), cc.Pos)
+			}
+			return
+		}
+	}
+	t.Fatal("no connect for r")
+}
+
 func TestExpandWhensInvalidRefinement(t *testing.T) {
 	c := mustParse(t, `
 circuit T :

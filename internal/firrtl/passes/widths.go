@@ -38,12 +38,16 @@ func addrWidth(depth int) int {
 }
 
 // CollectTypes gathers declared signal types for a flat module. Unwidthed
-// declarations are recorded with Width == -1.
+// declarations are recorded with Width == -1; a declared width beyond
+// MaxWidth is an error at its declaration.
 func CollectTypes(m *firrtl.Module) (SignalTypes, error) {
 	st := SignalTypes{}
 	add := func(name string, t firrtl.Type, pos firrtl.Position) error {
 		if _, dup := st[name]; dup {
 			return fmt.Errorf("%s: duplicate signal %q", pos, name)
+		}
+		if t.Width > MaxWidth {
+			return fmt.Errorf("%s: signal %q width %d exceeds maximum %d", pos, name, t.Width, MaxWidth)
 		}
 		st[name] = t
 		return nil
@@ -256,10 +260,6 @@ func InferWidths(m *firrtl.Module) (*Types, error) {
 		}
 		if t.Width == 0 {
 			return nil, fmt.Errorf("module %s: zero-width signal %q not supported", m.Name, name)
-		}
-		if t.Width > MaxWidth {
-			return nil, fmt.Errorf("module %s: signal %q width %d exceeds maximum %d",
-				m.Name, name, t.Width, MaxWidth)
 		}
 	}
 	// Type what the fixpoint did not: the partial values, connects,

@@ -1,6 +1,7 @@
 package firrtl
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -97,6 +98,7 @@ func TestPrimTypeErrors(t *testing.T) {
 		{OpTail, []int{-1}, []Type{u(8)}, "tail by negative amount -1"},
 		{OpShl, []int{-1}, []Type{u(8)}, "shl by negative amount -1"},
 		{OpShr, []int{-1}, []Type{u(8)}, "shr by negative amount -1"},
+		{OpShl, []int{math.MaxInt}, []Type{u(8)}, "shl result width overflows"},
 		{OpDshl, nil, []Type{u(8), u(21)}, "dshl shift operand 21 bits wide (limit 20)"},
 		{OpDshr, nil, []Type{u(8), u(32)}, "dshr shift operand 32 bits wide (limit 20)"},
 		{OpAdd, nil, []Type{u(8)}, "add: 1 operands"},

@@ -3,6 +3,7 @@ package netlist
 import (
 	"fmt"
 	"math/big"
+	"strings"
 
 	"essent/internal/bits"
 	"essent/internal/firrtl"
@@ -32,7 +33,7 @@ func Build(m *firrtl.Module, ty *passes.Types) (*Design, error) {
 	if err := b.define(m); err != nil {
 		return nil, err
 	}
-	if err := b.finish(); err != nil {
+	if err := b.finish(m); err != nil {
 		return nil, err
 	}
 	return b.d, nil
@@ -471,14 +472,15 @@ func (b *builder) temp(e firrtl.Expr, t firrtl.Type) (Arg, error) {
 	return SigArg(id), nil
 }
 
-// finish validates that every comb signal has a driver and folds register
-// reset muxes' cold-path marking.
-func (b *builder) finish() error {
+// finish validates that every comb signal has a driver, naming the
+// undriven one's declaration, and folds register reset muxes' cold-path
+// marking.
+func (b *builder) finish(m *firrtl.Module) error {
 	d := b.d
 	for i := range d.Signals {
 		s := &d.Signals[i]
 		if s.Kind == KComb && s.Op == nil {
-			return fmt.Errorf("netlist: signal %q has no driver", s.Name)
+			return fmt.Errorf("%s: signal %q has no driver", declPos(m, s.Name), s.Name)
 		}
 	}
 	b.markColdResetMuxes()
@@ -511,4 +513,27 @@ func paddedWords(w []uint64, n int) []uint64 {
 	out := make([]uint64, n)
 	copy(out, w)
 	return out
+}
+
+// declPos is the position of the declaration of m's comb signal name: a
+// port, a wire, or a memory port field.
+func declPos(m *firrtl.Module, name string) firrtl.Position {
+	for _, p := range m.Ports {
+		if p.Name == name {
+			return p.Pos
+		}
+	}
+	for _, s := range m.Body {
+		switch x := s.(type) {
+		case *firrtl.DefWire:
+			if x.Name == name {
+				return x.Pos
+			}
+		case *firrtl.DefMemory:
+			if strings.HasPrefix(name, x.Name+".") {
+				return x.Pos
+			}
+		}
+	}
+	return firrtl.Position{}
 }

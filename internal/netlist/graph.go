@@ -1,7 +1,8 @@
 package netlist
 
 import (
-	"fmt"
+	"errors"
+	"strings"
 
 	"essent/internal/graph"
 )
@@ -148,19 +149,27 @@ func BuildGraph(d *Design) *DesignGraph {
 	return dg
 }
 
-// TopoOrder returns a topological order of all nodes, or an error naming
-// the signals on a combinational loop.
+// TopoOrder returns a topological order of all nodes, or an error tracing
+// a combinational loop (see LoopTrace).
 func (dg *DesignGraph) TopoOrder() ([]int, error) {
 	order, err := dg.G.TopoSort()
 	if err != nil {
-		cyc := dg.G.FindCycle()
-		names := make([]string, 0, len(cyc))
-		for _, n := range cyc {
-			if dg.Kind[n] == NodeSignal {
-				names = append(names, dg.D.Signals[n].Name)
-			}
-		}
-		return nil, fmt.Errorf("netlist: combinational loop through %v: %w", names, err)
+		return nil, errors.New("netlist: combinational loop: " + dg.LoopTrace())
 	}
 	return order, nil
+}
+
+// LoopTrace renders a combinational loop of the design as the signals
+// around it, back to the first ("y -> x -> y"), or "" when there is none.
+func (dg *DesignGraph) LoopTrace() string {
+	var names []string
+	for _, n := range dg.G.FindCycle() {
+		if dg.Kind[n] == NodeSignal {
+			names = append(names, dg.D.Signals[n].Name)
+		}
+	}
+	if len(names) == 0 {
+		return ""
+	}
+	return strings.Join(append(names, names[0]), " -> ")
 }

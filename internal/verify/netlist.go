@@ -546,24 +546,7 @@ func (c *nlChecker) checkLoops() {
 	if _, err := dg.G.TopoSort(); err == nil {
 		return
 	}
-	cyc := dg.G.FindCycle()
-	names := make([]string, 0, len(cyc))
-	for _, n := range cyc {
-		if n < len(c.d.Signals) {
-			names = append(names, c.d.Signals[n].Name)
-		}
-	}
-	trace := ""
-	for i, nm := range names {
-		if i > 0 {
-			trace += " -> "
-		}
-		trace += nm
-	}
-	if len(names) > 0 {
-		trace += " -> " + names[0]
-	}
-	c.add("NL-LOOP", SevError, "design", "combinational loop: "+trace,
+	c.add("NL-LOOP", SevError, "design", "combinational loop: "+dg.LoopTrace(),
 		"break the cycle with a register or rework the feedback path")
 }
 

@@ -18,8 +18,10 @@ import (
 //	          fixpoint proves it can ever hold
 //
 // All three ride on internal/sa's known-bits/guard results and are
-// advisory severities: they flag wasted work (the optimizer deletes the
-// SA-CONST/SA-DEAD cones on engine paths), never unsound designs.
+// advisory severities: they flag wasted work, never unsound designs. The
+// engines still do that work: the optimizer folds only all-constant cones
+// and equal-arm muxes, so an SA-CONST mux and an SA-DEAD cone are
+// evaluated whenever their partition runs.
 
 // SA runs the static-activity advisory rules on a design. A design the
 // analysis cannot process (combinational loop — NL-LOOP reports it with
@@ -59,7 +61,7 @@ func SA(d *netlist.Design) []Diagnostic {
 		}
 		c.add("SA-CONST", SevInfo, c.sigLoc(netlist.SignalID(i)),
 			fmt.Sprintf("mux selector is proven constant (always takes the %s arm); the %s arm is unreachable", taken, dead),
-			"the optimizer folds the mux and deletes the unreachable cone; drop the branch at the source if it is not reset plumbing")
+			"the engines still evaluate the mux and both arms; drop the branch at the source if it is not reset plumbing")
 	}
 
 	for i := range d.Signals {

@@ -24,11 +24,13 @@ type vport struct {
 	dir   string // "input" or "output"
 	width int
 	isReg bool
+	line  int
 }
 
 type vdecl struct {
 	name  string
 	width int
+	line  int
 }
 
 type vassign struct {
@@ -63,12 +65,14 @@ type vNonblocking struct {
 type vIf struct {
 	cond        vexpr
 	then, else_ []vstmt
+	line        int
 }
 
 type vCase struct {
 	subject vexpr
 	arms    []vCaseArm
 	def     []vstmt
+	line    int
 }
 
 type vCaseArm struct {
@@ -292,7 +296,6 @@ func (p *vparser) module() (*vmodule, error) {
 		return nil, err
 	}
 	m := &vmodule{name: name, line: line}
-	declared := map[string]bool{}
 
 	// Port list: ANSI (with directions) or classic (names only).
 	if p.acceptPunct("(") {
@@ -311,22 +314,23 @@ func (p *vparser) module() (*vmodule, error) {
 				if err != nil {
 					return nil, err
 				}
+				line := p.peek().line
 				pn, err := p.expectID()
 				if err != nil {
 					return nil, err
 				}
-				m.ports = append(m.ports, vport{pn, dir, w, isReg})
-				declared[pn] = true
+				m.ports = append(m.ports, vport{pn, dir, w, isReg, line})
 				if isReg {
-					m.regs = append(m.regs, vdecl{pn, w})
+					m.regs = append(m.regs, vdecl{pn, w, line})
 				}
 			} else {
 				// Classic style: bare names, directions declared inside.
+				line := p.peek().line
 				pn, err := p.expectID()
 				if err != nil {
 					return nil, err
 				}
-				m.ports = append(m.ports, vport{pn, "", 1, false})
+				m.ports = append(m.ports, vport{pn, "", 1, false, line})
 			}
 			if !p.acceptPunct(",") {
 				break
@@ -358,6 +362,7 @@ func (p *vparser) module() (*vmodule, error) {
 				return nil, err
 			}
 			for {
+				line := p.peek().line
 				pn, err := p.expectID()
 				if err != nil {
 					return nil, err
@@ -368,6 +373,7 @@ func (p *vparser) module() (*vmodule, error) {
 						m.ports[i].dir = dir
 						m.ports[i].width = w
 						m.ports[i].isReg = isReg
+						m.ports[i].line = line
 						found = true
 					}
 				}
@@ -375,7 +381,7 @@ func (p *vparser) module() (*vmodule, error) {
 					return nil, p.errf("direction for undeclared port %q", pn)
 				}
 				if isReg {
-					m.regs = append(m.regs, vdecl{pn, w})
+					m.regs = append(m.regs, vdecl{pn, w, line})
 				}
 				if !p.acceptPunct(",") {
 					break
@@ -396,7 +402,7 @@ func (p *vparser) module() (*vmodule, error) {
 				if err != nil {
 					return nil, err
 				}
-				m.wires = append(m.wires, vdecl{wn, w})
+				m.wires = append(m.wires, vdecl{wn, w, line})
 				// `wire x = expr;` declares and assigns in one statement.
 				if p.acceptPunct("=") {
 					rhs, err := p.expr()
@@ -419,11 +425,12 @@ func (p *vparser) module() (*vmodule, error) {
 				return nil, err
 			}
 			for {
+				line := p.peek().line
 				rn, err := p.expectID()
 				if err != nil {
 					return nil, err
 				}
-				m.regs = append(m.regs, vdecl{rn, w})
+				m.regs = append(m.regs, vdecl{rn, w, line})
 				if !p.acceptPunct(",") {
 					break
 				}
@@ -521,6 +528,7 @@ func (p *vparser) stmtOrBlock() ([]vstmt, error) {
 }
 
 func (p *vparser) stmt() (vstmt, error) {
+	line := p.peek().line
 	switch {
 	case p.atKw("if"):
 		p.i++
@@ -538,7 +546,7 @@ func (p *vparser) stmt() (vstmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := vIf{cond: cond, then: then}
+		st := vIf{cond: cond, then: then, line: line}
 		if p.atKw("else") {
 			p.i++
 			els, err := p.stmtOrBlock()
@@ -560,7 +568,7 @@ func (p *vparser) stmt() (vstmt, error) {
 		if err := p.expectPunct(")"); err != nil {
 			return nil, err
 		}
-		cs := vCase{subject: subj}
+		cs := vCase{subject: subj, line: line}
 		for !p.atKw("endcase") {
 			if p.atKw("default") {
 				p.i++
@@ -597,7 +605,6 @@ func (p *vparser) stmt() (vstmt, error) {
 		p.i++ // endcase
 		return cs, nil
 	case p.at(vID):
-		line := p.peek().line
 		lhs, err := p.expectID()
 		if err != nil {
 			return nil, err
