@@ -186,6 +186,11 @@ func GenerateGo(source, pkg string, mode GenMode, cp int) ([]byte, error) {
 		if d, _, err = opt.Optimize(d); err != nil {
 			return nil, err
 		}
+		src, err := codegen.Generate(d, opts)
+		if err != nil {
+			return nil, attribute(func() (*firrtl.Circuit, error) { return firrtl.Parse(source) }, true, err)
+		}
+		return src, nil
 	default:
 		return nil, fmt.Errorf("essent: unknown generation mode %d", mode)
 	}

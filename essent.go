@@ -301,7 +301,7 @@ func Compile(source string, opts Options) (*Sim, error) {
 		return nil, err
 	}
 	parse := time.Since(start)
-	s, err := CompileCircuit(circuit, opts)
+	s, err := compile(circuit, opts, func() (*firrtl.Circuit, error) { return firrtl.Parse(source) })
 	if err != nil {
 		return nil, err
 	}
@@ -311,6 +311,12 @@ func Compile(source string, opts Options) (*Sim, error) {
 
 // CompileCircuit builds a simulator from a parsed circuit.
 func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
+	return compile(circuit, opts, func() (*firrtl.Circuit, error) { return circuit, nil })
+}
+
+// compile builds a simulator from circuit. reparse gives the circuit
+// again for attribute, so the AST need not stay alive through the build.
+func compile(circuit *firrtl.Circuit, opts Options, reparse func() (*firrtl.Circuit, error)) (*Sim, error) {
 	if opts.Engine == EngineESSENTParallel {
 		opts.Engine = EngineESSENT
 	}
@@ -321,8 +327,9 @@ func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
 		return nil, err
 	}
 	t.Netlist = time.Since(start)
-	if opts.Engine == EngineFullCycleOpt || opts.Engine == EngineESSENT ||
-		opts.Engine == EngineESSENTVec {
+	optimized := opts.Engine == EngineFullCycleOpt || opts.Engine == EngineESSENT ||
+		opts.Engine == EngineESSENTVec
+	if optimized {
 		start = time.Now()
 		if d, _, err = opt.Optimize(d); err != nil {
 			return nil, err
@@ -369,7 +376,7 @@ func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
 			} else {
 				sess, err := serve.New(d, cfg)
 				if err != nil {
-					return nil, err
+					return nil, attribute(reparse, optimized, err)
 				}
 				t.Engine = time.Since(start)
 				return &Sim{s: sess, d: d, t: t}, nil
@@ -378,10 +385,28 @@ func CompileCircuit(circuit *firrtl.Circuit, opts Options) (*Sim, error) {
 	}
 	s, err := sim.New(d, engine)
 	if err != nil {
-		return nil, err
+		return nil, attribute(reparse, optimized, err)
 	}
 	t.Engine = time.Since(start)
 	return &Sim{s: s, d: d, t: t}, nil
+}
+
+// attribute hands an engine build's error on an optimized design to
+// opt.Attribute, which names the optimizer pass at fault when the build's
+// lint rejected it. The raw design is derived again from reparse rather
+// than kept alive through every engine build: failures are rare.
+func attribute(reparse func() (*firrtl.Circuit, error), optimized bool, err error) error {
+	if !optimized {
+		return err
+	}
+	circuit, perr := reparse()
+	if perr != nil {
+		return err
+	}
+	if raw, cerr := netlist.Compile(circuit); cerr == nil {
+		return opt.Attribute(raw, err)
+	}
+	return err
 }
 
 func (s *Sim) signal(name string) (netlist.SignalID, error) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -188,6 +190,38 @@ func TestCompileTimingsCoverCompile(t *testing.T) {
 	}
 	if ct := s.CompileTimings(); ct.Optimize != 0 || ct.Engine <= 0 {
 		t.Errorf("baseline engine timings: %v", ct)
+	}
+}
+
+// TestCompileAllocBudget: one strict ESSENT compile (source text in, Cp 8)
+// of r16 and of boom allocates no more than its budget, the total measured
+// when the budget was set plus 10 %, so work that creeps back into the
+// compile pipeline fails here. The least of a few compiles is taken: a
+// goroutine another test left running only adds to the process total.
+func TestCompileAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		soc    string
+		budget float64 // MB (10^6 bytes) per compile
+	}{{"r16", 11.3}, {"boom", 55.7}} {
+		src, err := SoC(c.soc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least := math.Inf(1)
+		for i := 0; i < 4; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Compile(src, Options{Engine: EngineESSENT, Cp: 8}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/1e6)
+		}
+		t.Logf("%s: %.1f MB per compile (budget %.1f MB)", c.soc, least, c.budget)
+		if least > c.budget {
+			t.Errorf("%s: one compile allocates %.1f MB, over its budget of %.1f MB",
+				c.soc, least, c.budget)
+		}
 	}
 }
 

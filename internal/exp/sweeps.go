@@ -507,9 +507,10 @@ func ckptCell(d *Design, w riscv.Workload, interval uint64, maxCycles int) Cell 
 
 // verifycost times the full compile path (FIRRTL circuit → netlist →
 // optimization, where the engine runs it → simulator construction) with
-// the static verifier strict versus off. The always-on post-pass lint
-// inside opt.Optimize is part of both arms: -verify does not govern it.
-// The budget is 10% of a CCSS compile (DESIGN §9 "Modes and cost").
+// the static verifier strict versus off. opt.Optimize does not lint, so
+// the difference is the whole verifier: the engine build's one netlist
+// lint and the SM rules. The budget is 10% of a CCSS compile (DESIGN §9
+// "Modes and cost").
 var verifycost = &Experiment{
 	Name:    "verifycost",
 	Title:   "Static-verification compile overhead (strict vs off)",

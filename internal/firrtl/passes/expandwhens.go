@@ -7,7 +7,9 @@ package passes
 
 import (
 	"fmt"
+	"maps"
 	"math/big"
+	"slices"
 
 	"essent/internal/firrtl"
 )
@@ -95,12 +97,7 @@ func (e *orderedEnv) set(key string, v firrtl.Expr) {
 }
 
 func (e *orderedEnv) clone() *orderedEnv {
-	c := newOrderedEnv()
-	c.order = append(c.order, e.order...)
-	for k, v := range e.vals {
-		c.vals[k] = v
-	}
-	return c
+	return &orderedEnv{vals: maps.Clone(e.vals), order: slices.Clone(e.order)}
 }
 
 func refFromDotted(name string) firrtl.Expr {

@@ -12,100 +12,100 @@ import (
 // Input modules must already be when-expanded. Recursive instantiation is
 // rejected.
 func Flatten(c *firrtl.Circuit) (*firrtl.Module, error) {
-	f := &flattener{circuit: c, inProgress: map[string]bool{}, done: map[string][]firrtl.Stmt{}}
+	f := &flattener{circuit: c, inProgress: map[string]bool{}}
 	top := c.Top()
 	if top == nil {
 		return nil, fmt.Errorf("flatten: circuit %q has no top module", c.Name)
 	}
-	body, err := f.flatBody(top)
-	if err != nil {
+	if err := f.inline(top, ""); err != nil {
 		return nil, err
 	}
-	return &firrtl.Module{Name: top.Name, Ports: top.Ports, Body: body, Pos: top.Pos}, nil
+	return &firrtl.Module{Name: top.Name, Ports: top.Ports, Body: f.out, Pos: top.Pos}, nil
 }
 
 type flattener struct {
 	circuit    *firrtl.Circuit
 	inProgress map[string]bool
-	done       map[string][]firrtl.Stmt
+	out        []firrtl.Stmt
 }
 
-// flatBody returns the fully inlined body of m (unprefixed).
-func (f *flattener) flatBody(m *firrtl.Module) ([]firrtl.Stmt, error) {
-	if body, ok := f.done[m.Name]; ok {
-		return body, nil
-	}
+// inline appends m's body to the flat body, every declared and referenced
+// name prefixed with prefix, the instance path ("" at the top, "c$d$"
+// inside instance d of instance c). An instance becomes its boundary wires
+// followed by its module's body, so each statement is copied once, with
+// its whole path.
+func (f *flattener) inline(m *firrtl.Module, prefix string) error {
 	f.inProgress[m.Name] = true
 	defer func() { f.inProgress[m.Name] = false }()
 
-	var out []firrtl.Stmt
-	for _, s := range m.Body {
-		inst, ok := s.(*firrtl.DefInstance)
-		if !ok {
-			out = append(out, s)
-			continue
-		}
-		child := f.circuit.Module(inst.Module)
-		if child == nil {
-			return nil, fmt.Errorf("flatten: %s: instance %s of unknown module %s",
-				inst.Position(), inst.Name, inst.Module)
-		}
-		if f.inProgress[child.Name] {
-			return nil, fmt.Errorf("flatten: %s: instance %s recursively instantiates module %s",
-				inst.Position(), inst.Name, child.Name)
-		}
-		childBody, err := f.flatBody(child)
-		if err != nil {
-			return nil, err
-		}
-		prefix := inst.Name + "$"
-		// Boundary wires for each child port.
-		for _, p := range child.Ports {
-			w := &firrtl.DefWire{Name: prefix + p.Name, Type: p.Type}
-			w.Pos = p.Pos
-			out = append(out, w)
-		}
-		// Inline the child body with prefixed names.
-		for _, cs := range childBody {
-			out = append(out, prefixStmt(cs, prefix))
-		}
-	}
-	// Rewrite instance-port references (`c.out` → `c$out`) in this module's
-	// own statements (instances are already gone).
 	instNames := map[string]bool{}
 	for _, s := range m.Body {
 		if inst, ok := s.(*firrtl.DefInstance); ok {
 			instNames[inst.Name] = true
 		}
 	}
-	for i, s := range out {
-		out[i] = rewriteStmt(s, func(e firrtl.Expr) firrtl.Expr {
-			sf, ok := e.(*firrtl.SubField)
-			if !ok {
-				return nil
+	rename := func(e firrtl.Expr) firrtl.Expr {
+		switch x := e.(type) {
+		case *firrtl.SubField: // an instance port: `c.out` → `c$out`
+			if base, ok := x.Of.(*firrtl.Ref); ok && instNames[base.Name] {
+				r := &firrtl.Ref{Name: prefix + base.Name + "$" + x.Field}
+				r.Pos = x.Pos
+				return r
 			}
-			base, ok := sf.Of.(*firrtl.Ref)
-			if !ok || !instNames[base.Name] {
-				return nil
+		case *firrtl.Ref:
+			if prefix != "" {
+				r := *x
+				r.Name = prefix + x.Name
+				return &r
 			}
-			r := &firrtl.Ref{Name: base.Name + "$" + sf.Field}
-			r.Pos = sf.Pos
-			return r
-		})
+		}
+		return nil
 	}
-	f.done[m.Name] = out
-	return out, nil
+	for _, s := range m.Body {
+		inst, ok := s.(*firrtl.DefInstance)
+		if !ok {
+			f.out = append(f.out, prefixStmt(s, prefix, rename))
+			continue
+		}
+		child := f.circuit.Module(inst.Module)
+		if child == nil {
+			return fmt.Errorf("flatten: %s: instance %s of unknown module %s",
+				inst.Position(), inst.Name, inst.Module)
+		}
+		if f.inProgress[child.Name] {
+			return fmt.Errorf("flatten: %s: instance %s recursively instantiates module %s",
+				inst.Position(), inst.Name, child.Name)
+		}
+		path := prefix + inst.Name + "$"
+		// Boundary wires for each child port.
+		for _, p := range child.Ports {
+			w := &firrtl.DefWire{Name: path + p.Name, Type: p.Type}
+			w.Pos = p.Pos
+			f.out = append(f.out, w)
+		}
+		if err := f.inline(child, path); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// prefixStmt clones a statement, prefixing every declared and referenced
-// top-level name. Clones keep their source positions.
-func prefixStmt(s firrtl.Stmt, prefix string) firrtl.Stmt {
+// prefixStmt copies a statement through rename, prefixing the name it
+// declares. Copies keep their source positions. A top-level wire or
+// memory (empty prefix) needs no copy and gets none.
+func prefixStmt(s firrtl.Stmt, prefix string, rename func(firrtl.Expr) firrtl.Expr) firrtl.Stmt {
 	switch x := s.(type) {
 	case *firrtl.DefWire:
+		if prefix == "" {
+			return s
+		}
 		w := *x
 		w.Name = prefix + x.Name
 		return &w
 	case *firrtl.DefMemory:
+		if prefix == "" {
+			return s
+		}
 		m := *x
 		m.Name = prefix + x.Name
 		return &m
@@ -113,15 +113,8 @@ func prefixStmt(s firrtl.Stmt, prefix string) firrtl.Stmt {
 	// DefInstance cannot appear (inlined) and When cannot appear
 	// (expanded): rewriteStmt returns those unchanged, and the netlist
 	// builder rejects them.
-	s = rewriteStmt(s, func(e firrtl.Expr) firrtl.Expr {
-		if r, ok := e.(*firrtl.Ref); ok {
-			p := *r
-			p.Name = prefix + r.Name
-			return &p
-		}
-		return nil
-	})
-	switch x := s.(type) { // the clone rewriteStmt made
+	s = rewriteStmt(s, rename)
+	switch x := s.(type) { // the copy rewriteStmt made
 	case *firrtl.DefReg:
 		x.Name = prefix + x.Name
 	case *firrtl.DefNode:

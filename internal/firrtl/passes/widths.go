@@ -41,7 +41,17 @@ func addrWidth(depth int) int {
 // declarations are recorded with Width == -1; a declared width beyond
 // MaxWidth is an error at its declaration.
 func CollectTypes(m *firrtl.Module) (SignalTypes, error) {
-	st := SignalTypes{}
+	n := len(m.Ports)
+	for _, s := range m.Body {
+		switch x := s.(type) {
+		case *firrtl.DefWire, *firrtl.DefReg, *firrtl.DefNode:
+			n++
+		case *firrtl.DefMemory:
+			f := len(MemPortFields(x))
+			n += (f-1)*len(x.Readers) + f*len(x.Writers) // readers have no mask
+		}
+	}
+	st := make(SignalTypes, n)
 	add := func(name string, t firrtl.Type, pos firrtl.Position) error {
 		if _, dup := st[name]; dup {
 			return fmt.Errorf("%s: duplicate signal %q", pos, name)
@@ -106,6 +116,10 @@ type Types struct {
 	// was still unknown.
 	holes int
 }
+
+// Compound counts the compound expressions inference typed; the netlist
+// builder flattens no more than these into temporaries.
+func (ty *Types) Compound() int { return len(ty.exprs) }
 
 // Of returns the type of a reference, a literal, or a compound
 // expression inference recorded.
@@ -203,7 +217,13 @@ func InferWidths(m *firrtl.Module) (*Types, error) {
 	}
 	ty := &Types{Signals: st, exprs: map[firrtl.Expr]firrtl.Type{}}
 	// Map wire/reg target names to their single connect value.
-	connects := map[string]firrtl.Expr{}
+	n := 0
+	for _, s := range m.Body {
+		if _, ok := s.(*firrtl.Connect); ok {
+			n++
+		}
+	}
+	connects := make(map[string]firrtl.Expr, n)
 	for _, s := range m.Body {
 		if c, ok := s.(*firrtl.Connect); ok {
 			connects[firrtl.RefName(c.Loc)] = c.Value

@@ -23,8 +23,18 @@ func Compile(c *firrtl.Circuit) (*Design, error) {
 // Build constructs a Design from a flat, when-free module and the types
 // width inference resolved for it.
 func Build(m *firrtl.Module, ty *passes.Types) (*Design, error) {
+	// Every signal but a clock has a type inference resolved, a register
+	// adds its $next, and each temporary flattens a compound expression
+	// inference typed: the tables are sized once.
+	n := len(ty.Signals) + ty.Compound()
+	for _, s := range m.Body {
+		if _, ok := s.(*firrtl.DefReg); ok {
+			n++
+		}
+	}
 	b := &builder{
-		d:  &Design{Name: m.Name, byName: map[string]SignalID{}},
+		d: &Design{Name: m.Name, Signals: make([]Signal, 0, n),
+			byName: make(map[string]SignalID, n)},
 		ty: ty,
 	}
 	if err := b.declare(m); err != nil {
@@ -44,10 +54,9 @@ type builder struct {
 	ty *passes.Types
 	// tempN numbers synthesized intermediate signals.
 	tempN int
-	// regOf maps register names to their Regs index.
-	regOf map[string]int
-	// regDef maps register names to their declarations (for reset muxes).
-	regDef map[string]*firrtl.DefReg
+	// regDef holds each register's declaration (for reset muxes), by
+	// Regs index.
+	regDef []*firrtl.DefReg
 	// writerBase records the dotted port base name for each MemWrite.
 	writerBase []string
 }
@@ -59,8 +68,6 @@ func (b *builder) isClockish(t firrtl.Type) bool {
 // declare creates all named signals.
 func (b *builder) declare(m *firrtl.Module) error {
 	d := b.d
-	b.regOf = map[string]int{}
-	b.regDef = map[string]*firrtl.DefReg{}
 	for _, p := range m.Ports {
 		if b.isClockish(p.Type) {
 			continue
@@ -128,8 +135,7 @@ func (b *builder) declare(m *firrtl.Module) error {
 				litWords(init, lit.Value, x.Type.Width)
 			}
 			d.Regs = append(d.Regs, Reg{Name: x.Name, Out: out, Next: next, Init: init, Reset: NoSignal})
-			b.regOf[x.Name] = ri
-			b.regDef[x.Name] = x
+			b.regDef = append(b.regDef, x)
 		case *firrtl.DefMemory:
 			mi := len(d.Mems)
 			mem := Mem{
@@ -200,19 +206,30 @@ func (b *builder) define(m *firrtl.Module) error {
 	for _, s := range m.Body {
 		switch x := s.(type) {
 		case *firrtl.Connect:
+			// One lookup finds the target: a clock has no signal, and a
+			// register's signal is its output.
 			name := firrtl.RefName(x.Loc)
-			t, ok := b.ty.Signals[name]
+			target, ok := d.byName[name]
 			if !ok {
-				return fmt.Errorf("%s: connect to undefined %q", x.Position(), name)
+				t, typed := b.ty.Signals[name]
+				if !typed {
+					return fmt.Errorf("%s: connect to undefined %q", x.Position(), name)
+				}
+				if b.isClockish(t) {
+					continue
+				}
+				return fmt.Errorf("%s: connect to unknown signal %q", x.Position(), name)
 			}
-			if b.isClockish(t) {
-				continue
-			}
-			var target SignalID
-			if ri, isReg := b.regOf[name]; isReg {
-				target = d.Regs[ri].Next
+			switch s := &d.Signals[target]; s.Kind {
+			case KComb:
+			case KRegOut:
+				def := b.regDef[s.Reg]
+				if b.isClockish(def.Type) {
+					continue
+				}
+				target = d.Regs[s.Reg].Next
 				// Fold the reset mux into the next-value expression.
-				if def := b.regDef[name]; def.Reset != nil {
+				if def.Reset != nil {
 					if err := b.defineAs(target, &firrtl.Mux{
 						Cond: def.Reset, T: def.Init, F: x.Value,
 					}, firrtl.MuxType(b.ty.Of(def.Init), b.ty.Of(x.Value))); err != nil {
@@ -220,27 +237,18 @@ func (b *builder) define(m *firrtl.Module) error {
 					}
 					continue
 				}
-			} else {
-				id, ok := d.byName[name]
-				if !ok {
-					return fmt.Errorf("%s: connect to unknown signal %q", x.Position(), name)
-				}
-				if d.Signals[id].Kind != KComb {
-					return fmt.Errorf("%s: cannot connect to %s signal %q",
-						x.Position(), d.Signals[id].Kind, name)
-				}
-				target = id
+			default:
+				return fmt.Errorf("%s: cannot connect to %s signal %q", x.Position(), s.Kind, name)
 			}
 			if err := b.defineAs(target, x.Value, b.ty.Of(x.Value)); err != nil {
 				return err
 			}
 		case *firrtl.DefNode:
-			t := b.ty.Signals[x.Name]
-			if b.isClockish(t) {
-				continue
+			id, ok := d.byName[x.Name]
+			if !ok {
+				continue // a clock: no signal
 			}
-			id := d.byName[x.Name]
-			if err := b.defineAs(id, x.Value, t); err != nil {
+			if err := b.defineAs(id, x.Value, d.Signals[id].typ()); err != nil {
 				return err
 			}
 		case *firrtl.Printf:
@@ -279,7 +287,7 @@ func (b *builder) define(m *firrtl.Module) error {
 			// expand-whens removes these; tolerate stray ones as zero connects
 			name := firrtl.RefName(x.Loc)
 			if id, ok := d.byName[name]; ok && d.Signals[id].Kind == KComb {
-				zero := d.addConst(make([]uint64, bits.Words(d.Signals[id].Width)),
+				zero := d.InternConst(make([]uint64, bits.Words(d.Signals[id].Width)),
 					d.Signals[id].Width, false)
 				d.Signals[id].Op = &Op{Kind: OCopy, Out: id, Args: []Arg{ConstArg(zero)}}
 			}
@@ -448,7 +456,7 @@ func (b *builder) flatten(e firrtl.Expr) (Arg, error) {
 		}
 		words := make([]uint64, bits.Words(w))
 		litWords(words, x.Value, w)
-		return ConstArg(d.addConst(words, w, x.Type.Signed())), nil
+		return ConstArg(d.InternConst(words, w, x.Type.Signed())), nil
 	default:
 		return b.temp(e, b.ty.Of(e))
 	}

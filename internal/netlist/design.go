@@ -11,9 +11,9 @@
 package netlist
 
 import (
+	"encoding/binary"
 	"fmt"
 
-	"essent/internal/bits"
 	"essent/internal/firrtl"
 )
 
@@ -59,6 +59,14 @@ type Signal struct {
 	Op       *Op  // definition when Kind == KComb
 	Reg      int  // index into Design.Regs when Kind == KRegOut
 	MemRead  int  // index into Design.MemReads when Kind == KMemRead
+}
+
+// typ is the signal's ground type.
+func (s *Signal) typ() firrtl.Type {
+	if s.Signed {
+		return firrtl.Type{Kind: firrtl.SIntType, Width: s.Width}
+	}
+	return firrtl.Type{Kind: firrtl.UIntType, Width: s.Width}
 }
 
 // OpKind enumerates flattened combinational operations. Primitive
@@ -192,6 +200,10 @@ type Design struct {
 	Outputs []SignalID
 
 	byName map[string]SignalID
+	// constIdx finds a pool entry by value (constKey); it covers
+	// Consts[:nIndexed] and catches up with entries appended by hand.
+	constIdx map[string]int
+	nIndexed int
 }
 
 // SignalByName returns the ID of a named signal.
@@ -218,21 +230,41 @@ func (d *Design) addSignal(s Signal) (SignalID, error) {
 	return id, nil
 }
 
-// addConst interns a constant and returns its pool index.
-func (d *Design) addConst(words []uint64, width int, signed bool) int {
-	// Linear scan is fine: pools stay small after interning by value.
-	for i, c := range d.Consts {
-		if c.Width == width && c.Signed == signed && bits.Equal(c.Words, words) {
-			return i
+// InternConst returns the pool index of the first entry equal to the
+// constant, appending one when there is none.
+func (d *Design) InternConst(words []uint64, width int, signed bool) int {
+	if d.constIdx == nil {
+		d.constIdx = make(map[string]int, len(d.Consts))
+	}
+	var buf [64]byte
+	for ; d.nIndexed < len(d.Consts); d.nIndexed++ {
+		c := &d.Consts[d.nIndexed]
+		k := constKey(buf[:0], c.Words, c.Width, c.Signed)
+		if _, dup := d.constIdx[string(k)]; !dup {
+			d.constIdx[string(k)] = d.nIndexed
 		}
 	}
+	k := constKey(buf[:0], words, width, signed)
+	if i, ok := d.constIdx[string(k)]; ok {
+		return i
+	}
 	d.Consts = append(d.Consts, Const{Words: words, Width: width, Signed: signed})
-	return len(d.Consts) - 1
+	d.nIndexed = len(d.Consts)
+	d.constIdx[string(k)] = d.nIndexed - 1
+	return d.nIndexed - 1
 }
 
-// InternConst adds (or finds) a constant-pool entry and returns its index.
-func (d *Design) InternConst(words []uint64, width int, signed bool) int {
-	return d.addConst(words, width, signed)
+// constKey appends a constant's value (width, sign, words) to buf; the
+// pool index keys on it.
+func constKey(buf []byte, words []uint64, width int, signed bool) []byte {
+	buf = binary.AppendUvarint(buf, uint64(width))
+	if signed {
+		buf = append(buf, 1)
+	}
+	for _, w := range words {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	return buf
 }
 
 // RebuildNameIndex reconstructs the name → SignalID index after signal
@@ -242,6 +274,72 @@ func (d *Design) RebuildNameIndex() {
 	for i := range d.Signals {
 		d.byName[d.Signals[i].Name] = SignalID(i)
 	}
+}
+
+// Live marks what can reach a sink (an output, a display, a check) or,
+// with inputs set, an input port: the signals, and the memories with a
+// live read port, whose write ports are then live too. References out of
+// range are skipped, so a design the lint rejects can still be marked.
+func (d *Design) Live(inputs bool) (sigs, mems []bool) {
+	sigs, mems = make([]bool, len(d.Signals)), make([]bool, len(d.Mems))
+	var stack []SignalID
+	mark := func(a Arg) {
+		if !a.IsConst() && int(a.Sig) >= 0 && int(a.Sig) < len(d.Signals) && !sigs[a.Sig] {
+			sigs[a.Sig] = true
+			stack = append(stack, a.Sig)
+		}
+	}
+	for _, o := range d.Outputs {
+		mark(SigArg(o))
+	}
+	if inputs {
+		for _, in := range d.Inputs {
+			mark(SigArg(in))
+		}
+	}
+	for i := range d.Displays {
+		mark(d.Displays[i].En)
+		for _, a := range d.Displays[i].Args {
+			mark(a)
+		}
+	}
+	for i := range d.Checks {
+		mark(d.Checks[i].En)
+		mark(d.Checks[i].Pred)
+	}
+	for len(stack) > 0 {
+		s := &d.Signals[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		switch {
+		case s.Kind == KComb && s.Op != nil:
+			for _, a := range s.Op.Args {
+				mark(a)
+			}
+		case s.Kind == KRegOut && s.Reg >= 0 && s.Reg < len(d.Regs):
+			mark(SigArg(d.Regs[s.Reg].Next))
+			if rst := d.Regs[s.Reg].Reset; rst != NoSignal {
+				mark(SigArg(rst))
+			}
+		case s.Kind == KMemRead && s.MemRead >= 0 && s.MemRead < len(d.MemReads):
+			r := &d.MemReads[s.MemRead]
+			mark(r.Addr)
+			mark(r.En)
+			if r.Mem < 0 || r.Mem >= len(d.Mems) || mems[r.Mem] {
+				continue
+			}
+			mems[r.Mem] = true
+			for _, wi := range d.Mems[r.Mem].Writers {
+				if wi >= 0 && wi < len(d.MemWrites) {
+					w := &d.MemWrites[wi]
+					mark(w.Addr)
+					mark(w.En)
+					mark(w.Data)
+					mark(w.Mask)
+				}
+			}
+		}
+	}
+	return sigs, mems
 }
 
 // ArgWidth returns the width and signedness of an operand.
@@ -280,11 +378,6 @@ func (d *Design) Stats() Stats {
 	for _, m := range d.Mems {
 		st.MemBits += m.Depth * m.Width
 	}
-	countArg := func(a Arg) {
-		if !a.IsConst() {
-			st.Edges++
-		}
-	}
 	for i := range d.Signals {
 		s := &d.Signals[i]
 		if s.Width > st.MaxWidth {
@@ -295,31 +388,8 @@ func (d *Design) Stats() Stats {
 		}
 		if s.Op != nil {
 			st.Ops++
-			for _, a := range s.Op.Args {
-				countArg(a)
-			}
 		}
 	}
-	for i := range d.MemReads {
-		countArg(d.MemReads[i].Addr)
-		countArg(d.MemReads[i].En)
-	}
-	for i := range d.MemWrites {
-		w := &d.MemWrites[i]
-		countArg(w.Addr)
-		countArg(w.En)
-		countArg(w.Data)
-		countArg(w.Mask)
-	}
-	for i := range d.Displays {
-		countArg(d.Displays[i].En)
-		for _, a := range d.Displays[i].Args {
-			countArg(a)
-		}
-	}
-	for i := range d.Checks {
-		countArg(d.Checks[i].En)
-		countArg(d.Checks[i].Pred)
-	}
+	forEachEdge(d, func(int, int) { st.Edges++ })
 	return st
 }

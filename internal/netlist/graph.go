@@ -28,70 +28,56 @@ type DesignGraph struct {
 	// SignalID; for sinks it indexes the corresponding design table.
 	Kind  []NodeKind
 	Index []int
-
-	sink []bool
 }
 
-// NumSignals returns the count of signal nodes (the prefix of node IDs).
-func (dg *DesignGraph) NumSignals() int { return len(dg.D.Signals) }
-
-// IsSource reports whether the node has no combinational inputs this
-// cycle: external inputs, register outputs.
-func (dg *DesignGraph) IsSource(n int) bool {
-	if dg.Kind[n] != NodeSignal {
-		return false
-	}
-	k := dg.D.Signals[n].Kind
-	return k == KInput || k == KRegOut
-}
-
-// IsSink reports whether the node is a state/effect sink: memory writes,
-// displays, checks, register next values, and top-level outputs.
-func (dg *DesignGraph) IsSink(n int) bool { return dg.sink[n] }
-
-// forEachEdge calls f(u, v) once per operand read: v reads u this cycle.
-// Sink nodes are numbered after the signals: memory writes, displays,
-// checks.
-func forEachEdge(d *Design, f func(u, v int)) {
-	arg := func(a Arg, to int) {
-		if !a.IsConst() {
-			f(int(a.Sig), to)
-		}
-	}
+// ForEachArg calls f with a pointer to every operand in the design and
+// the graph node that reads it: the signal an op or memory read port
+// defines, then the sinks numbered after the signals (memory writes,
+// displays, checks), in node order.
+func (d *Design) ForEachArg(f func(a *Arg, node int)) {
 	for i := range d.Signals {
 		s := &d.Signals[i]
 		switch s.Kind {
 		case KComb:
-			for _, a := range s.Op.Args {
-				arg(a, i)
+			for j := range s.Op.Args {
+				f(&s.Op.Args[j], i)
 			}
 		case KMemRead:
 			r := &d.MemReads[s.MemRead]
-			arg(r.Addr, i)
-			arg(r.En, i)
+			f(&r.Addr, i)
+			f(&r.En, i)
 		}
 	}
 	next := len(d.Signals)
 	for i := range d.MemWrites {
 		w := &d.MemWrites[i]
-		arg(w.Addr, next)
-		arg(w.En, next)
-		arg(w.Data, next)
-		arg(w.Mask, next)
+		f(&w.Addr, next)
+		f(&w.En, next)
+		f(&w.Data, next)
+		f(&w.Mask, next)
 		next++
 	}
 	for i := range d.Displays {
-		arg(d.Displays[i].En, next)
-		for _, a := range d.Displays[i].Args {
-			arg(a, next)
+		f(&d.Displays[i].En, next)
+		for j := range d.Displays[i].Args {
+			f(&d.Displays[i].Args[j], next)
 		}
 		next++
 	}
 	for i := range d.Checks {
-		arg(d.Checks[i].En, next)
-		arg(d.Checks[i].Pred, next)
+		f(&d.Checks[i].En, next)
+		f(&d.Checks[i].Pred, next)
 		next++
 	}
+}
+
+// forEachEdge calls f(u, v) once per operand read: v reads u this cycle.
+func forEachEdge(d *Design, f func(u, v int)) {
+	d.ForEachArg(func(a *Arg, v int) {
+		if !a.IsConst() {
+			f(int(a.Sig), v)
+		}
+	})
 }
 
 // BuildGraph constructs the dependency graph of a design: one node per
@@ -133,18 +119,6 @@ func BuildGraph(d *Design) *DesignGraph {
 		dg.Kind[next] = NodeCheck
 		dg.Index[next] = i
 		next++
-	}
-	dg.sink = make([]bool, n)
-	for i := len(d.Signals); i < n; i++ {
-		dg.sink[i] = true
-	}
-	for i := range d.Signals {
-		if d.Signals[i].IsOutput {
-			dg.sink[i] = true
-		}
-	}
-	for i := range d.Regs {
-		dg.sink[d.Regs[i].Next] = true
 	}
 	return dg
 }

@@ -1,9 +1,11 @@
 package netlist
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
+	"essent/internal/bits"
 	"essent/internal/firrtl"
 )
 
@@ -166,22 +168,30 @@ circuit T :
     o <= r
     printf(clock, UInt<1>(1), "x")
 `)
+	// The state split of §II: the sources (input a, register output r)
+	// have no in-edges, and the sinks (output o, r$next, the printf node)
+	// no out-edges.
 	dg := BuildGraph(d)
-	srcCount, sinkCount := 0, 0
-	for n := 0; n < dg.G.Len(); n++ {
-		if dg.IsSource(n) {
-			srcCount++
+	id := func(name string) int {
+		n, ok := d.SignalByName(name)
+		if !ok {
+			t.Fatalf("no signal %q", name)
 		}
-		if dg.IsSink(n) {
-			sinkCount++
+		return int(n)
+	}
+	printf := len(d.Signals)
+	if dg.Kind[printf] != NodeDisplay {
+		t.Fatalf("node %d is %v, want the printf", printf, dg.Kind[printf])
+	}
+	for _, n := range []int{id("a"), id("r")} {
+		if in := dg.G.In(n); len(in) != 0 {
+			t.Errorf("source %s reads %v", d.Signals[n].Name, in)
 		}
 	}
-	// Sources: input a, regout r. Sinks: output o, r$next, printf node.
-	if srcCount != 2 {
-		t.Fatalf("sources = %d, want 2", srcCount)
-	}
-	if sinkCount != 3 {
-		t.Fatalf("sinks = %d, want 3", sinkCount)
+	for _, n := range []int{id("o"), id("r$next"), printf} {
+		if out := dg.G.Out(n); len(out) != 0 {
+			t.Errorf("sink node %d feeds %v", n, out)
+		}
 	}
 }
 
@@ -241,6 +251,53 @@ circuit T :
 	if count != 1 {
 		t.Fatalf("constant interning failed: %d copies", count)
 	}
+}
+
+// TestInternMatchesLinearScan: the pool index gives every constant the
+// index a scan of the pool for its first equal entry gives, over 1,000
+// random constants with repeats (narrow and wide, both signs), including
+// entries appended to the pool by hand between interns.
+func TestInternMatchesLinearScan(t *testing.T) {
+	scan := func(pool []Const, words []uint64, width int, signed bool) int {
+		for i, c := range pool {
+			if c.Width == width && c.Signed == signed && bits.Equal(c.Words, words) {
+				return i
+			}
+		}
+		return -1
+	}
+	rng := rand.New(rand.NewSource(1))
+	widths := []int{1, 3, 8, 64, 65, 130}
+	d := &Design{}
+	var want []Const
+	for i := 0; i < 1000; i++ {
+		width := widths[rng.Intn(len(widths))]
+		words := make([]uint64, bits.Words(width))
+		for j := range words {
+			words[j] = rng.Uint64() % 4 // few values, so repeats are common
+		}
+		bits.MaskInto(words, width)
+		signed := rng.Intn(2) == 0
+		if rng.Intn(50) == 0 {
+			// A pass rebuilding the pool by hand, duplicate entries allowed.
+			c := Const{Words: words, Width: width, Signed: signed}
+			d.Consts, want = append(d.Consts, c), append(want, c)
+			continue
+		}
+		exp := scan(want, words, width, signed)
+		if exp < 0 {
+			exp = len(want)
+			want = append(want, Const{Words: words, Width: width, Signed: signed})
+		}
+		if got := d.InternConst(words, width, signed); got != exp {
+			t.Fatalf("constant %d (%d bits, signed %v, %x): index %d, the scan gives %d",
+				i, width, signed, words, got, exp)
+		}
+	}
+	if len(d.Consts) != len(want) {
+		t.Fatalf("pool has %d entries, the scan's has %d", len(d.Consts), len(want))
+	}
+	t.Logf("%d entries in the pool", len(want))
 }
 
 func TestColdResetMuxMarked(t *testing.T) {

@@ -10,6 +10,7 @@
 package opt
 
 import (
+	"errors"
 	"fmt"
 
 	"essent/internal/bits"
@@ -47,50 +48,75 @@ func OptimizeOpts(d *netlist.Design, _ Options) (*netlist.Design, Stats, error) 
 	return Optimize(d)
 }
 
-// Optimize returns an optimized copy of the design (the input is not
-// modified) along with pass statistics.
-func Optimize(d *netlist.Design) (*netlist.Design, Stats, error) {
-	work := clone(d)
-	var st Stats
-	if err := constFold(work, &st); err != nil {
-		return nil, st, err
-	}
-	// Identity folding runs after constant folding so shift amounts that
-	// just became constant zeros are caught too. Folds rewrite ops into
-	// copies, so widths are re-validated immediately after: a fold that
-	// narrowed a signal feeding a wide op would otherwise only surface as
-	// a miscompile downstream.
-	foldIdentities(work, &st)
-	if err := revalidate(work, "identity folding"); err != nil {
-		return nil, st, err
-	}
-	copyProp(work, &st)
-	cse(work, &st)
-	copyProp(work, &st)
-	extractResets(work)
-	out, err := dce(work, &st)
-	if err != nil {
-		return nil, st, err
-	}
-	for ri := range out.Regs {
-		if out.Regs[ri].Reset != netlist.NoSignal {
-			st.ResetsExtracted++
-		}
-	}
-	if err := revalidate(out, "optimization pipeline"); err != nil {
-		return nil, st, err
-	}
-	return out, st, nil
+// pass is one step of the pipeline: it rewrites d in place, or returns
+// a new design (dce compacts into one).
+type pass struct {
+	name string
+	run  func(d *netlist.Design, st *Stats) (*netlist.Design, error)
 }
 
-// revalidate runs the netlist lint's error rules after a mutating pass
-// and names the pass in the failure, so a width- or reference-breaking
-// rewrite is pinned to its source instead of surfacing at engine build.
-func revalidate(d *netlist.Design, pass string) error {
-	if errs := verify.Errors(verify.Design(d)); len(errs) > 0 {
-		return fmt.Errorf("opt: %s broke the netlist: %s", pass, errs[0])
+// pipeline is the pass order. Identity folding runs after constant
+// folding so shift amounts that just became constant zeros are caught
+// too.
+var pipeline = []pass{
+	{"constant folding", constFold},
+	{"identity folding", foldIdentities},
+	{"copy propagation", copyProp},
+	{"common subexpression elimination", cse},
+	{"copy propagation", copyProp},
+	{"reset extraction", extractResets},
+	{"dead code elimination", dce},
+}
+
+// Optimize returns an optimized copy of the design (the input is not
+// modified) along with pass statistics. It does not lint its result: the
+// engine build lints the design it is built from, once, and Attribute
+// names the pass when that lint rejects an optimized design.
+func Optimize(d *netlist.Design) (*netlist.Design, Stats, error) {
+	out, st, err := run(d, pipeline, false)
+	if err == nil {
+		out.RebuildNameIndex()
 	}
-	return nil
+	return out, st, err
+}
+
+// Attribute names the pass behind a verification failure of an optimized
+// design: it re-runs the pipeline on raw, the design Optimize was given,
+// one pass at a time with the netlist lint's error rules after each, and
+// returns the first pass whose output fails them. err comes back
+// unchanged when it is no verification failure, when raw fails the lint
+// itself, or when every pass's output lints clean.
+func Attribute(raw *netlist.Design, err error) error {
+	var v *verify.ViolationError
+	if !errors.As(err, &v) || len(verify.Errors(verify.Design(raw))) > 0 {
+		return err
+	}
+	if _, _, aerr := run(raw, pipeline, true); aerr != nil {
+		return aerr
+	}
+	return err
+}
+
+// run applies passes to a copy of d. With lint set, each pass's output
+// must pass the netlist lint's error rules, and a failure names the pass:
+// a fold that narrows a signal feeding a wide op without re-deriving the
+// consumer's width would otherwise surface only as a miscompile.
+func run(d *netlist.Design, passes []pass, lint bool) (*netlist.Design, Stats, error) {
+	work := clone(d)
+	var st Stats
+	for _, p := range passes {
+		var err error
+		if work, err = p.run(work, &st); err != nil {
+			return nil, st, err
+		}
+		if !lint {
+			continue
+		}
+		if errs := verify.Errors(verify.Design(work)); len(errs) > 0 {
+			return nil, st, fmt.Errorf("opt: %s broke the netlist: %s", p.name, errs[0])
+		}
+	}
+	return work, st, nil
 }
 
 // clone deep-copies the parts of a design the passes mutate.
@@ -108,11 +134,23 @@ func clone(d *netlist.Design) *netlist.Design {
 		Inputs:    append([]netlist.SignalID(nil), d.Inputs...),
 		Outputs:   append([]netlist.SignalID(nil), d.Outputs...),
 	}
+	// The ops and their operands are copied into two slabs, not one
+	// allocation each.
+	nops, nargs := 0, 0
+	for i := range d.Signals {
+		if op := d.Signals[i].Op; op != nil {
+			nops, nargs = nops+1, nargs+len(op.Args)
+		}
+	}
+	ops, args := make([]netlist.Op, nops), make([]netlist.Arg, nargs)
 	for i := range nd.Signals {
 		if op := nd.Signals[i].Op; op != nil {
-			cp := *op
-			cp.Args = append([]netlist.Arg(nil), op.Args...)
-			nd.Signals[i].Op = &cp
+			cp := &ops[0]
+			*cp, ops = *op, ops[1:]
+			n := len(op.Args)
+			cp.Args, args = args[:n:n], args[n:]
+			copy(cp.Args, op.Args)
+			nd.Signals[i].Op = cp
 		}
 	}
 	for i := range d.Mems {
@@ -126,44 +164,67 @@ func clone(d *netlist.Design) *netlist.Design {
 		disp.Args = append([]netlist.Arg(nil), d.Displays[i].Args...)
 		nd.Displays[i] = disp
 	}
-	nd.RebuildNameIndex()
 	return nd
 }
 
 // constFold finds combinational signals whose transitive inputs are all
 // constants, evaluates them with a scratch simulator, and replaces their
-// uses with pool constants.
-func constFold(d *netlist.Design, st *Stats) error {
-	dg := netlist.BuildGraph(d)
-	order, err := dg.TopoOrder()
-	if err != nil {
-		return err
-	}
-	isConst := make([]bool, len(d.Signals))
-	anyConst := false
-	for _, n := range order {
-		if n >= len(d.Signals) {
-			continue
+// uses with pool constants. Whether a signal is constant depends only on
+// its operands, so any topological order finds the same set: a
+// depth-first walk over the operands gives one without building the
+// design graph.
+func constFold(d *netlist.Design, st *Stats) (*netlist.Design, error) {
+	const (
+		unseen = iota
+		onPath
+		constant
+		varying
+	)
+	state := make([]uint8, len(d.Signals))
+	nconst, loop := 0, false
+	var visit func(n netlist.SignalID) bool
+	visit = func(n netlist.SignalID) bool {
+		switch state[n] {
+		case constant:
+			return true
+		case onPath:
+			loop = true
+			return false
+		case varying:
+			return false
 		}
 		s := &d.Signals[n]
 		if s.Kind != netlist.KComb || s.Op == nil {
-			continue
+			state[n] = varying
+			return false
 		}
+		state[n] = onPath
 		ok := true
 		for _, a := range s.Op.Args {
-			if !a.IsConst() && !isConst[a.Sig] {
-				ok = false
-				break
+			if !a.IsConst() && !visit(a.Sig) {
+				ok = false // keep walking: a cycle through a later operand must be found
 			}
 		}
+		state[n] = varying
 		if ok {
-			isConst[n] = true
-			anyConst = true
+			state[n] = constant
+			nconst++
 		}
+		return ok
 	}
-	if !anyConst {
-		return nil
+	for n := range d.Signals {
+		visit(netlist.SignalID(n))
 	}
+	if loop {
+		// A cycle of copies would send copyProp round it forever; report
+		// it with the graph's trace.
+		_, err := netlist.BuildGraph(d).TopoOrder()
+		return nil, err
+	}
+	if nconst == 0 {
+		return d, nil
+	}
+	isConst := func(n int) bool { return state[n] == constant }
 	// Evaluate the constant cones alone: a sub-design holding just those
 	// signals (they read only each other and the constant pool) runs one
 	// cycle on a scratch machine, so the folded values come from the
@@ -173,10 +234,11 @@ func constFold(d *netlist.Design, st *Stats) error {
 	// re-verifies the final design anyway. Fusion is off because a fused
 	// producer's table slot is never stored, and every slot is read back
 	// here.
-	sub := &netlist.Design{Name: d.Name, Consts: d.Consts}
+	sub := &netlist.Design{Name: d.Name, Consts: d.Consts,
+		Signals: make([]netlist.Signal, 0, nconst)}
 	subID := make([]netlist.SignalID, len(d.Signals))
 	for n := range d.Signals {
-		if isConst[n] {
+		if isConst(n) {
 			subID[n] = netlist.SignalID(len(sub.Signals))
 			sub.Signals = append(sub.Signals, d.Signals[n])
 		}
@@ -192,16 +254,15 @@ func constFold(d *netlist.Design, st *Stats) error {
 		}
 		sub.Signals[i].Op = &op
 	}
-	sub.RebuildNameIndex()
 	scratch, err := sim.New(sub, sim.Options{Engine: sim.EngineFullCycle, Verify: verify.Off, NoFuse: true})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	_ = scratch.Step(1) // the sub-design has no sinks to stop or assert
 	// Replace uses of constant signals with pool constants.
 	constArg := make([]netlist.Arg, len(d.Signals))
 	for n := range d.Signals {
-		if !isConst[n] {
+		if !isConst(n) {
 			continue
 		}
 		s := &d.Signals[n]
@@ -211,51 +272,24 @@ func constFold(d *netlist.Design, st *Stats) error {
 		st.ConstFolded++
 	}
 	replaceUses(d, func(a netlist.Arg) (netlist.Arg, bool) {
-		if !a.IsConst() && isConst[a.Sig] {
+		if !a.IsConst() && isConst(int(a.Sig)) {
 			return constArg[a.Sig], true
 		}
 		return a, false
 	})
-	return nil
+	return d, nil
 }
 
 // replaceUses rewrites every operand in the design through fn. Definition
 // sites (Op.Out, reg Next/Out links) are untouched.
 func replaceUses(d *netlist.Design, fn func(netlist.Arg) (netlist.Arg, bool)) int {
 	n := 0
-	rw := func(a *netlist.Arg) {
+	d.ForEachArg(func(a *netlist.Arg, _ int) {
 		if na, changed := fn(*a); changed {
 			*a = na
 			n++
 		}
-	}
-	for i := range d.Signals {
-		if op := d.Signals[i].Op; op != nil {
-			for j := range op.Args {
-				rw(&op.Args[j])
-			}
-		}
-	}
-	for i := range d.MemReads {
-		rw(&d.MemReads[i].Addr)
-		rw(&d.MemReads[i].En)
-	}
-	for i := range d.MemWrites {
-		rw(&d.MemWrites[i].Addr)
-		rw(&d.MemWrites[i].En)
-		rw(&d.MemWrites[i].Data)
-		rw(&d.MemWrites[i].Mask)
-	}
-	for i := range d.Displays {
-		rw(&d.Displays[i].En)
-		for j := range d.Displays[i].Args {
-			rw(&d.Displays[i].Args[j])
-		}
-	}
-	for i := range d.Checks {
-		rw(&d.Checks[i].En)
-		rw(&d.Checks[i].Pred)
-	}
+	})
 	return n
 }
 
@@ -263,7 +297,7 @@ func replaceUses(d *netlist.Design, fn func(netlist.Arg) (netlist.Arg, bool)) in
 // sources. Output ports and register next-values keep their defining
 // copies (they are named state/interface points), but their consumers
 // read through them.
-func copyProp(d *netlist.Design, st *Stats) {
+func copyProp(d *netlist.Design, st *Stats) (*netlist.Design, error) {
 	target := make([]netlist.Arg, len(d.Signals))
 	has := make([]bool, len(d.Signals))
 	for i := range d.Signals {
@@ -292,6 +326,7 @@ func copyProp(d *netlist.Design, st *Stats) {
 		}
 		return a, false
 	})
+	return d, nil
 }
 
 // cseKey identifies a combinational operation up to value equivalence:
@@ -322,20 +357,29 @@ func opKey(s *netlist.Signal) (cseKey, bool) {
 
 // cse merges combinational signals computing identical operations on
 // identical operands: later definitions become copies of the first, which
-// copyProp then bypasses.
-func cse(d *netlist.Design, st *Stats) {
-	dg := netlist.BuildGraph(d)
-	order, err := dg.TopoOrder()
+// copyProp then bypasses. The first of equal ops is the first in the
+// graph's FIFO-Kahn order, so that order is part of the result.
+func cse(d *netlist.Design, st *Stats) (*netlist.Design, error) {
+	order, err := netlist.BuildGraph(d).TopoOrder()
 	if err != nil {
-		return
+		return nil, err
 	}
-	seen := map[cseKey]netlist.SignalID{}
+	computes := func(s *netlist.Signal) bool { // a copy is copyProp's
+		return s.Kind == netlist.KComb && s.Op != nil && s.Op.Kind != netlist.OCopy
+	}
+	nops := 0
+	for i := range d.Signals {
+		if computes(&d.Signals[i]) {
+			nops++
+		}
+	}
+	seen := make(map[cseKey]netlist.SignalID, nops)
 	for _, n := range order {
 		if n >= len(d.Signals) {
 			continue
 		}
 		s := &d.Signals[n]
-		if s.Kind != netlist.KComb || s.Op == nil || s.Op.Kind == netlist.OCopy {
+		if !computes(s) {
 			continue
 		}
 		key, ok := opKey(s)
@@ -352,6 +396,7 @@ func cse(d *netlist.Design, st *Stats) {
 		}
 		seen[key] = netlist.SignalID(n)
 	}
+	return d, nil
 }
 
 // foldIdentities rewrites trivially reducible operations into copies,
@@ -367,7 +412,7 @@ func cse(d *netlist.Design, st *Stats) {
 // OCopy extends/truncates to the destination width with the engine's
 // ICopy semantics, which is exactly what each folded op computes on its
 // surviving operand, so the rewrites are width- and sign-exact.
-func foldIdentities(d *netlist.Design, st *Stats) {
+func foldIdentities(d *netlist.Design, st *Stats) (*netlist.Design, error) {
 	zeroConst := func(a netlist.Arg) bool {
 		if !a.IsConst() {
 			return false
@@ -414,6 +459,7 @@ func foldIdentities(d *netlist.Design, st *Stats) {
 			Args: []netlist.Arg{src}}
 		st.IdentityFolds++
 	}
+	return d, nil
 }
 
 // extractResets makes a register's synchronous reset a property of the
@@ -426,13 +472,12 @@ func foldIdentities(d *netlist.Design, st *Stats) {
 // reads next. When x is a combinational signal that only this mux reads,
 // with next's width and sign, next takes over x's op and dce drops x;
 // otherwise next copies x, extending it as the mux's false arm did.
-func extractResets(d *netlist.Design) {
+func extractResets(d *netlist.Design, _ *Stats) (*netlist.Design, error) {
 	readers := make([]int32, len(d.Signals))
-	replaceUses(d, func(a netlist.Arg) (netlist.Arg, bool) {
+	d.ForEachArg(func(a *netlist.Arg, _ int) {
 		if !a.IsConst() {
 			readers[a.Sig]++
 		}
-		return a, false
 	})
 	for ri := range d.Regs {
 		readers[d.Regs[ri].Next]++
@@ -469,88 +514,35 @@ func extractResets(d *netlist.Design) {
 		}
 		r.Reset = sel.Sig
 	}
+	return d, nil
 }
 
 // dce removes signals, registers, memories, and write ports that cannot
-// affect outputs, displays, or checks, then compacts the design.
+// affect outputs, displays, or checks, then compacts the design. It counts
+// the surviving registers with an edge reset (Stats.ResetsExtracted).
+// The live ops move into the result and are rewritten in place: d is the
+// pipeline's private copy, and no other live signal shares their operand
+// slices.
 func dce(d *netlist.Design, st *Stats) (*netlist.Design, error) {
-	live := make([]bool, len(d.Signals))
-	liveMem := make([]bool, len(d.Mems))
-	var stack []netlist.SignalID
-	markArg := func(a netlist.Arg) {
-		if !a.IsConst() && !live[a.Sig] {
-			live[a.Sig] = true
-			stack = append(stack, a.Sig)
-		}
-	}
-	for _, o := range d.Outputs {
-		if !live[o] {
-			live[o] = true
-			stack = append(stack, o)
-		}
-	}
-	// Input ports are interface points: always kept.
-	for _, in := range d.Inputs {
-		if !live[in] {
-			live[in] = true
-			stack = append(stack, in)
-		}
-	}
-	for i := range d.Displays {
-		markArg(d.Displays[i].En)
-		for _, a := range d.Displays[i].Args {
-			markArg(a)
-		}
-	}
-	for i := range d.Checks {
-		markArg(d.Checks[i].En)
-		markArg(d.Checks[i].Pred)
-	}
-	for len(stack) > 0 {
-		sid := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		s := &d.Signals[sid]
-		switch s.Kind {
-		case netlist.KComb:
-			for _, a := range s.Op.Args {
-				markArg(a)
-			}
-		case netlist.KRegOut:
-			r := &d.Regs[s.Reg]
-			markArg(netlist.SigArg(r.Next))
-		case netlist.KMemRead:
-			r := &d.MemReads[s.MemRead]
-			markArg(r.Addr)
-			markArg(r.En)
-			// A live read port makes its memory — and thus all write
-			// ports of that memory — live.
-			if !liveMem[r.Mem] {
-				liveMem[r.Mem] = true
-				for _, wi := range d.Mems[r.Mem].Writers {
-					w := &d.MemWrites[wi]
-					markArg(w.Addr)
-					markArg(w.En)
-					markArg(w.Data)
-					markArg(w.Mask)
-				}
-			}
-		}
-	}
+	live, liveMem := d.Live(true) // input ports are interface points: always kept
 	// Compact.
-	remap := make([]netlist.SignalID, len(d.Signals))
-	for i := range remap {
-		remap[i] = netlist.NoSignal
-	}
-	nd := &netlist.Design{Name: d.Name}
-	for i := range d.Signals {
-		if !live[i] {
-			st.DeadSignals++
-			continue
+	nlive := 0
+	for _, l := range live {
+		if l {
+			nlive++
 		}
-		remap[i] = netlist.SignalID(len(nd.Signals))
-		nd.Signals = append(nd.Signals, d.Signals[i])
 	}
-	nd.Consts = append([]netlist.Const(nil), d.Consts...)
+	st.DeadSignals += len(d.Signals) - nlive
+	remap := make([]netlist.SignalID, len(d.Signals))
+	nd := &netlist.Design{Name: d.Name, Signals: make([]netlist.Signal, 0, nlive),
+		Consts: d.Consts}
+	for i := range d.Signals {
+		remap[i] = netlist.NoSignal
+		if live[i] {
+			remap[i] = netlist.SignalID(len(nd.Signals))
+			nd.Signals = append(nd.Signals, d.Signals[i])
+		}
+	}
 	mapArg := func(a netlist.Arg) netlist.Arg {
 		if a.IsConst() {
 			return a
@@ -574,6 +566,7 @@ func dce(d *netlist.Design, st *Stats) (*netlist.Design, error) {
 		r.Next = remap[r.Next]
 		if r.Reset != netlist.NoSignal {
 			r.Reset = remap[r.Reset] // an input: live like every port
+			st.ResetsExtracted++
 		}
 		nd.Regs = append(nd.Regs, r)
 	}
@@ -622,13 +615,10 @@ func dce(d *netlist.Design, st *Stats) (*netlist.Design, error) {
 		s := &nd.Signals[i]
 		switch s.Kind {
 		case netlist.KComb:
-			op := *s.Op
-			op.Out = netlist.SignalID(i)
-			op.Args = append([]netlist.Arg(nil), s.Op.Args...)
-			for j := range op.Args {
-				op.Args[j] = mapArg(op.Args[j])
+			s.Op.Out = netlist.SignalID(i)
+			for j, a := range s.Op.Args {
+				s.Op.Args[j] = mapArg(a)
 			}
-			s.Op = &op
 		case netlist.KRegOut:
 			if regMap[s.Reg] < 0 {
 				return nil, fmt.Errorf("opt: live reg out with dead reg %s", s.Name)
@@ -660,6 +650,5 @@ func dce(d *netlist.Design, st *Stats) (*netlist.Design, error) {
 	for _, o := range d.Outputs {
 		nd.Outputs = append(nd.Outputs, remap[o])
 	}
-	nd.RebuildNameIndex()
 	return nd, nil
 }

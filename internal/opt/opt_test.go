@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -403,8 +404,10 @@ func TestOptimizeStatsNonTrivial(t *testing.T) {
 
 // TestRevalidateCatchesNarrowingFold pins the regression where an
 // identity fold narrowed a signal feeding a wide op without re-deriving
-// the consumer's width: the post-pass lint must name the pass and refuse
-// the netlist instead of letting the engines compile wrong masks.
+// the consumer's width. Optimize does not lint; when the engine build's
+// lint rejects its output, Attribute re-runs the passes with the lint
+// after each and must name the pass at fault. One row per pass: the
+// pipeline with a narrowing fault after that pass.
 func TestRevalidateCatchesNarrowingFold(t *testing.T) {
 	d := compile(t, `
 circuit T :
@@ -416,29 +419,70 @@ circuit T :
     node n = tail(add(a, UInt<8>(0)), 1)
     o <= cat(b, n)
 `)
-	// Simulate the buggy fold: replace n's op result width as if
-	// add(a, 0) had been folded to a 4-bit value, leaving the 80-bit cat
+	// The buggy fold: n narrowed to 4 bits, leaving the 80-bit cat
 	// reading a narrower operand than its declared result assumes.
-	for i := range d.Signals {
-		if d.Signals[i].Name == "n" {
-			d.Signals[i].Width = 4
+	narrow := func(p pass) pass {
+		return pass{p.name, func(d *netlist.Design, st *Stats) (*netlist.Design, error) {
+			d, err := p.run(d, st)
+			for i := range d.Signals {
+				if d.Signals[i].Name == "n" {
+					d.Signals[i].Width = 4
+				}
+			}
+			return d, err
+		}}
+	}
+	if _, _, err := run(d, pipeline, true); err != nil {
+		t.Fatalf("the clean pipeline was blamed: %v", err)
+	}
+	for i, p := range pipeline {
+		t.Run(strings.ReplaceAll(p.name, " ", "_"), func(t *testing.T) {
+			faulty := append([]pass(nil), pipeline...)
+			faulty[i] = narrow(p)
+			_, _, err := run(d, faulty, true)
+			if err == nil {
+				t.Fatal("a width-broken netlist must be rejected")
+			}
+			if !strings.Contains(err.Error(), "opt: "+p.name+" broke the netlist") {
+				t.Fatalf("error must name the offending pass %q: %v", p.name, err)
+			}
+			if !strings.Contains(err.Error(), "NL-WIDTH") {
+				t.Fatalf("error must carry the rule ID: %v", err)
+			}
+		})
+	}
+	// The error a strict engine build returns is what Attribute names;
+	// anything else, and a raw design that is itself broken, come back
+	// unchanged.
+	od, _, err := Optimize(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range od.Signals {
+		if od.Signals[i].Name == "n" {
+			od.Signals[i].Width = 4
 		}
 	}
-	err := revalidate(d, "identity folding")
-	if err == nil {
-		t.Fatal("revalidate must reject a width-broken netlist")
+	_, err = sim.New(od, sim.Options{Engine: sim.EngineCCSS})
+	var v *verify.ViolationError
+	if !errors.As(err, &v) {
+		t.Fatalf("strict build of the broken design: %v, want a violation", err)
 	}
-	if !strings.Contains(err.Error(), "identity folding") {
-		t.Fatalf("error must name the offending pass: %v", err)
+	if got := Attribute(d, err); got != err {
+		t.Fatalf("a clean pipeline must leave the engine's error alone, got %v", got)
 	}
-	if !strings.Contains(err.Error(), "NL-WIDTH") {
-		t.Fatalf("error must carry the rule ID: %v", err)
+	other := errors.New("sim: unrelated")
+	if got := Attribute(d, other); got != other {
+		t.Fatalf("a non-verification error must come back unchanged, got %v", got)
+	}
+	if got := Attribute(od, err); got != err {
+		t.Fatalf("a broken raw design must leave the engine's error alone, got %v", got)
 	}
 }
 
 // TestOptimizePreservesWidthSoundness runs the full pipeline over designs
 // rich in foldable identities and asserts the result still lints clean —
-// the end-to-end guarantee the revalidate hooks enforce.
+// the end-to-end guarantee the engine build's lint enforces.
 func TestOptimizePreservesWidthSoundness(t *testing.T) {
 	srcs := []string{`
 circuit T :

@@ -389,10 +389,23 @@ func newMachine(d *netlist.Design, dg *netlist.DesignGraph, order []int,
 	// The stream in topological order, group by group. Mux-arm cones (when
 	// shadows are enabled) are emitted behind skip ops at their owning mux's
 	// position.
+	// Each comb and memory-read signal compiles to one instruction and
+	// runs as one op; a sink is one op, and so is a skip over each mux arm.
 	m.instrOf = make([]int32, len(d.Signals))
+	ninstr := 0
 	for i := range m.instrOf {
 		m.instrOf[i] = -1
+		if k := d.Signals[i].Kind; k == netlist.KComb || k == netlist.KMemRead {
+			ninstr++
+		}
 	}
+	nops := ninstr + len(d.MemWrites) + len(d.Displays) + len(d.Checks)
+	if cfg.shadows != nil {
+		for _, arms := range cfg.shadows.Arms {
+			nops += min(len(arms.T), 1) + min(len(arms.F), 1)
+		}
+	}
+	m.instrs, m.ops = make([]Instr, 0, ninstr), make([]Op, 0, nops)
 	m.pcOf = make([]int32, dg.G.Len())
 	for i := range m.pcOf {
 		m.pcOf[i] = -1

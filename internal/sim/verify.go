@@ -211,18 +211,18 @@ func (c *smChecker) checkSpans() {
 	const hint = "every op runs in exactly one span, and a span settles the weight it holds"
 	end := int32(0)
 	for gi, sp := range m.spans {
-		loc := fmt.Sprintf("span %d", gi)
+		loc := func() string { return fmt.Sprintf("span %d", gi) } // formatted only for a finding
 		if sp.PC < 0 || sp.End < sp.PC || int(sp.End) > len(m.ops) {
-			c.errf("SM-SKIP", loc, hint, "range [%d,%d) out of bounds of %d ops", sp.PC, sp.End, len(m.ops))
+			c.errf("SM-SKIP", loc(), hint, "range [%d,%d) out of bounds of %d ops", sp.PC, sp.End, len(m.ops))
 			c.badSpan[gi] = true
 			continue
 		}
 		if sp.PC != end {
-			c.errf("SM-SKIP", loc, hint, "starts at ops[%d], the span before ended at ops[%d]", sp.PC, end)
+			c.errf("SM-SKIP", loc(), hint, "starts at ops[%d], the span before ended at ops[%d]", sp.PC, end)
 		}
 		end = sp.End
 		if w := c.wsum[sp.End] - c.wsum[sp.PC]; sp.Weight != w {
-			c.errf("SM-SKIP", loc, hint, "weight %d, its ops weigh %d", sp.Weight, w)
+			c.errf("SM-SKIP", loc(), hint, "weight %d, its ops weigh %d", sp.Weight, w)
 		}
 	}
 	if int(end) != len(m.ops) {
@@ -574,15 +574,17 @@ func (c *smChecker) checkGuards(sink int32) {
 		if lit.Off < 0 {
 			continue
 		}
-		loc := fmt.Sprintf("partition %d, guard word %d (nz %v)", c.g, lit.Off, lit.NZ)
+		loc := func() string {
+			return fmt.Sprintf("partition %d, guard word %d (nz %v)", c.g, lit.Off, lit.NZ)
+		}
 		hint := "an edge whose consumer reads the change outside the guard's way must wake unconditionally"
 		switch {
 		case int(lit.Off) >= len(c.m.t):
-			c.errf("SM-WAKE", loc, hint, "guard word outside the value table")
+			c.errf("SM-WAKE", loc(), hint, "guard word outside the value table")
 		case sink >= 0:
-			c.errf("SM-WAKE", loc, hint, "consumer holds a side-effect op (ops[%d]) that must see every change", sink)
+			c.errf("SM-WAKE", loc(), hint, "consumer holds a side-effect op (ops[%d]) that must see every change", sink)
 		case c.wrEpoch[lit.Off] == c.g:
-			c.errf("SM-WAKE", loc, hint, "consumer computes its own guard word: a producer's test reads it stale")
+			c.errf("SM-WAKE", loc(), hint, "consumer computes its own guard word: a producer's test reads it stale")
 		}
 	}
 }
@@ -659,22 +661,22 @@ func (c *smChecker) checkElide() {
 			continue
 		}
 		r := &m.d.Regs[ri]
-		loc := fmt.Sprintf("register %q", c.sigName(r.Out))
+		loc := func() string { return fmt.Sprintf("register %q", c.sigName(r.Out)) }
 		wPos := m.pcOf[r.Next]
 		if wPos < 0 {
-			c.errf("SM-ELIDE", loc, "", "elided register's next value is unscheduled")
+			c.errf("SM-ELIDE", loc(), "", "elided register's next value is unscheduled")
 			continue
 		}
 		for _, v := range m.dg.G.Out(int(r.Out)) {
 			if pc := m.pcOf[v]; v != int(r.Next) && pc > wPos {
-				c.errf("SM-ELIDE", loc,
+				c.errf("SM-ELIDE", loc(),
 					"readers of the old value must be scheduled before the in-place write",
 					"reader at ops[%d] runs after the in-place write at ops[%d]", pc, wPos)
 			}
 		}
 		for _, v := range m.dg.G.Out(int(r.Next)) {
 			if pc := m.pcOf[v]; pc >= 0 && pc < wPos {
-				c.errf("SM-ELIDE", loc,
+				c.errf("SM-ELIDE", loc(),
 					"readers of the next value must be scheduled after the in-place write",
 					"reader at ops[%d] runs before the in-place write at ops[%d]", pc, wPos)
 			}

@@ -28,39 +28,30 @@ import (
 // Design checks the structural soundness of a flat netlist. It returns
 // every violation found (never stopping at the first), so one run shows
 // the whole picture.
-func Design(d *netlist.Design) []Diagnostic {
-	c := &nlChecker{d: d}
-	c.checkConsts()
-	c.checkRefs()
-	c.checkDrivers()
-	c.checkWidths()
-	c.checkLoops()
-	return c.diags
-}
+func Design(d *netlist.Design) []Diagnostic { return lint(d, true, false) }
 
 // DesignPrePlanned is Design minus the combinational-loop pass, for
 // engine constructors that also verify a schedule of the same netlist:
 // the schedule's def-before-use total order (SM-DEFUSE)
 // already proves the scheduled graph acyclic, and re-deriving the graph
 // here would double the verifier's compile cost for no added coverage.
-func DesignPrePlanned(d *netlist.Design) []Diagnostic {
-	c := &nlChecker{d: d}
-	c.checkConsts()
-	c.checkRefs()
-	c.checkDrivers()
-	c.checkWidths()
-	return c.diags
-}
+func DesignPrePlanned(d *netlist.Design) []Diagnostic { return lint(d, false, false) }
 
 // Lint is Design plus the advisory dead-code pass.
-func Lint(d *netlist.Design) []Diagnostic {
+func Lint(d *netlist.Design) []Diagnostic { return lint(d, true, true) }
+
+func lint(d *netlist.Design, loops, dead bool) []Diagnostic {
 	c := &nlChecker{d: d}
 	c.checkConsts()
 	c.checkRefs()
 	c.checkDrivers()
 	c.checkWidths()
-	c.checkLoops()
-	c.checkDead()
+	if loops {
+		c.checkLoops()
+	}
+	if dead {
+		c.checkDead()
+	}
 	return c.diags
 }
 
@@ -296,30 +287,35 @@ func primSupported(p firrtl.PrimOp) bool {
 
 func (c *nlChecker) checkDrivers() {
 	d := c.d
-	// role[i] counts definition claims on signal i beyond its own Op.
-	type claim struct {
-		count int
-		by    string
-	}
+	// claims[i] counts definition claims on signal i beyond its own Op;
+	// by is the first claimer: a register index, or ^i for memory read
+	// port i, named only in a finding.
+	type claim struct{ count, by int }
 	claims := make([]claim, len(d.Signals))
-	claimSig := func(id netlist.SignalID, by string) {
+	claimer := func(by int) string {
+		if by < 0 {
+			return fmt.Sprintf("memread #%d", ^by)
+		}
+		return fmt.Sprintf("reg %q", d.Regs[by].Name)
+	}
+	claimSig := func(id netlist.SignalID, by int) {
 		if int(id) < 0 || int(id) >= len(d.Signals) {
 			return // NL-REF already reported
 		}
 		claims[id].count++
 		if claims[id].count > 1 {
 			c.add("NL-DRIVE", SevError, c.sigLoc(id),
-				fmt.Sprintf("driven by both %s and %s", claims[id].by, by),
+				fmt.Sprintf("driven by both %s and %s", claimer(claims[id].by), claimer(by)),
 				"every signal must have exactly one definition")
 		} else {
 			claims[id].by = by
 		}
 	}
 	for ri := range d.Regs {
-		claimSig(d.Regs[ri].Out, fmt.Sprintf("reg %q", d.Regs[ri].Name))
+		claimSig(d.Regs[ri].Out, ri)
 	}
 	for i := range d.MemReads {
-		claimSig(d.MemReads[i].Data, fmt.Sprintf("memread #%d", i))
+		claimSig(d.MemReads[i].Data, ^i)
 	}
 	nextOf := map[netlist.SignalID]int{}
 	for i := range d.Signals {
@@ -333,7 +329,7 @@ func (c *nlChecker) checkDrivers() {
 			}
 			if claims[i].count > 0 {
 				c.add("NL-DRIVE", SevError, loc(),
-					fmt.Sprintf("combinational signal also driven by %s", claims[i].by), "")
+					fmt.Sprintf("combinational signal also driven by %s", claimer(claims[i].by)), "")
 			}
 		case netlist.KRegOut:
 			if s.Op != nil {
@@ -362,7 +358,7 @@ func (c *nlChecker) checkDrivers() {
 			}
 			if claims[i].count > 0 {
 				c.add("NL-DRIVE", SevError, loc(),
-					fmt.Sprintf("input port also driven by %s", claims[i].by), "")
+					fmt.Sprintf("input port also driven by %s", claimer(claims[i].by)), "")
 			}
 		}
 	}
@@ -555,66 +551,7 @@ func (c *nlChecker) checkLoops() {
 // correctly, it just wastes schedule slots until DCE removes it.
 func (c *nlChecker) checkDead() {
 	d := c.d
-	live := make([]bool, len(d.Signals))
-	liveMem := make([]bool, len(d.Mems))
-	var stack []netlist.SignalID
-	markArg := func(a netlist.Arg) {
-		if !a.IsConst() && int(a.Sig) >= 0 && int(a.Sig) < len(d.Signals) && !live[a.Sig] {
-			live[a.Sig] = true
-			stack = append(stack, a.Sig)
-		}
-	}
-	for _, o := range d.Outputs {
-		markArg(netlist.SigArg(o))
-	}
-	for i := range d.Displays {
-		markArg(d.Displays[i].En)
-		for _, a := range d.Displays[i].Args {
-			markArg(a)
-		}
-	}
-	for i := range d.Checks {
-		markArg(d.Checks[i].En)
-		markArg(d.Checks[i].Pred)
-	}
-	for len(stack) > 0 {
-		sid := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		s := &d.Signals[sid]
-		switch s.Kind {
-		case netlist.KComb:
-			if s.Op != nil {
-				for _, a := range s.Op.Args {
-					markArg(a)
-				}
-			}
-		case netlist.KRegOut:
-			if s.Reg >= 0 && s.Reg < len(d.Regs) {
-				markArg(netlist.SigArg(d.Regs[s.Reg].Next))
-				if rst := d.Regs[s.Reg].Reset; rst != netlist.NoSignal {
-					markArg(netlist.SigArg(rst))
-				}
-			}
-		case netlist.KMemRead:
-			if s.MemRead >= 0 && s.MemRead < len(d.MemReads) {
-				r := &d.MemReads[s.MemRead]
-				markArg(r.Addr)
-				markArg(r.En)
-				if r.Mem >= 0 && r.Mem < len(d.Mems) && !liveMem[r.Mem] {
-					liveMem[r.Mem] = true
-					for _, wi := range d.Mems[r.Mem].Writers {
-						if wi >= 0 && wi < len(d.MemWrites) {
-							w := &d.MemWrites[wi]
-							markArg(w.Addr)
-							markArg(w.En)
-							markArg(w.Data)
-							markArg(w.Mask)
-						}
-					}
-				}
-			}
-		}
-	}
+	live, liveMem := d.Live(false)
 	for i := range d.Signals {
 		if live[i] {
 			continue
