@@ -1,11 +1,15 @@
 package essent
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"essent/internal/codegen"
+	"essent/internal/designs"
+	"essent/internal/netlist"
+	"essent/internal/opt"
 	"essent/internal/serve"
 )
 
@@ -37,6 +41,42 @@ func TestArtifactGenFullCycleOptions(t *testing.T) {
 	}
 	if want := (codegen.Options{Mode: codegen.ModeFullCycle, Elide: true}); opt != want {
 		t.Errorf("fullcycle-opt generates with %+v, want %+v", opt, want)
+	}
+}
+
+// TestOneGeneratedProgram: the generator prints one program per design
+// and option set. Under each shape artifactGen maps, Generate as package
+// main is byte for byte the sim.go GenerateArtifact returns for r16.
+func TestOneGeneratedProgram(t *testing.T) {
+	circ, err := designs.Build(designs.R16())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := netlist.Compile(circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := opt.Optimize(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []Engine{EngineESSENT, EngineBaseline, EngineFullCycleOpt} {
+		gen, ok := artifactGen(Options{Engine: engine, Cp: 8})
+		if !ok {
+			t.Fatalf("%v: no compiled equivalent", engine)
+		}
+		simSrc, _, err := codegen.GenerateArtifact(d, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen.Package = "main"
+		src, err := codegen.Generate(d, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(src, simSrc) {
+			t.Errorf("%v: Generate prints %d bytes, GenerateArtifact's sim.go %d", engine, len(src), len(simSrc))
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 // Command essentgen emits a standalone Go simulator package from a FIRRTL
 // design — the simulator-generator role of ESSENT (§III-A), targeting Go
-// instead of C++. The generated package depends only on essent/pkg/simrt.
+// instead of C++. The generated package imports essent/pkg/simrt and
+// essent/pkg/ckptio; it is the program the compiled backend serves, and
+// its SignalIDs and MemIDs maps give the IDs its accessors take.
 //
 // Usage:
 //

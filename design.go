@@ -167,7 +167,10 @@ const (
 
 // GenerateGo emits a standalone Go simulator package for a FIRRTL design
 // (ESSENT's simulator-generator role, targeting Go instead of C++). The
-// emitted package depends only on essent/pkg/simrt.
+// emitted package imports essent/pkg/simrt and essent/pkg/ckptio, and is
+// the program the compiled backend serves: its accessors take signal IDs
+// and memory indices, which its SignalIDs and MemIDs maps give by name
+// for inputs, outputs, registers and memories.
 func GenerateGo(source, pkg string, mode GenMode, cp int) ([]byte, error) {
 	circuit, err := firrtl.Parse(source)
 	if err != nil {

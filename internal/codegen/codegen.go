@@ -17,6 +17,8 @@ import (
 	"bytes"
 	"fmt"
 	"go/format"
+	"slices"
+	"strings"
 
 	"essent/internal/bits"
 	"essent/internal/ckpt"
@@ -54,13 +56,6 @@ type Options struct {
 	// NoElide disables in-partition register updates in CCSS mode
 	// (ablation knob).
 	NoElide bool
-	// Serve emits the serving-backend surface: design fingerprint
-	// constants, ckptio snapshot Capture/Restore, the architectural
-	// StateHash, flat Stats counters equal to the interpreter's, and a
-	// signal table covering every named signal — everything
-	// pipeproto.Child requires. Off by default so bench-only output
-	// stays lean.
-	Serve bool
 }
 
 // Engine returns the sim.Options of the engine whose program these
@@ -82,7 +77,7 @@ func (o Options) Engine() sim.Options {
 // binary is never reused across a change to the emitted text: bump it
 // with any such change (TestFormatVersionPinsEmittedText fails until
 // then).
-const FormatVersion = 7
+const FormatVersion = 8
 
 // Generate emits Go source for a simulator of the design.
 func Generate(d *netlist.Design, opts Options) ([]byte, error) {
@@ -152,13 +147,11 @@ type scope struct {
 	ops    uint32  // op weight evaluated on every path through it
 }
 
-// countOp records op's weight in the current block for the Serve-mode
+// countOp records op's weight in the current block for the
 // OpsEvaluated counter: the stream's own weights, so the count is the
 // interpreter's span weight minus skipped weight.
 func (g *gen) countOp(op *sim.Op) {
-	if g.opts.Serve {
-		g.scopes[len(g.scopes)-1].ops += op.Weight()
-	}
+	g.scopes[len(g.scopes)-1].ops += op.Weight()
 }
 
 // fail records a rendering failure; Generate returns the first.
@@ -233,9 +226,7 @@ func (g *gen) emit() []byte {
 	g.p(`  "fmt"`)
 	g.p(`  "io"`)
 	g.p("")
-	if g.opts.Serve {
-		g.p(`  "essent/pkg/ckptio"`)
-	}
+	g.p(`  "essent/pkg/ckptio"`)
 	g.p(`  "essent/pkg/simrt"`)
 	g.p(`)`)
 	g.p("")
@@ -243,9 +234,7 @@ func (g *gen) emit() []byte {
 	g.emitStruct()
 	g.emitNew()
 	g.emitAccessors()
-	if g.opts.Serve {
-		g.emitServe()
-	}
+	g.emitServe()
 	if g.opts.Mode == ModeCCSS {
 		g.emitCCSSStep()
 	} else {
@@ -312,9 +301,7 @@ func (g *gen) emitStruct() {
 		g.p("  old [%d]uint64", g.oldWords())
 		g.p("  poked bool")
 	}
-	if g.opts.Serve {
-		g.p("  stats [%d]uint64", ckpt.NumStatsWords)
-	}
+	g.p("  stats [%d]uint64", ckpt.NumStatsWords)
 	g.p("}")
 	g.p("")
 }
@@ -365,9 +352,7 @@ func (g *gen) emitNew() {
 			}
 		}
 	}
-	if g.opts.Serve {
-		g.p("  s.stats = [%d]uint64{%d: %d}", ckpt.NumStatsWords, statFusedPairs, pr.FusedPairs)
-	}
+	g.p("  s.stats = [%d]uint64{%d: %d}", ckpt.NumStatsWords, statFusedPairs, pr.FusedPairs)
 	g.p("  s.cycle = 0")
 	g.p("  s.rearm()")
 	g.p("}")
@@ -442,82 +427,76 @@ func (g *gen) oldWords() (n int32) {
 func (g *gen) emitAccessors() {
 	pr := g.pr
 	d := pr.D
-	seen := map[string]bool{}
-	emitSig := func(id netlist.SignalID) {
-		s := &d.Signals[id]
-		if s.Name == "" || seen[s.Name] {
-			return
-		}
-		seen[s.Name] = true
-		g.p("  %q: {%d, %d, %d},", s.Name, pr.Off[id], s.Width, bits.Words(s.Width))
-	}
-	// Ports and registers first, so they win name collisions; the serving
-	// backend peeks arbitrary named signals (the host's Simulator.Peek
-	// contract), so its table goes on to cover everything with a name.
-	g.p("// signalInfo maps signal names to {offset, width, words}.")
-	g.p("var signalInfo = map[string][3]int{")
-	for _, in := range d.Inputs {
-		emitSig(in)
-	}
-	for _, o := range d.Outputs {
-		emitSig(o)
-	}
+	g.p("// sigOff and sigWidth give each signal, by ID, its value-table offset")
+	g.p("// and its width in bits.")
+	g.table("sigOff", "int32", len(d.Signals), func(id int) int { return int(pr.Off[id]) })
+	g.table("sigWidth", "int32", len(d.Signals), func(id int) int { return d.Signals[id].Width })
+	named := slices.Concat(d.Inputs, d.Outputs)
 	for ri := range d.Regs {
-		emitSig(d.Regs[ri].Out)
+		named = append(named, d.Regs[ri].Out)
 	}
-	for id := 0; g.opts.Serve && id < len(d.Signals); id++ {
-		emitSig(netlist.SignalID(id))
+	g.p("// SignalIDs maps each input, output and register name to its signal")
+	g.p("// ID, and MemIDs each memory name to its index: how a caller of this")
+	g.p("// package finds the IDs its accessors take.")
+	g.p("var SignalIDs = map[string]int{")
+	for _, id := range named {
+		g.p("  %q: %d,", d.Signals[id].Name, id)
 	}
 	g.p("}")
 	g.p("")
-	g.p("var memInfo = map[string]int{")
+	g.p("var MemIDs = map[string]int{")
 	for mi := range d.Mems {
 		g.p("  %q: %d,", d.Mems[mi].Name, mi)
 	}
 	g.p("}")
 	g.p("")
-	poked := ""
+	g.table("memWords", "int", len(d.Mems), func(mi int) int { return bits.Words(d.Mems[mi].Width) })
+	g.p("// memMask masks a poked entry's low word to the memory's width.")
+	g.p("var memMask = []uint64{")
+	for mi := range d.Mems {
+		g.p("  %#x,", bits.Mask64(^uint64(0), min(d.Mems[mi].Width, 64)))
+	}
+	g.p("}")
+	g.p("")
+	poked, memPoked := "", ""
 	if g.opts.Mode == ModeCCSS {
 		poked = "\n\ts.poked = true"
+		memPoked = "\n\tfor _, p := range memWake[mem] {\n\t\ts.flags[p] = true\n\t}" + poked
+		g.p("var memWake = [][]int32{")
+		for mi := range d.Mems {
+			g.p("  %#v,", pr.MemReaders[mi])
+		}
+		g.p("}")
+		g.p("")
 	}
-	g.p(`// Poke sets a port or register by name (low 64 bits).
-func (s *Sim) Poke(name string, v uint64) bool { return s.PokeWords(name, []uint64{v}) }
-
-// PokeWords sets a signal from limb words (wide pokes).
-func (s *Sim) PokeWords(name string, v []uint64) bool {
-	info, ok := signalInfo[name]
-	if !ok {
+	g.p(`// PokeWords sets signal id from limb words (missing words are zero); it
+// reports false for an id out of range.
+func (s *Sim) PokeWords(id int, v []uint64) bool {
+	if id < 0 || id >= len(sigOff) {
 		return false
 	}
-	for w := 0; w < info[2]; w++ {
+	off, width := int(sigOff[id]), int(sigWidth[id])
+	for w := 0; w*64 < width; w++ {
 		var x uint64
 		if w < len(v) {
 			x = v[w]
 		}
-		if (w+1)*64 > info[1] {
-			x &= mask64c(info[1] - w*64)
+		if (w+1)*64 > width {
+			x &= mask64c(width - w*64)
 		}
-		s.t[info[0]+w] = x
+		s.t[off+w] = x
 	}` + poked + `
 	return true
 }
 
-// Peek reads a port or register by name (low 64 bits).
-func (s *Sim) Peek(name string) uint64 {
-	info, ok := signalInfo[name]
-	if !ok {
-		return 0
-	}
-	return s.t[info[0]]
-}
-
-// PeekWords reads a signal's words by name.
-func (s *Sim) PeekWords(name string) ([]uint64, bool) {
-	info, ok := signalInfo[name]
-	if !ok {
+// PeekWords reads signal id's words; it reports false for an id out of
+// range.
+func (s *Sim) PeekWords(id int) ([]uint64, bool) {
+	if id < 0 || id >= len(sigOff) {
 		return nil, false
 	}
-	return append([]uint64(nil), s.t[info[0]:info[0]+info[2]]...), true
+	off := int(sigOff[id])
+	return append([]uint64(nil), s.t[off:off+(int(sigWidth[id])+63)/64]...), true
 }
 
 // SetOutput redirects printf output (nil restores the default sink).
@@ -535,59 +514,56 @@ func mask64c(w int) uint64 {
 	return 1<<uint(w) - 1
 }
 
-// PeekMem reads a memory word by memory name.
-func (s *Sim) PeekMem(name string, addr int) uint64 {
-	mi, ok := memInfo[name]
+// entry returns the index of the first word of entry addr of memory mem;
+// it reports false when either is out of range.
+func (s *Sim) entry(mem, addr int) (int, bool) {
+	if mem < 0 || mem >= len(s.mems) || addr < 0 || addr >= len(s.mems[mem])/max(memWords[mem], 1) {
+		return 0, false
+	}
+	return addr * memWords[mem], true
+}
+
+// PeekMem reads the low word of entry addr of memory mem; it reports
+// false when either is out of range.
+func (s *Sim) PeekMem(mem, addr int) (uint64, bool) {
+	base, ok := s.entry(mem, addr)
 	if !ok {
-		return 0
+		return 0, false
 	}
-	m := s.mems[mi]
-	w := memWords[mi]
-	if addr < 0 || addr*w >= len(m) {
-		return 0
+	return s.mems[mem][base], true
+}
+
+// PokeMem writes the low word of entry addr of memory mem and zeroes the
+// rest of the entry (program loading); it reports false when either is
+// out of range.
+func (s *Sim) PokeMem(mem, addr int, v uint64) bool {
+	base, ok := s.entry(mem, addr)
+	if !ok {
+		return false
 	}
-	return m[addr*w]
+	m := s.mems[mem]
+	m[base] = v & memMask[mem]
+	for k := 1; k < memWords[mem]; k++ {
+		m[base+k] = 0
+	}` + memPoked + `
+	return true
 }
 
 // Cycles returns the simulated cycle count.
 func (s *Sim) Cycles() uint64 { return s.cycle }`)
 	g.p("")
-	g.p("var memWords = []int{")
-	for mi := range d.Mems {
-		g.p("  %d,", bits.Words(d.Mems[mi].Width))
-	}
-	g.p("}")
-	g.p("")
-	g.p("// memMask masks a poked entry's low word to the memory's width.")
-	g.p("var memMask = []uint64{")
-	for mi := range d.Mems {
-		g.p("  %#x,", bits.Mask64(^uint64(0), min(d.Mems[mi].Width, 64)))
-	}
-	g.p("}")
-	g.p("")
-	// PokeMem, with CCSS read-partition wakes.
-	g.p("// PokeMem writes a memory word by name (program loading).")
-	g.p("func (s *Sim) PokeMem(name string, addr int, v uint64) bool {")
-	g.p("  mi, ok := memInfo[name]")
-	g.p("  if !ok { return false }")
-	g.p("  m := s.mems[mi]")
-	g.p("  w := memWords[mi]")
-	g.p("  if addr < 0 || addr*w >= len(m) { return false }")
-	g.p("  m[addr*w] = v & memMask[mi]")
-	g.p("  for k := 1; k < w; k++ { m[addr*w+k] = 0 }")
-	if g.opts.Mode == ModeCCSS {
-		g.p("  for _, p := range memWake[mi] { s.flags[p] = true }")
-		g.p("  s.poked = true")
-	}
-	g.p("  return true")
-	g.p("}")
-	g.p("")
-	if g.opts.Mode == ModeCCSS {
-		g.p("var memWake = [][]int32{")
-		for mi := range d.Mems {
-			g.p("  %#v,", pr.MemReaders[mi])
+}
+
+// table prints an n-entry array literal of typ, sixteen entries a line.
+func (g *gen) table(name, typ string, n int, at func(int) int) {
+	g.p("var %s = [...]%s{", name, typ)
+	var line []string
+	for i := range n {
+		if line = append(line, fmt.Sprint(at(i))); len(line) == 16 || i == n-1 {
+			g.p("  %s,", strings.Join(line, ", "))
+			line = line[:0]
 		}
-		g.p("}")
-		g.p("")
 	}
+	g.p("}")
+	g.p("")
 }

@@ -128,6 +128,10 @@ import (
 
 func main() {
 	s := gen.New()
+	peek := func(name string) uint64 {
+		ws, _ := s.PeekWords(gen.SignalIDs[name])
+		return ws[0]
+	}
 	rng := uint64(12345)
 	next := func() uint64 {
 		rng ^= rng << 13
@@ -146,14 +150,14 @@ func main() {
 				which = -which
 			}
 			v := next()
-			s.Poke(inputs[which], v)
+			s.PokeWords(gen.SignalIDs[inputs[which]], []uint64{v})
 		}
 		if err := s.Step(1); err != nil {
 			fmt.Printf("ERR %v\n", err)
 			break
 		}
 		for _, w := range watch {
-			fmt.Printf("%s=%x;", w, s.Peek(w))
+			fmt.Printf("%s=%x;", w, peek(w))
 		}
 		fmt.Println()
 	}

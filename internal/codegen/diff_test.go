@@ -22,9 +22,10 @@ import (
 )
 
 // The differential table: every fixture is emitted under every engine
-// shape, with and without the Serve surface, into one module that is
-// built once; one driver process replays each fixture's stimulus on every
-// variant and prints a trace per variant.
+// shape into one module that is built once; one driver process replays
+// each fixture's stimulus on every variant and prints a trace per
+// variant, addressing signals and memories by name through the generated
+// package's SignalIDs and MemIDs.
 
 // diffConfig is one emission variant.
 type diffConfig struct {
@@ -320,6 +321,38 @@ type diffSim interface {
 	Reset()
 }
 
+// generated is the surface of a generated Sim that named drives.
+type generated interface {
+	PokeWords(id int, v []uint64) bool
+	PeekWords(id int) ([]uint64, bool)
+	PokeMem(mem, addr int, v uint64) bool
+	Step(n int) error
+	Reset()
+	StatsWords() []uint64
+}
+
+// named adapts a generated Sim to diffSim through its package's name
+// lookup.
+type named struct {
+	generated
+	sigs, mems map[string]int
+}
+
+func (n named) Poke(name string, v uint64) bool {
+	id, ok := n.sigs[name]
+	return ok && n.PokeWords(id, []uint64{v})
+}
+
+func (n named) PokeMem(name string, addr int, v uint64) bool {
+	mi, ok := n.mems[name]
+	return ok && n.generated.PokeMem(mi, addr, v)
+}
+
+func (n named) Peek(name string) uint64 {
+	ws, _ := n.PeekWords(n.sigs[name])
+	return ws[0]
+}
+
 type poke struct {
 	Cycle int
 	Name  string
@@ -357,9 +390,7 @@ func replay(tag string, s diffSim, f *fixture) {
 		}
 		fmt.Println()
 	}
-	if st, ok := s.(interface{ StatsWords() []uint64 }); ok {
-		fmt.Printf("stats %v\n", st.StatsWords())
-	}
+	fmt.Printf("stats %v\n", s.(named).StatsWords())
 }
 `
 
@@ -391,17 +422,12 @@ func (a interpSim) Peek(name string) uint64 {
 }
 
 // pkgName names the emitted package of fixture f under variant cfg.
-func pkgName(f *diffFixture, cfg diffConfig, serve bool) string {
-	if serve {
-		return f.name + "_" + cfg.name + "_serve"
-	}
-	return f.name + "_" + cfg.name
-}
+func pkgName(f *diffFixture, cfg diffConfig) string { return f.name + "_" + cfg.name }
 
-// diffTraces emits every fixture under each of its variants, with and
-// without the Serve surface, as the packages of one module whose driver
-// replays the fixture on each; it runs the driver once and returns the
-// traces by package name, and a runner of the go tool in the module.
+// diffTraces emits every fixture under each of its variants as the
+// packages of one module whose driver replays the fixture on each; it
+// runs the driver once and returns the traces by package name, and a
+// runner of the go tool in the module.
 func diffTraces(t *testing.T, fixtures []diffFixture) (map[string]string, func(args ...string) string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -422,18 +448,17 @@ func diffTraces(t *testing.T, fixtures []diffFixture) (map[string]string, func(a
 		}
 		body.WriteString("}}\n")
 		for _, cfg := range f.variants() {
-			for _, serve := range []bool{false, true} {
-				pkg := pkgName(f, cfg, serve)
-				opts := cfg.opts
-				opts.Package, opts.Serve = pkg, serve
-				src, err := Generate(f.d, opts)
-				if err != nil {
-					t.Fatalf("%s: generate: %v", pkg, err)
-				}
-				writeFile(t, filepath.Join(dir, pkg, "sim.go"), string(src))
-				fmt.Fprintf(&imports, "\t%s \"difftest/%s\"\n", pkg, pkg)
-				fmt.Fprintf(&body, "\treplay(%q, %s.New(), f%d)\n", pkg, pkg, fi)
+			pkg := pkgName(f, cfg)
+			opts := cfg.opts
+			opts.Package = pkg
+			src, err := Generate(f.d, opts)
+			if err != nil {
+				t.Fatalf("%s: generate: %v", pkg, err)
 			}
+			writeFile(t, filepath.Join(dir, pkg, "sim.go"), string(src))
+			fmt.Fprintf(&imports, "\t%s \"difftest/%s\"\n", pkg, pkg)
+			fmt.Fprintf(&body, "\treplay(%q, named{%s.New(), %s.SignalIDs, %s.MemIDs}, f%d)\n",
+				pkg, pkg, pkg, pkg, fi)
 		}
 	}
 	writeFile(t, filepath.Join(dir, "main.go"), "package main\n\nimport (\n\t\"fmt\"\n\n"+
@@ -458,8 +483,8 @@ func diffTraces(t *testing.T, fixtures []diffFixture) (map[string]string, func(a
 	return traces, run
 }
 
-// generatedStats splits a serve package's trace into the replay trace and
-// the Stats its driver printed.
+// generatedStats splits a package's trace into the replay trace and the
+// Stats its driver printed.
 func generatedStats(trace string) (string, sim.Stats, bool) {
 	got, statsLine, _ := strings.Cut(trace, "stats ")
 	var ws []uint64
@@ -473,18 +498,17 @@ func generatedStats(trace string) (string, sim.Stats, bool) {
 
 // TestGeneratedMatchesInterpreter compares, for every fixture and every
 // emission variant, each output and register after each cycle against the
-// full-cycle interpreter and — on Serve variants — all ten Stats words
-// against the interpreter built from the same options (the engine whose
-// program was printed). It also vets the emitted packages of the
-// hand-written fixtures.
+// full-cycle interpreter and all ten Stats words against the interpreter
+// built from the same options (the engine whose program was printed). It
+// also vets the emitted packages of the hand-written fixtures.
 func TestGeneratedMatchesInterpreter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles generated code with the Go toolchain")
 	}
 	fixtures := diffFixtures(t)
 	traces, run := diffTraces(t, fixtures)
-	run("vet", "./counter_default", "./counter_default_serve", "./mac2_default_serve",
-		"./soc_default_serve", "./soc_neither_serve", "./soc_fullcycleopt_serve")
+	run("vet", "./counter_default", "./counter_baseline", "./mac2_default",
+		"./soc_default", "./soc_neither", "./soc_fullcycleopt")
 
 	for fi := range fixtures {
 		f := &fixtures[fi]
@@ -511,17 +535,12 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 			if got := replay(interpSim{eng, f.d}, f); got != want {
 				t.Fatalf("%s/%s: interpreter disagrees with the full-cycle oracle", f.name, cfg.name)
 			}
-			wantStats := eng.Stats()
-			for _, serve := range []bool{false, true} {
-				pkg := pkgName(f, cfg, serve)
-				got, st, ok := generatedStats(traces[pkg])
-				if got != want {
-					t.Errorf("%s diverged:\n--- interpreter ---\n%s--- generated ---\n%s", pkg, want, got)
-					continue
-				}
-				if serve && (!ok || st != *wantStats) {
-					t.Errorf("%s: Stats %+v, interpreter %+v", pkg, st, *wantStats)
-				}
+			pkg := pkgName(f, cfg)
+			got, st, ok := generatedStats(traces[pkg])
+			if got != want {
+				t.Errorf("%s diverged:\n--- interpreter ---\n%s--- generated ---\n%s", pkg, want, got)
+			} else if wantStats := eng.Stats(); !ok || st != *wantStats {
+				t.Errorf("%s: Stats %+v, interpreter %+v", pkg, st, *wantStats)
 			}
 		}
 	}
@@ -553,7 +572,7 @@ func guardedEdges(pr *sim.Program) int {
 // defined a one-word value every later read of it at that block level is
 // the local, never the table word it stored through to.
 func TestPartitionValuesStayLocal(t *testing.T) {
-	src, err := Generate(compileDesign(t, counterSrc), Options{Mode: ModeCCSS, Cp: 8, Serve: true})
+	src, err := Generate(compileDesign(t, counterSrc), Options{Mode: ModeCCSS, Cp: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

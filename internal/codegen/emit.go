@@ -114,9 +114,9 @@ func (g *gen) pop() {
 // a full-cycle chunk (table operands). The body is emitted twice — a dry
 // pass binds every one-word definition and records which locals a read
 // rendered and whether any block counts ops, then the real pass replaces
-// it binding only those. Serve-mode OpsEvaluated is folded: the
-// straight-line weight is a constant and skip regions accumulate in a
-// local, flushed once here.
+// it binding only those. OpsEvaluated is folded: the straight-line
+// weight is a constant and skip regions accumulate in a local, flushed
+// once here.
 func (g *gen) emitFunc(name string, localize bool, body func()) {
 	mark, cold := g.b.Len(), len(g.cold)
 	g.localize, g.dynOps = localize, false
@@ -629,7 +629,7 @@ func (g *gen) wake(parts []int32, counter string) {
 	for _, p := range parts {
 		g.p("s.flags[%d] = true", p)
 	}
-	if g.opts.Serve && len(parts) > 0 {
+	if len(parts) > 0 {
 		g.p("%s += %d", counter, len(parts))
 	}
 }
@@ -647,9 +647,7 @@ func (g *gen) wakeList(w sim.WakeList, counter string, ref func(int32) string) {
 		}
 		g.p("if %s %s 0 {", ref(lits[i].Off), cmp)
 		g.p("s.flags[%d] = true", q)
-		if g.opts.Serve {
-			g.p("%s++", counter)
-		}
+		g.p("%s++", counter)
 		g.p("}")
 	}
 }
@@ -692,15 +690,11 @@ func (g *gen) emitCommit() {
 			g.p("    s.pd[%d] = false", pi)
 			for _, ri := range regs {
 				r := &d.Regs[ri]
-				if g.opts.Serve {
-					g.p("    s.stats[%d]++", statOutputCompares)
-				}
+				g.p("    s.stats[%d]++", statOutputCompares)
 				g.p("    // %s", r.Name)
 				g.ifChangedCopy("s.t", pr.Off[r.Out], "s.t", pr.Off[r.Next],
 					int32(bits.Words(d.Signals[r.Out].Width)))
-				if g.opts.Serve {
-					g.p("      s.stats[%d]++", statSignalChanges)
-				}
+				g.p("      s.stats[%d]++", statSignalChanges)
 				g.wakeList(pr.RegWakes[ri], wakesStat, slot)
 				g.p("    }")
 			}
@@ -770,9 +764,7 @@ func (g *gen) emitStepLoop(evals func()) {
 	g.p("    s.evalErr = nil")
 	g.p("    s.commit()")
 	g.p("    s.cycle++")
-	if g.opts.Serve {
-		g.p("    s.stats[%d]++", statCycles)
-	}
+	g.p("    s.stats[%d]++", statCycles)
 	g.p("    if err != nil { s.stopErr = err; return err }")
 	g.p("  }")
 	g.p("  return nil")
@@ -813,9 +805,7 @@ func (g *gen) emitCCSSStep() {
 		// following one (poked also covers Reset) — same gating as the
 		// interpreter's scanInputs.
 		g.p("    if s.poked { s.poked = false; s.detectInputs() }")
-		if g.opts.Serve {
-			g.p("    s.stats[%d] += %d", statPartChecks, len(pr.Spans))
-		}
+		g.p("    s.stats[%d] += %d", statPartChecks, len(pr.Spans))
 		for pi := range pr.Spans {
 			if pr.Always[pi>>6]>>(pi&63)&1 != 0 {
 				g.p("    s.p%d()", pi)
@@ -827,7 +817,7 @@ func (g *gen) emitCCSSStep() {
 
 	// Input change detection.
 	g.p("func (s *Sim) detectInputs() {")
-	if g.opts.Serve && len(pr.Inputs) > 0 {
+	if len(pr.Inputs) > 0 {
 		g.p("  s.stats[%d] += %d", statInputChecks, len(pr.Inputs))
 	}
 	for i := range pr.Inputs {
@@ -846,15 +836,14 @@ func (g *gen) emitCCSSStep() {
 
 // emitPartition emits one partition function's body: save the old
 // outputs, print the partition's span of the stream, then change
-// detection and wakes from its row of the partition table. Serve-mode
+// detection and wakes from its row of the partition table. Stats
 // accounting is folded — PartEvals and OutputCompares are per-call
 // constants, SignalChanges and Wakes accumulate in locals — and flushed
 // to s.stats once at the end.
 func (g *gen) emitPartition(pi int32) {
 	pr := g.pr
 	outs := pr.Parts.Outputs(pi)
-	counted := g.opts.Serve && len(outs) > 0
-	if counted {
+	if len(outs) > 0 {
 		g.p("var chg, wk uint64")
 	}
 	olds := make([]string, len(outs))
@@ -876,19 +865,15 @@ func (g *gen) emitPartition(pi int32) {
 		} else {
 			g.p("  if !simrt.EqualWords(s.t[%d:%d], %s) {", o.Off, o.Off+o.Words, olds[oi])
 		}
-		if g.opts.Serve {
-			g.p("    chg++")
-		}
+		g.p("    chg++")
 		g.wakeList(o.Wake, "wk", g.ref)
 		g.p("  }")
 	}
 	if len(pr.Parts.RegsOf(pi)) > 0 {
 		g.p("  s.pd[%d] = true", pi)
 	}
-	if g.opts.Serve {
-		g.p("s.stats[%d]++", statPartEvals)
-	}
-	if counted {
+	g.p("s.stats[%d]++", statPartEvals)
+	if len(outs) > 0 {
 		g.p("s.stats[%d] += %d", statOutputCompares, len(outs))
 		g.p("s.stats[%d] += chg", statSignalChanges)
 		g.p("s.stats[%d] += wk", statWakes)

@@ -11,14 +11,14 @@ import (
 )
 
 // emittedTextPin is the SHA-256 of what FormatVersion pinnedVersion
-// prints for the optimized counter (CCSS, Cp 8, Serve; its register's
-// reset is applied at the clock edge). A cached artifact is reused for as
-// long as design, options and FormatVersion agree, so a change to the
-// emitted text must come with a new version. (Version 7's Reset clears
-// the value table around the input words instead of all of it.)
+// prints for the optimized counter (CCSS, Cp 8; its register's reset is
+// applied at the clock edge). A cached artifact is reused for as long as
+// design, options and FormatVersion agree, so a change to the emitted
+// text must come with a new version. (Version 8 addresses signals and
+// memories by ID and index instead of by name.)
 const (
-	pinnedVersion  = 7
-	emittedTextPin = "bc2ed682c64dd9cef1a80c35e815edcf8cf4d78711829cb5d2d9db629372ffc8"
+	pinnedVersion  = 8
+	emittedTextPin = "db91a09c4d0f438840e8106c47f4c60466aacb1baaa6c9324f39b64f2f72ad42"
 )
 
 func TestFormatVersionPinsEmittedText(t *testing.T) {
@@ -26,7 +26,7 @@ func TestFormatVersionPinsEmittedText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := Generate(d, Options{Mode: ModeCCSS, Cp: 8, Serve: true})
+	src, err := Generate(d, Options{Mode: ModeCCSS, Cp: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestEveryOpcodeRenders(t *testing.T) {
 	renderOne := func(op sim.Op, in sim.Instr) error {
 		pr := *base
 		pr.Ops, pr.Instrs = []sim.Op{op}, []sim.Instr{in}
-		_, err := render(&pr, Options{Serve: true})
+		_, err := render(&pr, Options{})
 		return err
 	}
 	for c := sim.Opcode(0); c <= sim.NumOpcodes; c++ {

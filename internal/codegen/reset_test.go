@@ -217,13 +217,9 @@ func TestResetMidRun(t *testing.T) {
 		ccss["batch lane 0"] = b.LaneStats(0)
 
 		for _, cfg := range f.variants() {
-			if got, _, _ := generatedStats(traces[pkgName(f, cfg, false)]); got != want {
-				t.Fatalf("%s: generated %s diverged from the unoptimized full-cycle engine", f.name, cfg.name)
-			}
-			got, st, ok := generatedStats(traces[pkgName(f, cfg, true)])
+			got, st, ok := generatedStats(traces[pkgName(f, cfg)])
 			if got != want || !ok {
-				t.Fatalf("%s: generated %s (Serve) diverged from the unoptimized full-cycle engine",
-					f.name, cfg.name)
+				t.Fatalf("%s: generated %s diverged from the unoptimized full-cycle engine", f.name, cfg.name)
 			}
 			if cfg.opts.Mode == ModeCCSS {
 				ccss["generated "+cfg.name] = st
@@ -270,12 +266,10 @@ func TestResetKeepsInputs(t *testing.T) {
 		}
 		want := replay(interpSim{s, f.d}, f)
 		for _, cfg := range f.variants() {
-			for _, serve := range []bool{false, true} {
-				got, _, _ := generatedStats(traces[pkgName(f, cfg, serve)])
-				if got != want {
-					t.Errorf("%s: generated %s (serve %v) after Reset differs from the interpreter\n--- got\n%s--- want\n%s",
-						f.name, cfg.name, serve, got, want)
-				}
+			got, _, _ := generatedStats(traces[pkgName(f, cfg)])
+			if got != want {
+				t.Errorf("%s: generated %s after Reset differs from the interpreter\n--- got\n%s--- want\n%s",
+					f.name, cfg.name, got, want)
 			}
 		}
 	}

@@ -77,12 +77,16 @@ import (
 
 func main() {
 	s := gen.New()
-	for i, w := range prog() {
-		s.PokeMem("core$imem", i, uint64(w))
+	peek := func(name string) uint64 {
+		ws, _ := s.PeekWords(gen.SignalIDs[name])
+		return ws[0]
 	}
-	s.Poke("reset", 1)
+	for i, w := range prog() {
+		s.PokeMem(gen.MemIDs["core$imem"], i, uint64(w))
+	}
+	s.PokeWords(gen.SignalIDs["reset"], []uint64{1})
 	s.Step(2)
-	s.Poke("reset", 0)
+	s.PokeWords(gen.SignalIDs["reset"], []uint64{0})
 	var halted bool
 	for c := 0; c < 200000; c += 128 {
 		if err := s.Step(128); err != nil {
@@ -91,7 +95,7 @@ func main() {
 		}
 	}
 	fmt.Printf("halted=%v tohost=%#x instret=%d cycles=%d\n",
-		halted, s.Peek("tohost"), s.Peek("instret"), s.Cycles())
+		halted, peek("tohost"), peek("instret"), s.Cycles())
 }
 
 `)

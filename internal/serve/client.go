@@ -342,12 +342,9 @@ func (r *remote) Reset() { r.call("reset", pipeproto.TReset, nil, pipeproto.ROK)
 
 func (r *remote) Poke(id netlist.SignalID, v uint64) { r.PokeWide(id, []uint64{v}) }
 
-// PokeWide sets a signal by name; an unnamed one cannot be addressed.
 func (r *remote) PokeWide(id netlist.SignalID, words []uint64) {
-	if name := r.d.Signals[id].Name; name != "" {
-		p := pipeproto.AppendWords(pipeproto.AppendStr(nil, name), words)
-		r.call("poke", pipeproto.TPoke, p, pipeproto.ROK)
-	}
+	p := pipeproto.AppendWords(pipeproto.AppendU64(nil, uint64(id)), words)
+	r.call("poke", pipeproto.TPoke, p, pipeproto.ROK)
 }
 
 func (r *remote) Peek(id netlist.SignalID) uint64 {
@@ -367,22 +364,17 @@ func (r *remote) PeekWide(id netlist.SignalID, dst []uint64) []uint64 {
 }
 
 func (r *remote) peek(id netlist.SignalID) []uint64 {
-	name := r.d.Signals[id].Name
-	if name == "" {
-		return nil
-	}
-	ws, _ := r.value("peek", pipeproto.TPeek, pipeproto.AppendStr(nil, name)) // a failed peek reads nothing
+	ws, _ := r.value("peek", pipeproto.TPeek, pipeproto.AppendU64(nil, uint64(id))) // a failed peek reads nothing
 	return ws
 }
 
 func (r *remote) PokeMem(mem, addr int, v uint64) {
-	p := pipeproto.AppendStr(nil, r.d.Mems[mem].Name)
-	p = pipeproto.AppendU64(pipeproto.AppendU64(p, uint64(addr)), v)
-	r.call("pokemem", pipeproto.TPokeMem, p, pipeproto.ROK)
+	p := pipeproto.AppendU64(pipeproto.AppendU64(nil, uint64(mem)), uint64(addr))
+	r.call("pokemem", pipeproto.TPokeMem, pipeproto.AppendU64(p, v), pipeproto.ROK)
 }
 
 func (r *remote) PeekMem(mem, addr int) uint64 {
-	p := pipeproto.AppendU64(pipeproto.AppendStr(nil, r.d.Mems[mem].Name), uint64(addr))
+	p := pipeproto.AppendU64(pipeproto.AppendU64(nil, uint64(mem)), uint64(addr))
 	if ws, _ := r.value("peekmem", pipeproto.TPeekMem, p); len(ws) > 0 { // a failed peek reads 0
 		return ws[0]
 	}

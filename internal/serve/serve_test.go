@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -106,12 +107,7 @@ func newInterp(t *testing.T, d *netlist.Design) sim.Simulator {
 // driveBoth applies the same poke/step schedule to both simulators.
 func driveBoth(t *testing.T, a, b sim.Simulator, d *netlist.Design, cycles int) {
 	t.Helper()
-	var ins []netlist.SignalID
-	for _, id := range d.Inputs {
-		if d.Signals[id].Name != "" {
-			ins = append(ins, id)
-		}
-	}
+	ins := d.Inputs
 	rng := uint64(12345)
 	xorshift := func() uint64 {
 		rng ^= rng << 13
@@ -149,8 +145,9 @@ func stateHashOf(t *testing.T, s sim.Simulator) uint64 {
 
 // TestCompiledMatchesInterpreter drives the compiled subprocess and the
 // in-process interpreter through the same schedule — the small SoC under
-// random pokes, and r16 running dhrystone — and demands bit-exact state
-// and equal Stats, all ten words.
+// random pokes, and r16 running dhrystone — and demands bit-exact state,
+// equal Stats, all ten words, and an equal PeekWide of every signal (the
+// child's ID-indexed signal tables).
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a compiled artifact")
@@ -189,6 +186,12 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 			}
 			if got, want := *s.Stats(), *ip.Stats(); got != want {
 				t.Fatalf("stats mismatch:\ncompiled: %+v\ninterp:   %+v", got, want)
+			}
+			for id := range d.Signals {
+				sid := netlist.SignalID(id)
+				if got, want := s.PeekWide(sid, nil), ip.PeekWide(sid, nil); !slices.Equal(got, want) {
+					t.Fatalf("signal %d (%s): compiled %#x interp %#x", id, d.Signals[id].Name, got, want)
+				}
 			}
 			if s.Degraded() {
 				t.Fatalf("unexpected degradation: %+v", s.Degradation())
@@ -705,17 +708,10 @@ func TestDivergenceTripwire(t *testing.T) {
 
 	// Corrupt a register in the child directly — the session's replay
 	// log knows nothing of it.
-	var reg string
-	for _, r := range d.Regs {
-		if n := d.Signals[r.Out].Name; n != "" {
-			reg = n
-			break
-		}
+	if len(d.Regs) == 0 {
+		t.Skip("design has no registers")
 	}
-	if reg == "" {
-		t.Skip("design has no named registers")
-	}
-	p := pipeproto.AppendStr(nil, reg)
+	p := pipeproto.AppendU64(nil, uint64(d.Regs[0].Out))
 	p = pipeproto.AppendWords(p, []uint64{0xdeadbeef})
 	if _, err := s.cl.expect("tamper", pipeproto.TPoke, p, pipeproto.ROK); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 // Package serve runs compiled simulator artifacts as supervised
 // subprocesses. A Session emits the design as a standalone Go module
-// (internal/codegen Serve mode), builds it through a checksummed binary
+// (codegen.GenerateArtifact), builds it through a checksummed binary
 // cache, and drives the resulting process over the framed checkpoint
 // protocol in pkg/pipeproto — poke/peek/step/capture with heartbeat
-// progress frames.
+// progress frames, signals addressed by SignalID.
 //
 // The child is a sim.Simulator (remote): each method is one exchange,
 // and a transport failure is kept as a sticky error. The Session
@@ -45,7 +45,7 @@ import (
 // enabled.
 type Config struct {
 	// Gen selects the generated simulator's shape (mode, cp, ablation
-	// knobs). Serve surface and package name are forced.
+	// knobs). The package name is forced to main.
 	Gen codegen.Options
 	// CacheDir holds built artifacts ("" = DefaultCacheDir()).
 	CacheDir string

@@ -41,11 +41,11 @@ const MaxPayload = 1 << 30
 // responses have the high bit set.
 const (
 	THello    byte = 0x01 // () → RHello
-	TPoke     byte = 0x02 // name, words → ROK | RErr
-	TPeek     byte = 0x03 // name → RValue | RErr
-	TPokeMem  byte = 0x04 // name, addr u64, v u64 → ROK | RErr
-	TPeekMem  byte = 0x05 // name, addr u64 → RValue | RErr
-	TStep     byte = 0x06 // n u64 → RProgress*, ROutput*, RStepDone
+	TPoke     byte = 0x02 // signal ID u64, words → ROK | RErr
+	TPeek     byte = 0x03 // signal ID u64 → RValue | RErr
+	TPokeMem  byte = 0x04 // memory index u64, addr u64, v u64 → ROK | RErr
+	TPeekMem  byte = 0x05 // memory index u64, addr u64 → RValue | RErr
+	TStep     byte = 0x06 // n u64 → RProgress*, ROutput*, RStepDone | RErr
 	TReset    byte = 0x07 // () → ROK
 	TCapture  byte = 0x08 // () → RState
 	TRestore  byte = 0x09 // snapshot bytes → ROK | RErr

@@ -4,11 +4,12 @@ import (
 	"bufio"
 	"errors"
 	"io"
+	"math"
 )
 
 // Child is the surface a generated simulator artifact exposes to the
-// Serve loop. The codegen Serve mode emits every method on the
-// generated Sim type, so the artifact's main is one Serve call.
+// Serve loop. internal/codegen emits every method on the generated Sim
+// type, so the artifact's main is one Serve call.
 type Child interface {
 	// DesignName and Fingerprint identify the compiled design; the host
 	// validates the fingerprint against its own netlist before trusting
@@ -19,15 +20,14 @@ type Child interface {
 	Reset()
 	// Cycles is the simulated cycle count.
 	Cycles() uint64
-	// Poke/PokeWords set a named signal (false = unknown name).
-	Poke(name string, v uint64) bool
-	PokeWords(name string, words []uint64) bool
-	// Peek/PeekWords read a named signal.
-	Peek(name string) uint64
-	PeekWords(name string) ([]uint64, bool)
-	// PokeMem/PeekMem access memory words by memory name.
-	PokeMem(name string, addr int, v uint64) bool
-	PeekMem(name string, addr int) uint64
+	// PokeWords/PeekWords set and read a signal by its ID (the host's
+	// netlist.SignalID); PokeMem/PeekMem the low word of a memory entry
+	// by memory index and address. Each reports false for an index or
+	// address out of range.
+	PokeWords(id int, words []uint64) bool
+	PeekWords(id int) ([]uint64, bool)
+	PokeMem(mem, addr int, v uint64) bool
+	PeekMem(mem, addr int) (uint64, bool)
 	// Step simulates n cycles; stop() and assertion failures come back
 	// as errors implementing StopInfo/AssertInfo.
 	Step(n int) error
@@ -57,12 +57,9 @@ type AssertInfo interface {
 	AssertInfo() (msg string, cycle uint64)
 }
 
-// ServeOptions tunes the child-side loop.
-type ServeOptions struct {
-	// Chunk bounds cycles per uninterrupted Step slice; an RProgress
-	// frame (the heartbeat) goes out between slices (0 = 4096).
-	Chunk int
-}
+// stepChunk bounds the cycles of one uninterrupted Step slice; an
+// RProgress frame (the heartbeat) goes out between slices.
+const stepChunk = 4096
 
 // outputWriter turns printf bytes into ROutput frames. All writes
 // happen on the single Serve goroutine (printf fires inside Step), so
@@ -83,116 +80,35 @@ func (o outputWriter) Write(p []byte) (int, error) {
 // command with a terminal response frame and streams progress frames
 // during long steps so the host's no-heartbeat watchdog has something
 // to watch.
-func Serve(r io.Reader, w io.Writer, c Child, opts ServeOptions) error {
-	chunk := opts.Chunk
-	if chunk <= 0 {
-		chunk = 4096
-	}
+func Serve(r io.Reader, w io.Writer, c Child) error {
 	br := bufio.NewReaderSize(r, 1<<16)
 	bw := bufio.NewWriterSize(w, 1<<16)
 	c.SetOutput(outputWriter{bw})
-
 	reply := func(typ byte, payload []byte) error {
 		if err := WriteFrame(bw, typ, payload); err != nil {
 			return err
 		}
 		return bw.Flush()
 	}
-	replyErr := func(msg string) error {
-		return reply(RErr, AppendStr(nil, msg))
-	}
 
 	// Unprompted hello: the host validates the fingerprint before
 	// sending its first command.
-	hello := AppendU64(nil, c.Fingerprint())
-	hello = AppendStr(hello, c.DesignName())
-	if err := reply(RHello, hello); err != nil {
+	if err := reply(answer(c, THello, nil)); err != nil {
 		return err
 	}
-
 	for {
 		typ, payload, err := ReadFrame(br)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil // host went away; exit quietly
-			}
+		switch {
+		case errors.Is(err, io.EOF):
+			return nil // host went away; exit quietly
+		case err != nil:
 			return err
-		}
-		d := &Dec{B: payload}
-		switch typ {
-		case THello:
-			h := AppendU64(nil, c.Fingerprint())
-			h = AppendStr(h, c.DesignName())
-			err = reply(RHello, h)
-		case TPoke:
-			name := d.Str()
-			words := d.Words()
-			if d.Err != nil {
-				err = replyErr(d.Err.Error())
-				break
-			}
-			ok := false
-			if len(words) == 1 {
-				ok = c.Poke(name, words[0])
-			} else {
-				ok = c.PokeWords(name, words)
-			}
-			if !ok {
-				err = replyErr("unknown signal " + name)
-				break
-			}
-			err = reply(ROK, nil)
-		case TPeek:
-			name := d.Str()
-			ws, ok := c.PeekWords(name)
-			if !ok {
-				err = replyErr("unknown signal " + name)
-				break
-			}
-			err = reply(RValue, AppendWords(nil, ws))
-		case TPokeMem:
-			name := d.Str()
-			addr := d.U64()
-			v := d.U64()
-			if d.Err != nil {
-				err = replyErr(d.Err.Error())
-				break
-			}
-			if !c.PokeMem(name, int(addr), v) {
-				err = replyErr("bad memory write " + name)
-				break
-			}
-			err = reply(ROK, nil)
-		case TPeekMem:
-			name := d.Str()
-			addr := d.U64()
-			err = reply(RValue, AppendWords(nil, []uint64{c.PeekMem(name, int(addr))}))
-		case TStep:
-			err = serveStep(c, d, chunk, bw)
-		case TReset:
-			c.Reset()
-			err = reply(ROK, nil)
-		case TCapture:
-			err = reply(RState, AppendBytes(nil, c.Capture()))
-		case TRestore:
-			snap := d.Block()
-			if d.Err != nil {
-				err = replyErr(d.Err.Error())
-				break
-			}
-			if rerr := c.Restore(snap); rerr != nil {
-				err = replyErr(rerr.Error())
-				break
-			}
-			err = reply(ROK, nil)
-		case THash:
-			err = reply(RValue, AppendWords(nil, []uint64{c.StateHash()}))
-		case TStats:
-			err = reply(RValue, AppendWords(nil, c.StatsWords()))
-		case TShutdown:
+		case typ == TShutdown:
 			return reply(ROK, nil)
+		case typ == TStep:
+			err = serveStep(c, payload, reply)
 		default:
-			err = replyErr("unknown command")
+			err = reply(answer(c, typ, payload))
 		}
 		if err != nil {
 			return err
@@ -200,32 +116,89 @@ func Serve(r io.Reader, w io.Writer, c Child, opts ServeOptions) error {
 	}
 }
 
+// index turns a wire index into an int, mapping one past any int32 to
+// -1 so that every Child reports it out of range.
+func index(v uint64) int {
+	if v > math.MaxInt32 {
+		return -1
+	}
+	return int(v)
+}
+
+// answer runs one command other than TStep and TShutdown and returns its
+// terminal frame. A malformed payload, an index or address out of range
+// and a failed restore are RErr, and a malformed payload reaches no
+// Child method.
+func answer(c Child, typ byte, payload []byte) (byte, []byte) {
+	d := &Dec{B: payload}
+	rt, ok := ROK, true
+	var ws []uint64
+	switch typ {
+	case THello:
+		return RHello, AppendStr(AppendU64(nil, c.Fingerprint()), c.DesignName())
+	case TPoke:
+		id, words := index(d.U64()), d.Words()
+		ok = d.Err == nil && c.PokeWords(id, words)
+	case TPeek:
+		id := index(d.U64())
+		if rt = RValue; d.Err == nil {
+			ws, ok = c.PeekWords(id)
+		}
+	case TPokeMem:
+		mem, addr, v := index(d.U64()), index(d.U64()), d.U64()
+		ok = d.Err == nil && c.PokeMem(mem, addr, v)
+	case TPeekMem:
+		mem, addr := index(d.U64()), index(d.U64())
+		if rt = RValue; d.Err == nil {
+			var v uint64
+			v, ok = c.PeekMem(mem, addr)
+			ws = []uint64{v}
+		}
+	case TReset:
+		c.Reset()
+	case TCapture:
+		return RState, AppendBytes(nil, c.Capture())
+	case TRestore:
+		if snap := d.Block(); d.Err == nil {
+			if err := c.Restore(snap); err != nil {
+				return RErr, AppendStr(nil, err.Error())
+			}
+		}
+	case THash:
+		rt, ws = RValue, []uint64{c.StateHash()}
+	case TStats:
+		rt, ws = RValue, c.StatsWords()
+	default:
+		return RErr, AppendStr(nil, "unknown command")
+	}
+	switch {
+	case d.Err != nil:
+		return RErr, AppendStr(nil, d.Err.Error())
+	case !ok:
+		return RErr, AppendStr(nil, "index out of range")
+	case rt == RValue:
+		return RValue, AppendWords(nil, ws)
+	}
+	return rt, nil
+}
+
 // serveStep runs one TStep command: chunked stepping with progress
 // heartbeats, terminated by an RStepDone carrying the stop/assert
 // classification.
-func serveStep(c Child, d *Dec, chunk int, bw *bufio.Writer) error {
+func serveStep(c Child, payload []byte, reply func(byte, []byte) error) error {
+	d := &Dec{B: payload}
 	n := d.U64()
 	if d.Err != nil {
-		if err := WriteFrame(bw, RErr, AppendStr(nil, d.Err.Error())); err != nil {
-			return err
-		}
-		return bw.Flush()
+		return reply(RErr, AppendStr(nil, d.Err.Error()))
 	}
 	done := func(status byte, code int64, msg string) error {
 		p := AppendU64(nil, c.Cycles())
 		p = append(p, status)
 		p = AppendU64(p, uint64(code))
-		p = AppendStr(p, msg)
-		if err := WriteFrame(bw, RStepDone, p); err != nil {
-			return err
-		}
-		return bw.Flush()
+		return reply(RStepDone, AppendStr(p, msg))
 	}
 	for rem := n; rem > 0; {
-		k := uint64(chunk)
-		if rem < k {
-			k = rem
-		}
+		k := min(rem, stepChunk)
 		err := c.Step(int(k))
 		rem -= k
 		if err != nil {
@@ -242,10 +215,7 @@ func serveStep(c Child, d *Dec, chunk int, bw *bufio.Writer) error {
 			return done(StepError, 0, err.Error())
 		}
 		if rem > 0 {
-			if err := WriteFrame(bw, RProgress, AppendU64(nil, c.Cycles())); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
+			if err := reply(RProgress, AppendU64(nil, c.Cycles())); err != nil {
 				return err
 			}
 		}
