@@ -2,7 +2,9 @@
 // design — the simulator-generator role of ESSENT (§III-A), targeting Go
 // instead of C++. The generated package imports essent/pkg/simrt and
 // essent/pkg/ckptio; it is the program the compiled backend serves, and
-// its SignalIDs and MemIDs maps give the IDs its accessors take.
+// its SignalIDs and MemIDs maps give the IDs its accessors take. The
+// compiled backend builds the generator's text as printed; essentgen
+// writes it gofmt'd.
 //
 // Usage:
 //

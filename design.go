@@ -2,6 +2,7 @@ package essent
 
 import (
 	"fmt"
+	"go/format"
 
 	"essent/internal/codegen"
 	"essent/internal/designs"
@@ -170,7 +171,9 @@ const (
 // emitted package imports essent/pkg/simrt and essent/pkg/ckptio, and is
 // the program the compiled backend serves: its accessors take signal IDs
 // and memory indices, which its SignalIDs and MemIDs maps give by name
-// for inputs, outputs, registers and memories.
+// for inputs, outputs, registers and memories. The compiled backend
+// builds the generator's text as printed; GenerateGo returns it gofmt'd,
+// for people to read.
 func GenerateGo(source, pkg string, mode GenMode, cp int) ([]byte, error) {
 	circuit, err := firrtl.Parse(source)
 	if err != nil {
@@ -189,13 +192,16 @@ func GenerateGo(source, pkg string, mode GenMode, cp int) ([]byte, error) {
 		if d, _, err = opt.Optimize(d); err != nil {
 			return nil, err
 		}
-		src, err := codegen.Generate(d, opts)
-		if err != nil {
-			return nil, attribute(func() (*firrtl.Circuit, error) { return firrtl.Parse(source) }, true, err)
-		}
-		return src, nil
 	default:
 		return nil, fmt.Errorf("essent: unknown generation mode %d", mode)
 	}
-	return codegen.Generate(d, opts)
+	src, err := codegen.Generate(d, opts)
+	if err != nil {
+		return nil, attribute(func() (*firrtl.Circuit, error) { return firrtl.Parse(source) }, mode == GenCCSS, err)
+	}
+	out, err := format.Source(src)
+	if err != nil {
+		return nil, fmt.Errorf("essent: generated source does not format: %w", err)
+	}
+	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"go/format"
 	"math"
 	"runtime"
 	"strings"
@@ -299,6 +300,29 @@ func TestGenerateGoFacade(t *testing.T) {
 		}
 		if !bytes.Contains(src, []byte("package countersim")) {
 			t.Fatal("wrong package name")
+		}
+	}
+}
+
+// TestGenerateGoIsGofmtStable: the generator prints unformatted text
+// for the compiled backend to build, and GenerateGo hands people the
+// gofmt'd form of it, in both modes.
+func TestGenerateGoIsGofmtStable(t *testing.T) {
+	src, err := SoC("r16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []GenMode{GenFullCycle, GenCCSS} {
+		out, err := GenerateGo(src, "r16sim", mode, 8)
+		if err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
+		}
+		formatted, err := format.Source(out)
+		if err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
+		}
+		if !bytes.Equal(formatted, out) {
+			t.Errorf("mode %v: GenerateGo's %d bytes are not gofmt's %d", mode, len(out), len(formatted))
 		}
 	}
 }

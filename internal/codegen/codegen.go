@@ -16,7 +16,6 @@ package codegen
 import (
 	"bytes"
 	"fmt"
-	"go/format"
 	"slices"
 	"strings"
 
@@ -77,9 +76,11 @@ func (o Options) Engine() sim.Options {
 // binary is never reused across a change to the emitted text: bump it
 // with any such change (TestFormatVersionPinsEmittedText fails until
 // then).
-const FormatVersion = 8
+const FormatVersion = 9
 
-// Generate emits Go source for a simulator of the design.
+// Generate emits Go source for a simulator of the design. The text is the
+// emitter's own, not gofmt's: the compiled backend builds it as printed,
+// and essent.GenerateGo formats it for readers.
 func Generate(d *netlist.Design, opts Options) ([]byte, error) {
 	if opts.Mode != ModeFullCycle && opts.Mode != ModeCCSS {
 		return nil, fmt.Errorf("codegen: unknown mode %d", opts.Mode)
@@ -106,11 +107,7 @@ func render(pr *sim.Program, opts Options) ([]byte, error) {
 	if g.err != nil {
 		return nil, g.err
 	}
-	out, err := format.Source(src)
-	if err != nil {
-		return nil, fmt.Errorf("codegen: emitted source does not format: %w\n%s", err, src)
-	}
-	return out, nil
+	return src, nil
 }
 
 type gen struct {
@@ -225,6 +222,9 @@ func (g *gen) emit() []byte {
 	g.p(`import (`)
 	g.p(`  "fmt"`)
 	g.p(`  "io"`)
+	if g.opts.Mode == ModeCCSS {
+		g.p(`  "math/bits"`)
+	}
 	g.p("")
 	g.p(`  "essent/pkg/ckptio"`)
 	g.p(`  "essent/pkg/simrt"`)
@@ -295,7 +295,7 @@ func (g *gen) emitStruct() {
 	g.p("  pendData [][]uint64")
 	if g.opts.Mode == ModeCCSS {
 		np := len(pr.Spans)
-		g.p("  flags [%d]bool", np)
+		g.p("  flags [%d]uint64 // activity bitmap: partition p is bit p&63 of word p>>6", flagWords(np))
 		g.p("  pd [%d]bool", np)
 		g.p("  prevIn [%d]uint64", g.prevInWords())
 		g.p("  old [%d]uint64", g.oldWords())
@@ -371,7 +371,10 @@ func (g *gen) emitNew() {
 		g.p("// wakeAll is the activity half of rearm, also run by an edge reset:")
 		g.p("// every partition flagged, the input history invalidated.")
 		g.p("func (s *Sim) wakeAll() {")
-		g.p("  for i := range s.flags { s.flags[i] = true }")
+		g.p("  for i := range s.flags { s.flags[i] = ^uint64(0) }")
+		if tail := len(pr.Spans) & 63; tail != 0 {
+			g.p("  s.flags[%d] = %#x", flagWords(len(pr.Spans))-1, uint64(1)<<tail-1)
+		}
 		g.p("  for i := range s.pd { s.pd[i] = false }")
 		g.p("  for i := range s.prevIn { s.prevIn[i] = ^uint64(0) }")
 		g.p("  s.poked = true")
@@ -461,7 +464,7 @@ func (g *gen) emitAccessors() {
 	poked, memPoked := "", ""
 	if g.opts.Mode == ModeCCSS {
 		poked = "\n\ts.poked = true"
-		memPoked = "\n\tfor _, p := range memWake[mem] {\n\t\ts.flags[p] = true\n\t}" + poked
+		memPoked = "\n\tfor _, p := range memWake[mem] {\n\t\ts.flags[p>>6] |= 1 << (p & 63)\n\t}" + poked
 		g.p("var memWake = [][]int32{")
 		for mi := range d.Mems {
 			g.p("  %#v,", pr.MemReaders[mi])

@@ -3,6 +3,8 @@ package codegen
 import (
 	"bytes"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -196,6 +198,9 @@ func TestGenerateProducesValidGo(t *testing.T) {
 	} {
 		src, err := Generate(d, opts)
 		if err != nil {
+			t.Fatalf("mode %v: %v", opts.Mode, err)
+		}
+		if _, err := parser.ParseFile(token.NewFileSet(), "sim.go", src, 0); err != nil {
 			t.Fatalf("mode %v: %v", opts.Mode, err)
 		}
 		if !bytes.Contains(src, []byte("func (s *Sim) Step(n int) error")) {

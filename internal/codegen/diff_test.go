@@ -3,14 +3,17 @@ package codegen
 import (
 	"bytes"
 	"fmt"
+	"go/format"
 	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
+	"essent/internal/bits"
 	"essent/internal/ckpt"
 	"essent/internal/designs"
 	"essent/internal/firrtl"
@@ -65,6 +68,9 @@ type diffFixture struct {
 	watch   []string
 	cycles  int
 	configs []diffConfig
+	// probeFlags adds an accessor of the activity bitmap to each of the
+	// fixture's packages, and the driver prints the bitmap of a New Sim.
+	probeFlags bool
 }
 
 // variants returns the emission variants of f.
@@ -178,6 +184,35 @@ circuit GNested :
 	}},
 }
 
+// walkConfigs put the walk fixture at 103 and 101 partitions: past one
+// flag word, ending mid-word.
+var walkConfigs = []diffConfig{
+	{"cp1", Options{Mode: ModeCCSS, Cp: 1}},
+	{"cp2", Options{Mode: ModeCCSS, Cp: 2}},
+}
+
+// walkSrc is a ring of k registers, each loading its predecessor's value
+// on one of eight values of input a, with a printf sink. Under
+// walkConfigs a partition's output wakes a later partition of its flag
+// word, the in-place update of a register read by an earlier partition
+// wakes that one for the next cycle, and the printf's partition runs
+// every cycle (TestWalkFixtureShape).
+func walkSrc(k int) string {
+	var b strings.Builder
+	b.WriteString("circuit Walk :\n  module Walk :\n    input clock : Clock\n" +
+		"    input a : UInt<8>\n    output o : UInt<8>\n")
+	for i := range k {
+		fmt.Fprintf(&b, "    reg r%d : UInt<8>, clock\n", i)
+	}
+	for i := range k {
+		fmt.Fprintf(&b, "    node n%d = xor(r%d, UInt<8>(%d))\n", i, (i+k-1)%k, i)
+		fmt.Fprintf(&b, "    when eq(bits(a, 2, 0), UInt<3>(%d)) :\n      r%d <= n%d\n", i%8, i, i)
+	}
+	fmt.Fprintf(&b, "    o <= r%d\n", k-1)
+	b.WriteString("    printf(clock, eq(a, UInt<8>(7)), \"r0=%d\\n\", r0)\n")
+	return b.String()
+}
+
 // watchAll lists every output and register of d.
 func watchAll(d *netlist.Design) []string {
 	var w []string
@@ -258,6 +293,16 @@ func diffFixtures(t *testing.T) []diffFixture {
 			f.pokes = append(f.pokes, g.pokes(c)...)
 		}
 	}
+
+	// The bitmap walk: a new value of a every cycle, and a reset mid-run.
+	walk := add("walk", compileDesign(t, walkSrc(100)), 150)
+	walk.configs, walk.probeFlags, walk.pokes = walkConfigs, true, nil
+	for c := 0; c < walk.cycles; c++ {
+		walk.pokes = append(walk.pokes, diffPoke{c, "a", uint64(c*37+c/9) & 255})
+		if c == 90 {
+			walk.pokes = append(walk.pokes, diffPoke{Cycle: c})
+		}
+	}
 	return fs
 }
 
@@ -329,6 +374,7 @@ type generated interface {
 	Step(n int) error
 	Reset()
 	StatsWords() []uint64
+	StateHash() uint64
 }
 
 // named adapts a generated Sim to diffSim through its package's name
@@ -391,6 +437,7 @@ func replay(tag string, s diffSim, f *fixture) {
 		fmt.Println()
 	}
 	fmt.Printf("stats %v\n", s.(named).StatsWords())
+	fmt.Printf("hash %x\n", s.(named).StateHash())
 }
 `
 
@@ -459,6 +506,11 @@ func diffTraces(t *testing.T, fixtures []diffFixture) (map[string]string, func(a
 			fmt.Fprintf(&imports, "\t%s \"difftest/%s\"\n", pkg, pkg)
 			fmt.Fprintf(&body, "\treplay(%q, named{%s.New(), %s.SignalIDs, %s.MemIDs}, f%d)\n",
 				pkg, pkg, pkg, pkg, fi)
+			if f.probeFlags {
+				writeFile(t, filepath.Join(dir, pkg, "probe.go"), "package "+pkg+
+					"\n\nfunc (s *Sim) FlagWords() []uint64 { return s.flags[:] }\n")
+				fmt.Fprintf(&body, "\tfmt.Printf(\"== %s flags\\n%%x\\n\", %s.New().FlagWords())\n", pkg, pkg)
+			}
 		}
 	}
 	writeFile(t, filepath.Join(dir, "main.go"), "package main\n\nimport (\n\t\"fmt\"\n\n"+
@@ -483,24 +535,28 @@ func diffTraces(t *testing.T, fixtures []diffFixture) (map[string]string, func(a
 	return traces, run
 }
 
-// generatedStats splits a package's trace into the replay trace and the
-// Stats its driver printed.
-func generatedStats(trace string) (string, sim.Stats, bool) {
-	got, statsLine, _ := strings.Cut(trace, "stats ")
+// generatedStats splits a package's trace into the replay trace, the
+// Stats and the state hash its driver printed.
+func generatedStats(trace string) (string, sim.Stats, uint64, bool) {
+	got, tail, _ := strings.Cut(trace, "stats ")
+	statsLine, hashLine, _ := strings.Cut(tail, "hash ")
 	var ws []uint64
 	for _, fld := range strings.Fields(strings.Trim(statsLine, "[]\n")) {
 		var w uint64
 		fmt.Sscan(fld, &w)
 		ws = append(ws, w)
 	}
-	return got, ckpt.StatsFromWords(ws), len(ws) == ckpt.NumStatsWords
+	var hash uint64
+	_, err := fmt.Sscanf(hashLine, "%x", &hash)
+	return got, ckpt.StatsFromWords(ws), hash, len(ws) == ckpt.NumStatsWords && err == nil
 }
 
 // TestGeneratedMatchesInterpreter compares, for every fixture and every
 // emission variant, each output and register after each cycle against the
-// full-cycle interpreter and all ten Stats words against the interpreter
-// built from the same options (the engine whose program was printed). It
-// also vets the emitted packages of the hand-written fixtures.
+// full-cycle interpreter, and all ten Stats words and the final state hash
+// against the interpreter built from the same options (the engine whose
+// program was printed). It also vets the emitted packages of the
+// hand-written fixtures.
 func TestGeneratedMatchesInterpreter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles generated code with the Go toolchain")
@@ -523,7 +579,7 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.configs != nil {
+			if strings.HasPrefix(f.name, "guard_") {
 				pr, err := sim.Lower(f.d, interp)
 				if err != nil {
 					t.Fatal(err)
@@ -536,12 +592,76 @@ func TestGeneratedMatchesInterpreter(t *testing.T) {
 				t.Fatalf("%s/%s: interpreter disagrees with the full-cycle oracle", f.name, cfg.name)
 			}
 			pkg := pkgName(f, cfg)
-			got, st, ok := generatedStats(traces[pkg])
+			got, st, hash, ok := generatedStats(traces[pkg])
 			if got != want {
 				t.Errorf("%s diverged:\n--- interpreter ---\n%s--- generated ---\n%s", pkg, want, got)
 			} else if wantStats := eng.Stats(); !ok || st != *wantStats {
 				t.Errorf("%s: Stats %+v, interpreter %+v", pkg, st, *wantStats)
+			} else if wantHash := interpHash(t, eng); hash != wantHash {
+				t.Errorf("%s: state hash %#x, interpreter %#x", pkg, hash, wantHash)
 			}
+			if f.probeFlags {
+				pr, err := sim.Lower(f.d, interp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkWokenBitmap(t, pkg, traces[pkg+" flags"], len(pr.Spans))
+			}
+		}
+	}
+}
+
+// interpHash is the state hash of an interpreter engine, computed as the
+// generated StateHash computes it.
+func interpHash(t *testing.T, eng sim.Simulator) uint64 {
+	t.Helper()
+	st, err := sim.Capture(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ckpt.StateHash(st)
+}
+
+// checkWokenBitmap checks the activity bitmap a New Sim printed: wakeAll
+// set the bit of each of the engine's partitions, and no bit past them.
+func checkWokenBitmap(t *testing.T, pkg, trace string, np int) {
+	t.Helper()
+	var words []string
+	for w := 0; w*64 < np; w++ {
+		words = append(words, fmt.Sprintf("%x", bits.Mask64(^uint64(0), np-64*w)))
+	}
+	if want := fmt.Sprintf("[%s]\n", strings.Join(words, " ")); trace != want {
+		t.Errorf("%s: a New Sim's flags are %q, want %q (%d partitions)", pkg, trace, want, np)
+	}
+}
+
+// TestWalkFixtureShape: under each of its configurations the walk fixture
+// of TestGeneratedMatchesInterpreter has what the bitmap walk must get
+// right — more than one flag word of partitions ending mid-word, a
+// partition output waking a later partition of its own word and one
+// waking an earlier partition, and an always-on partition.
+func TestWalkFixtureShape(t *testing.T) {
+	d := compileDesign(t, walkSrc(100))
+	for _, cfg := range walkConfigs {
+		pr, err := sim.Lower(d, cfg.opts.Engine())
+		if err != nil {
+			t.Fatal(err)
+		}
+		np := len(pr.Spans)
+		later, earlier := false, false
+		for p := range np {
+			for _, o := range pr.Parts.Outputs(int32(p)) {
+				uncond, guarded, _ := pr.Parts.Wakes(o.Wake)
+				for _, q := range slices.Concat(uncond, guarded) {
+					later = later || int(q) > p && int(q)>>6 == p>>6
+					earlier = earlier || int(q) < p
+				}
+			}
+		}
+		always := slices.ContainsFunc(pr.Always, func(w uint64) bool { return w != 0 })
+		if np <= 64 || np%64 == 0 || !later || !earlier || !always {
+			t.Errorf("%s: %d partitions, same-word later wake %v, earlier wake %v, always-on %v",
+				cfg.name, np, later, earlier, always)
 		}
 	}
 }
@@ -570,9 +690,14 @@ func guardedEdges(pr *sim.Program) int {
 // TestPartitionValuesStayLocal is the shape of the emission on the
 // counter: state is fixed-size arrays, and once a partition function has
 // defined a one-word value every later read of it at that block level is
-// the local, never the table word it stored through to.
+// the local, never the table word it stored through to. It reads the
+// gofmt'd text, whose indentation the patterns below assume.
 func TestPartitionValuesStayLocal(t *testing.T) {
-	src, err := Generate(compileDesign(t, counterSrc), Options{Mode: ModeCCSS, Cp: 8})
+	raw, err := Generate(compileDesign(t, counterSrc), Options{Mode: ModeCCSS, Cp: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := format.Source(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -624,10 +624,20 @@ func (g *gen) emitMemWriteCapture(i int32) {
 // (which count on a local) address it.
 var wakesStat = fmt.Sprintf("s.stats[%d]", statWakes)
 
-// wake sets the activity flags of parts, counting them on counter.
+// flagWords is the length of the activity bitmap of np partitions.
+func flagWords(np int) int { return (np + 63) / 64 }
+
+// wake sets the activity flags of parts — one OR per flag word they fall
+// in — counting them on counter.
 func (g *gen) wake(parts []int32, counter string) {
+	masks := make([]uint64, flagWords(len(g.pr.Spans)))
 	for _, p := range parts {
-		g.p("s.flags[%d] = true", p)
+		masks[p>>6] |= 1 << (p & 63)
+	}
+	for w, m := range masks {
+		if m != 0 {
+			g.p("s.flags[%d] |= %#x", w, m)
+		}
 	}
 	if len(parts) > 0 {
 		g.p("%s += %d", counter, len(parts))
@@ -646,8 +656,7 @@ func (g *gen) wakeList(w sim.WakeList, counter string, ref func(int32) string) {
 			cmp = "!="
 		}
 		g.p("if %s %s 0 {", ref(lits[i].Off), cmp)
-		g.p("s.flags[%d] = true", q)
-		g.p("%s++", counter)
+		g.wake([]int32{q}, counter)
 		g.p("}")
 	}
 }
@@ -796,8 +805,23 @@ func (g *gen) emitFullCycleStep() {
 
 // emitCCSSStep emits the partition-walking Step with input change
 // detection and one function per partition.
+//
+// The walk is the interpreter's (CCSS.next): it visits the set bits of
+// flags, ORed with the always-on partitions, in partition order, taking
+// each bit before the call. It re-reads the flag word after every
+// evaluation, so a wake to a later partition of the same word runs this
+// cycle, like one to a later word, and a wake to an earlier partition
+// runs next cycle. One dense switch maps a partition to its function.
 func (g *gen) emitCCSSStep() {
 	pr := g.pr
+	np := len(pr.Spans)
+	g.p("// always marks the partitions the walk stops at every cycle.")
+	g.p("var always = [%d]uint64{", flagWords(np))
+	for _, w := range pr.Always {
+		g.p("  %#x,", w)
+	}
+	g.p("}")
+	g.p("")
 	g.p("// Step simulates n cycles (CCSS schedule: conditional partitions,")
 	g.p("// singular static order, push triggering).")
 	g.emitStepLoop(func() {
@@ -805,14 +829,23 @@ func (g *gen) emitCCSSStep() {
 		// following one (poked also covers Reset) — same gating as the
 		// interpreter's scanInputs.
 		g.p("    if s.poked { s.poked = false; s.detectInputs() }")
-		g.p("    s.stats[%d] += %d", statPartChecks, len(pr.Spans))
-		for pi := range pr.Spans {
-			if pr.Always[pi>>6]>>(pi&63)&1 != 0 {
-				g.p("    s.p%d()", pi)
-			} else {
-				g.p("    if s.flags[%d] { s.flags[%d] = false; s.p%d() }", pi, pi, pi)
-			}
+		g.p("    s.stats[%d] += %d", statPartChecks, np)
+		g.p("    for p := uint(0); p < %d; {", np)
+		g.p("      w := p >> 6")
+		g.p("      x := (s.flags[w] | always[w]) >> (p & 63)")
+		g.p("      if x == 0 {")
+		g.p("        p = (w + 1) << 6")
+		g.p("        continue")
+		g.p("      }")
+		g.p("      p += uint(bits.TrailingZeros64(x))")
+		g.p("      s.flags[w] &^= 1 << (p & 63)")
+		g.p("      switch p {")
+		for pi := range np {
+			g.p("      case %d: s.p%d()", pi, pi)
 		}
+		g.p("      }")
+		g.p("      p++")
+		g.p("    }")
 	})
 
 	// Input change detection.

@@ -217,7 +217,7 @@ func TestResetMidRun(t *testing.T) {
 		ccss["batch lane 0"] = b.LaneStats(0)
 
 		for _, cfg := range f.variants() {
-			got, st, ok := generatedStats(traces[pkgName(f, cfg)])
+			got, st, _, ok := generatedStats(traces[pkgName(f, cfg)])
 			if got != want || !ok {
 				t.Fatalf("%s: generated %s diverged from the unoptimized full-cycle engine", f.name, cfg.name)
 			}
@@ -266,7 +266,7 @@ func TestResetKeepsInputs(t *testing.T) {
 		}
 		want := replay(interpSim{s, f.d}, f)
 		for _, cfg := range f.variants() {
-			got, _, _ := generatedStats(traces[pkgName(f, cfg)])
+			got, _, _, _ := generatedStats(traces[pkgName(f, cfg)])
 			if got != want {
 				t.Errorf("%s: generated %s after Reset differs from the interpreter\n--- got\n%s--- want\n%s",
 					f.name, cfg.name, got, want)

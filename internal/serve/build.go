@@ -121,8 +121,10 @@ func (c *Config) buildOnce(key string, d *netlist.Design, gen codegen.Options) (
 		}
 	}
 
+	// Nothing reads the artifact's DWARF: a child panic still prints a
+	// symbolized stack from the pclntab, which -s -w keeps.
 	bin := filepath.Join(dir, binName)
-	cmd := exec.Command(c.goTool(), "build", "-o", bin, ".")
+	cmd := exec.Command(c.goTool(), "build", "-ldflags=-s -w", "-gcflags=-dwarf=false", "-o", bin, ".")
 	cmd.Dir = src
 	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
 	var outBuf bytes.Buffer
