@@ -78,17 +78,21 @@ type LaneResult struct {
 // run.
 func (r *BatchRunner) Run(maxCycles int) ([]LaneResult, error) {
 	b := r.Sim
+	base := make([]uint64, b.NumLanes())
+	for l := range base {
+		base[l] = b.LaneStats(l).Cycles
+	}
 	start := b.Cycle()
 	const chunk = 1024
-	for !b.Done() && int(b.Cycle()-start) < maxCycles {
-		if err := b.Step(chunk); err != nil {
+	for ran := 0; !b.Done() && ran < maxCycles; ran = int(b.Cycle() - start) {
+		if err := b.Step(min(chunk, maxCycles-ran)); err != nil {
 			return nil, err
 		}
 	}
 	out := make([]LaneResult, b.NumLanes())
 	for l := range out {
 		lr := &out[l]
-		lr.Cycles = b.LaneStats(l).Cycles - start
+		lr.Cycles = b.LaneStats(l).Cycles - base[l]
 		switch e := b.LaneErr(l).(type) {
 		case nil:
 			// Budget exhausted with the lane still running.

@@ -117,8 +117,8 @@ type Result struct {
 func (r *Runner) Run(maxCycles int) (Result, error) {
 	start := r.Sim.Stats().Cycles
 	const chunk = 1024
-	for int(r.Sim.Stats().Cycles-start) < maxCycles {
-		err := r.Sim.Step(chunk)
+	for ran := 0; ran < maxCycles; ran = int(r.Sim.Stats().Cycles - start) {
+		err := r.Sim.Step(min(chunk, maxCycles-ran))
 		if err != nil {
 			var stop *sim.StopError
 			if errors.As(err, &stop) {

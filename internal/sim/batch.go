@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"essent/internal/netlist"
 	"essent/internal/verify"
@@ -17,18 +21,34 @@ import (
 // stimulus woke — the paper's per-stimulus activity (§III-A) — and its
 // Stats are a sequential CCSS run's by construction.
 //
-// Lanes run in lock-step from cycle 0: each batch cycle steps every live
-// lane once, in lane order, so printf output interleaves in lane order
-// within a cycle. A lane that executes stop() or fails an assertion
-// finishes that cycle (commit included) and freezes: it leaves the live
-// set, its error is kept for LaneErr, and the remaining lanes continue.
+// Since the lanes share no word a step writes, Step runs them in parallel,
+// each lane to the end of the call (see Step). A lane that executes stop()
+// or fails an assertion finishes that cycle (commit included) and freezes:
+// it leaves the live set, its error is kept for LaneErr, and the remaining
+// lanes continue.
 type BatchCCSS struct {
 	lanes []*CCSS
 	// live is the set of lanes still running.
 	live simrt.LaneMask
-	// cycle counts lock-step cycles (a lane that froze earlier, or was
-	// restored from a snapshot, keeps its own count in its Stats).
+	// cycle counts lock-step cycles: the cycles the longest-running lane
+	// ran in each Step call (a lane that froze earlier, or was restored
+	// from a snapshot, keeps its own count in its Stats).
 	cycle uint64
+	// out receives the lanes' printf output after each Step, lane by
+	// lane from bufs; nil while output is discarded.
+	out  io.Writer
+	bufs []bytes.Buffer
+	// todo lists the lanes a Step call runs; runs[l] is what lane l's
+	// worker reports back.
+	todo []int
+	runs []laneRun
+}
+
+// laneRun is one lane's share of a Step call: the cycles it ran and the
+// value of the panic that ended it, if one did.
+type laneRun struct {
+	cycles int
+	panic  any
 }
 
 // BatchOptions configures the batched engine.
@@ -48,9 +68,8 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 		return nil, err
 	}
 	L := min(max(opts.Lanes, 1), simrt.MaxLanes)
-	b := &BatchCCSS{lanes: make([]*CCSS, L), live: simrt.FullMask(L)}
-	b.lanes[0] = base
-	for l := 1; l < L; l++ {
+	b := &BatchCCSS{lanes: make([]*CCSS, L), live: simrt.FullMask(L), runs: make([]laneRun, L)}
+	for l := range b.lanes {
 		b.lanes[l] = base.lane()
 	}
 	return b, nil
@@ -66,8 +85,8 @@ func (b *BatchCCSS) Reset() {
 }
 
 // Close and Degraded are no-ops kept for callers written against the
-// pooled engine (bench/ calls both): there are no worker goroutines to
-// retire and no pool to lose.
+// pooled engine (bench/ calls both): Step joins its workers before it
+// returns, so there is no goroutine to retire and no pool to lose.
 func (b *BatchCCSS) Close() {}
 
 func (b *BatchCCSS) Degraded() bool { return false }
@@ -108,11 +127,21 @@ func (b *BatchCCSS) NumSchedEntries() int { return b.lanes[0].NumSchedEntries() 
 // NumPartitions returns the partition count.
 func (b *BatchCCSS) NumPartitions() int { return b.lanes[0].NumPartitions() }
 
-// SetOutput directs every lane's printf output (lanes interleave in lane
-// order within a cycle).
+// SetOutput directs every lane's printf output to w. Unless w is
+// io.Discard, each lane prints into a private buffer and Step writes the
+// buffers to w in lane order after its workers join: within one call,
+// lane 0's lines come first, then lane 1's, and so on.
 func (b *BatchCCSS) SetOutput(w io.Writer) {
-	for _, c := range b.lanes {
-		c.SetOutput(w)
+	if w == io.Discard {
+		b.out, b.bufs = nil, nil
+		for _, c := range b.lanes {
+			c.SetOutput(w)
+		}
+		return
+	}
+	b.out, b.bufs = w, make([]bytes.Buffer, len(b.lanes))
+	for l, c := range b.lanes {
+		c.SetOutput(&b.bufs[l])
 	}
 }
 
@@ -207,17 +236,70 @@ func (b *BatchCCSS) Stats() *Stats {
 
 // --- per-cycle evaluation ---
 
-// Step simulates up to n lock-step cycles, stopping early when every
-// lane has terminated. Per-lane termination is reported via LaneErr.
+// Step runs every live lane up to n cycles; a lane that stops or fails
+// an assertion ends its share of the call on that cycle, and LaneErr
+// reports why. The lanes share no word a step writes, so Step runs them
+// on min(GOMAXPROCS, live lanes) workers — the caller and goroutines that
+// are joined before Step returns — each claiming the next live lane and
+// running it to the end of the call. Cycle grows by the most cycles any
+// lane ran, which is what stepping the lanes in lock-step counts. Printf
+// output is written after the join, in lane order (SetOutput). A panic
+// in a lane is recovered in its worker and raised again here, on the
+// caller, after the join: the lowest-numbered panicking lane's value.
 func (b *BatchCCSS) Step(n int) error {
-	for i := 0; i < n && b.live != 0; i++ {
-		for live := b.live; live != 0; live = live.Drop() {
-			l := live.Lowest()
-			if b.lanes[l].stepOne() != nil {
-				b.live &^= 1 << uint(l)
-			}
+	if n <= 0 || b.live == 0 {
+		return nil
+	}
+	b.todo = b.live.Lanes(b.todo)
+	var next atomic.Int32
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(b.todo); i = int(next.Add(1)) - 1 {
+			b.runLane(b.todo[i], n)
 		}
-		b.cycle++
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(b.todo)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+
+	ran, panicked := 0, -1
+	for _, l := range b.todo {
+		r := &b.runs[l]
+		ran = max(ran, r.cycles)
+		if b.lanes[l].stopErr != nil {
+			b.live &^= 1 << uint(l)
+		}
+		if r.panic != nil && panicked < 0 {
+			panicked = l
+		}
+		if b.out != nil {
+			b.out.Write(b.bufs[l].Bytes())
+			b.bufs[l].Reset()
+		}
+	}
+	b.cycle += uint64(ran)
+	if panicked >= 0 {
+		panic(b.runs[panicked].panic)
 	}
 	return nil
+}
+
+// runLane runs lane l for up to n cycles, ending after the cycle on which
+// it stops or fails an assertion, and reports into runs[l].
+func (b *BatchCCSS) runLane(l, n int) {
+	r := &b.runs[l]
+	*r = laneRun{}
+	defer func() { r.panic = recover() }()
+	for c := b.lanes[l]; r.cycles < n; {
+		r.cycles++
+		if c.stepOne() != nil {
+			return
+		}
+	}
 }

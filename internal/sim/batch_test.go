@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"essent/internal/bits"
 	"essent/internal/netlist"
@@ -379,5 +381,107 @@ circuit P :
 	b.Step(10)
 	if refOut.String() == "" || refOut.String() != batchOut.String() {
 		t.Fatalf("printf diverged:\nseq:   %q\nbatch: %q", refOut.String(), batchOut.String())
+	}
+}
+
+// laneIDPrintf prints its lane's id input and a counter every cycle.
+const laneIDPrintf = `
+circuit P :
+  module P :
+    input clock : Clock
+    input id : UInt<8>
+    output o : UInt<8>
+    reg r : UInt<8>, clock
+    r <= tail(add(r, UInt<8>(1)), 1)
+    o <= r
+    printf(clock, UInt<1>(1), "lane %d r=%d\n", id, r)
+`
+
+// TestBatchPrintfLaneOrder: lanes running on several workers print into
+// one shared buffer, and each Step call's output is the lanes' sequential
+// outputs for that call concatenated in lane order.
+func TestBatchPrintfLaneOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	d := compileSrc(t, laneIDPrintf)
+	id, _ := d.SignalByName("id")
+	const lanes = 5
+	b, err := NewBatchCCSS(d, BatchOptions{Lanes: lanes, Cp: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := make([]*CCSS, lanes)
+	refOut := make([]bytes.Buffer, lanes)
+	for l := range refs {
+		if refs[l], err = newCCSS(d, Options{Cp: 8}); err != nil {
+			t.Fatal(err)
+		}
+		refs[l].SetOutput(&refOut[l])
+		refs[l].Poke(id, uint64(l))
+		b.PokeLane(l, id, uint64(l))
+	}
+	var shared bytes.Buffer
+	b.SetOutput(&shared)
+	var want bytes.Buffer
+	for _, n := range []int{10, 7} {
+		for l, r := range refs {
+			r.Step(n)
+			want.Write(refOut[l].Bytes())
+			refOut[l].Reset()
+		}
+		if err := b.Step(n); err != nil {
+			t.Fatal(err)
+		}
+		if shared.String() != want.String() {
+			t.Fatalf("after Step(%d):\nbatch:      %q\nlane order: %q", n, shared.String(), want.String())
+		}
+	}
+}
+
+// panicWriter panics with its lane's name on its (after+1)th write.
+type panicWriter struct {
+	lane, after int
+}
+
+func (w *panicWriter) Write(p []byte) (int, error) {
+	if w.after == 0 {
+		panic(fmt.Sprintf("lane %d", w.lane))
+	}
+	w.after--
+	return len(p), nil
+}
+
+// TestBatchLanePanic: a panic in one lane's worker surfaces from Step on
+// the caller, once every other lane has run the whole call, with the
+// value of the lowest-numbered lane that panicked (here lane 2, which
+// panics after lane 4 did), and leaves no goroutine behind.
+func TestBatchLanePanic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	d := compileSrc(t, laneIDPrintf)
+	const lanes, n = 6, 50
+	b, err := NewBatchCCSS(d, BatchOptions{Lanes: lanes, Cp: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.lanes[2].SetOutput(&panicWriter{lane: 2, after: 30})
+	b.lanes[4].SetOutput(&panicWriter{lane: 4})
+	baseline := runtime.NumGoroutine()
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		b.Step(n)
+		return nil
+	}()
+	if got != "lane 2" {
+		t.Fatalf("Step panicked with %v, want lane 2's panic", got)
+	}
+	for _, l := range []int{0, 1, 3, 5} {
+		if c := b.LaneStats(l).Cycles; c != n {
+			t.Errorf("lane %d ran %d of %d cycles before the panic surfaced", l, c, n)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the panic, %d before Step", runtime.NumGoroutine(), baseline)
+		}
+		runtime.Gosched()
 	}
 }

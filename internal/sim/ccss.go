@@ -264,7 +264,7 @@ func buildCCSS(d *netlist.Design, plan *sched.CCSSPlan, opts Options) (*CCSS, er
 	return c, nil
 }
 
-// lane returns a second engine over c's compile, for BatchCCSS: it shares
+// lane returns an engine over c's compile, for BatchCCSS: it shares
 // everything construction fixed — the stream and its instructions, the partition
 // and wake tables, the plan, the sinks — and owns a copy of everything a
 // step writes: the value table, memories and pending writes, the wide-op
@@ -273,24 +273,36 @@ func buildCCSS(d *netlist.Design, plan *sched.CCSSPlan, opts Options) (*CCSS, er
 // newCCSS left c.
 func (c *CCSS) lane() *CCSS {
 	m := *c.machine
-	m.t = slices.Clone(m.t)
+	m.t = laneCopy(m.t, 0)
 	m.mems = slices.Clone(m.mems)
 	for i := range m.mems {
-		m.mems[i].words = slices.Clone(m.mems[i].words)
+		m.mems[i].words = laneCopy(m.mems[i].words, 0)
 	}
-	m.memWrites = slices.Clone(m.memWrites)
+	m.memWrites = laneCopy(m.memWrites, 0)
 	for i := range m.memWrites {
-		m.memWrites[i].pendData = slices.Clone(m.memWrites[i].pendData)
+		m.memWrites[i].pendData = laneCopy(m.memWrites[i].pendData, 0)
 	}
 	m.sc = simrt.NewScratch(m.maxWords)
 	l := *c
 	l.machine = &m
-	l.flags = slices.Clone(c.flags)
-	l.oldVals = slices.Clone(c.oldVals)
-	l.prevIn = slices.Clone(c.prevIn)
-	l.dirtyRegs = nil
+	l.flags = laneCopy(c.flags, 0)
+	l.oldVals = laneCopy(c.oldVals, 0)
+	l.prevIn = laneCopy(c.prevIn, 0)
+	l.dirtyRegs = laneCopy([]int32(nil), len(c.regNext))
 	l.walk = l.stepOne
 	return &l
+}
+
+// laneCopy copies s into a new array with room for n elements, sized to
+// whole 64-byte cache lines. Batch lanes run on different cores and write
+// these arrays every cycle, and two lanes' small arrays packed into one
+// line would move it between the cores on every write. The Go allocator
+// puts an object whose size is a multiple of 64 bytes on a 64-byte
+// boundary, and sixteen elements of four or more bytes are whole lines.
+func laneCopy[T any](s []T, n int) []T {
+	out := make([]T, len(s), (max(n, len(s))+15)&^15)
+	copy(out, s)
+	return out
 }
 
 // --- activity state ---

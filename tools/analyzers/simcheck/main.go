@@ -20,13 +20,14 @@
 //     clock (time.Now/time.Since): every experiment is timed by the one
 //     interleaved min-of-N runner, so a new sweep cannot quietly grow
 //     its own estimator.
-//  5. sim-single-goroutine — non-test internal/sim contains no go
-//     statement and imports neither sync nor sync/atomic, and only
-//     ccss.go may index the activity bitmap (the flags and always
-//     fields): every engine is a single-goroutine program over one
-//     representation of partition activity, so a new executor cannot
-//     quietly grow a thread pool (the one there was is retired, DESIGN
-//     §6) or a second flag walk.
+//  5. sim-single-goroutine — in non-test internal/sim the one go
+//     statement is in (*BatchCCSS).Step and only batch.go imports sync
+//     or sync/atomic, and only ccss.go may index the activity bitmap
+//     (the flags and always fields): every engine steps on one goroutine
+//     over one representation of partition activity, and the batch fans
+//     its independent lanes out only within a Step call, so a new
+//     executor cannot quietly grow a thread pool (the level-parallel
+//     ones are retired, DESIGN §6) or a second flag walk.
 //  6. sim-one-dispatch — in internal/sim a switch over instruction
 //     opcodes (ICode, or the stream's Opcode) whose arms store into a
 //     table is an evaluator, and evaluators are a closed set: the
@@ -74,6 +75,12 @@ const (
 	// simFlagsFile is the internal/sim file allowed to index the activity
 	// flags.
 	simFlagsFile = "ccss.go"
+	// simFanoutFile is the internal/sim file allowed to import sync and
+	// sync/atomic; simFanoutType's simFanoutMethod in it is the one
+	// function allowed a go statement.
+	simFanoutFile   = "batch.go"
+	simFanoutType   = "BatchCCSS"
+	simFanoutMethod = "Step"
 	// dispatchMinArms is how many storing arms make an opcode switch an
 	// evaluator rather than a classifier (operand shapes, weights).
 	dispatchMinArms = 8
@@ -291,38 +298,60 @@ func checkOneEstimator(fset *token.FileSet, files []*ast.File, info *types.Info,
 	}
 }
 
-// checkSingleGoroutine flags go statements and sync / sync/atomic imports
-// in internal/sim, and indexing of an activity-bitmap field outside the
-// CCSS file.
+// checkSingleGoroutine flags, in internal/sim, go statements outside the
+// batch's Step, sync / sync/atomic imports outside its file, and indexing
+// of an activity-bitmap field outside the CCSS file.
 func checkSingleGoroutine(fset *token.FileSet, files []*ast.File, info *types.Info,
 	report func(token.Pos, string, string)) {
 	for _, f := range files {
 		name := filepath.Base(fset.Position(f.Pos()).Filename)
 		for _, imp := range f.Imports {
-			if path := strings.Trim(imp.Path.Value, `"`); path == "sync" || path == "sync/atomic" {
+			if path := strings.Trim(imp.Path.Value, `"`); (path == "sync" || path == "sync/atomic") && name != simFanoutFile {
 				report(imp.Pos(), "sim-single-goroutine", fmt.Sprintf(
-					"import of %s: the engines run on the calling goroutine alone", path))
+					"import of %s outside %s: the engines run on the calling goroutine alone",
+					path, simFanoutFile))
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				report(n.Pos(), "sim-single-goroutine",
-					"go statement: the engines run on the calling goroutine alone")
-			case *ast.IndexExpr:
-				sel, ok := n.X.(*ast.SelectorExpr)
-				if !ok || !simFlagFields[sel.Sel.Name] || name == simFlagsFile {
-					return true
+		for _, decl := range f.Decls {
+			fanout := name == simFanoutFile && isMethod(decl, simFanoutType, simFanoutMethod)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					if !fanout {
+						report(n.Pos(), "sim-single-goroutine", fmt.Sprintf(
+							"go statement outside (*%s).%s: the engines run on the calling goroutine alone",
+							simFanoutType, simFanoutMethod))
+					}
+				case *ast.IndexExpr:
+					sel, ok := n.X.(*ast.SelectorExpr)
+					if !ok || !simFlagFields[sel.Sel.Name] || name == simFlagsFile {
+						return true
+					}
+					if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+						report(n.Pos(), "sim-single-goroutine", fmt.Sprintf(
+							"activity %s indexed outside %s: go through wake/take/next",
+							sel.Sel.Name, simFlagsFile))
+					}
 				}
-				if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
-					report(n.Pos(), "sim-single-goroutine", fmt.Sprintf(
-						"activity %s indexed outside %s: go through wake/take/next",
-						sel.Sel.Name, simFlagsFile))
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
+}
+
+// isMethod reports whether decl declares method name on pointer receiver
+// *typ.
+func isMethod(decl ast.Decl, typ, name string) bool {
+	fn, ok := decl.(*ast.FuncDecl)
+	if !ok || fn.Recv == nil || fn.Name.Name != name {
+		return false
+	}
+	star, ok := fn.Recv.List[0].Type.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	id, ok := star.X.(*ast.Ident)
+	return ok && id.Name == typ
 }
 
 // checkOneDispatch flags opcode evaluators outside simDispatchFuncs: a

@@ -196,11 +196,11 @@ var _ time.Duration // naming the package without reading the clock is fine
 	wantRules(t, findings)
 }
 
-// TestSingleGoroutineRule: non-test internal/sim starts no goroutine and
-// imports neither sync nor sync/atomic, and only ccss.go may index the
-// activity bitmap. The clean source is the shape the package has; each
-// mutation is one of the copies the rule exists to keep from coming
-// back.
+// TestSingleGoroutineRule: non-test internal/sim starts a goroutine only
+// in (*BatchCCSS).Step, imports sync and sync/atomic only in batch.go, and
+// indexes the activity bitmap only in ccss.go. The clean sources are the
+// shape the package has; each mutation is one of the copies the rule
+// exists to keep from coming back.
 func TestSingleGoroutineRule(t *testing.T) {
 	imp := deps(t)
 	for _, path := range []string{"sync", "sync/atomic"} {
@@ -242,6 +242,41 @@ func New() (*CCSS, error) {
 			t.Fatalf("import of %s not flagged: %q", path, findings[0])
 		}
 	}
+	// The batch's fan-out: its Step may start goroutines and its file may
+	// import sync; another method of the batch, another type's Step, or
+	// the same Step in another file may not.
+	const batch = `
+package sim
+import (
+	_ "sync"
+	_ "sync/atomic"
+)
+type BatchCCSS struct{ lanes []func() }
+type CCSS struct{}
+func (b *BatchCCSS) Step(n int) error {
+	for _, f := range b.lanes[1:] {
+		go f()
+	}
+	b.lanes[0]()
+	return nil
+}
+func (b *BatchCCSS) Reset() { b.lanes[0]() }
+func (c *CCSS) Step(f func()) { f() }
+`
+	findings, _ = checkFile(t, imp, simPath, "internal/sim/"+simFanoutFile, batch)
+	wantRules(t, findings)
+	for _, mut := range []string{
+		strings.Replace(batch, "Reset() { b.lanes[0]() }", "Reset() { go b.lanes[0]() }", 1),
+		strings.Replace(batch, "Step(f func()) { f() }", "Step(f func()) { go f() }", 1),
+	} {
+		findings, _ = checkFile(t, imp, simPath, "internal/sim/"+simFanoutFile, mut)
+		wantRules(t, findings, "sim-single-goroutine")
+		if !strings.Contains(findings[0], "go statement outside (*BatchCCSS).Step") {
+			t.Fatalf("a go statement outside the batch's Step not flagged: %q", findings[0])
+		}
+	}
+	findings, _ = checkFile(t, imp, simPath, "internal/sim/"+simFlagsFile, batch)
+	wantRules(t, findings, "sim-single-goroutine", "sim-single-goroutine", "sim-single-goroutine")
 	// The bitmap indexed from another file.
 	findings, _ = checkFile(t, imp, simPath, "internal/sim/batch.go", src)
 	wantRules(t, findings, "sim-single-goroutine")
