@@ -76,7 +76,7 @@ func (o Options) Engine() sim.Options {
 // binary is never reused across a change to the emitted text: bump it
 // with any such change (TestFormatVersionPinsEmittedText fails until
 // then).
-const FormatVersion = 9
+const FormatVersion = 10
 
 // Generate emits Go source for a simulator of the design. The text is the
 // emitter's own, not gofmt's: the compiled backend builds it as printed,

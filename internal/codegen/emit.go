@@ -22,11 +22,6 @@ func masked(expr string, bound, mask uint64) string {
 	return fmt.Sprintf("(%s) & %#x", expr, mask)
 }
 
-// maskLit renders expr masked to dw bits.
-func maskLit(expr string, dw int32) string {
-	return masked(expr, ^uint64(0), bits.Mask64(^uint64(0), int(dw)))
-}
-
 // slot renders table word off; view renders a wide operand's word span.
 // Cold bodies, commit and input detection read the table through these;
 // everything inside an evaluation function reads through ref.
@@ -45,23 +40,6 @@ func (g *gen) ref(off int32) string {
 		return fmt.Sprintf("v%d", off)
 	}
 	return slot(off)
-}
-
-// load renders an escape's narrow operand, sign-extending stored patterns
-// when the operand is signed; extend renders it copied into a dw-bit
-// destination.
-func (g *gen) load(off, w int32, signed bool) string {
-	if signed && w < 64 {
-		return fmt.Sprintf("simrt.Sext64(%s, %d)", g.ref(off), w)
-	}
-	return g.ref(off)
-}
-
-func (g *gen) extend(off, w int32, signed bool, dw int32) string {
-	if !signed && w <= dw {
-		return g.ref(off)
-	}
-	return maskLit(g.load(off, w, signed), dw)
 }
 
 // wantLocal reports whether slot off's definition binds a local: only in
@@ -142,14 +120,14 @@ func (g *gen) emitFunc(name string, localize bool, body func()) {
 }
 
 // muxSel returns the selector slot of a plain multiplexer: OpMux, or an
-// escape naming an IMux.
+// escape naming an OpMux instruction.
 func (g *gen) muxSel(op *sim.Op) (sel int32, ok bool) {
 	switch op.Code {
 	case sim.OpMux:
 		return op.A, true
 	case sim.OpSigned, sim.OpWide:
 		in := &g.pr.Instrs[op.X]
-		return in.A, in.Code == sim.IMux
+		return in.A, in.Code == sim.OpMux
 	}
 	return 0, false
 }
@@ -239,15 +217,6 @@ var cmpOf = map[sim.Opcode]string{
 	sim.OpFEqMux: "==", sim.OpFNeqMux: "!=",
 }
 
-// binop, arith and divRem name the Go operator and the simrt kernels of
-// the instruction codes the escape printers render alike.
-var (
-	binop = map[sim.ICode]string{sim.IAdd: "+", sim.ISub: "-", sim.IMul: "*",
-		sim.IAnd: "&", sim.IOr: "|", sim.IXor: "^"}
-	arith  = map[sim.ICode]string{sim.IAdd: "Add", sim.ISub: "Sub", sim.IMul: "Mul"}
-	divRem = map[sim.ICode]string{sim.IDiv: "Div", sim.IRem: "Rem"}
-)
-
 var negated = map[string]string{
 	"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "==",
 }
@@ -287,7 +256,7 @@ func (g *gen) emitNarrow(op *sim.Op) {
 		case op.Sh == 0:
 			expr, bound = a, ba
 		case op.Sh >= 64:
-			expr, bound = "0", 0
+			expr, bound = "uint64(0)", 0
 		case op.Code == sim.OpShl:
 			expr = fmt.Sprintf("%s << %d", a, op.Sh)
 		default:
@@ -330,10 +299,10 @@ func (g *gen) emitNarrow(op *sim.Op) {
 }
 
 // emitMux prints a multiplexer — OpMux, a fused compare-mux, or an escape
-// naming an IMux — as `if cond { <T arm>; dst = T } else { <F arm>; dst =
-// F }`: §III-B's conditional evaluation of multiplexor ways, the arms
-// being the stream ranges its skips guard (empty for a mux with no
-// claimed cones). Reset muxes (unlikely) put the likely arm first. A hold
+// naming an OpMux instruction — as `if cond { <T arm>; dst = T } else {
+// <F arm>; dst = F }`: §III-B's conditional evaluation of multiplexor
+// ways, the arms being the stream ranges its skips guard (empty for a mux
+// with no claimed cones). Reset muxes (unlikely) put the likely arm first. A hold
 // way — an elided register keeping its value, the way's slot being the
 // destination's — with no arm emits no code.
 func (g *gen) emitMux(op *sim.Op, arms [2][2]int32) {
@@ -356,13 +325,15 @@ func (g *gen) emitMux(op *sim.Op, arms [2][2]int32) {
 	case sim.OpSigned, sim.OpWide:
 		in := &g.pr.Instrs[op.X]
 		ca = g.ref(in.A)
+		// A way is OpCopy's kernel on the way's operand.
 		escape := func(k int, off, w int32, signed bool) {
 			hold[k] = !wide && off == dst && !signed && w <= in.DW
+			way := sim.Instr{Code: sim.OpCopy, Dst: dst, DW: in.DW, A: off, AW: w, SA: signed, B: -1}
 			assign[k] = func(lhs string) {
 				if wide {
-					g.p("s.sc.Copy(%s, %s, %d, %v, %d)", view(dst, in.DW), view(off, w), w, signed, in.DW)
+					g.emitWide(&way)
 				} else {
-					g.p("%s = %s", lhs, g.extend(off, w, signed, in.DW))
+					g.p("%s = %s", lhs, g.kernelCall(&way))
 				}
 			}
 		}
@@ -419,126 +390,48 @@ func (g *gen) emitMux(op *sim.Op, arms [2][2]int32) {
 	}
 }
 
-// emitSigned prints an OpSigned escape through the instruction it names:
-// the general one-word path, with sign extensions.
-func (g *gen) emitSigned(in *sim.Instr) {
-	d := in.Dst
-	a, b := g.load(in.A, in.AW, in.SA), ""
-	au, bu := g.ref(in.A), ""
-	if in.B >= 0 {
-		b, bu = g.load(in.B, in.BW, in.SB), g.ref(in.B)
+// kernel returns the name of code's kernels in the escape kernel table,
+// failing the generation for a code without them.
+func (g *gen) kernel(code sim.Opcode) string {
+	if int(code) < len(sim.Kernels) && sim.Kernels[code].Name != "" {
+		return sim.Kernels[code].Name
 	}
-	switch in.Code {
-	case sim.ICopy:
-		g.def(d, "%s", g.extend(in.A, in.AW, in.SA, in.DW))
-	case sim.IMemRead:
-		g.def(d, "simrt.Load(s.mems[%d], %s)", in.Mem, au)
-	case sim.IAdd, sim.ISub, sim.IMul, sim.IAnd, sim.IOr, sim.IXor:
-		g.def(d, "%s", maskLit(a+" "+binop[in.Code]+" "+b, in.DW))
-	case sim.IDiv, sim.IRem:
-		if in.SA {
-			g.def(d, "simrt.%sS64(%s, %d, %s, %d, %d)", divRem[in.Code], au, in.AW, bu, in.BW, in.DW)
-		} else {
-			g.def(d, "simrt.%sU64(%s, %s, %d)", divRem[in.Code], au, bu, in.DW)
-		}
-	case sim.ILt, sim.ILeq, sim.IGt, sim.IGeq:
-		cmp := cmpOf[sim.Opcode(in.Code)]
-		if in.SA {
-			g.def(d, "simrt.B2U(int64(%s) %s int64(%s))", a, cmp, b)
-		} else {
-			g.def(d, "simrt.B2U(%s %s %s)", au, cmp, bu)
-		}
-	case sim.IEq, sim.INeq:
-		g.def(d, "simrt.B2U(%s %s %s)", a, cmpOf[sim.Opcode(in.Code)], b)
-	case sim.IShl:
-		g.def(d, "%s", maskLit(fmt.Sprintf("%s << %d", au, in.P0), in.DW))
-	case sim.IShr:
-		g.def(d, "simrt.Shr64(%s, %d, %d, %v, %d)", au, in.AW, in.P0, in.SA, in.DW)
-	case sim.IDshl:
-		g.def(d, "%s", maskLit(fmt.Sprintf("%s << %s", au, bu), in.DW))
-	case sim.IDshr:
-		g.def(d, "simrt.Shr64(%s, %d, int(%s), %v, %d)", au, in.AW, bu, in.SA, in.DW)
-	case sim.INeg:
-		g.def(d, "%s", maskLit("-"+a, in.DW))
-	case sim.INot:
-		g.def(d, "%s", maskLit("^"+au, in.DW))
-	case sim.IAndr:
-		g.def(d, "simrt.B2U(%s == %#x)", au, bits.Mask64(^uint64(0), int(in.AW)))
-	case sim.IOrr:
-		g.def(d, "simrt.B2U(%s != 0)", au)
-	case sim.IXorr:
-		g.def(d, "simrt.Parity64(%s)", au)
-	case sim.ICat:
-		g.def(d, "%s", maskLit(fmt.Sprintf("%s<<%d | %s", au, in.BW, bu), in.DW))
-	case sim.IBits:
-		g.def(d, "%s", maskLit(fmt.Sprintf("%s >> %d", au, in.P1), in.P0-in.P1+1))
-	case sim.IHead:
-		g.def(d, "%s >> %d", au, in.AW-in.P0)
-	case sim.ITail:
-		g.def(d, "%s", maskLit(au, in.AW-in.P0))
-	default:
-		g.fail("no rendering for signed instruction code %d", in.Code)
-	}
+	g.fail("no kernel for instruction code %d", code)
+	return ""
 }
 
-// emitWide prints an OpWide escape through the instruction it names.
-func (g *gen) emitWide(in *sim.Instr) {
-	dst, va, vb := view(in.Dst, in.DW), view(in.A, in.AW), ""
+// kernelCall renders a one-word kernel call: the operand words, then the
+// instruction's widths, sign flags and params as constants, which fold
+// once the call is inlined.
+func (g *gen) kernelCall(in *sim.Instr) string {
+	b := "0"
 	if in.B >= 0 {
-		vb = view(in.B, in.BW)
+		b = g.ref(in.B)
 	}
-	switch in.Code {
-	case sim.ICopy:
-		g.p("s.sc.Copy(%s, %s, %d, %v, %d)", dst, va, in.AW, in.SA, in.DW)
-	case sim.IMemRead:
+	return fmt.Sprintf("simrt.%s(%s, %d, %v, %s, %d, %v, %d, %d, %d)", g.kernel(in.Code),
+		g.ref(in.A), in.AW, in.SA, b, in.BW, in.SB, in.P0, in.P1, in.DW)
+}
+
+// emitSigned prints an OpSigned escape as its one-word kernel's call.
+func (g *gen) emitSigned(in *sim.Instr) {
+	g.def(in.Dst, "%s", g.kernelCall(in))
+}
+
+// emitWide prints an OpWide escape as its wide kernel's call on the
+// operand spans; a memory read copies the addressed entry.
+func (g *gen) emitWide(in *sim.Instr) {
+	dst, b := view(in.Dst, in.DW), "nil"
+	if in.Code == sim.OpMemRead {
 		m := &g.pr.D.Mems[in.Mem]
 		g.p("simrt.MemRead(%s, s.mems[%d], %d, %d, %s)",
 			dst, in.Mem, bits.Words(m.Width), m.Depth, g.ref(in.A))
-	case sim.IAdd, sim.ISub, sim.IMul:
-		g.p("s.sc.%s(%s, %s, %d, %v, %s, %d, %v, %d)",
-			arith[in.Code], dst, va, in.AW, in.SA, vb, in.BW, in.SB, in.DW)
-	case sim.IDiv, sim.IRem:
-		g.p("s.sc.%s(%s, %s, %d, %v, %s, %d, %d)",
-			divRem[in.Code], dst, va, in.AW, in.SA, vb, in.BW, in.DW)
-	case sim.ILt, sim.ILeq, sim.IGt, sim.IGeq:
-		g.def(in.Dst, "simrt.B2U(s.sc.Cmp(%s, %d, %s, %d, %v) %s 0)",
-			va, in.AW, vb, in.BW, in.SA, cmpOf[sim.Opcode(in.Code)])
-	case sim.IEq, sim.INeq:
-		g.def(in.Dst, "simrt.B2U(s.sc.Eq(%s, %d, %v, %s, %d, %v) == %v)",
-			va, in.AW, in.SA, vb, in.BW, in.SB, in.Code == sim.IEq)
-	case sim.IShl:
-		g.p("s.sc.Shl(%s, %s, %d, %d)", dst, va, in.P0, in.DW)
-	case sim.IShr:
-		g.p("s.sc.Shr(%s, %s, %d, %d, %v, %d)", dst, va, in.P0, in.AW, in.SA, in.DW)
-	case sim.IDshl:
-		g.p("s.sc.Shl(%s, %s, int(%s), %d)", dst, va, g.ref(in.B), in.DW)
-	case sim.IDshr:
-		g.p("s.sc.Shr(%s, %s, int(%s), %d, %v, %d)",
-			dst, va, g.ref(in.B), in.AW, in.SA, in.DW)
-	case sim.INeg:
-		g.p("s.sc.Neg(%s, %s, %d, %v, %d)", dst, va, in.AW, in.SA, in.DW)
-	case sim.INot:
-		g.p("s.sc.Not(%s, %s, %d)", dst, va, in.DW)
-	case sim.IAnd, sim.IOr, sim.IXor:
-		g.p("s.sc.Logic(%s, %d, %s, %d, %v, %s, %d, %v, %d)",
-			dst, in.Code-sim.IAnd, va, in.AW, in.SA, vb, in.BW, in.SB, in.DW)
-	case sim.IAndr:
-		g.def(in.Dst, "simrt.AndR(%s, %d)", va, in.AW)
-	case sim.IOrr:
-		g.def(in.Dst, "simrt.OrR(%s)", va)
-	case sim.IXorr:
-		g.def(in.Dst, "simrt.XorR(%s)", va)
-	case sim.ICat:
-		g.p("s.sc.Cat(%s, %s, %d, %s, %d)", dst, va, in.AW, vb, in.BW)
-	case sim.IBits:
-		g.p("s.sc.Bits(%s, %s, %d, %d)", dst, va, in.P0, in.P1)
-	case sim.IHead:
-		g.p("s.sc.Bits(%s, %s, %d, %d)", dst, va, in.AW-1, in.AW-in.P0)
-	case sim.ITail:
-		g.p("s.sc.Copy(%s, %s, %d, false, %d)", dst, va, in.AW, in.DW)
-	default:
-		g.fail("no rendering for wide instruction code %d", in.Code)
+		return
 	}
+	if in.B >= 0 {
+		b = view(in.B, in.BW)
+	}
+	g.p("s.sc.%s(%s, %s, %d, %v, %s, %d, %v, %d, %d, %d)", g.kernel(in.Code),
+		dst, view(in.A, in.AW), in.AW, in.SA, b, in.BW, in.SB, in.P0, in.P1, in.DW)
 }
 
 // emitDisplayCall guards and calls a cold display function.

@@ -410,7 +410,7 @@ func cse(d *netlist.Design, st *Stats) (*netlist.Design, error) {
 //     and tail(x, 0).
 //
 // OCopy extends/truncates to the destination width with the engine's
-// ICopy semantics, which is exactly what each folded op computes on its
+// OpCopy semantics, which is exactly what each folded op computes on its
 // surviving operand, so the rewrites are width- and sign-exact.
 func foldIdentities(d *netlist.Design, st *Stats) (*netlist.Design, error) {
 	zeroConst := func(a netlist.Arg) bool {

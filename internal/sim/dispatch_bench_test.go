@@ -47,8 +47,8 @@ func dispatchChainSrc(kind string, n int) string {
 			ops := []string{"xor", "or", "and"}
 			fmt.Fprintf(&b, "    node %s = %s(%s, c)\n", name, ops[i%3], prev)
 		case "fused":
-			// Alternate the two value-fusion shapes: IAdd→ITail and
-			// INot→IAnd; each node is one fused superinstruction.
+			// Alternate the two value-fusion shapes: OpAdd→OpTail and
+			// OpNot→OpAnd; each node is one fused superinstruction.
 			if i%2 == 0 {
 				fmt.Fprintf(&b, "    node %s = tail(add(%s, c), 1)\n", name, prev)
 			} else {

@@ -176,27 +176,27 @@ func execRows(op *Op, lanes []int, d, a, b, c, x []uint64) {
 		}
 	case OpLt:
 		for _, l := range lanes {
-			d[l] = b2u(a[l] < b[l])
+			d[l] = simrt.B2U(a[l] < b[l])
 		}
 	case OpLeq:
 		for _, l := range lanes {
-			d[l] = b2u(a[l] <= b[l])
+			d[l] = simrt.B2U(a[l] <= b[l])
 		}
 	case OpGt:
 		for _, l := range lanes {
-			d[l] = b2u(a[l] > b[l])
+			d[l] = simrt.B2U(a[l] > b[l])
 		}
 	case OpGeq:
 		for _, l := range lanes {
-			d[l] = b2u(a[l] >= b[l])
+			d[l] = simrt.B2U(a[l] >= b[l])
 		}
 	case OpEq:
 		for _, l := range lanes {
-			d[l] = b2u(a[l] == b[l])
+			d[l] = simrt.B2U(a[l] == b[l])
 		}
 	case OpNeq:
 		for _, l := range lanes {
-			d[l] = b2u(a[l] != b[l])
+			d[l] = simrt.B2U(a[l] != b[l])
 		}
 	case OpShl:
 		for _, l := range lanes {
@@ -236,11 +236,11 @@ func execRows(op *Op, lanes []int, d, a, b, c, x []uint64) {
 		}
 	case OpAndr:
 		for _, l := range lanes {
-			d[l] = b2u(a[l] == m)
+			d[l] = simrt.B2U(a[l] == m)
 		}
 	case OpOrr:
 		for _, l := range lanes {
-			d[l] = b2u(a[l] != 0)
+			d[l] = simrt.B2U(a[l] != 0)
 		}
 	case OpXorr:
 		for _, l := range lanes {
@@ -326,27 +326,27 @@ func execRowsDense(op *Op, d, a, b, c, x []uint64) {
 		}
 	case OpLt:
 		for l := range d {
-			d[l] = b2u(a[l] < b[l])
+			d[l] = simrt.B2U(a[l] < b[l])
 		}
 	case OpLeq:
 		for l := range d {
-			d[l] = b2u(a[l] <= b[l])
+			d[l] = simrt.B2U(a[l] <= b[l])
 		}
 	case OpGt:
 		for l := range d {
-			d[l] = b2u(a[l] > b[l])
+			d[l] = simrt.B2U(a[l] > b[l])
 		}
 	case OpGeq:
 		for l := range d {
-			d[l] = b2u(a[l] >= b[l])
+			d[l] = simrt.B2U(a[l] >= b[l])
 		}
 	case OpEq:
 		for l := range d {
-			d[l] = b2u(a[l] == b[l])
+			d[l] = simrt.B2U(a[l] == b[l])
 		}
 	case OpNeq:
 		for l := range d {
-			d[l] = b2u(a[l] != b[l])
+			d[l] = simrt.B2U(a[l] != b[l])
 		}
 	case OpShl:
 		for l := range d {
@@ -386,11 +386,11 @@ func execRowsDense(op *Op, d, a, b, c, x []uint64) {
 		}
 	case OpAndr:
 		for l := range d {
-			d[l] = b2u(a[l] == m)
+			d[l] = simrt.B2U(a[l] == m)
 		}
 	case OpOrr:
 		for l := range d {
-			d[l] = b2u(a[l] != 0)
+			d[l] = simrt.B2U(a[l] != 0)
 		}
 	case OpXorr:
 		for l := range d {

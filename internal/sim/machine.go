@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"io"
-	stdbits "math/bits"
 	"slices"
 
 	"essent/internal/bits"
@@ -13,49 +12,13 @@ import (
 	"essent/pkg/simrt"
 )
 
-// ICode is a specialized opcode for the compiled instruction stream.
-type ICode uint8
-
-const (
-	ICopy ICode = iota
-	IMux
-	IMemRead
-	IAdd
-	ISub
-	IMul
-	IDiv
-	IRem
-	ILt
-	ILeq
-	IGt
-	IGeq
-	IEq
-	INeq
-	IShl
-	IShr
-	IDshl
-	IDshr
-	INeg
-	INot
-	IAnd
-	IOr
-	IXor
-	IAndr
-	IOrr
-	IXorr
-	ICat
-	IBits
-	IHead
-	ITail
-)
-
-// Instr is one compiled combinational operation. All operands are word
-// offsets into the machine's value table (constants are materialized into
-// the table at initialization).
+// Instr is one compiled combinational operation, Code being an
+// instruction opcode (OpCopy…OpTail). All operands are word offsets into
+// the machine's value table (constants are materialized into the table at
+// initialization).
 type Instr struct {
-	Code           ICode
+	Code           Opcode
 	kind           uint8 // width/sign class, precomputed (see k* constants)
-	wide           bool
 	SA, SB, SC     bool
 	A, B, C        int32
 	Dst            int32
@@ -69,8 +32,8 @@ type Instr struct {
 }
 
 // Instruction kinds: the width/signedness class that decides which op an
-// instruction becomes (instrOp) — in place for narrow, an escape to
-// execSigned/execWide otherwise. Decided once at compile time.
+// instruction becomes (instrOp) — in place for narrow, an escape through
+// the kernel table (escape.go) otherwise. Decided once at compile time.
 const (
 	// kNarrow: every operand and the result fit in one word and carry no
 	// sign flag — extensions are compile-time no-ops and are hoisted.
@@ -84,17 +47,16 @@ const (
 
 // finishInstr precomputes the dispatch kind and result mask.
 func finishInstr(in *Instr) {
-	in.wide = in.DW > 64 || in.AW > 64 || in.BW > 64 || in.CW > 64
 	effW := int(in.DW)
 	switch in.Code {
-	case IBits:
+	case OpBits:
 		effW = int(in.P0 - in.P1 + 1)
-	case ITail:
+	case OpTail:
 		effW = int(in.AW - in.P0)
 	}
 	in.dmask = bits.Mask64(^uint64(0), effW)
 	switch {
-	case in.wide:
+	case in.DW > 64 || in.AW > 64 || in.BW > 64 || in.CW > 64:
 		in.kind = kWide
 	case in.SA || in.SB || in.SC:
 		in.kind = kSigned
@@ -211,7 +173,7 @@ func (m *machine) view(off, w int32) []uint64 {
 	return m.t[off : off+int32(bits.Words(int(w)))]
 }
 
-// readU64 reads an operand's low word.
+// readOperand reads an operand's low word.
 func (m *machine) readOperand(o operand) uint64 { return m.t[o.off] }
 
 // machineConfig carries optional schedule transformations.
@@ -499,7 +461,7 @@ func (m *machine) emitNode(node int, shadows *sched.MuxShadows, force bool) erro
 					d.Mems[r.Mem].Name)
 			}
 			in = Instr{
-				Code: IMemRead, out: netlist.SignalID(node),
+				Code: OpMemRead, out: netlist.SignalID(node),
 				Dst: m.off[node], DW: int32(s.Width),
 				A: ao.off, AW: ao.w,
 				B: -1, C: -1,
@@ -586,11 +548,11 @@ func (m *machine) compileOp(op *netlist.Op) (Instr, error) {
 	}
 	switch op.Kind {
 	case netlist.OCopy:
-		in.Code = ICopy
+		in.Code = OpCopy
 	case netlist.OMux:
-		in.Code = IMux
+		in.Code = OpMux
 	case netlist.OPrim:
-		code, ok := primToICode[op.Prim]
+		code, ok := primToOpcode[op.Prim]
 		if !ok {
 			return Instr{}, fmt.Errorf("sim: unsupported primop %v", op.Prim)
 		}
@@ -605,139 +567,16 @@ func (m *machine) compileOp(op *netlist.Op) (Instr, error) {
 	return in, nil
 }
 
-var primToICode = map[firrtl.PrimOp]ICode{
-	firrtl.OpAdd: IAdd, firrtl.OpSub: ISub, firrtl.OpMul: IMul,
-	firrtl.OpDiv: IDiv, firrtl.OpRem: IRem,
-	firrtl.OpLt: ILt, firrtl.OpLeq: ILeq, firrtl.OpGt: IGt, firrtl.OpGeq: IGeq,
-	firrtl.OpEq: IEq, firrtl.OpNeq: INeq,
-	firrtl.OpShl: IShl, firrtl.OpShr: IShr,
-	firrtl.OpDshl: IDshl, firrtl.OpDshr: IDshr,
-	firrtl.OpCvt: ICopy, firrtl.OpNeg: INeg, firrtl.OpNot: INot,
-	firrtl.OpAnd: IAnd, firrtl.OpOr: IOr, firrtl.OpXor: IXor,
-	firrtl.OpAndr: IAndr, firrtl.OpOrr: IOrr, firrtl.OpXorr: IXorr,
-	firrtl.OpCat: ICat, firrtl.OpBits: IBits,
-	firrtl.OpHead: IHead, firrtl.OpTail: ITail,
-}
-
-// ext sign- or zero-extends a stored (masked) narrow value to 64 bits.
-func ext(v uint64, w int32, signed bool) uint64 {
-	if signed {
-		return bits.Sext64(v, int(w))
-	}
-	return v
-}
-
-// execSigned evaluates a single-word instruction with at least one signed
-// operand: the general narrow path, with sign extensions applied.
-func (m *machine) execSigned(in *Instr) {
-	t := m.t
-	switch in.Code {
-	case ICopy:
-		t[in.Dst] = bits.Mask64(ext(t[in.A], in.AW, in.SA), int(in.DW))
-	case IMux:
-		if t[in.A] != 0 {
-			t[in.Dst] = bits.Mask64(ext(t[in.B], in.BW, in.SB), int(in.DW))
-		} else {
-			t[in.Dst] = bits.Mask64(ext(t[in.C], in.CW, in.SC), int(in.DW))
-		}
-	case IMemRead:
-		ms := &m.mems[in.Mem]
-		addr := t[in.A]
-		if addr < uint64(ms.depth) {
-			t[in.Dst] = ms.words[int32(addr)*ms.nw]
-		} else {
-			t[in.Dst] = 0
-		}
-	case IAdd:
-		t[in.Dst] = bits.Mask64(ext(t[in.A], in.AW, in.SA)+ext(t[in.B], in.BW, in.SB), int(in.DW))
-	case ISub:
-		t[in.Dst] = bits.Mask64(ext(t[in.A], in.AW, in.SA)-ext(t[in.B], in.BW, in.SB), int(in.DW))
-	case IMul:
-		t[in.Dst] = bits.Mask64(ext(t[in.A], in.AW, in.SA)*ext(t[in.B], in.BW, in.SB), int(in.DW))
-	case IDiv:
-		if in.SA {
-			t[in.Dst] = simrt.DivS64(t[in.A], int(in.AW), t[in.B], int(in.BW), int(in.DW))
-		} else {
-			t[in.Dst] = simrt.DivU64(t[in.A], t[in.B], int(in.DW))
-		}
-	case IRem:
-		if in.SA {
-			t[in.Dst] = simrt.RemS64(t[in.A], int(in.AW), t[in.B], int(in.BW), int(in.DW))
-		} else {
-			t[in.Dst] = simrt.RemU64(t[in.A], t[in.B], int(in.DW))
-		}
-	case ILt:
-		t[in.Dst] = b2u(cmp64(t[in.A], in.AW, t[in.B], in.BW, in.SA) < 0)
-	case ILeq:
-		t[in.Dst] = b2u(cmp64(t[in.A], in.AW, t[in.B], in.BW, in.SA) <= 0)
-	case IGt:
-		t[in.Dst] = b2u(cmp64(t[in.A], in.AW, t[in.B], in.BW, in.SA) > 0)
-	case IGeq:
-		t[in.Dst] = b2u(cmp64(t[in.A], in.AW, t[in.B], in.BW, in.SA) >= 0)
-	case IEq:
-		t[in.Dst] = b2u(ext(t[in.A], in.AW, in.SA) == ext(t[in.B], in.BW, in.SB))
-	case INeq:
-		t[in.Dst] = b2u(ext(t[in.A], in.AW, in.SA) != ext(t[in.B], in.BW, in.SB))
-	case IShl:
-		t[in.Dst] = bits.Mask64(t[in.A]<<uint(in.P0), int(in.DW))
-	case IShr:
-		t[in.Dst] = simrt.Shr64(t[in.A], int(in.AW), int(in.P0), in.SA, int(in.DW))
-	case IDshl:
-		t[in.Dst] = bits.Mask64(t[in.A]<<uint(t[in.B]), int(in.DW))
-	case IDshr:
-		t[in.Dst] = simrt.Shr64(t[in.A], int(in.AW), int(t[in.B]), in.SA, int(in.DW))
-	case INeg:
-		t[in.Dst] = bits.Mask64(-ext(t[in.A], in.AW, in.SA), int(in.DW))
-	case INot:
-		t[in.Dst] = bits.Mask64(^t[in.A], int(in.DW))
-	case IAnd:
-		t[in.Dst] = bits.Mask64(ext(t[in.A], in.AW, in.SA)&ext(t[in.B], in.BW, in.SB), int(in.DW))
-	case IOr:
-		t[in.Dst] = bits.Mask64(ext(t[in.A], in.AW, in.SA)|ext(t[in.B], in.BW, in.SB), int(in.DW))
-	case IXor:
-		t[in.Dst] = bits.Mask64(ext(t[in.A], in.AW, in.SA)^ext(t[in.B], in.BW, in.SB), int(in.DW))
-	case IAndr:
-		t[in.Dst] = b2u(t[in.A] == bits.Mask64(^uint64(0), int(in.AW)))
-	case IOrr:
-		t[in.Dst] = b2u(t[in.A] != 0)
-	case IXorr:
-		t[in.Dst] = uint64(popcount(t[in.A])) & 1
-	case ICat:
-		t[in.Dst] = bits.Mask64(t[in.A]<<uint(in.BW)|t[in.B], int(in.DW))
-	case IBits:
-		t[in.Dst] = bits.Mask64(t[in.A]>>uint(in.P1), int(in.P0-in.P1+1))
-	case IHead:
-		t[in.Dst] = t[in.A] >> uint(in.AW-in.P0)
-	case ITail:
-		t[in.Dst] = bits.Mask64(t[in.A], int(in.AW-in.P0))
-	}
-}
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func popcount(x uint64) int { return stdbits.OnesCount64(x) }
-
-func cmp64(a uint64, aw int32, b uint64, bw int32, signed bool) int {
-	if signed {
-		ia, ib := int64(bits.Sext64(a, int(aw))), int64(bits.Sext64(b, int(bw)))
-		switch {
-		case ia < ib:
-			return -1
-		case ia > ib:
-			return 1
-		}
-		return 0
-	}
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
+var primToOpcode = map[firrtl.PrimOp]Opcode{
+	firrtl.OpAdd: OpAdd, firrtl.OpSub: OpSub, firrtl.OpMul: OpMul,
+	firrtl.OpDiv: OpDiv, firrtl.OpRem: OpRem,
+	firrtl.OpLt: OpLt, firrtl.OpLeq: OpLeq, firrtl.OpGt: OpGt, firrtl.OpGeq: OpGeq,
+	firrtl.OpEq: OpEq, firrtl.OpNeq: OpNeq,
+	firrtl.OpShl: OpShl, firrtl.OpShr: OpShr,
+	firrtl.OpDshl: OpDshl, firrtl.OpDshr: OpDshr,
+	firrtl.OpCvt: OpCopy, firrtl.OpNeg: OpNeg, firrtl.OpNot: OpNot,
+	firrtl.OpAnd: OpAnd, firrtl.OpOr: OpOr, firrtl.OpXor: OpXor,
+	firrtl.OpAndr: OpAndr, firrtl.OpOrr: OpOrr, firrtl.OpXorr: OpXorr,
+	firrtl.OpCat: OpCat, firrtl.OpBits: OpBits,
+	firrtl.OpHead: OpHead, firrtl.OpTail: OpTail,
 }

@@ -4,6 +4,7 @@ import (
 	stdbits "math/bits"
 
 	"essent/internal/bits"
+	"essent/pkg/simrt"
 )
 
 // The op stream is the schedule: one dense array of fixed-size ops with
@@ -23,8 +24,8 @@ import (
 type Opcode uint8
 
 const (
-	// Narrow unsigned instructions, in ICode order: Opcode(c) for every
-	// c up to ITail.
+	// Instruction opcodes: an Instr's Code, and a narrow unsigned
+	// instruction's op.
 	OpCopy Opcode = iota
 	OpMux
 	OpMemRead
@@ -71,8 +72,9 @@ const (
 	// weight of the span jumped over.
 	OpSkipZ
 	OpSkipNZ
-	// Escapes to the general kernels: x is the instruction index (signed,
-	// wide; dst still names the first word written) or the sink index.
+	// Escapes: x is the instruction index (signed, wide: its kernel-table
+	// entry runs it, escape.go; dst still names the first word written) or
+	// the sink index.
 	OpSigned
 	OpWide
 	OpDisplay
@@ -133,9 +135,9 @@ func (op *Op) offsets() [5]*int32 {
 
 // Op is one stream op, 32 bytes. Which operand fields an opcode reads is
 // fixed by the opcode; the rest are zero. Sh is the static shift amount
-// (IShl/IShr p0, IBits p1, ICat bw, IHead aw-p0), capped at 64 where
+// (OpShl/OpShr p0, OpBits p1, OpCat bw, OpHead aw-p0), capped at 64 where
 // every unsigned shift already yields zero; Mask is the result mask
-// (IAndr: the all-ones value compared against).
+// (OpAndr: the all-ones value compared against).
 type Op struct {
 	Code       Opcode
 	Sh         uint8
@@ -184,19 +186,19 @@ func instrOp(in *Instr, idx int32) Op {
 	case kWide:
 		return Op{Code: OpWide, Dst: in.Dst, X: idx}
 	}
-	op := Op{Code: Opcode(in.Code), Dst: in.Dst, Mask: in.dmask}
+	op := Op{Code: in.Code, Dst: in.Dst, Mask: in.dmask}
 	switch in.Code {
-	case IMemRead:
+	case OpMemRead:
 		op.X = in.Mem
-	case IShl, IShr:
+	case OpShl, OpShr:
 		op.Sh = shiftOf(in.P0)
-	case IBits:
+	case OpBits:
 		op.Sh = shiftOf(in.P1)
-	case ICat:
+	case OpCat:
 		op.Sh = shiftOf(in.BW)
-	case IHead:
+	case OpHead:
 		op.Sh = shiftOf(in.AW - in.P0)
-	case IAndr:
+	case OpAndr:
 		op.Mask = bits.Mask64(^uint64(0), int(in.AW))
 	}
 	// Only the fields the opcode reads carry over: the instruction's other
@@ -282,7 +284,8 @@ func (m *machine) evalSpan(sp Span) {
 // run executes stream ops [pc, end) and returns the op weight of the
 // spans its skips jumped over. This is the interpreter's one inner loop
 // and one dispatch: narrow and fused ops evaluate in place on the value
-// table; signed, wide and sink ops call out to the general kernels.
+// table; signed and wide ops call out to their kernels (escape), sinks to
+// their handlers.
 func (m *machine) run(pc, end int32) (skipped uint64) {
 	t, ops := m.t, m.ops
 	for pc < end {
@@ -323,17 +326,17 @@ func (m *machine) run(pc, end int32) (skipped uint64) {
 				t[op.Dst] = (t[op.A] % b) & op.Mask
 			}
 		case OpLt:
-			t[op.Dst] = b2u(t[op.A] < t[op.B])
+			t[op.Dst] = simrt.B2U(t[op.A] < t[op.B])
 		case OpLeq:
-			t[op.Dst] = b2u(t[op.A] <= t[op.B])
+			t[op.Dst] = simrt.B2U(t[op.A] <= t[op.B])
 		case OpGt:
-			t[op.Dst] = b2u(t[op.A] > t[op.B])
+			t[op.Dst] = simrt.B2U(t[op.A] > t[op.B])
 		case OpGeq:
-			t[op.Dst] = b2u(t[op.A] >= t[op.B])
+			t[op.Dst] = simrt.B2U(t[op.A] >= t[op.B])
 		case OpEq:
-			t[op.Dst] = b2u(t[op.A] == t[op.B])
+			t[op.Dst] = simrt.B2U(t[op.A] == t[op.B])
 		case OpNeq:
-			t[op.Dst] = b2u(t[op.A] != t[op.B])
+			t[op.Dst] = simrt.B2U(t[op.A] != t[op.B])
 		case OpShl:
 			t[op.Dst] = (t[op.A] << op.Sh) & op.Mask
 		case OpShr, OpBits, OpHead:
@@ -353,9 +356,9 @@ func (m *machine) run(pc, end int32) (skipped uint64) {
 		case OpXor:
 			t[op.Dst] = (t[op.A] ^ t[op.B]) & op.Mask
 		case OpAndr:
-			t[op.Dst] = b2u(t[op.A] == op.Mask)
+			t[op.Dst] = simrt.B2U(t[op.A] == op.Mask)
 		case OpOrr:
-			t[op.Dst] = b2u(t[op.A] != 0)
+			t[op.Dst] = simrt.B2U(t[op.A] != 0)
 		case OpXorr:
 			t[op.Dst] = uint64(stdbits.OnesCount64(t[op.A])) & 1
 		case OpCat:
@@ -384,10 +387,8 @@ func (m *machine) run(pc, end int32) (skipped uint64) {
 				pc = op.X
 				skipped += op.Mask
 			}
-		case OpSigned:
-			m.execSigned(&m.instrs[op.X])
-		case OpWide:
-			m.execWide(&m.instrs[op.X])
+		case OpSigned, OpWide:
+			m.escape(&m.instrs[op.X])
 		case OpDisplay:
 			m.runDisplay(op.X)
 		case OpCheck:

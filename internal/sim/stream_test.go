@@ -10,12 +10,12 @@ import (
 )
 
 // The stream executor against the general path, one op at a time: for
-// every narrow ICode and every fused form, over the widths where word
-// arithmetic has its corners and over corner operands, what run computes
-// for the instruction's op must equal what execSigned computes for the
-// instruction (for a fused form: for the unfused pair), bit for bit — and
-// what the lane walker's two row kernels compute for it, lane by lane,
-// must equal run.
+// every narrow instruction opcode and every fused form, over the widths
+// where word arithmetic has its corners and over corner operands, what
+// run computes for the instruction's op must equal what the instruction's
+// one-word kernel computes with its sign flags off (for a fused form: the
+// unfused pair's kernels), bit for bit — and what the lane walker's two
+// row kernels compute for it, lane by lane, must equal run.
 
 var streamWidths = []int32{1, 7, 31, 32, 33, 63, 64}
 
@@ -23,6 +23,14 @@ var streamWidths = []int32{1, 7, 31, 32, 33, 63, 64}
 func corners(w int32) []uint64 {
 	all := bits.Mask64(^uint64(0), int(w))
 	return []uint64{0, 1, all, 1 << (w - 1), all >> 1, 0x5555555555555555 & all}
+}
+
+// general evaluates in through the escape path, as a signed escape: its
+// one-word kernel from the table (OpCopy's on the selected way of a
+// multiplexer), independent of run's narrow cases.
+func general(m *machine, in Instr) {
+	in.kind = kSigned
+	m.escape(&in)
 }
 
 // Table slots of the one-instruction machines below.
@@ -34,7 +42,7 @@ const (
 // narrowShapes returns the instruction shapes of one opcode at operand
 // width w: FIRRTL's result widths where they fit a word, and shift
 // amounts below, at and past the operand width and past 64.
-func narrowShapes(code ICode, w int32) []Instr {
+func narrowShapes(code Opcode, w int32) []Instr {
 	in := Instr{Code: code, A: slotA, B: -1, C: -1, Dst: slotDst, AW: w, DW: w}
 	two := func(dw int32) []Instr {
 		in.B, in.BW, in.DW = slotB, w, dw
@@ -42,62 +50,62 @@ func narrowShapes(code ICode, w int32) []Instr {
 	}
 	var out []Instr
 	switch code {
-	case ICopy, INot, IOrr, IAndr, IXorr:
-		if code == IOrr || code == IAndr || code == IXorr {
+	case OpCopy, OpNot, OpOrr, OpAndr, OpXorr:
+		if code == OpOrr || code == OpAndr || code == OpXorr {
 			in.DW = 1
 		}
 		return []Instr{in}
-	case INeg:
+	case OpNeg:
 		in.DW = w + 1
 		return []Instr{in}
-	case IMux:
+	case OpMux:
 		in.AW = 1
 		in.B, in.BW, in.C, in.CW = slotB, w, slotC, w
 		return []Instr{in}
-	case IAdd, ISub:
+	case OpAdd, OpSub:
 		return two(w + 1)
-	case IMul:
+	case OpMul:
 		return two(2 * w)
-	case IDiv, IRem, IAnd, IOr, IXor:
+	case OpDiv, OpRem, OpAnd, OpOr, OpXor:
 		return two(w)
-	case ILt, ILeq, IGt, IGeq, IEq, INeq:
+	case OpLt, OpLeq, OpGt, OpGeq, OpEq, OpNeq:
 		return two(1)
-	case IShl:
+	case OpShl:
 		for _, k := range []int32{0, 1, 64 - w} {
 			in.P0, in.DW = k, w+k
 			out = append(out, in)
 		}
-	case IShr:
+	case OpShr:
 		for _, k := range []int32{0, 1, w - 1, w, w + 5, 64, 70, 300} {
 			in.P0, in.DW = k, max(w-k, 1)
 			out = append(out, in)
 		}
-	case IDshl, IDshr:
+	case OpDshl, OpDshr:
 		for _, bw := range []int32{1, 3, 7, 20} {
 			in.B, in.BW, in.DW = slotB, bw, w
-			if code == IDshl {
+			if code == OpDshl {
 				in.DW = 64
 			}
 			out = append(out, in)
 		}
-	case ICat:
+	case OpCat:
 		for _, bw := range []int32{1, 64 - w} {
 			if bw > 0 {
 				in.B, in.BW, in.DW = slotB, bw, w+bw
 				out = append(out, in)
 			}
 		}
-	case IBits:
+	case OpBits:
 		for _, hl := range [][2]int32{{w - 1, 0}, {w - 1, w - 1}, {0, 0}, {w - 1, w / 2}} {
 			in.P0, in.P1, in.DW = hl[0], hl[1], hl[0]-hl[1]+1
 			out = append(out, in)
 		}
-	case IHead:
+	case OpHead:
 		for _, n := range []int32{1, w/2 + 1, w} {
 			in.P0, in.DW = n, n
 			out = append(out, in)
 		}
-	case ITail:
+	case OpTail:
 		for _, n := range []int32{0, w / 2, w - 1} {
 			in.P0, in.DW = n, w-n
 			out = append(out, in)
@@ -166,8 +174,8 @@ func checkRowKernels(t *testing.T, name string, op Op, sets [][3]uint64) {
 }
 
 func TestStreamOpMatchesGeneralPath(t *testing.T) {
-	for code := ICopy; code <= ITail; code++ {
-		if code == IMemRead {
+	for code := OpCopy; code <= OpTail; code++ {
+		if code == OpMemRead {
 			continue // no arithmetic: the mem tests and the engine fuzz cover it
 		}
 		for _, w := range streamWidths {
@@ -185,9 +193,9 @@ func TestStreamOpMatchesGeneralPath(t *testing.T) {
 					m.run(0, 1)
 					got := m.t[slotDst]
 					m.t[slotDst] = 0xDEAD
-					m.execSigned(&in)
+					general(m, in)
 					if want := m.t[slotDst]; got != want {
-						t.Fatalf("code %d w=%d %+v on a=%#x b=%#x c=%#x: stream %#x, execSigned %#x",
+						t.Fatalf("code %d w=%d %+v on a=%#x b=%#x c=%#x: stream %#x, kernel %#x",
 							code, w, in, v[0], v[1], v[2], got, want)
 					}
 				}
@@ -200,23 +208,23 @@ func TestStreamOpMatchesGeneralPath(t *testing.T) {
 // at operand width w. The consumer reads the producer through slotTmp.
 func fusedPairs(w int32) [][2]Instr {
 	var out [][2]Instr
-	for _, cmp := range []ICode{IEq, INeq, ILt, ILeq, IGt, IGeq} {
+	for _, cmp := range []Opcode{OpEq, OpNeq, OpLt, OpLeq, OpGt, OpGeq} {
 		out = append(out, [2]Instr{
 			{Code: cmp, A: slotA, AW: w, B: slotB, BW: w, C: -1, Dst: slotTmp, DW: 1},
-			{Code: IMux, A: slotTmp, AW: 1, B: slotC, BW: w, C: slotA, CW: w, Dst: slotDst, DW: w},
+			{Code: OpMux, A: slotTmp, AW: 1, B: slotC, BW: w, C: slotA, CW: w, Dst: slotDst, DW: w},
 		})
 	}
 	out = append(out, [2]Instr{
-		{Code: INot, A: slotA, AW: w, B: -1, C: -1, Dst: slotTmp, DW: w},
-		{Code: IAnd, A: slotTmp, AW: w, B: slotB, BW: w, C: -1, Dst: slotDst, DW: w},
+		{Code: OpNot, A: slotA, AW: w, B: -1, C: -1, Dst: slotTmp, DW: w},
+		{Code: OpAnd, A: slotTmp, AW: w, B: slotB, BW: w, C: -1, Dst: slotDst, DW: w},
 	}, [2]Instr{
-		{Code: INot, A: slotA, AW: w, B: -1, C: -1, Dst: slotTmp, DW: w},
-		{Code: IAnd, A: slotB, AW: w, B: slotTmp, BW: w, C: -1, Dst: slotDst, DW: w},
+		{Code: OpNot, A: slotA, AW: w, B: -1, C: -1, Dst: slotTmp, DW: w},
+		{Code: OpAnd, A: slotB, AW: w, B: slotTmp, BW: w, C: -1, Dst: slotDst, DW: w},
 	})
-	for _, code := range []ICode{IAdd, ISub} {
+	for _, code := range []Opcode{OpAdd, OpSub} {
 		out = append(out, [2]Instr{
 			{Code: code, A: slotA, AW: w, B: slotB, BW: w, C: -1, Dst: slotTmp, DW: w + 1},
-			{Code: ITail, A: slotTmp, AW: w + 1, B: -1, C: -1, Dst: slotDst, DW: w, P0: 1},
+			{Code: OpTail, A: slotTmp, AW: w + 1, B: -1, C: -1, Dst: slotDst, DW: w, P0: 1},
 		})
 	}
 	return out
@@ -251,8 +259,8 @@ func TestStreamFusedMatchesUnfusedPair(t *testing.T) {
 					m.t[slotTmp], m.t[slotDst] = 0xDEAD, 0xDEAD
 				}
 				fused.evalSpan(fused.spans[0])
-				plain.execSigned(&pair[0])
-				plain.execSigned(&pair[1])
+				general(plain, pair[0])
+				general(plain, pair[1])
 				if got, want := fused.t[slotDst], plain.t[slotDst]; got != want {
 					t.Fatalf("%s on a=%#x b=%#x c=%#x: fused op %#x, unfused pair %#x",
 						name, v[0], v[1], v[2], got, want)

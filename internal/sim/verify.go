@@ -425,10 +425,10 @@ func (c *smChecker) checkOp(pc int32, op *Op) {
 			return
 		}
 		in := &m.instrs[op.X]
-		if in.Code == IMux {
+		if in.Code == OpMux {
 			sel = in.A
 		}
-		mem, memRead = in.Mem, in.Code == IMemRead
+		mem, memRead = in.Mem, in.Code == OpMemRead
 	case OpMux:
 		sel = op.A
 	case OpMemRead:

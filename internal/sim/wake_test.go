@@ -11,6 +11,7 @@ import (
 	"essent/internal/netlist"
 	"essent/internal/randckt"
 	"essent/internal/verify"
+	"essent/pkg/simrt"
 )
 
 // The designs of TestGuardedWake, built at Cp 1 so that the data
@@ -440,7 +441,7 @@ func TestGuardedWake(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			d := compileSrc(t, tc.src)
 			c := guardedRun(t, d, lanes, cycles, func(l, cyc int) []lanePoke {
-				return []lanePoke{{"s", b2u((cyc+3*l)%11 == 0 || (cyc+l)%17 == 0)}}
+				return []lanePoke{{"s", simrt.B2U((cyc+3*l)%11 == 0 || (cyc+l)%17 == 0)}}
 			}, nil)
 			for ri := range d.Regs {
 				if d.Regs[ri].Name == "en" && c.plan.Elided[ri] != tc.elided {
@@ -454,7 +455,7 @@ func TestGuardedWake(t *testing.T) {
 	t.Run("poked-input", func(t *testing.T) {
 		d := compileSrc(t, guardInputSrc)
 		stim := func(l, cyc int) []lanePoke {
-			return []lanePoke{{"d", uint64(cyc*29+l) & 255}, {"en", b2u((cyc+5*l)%30 >= 26)}}
+			return []lanePoke{{"d", uint64(cyc*29+l) & 255}, {"en", simrt.B2U((cyc+5*l)%30 >= 26)}}
 		}
 		c := guardedRun(t, d, lanes, cycles, stim, nil)
 		in := c.inputs[1]
@@ -480,7 +481,7 @@ func TestGuardedWake(t *testing.T) {
 	t.Run("nested-when", func(t *testing.T) {
 		d := compileSrc(t, guardNestedSrc)
 		c := guardedRun(t, d, lanes, cycles, func(l, cyc int) []lanePoke {
-			return []lanePoke{{"x", b2u((cyc+l)%3 != 0)}, {"y", b2u((cyc+2*l)%5 < 3)},
+			return []lanePoke{{"x", simrt.B2U((cyc+l)%3 != 0)}, {"y", simrt.B2U((cyc+2*l)%5 < 3)},
 				{"s", uint64(3 + (cyc+l)%7/2)}}
 		}, nil)
 		_, guarded, lits := outputWake(t, c, "c")
@@ -536,7 +537,7 @@ func TestGuardedWake(t *testing.T) {
 		d := compileSrc(t, guardDisplaySrc)
 		var out strings.Builder
 		c := guardedRun(t, d, lanes, cycles, func(l, cyc int) []lanePoke {
-			return []lanePoke{{"en", b2u((cyc+l)%9 < 2)}}
+			return []lanePoke{{"en", simrt.B2U((cyc+l)%9 < 2)}}
 		}, &out)
 		if _, guarded := c.WakeEdges(); guarded == 0 {
 			t.Fatal("no guarded edge into the display's producer")

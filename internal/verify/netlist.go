@@ -484,7 +484,7 @@ func (c *nlChecker) checkOpWidth(id netlist.SignalID, s *netlist.Signal) {
 	bad := func(msg, hint string) { c.add("NL-WIDTH", SevError, c.sigLoc(id), msg, hint) }
 	switch op.Kind {
 	case netlist.OCopy:
-		// ICopy extends or truncates to the destination; any widths are
+		// OpCopy extends or truncates to the destination; any widths are
 		// legal. Nothing to check.
 		return
 	case netlist.OMux:

@@ -17,24 +17,28 @@ func TestNarrowHelpers(t *testing.T) {
 	if RemU64(100, 7, 8) != 2 || RemU64(5, 0, 8) != 5 {
 		t.Fatal("RemU64")
 	}
-	// -100 / 7 = -14 → masked to 8 bits.
-	if got := DivS64(Mask64(uint64(0x9C), 8), 8, 7, 8, 9); got != Mask64(^uint64(13), 9) {
-		t.Fatalf("DivS64 = %#x", got)
+	// -100 / 7 = -14 → masked to 9 bits.
+	if got := Div(mask(uint64(0x9C), 8), 8, true, 7, 8, true, 0, 0, 9); got != mask(^uint64(13), 9) {
+		t.Fatalf("signed Div = %#x", got)
 	}
-	if DivS64(5, 8, 0, 8, 9) != 0 {
-		t.Fatal("DivS64 by zero")
+	if Div(5, 8, true, 0, 8, true, 0, 0, 9) != 0 {
+		t.Fatal("signed Div by zero")
 	}
-	if RemS64(5, 8, 0, 8, 8) != 5 {
-		t.Fatal("RemS64 by zero")
+	if Rem(5, 8, true, 0, 8, true, 0, 0, 8) != 5 {
+		t.Fatal("signed Rem by zero")
+	}
+	// The most negative value over -1 wraps: -128 / -1 = 128, 0x80 in 8 bits.
+	if Div(0x80, 8, true, 0xFF, 8, true, 0, 0, 8) != 0x80 || Rem(0x80, 8, true, 0xFF, 8, true, 0, 0, 8) != 0 {
+		t.Fatal("signed overflow")
 	}
 	// Arithmetic shift: -8 >> 1 = -4 in 4 bits.
-	if got := Shr64(0b1000, 4, 1, true, 4); got != 0b1100 {
-		t.Fatalf("Shr64 arith = %#b", got)
+	if got := Shr(0b1000, 4, true, 0, 0, false, 1, 0, 4); got != 0b1100 {
+		t.Fatalf("Shr arith = %#b", got)
 	}
-	if Shr64(0b1000, 4, 9, true, 4) != 0xF {
+	if Shr(0b1000, 4, true, 0, 0, false, 9, 0, 4) != 0xF || Dshr(0b1000, 4, true, 70, 7, false, 0, 0, 4) != 0xF {
 		t.Fatal("overshift signed should sign-fill")
 	}
-	if Shr64(0b1000, 4, 9, false, 4) != 0 {
+	if Shr(0b1000, 4, false, 0, 0, false, 9, 0, 4) != 0 || Dshr(0b1000, 4, false, 70, 7, false, 0, 0, 4) != 0 {
 		t.Fatal("overshift unsigned should zero")
 	}
 	if Parity64(0b1011) != 1 || Parity64(0b11) != 0 {
@@ -75,7 +79,7 @@ func TestScratchOpsAgainstBits(t *testing.T) {
 		bits.MaskInto(a, aw)
 		bits.MaskInto(b, bw)
 
-		sc.Add(dst, a, aw, false, b, bw, false, dw)
+		sc.Add(dst, a, aw, false, b, bw, false, 0, 0, dw)
 		bits.ExtendInto(ea, a, aw, false)
 		bits.ExtendInto(eb, b, bw, false)
 		bits.AddInto(want, ea, eb)
@@ -84,17 +88,19 @@ func TestScratchOpsAgainstBits(t *testing.T) {
 			t.Fatalf("Add mismatch")
 		}
 
-		sc.Logic(dst, 2, a, aw, false, b, bw, false, dw)
+		sc.Xor(dst, a, aw, false, b, bw, false, 0, 0, dw)
 		bits.XorInto(want, ea, eb)
 		bits.MaskInto(want, dw)
 		if !bits.Equal(dst, want) {
-			t.Fatal("Logic xor mismatch")
+			t.Fatal("Xor mismatch")
 		}
 
-		if got := sc.Cmp(a, aw, b, bw, false); got != bits.Cmp(ea, eb, false) {
-			t.Fatal("Cmp mismatch")
+		sc.Lt(dst, a, aw, false, b, bw, false, 0, 0, 1)
+		if dst[0] != B2U(bits.Cmp(ea, eb, false) < 0) {
+			t.Fatal("Lt mismatch")
 		}
-		if sc.Eq(a, aw, false, b, bw, false) != bits.Equal(ea, eb) {
+		sc.Eq(dst, a, aw, false, b, bw, false, 0, 0, 1)
+		if dst[0] != B2U(bits.Equal(ea, eb)) {
 			t.Fatal("Eq mismatch")
 		}
 	}
@@ -116,38 +122,23 @@ func TestMemRead(t *testing.T) {
 	}
 }
 
-func TestScratchMux(t *testing.T) {
-	sc := NewScratch(4)
-	dst := make([]uint64, 2)
-	tv := []uint64{0xAAAA}
-	fv := []uint64{0x5555}
-	sc.Mux(dst, 1, tv, 16, false, fv, 16, false, 80)
-	if dst[0] != 0xAAAA {
-		t.Fatal("mux true arm")
-	}
-	sc.Mux(dst, 0, tv, 16, false, fv, 16, false, 80)
-	if dst[0] != 0x5555 {
-		t.Fatal("mux false arm")
-	}
-}
-
 func TestScratchShiftNotNeg(t *testing.T) {
 	sc := NewScratch(4)
 	a := []uint64{0xFF, 0}
 	dst := make([]uint64, 2)
-	sc.Shl(dst, a, 64, 128)
+	sc.Shl(dst, a, 72, false, nil, 0, false, 64, 0, 128)
 	if dst[0] != 0 || dst[1] != 0xFF {
 		t.Fatalf("Shl: %v", dst)
 	}
-	sc.Shr(dst, dst, 64, 128, false, 128)
+	sc.Shr(dst, dst, 128, false, nil, 0, false, 64, 0, 128)
 	if dst[0] != 0xFF || dst[1] != 0 {
 		t.Fatalf("Shr: %v", dst)
 	}
-	sc.Not(dst, a, 72)
+	sc.Not(dst, a, 72, false, nil, 0, false, 0, 0, 72)
 	if dst[0] != ^uint64(0xFF) || dst[1] != 0xFF {
 		t.Fatalf("Not: %#x", dst)
 	}
-	sc.Neg(dst, []uint64{1, 0}, 72, false, 73)
+	sc.Neg(dst, []uint64{1, 0}, 72, false, nil, 0, false, 0, 0, 73)
 	bits.MaskInto(dst, 73)
 	if dst[0] != ^uint64(0) {
 		t.Fatalf("Neg: %#x", dst)

@@ -28,21 +28,22 @@
 //     its independent lanes out only within a Step call, so a new
 //     executor cannot quietly grow a thread pool (the level-parallel
 //     ones are retired, DESIGN §6) or a second flag walk.
-//  6. sim-one-dispatch — in internal/sim a switch over instruction
-//     opcodes (ICode, or the stream's Opcode) whose arms store into a
-//     table is an evaluator, and evaluators are a closed set: the
-//     stream executor (run), the general scalar kernels it escapes to
-//     (execSigned, execWide) and the lane walker's two row kernels
-//     (execRows, execRowsDense). Every engine executes the one op
-//     stream through these; a second copy of the narrow semantics is
-//     what the stream replaced.
+//  6. sim-one-dispatch — in internal/sim a switch over the stream's
+//     opcodes (Opcode) whose arms store into a table is an evaluator, and
+//     evaluators are a closed set: the stream executor (run) and the lane
+//     walker's two row kernels (execRows, execRowsDense). Signed and wide
+//     instructions escape through the kernel table (escape.go), which
+//     holds func values, not a switch. Every engine executes the one op
+//     stream through these; a second copy of the semantics is what the
+//     stream and the table replaced.
 //  7. codegen-prints-stream — internal/codegen imports neither
-//     internal/sched nor internal/partition, and outside internal/sim
-//     nothing switches over sim.ICode but the code generator's two
-//     escape printers (emitSigned, emitWide): partition structure,
-//     mux-way cones and fusion reach the generator only through the
-//     lowered program an engine builds (sim.Lower), so it cannot re-plan
-//     or re-decide what the interpreter executes.
+//     internal/sched nor internal/partition, and its escape printers
+//     (emitSigned, emitWide) hold no switch over sim.Opcode: partition
+//     structure, mux-way cones and fusion reach the generator only
+//     through the lowered program an engine builds (sim.Lower), and an
+//     escape prints the name its opcode has in sim's kernel table, so the
+//     generator can neither re-plan what the interpreter executes nor
+//     restate what an escape computes.
 //
 // Usage: go run ./tools/analyzers/simcheck [packages...] (default ./...).
 // Builds the module's packages from source against `go list -export`
@@ -91,12 +92,11 @@ const (
 // internal/sim types such a dispatch switches over.
 var (
 	simFlagFields    = map[string]bool{"flags": true, "always": true}
-	simDispatchFuncs = map[string]bool{"run": true, "execSigned": true, "execWide": true,
-		"execRows": true, "execRowsDense": true}
-	simOpcodeTypes = map[string]bool{"ICode": true, "Opcode": true}
+	simDispatchFuncs = map[string]bool{"run": true, "execRows": true, "execRowsDense": true}
+	simOpcodeTypes   = map[string]bool{"Opcode": true}
 	// codegenBannedImports are the planning packages the code generator
-	// must not reach; escapePrinters its functions that may switch over
-	// sim.ICode (the instructions OpSigned/OpWide escapes name).
+	// must not reach; escapePrinters its functions that print OpSigned and
+	// OpWide escapes, which must not switch over sim.Opcode.
 	codegenBannedImports = map[string]bool{
 		"essent/internal/sched": true, "essent/internal/partition": true}
 	escapePrinters = map[string]bool{"emitSigned": true, "emitWide": true}
@@ -235,21 +235,24 @@ func Check(pkgPath string, fset *token.FileSet, files []*ast.File,
 	return findings
 }
 
-// checkPrintsStream flags, outside internal/sim, a planning-package
-// import in internal/codegen and any switch with a sim.ICode case that
-// is not inside one of the generator's escape printers.
+// checkPrintsStream flags, in internal/codegen, a planning-package import
+// and a switch over sim.Opcode (its tag or a case) in an escape printer.
 func checkPrintsStream(pkgPath string, files []*ast.File, info *types.Info,
 	report func(token.Pos, string, string)) {
+	if pkgPath != codegenPath {
+		return
+	}
+	isOpcode := func(e ast.Expr) bool { return e != nil && isNamed(info.Types[e].Type, simPath, "Opcode") }
 	for _, f := range files {
 		for _, im := range f.Imports {
-			if path := strings.Trim(im.Path.Value, `"`); pkgPath == codegenPath && codegenBannedImports[path] {
+			if path := strings.Trim(im.Path.Value, `"`); codegenBannedImports[path] {
 				report(im.Pos(), "codegen-prints-stream", fmt.Sprintf(
 					"internal/codegen imports %s: print the program sim.Lower returns", path))
 			}
 		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || pkgPath == codegenPath && escapePrinters[fn.Name.Name] {
+			if !ok || fn.Body == nil || !escapePrinters[fn.Name.Name] {
 				continue
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -257,15 +260,16 @@ func checkPrintsStream(pkgPath string, files []*ast.File, info *types.Info,
 				if !ok {
 					return true
 				}
+				opcodes := isOpcode(sw.Tag)
 				for _, st := range sw.Body.List {
 					for _, e := range st.(*ast.CaseClause).List {
-						if isNamed(info.Types[e].Type, simPath, "ICode") {
-							report(sw.Pos(), "codegen-prints-stream", fmt.Sprintf(
-								"%s switches over sim.ICode outside internal/sim: "+
-									"render the lowered stream's opcodes", fn.Name.Name))
-							return true
-						}
+						opcodes = opcodes || isOpcode(e)
 					}
+				}
+				if opcodes {
+					report(sw.Pos(), "codegen-prints-stream", fmt.Sprintf(
+						"%s switches over sim.Opcode: print the opcode's kernel from sim.Kernels",
+						fn.Name.Name))
 				}
 				return true
 			})
@@ -355,8 +359,8 @@ func isMethod(decl ast.Decl, typ, name string) bool {
 }
 
 // checkOneDispatch flags opcode evaluators outside simDispatchFuncs: a
-// switch with at least dispatchMinArms arms that each name an ICode or
-// opcode constant and store through an index expression.
+// switch with at least dispatchMinArms arms that each name an opcode
+// constant and store through an index expression.
 func checkOneDispatch(files []*ast.File, info *types.Info,
 	report func(token.Pos, string, string)) {
 	isOpcode := func(e ast.Expr) bool {

@@ -316,67 +316,71 @@ func anyOf(flags []bool) bool {
 
 // TestOneDispatchRule: an opcode switch whose arms store into a table is
 // an evaluator, and only the closed set of kernels may hold one. The
-// same switch is clean inside run and a finding anywhere else; a
-// classifier over the same opcodes (no stores) and a short switch are
-// not evaluators.
+// same switch is clean inside run and a finding anywhere else — the
+// retired scalar escape kernels' names included; a classifier over the
+// same opcodes (no stores) and a short switch are not evaluators.
 func TestOneDispatchRule(t *testing.T) {
 	imp := deps(t)
 	const codes = `
 package sim
 import "essent/internal/verify"
-type ICode uint8
 type Opcode uint8
-const (
-	IAdd ICode = iota
-	ISub; IMul; IAnd; IOr; IXor; IEq; INeq; ILt
-)
 const (
 	OpAdd Opcode = iota
 	OpSub; OpMul; OpAnd; OpOr; OpXor; OpEq; OpNeq; OpLt
 )
 func New() error { return verify.Enforce(0, nil, nil) }
 `
-	eval := func(fn, typ, prefix string) string {
+	eval := func(fn string) string {
 		var b strings.Builder
-		fmt.Fprintf(&b, "func %s(t []uint64, c %s, d, x, y int) {\n\tswitch c {\n", fn, typ)
+		fmt.Fprintf(&b, "func %s(t []uint64, c Opcode, d, x, y int) {\n\tswitch c {\n", fn)
 		for _, op := range []string{"Add", "Sub", "Mul", "And", "Or", "Xor", "Eq", "Neq", "Lt"} {
-			fmt.Fprintf(&b, "\tcase %s%s:\n\t\tt[d] = t[x] + t[y]\n", prefix, op)
+			fmt.Fprintf(&b, "\tcase Op%s:\n\t\tt[d] = t[x] + t[y]\n", op)
 		}
 		b.WriteString("\t}\n}\n")
 		return b.String()
 	}
-	for _, tc := range []struct {
+	cases := []struct {
 		name, body string
 		want       []string
 	}{
-		{"the stream executor", eval("run", "Opcode", "Op"), nil},
-		{"a row kernel", eval("execRowsDense", "Opcode", "Op"), nil},
-		{"a second narrow evaluator", eval("execNarrow", "ICode", "I"), []string{"sim-one-dispatch"}},
-		{"a row kernel keyed on the IR again", eval("execRowNarrow", "ICode", "I"), []string{"sim-one-dispatch"}},
-		{"a second stream executor", eval("stepEvent", "Opcode", "Op"), []string{"sim-one-dispatch"}},
+		{"the stream executor", eval("run"), nil},
+		{"a row kernel", eval("execRowsDense"), nil},
+		{"a second narrow evaluator", eval("execNarrow"), []string{"sim-one-dispatch"}},
+		{"a row kernel keyed on the IR again", eval("execRowNarrow"), []string{"sim-one-dispatch"}},
+		{"a second stream executor", eval("stepEvent"), []string{"sim-one-dispatch"}},
 		{"a classifier", `
-func operands(c ICode) int {
+func operands(c Opcode) int {
 	switch c {
-	case IAdd: return 2
-	case ISub: return 2
-	case IMul: return 2
-	case IAnd: return 2
-	case IOr: return 2
-	case IXor: return 2
-	case IEq: return 2
-	case INeq: return 2
-	case ILt: return 2
+	case OpAdd: return 2
+	case OpSub: return 2
+	case OpMul: return 2
+	case OpAnd: return 2
+	case OpOr: return 2
+	case OpXor: return 2
+	case OpEq: return 2
+	case OpNeq: return 2
+	case OpLt: return 2
 	}
 	return 1
 }`, nil},
 		{"a short switch", `
-func pair(t []uint64, c ICode) {
+func pair(t []uint64, c Opcode) {
 	switch c {
-	case IAdd: t[0] = t[1] + t[2]
-	case ISub: t[0] = t[1] - t[2]
+	case OpAdd: t[0] = t[1] + t[2]
+	case OpSub: t[0] = t[1] - t[2]
 	}
 }`, nil},
-	} {
+	}
+	// The escapes evaluate through the kernel table: a per-opcode switch
+	// regrown under the old kernels' names is a second evaluator.
+	for _, kind := range []string{"Signed", "Wide"} {
+		cases = append(cases, struct {
+			name, body string
+			want       []string
+		}{"a regrown exec" + kind + " switch", eval("exec" + kind), []string{"sim-one-dispatch"}})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			findings, _ := checkFile(t, imp, simPath, "internal/sim/x.go", codes+tc.body)
 			wantRules(t, findings, tc.want...)
@@ -385,30 +389,30 @@ func pair(t []uint64, c ICode) {
 	// The rule is about internal/sim: a package with opcode types of its
 	// own may switch over them as it likes.
 	findings, _ := checkFile(t, imp, "essent/internal/consumer", "consumer/x.go",
-		strings.Replace(codes+eval("emit", "ICode", "I"), "package sim", "package consumer", 1))
+		strings.Replace(codes+eval("emit"), "package sim", "package consumer", 1))
 	wantRules(t, findings)
 }
 
 // TestPrintsStreamRule: the code generator renders the lowered stream.
-// Switching over the stream's Opcode is its job and the two escape
-// printers may switch over ICode; any other switch over sim.ICode outside
-// internal/sim — in codegen or elsewhere — is a second reading of the IR,
-// and an import of the planner from codegen is a second plan.
+// Switching over the stream's Opcode is its job, but an escape printer
+// prints its opcode's kernel from the table: a switch over sim.Opcode
+// regrown in emitSigned or emitWide is a second statement of what an
+// escape computes, and an import of the planner from codegen is a second
+// plan. The rule is the code generator's: a function of a printer's name
+// elsewhere is not checked.
 func TestPrintsStreamRule(t *testing.T) {
 	imp := deps(t)
 	_, simPkg := checkSrc(t, imp, simPath, `
 package sim
 import "essent/internal/verify"
-type ICode uint8
 type Opcode uint8
 const (
-	ICopy ICode = iota
-	IMux
-)
-const (
 	OpCopy Opcode = iota
+	OpMux
 	OpSigned
 )
+type Kernel struct{ Name string }
+var Kernels = [OpMux + 1]Kernel{OpCopy: {"Copy"}}
 func New() error { return verify.Enforce(0, nil, nil) }
 `)
 	imp[simPath] = simPkg
@@ -422,30 +426,31 @@ import "essent/internal/sim"
 func emitOp(c sim.Opcode) string {
 	switch c {
 	case sim.OpCopy: return "copy"
-	case sim.OpSigned: return emitSigned(sim.ICopy)
+	case sim.OpSigned: return emitSigned(sim.OpCopy)
 	}
 	return ""
 }
-func emitSigned(c sim.ICode) string {
-	switch c {
-	case sim.ICopy: return "copy"
-	case sim.IMux: return "mux"
-	}
-	return ""
-}
+func emitSigned(c sim.Opcode) string { return "simrt." + sim.Kernels[c].Name }
+func emitWide(c sim.Opcode) string { return "s.sc." + sim.Kernels[c].Name }
 `
+	// regrow gives escape printer fn the per-opcode switch the kernel
+	// table replaced.
+	regrow := func(fn string) string {
+		return strings.Replace(printer, "func "+fn+"(c sim.Opcode) string {",
+			"func "+fn+"(c sim.Opcode) string {\n\tswitch c {\n\tcase sim.OpCopy: return \"copy\"\n"+
+				"\tcase sim.OpMux: return \"mux\"\n\t}\n", 1)
+	}
 	for _, tc := range []struct {
 		name, path, src string
 		want            []string
 	}{
 		{"the printer", codegenPath, printer, nil},
-		{"a second ICode switch in codegen", codegenPath,
-			strings.Replace(printer, "func emitSigned(", "func emitInstr(", 1) +
-				"func emitSigned(c sim.ICode) string { return emitInstr(c) }\n",
+		{"an opcode switch in emitSigned", codegenPath, regrow("emitSigned"),
+			[]string{"codegen-prints-stream"}},
+		{"an opcode switch in emitWide", codegenPath, regrow("emitWide"),
 			[]string{"codegen-prints-stream"}},
 		{"an escape printer's name outside codegen", "essent/internal/consumer",
-			strings.Replace(printer, "package codegen", "package consumer", 1),
-			[]string{"codegen-prints-stream"}},
+			strings.Replace(regrow("emitSigned"), "package codegen", "package consumer", 1), nil},
 		{"codegen imports the planner", codegenPath,
 			strings.Replace(printer, `import "essent/internal/sim"`,
 				"import (\n\"essent/internal/sim\"\n\"essent/internal/sched\"\n)\nvar _ sched.Plan\n", 1),
