@@ -5,16 +5,16 @@
 // two engines disagree.
 //
 // A checkpoint serializes sim.State — input ports, registers, memories,
-// cycle count, Stats — which is the complete architectural state at a
-// cycle boundary. Combinational values are pure functions of it and are
+// cycle count, stats words — which is the complete architectural state at
+// a cycle boundary. Combinational values are pure functions of it and are
 // recomputed on the first step after restore, so a snapshot taken under
 // one engine resumes bit-exactly under any other engine compiled from
 // the same design.
 //
-// The wire codec itself lives in pkg/ckptio (generated simulator
-// artifacts serialize the same format without importing internal
-// packages); this package converts between sim.State and the raw
-// ckptio.Snapshot and adds the file and pipe transports.
+// The wire codec itself lives in pkg/ckptio, and sim.State is its
+// Snapshot (generated simulator artifacts serialize the same format
+// without importing internal packages); this package adds the file and
+// pipe transports.
 package ckpt
 
 import (
@@ -26,97 +26,23 @@ import (
 	"essent/pkg/ckptio"
 )
 
-// StatsWords flattens Stats into the on-disk word list; StatsFromWords
-// is its inverse. Exported for the serving backend, which exchanges
-// stats with subprocess artifacts in this flat form.
-func StatsWords(st *sim.Stats) []uint64 { return statsToWords(st) }
-
-// StatsFromWords maps flat checkpoint words back onto sim.Stats.
-func StatsFromWords(ws []uint64) sim.Stats { return statsFromWords(ws) }
-
-// NumStatsWords is the length of the stats word list (10), the one count
-// the code generator sizes its flat counters from.
-var NumStatsWords = len(statsToWords(new(sim.Stats)))
-
-// statsToWords flattens Stats into the on-disk list. Append-only: new
-// counters go at the end so old readers ignore them and old files read
-// as zero. (Snapshots written before the worker pool was retired carry
-// an eleventh word, WorkerPanics; statsFromWords ignores it.)
-func statsToWords(st *sim.Stats) []uint64 {
-	return []uint64{
-		st.Cycles, st.OpsEvaluated, st.SignalChanges, st.PartChecks,
-		st.InputChecks, st.PartEvals, st.OutputCompares, st.Wakes,
-		st.Events, st.FusedPairs,
-	}
-}
-
-func statsFromWords(ws []uint64) sim.Stats {
-	var st sim.Stats
-	fields := []*uint64{
-		&st.Cycles, &st.OpsEvaluated, &st.SignalChanges, &st.PartChecks,
-		&st.InputChecks, &st.PartEvals, &st.OutputCompares, &st.Wakes,
-		&st.Events, &st.FusedPairs,
-	}
-	for i, p := range fields {
-		if i < len(ws) {
-			*p = ws[i]
-		}
-	}
-	return st
-}
-
-// ToSnapshot converts a sim.State to the raw wire form. The sections
-// alias the State's slices (no copy); callers that mutate either side
-// afterwards must copy first.
-func ToSnapshot(st *sim.State) *ckptio.Snapshot {
-	return &ckptio.Snapshot{
-		Design:      st.Design,
-		Fingerprint: st.Fingerprint,
-		Cycle:       st.Cycle,
-		Stats:       statsToWords(&st.Stats),
-		Inputs:      st.Inputs,
-		Regs:        st.Regs,
-		Mems:        st.Mems,
-	}
-}
-
-// FromSnapshot converts a raw wire snapshot back to a sim.State
-// (sections alias; stats words map positionally onto sim.Stats).
-func FromSnapshot(sn *ckptio.Snapshot) *sim.State {
-	return &sim.State{
-		Design:      sn.Design,
-		Fingerprint: sn.Fingerprint,
-		Cycle:       sn.Cycle,
-		Stats:       statsFromWords(sn.Stats),
-		Inputs:      sn.Inputs,
-		Regs:        sn.Regs,
-		Mems:        sn.Mems,
-	}
-}
-
 // Encode serializes a State in the checkpoint format (checksum
 // included).
-func Encode(st *sim.State) []byte {
-	return ckptio.Encode(ToSnapshot(st))
-}
+func Encode(st *sim.State) []byte { return ckptio.Encode(st) }
 
 // Decode parses and checksum-verifies a checkpoint.
 func Decode(buf []byte) (*sim.State, error) {
-	sn, err := ckptio.Decode(buf)
+	st, err := ckptio.Decode(buf)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	return FromSnapshot(sn), nil
+	return st, nil
 }
 
 // StateHash digests a State's architectural content (cycle, inputs,
-// registers, memories — stats excluded) with the same algorithm the
-// generated artifacts use, so a host-side interpreter state can be
-// compared against a subprocess hash frame without shipping the full
-// snapshot.
-func StateHash(st *sim.State) uint64 {
-	return ToSnapshot(st).StateHash()
-}
+// registers, memories — stats excluded), the key the serve protocol's
+// divergence tripwire compares.
+func StateHash(st *sim.State) uint64 { return st.StateHash() }
 
 // tmpSuffix marks in-progress writes; Latest skips leftovers from a
 // crash mid-write.

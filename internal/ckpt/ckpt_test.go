@@ -102,7 +102,7 @@ func TestDecodeElevenWordSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw.Stats) != NumStatsWords+1 || raw.Stats[NumStatsWords] != 7 {
+	if len(raw.Stats) != sim.NumStatsWords+1 || raw.Stats[sim.NumStatsWords] != 7 {
 		t.Fatalf("fixture is not the eleven-word snapshot: stats %v", raw.Stats)
 	}
 	st, err := Decode(buf)
@@ -111,8 +111,8 @@ func TestDecodeElevenWordSnapshot(t *testing.T) {
 	}
 	want := sim.Stats{Cycles: 1000, OpsEvaluated: 3000, SignalChanges: 1000, PartChecks: 1000,
 		PartEvals: 1000, OutputCompares: 1000, Wakes: 1000, FusedPairs: 1}
-	if st.Stats != want {
-		t.Fatalf("stats %+v, want %+v", st.Stats, want)
+	if got := sim.StatsFromWords(st.Stats); got != want {
+		t.Fatalf("stats %+v, want %+v", got, want)
 	}
 	const writerHash = 0xb5d19235734a1945
 	s := newSim(t, compileCkpt(t, counterSrc), sim.EngineCCSS)

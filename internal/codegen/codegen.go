@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"essent/internal/bits"
-	"essent/internal/ckpt"
 	"essent/internal/netlist"
 	"essent/internal/sim"
 )
@@ -76,7 +75,7 @@ func (o Options) Engine() sim.Options {
 // binary is never reused across a change to the emitted text: bump it
 // with any such change (TestFormatVersionPinsEmittedText fails until
 // then).
-const FormatVersion = 10
+const FormatVersion = 11
 
 // Generate emits Go source for a simulator of the design. The text is the
 // emitter's own, not gofmt's: the compiled backend builds it as printed,
@@ -158,20 +157,6 @@ func (g *gen) fail(format string, args ...any) {
 	}
 }
 
-// Flat stats indices, matching sim.Stats field order (the checkpoint
-// format's append-only stats word list).
-const (
-	statCycles         = 0
-	statOps            = 1
-	statSignalChanges  = 2
-	statPartChecks     = 3
-	statInputChecks    = 4
-	statPartEvals      = 5
-	statOutputCompares = 6
-	statWakes          = 7
-	statFusedPairs     = 9
-)
-
 // slotBounds computes gen.bound from the table layout.
 func slotBounds(pr *sim.Program) []uint64 {
 	bound := make([]uint64, pr.TableLen)
@@ -220,21 +205,19 @@ func (g *gen) emit() []byte {
 	g.p("package %s", g.opts.Package)
 	g.p("")
 	g.p(`import (`)
-	g.p(`  "fmt"`)
-	g.p(`  "io"`)
+	if len(g.pr.D.Displays) > 0 {
+		g.p(`  "fmt"`)
+	}
 	if g.opts.Mode == ModeCCSS {
 		g.p(`  "math/bits"`)
 	}
 	g.p("")
-	g.p(`  "essent/pkg/ckptio"`)
 	g.p(`  "essent/pkg/simrt"`)
 	g.p(`)`)
 	g.p("")
-	g.emitErrors()
 	g.emitStruct()
 	g.emitNew()
-	g.emitAccessors()
-	g.emitServe()
+	g.emitLayout()
 	if g.opts.Mode == ModeCCSS {
 		g.emitCCSSStep()
 	} else {
@@ -248,50 +231,18 @@ func (g *gen) emit() []byte {
 	return g.b.Bytes()
 }
 
-func (g *gen) emitErrors() {
-	g.p(`// StopError reports a stop() with its exit code.
-type StopError struct {
-	Code  int
-	Cycle uint64
-}
-
-func (e *StopError) Error() string {
-	return fmt.Sprintf("stop(%%d) at cycle %%d", e.Code, e.Cycle)
-}
-
-// AssertError reports a failed assertion.
-type AssertError struct {
-	Msg   string
-	Cycle uint64
-}
-
-func (e *AssertError) Error() string {
-	return fmt.Sprintf("assertion failed at cycle %%d: %%s", e.Cycle, e.Msg)
-}
-
-// StopInfo classifies this error over the serve protocol.
-func (e *StopError) StopInfo() (int, uint64) { return e.Code, e.Cycle }
-
-// AssertInfo classifies this error over the serve protocol.
-func (e *AssertError) AssertInfo() (string, uint64) { return e.Msg, e.Cycle }`)
-	g.p("")
-}
-
 func (g *gen) emitStruct() {
 	pr := g.pr
-	g.p("// Sim is the generated simulator state. The value table and the activity")
-	g.p("// state are fixed-size arrays, so s.t[K] is one load at a constant")
-	g.p("// offset; a Sim is large and is only ever handled by pointer.")
+	g.p("// Sim is the generated simulator: the design's own evaluation around an")
+	g.p("// embedded simrt.Core, which holds the state and answers pokes, peeks and")
+	g.p("// snapshots. The value table, the counters and the activity state are arrays")
+	g.p("// (the Core's T and Stats slice two of them), so s.t[K] is one load at a")
+	g.p("// constant offset; a Sim is large and is only ever handled by pointer.")
 	g.p("type Sim struct {")
+	g.p("  simrt.Core")
 	g.p("  t [%d]uint64", pr.TableLen)
-	g.p("  mems [][]uint64")
 	g.p("  sc *simrt.Scratch")
-	g.p("  Out io.Writer")
-	g.p("  cycle uint64")
-	g.p("  stopErr error")
-	g.p("  evalErr error")
-	g.p("  pendValid []bool // pending memory writes, one per write port")
-	g.p("  pendAddr []uint64")
+	g.p("  pendAddr []uint64 // pending memory writes, one per write port (Core.Pend)")
 	g.p("  pendData [][]uint64")
 	if g.opts.Mode == ModeCCSS {
 		np := len(pr.Spans)
@@ -301,7 +252,7 @@ func (g *gen) emitStruct() {
 		g.p("  old [%d]uint64", g.oldWords())
 		g.p("  poked bool")
 	}
-	g.p("  stats [%d]uint64", ckpt.NumStatsWords)
+	g.p("  stats [%d]uint64", sim.NumStatsWords)
 	g.p("}")
 	g.p("")
 }
@@ -309,21 +260,23 @@ func (g *gen) emitStruct() {
 func (g *gen) emitNew() {
 	pr := g.pr
 	d := pr.D
+	ccss := g.opts.Mode == ModeCCSS
 	g.p("// New builds a simulator with registers at their reset values.")
 	g.p("func New() *Sim {")
 	g.p("  s := new(Sim)")
-	g.p("  s.sc, s.Out = simrt.NewScratch(%d), io.Discard", pr.MaxWords)
-	g.p("  s.mems = make([][]uint64, %d)", len(d.Mems))
-	for mi := range d.Mems {
-		m := &d.Mems[mi]
-		g.p("  s.mems[%d] = make([]uint64, %d)", mi, bits.Words(m.Width)*m.Depth)
-	}
-	g.p("  s.pendValid = make([]bool, %d)", len(d.MemWrites))
+	g.p("  s.Core = simrt.NewCore(&layout, s.t[:], s.stats[:], %d)", len(d.MemWrites))
+	g.p("  s.sc = simrt.NewScratch(%d)", pr.MaxWords)
 	g.p("  s.pendAddr = make([]uint64, %d)", len(d.MemWrites))
 	g.p("  s.pendData = make([][]uint64, %d)", len(d.MemWrites))
 	for i := range d.MemWrites {
 		g.p("  s.pendData[%d] = make([]uint64, %d)", i,
 			bits.Words(int(g.operandOf(d.MemWrites[i].Data).w)))
+	}
+	if pr.FusedPairs != 0 {
+		g.p("  s.stats[%d] = %d // fused pairs", sim.StatFusedPairs, pr.FusedPairs)
+	}
+	if ccss {
+		g.p("  s.Rearm = s.wakeAll")
 	}
 	g.p("  s.Reset()")
 	g.p("  return s")
@@ -335,7 +288,6 @@ func (g *gen) emitNew() {
 	for _, r := range g.nonInputWords() {
 		g.p("  clear(s.t[%d:%d])", r[0], r[1])
 	}
-	g.p("  for _, m := range s.mems { for i := range m { m[i] = 0 } }")
 	for i := range d.Consts {
 		for w, v := range d.Consts[i].Words {
 			if v != 0 {
@@ -352,24 +304,16 @@ func (g *gen) emitNew() {
 			}
 		}
 	}
-	g.p("  s.stats = [%d]uint64{%d: %d}", ckpt.NumStatsWords, statFusedPairs, pr.FusedPairs)
-	g.p("  s.cycle = 0")
-	g.p("  s.rearm()")
-	g.p("}")
-	g.p("")
-	g.p("// rearm puts everything derived from the architectural state into its")
-	g.p("// everything-is-stale form after that state was rewritten wholesale.")
-	g.p("func (s *Sim) rearm() {")
-	if g.opts.Mode == ModeCCSS {
+	g.p("  s.Clear()")
+	if ccss {
 		g.p("  s.wakeAll()")
 	}
-	g.p("  for i := range s.pendValid { s.pendValid[i] = false }")
-	g.p("  s.stopErr, s.evalErr = nil, nil")
 	g.p("}")
 	g.p("")
-	if g.opts.Mode == ModeCCSS {
-		g.p("// wakeAll is the activity half of rearm, also run by an edge reset:")
-		g.p("// every partition flagged, the input history invalidated.")
+	if ccss {
+		g.p("// wakeAll puts the activity state into its everything-is-stale form,")
+		g.p("// after Reset, a snapshot load (Core.Rearm) or an edge reset: every")
+		g.p("// partition flagged, the input history invalidated.")
 		g.p("func (s *Sim) wakeAll() {")
 		g.p("  for i := range s.flags { s.flags[i] = ^uint64(0) }")
 		if tail := len(pr.Spans) & 63; tail != 0 {
@@ -427,13 +371,20 @@ func (g *gen) oldWords() (n int32) {
 	return n
 }
 
-func (g *gen) emitAccessors() {
-	pr := g.pr
-	d := pr.D
-	g.p("// sigOff and sigWidth give each signal, by ID, its value-table offset")
-	g.p("// and its width in bits.")
-	g.table("sigOff", "int32", len(d.Signals), func(id int) int { return int(pr.Off[id]) })
-	g.table("sigWidth", "int32", len(d.Signals), func(id int) int { return d.Signals[id].Width })
+// emitLayout prints the state layout the Core reads, the name tables
+// callers find IDs in and, in CCSS mode, the pokes that wake: the Core's,
+// then the activity state's re-arm.
+func (g *gen) emitLayout() {
+	l, d := g.pr.Layout, g.pr.D
+	g.p("var layout = simrt.Layout{")
+	g.p("  Name: %q, Fingerprint: %#x, BuildStat: %d,", l.Name, l.Fingerprint, l.BuildStat)
+	g.list("Off", l.Off)
+	g.list("Width", l.Width)
+	g.list("Inputs", l.Inputs)
+	g.list("Regs", l.Regs)
+	g.p("  Mems: %#v,", l.Mems)
+	g.p("}")
+	g.p("")
 	named := slices.Concat(d.Inputs, d.Outputs)
 	for ri := range d.Regs {
 		named = append(named, d.Regs[ri].Out)
@@ -453,120 +404,46 @@ func (g *gen) emitAccessors() {
 	}
 	g.p("}")
 	g.p("")
-	g.table("memWords", "int", len(d.Mems), func(mi int) int { return bits.Words(d.Mems[mi].Width) })
-	g.p("// memMask masks a poked entry's low word to the memory's width.")
-	g.p("var memMask = []uint64{")
+	if g.opts.Mode != ModeCCSS {
+		return
+	}
+	g.p("var memWake = [][]int32{")
 	for mi := range d.Mems {
-		g.p("  %#x,", bits.Mask64(^uint64(0), min(d.Mems[mi].Width, 64)))
+		g.p("  %#v,", g.pr.MemReaders[mi])
 	}
 	g.p("}")
 	g.p("")
-	poked, memPoked := "", ""
-	if g.opts.Mode == ModeCCSS {
-		poked = "\n\ts.poked = true"
-		memPoked = "\n\tfor _, p := range memWake[mem] {\n\t\ts.flags[p>>6] |= 1 << (p & 63)\n\t}" + poked
-		g.p("var memWake = [][]int32{")
-		for mi := range d.Mems {
-			g.p("  %#v,", pr.MemReaders[mi])
-		}
-		g.p("}")
-		g.p("")
-	}
-	g.p(`// PokeWords sets signal id from limb words (missing words are zero); it
-// reports false for an id out of range.
+	g.p(`// PokeWords sets a signal (simrt.Core.PokeWords) and arms the next
+// step's input scan.
 func (s *Sim) PokeWords(id int, v []uint64) bool {
-	if id < 0 || id >= len(sigOff) {
+	if !s.Core.PokeWords(id, v) {
 		return false
 	}
-	off, width := int(sigOff[id]), int(sigWidth[id])
-	for w := 0; w*64 < width; w++ {
-		var x uint64
-		if w < len(v) {
-			x = v[w]
-		}
-		if (w+1)*64 > width {
-			x &= mask64c(width - w*64)
-		}
-		s.t[off+w] = x
-	}` + poked + `
+	s.poked = true
 	return true
 }
 
-// PeekWords reads signal id's words; it reports false for an id out of
-// range.
-func (s *Sim) PeekWords(id int) ([]uint64, bool) {
-	if id < 0 || id >= len(sigOff) {
-		return nil, false
-	}
-	off := int(sigOff[id])
-	return append([]uint64(nil), s.t[off:off+(int(sigWidth[id])+63)/64]...), true
-}
-
-// SetOutput redirects printf output (nil restores the default sink).
-func (s *Sim) SetOutput(w io.Writer) {
-	if w == nil {
-		w = io.Discard
-	}
-	s.Out = w
-}
-
-func mask64c(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(w) - 1
-}
-
-// entry returns the index of the first word of entry addr of memory mem;
-// it reports false when either is out of range.
-func (s *Sim) entry(mem, addr int) (int, bool) {
-	if mem < 0 || mem >= len(s.mems) || addr < 0 || addr >= len(s.mems[mem])/max(memWords[mem], 1) {
-		return 0, false
-	}
-	return addr * memWords[mem], true
-}
-
-// PeekMem reads the low word of entry addr of memory mem; it reports
-// false when either is out of range.
-func (s *Sim) PeekMem(mem, addr int) (uint64, bool) {
-	base, ok := s.entry(mem, addr)
-	if !ok {
-		return 0, false
-	}
-	return s.mems[mem][base], true
-}
-
-// PokeMem writes the low word of entry addr of memory mem and zeroes the
-// rest of the entry (program loading); it reports false when either is
-// out of range.
+// PokeMem writes a memory entry (simrt.Core.PokeMem) and wakes the
+// memory's readers.
 func (s *Sim) PokeMem(mem, addr int, v uint64) bool {
-	base, ok := s.entry(mem, addr)
-	if !ok {
+	if !s.Core.PokeMem(mem, addr, v) {
 		return false
 	}
-	m := s.mems[mem]
-	m[base] = v & memMask[mem]
-	for k := 1; k < memWords[mem]; k++ {
-		m[base+k] = 0
-	}` + memPoked + `
-	return true
-}
-
-// Cycles returns the simulated cycle count.
-func (s *Sim) Cycles() uint64 { return s.cycle }`)
-	g.p("")
-}
-
-// table prints an n-entry array literal of typ, sixteen entries a line.
-func (g *gen) table(name, typ string, n int, at func(int) int) {
-	g.p("var %s = [...]%s{", name, typ)
-	var line []string
-	for i := range n {
-		if line = append(line, fmt.Sprint(at(i))); len(line) == 16 || i == n-1 {
-			g.p("  %s,", strings.Join(line, ", "))
-			line = line[:0]
-		}
+	for _, p := range memWake[mem] {
+		s.flags[p>>6] |= 1 << (p & 63)
 	}
-	g.p("}")
+	s.poked = true
+	return true
+}`)
 	g.p("")
+}
+
+// list prints field as an []int32 literal, sixteen entries a line.
+func (g *gen) list(field string, vs []int32) {
+	g.p("  %s: []int32{", field)
+	for i := 0; i < len(vs); i += 16 {
+		line := fmt.Sprint(vs[i:min(i+16, len(vs))])
+		g.p("    %s,", strings.ReplaceAll(line[1:len(line)-1], " ", ", "))
+	}
+	g.p("  },")
 }

@@ -3,6 +3,7 @@ package codegen
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -11,8 +12,10 @@ import (
 	"strings"
 	"testing"
 
+	"essent/internal/designs"
 	"essent/internal/firrtl"
 	"essent/internal/netlist"
+	"essent/internal/opt"
 	"essent/internal/randckt"
 	"essent/internal/sim"
 )
@@ -298,5 +301,51 @@ circuit P :
 	}
 	if !strings.Contains(got, "ERR") {
 		t.Fatal("generated simulator did not stop")
+	}
+}
+
+// TestRuntimeLivesInSimrt: what only reads and writes state is simrt.Core's,
+// which the generated Sim embeds, so r16's generated text declares none of
+// it in either mode — no snapshot, hash, counter, peek, output or identity
+// method and no error type.
+func TestRuntimeLivesInSimrt(t *testing.T) {
+	circ, err := designs.Build(designs.R16())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := netlist.Compile(circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := opt.Optimize(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	banned := map[string]bool{"Capture": true, "Restore": true, "StateHash": true,
+		"StatsWords": true, "PeekWords": true, "PeekMem": true, "SetOutput": true,
+		"Cycles": true, "DesignName": true, "Fingerprint": true,
+		"StopError": true, "AssertError": true}
+	for _, mode := range []Mode{ModeCCSS, ModeFullCycle} {
+		src, err := Generate(d, Options{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), "sim.go", src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var name *ast.Ident
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				name = n.Name
+			case *ast.TypeSpec:
+				name = n.Name
+			}
+			if name != nil && banned[name.Name] {
+				t.Errorf("mode %d: r16's sim.go declares %s, which belongs to simrt", mode, name.Name)
+			}
+			return true
+		})
 	}
 }

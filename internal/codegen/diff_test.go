@@ -548,7 +548,7 @@ func generatedStats(trace string) (string, sim.Stats, uint64, bool) {
 	}
 	var hash uint64
 	_, err := fmt.Sscanf(hashLine, "%x", &hash)
-	return got, ckpt.StatsFromWords(ws), hash, len(ws) == ckpt.NumStatsWords && err == nil
+	return got, sim.StatsFromWords(ws), hash, len(ws) == sim.NumStatsWords && err == nil
 }
 
 // TestGeneratedMatchesInterpreter compares, for every fixture and every

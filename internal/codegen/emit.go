@@ -110,9 +110,9 @@ func (g *gen) emitFunc(name string, localize bool, body func()) {
 		}
 		body()
 		if n := g.scopes[0].ops; g.dynOps {
-			g.p("s.stats[%d] += %d + ops", statOps, n)
+			g.p("s.stats[%d] += %d + ops", sim.StatOps, n)
 		} else if n > 0 {
-			g.p("s.stats[%d] += %d", statOps, n)
+			g.p("s.stats[%d] += %d", sim.StatOps, n)
 		}
 		g.p("}")
 		g.p("")
@@ -237,7 +237,7 @@ func (g *gen) emitNarrow(op *sim.Op) {
 	case sim.OpCopy, sim.OpTail:
 		expr, bound = a, ba
 	case sim.OpMemRead:
-		expr, bound = fmt.Sprintf("simrt.Load(s.mems[%d], %s)", op.X, a), op.Mask
+		expr, bound = fmt.Sprintf("simrt.Load(s.Mems[%d], %s)", op.X, a), op.Mask
 	case sim.OpAdd, sim.OpFAddTail:
 		expr = a + " + " + b
 	case sim.OpSub, sim.OpFSubTail:
@@ -423,7 +423,7 @@ func (g *gen) emitWide(in *sim.Instr) {
 	dst, b := view(in.Dst, in.DW), "nil"
 	if in.Code == sim.OpMemRead {
 		m := &g.pr.D.Mems[in.Mem]
-		g.p("simrt.MemRead(%s, s.mems[%d], %d, %d, %s)",
+		g.p("simrt.MemRead(%s, s.Mems[%d], %d, %d, %s)",
 			dst, in.Mem, bits.Words(m.Width), m.Depth, g.ref(in.A))
 		return
 	}
@@ -494,12 +494,12 @@ func (g *gen) emitCheckCall(i int32) {
 	} else {
 		g.p("if %s&1 == 1 && %s&1 == 0 { s.check%d() }", en, g.ref(g.operandOf(c.Pred).off), i)
 	}
-	raise := fmt.Sprintf("&AssertError{Msg: %q, Cycle: s.cycle}", c.Msg)
+	raise := fmt.Sprintf("&simrt.AssertError{Msg: %q, Cycle: s.Now}", c.Msg)
 	if c.Stop {
-		raise = fmt.Sprintf("&StopError{Code: %d, Cycle: s.cycle}", c.Code)
+		raise = fmt.Sprintf("&simrt.StopError{Code: %d, Cycle: s.Now}", c.Code)
 	}
 	g.cold = append(g.cold, fmt.Sprintf("//go:noinline\nfunc (s *Sim) check%d() {\n"+
-		"  if s.evalErr == nil { s.evalErr = %s }\n}\n", i, raise))
+		"  if s.EvalErr == nil { s.EvalErr = %s }\n}\n", i, raise))
 }
 
 // emitMemWriteCapture buffers an enabled write.
@@ -507,15 +507,15 @@ func (g *gen) emitMemWriteCapture(i int32) {
 	w := &g.pr.D.MemWrites[i]
 	data := g.operandOf(w.Data)
 	g.p("if %s&1 == 1 && %s&1 == 1 {", g.ref(g.operandOf(w.En).off), g.ref(g.operandOf(w.Mask).off))
-	g.p("  s.pendValid[%d] = true", i)
+	g.p("  s.Pend[%d] = true", i)
 	g.p("  s.pendAddr[%d] = %s", i, g.ref(g.operandOf(w.Addr).off))
 	g.p("  copy(s.pendData[%d], %s)", i, view(data.off, data.w))
-	g.p("} else { s.pendValid[%d] = false }", i)
+	g.p("} else { s.Pend[%d] = false }", i)
 }
 
 // wakesStat is the Wakes counter as code outside partition functions
 // (which count on a local) address it.
-var wakesStat = fmt.Sprintf("s.stats[%d]", statWakes)
+var wakesStat = fmt.Sprintf("s.stats[%d]", sim.StatWakes)
 
 // flagWords is the length of the activity bitmap of np partitions.
 func flagWords(np int) int { return (np + 63) / 64 }
@@ -592,11 +592,11 @@ func (g *gen) emitCommit() {
 			g.p("    s.pd[%d] = false", pi)
 			for _, ri := range regs {
 				r := &d.Regs[ri]
-				g.p("    s.stats[%d]++", statOutputCompares)
+				g.p("    s.stats[%d]++", sim.StatOutputCompares)
 				g.p("    // %s", r.Name)
 				g.ifChangedCopy("s.t", pr.Off[r.Out], "s.t", pr.Off[r.Next],
 					int32(bits.Words(d.Signals[r.Out].Width)))
-				g.p("      s.stats[%d]++", statSignalChanges)
+				g.p("      s.stats[%d]++", sim.StatSignalChanges)
 				g.wakeList(pr.RegWakes[ri], wakesStat, slot)
 				g.p("    }")
 			}
@@ -609,12 +609,12 @@ func (g *gen) emitCommit() {
 		mem := d.MemWrites[i].Mem
 		m := &d.Mems[mem]
 		nw := bits.Words(m.Width)
-		g.p("  if s.pendValid[%d] {", i)
-		g.p("    s.pendValid[%d] = false", i)
+		g.p("  if s.Pend[%d] {", i)
+		g.p("    s.Pend[%d] = false", i)
 		g.p("    if a := s.pendAddr[%d]; a < %d {", i, m.Depth)
 		g.p("      base := int(a) * %d", nw)
-		g.p("      if !simrt.EqualWords(s.mems[%d][base:base+%d], s.pendData[%d]) {", mem, nw, i)
-		g.p("        copy(s.mems[%d][base:base+%d], s.pendData[%d])", mem, nw, i)
+		g.p("      if !simrt.EqualWords(s.Mems[%d][base:base+%d], s.pendData[%d]) {", mem, nw, i)
+		g.p("        copy(s.Mems[%d][base:base+%d], s.pendData[%d])", mem, nw, i)
 		if pr.Parts != nil {
 			g.wake(pr.MemReaders[mem], wakesStat)
 		}
@@ -660,14 +660,14 @@ func (g *gen) emitResets() {
 func (g *gen) emitStepLoop(evals func()) {
 	g.p("func (s *Sim) Step(n int) error {")
 	g.p("  for i := 0; i < n; i++ {")
-	g.p("    if s.stopErr != nil { return s.stopErr }")
+	g.p("    if s.StopErr != nil { return s.StopErr }")
 	evals()
-	g.p("    err := s.evalErr")
-	g.p("    s.evalErr = nil")
+	g.p("    err := s.EvalErr")
+	g.p("    s.EvalErr = nil")
 	g.p("    s.commit()")
-	g.p("    s.cycle++")
-	g.p("    s.stats[%d]++", statCycles)
-	g.p("    if err != nil { s.stopErr = err; return err }")
+	g.p("    s.Now++")
+	g.p("    s.stats[%d]++", sim.StatCycles)
+	g.p("    if err != nil { s.StopErr = err; return err }")
 	g.p("  }")
 	g.p("  return nil")
 	g.p("}")
@@ -722,7 +722,7 @@ func (g *gen) emitCCSSStep() {
 		// following one (poked also covers Reset) — same gating as the
 		// interpreter's scanInputs.
 		g.p("    if s.poked { s.poked = false; s.detectInputs() }")
-		g.p("    s.stats[%d] += %d", statPartChecks, np)
+		g.p("    s.stats[%d] += %d", sim.StatPartChecks, np)
 		g.p("    for p := uint(0); p < %d; {", np)
 		g.p("      w := p >> 6")
 		g.p("      x := (s.flags[w] | always[w]) >> (p & 63)")
@@ -744,7 +744,7 @@ func (g *gen) emitCCSSStep() {
 	// Input change detection.
 	g.p("func (s *Sim) detectInputs() {")
 	if len(pr.Inputs) > 0 {
-		g.p("  s.stats[%d] += %d", statInputChecks, len(pr.Inputs))
+		g.p("  s.stats[%d] += %d", sim.StatInputChecks, len(pr.Inputs))
 	}
 	for i := range pr.Inputs {
 		in := &pr.Inputs[i]
@@ -798,10 +798,10 @@ func (g *gen) emitPartition(pi int32) {
 	if len(pr.Parts.RegsOf(pi)) > 0 {
 		g.p("  s.pd[%d] = true", pi)
 	}
-	g.p("s.stats[%d]++", statPartEvals)
+	g.p("s.stats[%d]++", sim.StatPartEvals)
 	if len(outs) > 0 {
-		g.p("s.stats[%d] += %d", statOutputCompares, len(outs))
-		g.p("s.stats[%d] += chg", statSignalChanges)
-		g.p("s.stats[%d] += wk", statWakes)
+		g.p("s.stats[%d] += %d", sim.StatOutputCompares, len(outs))
+		g.p("s.stats[%d] += chg", sim.StatSignalChanges)
+		g.p("s.stats[%d] += wk", sim.StatWakes)
 	}
 }

@@ -18,13 +18,13 @@ import (
 // prints for the optimized counter (CCSS, Cp 8; its register's reset is
 // applied at the clock edge). A cached artifact is reused for as long as
 // design, options and FormatVersion agree, so a change to the emitted
-// text must come with a new version. (Version 10 prints signed and wide
-// escapes as calls of their pkg/simrt kernels; the counter has neither, so
-// its text is version 9's, which walks an activity bitmap and is the
-// emitter's own, not gofmt's.)
+// text must come with a new version. (Version 11 embeds a simrt.Core and
+// prints its state layout instead of the state half of the simulator;
+// the text walks an activity bitmap and is the emitter's own, not
+// gofmt's.)
 const (
-	pinnedVersion  = 10
-	emittedTextPin = "5bd35bae1865918cddcf1115f9334bbb4525138c11b4db753fd22504bba6a6ba"
+	pinnedVersion  = 11
+	emittedTextPin = "f50e5c47e9fbe065342cbcbc3ac41bb85d2e4825883c7626faaafea7e98118e2"
 )
 
 func TestFormatVersionPinsEmittedText(t *testing.T) {

@@ -7,18 +7,27 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"essent/internal/codegen"
 	"essent/internal/netlist"
 )
 
+// moduleRoots memoizes moduleRoot by Go tool: the cache key needs the
+// root on every lookup, and a warm lookup must not wait for the toolchain.
+var moduleRoots sync.Map
+
 // moduleRoot locates the essent repository root (the directory holding
-// go.mod) so the artifact module can `replace essent` to it. Config.
-// RepoRoot overrides for callers running outside the module tree.
+// go.mod) so the artifact module can `replace essent` to it, once per
+// process. Config.RepoRoot overrides for callers running outside the
+// module tree.
 func (c *Config) moduleRoot() (string, error) {
 	if c.RepoRoot != "" {
 		return c.RepoRoot, nil
+	}
+	if root, ok := moduleRoots.Load(c.goTool()); ok {
+		return root.(string), nil
 	}
 	out, err := exec.Command(c.goTool(), "env", "GOMOD").Output()
 	if err != nil {
@@ -28,6 +37,7 @@ func (c *Config) moduleRoot() (string, error) {
 	if gomod == "" || gomod == os.DevNull {
 		return "", fmt.Errorf("not inside a Go module (go env GOMOD empty)")
 	}
+	moduleRoots.Store(c.goTool(), filepath.Dir(gomod))
 	return filepath.Dir(gomod), nil
 }
 
@@ -57,7 +67,10 @@ func (c *Config) maxRetries() int {
 // transparently evicting + rebuilding corrupt entries. The fast path —
 // a validated cache hit — does no codegen and no toolchain work.
 func EnsureArtifact(d *netlist.Design, gen codegen.Options, cfg Config) (string, error) {
-	key := cacheKey(d, gen)
+	key, err := cfg.cacheKey(d, gen)
+	if err != nil {
+		return "", &BuildError{Design: d.Name, Err: err}
+	}
 	if bin := cfg.lookup(key); bin != "" {
 		return bin, nil
 	}

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
+	"sync"
 
 	"essent/internal/codegen"
 	"essent/internal/netlist"
@@ -35,13 +37,57 @@ const (
 
 // cacheKey names the cache entry for a design + generation options
 // pair: a digest of everything the generator prints from, the options
-// tag covering every generation knob, and the generator's format
-// version, so an edit to the circuit's logic, a different knob and a
-// different generator each get their own slot. (sim.DesignFingerprint is
-// not enough: it covers the state layout — the snapshot-compatibility
-// contract — and two circuits that differ only in logic share it.)
-func cacheKey(d *netlist.Design, gen codegen.Options) string {
-	return fmt.Sprintf("%x-%s-g%d", designDigest(d), optsTag(gen), codegen.FormatVersion)
+// tag covering every generation knob, the generator's format version and
+// a digest of the runtime the artifact compiles from the repository, so
+// an edit to the circuit's logic, a different knob, a different
+// generator and a different runtime each get their own slot.
+// (sim.DesignFingerprint is not enough: it covers the state layout — the
+// snapshot-compatibility contract — and two circuits that differ only in
+// logic share it.)
+func (c *Config) cacheKey(d *netlist.Design, gen codegen.Options) (string, error) {
+	root, err := c.moduleRoot()
+	if err != nil {
+		return "", err
+	}
+	rt, err := runtimeDigest(root)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%x-%s-g%d-r%s", designDigest(d), optsTag(gen), codegen.FormatVersion, rt), nil
+}
+
+// runtimePkgs are the repository packages an artifact compiles (its go.mod
+// replaces essent with the repository): the runtime the generated code
+// calls, the codec and the protocol, and what they import.
+var runtimePkgs = []string{"pkg/simrt", "pkg/ckptio", "pkg/pipeproto", "internal/bits"}
+
+// runtimeDigests memoizes runtimeDigest by module root.
+var runtimeDigests sync.Map
+
+// runtimeDigest hashes the non-test Go files of runtimePkgs under root,
+// once per process and root.
+func runtimeDigest(root string) (string, error) {
+	if d, ok := runtimeDigests.Load(root); ok {
+		return d.(string), nil
+	}
+	h := sha256.New()
+	for _, pkg := range runtimePkgs {
+		files, _ := filepath.Glob(filepath.Join(root, pkg, "*.go")) // sorted; the pattern is valid
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				return "", err
+			}
+			fmt.Fprintf(h, "%s/%s %d\n", pkg, filepath.Base(f), len(src))
+			h.Write(src)
+		}
+	}
+	d := hex.EncodeToString(h.Sum(nil)[:6])
+	runtimeDigests.Store(root, d)
+	return d, nil
 }
 
 // designDigest hashes the content of a design: every signal with its
@@ -249,11 +295,14 @@ func (c *Config) seal(dir string, d *netlist.Design, gen codegen.Options) error 
 // pair is already cached (the "auto" backend's compiled-vs-interpreter
 // decision, without triggering a build).
 func Probe(d *netlist.Design, gen codegen.Options, cfg Config) bool {
-	return cfg.lookup(cacheKey(d, gen)) != ""
+	key, err := cfg.cacheKey(d, gen)
+	return err == nil && cfg.lookup(key) != ""
 }
 
 // Evict removes the cache entry for a design + options pair (test and
 // tooling hook).
 func Evict(d *netlist.Design, gen codegen.Options, cfg Config) {
-	os.RemoveAll(cfg.cacheDir(cacheKey(d, gen)))
+	if key, err := cfg.cacheKey(d, gen); err == nil {
+		os.RemoveAll(cfg.cacheDir(key))
+	}
 }

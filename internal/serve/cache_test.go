@@ -6,7 +6,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -97,4 +100,72 @@ func FuzzCacheEntry(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCacheKeyCoversRuntime: an artifact compiles the runtime packages
+// from the repository, so an edit to one of them alone must miss the
+// cache. The packages are copied under two roots: the unedited copy keys
+// like the repository (the digest reads content, not paths), and one
+// byte edited in the other copy's simrt changes the key. runtimePkgs
+// must hold every repository package the artifact's imports reach.
+func TestCacheKeyCoversRuntime(t *testing.T) {
+	d := printfDesign(t)
+	repo := repoRoot(t)
+	key := func(root string) string {
+		cfg := testConfig()
+		cfg.RepoRoot = root
+		k, err := cfg.cacheKey(d, cfg.Gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	copyRuntime := func() string {
+		root := t.TempDir()
+		if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module essent\n\ngo 1.22\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range runtimePkgs {
+			files, _ := filepath.Glob(filepath.Join(repo, pkg, "*.go"))
+			if err := os.MkdirAll(filepath.Join(root, pkg), 0o777); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				src, err := os.ReadFile(f)
+				if err == nil {
+					err = os.WriteFile(filepath.Join(root, pkg, filepath.Base(f)), src, 0o644)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return root
+	}
+	same, edited := copyRuntime(), copyRuntime()
+	core := filepath.Join(edited, "pkg", "simrt", "core.go")
+	src, err := os.ReadFile(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src[len(src)-1] = ' '
+	if err := os.WriteFile(core, src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if key(same) != key(repo) {
+		t.Errorf("a copy of the runtime keys %s, the repository %s", key(same), key(repo))
+	}
+	if key(edited) == key(same) {
+		t.Errorf("a one-byte edit to pkg/simrt kept the key %s", key(same))
+	}
+
+	out, err := exec.Command("go", "list", "-deps", "essent/pkg/simrt", "essent/pkg/pipeproto").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range strings.Fields(string(out)) {
+		if rel, ok := strings.CutPrefix(p, "essent/"); ok && !slices.Contains(runtimePkgs, rel) {
+			t.Errorf("an artifact compiles %s, which the cache key does not digest", p)
+		}
+	}
 }

@@ -384,7 +384,7 @@ func (r *remote) PeekMem(mem, addr int) uint64 {
 // Stats fetches the child's counters; a failed fetch leaves the last.
 func (r *remote) Stats() *sim.Stats {
 	if ws, err := r.value("stats", pipeproto.TStats, nil); err == nil {
-		r.stats = ckpt.StatsFromWords(ws)
+		r.stats = sim.StatsFromWords(ws)
 	}
 	return &r.stats
 }

@@ -738,7 +738,10 @@ func TestDivergenceTripwire(t *testing.T) {
 }
 
 // TestCheckpointRoundTrip captures through the session and restores
-// into a fresh interpreter (and vice versa).
+// into a fresh interpreter, and back. The interpreter is a NoFuse build,
+// so the two sides' FusedPairs differ: after each restore the restored
+// side reports every counter of the capturing side but FusedPairs, which
+// is its own build's (a property of the schedule, not of the run).
 func TestCheckpointRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a compiled artifact")
@@ -756,10 +759,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if st == nil {
 		t.Fatal("CaptureState returned nil")
 	}
-	ip := newInterp(t, d)
-	if err := sim.Restore(ip, st); err != nil {
+	ip, err := sim.New(d, sim.Options{Engine: sim.EngineCCSS, Cp: 8, NoFuse: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if s.Stats().FusedPairs == ip.Stats().FusedPairs {
+		t.Fatalf("session and NoFuse interpreter both fuse %d pairs", ip.Stats().FusedPairs)
+	}
+	restoreKeepsBuildStats(t, "session -> interpreter", ip, s, func() error { return sim.Restore(ip, st) })
 	if err := s.Step(100); err != nil {
 		t.Fatal(err)
 	}
@@ -776,9 +783,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := newSession(t, d, testConfig())
-	if err := s2.RestoreState(st2); err != nil {
-		t.Fatal(err)
-	}
+	restoreKeepsBuildStats(t, "interpreter -> session", s2, ip, func() error { return s2.RestoreState(st2) })
 	if err := s2.Step(100); err != nil {
 		t.Fatal(err)
 	}
@@ -787,6 +792,23 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if got, want := stateHashOf(t, s2), stateHashOf(t, ip); got != want {
 		t.Fatalf("restored session diverged: %#x vs %#x", got, want)
+	}
+}
+
+// restoreKeepsBuildStats runs restore into dst, a State captured from
+// src, and checks that dst then reports src's Stats but FusedPairs, which
+// stays dst's own.
+func restoreKeepsBuildStats(t *testing.T, leg string, dst, src sim.Simulator, restore func() error) {
+	t.Helper()
+	fused := dst.Stats().FusedPairs
+	if err := restore(); err != nil {
+		t.Fatal(err)
+	}
+	got, want := *dst.Stats(), *src.Stats()
+	want.FusedPairs = fused
+	if got != want {
+		t.Fatalf("%s: restored Stats %+v, want %+v (the capture's, FusedPairs the restoring build's)",
+			leg, got, want)
 	}
 }
 
@@ -983,8 +1005,12 @@ func TestConcurrentBuildsSameKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	key, err := cfg.cacheKey(d, cfg.Gen)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range ents {
-		if e.Name() != cacheKey(d, cfg.Gen) {
+		if e.Name() != key {
 			t.Fatalf("stray cache entry %q after concurrent builds", e.Name())
 		}
 	}

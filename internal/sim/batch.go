@@ -119,7 +119,7 @@ func (b *BatchCCSS) Done() bool { return b.live == 0 }
 func (b *BatchCCSS) LaneDone(l int) bool { return !b.live.Has(l) }
 
 // LaneErr returns the error that terminated lane l (nil while running).
-func (b *BatchCCSS) LaneErr(l int) error { return b.lanes[l].stopErr }
+func (b *BatchCCSS) LaneErr(l int) error { return b.lanes[l].StopErr }
 
 // NumSchedEntries mirrors the sequential engine's activity denominator.
 func (b *BatchCCSS) NumSchedEntries() int { return b.lanes[0].NumSchedEntries() }
@@ -272,7 +272,7 @@ func (b *BatchCCSS) Step(n int) error {
 	for _, l := range b.todo {
 		r := &b.runs[l]
 		ran = max(ran, r.cycles)
-		if b.lanes[l].stopErr != nil {
+		if b.lanes[l].StopErr != nil {
 			b.live &^= 1 << uint(l)
 		}
 		if r.panic != nil && panicked < 0 {

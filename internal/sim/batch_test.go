@@ -146,15 +146,18 @@ func TestBatchLanesShareCompile(t *testing.T) {
 			&c.parts.cons[0] != &l0.parts.cons[0] {
 			t.Fatalf("lane %d does not share lane 0's stream and wake table", l)
 		}
-		if p, ok := tabs[&c.t[0]]; ok {
+		if p, ok := tabs[&c.T[0]]; ok {
 			t.Fatalf("lanes %d and %d share a value table", p, l)
 		}
-		tabs[&c.t[0]] = l
-		for mi := range c.mems {
-			if p, ok := words[&c.mems[mi].words[0]]; ok {
+		tabs[&c.T[0]] = l
+		for mi := range c.Mems {
+			if p, ok := words[&c.Mems[mi][0]]; ok {
 				t.Fatalf("lanes %d and %d share memory %d", p, l, mi)
 			}
-			words[&c.mems[mi].words[0]] = l
+			words[&c.Mems[mi][0]] = l
+		}
+		if &c.Core.Stats[0] != &c.stats.Cycles {
+			t.Fatalf("lane %d's Core counts on another lane's stats", l)
 		}
 	}
 	in := d.Inputs[0]

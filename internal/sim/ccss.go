@@ -260,6 +260,7 @@ func buildCCSS(d *netlist.Design, plan *sched.CCSSPlan, opts Options) (*CCSS, er
 	}
 
 	c.walk = c.stepOne
+	m.Rearm = c.rearm
 	c.wakeAll()
 	return c, nil
 }
@@ -273,11 +274,13 @@ func buildCCSS(d *netlist.Design, plan *sched.CCSSPlan, opts Options) (*CCSS, er
 // newCCSS left c.
 func (c *CCSS) lane() *CCSS {
 	m := *c.machine
-	m.t = laneCopy(m.t, 0)
-	m.mems = slices.Clone(m.mems)
-	for i := range m.mems {
-		m.mems[i].words = laneCopy(m.mems[i].words, 0)
+	m.T = laneCopy(m.T, 0)
+	m.Mems = slices.Clone(m.Mems)
+	for i := range m.Mems {
+		m.Mems[i] = laneCopy(m.Mems[i], 0)
 	}
+	m.Pend = laneCopy(m.Pend, 0)
+	m.Core.Stats = m.stats.words()
 	m.memWrites = laneCopy(m.memWrites, 0)
 	for i := range m.memWrites {
 		m.memWrites[i].pendData = laneCopy(m.memWrites[i].pendData, 0)
@@ -290,6 +293,7 @@ func (c *CCSS) lane() *CCSS {
 	l.prevIn = laneCopy(c.prevIn, 0)
 	l.dirtyRegs = laneCopy([]int32(nil), len(c.regNext))
 	l.walk = l.stepOne
+	m.Rearm = l.rearm
 	return &l
 }
 
@@ -382,7 +386,7 @@ func (c *CCSS) stopsAt(p int32) bool { return c.always[p>>6]>>(p&63)&1 != 0 }
 func (c *CCSS) wakeAll() {
 	for i := range c.parts.outs {
 		o := &c.parts.outs[i]
-		copy(c.oldVals[o.OldOff:o.OldOff+o.Words], c.t[o.Off:o.Off+o.Words])
+		copy(c.oldVals[o.OldOff:o.OldOff+o.Words], c.T[o.Off:o.Off+o.Words])
 	}
 	for w := range c.flags {
 		c.flags[w] = ^uint64(0)
@@ -419,7 +423,7 @@ func (c *CCSS) fireGuarded(w WakeList) uint64 {
 	}
 	n := uint64(len(uncond))
 	for i, q := range guarded {
-		if g := lits[i]; (c.t[g.Off] != 0) == g.NZ {
+		if g := lits[i]; (c.T[g.Off] != 0) == g.NZ {
 			c.wake(q)
 			n++
 		}
@@ -489,7 +493,7 @@ func (c *CCSS) scanInputs() {
 	}
 	c.poked = false
 	m := c.machine
-	t := m.t
+	t := m.T
 	for i := range c.inputs {
 		in := &c.inputs[i]
 		m.stats.InputChecks++
@@ -520,7 +524,7 @@ func (c *CCSS) evalPart(p int32) {
 	m := c.machine
 	m.evalSpan(m.spans[p])
 
-	t, old, pt := m.t, c.oldVals, &c.parts
+	t, old, pt := m.T, c.oldVals, &c.parts
 	row := pt.rows[p]
 	outs := pt.outs[row.out:row.outEnd]
 	var changes, wakes uint64
@@ -555,8 +559,8 @@ func (c *CCSS) evalPart(p int32) {
 }
 
 func (c *CCSS) stepOne() error {
-	if c.stopErr != nil {
-		return c.stopErr
+	if c.StopErr != nil {
+		return c.StopErr
 	}
 	c.scanInputs()
 
@@ -587,7 +591,7 @@ func (c *CCSS) runInline(start, end int32) {
 // precise wakes for them would be code for nothing.
 func (c *CCSS) finishCycle() error {
 	m := c.machine
-	t := m.t
+	t := m.T
 	for _, ri := range c.dirtyRegs {
 		no, oo := c.regNext[ri], c.regOut[ri]
 		changed := false

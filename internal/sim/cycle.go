@@ -26,13 +26,13 @@ func (m *machine) runDisplay(i int32) {
 
 func (m *machine) runCheck(i int32) {
 	c := &m.checks[i]
-	if m.readOperand(c.en)&1 == 0 || m.evalErr != nil {
+	if m.readOperand(c.en)&1 == 0 || m.EvalErr != nil {
 		return
 	}
 	if c.stop {
-		m.evalErr = &StopError{Code: c.code, Cycle: m.cycle}
+		m.EvalErr = &StopError{Code: c.code, Cycle: m.Now}
 	} else if m.readOperand(c.pred)&1 == 0 {
-		m.evalErr = &AssertError{Msg: c.msg, Cycle: m.cycle}
+		m.EvalErr = &AssertError{Msg: c.msg, Cycle: m.Now}
 	}
 }
 
@@ -41,10 +41,10 @@ func (m *machine) runCheck(i int32) {
 func (m *machine) captureMemWrite(i int32) {
 	w := &m.memWrites[i]
 	if m.readOperand(w.en)&1 == 0 || m.readOperand(w.mask)&1 == 0 {
-		w.pendValid = false
+		m.Pend[i] = false
 		return
 	}
-	w.pendValid = true
+	m.Pend[i] = true
 	w.pendAddr = m.readOperand(w.addr)
 	copy(w.pendData, m.view(w.data.off, w.data.w))
 }
@@ -56,7 +56,7 @@ func (m *machine) commit() {
 		r := &m.d.Regs[ri]
 		no, oo := m.off[r.Next], m.off[r.Out]
 		for w := int32(0); w < m.nw[r.Out]; w++ {
-			m.t[oo+w] = m.t[no+w]
+			m.T[oo+w] = m.T[no+w]
 		}
 	}
 	m.applyResets(nil)
@@ -80,7 +80,7 @@ func (m *machine) applyResets(onChange func(ri int32)) bool {
 	fired := false
 	for gi := range m.resets {
 		g := &m.resets[gi]
-		if m.t[g.Sel] == 0 {
+		if m.T[g.Sel] == 0 {
 			continue
 		}
 		fired = true
@@ -92,8 +92,8 @@ func (m *machine) applyResets(onChange func(ri int32)) bool {
 				if int(w) < len(r.Init) {
 					v = r.Init[w]
 				}
-				if m.t[off+w] != v {
-					m.t[off+w] = v
+				if m.T[off+w] != v {
+					m.T[off+w] = v
 					changed = true
 				}
 			}
@@ -112,24 +112,24 @@ func (m *machine) applyResets(onChange func(ri int32)) bool {
 // cycle ends its memory state here.
 func (m *machine) commitMemWrites(onChange func(mem int32)) {
 	for i := range m.memWrites {
+		if !m.Pend[i] {
+			continue
+		}
+		m.Pend[i] = false
 		w := &m.memWrites[i]
-		if !w.pendValid {
+		if w.pendAddr >= uint64(w.depth) {
 			continue
 		}
-		w.pendValid = false
-		ms := &m.mems[w.mem]
-		if w.pendAddr >= uint64(ms.depth) {
-			continue
-		}
-		base := int32(w.pendAddr) * ms.nw
+		words := m.Mems[w.mem]
+		base := int32(w.pendAddr) * w.nw
 		changed := false
-		for k := int32(0); k < ms.nw; k++ {
+		for k := int32(0); k < w.nw; k++ {
 			var v uint64
 			if int(k) < len(w.pendData) {
 				v = w.pendData[k]
 			}
-			if ms.words[base+k] != v {
-				ms.words[base+k] = v
+			if words[base+k] != v {
+				words[base+k] = v
 				changed = true
 			}
 		}
@@ -144,20 +144,20 @@ func (m *machine) commitMemWrites(onChange func(mem int32)) {
 // The cycle always finishes — commit included — before the error
 // surfaces.
 func (m *machine) endCycle() error {
-	err := m.evalErr
-	m.evalErr = nil
-	m.cycle++
+	err := m.EvalErr
+	m.EvalErr = nil
+	m.Now++
 	m.stats.Cycles++
 	if err != nil {
-		m.stopErr = err
+		m.StopErr = err
 	}
 	return err
 }
 
 // step runs one full-cycle iteration (engines embed and reuse).
 func (m *machine) step() error {
-	if m.stopErr != nil {
-		return m.stopErr
+	if m.StopErr != nil {
+		return m.StopErr
 	}
 	m.evalAll()
 	m.commit()
@@ -172,11 +172,8 @@ func (m *machine) Design() *netlist.Design { return m.d }
 // Stats returns the accumulated work counters.
 func (m *machine) Stats() *Stats { return &m.stats }
 
-// SetOutput redirects printf output.
-func (m *machine) SetOutput(w io.Writer) { m.out = w }
-
 // Cycle returns the current cycle number.
-func (m *machine) Cycle() uint64 { return m.cycle }
+func (m *machine) Cycle() uint64 { return m.Now }
 
 // NumSchedEntries returns the full-cycle schedule length (the per-cycle
 // work of an unconditional simulator; denominator of the effective
@@ -187,43 +184,23 @@ func (m *machine) Cycle() uint64 { return m.cycle }
 func (m *machine) NumSchedEntries() int { return len(m.ops) + int(m.stats.FusedPairs) }
 
 // Reset restores initial state: registers to init values, memories to
-// zero, stop state cleared, run counters zeroed (Stats.Reset keeps the
-// compile-time FusedPairs). Inputs and computed signals retain their
-// values until the next Step.
+// zero, stop state cleared, run counters zeroed (the compile-time
+// FusedPairs kept). Inputs and computed signals retain their values until
+// the next Step.
 func (m *machine) Reset() {
-	for i := range m.mems {
-		for j := range m.mems[i].words {
-			m.mems[i].words[j] = 0
-		}
-	}
+	m.Clear()
 	m.initState()
-	for i := range m.memWrites {
-		m.memWrites[i].pendValid = false
-	}
-	m.stopErr = nil
-	m.evalErr = nil
-	m.cycle = 0
-	m.stats.Reset()
 }
 
 // Poke sets an input signal's value (low 64 bits; wider inputs via
 // PokeWide).
-func (m *machine) Poke(id netlist.SignalID, v uint64) {
-	m.t[m.off[id]] = v & m.sigMask[id]
-	for w := int32(1); w < m.nw[id]; w++ {
-		m.t[m.off[id]+w] = 0
-	}
-}
+func (m *machine) Poke(id netlist.SignalID, v uint64) { m.PokeWords(int(id), []uint64{v}) }
 
 // PokeWide sets an input from limb words.
-func (m *machine) PokeWide(id netlist.SignalID, words []uint64) {
-	dst := m.view(m.off[id], int32(m.d.Signals[id].Width))
-	bits.Copy(dst, words)
-	bits.MaskInto(dst, m.d.Signals[id].Width)
-}
+func (m *machine) PokeWide(id netlist.SignalID, words []uint64) { m.PokeWords(int(id), words) }
 
 // Peek reads a signal's low 64 bits.
-func (m *machine) Peek(id netlist.SignalID) uint64 { return m.t[m.off[id]] }
+func (m *machine) Peek(id netlist.SignalID) uint64 { return m.T[m.off[id]] }
 
 // PeekWide copies a signal's words into dst.
 func (m *machine) PeekWide(id netlist.SignalID, dst []uint64) []uint64 {
@@ -235,27 +212,14 @@ func (m *machine) PeekWide(id netlist.SignalID, dst []uint64) []uint64 {
 	return dst
 }
 
-// PeekMem reads the low word of a memory entry.
+// PeekMem reads the low word of a memory entry (0 out of range).
 func (m *machine) PeekMem(mem, addr int) uint64 {
-	ms := &m.mems[mem]
-	if addr < 0 || addr >= int(ms.depth) {
-		return 0
-	}
-	return ms.words[int32(addr)*ms.nw]
+	v, _ := m.Core.PeekMem(mem, addr)
+	return v
 }
 
 // PokeMem writes the low word of a memory entry (test/loader hook).
-func (m *machine) PokeMem(mem, addr int, v uint64) {
-	ms := &m.mems[mem]
-	if addr < 0 || addr >= int(ms.depth) {
-		return
-	}
-	base := int32(addr) * ms.nw
-	ms.words[base] = v & ms.lowMask
-	for k := int32(1); k < ms.nw; k++ {
-		ms.words[base+k] = 0
-	}
-}
+func (m *machine) PokeMem(mem, addr int, v uint64) { m.Core.PokeMem(mem, addr, v) }
 
 // printFormatted renders a printf with FIRRTL format directives
 // (%d, %x, %b, %c, %%).
@@ -289,7 +253,7 @@ func (m *machine) printFormatted(d *compiledDisplay) {
 			fmt.Fprintf(&b, "%%!%c", verb)
 		}
 	}
-	io.WriteString(m.out, b.String())
+	io.WriteString(m.Out, b.String())
 }
 
 // printfBase maps a FIRRTL numeric printf verb to its radix.

@@ -53,7 +53,7 @@ var Kernels = [OpTail + 1]Kernel{
 // wide kernel on the operand spans. A multiplexer runs OpCopy's kernel on
 // the way its selector picks.
 func (m *machine) escape(in *Instr) {
-	t := m.t
+	t := m.T
 	code, a, aw, sa := in.Code, in.A, in.AW, in.SA
 	if code == OpMux {
 		code, a, aw, sa = OpCopy, in.C, in.CW, in.SC
@@ -72,8 +72,8 @@ func (m *machine) escape(in *Instr) {
 	}
 	dst := m.view(in.Dst, in.DW)
 	if code == OpMemRead {
-		ms := &m.mems[in.Mem]
-		simrt.MemRead(dst, ms.words, int(ms.nw), uint64(ms.depth), t[in.A])
+		g := m.L.Mems[in.Mem]
+		simrt.MemRead(dst, m.Mems[in.Mem], g.Words(), uint64(g.Depth), t[in.A])
 		return
 	}
 	var b []uint64

@@ -75,6 +75,7 @@ func newEventDriven(d *netlist.Design, opts Options) (*EventDriven, error) {
 		return nil, err
 	}
 	e := &EventDriven{machine: m, first: true}
+	m.Rearm = e.reseed
 
 	nInstr := len(m.instrs)
 	e.pcOf = make([]int32, nInstr)
@@ -272,11 +273,11 @@ func (e *EventDriven) Step(n int) error {
 }
 
 func (e *EventDriven) stepOne() error {
-	if e.stopErr != nil {
-		return e.stopErr
+	if e.StopErr != nil {
+		return e.StopErr
 	}
 	m := e.machine
-	t := m.t
+	t := m.T
 
 	// Seed: first cycle evaluates everything; afterwards, carried seeds
 	// (register/memory commits) plus changed inputs.

@@ -49,7 +49,7 @@ func isFuseProducer(c Opcode) bool {
 // to these can never be eliminated.
 func (m *machine) engineLiveOffsets(keepLive []netlist.SignalID) []bool {
 	d := m.d
-	live := make([]bool, len(m.t))
+	live := make([]bool, len(m.T))
 	for _, o := range d.Outputs {
 		live[m.off[o]] = true
 	}
@@ -74,8 +74,8 @@ func (m *machine) fuse(keepLive []netlist.SignalID) {
 
 	// Single-reader analysis: for each table word, how many op operands read
 	// it (skip guards and sink operands included) and the last reader.
-	readers := make([]int32, len(m.t))
-	readerOf := make([]int32, len(m.t))
+	readers := make([]int32, len(m.T))
+	readerOf := make([]int32, len(m.T))
 	var rd [][2]int32
 	for pc := range ops {
 		rd, _, _ = m.access(&ops[pc], rd[:0])

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
 	"slices"
 
 	"essent/internal/bits"
@@ -65,28 +64,17 @@ func finishInstr(in *Instr) {
 	}
 }
 
-// memState is the backing store of one memory.
-type memState struct {
-	words []uint64
-	nw    int32 // words per entry
-	depth int32
-	width int32
-	// lowMask is the entry's low-word store mask, precomputed so pokes
-	// don't rebuild it per call.
-	lowMask uint64
-}
-
-// machine holds everything shared by the static-schedule engines.
+// machine holds everything shared by the static-schedule engines. Its
+// Core is the state and the state half of the Simulator surface, the same
+// runtime a generated simulator embeds (its Stats views stats as words).
 type machine struct {
+	simrt.Core
+
 	d  *netlist.Design
 	dg *netlist.DesignGraph
 
-	t   []uint64 // value table
-	off []int32  // word offset per signal
-	nw  []int32  // words per signal
-	// sigMask is each signal's low-word store mask (the low min(width,64)
-	// bits set), precomputed so per-poke stores don't recompute it.
-	sigMask []uint64
+	off []int32 // word offset per signal (Core.L.Off)
+	nw  []int32 // words per signal
 
 	constOff []int32 // word offset per constant-pool entry
 
@@ -102,8 +90,6 @@ type machine struct {
 	// sources); SM-ELIDE and the event-driven engine read it.
 	pcOf []int32
 
-	mems []memState
-
 	// regCopy lists registers needing a two-phase next→out copy (those
 	// not update-elided).
 	regCopy []int
@@ -117,11 +103,7 @@ type machine struct {
 	displays  []compiledDisplay
 	checks    []compiledCheck
 
-	out     io.Writer
-	stats   Stats
-	cycle   uint64
-	stopErr error
-	evalErr error
+	stats Stats
 
 	// sc holds the wide-op intermediates (each batch lane owns one);
 	// maxWords is the widest signal or constant in limbs, which sized
@@ -132,12 +114,13 @@ type machine struct {
 
 type compiledMemWrite struct {
 	mem                  int32
+	nw, depth            int32 // the memory's words per entry and depth
 	addr, en, data, mask operand
 	// pending write buffer (captured at schedule position, applied at
-	// commit so reads always see pre-edge contents).
-	pendValid bool
-	pendAddr  uint64
-	pendData  []uint64
+	// commit so reads always see pre-edge contents; Core.Pend marks it
+	// full).
+	pendAddr uint64
+	pendData []uint64
 }
 
 type compiledDisplay struct {
@@ -170,11 +153,11 @@ func (m *machine) operandOf(a netlist.Arg) operand {
 }
 
 func (m *machine) view(off, w int32) []uint64 {
-	return m.t[off : off+int32(bits.Words(int(w)))]
+	return m.T[off : off+int32(bits.Words(int(w)))]
 }
 
 // readOperand reads an operand's low word.
-func (m *machine) readOperand(o operand) uint64 { return m.t[o.off] }
+func (m *machine) readOperand(o operand) uint64 { return m.T[o.off] }
 
 // machineConfig carries optional schedule transformations.
 type machineConfig struct {
@@ -201,7 +184,7 @@ type machineConfig struct {
 // schedule.
 func newMachine(d *netlist.Design, dg *netlist.DesignGraph, order []int,
 	elided []bool, cfg machineConfig) (*machine, error) {
-	m := &machine{d: d, dg: dg, out: io.Discard, elided: elided}
+	m := &machine{d: d, dg: dg, elided: elided}
 
 	// Value-table layout. Signals are placed in evaluation order, group by
 	// group, so each schedule group's (CCSS partition's) internal signals
@@ -292,29 +275,25 @@ func newMachine(d *netlist.Design, dg *netlist.DesignGraph, order []int,
 		m.constOff[i] = total
 		total += int32(w)
 	}
-	m.t = make([]uint64, total)
-	for i := range d.Consts {
-		copy(m.t[m.constOff[i]:], d.Consts[i].Words)
-	}
-	m.sigMask = make([]uint64, len(d.Signals))
+	layout := &simrt.Layout{Name: d.Name, Fingerprint: DesignFingerprint(d),
+		Off: m.off, Width: make([]int32, len(d.Signals)), BuildStat: StatFusedPairs}
 	for i := range d.Signals {
-		m.sigMask[i] = bits.Mask64(^uint64(0), min(d.Signals[i].Width, 64))
+		layout.Width[i] = int32(d.Signals[i].Width)
+	}
+	for _, in := range d.Inputs {
+		layout.Inputs = append(layout.Inputs, int32(in))
+	}
+	for ri := range d.Regs {
+		layout.Regs = append(layout.Regs, int32(d.Regs[ri].Out))
+	}
+	for i := range d.Mems {
+		layout.Mems = append(layout.Mems, simrt.Mem{Width: d.Mems[i].Width, Depth: d.Mems[i].Depth})
+	}
+	m.Core = simrt.NewCore(layout, make([]uint64, total), m.stats.words(), len(d.MemWrites))
+	for i := range d.Consts {
+		copy(m.T[m.constOff[i]:], d.Consts[i].Words)
 	}
 	m.maxWords, m.sc = maxWords, simrt.NewScratch(maxWords)
-
-	// Memories.
-	m.mems = make([]memState, len(d.Mems))
-	for i := range d.Mems {
-		nw := bits.Words(d.Mems[i].Width)
-		m.mems[i] = memState{
-			words: make([]uint64, nw*d.Mems[i].Depth),
-			nw:    int32(nw),
-			depth: int32(d.Mems[i].Depth),
-			width: int32(d.Mems[i].Width),
-			lowMask: bits.Mask64(^uint64(0),
-				min(d.Mems[i].Width, 64)),
-		}
-	}
 
 	// Compile sinks first so schedule construction can reference them.
 	for i := range d.MemWrites {
@@ -325,8 +304,9 @@ func newMachine(d *netlist.Design, dg *netlist.DesignGraph, order []int,
 				d.Mems[w.Mem].Name)
 		}
 		do := m.operandOf(w.Data)
+		geom := layout.Mems[w.Mem]
 		m.memWrites = append(m.memWrites, compiledMemWrite{
-			mem:  int32(w.Mem),
+			mem: int32(w.Mem), nw: int32(geom.Words()), depth: int32(geom.Depth),
 			addr: ao, en: m.operandOf(w.En),
 			data: do, mask: m.operandOf(w.Mask),
 			pendData: make([]uint64, bits.Words(int(do.w))),

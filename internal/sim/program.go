@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"essent/internal/netlist"
+	"essent/pkg/simrt"
 )
 
 // Program is the program one scalar engine build executes — the
@@ -13,6 +14,8 @@ import (
 // would have run, built and verified by the code that builds the engine.
 type Program struct {
 	D *netlist.Design
+	// Layout is the build's state layout (simrt.Core); Off is its Off.
+	Layout *simrt.Layout
 	// Off and ConstOff place every signal and constant-pool entry in the
 	// TableLen-word value table; MaxWords sizes the wide-op scratch.
 	Off, ConstOff      []int32
@@ -68,7 +71,7 @@ func Lower(d *netlist.Design, opts Options) (*Program, error) {
 
 func (m *machine) program() *Program {
 	return &Program{D: m.d, Off: m.off, ConstOff: m.constOff,
-		TableLen: len(m.t), MaxWords: m.maxWords,
+		Layout: m.L, TableLen: len(m.T), MaxWords: m.maxWords,
 		Ops: m.ops, Spans: m.spans, Instrs: m.instrs,
 		RegCopy: m.regCopy, Resets: m.resets, FusedPairs: m.stats.FusedPairs}
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"unsafe"
 
 	"essent/internal/netlist"
 )
@@ -142,11 +143,43 @@ type Stats struct {
 	FusedPairs uint64
 }
 
-// Reset zeroes the run counters, preserving FusedPairs (a compile-time
-// property of the schedule, not accumulated run work).
-func (st *Stats) Reset() {
-	fused := st.FusedPairs
-	*st = Stats{FusedPairs: fused}
+// The stats words: Stats' fields in declaration order, the one order of
+// the checkpoint format's stats list, of simrt.Core's Stats and of a
+// generated simulator's counters. Append-only: a new counter goes last, so
+// an older snapshot reads it as zero. FusedPairs is a compile-time
+// property of the schedule, not run work: a reset or a restore keeps the
+// build's own (simrt.Layout.BuildStat).
+const (
+	StatCycles = iota
+	StatOps
+	StatSignalChanges
+	StatPartChecks
+	StatInputChecks
+	StatPartEvals
+	StatOutputCompares
+	StatWakes
+	StatEvents
+	StatFusedPairs
+	NumStatsWords
+)
+
+// Stats is exactly its NumStatsWords counters: these fail to compile when
+// a field is added without its word, or a word without its field.
+var (
+	_ [unsafe.Sizeof(Stats{}) - 8*NumStatsWords]struct{}
+	_ [8*NumStatsWords - unsafe.Sizeof(Stats{})]struct{}
+)
+
+// words views st as its stats words (TestStatsWordOrder pins the field
+// order against the Stat* indices).
+func (st *Stats) words() []uint64 { return (*[NumStatsWords]uint64)(unsafe.Pointer(st))[:] }
+
+// StatsFromWords maps stats words onto Stats: missing words read as zero,
+// extra ones (a retired counter) are dropped.
+func StatsFromWords(ws []uint64) Stats {
+	var st Stats
+	copy(st.words(), ws)
+	return st
 }
 
 // Simulator is the interface all engines implement.

@@ -202,8 +202,8 @@ func TestRestoreStatsContinuation(t *testing.T) {
 	if got.Cycles != 30 {
 		t.Fatalf("cycles = %d, want 30", got.Cycles)
 	}
-	if got.OpsEvaluated != st.Stats.OpsEvaluated || got.Wakes != st.Stats.Wakes {
-		t.Fatalf("stats not restored: got %+v want %+v", got, st.Stats)
+	if want := StatsFromWords(st.Stats); got.OpsEvaluated != want.OpsEvaluated || got.Wakes != want.Wakes {
+		t.Fatalf("stats not restored: got %+v want %+v", got, want)
 	}
 	if err := dst.Step(1); err != nil {
 		t.Fatal(err)
@@ -307,4 +307,31 @@ func wordsEqual(a, b [][]uint64) bool {
 		}
 	}
 	return true
+}
+
+// TestStatsWordOrder pins the stats words to Stats' fields: each Stat*
+// index names its field, and words() and StatsFromWords agree with it.
+func TestStatsWordOrder(t *testing.T) {
+	st := Stats{Cycles: 1, OpsEvaluated: 2, SignalChanges: 3, PartChecks: 4, InputChecks: 5,
+		PartEvals: 6, OutputCompares: 7, Wakes: 8, Events: 9, FusedPairs: 10}
+	named := map[int]uint64{StatCycles: st.Cycles, StatOps: st.OpsEvaluated,
+		StatSignalChanges: st.SignalChanges, StatPartChecks: st.PartChecks,
+		StatInputChecks: st.InputChecks, StatPartEvals: st.PartEvals,
+		StatOutputCompares: st.OutputCompares, StatWakes: st.Wakes, StatEvents: st.Events,
+		StatFusedPairs: st.FusedPairs}
+	ws := st.words()
+	if len(named) != NumStatsWords || len(ws) != NumStatsWords {
+		t.Fatalf("%d indices, %d words, want %d", len(named), len(ws), NumStatsWords)
+	}
+	for i, w := range ws {
+		if w != uint64(i+1) || named[i] != w {
+			t.Fatalf("word %d = %d, its index names %d", i, w, named[i])
+		}
+	}
+	if got := StatsFromWords(append(ws, 11)); got != st {
+		t.Fatalf("StatsFromWords = %+v, want %+v (an extra word dropped)", got, st)
+	}
+	if got := StatsFromWords(ws[:2]); got != (Stats{Cycles: 1, OpsEvaluated: 2}) {
+		t.Fatalf("StatsFromWords of two words = %+v", got)
+	}
 }

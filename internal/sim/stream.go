@@ -287,7 +287,7 @@ func (m *machine) evalSpan(sp Span) {
 // table; signed and wide ops call out to their kernels (escape), sinks to
 // their handlers.
 func (m *machine) run(pc, end int32) (skipped uint64) {
-	t, ops := m.t, m.ops
+	t, ops := m.T, m.ops
 	for pc < end {
 		op := &ops[pc]
 		pc++
@@ -301,12 +301,7 @@ func (m *machine) run(pc, end int32) (skipped uint64) {
 			}
 			t[op.Dst] = t[src] & op.Mask
 		case OpMemRead:
-			ms := &m.mems[op.X]
-			if addr := t[op.A]; addr < uint64(ms.depth) {
-				t[op.Dst] = ms.words[int32(addr)*ms.nw]
-			} else {
-				t[op.Dst] = 0
-			}
+			t[op.Dst] = simrt.Load(m.Mems[op.X], t[op.A]) // a narrow memory: one word an entry
 		case OpAdd, OpFAddTail:
 			t[op.Dst] = (t[op.A] + t[op.B]) & op.Mask
 		case OpSub, OpFSubTail:

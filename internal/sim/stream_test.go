@@ -144,7 +144,7 @@ func operandSets(in *Instr) [][3]uint64 {
 func checkRowKernels(t *testing.T, name string, op Op, sets [][3]uint64) {
 	t.Helper()
 	const L = 4
-	scalar := &machine{t: make([]uint64, nSlots), ops: []Op{op}}
+	scalar := &machine{Core: simrt.Core{T: make([]uint64, nSlots)}, ops: []Op{op}}
 	tab := make([]uint64, nSlots*L)
 	var lw laneWalker
 	for _, mask := range []simrt.LaneMask{0b1111, 0b0100, 0b0101} {
@@ -159,10 +159,10 @@ func checkRowKernels(t *testing.T, name string, op Op, sets [][3]uint64) {
 				v := sets[(i+l)%len(sets)]
 				want := uint64(0xDEAD)
 				if mask.Has(l) {
-					scalar.t[slotA], scalar.t[slotB], scalar.t[slotC] = v[0], v[1], v[2]
-					scalar.t[slotDst] = 0xDEAD
+					scalar.T[slotA], scalar.T[slotB], scalar.T[slotC] = v[0], v[1], v[2]
+					scalar.T[slotDst] = 0xDEAD
 					scalar.run(0, 1)
-					want = scalar.t[slotDst]
+					want = scalar.T[slotDst]
 				}
 				if got := tab[slotDst*L+l]; got != want {
 					t.Fatalf("%s mask %04b lane %d on a=%#x b=%#x c=%#x: row kernel %#x, run %#x",
@@ -184,17 +184,17 @@ func TestStreamOpMatchesGeneralPath(t *testing.T) {
 				if in.kind != kNarrow {
 					continue // the result no longer fits a word
 				}
-				m := &machine{t: make([]uint64, nSlots), instrs: []Instr{in}}
+				m := &machine{Core: simrt.Core{T: make([]uint64, nSlots)}, instrs: []Instr{in}}
 				m.ops = []Op{instrOp(&in, 0)}
 				checkRowKernels(t, fmt.Sprintf("code %d w=%d %+v", code, w, in), m.ops[0], operandSets(&in))
 				for _, v := range operandSets(&in) {
-					m.t[slotA], m.t[slotB], m.t[slotC] = v[0], v[1], v[2]
-					m.t[slotDst] = 0xDEAD
+					m.T[slotA], m.T[slotB], m.T[slotC] = v[0], v[1], v[2]
+					m.T[slotDst] = 0xDEAD
 					m.run(0, 1)
-					got := m.t[slotDst]
-					m.t[slotDst] = 0xDEAD
+					got := m.T[slotDst]
+					m.T[slotDst] = 0xDEAD
 					general(m, in)
-					if want := m.t[slotDst]; got != want {
+					if want := m.T[slotDst]; got != want {
 						t.Fatalf("code %d w=%d %+v on a=%#x b=%#x c=%#x: stream %#x, kernel %#x",
 							code, w, in, v[0], v[1], v[2], got, want)
 					}
@@ -240,7 +240,7 @@ func TestStreamFusedMatchesUnfusedPair(t *testing.T) {
 			}
 			name := fmt.Sprintf("%d→%d w=%d", pair[0].Code, pair[1].Code, w)
 			// The real pass does the rewrite; the unfused twin keeps the pair.
-			fused := &machine{d: &netlist.Design{}, t: make([]uint64, nSlots),
+			fused := &machine{d: &netlist.Design{}, Core: simrt.Core{T: make([]uint64, nSlots)},
 				ops:   []Op{instrOp(&pair[0], 0), instrOp(&pair[1], 1)},
 				spans: []Span{{PC: 0, End: 2, Weight: 2}}}
 			fused.fuse(nil)
@@ -250,18 +250,18 @@ func TestStreamFusedMatchesUnfusedPair(t *testing.T) {
 			if sp := fused.spans[0]; sp.End-sp.PC != 1 || sp.Weight != 2 {
 				t.Fatalf("%s: fused span %+v, want one op of weight 2", name, sp)
 			}
-			plain := &machine{t: make([]uint64, nSlots)}
+			plain := &machine{Core: simrt.Core{T: make([]uint64, nSlots)}}
 			sets := operandSets(&Instr{AW: w, B: slotB, BW: w, C: slotC, CW: w})
 			checkRowKernels(t, name, fused.ops[0], sets)
 			for _, v := range sets {
 				for _, m := range []*machine{fused, plain} {
-					m.t[slotA], m.t[slotB], m.t[slotC] = v[0], v[1], v[2]
-					m.t[slotTmp], m.t[slotDst] = 0xDEAD, 0xDEAD
+					m.T[slotA], m.T[slotB], m.T[slotC] = v[0], v[1], v[2]
+					m.T[slotTmp], m.T[slotDst] = 0xDEAD, 0xDEAD
 				}
 				fused.evalSpan(fused.spans[0])
 				general(plain, pair[0])
 				general(plain, pair[1])
-				if got, want := fused.t[slotDst], plain.t[slotDst]; got != want {
+				if got, want := fused.T[slotDst], plain.T[slotDst]; got != want {
 					t.Fatalf("%s on a=%#x b=%#x c=%#x: fused op %#x, unfused pair %#x",
 						name, v[0], v[1], v[2], got, want)
 				}

@@ -203,7 +203,7 @@ func (v *VecCCSS) vecEligible(p int) bool {
 // move during the walk and pin nothing.
 func (v *VecCCSS) guardPinned() []bool {
 	m, pt := v.machine, &v.parts
-	writer := make([]int32, len(m.t))
+	writer := make([]int32, len(m.T))
 	for i := range writer {
 		writer[i] = -1
 	}
@@ -732,8 +732,8 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 // ---------------------------------------------------------------------
 
 func (v *VecCCSS) stepOne() error {
-	if v.stopErr != nil {
-		return v.stopErr
+	if v.StopErr != nil {
+		return v.StopErr
 	}
 	v.scanInputs()
 	np := int32(v.NumPartitions())
@@ -782,7 +782,7 @@ func (v *VecCCSS) runGroup(g *vecGroup) {
 	// Phase 1: gather boundary reads from t (active lanes only —
 	// inactive lanes keep their rows, exactly as the scalar machine
 	// keeps a sleeping partition's t entries).
-	t := m.t
+	t := m.T
 	L := g.lanes
 	for _, s := range g.loads {
 		row := g.buf[int(s)*L : int(s)*L+L]
@@ -810,7 +810,7 @@ func (v *VecCCSS) runGroup(g *vecGroup) {
 // value — nothing else writes these offsets); stores write
 // unconditionally.
 func (v *VecCCSS) scatterLanes(g *vecGroup, lanes []int) {
-	t := v.machine.t
+	t := v.machine.T
 	L := g.lanes
 	st := &v.machine.stats
 	for oi := range g.outs {

@@ -59,7 +59,7 @@ func verifyMachine(m *machine, keepLive []netlist.SignalID, cc *CCSS) []verify.D
 	c.checkSpans()
 	c.markSources()
 	c.checkWriters()
-	tlen := len(m.t)
+	tlen := len(m.T)
 	c.wrEpoch, c.wrRegion, c.uncond = make([]int32, tlen), make([]int32, tlen), make([]bool, tlen)
 	for i := range c.wrEpoch {
 		c.wrEpoch[i] = -1
@@ -187,7 +187,7 @@ func (c *smChecker) wordName(w int32) string {
 
 func (c *smChecker) markSources() {
 	m := c.m
-	c.source = make([]uint8, len(m.t))
+	c.source = make([]uint8, len(m.T))
 	mark := func(off, words int32, kind uint8) {
 		for w := off; w < off+words; w++ {
 			c.source[w] = kind
@@ -234,8 +234,8 @@ func (c *smChecker) checkSpans() {
 // also records writer→span for the per-span def-use walk.
 func (c *smChecker) checkWriters() {
 	m := c.m
-	c.writerPC = make([]int32, len(m.t))
-	c.writerGroup = make([]int32, len(m.t))
+	c.writerPC = make([]int32, len(m.T))
+	c.writerGroup = make([]int32, len(m.T))
 	for i := range c.writerPC {
 		c.writerPC[i] = -1
 		c.writerGroup[i] = -1
@@ -248,7 +248,7 @@ func (c *smChecker) checkWriters() {
 			var off, words int32
 			c.reads, off, words = m.access(&m.ops[pc], c.reads[:0])
 			for o := off; o < off+words; o++ {
-				if o < 0 || int(o) >= len(m.t) {
+				if o < 0 || int(o) >= len(m.T) {
 					c.errf("SM-ALIAS", fmt.Sprintf("ops[%d]", pc), "", "destination word %d outside the value table", o)
 					continue
 				}
@@ -295,7 +295,7 @@ func (c *smChecker) indexWakes() {
 			}
 		}
 	}
-	c.headEp, c.head = make([]int32, len(c.m.t)), make([]int32, len(c.m.t))
+	c.headEp, c.head = make([]int32, len(c.m.T)), make([]int32, len(c.m.T))
 	for i := range c.headEp {
 		c.headEp[i] = -1
 	}
@@ -305,7 +305,7 @@ func (c *smChecker) indexWakes() {
 // word.
 func (c *smChecker) linkWakes() {
 	c.links = c.links[:0]
-	tlen := int32(len(c.m.t))
+	tlen := int32(len(c.m.T))
 	for _, ed := range c.in[c.inAt[c.g]:c.inAt[c.g+1]] {
 		p := &c.prods[ed.prod]
 		for w := max(p.off, 0); w < p.off+p.words && w < tlen; w++ {
@@ -379,7 +379,7 @@ func (c *smChecker) walkGroup(gi int) {
 // opens its region.
 func (c *smChecker) checkSkip(pc int32, op *Op, end int32) {
 	m := c.m
-	if op.A < 0 || int(op.A) >= len(m.t) {
+	if op.A < 0 || int(op.A) >= len(m.T) {
 		c.errf("SM-SKIP", c.at(pc), "", "skip guard word %d outside the value table", op.A)
 		return
 	}
@@ -434,7 +434,7 @@ func (c *smChecker) checkOp(pc int32, op *Op) {
 	case OpMemRead:
 		mem, memRead = op.X, true
 	}
-	if memRead && (mem < 0 || int(mem) >= len(m.mems)) {
+	if memRead && (mem < 0 || int(mem) >= len(m.Mems)) {
 		c.errf("SM-SKIP", c.at(pc), "", "memory index %d out of range", mem)
 		return
 	}
@@ -447,7 +447,7 @@ func (c *smChecker) checkOp(pc int32, op *Op) {
 		c.errf("SM-WAKE", c.at(pc), "a memory write must wake every partition holding one of its read ports",
 			"reads mem %q but the partition is not among its readers", m.d.Mems[mem].Name)
 	}
-	for o := max(off, 0); o < off+words && int(o) < len(m.t); o++ {
+	for o := max(off, 0); o < off+words && int(o) < len(m.T); o++ {
 		c.wrEpoch[o], c.wrRegion[o] = c.g, c.cur
 		if c.cur < 0 {
 			c.uncond[o] = true
@@ -491,7 +491,7 @@ func (c *smChecker) checkSink(pc int32, op *Op) {
 // this is.
 func (c *smChecker) checkRead(pc, off, words, sel int32, way uint8) {
 	for ow := off; ow < off+words; ow++ {
-		if ow < 0 || int(ow) >= len(c.m.t) {
+		if ow < 0 || int(ow) >= len(c.m.T) {
 			c.errf("SM-DEFUSE", c.at(pc), "", "operand word %d outside the value table", ow)
 			return
 		}
@@ -579,7 +579,7 @@ func (c *smChecker) checkGuards(sink int32) {
 		}
 		hint := "an edge whose consumer reads the change outside the guard's way must wake unconditionally"
 		switch {
-		case int(lit.Off) >= len(c.m.t):
+		case int(lit.Off) >= len(c.m.T):
 			c.errf("SM-WAKE", loc(), hint, "guard word outside the value table")
 		case sink >= 0:
 			c.errf("SM-WAKE", loc(), hint, "consumer holds a side-effect op (ops[%d]) that must see every change", sink)
@@ -618,7 +618,7 @@ func (c *smChecker) checkCommits() {
 		}
 		r := &m.d.Regs[ri]
 		o := m.off[r.Next]
-		if o < 0 || int(o) >= len(m.t) {
+		if o < 0 || int(o) >= len(m.T) {
 			continue
 		}
 		if w := c.writerGroup[o]; w >= 0 && !slices.Contains(c.cc.parts.RegsOf(w), int32(ri)) {

@@ -93,7 +93,7 @@ func smWantRule(t *testing.T, diags []verify.Diagnostic, rule string) {
 
 // sourceWords replicates markSources for test-side dependency hunting.
 func sourceWords(m *machine) []bool {
-	src := make([]bool, len(m.t))
+	src := make([]bool, len(m.T))
 	mark := func(off, words int32) {
 		for w := int32(0); w < words; w++ {
 			src[off+w] = true
@@ -314,7 +314,7 @@ func TestSMKeepLiveUnwritten(t *testing.T) {
 	// whose store fusion eliminated (tail(add(a, r1), 1)'s add) does not
 	// qualify.
 	src := sourceWords(m)
-	written := make([]bool, len(m.t))
+	written := make([]bool, len(m.T))
 	for pc := range m.ops {
 		_, off, words := m.access(&m.ops[pc], nil)
 		for w := off; w < off+words; w++ {
@@ -400,7 +400,7 @@ func TestSMStreamMutations(t *testing.T) {
 		{"span bound", smMuxSrc, "SM-SKIP", func(m *machine) { m.spans[0].End-- }},
 		{"span weight", smMuxSrc, "SM-SKIP", func(m *machine) { m.spans[0].Weight++ }},
 		{"operand outside the table", smMuxSrc, "SM-DEFUSE", func(m *machine) {
-			m.ops[find(m, readsB)].B = int32(len(m.t))
+			m.ops[find(m, readsB)].B = int32(len(m.T))
 		}},
 		{"escape index out of range", smEscapeSrc, "SM-SKIP", func(m *machine) {
 			m.ops[find(m, isEscape)].X = int32(len(m.instrs))

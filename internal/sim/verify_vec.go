@@ -135,7 +135,7 @@ func (c *vecChecker) checkLaneMaps(gi int, g *vecGroup) bool {
 			"have %d entries, want %d", len(g.laneOff), g.nslots*g.lanes)
 		return false
 	}
-	tlen := int32(len(c.v.machine.t))
+	tlen := int32(len(c.v.machine.T))
 	for l := 0; l < g.lanes; l++ {
 		seen := make(map[int32]int, g.nslots)
 		for s := 0; s < g.nslots; s++ {

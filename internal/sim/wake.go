@@ -112,7 +112,7 @@ func (c *CCSS) guardWakes() {
 		}
 	}
 
-	rs := newSkipRegions(len(c.t))
+	rs := newSkipRegions(len(c.T))
 	for q := int32(0); q < int32(np); q++ {
 		lo, hi := start[q], start[q+1]
 		if lo == hi || !rs.walk(c.machine, q) {

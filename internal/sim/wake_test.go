@@ -357,7 +357,7 @@ func wantGuard(t *testing.T, c *CCSS, guarded []int32, lits []WakeGuard, guard s
 // deepGuards counts c's guarded edges whose literal is a region at depth
 // 2 or more: a skip nested inside another.
 func deepGuards(c *CCSS) int {
-	rs, n := newSkipRegions(len(c.t)), 0
+	rs, n := newSkipRegions(len(c.T)), 0
 	for _, p := range c.wakeProducers() {
 		_, guarded, _ := c.parts.Wakes(*p.w)
 		for _, q := range guarded {

@@ -4,8 +4,8 @@
 // so the wire format lives here: a Snapshot is the raw serialized shape —
 // design name, layout fingerprint, cycle count, flat stats words, and
 // the input/register/memory word sections — with no dependency on the
-// simulator packages. internal/ckpt converts between sim.State and
-// Snapshot; artifacts build Snapshots directly from their value tables.
+// simulator packages. sim.State is this Snapshot, and simrt.Core takes
+// and loads it for the interpreter and the artifacts alike.
 package ckptio
 
 import (
@@ -33,8 +33,8 @@ var magic = [8]byte{'E', 'S', 'N', 'T', 'C', 'K', 'P', '1'}
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // Snapshot is the raw engine-neutral checkpoint: exactly what goes on
-// the wire, with stats as a flat word list (the host maps them onto
-// sim.Stats fields; artifacts keep them flat).
+// the wire, with stats as a flat word list (sim.StatsFromWords maps them
+// onto sim.Stats fields).
 type Snapshot struct {
 	Design      string
 	Fingerprint uint64

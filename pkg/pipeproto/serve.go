@@ -8,8 +8,9 @@ import (
 )
 
 // Child is the surface a generated simulator artifact exposes to the
-// Serve loop. internal/codegen emits every method on the generated Sim
-// type, so the artifact's main is one Serve call.
+// Serve loop: the generated Sim's Reset and Step, and the methods of the
+// simrt.Core it embeds (PokeWords and PokeMem its own in CCSS mode, to
+// wake), so the artifact's main is one Serve call.
 type Child interface {
 	// DesignName and Fingerprint identify the compiled design; the host
 	// validates the fingerprint against its own netlist before trusting
