@@ -159,10 +159,3 @@ func Uint64(x []uint64) uint64 {
 	}
 	return x[0]
 }
-
-// FromUint64 stores v into dst, masked to width.
-func FromUint64(dst []uint64, v uint64, width int) {
-	Zero(dst)
-	dst[0] = v
-	MaskInto(dst, width)
-}

@@ -432,12 +432,3 @@ func TestBitSetBit(t *testing.T) {
 		t.Fatal("out-of-range Bit should be 0")
 	}
 }
-
-func TestFromUint64(t *testing.T) {
-	x := make([]uint64, 2)
-	x[1] = 0xdead
-	FromUint64(x, 0xFF, 4)
-	if x[0] != 0xF || x[1] != 0 {
-		t.Fatalf("FromUint64 masking failed: %v", x)
-	}
-}

@@ -2,9 +2,12 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -129,21 +132,30 @@ func TestLatestPartialWritePrefixes(t *testing.T) {
 
 // FuzzLatest feeds arbitrary bytes in as the newest checkpoint file and
 // checks the recovery path holds its two invariants: never panic, and
-// never prefer an undecodable file over the valid older one.
+// never prefer an undecodable file over the valid older one. Unless raw
+// is set the bytes are a body the test seals with its checksum, so that
+// mutants reach the section parser instead of failing the CRC-64 trailer;
+// raw bytes keep the torn and corrupted files in reach.
 func FuzzLatest(f *testing.F) {
 	valid := Encode(randState(f, 5000, 20))
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3])
-	f.Add(valid[:5])
-	f.Add([]byte{})
+	body := valid[:len(valid)-8]
+	f.Add(body, false)
+	f.Add(body[:len(body)-3], false)
+	f.Add(valid[:len(valid)-3], true)
+	f.Add(valid[:5], true)
+	f.Add([]byte{}, true)
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x01
-	f.Add(flipped)
+	f.Add(flipped, true)
 
 	older := randState(f, 5000, 10)
 	olderBuf := Encode(older)
+	ecma := crc64.MakeTable(crc64.ECMA)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, raw bool) {
+		if !raw {
+			data = binary.LittleEndian.AppendUint64(slices.Clip(data), crc64.Checksum(data, ecma))
+		}
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "ckpt-000000000010.essnap"),
 			olderBuf, 0o666); err != nil {
@@ -157,10 +169,9 @@ func FuzzLatest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Latest failed despite a valid older snapshot: %v", err)
 		}
+		got, derr := Decode(data)
 		if path == newest {
-			// Only legitimate if the fuzzer reconstructed a decodable
-			// snapshot; verify rather than trust.
-			got, derr := Decode(data)
+			// Only legitimate if the bytes decode; verify rather than trust.
 			if derr != nil {
 				t.Fatalf("Latest returned an undecodable file: %v", derr)
 			}
@@ -168,19 +179,14 @@ func FuzzLatest(f *testing.F) {
 				t.Fatalf("Latest state disagrees with Decode: %x vs %x",
 					StateHash(st), sum)
 			}
-			return
-		}
-		if st.Cycle != older.Cycle {
+		} else if st.Cycle != older.Cycle {
 			t.Fatalf("fallback returned cycle %d, want %d", st.Cycle, older.Cycle)
 		}
-		// Decode on the raw bytes must also never panic and, when it
-		// succeeds, must round-trip through Encode.
-		if got, derr := Decode(data); derr == nil {
-			if !bytes.Equal(Encode(got), data) {
-				// Accepting bytes it cannot reproduce would make the
-				// checksum trailer meaningless.
-				t.Fatalf("Decode accepted bytes Encode cannot reproduce")
-			}
+		// What Decode accepts must round-trip through Encode.
+		if derr == nil && !bytes.Equal(Encode(got), data) {
+			// Accepting bytes it cannot reproduce would make the
+			// checksum trailer meaningless.
+			t.Fatalf("Decode accepted bytes Encode cannot reproduce")
 		}
 	})
 }

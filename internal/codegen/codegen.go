@@ -6,11 +6,12 @@
 // regions as if blocks, spans as partition functions (CCSS) or chunks
 // (full-cycle), the partition table as the compare-and-wake epilogues.
 // Generated and interpreted runs therefore evaluate the same operations
-// in the same order and count the same work. What belongs to the printer
-// alone: one-word values live in Go locals inside a partition function,
-// and cold paths (printf bodies, assertion handling) are segregated into
-// noinline functions, the Go equivalent of the paper's branch-hint
-// code-layout optimization (§III-B2).
+// in the same order and count the same work. The cycle boundary — printf,
+// stop and assertion, memory writes, edge resets and the cycle count — is
+// not printed: the generated Sim calls its simrt.Core for it, from the
+// rows of the printed layout, as the interpreter does. What belongs to
+// the printer alone: one-word values live in Go locals inside a partition
+// function.
 package codegen
 
 import (
@@ -75,7 +76,7 @@ func (o Options) Engine() sim.Options {
 // binary is never reused across a change to the emitted text: bump it
 // with any such change (TestFormatVersionPinsEmittedText fails until
 // then).
-const FormatVersion = 11
+const FormatVersion = 12
 
 // Generate emits Go source for a simulator of the design. The text is the
 // emitter's own, not gofmt's: the compiled backend builds it as printed,
@@ -115,8 +116,6 @@ type gen struct {
 	b    bytes.Buffer
 	// err is the first op the printer had no rendering for.
 	err error
-	// cold collects noinline cold-path function bodies.
-	cold []string
 	// bound[off] has the bits set that table word off can hold — its
 	// signal's or constant's width — so a result mask that covers its
 	// operands' bounds is not printed. unlikely marks the slots a reset
@@ -177,22 +176,6 @@ func slotBounds(pr *sim.Program) []uint64 {
 	return bound
 }
 
-// operand is a resolved sink operand: a signal's or constant's table
-// span.
-type operand struct {
-	off, w int32
-	signed bool
-}
-
-func (g *gen) operandOf(a netlist.Arg) operand {
-	if a.IsConst() {
-		c := &g.pr.D.Consts[a.Const]
-		return operand{g.pr.ConstOff[a.Const], int32(c.Width), c.Signed}
-	}
-	s := &g.pr.D.Signals[a.Sig]
-	return operand{g.pr.Off[a.Sig], int32(s.Width), s.Signed}
-}
-
 func (g *gen) p(format string, args ...any) {
 	fmt.Fprintf(&g.b, format, args...)
 	g.b.WriteByte('\n')
@@ -205,9 +188,6 @@ func (g *gen) emit() []byte {
 	g.p("package %s", g.opts.Package)
 	g.p("")
 	g.p(`import (`)
-	if len(g.pr.D.Displays) > 0 {
-		g.p(`  "fmt"`)
-	}
 	if g.opts.Mode == ModeCCSS {
 		g.p(`  "math/bits"`)
 	}
@@ -224,26 +204,22 @@ func (g *gen) emit() []byte {
 		g.emitFullCycleStep()
 	}
 	g.emitCommit()
-	for _, c := range g.cold {
-		g.b.WriteString(c)
-		g.b.WriteByte('\n')
-	}
 	return g.b.Bytes()
 }
 
 func (g *gen) emitStruct() {
 	pr := g.pr
 	g.p("// Sim is the generated simulator: the design's own evaluation around an")
-	g.p("// embedded simrt.Core, which holds the state and answers pokes, peeks and")
-	g.p("// snapshots. The value table, the counters and the activity state are arrays")
-	g.p("// (the Core's T and Stats slice two of them), so s.t[K] is one load at a")
-	g.p("// constant offset; a Sim is large and is only ever handled by pointer.")
+	g.p("// embedded simrt.Core, which holds the state, answers pokes, peeks and")
+	g.p("// snapshots, and runs the cycle boundary (printf, stop and assertion,")
+	g.p("// memory writes, edge resets). The value table, the counters and the")
+	g.p("// activity state are arrays (the Core's T and Stats slice two of them),")
+	g.p("// so s.t[K] is one load at a constant offset; a Sim is large and is only")
+	g.p("// ever handled by pointer.")
 	g.p("type Sim struct {")
 	g.p("  simrt.Core")
 	g.p("  t [%d]uint64", pr.TableLen)
 	g.p("  sc *simrt.Scratch")
-	g.p("  pendAddr []uint64 // pending memory writes, one per write port (Core.Pend)")
-	g.p("  pendData [][]uint64")
 	if g.opts.Mode == ModeCCSS {
 		np := len(pr.Spans)
 		g.p("  flags [%d]uint64 // activity bitmap: partition p is bit p&63 of word p>>6", flagWords(np))
@@ -264,14 +240,8 @@ func (g *gen) emitNew() {
 	g.p("// New builds a simulator with registers at their reset values.")
 	g.p("func New() *Sim {")
 	g.p("  s := new(Sim)")
-	g.p("  s.Core = simrt.NewCore(&layout, s.t[:], s.stats[:], %d)", len(d.MemWrites))
+	g.p("  s.Core = simrt.NewCore(&layout, s.t[:], s.stats[:])")
 	g.p("  s.sc = simrt.NewScratch(%d)", pr.MaxWords)
-	g.p("  s.pendAddr = make([]uint64, %d)", len(d.MemWrites))
-	g.p("  s.pendData = make([][]uint64, %d)", len(d.MemWrites))
-	for i := range d.MemWrites {
-		g.p("  s.pendData[%d] = make([]uint64, %d)", i,
-			bits.Words(int(g.operandOf(d.MemWrites[i].Data).w)))
-	}
 	if pr.FusedPairs != 0 {
 		g.p("  s.stats[%d] = %d // fused pairs", sim.StatFusedPairs, pr.FusedPairs)
 	}
@@ -377,12 +347,17 @@ func (g *gen) oldWords() (n int32) {
 func (g *gen) emitLayout() {
 	l, d := g.pr.Layout, g.pr.D
 	g.p("var layout = simrt.Layout{")
-	g.p("  Name: %q, Fingerprint: %#x, BuildStat: %d,", l.Name, l.Fingerprint, l.BuildStat)
+	g.p("  Name: %q, Fingerprint: %#x, BuildStat: %d, CycleStat: %d,",
+		l.Name, l.Fingerprint, l.BuildStat, l.CycleStat)
 	g.list("Off", l.Off)
 	g.list("Width", l.Width)
 	g.list("Inputs", l.Inputs)
 	g.list("Regs", l.Regs)
 	g.p("  Mems: %#v,", l.Mems)
+	rows(g, "Displays", l.Displays)
+	rows(g, "Checks", l.Checks)
+	rows(g, "Writes", l.Writes)
+	rows(g, "Resets", l.Resets)
 	g.p("}")
 	g.p("")
 	named := slices.Concat(d.Inputs, d.Outputs)
@@ -429,13 +404,37 @@ func (s *Sim) PokeMem(mem, addr int, v uint64) bool {
 	if !s.Core.PokeMem(mem, addr, v) {
 		return false
 	}
+	s.wakeMem(int32(mem))
+	s.poked = true
+	return true
+}
+
+// wakeMem flags the partitions reading memory mem.
+func (s *Sim) wakeMem(mem int32) {
 	for _, p := range memWake[mem] {
 		s.flags[p>>6] |= 1 << (p & 63)
 	}
-	s.poked = true
-	return true
-}`)
+}
+`)
+	g.p("// memChanged wakes the readers of a memory a write changed and counts")
+	g.p("// the wakes (simrt.Core.CommitWrites).")
+	g.p("func (s *Sim) memChanged(mem int32) {")
+	g.p("  s.wakeMem(mem)")
+	g.p("  %s += uint64(len(memWake[mem]))", wakesStat)
+	g.p("}")
 	g.p("")
+}
+
+// rows prints field as a literal of its rows, one a line.
+func rows[T any](g *gen, field string, rs []T) {
+	if len(rs) == 0 {
+		return
+	}
+	g.p("  %s: %T{", field, rs)
+	for _, r := range rs {
+		g.p("    %#v,", r)
+	}
+	g.p("  },")
 }
 
 // list prints field as an []int32 literal, sixteen entries a line.

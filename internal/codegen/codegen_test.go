@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -306,8 +307,12 @@ circuit P :
 
 // TestRuntimeLivesInSimrt: what only reads and writes state is simrt.Core's,
 // which the generated Sim embeds, so r16's generated text declares none of
-// it in either mode — no snapshot, hash, counter, peek, output or identity
-// method and no error type.
+// it in either mode — nor does the sinks fixture's — no snapshot, hash, counter, peek, output or identity
+// method and no error type. Nor is the cycle boundary printed: no display,
+// check, edge-reset or memory-commit function, no fmt import, and no
+// reference to the pending writes, the evaluation error, the cycle count,
+// the output or the printf formatter, all of which the Core's Display,
+// Check, CaptureWrite, CommitWrites, ApplyResets and EndCycle own.
 func TestRuntimeLivesInSimrt(t *testing.T) {
 	circ, err := designs.Build(designs.R16())
 	if err != nil {
@@ -317,35 +322,61 @@ func TestRuntimeLivesInSimrt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := opt.Optimize(raw)
+	r16, _, err := opt.Optimize(raw)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// r16 has edge resets, a stop and write ports but no printf; the sinks
+	// fixture adds one.
+	sinks := compileDesign(t, sinksSrc)
+	if len(sinks.Displays) == 0 || len(r16.Checks) == 0 || len(r16.MemWrites) == 0 {
+		t.Fatal("a sink kind is missing from the designs")
 	}
 	banned := map[string]bool{"Capture": true, "Restore": true, "StateHash": true,
 		"StatsWords": true, "PeekWords": true, "PeekMem": true, "SetOutput": true,
 		"Cycles": true, "DesignName": true, "Fingerprint": true,
+		"StopError": true, "AssertError": true,
+		"Display": true, "Check": true, "CaptureWrite": true, "CommitWrites": true,
+		"ApplyResets": true, "EndCycle": true}
+	coldBody := regexp.MustCompile(`^(?i:display|check|reset|capture|commitmem)\d*$`)
+	bannedRef := map[string]bool{"Pend": true, "PendAddr": true, "PendData": true,
+		"EvalErr": true, "Now": true, "Out": true,
 		"StopError": true, "AssertError": true}
 	for _, mode := range []Mode{ModeCCSS, ModeFullCycle} {
-		src, err := Generate(d, Options{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), "sim.go", src, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			var name *ast.Ident
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				name = n.Name
-			case *ast.TypeSpec:
-				name = n.Name
+		for _, d := range []*netlist.Design{r16, sinks} {
+			src, err := Generate(d, Options{Mode: mode})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if name != nil && banned[name.Name] {
-				t.Errorf("mode %d: r16's sim.go declares %s, which belongs to simrt", mode, name.Name)
+			f, err := parser.ParseFile(token.NewFileSet(), "sim.go", src, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return true
-		})
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"fmt"` {
+					t.Errorf("mode %d: %s's sim.go imports fmt", mode, d.Name)
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var name *ast.Ident
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					name = n.Name
+					if coldBody.MatchString(name.Name) && name.Name != "Reset" {
+						t.Errorf("mode %d: %s's sim.go prints %s, a cycle-boundary body simrt.Core runs", mode, d.Name, name.Name)
+					}
+				case *ast.TypeSpec:
+					name = n.Name
+				case *ast.SelectorExpr:
+					if bannedRef[n.Sel.Name] {
+						t.Errorf("mode %d: %s's sim.go refers to %s, which simrt.Core's cycle boundary owns", mode, d.Name, n.Sel.Name)
+					}
+				}
+				if name != nil && banned[name.Name] {
+					t.Errorf("mode %d: %s's sim.go declares %s, which belongs to simrt", mode, d.Name, name.Name)
+				}
+				return true
+			})
+		}
 	}
 }

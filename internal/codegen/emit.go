@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"essent/internal/bits"
-	"essent/internal/netlist"
 	"essent/internal/sim"
 )
 
@@ -96,12 +95,11 @@ func (g *gen) pop() {
 // weight is a constant and skip regions accumulate in a local, flushed
 // once here.
 func (g *gen) emitFunc(name string, localize bool, body func()) {
-	mark, cold := g.b.Len(), len(g.cold)
+	mark := g.b.Len()
 	g.localize, g.dynOps = localize, false
 	g.used = map[int32]bool{}
 	for _, dry := range []bool{true, false} {
 		g.b.Truncate(mark)
-		g.cold = g.cold[:cold]
 		g.dry, g.local = dry, map[int32]bool{}
 		g.scopes = append(g.scopes[:0], scope{})
 		g.p("func (s *Sim) %s() {", name)
@@ -198,11 +196,11 @@ func (g *gen) emitOp(op *sim.Op) {
 		g.countOp(op)
 		g.emitWide(&g.pr.Instrs[op.X])
 	case c == sim.OpDisplay:
-		g.emitDisplayCall(op.X)
+		g.p("s.Display(%d)", op.X)
 	case c == sim.OpCheck:
-		g.emitCheckCall(op.X)
+		g.p("s.Check(%d)", op.X)
 	case c == sim.OpMemWrite:
-		g.emitMemWriteCapture(op.X)
+		g.p("s.CaptureWrite(%d)", op.X)
 	default:
 		g.countOp(op)
 		g.emitNarrow(op)
@@ -434,85 +432,6 @@ func (g *gen) emitWide(in *sim.Instr) {
 		dst, view(in.A, in.AW), in.AW, in.SA, b, in.BW, in.SB, in.P0, in.P1, in.DW)
 }
 
-// emitDisplayCall guards and calls a cold display function.
-func (g *gen) emitDisplayCall(i int32) {
-	disp := &g.pr.D.Displays[i]
-	g.p("if %s&1 == 1 { s.display%d() }", g.ref(g.operandOf(disp.En).off), i)
-	format, args := g.translateFormat(disp.Format, disp.Args)
-	g.cold = append(g.cold, fmt.Sprintf(
-		"//go:noinline\nfunc (s *Sim) display%d() {\n  fmt.Fprintf(s.Out, %q%s)\n}\n", i, format, args))
-}
-
-// translateFormat converts FIRRTL %d/%x/%b/%c directives to Go fmt calls.
-func (g *gen) translateFormat(f string, args []netlist.Arg) (string, string) {
-	var out strings.Builder
-	var argExprs []string
-	ai := 0
-	for i := 0; i < len(f); i++ {
-		if f[i] != '%' || i+1 >= len(f) {
-			out.WriteByte(f[i])
-			continue
-		}
-		i++
-		verb := f[i]
-		if verb == '%' {
-			out.WriteString("%%")
-			continue
-		}
-		if ai >= len(args) {
-			out.WriteString("%%!missing")
-			continue
-		}
-		o := g.operandOf(args[ai])
-		ai++
-		switch base := map[byte]int{'d': 10, 'x': 16, 'b': 2}[verb]; {
-		case base != 0:
-			out.WriteString("%s")
-			argExprs = append(argExprs, fmt.Sprintf("simrt.FormatBase(%s, %d, %v, %d)",
-				view(o.off, o.w), o.w, o.signed, base))
-		case verb == 'c':
-			out.WriteString("%c")
-			argExprs = append(argExprs, "byte("+slot(o.off)+")")
-		default:
-			fmt.Fprintf(&out, "%%!%c", verb)
-			ai--
-		}
-	}
-	argStr := ""
-	if len(argExprs) > 0 {
-		argStr = ", " + strings.Join(argExprs, ", ")
-	}
-	return out.String(), argStr
-}
-
-// emitCheckCall guards and calls a cold check handler.
-func (g *gen) emitCheckCall(i int32) {
-	c := &g.pr.D.Checks[i]
-	en := g.ref(g.operandOf(c.En).off)
-	if c.Stop {
-		g.p("if %s&1 == 1 { s.check%d() }", en, i)
-	} else {
-		g.p("if %s&1 == 1 && %s&1 == 0 { s.check%d() }", en, g.ref(g.operandOf(c.Pred).off), i)
-	}
-	raise := fmt.Sprintf("&simrt.AssertError{Msg: %q, Cycle: s.Now}", c.Msg)
-	if c.Stop {
-		raise = fmt.Sprintf("&simrt.StopError{Code: %d, Cycle: s.Now}", c.Code)
-	}
-	g.cold = append(g.cold, fmt.Sprintf("//go:noinline\nfunc (s *Sim) check%d() {\n"+
-		"  if s.EvalErr == nil { s.EvalErr = %s }\n}\n", i, raise))
-}
-
-// emitMemWriteCapture buffers an enabled write.
-func (g *gen) emitMemWriteCapture(i int32) {
-	w := &g.pr.D.MemWrites[i]
-	data := g.operandOf(w.Data)
-	g.p("if %s&1 == 1 && %s&1 == 1 {", g.ref(g.operandOf(w.En).off), g.ref(g.operandOf(w.Mask).off))
-	g.p("  s.Pend[%d] = true", i)
-	g.p("  s.pendAddr[%d] = %s", i, g.ref(g.operandOf(w.Addr).off))
-	g.p("  copy(s.pendData[%d], %s)", i, view(data.off, data.w))
-	g.p("} else { s.Pend[%d] = false }", i)
-}
-
 // wakesStat is the Wakes counter as code outside partition functions
 // (which count on a local) address it.
 var wakesStat = fmt.Sprintf("s.stats[%d]", sim.StatWakes)
@@ -603,56 +522,17 @@ func (g *gen) emitCommit() {
 			g.p("  }")
 		}
 	}
-	g.emitResets()
-	// Pending memory writes.
-	for i := range d.MemWrites {
-		mem := d.MemWrites[i].Mem
-		m := &d.Mems[mem]
-		nw := bits.Words(m.Width)
-		g.p("  if s.Pend[%d] {", i)
-		g.p("    s.Pend[%d] = false", i)
-		g.p("    if a := s.pendAddr[%d]; a < %d {", i, m.Depth)
-		g.p("      base := int(a) * %d", nw)
-		g.p("      if !simrt.EqualWords(s.Mems[%d][base:base+%d], s.pendData[%d]) {", mem, nw, i)
-		g.p("        copy(s.Mems[%d][base:base+%d], s.pendData[%d])", mem, nw, i)
-		if pr.Parts != nil {
-			g.wake(pr.MemReaders[mem], wakesStat)
-		}
-		g.p("      }")
-		g.p("    }")
-		g.p("  }")
+	// The edge resets and the memory writes are the Core's; a CCSS Sim
+	// re-arms on a fired reset and wakes a written memory's readers.
+	if pr.Parts == nil {
+		g.p("  s.ApplyResets(nil)")
+		g.p("  s.CommitWrites(nil)")
+	} else {
+		g.p("  if s.ApplyResets(nil) { s.wakeAll() }")
+		g.p("  s.CommitWrites(s.memChanged)")
 	}
 	g.p("}")
 	g.p("")
-}
-
-// emitResets prints the commit's edge resets (sim.ResetGroup): per
-// selector, the interpreter's test of its word, calling a cold function
-// that loads every register of the group with its Init and, in CCSS mode,
-// re-arms the activity state as the interpreter does.
-func (g *gen) emitResets() {
-	pr := g.pr
-	d := pr.D
-	for gi, grp := range pr.Resets {
-		g.p("  if %s != 0 { s.reset%d() }", slot(grp.Sel), gi)
-		var b strings.Builder
-		fmt.Fprintf(&b, "//go:noinline\nfunc (s *Sim) reset%d() {\n", gi)
-		for _, ri := range grp.Regs {
-			r := &d.Regs[ri]
-			for w := range bits.Words(d.Signals[r.Out].Width) {
-				var v uint64
-				if w < len(r.Init) {
-					v = r.Init[w]
-				}
-				fmt.Fprintf(&b, "  s.t[%d] = %#x // %s\n", pr.Off[r.Out]+int32(w), v, r.Name)
-			}
-		}
-		if pr.Parts != nil {
-			b.WriteString("  s.wakeAll()\n")
-		}
-		b.WriteString("}\n")
-		g.cold = append(g.cold, b.String())
-	}
 }
 
 // emitStepLoop emits Step: per cycle, the mode's evaluation calls, then
@@ -662,12 +542,8 @@ func (g *gen) emitStepLoop(evals func()) {
 	g.p("  for i := 0; i < n; i++ {")
 	g.p("    if s.StopErr != nil { return s.StopErr }")
 	evals()
-	g.p("    err := s.EvalErr")
-	g.p("    s.EvalErr = nil")
 	g.p("    s.commit()")
-	g.p("    s.Now++")
-	g.p("    s.stats[%d]++", sim.StatCycles)
-	g.p("    if err != nil { s.StopErr = err; return err }")
+	g.p("    if err := s.EndCycle(); err != nil { return err }")
 	g.p("  }")
 	g.p("  return nil")
 	g.p("}")

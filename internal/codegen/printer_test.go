@@ -18,13 +18,14 @@ import (
 // prints for the optimized counter (CCSS, Cp 8; its register's reset is
 // applied at the clock edge). A cached artifact is reused for as long as
 // design, options and FormatVersion agree, so a change to the emitted
-// text must come with a new version. (Version 11 embeds a simrt.Core and
-// prints its state layout instead of the state half of the simulator;
-// the text walks an activity bitmap and is the emitter's own, not
-// gofmt's.)
+// text must come with a new version. (Version 12 calls its simrt.Core
+// for printf, stop and assertion, memory writes, edge resets and the end
+// of the cycle, from rows of the printed layout; 11 embedded the Core for
+// the state half. The text walks an activity bitmap and is the emitter's
+// own, not gofmt's.)
 const (
-	pinnedVersion  = 11
-	emittedTextPin = "f50e5c47e9fbe065342cbcbc3ac41bb85d2e4825883c7626faaafea7e98118e2"
+	pinnedVersion  = 12
+	emittedTextPin = "577a509322395cd4b9095c8dea4fec1130257e95e97b37d73333cf699272ac5e"
 )
 
 func TestFormatVersionPinsEmittedText(t *testing.T) {

@@ -137,7 +137,7 @@ func checkClaims(t *testing.T, d *netlist.Design, r *sa.Result,
 			if sig.Signed {
 				continue
 			}
-			if want := r.ConstWords(id); want != nil {
+			if want := r.ConstVal[id]; want != nil {
 				got := peek(id)
 				for w := range want {
 					if got[w] != want[w] {

@@ -256,10 +256,6 @@ func fixpoint(d *netlist.Design, dg *netlist.DesignGraph, order []int) (*state, 
 // IsConst reports whether the signal is proven constant.
 func (r *Result) IsConst(s netlist.SignalID) bool { return r.ConstVal[s] != nil }
 
-// ConstWords returns the proven constant value (nil when not constant).
-// The returned slice is shared; callers must not mutate it.
-func (r *Result) ConstWords(s netlist.SignalID) []uint64 { return r.ConstVal[s] }
-
 // KnownNonzero reports whether the signal is proven to always be nonzero.
 func (r *Result) KnownNonzero(s netlist.SignalID) bool {
 	kb := r.Known[s]

@@ -56,7 +56,7 @@ func TestKnownBitsConstants(t *testing.T) {
 	if !r.IsConst(cs) {
 		t.Fatalf("csum not proven constant")
 	}
-	if w := r.ConstWords(cs); len(w) != 1 || w[0] != 6 {
+	if w := r.ConstVal[cs]; len(w) != 1 || w[0] != 6 {
 		t.Fatalf("csum const = %v, want [6]", w)
 	}
 	mk := sid(t, d, "masked")
@@ -92,7 +92,7 @@ func TestRegisterFixpoint(t *testing.T) {
 	if !r.IsConst(id) {
 		t.Fatalf("self-feeding register not proven constant")
 	}
-	if w := r.ConstWords(id); len(w) != 1 || w[0] != 3 {
+	if w := r.ConstVal[id]; len(w) != 1 || w[0] != 3 {
 		t.Fatalf("rc const = %v, want [3]", w)
 	}
 	cid := sid(t, d, "cnt")

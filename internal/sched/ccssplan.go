@@ -70,13 +70,8 @@ type PlanOptions struct {
 	NoMuxShadow bool
 }
 
-// PlanCCSS partitions the design and computes the full CCSS execution
-// plan (§III + §IV) with default options.
-func PlanCCSS(d *netlist.Design, cp int) (*CCSSPlan, error) {
-	return PlanCCSSOpts(d, PlanOptions{Cp: cp})
-}
-
-// PlanCCSSOpts is PlanCCSS with explicit optimization knobs.
+// PlanCCSSOpts partitions the design and computes the full CCSS
+// execution plan (§III + §IV) under the optimization knobs of opts.
 func PlanCCSSOpts(d *netlist.Design, opts PlanOptions) (*CCSSPlan, error) {
 	cp := opts.Cp
 	if cp <= 0 {

@@ -20,7 +20,7 @@ func TestPartLevelsInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := PlanCCSS(d, 8)
+		plan, err := PlanCCSSOpts(d, PlanOptions{Cp: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

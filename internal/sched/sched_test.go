@@ -161,7 +161,7 @@ func TestPlanCCSSStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanCCSS(d, 8)
+	plan, err := PlanCCSSOpts(d, PlanOptions{Cp: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestPlanCCSSSinglePassOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanCCSS(d, 8)
+	plan, err := PlanCCSSOpts(d, PlanOptions{Cp: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

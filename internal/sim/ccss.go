@@ -54,8 +54,8 @@ type CCSS struct {
 	// Per-memory reader-port partitions (always woken unconditionally).
 	memReaderParts [][]int32
 	// regNext/regOut read register value storage at commit.
-	regNext []operand
-	regOut  []operand
+	regNext []simrt.Operand
+	regOut  []simrt.Operand
 
 	// dirtyRegs lists non-elided registers whose writer partition ran
 	// this cycle (commit must compare-and-wake them).
@@ -228,8 +228,8 @@ func buildCCSS(d *netlist.Design, plan *sched.CCSSPlan, opts Options) (*CCSS, er
 
 	// Register and memory wake plumbing.
 	c.regWakes = make([]WakeList, len(d.Regs))
-	c.regNext = make([]operand, len(d.Regs))
-	c.regOut = make([]operand, len(d.Regs))
+	c.regNext = make([]simrt.Operand, len(d.Regs))
+	c.regOut = make([]simrt.Operand, len(d.Regs))
 	for ri := range d.Regs {
 		if !plan.Elided[ri] {
 			c.regWakes[ri] = pt.addWakes(plan.RegReaderParts[ri])
@@ -280,11 +280,12 @@ func (c *CCSS) lane() *CCSS {
 		m.Mems[i] = laneCopy(m.Mems[i], 0)
 	}
 	m.Pend = laneCopy(m.Pend, 0)
-	m.Core.Stats = m.stats.words()
-	m.memWrites = laneCopy(m.memWrites, 0)
-	for i := range m.memWrites {
-		m.memWrites[i].pendData = laneCopy(m.memWrites[i].pendData, 0)
+	m.PendAddr = laneCopy(m.PendAddr, 0)
+	m.PendData = slices.Clone(m.PendData)
+	for i := range m.PendData {
+		m.PendData[i] = laneCopy(m.PendData[i], 0)
 	}
+	m.Core.Stats = m.stats.words()
 	m.sc = simrt.NewScratch(m.maxWords)
 	l := *c
 	l.machine = &m
@@ -595,9 +596,9 @@ func (c *CCSS) finishCycle() error {
 	for _, ri := range c.dirtyRegs {
 		no, oo := c.regNext[ri], c.regOut[ri]
 		changed := false
-		for w := int32(0); w < no.words(); w++ {
-			if t[oo.off+w] != t[no.off+w] {
-				t[oo.off+w] = t[no.off+w]
+		for w := int32(0); w < no.Words(); w++ {
+			if t[oo.Off+w] != t[no.Off+w] {
+				t[oo.Off+w] = t[no.Off+w]
 				changed = true
 			}
 		}
@@ -608,12 +609,12 @@ func (c *CCSS) finishCycle() error {
 		}
 	}
 	c.dirtyRegs = c.dirtyRegs[:0]
-	if m.applyResets(nil) {
+	if m.ApplyResets(nil) {
 		c.rearm()
 	}
 
-	m.commitMemWrites(c.memChanged)
-	return m.endCycle()
+	m.CommitWrites(c.memChanged)
+	return m.EndCycle()
 }
 
 // memChanged is the push engines' memory-commit hook: wake the read
@@ -622,9 +623,6 @@ func (c *CCSS) memChanged(mem int32) {
 	c.wakeMemReaders(mem)
 	c.stats.Wakes += uint64(len(c.memReaderParts[mem]))
 }
-
-// words returns the operand word count.
-func (o operand) words() int32 { return int32(bits.Words(int(o.w))) }
 
 // NumPartitions returns the partition count.
 func (c *CCSS) NumPartitions() int { return len(c.parts.rows) }

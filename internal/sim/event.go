@@ -350,18 +350,18 @@ func (e *EventDriven) stepOne() error {
 	}
 
 	// Effects run every cycle (level-sensitive semantics).
-	for i := range m.displays {
-		m.runDisplay(int32(i))
+	for i := range m.L.Displays {
+		m.Display(i)
 	}
-	for i := range m.checks {
-		m.runCheck(int32(i))
+	for i := range m.L.Checks {
+		m.Check(i)
 	}
 
 	// Capture marked memory writes.
 	for wi := range e.wMarked {
 		if e.wMarked[wi] {
 			e.wMarked[wi] = false
-			m.captureMemWrite(int32(wi))
+			m.CaptureWrite(wi)
 		}
 	}
 
@@ -384,11 +384,11 @@ func (e *EventDriven) stepOne() error {
 		}
 	}
 	// Edge resets load Init after the commit; their readers re-evaluate.
-	m.applyResets(e.seedRegReaders)
+	m.ApplyResets(e.seedRegReaders)
 
 	// Apply pending memory writes; content changes wake read ports.
-	m.commitMemWrites(e.seedMemReaders)
-	return m.endCycle()
+	m.CommitWrites(e.seedMemReaders)
+	return m.EndCycle()
 }
 
 // seedRegReaders queues the readers of a register whose value changed at

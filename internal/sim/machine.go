@@ -94,14 +94,6 @@ type machine struct {
 	// not update-elided).
 	regCopy []int
 	elided  []bool
-	// resets groups the registers with an edge reset by selector
-	// (applyResets).
-	resets []ResetGroup
-
-	// sink argument resolution, precomputed.
-	memWrites []compiledMemWrite
-	displays  []compiledDisplay
-	checks    []compiledCheck
 
 	stats Stats
 
@@ -112,52 +104,19 @@ type machine struct {
 	maxWords int
 }
 
-type compiledMemWrite struct {
-	mem                  int32
-	nw, depth            int32 // the memory's words per entry and depth
-	addr, en, data, mask operand
-	// pending write buffer (captured at schedule position, applied at
-	// commit so reads always see pre-edge contents; Core.Pend marks it
-	// full).
-	pendAddr uint64
-	pendData []uint64
-}
-
-type compiledDisplay struct {
-	en     operand
-	format string
-	args   []operand
-}
-
-type compiledCheck struct {
-	en, pred operand
-	msg      string
-	stop     bool
-	code     int
-}
-
-// operand is a resolved sink operand.
-type operand struct {
-	off    int32
-	w      int32
-	signed bool
-}
-
-func (m *machine) operandOf(a netlist.Arg) operand {
+// operandOf resolves a sink or instruction operand to its table span.
+func (m *machine) operandOf(a netlist.Arg) simrt.Operand {
 	if a.IsConst() {
 		c := m.d.Consts[a.Const]
-		return operand{off: m.constOff[a.Const], w: int32(c.Width), signed: c.Signed}
+		return simrt.Operand{Off: m.constOff[a.Const], Width: int32(c.Width), Signed: c.Signed}
 	}
 	s := &m.d.Signals[a.Sig]
-	return operand{off: m.off[a.Sig], w: int32(s.Width), signed: s.Signed}
+	return simrt.Operand{Off: m.off[a.Sig], Width: int32(s.Width), Signed: s.Signed}
 }
 
 func (m *machine) view(off, w int32) []uint64 {
 	return m.T[off : off+int32(bits.Words(int(w)))]
 }
-
-// readOperand reads an operand's low word.
-func (m *machine) readOperand(o operand) uint64 { return m.T[o.off] }
 
 // machineConfig carries optional schedule transformations.
 type machineConfig struct {
@@ -276,7 +235,8 @@ func newMachine(d *netlist.Design, dg *netlist.DesignGraph, order []int,
 		total += int32(w)
 	}
 	layout := &simrt.Layout{Name: d.Name, Fingerprint: DesignFingerprint(d),
-		Off: m.off, Width: make([]int32, len(d.Signals)), BuildStat: StatFusedPairs}
+		Off: m.off, Width: make([]int32, len(d.Signals)),
+		BuildStat: StatFusedPairs, CycleStat: StatCycles}
 	for i := range d.Signals {
 		layout.Width[i] = int32(d.Signals[i].Width)
 	}
@@ -289,44 +249,51 @@ func newMachine(d *netlist.Design, dg *netlist.DesignGraph, order []int,
 	for i := range d.Mems {
 		layout.Mems = append(layout.Mems, simrt.Mem{Width: d.Mems[i].Width, Depth: d.Mems[i].Depth})
 	}
-	m.Core = simrt.NewCore(layout, make([]uint64, total), m.stats.words(), len(d.MemWrites))
+	// The cycle boundary's rows: the sinks, then the edge resets by
+	// selector (simrt.Core runs them).
+	for i := range d.MemWrites {
+		w := &d.MemWrites[i]
+		ao := m.operandOf(w.Addr)
+		if ao.Width > 32 {
+			return nil, fmt.Errorf("sim: mem %s: write address wider than 32 bits",
+				d.Mems[w.Mem].Name)
+		}
+		layout.Writes = append(layout.Writes, simrt.Write{Mem: int32(w.Mem),
+			Addr: ao, En: m.operandOf(w.En), Data: m.operandOf(w.Data), Mask: m.operandOf(w.Mask)})
+	}
+	for i := range d.Displays {
+		disp := &d.Displays[i]
+		row := simrt.Display{En: m.operandOf(disp.En), Format: disp.Format}
+		for _, a := range disp.Args {
+			row.Args = append(row.Args, m.operandOf(a))
+		}
+		layout.Displays = append(layout.Displays, row)
+	}
+	for i := range d.Checks {
+		c := &d.Checks[i]
+		layout.Checks = append(layout.Checks, simrt.Check{En: m.operandOf(c.En),
+			Pred: m.operandOf(c.Pred), Msg: c.Msg, Stop: c.Stop, Code: c.Code})
+	}
+	for ri := range d.Regs {
+		r := &d.Regs[ri]
+		if r.Reset == netlist.NoSignal {
+			continue
+		}
+		sel := m.off[r.Reset]
+		gi := slices.IndexFunc(layout.Resets, func(g simrt.ResetGroup) bool { return g.Sel == sel })
+		if gi < 0 {
+			gi, layout.Resets = len(layout.Resets), append(layout.Resets, simrt.ResetGroup{Sel: sel})
+		}
+		init := make([]uint64, m.nw[r.Out])
+		copy(init, r.Init)
+		g := &layout.Resets[gi]
+		g.Regs, g.Init = append(g.Regs, int32(ri)), append(g.Init, init)
+	}
+	m.Core = simrt.NewCore(layout, make([]uint64, total), m.stats.words())
 	for i := range d.Consts {
 		copy(m.T[m.constOff[i]:], d.Consts[i].Words)
 	}
 	m.maxWords, m.sc = maxWords, simrt.NewScratch(maxWords)
-
-	// Compile sinks first so schedule construction can reference them.
-	for i := range d.MemWrites {
-		w := &d.MemWrites[i]
-		ao := m.operandOf(w.Addr)
-		if ao.w > 32 {
-			return nil, fmt.Errorf("sim: mem %s: write address wider than 32 bits",
-				d.Mems[w.Mem].Name)
-		}
-		do := m.operandOf(w.Data)
-		geom := layout.Mems[w.Mem]
-		m.memWrites = append(m.memWrites, compiledMemWrite{
-			mem: int32(w.Mem), nw: int32(geom.Words()), depth: int32(geom.Depth),
-			addr: ao, en: m.operandOf(w.En),
-			data: do, mask: m.operandOf(w.Mask),
-			pendData: make([]uint64, bits.Words(int(do.w))),
-		})
-	}
-	for i := range d.Displays {
-		disp := &d.Displays[i]
-		cd := compiledDisplay{en: m.operandOf(disp.En), format: disp.Format}
-		for _, a := range disp.Args {
-			cd.args = append(cd.args, m.operandOf(a))
-		}
-		m.displays = append(m.displays, cd)
-	}
-	for i := range d.Checks {
-		c := &d.Checks[i]
-		m.checks = append(m.checks, compiledCheck{
-			en: m.operandOf(c.En), pred: m.operandOf(c.Pred),
-			msg: c.Msg, stop: c.Stop, code: c.Code,
-		})
-	}
 
 	// The stream in topological order, group by group. Mux-arm cones (when
 	// shadows are enabled) are emitted behind skip ops at their owning mux's
@@ -367,18 +334,10 @@ func newMachine(d *netlist.Design, dg *netlist.DesignGraph, order []int,
 		m.spans[gi] = Span{PC: pc, End: int32(len(m.ops)), Weight: weightOf(m.ops[pc:])}
 	}
 
-	// Registers needing a commit copy, and the edge resets by selector.
+	// Registers needing a commit copy.
 	for ri := range d.Regs {
 		if elided == nil || !elided[ri] {
 			m.regCopy = append(m.regCopy, ri)
-		}
-		if rst := d.Regs[ri].Reset; rst != netlist.NoSignal {
-			sel := m.off[rst]
-			gi := slices.IndexFunc(m.resets, func(g ResetGroup) bool { return g.Sel == sel })
-			if gi < 0 {
-				gi, m.resets = len(m.resets), append(m.resets, ResetGroup{Sel: sel})
-			}
-			m.resets[gi].Regs = append(m.resets[gi].Regs, int32(ri))
 		}
 	}
 
@@ -436,14 +395,14 @@ func (m *machine) emitNode(node int, shadows *sched.MuxShadows, force bool) erro
 		case netlist.KMemRead:
 			r := &d.MemReads[s.MemRead]
 			ao := m.operandOf(r.Addr)
-			if ao.w > 32 {
+			if ao.Width > 32 {
 				return fmt.Errorf("sim: mem %s: address wider than 32 bits",
 					d.Mems[r.Mem].Name)
 			}
 			in = Instr{
 				Code: OpMemRead, out: netlist.SignalID(node),
 				Dst: m.off[node], DW: int32(s.Width),
-				A: ao.off, AW: ao.w,
+				A: ao.Off, AW: ao.Width,
 				B: -1, C: -1,
 				Mem: int32(r.Mem),
 			}
@@ -455,7 +414,7 @@ func (m *machine) emitNode(node int, shadows *sched.MuxShadows, force bool) erro
 	// Mux-way expansion.
 	if shadows != nil && s.Kind == netlist.KComb && s.Op.Kind == netlist.OMux {
 		if arms, ok := shadows.Arms[netlist.SignalID(node)]; ok {
-			selOff := m.operandOf(s.Op.Args[0]).off
+			selOff := m.operandOf(s.Op.Args[0]).Off
 			emitArm := func(code Opcode, cone []netlist.SignalID) error {
 				ctl := len(m.ops)
 				m.ops = append(m.ops, Op{Code: code, A: selOff})
@@ -516,11 +475,11 @@ func (m *machine) compileOp(op *netlist.Op) (Instr, error) {
 		o := m.operandOf(a)
 		switch i {
 		case 0:
-			in.A, in.AW, in.SA = o.off, o.w, o.signed
+			in.A, in.AW, in.SA = o.Off, o.Width, o.Signed
 		case 1:
-			in.B, in.BW, in.SB = o.off, o.w, o.signed
+			in.B, in.BW, in.SB = o.Off, o.Width, o.Signed
 		case 2:
-			in.C, in.CW, in.SC = o.off, o.w, o.signed
+			in.C, in.CW, in.SC = o.Off, o.Width, o.Signed
 		}
 	}
 	for i, a := range op.Args {

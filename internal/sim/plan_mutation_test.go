@@ -295,7 +295,7 @@ func TestPlanMutationsCaught(t *testing.T) {
 	// its members builds the same stream and there is nothing to reject.
 	t.Run("order-mismatch", func(t *testing.T) {
 		d := compileSrc(t, smMultiSrc)
-		p, err := sched.PlanCCSS(d, 1)
+		p, err := sched.PlanCCSSOpts(d, sched.PlanOptions{Cp: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func TestFuzzMutationsCaught(t *testing.T) {
 		}
 
 		// Swap a dependent pair inside one partition.
-		p, err = sched.PlanCCSS(d, 1<<20)
+		p, err = sched.PlanCCSSOpts(d, sched.PlanOptions{Cp: 1 << 20})
 		if err != nil {
 			t.Fatalf("seed %d: plan: %v", seed, err)
 		}

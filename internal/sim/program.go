@@ -26,11 +26,9 @@ type Program struct {
 	Ops    []Op
 	Spans  []Span
 	Instrs []Instr
-	// RegCopy lists the two-phase registers (full-cycle commit); Resets
-	// are the edge resets the commit applies after them (applyResets);
+	// RegCopy lists the two-phase registers (full-cycle commit);
 	// FusedPairs is the build's Stats.FusedPairs.
 	RegCopy    []int
-	Resets     []ResetGroup
 	FusedPairs uint64
 
 	// CCSS builds only (Parts is nil otherwise): the partition and wake
@@ -73,5 +71,5 @@ func (m *machine) program() *Program {
 	return &Program{D: m.d, Off: m.off, ConstOff: m.constOff,
 		Layout: m.L, TableLen: len(m.T), MaxWords: m.maxWords,
 		Ops: m.ops, Spans: m.spans, Instrs: m.instrs,
-		RegCopy: m.regCopy, Resets: m.resets, FusedPairs: m.stats.FusedPairs}
+		RegCopy: m.regCopy, FusedPairs: m.stats.FusedPairs}
 }

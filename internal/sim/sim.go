@@ -6,12 +6,12 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"unsafe"
 
 	"essent/internal/netlist"
+	"essent/pkg/simrt"
 )
 
 // Engine names a simulation strategy.
@@ -86,31 +86,16 @@ func EngineCapabilities(e Engine) Capabilities {
 	}
 }
 
-// ErrStopped is returned by Step when the design executes a stop().
-var ErrStopped = errors.New("sim: stopped")
+// ErrStopped is what a StopError unwraps to: errors.Is(err, ErrStopped)
+// matches a Step that ended in stop().
+var ErrStopped = simrt.ErrStopped
 
-// StopError carries the stop code (0 = success by convention).
-type StopError struct {
-	Code  int
-	Cycle uint64
-}
-
-func (e *StopError) Error() string {
-	return fmt.Sprintf("sim: stop(%d) at cycle %d", e.Code, e.Cycle)
-}
-
-// Unwrap lets errors.Is(err, ErrStopped) match.
-func (e *StopError) Unwrap() error { return ErrStopped }
+// StopError carries the stop code (0 = success by convention); every
+// backend raises the one type (simrt.Core.Check).
+type StopError = simrt.StopError
 
 // AssertError reports a failed assertion.
-type AssertError struct {
-	Msg   string
-	Cycle uint64
-}
-
-func (e *AssertError) Error() string {
-	return fmt.Sprintf("sim: assertion failed at cycle %d: %s", e.Cycle, e.Msg)
-}
+type AssertError = simrt.AssertError
 
 // Stats counts the work a simulator performed. The counters implement the
 // Fig. 7 overhead decomposition: OpsEvaluated is base simulation work,

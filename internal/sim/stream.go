@@ -238,7 +238,7 @@ func (m *machine) access(op *Op, rd [][2]int32) (reads [][2]int32, dst, words in
 		return rd, in.Dst, int32(bits.Words(int(in.DW)))
 	case OpDisplay, OpCheck, OpMemWrite:
 		for _, o := range m.sinkOperands(op.Code, x) {
-			rd = append(rd, [2]int32{o.off, o.words()})
+			rd = append(rd, [2]int32{o.Off, o.Words()})
 		}
 		return rd, 0, 0
 	}
@@ -255,22 +255,23 @@ func (m *machine) access(op *Op, rd [][2]int32) (reads [][2]int32, dst, words in
 
 // sinkOperands returns the compiled operands of sink x of a sink opcode
 // (nil for an x out of range).
-func (m *machine) sinkOperands(code Opcode, x int) []operand {
+func (m *machine) sinkOperands(code Opcode, x int) []simrt.Operand {
+	l := m.L
 	switch code {
 	case OpMemWrite:
-		if x >= 0 && x < len(m.memWrites) {
-			w := &m.memWrites[x]
-			return []operand{w.addr, w.en, w.data, w.mask}
+		if x >= 0 && x < len(l.Writes) {
+			w := &l.Writes[x]
+			return []simrt.Operand{w.Addr, w.En, w.Data, w.Mask}
 		}
 	case OpDisplay:
-		if x >= 0 && x < len(m.displays) {
-			dp := &m.displays[x]
-			return append([]operand{dp.en}, dp.args...)
+		if x >= 0 && x < len(l.Displays) {
+			dp := &l.Displays[x]
+			return append([]simrt.Operand{dp.En}, dp.Args...)
 		}
 	case OpCheck:
-		if x >= 0 && x < len(m.checks) {
-			ck := &m.checks[x]
-			return []operand{ck.en, ck.pred}
+		if x >= 0 && x < len(l.Checks) {
+			ck := &l.Checks[x]
+			return []simrt.Operand{ck.En, ck.Pred}
 		}
 	}
 	return nil
@@ -385,11 +386,11 @@ func (m *machine) run(pc, end int32) (skipped uint64) {
 		case OpSigned, OpWide:
 			m.escape(&m.instrs[op.X])
 		case OpDisplay:
-			m.runDisplay(op.X)
+			m.Display(int(op.X))
 		case OpCheck:
-			m.runCheck(op.X)
+			m.Check(int(op.X))
 		case OpMemWrite:
-			m.captureMemWrite(op.X)
+			m.CaptureWrite(int(op.X))
 		}
 	}
 	return skipped

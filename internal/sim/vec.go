@@ -159,9 +159,6 @@ func newVecCCSS(d *netlist.Design, opts Options) (*VecCCSS, error) {
 // VecInfo returns the class-detection and execution statistics.
 func (v *VecCCSS) VecInfo() VecStats { return v.vst }
 
-// NumGroups returns the compiled class count.
-func (v *VecCCSS) NumGroups() int { return len(v.groups) }
-
 // ---------------------------------------------------------------------
 // Class detection and compilation.
 // ---------------------------------------------------------------------
@@ -186,7 +183,7 @@ func (v *VecCCSS) vecEligible(p int) bool {
 		}
 	}
 	for _, ri := range v.parts.RegsOf(int32(p)) {
-		if v.regNext[ri].words() != 1 || v.regOut[ri].words() != 1 {
+		if v.regNext[ri].Words() != 1 || v.regOut[ri].Words() != 1 {
 			return false
 		}
 	}
@@ -260,7 +257,7 @@ func (v *VecCCSS) hashPart(p int) uint64 {
 	}
 	h.Word(uint64(len(regs)))
 	for _, ri := range regs {
-		h.Ref(v.regNext[ri].off)
+		h.Ref(v.regNext[ri].Off)
 	}
 	return h.Sum()
 }
@@ -327,10 +324,10 @@ func (v *VecCCSS) matchMember(lp, mp int) (map[int32]int32, bool) {
 	}
 	bnext := make(map[int32]bool, len(bregs))
 	for _, ri := range bregs {
-		bnext[v.regNext[ri].off] = true
+		bnext[v.regNext[ri].Off] = true
 	}
 	for _, ri := range aregs {
-		mo, ok := phi[v.regNext[ri].off]
+		mo, ok := phi[v.regNext[ri].Off]
 		if !ok || !bnext[mo] {
 			return nil, false
 		}
@@ -599,7 +596,7 @@ func (v *VecCCSS) stateOffsets() map[int32]bool {
 		if ri < len(v.plan.Elided) && v.plan.Elided[ri] {
 			offs[m.off[d.Regs[ri].Out]] = true
 		}
-		offs[v.regNext[ri].off] = true
+		offs[v.regNext[ri].Off] = true
 	}
 	for _, out := range d.Outputs {
 		offs[m.off[out]] = true

@@ -114,8 +114,8 @@ func TestVecEquivalenceNoVec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.NumGroups() != 0 {
-		t.Fatalf("NoVec compiled %d groups", v.NumGroups())
+	if v.VecInfo().Groups != 0 {
+		t.Fatalf("NoVec compiled %d groups", v.VecInfo().Groups)
 	}
 	stepCompare(t, ref, v, d, 99, 150)
 	if rs, vs := *ref.Stats(), *v.Stats(); rs != vs {

@@ -64,7 +64,7 @@ func verifyMachine(m *machine, keepLive []netlist.SignalID, cc *CCSS) []verify.D
 	for i := range c.wrEpoch {
 		c.wrEpoch[i] = -1
 	}
-	c.sinkCount = make([]int32, len(m.displays)+len(m.checks)+len(m.memWrites))
+	c.sinkCount = make([]int32, len(m.L.Displays)+len(m.L.Checks)+len(m.L.Writes))
 	if cc != nil {
 		c.indexWakes()
 	}
@@ -462,12 +462,13 @@ func (c *smChecker) checkSink(pc int32, op *Op) {
 		c.errf("SM-SINK", c.at(pc), "side effects must never be guarded by a mux-way skip",
 			"side-effect op inside a skip region (guard word %d)", c.regions[c.cur].guard)
 	}
-	slot, n := int(op.X), len(m.displays)
+	l := m.L
+	slot, n := int(op.X), len(l.Displays)
 	switch op.Code {
 	case OpCheck:
-		slot, n = slot+len(m.displays), len(m.checks)
+		slot, n = slot+len(l.Displays), len(l.Checks)
 	case OpMemWrite:
-		slot, n = slot+len(m.displays)+len(m.checks), len(m.memWrites)
+		slot, n = slot+len(l.Displays)+len(l.Checks), len(l.Writes)
 	}
 	if op.X < 0 || int(op.X) >= n {
 		c.errf("SM-SINK", c.at(pc), "", "sink index %d out of range", op.X)
@@ -597,11 +598,11 @@ func (c *smChecker) checkSinksOnce() {
 			continue
 		}
 		kind, idx := "display", i
-		if idx >= len(m.displays) {
-			kind, idx = "check", idx-len(m.displays)
+		if idx >= len(m.L.Displays) {
+			kind, idx = "check", idx-len(m.L.Displays)
 		}
-		if kind == "check" && idx >= len(m.checks) {
-			kind, idx = "memwrite", idx-len(m.checks)
+		if kind == "check" && idx >= len(m.L.Checks) {
+			kind, idx = "memwrite", idx-len(m.L.Checks)
 		}
 		c.errf("SM-SINK", fmt.Sprintf("%s #%d", kind, idx),
 			"a side effect must happen exactly once per cycle", "scheduled %d times", n)

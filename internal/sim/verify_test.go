@@ -64,7 +64,7 @@ circuit T :
 func buildVerifyMachine(t *testing.T, src string, cp int) (*CCSS, []netlist.SignalID) {
 	t.Helper()
 	d := compileSrc(t, src)
-	plan, err := sched.PlanCCSS(d, cp)
+	plan, err := sched.PlanCCSSOpts(d, sched.PlanOptions{Cp: cp})
 	if err != nil {
 		t.Fatal(err)
 	}

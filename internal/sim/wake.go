@@ -73,7 +73,7 @@ func (c *CCSS) wakeProducers() []wakeProducer {
 		ps = append(ps, wakeProducer{&o.Wake, o.Off, o.Words})
 	}
 	for ri := range c.regWakes {
-		ps = append(ps, wakeProducer{&c.regWakes[ri], c.regOut[ri].off, c.regOut[ri].words()})
+		ps = append(ps, wakeProducer{&c.regWakes[ri], c.regOut[ri].Off, c.regOut[ri].Words()})
 	}
 	for i := range c.inputs {
 		in := &c.inputs[i]

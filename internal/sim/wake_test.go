@@ -501,7 +501,7 @@ func TestGuardedWake(t *testing.T) {
 		if len(g0) != 1 || len(g1) != 1 {
 			t.Fatalf("s0 guards %v, s1 guards %v: want one guarded edge each", g0, g1)
 		}
-		if v.NumGroups() == 0 || v.groupAt[p0] >= 0 || v.groupAt[p1] >= 0 ||
+		if len(v.groups) == 0 || v.groupAt[p0] >= 0 || v.groupAt[p1] >= 0 ||
 			v.groupAt[g0[0]] < 0 || v.groupAt[g0[0]] != v.groupAt[g1[0]] {
 			t.Fatalf("groupAt %v: want the consumers %d, %d in a class and the producers %d, %d pinned",
 				v.groupAt, g0[0], g1[0], p0, p1)

@@ -142,9 +142,6 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 // AppendU64 appends one u64.
 func AppendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
-// AppendU32 appends one u32.
-func AppendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-
 // AppendStr appends a u32-length-prefixed string.
 func AppendStr(b []byte, s string) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))

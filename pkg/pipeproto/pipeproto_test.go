@@ -106,7 +106,7 @@ func TestDecUnderRunSticks(t *testing.T) {
 	}
 	// A count larger than the bytes behind it is an under-run too.
 	for _, read := range []func(*Dec){func(d *Dec) { d.Block() }, func(d *Dec) { d.Words() }} {
-		d := &Dec{B: AppendU32(nil, 1<<31)}
+		d := &Dec{B: binary.LittleEndian.AppendUint32(nil, 1<<31)}
 		if read(d); !errors.Is(d.Err, ErrBadFrame) {
 			t.Fatalf("oversized count: err = %v, want ErrBadFrame", d.Err)
 		}

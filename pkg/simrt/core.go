@@ -24,9 +24,17 @@ type Layout struct {
 	// outputs, in the snapshot's section order.
 	Inputs, Regs []int32
 	Mems         []Mem
+	// The cycle boundary's rows (cycle.go): each printf, stop or assertion
+	// and memory write port in sink index order, and the edge resets by
+	// selector.
+	Displays []Display
+	Checks   []Check
+	Writes   []Write
+	Resets   []ResetGroup
 	// BuildStat indexes the stats word that counts a property of the build,
 	// not of the run (sim.StatFusedPairs): Clear and Load keep it.
-	BuildStat int
+	// CycleStat indexes the one EndCycle counts (sim.StatCycles).
+	BuildStat, CycleStat int
 }
 
 // Mem is one memory's geometry: entry width in bits and depth.
@@ -35,21 +43,24 @@ type Mem struct{ Width, Depth int }
 // Words is the number of words an entry takes.
 func (m Mem) Words() int { return bits.Words(m.Width) }
 
-// Core is the state of one simulator and the half of its surface that only
-// reads and writes that state: pokes and peeks with their range checks
+// Core is the state of one simulator, the half of its surface that only
+// reads and writes that state — pokes and peeks with their range checks
 // and width masks, snapshots and their load, and the run state Reset
-// clears. Both backends use it — the interpreter's machine holds one, a
-// generated Sim embeds one — so what evaluates the design is all a backend
-// has of its own. Hot code addresses T, Mems, Pend, Stats, Now and the
-// errors directly.
+// clears — and the cycle boundary (cycle.go). Both backends use it — the
+// interpreter's machine holds one, a generated Sim embeds one — so what
+// evaluates the design's operations is all a backend has of its own. Hot
+// code addresses T, Mems, Stats and Now directly.
 type Core struct {
 	L *Layout
 	// T is the value table; a generated Sim's is its own array, sliced.
 	T []uint64
 	// Mems holds each memory's entries, Words() words apiece.
 	Mems [][]uint64
-	// Pend marks the write ports holding a write for the cycle's commit.
-	Pend []bool
+	// Pend marks the write ports holding a write for the cycle's commit;
+	// PendAddr and PendData are the write, one entry's words apiece.
+	Pend     []bool
+	PendAddr []uint64
+	PendData [][]uint64
 	// Stats is the work counters as flat words (sim's stats word order).
 	Stats []uint64
 	// Now is the cycle count.
@@ -65,13 +76,16 @@ type Core struct {
 }
 
 // NewCore returns a Core of layout l over the value table t and the stats
-// words, with its memories zeroed and no write pending on any of its
-// writes write ports.
-func NewCore(l *Layout, t, stats []uint64, writes int) Core {
+// words, with its memories zeroed and no write pending.
+func NewCore(l *Layout, t, stats []uint64) Core {
 	c := Core{L: l, T: t, Stats: stats, Out: io.Discard,
-		Mems: make([][]uint64, len(l.Mems)), Pend: make([]bool, writes)}
+		Mems: make([][]uint64, len(l.Mems)), Pend: make([]bool, len(l.Writes)),
+		PendAddr: make([]uint64, len(l.Writes)), PendData: make([][]uint64, len(l.Writes))}
 	for i, m := range l.Mems {
 		c.Mems[i] = make([]uint64, m.Words()*m.Depth)
+	}
+	for i, w := range l.Writes {
+		c.PendData[i] = make([]uint64, l.Mems[w.Mem].Words())
 	}
 	return c
 }
@@ -260,27 +274,3 @@ func (c *Core) Restore(buf []byte) error {
 
 // StateHash digests the architectural state (stats excluded).
 func (c *Core) StateHash() uint64 { return c.Snapshot().StateHash() }
-
-// StopError reports a stop() of a generated simulator with its exit code.
-type StopError struct {
-	Code  int
-	Cycle uint64
-}
-
-func (e *StopError) Error() string { return fmt.Sprintf("stop(%d) at cycle %d", e.Code, e.Cycle) }
-
-// StopInfo classifies this error over the serve protocol.
-func (e *StopError) StopInfo() (int, uint64) { return e.Code, e.Cycle }
-
-// AssertError reports a failed assertion of a generated simulator.
-type AssertError struct {
-	Msg   string
-	Cycle uint64
-}
-
-func (e *AssertError) Error() string {
-	return fmt.Sprintf("assertion failed at cycle %d: %s", e.Cycle, e.Msg)
-}
-
-// AssertInfo classifies this error over the serve protocol.
-func (e *AssertError) AssertInfo() (string, uint64) { return e.Msg, e.Cycle }

@@ -12,17 +12,18 @@ import (
 )
 
 // testLayout has a one-word input, a 70-bit and a 1-bit register, a
-// 64-bit wire, a narrow and a wide memory, and three stats words of which
-// the last is the build's.
+// 64-bit wire, a narrow and a wide memory with a write port each, and
+// three stats words of which the last is the build's.
 var testLayout = Layout{Name: "t", Fingerprint: 0xfeed,
 	Off: []int32{0, 1, 3, 4}, Width: []int32{8, 70, 64, 1},
 	Inputs: []int32{0}, Regs: []int32{1, 3},
-	Mems: []Mem{{Width: 8, Depth: 4}, {Width: 100, Depth: 2}}, BuildStat: 2}
+	Mems:   []Mem{{Width: 8, Depth: 4}, {Width: 100, Depth: 2}},
+	Writes: []Write{{Mem: 0}, {Mem: 1}}, BuildStat: 2}
 
 // newTestCore returns a zeroed Core of testLayout whose build word is 7,
 // and the count of its Rearm calls.
 func newTestCore() (*Core, *int) {
-	c := NewCore(&testLayout, make([]uint64, 5), make([]uint64, 3), 2)
+	c := NewCore(&testLayout, make([]uint64, 5), make([]uint64, 3))
 	c.Stats[2] = 7
 	rearms := new(int)
 	c.Rearm = func() { *rearms++ }

@@ -4,14 +4,11 @@
 // inline by the generator; the escape kernels (kernels.go), which the
 // interpreter calls too, evaluate signed one-word and wide instructions,
 // the wide ones on limb slices laid out exactly like the engine's value
-// table.
+// table. Core (core.go, cycle.go) is the state and the cycle boundary
+// both backends run.
 package simrt
 
-import (
-	"math/big"
-
-	"essent/internal/bits"
-)
+import "essent/internal/bits"
 
 // B2U converts a bool to 0/1.
 func B2U(b bool) uint64 {
@@ -46,19 +43,6 @@ func Parity64(x uint64) uint64 {
 	x ^= x >> 2
 	x ^= x >> 1
 	return x & 1
-}
-
-// FormatBase renders a value in the given base (printf %d/%x/%b).
-func FormatBase(words []uint64, width int, signed bool, base int) string {
-	v := new(big.Int)
-	for i := len(words) - 1; i >= 0; i-- {
-		v.Lsh(v, 64)
-		v.Or(v, new(big.Int).SetUint64(words[i]))
-	}
-	if signed && width > 0 && v.Bit(width-1) == 1 {
-		v.Sub(v, new(big.Int).Lsh(big.NewInt(1), uint(width)))
-	}
-	return v.Text(base)
 }
 
 // Scratch holds preallocated wide-op intermediates for one simulator

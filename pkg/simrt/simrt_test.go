@@ -47,13 +47,13 @@ func TestNarrowHelpers(t *testing.T) {
 }
 
 func TestFormatBase(t *testing.T) {
-	if got := FormatBase([]uint64{255}, 8, false, 16); got != "ff" {
+	if got := formatBase([]uint64{255}, 8, false, 16); got != "ff" {
 		t.Fatalf("hex: %s", got)
 	}
-	if got := FormatBase([]uint64{0xFF}, 8, true, 10); got != "-1" {
+	if got := formatBase([]uint64{0xFF}, 8, true, 10); got != "-1" {
 		t.Fatalf("signed: %s", got)
 	}
-	if got := FormatBase([]uint64{5}, 8, false, 2); got != "101" {
+	if got := formatBase([]uint64{5}, 8, false, 2); got != "101" {
 		t.Fatalf("bin: %s", got)
 	}
 }
